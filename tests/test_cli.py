@@ -6,6 +6,7 @@ from the printed JSON.
 """
 
 import json
+import os
 
 import pytest
 
@@ -15,6 +16,11 @@ from kahlerkit.scenarios import bundled_names, render_json
 BUNDLED = ["ak_disk", "ak_disk_chain2", "ak_flat", "calabi_chain_twisted",
            "calabi_chain_untwisted", "calabi_flat", "calabi_twist_zeta",
            "flat", "sphere"]
+
+# Reports of every bundled scenario at its bundled seed and count, without
+# timings_seconds, with the exit code of `kahlerkit verify`.  They are the
+# reference for refactors: never regenerate them to make a test pass.
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 
 def run_cli(capsys, argv):
@@ -260,3 +266,31 @@ def test_every_bundled_scenario_loads(name, capsys):
     assert rep["scenario"] == name
     assert rep["samples"] == 2
     assert len(rep["checks"]) >= 2
+
+
+def _residuals_agree(got, want):
+    if isinstance(want, str) or isinstance(got, str):
+        return got == want
+    return abs(got - want) <= 1e-12 + 1e-9 * abs(want)
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_report_matches_golden(name, tmp_path, capsys):
+    with open(os.path.join(GOLDEN, name + ".json"), encoding="utf-8") as fh:
+        golden = json.load(fh)
+    out = tmp_path / "report.json"
+    rc, _, _ = run_cli(capsys, ["verify", name, "--out", str(out)])
+    rep = json.loads(out.read_text())
+    rep.pop("timings_seconds")
+    want = golden["report"]
+    assert rc == golden["exit_code"]
+    assert {k: v for k, v in rep.items() if k != "checks"} == \
+        {k: v for k, v in want.items() if k != "checks"}
+    assert [c["name"] for c in rep["checks"]] == [c["name"] for c in want["checks"]]
+    for got, exp in zip(rep["checks"], want["checks"]):
+        assert set(got) == set(exp), got["name"]
+        for key, val in exp.items():
+            if key in ("max_residual", "mean_residual"):
+                assert _residuals_agree(got[key], val), (got["name"], key, got[key], val)
+            else:
+                assert got[key] == val, (got["name"], key, got[key], val)
