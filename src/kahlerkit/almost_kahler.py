@@ -15,10 +15,10 @@ import numpy as np
 
 from kahlerkit.jets import (Jet2, jsize, jconst, jlog, jeye, jmat_inv,
                             jet_dcoord, pack)
-from kahlerkit.fields import (ChartManifold, MetricField, EndoField, FormField,
-                              metric_jets, endo_jets, christoffel_parts,
-                              curvature_from_jets)
-from kahlerkit.hermitian import HermitianTriple, ddc_from_jets
+from kahlerkit.fields import (ChartManifold, Field, at, fold, worst,
+                              exterior_from_grad)
+from kahlerkit.hermitian import (HermitianTriple, ddc_from_jets,
+                                 ricci_form_from_jets)
 from kahlerkit.calabi import CalabiProfile, build_calabi, disk_base
 from kahlerkit.twist import (TwistMap, coordinate_twist, build_twist_fields,
                              build_twist)
@@ -28,14 +28,14 @@ from kahlerkit.twist import (TwistMap, coordinate_twist, build_twist_fields,
 class AKProduct:
     z_factor: HermitianTriple
     tw: TwistMap
-    g: MetricField
-    J: EndoField
-    J_tilde: EndoField
-    g0: MetricField
-    J0: EndoField
-    Jt0: EndoField
-    proj_plus: EndoField
-    frame_form: FormField
+    g: Field
+    J: Field
+    J_tilde: Field
+    g0: Field
+    J0: Field
+    Jt0: Field
+    proj_plus: Field
+    frame_form: Field
     chart: ChartManifold
     twist_full: TwistMap
 
@@ -126,150 +126,165 @@ def build_ak_product(z_factor, tw, mode="B", pair=-1.0, plane_range=(-1.0, 1.0))
                                    mode=mode, pair=pair)
     return AKProduct(
         z_factor=z_factor, tw=tw,
-        g=MetricField(gw, chart), J=EndoField(ew[0], chart),
-        J_tilde=EndoField(ew[1], chart),
-        g0=MetricField(g0fn, chart), J0=EndoField(J0fn, chart),
-        Jt0=EndoField(Jt0fn, chart),
-        proj_plus=EndoField(Ppfn, chart), frame_form=FormField(1, framefn, chart),
+        g=Field(gw, chart), J=Field(ew[0], chart), J_tilde=Field(ew[1], chart),
+        g0=Field(g0fn, chart), J0=Field(J0fn, chart), Jt0=Field(Jt0fn, chart),
+        proj_plus=Field(Ppfn, chart), frame_form=Field(framefn, chart, degree=1),
         chart=chart, twist_full=tw_full)
 
 
-def ak_invariants(ak, plan):
-    """Structural residuals: omega_{J~} against -dx1^dx2 + omega^h, its
+def ak_invariants_point(ak, p):
+    """Structural residuals at p: omega_{J~} against -dx1^dx2 + omega^h, its
     closedness and twist-invariance, and the Killing residual of the plane
     directions."""
+    pe = at(p)
     n = ak.chart.dim
-    nz = n - 2
-    r_target = r_dom = r_inv = r_kill = 0.0
-    for p in ak.chart.samples(plan):
-        x = Jet2.seed(np.asarray(p, float))
-        g = ak.g.fn(x)
-        Jt = ak.J_tilde.fn(x)
-        om = [[sum((Jt[m][i] * g[m][j] for m in range(n)), 0.0) for j in range(n)]
-              for i in range(n)]
-        omv = np.array([[e.value for e in row] for row in om])
-        omg = np.array([[e.grad for e in row] for row in om])
-        dom = (np.einsum('jki->ijk', omg) - np.einsum('ikj->ijk', omg)
-               + np.einsum('ijk->ijk', omg))
-        r_dom = max(r_dom, np.abs(dom).max())
+    omv, omg, _ = pe.omega(ak.g, ak.J_tilde)
+    target = np.zeros((n, n))
+    target[0, 1] = -1.0
+    target[1, 0] = 1.0
+    zp = pe.sub(2)
+    target[2:, 2:] = zp.jets(ak.z_factor.J)[0].T @ zp.jets(ak.z_factor.g)[0]
+    gg = pe.jets(ak.g)[1]
+    return {"omega_tilde_target": np.abs(omv - target).max(),
+            "d_omega_tilde": np.abs(exterior_from_grad(omg, 2)).max(),
+            "omega_tilde_invariance": np.abs(omv - pe.omega(ak.g0, ak.Jt0)[0]).max(),
+            "killing": worst(np.abs(gg[:, :, 0]).max(), np.abs(gg[:, :, 1]).max())}
 
-        target = np.zeros((n, n))
-        target[0, 1] = -1.0
-        target[1, 0] = 1.0
-        bp = Jet2.seed(np.asarray(p[2:], float))
-        h = ak.z_factor.g.fn(bp)
-        I = ak.z_factor.J.fn(bp)
-        hv = np.array([[e.value for e in row] for row in h])
-        Iv = np.array([[e.value for e in row] for row in I])
-        target[2:, 2:] = Iv.T @ hv
-        r_target = max(r_target, np.abs(omv - target).max())
 
-        g0 = ak.g0.fn(x)
-        Jt0 = ak.Jt0.fn(x)
-        om0 = np.array([[sum(Jt0[m][i].value * g0[m][j].value for m in range(n))
-                         for j in range(n)] for i in range(n)])
-        r_inv = max(r_inv, np.abs(omv - om0).max())
+def ak_invariants(ak, plan):
+    """Max over samples of the ak_invariants_point residuals."""
+    res = fold(ak.chart.samples(plan), lambda pe: ak_invariants_point(ak, pe))
+    return {k: res.max(k) for k in ("omega_tilde_target", "d_omega_tilde",
+                                     "omega_tilde_invariance", "killing")}
 
-        gg = np.array([[e.grad for e in row] for row in g])
-        r_kill = max(r_kill, np.abs(gg[:, :, 0]).max(), np.abs(gg[:, :, 1]).max())
-    return {"omega_tilde_target": r_target, "d_omega_tilde": r_dom,
-            "omega_tilde_invariance": r_inv, "killing": r_kill}
+
+def ak3_point(ak, p):
+    """Curvature symmetry under four J~'s at p, normalized by max |R|, and the
+    two proof blocks R(V,V,V,X) and R(X,Y,Z,V).  Index split: V in the plane
+    (0,1), X in the Z factor."""
+    pe = at(p)
+
+    def compute():
+        Rlow = pe.curvature(ak.g)[0]
+        Jtv = pe.jets(ak.J_tilde)[0]
+        RJ = np.einsum('ai,bj,ck,dl,abcd->ijkl', Jtv, Jtv, Jtv, Jtv, Rlow)
+        sc = np.abs(Rlow).max()
+        denom = sc if sc > 1e-12 else 1.0
+        return {"relative": np.abs(RJ - Rlow).max() / denom,
+                "block_plane": np.abs(Rlow[:2, :2, :2, 2:]).max() / denom,
+                "block_z": np.abs(Rlow[2:, 2:, 2:, :2]).max() / denom, "scale": sc}
+    return pe.cached("ak3", (ak.g, ak.J_tilde), compute)
 
 
 def ak3_residual(ak, plan):
-    """Curvature symmetry under four J~'s, normalized by max |R|; the two
-    proof blocks R(V,V,V,X) and R(X,Y,Z,V) are reported separately.  Index
-    split: V in the plane (0,1), X in the Z factor."""
-    n = ak.chart.dim
-    rel = b1 = b2 = 0.0
-    scale_seen = 0.0
-    for p in ak.chart.samples(plan):
-        gv, gg, gh = metric_jets(ak.g.fn, p)
-        Rlow, _, _, _ = curvature_from_jets(gv, gg, gh)
-        Jtv, _, _ = endo_jets(ak.J_tilde.fn, p)
-        RJ = np.einsum('ai,bj,ck,dl,abcd->ijkl', Jtv, Jtv, Jtv, Jtv, Rlow)
-        sc = np.abs(Rlow).max()
-        scale_seen = max(scale_seen, sc)
-        denom = sc if sc > 1e-12 else 1.0
-        rel = max(rel, np.abs(RJ - Rlow).max() / denom)
-        zidx = range(2, n)
-        b1 = max(b1, max(abs(Rlow[a, b, c, X]) for a in (0, 1) for b in (0, 1)
-                         for c in (0, 1) for X in zidx) / denom)
-        b2 = max(b2, max(abs(Rlow[X, Y, Z, d]) for X in zidx for Y in zidx
-                         for Z in zidx for d in (0, 1)) / denom)
-    return {"relative": rel, "block_plane": b1, "block_z": b2, "scale": scale_seen}
+    """Max over samples of the ak3_point residuals and of max |R|."""
+    res = fold(ak.chart.samples(plan), lambda pe: ak3_point(ak, pe))
+    return {"relative": res.max("relative"), "block_plane": res.max("block_plane"),
+            "block_z": res.max("block_z"), "scale": res.max("scale")}
 
 
 def eta_tensor(gfn, Jtfn, p):
     """eta = (1/2)(nabla J~)J~ at p; returns (eta[i,k,j], gv, gg, Jtv) with
     eta[i,k,j] the k-component of eta_{d_i} d_j."""
-    gv, gg, gh = metric_jets(gfn, p)
-    Gam, _, _ = christoffel_parts(gv, gg, gh, p)
-    Jtv, Jtg, _ = endo_jets(Jtfn, p)
+    pe = at(p)
+    gv, gg, _ = pe.jets(gfn)
+    Gam = pe.christoffel(gfn)[0]
+    Jtv, Jtg, _ = pe.jets(Jtfn)
     covJ = (np.einsum('kji->ikj', Jtg) + np.einsum('kim,mj->ikj', Gam, Jtv)
             - np.einsum('mij,km->ikj', Gam, Jtv))
     eta = 0.5 * np.einsum('ikm,mj->ikj', covJ, Jtv)
     return eta, gv, gg, Jtv
 
 
-def torsion_report(ak, plan, dw_floor=1e-6, rank_rtol=1e-8):
-    """All the pointwise torsion claims for the product: the derivative
-    identity 2 g(eta_{K_i} K_j, X) = X g(K_i, K_j), the D- nullity, the
-    containment of eta_{D+} D+ in D-, the rank-2 span of eta_{D+} D-, and the
-    two algebraic identities with J~.  Points with |dw| < dw_floor are
-    excluded from the nullity/containment/rank claims and counted."""
-    n = ak.chart.dim
-    zidx = list(range(2, n))
-    prelt = nullr = cont = algA = algB = 0.0
-    ranks = []
-    used = excluded = 0
-    for p in ak.chart.samples(plan):
-        x = Jet2.seed(np.asarray(p, float))
-        w1, w2 = ak.twist_full.fn(x)
+def torsion_point(ak, p, dw_floor=1e-6, rank_rtol=1e-8):
+    """The pointwise torsion claims at p: the derivative identity
+    2 g(eta_{K_i} K_j, X) = X g(K_i, K_j), the two algebraic identities with
+    J~, and, where |dw| >= dw_floor, the D- nullity, the containment of
+    eta_{D+} D+ in D- and the rank of the span of eta_{D+} D- (None below
+    the floor)."""
+    pe = at(p)
+
+    def compute():
+        n = ak.chart.dim
+        zidx = list(range(2, n))
+        w1, w2 = pe.raw(ak.twist_full)
         dw = max(np.abs(w1.grad).max(), np.abs(w2.grad).max())
-        eta, gv, gg, Jtv = eta_tensor(ak.g.fn, ak.J_tilde.fn, p)
-        for a in (0, 1):
-            for b in (0, 1):
-                for X in zidx:
-                    lhs = 2.0 * sum(gv[m, X] * eta[a, m, b] for m in range(n))
-                    prelt = max(prelt, abs(lhs - gg[a, b, X]))
-        algA = max(algA, np.abs(np.einsum('ikm,mj->ikj', eta, Jtv)
-                                + np.einsum('km,imj->ikj', Jtv, eta)).max())
-        algB = max(algB, np.abs(np.einsum('mi,mkj->ikj', Jtv, eta)
-                                - np.einsum('ikm,mj->ikj', eta, Jtv)).max())
-        if dw < dw_floor:
-            excluded += 1
-            continue
-        used += 1
-        nullr = max(nullr, np.abs(eta[zidx, :, :]).max())
-        cont = max(cont, np.abs(eta[0:2, 0:2, 0:2]).max())
-        vecs = np.stack([eta[a, :, c] for a in (0, 1) for c in zidx])
-        sv = np.linalg.svd(vecs, compute_uv=False)
-        ranks.append(int((sv > rank_rtol * sv[0]).sum()) if sv[0] > 0 else 0)
-    return TorsionReport(prelt_residual=prelt, nullity_residual=nullr,
-                         containment_residual=cont, span_ranks=ranks,
-                         alg_anticommute=algA, alg_jshift=algB,
-                         points_used=used, points_excluded=excluded)
+        eta, gv, gg, Jtv = eta_tensor(ak.g, ak.J_tilde, pe)
+        out = {"prelt": worst(0.0, *(abs(2.0 * sum(gv[m, X] * eta[a, m, b] for m in range(n))
+                                         - gg[a, b, X])
+                                     for a in (0, 1) for b in (0, 1) for X in zidx)),
+               "anticommute": np.abs(np.einsum('ikm,mj->ikj', eta, Jtv)
+                                     + np.einsum('km,imj->ikj', Jtv, eta)).max(),
+               "jshift": np.abs(np.einsum('mi,mkj->ikj', Jtv, eta)
+                                - np.einsum('ikm,mj->ikj', eta, Jtv)).max(),
+               "nullity": None, "containment": None, "rank": None}
+        if dw >= dw_floor:
+            sv = np.linalg.svd(np.stack([eta[a, :, c] for a in (0, 1) for c in zidx]),
+                               compute_uv=False)
+            out.update(nullity=np.abs(eta[zidx, :, :]).max(),
+                       containment=np.abs(eta[0:2, 0:2, 0:2]).max(),
+                       rank=int((sv > rank_rtol * sv[0]).sum()) if sv[0] > 0 else 0)
+        return out
+    return pe.cached("torsion", (ak.g, ak.J_tilde, ak.twist_full, dw_floor, rank_rtol),
+                     compute)
+
+
+def torsion_report(ak, plan, dw_floor=1e-6, rank_rtol=1e-8):
+    """Max over samples of the torsion_point residuals.  Points with
+    |dw| < dw_floor are excluded from the nullity/containment/rank claims and
+    counted."""
+    res = fold(ak.chart.samples(plan),
+               lambda pe: torsion_point(ak, pe, dw_floor, rank_rtol))
+    return TorsionReport(prelt_residual=res.max("prelt"),
+                         nullity_residual=res.max("nullity"),
+                         containment_residual=res.max("containment"),
+                         span_ranks=[int(r) for r in res.values.get("rank", [])],
+                         alg_anticommute=res.max("anticommute"),
+                         alg_jshift=res.max("jshift"),
+                         points_used=res.used("nullity"),
+                         points_excluded=res.excluded.get("nullity", 0))
+
+
+def einstein_point(g, p):
+    """Pointwise least-squares Einstein fit at p: lambda = <Ric, g>/<g, g>,
+    the residual max |Ric - lambda g|, and max |Ric|."""
+    pe = at(p)
+    gv = pe.jets(g)[0]
+    Ric = pe.curvature(g)[1]
+    lam = float(np.tensordot(Ric, gv) / np.tensordot(gv, gv))
+    return {"lambda": lam, "einstein_dev": np.abs(Ric - lam * gv).max(),
+            "ricci_max": np.abs(Ric).max()}
 
 
 def einstein_residual(gfield, plan, chart=None):
-    """Pointwise least-squares Einstein fit: lambda(p) = <Ric, g>/<g, g>,
-    residual max |Ric - lambda g|, plus the spread of lambda across points and
-    the raw max |Ric|."""
+    """einstein_point over samples: the worst residual and max |Ric|, plus the
+    pointwise lambdas and their spread."""
     chart = chart if chart is not None else gfield.chart
-    lambdas = []
-    ricci_max = 0.0
-    dev = 0.0
-    for p in chart.samples(plan):
-        gv, gg, gh = metric_jets(gfield.fn, p)
-        _, Ric, _, _ = curvature_from_jets(gv, gg, gh)
-        lam = float(np.tensordot(Ric, gv) / np.tensordot(gv, gv))
-        lambdas.append(lam)
-        dev = max(dev, np.abs(Ric - lam * gv).max())
-        ricci_max = max(ricci_max, np.abs(Ric).max())
+    res = fold(chart.samples(plan), lambda pe: einstein_point(gfield, pe))
+    lambdas = res.values.get("lambda", [])
     spread = (max(lambdas) - min(lambdas)) if lambdas else 0.0
-    return {"ricci_max": ricci_max, "einstein_dev": dev, "spread": spread,
-            "lambdas": lambdas}
+    return {"ricci_max": res.max("ricci_max"), "einstein_dev": res.max("einstein_dev"),
+            "spread": spread, "lambdas": lambdas}
+
+
+def subtract_fiber_logs(rho, pe, J, z_positions):
+    """rho minus (j/2) (d J d) ln z_j for every fiber level j, in level order;
+    returns the difference and the largest single term."""
+    Jv, Jg, _ = pe.jets(J)
+    size = 0.0
+    for j, pos in z_positions.items():
+        term = 0.5 * j * ddc_from_jets(jlog(pe.x[pos]), Jv, Jg)
+        rho = rho - term
+        size = worst(size, np.abs(term).max())
+    return rho, size
+
+
+def fiber_log_point(t, z_positions, p):
+    """max |rho - sum_j (j/2) (d J d) ln z_j| at p: the Ricci form of t is
+    carried by the fiber log potentials."""
+    pe = at(p)
+    rho = ricci_form_from_jets(pe.curvature(t.g)[1], pe.jets(t.J)[0])
+    return np.abs(subtract_fiber_logs(rho, pe, t.J, z_positions)[0]).max()
 
 
 @dataclass
@@ -278,7 +293,7 @@ class ChainLevel:
     kind: str
     chain_height: int
     triple: HermitianTriple
-    alpha: FormField
+    alpha: Field
     cal: object = None
     twisted: object = None
     claimed_coeff: float = 0.0
@@ -288,22 +303,13 @@ class ChainLevel:
         """Residuals at p of the claimed log-coefficient identity and of the
         corrected one carrying the (j/2) ln z_j fiber terms."""
         n = self.triple.chart.dim
-        p = np.asarray(p, float)
-        gv, gg, gh = metric_jets(self.triple.g.fn, p)
-        _, Ric, _, _ = curvature_from_jets(gv, gg, gh)
-        x = Jet2.seed(p)
-        Jv, Jg, _ = pack(self.triple.J.fn(x))
-        rho = np.einsum('mi,mj->ij', Jv, Ric)
-        xx, yy = x[n - 2], x[n - 1]
-        L = jlog(jconst(1.0, n) - xx * xx - yy * yy)
-        ddL = ddc_from_jets(L, Jv, Jg)
-        claimed = rho - self.claimed_coeff * ddL
-        corrected = claimed.copy()
-        corr_size = 0.0
-        for j, pos in self.z_positions.items():
-            term = 0.5 * j * ddc_from_jets(jlog(x[pos]), Jv, Jg)
-            corrected = corrected - term
-            corr_size = max(corr_size, np.abs(term).max())
+        pe = at(p)
+        t = self.triple
+        Jv, Jg, _ = pe.jets(t.J)
+        xx, yy = pe.x[n - 2], pe.x[n - 1]
+        ddL = ddc_from_jets(jlog(jconst(1.0, n) - xx * xx - yy * yy), Jv, Jg)
+        claimed = ricci_form_from_jets(pe.curvature(t.g)[1], Jv) - self.claimed_coeff * ddL
+        corrected, corr_size = subtract_fiber_logs(claimed, pe, t.J, self.z_positions)
         return {"claimed": np.abs(claimed).max(),
                 "corrected": np.abs(corrected).max(),
                 "correction_size": corr_size}
@@ -319,7 +325,7 @@ def _lifted_alpha(cal):
         z = pt[1]
         a = prev(pt[2:])
         return [z, jconst(0.0, nj)] + [z * ai for ai in a]
-    return FormField(1, afn, cal.chart)
+    return Field(afn, cal.chart, degree=1)
 
 
 def iterate_chain(kind, m, A=-1.0, radius=0.55, z_range=(0.6, 1.8),
@@ -405,15 +411,10 @@ def ker_dw_projector(gfn, wfn):
 def ker_dw_geodesic_residual(gfn, wfn, p):
     """Max component of the D-orthogonal second fundamental form of Ker dw at
     p: (1 - Q) nabla_X (Q Y) restricted to X, Y in Ker dw."""
-    p = np.asarray(p, float)
-    gv, gg, gh = metric_jets(gfn, p)
-    Gam, _, _ = christoffel_parts(gv, gg, gh, p)
-    Qfn = ker_dw_projector(gfn, wfn)
-    x = Jet2.seed(p)
-    Q = Qfn(x)
-    n = gv.shape[0]
-    Qv = np.array([[e.value for e in row] for row in Q])
-    Qg = np.array([[e.grad for e in row] for row in Q])
+    pe = at(p)
+    Gam = pe.christoffel(gfn)[0]
+    Qv, Qg, _ = pack(ker_dw_projector(gfn, wfn)(pe.x))
+    n = Qv.shape[0]
     covQ = np.einsum('mji->mij', Qg) + np.einsum('mia,aj->mij', Gam, Qv)
     B = np.einsum('km,mij->kij', np.eye(n) - Qv, covQ)
     return np.abs(np.einsum('kij,ia,jb->kab', B, Qv, Qv)).max()

@@ -22,10 +22,9 @@ import numpy as np
 
 from kahlerkit.jets import (Jet2, SamplePlan, jsize, jconst, jlog, jeye,
                             jmatmul, jmat_add, jmat_scale)
-from kahlerkit.fields import (ChartManifold, MetricField, EndoField, FormField,
-                              NotClosedError, wedge_top, homotopy_primitive,
-                              exterior_from_grad)
-from kahlerkit.hermitian import HermitianTriple, fundamental_form_jets
+from kahlerkit.fields import (ChartManifold, Field, NotClosedError, at, fold,
+                              wedge_top, homotopy_primitive, exterior_from_grad)
+from kahlerkit.hermitian import HermitianTriple, fundamental_form_field
 from kahlerkit.foliation import Splitting
 
 
@@ -93,7 +92,7 @@ def _poly(coeffs, t):
 def disk_base(k, radius=0.55):
     """HermitianTriple for the unit-disk base with metric (1 - rho^2)^k * delta
     and the standard rotation, plus the closed-form primitive alpha of its
-    Kähler form.  Returns (triple, alpha: FormField(1))."""
+    Kähler form.  Returns (triple, alpha: a 1-form Field)."""
     dom = [(-radius, radius), (-radius, radius)]
     chart = ChartManifold(2, dom, label="disk^%d" % k)
     ucoef = disk_u_coefficients(k)
@@ -120,8 +119,8 @@ def disk_base(k, radius=0.55):
         u = _poly(ucoef, t)
         return [u * y * (-1.0), u * x]
 
-    triple = HermitianTriple(MetricField(gfn, chart), EndoField(Ifn, chart), chart)
-    return triple, FormField(1, alphafn, chart)
+    triple = HermitianTriple(Field(gfn, chart), Field(Ifn, chart), chart)
+    return triple, Field(alphafn, chart, degree=1)
 
 
 def flat_base(radius=0.55):
@@ -131,14 +130,14 @@ def flat_base(radius=0.55):
 
 @dataclass
 class CalabiChart:
-    g: MetricField
-    J: EndoField
-    I0: EndoField
-    proj_plus: EndoField
-    theta: FormField
+    g: Field
+    J: Field
+    I0: Field
+    proj_plus: Field
+    theta: Field
     chart: ChartManifold
     base: HermitianTriple
-    alpha: FormField
+    alpha: Field
     profile: CalabiProfile
     m: int
 
@@ -164,17 +163,11 @@ def build_calabi(base, profile, alpha=None, alpha_tol=1e-7, check_count=10):
     q0 = profile.q
 
     if alpha is None:
-        alpha = homotopy_primitive(_base_omega_field(base), base.chart)
+        alpha = homotopy_primitive(fundamental_form_field(base.g, base.J), base.chart)
     else:
-        plan = SamplePlan(seed=0, count=check_count)
-        worst = 0.0
-        for p in base.chart.samples(plan):
-            omv, _ = _base_omega_at(base, p)
-            x = Jet2.seed(np.asarray(p, float))
-            aj = alpha.fn(x)
-            ag = np.array([e.grad for e in aj])
-            worst = max(worst, np.abs((ag.swapaxes(0, 1) - ag) - omv).max())
-        if worst > alpha_tol:
+        worst = fold(base.chart.samples(SamplePlan(seed=0, count=check_count)),
+                     lambda pe: alpha_primitive_point(alpha, base, pe)).max()
+        if not worst <= alpha_tol:
             raise NotClosedError("d alpha mismatches the base Kähler form by %.3e" % worst)
 
     afn = alpha.fn
@@ -240,64 +233,53 @@ def build_calabi(base, profile, alpha=None, alpha_tol=1e-7, check_count=10):
     dom = [tuple(profile.s_range), tuple(profile.z_range)] + [tuple(d) for d in base.chart.domain]
     chart = ChartManifold(n, dom, label="calabi(m=%d)" % m)
     return CalabiChart(
-        g=MetricField(gfn, chart), J=EndoField(Jfn, chart), I0=EndoField(I0fn, chart),
-        proj_plus=EndoField(Ppfn, chart), theta=FormField(1, thetafn, chart),
+        g=Field(gfn, chart), J=Field(Jfn, chart), I0=Field(I0fn, chart),
+        proj_plus=Field(Ppfn, chart), theta=Field(thetafn, chart, degree=1),
         chart=chart, base=base, alpha=alpha, profile=profile, m=m)
 
 
-def _base_omega_field(base):
-    def omfn(pt):
-        g = base.g(pt)
-        J = base.J(pt)
-        nb = len(g)
-        return [[sum((J[mm][i] * g[mm][j] for mm in range(nb)), 0.0) for j in range(nb)]
-                for i in range(nb)]
-    return FormField(2, omfn, base.chart)
+def alpha_primitive_point(alpha, t, p):
+    """|d alpha - omega| at p for a claimed primitive alpha of t's Kähler form."""
+    pe = at(p)
+    ag = pe.vec(alpha)[1]
+    return np.abs((ag.T - ag) - pe.omega(t.g, t.J)[0]).max()
 
 
-def _base_omega_at(base, p):
-    omv, omg, _ = fundamental_form_jets(HermitianTriple(base.g, base.J, base.chart), p)
-    return omv, omg
+def moment_map_point(cal, p):
+    """|iota_{d/ds} omega_J + dz| at p (the flow is Hamiltonian with moment
+    map -z in these conventions)."""
+    want = np.zeros(cal.chart.dim)
+    want[1] = -1.0
+    return np.abs(at(p).omega(cal.g, cal.J)[0][0, :] - want).max()
 
 
 def moment_map_residual(cal, plan):
-    """max |iota_{d/ds} omega_J + dz| over samples (the flow is Hamiltonian
-    with moment map -z in these conventions)."""
-    want = np.zeros(cal.chart.dim)
-    want[1] = -1.0
-    worst = 0.0
-    for p in cal.chart.samples(plan):
-        omv, _, _ = fundamental_form_jets(cal.triple(), p)
-        worst = max(worst, np.abs(omv[0, :] - want).max())
-    return worst
+    """Max over samples of moment_map_point."""
+    return fold(cal.chart.samples(plan), lambda pe: moment_map_point(cal, pe)).max()
 
 
 def volume_checks(cal, p):
     """Top-power identity at a point: the Pfaffian coefficient of omega^m in
     chart coordinates against the fibered closed forms, in both the z and the
     r dictionaries.  Returns a dict of the three coefficients and residuals."""
+    pe = at(p)
+    return pe.cached("volume", (cal.g,), lambda: _volume_checks(cal, pe))
+
+
+def _volume_checks(cal, pe):
     m = cal.m
     n = cal.chart.dim
-    p = np.asarray(p, float)
-    omv, _, _ = fundamental_form_jets(cal.triple(), p)
-    lhs = wedge_top([omv] * m)
+    lhs = wedge_top([pe.omega(cal.g, cal.J)[0]] * m)
 
-    x = Jet2.seed(p)
-    b = x[2:]
-    a = [e.value for e in cal.alpha.fn(b)]
-    gN = [[e.value for e in row] for row in cal.base.g(b)]
-    IN = [[e.value for e in row] for row in cal.base.J(b)]
-    nb = n - 2
+    base = pe.sub(2)
     omN = np.zeros((n, n))
-    for i in range(nb):
-        for j in range(nb):
-            omN[2 + i, 2 + j] = sum(IN[mm][i] * gN[mm][j] for mm in range(nb))
+    omN[2:, 2:] = base.omega(cal.base.g, cal.base.J)[0]
     Th = np.zeros(n)
     Th[0] = 1.0
-    Th[2:] = a
+    Th[2:] = base.vec(cal.alpha)[0]
     dz = np.zeros(n)
     dz[1] = 1.0
-    z = p[1]
+    z = pe.p[1]
     dzTh = np.outer(dz, Th) - np.outer(Th, dz)
     rhs_z = m * z ** (m - 1) * wedge_top([dzTh] + [omN] * (m - 1))
 
@@ -316,7 +298,7 @@ def lee_form_of_I0(cal, p):
     """Solve d omega_I = theta0 ^ omega_I for theta0 by least squares over all
     3-form components.  Returns (theta0 components, fit residual)."""
     n = cal.chart.dim
-    omv, omg, _ = fundamental_form_jets(cal.triple_I(), p)
+    omv, omg, _ = at(p).omega(cal.g, cal.I0)
     dom = exterior_from_grad(omg, 2)
     rows, rhs = [], []
     for i in range(n):
@@ -373,4 +355,4 @@ def rescale_biaxial(t, s, a, b, profile=None, tol=1e-9, t_samples=9):
         return [[av * gp[i][j] + bv * (g[i][j] - gp[i][j]) for j in range(dim)]
                 for i in range(dim)]
 
-    return HermitianTriple(MetricField(ghat, t.chart), EndoField(Jfn, t.chart), t.chart), worst
+    return HermitianTriple(Field(ghat, t.chart), Field(Jfn, t.chart), t.chart), worst

@@ -111,6 +111,12 @@ def main(argv=None):
     p_list = sub.add_parser("list-builders", help="show the builder registry")
     p_list.set_defaults(fn=_cmd_list_builders)
 
+    # argparse takes the value in "--point -0.3,0.2" for an option; bind it
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i, tok in enumerate(argv[:-1]):
+        if tok == "--point":
+            argv[i:i + 2] = ["--point=" + argv[i + 1]]
+            break
     args = parser.parse_args(argv)
     try:
         return args.fn(args)

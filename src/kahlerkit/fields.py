@@ -11,10 +11,11 @@ Ricci(X,Y) = trace(Z -> R(Z,X)Y). Validated against sphere/hyperbolic oracles.
 """
 
 import itertools
+import math
 
 import numpy as np
 
-from kahlerkit.jets import Jet2, pack, pack1, sample_points
+from kahlerkit.jets import Jet2, JetDomainError, jmat_inv, pack, pack1, sample_points
 
 
 class DegenerateMetricError(ValueError):
@@ -26,6 +27,10 @@ class NotClosedError(ValueError):
 
 
 class AlmostComplexError(ValueError):
+    pass
+
+
+class CompatibilityError(ValueError):
     pass
 
 
@@ -54,66 +59,189 @@ class ChartManifold:
         return f"ChartManifold(dim={self.dim}, label={self.label!r})"
 
 
-class MetricField:
-    def __init__(self, fn, chart=None):
+class Field:
+    """A tensor field on a chart: fn maps the coordinate jets of a point to
+    jet-valued components (a jet, a list, or a nested list).  degree is set
+    for differential forms."""
+
+    def __init__(self, fn, chart=None, degree=None):
         self.fn = fn
         self.chart = chart
+        self.degree = degree
 
     def __call__(self, pt):
         return self.fn(pt)
 
 
-class EndoField:
-    def __init__(self, fn, chart=None):
-        self.fn = fn
-        self.chart = chart
-
-    def __call__(self, pt):
-        return self.fn(pt)
+def _fn(f):
+    """The callable behind a field or plain function: what PointEval keys on,
+    since triple() and splitting() build fresh wrappers around it."""
+    return getattr(f, "fn", f)
 
 
-class FormField:
-    def __init__(self, degree, fn, chart=None):
-        self.degree = int(degree)
-        self.fn = fn
-        self.chart = chart
-
-    def __call__(self, pt):
-        return self.fn(pt)
+def omega_of(g, J):
+    """Jet components of the fundamental form omega(X, Y) = g(JX, Y) from the
+    components of g and J at one point."""
+    d = len(g)
+    return [[sum((J[m][i] * g[m][j] for m in range(d)), 0.0) for j in range(d)]
+            for i in range(d)]
 
 
-class VectorFieldF:
-    def __init__(self, fn, chart=None):
-        self.fn = fn
-        self.chart = chart
+# ---------------------------------------------------------------------------
+# per-point evaluation context and the residual aggregator
+# ---------------------------------------------------------------------------
 
-    def __call__(self, pt):
-        return self.fn(pt)
+class PointEval:
+    """One sample point, seeded once.  Every field evaluated here is evaluated
+    once: its jet components, their packed (value, grad, hess) arrays, its
+    curvature and fundamental forms are memoised by the field's callable, and
+    library functions memoise derived results (the Lee form, the torsion
+    tensor) through cached().  Drop it before moving to the next point."""
+
+    def __init__(self, p):
+        self.p = np.asarray(p, float)
+        self._x = None
+        self._memo = {}
+
+    @property
+    def x(self):
+        """Coordinate jets of the point."""
+        if self._x is None:
+            self._x = Jet2.seed(self.p)
+        return self._x
+
+    def cached(self, tag, fields, compute):
+        """compute(), once per point for this tag and these fields."""
+        key = (tag,) + tuple(_fn(f) for f in fields)
+        try:
+            return self._memo[key]
+        except KeyError:
+            val = self._memo[key] = compute()
+            return val
+
+    def raw(self, f):
+        """f's jet components at the point."""
+        return self.cached("raw", (f,), lambda: _fn(f)(self.x))
+
+    def jets(self, f):
+        """Packed (value, grad, hess) arrays of a matrix-valued field."""
+        return self.cached("jets", (f,), lambda: pack(self.raw(f)))
+
+    def vec(self, f):
+        """Packed (value, grad, hess) arrays of a vector or 1-form field."""
+        return self.cached("vec", (f,), lambda: pack1(self.raw(f)))
+
+    def inverse(self, g):
+        """Jet matrix of g^{-1}."""
+        return self.cached("inv", (g,), lambda: jmat_inv(self.raw(g)))
+
+    def christoffel(self, g):
+        return self.cached("gamma", (g,),
+                           lambda: christoffel_parts(*self.jets(g), self.p))
+
+    def curvature(self, g):
+        """(Riemann lowered, Ricci, scalar, g^{-1}) of the metric g."""
+        return self.cached("curv", (g,),
+                           lambda: curvature_from_jets(*self.jets(g), self.p))
+
+    def form(self, g, J):
+        """Jet components of the fundamental form of (g, J)."""
+        return self.cached("form", (g, J), lambda: omega_of(self.raw(g), self.raw(J)))
+
+    def omega(self, g, J):
+        """Packed arrays of the fundamental form of (g, J)."""
+        return self.cached("omega", (g, J), lambda: pack(self.form(g, J)))
+
+    def sub(self, start):
+        """The point made of coordinates start.. (a factor's own chart)."""
+        return self.cached("sub", (start,), lambda: PointEval(self.p[start:]))
+
+    def where(self):
+        return self.p.round(8).tolist()
 
 
-class ScalarField:
-    def __init__(self, fn, chart=None):
-        self.fn = fn
-        self.chart = chart
-
-    def __call__(self, pt):
-        return self.fn(pt)
+def at(p):
+    """p as a PointEval: every per-point function accepts a bare point or a
+    PointEval shared with the other checks at that point."""
+    return p if isinstance(p, PointEval) else PointEval(p)
 
 
-def seedcall(field, p):
-    return field(Jet2.seed(np.asarray(p, float)))
+DOMAIN_ERRORS = (JetDomainError, DegenerateMetricError, NotClosedError,
+                 AlmostComplexError, CompatibilityError, np.linalg.LinAlgError)
+
+
+def worst(*residuals):
+    """Largest residual, NaN included (max() drops a NaN that is not first)."""
+    return float(np.max(residuals))
+
+
+class Fold:
+    """Per-point residuals folded over sample points.
+
+    A per-point function returns one residual, None to exclude the point, or
+    a dict of named residuals (None excluding the point for that name).  The
+    fold stops at the first domain error, keeping the points before it, and
+    at the first NaN or inf residual, which it keeps as its max; either way
+    error names the point.
+    """
+
+    def __init__(self):
+        self.values = {}
+        self.excluded = {}
+        self.points = 0
+        self.error = ""
+        self.exc = None
+
+    def add(self, pe, fn):
+        if self.error:
+            return
+        try:
+            r = fn(pe)
+        except DOMAIN_ERRORS as exc:
+            self.exc = exc
+            self.error = "%s at point %s: %s" % (type(exc).__name__, pe.where(), exc)
+            return
+        self.points += 1
+        for key, val in (r.items() if isinstance(r, dict) else ((None, r),)):
+            if val is None:
+                self.excluded[key] = self.excluded.get(key, 0) + 1
+                continue
+            self.values.setdefault(key, []).append(float(val))
+            if not math.isfinite(val):
+                self.error = "non-finite residual at point %s" % pe.where()
+
+    def used(self, key=None):
+        return len(self.values.get(key, ()))
+
+    def max(self, key=None):
+        vals = self.values.get(key)
+        if not vals:
+            return 0.0
+        return vals[-1] if not math.isfinite(vals[-1]) else max(vals)
+
+    def mean(self, key=None):
+        vals = self.values.get(key)
+        return sum(vals) / len(vals) if vals else 0.0
+
+
+def fold(points, fn):
+    """Fold fn(PointEval(p)) over points; a domain error propagates."""
+    acc = Fold()
+    for p in points:
+        acc.add(PointEval(p), fn)
+        if acc.exc is not None:
+            raise acc.exc
+        if acc.error:
+            break
+    return acc
 
 
 def metric_jets(g, p):
-    return pack(seedcall(g, p))
+    return at(p).jets(g)
 
 
 def endo_jets(J, p):
-    return pack(seedcall(J, p))
-
-
-def vector_jets(V, p):
-    return pack1(seedcall(V, p))
+    return at(p).jets(J)
 
 
 # ---------------------------------------------------------------------------
@@ -140,16 +268,9 @@ def christoffel_parts(gv, gg, gh, p=None):
     return Gam, dGam, gi
 
 
-def christoffel(g, p):
-    gv, gg, gh = metric_jets(g, p)
-    Gam, _, _ = christoffel_parts(gv, gg, gh, p)
-    return Gam
-
-
 def curvature(g, p):
     """Riemann (fully lowered), Ricci, scalar curvature and g^{-1} at p."""
-    gv, gg, gh = metric_jets(g, p)
-    return curvature_from_jets(gv, gg, gh, p)
+    return at(p).curvature(g)
 
 
 def curvature_from_jets(gv, gg, gh, p=None):
@@ -180,12 +301,9 @@ def scalar_curvature(g, p):
 
 def lie_derivative_metric(g, V, p):
     """(L_V g)_ij = V^k d_k g_ij + g_kj d_i V^k + g_ik d_j V^k."""
-    gv, gg, _ = metric_jets(g, p)
-    vv, vg, _ = vector_jets(V, p)
-    return lie_metric_from_jets(gv, gg, vv, vg)
-
-
-def lie_metric_from_jets(gv, gg, vv, vg):
+    pe = at(p)
+    gv, gg, _ = pe.jets(g)
+    vv, vg, _ = pe.vec(V)
     return (np.einsum('k,ijk->ij', vv, gg) + np.einsum('kj,ki->ij', gv, vg)
             + np.einsum('ik,kj->ij', gv, vg))
 
@@ -196,15 +314,6 @@ def lie_endo_from_jets(Xv, Xg, Jv, Jg):
     t2 = np.einsum('mj,km->kj', Jv, Xg)
     t3 = np.einsum('km,mj->kj', Jv, Xg)
     return t1 - t2 + t3
-
-
-def embed_form2(val, dim, offset):
-    """Zero-pad a 2-form value array into a larger chart at the given slot offset
-    (the pullback along the coordinate projection)."""
-    out = np.zeros((dim, dim))
-    k = val.shape[0]
-    out[offset:offset + k, offset:offset + k] = val
-    return out
 
 
 def pack_form(F):
@@ -231,7 +340,7 @@ def exterior_from_grad(grad, k):
 
 def exterior_derivative(omega, p, dim=None):
     """(d omega) components at p; degree omega.degree + 1 must not exceed dim."""
-    comps = seedcall(omega, p)
+    comps = at(p).raw(omega)
     if omega.degree == 0:
         return comps.grad if isinstance(comps, Jet2) else pack1(comps)[1]
     val, grad = pack_form(comps)
@@ -241,16 +350,6 @@ def exterior_derivative(omega, p, dim=None):
     if omega.degree + 1 > dim:
         raise ValueError(f"exterior derivative of degree {omega.degree} form exceeds dim {dim}")
     return exterior_from_grad(grad, omega.degree)
-
-
-def dform1(alpha_val_grad):
-    av, ag = alpha_val_grad
-    return ag.T - ag
-
-
-def dform2_from_jets(omv, omg):
-    return (np.einsum('jki->ijk', omg) - np.einsum('ikj->ijk', omg)
-            + np.einsum('ijk->ijk', omg))
 
 
 def nijenhuis_from_jets(Jv, Jg):
@@ -263,13 +362,14 @@ def nijenhuis_from_jets(Jv, Jg):
 
 
 def nijenhuis(J, p, check=True, tol=1e-8):
-    Jv, Jg, _ = endo_jets(J, p)
+    pe = at(p)
+    Jv, Jg, _ = pe.jets(J)
     if check:
         d = Jv.shape[0]
         sq = np.abs(Jv @ Jv + np.eye(d)).max()
         if sq > tol:
             raise AlmostComplexError(
-                f"endomorphism square differs from -1 by {sq:.2e} at {np.asarray(p).tolist()}")
+                f"endomorphism square differs from -1 by {sq:.2e} at {pe.p.tolist()}")
     return nijenhuis_from_jets(Jv, Jg)
 
 
@@ -307,7 +407,7 @@ def homotopy_primitive(omega, chart, order=32, check_plan=None, tol=1e-8):
                 acc[j] = acc[j] + scale * sum((om[i][j] * diff[i] for i in range(dim)), 0.0)
         return acc
 
-    return FormField(1, alpha_fn, chart)
+    return Field(alpha_fn, chart, degree=1)
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from kahlerkit.jets import Jet2, jmat_inv, jet_dcoord, pack
-from kahlerkit.fields import (EndoField, metric_jets, endo_jets,
-                              christoffel_parts, lie_endo_from_jets,
-                              pack_form, exterior_from_grad)
+from kahlerkit.jets import Jet2, jet_dcoord, jmat_inv, pack, pack1
+from kahlerkit.fields import (Field, at, fold, worst, lie_endo_from_jets,
+                              exterior_from_grad)
 
 VERDICT_HOLOMORPHIC = "holomorphic"
 VERDICT_GEODESIC = "geodesic_riemannian"
@@ -35,12 +34,11 @@ class Splitting:
             n = pt[0].grad.size
             return [[Jet2.const(1.0 if i == j else 0.0, n) - P[i][j]
                      for j in range(dim)] for i in range(dim)]
-        return Splitting(EndoField(proj_plus_fn), EndoField(minus_fn), (2, dim - 2))
+        return Splitting(Field(proj_plus_fn), Field(minus_fn), (2, dim - 2))
 
 
 @dataclass
 class FoliationReport:
-    theta: np.ndarray
     theta_closed_residual: float
     homothetic_residual: float
     oneill_ring_residual: float
@@ -76,15 +74,15 @@ def theta_jets(t, s, p):
     is a list of first-order-valid jets (value and grad exact; hess padding),
     thetaV the theta(V_a) jets for the D+ frame columns.
     """
-    x = Jet2.seed(np.asarray(p, float))
-    g = t.g(x)
-    Pp = s.proj_plus(x)
+    pe = at(p)
+    g = pe.raw(t.g)
+    Pp = pe.raw(s.proj_plus)
     n = len(g)
-    gv = np.array([[e.value for e in row] for row in g])
-    Pv = np.array([[e.value for e in row] for row in Pp])
+    gv = pe.jets(t.g)[0]
+    Pv = pe.jets(s.proj_plus)[0]
     cols = _frame_columns(Pv)
-    gi = jmat_inv(g)
-    Pm = [[(Jet2.const(1.0 if i == j else 0.0, x[0].grad.size)) - Pp[i][j]
+    gi = pe.inverse(t.g)
+    Pm = [[(Jet2.const(1.0 if i == j else 0.0, pe.p.size)) - Pp[i][j]
            for j in range(n)] for i in range(n)]
 
     thetaV = []
@@ -101,9 +99,8 @@ def theta_jets(t, s, p):
                   for i in range(n) for j in range(n) for k in range(n)), 0.0)
         th_a = tr * (1.0 / (n - 2))
         thetaV.append(th_a)
-        Lv = np.array([[e.value for e in row] for row in L])
-        D = Pmv.T @ (Lv - th_a.value * gv) @ Pmv
-        resid = max(resid, np.abs(D).max())
+        D = Pmv.T @ (pack(L)[0] - th_a.value * gv) @ Pmv
+        resid = worst(resid, np.abs(D).max())
 
     # assemble theta as a 1-form: theta(d_i) = theta(P+ d_i) expanded in the frame
     U = [[Pp[k][a] for a in cols] for k in range(n)]
@@ -118,24 +115,32 @@ def theta_jets(t, s, p):
     return theta, resid, thetaV, cols
 
 
+def _lee(t, s, pe):
+    """theta_jets at pe, run once per point: (theta jets, theta values,
+    theta grads, homothetic residual)."""
+    def compute():
+        theta, resid, _, _ = theta_jets(t, s, pe)
+        thv, thg, _ = pack1(theta)
+        return theta, thv, thg, resid
+    return pe.cached("lee", (t.g, s.proj_plus), compute)
+
+
 def extract_theta(t, s, p):
     """Lee-form components at p (vanishes on D- by construction)."""
-    theta, _, _, _ = theta_jets(t, s, p)
-    return np.array([e.value for e in theta])
+    return _lee(t, s, at(p))[1]
+
+
+def homothetic_point(t, s, p):
+    """The D- block residual of L_V g - theta(V) g at p, and |d theta|."""
+    _, _, thg, resid = _lee(t, s, at(p))
+    return {"homothetic": resid, "dtheta": np.abs(thg.T - thg).max()}
 
 
 def homothetic_residual(t, s, plan):
-    """Max over samples of the D- block residual of L_V g - theta(V) g, plus the
-    d(theta) residual reported separately."""
-    worst = 0.0
-    dtheta = 0.0
-    pts = t.chart.samples(plan)
-    for p in pts:
-        theta, resid, _, _ = theta_jets(t, s, p)
-        worst = max(worst, resid)
-        tg = np.array([e.grad for e in theta])
-        dtheta = max(dtheta, np.abs(tg.T - tg).max())
-    return {"homothetic": worst, "dtheta": dtheta, "points": len(pts)}
+    """Max over samples of the homothetic_point residuals."""
+    res = fold(t.chart.samples(plan), lambda pe: homothetic_point(t, s, pe))
+    return {"homothetic": res.max("homothetic"), "dtheta": res.max("dtheta"),
+            "points": res.points}
 
 
 def oneill_tensors(t, s, p, theta=None):
@@ -145,10 +150,11 @@ def oneill_tensors(t, s, p, theta=None):
     D-x D- part with the zeta terms of the homothetic second fundamental form
     removed: xi_ring = xi|_{D-} - (1/2)<JX,Y> Jzeta - (1/2)<X,Y> zeta.
     """
-    gv, gg, gh = metric_jets(t.g, p)
-    Gam, _, gi = christoffel_parts(gv, gg, gh, p)
-    Jv, _, _ = endo_jets(t.J, p)
-    Ppv, Ppg, _ = endo_jets(s.proj_plus, p)
+    pe = at(p)
+    gv = pe.jets(t.g)[0]
+    Gam, _, gi = pe.christoffel(t.g)
+    Jv = pe.jets(t.J)[0]
+    Ppv, Ppg, _ = pe.jets(s.proj_plus)
     n = gv.shape[0]
     Pmv = np.eye(n) - Ppv
     Pmg = -Ppg
@@ -157,7 +163,7 @@ def oneill_tensors(t, s, p, theta=None):
     covPm = np.einsum('mji->mij', Pmg) + np.einsum('mia,aj->mij', Gam, Pmv)
     xi = -(np.einsum('km,mij->kij', Ppv, covPm) + np.einsum('km,mij->kij', Pmv, covPp))
     if theta is None:
-        theta = extract_theta(t, s, p)
+        theta = _lee(t, s, pe)[1]
     zeta = gi @ theta
     Jzeta = Jv @ zeta
     om = Jv.T @ gv
@@ -173,108 +179,95 @@ def dplus_geodesic_residual(xi, Ppv):
     return np.abs(np.einsum('kab,ai,bj->kij', xi, Ppv, Ppv)).max()
 
 
-def structure_equation_checks(t, s, plan, skip_theta_below=1e-6):
-    """Residuals for d(omega_minus) = theta ^ omega_minus, for D+ holomorphy
-    (proj_minus o (L_X J) over a D+ frame), and for the two chi_1 routes:
-    the L_zeta J coefficient fit against -2|theta|^{-2} L_{Jzeta} ln|theta|.
-
-    Points where |theta| falls below the threshold are skipped for the chi_1
-    and wedge checks and counted in 'excluded'.
+def structure_point(t, s, p, skip_theta_below=1e-6):
+    """Structure-equation residuals at p: D+ holomorphy (proj_minus o (L_X J)
+    over a D+ frame), d(omega_minus) = theta ^ omega_minus, and the two chi_1
+    routes: the L_zeta J coefficient fit against -2|theta|^{-2} L_{Jzeta}
+    ln|theta|.  Where |theta| falls below the threshold only holomorphy is
+    defined; wedge_minus, chi1 and lie_fit are None there.
     """
-    r_wedge = r_hol = r_chi = r_fit = 0.0
-    used = excluded = 0
-    pts = t.chart.samples(plan)
-    for p in pts:
-        x = Jet2.seed(np.asarray(p, float))
-        g = t.g(x)
-        J = t.J(x)
-        Pp = s.proj_plus(x)
-        n = len(g)
-        gv, gg, gh = pack(g)
-        Jv, Jg, _ = pack(J)
-        Ppv, Ppg, _ = pack(Pp)
+    pe = at(p)
+    g = pe.raw(t.g)
+    Pp = pe.raw(s.proj_plus)
+    n = len(g)
+    gv = pe.jets(t.g)[0]
+    Jv, Jg, _ = pe.jets(t.J)
+    Ppv, Ppg, _ = pe.jets(s.proj_plus)
+    Pmv = np.eye(n) - Ppv
+    hol = worst(*(np.abs(Pmv @ lie_endo_from_jets(Ppv[:, a], Ppg[:, a, :], Jv, Jg)).max()
+                  for a in _frame_columns(Ppv)))
+    out = {"holomorphy": hol, "wedge_minus": None, "chi1": None, "lie_fit": None}
+    theta, thv, _, _ = _lee(t, s, pe)
+    norm2 = float(thv @ np.linalg.inv(gv) @ thv)
+    if norm2 < skip_theta_below ** 2:
+        return out
 
-        # holomorphy of the leaves: P- (L_X J) for X in the D+ frame
-        cols = _frame_columns(Ppv)
-        Pmv = np.eye(n) - Ppv
-        for a in cols:
-            Xv = Ppv[:, a]
-            Xg = Ppg[:, a, :]
-            LJ = lie_endo_from_jets(Xv, Xg, Jv, Jg)
-            r_hol = max(r_hol, np.abs(Pmv @ LJ).max())
+    # omega_minus = omega - P+^T omega P+ as a jet field, then d of it
+    om = pe.form(t.g, t.J)
+    omp = [[sum((Pp[a][i] * om[a][b] * Pp[b][j] for a in range(n) for b in range(n)), 0.0)
+            for j in range(n)] for i in range(n)]
+    ommv, ommg, _ = pack([[om[i][j] - omp[i][j] for j in range(n)] for i in range(n)])
+    dmm = exterior_from_grad(ommg, 2)
+    wedge = (np.einsum('i,jk->ijk', thv, ommv)
+             - np.einsum('j,ik->ijk', thv, ommv)
+             + np.einsum('k,ij->ijk', thv, ommv))
+    out["wedge_minus"] = np.abs(dmm - wedge).max()
 
-        theta, _, _, _ = theta_jets(t, s, p)
-        thv = np.array([e.value for e in theta])
-        gi = np.linalg.inv(gv)
-        norm2 = float(thv @ gi @ thv)
-        if norm2 < skip_theta_below ** 2:
-            excluded += 1
-            continue
-        used += 1
-
-        # omega_minus = omega - P+^T omega P+ as a jet field, then d of it
-        om = [[sum((J[m][i] * g[m][j] for m in range(n)), 0.0) for j in range(n)]
-              for i in range(n)]
-        omp = [[sum((Pp[a][i] * om[a][b] * Pp[b][j] for a in range(n) for b in range(n)), 0.0)
-               for j in range(n)] for i in range(n)]
-        omm = [[om[i][j] - omp[i][j] for j in range(n)] for i in range(n)]
-        ommv, ommg = pack_form(omm)
-        dmm = exterior_from_grad(ommg, 2)
-        wedge = (np.einsum('i,jk->ijk', thv, ommv)
-                 - np.einsum('j,ik->ijk', thv, ommv)
-                 + np.einsum('k,ij->ijk', thv, ommv))
-        r_wedge = max(r_wedge, np.abs(dmm - wedge).max())
-
-        # chi_1 from the L_zeta J coefficient fit vs the logarithmic formula
-        gij = jmat_inv(g)
-        zeta_j = [sum((gij[k][m] * theta[m] for m in range(n)), 0.0) for k in range(n)]
-        zv = np.array([e.value for e in zeta_j])
-        zg = np.array([e.grad for e in zeta_j])
-        LzJ = lie_endo_from_jets(zv, zg, Jv, Jg)
-        Jz = Jv @ zv
-        thJ = thv @ Jv
-        basis = [np.einsum('j,k->kj', thv, zv), np.einsum('j,k->kj', thJ, zv),
-                 np.einsum('j,k->kj', thv, Jz), np.einsum('j,k->kj', thJ, Jz)]
-        Amat = np.stack([b.ravel() for b in basis], axis=1)
-        cvec, _, _, _ = np.linalg.lstsq(Amat, LzJ.ravel(), rcond=None)
-        r_fit = max(r_fit, np.abs(Amat @ cvec - LzJ.ravel()).max())
-        chi1_fit = cvec[0]
-        # |theta|^2 as a jet: theta_i gi_ij theta_j with gi jets
-        n2j = sum((theta[i] * gij[i][j] * theta[j] for i in range(n) for j in range(n)), 0.0)
-        dn2 = n2j.grad
-        chi1_log = -float(Jz @ dn2) / (norm2 ** 2)
-        r_chi = max(r_chi, abs(chi1_fit - chi1_log))
-    return {"wedge_minus": r_wedge, "holomorphy": r_hol, "chi1": r_chi,
-            "lie_fit": r_fit, "points_used": used, "points_excluded": excluded}
+    # chi_1 from the L_zeta J coefficient fit vs the logarithmic formula
+    gij = pe.inverse(t.g)
+    zv, zg, _ = pack1([sum((gij[k][m] * theta[m] for m in range(n)), 0.0)
+                       for k in range(n)])
+    LzJ = lie_endo_from_jets(zv, zg, Jv, Jg)
+    Jz = Jv @ zv
+    thJ = thv @ Jv
+    basis = [np.einsum('j,k->kj', thv, zv), np.einsum('j,k->kj', thJ, zv),
+             np.einsum('j,k->kj', thv, Jz), np.einsum('j,k->kj', thJ, Jz)]
+    Amat = np.stack([b.ravel() for b in basis], axis=1)
+    cvec, _, _, _ = np.linalg.lstsq(Amat, LzJ.ravel(), rcond=None)
+    out["lie_fit"] = np.abs(Amat @ cvec - LzJ.ravel()).max()
+    # |theta|^2 as a jet: theta_i gi_ij theta_j with gi jets
+    n2j = sum((theta[i] * gij[i][j] * theta[j] for i in range(n) for j in range(n)), 0.0)
+    chi1_log = -float(Jz @ n2j.grad) / (norm2 ** 2)
+    out["chi1"] = abs(cvec[0] - chi1_log)
+    return out
 
 
-def classify(t, s, plan, tol=1e-6):
-    """Pointwise classifier: homothetic residual gates everything; then the
-    verdict is kahler_product / geodesic_riemannian / holomorphic by the
-    vanishing pattern of theta and the O'Neill tensors."""
-    hom = 0.0
-    dtheta = 0.0
-    ring = 0.0
-    geod = 0.0
-    xi_all = 0.0
-    theta_max = 0.0
-    theta_last = None
-    pts = t.chart.samples(plan)
-    for p in pts:
-        theta, resid, _, _ = theta_jets(t, s, p)
-        hom = max(hom, resid)
-        tg = np.array([e.grad for e in theta])
-        dtheta = max(dtheta, np.abs(tg.T - tg).max())
-        thv = np.array([e.value for e in theta])
-        theta_last = thv
-        theta_max = max(theta_max, np.abs(thv).max())
-        xi, xi_ring = oneill_tensors(t, s, p, theta=thv)
-        ring = max(ring, np.abs(xi_ring).max())
-        xi_all = max(xi_all, np.abs(xi).max())
-        Ppv, _, _ = endo_jets(s.proj_plus, p)
-        geod = max(geod, dplus_geodesic_residual(xi, Ppv))
-    st = structure_equation_checks(t, s, plan)
-    if hom > tol:
+def structure_equation_checks(t, s, plan, skip_theta_below=1e-6):
+    """Max over samples of the structure_point residuals; points where
+    |theta| is below the threshold are counted in 'points_excluded'."""
+    res = fold(t.chart.samples(plan),
+               lambda pe: structure_point(t, s, pe, skip_theta_below))
+    out = {k: res.max(k) for k in ("wedge_minus", "holomorphy", "chi1", "lie_fit")}
+    out.update(points_used=res.used("wedge_minus"),
+               points_excluded=res.excluded.get("wedge_minus", 0))
+    return out
+
+
+def classify_point(t, s, p):
+    """Every classifier residual at p: the homothetic and Lee-form residuals,
+    the O'Neill tensors and the structure_point residuals."""
+    pe = at(p)
+
+    def compute():
+        _, thv, thg, resid = _lee(t, s, pe)
+        xi, xi_ring = oneill_tensors(t, s, pe, theta=thv)
+        out = {"homothetic": resid, "dtheta": np.abs(thg.T - thg).max(),
+               "theta_max": np.abs(thv).max(), "ring": np.abs(xi_ring).max(),
+               "xi": np.abs(xi).max(),
+               "geodesic": dplus_geodesic_residual(xi, pe.jets(s.proj_plus)[0])}
+        out.update(structure_point(t, s, pe))
+        return out
+    return pe.cached("classify", (t.g, t.J, s.proj_plus), compute)
+
+
+def foliation_report(res, tol=1e-6):
+    """Verdict of a fold of classify_point: the homothetic residual gates
+    everything; then the verdict is kahler_product / geodesic_riemannian /
+    holomorphic by the vanishing pattern of theta and the O'Neill tensors.
+    A non-finite residual (the fold's error) fails every gate."""
+    hom, ring, geod, xi_all, theta_max = (
+        res.max(k) for k in ("homothetic", "ring", "geodesic", "xi", "theta_max"))
+    if res.error or not hom <= tol:
         verdict = VERDICT_FAILED
     elif theta_max <= tol and xi_all <= tol:
         verdict = VERDICT_PRODUCT
@@ -284,17 +277,24 @@ def classify(t, s, plan, tol=1e-6):
         verdict = VERDICT_HOLOMORPHIC
     else:
         verdict = VERDICT_FAILED
+    excluded = res.excluded.get("wedge_minus", 0)
     return FoliationReport(
-        theta=theta_last,
-        theta_closed_residual=dtheta,
+        theta_closed_residual=res.max("dtheta"),
         homothetic_residual=hom,
         oneill_ring_residual=ring,
         dplus_totally_geodesic_residual=geod,
-        holomorphy_residual=st["holomorphy"],
-        chi1_consistency_residual=max(st["chi1"], st["lie_fit"]),
+        holomorphy_residual=res.max("holomorphy"),
+        chi1_consistency_residual=worst(res.max("chi1"), res.max("lie_fit")),
         verdict=verdict,
-        points_used=len(pts) - st["points_excluded"],
-        points_excluded=st["points_excluded"],
+        points_used=res.points - excluded,
+        points_excluded=excluded,
         diagnostics={"xi_total": xi_all, "theta_max": theta_max,
-                     "wedge_minus": st["wedge_minus"]},
+                     "wedge_minus": res.max("wedge_minus")},
     )
+
+
+def classify(t, s, plan, tol=1e-6):
+    """Pointwise classifier: the foliation_report of classify_point over the
+    plan's samples."""
+    return foliation_report(fold(t.chart.samples(plan),
+                                 lambda pe: classify_point(t, s, pe)), tol)

@@ -14,14 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from kahlerkit.jets import pack
-from kahlerkit.fields import (FormField, metric_jets, endo_jets, seedcall,
-                              curvature_from_jets, dform2_from_jets,
-                              nijenhuis_from_jets)
-
-
-class CompatibilityError(ValueError):
-    pass
+from kahlerkit.fields import (CompatibilityError, Field, at, fold, omega_of,
+                              worst, exterior_from_grad, nijenhuis_from_jets)
 
 
 class NotKahlerError(ValueError):
@@ -34,9 +28,6 @@ class HermitianTriple:
     J: object
     chart: object
 
-    def jets(self, p):
-        return metric_jets(self.g, p), endo_jets(self.J, p)
-
 
 @dataclass
 class KahlerVerdict:
@@ -48,7 +39,7 @@ class KahlerVerdict:
 
     @property
     def is_kahler(self):
-        return max(self.compatible, self.closed, self.integrable) <= self.tolerance
+        return all(r <= self.tolerance for r in self.residuals().values())
 
     def residuals(self):
         return {"compatible": self.compatible, "closed": self.closed,
@@ -57,67 +48,56 @@ class KahlerVerdict:
 
 def fundamental_form_field(g, J):
     """omega(X,Y) = g(JX,Y) as a jet-level 2-form field."""
-    def fn(pt):
-        gm = g(pt)
-        Jm = J(pt)
-        d = len(gm)
-        return [[sum((Jm[m][i] * gm[m][j] for m in range(d)), 0.0) for j in range(d)]
-                for i in range(d)]
-    return FormField(2, fn)
+    return Field(lambda pt: omega_of(g(pt), J(pt)), degree=2)
 
 
 def fundamental_form_jets(t, p):
-    om = seedcall(fundamental_form_field(t.g, t.J), p)
-    return pack(om)
+    return at(p).omega(t.g, t.J)
 
 
 def fundamental_form(t, p, tol=1e-8):
     """Value of omega at p; raises if g and J are not compatible there."""
-    gv, _, _ = metric_jets(t.g, p)
-    Jv, _, _ = endo_jets(t.J, p)
+    pe = at(p)
+    gv = pe.jets(t.g)[0]
+    Jv = pe.jets(t.J)[0]
     resid = np.abs(Jv.T @ gv @ Jv - gv).max()
     if resid > tol:
         raise CompatibilityError(
-            f"g(J.,J.) differs from g by {resid:.2e} at {np.asarray(p).tolist()}")
+            f"g(J.,J.) differs from g by {resid:.2e} at {pe.p.tolist()}")
     return Jv.T @ gv
 
 
+def kahler_point(t, p):
+    """Kahler residuals at p: compatibility (including J^2 = -1), closedness
+    of omega, and integrability of J."""
+    pe = at(p)
+    gv = pe.jets(t.g)[0]
+    Jv, Jg, _ = pe.jets(t.J)
+    d = gv.shape[0]
+    return {"compatible": worst(np.abs(Jv.T @ gv @ Jv - gv).max(),
+                                np.abs(Jv @ Jv + np.eye(d)).max()),
+            "closed": np.abs(exterior_from_grad(pe.omega(t.g, t.J)[1], 2)).max(),
+            "integrable": np.abs(nijenhuis_from_jets(Jv, Jg)).max()}
+
+
 def kahler_verdict(t, plan, tolerance=1e-7):
-    """Max residuals over sampled points for compatibility (including J^2 = -1),
-    closedness of omega, and integrability of J."""
-    compat = closed = integ = 0.0
-    pts = t.chart.samples(plan)
-    for p in pts:
-        gv, _, _ = metric_jets(t.g, p)
-        Jv, Jg, _ = endo_jets(t.J, p)
-        d = gv.shape[0]
-        compat = max(compat,
-                     np.abs(Jv.T @ gv @ Jv - gv).max(),
-                     np.abs(Jv @ Jv + np.eye(d)).max())
-        omv, omg, _ = fundamental_form_jets(t, p)
-        closed = max(closed, np.abs(dform2_from_jets(omv, omg)).max())
-        integ = max(integ, np.abs(nijenhuis_from_jets(Jv, Jg)).max())
-    return KahlerVerdict(compat, closed, integ, tolerance, len(pts))
+    """Max over sampled points of the kahler_point residuals."""
+    res = fold(t.chart.samples(plan), lambda pe: kahler_point(t, pe))
+    return KahlerVerdict(res.max("compatible"), res.max("closed"),
+                         res.max("integrable"), tolerance, res.points)
 
 
 def ricci_form(t, p, check=True, tol=1e-6):
     """rho(X,Y) = Ric(JX,Y). Only asserted for Kahler inputs, so by default the
     pointwise Kahler residuals are checked at p before computing."""
-    gv, gg, gh = metric_jets(t.g, p)
-    Jv, Jg, _ = endo_jets(t.J, p)
+    pe = at(p)
     if check:
-        d = gv.shape[0]
-        omv, omg, _ = fundamental_form_jets(t, p)
-        resid = max(np.abs(Jv.T @ gv @ Jv - gv).max(),
-                    np.abs(Jv @ Jv + np.eye(d)).max(),
-                    np.abs(dform2_from_jets(omv, omg)).max(),
-                    np.abs(nijenhuis_from_jets(Jv, Jg)).max())
-        if resid > tol:
+        resid = worst(*kahler_point(t, pe).values())
+        if not resid <= tol:
             raise NotKahlerError(
                 f"pointwise Kahler residual {resid:.2e} exceeds {tol:.1e} "
-                f"at {np.asarray(p).tolist()}")
-    _, Ric, _, _ = curvature_from_jets(gv, gg, gh, p)
-    return np.einsum('mi,mj->ij', Jv, Ric)
+                f"at {pe.p.tolist()}")
+    return ricci_form_from_jets(pe.curvature(t.g)[1], pe.jets(t.J)[0])
 
 
 def ricci_form_from_jets(Ric, Jv):
@@ -127,11 +107,12 @@ def ricci_form_from_jets(Ric, Jv):
 def split_fundamental(t, s, p, tol=1e-8):
     """(omega_plus, omega_minus) with omega_plus the D+ restriction and
     omega_minus = omega - omega_plus, so the sum is exact by construction."""
-    gv, _, _ = metric_jets(t.g, p)
-    Jv, _, _ = endo_jets(t.J, p)
-    Pv, _, _ = endo_jets(s.proj_plus, p)
+    pe = at(p)
+    gv = pe.jets(t.g)[0]
+    Jv = pe.jets(t.J)[0]
+    Pv = pe.jets(s.proj_plus)[0]
     if np.abs(Pv @ Jv - Jv @ Pv).max() > tol:
-        raise ValueError(f"splitting is not J-invariant at {np.asarray(p).tolist()}")
+        raise ValueError(f"splitting is not J-invariant at {pe.p.tolist()}")
     om = Jv.T @ gv
     om_plus = Pv.T @ om @ Pv
     return om_plus, om - om_plus
@@ -139,10 +120,9 @@ def split_fundamental(t, s, p, tol=1e-8):
 
 def ddc(f, J, p):
     """d(df o J) at p for a jet-level scalar field f and endo field J."""
-    fj = seedcall(f, p)
-    Jv, Jg, _ = endo_jets(J, p)
-    bg = np.einsum('mk,mi->ki', fj.hess, Jv) + np.einsum('m,mik->ki', fj.grad, Jg)
-    return bg - bg.T
+    pe = at(p)
+    Jv, Jg, _ = pe.jets(J)
+    return ddc_from_jets(pe.raw(f), Jv, Jg)
 
 
 def ddc_from_jets(fjet, Jv, Jg):

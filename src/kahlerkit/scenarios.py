@@ -23,23 +23,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from kahlerkit.jets import (Jet2, SamplePlan, JetDomainError, jsize, jconst,
-                            jsin, jlog, jeye)
-from kahlerkit.fields import (ChartManifold, MetricField, DegenerateMetricError,
-                              NotClosedError, AlmostComplexError, metric_jets,
-                              endo_jets, curvature_from_jets, dform2_from_jets,
-                              nijenhuis_from_jets)
-from kahlerkit.hermitian import (CompatibilityError, fundamental_form_jets,
-                                 ddc_from_jets)
-from kahlerkit.foliation import (theta_jets, oneill_tensors,
-                                 dplus_geodesic_residual, classify,
-                                 VERDICT_HOLOMORPHIC)
-from kahlerkit.calabi import CalabiProfile, disk_base, build_calabi, volume_checks
+from kahlerkit.jets import SamplePlan, jsize, jconst, jsin, jeye
+from kahlerkit.fields import (ChartManifold, Field, Fold, PointEval, worst,
+                              metric_jets, nijenhuis_from_jets)
+from kahlerkit.hermitian import kahler_point
+from kahlerkit.foliation import (homothetic_point, extract_theta, classify_point,
+                                 foliation_report, VERDICT_HOLOMORPHIC)
+from kahlerkit.calabi import (CalabiProfile, disk_base, build_calabi, volume_checks,
+                              alpha_primitive_point, moment_map_point)
 from kahlerkit.twist import (constant_twist, coordinate_twist, build_twist,
                              norm_factor_expected, norm_factor_measured,
+                             form_invariance_point, transverse_holomorphy_point,
                              ricci_identity_check, zeta_duality_residual)
-from kahlerkit.almost_kahler import (build_ak_product, eta_tensor, iterate_chain,
-                                     ker_dw_geodesic_residual)
+from kahlerkit.almost_kahler import (build_ak_product, iterate_chain, ak_invariants_point,
+                                     ak3_point, torsion_point, einstein_point,
+                                     fiber_log_point, ker_dw_geodesic_residual)
 
 
 class ScenarioError(ValueError):
@@ -69,17 +67,21 @@ class CheckResult:
 
 @dataclass
 class Check:
+    """One claim checked pointwise.  parts pairs a chart with the per-point
+    residual function run on its samples (a chain check has one part per
+    level); record turns the parts' folds into the CheckResult."""
     name: str
     doc: str
     tol: float
-    run: object
+    parts: list
+    record: object
 
 
 @dataclass
 class Case:
     label: str
     chart: ChartManifold
-    metric: MetricField
+    metric: Field
     checks: list
 
 
@@ -92,32 +94,36 @@ class BuilderEntry:
     make: object
 
 
-_DOMAIN_ERRORS = (JetDomainError, DegenerateMetricError, NotClosedError,
-                  AlmostComplexError, CompatibilityError, np.linalg.LinAlgError)
+def _fold_record(folds):
+    res, = folds
+    return CheckResult(res.used(), res.excluded.get(None, 0), res.max(), res.mean(),
+                       res.error)
 
 
-def _point_loop(chart, plan, fn):
-    """Run fn over the plan's samples; fn returns a residual, or None to
-    exclude the point.  A domain error aborts the check and is surfaced in the
-    record together with the offending point."""
-    vals = []
-    excluded = 0
-    for p in chart.samples(plan):
-        try:
-            r = fn(p)
-        except _DOMAIN_ERRORS as exc:
-            msg = "%s at point %s: %s" % (type(exc).__name__,
-                                          np.asarray(p).round(8).tolist(), exc)
-            mx = max(vals) if vals else 0.0
-            mean = (sum(vals) / len(vals)) if vals else 0.0
-            return CheckResult(len(vals), excluded, mx, mean, msg)
-        if r is None:
-            excluded += 1
-            continue
-        vals.append(float(r))
-    mx = max(vals) if vals else 0.0
-    mean = (sum(vals) / len(vals)) if vals else 0.0
-    return CheckResult(len(vals), excluded, mx, mean, "")
+def _levels_record(folds):
+    """Chain levels in level order: counts add up, the mean is weighted by
+    points, and a level's error ends the record."""
+    used = excluded = 0
+    mx = total = 0.0
+    for index, res in enumerate(folds):
+        used += res.used()
+        excluded += res.excluded.get(None, 0)
+        mx = worst(mx, res.max())
+        total += res.mean() * res.used()
+        if res.error:
+            return CheckResult(used, excluded, mx, total / used if used else 0.0,
+                               "level %d: %s" % (index, res.error))
+    return CheckResult(used, excluded, mx, total / used if used else 0.0, "")
+
+
+def _verdict(expected, tol=1e-6):
+    """Record of a classifier check: 0 when the verdict is the expected one."""
+    def record(folds):
+        res, = folds
+        rep = foliation_report(res, tol)
+        r = 0.0 if rep.verdict == expected else 1.0
+        return CheckResult(rep.points_used, rep.points_excluded, r, r, res.error)
+    return record
 
 
 def _merge_params(defaults, given, builder_id):
@@ -155,24 +161,11 @@ def _twist_from_spec(spec, dim):
     raise ScenarioError("unknown twist id %r (known: const, coord_z, conj_z)" % (tid,))
 
 
-def _kahler_residual_at(triple, p):
-    gv, _, _ = metric_jets(triple.g, p)
-    Jv, Jg, _ = endo_jets(triple.J, p)
-    d = gv.shape[0]
-    compat = max(np.abs(Jv.T @ gv @ Jv - gv).max(),
-                 np.abs(Jv @ Jv + np.eye(d)).max())
-    omv, omg, _ = fundamental_form_jets(triple, p)
-    closed = np.abs(dform2_from_jets(omv, omg)).max()
-    integ = np.abs(nijenhuis_from_jets(Jv, Jg)).max()
-    return max(compat, closed, integ)
-
-
-def _omega_values(gfn, Jfn, x):
-    d = len(gfn(x))
-    g = gfn(x)
-    J = Jfn(x)
-    return np.array([[sum(J[m][i].value * g[m][j].value for m in range(d))
-                      for j in range(d)] for i in range(d)])
+def _on(chart):
+    """Check constructor for checks that run on one chart's samples."""
+    def check(name, doc, tol, at, record=_fold_record):
+        return Check(name, doc, tol, [(chart, at)], record)
+    return check
 
 
 # ---------------------------------------------------------------------------
@@ -184,27 +177,13 @@ def _make_flat(params):
     if dim < 2:
         raise ScenarioError("flat builder needs dim >= 2")
     chart = ChartManifold(dim, [(-1.0, 1.0)] * dim, label="R^%d" % dim)
-
-    def gfn(pt):
-        return jeye(dim, jsize(pt))
-
-    metric = MetricField(gfn, chart)
-
-    def riem_at(p):
-        gv, gg, gh = metric_jets(gfn, p)
-        Rlow, _, _, _ = curvature_from_jets(gv, gg, gh)
-        return np.abs(Rlow).max()
-
-    def ric_at(p):
-        gv, gg, gh = metric_jets(gfn, p)
-        _, Ric, _, _ = curvature_from_jets(gv, gg, gh)
-        return np.abs(Ric).max()
-
+    metric = Field(lambda pt: jeye(dim, jsize(pt)), chart)
+    check = _on(chart)
     checks = [
-        Check("curvature_zero", "Riemann tensor of the Euclidean metric vanishes",
-              1e-11, lambda plan: _point_loop(chart, plan, riem_at)),
-        Check("ricci_zero", "Ricci tensor of the Euclidean metric vanishes",
-              1e-11, lambda plan: _point_loop(chart, plan, ric_at)),
+        check("curvature_zero", "Riemann tensor of the Euclidean metric vanishes",
+              1e-11, lambda pe: np.abs(pe.curvature(metric)[0]).max()),
+        check("ricci_zero", "Ricci tensor of the Euclidean metric vanishes",
+              1e-11, lambda pe: np.abs(pe.curvature(metric)[1]).max()),
     ]
     return Case("Euclidean R^%d" % dim, chart, metric, checks)
 
@@ -222,36 +201,30 @@ def _make_sphere(params):
         zero = jconst(0.0, n)
         return [[jconst(1.0, n), zero], [zero, su * su]]
 
-    metric = MetricField(gfn, chart)
+    metric = Field(gfn, chart)
 
-    def curv(p):
-        gv, gg, gh = metric_jets(gfn, p)
-        return curvature_from_jets(gv, gg, gh)
-
-    def scal_at(p):
-        return abs(curv(p)[2] - 2.0)
-
-    def sym_at(p):
-        R = curv(p)[0]
+    def sym_at(pe):
+        R = pe.curvature(metric)[0]
         sc = max(np.abs(R).max(), 1e-12)
         r1 = np.abs(R + R.transpose(1, 0, 2, 3)).max()
         r2 = np.abs(R + R.transpose(0, 1, 3, 2)).max()
         r3 = np.abs(R - R.transpose(2, 3, 0, 1)).max()
-        return max(r1, r2, r3) / sc
+        return worst(r1, r2, r3) / sc
 
-    def bianchi_at(p):
-        R = curv(p)[0]
+    def bianchi_at(pe):
+        R = pe.curvature(metric)[0]
         sc = max(np.abs(R).max(), 1e-12)
         return np.abs(R + R.transpose(1, 2, 0, 3) + R.transpose(2, 0, 1, 3)).max() / sc
 
+    check = _on(chart)
     checks = [
-        Check("scalar_curvature_two", "scalar curvature of the unit sphere is 2",
-              1e-9, lambda plan: _point_loop(chart, plan, scal_at)),
-        Check("riemann_symmetries",
+        check("scalar_curvature_two", "scalar curvature of the unit sphere is 2",
+              1e-9, lambda pe: abs(pe.curvature(metric)[2] - 2.0)),
+        check("riemann_symmetries",
               "antisymmetry and pair symmetry of the lowered curvature tensor",
-              1e-9, lambda plan: _point_loop(chart, plan, sym_at)),
-        Check("bianchi_first", "cyclic sum over the first three slots vanishes",
-              1e-9, lambda plan: _point_loop(chart, plan, bianchi_at)),
+              1e-9, sym_at),
+        check("bianchi_first", "cyclic sum over the first three slots vanishes",
+              1e-9, bianchi_at),
     ]
     return Case("unit 2-sphere", chart, metric, checks)
 
@@ -275,73 +248,47 @@ def _calabi_core(params):
     return build_calabi(base, profile, alpha=(alpha0 if amode == "closed_form" else None))
 
 
+def _volume_checks(check, cal, floor, docs):
+    def identity_at(pe):
+        res = volume_checks(cal, pe)
+        return worst(res["residual_z"], res["residual_r"])
+
+    def floor_at(pe):
+        return worst(0.0, floor - abs(volume_checks(cal, pe)["pfaffian"]))
+
+    return [check("volume_identity", docs[0], 1e-9, identity_at),
+            check("volume_nonvanishing", docs[1], 1e-15, floor_at)]
+
+
 def _calabi_checks(cal, floor, expected_verdict):
     t = cal.triple()
     s = cal.splitting()
-    chart = cal.chart
 
-    def hom_at(p):
-        return theta_jets(t, s, p)[1]
+    def lee_at(pe):
+        want = np.zeros(cal.chart.dim)
+        want[1] = 1.0 / pe.p[1]
+        return np.abs(extract_theta(t, s, pe) - want).max()
 
-    def lee_at(p):
-        th = theta_jets(t, s, p)[0]
-        want = np.zeros(chart.dim)
-        want[1] = 1.0 / p[1]
-        return np.abs(np.array([c.value for c in th]) - want).max()
-
-    def closed_at(p):
-        th = theta_jets(t, s, p)[0]
-        ag = np.array([c.grad for c in th])
-        return np.abs(ag.T - ag).max()
-
-    def geod_at(p):
-        xi, _ = oneill_tensors(t, s, p)
-        Ppv, _, _ = endo_jets(cal.proj_plus.fn, p)
-        return dplus_geodesic_residual(xi, Ppv)
-
-    def moment_at(p):
-        omv, _, _ = fundamental_form_jets(t, p)
-        want = np.zeros(chart.dim)
-        want[1] = -1.0
-        return np.abs(omv[0, :] - want).max()
-
-    def vol_at(p):
-        res = volume_checks(cal, p)
-        return max(res["residual_z"], res["residual_r"])
-
-    def volfloor_at(p):
-        pf = abs(volume_checks(cal, p)["pfaffian"])
-        return max(0.0, floor - pf)
-
-    def verdict_run(plan):
-        rep = classify(t, s, plan)
-        r = 0.0 if rep.verdict == expected_verdict else 1.0
-        return CheckResult(rep.points_used, rep.points_excluded, r, r, "")
-
+    check = _on(cal.chart)
     return [
-        Check("kahler_verdict",
+        check("kahler_verdict",
               "g-J compatibility, closed fundamental form, integrable J",
-              1e-7, lambda plan: _point_loop(chart, plan,
-                                             lambda p: _kahler_residual_at(t, p))),
-        Check("homothetic_foliation",
+              1e-7, lambda pe: worst(*kahler_point(t, pe).values())),
+        check("homothetic_foliation",
               "(L_V g) restricted off the fibers equals theta(V) g, extracted theta",
-              1e-7, lambda plan: _point_loop(chart, plan, hom_at)),
-        Check("lee_is_dlnz", "extracted Lee form equals d ln z",
-              1e-7, lambda plan: _point_loop(chart, plan, lee_at)),
-        Check("lee_closed", "extracted Lee form is closed",
-              1e-7, lambda plan: _point_loop(chart, plan, closed_at)),
-        Check("plus_geodesic", "splitting tensor vanishes on fiber-fiber slots",
-              1e-7, lambda plan: _point_loop(chart, plan, geod_at)),
-        Check("moment_map", "contraction of omega with the circle field is -dz",
-              1e-9, lambda plan: _point_loop(chart, plan, moment_at)),
-        Check("volume_identity",
-              "omega^m against the z- and r-coordinate product volume forms",
-              1e-9, lambda plan: _point_loop(chart, plan, vol_at)),
-        Check("volume_nonvanishing",
-              "Pfaffian of omega stays above the declared floor",
-              1e-15, lambda plan: _point_loop(chart, plan, volfloor_at)),
-        Check("classify_verdict", "foliation classifier verdict",
-              0.5, verdict_run),
+              1e-7, lambda pe: homothetic_point(t, s, pe)["homothetic"]),
+        check("lee_is_dlnz", "extracted Lee form equals d ln z", 1e-7, lee_at),
+        check("lee_closed", "extracted Lee form is closed",
+              1e-7, lambda pe: homothetic_point(t, s, pe)["dtheta"]),
+        check("plus_geodesic", "splitting tensor vanishes on fiber-fiber slots",
+              1e-7, lambda pe: classify_point(t, s, pe)["geodesic"]),
+        check("moment_map", "contraction of omega with the circle field is -dz",
+              1e-9, lambda pe: moment_map_point(cal, pe)),
+    ] + _volume_checks(check, cal, floor, (
+        "omega^m against the z- and r-coordinate product volume forms",
+        "Pfaffian of omega stays above the declared floor")) + [
+        check("classify_verdict", "foliation classifier verdict",
+              0.5, lambda pe: classify_point(t, s, pe), _verdict(expected_verdict)),
     ]
 
 
@@ -366,72 +313,32 @@ def _make_calabi_twist(params):
     twt = tt.triple()
     s = cal.splitting()
     chart = cal.chart
-    n = chart.dim
 
-    def invariance_at(p):
-        x = Jet2.seed(np.asarray(p, float))
-        rJ = np.abs(_omega_values(tt.g_w.fn, tt.J_w.fn, x)
-                    - _omega_values(cal.g.fn, cal.J.fn, x)).max()
-        rI = np.abs(_omega_values(tt.g_w.fn, tt.I_w.fn, x)
-                    - _omega_values(cal.g.fn, cal.I0.fn, x)).max()
-        return max(rJ, rI)
-
-    def norm_at(p):
-        x = Jet2.seed(np.asarray(p, float))
-        w1, w2 = tw.fn(x)
+    def norm_at(pe):
+        w1, w2 = pe.raw(tw)
         want = norm_factor_expected(w1.value, w2.value, mode)
-        got = norm_factor_measured(cal.g.fn, tt.g_w.fn, cal.theta.fn, p)
-        return abs(got - want)
+        return abs(norm_factor_measured(cal.g, tt.g_w, cal.theta, pe) - want)
 
-    def transverse_at(p):
-        x = Jet2.seed(np.asarray(p, float))
-        w1, w2 = tw.fn(x)
-        Jv, _, _ = endo_jets(cal.J.fn, p)
-        Ppv, _, _ = endo_jets(cal.proj_plus.fn, p)
-        Pm = np.eye(n) - Ppv
-        r = 0.0
-        for col in range(n):
-            X = Pm[:, col]
-            r = max(r, abs(w2.grad @ X + w1.grad @ (Jv @ X)))
-        return r
-
-    def nijenhuis_at(p):
-        Jv, Jg, _ = endo_jets(tt.J_w.fn, p)
-        return np.abs(nijenhuis_from_jets(Jv, Jg)).max()
-
-    def hom_at(p):
-        return theta_jets(twt, s, p)[1]
-
-    def ricci_at(p):
-        return ricci_identity_check(cal, tw, tt, p)["corrected"]
-
-    def duality_at(p):
-        return zeta_duality_residual(cal.g.fn, cal.J.fn, tt.g_w.fn, tt.J_w.fn,
-                                     cal.theta.fn, p)
-
-    def verdict_run(plan):
-        rep = classify(twt, s, plan)
-        r = 0.0 if rep.verdict == params["verdict"] else 1.0
-        return CheckResult(rep.points_used, rep.points_excluded, r, r, "")
-
+    check = _on(chart)
     checks = [
-        Check("form_invariance", "omega of (g,J) and of (g,I0) unchanged by the twist",
-              1e-9, lambda plan: _point_loop(chart, plan, invariance_at)),
-        Check("norm_factor", "theta-direction rescaling factor of the twisted metric",
-              1e-9, lambda plan: _point_loop(chart, plan, norm_at)),
-        Check("transverse_holomorphy", "dw2 kills what J rotates into dw1 off the fibers",
-              1e-7, lambda plan: _point_loop(chart, plan, transverse_at)),
-        Check("nijenhuis_twisted", "integrability of the twisted J",
-              1e-7, lambda plan: _point_loop(chart, plan, nijenhuis_at)),
-        Check("homothetic_foliation", "homothetic residual of the twisted triple",
-              1e-7, lambda plan: _point_loop(chart, plan, hom_at)),
-        Check("ricci_fiber_log",
+        check("form_invariance", "omega of (g,J) and of (g,I0) unchanged by the twist",
+              1e-9, lambda pe: form_invariance_point(cal, tt, pe)),
+        check("norm_factor", "theta-direction rescaling factor of the twisted metric",
+              1e-9, norm_at),
+        check("transverse_holomorphy", "dw2 kills what J rotates into dw1 off the fibers",
+              1e-7, lambda pe: transverse_holomorphy_point(cal.J, cal.proj_plus, tw, pe)),
+        check("nijenhuis_twisted", "integrability of the twisted J",
+              1e-7, lambda pe: np.abs(nijenhuis_from_jets(*pe.jets(tt.J_w)[:2])).max()),
+        check("homothetic_foliation", "homothetic residual of the twisted triple",
+              1e-7, lambda pe: homothetic_point(twt, s, pe)["homothetic"]),
+        check("ricci_fiber_log",
               "Ricci form minus lifted base Ricci form matches the log potential terms",
-              1e-6, lambda plan: _point_loop(chart, plan, ricci_at)),
-        Check("zeta_duality", "J_w g_w^{-1} theta equals J g^{-1} theta",
-              1e-8, lambda plan: _point_loop(chart, plan, duality_at)),
-        Check("classify_verdict", "foliation classifier verdict on the twisted triple",
-              0.5, verdict_run),
+              1e-6, lambda pe: ricci_identity_check(cal, tw, tt, pe)["corrected"]),
+        check("zeta_duality", "J_w g_w^{-1} theta equals J g^{-1} theta",
+              1e-8, lambda pe: zeta_duality_residual(cal.g, cal.J, tt.g_w, tt.J_w,
+                                                     cal.theta, pe)),
+        check("classify_verdict", "foliation classifier verdict on the twisted triple",
+              0.5, lambda pe: classify_point(twt, s, pe), _verdict(params["verdict"])),
     ]
     return Case("twisted " + chart.label + " [" + tw.label + ", mode " + mode + "]",
                 chart, tt.g_w, checks)
@@ -465,159 +372,62 @@ def _make_ak(params):
         raise ScenarioError("twist mode must be 'A' or 'B'")
     ak = build_ak_product(zt, tw, mode=mode,
                           plane_range=tuple(params["plane_range"]))
-    chart = ak.chart
-    n = chart.dim
-    zidx = list(range(2, n))
-    cache = {}
 
-    def cached(tag, p, compute):
-        key = (tag, np.asarray(p, float).tobytes())
-        if key not in cache:
-            cache[key] = compute()
-        return cache[key]
+    def structure_forms(pe):
+        inv = ak_invariants_point(ak, pe)
+        return worst(inv["d_omega_tilde"], inv["omega_tilde_target"],
+                     inv["omega_tilde_invariance"])
 
-    def curv(p):
-        def build():
-            gv, gg, gh = metric_jets(ak.g.fn, p)
-            Rlow, Ric, scal, gi = curvature_from_jets(gv, gg, gh)
-            return gv, gg, Rlow, Ric
-        return cached("curv", p, build)
+    def torsion_kernel(pe):
+        tor = torsion_point(ak, pe)
+        return None if tor["nullity"] is None else worst(tor["nullity"], tor["containment"])
 
-    def eta(p):
-        return cached("eta", p, lambda: eta_tensor(ak.g.fn, ak.J_tilde.fn, p))
+    def torsion_rank(pe):
+        rank = torsion_point(ak, pe)["rank"]
+        return None if rank is None else abs(rank - 2.0)
 
-    def dwmag(p):
-        def build():
-            x = Jet2.seed(np.asarray(p, float))
-            w1, w2 = ak.twist_full.fn(x)
-            return max(np.abs(w1.grad).max(), np.abs(w2.grad).max())
-        return cached("dw", p, build)
+    def ak3_blocks(pe):
+        res = ak3_point(ak, pe)
+        return worst(res["block_plane"], res["block_z"])
 
-    def structure_at(p):
-        x = Jet2.seed(np.asarray(p, float))
-        g = ak.g.fn(x)
-        Jt = ak.J_tilde.fn(x)
-        om = [[sum((Jt[m][i] * g[m][j] for m in range(n)), 0.0) for j in range(n)]
-              for i in range(n)]
-        omv = np.array([[e.value for e in row] for row in om])
-        omg = np.array([[e.grad for e in row] for row in om])
-        dom = np.abs(np.einsum('jki->ijk', omg) - np.einsum('ikj->ijk', omg)
-                     + omg).max()
-        target = np.zeros((n, n))
-        target[0, 1] = -1.0
-        target[1, 0] = 1.0
-        bp = Jet2.seed(np.asarray(p[2:], float))
-        hv = np.array([[e.value for e in row] for row in ak.z_factor.g.fn(bp)])
-        Iv = np.array([[e.value for e in row] for row in ak.z_factor.J.fn(bp)])
-        target[2:, 2:] = Iv.T @ hv
-        r_target = np.abs(omv - target).max()
-        r_inv = np.abs(omv - _omega_values(ak.g0.fn, ak.Jt0.fn, x)).max()
-        return max(dom, r_target, r_inv)
+    def torsion_algebra(pe):
+        tor = torsion_point(ak, pe)
+        return worst(tor["anticommute"], tor["jshift"])
 
-    def killing_at(p):
-        gv, gg, _, _ = curv(p)
-        return max(np.abs(gg[:, :, 0]).max(), np.abs(gg[:, :, 1]).max())
-
-    def ak3_at(p):
-        _, _, Rlow, _ = curv(p)
-        Jtv, _, _ = endo_jets(ak.J_tilde.fn, p)
-        RJ = np.einsum('ai,bj,ck,dl,abcd->ijkl', Jtv, Jtv, Jtv, Jtv, Rlow)
-        sc = np.abs(Rlow).max()
-        return np.abs(RJ - Rlow).max() / (sc if sc > 1e-12 else 1.0)
-
-    def blocks_at(p):
-        _, _, Rlow, _ = curv(p)
-        sc = np.abs(Rlow).max()
-        denom = sc if sc > 1e-12 else 1.0
-        b1 = max(abs(Rlow[a, b, c, X]) for a in (0, 1) for b in (0, 1)
-                 for c in (0, 1) for X in zidx)
-        b2 = max(abs(Rlow[X, Y, Z, d]) for X in zidx for Y in zidx
-                 for Z in zidx for d in (0, 1))
-        return max(b1, b2) / denom
-
-    def prelt_at(p):
-        et, gv, gg, _ = eta(p)
-        r = 0.0
-        for a in (0, 1):
-            for b in (0, 1):
-                for X in zidx:
-                    lhs = 2.0 * sum(gv[m, X] * et[a, m, b] for m in range(n))
-                    r = max(r, abs(lhs - gg[a, b, X]))
-        return r
-
-    def algebra_at(p):
-        et, _, _, Jtv = eta(p)
-        rA = np.abs(np.einsum('ikm,mj->ikj', et, Jtv)
-                    + np.einsum('km,imj->ikj', Jtv, et)).max()
-        rB = np.abs(np.einsum('mi,mkj->ikj', Jtv, et)
-                    - np.einsum('ikm,mj->ikj', et, Jtv)).max()
-        return max(rA, rB)
-
-    def kernel_at(p):
-        if dwmag(p) < 1e-6:
-            return None
-        et, _, _, _ = eta(p)
-        return max(np.abs(et[zidx, :, :]).max(), np.abs(et[0:2, 0:2, 0:2]).max())
-
-    def rank_at(p):
-        if dwmag(p) < 1e-6:
-            return None
-        et, _, _, _ = eta(p)
-        vecs = np.stack([et[a, :, c] for a in (0, 1) for c in zidx])
-        sv = np.linalg.svd(vecs, compute_uv=False)
-        rank = int((sv > 1e-8 * sv[0]).sum()) if sv[0] > 0 else 0
-        return abs(rank - 2.0)
-
-    def einstein_at(p):
-        gv, _, _, Ric = curv(p)
-        lam = float(np.tensordot(Ric, gv) / np.tensordot(gv, gv))
-        return np.abs(Ric - lam * gv).max()
-
-    def ricci_at(p):
-        return np.abs(curv(p)[3]).max()
-
-    def fiber_log_at(p):
-        _, _, _, Ric = curv(p)
-        Jv, Jg, _ = endo_jets(ak.J.fn, p)
-        rho = np.einsum('mi,mj->ij', Jv, Ric)
-        x = Jet2.seed(np.asarray(p, float))
-        for j, pos in zpos_product.items():
-            rho = rho - 0.5 * j * ddc_from_jets(jlog(x[pos]), Jv, Jg)
-        return np.abs(rho).max()
-
+    check = _on(ak.chart)
     checks = [
-        Check("structure_forms",
+        check("structure_forms",
               "omega of J~ hits -dx1^dx2 + lifted base form, closed, twist-invariant",
-              1e-9, lambda plan: _point_loop(chart, plan, structure_at)),
-        Check("killing_plane", "plane translations are Killing for the twisted metric",
-              1e-9, lambda plan: _point_loop(chart, plan, killing_at)),
-        Check("ak3_identity",
+              1e-9, structure_forms),
+        check("killing_plane", "plane translations are Killing for the twisted metric",
+              1e-9, lambda pe: ak_invariants_point(ak, pe)["killing"]),
+        check("ak3_identity",
               "curvature invariance under four copies of J~, relative",
-              1e-6, lambda plan: _point_loop(chart, plan, ak3_at)),
-        Check("ak3_blocks", "mixed plane/Z curvature blocks vanish, relative",
-              1e-6, lambda plan: _point_loop(chart, plan, blocks_at)),
-        Check("torsion_derivative",
+              1e-6, lambda pe: ak3_point(ak, pe)["relative"]),
+        check("ak3_blocks", "mixed plane/Z curvature blocks vanish, relative",
+              1e-6, ak3_blocks),
+        check("torsion_derivative",
               "2 g(eta_V W, X) equals the X-derivative of g(V, W) on the plane",
-              1e-8, lambda plan: _point_loop(chart, plan, prelt_at)),
-        Check("torsion_algebra", "eta anticommutes with J~ and shifts its slot",
-              1e-7, lambda plan: _point_loop(chart, plan, algebra_at)),
-        Check("torsion_kernel",
+              1e-8, lambda pe: torsion_point(ak, pe)["prelt"]),
+        check("torsion_algebra", "eta anticommutes with J~ and shifts its slot",
+              1e-7, torsion_algebra),
+        check("torsion_kernel",
               "eta vanishes on Z directions and sends the plane off itself",
-              1e-7, lambda plan: _point_loop(chart, plan, kernel_at)),
-        Check("torsion_rank", "span of eta over the plane directions has rank 2",
-              0.5, lambda plan: _point_loop(chart, plan, rank_at)),
-        Check("einstein_fit", "max |Ric - lambda g| for the pointwise best lambda",
-              1e-6, lambda plan: _point_loop(chart, plan, einstein_at)),
-        Check("ricci_flat", "max |Ric|",
-              1e-6, lambda plan: _point_loop(chart, plan, ricci_at)),
+              1e-7, torsion_kernel),
+        check("torsion_rank", "span of eta over the plane directions has rank 2",
+              0.5, torsion_rank),
+        check("einstein_fit", "max |Ric - lambda g| for the pointwise best lambda",
+              1e-6, lambda pe: einstein_point(ak.g, pe)["einstein_dev"]),
+        check("ricci_flat", "max |Ric|",
+              1e-6, lambda pe: einstein_point(ak.g, pe)["ricci_max"]),
     ]
     if zpos_product:
-        checks.append(Check(
+        checks.append(check(
             "ricci_form_fiber_log",
             "Ricci form of the product equals the fiber log potential terms",
-            1e-6, lambda plan: _point_loop(chart, plan, fiber_log_at)))
+            1e-6, lambda pe: fiber_log_point(ak.triple(), zpos_product, pe)))
     return Case("R^2 x " + zt.chart.label + " [" + tw.label + ", mode " + mode + "]",
-                chart, ak.g, checks)
+                ak.chart, ak.g, checks)
 
 
 # ---------------------------------------------------------------------------
@@ -634,80 +444,35 @@ def _make_chain(params):
     top = levels[-1]
     floor = float(params["volume_floor"])
 
-    def over_levels(fn):
-        def run(plan):
-            used = excluded = 0
-            mx = 0.0
-            total = 0.0
-            for lv in levels:
-                res = _point_loop(lv.triple.chart, plan, lambda p: fn(lv, p))
-                used += res.points_used
-                excluded += res.points_excluded
-                mx = max(mx, res.max_residual)
-                total += res.mean_residual * res.points_used
-                if res.error:
-                    return CheckResult(used, excluded, mx,
-                                       total / used if used else 0.0,
-                                       "level %d: %s" % (lv.index, res.error))
-            return CheckResult(used, excluded, mx,
-                               total / used if used else 0.0, "")
-        return run
-
-    def kahler_at(lv, p):
-        return _kahler_residual_at(lv.triple, p)
-
-    def coeff_at(lv, p):
-        return lv.identity_residuals(p)["corrected"]
-
-    def alpha_at(lv, p):
-        x = Jet2.seed(np.asarray(p, float))
-        a = lv.alpha.fn(x)
-        ag = np.array([c.grad for c in a])
-        omv, _, _ = fundamental_form_jets(lv.triple, p)
-        return np.abs((ag.T - ag) - omv).max()
-
-    def vol_at(p):
-        res = volume_checks(top.cal, p)
-        return max(res["residual_z"], res["residual_r"])
-
-    def volfloor_at(p):
-        pf = abs(volume_checks(top.cal, p)["pfaffian"])
-        return max(0.0, floor - pf)
-
-    def verdict_run(plan):
-        rep = classify(top.triple, top.cal.splitting(), plan)
-        r = 0.0 if rep.verdict == VERDICT_HOLOMORPHIC else 1.0
-        return CheckResult(rep.points_used, rep.points_excluded, r, r, "")
+    def per_level(name, doc, tol, at):
+        return Check(name, doc, tol,
+                     [(lv.triple.chart, lambda pe, lv=lv: at(lv, pe)) for lv in levels],
+                     _levels_record)
 
     checks = [
-        Check("kahler_levels", "every level passes the pointwise Kähler residuals",
-              1e-7, over_levels(kahler_at)),
-        Check("ricci_coefficient",
-              "Ricci form matches the disk log coefficient plus fiber log terms",
-              1e-6, over_levels(coeff_at)),
-        Check("alpha_primitive", "each level's alpha is a primitive of its omega",
-              1e-7, over_levels(alpha_at)),
+        per_level("kahler_levels", "every level passes the pointwise Kähler residuals",
+                  1e-7, lambda lv, pe: worst(*kahler_point(lv.triple, pe).values())),
+        per_level("ricci_coefficient",
+                  "Ricci form matches the disk log coefficient plus fiber log terms",
+                  1e-6, lambda lv, pe: lv.identity_residuals(pe)["corrected"]),
+        per_level("alpha_primitive", "each level's alpha is a primitive of its omega",
+                  1e-7, lambda lv, pe: alpha_primitive_point(lv.alpha, lv.triple, pe)),
     ]
+    check = _on(top.triple.chart)
     if top.cal is not None:
-        checks.extend([
-            Check("volume_identity",
-                  "top-level omega^m against both coordinate volume forms",
-                  1e-9, lambda plan: _point_loop(top.triple.chart, plan, vol_at)),
-            Check("volume_nonvanishing", "top-level Pfaffian stays above the floor",
-                  1e-15, lambda plan: _point_loop(top.triple.chart, plan, volfloor_at)),
-            Check("classify_top", "classifier verdict on the top level",
-                  0.5, verdict_run),
-        ])
+        s_top = top.cal.splitting()
+        checks += _volume_checks(check, top.cal, floor, (
+            "top-level omega^m against both coordinate volume forms",
+            "top-level Pfaffian stays above the floor"))
+        checks.append(check("classify_top", "classifier verdict on the top level",
+                            0.5, lambda pe: classify_point(top.triple, s_top, pe),
+                            _verdict(VERDICT_HOLOMORPHIC)))
     if kind == "untwisted" and top.cal is not None:
         tw = coordinate_twist(top.triple.chart.dim - 2, top.triple.chart.dim - 1)
-
-        def ker_at(p):
-            return ker_dw_geodesic_residual(top.triple.g.fn, tw.fn, p)
-
-        checks.append(Check(
+        checks.append(check(
             "ker_dw_geodesic",
             "kernel of the lifted disk map is totally geodesic",
-            1e-6, lambda plan: _point_loop(top.triple.chart, plan, ker_at)))
+            1e-6, lambda pe: ker_dw_geodesic_residual(top.triple.g, tw, pe)))
     label = "%s chain, m=%d, top %s" % (kind, m, top.triple.chart.label)
     return Case(label, top.triple.chart, top.triple.g, checks)
 
@@ -849,12 +614,27 @@ def run_scenario_obj(scn, tol_override=None, case=None):
                                 "runs: %s)" % (scn.source, name,
                                                ", ".join(sorted(known))))
     plan = SamplePlan(scn.seed, scn.count, scn.margin)
-    records = []
-    timings = {}
+    folds = [[Fold() for _ in ck.parts] for ck in case.checks]
+    timings = dict.fromkeys((ck.name for ck in case.checks), 0.0)
+    charts = []
     for ck in case.checks:
-        t0 = time.perf_counter()
-        res = ck.run(plan)
-        timings[ck.name] = time.perf_counter() - t0
+        for chart, _ in ck.parts:
+            if all(chart is not seen for seen in charts):
+                charts.append(chart)
+    # one PointEval per sample point feeds every check on that chart; a chain
+    # level is skipped once an earlier level of the same check has an error
+    for chart in charts:
+        for p in chart.samples(plan):
+            pe = PointEval(p)
+            for ck, fs in zip(case.checks, folds):
+                for k, (c, at) in enumerate(ck.parts):
+                    if c is chart and not any(f.error for f in fs[:k]):
+                        t0 = time.perf_counter()
+                        fs[k].add(pe, at)
+                        timings[ck.name] += time.perf_counter() - t0
+    records = []
+    for ck, fs in zip(case.checks, folds):
+        res = ck.record(fs)
         tol = float(tol_override if tol_override is not None
                     else scn.tolerances.get(ck.name, ck.tol))
         passed = (res.error == "") and (res.max_residual <= tol)

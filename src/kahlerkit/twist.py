@@ -20,11 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from kahlerkit.jets import (Jet2, JetDomainError, jsize, jconst, jlog, jeye,
+from kahlerkit.jets import (JetDomainError, jsize, jconst, jlog, jeye,
                             jmatmul, jmat_add, jmat_scale, pack)
-from kahlerkit.fields import (MetricField, EndoField, metric_jets,
-                              curvature_from_jets, lie_endo_from_jets)
-from kahlerkit.hermitian import HermitianTriple, ddc_from_jets
+from kahlerkit.fields import (Field, PointEval, at, fold, worst,
+                              lie_endo_from_jets)
+from kahlerkit.hermitian import (HermitianTriple, ddc_from_jets,
+                                 ricci_form_from_jets)
 
 
 @dataclass
@@ -77,10 +78,10 @@ def mobius_inv(wt):
 
 @dataclass
 class TwistedTriple:
-    g_w: MetricField
-    J_w: EndoField
+    g_w: Field
+    J_w: Field
     I_w: object
-    S: EndoField
+    S: Field
     endos_w: list
     chart: object
     mode: str
@@ -170,16 +171,15 @@ def validate_twist(wfn, theta_fn, chart, plan, disc_tol=1e-6, frame_tol=1e-6):
     """|w| <= 1 - disc_tol and |theta| bounded away from zero at samples;
     raises with the offending point."""
     for p in chart.samples(plan):
-        x = Jet2.seed(np.asarray(p, float))
-        w1, w2 = wfn(x)
+        pe = PointEval(p)
+        w1, w2 = pe.raw(wfn)
         ww = w1.value ** 2 + w2.value ** 2
         if ww > (1.0 - disc_tol) ** 2:
             raise ValueError("twist |w| = %.8f too close to the circle at %s"
-                             % (ww ** 0.5, np.asarray(p).tolist()))
-        th = np.array([e.value for e in theta_fn(x)])
-        if np.abs(th).max() < frame_tol:
+                             % (ww ** 0.5, p.tolist()))
+        if np.abs(pe.vec(theta_fn)[0]).max() < frame_tol:
             raise ValueError("twist frame degenerate (|theta| < %.1e) at %s"
-                             % (frame_tol, np.asarray(p).tolist()))
+                             % (frame_tol, p.tolist()))
 
 
 def build_twist(cal, tw, mode="B", pair=-1.0, plan=None):
@@ -196,9 +196,9 @@ def build_twist(cal, tw, mode="B", pair=-1.0, plan=None):
         return sfield(pt)[0]
 
     return TwistedTriple(
-        g_w=MetricField(gw, cal.chart), J_w=EndoField(ew[0], cal.chart),
-        I_w=EndoField(ew[1], cal.chart) if len(ew) > 1 else None,
-        S=EndoField(sonly, cal.chart), endos_w=[EndoField(e, cal.chart) for e in ew],
+        g_w=Field(gw, cal.chart), J_w=Field(ew[0], cal.chart),
+        I_w=Field(ew[1], cal.chart) if len(ew) > 1 else None,
+        S=Field(sonly, cal.chart), endos_w=[Field(e, cal.chart) for e in ew],
         chart=cal.chart, mode=mode, pair=pair, twist=tw)
 
 
@@ -211,44 +211,64 @@ def norm_factor_expected(w1, w2, mode="B"):
 
 def norm_factor_measured(gfn, gwfn, theta_fn, p):
     """|theta|^2_{g_w} / |theta|^2_g at p."""
-    x = Jet2.seed(np.asarray(p, float))
-    th = np.array([e.value for e in theta_fn(x)])
-    gv = np.array([[e.value for e in row] for row in gfn(x)])
-    gwv = np.array([[e.value for e in row] for row in gwfn(x)])
+    pe = at(p)
+    th = pe.vec(theta_fn)[0]
+    gv = pe.jets(gfn)[0]
+    gwv = pe.jets(gwfn)[0]
     return float(th @ np.linalg.inv(gwv) @ th) / float(th @ np.linalg.inv(gv) @ th)
 
 
+def form_invariance_point(cal, tt, p):
+    """|omega_w - omega| at p for (g, J) and (g, I0): the twist leaves both
+    fundamental forms unchanged."""
+    pe = at(p)
+    pairs = [(tt.J_w, cal.J)] + ([(tt.I_w, cal.I0)] if tt.I_w is not None else [])
+    return worst(*(np.abs(pe.omega(tt.g_w, Ew)[0] - pe.omega(cal.g, E)[0]).max()
+                   for Ew, E in pairs))
+
+
+def _dminus_frame(Jfn, Ppfn, pe):
+    """The nonzero D- coordinate frame columns X, with Jv and the X grads."""
+    Jv = pe.jets(Jfn)[0]
+    Ppv, Ppg, _ = pe.jets(Ppfn)
+    Pmv = np.eye(Ppv.shape[0]) - Ppv
+    return Jv, [(Pmv[:, j], -Ppg[:, j, :]) for j in range(Pmv.shape[0])
+                if np.abs(Pmv[:, j]).max() >= 1e-13]
+
+
+def transverse_holomorphy_point(Jfn, Ppfn, wfn, p):
+    """max |dw2(P-X) + dw1(J P-X)| over the D- coordinate frame at p; this is
+    the quantity that gates integrability of the twisted structure."""
+    pe = at(p)
+    w1, w2 = pe.raw(wfn)
+    Jv, frame = _dminus_frame(Jfn, Ppfn, pe)
+    return worst(0.0, *(abs(float(w2.grad @ X) + float(w1.grad @ (Jv @ X)))
+                        for X, _ in frame))
+
+
 def transverse_holomorphy_residuals(Jfn, Ppfn, wfn, theta_fn, chart, plan, pair=-1.0):
-    """Primary residual: dw2(P-X) + dw1(J P-X) over the D- coordinate frame;
-    this is the quantity that gates integrability of the twisted structure.
+    """Primary residual: transverse_holomorphy_point over samples.
     Secondary: the raw Lie-derivative comparison |L_{JX}S - J (L_X S)| over the
     same frame, reported as a diagnostic only (it picks up frame derivatives
     and need not vanish even when the primary residual does)."""
     sfield = make_sfield(Jfn, Ppfn, wfn, theta_fn, chart.dim, pair)
-    primary = secondary = 0.0
-    n = chart.dim
-    for p in chart.samples(plan):
-        x = Jet2.seed(np.asarray(p, float))
-        w1, w2 = wfn(x)
-        Jv, Jg, _ = pack(Jfn(x))
-        Ppv, Ppg, _ = pack(Ppfn(x))
-        Pmv = np.eye(n) - Ppv
-        Pmg = -Ppg
-        d1 = w1.grad
-        d2 = w2.grad
-        Sv, Sg, _ = pack(sfield(x)[0])
-        for j in range(n):
-            X = Pmv[:, j]
-            if np.abs(X).max() < 1e-13:
-                continue
-            primary = max(primary, abs(float(d2 @ X) + float(d1 @ (Jv @ X))))
-            Xg = Pmg[:, j, :]
-            JXv = Jv @ X
+
+    def secondary(pe):
+        Jg = pe.jets(Jfn)[1]
+        Jv, frame = _dminus_frame(Jfn, Ppfn, pe)
+        Sv, Sg, _ = pack(sfield(pe.x)[0])
+        out = 0.0
+        for X, Xg in frame:
             JXg = np.einsum('kml,m->kl', Jg, X) + Jv @ Xg
             LX = lie_endo_from_jets(X, Xg, Sv, Sg)
-            LJX = lie_endo_from_jets(JXv, JXg, Sv, Sg)
-            secondary = max(secondary, np.abs(LJX - Jv @ LX).max())
-    return {"primary": primary, "lie_secondary": secondary}
+            LJX = lie_endo_from_jets(Jv @ X, JXg, Sv, Sg)
+            out = worst(out, np.abs(LJX - Jv @ LX).max())
+        return out
+
+    res = fold(chart.samples(plan), lambda pe: {
+        "primary": transverse_holomorphy_point(Jfn, Ppfn, wfn, pe),
+        "lie_secondary": secondary(pe)})
+    return {"primary": res.max("primary"), "lie_secondary": res.max("lie_secondary")}
 
 
 def ricci_identity_check(cal, tw, tt, p):
@@ -264,26 +284,19 @@ def ricci_identity_check(cal, tw, tt, p):
     """
     m = cal.m
     n = cal.chart.dim
-    p = np.asarray(p, float)
-    gv, gg, gh = metric_jets(tt.g_w.fn, p)
-    _, Ric, _, _ = curvature_from_jets(gv, gg, gh)
-    x = Jet2.seed(p)
-    Jw = tt.J_w.fn(x)
-    Jwv, Jwg, _ = pack(Jw)
-    rho_w = np.einsum('mi,mj->ij', Jwv, Ric)
+    pe = at(p)
+    Jwv, Jwg, _ = pe.jets(tt.J_w)
+    rho_w = ricci_form_from_jets(pe.curvature(tt.g_w)[1], Jwv)
 
     # lifted base Ricci form
-    nb = n - 2
-    bp = p[2:]
-    bgv, bgg, bgh = metric_jets(cal.base.g.fn, bp)
-    _, bRic, _, _ = curvature_from_jets(bgv, bgg, bgh)
-    bJv = np.array([[e.value for e in row] for row in cal.base.J.fn(Jet2.seed(bp))])
+    base = pe.sub(2)
     rho_N = np.zeros((n, n))
-    rho_N[2:, 2:] = np.einsum('mi,mj->ij', bJv, bRic)
+    rho_N[2:, 2:] = ricci_form_from_jets(base.curvature(cal.base.g)[1],
+                                         base.jets(cal.base.J)[0])
 
-    fz = jlog(x[1])
-    ddz = ddc_from_jets(fz, Jwv, Jwg)
-    w1, w2 = tw.fn(x)
+    x = pe.x
+    ddz = ddc_from_jets(jlog(x[1]), Jwv, Jwg)
+    w1, w2 = pe.raw(tw)
     ww = w1 * w1 + w2 * w2
     fw = jlog(jconst(1.0, jsize(x)) - ww)
     ddw = ddc_from_jets(fw, Jwv, Jwg)
@@ -297,28 +310,22 @@ def ricci_identity_check(cal, tw, tt, p):
 
 def zeta_duality_residual(gfn, Jfn, gwfn, Jwfn, theta_fn, p):
     """J_w zeta_w = J zeta, with zeta/zeta_w the metric duals of theta."""
-    x = Jet2.seed(np.asarray(p, float))
-    th = np.array([e.value for e in theta_fn(x)])
-    gv = np.array([[e.value for e in row] for row in gfn(x)])
-    gwv = np.array([[e.value for e in row] for row in gwfn(x)])
-    Jv = np.array([[e.value for e in row] for row in Jfn(x)])
-    Jwv = np.array([[e.value for e in row] for row in Jwfn(x)])
-    zeta = np.linalg.solve(gv, th)
-    zeta_w = np.linalg.solve(gwv, th)
-    return np.abs(Jwv @ zeta_w - Jv @ zeta).max()
+    pe = at(p)
+    th = pe.vec(theta_fn)[0]
+    zeta = np.linalg.solve(pe.jets(gfn)[0], th)
+    zeta_w = np.linalg.solve(pe.jets(gwfn)[0], th)
+    return np.abs(pe.jets(Jwfn)[0] @ zeta_w - pe.jets(Jfn)[0] @ zeta).max()
 
 
 def solve_single_twist(g0fn, gcompfn, J0fn, Ppfn, theta_fn, p):
     """Recover the single-twist parameter reproducing a composite metric at p
     (mode B, pair -1 frame)."""
-    x = Jet2.seed(np.asarray(p, float))
-    gv0 = np.array([[e.value for e in row] for row in g0fn(x)])
-    gvc = np.array([[e.value for e in row] for row in gcompfn(x)])
-    th = np.array([e.value for e in theta_fn(x)])
-    J0v = np.array([[e.value for e in row] for row in J0fn(x)])
-    e2 = -th @ J0v
-    Pp = np.array([[e.value for e in row] for row in Ppfn(x)])
-    v = Pp[:, [0, 1]]
+    pe = at(p)
+    gv0 = pe.jets(g0fn)[0]
+    gvc = pe.jets(gcompfn)[0]
+    th = pe.vec(theta_fn)[0]
+    e2 = -th @ pe.jets(J0fn)[0]
+    v = pe.jets(Ppfn)[0][:, [0, 1]]
     E = np.stack([th @ v, e2 @ v])
     u = v @ np.linalg.inv(E)
     C = np.linalg.inv(gv0) @ gvc

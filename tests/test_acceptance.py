@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from kahlerkit.jets import Jet2, SamplePlan, jconst, jsin, jsize
-from kahlerkit.fields import (ChartManifold, MetricField, curvature_from_jets,
+from kahlerkit.fields import (ChartManifold, curvature_from_jets,
                               metric_jets, nijenhuis)
 from kahlerkit.hermitian import HermitianTriple, kahler_verdict
 from kahlerkit.foliation import (VERDICT_FAILED, VERDICT_HOLOMORPHIC,

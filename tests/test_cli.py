@@ -8,10 +8,14 @@ from the printed JSON.
 import json
 import os
 
+import numpy as np
 import pytest
 
+import kahlerkit.scenarios
 from kahlerkit.cli import main
-from kahlerkit.scenarios import bundled_names, render_json
+from kahlerkit.jets import Jet2
+from kahlerkit.scenarios import (build_case, bundled_names, load_scenario,
+                                 render_json, run_scenario_obj)
 
 BUNDLED = ["ak_disk", "ak_disk_chain2", "ak_flat", "calabi_chain_twisted",
            "calabi_chain_untwisted", "calabi_flat", "calabi_twist_zeta",
@@ -294,3 +298,46 @@ def test_report_matches_golden(name, tmp_path, capsys):
                 assert _residuals_agree(got[key], val), (got["name"], key, got[key], val)
             else:
                 assert got[key] == val, (got["name"], key, got[key], val)
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_each_point_is_seeded_at_most_twice(name, monkeypatch):
+    scn = load_scenario(name)
+    scn.count = 3
+    case = build_case(scn)
+    seeds = []
+    seed = Jet2.seed
+
+    def counting_seed(p):
+        seeds.append(np.asarray(p, float).tobytes())
+        return seed(p)
+    monkeypatch.setattr(Jet2, "seed", staticmethod(counting_seed))
+    run_scenario_obj(scn, case=case)
+    assert len(seeds) <= 2 * len(set(seeds))
+
+
+def test_nonfinite_residual_fails_the_record(monkeypatch, capsys):
+    # a NaN at the second of five points must not hide behind max()
+    calls = []
+
+    def nan_at_second_point(cal, pe):
+        calls.append(pe)
+        return float("nan") if len(calls) == 2 else 1e-14
+    monkeypatch.setattr(kahlerkit.scenarios, "moment_map_point", nan_at_second_point)
+    rc, out, _ = run_cli(capsys, ["verify", "calabi_flat", "--samples", "5"])
+    assert rc == 1
+    rec = {c["name"]: c for c in report_from(out)["checks"]}["moment_map"]
+    assert rec["pass"] is False
+    assert rec["error"].startswith("non-finite residual at point [")
+    assert rec["points_used"] == 2
+    assert len(calls) == 2
+    assert [ln.split()[0] for ln in status_lines(out)
+            if ln.split()[1] == "moment_map"] == ["FAIL"]
+
+
+def test_curvature_point_with_negative_first_coordinate(capsys):
+    rc, out, err = run_cli(capsys, ["curvature", "flat", "--point", "-0.3,0.2,0.1"])
+    assert rc == 0, err
+    assert "point:    [-3.0000000000e-01,  2.0000000000e-01,  1.0000000000e-01]" in out
+    rc, out2, _ = run_cli(capsys, ["curvature", "flat", "--point=-0.3,0.2,0.1"])
+    assert rc == 0 and out2 == out

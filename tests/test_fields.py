@@ -6,7 +6,8 @@ import pytest
 
 from kahlerkit.jets import Jet2, SamplePlan, jconst, jsin, jsize
 from kahlerkit.fields import (AlmostComplexError, ChartManifold,
-                              DegenerateMetricError, FormField, NotClosedError,
+                              DegenerateMetricError, Field, Fold, NotClosedError,
+                              PointEval, fold,
                               christoffel_parts, exterior_derivative,
                               homotopy_primitive, lie_derivative_metric,
                               metric_jets, nijenhuis, ricci, riemann,
@@ -128,7 +129,7 @@ def test_exterior_derivative_squares_to_zero_on_gradients():
         u = f(pt)
         n = jsize(pt)
         return [Jet2(u.grad[k], u.hess[k], np.zeros((n, n))) for k in range(3)]
-    alpha = FormField(1, df, chart)
+    alpha = Field(df, chart, degree=1)
     for p in chart.samples(SamplePlan(7, 10)):
         d = exterior_derivative(alpha, p)
         assert np.abs(d).max() < 1e-12
@@ -143,7 +144,7 @@ def test_exterior_derivative_of_declared_two_form():
         zero = jconst(0.0, n)
         x = pt[0]
         return [[zero, zero, zero], [zero, zero, x], [zero, x * (-1.0), zero]]
-    om = FormField(2, omfn, chart)
+    om = Field(omfn, chart, degree=2)
     d = exterior_derivative(om, [0.2, -0.3, 0.5])
     assert abs(d[0, 1, 2] - 1.0) < 1e-12
     assert abs(d[1, 0, 2] + 1.0) < 1e-12
@@ -159,7 +160,7 @@ def test_exterior_derivative_degree_overflow():
         one = jconst(1.0, n)
         return [[zero, one], [one * (-1.0), zero]]
     with pytest.raises(ValueError):
-        exterior_derivative(FormField(2, omfn, chart), [0.1, 0.2], dim=2)
+        exterior_derivative(Field(omfn, chart, degree=2), [0.1, 0.2], dim=2)
 
 
 def test_lie_derivative_of_metric_against_finite_difference():
@@ -230,7 +231,7 @@ def test_homotopy_primitive_roundtrip_constant_form():
         zero = jconst(0.0, n)
         one = jconst(1.0, n)
         return [[zero, one], [one * (-1.0), zero]]
-    alpha = homotopy_primitive(FormField(2, om, chart), chart)
+    alpha = homotopy_primitive(Field(om, chart, degree=2), chart)
     want = np.array([[0.0, 1.0], [-1.0, 0.0]])
     for p in chart.samples(SamplePlan(11, 50)):
         a = alpha.fn(Jet2.seed(np.asarray(p, float)))
@@ -250,7 +251,7 @@ def test_homotopy_primitive_roundtrip_polynomial_form():
         zero = jconst(0.0, n)
         c = jconst(1.0, n) + pt[0] * pt[0]
         return [[zero, c], [c * (-1.0), zero]]
-    alpha = homotopy_primitive(FormField(2, om, chart), chart)
+    alpha = homotopy_primitive(Field(om, chart, degree=2), chart)
     for p in chart.samples(SamplePlan(13, 50)):
         jets = Jet2.seed(np.asarray(p, float))
         a = alpha.fn(jets)
@@ -271,7 +272,7 @@ def test_homotopy_primitive_rejects_nonclosed():
         z = pt[2]
         return [[zero, z, zero], [z * (-1.0), zero, zero], [zero, zero, zero]]
     with pytest.raises(NotClosedError):
-        homotopy_primitive(FormField(2, bad, chart), chart,
+        homotopy_primitive(Field(bad, chart, degree=2), chart,
                            check_plan=SamplePlan(1, 10))
 
 
@@ -286,3 +287,45 @@ def test_wedge_top_volume_coefficient():
     assert abs(wedge_top([om4, om4]) - 2.0) < 1e-14
     with pytest.raises(ValueError):
         wedge_top([om, om])
+
+
+def test_fold_stops_at_nonfinite_and_domain_errors():
+    chart = ChartManifold(2, [(-1.0, 1.0)] * 2)
+    pts = chart.samples(SamplePlan(3, 5))
+    # a NaN at the second of five points ends the fold and is its max
+    vals = iter([1e-14, float("nan"), 1e-13, 1e-12, 1e-11])
+    res = fold(pts, lambda pe: next(vals))
+    assert res.used() == 2 and res.points == 2
+    assert np.isnan(res.max()) and np.isnan(res.mean())
+    assert res.error == "non-finite residual at point %s" % pts[1].round(8).tolist()
+    # a domain error keeps the points before it; fold() re-raises it
+    acc = Fold()
+    for k, p in enumerate(pts):
+        acc.add(PointEval(p), lambda pe, k=k: 0.5 * k if k < 3 else ricci(
+            lambda pt: [[jconst(0.0, 2)] * 2] * 2, pe))
+    assert (acc.used(), acc.max(), acc.mean()) == (3, 1.0, 0.5)
+    assert acc.error.startswith("DegenerateMetricError at point %s: "
+                                % pts[3].round(8).tolist())
+    with pytest.raises(DegenerateMetricError):
+        fold(pts, lambda pe: ricci(lambda pt: [[jconst(0.0, 2)] * 2] * 2, pe))
+    # None excludes a point, per residual name for dict results
+    res = fold(pts, lambda pe: {"a": 1.0, "b": None if pe.p[0] < 0 else 2.0})
+    assert res.used("a") == 5
+    assert res.used("b") + res.excluded["b"] == 5
+    assert res.max("b") == 2.0 and res.error == ""
+
+
+def test_point_eval_evaluates_each_field_once():
+    calls = []
+
+    def gfn(pt):
+        calls.append(1)
+        return sphere_metric(pt)
+    pe = PointEval([1.1, 0.4])
+    g1 = Field(gfn)
+    g2 = Field(gfn)   # a fresh wrapper around the same callable
+    curv = pe.curvature(g1)
+    assert pe.curvature(g2) is curv
+    assert pe.jets(gfn) is pe.jets(g1)
+    assert len(calls) == 1
+    assert np.abs(curv[0] - riemann(sphere_metric, [1.1, 0.4])).max() == 0.0

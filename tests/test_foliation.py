@@ -191,3 +191,17 @@ def test_structure_equation_checks_report_shape():
     assert st["lie_fit"] < 1e-8
     assert st["points_used"] == 8
     assert st["points_excluded"] == 0
+
+
+def test_classify_fails_on_nonfinite_gate_residual(monkeypatch):
+    import kahlerkit.foliation as foliation
+    t, s = product_triple()
+    assert classify(t, s, SamplePlan(7, 5)).verdict == VERDICT_PRODUCT
+    calls = []
+    real = foliation.dplus_geodesic_residual
+
+    def nan_at_second_point(xi, Ppv):
+        calls.append(1)
+        return float("nan") if len(calls) == 2 else real(xi, Ppv)
+    monkeypatch.setattr(foliation, "dplus_geodesic_residual", nan_at_second_point)
+    assert classify(t, s, SamplePlan(7, 5)).verdict == VERDICT_FAILED

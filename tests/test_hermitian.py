@@ -219,3 +219,16 @@ def test_split_fundamental_requires_j_invariance():
     s.proj_plus = proj
     with pytest.raises(ValueError):
         split_fundamental(t, s, [0.1, 0.2, -0.3, 0.4])
+
+
+def test_kahler_verdict_fails_on_nan_at_a_later_point():
+    # max() drops a NaN that is not first; the verdict must not pass over it
+    plan = SamplePlan(12, 5)
+    bad_x = flat4_triple().chart.samples(plan)[1][0]
+
+    def warp(pt):
+        n = jsize(pt)
+        return jconst(float("nan") if pt[0].value == bad_x else 1.0, n)
+    v = kahler_verdict(flat4_triple(warp), plan)
+    assert not v.is_kahler
+    assert np.isnan(v.compatible)
