@@ -17,8 +17,7 @@ from kahlerkit.jets import (Jet2, jsize, jconst, jlog, jeye, jmat_inv,
                             jet_dcoord, pack)
 from kahlerkit.fields import (ChartManifold, Field, at, fold, worst,
                               exterior_from_grad)
-from kahlerkit.hermitian import (HermitianTriple, ddc_from_jets,
-                                 ricci_form_from_jets)
+from kahlerkit.hermitian import HermitianTriple, ddc_from_jets, ricci_form
 from kahlerkit.calabi import CalabiProfile, build_calabi, disk_base
 from kahlerkit.twist import (TwistMap, coordinate_twist, build_twist_fields,
                              build_twist)
@@ -283,7 +282,7 @@ def fiber_log_point(t, z_positions, p):
     """max |rho - sum_j (j/2) (d J d) ln z_j| at p: the Ricci form of t is
     carried by the fiber log potentials."""
     pe = at(p)
-    rho = ricci_form_from_jets(pe.curvature(t.g)[1], pe.jets(t.J)[0])
+    rho = ricci_form(t, pe, check=False)
     return np.abs(subtract_fiber_logs(rho, pe, t.J, z_positions)[0]).max()
 
 
@@ -308,7 +307,7 @@ class ChainLevel:
         Jv, Jg, _ = pe.jets(t.J)
         xx, yy = pe.x[n - 2], pe.x[n - 1]
         ddL = ddc_from_jets(jlog(jconst(1.0, n) - xx * xx - yy * yy), Jv, Jg)
-        claimed = ricci_form_from_jets(pe.curvature(t.g)[1], Jv) - self.claimed_coeff * ddL
+        claimed = ricci_form(t, pe, check=False) - self.claimed_coeff * ddL
         corrected, corr_size = subtract_fiber_logs(claimed, pe, t.J, self.z_positions)
         return {"claimed": np.abs(claimed).max(),
                 "corrected": np.abs(corrected).max(),
@@ -368,20 +367,12 @@ def iterate_chain(kind, m, A=-1.0, radius=0.55, z_range=(0.6, 1.8),
             raise type(exc)("step %d: %s" % (k, exc)) from exc
         zpos = {j: pos + 2 for j, pos in prev.z_positions.items()}
         zpos[k] = 1
-        if kind == "twisted":
-            n = cal.chart.dim
-            tw = coordinate_twist(n - 2, n - 1)
-            tt = build_twist(cal, tw)
-            triple = tt.triple()
-            levels.append(ChainLevel(index=k, kind=kind, chain_height=m,
-                                     triple=triple, alpha=_lifted_alpha(cal),
-                                     cal=cal, twisted=tt, claimed_coeff=coeff(k),
-                                     z_positions=zpos))
-        else:
-            levels.append(ChainLevel(index=k, kind=kind, chain_height=m,
-                                     triple=cal.triple(), alpha=_lifted_alpha(cal),
-                                     cal=cal, claimed_coeff=coeff(k),
-                                     z_positions=zpos))
+        n = cal.chart.dim
+        tt = build_twist(cal, coordinate_twist(n - 2, n - 1)) if kind == "twisted" else None
+        levels.append(ChainLevel(index=k, kind=kind, chain_height=m,
+                                 triple=tt.triple() if tt else cal.triple(),
+                                 alpha=_lifted_alpha(cal), cal=cal, twisted=tt,
+                                 claimed_coeff=coeff(k), z_positions=zpos))
     return levels
 
 

@@ -23,7 +23,7 @@ import numpy as np
 from kahlerkit.jets import (Jet2, SamplePlan, jsize, jconst, jlog, jeye,
                             jmatmul, jmat_add, jmat_scale)
 from kahlerkit.fields import (ChartManifold, Field, NotClosedError, at, fold,
-                              wedge_top, homotopy_primitive, exterior_from_grad)
+                              wedge12, wedge_top, homotopy_primitive, exterior_from_grad)
 from kahlerkit.hermitian import HermitianTriple, fundamental_form_field
 from kahlerkit.foliation import Splitting
 
@@ -241,7 +241,7 @@ def build_calabi(base, profile, alpha=None, alpha_tol=1e-7, check_count=10):
 def alpha_primitive_point(alpha, t, p):
     """|d alpha - omega| at p for a claimed primitive alpha of t's Kähler form."""
     pe = at(p)
-    ag = pe.vec(alpha)[1]
+    ag = pe.jets(alpha)[1]
     return np.abs((ag.T - ag) - pe.omega(t.g, t.J)[0]).max()
 
 
@@ -263,10 +263,6 @@ def volume_checks(cal, p):
     chart coordinates against the fibered closed forms, in both the z and the
     r dictionaries.  Returns a dict of the three coefficients and residuals."""
     pe = at(p)
-    return pe.cached("volume", (cal.g,), lambda: _volume_checks(cal, pe))
-
-
-def _volume_checks(cal, pe):
     m = cal.m
     n = cal.chart.dim
     lhs = wedge_top([pe.omega(cal.g, cal.J)[0]] * m)
@@ -276,7 +272,7 @@ def _volume_checks(cal, pe):
     omN[2:, 2:] = base.omega(cal.base.g, cal.base.J)[0]
     Th = np.zeros(n)
     Th[0] = 1.0
-    Th[2:] = base.vec(cal.alpha)[0]
+    Th[2:] = base.jets(cal.alpha)[0]
     dz = np.zeros(n)
     dz[1] = 1.0
     z = pe.p[1]
@@ -300,18 +296,10 @@ def lee_form_of_I0(cal, p):
     n = cal.chart.dim
     omv, omg, _ = at(p).omega(cal.g, cal.I0)
     dom = exterior_from_grad(omg, 2)
-    rows, rhs = [], []
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                row = np.zeros(n)
-                row[i] += omv[j, k]
-                row[j] -= omv[i, k]
-                row[k] += omv[i, j]
-                rows.append(row)
-                rhs.append(dom[i, j, k])
-    Amat = np.array(rows)
-    bvec = np.array(rhs)
+    wedges = [wedge12(e, omv) for e in np.eye(n)]
+    comps = [(i, j, k) for i in range(n) for j in range(i + 1, n) for k in range(j + 1, n)]
+    Amat = np.array([[w[c] for w in wedges] for c in comps])
+    bvec = np.array([dom[c] for c in comps])
     th0, *_ = np.linalg.lstsq(Amat, bvec, rcond=None)
     fit = np.abs(Amat @ th0 - bvec).max() if len(bvec) else 0.0
     return th0, fit

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from kahlerkit.jets import Jet2, JetDomainError, jmat_inv, pack, pack1, sample_points
+from kahlerkit.jets import Jet2, JetDomainError, jmat_inv, pack, sample_points
 
 
 class DegenerateMetricError(ValueError):
@@ -124,12 +124,8 @@ class PointEval:
         return self.cached("raw", (f,), lambda: _fn(f)(self.x))
 
     def jets(self, f):
-        """Packed (value, grad, hess) arrays of a matrix-valued field."""
+        """Packed (value, grad, hess) arrays of a vector or matrix field."""
         return self.cached("jets", (f,), lambda: pack(self.raw(f)))
-
-    def vec(self, f):
-        """Packed (value, grad, hess) arrays of a vector or 1-form field."""
-        return self.cached("vec", (f,), lambda: pack1(self.raw(f)))
 
     def inverse(self, g):
         """Jet matrix of g^{-1}."""
@@ -155,9 +151,6 @@ class PointEval:
     def sub(self, start):
         """The point made of coordinates start.. (a factor's own chart)."""
         return self.cached("sub", (start,), lambda: PointEval(self.p[start:]))
-
-    def where(self):
-        return self.p.round(8).tolist()
 
 
 def at(p):
@@ -199,7 +192,8 @@ class Fold:
             r = fn(pe)
         except DOMAIN_ERRORS as exc:
             self.exc = exc
-            self.error = "%s at point %s: %s" % (type(exc).__name__, pe.where(), exc)
+            self.error = "%s at point %s: %s" % (type(exc).__name__,
+                                                 pe.p.round(8).tolist(), exc)
             return
         self.points += 1
         for key, val in (r.items() if isinstance(r, dict) else ((None, r),)):
@@ -208,7 +202,7 @@ class Fold:
                 continue
             self.values.setdefault(key, []).append(float(val))
             if not math.isfinite(val):
-                self.error = "non-finite residual at point %s" % pe.where()
+                self.error = "non-finite residual at point %s" % pe.p.round(8).tolist()
 
     def used(self, key=None):
         return len(self.values.get(key, ()))
@@ -268,11 +262,6 @@ def christoffel_parts(gv, gg, gh, p=None):
     return Gam, dGam, gi
 
 
-def curvature(g, p):
-    """Riemann (fully lowered), Ricci, scalar curvature and g^{-1} at p."""
-    return at(p).curvature(g)
-
-
 def curvature_from_jets(gv, gg, gh, p=None):
     Gam, dGam, gi = christoffel_parts(gv, gg, gh, p)
     Rup = (np.einsum('ljki->lijk', dGam) - np.einsum('likj->lijk', dGam)
@@ -284,15 +273,15 @@ def curvature_from_jets(gv, gg, gh, p=None):
 
 
 def riemann(g, p):
-    return curvature(g, p)[0]
+    return at(p).curvature(g)[0]
 
 
 def ricci(g, p):
-    return curvature(g, p)[1]
+    return at(p).curvature(g)[1]
 
 
 def scalar_curvature(g, p):
-    return curvature(g, p)[2]
+    return at(p).curvature(g)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +292,7 @@ def lie_derivative_metric(g, V, p):
     """(L_V g)_ij = V^k d_k g_ij + g_kj d_i V^k + g_ik d_j V^k."""
     pe = at(p)
     gv, gg, _ = pe.jets(g)
-    vv, vg, _ = pe.vec(V)
+    vv, vg, _ = pe.jets(V)
     return (np.einsum('k,ijk->ij', vv, gg) + np.einsum('kj,ki->ij', gv, vg)
             + np.einsum('ik,kj->ij', gv, vg))
 
@@ -316,19 +305,6 @@ def lie_endo_from_jets(Xv, Xg, Jv, Jg):
     return t1 - t2 + t3
 
 
-def pack_form(F):
-    """Nested jet lists of a k-form -> (value array (n,)*k, grad array (n,)*k+(n,))."""
-    arr = np.array(F, dtype=object)
-    shape = arr.shape
-    n = arr.flat[0].grad.size
-    val = np.empty(shape)
-    grad = np.empty(shape + (n,))
-    for idx in np.ndindex(shape):
-        val[idx] = arr[idx].value
-        grad[idx] = arr[idx].grad
-    return val, grad
-
-
 def exterior_from_grad(grad, k):
     """d of a k-form given the packed component gradients."""
     out = None
@@ -338,12 +314,18 @@ def exterior_from_grad(grad, k):
     return out
 
 
+def wedge12(theta, om):
+    """(theta ^ om)_ijk of a 1-form and a 2-form."""
+    return (np.einsum('i,jk->ijk', theta, om) - np.einsum('j,ik->ijk', theta, om)
+            + np.einsum('k,ij->ijk', theta, om))
+
+
 def exterior_derivative(omega, p, dim=None):
     """(d omega) components at p; degree omega.degree + 1 must not exceed dim."""
     comps = at(p).raw(omega)
     if omega.degree == 0:
-        return comps.grad if isinstance(comps, Jet2) else pack1(comps)[1]
-    val, grad = pack_form(comps)
+        return comps.grad if isinstance(comps, Jet2) else pack(comps)[1]
+    grad = pack(comps)[1]
     n = grad.shape[-1]
     if dim is None:
         dim = n

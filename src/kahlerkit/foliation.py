@@ -11,9 +11,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from kahlerkit.jets import Jet2, jet_dcoord, jmat_inv, pack, pack1
+from kahlerkit.jets import Jet2, jet_dcoord, jmat_inv, pack
 from kahlerkit.fields import (Field, at, fold, worst, lie_endo_from_jets,
-                              exterior_from_grad)
+                              exterior_from_grad, wedge12)
 
 VERDICT_HOLOMORPHIC = "holomorphic"
 VERDICT_GEODESIC = "geodesic_riemannian"
@@ -24,17 +24,11 @@ VERDICT_FAILED = "failed"
 @dataclass
 class Splitting:
     proj_plus: object
-    proj_minus: object
     ranks: tuple
 
     @staticmethod
     def from_plus(proj_plus_fn, dim):
-        def minus_fn(pt):
-            P = proj_plus_fn(pt)
-            n = pt[0].grad.size
-            return [[Jet2.const(1.0 if i == j else 0.0, n) - P[i][j]
-                     for j in range(dim)] for i in range(dim)]
-        return Splitting(Field(proj_plus_fn), Field(minus_fn), (2, dim - 2))
+        return Splitting(Field(proj_plus_fn), (2, dim - 2))
 
 
 @dataclass
@@ -120,7 +114,7 @@ def _lee(t, s, pe):
     theta grads, homothetic residual)."""
     def compute():
         theta, resid, _, _ = theta_jets(t, s, pe)
-        thv, thg, _ = pack1(theta)
+        thv, thg, _ = pack(theta)
         return theta, thv, thg, resid
     return pe.cached("lee", (t.g, s.proj_plus), compute)
 
@@ -143,7 +137,7 @@ def homothetic_residual(t, s, plan):
             "points": res.points}
 
 
-def oneill_tensors(t, s, p, theta=None):
+def oneill_tensors(t, s, p):
     """(xi, xi_ring) at p.
 
     xi[k,i,j] is the (D - nabla) tensor on coordinate arguments; xi_ring is the
@@ -162,9 +156,7 @@ def oneill_tensors(t, s, p, theta=None):
     covPp = np.einsum('mji->mij', Ppg) + np.einsum('mia,aj->mij', Gam, Ppv)
     covPm = np.einsum('mji->mij', Pmg) + np.einsum('mia,aj->mij', Gam, Pmv)
     xi = -(np.einsum('km,mij->kij', Ppv, covPm) + np.einsum('km,mij->kij', Pmv, covPp))
-    if theta is None:
-        theta = _lee(t, s, pe)[1]
-    zeta = gi @ theta
+    zeta = gi @ _lee(t, s, pe)[1]
     Jzeta = Jv @ zeta
     om = Jv.T @ gv
     ip_m = Pmv.T @ gv @ Pmv
@@ -208,14 +200,11 @@ def structure_point(t, s, p, skip_theta_below=1e-6):
             for j in range(n)] for i in range(n)]
     ommv, ommg, _ = pack([[om[i][j] - omp[i][j] for j in range(n)] for i in range(n)])
     dmm = exterior_from_grad(ommg, 2)
-    wedge = (np.einsum('i,jk->ijk', thv, ommv)
-             - np.einsum('j,ik->ijk', thv, ommv)
-             + np.einsum('k,ij->ijk', thv, ommv))
-    out["wedge_minus"] = np.abs(dmm - wedge).max()
+    out["wedge_minus"] = np.abs(dmm - wedge12(thv, ommv)).max()
 
     # chi_1 from the L_zeta J coefficient fit vs the logarithmic formula
     gij = pe.inverse(t.g)
-    zv, zg, _ = pack1([sum((gij[k][m] * theta[m] for m in range(n)), 0.0)
+    zv, zg, _ = pack([sum((gij[k][m] * theta[m] for m in range(n)), 0.0)
                        for k in range(n)])
     LzJ = lie_endo_from_jets(zv, zg, Jv, Jg)
     Jz = Jv @ zv
@@ -250,7 +239,7 @@ def classify_point(t, s, p):
 
     def compute():
         _, thv, thg, resid = _lee(t, s, pe)
-        xi, xi_ring = oneill_tensors(t, s, pe, theta=thv)
+        xi, xi_ring = oneill_tensors(t, s, pe)
         out = {"homothetic": resid, "dtheta": np.abs(thg.T - thg).max(),
                "theta_max": np.abs(thv).max(), "ring": np.abs(xi_ring).max(),
                "xi": np.abs(xi).max(),

@@ -26,10 +26,6 @@ class Jet2:
         self.grad = np.asarray(grad, float)
         self.hess = np.asarray(hess, float)
 
-    @property
-    def n(self):
-        return self.grad.size
-
     @staticmethod
     def const(x, n):
         return Jet2(float(x), np.zeros(n), np.zeros((n, n)))
@@ -152,8 +148,7 @@ def jet_eval(f, p):
 # object-matrix helpers for jet-valued tensors
 # ---------------------------------------------------------------------------
 
-def jconst(x, n):
-    return Jet2.const(x, n)
+jconst = Jet2.const
 
 
 def jsize(pt):
@@ -164,10 +159,6 @@ def jsize(pt):
 
 def jeye(d, n):
     return [[Jet2.const(1.0 if i == j else 0.0, n) for j in range(d)] for i in range(d)]
-
-
-def jzeros(d, n):
-    return [[Jet2.const(0.0, n) for _ in range(d)] for _ in range(d)]
 
 
 def jmatmul(A, B):
@@ -218,32 +209,14 @@ def jet_dcoord(u, k):
 
 
 def pack(M):
-    """Jet matrix -> (value, grad, hess) float arrays of shapes (d,d),(d,d,n),(d,d,n,n)."""
-    d1, d2 = len(M), len(M[0])
-    n = M[0][0].grad.size
-    val = np.empty((d1, d2))
-    grad = np.empty((d1, d2, n))
-    hess = np.empty((d1, d2, n, n))
-    for i in range(d1):
-        for j in range(d2):
-            e = M[i][j]
-            val[i, j] = e.value
-            grad[i, j] = e.grad
-            hess[i, j] = e.hess
-    return val, grad, hess
-
-
-def pack1(V):
-    d = len(V)
-    n = V[0].grad.size
-    val = np.empty(d)
-    grad = np.empty((d, n))
-    hess = np.empty((d, n, n))
-    for i, e in enumerate(V):
-        val[i] = e.value
-        grad[i] = e.grad
-        hess[i] = e.hess
-    return val, grad, hess
+    """Jets nested as a vector, matrix or k-form -> (value, grad, hess) float
+    arrays of shapes s, s + (n,), s + (n, n) for the nesting shape s."""
+    arr = np.array(M, dtype=object)
+    flat = arr.ravel()
+    n = flat[0].grad.size
+    return (np.array([e.value for e in flat]).reshape(arr.shape),
+            np.array([e.grad for e in flat]).reshape(arr.shape + (n,)),
+            np.array([e.hess for e in flat]).reshape(arr.shape + (n, n)))
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ import json
 import os
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -161,6 +162,16 @@ def _twist_from_spec(spec, dim):
     raise ScenarioError("unknown twist id %r (known: const, coord_z, conj_z)" % (tid,))
 
 
+def _worst_of(point, *keys):
+    """Per-point residual: the worst of the named residuals of point(pe), or
+    None where the point is excluded from them."""
+    def at(pe):
+        res = point(pe)
+        vals = [res[k] for k in keys]
+        return None if None in vals else worst(*vals)
+    return at
+
+
 def _on(chart):
     """Check constructor for checks that run on one chart's samples."""
     def check(name, doc, tol, at, record=_fold_record):
@@ -249,18 +260,21 @@ def _calabi_core(params):
 
 
 def _volume_checks(check, cal, floor, docs):
+    def volume(pe):
+        return pe.cached("volume", (cal.g,), lambda: volume_checks(cal, pe))
+
     def identity_at(pe):
-        res = volume_checks(cal, pe)
-        return worst(res["residual_z"], res["residual_r"])
+        return worst(volume(pe)["residual_z"], volume(pe)["residual_r"])
 
     def floor_at(pe):
-        return worst(0.0, floor - abs(volume_checks(cal, pe)["pfaffian"]))
+        return worst(0.0, floor - abs(volume(pe)["pfaffian"]))
 
     return [check("volume_identity", docs[0], 1e-9, identity_at),
             check("volume_nonvanishing", docs[1], 1e-15, floor_at)]
 
 
-def _calabi_checks(cal, floor, expected_verdict):
+def _make_calabi(params):
+    cal = _calabi_core(params)
     t = cal.triple()
     s = cal.splitting()
 
@@ -270,7 +284,7 @@ def _calabi_checks(cal, floor, expected_verdict):
         return np.abs(extract_theta(t, s, pe) - want).max()
 
     check = _on(cal.chart)
-    return [
+    checks = [
         check("kahler_verdict",
               "g-J compatibility, closed fundamental form, integrable J",
               1e-7, lambda pe: worst(*kahler_point(t, pe).values())),
@@ -284,17 +298,12 @@ def _calabi_checks(cal, floor, expected_verdict):
               1e-7, lambda pe: classify_point(t, s, pe)["geodesic"]),
         check("moment_map", "contraction of omega with the circle field is -dz",
               1e-9, lambda pe: moment_map_point(cal, pe)),
-    ] + _volume_checks(check, cal, floor, (
+    ] + _volume_checks(check, cal, float(params["volume_floor"]), (
         "omega^m against the z- and r-coordinate product volume forms",
         "Pfaffian of omega stays above the declared floor")) + [
         check("classify_verdict", "foliation classifier verdict",
-              0.5, lambda pe: classify_point(t, s, pe), _verdict(expected_verdict)),
+              0.5, lambda pe: classify_point(t, s, pe), _verdict(params["verdict"])),
     ]
-
-
-def _make_calabi(params):
-    cal = _calabi_core(params)
-    checks = _calabi_checks(cal, float(params["volume_floor"]), params["verdict"])
     return Case(cal.chart.label + " over " + cal.base.chart.label,
                 cal.chart, cal.g, checks)
 
@@ -373,53 +382,39 @@ def _make_ak(params):
     ak = build_ak_product(zt, tw, mode=mode,
                           plane_range=tuple(params["plane_range"]))
 
-    def structure_forms(pe):
-        inv = ak_invariants_point(ak, pe)
-        return worst(inv["d_omega_tilde"], inv["omega_tilde_target"],
-                     inv["omega_tilde_invariance"])
-
-    def torsion_kernel(pe):
-        tor = torsion_point(ak, pe)
-        return None if tor["nullity"] is None else worst(tor["nullity"], tor["containment"])
+    inv, ak3, tor = (partial(f, ak) for f in (ak_invariants_point, ak3_point, torsion_point))
+    einstein = partial(einstein_point, ak.g)
 
     def torsion_rank(pe):
-        rank = torsion_point(ak, pe)["rank"]
+        rank = tor(pe)["rank"]
         return None if rank is None else abs(rank - 2.0)
-
-    def ak3_blocks(pe):
-        res = ak3_point(ak, pe)
-        return worst(res["block_plane"], res["block_z"])
-
-    def torsion_algebra(pe):
-        tor = torsion_point(ak, pe)
-        return worst(tor["anticommute"], tor["jshift"])
 
     check = _on(ak.chart)
     checks = [
         check("structure_forms",
               "omega of J~ hits -dx1^dx2 + lifted base form, closed, twist-invariant",
-              1e-9, structure_forms),
+              1e-9, _worst_of(inv, "d_omega_tilde", "omega_tilde_target",
+                              "omega_tilde_invariance")),
         check("killing_plane", "plane translations are Killing for the twisted metric",
-              1e-9, lambda pe: ak_invariants_point(ak, pe)["killing"]),
+              1e-9, _worst_of(inv, "killing")),
         check("ak3_identity",
               "curvature invariance under four copies of J~, relative",
-              1e-6, lambda pe: ak3_point(ak, pe)["relative"]),
+              1e-6, _worst_of(ak3, "relative")),
         check("ak3_blocks", "mixed plane/Z curvature blocks vanish, relative",
-              1e-6, ak3_blocks),
+              1e-6, _worst_of(ak3, "block_plane", "block_z")),
         check("torsion_derivative",
               "2 g(eta_V W, X) equals the X-derivative of g(V, W) on the plane",
-              1e-8, lambda pe: torsion_point(ak, pe)["prelt"]),
+              1e-8, _worst_of(tor, "prelt")),
         check("torsion_algebra", "eta anticommutes with J~ and shifts its slot",
-              1e-7, torsion_algebra),
+              1e-7, _worst_of(tor, "anticommute", "jshift")),
         check("torsion_kernel",
               "eta vanishes on Z directions and sends the plane off itself",
-              1e-7, torsion_kernel),
+              1e-7, _worst_of(tor, "nullity", "containment")),
         check("torsion_rank", "span of eta over the plane directions has rank 2",
               0.5, torsion_rank),
         check("einstein_fit", "max |Ric - lambda g| for the pointwise best lambda",
-              1e-6, lambda pe: einstein_point(ak.g, pe)["einstein_dev"]),
-        check("ricci_flat", "max |Ric|",
-              1e-6, lambda pe: einstein_point(ak.g, pe)["ricci_max"]),
+              1e-6, _worst_of(einstein, "einstein_dev")),
+        check("ricci_flat", "max |Ric|", 1e-6, _worst_of(einstein, "ricci_max")),
     ]
     if zpos_product:
         checks.append(check(

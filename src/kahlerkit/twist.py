@@ -21,11 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from kahlerkit.jets import (JetDomainError, jsize, jconst, jlog, jeye,
-                            jmatmul, jmat_add, jmat_scale, pack)
-from kahlerkit.fields import (Field, PointEval, at, fold, worst,
-                              lie_endo_from_jets)
-from kahlerkit.hermitian import (HermitianTriple, ddc_from_jets,
-                                 ricci_form_from_jets)
+                            jmatmul, jmat_add, jmat_scale)
+from kahlerkit.fields import Field, PointEval, at, fold, worst
+from kahlerkit.hermitian import HermitianTriple, ddc_from_jets, ricci_form
 
 
 @dataclass
@@ -177,7 +175,7 @@ def validate_twist(wfn, theta_fn, chart, plan, disc_tol=1e-6, frame_tol=1e-6):
         if ww > (1.0 - disc_tol) ** 2:
             raise ValueError("twist |w| = %.8f too close to the circle at %s"
                              % (ww ** 0.5, p.tolist()))
-        if np.abs(pe.vec(theta_fn)[0]).max() < frame_tol:
+        if np.abs(pe.jets(theta_fn)[0]).max() < frame_tol:
             raise ValueError("twist frame degenerate (|theta| < %.1e) at %s"
                              % (frame_tol, p.tolist()))
 
@@ -191,14 +189,10 @@ def build_twist(cal, tw, mode="B", pair=-1.0, plan=None):
         validate_twist(tw.fn, cal.theta.fn, cal.chart, plan)
     gw, ew, sfield = build_twist_fields(cal.g.fn, endos, cal.proj_plus.fn, tw.fn,
                                         cal.theta.fn, dim, mode=mode, pair=pair)
-
-    def sonly(pt):
-        return sfield(pt)[0]
-
     return TwistedTriple(
         g_w=Field(gw, cal.chart), J_w=Field(ew[0], cal.chart),
         I_w=Field(ew[1], cal.chart) if len(ew) > 1 else None,
-        S=Field(sonly, cal.chart), endos_w=[Field(e, cal.chart) for e in ew],
+        S=Field(lambda pt: sfield(pt)[0], cal.chart), endos_w=[Field(e, cal.chart) for e in ew],
         chart=cal.chart, mode=mode, pair=pair, twist=tw)
 
 
@@ -212,7 +206,7 @@ def norm_factor_expected(w1, w2, mode="B"):
 def norm_factor_measured(gfn, gwfn, theta_fn, p):
     """|theta|^2_{g_w} / |theta|^2_g at p."""
     pe = at(p)
-    th = pe.vec(theta_fn)[0]
+    th = pe.jets(theta_fn)[0]
     gv = pe.jets(gfn)[0]
     gwv = pe.jets(gwfn)[0]
     return float(th @ np.linalg.inv(gwv) @ th) / float(th @ np.linalg.inv(gv) @ th)
@@ -227,48 +221,22 @@ def form_invariance_point(cal, tt, p):
                    for Ew, E in pairs))
 
 
-def _dminus_frame(Jfn, Ppfn, pe):
-    """The nonzero D- coordinate frame columns X, with Jv and the X grads."""
-    Jv = pe.jets(Jfn)[0]
-    Ppv, Ppg, _ = pe.jets(Ppfn)
-    Pmv = np.eye(Ppv.shape[0]) - Ppv
-    return Jv, [(Pmv[:, j], -Ppg[:, j, :]) for j in range(Pmv.shape[0])
-                if np.abs(Pmv[:, j]).max() >= 1e-13]
-
-
 def transverse_holomorphy_point(Jfn, Ppfn, wfn, p):
     """max |dw2(P-X) + dw1(J P-X)| over the D- coordinate frame at p; this is
     the quantity that gates integrability of the twisted structure."""
     pe = at(p)
     w1, w2 = pe.raw(wfn)
-    Jv, frame = _dminus_frame(Jfn, Ppfn, pe)
+    Jv = pe.jets(Jfn)[0]
+    Pmv = np.eye(Jv.shape[0]) - pe.jets(Ppfn)[0]
     return worst(0.0, *(abs(float(w2.grad @ X) + float(w1.grad @ (Jv @ X)))
-                        for X, _ in frame))
+                        for X in Pmv.T if np.abs(X).max() >= 1e-13))
 
 
-def transverse_holomorphy_residuals(Jfn, Ppfn, wfn, theta_fn, chart, plan, pair=-1.0):
-    """Primary residual: transverse_holomorphy_point over samples.
-    Secondary: the raw Lie-derivative comparison |L_{JX}S - J (L_X S)| over the
-    same frame, reported as a diagnostic only (it picks up frame derivatives
-    and need not vanish even when the primary residual does)."""
-    sfield = make_sfield(Jfn, Ppfn, wfn, theta_fn, chart.dim, pair)
-
-    def secondary(pe):
-        Jg = pe.jets(Jfn)[1]
-        Jv, frame = _dminus_frame(Jfn, Ppfn, pe)
-        Sv, Sg, _ = pack(sfield(pe.x)[0])
-        out = 0.0
-        for X, Xg in frame:
-            JXg = np.einsum('kml,m->kl', Jg, X) + Jv @ Xg
-            LX = lie_endo_from_jets(X, Xg, Sv, Sg)
-            LJX = lie_endo_from_jets(Jv @ X, JXg, Sv, Sg)
-            out = worst(out, np.abs(LJX - Jv @ LX).max())
-        return out
-
-    res = fold(chart.samples(plan), lambda pe: {
-        "primary": transverse_holomorphy_point(Jfn, Ppfn, wfn, pe),
-        "lie_secondary": secondary(pe)})
-    return {"primary": res.max("primary"), "lie_secondary": res.max("lie_secondary")}
+def transverse_holomorphy_residuals(Jfn, Ppfn, wfn, chart, plan):
+    """Max over samples of transverse_holomorphy_point, as {"primary": ...}."""
+    res = fold(chart.samples(plan),
+               lambda pe: transverse_holomorphy_point(Jfn, Ppfn, wfn, pe))
+    return {"primary": res.max()}
 
 
 def ricci_identity_check(cal, tw, tt, p):
@@ -286,13 +254,9 @@ def ricci_identity_check(cal, tw, tt, p):
     n = cal.chart.dim
     pe = at(p)
     Jwv, Jwg, _ = pe.jets(tt.J_w)
-    rho_w = ricci_form_from_jets(pe.curvature(tt.g_w)[1], Jwv)
-
-    # lifted base Ricci form
-    base = pe.sub(2)
+    rho_w = ricci_form(tt.triple(), pe, check=False)
     rho_N = np.zeros((n, n))
-    rho_N[2:, 2:] = ricci_form_from_jets(base.curvature(cal.base.g)[1],
-                                         base.jets(cal.base.J)[0])
+    rho_N[2:, 2:] = ricci_form(cal.base, pe.sub(2), check=False)   # lifted base form
 
     x = pe.x
     ddz = ddc_from_jets(jlog(x[1]), Jwv, Jwg)
@@ -311,7 +275,7 @@ def ricci_identity_check(cal, tw, tt, p):
 def zeta_duality_residual(gfn, Jfn, gwfn, Jwfn, theta_fn, p):
     """J_w zeta_w = J zeta, with zeta/zeta_w the metric duals of theta."""
     pe = at(p)
-    th = pe.vec(theta_fn)[0]
+    th = pe.jets(theta_fn)[0]
     zeta = np.linalg.solve(pe.jets(gfn)[0], th)
     zeta_w = np.linalg.solve(pe.jets(gwfn)[0], th)
     return np.abs(pe.jets(Jwfn)[0] @ zeta_w - pe.jets(Jfn)[0] @ zeta).max()
@@ -323,7 +287,7 @@ def solve_single_twist(g0fn, gcompfn, J0fn, Ppfn, theta_fn, p):
     pe = at(p)
     gv0 = pe.jets(g0fn)[0]
     gvc = pe.jets(gcompfn)[0]
-    th = pe.vec(theta_fn)[0]
+    th = pe.jets(theta_fn)[0]
     e2 = -th @ pe.jets(J0fn)[0]
     v = pe.jets(Ppfn)[0][:, [0, 1]]
     E = np.stack([th @ v, e2 @ v])

@@ -178,13 +178,13 @@ def test_criterion_4_twist_invariance_norm_integrability():
     tw = coordinate_twist(2, 3)
     tt = build_twist(cal, tw)
     res = transverse_holomorphy_residuals(cal.J.fn, cal.splitting().proj_plus,
-                                          tw.fn, cal.theta.fn, cal.chart, plan)
+                                          tw.fn, cal.chart, plan)
     nij_good = max(np.abs(nijenhuis(tt.J_w.fn, p)).max()
                    for p in cal.chart.samples(plan))
     twc = coordinate_twist(2, 3, conj=True)
     ttc = build_twist(cal, twc)
     resc = transverse_holomorphy_residuals(cal.J.fn, cal.splitting().proj_plus,
-                                           twc.fn, cal.theta.fn, cal.chart, plan)
+                                           twc.fn, cal.chart, plan)
     nij_bad = max(np.abs(nijenhuis(ttc.J_w.fn, p)).max()
                   for p in cal.chart.samples(plan))
 

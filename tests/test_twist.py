@@ -108,7 +108,7 @@ def test_integrability_iff_transverse_holomorphy():
     # holomorphic dependence on the base coordinate: both residuals vanish
     tw = coordinate_twist(2, 3)
     tr = transverse_holomorphy_residuals(cal.J.fn, cal.proj_plus.fn, tw.fn,
-                                         cal.theta.fn, cal.chart, plan)
+                                         cal.chart, plan)
     assert tr["primary"] < 1e-12
     tt = build_twist(cal, tw)
     worst = 0.0
@@ -121,7 +121,7 @@ def test_integrability_iff_transverse_holomorphy():
     # conjugated dependence: both residuals blow up together
     twc = coordinate_twist(2, 3, conj=True)
     trc = transverse_holomorphy_residuals(cal.J.fn, cal.proj_plus.fn, twc.fn,
-                                          cal.theta.fn, cal.chart, plan)
+                                          cal.chart, plan)
     assert trc["primary"] > 1.0
     ttc = build_twist(cal, twc)
     worstc = 0.0
