@@ -209,9 +209,9 @@ def torsion_point(ak, p, dw_floor=1e-6, rank_rtol=1e-8):
         w1, w2 = pe.raw(ak.twist_full)
         dw = max(np.abs(w1.grad).max(), np.abs(w2.grad).max())
         eta, gv, gg, Jtv = eta_tensor(ak.g, ak.J_tilde, pe)
-        out = {"prelt": worst(0.0, *(abs(2.0 * sum(gv[m, X] * eta[a, m, b] for m in range(n))
-                                         - gg[a, b, X])
-                                     for a in (0, 1) for b in (0, 1) for X in zidx)),
+        prelt = (abs(2.0 * sum(gv[m, X] * eta[a, m, b] for m in range(n)) - gg[a, b, X])
+                 for a in (0, 1) for b in (0, 1) for X in zidx)
+        out = {"prelt": worst(0.0, *prelt),
                "anticommute": np.abs(np.einsum('ikm,mj->ikj', eta, Jtv)
                                      + np.einsum('km,imj->ikj', Jtv, eta)).max(),
                "jshift": np.abs(np.einsum('mi,mkj->ikj', Jtv, eta)

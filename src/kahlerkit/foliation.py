@@ -238,14 +238,11 @@ def classify_point(t, s, p):
     pe = at(p)
 
     def compute():
-        _, thv, thg, resid = _lee(t, s, pe)
         xi, xi_ring = oneill_tensors(t, s, pe)
-        out = {"homothetic": resid, "dtheta": np.abs(thg.T - thg).max(),
-               "theta_max": np.abs(thv).max(), "ring": np.abs(xi_ring).max(),
-               "xi": np.abs(xi).max(),
-               "geodesic": dplus_geodesic_residual(xi, pe.jets(s.proj_plus)[0])}
-        out.update(structure_point(t, s, pe))
-        return out
+        return dict(homothetic_point(t, s, pe), **structure_point(t, s, pe),
+                    theta_max=np.abs(_lee(t, s, pe)[1]).max(), ring=np.abs(xi_ring).max(),
+                    xi=np.abs(xi).max(),
+                    geodesic=dplus_geodesic_residual(xi, pe.jets(s.proj_plus)[0]))
     return pe.cached("classify", (t.g, t.J, s.proj_plus), compute)
 
 

@@ -148,7 +148,8 @@ def jet_eval(f, p):
 # object-matrix helpers for jet-valued tensors
 # ---------------------------------------------------------------------------
 
-jconst = Jet2.const
+def jconst(x, n):
+    return Jet2.const(x, n)
 
 
 def jsize(pt):

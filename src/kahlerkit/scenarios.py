@@ -26,7 +26,8 @@ import numpy as np
 
 from kahlerkit.jets import SamplePlan, jsize, jconst, jsin, jeye
 from kahlerkit.fields import (ChartManifold, Field, Fold, PointEval, worst,
-                              metric_jets, nijenhuis_from_jets)
+                              nijenhuis_from_jets)
+from kahlerkit.fields import metric_jets  # noqa: F401  (perfbench traces this binding)
 from kahlerkit.hermitian import kahler_point
 from kahlerkit.foliation import (homothetic_point, extract_theta, classify_point,
                                  foliation_report, VERDICT_HOLOMORPHIC)
@@ -382,7 +383,8 @@ def _make_ak(params):
     ak = build_ak_product(zt, tw, mode=mode,
                           plane_range=tuple(params["plane_range"]))
 
-    inv, ak3, tor = (partial(f, ak) for f in (ak_invariants_point, ak3_point, torsion_point))
+    inv, ak3, tor = (partial(point, ak)
+                     for point in (ak_invariants_point, ak3_point, torsion_point))
     einstein = partial(einstein_point, ak.g)
 
     def torsion_rank(pe):

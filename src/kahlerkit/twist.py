@@ -192,7 +192,8 @@ def build_twist(cal, tw, mode="B", pair=-1.0, plan=None):
     return TwistedTriple(
         g_w=Field(gw, cal.chart), J_w=Field(ew[0], cal.chart),
         I_w=Field(ew[1], cal.chart) if len(ew) > 1 else None,
-        S=Field(lambda pt: sfield(pt)[0], cal.chart), endos_w=[Field(e, cal.chart) for e in ew],
+        S=Field(lambda pt: sfield(pt)[0], cal.chart),
+        endos_w=[Field(e, cal.chart) for e in ew],
         chart=cal.chart, mode=mode, pair=pair, twist=tw)
 
 
