@@ -142,7 +142,7 @@ def ak_invariants_point(ak, p):
     target[0, 1] = -1.0
     target[1, 0] = 1.0
     zp = pe.sub(2)
-    target[2:, 2:] = zp.jets(ak.z_factor.J)[0].T @ zp.jets(ak.z_factor.g)[0]
+    target[2:, 2:] = zp.omega(ak.z_factor.g, ak.z_factor.J)[0]
     gg = pe.jets(ak.g)[1]
     return {"omega_tilde_target": np.abs(omv - target).max(),
             "d_omega_tilde": np.abs(exterior_from_grad(omg, 2)).max(),

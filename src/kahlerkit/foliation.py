@@ -158,7 +158,7 @@ def oneill_tensors(t, s, p):
     xi = -(np.einsum('km,mij->kij', Ppv, covPm) + np.einsum('km,mij->kij', Pmv, covPp))
     zeta = gi @ _lee(t, s, pe)[1]
     Jzeta = Jv @ zeta
-    om = Jv.T @ gv
+    om = pe.omega(t.g, t.J)[0]
     ip_m = Pmv.T @ gv @ Pmv
     om_m = Pmv.T @ om @ Pmv
     xi_minus = np.einsum('kab,ai,bj->kij', xi, Pmv, Pmv)

@@ -64,7 +64,7 @@ def fundamental_form(t, p, tol=1e-8):
     if resid > tol:
         raise CompatibilityError(
             f"g(J.,J.) differs from g by {resid:.2e} at {pe.p.tolist()}")
-    return Jv.T @ gv
+    return pe.omega(t.g, t.J)[0]
 
 
 def kahler_point(t, p):
@@ -113,7 +113,7 @@ def split_fundamental(t, s, p, tol=1e-8):
     Pv = pe.jets(s.proj_plus)[0]
     if np.abs(Pv @ Jv - Jv @ Pv).max() > tol:
         raise ValueError(f"splitting is not J-invariant at {pe.p.tolist()}")
-    om = Jv.T @ gv
+    om = pe.omega(t.g, t.J)[0]
     om_plus = Pv.T @ om @ Pv
     return om_plus, om - om_plus
 
