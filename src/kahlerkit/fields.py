@@ -110,9 +110,10 @@ class PointEval:
             self._x = Jet2.seed(self.p)
         return self._x
 
-    def cached(self, tag, fields, compute):
-        """compute(), once per point for this tag and these fields."""
-        key = (tag,) + tuple(_fn(f) for f in fields)
+    def cached(self, tag, parts, compute):
+        """compute(), once per point for this tag and these key parts (fields,
+        keyed by their callables, or plain values)."""
+        key = (tag,) + tuple(_fn(f) for f in parts)
         try:
             return self._memo[key]
         except KeyError:

@@ -37,9 +37,10 @@ from kahlerkit.twist import (constant_twist, coordinate_twist, build_twist,
                              norm_factor_expected, norm_factor_measured,
                              form_invariance_point, transverse_holomorphy_point,
                              ricci_identity_check, zeta_duality_residual)
-from kahlerkit.almost_kahler import (build_ak_product, iterate_chain, ak_invariants_point,
-                                     ak3_point, torsion_point, einstein_point,
-                                     fiber_log_point, ker_dw_geodesic_residual)
+from kahlerkit.almost_kahler import (build_ak_product, iterate_chain,
+                                     ak_invariants_point, ak3_point, torsion_point,
+                                     einstein_point, fiber_log_point,
+                                     ker_dw_geodesic_residual)
 
 
 class ScenarioError(ValueError):
@@ -118,11 +119,11 @@ def _levels_record(folds):
     return CheckResult(used, excluded, mx, total / used if used else 0.0, "")
 
 
-def _verdict(expected, tol=1e-6):
+def _verdict(expected):
     """Record of a classifier check: 0 when the verdict is the expected one."""
     def record(folds):
         res, = folds
-        rep = foliation_report(res, tol)
+        rep = foliation_report(res)
         r = 0.0 if rep.verdict == expected else 1.0
         return CheckResult(rep.points_used, rep.points_excluded, r, r, res.error)
     return record
