@@ -341,3 +341,25 @@ def test_curvature_point_with_negative_first_coordinate(capsys):
     assert "point:    [-3.0000000000e-01,  2.0000000000e-01,  1.0000000000e-01]" in out
     rc, out2, _ = run_cli(capsys, ["curvature", "flat", "--point=-0.3,0.2,0.1"])
     assert rc == 0 and out2 == out
+
+
+def test_domain_error_ends_each_check_at_its_point(tmp_path, capsys):
+    # a twist scaled out of the unit disc: g_w raises at the second sample, so
+    # every check that needs g_w keeps the first point and names the second;
+    # the classifier check records it too instead of aborting the run
+    obj = {"name": "big_twist", "builder": "calabi_twist",
+           "params": {"twist": {"id": "coord_z", "scale": 3.0}},
+           "plan": {"seed": 4, "count": 5}}
+    path = tmp_path / "big_twist.json"
+    path.write_text(json.dumps(obj))
+    rc, out, _ = run_cli(capsys, ["verify", str(path)])
+    assert rc == 1
+    by_name = {c["name"]: c for c in report_from(out)["checks"]}
+    for name in ("form_invariance", "norm_factor", "homothetic_foliation",
+                 "ricci_fiber_log", "zeta_duality", "classify_verdict"):
+        rec = by_name[name]
+        assert rec["pass"] is False and rec["points_used"] == 1
+        assert rec["error"].startswith("JetDomainError at point [")
+        assert "twist leaves the disc" in rec["error"]
+    assert by_name["nijenhuis_twisted"]["pass"] is True
+    assert by_name["nijenhuis_twisted"]["points_used"] == 5
