@@ -13,8 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from kahlerkit.jets import (Jet2, jsize, jconst, jlog, jeye, jmat_inv,
-                            jet_dcoord, pack)
+from kahlerkit.jets import Jet2, jsize, jconst, jlog, jinv, jet_dcoord, pack
 from kahlerkit.fields import (ChartManifold, Field, at, fold, worst,
                               exterior_from_grad)
 from kahlerkit.hermitian import HermitianTriple, ddc_from_jets, ricci_form
@@ -64,44 +63,26 @@ def build_ak_product(z_factor, tw, mode="B", pair=-1.0, plane_range=(-1.0, 1.0))
     nz = z_factor.chart.dim
     n = nz + 2
 
+    lift = np.eye(n)[2:]          # Z coordinates -> chart coordinates
+    proj = np.diag([1.0, 1.0] + [0.0] * nz)
+    plane = np.zeros((n, n))
+    plane[1, 0] = 1.0
+    plane[0, 1] = -1.0
+
     def g0fn(pt):
-        nj = jsize(pt)
-        h = z_factor.g.fn(pt[2:])
-        g = jeye(n, nj)
-        for i in range(nz):
-            for j in range(nz):
-                g[2 + i][2 + j] = h[i][j]
-        return g
+        return proj + lift.T @ pack(z_factor.g.fn(pt[2:])) @ lift
 
     def J0fn(pt):
-        nj = jsize(pt)
-        I = z_factor.J.fn(pt[2:])
-        zero = jconst(0.0, nj)
-        M = [[zero for _ in range(n)] for _ in range(n)]
-        M[1][0] = jconst(1.0, nj)
-        M[0][1] = jconst(-1.0, nj)
-        for i in range(nz):
-            for j in range(nz):
-                M[2 + i][2 + j] = I[i][j]
-        return M
+        return plane + lift.T @ pack(z_factor.J.fn(pt[2:])) @ lift
 
     def Jt0fn(pt):
-        M = J0fn(pt)
-        M[1][0] = M[1][0] * (-1.0)
-        M[0][1] = M[0][1] * (-1.0)
-        return M
+        return -plane + lift.T @ pack(z_factor.J.fn(pt[2:])) @ lift
 
     def Ppfn(pt):
-        nj = jsize(pt)
-        zero = jconst(0.0, nj)
-        P = [[zero for _ in range(n)] for _ in range(n)]
-        P[0][0] = jconst(1.0, nj)
-        P[1][1] = jconst(1.0, nj)
-        return P
+        return jconst(proj, jsize(pt))
 
     def framefn(pt):
-        nj = jsize(pt)
-        return [jconst(1.0, nj)] + [jconst(0.0, nj)] * (n - 1)
+        return jconst(np.eye(n)[0], jsize(pt))
 
     def wfull(pt):
         return tw.fn(pt[2:])
@@ -116,8 +97,7 @@ def build_ak_product(z_factor, tw, mode="B", pair=-1.0, plane_range=(-1.0, 1.0))
     probe = chart.center()
     for shift in (0.0, 0.17):
         x = Jet2.seed(np.asarray(probe, float) + shift * np.ones(n) * 0.1)
-        w1, w2 = wfull(x)
-        if max(np.abs(w1.grad[:2]).max(), np.abs(w2.grad[:2]).max()) > 1e-12:
+        if np.abs(pack(wfull(x)).grad[:, :2]).max() > 1e-12:
             raise ValueError("twist depends on the plane coordinates; "
                              "d/dx1, d/dx2 would not be Killing")
 
@@ -137,16 +117,16 @@ def ak_invariants_point(ak, p):
     directions."""
     pe = at(p)
     n = ak.chart.dim
-    omv, omg, _ = pe.omega(ak.g, ak.J_tilde)
+    om = pe.omega(ak.g, ak.J_tilde)
     target = np.zeros((n, n))
     target[0, 1] = -1.0
     target[1, 0] = 1.0
     zp = pe.sub(2)
-    target[2:, 2:] = zp.omega(ak.z_factor.g, ak.z_factor.J)[0]
+    target[2:, 2:] = zp.omega(ak.z_factor.g, ak.z_factor.J).value
     gg = pe.jets(ak.g)[1]
-    return {"omega_tilde_target": np.abs(omv - target).max(),
-            "d_omega_tilde": np.abs(exterior_from_grad(omg, 2)).max(),
-            "omega_tilde_invariance": np.abs(omv - pe.omega(ak.g0, ak.Jt0)[0]).max(),
+    return {"omega_tilde_target": np.abs(om.value - target).max(),
+            "d_omega_tilde": np.abs(exterior_from_grad(om.grad, 2)).max(),
+            "omega_tilde_invariance": np.abs(om.value - pe.omega(ak.g0, ak.Jt0).value).max(),
             "killing": worst(np.abs(gg[:, :, 0]).max(), np.abs(gg[:, :, 1]).max())}
 
 
@@ -206,8 +186,7 @@ def torsion_point(ak, p, dw_floor=1e-6, rank_rtol=1e-8):
     def compute():
         n = ak.chart.dim
         zidx = list(range(2, n))
-        w1, w2 = pe.raw(ak.twist_full)
-        dw = max(np.abs(w1.grad).max(), np.abs(w2.grad).max())
+        dw = np.abs(pe.raw(ak.twist_full).grad).max()
         eta, gv, gg, Jtv = eta_tensor(ak.g, ak.J_tilde, pe)
         prelt = (abs(2.0 * sum(gv[m, X] * eta[a, m, b] for m in range(n)) - gg[a, b, X])
                  for a in (0, 1) for b in (0, 1) for X in zidx)
@@ -306,7 +285,7 @@ class ChainLevel:
         t = self.triple
         Jv, Jg, _ = pe.jets(t.J)
         xx, yy = pe.x[n - 2], pe.x[n - 1]
-        ddL = ddc_from_jets(jlog(jconst(1.0, n) - xx * xx - yy * yy), Jv, Jg)
+        ddL = ddc_from_jets(jlog(1.0 - xx * xx - yy * yy), Jv, Jg)
         claimed = ricci_form(t, pe, check=False) - self.claimed_coeff * ddL
         corrected, corr_size = subtract_fiber_logs(claimed, pe, t.J, self.z_positions)
         return {"claimed": np.abs(claimed).max(),
@@ -318,12 +297,10 @@ def _lifted_alpha(cal):
     """Exact primitive z * Theta of the chart's Kähler form, for the next
     level: components [z, 0, z * alpha_prev...]."""
     prev = cal.alpha.fn
+    e = np.eye(cal.chart.dim)
 
     def afn(pt):
-        nj = jsize(pt)
-        z = pt[1]
-        a = prev(pt[2:])
-        return [z, jconst(0.0, nj)] + [z * ai for ai in a]
+        return pt[1] * (e[0] + e[2:].T @ pack(prev(pt[2:])))
     return Field(afn, cal.chart, degree=1)
 
 
@@ -380,22 +357,10 @@ def ker_dw_projector(gfn, wfn):
     """g-orthogonal projector field onto Ker dw1 ∩ Ker dw2 (first-order jets,
     enough for the second-fundamental-form residual)."""
     def Qfn(pt):
-        nj = jsize(pt)
-        g = gfn(pt)
-        dim = len(g)
-        w1, w2 = wfn(pt)
-        dws = [[jet_dcoord(w1, k) for k in range(dim)],
-               [jet_dcoord(w2, k) for k in range(dim)]]
-        gi = jmat_inv(g)
-        ns = [[sum((gi[k][j] * dws[a][j] for j in range(dim)), 0.0) for k in range(dim)]
-              for a in range(2)]
-        M = [[sum((dws[a][k] * ns[b][k] for k in range(dim)), 0.0) for b in range(2)]
-             for a in range(2)]
-        Mi = jmat_inv(M)
-        Q = [[jconst(1.0 if i == j else 0.0, nj)
-              - sum((ns[a][i] * Mi[a][b] * dws[b][j] for a in range(2) for b in range(2)), 0.0)
-              for j in range(dim)] for i in range(dim)]
-        return Q
+        g = pack(gfn(pt))
+        dw = jet_dcoord(pack(wfn(pt)))
+        ns = dw @ jinv(g).T
+        return np.eye(g.shape[0]) - ns.T @ jinv(dw @ ns.T) @ dw
     return Qfn
 
 
@@ -404,7 +369,8 @@ def ker_dw_geodesic_residual(gfn, wfn, p):
     p: (1 - Q) nabla_X (Q Y) restricted to X, Y in Ker dw."""
     pe = at(p)
     Gam = pe.christoffel(gfn)[0]
-    Qv, Qg, _ = pack(ker_dw_projector(gfn, wfn)(pe.x))
+    Q = ker_dw_projector(gfn, wfn)(pe.x)
+    Qv, Qg = Q.value, Q.grad
     n = Qv.shape[0]
     covQ = np.einsum('mji->mij', Qg) + np.einsum('mia,aj->mij', Gam, Qv)
     B = np.einsum('km,mij->kij', np.eye(n) - Qv, covQ)

@@ -20,8 +20,7 @@ from math import comb, exp, log
 
 import numpy as np
 
-from kahlerkit.jets import (Jet2, SamplePlan, jsize, jconst, jlog, jeye,
-                            jmatmul, jmat_add, jmat_scale)
+from kahlerkit.jets import Jet2, SamplePlan, jsize, jconst, jeinsum, jlog, pack
 from kahlerkit.fields import (ChartManifold, Field, NotClosedError, at, fold,
                               wedge12, wedge_top, homotopy_primitive, exterior_from_grad)
 from kahlerkit.hermitian import HermitianTriple, fundamental_form_field
@@ -98,20 +97,10 @@ def disk_base(k, radius=0.55):
     ucoef = disk_u_coefficients(k)
 
     def gfn(pt):
-        x, y = pt[0], pt[1]
-        n = jsize(pt)
-        t = x * x + y * y
-        f = jconst(1.0, n) - t
-        out = jconst(1.0, n)
-        for _ in range(k):
-            out = out * f
-        zero = jconst(0.0, n)
-        return [[out, zero], [zero, out]]
+        return (1.0 - (pt[0] * pt[0] + pt[1] * pt[1])) ** k * np.eye(2)
 
     def Ifn(pt):
-        n = jsize(pt)
-        z0 = jconst(0.0, n)
-        return [[z0, jconst(-1.0, n)], [jconst(1.0, n), z0]]
+        return jconst([[0.0, -1.0], [1.0, 0.0]], jsize(pt))
 
     def alphafn(pt):
         x, y = pt[0], pt[1]
@@ -171,64 +160,35 @@ def build_calabi(base, profile, alpha=None, alpha_tol=1e-7, check_count=10):
             raise NotClosedError("d alpha mismatches the base Kähler form by %.3e" % worst)
 
     afn = alpha.fn
+    e = np.eye(n)
+    lift = e[2:]                  # base coordinates -> chart coordinates
+    rot = q0 * np.outer(e[0], e[1]) - np.outer(e[1], e[0]) / q0
+
+    def Theta(b):
+        """Theta = ds + alpha at the base point b."""
+        return e[0] + lift.T @ pack(afn(b))
 
     def gfn(pt):
-        z = pt[1]
-        nj = jsize(pt)
         b = pt[2:]
-        gN = base.g(b)
-        a = afn(b)
-        q = jconst(q0, nj)
-        iq = jconst(1.0 / q0, nj)
-        zero = jconst(0.0, nj)
-        Th = [jconst(1.0, nj), zero] + list(a)
-        dz = [zero, jconst(1.0, nj)] + [zero] * nb
-        g = [[q * dz[i] * dz[j] + iq * Th[i] * Th[j] for j in range(n)] for i in range(n)]
-        for ai in range(nb):
-            for bi in range(nb):
-                g[2 + ai][2 + bi] = g[2 + ai][2 + bi] + z * gN[ai][bi]
-        return g
+        Th = Theta(b)
+        return (q0 * np.outer(e[1], e[1]) + (1.0 / q0) * jeinsum("i,j->ij", Th, Th)
+                + pt[1] * (lift.T @ pack(base.g(b)) @ lift))
 
     def Jfn(pt):
-        nj = jsize(pt)
         b = pt[2:]
-        I = base.J(b)
-        a = afn(b)
-        zero = jconst(0.0, nj)
-        J = [[zero for _ in range(n)] for _ in range(n)]
-        J[1][0] = jconst(-1.0 / q0, nj)
-        J[0][1] = jconst(q0, nj)
-        for ai in range(nb):
-            # column of the lifted base direction d_{x^a}
-            J[0][2 + ai] = -sum((I[bi][ai] * a[bi] for bi in range(nb)), 0.0)
-            J[1][2 + ai] = a[ai] * (-1.0 / q0)
-            for bi in range(nb):
-                J[2 + bi][2 + ai] = I[bi][ai]
-        return J
+        I = pack(base.J(b))
+        a = pack(afn(b))
+        # a lifted base direction d_{x^a} also moves along d/ds and d/dz
+        return rot + e[:2].T @ pack([-(a @ I), a * (-1.0 / q0)]) @ lift + lift.T @ I @ lift
 
     def Ppfn(pt):
-        nj = jsize(pt)
-        b = pt[2:]
-        a = afn(b)
-        zero = jconst(0.0, nj)
-        P = [[zero for _ in range(n)] for _ in range(n)]
-        P[0][0] = jconst(1.0, nj)
-        for ai in range(nb):
-            P[0][2 + ai] = a[ai]
-        P[1][1] = jconst(1.0, nj)
-        return P
+        return jeinsum("i,j->ij", e[0], Theta(pt[2:])) + np.outer(e[1], e[1])
 
     def I0fn(pt):
-        nj = jsize(pt)
-        J = Jfn(pt)
-        P = Ppfn(pt)
-        refl = jmat_add(jeye(n, nj), jmat_scale(jconst(-2.0, nj), P))
-        return jmatmul(J, refl)
+        return pack(Jfn(pt)) @ (np.eye(n) - 2.0 * pack(Ppfn(pt)))
 
     def thetafn(pt):
-        nj = jsize(pt)
-        zero = jconst(0.0, nj)
-        return [zero, pt[1].inv()] + [zero] * nb
+        return pt[1].inv() * e[1]
 
     dom = [tuple(profile.s_range), tuple(profile.z_range)] + [tuple(d) for d in base.chart.domain]
     chart = ChartManifold(n, dom, label="calabi(m=%d)" % m)
@@ -242,7 +202,7 @@ def alpha_primitive_point(alpha, t, p):
     """|d alpha - omega| at p for a claimed primitive alpha of t's Kähler form."""
     pe = at(p)
     ag = pe.jets(alpha)[1]
-    return np.abs((ag.T - ag) - pe.omega(t.g, t.J)[0]).max()
+    return np.abs((ag.T - ag) - pe.omega(t.g, t.J).value).max()
 
 
 def moment_map_point(cal, p):
@@ -250,7 +210,7 @@ def moment_map_point(cal, p):
     map -z in these conventions)."""
     want = np.zeros(cal.chart.dim)
     want[1] = -1.0
-    return np.abs(at(p).omega(cal.g, cal.J)[0][0, :] - want).max()
+    return np.abs(at(p).omega(cal.g, cal.J).value[0, :] - want).max()
 
 
 def moment_map_residual(cal, plan):
@@ -265,11 +225,11 @@ def volume_checks(cal, p):
     pe = at(p)
     m = cal.m
     n = cal.chart.dim
-    lhs = wedge_top([pe.omega(cal.g, cal.J)[0]] * m)
+    lhs = wedge_top([pe.omega(cal.g, cal.J).value] * m)
 
     base = pe.sub(2)
     omN = np.zeros((n, n))
-    omN[2:, 2:] = base.omega(cal.base.g, cal.base.J)[0]
+    omN[2:, 2:] = base.omega(cal.base.g, cal.base.J).value
     Th = np.zeros(n)
     Th[0] = 1.0
     Th[2:] = base.jets(cal.alpha)[0]
@@ -294,9 +254,9 @@ def lee_form_of_I0(cal, p):
     """Solve d omega_I = theta0 ^ omega_I for theta0 by least squares over all
     3-form components.  Returns (theta0 components, fit residual)."""
     n = cal.chart.dim
-    omv, omg, _ = at(p).omega(cal.g, cal.I0)
-    dom = exterior_from_grad(omg, 2)
-    wedges = [wedge12(e, omv) for e in np.eye(n)]
+    om = at(p).omega(cal.g, cal.I0)
+    dom = exterior_from_grad(om.grad, 2)
+    wedges = [wedge12(e, om.value) for e in np.eye(n)]
     comps = [(i, j, k) for i in range(n) for j in range(i + 1, n) for k in range(j + 1, n)]
     Amat = np.array([[w[c] for w in wedges] for c in comps])
     bvec = np.array([dom[c] for c in comps])
@@ -332,15 +292,10 @@ def rescale_biaxial(t, s, a, b, profile=None, tol=1e-9, t_samples=9):
     Ppfn = s.proj_plus.fn
 
     def ghat(pt):
-        g = gfn(pt)
-        P = Ppfn(pt)
-        dim = len(g)
+        g = pack(gfn(pt))
+        P = pack(Ppfn(pt))
         lt = jlog(pt[1])
-        av = a(lt)
-        bv = b(lt)
-        gp = [[sum((P[ai][i] * g[ai][bi] * P[bi][j] for ai in range(dim) for bi in range(dim)), 0.0)
-               for j in range(dim)] for i in range(dim)]
-        return [[av * gp[i][j] + bv * (g[i][j] - gp[i][j]) for j in range(dim)]
-                for i in range(dim)]
+        gp = P.T @ g @ P
+        return a(lt) * gp + b(lt) * (g - gp)
 
     return HermitianTriple(Field(ghat, t.chart), Field(Jfn, t.chart), t.chart), worst

@@ -14,7 +14,8 @@ import sys
 
 import numpy as np
 
-from kahlerkit.fields import metric_jets, curvature_from_jets
+from kahlerkit.jets import SamplePlan
+from kahlerkit.fields import DOMAIN_ERRORS, metric_jets, curvature_from_jets
 from kahlerkit.scenarios import (BUILDERS, ScenarioError, bundled_names,
                                  build_case, load_scenario, render_json,
                                  run_scenario_obj)
@@ -23,11 +24,13 @@ from kahlerkit.scenarios import (BUILDERS, ScenarioError, bundled_names,
 def _cmd_verify(args):
     scn = load_scenario(args.scenario)
     if args.seed is not None:
-        scn.seed = int(args.seed)
+        scn.seed = args.seed
     if args.samples is not None:
-        if args.samples < 1:
-            raise ScenarioError("--samples must be positive")
-        scn.count = int(args.samples)
+        scn.count = args.samples
+    try:
+        SamplePlan(scn.seed, scn.count, scn.margin)
+    except ValueError as exc:
+        raise ScenarioError("--seed/--samples: %s" % exc)
     report = run_scenario_obj(scn, tol_override=args.tol)
     for rec in report["checks"]:
         line = "%s  %-26s max=%.3e  tol=%.1e  points=%d" % (
@@ -61,8 +64,11 @@ def _cmd_curvature(args):
     if not case.chart.contains(point):
         raise ScenarioError("point %s lies outside the chart domain %s"
                             % (point, case.chart.domain))
-    gv, gg, gh = metric_jets(case.metric.fn, point)
-    Rlow, Ric, scal, _ = curvature_from_jets(gv, gg, gh)
+    try:
+        Rlow, Ric, scal, _ = curvature_from_jets(*metric_jets(case.metric.fn, point), point)
+    except DOMAIN_ERRORS as exc:
+        print("error: %s at point %s: %s" % (type(exc).__name__, point, exc), file=sys.stderr)
+        return 1
     print("scenario: %s (%s)" % (scn.name, case.label))
     print("point:    [%s]" % ", ".join("% .10e" % c for c in point))
     print("scalar curvature: % .10e" % scal)

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from kahlerkit.jets import Jet2, JetDomainError, jmat_inv, pack, sample_points
+from kahlerkit.jets import Jet2, JetDomainError, jinv, pack, sample_points
 
 
 class DegenerateMetricError(ValueError):
@@ -80,11 +80,9 @@ def _fn(f):
 
 
 def omega_of(g, J):
-    """Jet components of the fundamental form omega(X, Y) = g(JX, Y) from the
-    components of g and J at one point."""
-    d = len(g)
-    return [[sum((J[m][i] * g[m][j] for m in range(d)), 0.0) for j in range(d)]
-            for i in range(d)]
+    """Jet of the fundamental form omega(X, Y) = g(JX, Y) from the components
+    of g and J at one point."""
+    return pack(J).T @ pack(g)
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +91,7 @@ def omega_of(g, J):
 
 class PointEval:
     """One sample point, seeded once.  Every field evaluated here is evaluated
-    once: its jet components, their packed (value, grad, hess) arrays, its
+    once: its jet components, their (value, grad, hess) arrays, its
     curvature and fundamental forms are memoised by the field's callable, and
     library functions memoise derived results (the Lee form, the torsion
     tensor) through cached().  Drop it before moving to the next point."""
@@ -121,16 +119,19 @@ class PointEval:
             return val
 
     def raw(self, f):
-        """f's jet components at the point."""
-        return self.cached("raw", (f,), lambda: _fn(f)(self.x))
+        """f's components at the point, packed into one Jet2."""
+        return self.cached("raw", (f,), lambda: pack(_fn(f)(self.x)))
 
     def jets(self, f):
-        """Packed (value, grad, hess) arrays of a vector or matrix field."""
-        return self.cached("jets", (f,), lambda: pack(self.raw(f)))
+        """The (value, grad, hess) arrays of f at the point."""
+        def arrays():
+            j = self.raw(f)
+            return j.value, j.grad, j.hess
+        return self.cached("jets", (f,), arrays)
 
     def inverse(self, g):
-        """Jet matrix of g^{-1}."""
-        return self.cached("inv", (g,), lambda: jmat_inv(self.raw(g)))
+        """Jet of the matrix g^{-1}."""
+        return self.cached("inv", (g,), lambda: jinv(self.raw(g)))
 
     def christoffel(self, g):
         return self.cached("gamma", (g,),
@@ -141,13 +142,9 @@ class PointEval:
         return self.cached("curv", (g,),
                            lambda: curvature_from_jets(*self.jets(g), self.p))
 
-    def form(self, g, J):
-        """Jet components of the fundamental form of (g, J)."""
-        return self.cached("form", (g, J), lambda: omega_of(self.raw(g), self.raw(J)))
-
     def omega(self, g, J):
-        """Packed arrays of the fundamental form of (g, J)."""
-        return self.cached("omega", (g, J), lambda: pack(self.form(g, J)))
+        """Jet of the fundamental form of (g, J)."""
+        return self.cached("omega", (g, J), lambda: omega_of(self.raw(g), self.raw(J)))
 
     def sub(self, start):
         """The point made of coordinates start.. (a factor's own chart)."""
@@ -323,10 +320,9 @@ def wedge12(theta, om):
 
 def exterior_derivative(omega, p, dim=None):
     """(d omega) components at p; degree omega.degree + 1 must not exceed dim."""
-    comps = at(p).raw(omega)
+    grad = at(p).raw(omega).grad
     if omega.degree == 0:
-        return comps.grad if isinstance(comps, Jet2) else pack(comps)[1]
-    grad = pack(comps)[1]
+        return grad
     n = grad.shape[-1]
     if dim is None:
         dim = n
@@ -378,16 +374,11 @@ def homotopy_primitive(omega, chart, order=32, check_plan=None, tol=1e-8):
     nodes, weights = np.polynomial.legendre.leggauss(order)
 
     def alpha_fn(pt):
-        nsz = pt[0].grad.size
-        diff = [pt[i] - c[i] for i in range(dim)]
-        acc = [Jet2.const(0.0, nsz) for _ in range(dim)]
+        diff = pack(pt)[:dim] - c
+        acc = 0.0
         for x, w in zip(nodes, weights):
             t = 0.5 * (x + 1.0)
-            arg = [Jet2.const(c[i], nsz) + t * diff[i] for i in range(dim)]
-            om = omega(arg)
-            scale = 0.5 * w * t
-            for j in range(dim):
-                acc[j] = acc[j] + scale * sum((om[i][j] * diff[i] for i in range(dim)), 0.0)
+            acc = acc + (0.5 * w * t) * (diff @ pack(omega(c + t * diff)))
         return acc
 
     return Field(alpha_fn, chart, degree=1)

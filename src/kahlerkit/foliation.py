@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from kahlerkit.jets import Jet2, jet_dcoord, jmat_inv, pack
+from kahlerkit.jets import jeinsum, jet_dcoord, jinv
 from kahlerkit.fields import (Field, at, fold, worst, lie_endo_from_jets,
                               exterior_from_grad, wedge12)
 
@@ -64,69 +64,48 @@ def _frame_columns(Pv, tol=1e-8):
 def theta_jets(t, s, p):
     """Jet-level Lee-form extraction at p.
 
-    Returns (theta_comps, homothetic_residual, thetaV, cols) where theta_comps
-    is a list of first-order-valid jets (value and grad exact; hess padding),
+    Returns (theta, homothetic_residual, thetaV, cols) where theta is the Lee
+    form as a first-order-valid jet (value and grad exact; hess padding) and
     thetaV the theta(V_a) jets for the D+ frame columns.
     """
     pe = at(p)
     g = pe.raw(t.g)
     Pp = pe.raw(s.proj_plus)
-    n = len(g)
-    gv = pe.jets(t.g)[0]
-    Pv = pe.jets(s.proj_plus)[0]
+    n = g.shape[0]
+    Pv = Pp.value
     cols = _frame_columns(Pv)
-    gi = pe.inverse(t.g)
-    Pm = [[(Jet2.const(1.0 if i == j else 0.0, pe.p.size)) - Pp[i][j]
-           for j in range(n)] for i in range(n)]
-
-    thetaV = []
-    resid = 0.0
+    V = Pp[:, list(cols)]
+    # (L_V g)_ij for each frame column V, as first-order jets: the
+    # v-derivatives of g and V come from the jet grads
+    dV = jet_dcoord(V)
+    L = (jeinsum("ka,ijk->aij", V, jet_dcoord(g)) + jeinsum("kj,kai->aij", g, dV)
+         + jeinsum("ik,kaj->aij", g, dV))
+    thetaV = jeinsum("aij,ji->a", jeinsum("ij,ajk->aik", pe.inverse(t.g), L),
+                     np.eye(n) - Pp) * (1.0 / (n - 2))
     Pmv = np.eye(n) - Pv
-    for a in cols:
-        V = [Pp[k][a] for k in range(n)]
-        # (L_V g)_ij as first-order jets: v-derivatives of g come from jet grads
-        L = [[sum((V[k] * jet_dcoord(g[i][j], k) for k in range(n)), 0.0)
-              + sum((g[k][j] * jet_dcoord(V[k], i) for k in range(n)), 0.0)
-              + sum((g[i][k] * jet_dcoord(V[k], j) for k in range(n)), 0.0)
-              for j in range(n)] for i in range(n)]
-        tr = sum((gi[i][j] * L[j][k] * Pm[k][i]
-                  for i in range(n) for j in range(n) for k in range(n)), 0.0)
-        th_a = tr * (1.0 / (n - 2))
-        thetaV.append(th_a)
-        D = Pmv.T @ (pack(L)[0] - th_a.value * gv) @ Pmv
-        resid = worst(resid, np.abs(D).max())
+    D = np.einsum("ki,akl,lj->aij", Pmv, L.value - thetaV.value[:, None, None] * g.value, Pmv)
+    resid = worst(0.0, np.abs(D).max())
 
     # assemble theta as a 1-form: theta(d_i) = theta(P+ d_i) expanded in the frame
-    U = [[Pp[k][a] for a in cols] for k in range(n)]
-    G2 = [[sum((U[k][a] * g[k][m] * U[m][b] for k in range(n) for m in range(n)), 0.0)
-           for b in range(2)] for a in range(2)]
-    G2i = jmat_inv(G2)
-    rhs = [[sum((U[k][a] * g[k][m] * Pp[m][i] for k in range(n) for m in range(n)), 0.0)
-            for i in range(n)] for a in range(2)]
-    coef = [[sum((G2i[a][b] * rhs[b][i] for b in range(2)), 0.0) for i in range(n)]
-            for a in range(2)]
-    theta = [sum((coef[a][i] * thetaV[a] for a in range(2)), 0.0) for i in range(n)]
+    VTg = V.T @ g
+    theta = thetaV @ (jinv(VTg @ V) @ (VTg @ Pp))
     return theta, resid, thetaV, cols
 
 
 def _lee(t, s, pe):
-    """theta_jets at pe, run once per point: (theta jets, theta values,
-    theta grads, homothetic residual)."""
-    def compute():
-        theta, resid, _, _ = theta_jets(t, s, pe)
-        thv, thg, _ = pack(theta)
-        return theta, thv, thg, resid
-    return pe.cached("lee", (t.g, s.proj_plus), compute)
+    """theta_jets at pe, run once per point: (theta jet, homothetic residual)."""
+    return pe.cached("lee", (t.g, s.proj_plus), lambda: theta_jets(t, s, pe)[:2])
 
 
 def extract_theta(t, s, p):
     """Lee-form components at p (vanishes on D- by construction)."""
-    return _lee(t, s, at(p))[1]
+    return _lee(t, s, at(p))[0].value
 
 
 def homothetic_point(t, s, p):
     """The D- block residual of L_V g - theta(V) g at p, and |d theta|."""
-    _, _, thg, resid = _lee(t, s, at(p))
+    theta, resid = _lee(t, s, at(p))
+    thg = theta.grad
     return {"homothetic": resid, "dtheta": np.abs(thg.T - thg).max()}
 
 
@@ -156,9 +135,9 @@ def oneill_tensors(t, s, p):
     covPp = np.einsum('mji->mij', Ppg) + np.einsum('mia,aj->mij', Gam, Ppv)
     covPm = np.einsum('mji->mij', Pmg) + np.einsum('mia,aj->mij', Gam, Pmv)
     xi = -(np.einsum('km,mij->kij', Ppv, covPm) + np.einsum('km,mij->kij', Pmv, covPp))
-    zeta = gi @ _lee(t, s, pe)[1]
+    zeta = gi @ _lee(t, s, pe)[0].value
     Jzeta = Jv @ zeta
-    om = pe.omega(t.g, t.J)[0]
+    om = pe.omega(t.g, t.J).value
     ip_m = Pmv.T @ gv @ Pmv
     om_m = Pmv.T @ om @ Pmv
     xi_minus = np.einsum('kab,ai,bj->kij', xi, Pmv, Pmv)
@@ -179,34 +158,29 @@ def structure_point(t, s, p, skip_theta_below=1e-6):
     defined; wedge_minus, chi1 and lie_fit are None there.
     """
     pe = at(p)
-    g = pe.raw(t.g)
-    Pp = pe.raw(s.proj_plus)
-    n = len(g)
     gv = pe.jets(t.g)[0]
     Jv, Jg, _ = pe.jets(t.J)
-    Ppv, Ppg, _ = pe.jets(s.proj_plus)
-    Pmv = np.eye(n) - Ppv
+    Pp = pe.raw(s.proj_plus)
+    Ppv, Ppg = Pp.value, Pp.grad
+    Pmv = np.eye(gv.shape[0]) - Ppv
     hol = worst(*(np.abs(Pmv @ lie_endo_from_jets(Ppv[:, a], Ppg[:, a, :], Jv, Jg)).max()
                   for a in _frame_columns(Ppv)))
     out = {"holomorphy": hol, "wedge_minus": None, "chi1": None, "lie_fit": None}
-    theta, thv, _, _ = _lee(t, s, pe)
+    theta = _lee(t, s, pe)[0]
+    thv = theta.value
     norm2 = float(thv @ np.linalg.inv(gv) @ thv)
     if norm2 < skip_theta_below ** 2:
         return out
 
     # omega_minus = omega - P+^T omega P+ as a jet field, then d of it
-    om = pe.form(t.g, t.J)
-    omp = [[sum((Pp[a][i] * om[a][b] * Pp[b][j] for a in range(n) for b in range(n)), 0.0)
-            for j in range(n)] for i in range(n)]
-    ommv, ommg, _ = pack([[om[i][j] - omp[i][j] for j in range(n)] for i in range(n)])
-    dmm = exterior_from_grad(ommg, 2)
-    out["wedge_minus"] = np.abs(dmm - wedge12(thv, ommv)).max()
+    om = pe.omega(t.g, t.J)
+    omm = om - Pp.T @ om @ Pp
+    out["wedge_minus"] = np.abs(exterior_from_grad(omm.grad, 2) - wedge12(thv, omm.value)).max()
 
     # chi_1 from the L_zeta J coefficient fit vs the logarithmic formula
-    gij = pe.inverse(t.g)
-    zv, zg, _ = pack([sum((gij[k][m] * theta[m] for m in range(n)), 0.0)
-                       for k in range(n)])
-    LzJ = lie_endo_from_jets(zv, zg, Jv, Jg)
+    zeta = pe.inverse(t.g) @ theta
+    zv = zeta.value
+    LzJ = lie_endo_from_jets(zv, zeta.grad, Jv, Jg)
     Jz = Jv @ zv
     thJ = thv @ Jv
     basis = [np.einsum('j,k->kj', thv, zv), np.einsum('j,k->kj', thJ, zv),
@@ -214,9 +188,8 @@ def structure_point(t, s, p, skip_theta_below=1e-6):
     Amat = np.stack([b.ravel() for b in basis], axis=1)
     cvec, _, _, _ = np.linalg.lstsq(Amat, LzJ.ravel(), rcond=None)
     out["lie_fit"] = np.abs(Amat @ cvec - LzJ.ravel()).max()
-    # |theta|^2 as a jet: theta_i gi_ij theta_j with gi jets
-    n2j = sum((theta[i] * gij[i][j] * theta[j] for i in range(n) for j in range(n)), 0.0)
-    chi1_log = -float(Jz @ n2j.grad) / (norm2 ** 2)
+    # |theta|^2 = theta_i g^ij theta_j as a jet
+    chi1_log = -float(Jz @ (theta @ zeta).grad) / (norm2 ** 2)
     out["chi1"] = abs(cvec[0] - chi1_log)
     return out
 
@@ -240,7 +213,7 @@ def classify_point(t, s, p):
     def compute():
         xi, xi_ring = oneill_tensors(t, s, pe)
         return dict(homothetic_point(t, s, pe), **structure_point(t, s, pe),
-                    theta_max=np.abs(_lee(t, s, pe)[1]).max(), ring=np.abs(xi_ring).max(),
+                    theta_max=np.abs(_lee(t, s, pe)[0].value).max(), ring=np.abs(xi_ring).max(),
                     xi=np.abs(xi).max(),
                     geodesic=dplus_geodesic_residual(xi, pe.jets(s.proj_plus)[0]))
     return pe.cached("classify", (t.g, t.J, s.proj_plus), compute)

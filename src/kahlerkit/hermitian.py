@@ -52,7 +52,8 @@ def fundamental_form_field(g, J):
 
 
 def fundamental_form_jets(t, p):
-    return at(p).omega(t.g, t.J)
+    om = at(p).omega(t.g, t.J)
+    return om.value, om.grad, om.hess
 
 
 def fundamental_form(t, p, tol=1e-8):
@@ -64,7 +65,7 @@ def fundamental_form(t, p, tol=1e-8):
     if resid > tol:
         raise CompatibilityError(
             f"g(J.,J.) differs from g by {resid:.2e} at {pe.p.tolist()}")
-    return pe.omega(t.g, t.J)[0]
+    return pe.omega(t.g, t.J).value
 
 
 def kahler_point(t, p):
@@ -76,7 +77,7 @@ def kahler_point(t, p):
     d = gv.shape[0]
     return {"compatible": worst(np.abs(Jv.T @ gv @ Jv - gv).max(),
                                 np.abs(Jv @ Jv + np.eye(d)).max()),
-            "closed": np.abs(exterior_from_grad(pe.omega(t.g, t.J)[1], 2)).max(),
+            "closed": np.abs(exterior_from_grad(pe.omega(t.g, t.J).grad, 2)).max(),
             "integrable": np.abs(nijenhuis_from_jets(Jv, Jg)).max()}
 
 
@@ -113,7 +114,7 @@ def split_fundamental(t, s, p, tol=1e-8):
     Pv = pe.jets(s.proj_plus)[0]
     if np.abs(Pv @ Jv - Jv @ Pv).max() > tol:
         raise ValueError(f"splitting is not J-invariant at {pe.p.tolist()}")
-    om = pe.omega(t.g, t.J)[0]
+    om = pe.omega(t.g, t.J).value
     om_plus = Pv.T @ om @ Pv
     return om_plus, om - om_plus
 

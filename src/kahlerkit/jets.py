@@ -2,8 +2,12 @@
 
 A Jet2 carries (value, gradient, Hessian) with respect to the chart coordinates
 and propagates them exactly through +, -, *, /, powers, exp, log and trig.
-Curvature needs two derivatives of metric components, so second order is the
-whole story; there is no truncation error, only roundoff.
+The value may be an array of any shape s (a scalar jet has shape ()), with
+gradient of shape s + (n,) and Hessian of shape s + (n, n); the elementwise
+rules broadcast over s, jeinsum contracts value axes by the product rule, and
+jinv inverts a matrix jet in closed form.  Curvature needs two derivatives of
+metric components, so second order is the whole story; there is no
+truncation error, only roundoff.
 """
 
 import numpy as np
@@ -18,63 +22,113 @@ class JetDomainError(ValueError):
         self.point = point
 
 
+def _outer(g):
+    """g_i g_j over the last axis, broadcast over the value axes."""
+    return g[..., :, None] * g[..., None, :]
+
+
+_new = object.__new__
+
+
+def _jet(value, grad, hess):
+    """Jet2 of computed arrays, without conversion or copies."""
+    j = _new(Jet2)
+    j.value = value
+    j.grad = grad
+    j.hess = hess
+    return j
+
+
 class Jet2:
+    """Second-order jet of an array of functions of the chart coordinates.
+
+    Indexing (``h[i][j]``, ``h[:, cols]``) and iteration act on the value
+    axes.  ndarray operands defer to Jet2, so ``array * jet`` and
+    ``array @ jet`` are jets.
+    """
+
     __slots__ = ("value", "grad", "hess")
+    __array_ufunc__ = None
 
     def __init__(self, value, grad, hess):
-        self.value = float(value)
+        self.value = np.asarray(value, float)
         self.grad = np.asarray(grad, float)
         self.hess = np.asarray(hess, float)
 
     @staticmethod
     def const(x, n):
-        return Jet2(float(x), np.zeros(n), np.zeros((n, n)))
+        """Constant jet of the value x (any shape) in n coordinates."""
+        x = np.asarray(x, float)
+        return _jet(x, np.zeros(x.shape + (n,)), np.zeros(x.shape + (n, n)))
 
     @staticmethod
     def seed(p):
-        """Identity jets of the coordinates at p: value p[i], grad e_i, hess 0."""
+        """Jet of the coordinates at p: value p, grad the identity, hess 0."""
         p = np.asarray(p, float)
         n = p.size
-        eye = np.eye(n)
-        zero = np.zeros((n, n))
-        return [Jet2(p[i], eye[i], zero) for i in range(n)]
+        return _jet(p, np.eye(n), np.zeros((n, n, n)))
+
+    @property
+    def shape(self):
+        return self.value.shape
+
+    def __len__(self):
+        return len(self.value)
+
+    def __getitem__(self, idx):
+        return _jet(self.value[idx], self.grad[idx], self.hess[idx])
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    @property
+    def T(self):
+        """The jet of the transposed value axes."""
+        k = self.value.ndim
+        ax = tuple(range(k - 1, -1, -1))
+        return _jet(self.value.transpose(ax), self.grad.transpose(ax + (k,)),
+                    self.hess.transpose(ax + (k, k + 1)))
 
     def _lift(self, other):
         if isinstance(other, Jet2):
             return other
-        return Jet2.const(other, self.grad.size)
+        return Jet2.const(other, self.grad.shape[-1])
 
     def __add__(self, other):
         o = self._lift(other)
-        return Jet2(self.value + o.value, self.grad + o.grad, self.hess + o.hess)
+        return _jet(self.value + o.value, self.grad + o.grad, self.hess + o.hess)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet2(-self.value, -self.grad, -self.hess)
+        return _jet(-self.value, -self.grad, -self.hess)
 
     def __sub__(self, other):
         o = self._lift(other)
-        return Jet2(self.value - o.value, self.grad - o.grad, self.hess - o.hess)
+        return _jet(self.value - o.value, self.grad - o.grad, self.hess - o.hess)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        o = self._lift(other)
-        cross = np.outer(self.grad, o.grad)
-        return Jet2(self.value * o.value,
-                    self.value * o.grad + o.value * self.grad,
-                    self.value * o.hess + o.value * self.hess + cross + cross.T)
+        if not isinstance(other, Jet2):
+            c = np.asarray(other, float)[..., None]
+            return _jet(self.value * other, self.grad * c, self.hess * c[..., None])
+        a, b = self.value[..., None], other.value[..., None]
+        cross = self.grad[..., :, None] * other.grad[..., None, :]
+        return _jet(self.value * other.value, a * other.grad + b * self.grad,
+                    a[..., None] * other.hess + b[..., None] * self.hess
+                    + cross + cross.swapaxes(-1, -2))
 
     __rmul__ = __mul__
 
     def inv(self):
-        if self.value == 0.0:
+        if np.count_nonzero(self.value) != self.value.size:
             raise JetDomainError("division by zero in jet arithmetic")
         iv = 1.0 / self.value
-        outer = np.outer(self.grad, self.grad)
-        return Jet2(iv, -iv * iv * self.grad, 2.0 * iv ** 3 * outer - iv * iv * self.hess)
+        return _jet(iv, (-iv * iv)[..., None] * self.grad,
+                    (2.0 * iv ** 3)[..., None, None] * _outer(self.grad)
+                    - (iv * iv)[..., None, None] * self.hess)
 
     def __truediv__(self, other):
         o = self._lift(other)
@@ -86,7 +140,7 @@ class Jet2:
     def __pow__(self, k):
         if isinstance(k, int):
             if k == 0:
-                return Jet2.const(1.0, self.grad.size)
+                return Jet2.const(np.ones(self.shape), self.grad.shape[-1])
             base = self if k > 0 else self.inv()
             out = base
             for _ in range(abs(k) - 1):
@@ -94,31 +148,44 @@ class Jet2:
             return out
         return jexp(k * jlog(self))
 
+    def __matmul__(self, other):
+        return jeinsum(_matmul_spec(self, other), self, other)
+
+    def __rmatmul__(self, other):
+        return jeinsum(_matmul_spec(other, self), other, self)
+
     def __repr__(self):
         return f"Jet2({self.value!r}, grad={self.grad!r})"
 
 
+def _check_positive(u, what):
+    if np.count_nonzero(u.value <= 0.0):
+        raise JetDomainError(f"{what} of nonpositive value {float(np.min(u.value))!r}")
+
+
 def jlog(u):
-    if u.value <= 0.0:
-        raise JetDomainError(f"log of nonpositive value {u.value!r}")
+    _check_positive(u, "log")
     iv = 1.0 / u.value
-    return Jet2(np.log(u.value), iv * u.grad,
-                iv * u.hess - iv * iv * np.outer(u.grad, u.grad))
+    return _jet(np.log(u.value), iv[..., None] * u.grad,
+                iv[..., None, None] * u.hess - (iv * iv)[..., None, None] * _outer(u.grad))
 
 
 def jexp(u):
     e = np.exp(u.value)
-    return Jet2(e, e * u.grad, e * (u.hess + np.outer(u.grad, u.grad)))
+    c = e[..., None]
+    return _jet(e, c * u.grad, c[..., None] * (u.hess + _outer(u.grad)))
 
 
 def jsin(u):
     s, c = np.sin(u.value), np.cos(u.value)
-    return Jet2(s, c * u.grad, c * u.hess - s * np.outer(u.grad, u.grad))
+    return _jet(s, c[..., None] * u.grad,
+                c[..., None, None] * u.hess - s[..., None, None] * _outer(u.grad))
 
 
 def jcos(u):
     s, c = np.sin(u.value), np.cos(u.value)
-    return Jet2(c, -s * u.grad, -s * u.hess - c * np.outer(u.grad, u.grad))
+    return _jet(c, -s[..., None] * u.grad,
+                -s[..., None, None] * u.hess - c[..., None, None] * _outer(u.grad))
 
 
 def jtan(u):
@@ -126,16 +193,15 @@ def jtan(u):
 
 
 def jsqrt(u):
-    if u.value <= 0.0:
-        raise JetDomainError(f"sqrt of nonpositive value {u.value!r}")
+    _check_positive(u, "sqrt")
     return u ** 0.5
 
 
 def jet_eval(f, p):
     """Evaluate a scalar-field expression f on the jet seed of point p.
 
-    f receives the list of coordinate jets and must return a Jet2 built from
-    them by arithmetic and the elementary functions above.
+    f receives the coordinate jets and must return a Jet2 built from them by
+    arithmetic and the elementary functions above.
     """
     p = np.asarray(p, float)
     try:
@@ -145,11 +211,10 @@ def jet_eval(f, p):
 
 
 # ---------------------------------------------------------------------------
-# object-matrix helpers for jet-valued tensors
+# tensor jets: constants, contraction, inverse, packing
 # ---------------------------------------------------------------------------
 
-def jconst(x, n):
-    return Jet2.const(x, n)
+jconst = Jet2.const
 
 
 def jsize(pt):
@@ -158,66 +223,77 @@ def jsize(pt):
     return pt[0].grad.size
 
 
-def jeye(d, n):
-    return [[Jet2.const(1.0 if i == j else 0.0, n) for j in range(d)] for i in range(d)]
+def jeinsum(spec, a, b):
+    """np.einsum(spec, a, b) over the value axes of two jets (one of them may
+    be a plain array), differentiated by the product rule.  spec is an
+    explicit two-operand einsum spec such as "ij,jk->ik"; the derivative axes
+    ride along as the einsum ellipsis."""
+    ins, out = spec.split("->")
+    sa, sb = ins.split(",")
+    ja, jb = isinstance(a, Jet2), isinstance(b, Jet2)
+    av = a.value if ja else np.asarray(a, float)
+    bv = b.value if jb else np.asarray(b, float)
+    grad = hess = 0.0
+    if ja:
+        left = f"{sa}...,{sb}->{out}..."
+        grad, hess = np.einsum(left, a.grad, bv), np.einsum(left, a.hess, bv)
+    if jb:
+        right = f"{sa},{sb}...->{out}..."
+        grad = grad + np.einsum(right, av, b.grad)
+        hess = hess + np.einsum(right, av, b.hess)
+    if ja and jb:
+        c = np.einsum(f"{sa}...,{sb}...->{out}...", a.grad[..., :, None], b.grad[..., None, :])
+        hess = hess + c + c.swapaxes(-1, -2)
+    return _jet(np.einsum(spec, av, bv), grad, hess)
 
 
-def jmatmul(A, B):
-    m, k, p = len(A), len(B), len(B[0])
-    return [[sum((A[i][t] * B[t][j] for t in range(k)), 0.0) for j in range(p)] for i in range(m)]
+_MATMUL = {(1, 1): "i,i->", (1, 2): "j,jk->k", (2, 1): "ij,j->i", (2, 2): "ij,jk->ik"}
 
 
-def jmat_add(A, B):
-    return [[A[i][j] + B[i][j] for j in range(len(A[0]))] for i in range(len(A))]
+def _matmul_spec(a, b):
+    return _MATMUL[np.ndim(a.value if isinstance(a, Jet2) else a),
+                   np.ndim(b.value if isinstance(b, Jet2) else b)]
 
 
-def jmat_scale(s, A):
-    return [[s * A[i][j] for j in range(len(A[0]))] for i in range(len(A))]
+def jinv(A):
+    """Closed-form inverse of a square matrix jet A:
+    value A^{-1}, grad_m -A^{-1} (d_m A) A^{-1}, and hess_mp
+    A^{-1} (d_m A) A^{-1} (d_p A) A^{-1} + (m <-> p) - A^{-1} (d_m d_p A) A^{-1}."""
+    try:
+        Ai = np.linalg.inv(A.value)
+    except np.linalg.LinAlgError:
+        raise JetDomainError("singular jet matrix") from None
+    X = np.einsum("ik,kjm->ijm", Ai, A.grad)
+    grad = -np.einsum("ikm,kj->ijm", X, Ai)
+    c = -np.einsum("ikm,kjp->ijmp", X, grad)
+    H = np.einsum("ikmp,kj->ijmp", np.einsum("ik,kjmp->ijmp", Ai, A.hess), Ai)
+    return _jet(Ai, grad, c + c.swapaxes(-1, -2) - H)
 
 
-def jmat_inv(A):
-    """Gauss-Jordan inverse of a jet matrix with partial pivoting on values."""
-    d = len(A)
-    n = A[0][0].grad.size
-    M = [row[:] for row in A]
-    I = jeye(d, n)
-    for col in range(d):
-        piv = max(range(col, d), key=lambda r: abs(M[r][col].value))
-        if M[piv][col].value == 0.0:
-            raise JetDomainError("singular jet matrix")
-        if piv != col:
-            M[col], M[piv] = M[piv], M[col]
-            I[col], I[piv] = I[piv], I[col]
-        inv_p = M[col][col].inv()
-        M[col] = [inv_p * e for e in M[col]]
-        I[col] = [inv_p * e for e in I[col]]
-        for r in range(d):
-            if r == col:
-                continue
-            f = M[r][col]
-            if f.value == 0.0 and not f.grad.any() and not f.hess.any():
-                continue
-            M[r] = [M[r][j] - f * M[col][j] for j in range(d)]
-            I[r] = [I[r][j] - f * I[col][j] for j in range(d)]
-    return I
-
-
-def jet_dcoord(u, k):
-    """First-order jet of d_k u extracted from a second-order jet: the value and
-    gradient are exact, the returned hessian is zero padding (third derivatives
-    are not tracked). Use only where downstream consumers read value and grad."""
-    return Jet2(u.grad[k], u.hess[k], np.zeros((u.grad.size, u.grad.size)))
+def jet_dcoord(u, k=slice(None)):
+    """First-order jet of d_k u extracted from a second-order jet (of every
+    d_k u, on a new last value axis, when k is omitted): the value and
+    gradient are exact, the returned hessian is zero padding (third
+    derivatives are not tracked). Use only where downstream consumers read
+    value and grad."""
+    n = u.grad.shape[-1]
+    value = u.grad[..., k]
+    return _jet(value, u.hess[..., k, :], np.zeros(value.shape + (n, n)))
 
 
 def pack(M):
-    """Jets nested as a vector, matrix or k-form -> (value, grad, hess) float
-    arrays of shapes s, s + (n,), s + (n, n) for the nesting shape s."""
-    arr = np.array(M, dtype=object)
-    flat = arr.ravel()
-    n = flat[0].grad.size
-    return (np.array([e.value for e in flat]).reshape(arr.shape),
-            np.array([e.grad for e in flat]).reshape(arr.shape + (n,)),
-            np.array([e.hess for e in flat]).reshape(arr.shape + (n, n)))
+    """Jets nested in lists (a vector, matrix or k-form of components) stacked
+    into one Jet2 of the nesting shape; a Jet2 comes back as it is."""
+    if isinstance(M, Jet2):
+        return M
+    shape, flat = [len(M)], list(M)
+    while not isinstance(flat[0], Jet2):
+        shape.append(len(flat[0]))
+        flat = [e for row in flat for e in row]
+    s = tuple(shape) + flat[0].shape
+    return _jet(np.array([e.value for e in flat]).reshape(s),
+                np.array([e.grad for e in flat]).reshape(s + flat[0].grad.shape[-1:]),
+                np.array([e.hess for e in flat]).reshape(s + flat[0].hess.shape[-2:]))
 
 
 # ---------------------------------------------------------------------------
@@ -237,11 +313,8 @@ def gauss_integrate(f, order=32):
     for x, w in zip(nodes, weights):
         t = 0.5 * (x + 1.0)
         val = f(t)
-        if isinstance(val, Jet2):
-            if not (np.isfinite(val.value) and np.isfinite(val.grad).all()
-                    and np.isfinite(val.hess).all()):
-                raise ArithmeticError(f"non-finite integrand at t={t}")
-        elif not np.isfinite(val):
+        parts = (val.value, val.grad, val.hess) if isinstance(val, Jet2) else (val,)
+        if not all(np.isfinite(x).all() for x in parts):
             raise ArithmeticError(f"non-finite integrand at t={t}")
         term = (0.5 * w) * val
         total = term if total is None else total + term
@@ -261,6 +334,8 @@ class SamplePlan:
             raise ValueError("margin must lie in (0, 0.5)")
         if count < 1:
             raise ValueError("count must be positive")
+        if seed < 0:
+            raise ValueError("seed must be non-negative")
         self.seed = int(seed)
         self.count = int(count)
         self.margin = float(margin)

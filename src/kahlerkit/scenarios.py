@@ -24,7 +24,7 @@ from functools import partial
 
 import numpy as np
 
-from kahlerkit.jets import SamplePlan, jsize, jconst, jsin, jeye
+from kahlerkit.jets import SamplePlan, jsize, jconst, jsin
 from kahlerkit.fields import (ChartManifold, Field, Fold, PointEval, worst,
                               nijenhuis_from_jets)
 from kahlerkit.fields import metric_jets  # noqa: F401  (perfbench traces this binding)
@@ -190,7 +190,7 @@ def _make_flat(params):
     if dim < 2:
         raise ScenarioError("flat builder needs dim >= 2")
     chart = ChartManifold(dim, [(-1.0, 1.0)] * dim, label="R^%d" % dim)
-    metric = Field(lambda pt: jeye(dim, jsize(pt)), chart)
+    metric = Field(lambda pt: jconst(np.eye(dim), jsize(pt)), chart)
     check = _on(chart)
     checks = [
         check("curvature_zero", "Riemann tensor of the Euclidean metric vanishes",
@@ -208,13 +208,8 @@ def _make_flat(params):
 def _make_sphere(params):
     chart = ChartManifold(2, [(0.4, 2.7), (-3.0, 3.0)], label="S^2")
 
-    def gfn(pt):
-        n = jsize(pt)
-        su = jsin(pt[0])
-        zero = jconst(0.0, n)
-        return [[jconst(1.0, n), zero], [zero, su * su]]
-
-    metric = Field(gfn, chart)
+    metric = Field(lambda pt: np.diag([1.0, 0.0]) + jsin(pt[0]) ** 2 * np.diag([0.0, 1.0]),
+                   chart)
 
     def sym_at(pe):
         R = pe.curvature(metric)[0]

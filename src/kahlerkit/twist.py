@@ -20,8 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from kahlerkit.jets import (JetDomainError, jsize, jconst, jlog, jeye,
-                            jmatmul, jmat_add, jmat_scale)
+from kahlerkit.jets import JetDomainError, jsize, jconst, jinv, jlog, pack
 from kahlerkit.fields import Field, PointEval, at, fold, worst
 from kahlerkit.hermitian import HermitianTriple, ddc_from_jets, ricci_form
 
@@ -39,8 +38,7 @@ class TwistMap:
 
 def constant_twist(c1, c2=0.0):
     def fn(pt):
-        n = jsize(pt)
-        return jconst(float(c1), n), jconst(float(c2), n)
+        return jconst([c1, c2], jsize(pt))
     return TwistMap(fn, label="const(%g,%g)" % (c1, c2), uses=())
 
 
@@ -90,35 +88,28 @@ class TwistedTriple:
         return HermitianTriple(self.g_w, self.J_w, self.chart)
 
 
-def make_sfield(Jfn, Ppfn, wfn, theta_fn, dim, pair=-1.0):
-    """S field closure; returns (S, Pp, (w1, w2)) at a jet point.
+def make_sfield(Jfn, Ppfn, wfn, theta_fn, pair=-1.0):
+    """S field closure; returns (S, Pp, |w|^2) at a jet point.
 
     The D+ frame dual to {theta, pair * theta o J} is built from the first two
     projector columns; a degenerate frame surfaces as a singular 2x2 solve.
+    Every twisted field reads S, so the disc guard |w|^2 < 1 sits here.
     """
     def sfield(pt):
-        th = theta_fn(pt)
-        J = Jfn(pt)
-        thJ = [sum((th[m] * J[m][i] for m in range(dim)), 0.0) for i in range(dim)]
-        e2 = [t * pair for t in thJ]
-        Pp = Ppfn(pt)
-        v = [[Pp[k][0] for k in range(dim)], [Pp[k][1] for k in range(dim)]]
-        E = [[sum((th[k] * v[0][k] for k in range(dim)), 0.0),
-              sum((th[k] * v[1][k] for k in range(dim)), 0.0)],
-             [sum((e2[k] * v[0][k] for k in range(dim)), 0.0),
-              sum((e2[k] * v[1][k] for k in range(dim)), 0.0)]]
-        det = E[0][0] * E[1][1] - E[0][1] * E[1][0]
-        if abs(det.value) < 1e-12:
-            raise JetDomainError("degenerate twist frame (|det E| = %.2e)" % abs(det.value))
-        idet = det.inv()
-        Ei = [[E[1][1] * idet, E[0][1] * (-1.0) * idet],
-              [E[1][0] * (-1.0) * idet, E[0][0] * idet]]
-        u = [[sum((v[c][k] * Ei[c][b] for c in range(2)), 0.0) for k in range(dim)]
-             for b in range(2)]
-        w1, w2 = wfn(pt)
-        S = [[u[0][k] * (w1 * th[i] + w2 * e2[i]) + u[1][k] * (w2 * th[i] - w1 * e2[i])
-              for i in range(dim)] for k in range(dim)]
-        return S, Pp, (w1, w2)
+        th = pack(theta_fn(pt))
+        e2 = (th @ pack(Jfn(pt))) * pair
+        Pp = pack(Ppfn(pt))
+        v = Pp[:, :2]
+        E = pack([th, e2]) @ v
+        det = abs(np.linalg.det(E.value))
+        if det < 1e-12:
+            raise JetDomainError("degenerate twist frame (|det E| = %.2e)" % det)
+        w1, w2 = pack(wfn(pt))
+        ww = w1 * w1 + w2 * w2
+        if ww.value > 1.0 - 1e-6:
+            raise JetDomainError("twist leaves the disc: |w|^2 = %.8f" % ww.value)
+        S = (v @ jinv(E)) @ pack([w1 * th + w2 * e2, w2 * th - w1 * e2])
+        return S, Pp, ww
     return sfield
 
 
@@ -127,39 +118,27 @@ def build_twist_fields(gfn, endo_fns, Ppfn, wfn, theta_fn, dim, mode="B", pair=-
     S anchored to endo_fns[0]'s frame."""
     if mode not in ("A", "B"):
         raise ValueError("mode must be 'A' or 'B'")
-    sfield = make_sfield(endo_fns[0], Ppfn, wfn, theta_fn, dim, pair)
+    sfield = make_sfield(endo_fns[0], Ppfn, wfn, theta_fn, pair)
+    one = np.eye(dim)
 
     def gwfn(pt):
-        nj = jsize(pt)
-        S, Pp, (w1, w2) = sfield(pt)
-        g = gfn(pt)
-        ww = w1 * w1 + w2 * w2
-        if ww.value > 1.0 - 1e-6:
-            raise JetDomainError("twist leaves the disc: |w|^2 = %.8f" % ww.value)
-        fac = (jconst(1.0, nj) - ww).inv()
+        S, Pp, ww = sfield(pt)
+        fac = 1.0 / (1.0 - ww)
         if mode == "B":
-            Adj = jmat_scale(jconst(-2.0, nj) * fac,
-                             jmat_add(S, jmat_scale(ww * (-1.0), Pp)))
+            Am = one + (-2.0 * fac) * (S - ww * Pp)
         else:
-            Adj = jmat_scale(jconst(2.0, nj) * fac, jmat_add(S, jmat_scale(ww, Pp)))
-        Am = jmat_add(jeye(dim, nj), Adj)
+            Am = one + (2.0 * fac) * (S + ww * Pp)
         # g_w(X, Y) = g(A X, Y): component [i][j] = g[m][j] A[m][i]
-        return [[sum((g[m][j] * Am[m][i] for m in range(dim)), 0.0)
-                 for j in range(dim)] for i in range(dim)]
+        return Am.T @ pack(gfn(pt))
 
     def make_endo_w(Efn):
         def Ewfn(pt):
-            nj = jsize(pt)
-            S, Pp, (w1, w2) = sfield(pt)
-            E = Efn(pt)
-            ww = w1 * w1 + w2 * w2
-            fac = (jconst(1.0, nj) - ww).inv()
-            onem = jmat_add(jeye(dim, nj), jmat_scale(jconst(-1.0, nj), S))
-            inv_onem = jmat_add(jeye(dim, nj),
-                                jmat_scale(fac, jmat_add(S, jmat_scale(ww, Pp))))
+            S, Pp, ww = sfield(pt)
+            onem = one - S
+            inv_onem = one + (1.0 / (1.0 - ww)) * (S + ww * Pp)
             if mode == "B":
-                return jmatmul(inv_onem, jmatmul(E, onem))
-            return jmatmul(onem, jmatmul(E, inv_onem))
+                return inv_onem @ (pack(Efn(pt)) @ onem)
+            return onem @ (pack(Efn(pt)) @ inv_onem)
         return Ewfn
 
     return gwfn, [make_endo_w(E) for E in endo_fns], sfield
@@ -170,8 +149,7 @@ def validate_twist(wfn, theta_fn, chart, plan, disc_tol=1e-6, frame_tol=1e-6):
     raises with the offending point."""
     for p in chart.samples(plan):
         pe = PointEval(p)
-        w1, w2 = pe.raw(wfn)
-        ww = w1.value ** 2 + w2.value ** 2
+        ww = np.sum(pe.raw(wfn).value ** 2)
         if ww > (1.0 - disc_tol) ** 2:
             raise ValueError("twist |w| = %.8f too close to the circle at %s"
                              % (ww ** 0.5, p.tolist()))
@@ -218,7 +196,7 @@ def form_invariance_point(cal, tt, p):
     fundamental forms unchanged."""
     pe = at(p)
     pairs = [(tt.J_w, cal.J)] + ([(tt.I_w, cal.I0)] if tt.I_w is not None else [])
-    return worst(*(np.abs(pe.omega(tt.g_w, Ew)[0] - pe.omega(cal.g, E)[0]).max()
+    return worst(*(np.abs(pe.omega(tt.g_w, Ew).value - pe.omega(cal.g, E).value).max()
                    for Ew, E in pairs))
 
 
@@ -263,7 +241,7 @@ def ricci_identity_check(cal, tw, tt, p):
     ddz = ddc_from_jets(jlog(x[1]), Jwv, Jwg)
     w1, w2 = pe.raw(tw)
     ww = w1 * w1 + w2 * w2
-    fw = jlog(jconst(1.0, jsize(x)) - ww)
+    fw = jlog(1.0 - ww)
     ddw = ddc_from_jets(fw, Jwv, Jwg)
 
     corr = 0.5 * (m - 1) * ddz

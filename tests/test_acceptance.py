@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from kahlerkit.jets import Jet2, SamplePlan, jconst, jsin, jsize
+from kahlerkit.jets import Jet2, SamplePlan, jconst, jsin, jsize, pack
 from kahlerkit.fields import (ChartManifold, curvature_from_jets,
                               metric_jets, nijenhuis)
 from kahlerkit.hermitian import HermitianTriple, kahler_verdict
@@ -295,10 +295,11 @@ def test_criterion_8_classifier_verdicts_stable():
 
     gfn = cal.g.fn
 
+    bump = np.zeros((4, 4))
+    bump[2, 2] = 0.3
+
     def broken(pt):
-        g = gfn(pt)
-        g[2][2] = g[2][2] + 0.3 * jsin(pt[1])
-        return g
+        return pack(gfn(pt)) + jsin(pt[1]) * bump
 
     cases = [
         ("twisted calabi", tt.triple(), cal.splitting(), VERDICT_HOLOMORPHIC),

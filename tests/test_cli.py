@@ -11,10 +11,12 @@ import os
 import numpy as np
 import pytest
 
+import kahlerkit.cli
 import kahlerkit.scenarios
 from kahlerkit.cli import main
-from kahlerkit.jets import Jet2
-from kahlerkit.scenarios import (build_case, bundled_names, load_scenario,
+from kahlerkit.jets import Jet2, jconst
+from kahlerkit.fields import Field
+from kahlerkit.scenarios import (Case, build_case, bundled_names, load_scenario,
                                  render_json, run_scenario_obj)
 
 BUNDLED = ["ak_disk", "ak_disk_chain2", "ak_flat", "calabi_chain_twisted",
@@ -241,6 +243,44 @@ def test_curvature_point_errors(capsys):
     assert "comma-separated" in err
 
 
+def test_curvature_domain_error_names_the_point(tmp_path, capsys):
+    obj = {"name": "out_of_disc", "builder": "calabi_twist",
+           "params": {"twist": {"id": "const", "c": [1.3, 0.0]}},
+           "plan": {"seed": 1, "count": 3}}
+    path = tmp_path / "out_of_disc.json"
+    path.write_text(json.dumps(obj))
+    rc, out, err = run_cli(capsys, ["curvature", str(path), "--point=0,1.0,0.1,0.1"])
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error: JetDomainError at point [0.0, 1.0, 0.1, 0.1]: ")
+    assert "twist leaves the disc" in err
+    assert len(err.splitlines()) == 1
+
+
+def test_curvature_singular_metric_names_the_point(monkeypatch, capsys):
+    case = build_case(load_scenario("sphere"))
+    degenerate = Field(lambda pt: [[jconst(0.0, 2)] * 2] * 2, case.chart)
+    monkeypatch.setattr(kahlerkit.cli, "build_case",
+                        lambda scn: Case(case.label, case.chart, degenerate, []))
+    rc, _, err = run_cli(capsys, ["curvature", "sphere", "--point", "1.0,0.5"])
+    assert rc == 1
+    assert err.startswith("error: DegenerateMetricError at point [1.0, 0.5]: ")
+    assert "None" not in err
+
+
+def test_negative_seed_is_a_usage_error(tmp_path, capsys):
+    rc, _, err = run_cli(capsys, ["verify", "flat", "--seed", "-1"])
+    assert rc == 2
+    assert err.startswith("error:") and "seed must be non-negative" in err
+    path = tmp_path / "neg.json"
+    path.write_text(json.dumps({"name": "neg", "builder": "flat", "plan": {"seed": -1}}))
+    with pytest.raises(kahlerkit.scenarios.ScenarioError, match="seed must be non-negative"):
+        load_scenario(str(path))
+    rc, _, err = run_cli(capsys, ["verify", str(path)])
+    assert rc == 2
+    assert err.startswith("error:") and "seed must be non-negative" in err
+
+
 def test_list_builders_output(capsys):
     rc, out, err = run_cli(capsys, ["list-builders"])
     assert rc == 0
@@ -344,9 +384,10 @@ def test_curvature_point_with_negative_first_coordinate(capsys):
 
 
 def test_domain_error_ends_each_check_at_its_point(tmp_path, capsys):
-    # a twist scaled out of the unit disc: g_w raises at the second sample, so
-    # every check that needs g_w keeps the first point and names the second;
-    # the classifier check records it too instead of aborting the run
+    # a twist scaled out of the unit disc: every twisted field raises at the
+    # second sample, so every check that needs g_w or J_w keeps the first point
+    # and names the second; the classifier check records it too instead of
+    # aborting the run
     obj = {"name": "big_twist", "builder": "calabi_twist",
            "params": {"twist": {"id": "coord_z", "scale": 3.0}},
            "plan": {"seed": 4, "count": 5}}
@@ -355,11 +396,13 @@ def test_domain_error_ends_each_check_at_its_point(tmp_path, capsys):
     rc, out, _ = run_cli(capsys, ["verify", str(path)])
     assert rc == 1
     by_name = {c["name"]: c for c in report_from(out)["checks"]}
-    for name in ("form_invariance", "norm_factor", "homothetic_foliation",
-                 "ricci_fiber_log", "zeta_duality", "classify_verdict"):
+    for name in ("form_invariance", "norm_factor", "nijenhuis_twisted",
+                 "homothetic_foliation", "ricci_fiber_log", "zeta_duality",
+                 "classify_verdict"):
         rec = by_name[name]
         assert rec["pass"] is False and rec["points_used"] == 1
         assert rec["error"].startswith("JetDomainError at point [")
         assert "twist leaves the disc" in rec["error"]
-    assert by_name["nijenhuis_twisted"]["pass"] is True
-    assert by_name["nijenhuis_twisted"]["points_used"] == 5
+    # the untwisted fields stay in their domain
+    assert by_name["transverse_holomorphy"]["pass"] is True
+    assert by_name["transverse_holomorphy"]["points_used"] == 5

@@ -4,7 +4,7 @@ pointwise classifier, including one input per verdict."""
 import numpy as np
 import pytest
 
-from kahlerkit.jets import SamplePlan, jconst, jsin, jsize
+from kahlerkit.jets import SamplePlan, jconst, jsin, jsize, pack
 from kahlerkit.fields import ChartManifold
 from kahlerkit.hermitian import HermitianTriple
 from kahlerkit.foliation import (VERDICT_FAILED, VERDICT_GEODESIC,
@@ -162,11 +162,11 @@ def test_classify_geodesic_riemannian_foliation():
 def test_classify_flags_broken_homothety():
     cal = make_calabi(1)
     gfn = cal.g.fn
+    bump = np.zeros((4, 4))
+    bump[2, 2] = 0.3
 
     def broken(pt):
-        g = gfn(pt)
-        g[2][2] = g[2][2] + 0.3 * jsin(pt[1])
-        return g
+        return pack(gfn(pt)) + jsin(pt[1]) * bump
     t = HermitianTriple(broken, cal.J.fn, cal.chart)
     rep = classify(t, cal.splitting(), SamplePlan(9, 10))
     assert rep.verdict == VERDICT_FAILED
