@@ -23,10 +23,16 @@ BUNDLED = ["ak_disk", "ak_disk_chain2", "ak_flat", "calabi_chain_twisted",
            "calabi_chain_untwisted", "calabi_flat", "calabi_twist_zeta",
            "flat", "sphere"]
 
-# Reports of every bundled scenario at its bundled seed and count, without
+# Reports of every bundled scenario at its bundled seed and count, and in
+# golden/seed<N>/ at seeds 12345 and 4 with 6 samples, without
 # timings_seconds, with the exit code of `kahlerkit verify`.  They are the
 # reference for refactors: never regenerate them to make a test pass.
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+GOLDEN_RUNS = ([pytest.param(name, "", [], id=name) for name in BUNDLED]
+               + [pytest.param(name, "seed%d" % seed,
+                               ["--seed", str(seed), "--samples", "6"],
+                               id="%s-seed%d" % (name, seed))
+                  for seed in (12345, 4) for name in BUNDLED])
 
 
 def run_cli(capsys, argv):
@@ -318,12 +324,12 @@ def _residuals_agree(got, want):
     return abs(got - want) <= 1e-12 + 1e-9 * abs(want)
 
 
-@pytest.mark.parametrize("name", BUNDLED)
-def test_report_matches_golden(name, tmp_path, capsys):
-    with open(os.path.join(GOLDEN, name + ".json"), encoding="utf-8") as fh:
+@pytest.mark.parametrize("name, subdir, plan_args", GOLDEN_RUNS)
+def test_report_matches_golden(name, subdir, plan_args, tmp_path, capsys):
+    with open(os.path.join(GOLDEN, subdir, name + ".json"), encoding="utf-8") as fh:
         golden = json.load(fh)
     out = tmp_path / "report.json"
-    rc, _, _ = run_cli(capsys, ["verify", name, "--out", str(out)])
+    rc, _, _ = run_cli(capsys, ["verify", name, "--out", str(out)] + plan_args)
     rep = json.loads(out.read_text())
     rep.pop("timings_seconds")
     want = golden["report"]
