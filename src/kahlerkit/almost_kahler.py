@@ -13,29 +13,24 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from kahlerkit.jets import Jet2, jsize, jconst, jlog, jinv, jet_dcoord, pack
+from kahlerkit.jets import Jet2, jsize, jconst, jlog, jinv, jet_dcoord
 from kahlerkit.fields import (ChartManifold, Field, at, fold, worst,
                               exterior_from_grad)
 from kahlerkit.hermitian import HermitianTriple, ddc_from_jets, ricci_form
 from kahlerkit.calabi import CalabiProfile, build_calabi, disk_base
-from kahlerkit.twist import (TwistMap, coordinate_twist, build_twist_fields,
-                             build_twist)
+from kahlerkit.twist import coordinate_twist, build_twist_fields, build_twist
 
 
 @dataclass
 class AKProduct:
     z_factor: HermitianTriple
-    tw: TwistMap
     g: Field
     J: Field
     J_tilde: Field
     g0: Field
-    J0: Field
     Jt0: Field
-    proj_plus: Field
-    frame_form: Field
     chart: ChartManifold
-    twist_full: TwistMap
+    twist_full: Field
 
     def triple(self):
         return HermitianTriple(self.g, self.J, self.chart)
@@ -56,10 +51,10 @@ class TorsionReport:
     points_excluded: int
 
 
-def build_ak_product(z_factor, tw, mode="B", pair=-1.0, plane_range=(-1.0, 1.0)):
-    """Twisted product structures on R^2 x Z.  tw is declared on Z: its
-    closure receives Z-points and is lifted here; any dependence on the plane
-    coordinates is rejected."""
+def build_ak_product(z_factor, tw, mode="B", plane_range=(-1.0, 1.0)):
+    """Twisted product structures on R^2 x Z.  tw is a twist Field declared
+    on Z: it is lifted here, and any dependence on the plane coordinates is
+    rejected."""
     nz = z_factor.chart.dim
     n = nz + 2
 
@@ -68,47 +63,28 @@ def build_ak_product(z_factor, tw, mode="B", pair=-1.0, plane_range=(-1.0, 1.0))
     plane = np.zeros((n, n))
     plane[1, 0] = 1.0
     plane[0, 1] = -1.0
-
-    def g0fn(pt):
-        return proj + lift.T @ pack(z_factor.g.fn(pt[2:])) @ lift
-
-    def J0fn(pt):
-        return plane + lift.T @ pack(z_factor.J.fn(pt[2:])) @ lift
-
-    def Jt0fn(pt):
-        return -plane + lift.T @ pack(z_factor.J.fn(pt[2:])) @ lift
-
-    def Ppfn(pt):
-        return jconst(proj, jsize(pt))
-
-    def framefn(pt):
-        return jconst(np.eye(n)[0], jsize(pt))
-
-    def wfull(pt):
-        return tw.fn(pt[2:])
-
-    tw_full = TwistMap(wfull, label=tw.label + "@R2xZ", uses=tuple(2 + u for u in tw.uses))
-
     chart = ChartManifold(n, [tuple(plane_range), tuple(plane_range)]
                           + [tuple(d) for d in z_factor.chart.domain],
                           label="R2x" + z_factor.chart.label)
+
+    g0 = Field(lambda pt: proj + lift.T @ z_factor.g(pt[2:]) @ lift, chart)
+    J0 = Field(lambda pt: plane + lift.T @ z_factor.J(pt[2:]) @ lift, chart)
+    Jt0 = Field(lambda pt: -plane + lift.T @ z_factor.J(pt[2:]) @ lift, chart)
+    Pp = Field(lambda pt: jconst(proj, jsize(pt)), chart)
+    frame = Field(lambda pt: jconst(np.eye(n)[0], jsize(pt)), chart, degree=1)
+    wfull = Field(lambda pt: tw(pt[2:]), chart, label=tw.label + "@R2xZ")
 
     # the Killing property needs w independent of the plane coordinates
     probe = chart.center()
     for shift in (0.0, 0.17):
         x = Jet2.seed(np.asarray(probe, float) + shift * np.ones(n) * 0.1)
-        if np.abs(pack(wfull(x)).grad[:, :2]).max() > 1e-12:
+        if np.abs(wfull(x).grad[:, :2]).max() > 1e-12:
             raise ValueError("twist depends on the plane coordinates; "
                              "d/dx1, d/dx2 would not be Killing")
 
-    gw, ew, _ = build_twist_fields(g0fn, [J0fn, Jt0fn], Ppfn, wfull, framefn, n,
-                                   mode=mode, pair=pair)
-    return AKProduct(
-        z_factor=z_factor, tw=tw,
-        g=Field(gw, chart), J=Field(ew[0], chart), J_tilde=Field(ew[1], chart),
-        g0=Field(g0fn, chart), J0=Field(J0fn, chart), Jt0=Field(Jt0fn, chart),
-        proj_plus=Field(Ppfn, chart), frame_form=Field(framefn, chart, degree=1),
-        chart=chart, twist_full=tw_full)
+    gw, (Jw, Jtw), _ = build_twist_fields(g0, [J0, Jt0], Pp, wfull, frame, chart, mode)
+    return AKProduct(z_factor=z_factor, g=gw, J=Jw, J_tilde=Jtw, g0=g0, Jt0=Jt0,
+                     chart=chart, twist_full=wfull)
 
 
 def ak_invariants_point(ak, p):
@@ -296,12 +272,7 @@ class ChainLevel:
 def _lifted_alpha(cal):
     """Exact primitive z * Theta of the chart's Kähler form, for the next
     level: components [z, 0, z * alpha_prev...]."""
-    prev = cal.alpha.fn
-    e = np.eye(cal.chart.dim)
-
-    def afn(pt):
-        return pt[1] * (e[0] + e[2:].T @ pack(prev(pt[2:])))
-    return Field(afn, cal.chart, degree=1)
+    return Field(lambda pt: pt[1] * cal.Theta(pt), cal.chart, degree=1)
 
 
 def iterate_chain(kind, m, A=-1.0, radius=0.55, z_range=(0.6, 1.8),
@@ -353,23 +324,24 @@ def iterate_chain(kind, m, A=-1.0, radius=0.55, z_range=(0.6, 1.8),
     return levels
 
 
-def ker_dw_projector(gfn, wfn):
-    """g-orthogonal projector field onto Ker dw1 ∩ Ker dw2 (first-order jets,
-    enough for the second-fundamental-form residual)."""
+def ker_dw_projector(g, w):
+    """g-orthogonal projector field onto Ker dw1 ∩ Ker dw2 of the metric
+    field g and the twist field w (first-order jets, enough for the
+    second-fundamental-form residual)."""
     def Qfn(pt):
-        g = pack(gfn(pt))
-        dw = jet_dcoord(pack(wfn(pt)))
-        ns = dw @ jinv(g).T
-        return np.eye(g.shape[0]) - ns.T @ jinv(dw @ ns.T) @ dw
-    return Qfn
+        gj = g(pt)
+        dw = jet_dcoord(w(pt))
+        ns = dw @ jinv(gj).T
+        return np.eye(gj.shape[0]) - ns.T @ jinv(dw @ ns.T) @ dw
+    return Field(Qfn, g.chart)
 
 
-def ker_dw_geodesic_residual(gfn, wfn, p):
+def ker_dw_geodesic_residual(g, w, p):
     """Max component of the D-orthogonal second fundamental form of Ker dw at
     p: (1 - Q) nabla_X (Q Y) restricted to X, Y in Ker dw."""
     pe = at(p)
-    Gam = pe.christoffel(gfn)[0]
-    Q = ker_dw_projector(gfn, wfn)(pe.x)
+    Gam = pe.christoffel(g)[0]
+    Q = ker_dw_projector(g, w)(pe.x)
     Qv, Qg = Q.value, Q.grad
     n = Qv.shape[0]
     covQ = np.einsum('mji->mij', Qg) + np.einsum('mia,aj->mij', Gam, Qv)

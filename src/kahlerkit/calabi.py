@@ -24,7 +24,6 @@ from kahlerkit.jets import Jet2, SamplePlan, jsize, jconst, jeinsum, jlog, pack
 from kahlerkit.fields import (ChartManifold, Field, NotClosedError, at, fold,
                               wedge12, wedge_top, homotopy_primitive, exterior_from_grad)
 from kahlerkit.hermitian import HermitianTriple, fundamental_form_field
-from kahlerkit.foliation import Splitting
 
 
 @dataclass
@@ -119,11 +118,15 @@ def flat_base(radius=0.55):
 
 @dataclass
 class CalabiChart:
+    """The fibered chart's fields: the Kähler pair (g, J), I0, the projector
+    P+ onto the fiber span {d/ds, d/dz} (the splitting), the Lee form theta
+    = d ln z of I0 and the connection form Theta = ds + alpha."""
     g: Field
     J: Field
     I0: Field
     proj_plus: Field
     theta: Field
+    Theta: Field
     chart: ChartManifold
     base: HermitianTriple
     alpha: Field
@@ -135,9 +138,6 @@ class CalabiChart:
 
     def triple_I(self):
         return HermitianTriple(self.g, self.I0, self.chart)
-
-    def splitting(self):
-        return Splitting.from_plus(self.proj_plus.fn, self.chart.dim)
 
 
 def build_calabi(base, profile, alpha=None, alpha_tol=1e-7, check_count=10):
@@ -159,43 +159,30 @@ def build_calabi(base, profile, alpha=None, alpha_tol=1e-7, check_count=10):
         if not worst <= alpha_tol:
             raise NotClosedError("d alpha mismatches the base Kähler form by %.3e" % worst)
 
-    afn = alpha.fn
     e = np.eye(n)
     lift = e[2:]                  # base coordinates -> chart coordinates
     rot = q0 * np.outer(e[0], e[1]) - np.outer(e[1], e[0]) / q0
-
-    def Theta(b):
-        """Theta = ds + alpha at the base point b."""
-        return e[0] + lift.T @ pack(afn(b))
+    dom = [tuple(profile.s_range), tuple(profile.z_range)] + [tuple(d) for d in base.chart.domain]
+    chart = ChartManifold(n, dom, label="calabi(m=%d)" % m)
 
     def gfn(pt):
-        b = pt[2:]
-        Th = Theta(b)
+        Th = Theta(pt)
         return (q0 * np.outer(e[1], e[1]) + (1.0 / q0) * jeinsum("i,j->ij", Th, Th)
-                + pt[1] * (lift.T @ pack(base.g(b)) @ lift))
+                + pt[1] * (lift.T @ base.g(pt[2:]) @ lift))
 
     def Jfn(pt):
-        b = pt[2:]
-        I = pack(base.J(b))
-        a = pack(afn(b))
+        I = base.J(pt[2:])
+        a = alpha(pt[2:])
         # a lifted base direction d_{x^a} also moves along d/ds and d/dz
         return rot + e[:2].T @ pack([-(a @ I), a * (-1.0 / q0)]) @ lift + lift.T @ I @ lift
 
-    def Ppfn(pt):
-        return jeinsum("i,j->ij", e[0], Theta(pt[2:])) + np.outer(e[1], e[1])
-
-    def I0fn(pt):
-        return pack(Jfn(pt)) @ (np.eye(n) - 2.0 * pack(Ppfn(pt)))
-
-    def thetafn(pt):
-        return pt[1].inv() * e[1]
-
-    dom = [tuple(profile.s_range), tuple(profile.z_range)] + [tuple(d) for d in base.chart.domain]
-    chart = ChartManifold(n, dom, label="calabi(m=%d)" % m)
+    Theta = Field(lambda pt: e[0] + lift.T @ alpha(pt[2:]), chart, degree=1)
+    J = Field(Jfn, chart)
+    Pp = Field(lambda pt: jeinsum("i,j->ij", e[0], Theta(pt)) + np.outer(e[1], e[1]), chart)
     return CalabiChart(
-        g=Field(gfn, chart), J=Field(Jfn, chart), I0=Field(I0fn, chart),
-        proj_plus=Field(Ppfn, chart), theta=Field(thetafn, chart, degree=1),
-        chart=chart, base=base, alpha=alpha, profile=profile, m=m)
+        g=Field(gfn, chart), J=J, I0=Field(lambda pt: J(pt) @ (np.eye(n) - 2.0 * Pp(pt)), chart),
+        proj_plus=Pp, theta=Field(lambda pt: pt[1].inv() * e[1], chart, degree=1),
+        Theta=Theta, chart=chart, base=base, alpha=alpha, profile=profile, m=m)
 
 
 def alpha_primitive_point(alpha, t, p):
@@ -265,12 +252,13 @@ def lee_form_of_I0(cal, p):
     return th0, fit
 
 
-def rescale_biaxial(t, s, a, b, profile=None, tol=1e-9, t_samples=9):
+def rescale_biaxial(t, Pp, a, b, profile=None, tol=1e-9, t_samples=9):
     """Biaxial rescale g_hat = a(ln z) g|D+ + b(ln z) g|D-.
 
-    a and b are scalar jet closures of one variable.  The closedness of the
-    rescaled fundamental form forces b' + b = a; the constraint is validated
-    on a grid of the ln z range and violations raise NotClosedError.
+    Pp is the projector field onto D+; a and b are scalar jet closures of
+    one variable.  The closedness of the rescaled fundamental form forces
+    b' + b = a; the constraint is validated on a grid of the ln z range and
+    violations raise NotClosedError.
     Returns (HermitianTriple of the rescaled structure, constraint residual).
     """
     zlo, zhi = (profile.z_range if profile is not None else (0.5, 2.0))
@@ -287,15 +275,11 @@ def rescale_biaxial(t, s, a, b, profile=None, tol=1e-9, t_samples=9):
         raise NotClosedError("b' + b - a = %.3e exceeds %.1e; the rescaled form is not closed"
                              % (worst, tol))
 
-    gfn = t.g.fn
-    Jfn = t.J.fn
-    Ppfn = s.proj_plus.fn
-
     def ghat(pt):
-        g = pack(gfn(pt))
-        P = pack(Ppfn(pt))
+        g = t.g(pt)
+        P = Pp(pt)
         lt = jlog(pt[1])
         gp = P.T @ g @ P
         return a(lt) * gp + b(lt) * (g - gp)
 
-    return HermitianTriple(Field(ghat, t.chart), Field(Jfn, t.chart), t.chart), worst
+    return HermitianTriple(Field(ghat, t.chart), t.J, t.chart), worst

@@ -1,9 +1,12 @@
 """Charts and pointwise tensor calculus.
 
-A chart is a coordinate box; every tensor field is a callable taking the list
-of coordinate jets and returning jet-valued components. All curvature below is
-float-layer linear algebra on the packed (value, grad, hess) arrays, so the
-only differentiation ever performed is the exact jet propagation.
+A chart is a coordinate box; every tensor field is a callable taking the
+coordinate jets of a point and returning jet-valued components.  Builders
+call their input Fields on the point they are given, so on a PointEval's
+point (and on its lifted slices pt[k:]) every field runs once.  All
+curvature below is float-layer linear algebra on the packed (value, grad,
+hess) arrays, so the only differentiation ever performed is the exact jet
+propagation.
 
 Curvature convention: R(X,Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z
 - nabla_[X,Y] Z, lowered on the last slot as R(X,Y,Z,W) = g(R(X,Y)Z, W), and
@@ -61,22 +64,59 @@ class ChartManifold:
 
 class Field:
     """A tensor field on a chart: fn maps the coordinate jets of a point to
-    jet-valued components (a jet, a list, or a nested list).  degree is set
-    for differential forms."""
+    jet-valued components (a jet, a list, or a nested list).  Called on a
+    point it returns them packed into one Jet2, from the memo when the point
+    is a PointEval's.  degree is set for differential forms; label names a
+    field in reports."""
 
-    def __init__(self, fn, chart=None, degree=None):
+    def __init__(self, fn, chart=None, degree=None, label=""):
         self.fn = fn
         self.chart = chart
         self.degree = degree
+        self.label = label
 
     def __call__(self, pt):
-        return self.fn(pt)
+        if isinstance(pt, Point):
+            return pt.raw(self)
+        return pack(self.fn(pt))
 
 
 def _fn(f):
-    """The callable behind a field or plain function: what PointEval keys on,
-    since triple() and splitting() build fresh wrappers around it."""
+    """The callable behind a field or plain function: what the memo keys on,
+    so fresh wrappers around one callable share its memo entry."""
     return getattr(f, "fn", f)
+
+
+def _memoised(memo, key, compute):
+    try:
+        return memo[key]
+    except KeyError:
+        val = memo[key] = compute()
+        return val
+
+
+class Point(Jet2):
+    """Coordinate jets of a sample point carrying the point's memo: a Field
+    called on them is evaluated once, and the slice pt[k:] (a factor's
+    coordinates, still differentiated in all of the point's) is made once, as
+    a Point with a memo of its own.  Only fields are evaluated on a slice;
+    PointEval.sub() is the factor's own point."""
+
+    __slots__ = ("memo",)
+
+    def __init__(self, jet, memo):
+        self.value, self.grad, self.hess = jet.value, jet.grad, jet.hess
+        self.memo = memo
+
+    def raw(self, f):
+        """f's components here, packed into one Jet2."""
+        return _memoised(self.memo, ("raw", _fn(f)), lambda: pack(_fn(f)(self)))
+
+    def __getitem__(self, idx):
+        if isinstance(idx, slice) and idx.start and idx.stop is None and idx.step is None:
+            return _memoised(self.memo, ("lift", idx.start),
+                             lambda: Point(Jet2.__getitem__(self, idx), {}))
+        return Jet2.__getitem__(self, idx)
 
 
 def omega_of(g, J):
@@ -94,7 +134,9 @@ class PointEval:
     once: its jet components, their (value, grad, hess) arrays, its
     curvature and fundamental forms are memoised by the field's callable, and
     library functions memoise derived results (the Lee form, the torsion
-    tensor) through cached().  Drop it before moving to the next point."""
+    tensor) through cached().  Fields that builders call on x, or on a slice
+    x[k:], come from the same memo, which x carries.  Drop it before moving
+    to the next point."""
 
     def __init__(self, p):
         self.p = np.asarray(p, float)
@@ -103,24 +145,19 @@ class PointEval:
 
     @property
     def x(self):
-        """Coordinate jets of the point."""
+        """Coordinate jets of the point, as a Point sharing this memo."""
         if self._x is None:
-            self._x = Jet2.seed(self.p)
+            self._x = Point(Jet2.seed(self.p), self._memo)
         return self._x
 
     def cached(self, tag, parts, compute):
         """compute(), once per point for this tag and these key parts (fields,
         keyed by their callables, or plain values)."""
-        key = (tag,) + tuple(_fn(f) for f in parts)
-        try:
-            return self._memo[key]
-        except KeyError:
-            val = self._memo[key] = compute()
-            return val
+        return _memoised(self._memo, (tag,) + tuple(_fn(f) for f in parts), compute)
 
     def raw(self, f):
         """f's components at the point, packed into one Jet2."""
-        return self.cached("raw", (f,), lambda: pack(_fn(f)(self.x)))
+        return self.x.raw(f)
 
     def jets(self, f):
         """The (value, grad, hess) arrays of f at the point."""
@@ -374,11 +411,11 @@ def homotopy_primitive(omega, chart, order=32, check_plan=None, tol=1e-8):
     nodes, weights = np.polynomial.legendre.leggauss(order)
 
     def alpha_fn(pt):
-        diff = pack(pt)[:dim] - c
+        diff = pt[:dim] - c
         acc = 0.0
         for x, w in zip(nodes, weights):
             t = 0.5 * (x + 1.0)
-            acc = acc + (0.5 * w * t) * (diff @ pack(omega(c + t * diff)))
+            acc = acc + (0.5 * w * t) * (diff @ omega(c + t * diff))
         return acc
 
     return Field(alpha_fn, chart, degree=1)

@@ -1,5 +1,8 @@
-"""Splittings, the homothetic-foliation residual, Lee-form extraction, O'Neill
-tensors, structure-equation checks, and the pointwise classifier.
+"""The homothetic-foliation residual, Lee-form extraction, O'Neill tensors,
+structure-equation checks, and the pointwise classifier.
+
+The splitting TM = D+ + D- is given by the projector field Pp onto the rank-2
+distribution D+ (D- is its complement, P- = 1 - P+).
 
 The Lee form is never taken from a builder: it is extracted from the metric by
 the trace formula theta(V) = tr(g^{-1} (L_V g) P_minus) / (dim - 2) over a
@@ -12,23 +15,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from kahlerkit.jets import jeinsum, jet_dcoord, jinv
-from kahlerkit.fields import (Field, at, fold, worst, lie_endo_from_jets,
+from kahlerkit.fields import (at, fold, worst, lie_endo_from_jets,
                               exterior_from_grad, wedge12)
 
 VERDICT_HOLOMORPHIC = "holomorphic"
 VERDICT_GEODESIC = "geodesic_riemannian"
 VERDICT_PRODUCT = "kahler_product"
 VERDICT_FAILED = "failed"
-
-
-@dataclass
-class Splitting:
-    proj_plus: object
-    ranks: tuple
-
-    @staticmethod
-    def from_plus(proj_plus_fn, dim):
-        return Splitting(Field(proj_plus_fn), (2, dim - 2))
 
 
 @dataclass
@@ -61,7 +54,7 @@ def _frame_columns(Pv, tol=1e-8):
     return best[1]
 
 
-def theta_jets(t, s, p):
+def theta_jets(t, Pp, p):
     """Jet-level Lee-form extraction at p.
 
     Returns (theta, homothetic_residual, thetaV, cols) where theta is the Lee
@@ -70,53 +63,53 @@ def theta_jets(t, s, p):
     """
     pe = at(p)
     g = pe.raw(t.g)
-    Pp = pe.raw(s.proj_plus)
+    P = pe.raw(Pp)
     n = g.shape[0]
-    Pv = Pp.value
+    Pv = P.value
     cols = _frame_columns(Pv)
-    V = Pp[:, list(cols)]
+    V = P[:, list(cols)]
     # (L_V g)_ij for each frame column V, as first-order jets: the
     # v-derivatives of g and V come from the jet grads
     dV = jet_dcoord(V)
     L = (jeinsum("ka,ijk->aij", V, jet_dcoord(g)) + jeinsum("kj,kai->aij", g, dV)
          + jeinsum("ik,kaj->aij", g, dV))
     thetaV = jeinsum("aij,ji->a", jeinsum("ij,ajk->aik", pe.inverse(t.g), L),
-                     np.eye(n) - Pp) * (1.0 / (n - 2))
+                     np.eye(n) - P) * (1.0 / (n - 2))
     Pmv = np.eye(n) - Pv
     D = np.einsum("ki,akl,lj->aij", Pmv, L.value - thetaV.value[:, None, None] * g.value, Pmv)
     resid = worst(0.0, np.abs(D).max())
 
     # assemble theta as a 1-form: theta(d_i) = theta(P+ d_i) expanded in the frame
     VTg = V.T @ g
-    theta = thetaV @ (jinv(VTg @ V) @ (VTg @ Pp))
+    theta = thetaV @ (jinv(VTg @ V) @ (VTg @ P))
     return theta, resid, thetaV, cols
 
 
-def _lee(t, s, pe):
+def _lee(t, Pp, pe):
     """theta_jets at pe, run once per point: (theta jet, homothetic residual)."""
-    return pe.cached("lee", (t.g, s.proj_plus), lambda: theta_jets(t, s, pe)[:2])
+    return pe.cached("lee", (t.g, Pp), lambda: theta_jets(t, Pp, pe)[:2])
 
 
-def extract_theta(t, s, p):
+def extract_theta(t, Pp, p):
     """Lee-form components at p (vanishes on D- by construction)."""
-    return _lee(t, s, at(p))[0].value
+    return _lee(t, Pp, at(p))[0].value
 
 
-def homothetic_point(t, s, p):
+def homothetic_point(t, Pp, p):
     """The D- block residual of L_V g - theta(V) g at p, and |d theta|."""
-    theta, resid = _lee(t, s, at(p))
+    theta, resid = _lee(t, Pp, at(p))
     thg = theta.grad
     return {"homothetic": resid, "dtheta": np.abs(thg.T - thg).max()}
 
 
-def homothetic_residual(t, s, plan):
+def homothetic_residual(t, Pp, plan):
     """Max over samples of the homothetic_point residuals."""
-    res = fold(t.chart.samples(plan), lambda pe: homothetic_point(t, s, pe))
+    res = fold(t.chart.samples(plan), lambda pe: homothetic_point(t, Pp, pe))
     return {"homothetic": res.max("homothetic"), "dtheta": res.max("dtheta"),
             "points": res.points}
 
 
-def oneill_tensors(t, s, p):
+def oneill_tensors(t, Pp, p):
     """(xi, xi_ring) at p.
 
     xi[k,i,j] is the (D - nabla) tensor on coordinate arguments; xi_ring is the
@@ -127,7 +120,7 @@ def oneill_tensors(t, s, p):
     gv = pe.jets(t.g)[0]
     Gam, _, gi = pe.christoffel(t.g)
     Jv = pe.jets(t.J)[0]
-    Ppv, Ppg, _ = pe.jets(s.proj_plus)
+    Ppv, Ppg, _ = pe.jets(Pp)
     n = gv.shape[0]
     Pmv = np.eye(n) - Ppv
     Pmg = -Ppg
@@ -135,7 +128,7 @@ def oneill_tensors(t, s, p):
     covPp = np.einsum('mji->mij', Ppg) + np.einsum('mia,aj->mij', Gam, Ppv)
     covPm = np.einsum('mji->mij', Pmg) + np.einsum('mia,aj->mij', Gam, Pmv)
     xi = -(np.einsum('km,mij->kij', Ppv, covPm) + np.einsum('km,mij->kij', Pmv, covPp))
-    zeta = gi @ _lee(t, s, pe)[0].value
+    zeta = gi @ _lee(t, Pp, pe)[0].value
     Jzeta = Jv @ zeta
     om = pe.omega(t.g, t.J).value
     ip_m = Pmv.T @ gv @ Pmv
@@ -150,7 +143,7 @@ def dplus_geodesic_residual(xi, Ppv):
     return np.abs(np.einsum('kab,ai,bj->kij', xi, Ppv, Ppv)).max()
 
 
-def structure_point(t, s, p, skip_theta_below=1e-6):
+def structure_point(t, Pp, p, skip_theta_below=1e-6):
     """Structure-equation residuals at p: D+ holomorphy (proj_minus o (L_X J)
     over a D+ frame), d(omega_minus) = theta ^ omega_minus, and the two chi_1
     routes: the L_zeta J coefficient fit against -2|theta|^{-2} L_{Jzeta}
@@ -158,27 +151,27 @@ def structure_point(t, s, p, skip_theta_below=1e-6):
     defined; wedge_minus, chi1 and lie_fit are None there.
     """
     pe = at(p)
-    gv = pe.jets(t.g)[0]
     Jv, Jg, _ = pe.jets(t.J)
-    Pp = pe.raw(s.proj_plus)
-    Ppv, Ppg = Pp.value, Pp.grad
-    Pmv = np.eye(gv.shape[0]) - Ppv
+    P = pe.raw(Pp)
+    Ppv, Ppg = P.value, P.grad
+    Pmv = np.eye(Ppv.shape[0]) - Ppv
     hol = worst(*(np.abs(Pmv @ lie_endo_from_jets(Ppv[:, a], Ppg[:, a, :], Jv, Jg)).max()
                   for a in _frame_columns(Ppv)))
     out = {"holomorphy": hol, "wedge_minus": None, "chi1": None, "lie_fit": None}
-    theta = _lee(t, s, pe)[0]
+    theta = _lee(t, Pp, pe)[0]
     thv = theta.value
-    norm2 = float(thv @ np.linalg.inv(gv) @ thv)
+    gi = pe.inverse(t.g)
+    norm2 = float(thv @ gi.value @ thv)
     if norm2 < skip_theta_below ** 2:
         return out
 
     # omega_minus = omega - P+^T omega P+ as a jet field, then d of it
     om = pe.omega(t.g, t.J)
-    omm = om - Pp.T @ om @ Pp
+    omm = om - P.T @ om @ P
     out["wedge_minus"] = np.abs(exterior_from_grad(omm.grad, 2) - wedge12(thv, omm.value)).max()
 
     # chi_1 from the L_zeta J coefficient fit vs the logarithmic formula
-    zeta = pe.inverse(t.g) @ theta
+    zeta = gi @ theta
     zv = zeta.value
     LzJ = lie_endo_from_jets(zv, zeta.grad, Jv, Jg)
     Jz = Jv @ zv
@@ -194,29 +187,29 @@ def structure_point(t, s, p, skip_theta_below=1e-6):
     return out
 
 
-def structure_equation_checks(t, s, plan, skip_theta_below=1e-6):
+def structure_equation_checks(t, Pp, plan, skip_theta_below=1e-6):
     """Max over samples of the structure_point residuals; points where
     |theta| is below the threshold are counted in 'points_excluded'."""
     res = fold(t.chart.samples(plan),
-               lambda pe: structure_point(t, s, pe, skip_theta_below))
+               lambda pe: structure_point(t, Pp, pe, skip_theta_below))
     out = {k: res.max(k) for k in ("wedge_minus", "holomorphy", "chi1", "lie_fit")}
     out.update(points_used=res.used("wedge_minus"),
                points_excluded=res.excluded.get("wedge_minus", 0))
     return out
 
 
-def classify_point(t, s, p):
+def classify_point(t, Pp, p):
     """Every classifier residual at p: the homothetic and Lee-form residuals,
     the O'Neill tensors and the structure_point residuals."""
     pe = at(p)
 
     def compute():
-        xi, xi_ring = oneill_tensors(t, s, pe)
-        return dict(homothetic_point(t, s, pe), **structure_point(t, s, pe),
-                    theta_max=np.abs(_lee(t, s, pe)[0].value).max(), ring=np.abs(xi_ring).max(),
+        xi, xi_ring = oneill_tensors(t, Pp, pe)
+        return dict(homothetic_point(t, Pp, pe), **structure_point(t, Pp, pe),
+                    theta_max=np.abs(_lee(t, Pp, pe)[0].value).max(), ring=np.abs(xi_ring).max(),
                     xi=np.abs(xi).max(),
-                    geodesic=dplus_geodesic_residual(xi, pe.jets(s.proj_plus)[0]))
-    return pe.cached("classify", (t.g, t.J, s.proj_plus), compute)
+                    geodesic=dplus_geodesic_residual(xi, pe.jets(Pp)[0]))
+    return pe.cached("classify", (t.g, t.J, Pp), compute)
 
 
 def foliation_report(res, tol=1e-6):
@@ -252,8 +245,8 @@ def foliation_report(res, tol=1e-6):
     )
 
 
-def classify(t, s, plan, tol=1e-6):
+def classify(t, Pp, plan, tol=1e-6):
     """Pointwise classifier: the foliation_report of classify_point over the
     plan's samples."""
     return foliation_report(fold(t.chart.samples(plan),
-                                 lambda pe: classify_point(t, s, pe)), tol)
+                                 lambda pe: classify_point(t, Pp, pe)), tol)

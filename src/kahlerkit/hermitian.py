@@ -105,13 +105,13 @@ def ricci_form_from_jets(Ric, Jv):
     return np.einsum('mi,mj->ij', Jv, Ric)
 
 
-def split_fundamental(t, s, p, tol=1e-8):
-    """(omega_plus, omega_minus) with omega_plus the D+ restriction and
-    omega_minus = omega - omega_plus, so the sum is exact by construction."""
+def split_fundamental(t, Pp, p, tol=1e-8):
+    """(omega_plus, omega_minus) with omega_plus the restriction to D+, the
+    range of the projector field Pp, and omega_minus = omega - omega_plus, so
+    the sum is exact by construction."""
     pe = at(p)
-    gv = pe.jets(t.g)[0]
     Jv = pe.jets(t.J)[0]
-    Pv = pe.jets(s.proj_plus)[0]
+    Pv = pe.jets(Pp)[0]
     if np.abs(Pv @ Jv - Jv @ Pv).max() > tol:
         raise ValueError(f"splitting is not J-invariant at {pe.p.tolist()}")
     om = pe.omega(t.g, t.J).value

@@ -273,7 +273,7 @@ def _volume_checks(check, cal, floor, docs):
 def _make_calabi(params):
     cal = _calabi_core(params)
     t = cal.triple()
-    s = cal.splitting()
+    Pp = cal.proj_plus
 
     check = _on(cal.chart)
     checks = [
@@ -282,20 +282,20 @@ def _make_calabi(params):
               1e-7, lambda pe: worst(*kahler_point(t, pe).values())),
         check("homothetic_foliation",
               "(L_V g) restricted off the fibers equals theta(V) g, extracted theta",
-              1e-7, lambda pe: homothetic_point(t, s, pe)["homothetic"]),
+              1e-7, lambda pe: homothetic_point(t, Pp, pe)["homothetic"]),
         check("lee_is_dlnz", "extracted Lee form equals d ln z", 1e-7,
-              lambda pe: np.abs(extract_theta(t, s, pe) - pe.jets(cal.theta)[0]).max()),
+              lambda pe: np.abs(extract_theta(t, Pp, pe) - pe.jets(cal.theta)[0]).max()),
         check("lee_closed", "extracted Lee form is closed",
-              1e-7, lambda pe: homothetic_point(t, s, pe)["dtheta"]),
+              1e-7, lambda pe: homothetic_point(t, Pp, pe)["dtheta"]),
         check("plus_geodesic", "splitting tensor vanishes on fiber-fiber slots",
-              1e-7, lambda pe: classify_point(t, s, pe)["geodesic"]),
+              1e-7, lambda pe: classify_point(t, Pp, pe)["geodesic"]),
         check("moment_map", "contraction of omega with the circle field is -dz",
               1e-9, lambda pe: moment_map_point(cal, pe)),
     ] + _volume_checks(check, cal, float(params["volume_floor"]), (
         "omega^m against the z- and r-coordinate product volume forms",
         "Pfaffian of omega stays above the declared floor")) + [
         check("classify_verdict", "foliation classifier verdict",
-              0.5, lambda pe: classify_point(t, s, pe), _verdict(params["verdict"])),
+              0.5, lambda pe: classify_point(t, Pp, pe), _verdict(params["verdict"])),
     ]
     return Case(cal.chart.label + " over " + cal.base.chart.label,
                 cal.chart, cal.g, checks)
@@ -313,7 +313,7 @@ def _make_calabi_twist(params):
         raise ScenarioError("twist mode must be 'A' or 'B'")
     tt = build_twist(cal, tw, mode=mode)
     twt = tt.triple()
-    s = cal.splitting()
+    Pp = cal.proj_plus
     chart = cal.chart
 
     def norm_at(pe):
@@ -332,7 +332,7 @@ def _make_calabi_twist(params):
         check("nijenhuis_twisted", "integrability of the twisted J",
               1e-7, lambda pe: np.abs(nijenhuis_from_jets(*pe.jets(tt.J_w)[:2])).max()),
         check("homothetic_foliation", "homothetic residual of the twisted triple",
-              1e-7, lambda pe: homothetic_point(twt, s, pe)["homothetic"]),
+              1e-7, lambda pe: homothetic_point(twt, Pp, pe)["homothetic"]),
         check("ricci_fiber_log",
               "Ricci form minus lifted base Ricci form matches the log potential terms",
               1e-6, lambda pe: ricci_identity_check(cal, tw, tt, pe)["corrected"]),
@@ -340,7 +340,7 @@ def _make_calabi_twist(params):
               1e-8, lambda pe: zeta_duality_residual(cal.g, cal.J, tt.g_w, tt.J_w,
                                                      cal.theta, pe)),
         check("classify_verdict", "foliation classifier verdict on the twisted triple",
-              0.5, lambda pe: classify_point(twt, s, pe), _verdict(params["verdict"])),
+              0.5, lambda pe: classify_point(twt, Pp, pe), _verdict(params["verdict"])),
     ]
     return Case("twisted " + chart.label + " [" + tw.label + ", mode " + mode + "]",
                 chart, tt.g_w, checks)
@@ -449,12 +449,11 @@ def _make_chain(params):
     ]
     check = _on(top.triple.chart)
     if top.cal is not None:
-        s_top = top.cal.splitting()
         checks += _volume_checks(check, top.cal, floor, (
             "top-level omega^m against both coordinate volume forms",
             "top-level Pfaffian stays above the floor"))
         checks.append(check("classify_top", "classifier verdict on the top level",
-                            0.5, lambda pe: classify_point(top.triple, s_top, pe),
+                            0.5, lambda pe: classify_point(top.triple, top.cal.proj_plus, pe),
                             _verdict(VERDICT_HOLOMORPHIC)))
     if kind == "untwisted" and top.cal is not None:
         tw = coordinate_twist(top.triple.chart.dim - 2, top.triple.chart.dim - 1)

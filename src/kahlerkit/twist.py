@@ -1,7 +1,8 @@
 """Twist deformations of homothetic-foliation structures.
 
+A twist is a Field w: chart point -> unit disc, with components (w1, w2).
 The deforming endomorphism S acts on D+ with matrix [[w1, w2], [w2, -w1]] in
-the coframe {theta, pair * theta o J} and vanishes on D-.  One shared S field
+the coframe {theta, -theta o J} and vanishes on D-.  One shared S field
 (frame anchored to the first endomorphism passed in) deforms the metric and
 every endomorphism together; mixing frames breaks the unchanged-form
 invariant.  Mode "B" is
@@ -24,22 +25,15 @@ from kahlerkit.jets import JetDomainError, jsize, jconst, jinv, jlog, pack
 from kahlerkit.fields import Field, PointEval, at, fold, worst
 from kahlerkit.hermitian import HermitianTriple, ddc_from_jets, ricci_form
 
-
-@dataclass
-class TwistMap:
-    """w: chart point -> unit disc, as a jet closure returning (w1, w2)."""
-    fn: object
-    label: str = "twist"
-    uses: tuple = ()
-
-    def __call__(self, pt):
-        return self.fn(pt)
+# The largest |w|^2 a twist may reach; the S field and validate_twist both
+# reject a point beyond it.
+DISC = 1.0 - 1e-6
 
 
 def constant_twist(c1, c2=0.0):
     def fn(pt):
         return jconst([c1, c2], jsize(pt))
-    return TwistMap(fn, label="const(%g,%g)" % (c1, c2), uses=())
+    return Field(fn, label="const(%g,%g)" % (c1, c2))
 
 
 def coordinate_twist(ix, iy, conj=False, scale=1.0, label=None):
@@ -50,11 +44,7 @@ def coordinate_twist(ix, iy, conj=False, scale=1.0, label=None):
         return pt[ix] * scale, pt[iy] * (scale * sgn)
     if label is None:
         label = "%szeta[%d,%d]" % ("conj_" if conj else "", ix, iy)
-    return TwistMap(fn, label=label, uses=(ix, iy))
-
-
-def function_twist(fn, label, uses=()):
-    return TwistMap(fn, label=label, uses=tuple(uses))
+    return Field(fn, label=label)
 
 
 def mobius(w):
@@ -76,103 +66,100 @@ def mobius_inv(wt):
 class TwistedTriple:
     g_w: Field
     J_w: Field
-    I_w: object
+    I_w: Field
     S: Field
-    endos_w: list
     chart: object
-    mode: str
-    pair: float
-    twist: TwistMap
 
     def triple(self):
         return HermitianTriple(self.g_w, self.J_w, self.chart)
 
 
-def make_sfield(Jfn, Ppfn, wfn, theta_fn, pair=-1.0):
-    """S field closure; returns (S, Pp, |w|^2) at a jet point.
+def _norm2(w):
+    """|w|^2 of the packed twist jet (w1, w2)."""
+    return w[0] * w[0] + w[1] * w[1]
 
-    The D+ frame dual to {theta, pair * theta o J} is built from the first two
+
+def make_sfield(J, Pp, w, theta, chart=None):
+    """The S field of the twist w.
+
+    The D+ frame dual to {theta, -theta o J} is built from the first two
     projector columns; a degenerate frame surfaces as a singular 2x2 solve.
-    Every twisted field reads S, so the disc guard |w|^2 < 1 sits here.
+    Every twisted field reads S, so the disc guard |w|^2 <= DISC sits here.
     """
     def sfield(pt):
-        th = pack(theta_fn(pt))
-        e2 = (th @ pack(Jfn(pt))) * pair
-        Pp = pack(Ppfn(pt))
-        v = Pp[:, :2]
+        th = theta(pt)
+        e2 = -(th @ J(pt))
+        v = Pp(pt)[:, :2]
         E = pack([th, e2]) @ v
         det = abs(np.linalg.det(E.value))
         if det < 1e-12:
             raise JetDomainError("degenerate twist frame (|det E| = %.2e)" % det)
-        w1, w2 = pack(wfn(pt))
-        ww = w1 * w1 + w2 * w2
-        if ww.value > 1.0 - 1e-6:
+        wj = w(pt)
+        ww = _norm2(wj)
+        if ww.value > DISC:
             raise JetDomainError("twist leaves the disc: |w|^2 = %.8f" % ww.value)
-        S = (v @ jinv(E)) @ pack([w1 * th + w2 * e2, w2 * th - w1 * e2])
-        return S, Pp, ww
-    return sfield
+        w1, w2 = wj
+        return (v @ jinv(E)) @ pack([w1 * th + w2 * e2, w2 * th - w1 * e2])
+    return Field(sfield, chart)
 
 
-def build_twist_fields(gfn, endo_fns, Ppfn, wfn, theta_fn, dim, mode="B", pair=-1.0):
-    """Low-level twist: returns (g_w fn, [endo_w fns], sfield) with one shared
-    S anchored to endo_fns[0]'s frame."""
+def build_twist_fields(g, endos, Pp, w, theta, chart, mode="B"):
+    """The twist of the metric g and of each endomorphism in endos by one
+    shared S anchored to endos[0]'s frame: (g_w, [E_w, ...], S), Fields on
+    chart."""
     if mode not in ("A", "B"):
         raise ValueError("mode must be 'A' or 'B'")
-    sfield = make_sfield(endo_fns[0], Ppfn, wfn, theta_fn, pair)
-    one = np.eye(dim)
+    S = make_sfield(endos[0], Pp, w, theta, chart)
+    one = np.eye(chart.dim)
 
     def gwfn(pt):
-        S, Pp, ww = sfield(pt)
+        Sv = S(pt)
+        ww = _norm2(w(pt))
         fac = 1.0 / (1.0 - ww)
         if mode == "B":
-            Am = one + (-2.0 * fac) * (S - ww * Pp)
+            Am = one + (-2.0 * fac) * (Sv - ww * Pp(pt))
         else:
-            Am = one + (2.0 * fac) * (S + ww * Pp)
+            Am = one + (2.0 * fac) * (Sv + ww * Pp(pt))
         # g_w(X, Y) = g(A X, Y): component [i][j] = g[m][j] A[m][i]
-        return Am.T @ pack(gfn(pt))
+        return Am.T @ g(pt)
 
-    def make_endo_w(Efn):
+    def twisted(E):
         def Ewfn(pt):
-            S, Pp, ww = sfield(pt)
-            onem = one - S
-            inv_onem = one + (1.0 / (1.0 - ww)) * (S + ww * Pp)
+            Sv = S(pt)
+            ww = _norm2(w(pt))
+            onem = one - Sv
+            inv_onem = one + (1.0 / (1.0 - ww)) * (Sv + ww * Pp(pt))
             if mode == "B":
-                return inv_onem @ (pack(Efn(pt)) @ onem)
-            return onem @ (pack(Efn(pt)) @ inv_onem)
-        return Ewfn
+                return inv_onem @ (E(pt) @ onem)
+            return onem @ (E(pt) @ inv_onem)
+        return Field(Ewfn, chart)
 
-    return gwfn, [make_endo_w(E) for E in endo_fns], sfield
+    return Field(gwfn, chart), [twisted(E) for E in endos], S
 
 
-def validate_twist(wfn, theta_fn, chart, plan, disc_tol=1e-6, frame_tol=1e-6):
-    """|w| <= 1 - disc_tol and |theta| bounded away from zero at samples;
-    raises with the offending point."""
+def validate_twist(w, theta, chart, plan):
+    """|w|^2 <= DISC and |theta| bounded away from zero at samples; raises
+    with the offending point."""
     for p in chart.samples(plan):
         pe = PointEval(p)
-        ww = np.sum(pe.raw(wfn).value ** 2)
-        if ww > (1.0 - disc_tol) ** 2:
+        ww = _norm2(pe.raw(w)).value
+        if ww > DISC:
             raise ValueError("twist |w| = %.8f too close to the circle at %s"
                              % (ww ** 0.5, p.tolist()))
-        if np.abs(pe.jets(theta_fn)[0]).max() < frame_tol:
-            raise ValueError("twist frame degenerate (|theta| < %.1e) at %s"
-                             % (frame_tol, p.tolist()))
+        if np.abs(pe.jets(theta)[0]).max() < 1e-6:
+            raise ValueError("twist frame degenerate (|theta| < 1.0e-06) at %s"
+                             % p.tolist())
 
 
-def build_twist(cal, tw, mode="B", pair=-1.0, plan=None):
+def build_twist(cal, tw, mode="B", plan=None):
     """Twist a CalabiChart (or anything with g/J/I0/proj_plus/theta fields and
-    a chart) with one shared S; returns a TwistedTriple."""
-    dim = cal.chart.dim
-    endos = [cal.J.fn, cal.I0.fn] if cal.I0 is not None else [cal.J.fn]
+    a chart) by the twist field tw with one shared S; returns a
+    TwistedTriple."""
     if plan is not None:
-        validate_twist(tw.fn, cal.theta.fn, cal.chart, plan)
-    gw, ew, sfield = build_twist_fields(cal.g.fn, endos, cal.proj_plus.fn, tw.fn,
-                                        cal.theta.fn, dim, mode=mode, pair=pair)
-    return TwistedTriple(
-        g_w=Field(gw, cal.chart), J_w=Field(ew[0], cal.chart),
-        I_w=Field(ew[1], cal.chart) if len(ew) > 1 else None,
-        S=Field(lambda pt: sfield(pt)[0], cal.chart),
-        endos_w=[Field(e, cal.chart) for e in ew],
-        chart=cal.chart, mode=mode, pair=pair, twist=tw)
+        validate_twist(tw, cal.theta, cal.chart, plan)
+    gw, (Jw, Iw), S = build_twist_fields(cal.g, [cal.J, cal.I0], cal.proj_plus, tw,
+                                         cal.theta, cal.chart, mode)
+    return TwistedTriple(g_w=gw, J_w=Jw, I_w=Iw, S=S, chart=cal.chart)
 
 
 def norm_factor_expected(w1, w2, mode="B"):
@@ -195,9 +182,8 @@ def form_invariance_point(cal, tt, p):
     """|omega_w - omega| at p for (g, J) and (g, I0): the twist leaves both
     fundamental forms unchanged."""
     pe = at(p)
-    pairs = [(tt.J_w, cal.J)] + ([(tt.I_w, cal.I0)] if tt.I_w is not None else [])
     return worst(*(np.abs(pe.omega(tt.g_w, Ew).value - pe.omega(cal.g, E).value).max()
-                   for Ew, E in pairs))
+                   for Ew, E in ((tt.J_w, cal.J), (tt.I_w, cal.I0))))
 
 
 def transverse_holomorphy_point(Jfn, Ppfn, wfn, p):
@@ -262,7 +248,7 @@ def zeta_duality_residual(gfn, Jfn, gwfn, Jwfn, theta_fn, p):
 
 def solve_single_twist(g0fn, gcompfn, J0fn, Ppfn, theta_fn, p):
     """Recover the single-twist parameter reproducing a composite metric at p
-    (mode B, pair -1 frame)."""
+    (mode B, frame {theta, -theta o J})."""
     pe = at(p)
     gv0 = pe.jets(g0fn)[0]
     gvc = pe.jets(gcompfn)[0]

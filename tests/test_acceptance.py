@@ -13,11 +13,11 @@ import numpy as np
 import pytest
 
 from kahlerkit.jets import Jet2, SamplePlan, jconst, jsin, jsize, pack
-from kahlerkit.fields import (ChartManifold, curvature_from_jets,
+from kahlerkit.fields import (ChartManifold, Field, curvature_from_jets,
                               metric_jets, nijenhuis)
 from kahlerkit.hermitian import HermitianTriple, kahler_verdict
 from kahlerkit.foliation import (VERDICT_FAILED, VERDICT_HOLOMORPHIC,
-                                 VERDICT_PRODUCT, Splitting, classify,
+                                 VERDICT_PRODUCT, classify,
                                  extract_theta)
 from kahlerkit.calabi import (CalabiProfile, build_calabi, disk_base,
                               flat_base, lee_form_of_I0, volume_checks)
@@ -101,14 +101,14 @@ def test_criterion_2_calabi_builder_flat_base():
     kv = kahler_verdict(cal.triple(), SamplePlan(5, 12), tolerance=1e-7)
     kah = max(kv.residuals().values())
 
-    rep = classify(cal.triple(), cal.splitting(), SamplePlan(6, 12))
+    rep = classify(cal.triple(), cal.proj_plus, SamplePlan(6, 12))
     hom = rep.homothetic_residual
     geod = rep.dplus_totally_geodesic_residual
 
     theta_dev = 0.0
     nij = 0.0
     for p in cal.chart.samples(SamplePlan(7, 10)):
-        th = extract_theta(cal.triple(), cal.splitting(), p)
+        th = extract_theta(cal.triple(), cal.proj_plus, p)
         want = np.zeros(4)
         want[1] = 1.0 / p[1]
         theta_dev = max(theta_dev, np.abs(th - want).max())
@@ -177,13 +177,13 @@ def test_criterion_4_twist_invariance_norm_integrability():
     plan = SamplePlan(5, 8)
     tw = coordinate_twist(2, 3)
     tt = build_twist(cal, tw)
-    res = transverse_holomorphy_residuals(cal.J.fn, cal.splitting().proj_plus,
+    res = transverse_holomorphy_residuals(cal.J.fn, cal.proj_plus,
                                           tw.fn, cal.chart, plan)
     nij_good = max(np.abs(nijenhuis(tt.J_w.fn, p)).max()
                    for p in cal.chart.samples(plan))
     twc = coordinate_twist(2, 3, conj=True)
     ttc = build_twist(cal, twc)
-    resc = transverse_holomorphy_residuals(cal.J.fn, cal.splitting().proj_plus,
+    resc = transverse_holomorphy_residuals(cal.J.fn, cal.proj_plus,
                                            twc.fn, cal.chart, plan)
     nij_bad = max(np.abs(nijenhuis(ttc.J_w.fn, p)).max()
                   for p in cal.chart.samples(plan))
@@ -302,11 +302,11 @@ def test_criterion_8_classifier_verdicts_stable():
         return pack(gfn(pt)) + jsin(pt[1]) * bump
 
     cases = [
-        ("twisted calabi", tt.triple(), cal.splitting(), VERDICT_HOLOMORPHIC),
+        ("twisted calabi", tt.triple(), cal.proj_plus, VERDICT_HOLOMORPHIC),
         ("product", HermitianTriple(pg, pJ, pchart),
-         Splitting.from_plus(pP, 4), VERDICT_PRODUCT),
+         Field(pP), VERDICT_PRODUCT),
         ("broken metric", HermitianTriple(broken, cal.J.fn, cal.chart),
-         cal.splitting(), VERDICT_FAILED),
+         cal.proj_plus, VERDICT_FAILED),
     ]
     got = []
     stable = True

@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 
 from kahlerkit.jets import Jet2, JetDomainError, SamplePlan, jconst, jlog, jsize
-from kahlerkit.fields import (ChartManifold, curvature_from_jets, endo_jets,
-                              metric_jets)
+from kahlerkit.fields import (ChartManifold, Field, curvature_from_jets,
+                              endo_jets, metric_jets)
 from kahlerkit.hermitian import ddc_from_jets, kahler_verdict
 from kahlerkit.calabi import disk_base, volume_checks
-from kahlerkit.twist import (TwistMap, constant_twist, coordinate_twist,
-                             function_twist)
+from kahlerkit.twist import constant_twist, coordinate_twist
 from kahlerkit.almost_kahler import (ak3_residual, ak_invariants,
                                      build_ak_product, einstein_residual,
                                      eta_tensor, iterate_chain,
@@ -33,7 +32,7 @@ def test_twist_must_not_see_the_plane():
         grad[0] = 1.0
         return Jet2(0.2, grad, np.zeros((n, n))), jconst(0.0, n)
     with pytest.raises(ValueError):
-        build_ak_product(zt, TwistMap(leaky, label="leaky"))
+        build_ak_product(zt, Field(leaky, label="leaky"))
 
 
 def test_product_structure_forms():
@@ -78,7 +77,7 @@ def test_curvature_symmetry_under_four_twisted_structures():
 
 
 def test_curvature_symmetry_fails_off_the_transverse_family():
-    bad = function_twist(lambda zp: (zp[0] * zp[1], zp[0] * 0.5), label="shear")
+    bad = Field(lambda zp: (zp[0] * zp[1], zp[0] * 0.5), label="shear")
     ak = disk_product(twist=bad)
     res = ak3_residual(ak, SamplePlan(5, 8))
     assert res["relative"] > 0.05
@@ -248,13 +247,13 @@ def test_kernel_foliation_geodesic_dichotomy():
     n = top_u.triple.chart.dim
     tw = coordinate_twist(n - 2, n - 1)
     for p in top_u.triple.chart.samples(SamplePlan(18, 5)):
-        assert ker_dw_geodesic_residual(top_u.triple.g.fn, tw.fn, p) < 1e-10
+        assert ker_dw_geodesic_residual(top_u.triple.g, tw, p) < 1e-10
     top_t = iterate_chain("twisted", 2)[-1]
     nt = top_t.triple.chart.dim
     twt = coordinate_twist(nt - 2, nt - 1)
     worst = 0.0
     for p in top_t.triple.chart.samples(SamplePlan(18, 5)):
-        worst = max(worst, ker_dw_geodesic_residual(top_t.triple.g.fn, twt.fn, p))
+        worst = max(worst, ker_dw_geodesic_residual(top_t.triple.g, twt, p))
     assert worst > 1e-3
 
 
@@ -270,7 +269,7 @@ def test_ker_dw_projector_properties():
         g[3][3] = jconst(1.0, n) + pt[2] * pt[2]
         return g
     tw = coordinate_twist(2, 3)
-    Qfn = ker_dw_projector(gfn, tw.fn)
+    Qfn = ker_dw_projector(Field(gfn, chart), tw)
     for p in chart.samples(SamplePlan(19, 5)):
         x = Jet2.seed(np.asarray(p, float))
         Q = Qfn(x)
@@ -290,7 +289,7 @@ def test_ker_dw_projector_rejects_constant_map():
         n = jsize(pt)
         g = [[jconst(1.0 if i == j else 0.0, n) for j in range(4)] for i in range(4)]
         return g
-    Qfn = ker_dw_projector(gfn, constant_twist(0.2, 0.1).fn)
+    Qfn = ker_dw_projector(Field(gfn), constant_twist(0.2, 0.1))
     with pytest.raises(JetDomainError):
         Qfn(Jet2.seed(np.array([0.5, 0.5, 0.5, 0.5])))
 

@@ -155,7 +155,7 @@ def test_lee_form_anchor_values_at_half():
 def test_rescale_identity_pair_reproduces_metric():
     cal = make_cal(0)
     one = lambda u: u * 0.0 + 1.0
-    hat, resid = rescale_biaxial(cal.triple(), cal.splitting(), one, one,
+    hat, resid = rescale_biaxial(cal.triple(), cal.proj_plus, one, one,
                                  profile=cal.profile)
     assert resid == 0.0
     for p in cal.chart.samples(SamplePlan(9, 10)):
@@ -168,12 +168,12 @@ def test_rescale_exponential_pair():
     cal = make_cal(1)
     a = lambda u: 2.0 * jexp(u)
     b = lambda u: jexp(u)
-    hat, resid = rescale_biaxial(cal.triple(), cal.splitting(), a, b,
+    hat, resid = rescale_biaxial(cal.triple(), cal.proj_plus, a, b,
                                  profile=cal.profile)
     assert resid < 1e-12
     v = kahler_verdict(hat, SamplePlan(10, 10), tolerance=1e-7)
     assert v.is_kahler
-    s = cal.splitting()
+    s = cal.proj_plus
     for p in cal.chart.samples(SamplePlan(11, 5)):
         t_orig = extract_theta(cal.triple(), s, p)
         t_hat = extract_theta(hat, s, p)
@@ -185,7 +185,7 @@ def test_rescale_rejects_broken_constraint():
     one = lambda u: u * 0.0 + 1.0
     two = lambda u: u * 0.0 + 2.0
     with pytest.raises(NotClosedError):
-        rescale_biaxial(cal.triple(), cal.splitting(), one, two,
+        rescale_biaxial(cal.triple(), cal.proj_plus, one, two,
                         profile=cal.profile)
 
 
@@ -193,5 +193,5 @@ def test_rescale_rejects_nonpositive_profile():
     cal = make_cal(0)
     ident = lambda u: u
     with pytest.raises(ValueError):
-        rescale_biaxial(cal.triple(), cal.splitting(), ident, ident,
+        rescale_biaxial(cal.triple(), cal.proj_plus, ident, ident,
                         profile=cal.profile)

@@ -7,6 +7,7 @@ from the printed JSON.
 
 import json
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -16,7 +17,10 @@ import kahlerkit.scenarios
 from kahlerkit.cli import main
 from kahlerkit.jets import Jet2, jconst
 from kahlerkit.fields import Field
-from kahlerkit.scenarios import (Case, build_case, bundled_names, load_scenario,
+from kahlerkit.calabi import disk_base
+from kahlerkit.twist import make_sfield
+from kahlerkit.scenarios import (BUILDER_MAP, BUILDERS, Case, build_case,
+                                 bundled_names, load_scenario,
                                  render_json, run_scenario_obj)
 
 BUNDLED = ["ak_disk", "ak_disk_chain2", "ak_flat", "calabi_chain_twisted",
@@ -360,6 +364,46 @@ def test_each_point_is_seeded_at_most_twice(name, monkeypatch):
     monkeypatch.setattr(Jet2, "seed", staticmethod(counting_seed))
     run_scenario_obj(scn, case=case)
     assert len(seeds) <= 2 * len(set(seeds))
+
+
+def test_twisted_chart_runs_s_and_alpha_once_per_point():
+    # the twisted fields read S, and the chart's g, J, P+ read the base's
+    # alpha, through the point's memo: one run of each per sample point
+    scn = load_scenario("calabi_twist_zeta")
+    scn.count = 3
+    case = build_case(scn)
+    counts = {disk_base(0)[1].fn.__code__: 0,
+              make_sfield(None, None, None, None).fn.__code__: 0}
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in counts:
+            counts[frame.f_code] += 1
+    sys.setprofile(profile)
+    try:
+        run_scenario_obj(scn, case=case)
+    finally:
+        sys.setprofile(None)
+    assert list(counts.values()) == [3, 3]
+
+
+@pytest.fixture(scope="module")
+def bundled_checks():
+    """Names of the checks the bundled scenarios run, by builder."""
+    ran = {}
+    for name in BUNDLED:
+        scn = load_scenario(name)
+        ran.setdefault(scn.builder, set()).update(c.name for c in build_case(scn).checks)
+    return ran
+
+
+def test_every_bundled_check_is_listed_by_its_builder(bundled_checks):
+    for builder, names in bundled_checks.items():
+        assert names <= set(BUILDER_MAP[builder].check_names), builder
+
+
+def test_every_listed_check_runs_in_a_bundled_scenario(bundled_checks):
+    for entry in BUILDERS:
+        assert set(entry.check_names) <= bundled_checks.get(entry.id, set()), entry.id
 
 
 def test_nonfinite_residual_fails_the_record(monkeypatch, capsys):

@@ -329,3 +329,29 @@ def test_point_eval_evaluates_each_field_once():
     assert pe.jets(gfn) is pe.jets(g1)
     assert len(calls) == 1
     assert np.abs(curv[0] - riemann(sphere_metric, [1.1, 0.4])).max() == 0.0
+
+
+def test_fields_called_on_the_point_read_its_memo():
+    # a builder calls its input field on the point, or on the lifted slice
+    # pt[k:]; on a PointEval's point either call comes from the memo
+    calls = []
+
+    def base(pt):
+        calls.append(pt.value.size)
+        return pt[0] * pt[1]
+    b = Field(base)
+    top = Field(lambda pt: b(pt[1:]) + b(pt[1:]) * pt[0])
+    pe = PointEval([0.5, 1.1, 0.4])
+    assert top(pe.x) is pe.raw(top)
+    assert pe.x[1:] is pe.x[1:]
+    assert calls == [2]
+    # the lifted slice keeps the derivatives in all three coordinates;
+    # sub() is the factor's own point, seeded in its two
+    assert pe.x[1:].grad.shape == (2, 3) and pe.sub(1).x.grad.shape == (2, 2)
+    assert b(pe.sub(1).x).grad.shape == (2,)
+    assert calls == [2, 2]
+    # a plain jet point is evaluated directly, to the same bits
+    plain = top(Jet2.seed(pe.p))
+    assert calls == [2, 2, 2, 2]
+    for got, want in zip((plain.value, plain.grad, plain.hess), pe.jets(top)):
+        assert np.array_equal(got, want)

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from kahlerkit.jets import SamplePlan, jconst, jsin, jsize, pack
-from kahlerkit.fields import ChartManifold
+from kahlerkit.fields import ChartManifold, Field
 from kahlerkit.hermitian import HermitianTriple
 from kahlerkit.foliation import (VERDICT_FAILED, VERDICT_GEODESIC,
                                  VERDICT_HOLOMORPHIC, VERDICT_PRODUCT,
-                                 Splitting, classify, extract_theta,
+                                 classify, extract_theta,
                                  homothetic_residual,
                                  structure_equation_checks, theta_jets)
 from kahlerkit.calabi import CalabiProfile, build_calabi, disk_base, flat_base
@@ -25,7 +25,7 @@ def make_calabi(k=0):
 def test_lee_form_matches_log_moment_coordinate():
     cal = make_calabi(0)
     t = cal.triple()
-    s = cal.splitting()
+    s = cal.proj_plus
     for p in cal.chart.samples(SamplePlan(3, 15)):
         theta = extract_theta(t, s, p)
         want = np.zeros(4)
@@ -38,7 +38,7 @@ def test_lee_form_matches_log_moment_coordinate():
 
 def test_homothetic_residual_report():
     cal = make_calabi(1)
-    rep = homothetic_residual(cal.triple(), cal.splitting(), SamplePlan(4, 12))
+    rep = homothetic_residual(cal.triple(), cal.proj_plus, SamplePlan(4, 12))
     assert rep["homothetic"] < 1e-12
     assert rep["dtheta"] < 1e-12
     assert rep["points"] == 12
@@ -46,7 +46,7 @@ def test_homothetic_residual_report():
 
 def test_classify_calabi_is_holomorphic():
     cal = make_calabi(1)
-    rep = classify(cal.triple(), cal.splitting(), SamplePlan(5, 12))
+    rep = classify(cal.triple(), cal.proj_plus, SamplePlan(5, 12))
     assert rep.verdict == VERDICT_HOLOMORPHIC
     assert rep.homothetic_residual < 1e-10
     assert rep.oneill_ring_residual < 1e-9
@@ -64,7 +64,7 @@ def test_classify_calabi_is_holomorphic():
 def test_classify_twisted_calabi_stays_holomorphic():
     cal = make_calabi(1)
     tt = build_twist(cal, coordinate_twist(2, 3))
-    rep = classify(tt.triple(), cal.splitting(), SamplePlan(6, 10))
+    rep = classify(tt.triple(), cal.proj_plus, SamplePlan(6, 10))
     assert rep.verdict == VERDICT_HOLOMORPHIC
     assert rep.homothetic_residual < 1e-7
     assert rep.oneill_ring_residual < 1e-7
@@ -101,7 +101,7 @@ def product_triple():
                 [zero, one, zero, zero],
                 [zero, zero, zero, zero],
                 [zero, zero, zero, zero]]
-    return HermitianTriple(g, J, chart), Splitting.from_plus(Pp, 4)
+    return HermitianTriple(g, J, chart), Field(Pp)
 
 
 def test_classify_product_metric():
@@ -147,7 +147,7 @@ def heisenberg_triple():
                 [zero, zero, zero, zero],
                 [zero, zero, zero, zero],
                 [zero, zero, zero, one]]
-    return HermitianTriple(g, J, chart), Splitting.from_plus(Pp, 4)
+    return HermitianTriple(g, J, chart), Field(Pp)
 
 
 def test_classify_geodesic_riemannian_foliation():
@@ -168,7 +168,7 @@ def test_classify_flags_broken_homothety():
     def broken(pt):
         return pack(gfn(pt)) + jsin(pt[1]) * bump
     t = HermitianTriple(broken, cal.J.fn, cal.chart)
-    rep = classify(t, cal.splitting(), SamplePlan(9, 10))
+    rep = classify(t, cal.proj_plus, SamplePlan(9, 10))
     assert rep.verdict == VERDICT_FAILED
     assert rep.homothetic_residual > 1e-3
 
@@ -176,7 +176,7 @@ def test_classify_flags_broken_homothety():
 def test_verdicts_stable_under_resampling():
     cal = make_calabi(1)
     t = cal.triple()
-    s = cal.splitting()
+    s = cal.proj_plus
     a = classify(t, s, SamplePlan(21, 10))
     b = classify(t, s, SamplePlan(22, 30))
     assert a.verdict == b.verdict == VERDICT_HOLOMORPHIC
@@ -184,7 +184,7 @@ def test_verdicts_stable_under_resampling():
 
 def test_structure_equation_checks_report_shape():
     cal = make_calabi(0)
-    st = structure_equation_checks(cal.triple(), cal.splitting(), SamplePlan(10, 8))
+    st = structure_equation_checks(cal.triple(), cal.proj_plus, SamplePlan(10, 8))
     assert st["wedge_minus"] < 1e-9
     assert st["holomorphy"] < 1e-9
     assert st["chi1"] < 1e-8

@@ -180,19 +180,16 @@ def test_kahler_verdict_isolates_nonclosed_form():
 def test_split_fundamental_restriction():
     t = flat4_triple()
 
-    class Split:
-        def proj_plus(self, pt):
-            n = jsize(pt)
-            zero = jconst(0.0, n)
-            one = jconst(1.0, n)
-            return [[one, zero, zero, zero],
-                    [zero, one, zero, zero],
-                    [zero, zero, zero, zero],
-                    [zero, zero, zero, zero]]
-    s = Split()
-    s.proj_plus = s.proj_plus.__get__(s)
+    def proj_plus(pt):
+        n = jsize(pt)
+        zero = jconst(0.0, n)
+        one = jconst(1.0, n)
+        return [[one, zero, zero, zero],
+                [zero, one, zero, zero],
+                [zero, zero, zero, zero],
+                [zero, zero, zero, zero]]
     p = [0.1, 0.2, -0.3, 0.4]
-    om_plus, om_minus = split_fundamental(t, s, p)
+    om_plus, om_minus = split_fundamental(t, proj_plus, p)
     gv, _, _ = metric_jets(t.g, p)
     Jv, _, _ = endo_jets(t.J, p)
     om = Jv.T @ gv
@@ -204,10 +201,6 @@ def test_split_fundamental_restriction():
 def test_split_fundamental_requires_j_invariance():
     t = flat4_triple()
 
-    class Bad:
-        pass
-    s = Bad()
-
     def proj(pt):
         n = jsize(pt)
         zero = jconst(0.0, n)
@@ -216,9 +209,8 @@ def test_split_fundamental_requires_j_invariance():
                 [zero, zero, zero, zero],
                 [zero, zero, one, zero],
                 [zero, zero, zero, zero]]
-    s.proj_plus = proj
     with pytest.raises(ValueError):
-        split_fundamental(t, s, [0.1, 0.2, -0.3, 0.4])
+        split_fundamental(t, proj, [0.1, 0.2, -0.3, 0.4])
 
 
 def test_kahler_verdict_fails_on_nan_at_a_later_point():

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from kahlerkit.jets import Jet2, JetDomainError, SamplePlan
-from kahlerkit.fields import endo_jets, metric_jets, nijenhuis
+from kahlerkit.fields import Field, endo_jets, metric_jets, nijenhuis
 from kahlerkit.hermitian import kahler_verdict
 from kahlerkit.calabi import CalabiProfile, build_calabi, disk_base
-from kahlerkit.twist import (TwistMap, build_twist, build_twist_fields,
+from kahlerkit.twist import (build_twist, build_twist_fields,
                              constant_twist, coordinate_twist, mobius,
                              mobius_inv, norm_factor_expected,
                              norm_factor_measured, ricci_identity_check,
@@ -72,9 +72,8 @@ def test_mode_a_also_preserves_forms():
 def test_bad_mode_rejected():
     cal = make_cal()
     with pytest.raises(ValueError):
-        build_twist_fields(cal.g.fn, [cal.J.fn], cal.proj_plus.fn,
-                           constant_twist(0.1).fn, cal.theta.fn,
-                           cal.chart.dim, mode="C")
+        build_twist_fields(cal.g, [cal.J], cal.proj_plus, constant_twist(0.1),
+                           cal.theta, cal.chart, mode="C")
 
 
 def test_norm_factor_closed_forms():
@@ -194,6 +193,21 @@ def test_validate_twist_errors():
         build_twist(cal, constant_twist(0.9999999), plan=plan)
 
 
+def test_plan_check_and_s_guard_share_the_disc():
+    # |w|^2 = 1 - 1.5e-6 lies inside the disc for both the plan check and the
+    # S field's guard; 1 - 0.5e-6 lies outside for both
+    cal = make_cal()
+    plan = SamplePlan(9, 3)
+    x = Jet2.seed(np.array([0.0, 1.0, 0.1, 0.1]))
+    inside = build_twist(cal, constant_twist(np.sqrt(1.0 - 1.5e-6)), plan=plan)
+    assert np.isfinite(inside.S.fn(x).value).all()
+    outside = constant_twist(np.sqrt(1.0 - 0.5e-6))
+    with pytest.raises(ValueError, match="circle"):
+        build_twist(cal, outside, plan=plan)
+    with pytest.raises(JetDomainError, match="twist leaves the disc"):
+        build_twist(cal, outside).S.fn(x)
+
+
 def test_twist_leaving_disc_raises_at_evaluation():
     cal = make_cal()
     tt = build_twist(cal, coordinate_twist(2, 3, scale=5.0))
@@ -255,6 +269,5 @@ def test_twist_map_labels():
     assert constant_twist(0.3, 0.4).label == "const(0.3,0.4)"
     assert coordinate_twist(2, 3).label == "zeta[2,3]"
     assert coordinate_twist(2, 3, conj=True).label == "conj_zeta[2,3]"
-    assert coordinate_twist(2, 3).uses == (2, 3)
-    tm = TwistMap(lambda pt: (pt[0], pt[1]), label="custom")
+    tm = Field(lambda pt: (pt[0], pt[1]), label="custom")
     assert tm.label == "custom"
