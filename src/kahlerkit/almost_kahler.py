@@ -15,7 +15,7 @@ import numpy as np
 
 from kahlerkit.jets import Jet2, jsize, jconst, jlog, jinv, jet_dcoord
 from kahlerkit.fields import (ChartManifold, Field, at, fold, worst,
-                              exterior_from_grad)
+                              exterior_from_grad, pull_back)
 from kahlerkit.hermitian import HermitianTriple, ddc_from_jets, ricci_form
 from kahlerkit.calabi import CalabiProfile, build_calabi, disk_base
 from kahlerkit.twist import coordinate_twist, build_twist_fields, build_twist
@@ -121,8 +121,7 @@ def ak3_point(ak, p):
 
     def compute():
         Rlow = pe.curvature(ak.g)[0]
-        Jtv = pe.jets(ak.J_tilde)[0]
-        RJ = np.einsum('ai,bj,ck,dl,abcd->ijkl', Jtv, Jtv, Jtv, Jtv, Rlow)
+        RJ = pull_back(Rlow, pe.jets(ak.J_tilde)[0])
         sc = np.abs(Rlow).max()
         denom = sc if sc > 1e-12 else 1.0
         return {"relative": np.abs(RJ - Rlow).max() / denom,
@@ -346,4 +345,4 @@ def ker_dw_geodesic_residual(g, w, p):
     n = Qv.shape[0]
     covQ = np.einsum('mji->mij', Qg) + np.einsum('mia,aj->mij', Gam, Qv)
     B = np.einsum('km,mij->kij', np.eye(n) - Qv, covQ)
-    return np.abs(np.einsum('kij,ia,jb->kab', B, Qv, Qv)).max()
+    return np.abs(Qv.T @ B @ Qv).max()

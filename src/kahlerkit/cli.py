@@ -3,6 +3,7 @@
     kahlerkit verify <scenario> [--seed N] [--samples N] [--tol T] [--out FILE]
     kahlerkit curvature <scenario> --point "c1,c2,..."
     kahlerkit list-builders
+    kahlerkit bench --label L
 
 <scenario> is a path to a scenario JSON file or the bare name of a bundled
 one.  Exit codes: 0 all checks pass, 1 at least one check failed, 2 usage or
@@ -10,12 +11,16 @@ scenario-file problem.
 """
 
 import argparse
+import json
+import os
+import platform
 import sys
+import time
 
 import numpy as np
 
 from kahlerkit.jets import SamplePlan
-from kahlerkit.fields import DOMAIN_ERRORS, metric_jets, curvature_from_jets
+from kahlerkit.fields import DOMAIN_ERRORS, Point, metric_jets, curvature_from_jets
 from kahlerkit.scenarios import (BUILDERS, ScenarioError, bundled_names,
                                  build_case, load_scenario, render_json,
                                  run_scenario_obj)
@@ -93,6 +98,81 @@ def _cmd_list_builders(_args):
     return 0
 
 
+BENCH_REPEAT = 3
+
+
+class _FieldClock:
+    """Time spent evaluating fields (the builder closures on jets): the
+    outermost Point.raw calls, nested reads included in them."""
+
+    def __init__(self):
+        self.seconds = 0.0
+        self.depth = 0
+        self.raw = Point.raw
+
+    def __enter__(self):
+        raw = self.raw
+
+        def timed(point, f):
+            if self.depth:
+                return raw(point, f)
+            self.depth = 1
+            t0 = time.perf_counter()
+            try:
+                return raw(point, f)
+            finally:
+                self.seconds += time.perf_counter() - t0
+                self.depth = 0
+        Point.raw = timed
+        return self
+
+    def __exit__(self, *exc):
+        Point.raw = self.raw
+
+
+def _bench_scenario(scn, repeat):
+    """Medians over repeat runs of one scenario at its plan: build and run
+    seconds, the run split into field evaluation, the float tensor layer (the
+    rest of the check time) and aggregation (the rest of the run), and each
+    check's seconds."""
+    runs = []
+    for _ in range(repeat):
+        t0 = time.perf_counter()
+        case = build_case(scn)
+        t1 = time.perf_counter()
+        with _FieldClock() as clock:
+            report = run_scenario_obj(scn, case=case)
+        run = time.perf_counter() - t1
+        checks = report["timings_seconds"]
+        spent = sum(checks.values())
+        runs.append((dict(build_s=t1 - t0, run_s=run, fields_s=clock.seconds,
+                          float_s=spent - clock.seconds, aggregate_s=run - spent), checks))
+
+    def median(rows):
+        return {k: round(float(np.median([r[k] for r in rows])), 6) for k in rows[0]}
+    out = median([layers for layers, _ in runs])
+    out["checks_s"] = median([checks for _, checks in runs])
+    return out
+
+
+def _cmd_bench(args):
+    scenarios = {}
+    for name in bundled_names():
+        scn = load_scenario(name)
+        row = scenarios[scn.name] = _bench_scenario(scn, BENCH_REPEAT)
+        print("%-24s build %.3f s  run %.3f s" % (scn.name, row["build_s"], row["run_s"]))
+    doc = {"label": args.label, "repeat": BENCH_REPEAT,
+           "host": {"machine": platform.machine(), "cpus": os.cpu_count(),
+                    "python": platform.python_version(), "numpy": np.__version__},
+           "scenarios": scenarios}
+    path = "BENCH_%s.json" % args.label
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
+    print("bench written to %s" % path)
+    return 0
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="kahlerkit",
@@ -116,6 +196,11 @@ def main(argv=None):
 
     p_list = sub.add_parser("list-builders", help="show the builder registry")
     p_list.set_defaults(fn=_cmd_list_builders)
+
+    p_bench = sub.add_parser("bench", help="time every bundled scenario (median of %d runs) "
+                                           "and write BENCH_<label>.json" % BENCH_REPEAT)
+    p_bench.add_argument("--label", required=True)
+    p_bench.set_defaults(fn=_cmd_bench)
 
     # argparse takes the value in "--point -0.3,0.2" for an option; bind it
     argv = list(sys.argv[1:] if argv is None else argv)

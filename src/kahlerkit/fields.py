@@ -13,6 +13,7 @@ Curvature convention: R(X,Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z
 Ricci(X,Y) = trace(Z -> R(Z,X)Y). Validated against sphere/hyperbolic oracles.
 """
 
+import functools
 import itertools
 import math
 
@@ -99,24 +100,35 @@ class Point(Jet2):
     """Coordinate jets of a sample point carrying the point's memo: a Field
     called on them is evaluated once, and the slice pt[k:] (a factor's
     coordinates, still differentiated in all of the point's) is made once, as
-    a Point with a memo of its own.  Only fields are evaluated on a slice;
-    PointEval.sub() is the factor's own point."""
+    a Point with a memo of its own.  A factor's point (PointEval.sub()) holds
+    the lifted slice it came from and reads its fields there, restricted to
+    its own derivative columns."""
 
-    __slots__ = ("memo",)
+    __slots__ = ("memo", "lifted")
 
-    def __init__(self, jet, memo):
+    def __init__(self, jet, memo, lifted=None):
         self.value, self.grad, self.hess = jet.value, jet.grad, jet.hess
         self.memo = memo
+        self.lifted = lifted
 
     def raw(self, f):
         """f's components here, packed into one Jet2."""
-        return _memoised(self.memo, ("raw", _fn(f)), lambda: pack(_fn(f)(self)))
+        fn = _fn(f)
+        if self.lifted is None:
+            return _memoised(self.memo, ("raw", fn), lambda: pack(fn(self)))
+        return _memoised(self.memo, ("raw", fn),
+                         lambda: _restrict(self.lifted.raw(fn), self.grad.shape[-1]))
 
     def __getitem__(self, idx):
         if isinstance(idx, slice) and idx.start and idx.stop is None and idx.step is None:
             return _memoised(self.memo, ("lift", idx.start),
                              lambda: Point(Jet2.__getitem__(self, idx), {}))
         return Jet2.__getitem__(self, idx)
+
+
+def _restrict(j, k):
+    """The jet j with its derivatives restricted to the last k coordinates."""
+    return Jet2(j.value, j.grad[..., -k:], j.hess[..., -k:, -k:])
 
 
 def omega_of(g, J):
@@ -184,8 +196,16 @@ class PointEval:
         return self.cached("omega", (g, J), lambda: omega_of(self.raw(g), self.raw(J)))
 
     def sub(self, start):
-        """The point made of coordinates start.. (a factor's own chart)."""
-        return self.cached("sub", (start,), lambda: PointEval(self.p[start:]))
+        """The point made of coordinates start.. (a factor's own chart).  Its
+        fields are read from the lifted slice x[start:], restricted to the
+        factor's derivative columns: exact, as a factor's fields do not depend
+        on the coordinates before start, and each runs once per point."""
+        def make():
+            pe = PointEval(self.p[start:])
+            lifted = self.x[start:]
+            pe._x = Point(_restrict(lifted, lifted.value.size), pe._memo, lifted)
+            return pe
+        return self.cached("sub", (start,), make)
 
 
 def at(p):
@@ -289,7 +309,7 @@ def christoffel_parts(gv, gg, gh, p=None):
     gi = _inverse(gv, p)
     T = np.einsum('jli->lij', gg) + np.einsum('ilj->lij', gg) - np.einsum('ijl->lij', gg)
     Gam = 0.5 * np.einsum('kl,lij->kij', gi, T)
-    dgi = -np.einsum('ka,abm,bl->klm', gi, gg, gi)
+    dgi = -np.einsum('kbm,bl->klm', np.einsum('ka,abm->kbm', gi, gg), gi)
     dT = (np.einsum('jlim->lijm', gh) + np.einsum('iljm->lijm', gh)
           - np.einsum('ijlm->lijm', gh))
     dGam = (0.5 * np.einsum('klm,lij->kijm', dgi, T)
@@ -305,6 +325,15 @@ def curvature_from_jets(gv, gg, gh, p=None):
     Ric = np.einsum('il,ijkl->jk', gi, Rlow)
     scal = np.einsum('jk,jk->', gi, Ric)
     return Rlow, Ric, scal, gi
+
+
+def pull_back(T, A):
+    """Components of the covariant tensor T(A., ..., A.).  Each step contracts
+    the leading slot with A and appends the result as the last slot, so a
+    k-tensor costs k n^(k+1) multiplications, not n^(2k)."""
+    for _ in range(T.ndim):
+        T = np.tensordot(T, A, axes=(0, 0))
+    return T
 
 
 def riemann(g, p):
@@ -425,37 +454,39 @@ def homotopy_primitive(omega, chart, order=32, check_plan=None, tol=1e-8):
 # wedge products of 2-forms (top-degree coefficient)
 # ---------------------------------------------------------------------------
 
-def _perm_sign(perm):
-    perm = list(perm)
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j, cyc = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            cyc += 1
-        if cyc % 2 == 0:
-            sign = -sign
-    return sign
+@functools.lru_cache(maxsize=None)
+def _matchings(n):
+    """Perfect matchings of range(n), built once per n on first use: their
+    signs (that of the permutation a_1 b_1 a_2 b_2 ... listing the pairs), the
+    arrays first = a_j and second = b_j, each (count, n // 2) with a_j < b_j,
+    and the permutations of the n // 2 pairs."""
+    def rec(idx):
+        if not idx:
+            yield 1, ()
+            return
+        a, rest = idx[0], idx[1:]
+        for k, b in enumerate(rest):
+            for sign, pairs in rec(rest[:k] + rest[k + 1:]):
+                yield (-1) ** k * sign, ((a, b),) + pairs
+    signs, pairs = zip(*rec(tuple(range(n))))
+    pairs = np.array(pairs).reshape(len(signs), n // 2, 2)
+    slots = np.array(list(itertools.permutations(range(n // 2))))
+    return np.array(signs, float), pairs[..., 0], pairs[..., 1], slots
 
 
 def wedge_top(two_forms):
     """Coefficient of e_0^...^e_{2m-1} in beta_1 ^ ... ^ beta_m (each a 2-form
-    value array on a 2m-dimensional chart)."""
+    value array on a 2m-dimensional chart): the signed sum over the perfect
+    matchings of the 2m indices of the permanent of beta_i on the matched
+    pairs."""
     m = len(two_forms)
     n = two_forms[0].shape[0]
     if n != 2 * m:
         raise ValueError("wedge_top needs m two-forms on a 2m-dimensional chart")
-    total = 0.0
-    for perm in itertools.permutations(range(n)):
-        term = 1.0
-        for i, beta in enumerate(two_forms):
-            term *= beta[perm[2 * i], perm[2 * i + 1]]
-            if term == 0.0:
-                break
-        if term != 0.0:
-            total += _perm_sign(perm) * term
-    return total / (2.0 ** m)
+    signs, first, second, slots = _matchings(n)
+    B = np.stack(two_forms)
+    # A[i, M, j] = beta_i on pair j of matching M; the permanent sums
+    # prod_i A[i, M, s(i)] over the assignments s of pairs to forms
+    A = B[:, first, second]
+    perm = A[np.arange(m), :, slots].prod(axis=1).sum(axis=0)
+    return float(signs @ perm)

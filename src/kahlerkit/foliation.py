@@ -40,18 +40,16 @@ class FoliationReport:
 
 def _frame_columns(Pv, tol=1e-8):
     """Two column indices of the rank-2 projector giving a well-conditioned
-    D+ frame."""
-    n = Pv.shape[0]
-    best = None
-    for i in range(n):
-        for j in range(i + 1, n):
-            U = Pv[:, [i, j]]
-            d = abs(np.linalg.det(U.T @ U))
-            if best is None or d > best[0]:
-                best = (d, (i, j))
-    if best is None or best[0] < tol:
+    D+ frame: the first pair (i, j), i < j, with the largest Gram determinant
+    G_ii G_jj - G_ij^2 of its columns, G = P^T P."""
+    G = Pv.T @ Pv
+    d = np.diag(G)
+    i, j = np.triu_indices(len(d), 1)
+    det = np.abs(d[i] * d[j] - G[i, j] ** 2)
+    if not det.size or det.max() < tol:
         raise ValueError("projector has rank below two")
-    return best[1]
+    best = det.argmax()
+    return int(i[best]), int(j[best])
 
 
 def theta_jets(t, Pp, p):
@@ -76,7 +74,7 @@ def theta_jets(t, Pp, p):
     thetaV = jeinsum("aij,ji->a", jeinsum("ij,ajk->aik", pe.inverse(t.g), L),
                      np.eye(n) - P) * (1.0 / (n - 2))
     Pmv = np.eye(n) - Pv
-    D = np.einsum("ki,akl,lj->aij", Pmv, L.value - thetaV.value[:, None, None] * g.value, Pmv)
+    D = Pmv.T @ (L.value - thetaV.value[:, None, None] * g.value) @ Pmv
     resid = worst(0.0, np.abs(D).max())
 
     # assemble theta as a 1-form: theta(d_i) = theta(P+ d_i) expanded in the frame
@@ -133,14 +131,14 @@ def oneill_tensors(t, Pp, p):
     om = pe.omega(t.g, t.J).value
     ip_m = Pmv.T @ gv @ Pmv
     om_m = Pmv.T @ om @ Pmv
-    xi_minus = np.einsum('kab,ai,bj->kij', xi, Pmv, Pmv)
+    xi_minus = Pmv.T @ xi @ Pmv
     xi_ring = (xi_minus - 0.5 * np.einsum('ij,k->kij', om_m, Jzeta)
                - 0.5 * np.einsum('ij,k->kij', ip_m, zeta))
     return xi, xi_ring
 
 
 def dplus_geodesic_residual(xi, Ppv):
-    return np.abs(np.einsum('kab,ai,bj->kij', xi, Ppv, Ppv)).max()
+    return np.abs(Ppv.T @ xi @ Ppv).max()
 
 
 def structure_point(t, Pp, p, skip_theta_below=1e-6):

@@ -89,14 +89,20 @@ class Jet2:
         return _jet(self.value.transpose(ax), self.grad.transpose(ax + (k,)),
                     self.hess.transpose(ax + (k, k + 1)))
 
-    def _lift(self, other):
-        if isinstance(other, Jet2):
-            return other
-        return Jet2.const(other, self.grad.shape[-1])
+    def _shifted(self, value, negate=False):
+        """The jet of value = (+/-) self + a constant: self's derivatives
+        (negated with negate), broadcast to the shape of value."""
+        grad, hess = (-self.grad, -self.hess) if negate else (self.grad, self.hess)
+        s = np.shape(value)
+        if s != self.value.shape:
+            grad = np.broadcast_to(grad, s + grad.shape[-1:])
+            hess = np.broadcast_to(hess, s + hess.shape[-2:])
+        return _jet(value, grad, hess)
 
     def __add__(self, other):
-        o = self._lift(other)
-        return _jet(self.value + o.value, self.grad + o.grad, self.hess + o.hess)
+        if not isinstance(other, Jet2):
+            return self._shifted(self.value + other)
+        return _jet(self.value + other.value, self.grad + other.grad, self.hess + other.hess)
 
     __radd__ = __add__
 
@@ -104,11 +110,12 @@ class Jet2:
         return _jet(-self.value, -self.grad, -self.hess)
 
     def __sub__(self, other):
-        o = self._lift(other)
-        return _jet(self.value - o.value, self.grad - o.grad, self.hess - o.hess)
+        if not isinstance(other, Jet2):
+            return self._shifted(self.value - other)
+        return _jet(self.value - other.value, self.grad - other.grad, self.hess - other.hess)
 
     def __rsub__(self, other):
-        return (-self) + other
+        return self._shifted(other - self.value, negate=True)
 
     def __mul__(self, other):
         if not isinstance(other, Jet2):
@@ -131,8 +138,12 @@ class Jet2:
                     - (iv * iv)[..., None, None] * self.hess)
 
     def __truediv__(self, other):
-        o = self._lift(other)
-        return self * o.inv()
+        if not isinstance(other, Jet2):
+            c = np.asarray(other, float)
+            if np.count_nonzero(c) != c.size:
+                raise JetDomainError("division by zero in jet arithmetic")
+            return self * (1.0 / c)
+        return self * other.inv()
 
     def __rtruediv__(self, other):
         return self.inv() * other

@@ -386,6 +386,27 @@ def test_twisted_chart_runs_s_and_alpha_once_per_point():
     assert list(counts.values()) == [3, 3]
 
 
+def test_factor_point_runs_the_base_fields_once_per_point():
+    # ricci_identity_check and volume_checks read the base at pe.sub(2), the
+    # factor's point; its fields come from the lifted slice pt[2:], where the
+    # chart's own fields already ran them: one base-metric run per point
+    scn = load_scenario("calabi_twist_zeta")
+    scn.count = 3
+    case = build_case(scn)
+    code = disk_base(0)[0].g.fn.__code__
+    runs = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            runs.append(1)
+    sys.setprofile(profile)
+    try:
+        run_scenario_obj(scn, case=case)
+    finally:
+        sys.setprofile(None)
+    assert len(runs) == 3
+
+
 @pytest.fixture(scope="module")
 def bundled_checks():
     """Names of the checks the bundled scenarios run, by builder."""
@@ -456,3 +477,32 @@ def test_domain_error_ends_each_check_at_its_point(tmp_path, capsys):
     # the untwisted fields stay in their domain
     assert by_name["transverse_holomorphy"]["pass"] is True
     assert by_name["transverse_holomorphy"]["points_used"] == 5
+
+
+def test_bench_writes_the_medians_of_each_scenario(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(kahlerkit.cli, "bundled_names", lambda: ["flat", "sphere"])
+    monkeypatch.setattr(kahlerkit.cli, "BENCH_REPEAT", 1)
+    rc, out, _ = run_cli(capsys, ["bench", "--label", "t"])
+    assert rc == 0
+    with open(tmp_path / "BENCH_t.json", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    assert doc["label"] == "t" and doc["repeat"] == 1
+    assert set(doc["scenarios"]) == {"flat", "sphere"}
+    for name, row in doc["scenarios"].items():
+        checks = [c.name for c in build_case(load_scenario(name)).checks]
+        assert list(row["checks_s"]) == checks
+        assert row["run_s"] > 0 and row["build_s"] >= 0
+        assert row["fields_s"] >= 0 and row["aggregate_s"] >= 0
+        assert sum(row["checks_s"].values()) <= row["run_s"] + 1e-5
+
+
+@pytest.mark.parametrize("label", ["pr4", "pr5"])
+def test_committed_bench_lists_every_bundled_scenario_and_check(label):
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "BENCH_%s.json" % label), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    assert sorted(doc["scenarios"]) == BUNDLED
+    for name in BUNDLED:
+        checks = [c.name for c in build_case(load_scenario(name)).checks]
+        assert list(doc["scenarios"][name]["checks_s"]) == checks, name

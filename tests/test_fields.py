@@ -346,9 +346,15 @@ def test_fields_called_on_the_point_read_its_memo():
     assert pe.x[1:] is pe.x[1:]
     assert calls == [2]
     # the lifted slice keeps the derivatives in all three coordinates;
-    # sub() is the factor's own point, seeded in its two
+    # sub() is the factor's own point, differentiated in its two, and reads
+    # the factor's fields from the lifted slice, restricted to those two
     assert pe.x[1:].grad.shape == (2, 3) and pe.sub(1).x.grad.shape == (2, 2)
-    assert b(pe.sub(1).x).grad.shape == (2,)
+    sub = b(pe.sub(1).x)
+    assert sub.grad.shape == (2,)
+    assert calls == [2]
+    own = b(Jet2.seed(pe.p[1:]))
+    for got, want in zip((sub.value, sub.grad, sub.hess), (own.value, own.grad, own.hess)):
+        assert np.array_equal(got, want)
     assert calls == [2, 2]
     # a plain jet point is evaluated directly, to the same bits
     plain = top(Jet2.seed(pe.p))

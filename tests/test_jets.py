@@ -98,6 +98,29 @@ def test_division_and_inverse_consistency():
     assert abs(q.value - 1.0 / u.value) < 1e-15
 
 
+def test_constant_operands_act_on_the_value():
+    # jet + c, jet - c, c - jet and jet / c give the bits of the product rule
+    # with a zero-derivative constant, without building one
+    x = Jet2.seed([0.3, -0.7, 1.9])
+    u = x[0] * x[1] + x[2] * x[2]
+    M = pack([[u, x[0]], [x[1] * u, -u]])
+    for jet in (u, M):
+        n = jet.grad.shape[-1]
+        for c in (1.5, -0.25, np.array([[2.0, 0.5], [-1.0, 3.0]])):
+            k = jconst(c, n)
+            pairs = ((jet + c, jet + k), (c + jet, k + jet), (jet - c, jet - k),
+                     (c - jet, k - jet), (jet / c, jet * k.inv()))
+            for got, want in pairs:
+                for a, b in zip((got.value, got.grad, got.hess),
+                                (want.value, want.grad, want.hess)):
+                    assert a.shape == b.shape and np.array_equal(a, b)
+    assert (u + 1.0).grad is u.grad and (u - 1.0).hess is u.hess
+    with pytest.raises(JetDomainError):
+        u / 0.0
+    with pytest.raises(JetDomainError):
+        M / np.array([[1.0, 0.0], [1.0, 1.0]])
+
+
 def test_jet_matrix_inverse():
     rng = np.random.default_rng(3)
     p = rng.uniform(0.2, 0.8, size=3)
