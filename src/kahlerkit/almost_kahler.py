@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from kahlerkit.jets import Jet2, jsize, jconst, jlog, jinv, jet_dcoord
-from kahlerkit.fields import (ChartManifold, Field, at, fold, worst,
+from kahlerkit.fields import (ChartManifold, Field, at, worst,
                               exterior_from_grad, pull_back)
 from kahlerkit.hermitian import HermitianTriple, ddc_from_jets, ricci_form
 from kahlerkit.calabi import CalabiProfile, build_calabi, disk_base
@@ -37,18 +37,6 @@ class AKProduct:
 
     def triple_tilde(self):
         return HermitianTriple(self.g, self.J_tilde, self.chart)
-
-
-@dataclass
-class TorsionReport:
-    prelt_residual: float
-    nullity_residual: float
-    containment_residual: float
-    span_ranks: list
-    alg_anticommute: float
-    alg_jshift: float
-    points_used: int
-    points_excluded: int
 
 
 def build_ak_product(z_factor, tw, mode="B", plane_range=(-1.0, 1.0)):
@@ -106,13 +94,6 @@ def ak_invariants_point(ak, p):
             "killing": worst(np.abs(gg[:, :, 0]).max(), np.abs(gg[:, :, 1]).max())}
 
 
-def ak_invariants(ak, plan):
-    """Max over samples of the ak_invariants_point residuals."""
-    res = fold(ak.chart.samples(plan), lambda pe: ak_invariants_point(ak, pe))
-    return {k: res.max(k) for k in ("omega_tilde_target", "d_omega_tilde",
-                                     "omega_tilde_invariance", "killing")}
-
-
 def ak3_point(ak, p):
     """Curvature symmetry under four J~'s at p, normalized by max |R|, and the
     two proof blocks R(V,V,V,X) and R(X,Y,Z,V).  Index split: V in the plane
@@ -128,13 +109,6 @@ def ak3_point(ak, p):
                 "block_plane": np.abs(Rlow[:2, :2, :2, 2:]).max() / denom,
                 "block_z": np.abs(Rlow[2:, 2:, 2:, :2]).max() / denom, "scale": sc}
     return pe.cached("ak3", (ak.g, ak.J_tilde), compute)
-
-
-def ak3_residual(ak, plan):
-    """Max over samples of the ak3_point residuals and of max |R|."""
-    res = fold(ak.chart.samples(plan), lambda pe: ak3_point(ak, pe))
-    return {"relative": res.max("relative"), "block_plane": res.max("block_plane"),
-            "block_z": res.max("block_z"), "scale": res.max("scale")}
 
 
 def eta_tensor(gfn, Jtfn, p):
@@ -182,22 +156,6 @@ def torsion_point(ak, p, dw_floor=1e-6, rank_rtol=1e-8):
                      compute)
 
 
-def torsion_report(ak, plan, dw_floor=1e-6, rank_rtol=1e-8):
-    """Max over samples of the torsion_point residuals.  Points with
-    |dw| < dw_floor are excluded from the nullity/containment/rank claims and
-    counted."""
-    res = fold(ak.chart.samples(plan),
-               lambda pe: torsion_point(ak, pe, dw_floor, rank_rtol))
-    return TorsionReport(prelt_residual=res.max("prelt"),
-                         nullity_residual=res.max("nullity"),
-                         containment_residual=res.max("containment"),
-                         span_ranks=[int(r) for r in res.values.get("rank", [])],
-                         alg_anticommute=res.max("anticommute"),
-                         alg_jshift=res.max("jshift"),
-                         points_used=res.used("nullity"),
-                         points_excluded=res.excluded.get("nullity", 0))
-
-
 def einstein_point(g, p):
     """Pointwise least-squares Einstein fit at p: lambda = <Ric, g>/<g, g>,
     the residual max |Ric - lambda g|, and max |Ric|."""
@@ -207,17 +165,6 @@ def einstein_point(g, p):
     lam = float(np.tensordot(Ric, gv) / np.tensordot(gv, gv))
     return {"lambda": lam, "einstein_dev": np.abs(Ric - lam * gv).max(),
             "ricci_max": np.abs(Ric).max()}
-
-
-def einstein_residual(gfield, plan, chart=None):
-    """einstein_point over samples: the worst residual and max |Ric|, plus the
-    pointwise lambdas and their spread."""
-    chart = chart if chart is not None else gfield.chart
-    res = fold(chart.samples(plan), lambda pe: einstein_point(gfield, pe))
-    lambdas = res.values.get("lambda", [])
-    spread = (max(lambdas) - min(lambdas)) if lambdas else 0.0
-    return {"ricci_max": res.max("ricci_max"), "einstein_dev": res.max("einstein_dev"),
-            "spread": spread, "lambdas": lambdas}
 
 
 def subtract_fiber_logs(rho, pe, J, z_positions):

@@ -21,7 +21,7 @@ from math import comb, exp, log
 import numpy as np
 
 from kahlerkit.jets import Jet2, SamplePlan, jsize, jconst, jeinsum, jlog, pack
-from kahlerkit.fields import (ChartManifold, Field, NotClosedError, at, fold,
+from kahlerkit.fields import (ChartManifold, Field, Fold, NotClosedError, PointEval, at,
                               wedge12, wedge_top, homotopy_primitive, exterior_from_grad)
 from kahlerkit.hermitian import HermitianTriple, fundamental_form_field
 
@@ -145,6 +145,9 @@ def build_calabi(base, profile, alpha=None, alpha_tol=1e-7, check_count=10):
 
     alpha must satisfy d alpha = omega_N; when omitted it is produced by the
     homotopy primitive over the base chart (star-shaped domain assumed).
+    Either way |d alpha - omega_N| is checked at check_count base points: a
+    domain error there is raised, and a mismatch above alpha_tol (a base form
+    that is not closed has no primitive) raises NotClosedError.
     """
     nb = base.chart.dim
     n = nb + 2
@@ -153,11 +156,13 @@ def build_calabi(base, profile, alpha=None, alpha_tol=1e-7, check_count=10):
 
     if alpha is None:
         alpha = homotopy_primitive(fundamental_form_field(base.g, base.J), base.chart)
-    else:
-        worst = fold(base.chart.samples(SamplePlan(seed=0, count=check_count)),
-                     lambda pe: alpha_primitive_point(alpha, base, pe)).max()
-        if not worst <= alpha_tol:
-            raise NotClosedError("d alpha mismatches the base Kähler form by %.3e" % worst)
+    acc = Fold()
+    for p in base.chart.samples(SamplePlan(seed=0, count=check_count)):
+        acc.add(PointEval(p), lambda pe: alpha_primitive_point(alpha, base, pe))
+    if acc.exc is not None:
+        raise acc.exc
+    if not acc.max() <= alpha_tol:
+        raise NotClosedError("d alpha mismatches the base Kähler form by %.3e" % acc.max())
 
     e = np.eye(n)
     lift = e[2:]                  # base coordinates -> chart coordinates
@@ -198,11 +203,6 @@ def moment_map_point(cal, p):
     want = np.zeros(cal.chart.dim)
     want[1] = -1.0
     return np.abs(at(p).omega(cal.g, cal.J).value[0, :] - want).max()
-
-
-def moment_map_residual(cal, plan):
-    """Max over samples of moment_map_point."""
-    return fold(cal.chart.samples(plan), lambda pe: moment_map_point(cal, pe)).max()
 
 
 def volume_checks(cal, p):

@@ -19,7 +19,8 @@ import math
 
 import numpy as np
 
-from kahlerkit.jets import Jet2, JetDomainError, jinv, pack, sample_points
+from kahlerkit.jets import (Jet2, JetDomainError, gauss_integrate, jinv, pack,
+                            sample_points)
 
 
 class DegenerateMetricError(ValueError):
@@ -273,24 +274,8 @@ class Fold:
         return sum(vals) / len(vals) if vals else 0.0
 
 
-def fold(points, fn):
-    """Fold fn(PointEval(p)) over points; a domain error propagates."""
-    acc = Fold()
-    for p in points:
-        acc.add(PointEval(p), fn)
-        if acc.exc is not None:
-            raise acc.exc
-        if acc.error:
-            break
-    return acc
-
-
 def metric_jets(g, p):
     return at(p).jets(g)
-
-
-def endo_jets(J, p):
-    return at(p).jets(J)
 
 
 # ---------------------------------------------------------------------------
@@ -334,18 +319,6 @@ def pull_back(T, A):
     for _ in range(T.ndim):
         T = np.tensordot(T, A, axes=(0, 0))
     return T
-
-
-def riemann(g, p):
-    return at(p).curvature(g)[0]
-
-
-def ricci(g, p):
-    return at(p).curvature(g)[1]
-
-
-def scalar_curvature(g, p):
-    return at(p).curvature(g)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -422,30 +395,20 @@ def nijenhuis(J, p, check=True, tol=1e-8):
 # homotopy primitive (star-shaped chart, center = box center)
 # ---------------------------------------------------------------------------
 
-def homotopy_primitive(omega, chart, order=32, check_plan=None, tol=1e-8):
+def homotopy_primitive(omega, chart, order=32):
     """One-form alpha with d(alpha) = omega for a closed 2-form omega.
 
     alpha(x) = integral_0^1 t * omega(c + t(x-c))(x - c, .) dt with c the box
-    center. Exact for polynomial omega at the default order. Closedness of
-    omega is verified on a small sample first.
+    center. Exact for polynomial omega at the default order.  omega is not
+    checked for closedness here; for a form that is not closed d(alpha)
+    differs from omega, which build_calabi's alpha guard measures.
     """
-    if check_plan is not None:
-        for p in chart.samples(check_plan):
-            d = exterior_derivative(omega, p, chart.dim)
-            r = np.abs(d).max()
-            if r > tol:
-                raise NotClosedError(f"form is not closed: d-residual {r:.2e} at {p.tolist()}")
     c = chart.center()
     dim = chart.dim
-    nodes, weights = np.polynomial.legendre.leggauss(order)
 
     def alpha_fn(pt):
         diff = pt[:dim] - c
-        acc = 0.0
-        for x, w in zip(nodes, weights):
-            t = 0.5 * (x + 1.0)
-            acc = acc + (0.5 * w * t) * (diff @ omega(c + t * diff))
-        return acc
+        return gauss_integrate(lambda t: t * (diff @ omega(c + t * diff)), order)
 
     return Field(alpha_fn, chart, degree=1)
 

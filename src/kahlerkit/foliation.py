@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from kahlerkit.jets import jeinsum, jet_dcoord, jinv
-from kahlerkit.fields import (at, fold, worst, lie_endo_from_jets,
+from kahlerkit.fields import (at, worst, lie_endo_from_jets,
                               exterior_from_grad, wedge12)
 
 VERDICT_HOLOMORPHIC = "holomorphic"
@@ -100,13 +100,6 @@ def homothetic_point(t, Pp, p):
     return {"homothetic": resid, "dtheta": np.abs(thg.T - thg).max()}
 
 
-def homothetic_residual(t, Pp, plan):
-    """Max over samples of the homothetic_point residuals."""
-    res = fold(t.chart.samples(plan), lambda pe: homothetic_point(t, Pp, pe))
-    return {"homothetic": res.max("homothetic"), "dtheta": res.max("dtheta"),
-            "points": res.points}
-
-
 def oneill_tensors(t, Pp, p):
     """(xi, xi_ring) at p.
 
@@ -185,17 +178,6 @@ def structure_point(t, Pp, p, skip_theta_below=1e-6):
     return out
 
 
-def structure_equation_checks(t, Pp, plan, skip_theta_below=1e-6):
-    """Max over samples of the structure_point residuals; points where
-    |theta| is below the threshold are counted in 'points_excluded'."""
-    res = fold(t.chart.samples(plan),
-               lambda pe: structure_point(t, Pp, pe, skip_theta_below))
-    out = {k: res.max(k) for k in ("wedge_minus", "holomorphy", "chi1", "lie_fit")}
-    out.update(points_used=res.used("wedge_minus"),
-               points_excluded=res.excluded.get("wedge_minus", 0))
-    return out
-
-
 def classify_point(t, Pp, p):
     """Every classifier residual at p: the homothetic and Lee-form residuals,
     the O'Neill tensors and the structure_point residuals."""
@@ -241,10 +223,3 @@ def foliation_report(res, tol=1e-6):
         diagnostics={"xi_total": xi_all, "theta_max": theta_max,
                      "wedge_minus": res.max("wedge_minus")},
     )
-
-
-def classify(t, Pp, plan, tol=1e-6):
-    """Pointwise classifier: the foliation_report of classify_point over the
-    plan's samples."""
-    return foliation_report(fold(t.chart.samples(plan),
-                                 lambda pe: classify_point(t, Pp, pe)), tol)

@@ -1,5 +1,5 @@
 """Kahler and Hermitian predicates: compatibility, fundamental forms, the
-Kahler verdict, Ricci forms, and the omega = omega_plus + omega_minus split.
+pointwise Kahler residuals, Ricci forms, and the omega = omega_plus + omega_minus split.
 
 Orientation conventions pinned here and used everywhere downstream:
   omega(X,Y) = g(JX,Y)
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from kahlerkit.fields import (CompatibilityError, Field, at, fold, omega_of,
+from kahlerkit.fields import (CompatibilityError, Field, at, omega_of,
                               worst, exterior_from_grad, nijenhuis_from_jets)
 
 
@@ -29,31 +29,9 @@ class HermitianTriple:
     chart: object
 
 
-@dataclass
-class KahlerVerdict:
-    compatible: float
-    closed: float
-    integrable: float
-    tolerance: float
-    points: int
-
-    @property
-    def is_kahler(self):
-        return all(r <= self.tolerance for r in self.residuals().values())
-
-    def residuals(self):
-        return {"compatible": self.compatible, "closed": self.closed,
-                "integrable": self.integrable}
-
-
 def fundamental_form_field(g, J):
     """omega(X,Y) = g(JX,Y) as a jet-level 2-form field."""
     return Field(lambda pt: omega_of(g(pt), J(pt)), degree=2)
-
-
-def fundamental_form_jets(t, p):
-    om = at(p).omega(t.g, t.J)
-    return om.value, om.grad, om.hess
 
 
 def fundamental_form(t, p, tol=1e-8):
@@ -79,13 +57,6 @@ def kahler_point(t, p):
                                 np.abs(Jv @ Jv + np.eye(d)).max()),
             "closed": np.abs(exterior_from_grad(pe.omega(t.g, t.J).grad, 2)).max(),
             "integrable": np.abs(nijenhuis_from_jets(Jv, Jg)).max()}
-
-
-def kahler_verdict(t, plan, tolerance=1e-7):
-    """Max over sampled points of the kahler_point residuals."""
-    res = fold(t.chart.samples(plan), lambda pe: kahler_point(t, pe))
-    return KahlerVerdict(res.max("compatible"), res.max("closed"),
-                         res.max("integrable"), tolerance, res.points)
 
 
 def ricci_form(t, p, check=True, tol=1e-6):

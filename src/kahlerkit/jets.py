@@ -15,11 +15,8 @@ import numpy as np
 
 class JetDomainError(ValueError):
     """Raised when a jet operation leaves its domain (log of nonpositive value,
-    division by zero). The evaluation wrapper attaches the offending point."""
-
-    def __init__(self, msg, point=None):
-        super().__init__(msg)
-        self.point = point
+    division by zero, a non-finite integrand).  A Fold names the point where
+    it was raised."""
 
 
 def _outer(g):
@@ -208,19 +205,6 @@ def jsqrt(u):
     return u ** 0.5
 
 
-def jet_eval(f, p):
-    """Evaluate a scalar-field expression f on the jet seed of point p.
-
-    f receives the coordinate jets and must return a Jet2 built from them by
-    arithmetic and the elementary functions above.
-    """
-    p = np.asarray(p, float)
-    try:
-        return f(Jet2.seed(p))
-    except JetDomainError as err:
-        raise JetDomainError(f"{err} at point {p.tolist()}", point=p) from None
-
-
 # ---------------------------------------------------------------------------
 # tensor jets: constants, contraction, inverse, packing
 # ---------------------------------------------------------------------------
@@ -315,7 +299,8 @@ def gauss_integrate(f, order=32):
     """Fixed Gauss-Legendre rule on [0,1] applied to a jet-valued integrand.
 
     f maps a float t in [0,1] to a Jet2 (or plain float); the rule is applied
-    componentwise to value/grad/hess. Deterministic for fixed order.
+    componentwise to value/grad/hess. Deterministic for fixed order.  A
+    non-finite integrand is a domain error.
     """
     if order < 2:
         raise ValueError("quadrature order must be >= 2")
@@ -326,7 +311,7 @@ def gauss_integrate(f, order=32):
         val = f(t)
         parts = (val.value, val.grad, val.hess) if isinstance(val, Jet2) else (val,)
         if not all(np.isfinite(x).all() for x in parts):
-            raise ArithmeticError(f"non-finite integrand at t={t}")
+            raise JetDomainError(f"non-finite integrand at t={t}")
         term = (0.5 * w) * val
         total = term if total is None else total + term
     return total

@@ -641,15 +641,6 @@ def run_scenario_obj(scn, tol_override=None, case=None):
             "timings_seconds": timings}
 
 
-def run_scenario(arg, seed=None, samples=None, tol=None):
-    scn = load_scenario(arg)
-    if seed is not None:
-        scn.seed = int(seed)
-    if samples is not None:
-        scn.count = int(samples)
-    return run_scenario_obj(scn, tol_override=tol)
-
-
 def render_json(obj, indent=0):
     """Deterministic JSON with floats at 17 significant digits."""
     pad = " " * indent

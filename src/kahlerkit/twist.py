@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from kahlerkit.jets import JetDomainError, jsize, jconst, jinv, jlog, pack
-from kahlerkit.fields import Field, PointEval, at, fold, worst
+from kahlerkit.fields import Field, at, worst
 from kahlerkit.hermitian import HermitianTriple, ddc_from_jets, ricci_form
 
 # The largest |w|^2 a twist may reach; the S field and validate_twist both
@@ -137,26 +137,23 @@ def build_twist_fields(g, endos, Pp, w, theta, chart, mode="B"):
     return Field(gwfn, chart), [twisted(E) for E in endos], S
 
 
-def validate_twist(w, theta, chart, plan):
-    """|w|^2 <= DISC and |theta| bounded away from zero at samples; raises
-    with the offending point."""
-    for p in chart.samples(plan):
-        pe = PointEval(p)
-        ww = _norm2(pe.raw(w)).value
-        if ww > DISC:
-            raise ValueError("twist |w| = %.8f too close to the circle at %s"
-                             % (ww ** 0.5, p.tolist()))
-        if np.abs(pe.jets(theta)[0]).max() < 1e-6:
-            raise ValueError("twist frame degenerate (|theta| < 1.0e-06) at %s"
-                             % p.tolist())
+def validate_twist(w, theta, p):
+    """|w|^2 <= DISC and |theta| bounded away from zero at p; raises with the
+    point."""
+    pe = at(p)
+    ww = _norm2(pe.raw(w)).value
+    if ww > DISC:
+        raise ValueError("twist |w| = %.8f too close to the circle at %s"
+                         % (ww ** 0.5, pe.p.tolist()))
+    if np.abs(pe.jets(theta)[0]).max() < 1e-6:
+        raise ValueError("twist frame degenerate (|theta| < 1.0e-06) at %s"
+                         % pe.p.tolist())
 
 
-def build_twist(cal, tw, mode="B", plan=None):
+def build_twist(cal, tw, mode="B"):
     """Twist a CalabiChart (or anything with g/J/I0/proj_plus/theta fields and
     a chart) by the twist field tw with one shared S; returns a
     TwistedTriple."""
-    if plan is not None:
-        validate_twist(tw, cal.theta, cal.chart, plan)
     gw, (Jw, Iw), S = build_twist_fields(cal.g, [cal.J, cal.I0], cal.proj_plus, tw,
                                          cal.theta, cal.chart, mode)
     return TwistedTriple(g_w=gw, J_w=Jw, I_w=Iw, S=S, chart=cal.chart)
@@ -195,13 +192,6 @@ def transverse_holomorphy_point(Jfn, Ppfn, wfn, p):
     Pmv = np.eye(Jv.shape[0]) - pe.jets(Ppfn)[0]
     return worst(0.0, *(abs(float(w2.grad @ X) + float(w1.grad @ (Jv @ X)))
                         for X in Pmv.T if np.abs(X).max() >= 1e-13))
-
-
-def transverse_holomorphy_residuals(Jfn, Ppfn, wfn, chart, plan):
-    """Max over samples of transverse_holomorphy_point, as {"primary": ...}."""
-    res = fold(chart.samples(plan),
-               lambda pe: transverse_holomorphy_point(Jfn, Ppfn, wfn, pe))
-    return {"primary": res.max()}
 
 
 def ricci_identity_check(cal, tw, tt, p):

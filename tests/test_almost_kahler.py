@@ -5,16 +5,17 @@ import numpy as np
 import pytest
 
 from kahlerkit.jets import Jet2, JetDomainError, SamplePlan, jconst, jlog, jsize
-from kahlerkit.fields import (ChartManifold, Field, curvature_from_jets,
-                              endo_jets, metric_jets)
-from kahlerkit.hermitian import ddc_from_jets, kahler_verdict
+from kahlerkit.fields import (ChartManifold, Field, PointEval, curvature_from_jets,
+                              metric_jets, worst)
+from kahlerkit.hermitian import ddc_from_jets, kahler_point
 from kahlerkit.calabi import disk_base, volume_checks
 from kahlerkit.twist import constant_twist, coordinate_twist
-from kahlerkit.almost_kahler import (ak3_residual, ak_invariants,
-                                     build_ak_product, einstein_residual,
+from kahlerkit.almost_kahler import (ak3_point, ak_invariants_point,
+                                     build_ak_product, einstein_point,
                                      eta_tensor, iterate_chain,
                                      ker_dw_geodesic_residual,
-                                     ker_dw_projector, torsion_report)
+                                     ker_dw_projector, torsion_point)
+from helpers import fold_plan
 
 
 def disk_product(k=1, twist=None):
@@ -37,11 +38,11 @@ def test_twist_must_not_see_the_plane():
 
 def test_product_structure_forms():
     ak = disk_product()
-    inv = ak_invariants(ak, SamplePlan(1, 10))
-    assert inv["omega_tilde_target"] < 1e-12
-    assert inv["d_omega_tilde"] < 1e-12
-    assert inv["omega_tilde_invariance"] < 1e-12
-    assert inv["killing"] == 0.0
+    inv = fold_plan(ak.chart, SamplePlan(1, 10), lambda pe: ak_invariants_point(ak, pe))
+    assert inv.max("omega_tilde_target") < 1e-12
+    assert inv.max("d_omega_tilde") < 1e-12
+    assert inv.max("omega_tilde_invariance") < 1e-12
+    assert inv.max("killing") == 0.0
 
 
 def test_both_product_structures_square_and_pair():
@@ -49,69 +50,71 @@ def test_both_product_structures_square_and_pair():
     for p in ak.chart.samples(SamplePlan(2, 6)):
         gv, _, _ = metric_jets(ak.g.fn, p)
         for fn in (ak.J.fn, ak.J_tilde.fn):
-            Ev, _, _ = endo_jets(fn, p)
+            Ev, _, _ = metric_jets(fn, p)
             assert np.abs(Ev @ Ev + np.eye(4)).max() < 1e-12
             assert np.abs(Ev.T @ gv @ Ev - gv).max() < 1e-12
 
 
 def test_kahler_candidate_is_kahler_for_transverse_twist():
     ak = disk_product()
-    v = kahler_verdict(ak.triple(), SamplePlan(3, 8), tolerance=1e-7)
-    assert v.is_kahler
+    t = ak.triple()
+    v = fold_plan(ak.chart, SamplePlan(3, 8), lambda pe: worst(*kahler_point(t, pe).values()))
+    assert v.max() <= 1e-7
     # the flipped structure is almost Kähler but never integrable here
-    vt = kahler_verdict(ak.triple_tilde(), SamplePlan(3, 8), tolerance=1e-7)
-    assert not vt.is_kahler
-    assert vt.compatible < 1e-12
-    assert vt.closed < 1e-12
-    assert vt.integrable > 1e-3
+    tt = ak.triple_tilde()
+    vt = fold_plan(ak.chart, SamplePlan(3, 8), lambda pe: kahler_point(tt, pe))
+    assert not worst(*(vt.max(k) for k in vt.values)) <= 1e-7
+    assert vt.max("compatible") < 1e-12
+    assert vt.max("closed") < 1e-12
+    assert vt.max("integrable") > 1e-3
 
 
 def test_curvature_symmetry_under_four_twisted_structures():
     ak = disk_product()
-    res = ak3_residual(ak, SamplePlan(4, 10))
-    assert res["relative"] < 1e-12
-    assert res["block_plane"] < 1e-12
-    assert res["block_z"] < 1e-12
+    res = fold_plan(ak.chart, SamplePlan(4, 10), lambda pe: ak3_point(ak, pe))
+    assert res.max("relative") < 1e-12
+    assert res.max("block_plane") < 1e-12
+    assert res.max("block_z") < 1e-12
     # the curvature this symmetry constrains is genuinely nonzero
-    assert res["scale"] > 1.0
+    assert res.max("scale") > 1.0
 
 
 def test_curvature_symmetry_fails_off_the_transverse_family():
     bad = Field(lambda zp: (zp[0] * zp[1], zp[0] * 0.5), label="shear")
     ak = disk_product(twist=bad)
-    res = ak3_residual(ak, SamplePlan(5, 8))
-    assert res["relative"] > 0.05
-    assert res["scale"] > 0.5
+    res = fold_plan(ak.chart, SamplePlan(5, 8), lambda pe: ak3_point(ak, pe))
+    assert res.max("relative") > 0.05
+    assert res.max("scale") > 0.5
 
 
 def test_torsion_report_for_disk_product():
     ak = disk_product()
-    rep = torsion_report(ak, SamplePlan(6, 12))
-    assert rep.prelt_residual < 1e-12
-    assert rep.nullity_residual < 1e-12
-    assert rep.containment_residual < 1e-12
-    assert rep.alg_anticommute < 1e-12
-    assert rep.alg_jshift < 1e-12
-    assert rep.points_used == 12
-    assert rep.points_excluded == 0
-    assert set(rep.span_ranks) == {2}
+    rep = fold_plan(ak.chart, SamplePlan(6, 12), lambda pe: torsion_point(ak, pe))
+    assert rep.max("prelt") < 1e-12
+    assert rep.max("nullity") < 1e-12
+    assert rep.max("containment") < 1e-12
+    assert rep.max("anticommute") < 1e-12
+    assert rep.max("jshift") < 1e-12
+    assert rep.used("nullity") == 12
+    assert rep.excluded.get("nullity", 0) == 0
+    assert set(rep.values["rank"]) == {2}
 
 
 def test_torsion_rank_skips_points_without_twist_variation():
     ak = disk_product(twist=constant_twist(0.3, 0.1))
-    rep = torsion_report(ak, SamplePlan(7, 6))
+    rep = fold_plan(ak.chart, SamplePlan(7, 6), lambda pe: torsion_point(ak, pe))
     # constant twist: dw = 0 everywhere, so the rank claims never engage
-    assert rep.points_used == 0
-    assert rep.points_excluded == 6
-    assert rep.span_ranks == []
-    assert rep.prelt_residual < 1e-12
+    assert rep.used("nullity") == 0
+    assert rep.excluded.get("nullity", 0) == 6
+    assert rep.values.get("rank", []) == []
+    assert rep.max("prelt") < 1e-12
 
 
 def test_four_dim_product_is_ricci_flat():
     ak = disk_product()
-    er = einstein_residual(ak.g, SamplePlan(8, 12))
-    assert er["ricci_max"] < 1e-6
-    assert er["einstein_dev"] < 1e-6
+    er = fold_plan(ak.chart, SamplePlan(8, 12), lambda pe: einstein_point(ak.g, pe))
+    assert er.max("ricci_max") < 1e-6
+    assert er.max("einstein_dev") < 1e-6
 
 
 def chain_product():
@@ -124,11 +127,11 @@ def chain_product():
 
 def test_six_dim_product_curvature_symmetry():
     ak, _ = chain_product()
-    res = ak3_residual(ak, SamplePlan(9, 4))
-    assert res["relative"] < 1e-12
-    assert res["block_plane"] < 1e-12
-    assert res["block_z"] < 1e-12
-    assert res["scale"] > 1.0
+    res = fold_plan(ak.chart, SamplePlan(9, 4), lambda pe: ak3_point(ak, pe))
+    assert res.max("relative") < 1e-12
+    assert res.max("block_plane") < 1e-12
+    assert res.max("block_z") < 1e-12
+    assert res.max("scale") > 1.0
 
 
 @pytest.mark.xfail(strict=True, reason="the six-dimensional product over the "
@@ -136,15 +139,15 @@ def test_six_dim_product_curvature_symmetry():
                    "one at every sampled point")
 def test_six_dim_product_ricci_flat():
     ak, _ = chain_product()
-    er = einstein_residual(ak.g, SamplePlan(10, 4))
-    assert er["ricci_max"] < 1e-5
+    er = fold_plan(ak.chart, SamplePlan(10, 4), lambda pe: einstein_point(ak.g, pe))
+    assert er.max("ricci_max") < 1e-5
 
 
 def test_six_dim_product_ricci_gap_is_pinned():
     ak, _ = chain_product()
-    er = einstein_residual(ak.g, SamplePlan(10, 4))
-    assert er["ricci_max"] > 0.5
-    assert er["einstein_dev"] > 0.5
+    er = fold_plan(ak.chart, SamplePlan(10, 4), lambda pe: einstein_point(ak.g, pe))
+    assert er.max("ricci_max") > 0.5
+    assert er.max("einstein_dev") > 0.5
 
 
 def test_six_dim_product_ricci_form_matches_fiber_logs():
@@ -153,7 +156,7 @@ def test_six_dim_product_ricci_form_matches_fiber_logs():
     for p in ak.chart.samples(SamplePlan(11, 4)):
         gv, gg, gh = metric_jets(ak.g.fn, p)
         _, Ric, _, _ = curvature_from_jets(gv, gg, gh)
-        Jv, Jg, _ = endo_jets(ak.J.fn, p)
+        Jv, Jg, _ = metric_jets(ak.J.fn, p)
         rho = np.einsum('mi,mj->ij', Jv, Ric)
         x = Jet2.seed(np.asarray(p, float))
         for j, pos in zpos.items():
@@ -163,11 +166,11 @@ def test_six_dim_product_ricci_form_matches_fiber_logs():
 
 def test_six_dim_torsion_report():
     ak, _ = chain_product()
-    rep = torsion_report(ak, SamplePlan(12, 4))
-    assert rep.prelt_residual < 1e-10
-    assert rep.nullity_residual < 1e-10
-    assert rep.containment_residual < 1e-10
-    assert set(rep.span_ranks) == {2}
+    rep = fold_plan(ak.chart, SamplePlan(12, 4), lambda pe: torsion_point(ak, pe))
+    assert rep.max("prelt") < 1e-10
+    assert rep.max("nullity") < 1e-10
+    assert rep.max("containment") < 1e-10
+    assert set(rep.values["rank"]) == {2}
 
 
 def test_untwisted_chain_levels():
@@ -177,8 +180,9 @@ def test_untwisted_chain_levels():
     assert [lv.claimed_coeff for lv in levels] == [0.5, 0.5]
     assert levels[1].z_positions == {1: 1}
     for lv in levels:
-        v = kahler_verdict(lv.triple, SamplePlan(13, 6), tolerance=1e-7)
-        assert v.is_kahler
+        v = fold_plan(lv.triple.chart, SamplePlan(13, 6),
+                      lambda pe: worst(*kahler_point(lv.triple, pe).values()))
+        assert v.max() <= 1e-7
     # level 0 satisfies the claimed identity; level 1 needs the fiber term
     p0 = [0.1, -0.2]
     r0 = levels[0].identity_residuals(p0)
@@ -197,8 +201,9 @@ def test_twisted_chain_levels():
     assert [lv.claimed_coeff for lv in levels] == [1.0, 0.5, 0.0]
     assert levels[2].z_positions == {1: 3, 2: 1}
     for lv in levels:
-        v = kahler_verdict(lv.triple, SamplePlan(14, 5), tolerance=1e-7)
-        assert v.is_kahler
+        v = fold_plan(lv.triple.chart, SamplePlan(14, 5),
+                      lambda pe: worst(*kahler_point(lv.triple, pe).values()))
+        assert v.max() <= 1e-7
     for lv in levels[1:]:
         for p in lv.triple.chart.samples(SamplePlan(15, 3)):
             r = lv.identity_residuals(p)
@@ -207,14 +212,13 @@ def test_twisted_chain_levels():
 
 
 def test_chain_alpha_is_primitive_at_every_level():
-    from kahlerkit.hermitian import fundamental_form_jets
     for kind, m in (("untwisted", 2), ("twisted", 2)):
         for lv in iterate_chain(kind, m):
             for p in lv.triple.chart.samples(SamplePlan(16, 4)):
                 x = Jet2.seed(np.asarray(p, float))
                 a = lv.alpha.fn(x)
                 ag = np.array([c.grad for c in a])
-                omv, _, _ = fundamental_form_jets(lv.triple, p)
+                omv = PointEval(p).omega(lv.triple.g, lv.triple.J).value
                 assert np.abs((ag.T - ag) - omv).max() < 1e-9
 
 

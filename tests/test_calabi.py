@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 
 from kahlerkit.jets import Jet2, SamplePlan, jconst, jexp, jsize
-from kahlerkit.fields import NotClosedError, metric_jets
-from kahlerkit.hermitian import kahler_verdict
+from kahlerkit.fields import NotClosedError, metric_jets, worst
+from kahlerkit.hermitian import kahler_point
 from kahlerkit.foliation import extract_theta
 from kahlerkit.calabi import (CalabiProfile, build_calabi, disk_base,
                               disk_u_coefficients, flat_base, lee_form_of_I0,
-                              moment_map_residual, rescale_biaxial,
+                              moment_map_point, rescale_biaxial,
                               volume_checks)
+from helpers import fold_plan
 
 
 def make_cal(k=1, z_range=(0.5, 2.0), use_alpha=True):
@@ -58,33 +59,39 @@ def test_chart_shape_and_verdicts():
         cal = make_cal(k)
         assert cal.chart.dim == 4
         assert cal.m == 2
-        v = kahler_verdict(cal.triple(), SamplePlan(2, 15), tolerance=1e-7)
-        assert v.is_kahler
-        assert max(v.residuals().values()) < 1e-12
+        t = cal.triple()
+        v = fold_plan(t.chart, SamplePlan(2, 15),
+                      lambda pe: worst(*kahler_point(t, pe).values()))
+        assert v.max() <= 1e-7
+        assert v.max() < 1e-12
 
 
 def test_second_structure_is_hermitian_not_kahler():
     cal = make_cal(1)
-    v = kahler_verdict(cal.triple_I(), SamplePlan(3, 10))
-    assert not v.is_kahler
-    assert v.compatible < 1e-12
-    assert v.integrable < 1e-12
-    assert v.closed > 0.5
+    t = cal.triple_I()
+    v = fold_plan(t.chart, SamplePlan(3, 10), lambda pe: kahler_point(t, pe))
+    assert not worst(*(v.max(k) for k in v.values)) <= 1e-7
+    assert v.max("compatible") < 1e-12
+    assert v.max("integrable") < 1e-12
+    assert v.max("closed") > 0.5
 
 
 def test_moment_map():
     for k in (0, 2):
         cal = make_cal(k)
-        assert moment_map_residual(cal, SamplePlan(4, 25)) < 1e-12
+        res = fold_plan(cal.chart, SamplePlan(4, 25), lambda pe: moment_map_point(cal, pe))
+        assert res.max() < 1e-12
 
 
 def test_homotopy_primitive_alpha_variant():
     # dropping the closed-form alpha and letting the chart integrate its own
     # primitive must still give a Kähler structure
     cal = make_cal(2, use_alpha=False)
-    v = kahler_verdict(cal.triple(), SamplePlan(5, 10), tolerance=1e-7)
-    assert v.is_kahler
-    assert moment_map_residual(cal, SamplePlan(6, 10)) < 1e-8
+    t = cal.triple()
+    v = fold_plan(t.chart, SamplePlan(5, 10), lambda pe: worst(*kahler_point(t, pe).values()))
+    assert v.max() <= 1e-7
+    res = fold_plan(cal.chart, SamplePlan(6, 10), lambda pe: moment_map_point(cal, pe))
+    assert res.max() < 1e-8
 
 
 def test_alpha_mismatch_is_rejected():
@@ -171,8 +178,9 @@ def test_rescale_exponential_pair():
     hat, resid = rescale_biaxial(cal.triple(), cal.proj_plus, a, b,
                                  profile=cal.profile)
     assert resid < 1e-12
-    v = kahler_verdict(hat, SamplePlan(10, 10), tolerance=1e-7)
-    assert v.is_kahler
+    v = fold_plan(hat.chart, SamplePlan(10, 10),
+                  lambda pe: worst(*kahler_point(hat, pe).values()))
+    assert v.max() <= 1e-7
     s = cal.proj_plus
     for p in cal.chart.samples(SamplePlan(11, 5)):
         t_orig = extract_theta(cal.triple(), s, p)

@@ -7,11 +7,12 @@ import pytest
 from kahlerkit.jets import Jet2, SamplePlan, jconst, jsin, jsize
 from kahlerkit.fields import (AlmostComplexError, ChartManifold,
                               DegenerateMetricError, Field, Fold, NotClosedError,
-                              PointEval, fold,
-                              christoffel_parts, exterior_derivative,
+                              PointEval, christoffel_parts, exterior_derivative,
                               homotopy_primitive, lie_derivative_metric,
-                              metric_jets, nijenhuis, ricci, riemann,
-                              scalar_curvature, wedge_top)
+                              metric_jets, nijenhuis, wedge_top)
+from kahlerkit.hermitian import HermitianTriple
+from kahlerkit.calabi import CalabiProfile, build_calabi
+from helpers import fold_plan
 
 
 def polar_metric(pt):
@@ -64,21 +65,21 @@ def test_flat_space_curvature_vanishes():
             return [[jconst(1.0 if i == j else 0.0, n) for j in range(d)]
                     for i in range(d)]
         for p in chart.samples(SamplePlan(1, 12)):
-            assert np.abs(riemann(gfn, p)).max() <= 1e-11
+            assert np.abs(PointEval(p).curvature(gfn)[0]).max() <= 1e-11
 
 
 def test_sphere_and_hyperbolic_scalar_curvature():
     chart = ChartManifold(2, [(0.4, 2.7), (-3.0, 3.0)])
     for p in chart.samples(SamplePlan(2, 15)):
-        assert abs(scalar_curvature(sphere_metric, p) - 2.0) < 1e-9
+        assert abs(PointEval(p).curvature(sphere_metric)[2] - 2.0) < 1e-9
     chart = ChartManifold(2, [(-2.0, 2.0), (0.3, 3.0)])
     for p in chart.samples(SamplePlan(3, 15)):
-        assert abs(scalar_curvature(hyperbolic_metric, p) - (-2.0)) < 1e-9
+        assert abs(PointEval(p).curvature(hyperbolic_metric)[2] - (-2.0)) < 1e-9
 
 
 def test_sphere_sectional_curvature_one():
     p = [1.1, 0.4]
-    R = riemann(sphere_metric, p)
+    R = PointEval(p).curvature(sphere_metric)[0]
     gv, _, _ = metric_jets(sphere_metric, p)
     sec = R[0, 1, 1, 0] / (gv[0, 0] * gv[1, 1] - gv[0, 1] ** 2)
     assert abs(sec - 1.0) < 1e-10
@@ -91,7 +92,7 @@ def test_riemann_symmetries_and_bianchi():
     ]
     for gfn, chart in charts:
         for p in chart.samples(SamplePlan(5, 10)):
-            R = riemann(gfn, p)
+            R = PointEval(p).curvature(gfn)[0]
             sc = max(np.abs(R).max(), 1e-12)
             assert np.abs(R + R.transpose(1, 0, 2, 3)).max() / sc < 1e-9
             assert np.abs(R + R.transpose(0, 1, 3, 2)).max() / sc < 1e-9
@@ -116,7 +117,7 @@ def test_degenerate_metric_raises():
         zero = jconst(0.0, n)
         return [[zero, zero], [zero, jconst(1.0, n)]]
     with pytest.raises(DegenerateMetricError):
-        ricci(bad, [0.1, 0.2])
+        PointEval([0.1, 0.2]).curvature(bad)
 
 
 def test_exterior_derivative_squares_to_zero_on_gradients():
@@ -263,17 +264,20 @@ def test_homotopy_primitive_roundtrip_polynomial_form():
 
 
 def test_homotopy_primitive_rejects_nonclosed():
-    chart = ChartManifold(3, [(-1.0, 1.0)] * 3)
+    # a conformally flat base g = f I with non-constant f has d omega =
+    # df ^ omega != 0: it has no primitive, and the homotopy alpha's
+    # mismatch |d alpha - omega| stops build_calabi
+    chart = ChartManifold(4, [(-0.5, 0.5)] * 4)
 
-    def bad(pt):
-        # z dx^dy has d = dz^dx^dy, nonzero
-        n = jsize(pt)
-        zero = jconst(0.0, n)
-        z = pt[2]
-        return [[zero, z, zero], [z * (-1.0), zero, zero], [zero, zero, zero]]
+    def g(pt):
+        return (1.0 + 0.3 * pt[0] + 0.2 * pt[2] * pt[3]) * np.eye(4)
+
+    def J(pt):
+        rot = np.array([[0.0, -1.0], [1.0, 0.0]])
+        return jconst(np.kron(np.eye(2), rot), jsize(pt))
+    base = HermitianTriple(Field(g, chart), Field(J, chart), chart)
     with pytest.raises(NotClosedError):
-        homotopy_primitive(Field(bad, chart, degree=2), chart,
-                           check_plan=SamplePlan(1, 10))
+        build_calabi(base, CalabiProfile(), alpha=None)
 
 
 def test_wedge_top_volume_coefficient():
@@ -294,22 +298,24 @@ def test_fold_stops_at_nonfinite_and_domain_errors():
     pts = chart.samples(SamplePlan(3, 5))
     # a NaN at the second of five points ends the fold and is its max
     vals = iter([1e-14, float("nan"), 1e-13, 1e-12, 1e-11])
-    res = fold(pts, lambda pe: next(vals))
+    res = fold_plan(chart, SamplePlan(3, 5), lambda pe: next(vals))
     assert res.used() == 2 and res.points == 2
     assert np.isnan(res.max()) and np.isnan(res.mean())
     assert res.error == "non-finite residual at point %s" % pts[1].round(8).tolist()
-    # a domain error keeps the points before it; fold() re-raises it
+    # a domain error keeps the points before it; fold_plan() re-raises it
     acc = Fold()
     for k, p in enumerate(pts):
-        acc.add(PointEval(p), lambda pe, k=k: 0.5 * k if k < 3 else ricci(
-            lambda pt: [[jconst(0.0, 2)] * 2] * 2, pe))
+        acc.add(PointEval(p), lambda pe, k=k: 0.5 * k if k < 3 else pe.curvature(
+            lambda pt: [[jconst(0.0, 2)] * 2] * 2))
     assert (acc.used(), acc.max(), acc.mean()) == (3, 1.0, 0.5)
     assert acc.error.startswith("DegenerateMetricError at point %s: "
                                 % pts[3].round(8).tolist())
     with pytest.raises(DegenerateMetricError):
-        fold(pts, lambda pe: ricci(lambda pt: [[jconst(0.0, 2)] * 2] * 2, pe))
+        fold_plan(chart, SamplePlan(3, 5),
+                  lambda pe: pe.curvature(lambda pt: [[jconst(0.0, 2)] * 2] * 2))
     # None excludes a point, per residual name for dict results
-    res = fold(pts, lambda pe: {"a": 1.0, "b": None if pe.p[0] < 0 else 2.0})
+    res = fold_plan(chart, SamplePlan(3, 5),
+                    lambda pe: {"a": 1.0, "b": None if pe.p[0] < 0 else 2.0})
     assert res.used("a") == 5
     assert res.used("b") + res.excluded["b"] == 5
     assert res.max("b") == 2.0 and res.error == ""
@@ -328,7 +334,7 @@ def test_point_eval_evaluates_each_field_once():
     assert pe.curvature(g2) is curv
     assert pe.jets(gfn) is pe.jets(g1)
     assert len(calls) == 1
-    assert np.abs(curv[0] - riemann(sphere_metric, [1.1, 0.4])).max() == 0.0
+    assert np.abs(curv[0] - PointEval([1.1, 0.4]).curvature(sphere_metric)[0]).max() == 0.0
 
 
 def test_fields_called_on_the_point_read_its_memo():

@@ -9,11 +9,17 @@ from kahlerkit.fields import ChartManifold, Field
 from kahlerkit.hermitian import HermitianTriple
 from kahlerkit.foliation import (VERDICT_FAILED, VERDICT_GEODESIC,
                                  VERDICT_HOLOMORPHIC, VERDICT_PRODUCT,
-                                 classify, extract_theta,
-                                 homothetic_residual,
-                                 structure_equation_checks, theta_jets)
+                                 classify_point, extract_theta,
+                                 foliation_report, homothetic_point,
+                                 structure_point, theta_jets)
 from kahlerkit.calabi import CalabiProfile, build_calabi, disk_base, flat_base
 from kahlerkit.twist import build_twist, coordinate_twist
+from helpers import fold_plan
+
+
+def classify(t, Pp, plan):
+    """The classifier's report over the plan's samples of t's chart."""
+    return foliation_report(fold_plan(t.chart, plan, lambda pe: classify_point(t, Pp, pe)))
 
 
 def make_calabi(k=0):
@@ -38,10 +44,12 @@ def test_lee_form_matches_log_moment_coordinate():
 
 def test_homothetic_residual_report():
     cal = make_calabi(1)
-    rep = homothetic_residual(cal.triple(), cal.proj_plus, SamplePlan(4, 12))
-    assert rep["homothetic"] < 1e-12
-    assert rep["dtheta"] < 1e-12
-    assert rep["points"] == 12
+    t = cal.triple()
+    rep = fold_plan(t.chart, SamplePlan(4, 12),
+                    lambda pe: homothetic_point(t, cal.proj_plus, pe))
+    assert rep.max("homothetic") < 1e-12
+    assert rep.max("dtheta") < 1e-12
+    assert rep.points == 12
 
 
 def test_classify_calabi_is_holomorphic():
@@ -184,13 +192,15 @@ def test_verdicts_stable_under_resampling():
 
 def test_structure_equation_checks_report_shape():
     cal = make_calabi(0)
-    st = structure_equation_checks(cal.triple(), cal.proj_plus, SamplePlan(10, 8))
-    assert st["wedge_minus"] < 1e-9
-    assert st["holomorphy"] < 1e-9
-    assert st["chi1"] < 1e-8
-    assert st["lie_fit"] < 1e-8
-    assert st["points_used"] == 8
-    assert st["points_excluded"] == 0
+    t = cal.triple()
+    st = fold_plan(t.chart, SamplePlan(10, 8),
+                   lambda pe: structure_point(t, cal.proj_plus, pe))
+    assert st.max("wedge_minus") < 1e-9
+    assert st.max("holomorphy") < 1e-9
+    assert st.max("chi1") < 1e-8
+    assert st.max("lie_fit") < 1e-8
+    assert st.used("wedge_minus") == 8
+    assert st.excluded.get("wedge_minus", 0) == 0
 
 
 def test_classify_fails_on_nonfinite_gate_residual(monkeypatch):

@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from kahlerkit.jets import Jet2, SamplePlan, jconst, jlog, jsin, jsize
-from kahlerkit.fields import ChartManifold, endo_jets, metric_jets
+from kahlerkit.fields import ChartManifold, PointEval, metric_jets, worst
 from kahlerkit.hermitian import (CompatibilityError, HermitianTriple,
                                  NotKahlerError, ddc, fundamental_form,
-                                 fundamental_form_jets, kahler_verdict,
-                                 ricci_form, split_fundamental)
+                                 kahler_point, ricci_form, split_fundamental)
 from kahlerkit.calabi import disk_base
+from helpers import fold_plan
 
 
 def rotation(n):
@@ -43,7 +43,7 @@ def test_fundamental_form_oracle_on_sphere():
         om = fundamental_form(t, [u, 0.2])
         assert abs(om[0, 1] - np.sin(u)) < 1e-12
         assert abs(om[0, 1] + om[1, 0]) < 1e-12
-    omv, _, _ = fundamental_form_jets(t, [1.1, 0.2])
+    omv = PointEval([1.1, 0.2]).omega(t.g, t.J).value
     assert abs(omv[0, 1] - np.sin(1.1)) < 1e-12
 
 
@@ -60,9 +60,10 @@ def test_fundamental_form_rejects_incompatible_pair():
 
 def test_sphere_is_kahler_and_ricci_form_equals_fundamental():
     t = sphere_triple()
-    v = kahler_verdict(t, SamplePlan(4, 20))
-    assert v.is_kahler
-    assert max(v.residuals().values()) < 1e-10
+    v = fold_plan(t.chart, SamplePlan(4, 20),
+                  lambda pe: worst(*kahler_point(t, pe).values()))
+    assert v.max() <= 1e-7
+    assert v.max() < 1e-10
     assert v.points == 20
     for p in t.chart.samples(SamplePlan(6, 15)):
         rho = ricci_form(t, p)
@@ -90,7 +91,7 @@ def test_ricci_form_is_antisymmetric_and_j_invariant():
     t, _ = disk_base(2)
     for p in t.chart.samples(SamplePlan(9, 10)):
         rho = ricci_form(t, p)
-        Jv, _, _ = endo_jets(t.J, p)
+        Jv, _, _ = metric_jets(t.J, p)
         assert np.abs(rho + rho.T).max() < 1e-10
         assert np.abs(Jv.T @ rho @ Jv - rho).max() < 1e-10
 
@@ -160,9 +161,11 @@ def flat4_triple(warp=None):
 
 
 def test_kahler_verdict_flat_product():
-    v = kahler_verdict(flat4_triple(), SamplePlan(10, 15))
-    assert v.is_kahler
-    assert max(v.residuals().values()) < 1e-14
+    t = flat4_triple()
+    v = fold_plan(t.chart, SamplePlan(10, 15),
+                  lambda pe: worst(*kahler_point(t, pe).values()))
+    assert v.max() <= 1e-7
+    assert v.max() < 1e-14
 
 
 def test_kahler_verdict_isolates_nonclosed_form():
@@ -170,11 +173,12 @@ def test_kahler_verdict_isolates_nonclosed_form():
     # integrability exact but makes omega non-closed
     def warp(pt):
         return 1.0 + 0.3 * jsin(pt[0])
-    v = kahler_verdict(flat4_triple(warp), SamplePlan(11, 15))
-    assert not v.is_kahler
-    assert v.compatible < 1e-12
-    assert v.integrable < 1e-12
-    assert v.closed > 1e-3
+    t = flat4_triple(warp)
+    v = fold_plan(t.chart, SamplePlan(11, 15), lambda pe: kahler_point(t, pe))
+    assert not worst(*(v.max(k) for k in v.values)) <= 1e-7
+    assert v.max("compatible") < 1e-12
+    assert v.max("integrable") < 1e-12
+    assert v.max("closed") > 1e-3
 
 
 def test_split_fundamental_restriction():
@@ -191,7 +195,7 @@ def test_split_fundamental_restriction():
     p = [0.1, 0.2, -0.3, 0.4]
     om_plus, om_minus = split_fundamental(t, proj_plus, p)
     gv, _, _ = metric_jets(t.g, p)
-    Jv, _, _ = endo_jets(t.J, p)
+    Jv, _, _ = metric_jets(t.J, p)
     om = Jv.T @ gv
     assert np.abs((om_plus + om_minus) - om).max() < 1e-14
     assert np.abs(om_plus[2:, :]).max() < 1e-14
@@ -221,6 +225,7 @@ def test_kahler_verdict_fails_on_nan_at_a_later_point():
     def warp(pt):
         n = jsize(pt)
         return jconst(float("nan") if pt[0].value == bad_x else 1.0, n)
-    v = kahler_verdict(flat4_triple(warp), plan)
-    assert not v.is_kahler
-    assert np.isnan(v.compatible)
+    t = flat4_triple(warp)
+    v = fold_plan(t.chart, plan, lambda pe: kahler_point(t, pe))
+    assert not worst(*(v.max(k) for k in v.values)) <= 1e-7
+    assert np.isnan(v.max("compatible"))

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from kahlerkit.jets import (Jet2, JetDomainError, SamplePlan, gauss_integrate,
-                            jconst, jcos, jet_dcoord, jet_eval, jexp, jinv, jlog,
+                            jconst, jcos, jet_dcoord, jexp, jinv, jlog,
                             jsin, jsqrt, jtan, pack, sample_points)
+from kahlerkit.fields import Fold, PointEval
 
 
 def fd_gradient(f, p, h=1e-4):
@@ -66,7 +67,7 @@ def test_jets_match_finite_differences():
     for fj, ff in scalar_cases():
         for _ in range(5):
             p = rng.uniform(0.3, 0.9, size=3)
-            jet = jet_eval(fj, p)
+            jet = fj(Jet2.seed(p))
             assert abs(jet.value - ff(p)) < 1e-12
             assert np.abs(jet.grad - fd_gradient(ff, p)).max() < 1e-6
             assert np.abs(jet.hess - fd_hessian(ff, p)).max() < 1e-5
@@ -143,11 +144,13 @@ def test_singular_matrix_raises():
 
 
 def test_domain_errors_carry_the_point():
-    with pytest.raises(JetDomainError) as err:
-        jet_eval(lambda x: jlog(x[0]), [-1.0, 2.0])
-    assert "-1.0" in str(err.value)
-    with pytest.raises(JetDomainError):
-        jet_eval(lambda x: jsqrt(x[0] - 5.0), [1.0])
+    # a Fold names the point where a jet operation left its domain
+    for f, p in ((lambda x: jlog(x[0]), [-1.0, 2.0]),
+                 (lambda x: jsqrt(x[0] - 5.0), [1.0])):
+        acc = Fold()
+        acc.add(PointEval(p), lambda pe: f(pe.x))
+        assert isinstance(acc.exc, JetDomainError)
+        assert acc.error.startswith("JetDomainError at point %s: " % p)
 
 
 def test_jet_dcoord_extracts_first_order_jet():
@@ -172,6 +175,13 @@ def test_gauss_integrate_jet_valued():
     out = gauss_integrate(lambda t: x[0] * t)
     assert abs(out.value - 0.4) < 1e-14
     assert abs(out.grad[0] - 0.5) < 1e-14
+
+
+def test_gauss_integrate_nonfinite_integrand_is_a_domain_error():
+    # a domain error, so a Fold ends the check at its point
+    x = Jet2.seed(np.array([0.8]))
+    with pytest.raises(JetDomainError, match="non-finite integrand"):
+        gauss_integrate(lambda t: x[0] * float("nan"))
 
 
 def test_sampling_is_deterministic_and_margined():

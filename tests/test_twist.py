@@ -6,16 +6,17 @@ import numpy as np
 import pytest
 
 from kahlerkit.jets import Jet2, JetDomainError, SamplePlan
-from kahlerkit.fields import Field, endo_jets, metric_jets, nijenhuis
-from kahlerkit.hermitian import kahler_verdict
+from kahlerkit.fields import Field, metric_jets, nijenhuis, worst
+from kahlerkit.hermitian import kahler_point
 from kahlerkit.calabi import CalabiProfile, build_calabi, disk_base
 from kahlerkit.twist import (build_twist, build_twist_fields,
                              constant_twist, coordinate_twist, mobius,
                              mobius_inv, norm_factor_expected,
                              norm_factor_measured, ricci_identity_check,
                              solve_single_twist,
-                             transverse_holomorphy_residuals, validate_twist,
+                             transverse_holomorphy_point, validate_twist,
                              zeta_duality_residual)
+from helpers import fold_plan
 
 
 def make_cal(k=1):
@@ -36,8 +37,8 @@ def test_zero_twist_is_exact_identity():
     for p in cal.chart.samples(SamplePlan(1, 5)):
         g1, _, _ = metric_jets(cal.g.fn, p)
         g2, _, _ = metric_jets(tt.g_w.fn, p)
-        J1, _, _ = endo_jets(cal.J.fn, p)
-        J2, _, _ = endo_jets(tt.J_w.fn, p)
+        J1, _, _ = metric_jets(cal.J.fn, p)
+        J2, _, _ = metric_jets(tt.J_w.fn, p)
         assert np.abs(g1 - g2).max() == 0.0
         assert np.abs(J1 - J2).max() == 0.0
 
@@ -106,32 +107,34 @@ def test_integrability_iff_transverse_holomorphy():
     plan = SamplePlan(6, 6)
     # holomorphic dependence on the base coordinate: both residuals vanish
     tw = coordinate_twist(2, 3)
-    tr = transverse_holomorphy_residuals(cal.J.fn, cal.proj_plus.fn, tw.fn,
-                                         cal.chart, plan)
-    assert tr["primary"] < 1e-12
+    tr = fold_plan(cal.chart, plan, lambda pe: transverse_holomorphy_point(
+        cal.J.fn, cal.proj_plus.fn, tw.fn, pe))
+    assert tr.max() < 1e-12
     tt = build_twist(cal, tw)
-    worst = 0.0
+    nij = 0.0
     for p in cal.chart.samples(plan):
-        worst = max(worst, np.abs(nijenhuis(tt.J_w.fn, p)).max())
-    assert worst < 1e-7
-    v = kahler_verdict(tt.triple(), SamplePlan(7, 6), tolerance=1e-7)
-    assert v.is_kahler
+        nij = max(nij, np.abs(nijenhuis(tt.J_w.fn, p)).max())
+    assert nij < 1e-7
+    t = tt.triple()
+    v = fold_plan(cal.chart, SamplePlan(7, 6), lambda pe: worst(*kahler_point(t, pe).values()))
+    assert v.max() <= 1e-7
 
     # conjugated dependence: both residuals blow up together
     twc = coordinate_twist(2, 3, conj=True)
-    trc = transverse_holomorphy_residuals(cal.J.fn, cal.proj_plus.fn, twc.fn,
-                                          cal.chart, plan)
-    assert trc["primary"] > 1.0
+    trc = fold_plan(cal.chart, plan, lambda pe: transverse_holomorphy_point(
+        cal.J.fn, cal.proj_plus.fn, twc.fn, pe))
+    assert trc.max() > 1.0
     ttc = build_twist(cal, twc)
     worstc = 0.0
     for p in cal.chart.samples(plan):
         worstc = max(worstc, np.abs(nijenhuis(ttc.J_w.fn, p)).max())
     assert worstc > 1.0
-    vc = kahler_verdict(ttc.triple(), SamplePlan(7, 6), tolerance=1e-7)
-    assert not vc.is_kahler
-    assert vc.compatible < 1e-12
-    assert vc.closed < 1e-12
-    assert vc.integrable > 1.0
+    tc = ttc.triple()
+    vc = fold_plan(cal.chart, SamplePlan(7, 6), lambda pe: kahler_point(tc, pe))
+    assert not worst(*(vc.max(k) for k in vc.values)) <= 1e-7
+    assert vc.max("compatible") < 1e-12
+    assert vc.max("closed") < 1e-12
+    assert vc.max("integrable") > 1.0
 
 
 def test_zeta_duality():
@@ -179,18 +182,17 @@ def test_validate_twist_errors():
     cal = make_cal()
     plan = SamplePlan(9, 5)
     with pytest.raises(ValueError) as e:
-        validate_twist(constant_twist(0.9999999).fn, cal.theta.fn, cal.chart, plan)
+        for p in cal.chart.samples(plan):
+            validate_twist(constant_twist(0.9999999).fn, cal.theta.fn, p)
     assert "circle" in str(e.value)
 
     def flat_theta(pt):
         n = pt[0].grad.size
         return [Jet2.const(0.0, n) for _ in range(4)]
     with pytest.raises(ValueError) as e:
-        validate_twist(constant_twist(0.1).fn, flat_theta, cal.chart, plan)
+        for p in cal.chart.samples(plan):
+            validate_twist(constant_twist(0.1).fn, flat_theta, p)
     assert "degenerate" in str(e.value)
-    # the same validation runs from build_twist when a plan is given
-    with pytest.raises(ValueError):
-        build_twist(cal, constant_twist(0.9999999), plan=plan)
 
 
 def test_plan_check_and_s_guard_share_the_disc():
@@ -199,11 +201,14 @@ def test_plan_check_and_s_guard_share_the_disc():
     cal = make_cal()
     plan = SamplePlan(9, 3)
     x = Jet2.seed(np.array([0.0, 1.0, 0.1, 0.1]))
-    inside = build_twist(cal, constant_twist(np.sqrt(1.0 - 1.5e-6)), plan=plan)
-    assert np.isfinite(inside.S.fn(x).value).all()
+    inside = constant_twist(np.sqrt(1.0 - 1.5e-6))
+    for p in cal.chart.samples(plan):
+        validate_twist(inside, cal.theta, p)
+    assert np.isfinite(build_twist(cal, inside).S.fn(x).value).all()
     outside = constant_twist(np.sqrt(1.0 - 0.5e-6))
     with pytest.raises(ValueError, match="circle"):
-        build_twist(cal, outside, plan=plan)
+        for p in cal.chart.samples(plan):
+            validate_twist(outside, cal.theta, p)
     with pytest.raises(JetDomainError, match="twist leaves the disc"):
         build_twist(cal, outside).S.fn(x)
 
