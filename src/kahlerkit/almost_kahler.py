@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from kahlerkit.jets import Jet2, jsize, jconst, jlog, jinv, jet_dcoord
-from kahlerkit.fields import (ChartManifold, Field, at, worst,
+from kahlerkit.fields import (ChartManifold, Field, at, worst, excluded,
                               exterior_from_grad, pull_back)
 from kahlerkit.hermitian import HermitianTriple, ddc_from_jets, ricci_form
 from kahlerkit.calabi import CalabiProfile, build_calabi, disk_base
@@ -80,18 +80,17 @@ def ak_invariants_point(ak, p):
     closedness and twist-invariance, and the Killing residual of the plane
     directions."""
     pe = at(p)
-    n = ak.chart.dim
     om = pe.omega(ak.g, ak.J_tilde)
-    target = np.zeros((n, n))
-    target[0, 1] = -1.0
-    target[1, 0] = 1.0
+    target = np.zeros(om.value.shape)
+    target[..., 0, 1] = -1.0
+    target[..., 1, 0] = 1.0
     zp = pe.sub(2)
-    target[2:, 2:] = zp.omega(ak.z_factor.g, ak.z_factor.J).value
+    target[..., 2:, 2:] = zp.omega(ak.z_factor.g, ak.z_factor.J).value
     gg = pe.jets(ak.g)[1]
-    return {"omega_tilde_target": np.abs(om.value - target).max(),
-            "d_omega_tilde": np.abs(exterior_from_grad(om.grad, 2)).max(),
-            "omega_tilde_invariance": np.abs(om.value - pe.omega(ak.g0, ak.Jt0).value).max(),
-            "killing": worst(np.abs(gg[:, :, 0]).max(), np.abs(gg[:, :, 1]).max())}
+    return {"omega_tilde_target": pe.absmax(om.value - target),
+            "d_omega_tilde": pe.absmax(exterior_from_grad(om.grad, 2)),
+            "omega_tilde_invariance": pe.absmax(om.value - pe.omega(ak.g0, ak.Jt0).value),
+            "killing": worst(pe.absmax(gg[..., 0]), pe.absmax(gg[..., 1]))}
 
 
 def ak3_point(ak, p):
@@ -103,11 +102,11 @@ def ak3_point(ak, p):
     def compute():
         Rlow = pe.curvature(ak.g)[0]
         RJ = pull_back(Rlow, pe.jets(ak.J_tilde)[0])
-        sc = np.abs(Rlow).max()
-        denom = sc if sc > 1e-12 else 1.0
-        return {"relative": np.abs(RJ - Rlow).max() / denom,
-                "block_plane": np.abs(Rlow[:2, :2, :2, 2:]).max() / denom,
-                "block_z": np.abs(Rlow[2:, 2:, 2:, :2]).max() / denom, "scale": sc}
+        sc = pe.absmax(Rlow)
+        denom = np.where(sc > 1e-12, sc, 1.0)
+        return {"relative": pe.absmax(RJ - Rlow) / denom,
+                "block_plane": pe.absmax(Rlow[..., :2, :2, :2, 2:]) / denom,
+                "block_z": pe.absmax(Rlow[..., 2:, 2:, 2:, :2]) / denom, "scale": sc}
     return pe.cached("ak3", (ak.g, ak.J_tilde), compute)
 
 
@@ -118,9 +117,9 @@ def eta_tensor(gfn, Jtfn, p):
     gv, gg, _ = pe.jets(gfn)
     Gam = pe.christoffel(gfn)[0]
     Jtv, Jtg, _ = pe.jets(Jtfn)
-    covJ = (np.einsum('kji->ikj', Jtg) + np.einsum('kim,mj->ikj', Gam, Jtv)
-            - np.einsum('mij,km->ikj', Gam, Jtv))
-    eta = 0.5 * np.einsum('ikm,mj->ikj', covJ, Jtv)
+    covJ = (np.einsum('...kji->...ikj', Jtg) + np.einsum('...kim,...mj->...ikj', Gam, Jtv)
+            - np.einsum('...mij,...km->...ikj', Gam, Jtv))
+    eta = 0.5 * np.einsum('...ikm,...mj->...ikj', covJ, Jtv)
     return eta, gv, gg, Jtv
 
 
@@ -128,30 +127,31 @@ def torsion_point(ak, p, dw_floor=1e-6, rank_rtol=1e-8):
     """The pointwise torsion claims at p: the derivative identity
     2 g(eta_{K_i} K_j, X) = X g(K_i, K_j), the two algebraic identities with
     J~, and, where |dw| >= dw_floor, the D- nullity, the containment of
-    eta_{D+} D+ in D- and the rank of the span of eta_{D+} D- (None below
-    the floor)."""
+    eta_{D+} D+ in D- and the rank of the span of eta_{D+} D- (excluded
+    below the floor)."""
     pe = at(p)
 
     def compute():
         n = ak.chart.dim
-        zidx = list(range(2, n))
-        dw = np.abs(pe.raw(ak.twist_full).grad).max()
+        dw = pe.absmax(pe.jets(ak.twist_full)[1])
         eta, gv, gg, Jtv = eta_tensor(ak.g, ak.J_tilde, pe)
-        prelt = (abs(2.0 * sum(gv[m, X] * eta[a, m, b] for m in range(n)) - gg[a, b, X])
-                 for a in (0, 1) for b in (0, 1) for X in zidx)
-        out = {"prelt": worst(0.0, *prelt),
-               "anticommute": np.abs(np.einsum('ikm,mj->ikj', eta, Jtv)
-                                     + np.einsum('km,imj->ikj', Jtv, eta)).max(),
-               "jshift": np.abs(np.einsum('mi,mkj->ikj', Jtv, eta)
-                                - np.einsum('ikm,mj->ikj', eta, Jtv)).max(),
-               "nullity": None, "containment": None, "rank": None}
-        if dw >= dw_floor:
-            sv = np.linalg.svd(np.stack([eta[a, :, c] for a in (0, 1) for c in zidx]),
-                               compute_uv=False)
-            out.update(nullity=np.abs(eta[zidx, :, :]).max(),
-                       containment=np.abs(eta[0:2, 0:2, 0:2]).max(),
-                       rank=int((sv > rank_rtol * sv[0]).sum()) if sv[0] > 0 else 0)
-        return out
+        # 2 g(eta_a b, X) - d_X g_ab over plane a, b and Z directions X
+        prelt = (2.0 * np.einsum('...mx,...amb->...abx', gv[..., :, 2:], eta[..., :2, :, :2])
+                 - gg[..., :2, :2, 2:])
+        keep = dw >= dw_floor
+        # rows eta_a c over plane a and Z directions c; zero below the floor,
+        # where the rank is excluded, so that the SVD never sees those points
+        rows = eta[..., :2, :, 2:].swapaxes(-1, -2).reshape(eta.shape[:-3] + (-1, n))
+        sv = np.linalg.svd(np.where(keep[..., None, None], rows, 0.0), compute_uv=False)
+        rank = np.where(sv[..., 0] > 0, (sv > rank_rtol * sv[..., :1]).sum(axis=-1), 0)
+        return {"prelt": pe.absmax(prelt),
+                "anticommute": pe.absmax(np.einsum('...ikm,...mj->...ikj', eta, Jtv)
+                                         + np.einsum('...km,...imj->...ikj', Jtv, eta)),
+                "jshift": pe.absmax(np.einsum('...mi,...mkj->...ikj', Jtv, eta)
+                                    - np.einsum('...ikm,...mj->...ikj', eta, Jtv)),
+                "nullity": excluded(~keep, pe.absmax(eta[..., 2:, :, :])),
+                "containment": excluded(~keep, pe.absmax(eta[..., :2, :2, :2])),
+                "rank": excluded(~keep, rank)}
     return pe.cached("torsion", (ak.g, ak.J_tilde, ak.twist_full, dw_floor, rank_rtol),
                      compute)
 
@@ -162,9 +162,9 @@ def einstein_point(g, p):
     pe = at(p)
     gv = pe.jets(g)[0]
     Ric = pe.curvature(g)[1]
-    lam = float(np.tensordot(Ric, gv) / np.tensordot(gv, gv))
-    return {"lambda": lam, "einstein_dev": np.abs(Ric - lam * gv).max(),
-            "ricci_max": np.abs(Ric).max()}
+    lam = np.einsum('...ij,...ij->...', Ric, gv) / np.einsum('...ij,...ij->...', gv, gv)
+    return {"lambda": lam, "einstein_dev": pe.absmax(Ric - lam[..., None, None] * gv),
+            "ricci_max": pe.absmax(Ric)}
 
 
 def subtract_fiber_logs(rho, pe, J, z_positions):
@@ -175,7 +175,7 @@ def subtract_fiber_logs(rho, pe, J, z_positions):
     for j, pos in z_positions.items():
         term = 0.5 * j * ddc_from_jets(jlog(pe.x[pos]), Jv, Jg)
         rho = rho - term
-        size = worst(size, np.abs(term).max())
+        size = worst(size, pe.absmax(term))
     return rho, size
 
 
@@ -184,7 +184,7 @@ def fiber_log_point(t, z_positions, p):
     carried by the fiber log potentials."""
     pe = at(p)
     rho = ricci_form(t, pe, check=False)
-    return np.abs(subtract_fiber_logs(rho, pe, t.J, z_positions)[0]).max()
+    return pe.absmax(subtract_fiber_logs(rho, pe, t.J, z_positions)[0])
 
 
 @dataclass
@@ -210,8 +210,8 @@ class ChainLevel:
         ddL = ddc_from_jets(jlog(1.0 - xx * xx - yy * yy), Jv, Jg)
         claimed = ricci_form(t, pe, check=False) - self.claimed_coeff * ddL
         corrected, corr_size = subtract_fiber_logs(claimed, pe, t.J, self.z_positions)
-        return {"claimed": np.abs(claimed).max(),
-                "corrected": np.abs(corrected).max(),
+        return {"claimed": pe.absmax(claimed),
+                "corrected": pe.absmax(corrected),
                 "correction_size": corr_size}
 
 
@@ -270,16 +270,14 @@ def iterate_chain(kind, m, A=-1.0, radius=0.55, z_range=(0.6, 1.8),
     return levels
 
 
-def ker_dw_projector(g, w):
-    """g-orthogonal projector field onto Ker dw1 ∩ Ker dw2 of the metric
-    field g and the twist field w (first-order jets, enough for the
-    second-fundamental-form residual)."""
-    def Qfn(pt):
-        gj = g(pt)
-        dw = jet_dcoord(w(pt))
-        ns = dw @ jinv(gj).T
-        return np.eye(gj.shape[0]) - ns.T @ jinv(dw @ ns.T) @ dw
-    return Field(Qfn, g.chart)
+def ker_dw_projector(g, w, p):
+    """Jet at p of the g-orthogonal projector onto Ker dw1 ∩ Ker dw2 of the
+    metric field g and the twist field w, from the point's memoised g^{-1}
+    (first-order jets, enough for the second-fundamental-form residual)."""
+    pe = at(p)
+    dw = jet_dcoord(pe.raw(w))
+    ns = dw @ pe.inverse(g).T
+    return np.eye(ns.shape[1]) - ns.T @ jinv(dw @ ns.T) @ dw
 
 
 def ker_dw_geodesic_residual(g, w, p):
@@ -287,7 +285,7 @@ def ker_dw_geodesic_residual(g, w, p):
     p: (1 - Q) nabla_X (Q Y) restricted to X, Y in Ker dw."""
     pe = at(p)
     Gam = pe.christoffel(g)[0]
-    Q = ker_dw_projector(g, w)(pe.x)
+    Q = ker_dw_projector(g, w, pe)
     Qv, Qg = Q.value, Q.grad
     n = Qv.shape[0]
     covQ = np.einsum('mji->mij', Qg) + np.einsum('mia,aj->mij', Gam, Qv)

@@ -145,9 +145,10 @@ def build_calabi(base, profile, alpha=None, alpha_tol=1e-7, check_count=10):
 
     alpha must satisfy d alpha = omega_N; when omitted it is produced by the
     homotopy primitive over the base chart (star-shaped domain assumed).
-    Either way |d alpha - omega_N| is checked at check_count base points: a
-    domain error there is raised, and a mismatch above alpha_tol (a base form
-    that is not closed has no primitive) raises NotClosedError.
+    Either way |d alpha - omega_N| is checked at check_count base points,
+    evaluated as one batch: a domain error there is raised (naming the first
+    point that meets it), and a mismatch above alpha_tol (a base form that is
+    not closed has no primitive) raises NotClosedError.
     """
     nb = base.chart.dim
     n = nb + 2
@@ -157,8 +158,8 @@ def build_calabi(base, profile, alpha=None, alpha_tol=1e-7, check_count=10):
     if alpha is None:
         alpha = homotopy_primitive(fundamental_form_field(base.g, base.J), base.chart)
     acc = Fold()
-    for p in base.chart.samples(SamplePlan(seed=0, count=check_count)):
-        acc.add(PointEval(p), lambda pe: alpha_primitive_point(alpha, base, pe))
+    acc.add(PointEval(base.chart.samples(SamplePlan(seed=0, count=check_count))),
+            lambda pe: alpha_primitive_point(alpha, base, pe))
     if acc.exc is not None:
         raise acc.exc
     if not acc.max() <= alpha_tol:
@@ -194,7 +195,7 @@ def alpha_primitive_point(alpha, t, p):
     """|d alpha - omega| at p for a claimed primitive alpha of t's Kähler form."""
     pe = at(p)
     ag = pe.jets(alpha)[1]
-    return np.abs((ag.T - ag) - pe.omega(t.g, t.J).value).max()
+    return pe.absmax((ag.swapaxes(-1, -2) - ag) - pe.omega(t.g, t.J).value)
 
 
 def moment_map_point(cal, p):

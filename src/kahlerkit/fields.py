@@ -8,6 +8,13 @@ curvature below is float-layer linear algebra on the packed (value, grad,
 hess) arrays, so the only differentiation ever performed is the exact jet
 propagation.
 
+A PointEval may hold a batch of points, a (B, n) stack: its coordinate jets
+are then a batched Jet2, every field runs once for the whole batch, and the
+float layer works on stacks (einsum specs with a leading "...", stacked
+np.linalg.inv), so each result carries the batch axis in front and a
+per-point function returns (B,) residual arrays.  Fold folds them, and
+replays a batch point by point when it fails.
+
 Curvature convention: R(X,Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z
 - nabla_[X,Y] Z, lowered on the last slot as R(X,Y,Z,W) = g(R(X,Y)Z, W), and
 Ricci(X,Y) = trace(Z -> R(Z,X)Y). Validated against sphere/hyperbolic oracles.
@@ -109,6 +116,7 @@ class Point(Jet2):
 
     def __init__(self, jet, memo, lifted=None):
         self.value, self.grad, self.hess = jet.value, jet.grad, jet.hess
+        self.batched = jet.batched
         self.memo = memo
         self.lifted = lifted
 
@@ -129,7 +137,17 @@ class Point(Jet2):
 
 def _restrict(j, k):
     """The jet j with its derivatives restricted to the last k coordinates."""
-    return Jet2(j.value, j.grad[..., -k:], j.hess[..., -k:, -k:])
+    return Jet2(j.value, j.grad[..., -k:], j.hess[..., -k:, -k:], j.batched)
+
+
+def _batch_of(j, batch):
+    """The jet j at each of batch points: j itself when it is batched (or
+    batch is None), else j's arrays repeated as read-only views (a field
+    that is constant on the chart comes back unbatched from its closure)."""
+    if batch is None or j.batched:
+        return j
+    return Jet2(*(np.broadcast_to(a, (batch,) + a.shape) for a in (j.value, j.grad, j.hess)),
+                batched=True)
 
 
 def omega_of(g, J):
@@ -143,16 +161,24 @@ def omega_of(g, J):
 # ---------------------------------------------------------------------------
 
 class PointEval:
-    """One sample point, seeded once.  Every field evaluated here is evaluated
-    once: its jet components, their (value, grad, hess) arrays, its
-    curvature and fundamental forms are memoised by the field's callable, and
-    library functions memoise derived results (the Lee form, the torsion
-    tensor) through cached().  Fields that builders call on x, or on a slice
-    x[k:], come from the same memo, which x carries.  Drop it before moving
-    to the next point."""
+    """One sample point, or a batch of them, seeded once.  Every field
+    evaluated here is evaluated once: its jet components, their (value, grad,
+    hess) arrays, its curvature and fundamental forms are memoised by the
+    field's callable, and library functions memoise derived results (the Lee
+    form, the torsion tensor) through cached().  Fields that builders call on
+    x, or on a slice x[k:], come from the same memo, which x carries.  Drop
+    it before moving to the next point.
+
+    p is one point (n,) or a (B, n) stack of points: batch is then B and
+    every jet and array read here carries a leading batch axis, a constant
+    field's included.  where is the point that error messages name (the
+    stack itself for a batch of more than one; Fold replays such a batch
+    point by point before it names anything)."""
 
     def __init__(self, p):
         self.p = np.asarray(p, float)
+        self.batch = len(self.p) if self.p.ndim > 1 else None
+        self.where = self.p[0] if self.batch == 1 else self.p
         self._x = None
         self._memo = {}
 
@@ -170,7 +196,13 @@ class PointEval:
 
     def raw(self, f):
         """f's components at the point, packed into one Jet2."""
-        return self.x.raw(f)
+        return _batch_of(self.x.raw(f), self.batch)
+
+    def absmax(self, x):
+        """max |x| at the point, or at each point of the batch (over every
+        axis behind the batch axis)."""
+        a = np.abs(x)
+        return a.max() if self.batch is None else a.reshape(self.batch, -1).max(axis=1)
 
     def jets(self, f):
         """The (value, grad, hess) arrays of f at the point."""
@@ -185,12 +217,13 @@ class PointEval:
 
     def christoffel(self, g):
         return self.cached("gamma", (g,),
-                           lambda: christoffel_parts(*self.jets(g), self.p))
+                           lambda: christoffel_parts(*self.jets(g), self.where))
 
     def curvature(self, g):
-        """(Riemann lowered, Ricci, scalar, g^{-1}) of the metric g."""
+        """(Riemann lowered, Ricci, scalar, g^{-1}) of the metric g, from its
+        memoised Christoffel symbols."""
         return self.cached("curv", (g,),
-                           lambda: curvature_from_jets(*self.jets(g), self.p))
+                           lambda: curvature_from_parts(self.jets(g)[0], *self.christoffel(g)))
 
     def omega(self, g, J):
         """Jet of the fundamental form of (g, J)."""
@@ -202,9 +235,9 @@ class PointEval:
         factor's derivative columns: exact, as a factor's fields do not depend
         on the coordinates before start, and each runs once per point."""
         def make():
-            pe = PointEval(self.p[start:])
+            pe = PointEval(self.p[..., start:])
             lifted = self.x[start:]
-            pe._x = Point(_restrict(lifted, lifted.value.size), pe._memo, lifted)
+            pe._x = Point(_restrict(lifted, lifted.value.shape[-1]), pe._memo, lifted)
             return pe
         return self.cached("sub", (start,), make)
 
@@ -220,18 +253,38 @@ DOMAIN_ERRORS = (JetDomainError, DegenerateMetricError, NotClosedError,
 
 
 def worst(*residuals):
-    """Largest residual, NaN included (max() drops a NaN that is not first)."""
-    return float(np.max(residuals))
+    """Largest residual (at each point of a batch), NaN included (max() drops
+    a NaN that is not first)."""
+    out = residuals[0]
+    for r in residuals[1:]:
+        out = np.maximum(out, r)
+    return out if np.ndim(out) else float(out)
+
+
+def excluded(mask, r):
+    """The residual r with the points where mask holds excluded from the
+    fold: None at a single point or where the whole batch is excluded, else
+    a batch's array, masked (np.ma) where some of its points are."""
+    if not np.ndim(r):
+        return None if mask else r
+    if mask.all():
+        return None
+    return np.ma.masked_array(r, mask) if mask.any() else r
 
 
 class Fold:
     """Per-point residuals folded over sample points.
 
     A per-point function returns one residual, None to exclude the point, or
-    a dict of named residuals (None excluding the point for that name).  The
-    fold stops at the first domain error, keeping the points before it, and
-    at the first NaN or inf residual, which it keeps as its max; either way
-    error names the point.
+    a dict of named residuals (None excluding the point for that name).  On
+    a batch (a PointEval of a (B, n) stack) each residual is a (B,) array,
+    masked where points are excluded (see excluded()).  The fold stops at the
+    first domain error, keeping the points before it, and at the first NaN or
+    inf residual, which it keeps as its max; either way error names the
+    point.  A batch of more than one point that raises a domain error or
+    yields a NaN or inf is replayed point by point, through the same
+    function on batches of one, so error, the points kept, max and mean are
+    those of a fold over single points; only failing batches pay for it.
     """
 
     def __init__(self):
@@ -247,18 +300,36 @@ class Fold:
         try:
             r = fn(pe)
         except DOMAIN_ERRORS as exc:
+            if (pe.batch or 1) > 1:
+                return self._replay(pe, fn)
             self.exc = exc
             self.error = "%s at point %s: %s" % (type(exc).__name__,
-                                                 pe.p.round(8).tolist(), exc)
+                                                 pe.where.round(8).tolist(), exc)
             return
+        items = r.items() if isinstance(r, dict) else ((None, r),)
+        if pe.batch is None:
+            return self._keep(pe.p, items)
+        cols = [(key, _per_point(val, pe.batch)) for key, val in items]
+        if pe.batch > 1 and not all(v is None or math.isfinite(v)
+                                    for _, col in cols for v in col):
+            return self._replay(pe, fn)
+        for i, p in enumerate(pe.p):
+            self._keep(p, [(key, col[i]) for key, col in cols])
+
+    def _keep(self, p, items):
+        """Record the named residuals of the point p."""
         self.points += 1
-        for key, val in (r.items() if isinstance(r, dict) else ((None, r),)):
+        for key, val in items:
             if val is None:
                 self.excluded[key] = self.excluded.get(key, 0) + 1
                 continue
             self.values.setdefault(key, []).append(float(val))
             if not math.isfinite(val):
-                self.error = "non-finite residual at point %s" % pe.p.round(8).tolist()
+                self.error = "non-finite residual at point %s" % p.round(8).tolist()
+
+    def _replay(self, pe, fn):
+        for p in pe.p:
+            self.add(PointEval(p[None]), fn)
 
     def used(self, key=None):
         return len(self.values.get(key, ()))
@@ -272,6 +343,12 @@ class Fold:
     def mean(self, key=None):
         vals = self.values.get(key)
         return sum(vals) / len(vals) if vals else 0.0
+
+
+def _per_point(val, batch):
+    """A batch's residual as a list of per-point floats, None where a point
+    is excluded (a masked entry lists as None)."""
+    return [None] * batch if val is None else np.reshape(val, batch).tolist()
 
 
 def metric_jets(g, p):
@@ -290,34 +367,47 @@ def _inverse(gv, p):
     return gi
 
 def christoffel_parts(gv, gg, gh, p=None):
-    """Gamma[k,i,j] plus its coordinate derivative dGamma[k,i,j,m] and g^{-1}."""
+    """Gamma[k,i,j] plus its coordinate derivative dGamma[k,i,j,m] and g^{-1}
+    (of each point of a batch: every array may carry leading batch axes)."""
     gi = _inverse(gv, p)
-    T = np.einsum('jli->lij', gg) + np.einsum('ilj->lij', gg) - np.einsum('ijl->lij', gg)
-    Gam = 0.5 * np.einsum('kl,lij->kij', gi, T)
-    dgi = -np.einsum('kbm,bl->klm', np.einsum('ka,abm->kbm', gi, gg), gi)
-    dT = (np.einsum('jlim->lijm', gh) + np.einsum('iljm->lijm', gh)
-          - np.einsum('ijlm->lijm', gh))
-    dGam = (0.5 * np.einsum('klm,lij->kijm', dgi, T)
-            + 0.5 * np.einsum('kl,lijm->kijm', gi, dT))
+    T = (np.einsum('...jli->...lij', gg) + np.einsum('...ilj->...lij', gg)
+         - np.einsum('...ijl->...lij', gg))
+    Gam = 0.5 * np.einsum('...kl,...lij->...kij', gi, T)
+    dgi = -np.einsum('...kbm,...bl->...klm', np.einsum('...ka,...abm->...kbm', gi, gg), gi)
+    dT = (np.einsum('...jlim->...lijm', gh) + np.einsum('...iljm->...lijm', gh)
+          - np.einsum('...ijlm->...lijm', gh))
+    dGam = (0.5 * np.einsum('...klm,...lij->...kijm', dgi, T)
+            + 0.5 * np.einsum('...kl,...lijm->...kijm', gi, dT))
     return Gam, dGam, gi
 
 
 def curvature_from_jets(gv, gg, gh, p=None):
-    Gam, dGam, gi = christoffel_parts(gv, gg, gh, p)
-    Rup = (np.einsum('ljki->lijk', dGam) - np.einsum('likj->lijk', dGam)
-           + np.einsum('lim,mjk->lijk', Gam, Gam) - np.einsum('ljm,mik->lijk', Gam, Gam))
-    Rlow = np.einsum('lm,mijk->ijkl', gv, Rup)
-    Ric = np.einsum('il,ijkl->jk', gi, Rlow)
-    scal = np.einsum('jk,jk->', gi, Ric)
+    """(Riemann lowered, Ricci, scalar, g^{-1}) from the metric's jets."""
+    return curvature_from_parts(gv, *christoffel_parts(gv, gg, gh, p))
+
+
+def curvature_from_parts(gv, Gam, dGam, gi):
+    """curvature_from_jets given the metric's value and christoffel_parts."""
+    Rup = (np.einsum('...ljki->...lijk', dGam) - np.einsum('...likj->...lijk', dGam)
+           + np.einsum('...lim,...mjk->...lijk', Gam, Gam)
+           - np.einsum('...ljm,...mik->...lijk', Gam, Gam))
+    Rlow = np.einsum('...lm,...mijk->...ijkl', gv, Rup)
+    Ric = np.einsum('...il,...ijkl->...jk', gi, Rlow)
+    scal = np.einsum('...jk,...jk->...', gi, Ric)
     return Rlow, Ric, scal, gi
 
 
 def pull_back(T, A):
-    """Components of the covariant tensor T(A., ..., A.).  Each step contracts
-    the leading slot with A and appends the result as the last slot, so a
-    k-tensor costs k n^(k+1) multiplications, not n^(2k)."""
-    for _ in range(T.ndim):
-        T = np.tensordot(T, A, axes=(0, 0))
+    """Components of the covariant tensor T(A., ..., A.) (at each point of a
+    batch: the axes of A before its last two lead T's as well).  Each step
+    contracts the leading slot with A and appends the result as the last
+    slot, so a k-tensor costs k n^(k+1) multiplications, not n^(2k)."""
+    lead = A.shape[:-2]
+    b = len(lead)
+    for _ in range(T.ndim - b):
+        s = T.shape
+        T = np.matmul(T.reshape(lead + (s[b], -1)).swapaxes(-1, -2), A)
+        T = T.reshape(lead + s[b + 1:] + A.shape[-1:])
     return T
 
 
@@ -343,10 +433,11 @@ def lie_endo_from_jets(Xv, Xg, Jv, Jg):
 
 
 def exterior_from_grad(grad, k):
-    """d of a k-form given the packed component gradients."""
+    """d of a k-form given the packed component gradients (the k form axes
+    and the derivative axis last, behind any batch axis)."""
     out = None
     for j in range(k + 1):
-        term = np.moveaxis(grad, -1, j)
+        term = np.moveaxis(grad, -1, j - k - 1)
         out = term if out is None else out + ((-1.0) ** j) * term
     return out
 

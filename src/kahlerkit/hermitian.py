@@ -73,7 +73,7 @@ def ricci_form(t, p, check=True, tol=1e-6):
 
 
 def ricci_form_from_jets(Ric, Jv):
-    return np.einsum('mi,mj->ij', Jv, Ric)
+    return np.einsum('...mi,...mj->...ij', Jv, Ric)
 
 
 def split_fundamental(t, Pp, p, tol=1e-8):
@@ -98,5 +98,6 @@ def ddc(f, J, p):
 
 
 def ddc_from_jets(fjet, Jv, Jg):
-    bg = np.einsum('mk,mi->ki', fjet.hess, Jv) + np.einsum('m,mik->ki', fjet.grad, Jg)
-    return bg - bg.T
+    bg = (np.einsum('...mk,...mi->...ki', fjet.hess, Jv)
+          + np.einsum('...m,...mik->...ki', fjet.grad, Jg))
+    return bg - bg.swapaxes(-1, -2)

@@ -8,7 +8,19 @@ rules broadcast over s, jeinsum contracts value axes by the product rule, and
 jinv inverts a matrix jet in closed form.  Curvature needs two derivatives of
 metric components, so second order is the whole story; there is no
 truncation error, only roundoff.
+
+A batched jet carries B points at once (vectorised Taylor-mode propagation):
+each of its arrays has a leading batch axis, so its value has shape (B,) + s.
+shape, len, indexing, iteration and .T act on the value axes behind the batch
+axis, so a builder closure runs unchanged on a batch.  In a binary rule a
+batched operand gets unit value axes right after its batch axis until it has
+as many as the other operand: a (B,) scalar times an (n, n) matrix
+broadcasts as it does at one point.  Unbatched jets and constant arrays
+broadcast against a batch as they are, jeinsum gives batched operands a batch
+letter, and jinv inverts the stack.
 """
+
+import functools
 
 import numpy as np
 
@@ -19,38 +31,77 @@ class JetDomainError(ValueError):
     it was raised."""
 
 
-def _outer(g):
-    """g_i g_j over the last axis, broadcast over the value axes."""
-    return g[..., :, None] * g[..., None, :]
-
-
 _new = object.__new__
 
 
-def _jet(value, grad, hess):
+def _jet(value, grad, hess, batched=False):
     """Jet2 of computed arrays, without conversion or copies."""
     j = _new(Jet2)
     j.value = value
     j.grad = grad
     j.hess = hess
+    j.batched = batched
     return j
 
 
+# A 0-d value multiplies a derivative array as it is: numpy's scalar path
+# takes half the time of broadcasting a (1,) array.
+
+def _c1(v):
+    """v against one trailing derivative axis."""
+    return v[..., None] if v.ndim else v
+
+
+def _c2(v):
+    """v against two trailing derivative axes."""
+    return v[..., None, None] if v.ndim else v
+
+
+def _outer(g):
+    """g_i g_j over the last axis, broadcast over the value axes."""
+    return g[..., :, None] * g[..., None, :]
+
+
+def _pad(j, k):
+    """The batched jet j with unit value axes inserted after its batch axis
+    until it has k value axes."""
+    d = k + 1 - j.value.ndim
+    if d <= 0:
+        return j
+    head = j.value.shape[:1] + (1,) * d
+    return _jet(j.value.reshape(head + j.value.shape[1:]),
+                j.grad.reshape(head + j.grad.shape[1:]),
+                j.hess.reshape(head + j.hess.shape[1:]), True)
+
+
+def _aligned(a, b):
+    """Jets a and b, one of them batched, with a batched one padded to the
+    other's count of value axes."""
+    ka, kb = a.value.ndim - a.batched, b.value.ndim - b.batched
+    if a.batched and ka < kb:
+        a = _pad(a, kb)
+    elif b.batched and kb < ka:
+        b = _pad(b, ka)
+    return a, b
+
+
 class Jet2:
-    """Second-order jet of an array of functions of the chart coordinates.
+    """Second-order jet of an array of functions of the chart coordinates,
+    at one point or (batched) at each of a batch of points.
 
     Indexing (``h[i][j]``, ``h[:, cols]``) and iteration act on the value
     axes.  ndarray operands defer to Jet2, so ``array * jet`` and
     ``array @ jet`` are jets.
     """
 
-    __slots__ = ("value", "grad", "hess")
+    __slots__ = ("value", "grad", "hess", "batched")
     __array_ufunc__ = None
 
-    def __init__(self, value, grad, hess):
+    def __init__(self, value, grad, hess, batched=False):
         self.value = np.asarray(value, float)
         self.grad = np.asarray(grad, float)
         self.hess = np.asarray(hess, float)
+        self.batched = batched
 
     @staticmethod
     def const(x, n):
@@ -60,20 +111,28 @@ class Jet2:
 
     @staticmethod
     def seed(p):
-        """Jet of the coordinates at p: value p, grad the identity, hess 0."""
+        """Jet of the coordinates at p: value p, grad the identity, hess 0.
+        A (B, n) stack of points seeds a batch."""
         p = np.asarray(p, float)
-        n = p.size
-        return _jet(p, np.eye(n), np.zeros((n, n, n)))
+        if p.ndim < 2:
+            n = p.size
+            return _jet(p, np.eye(n), np.zeros((n, n, n)))
+        n = p.shape[-1]
+        return _jet(p, np.broadcast_to(np.eye(n), p.shape + (n,)),
+                    np.zeros(p.shape + (n, n)), True)
 
     @property
     def shape(self):
-        return self.value.shape
+        """The shape of the value axes (behind the batch axis of a batch)."""
+        return self.value.shape[1:] if self.batched else self.value.shape
 
     def __len__(self):
-        return len(self.value)
+        return self.value.shape[1] if self.batched else len(self.value)
 
     def __getitem__(self, idx):
-        return _jet(self.value[idx], self.grad[idx], self.hess[idx])
+        if self.batched:
+            idx = (slice(None),) + (idx if isinstance(idx, tuple) else (idx,))
+        return _jet(self.value[idx], self.grad[idx], self.hess[idx], self.batched)
 
     def __iter__(self):
         return (self[i] for i in range(len(self)))
@@ -81,10 +140,10 @@ class Jet2:
     @property
     def T(self):
         """The jet of the transposed value axes."""
-        k = self.value.ndim
-        ax = tuple(range(k - 1, -1, -1))
+        b, k = int(self.batched), self.value.ndim
+        ax = tuple(range(b)) + tuple(range(k - 1, b - 1, -1))
         return _jet(self.value.transpose(ax), self.grad.transpose(ax + (k,)),
-                    self.hess.transpose(ax + (k, k + 1)))
+                    self.hess.transpose(ax + (k, k + 1)), self.batched)
 
     def _shifted(self, value, negate=False):
         """The jet of value = (+/-) self + a constant: self's derivatives
@@ -94,35 +153,61 @@ class Jet2:
         if s != self.value.shape:
             grad = np.broadcast_to(grad, s + grad.shape[-1:])
             hess = np.broadcast_to(hess, s + hess.shape[-2:])
-        return _jet(value, grad, hess)
+        return _jet(value, grad, hess, self.batched)
 
     def __add__(self, other):
         if not isinstance(other, Jet2):
+            if self.batched:
+                self = _pad(self, np.ndim(other))
             return self._shifted(self.value + other)
-        return _jet(self.value + other.value, self.grad + other.grad, self.hess + other.hess)
+        b = self.batched or other.batched
+        if b:
+            self, other = _aligned(self, other)
+        return _jet(self.value + other.value, self.grad + other.grad,
+                    self.hess + other.hess, b)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _jet(-self.value, -self.grad, -self.hess)
+        return _jet(-self.value, -self.grad, -self.hess, self.batched)
 
     def __sub__(self, other):
         if not isinstance(other, Jet2):
+            if self.batched:
+                self = _pad(self, np.ndim(other))
             return self._shifted(self.value - other)
-        return _jet(self.value - other.value, self.grad - other.grad, self.hess - other.hess)
+        b = self.batched or other.batched
+        if b:
+            self, other = _aligned(self, other)
+        return _jet(self.value - other.value, self.grad - other.grad,
+                    self.hess - other.hess, b)
 
     def __rsub__(self, other):
+        if self.batched:
+            self = _pad(self, np.ndim(other))
         return self._shifted(other - self.value, negate=True)
 
     def __mul__(self, other):
         if not isinstance(other, Jet2):
-            c = np.asarray(other, float)[..., None]
-            return _jet(self.value * other, self.grad * c, self.hess * c[..., None])
-        a, b = self.value[..., None], other.value[..., None]
+            c = np.asarray(other, float)
+            if not c.ndim:
+                return _jet(self.value * c, self.grad * c, self.hess * c, self.batched)
+            if self.batched:
+                self = _pad(self, c.ndim)
+            c = c[..., None]
+            return _jet(self.value * other, self.grad * c, self.hess * c[..., None],
+                        self.batched)
+        b = self.batched or other.batched
+        if b:
+            self, other = _aligned(self, other)
+        sv, ov = self.value, other.value
         cross = self.grad[..., :, None] * other.grad[..., None, :]
-        return _jet(self.value * other.value, a * other.grad + b * self.grad,
-                    a[..., None] * other.hess + b[..., None] * self.hess
-                    + cross + cross.swapaxes(-1, -2))
+        # the Hessian is summed in place: on a batch it is the largest array
+        hess = _c2(sv) * other.hess
+        hess += _c2(ov) * self.hess
+        hess += cross
+        hess += cross.swapaxes(-1, -2)
+        return _jet(sv * ov, _c1(sv) * other.grad + _c1(ov) * self.grad, hess, b)
 
     __rmul__ = __mul__
 
@@ -130,9 +215,10 @@ class Jet2:
         if np.count_nonzero(self.value) != self.value.size:
             raise JetDomainError("division by zero in jet arithmetic")
         iv = 1.0 / self.value
-        return _jet(iv, (-iv * iv)[..., None] * self.grad,
-                    (2.0 * iv ** 3)[..., None, None] * _outer(self.grad)
-                    - (iv * iv)[..., None, None] * self.hess)
+        iv2 = iv * iv
+        return _jet(iv, _c1(-iv2) * self.grad,
+                    _c2(2.0 * iv ** 3) * _outer(self.grad) - _c2(iv2) * self.hess,
+                    self.batched)
 
     def __truediv__(self, other):
         if not isinstance(other, Jet2):
@@ -148,7 +234,8 @@ class Jet2:
     def __pow__(self, k):
         if isinstance(k, int):
             if k == 0:
-                return Jet2.const(np.ones(self.shape), self.grad.shape[-1])
+                return _jet(np.ones(self.value.shape), np.zeros(self.grad.shape),
+                            np.zeros(self.hess.shape), self.batched)
             base = self if k > 0 else self.inv()
             out = base
             for _ in range(abs(k) - 1):
@@ -174,26 +261,23 @@ def _check_positive(u, what):
 def jlog(u):
     _check_positive(u, "log")
     iv = 1.0 / u.value
-    return _jet(np.log(u.value), iv[..., None] * u.grad,
-                iv[..., None, None] * u.hess - (iv * iv)[..., None, None] * _outer(u.grad))
+    return _jet(np.log(u.value), _c1(iv) * u.grad,
+                _c2(iv) * u.hess - _c2(iv * iv) * _outer(u.grad), u.batched)
 
 
 def jexp(u):
     e = np.exp(u.value)
-    c = e[..., None]
-    return _jet(e, c * u.grad, c[..., None] * (u.hess + _outer(u.grad)))
+    return _jet(e, _c1(e) * u.grad, _c2(e) * (u.hess + _outer(u.grad)), u.batched)
 
 
 def jsin(u):
     s, c = np.sin(u.value), np.cos(u.value)
-    return _jet(s, c[..., None] * u.grad,
-                c[..., None, None] * u.hess - s[..., None, None] * _outer(u.grad))
+    return _jet(s, _c1(c) * u.grad, _c2(c) * u.hess - _c2(s) * _outer(u.grad), u.batched)
 
 
 def jcos(u):
     s, c = np.sin(u.value), np.cos(u.value)
-    return _jet(c, -s[..., None] * u.grad,
-                -s[..., None, None] * u.hess - c[..., None, None] * _outer(u.grad))
+    return _jet(c, _c1(-s) * u.grad, _c2(-s) * u.hess - _c2(c) * _outer(u.grad), u.batched)
 
 
 def jtan(u):
@@ -215,54 +299,75 @@ jconst = Jet2.const
 def jsize(pt):
     """Jet dimension of a seeded point (may exceed the field's own slot count
     when a low-dimensional field is embedded in a larger chart)."""
-    return pt[0].grad.size
+    return pt.grad.shape[-1]
+
+
+# The batch axis's letter in jeinsum's specs, which use lowercase letters.
+_BATCH = "Z"
+
+
+@functools.lru_cache(maxsize=None)
+def _specs(spec, ja, jb, ba, bb):
+    """The einsum specs of jeinsum(spec, a, b): value, left and right product
+    rule terms and the cross term.  ja and jb mark jet operands, ba and bb
+    batched ones."""
+    ins, out = spec.split("->")
+    sa, sb = ins.split(",")
+    if ba or bb:
+        sa = _BATCH + sa if ba else sa
+        sb = _BATCH + sb if bb else sb
+        out = _BATCH + out
+    return (f"{sa},{sb}->{out}", f"{sa}...,{sb}->{out}...",
+            f"{sa},{sb}...->{out}...", f"{sa}...,{sb}...->{out}...")
 
 
 def jeinsum(spec, a, b):
     """np.einsum(spec, a, b) over the value axes of two jets (one of them may
     be a plain array), differentiated by the product rule.  spec is an
     explicit two-operand einsum spec such as "ij,jk->ik"; the derivative axes
-    ride along as the einsum ellipsis."""
-    ins, out = spec.split("->")
-    sa, sb = ins.split(",")
+    ride along as the einsum ellipsis, and a batched operand's batch axis as
+    one more letter."""
     ja, jb = isinstance(a, Jet2), isinstance(b, Jet2)
     av = a.value if ja else np.asarray(a, float)
     bv = b.value if jb else np.asarray(b, float)
-    grad = hess = 0.0
+    ba, bb = ja and a.batched, jb and b.batched
+    value, left, right, cross = _specs(spec, ja, jb, ba, bb)
     if ja:
-        left = f"{sa}...,{sb}->{out}..."
         grad, hess = np.einsum(left, a.grad, bv), np.einsum(left, a.hess, bv)
-    if jb:
-        right = f"{sa},{sb}...->{out}..."
-        grad = grad + np.einsum(right, av, b.grad)
-        hess = hess + np.einsum(right, av, b.hess)
-    if ja and jb:
-        c = np.einsum(f"{sa}...,{sb}...->{out}...", a.grad[..., :, None], b.grad[..., None, :])
-        hess = hess + c + c.swapaxes(-1, -2)
-    return _jet(np.einsum(spec, av, bv), grad, hess)
+        if jb:
+            # summed in place: a batch's Hessians are the largest arrays
+            grad += np.einsum(right, av, b.grad)
+            hess += np.einsum(right, av, b.hess)
+            c = np.einsum(cross, a.grad[..., :, None], b.grad[..., None, :])
+            hess += c
+            hess += c.swapaxes(-1, -2)
+    else:
+        grad, hess = np.einsum(right, av, b.grad), np.einsum(right, av, b.hess)
+    return _jet(np.einsum(value, av, bv), grad, hess, ba or bb)
 
 
 _MATMUL = {(1, 1): "i,i->", (1, 2): "j,jk->k", (2, 1): "ij,j->i", (2, 2): "ij,jk->ik"}
 
 
 def _matmul_spec(a, b):
-    return _MATMUL[np.ndim(a.value if isinstance(a, Jet2) else a),
-                   np.ndim(b.value if isinstance(b, Jet2) else b)]
+    return _MATMUL[a.value.ndim - a.batched if isinstance(a, Jet2) else np.ndim(a),
+                   b.value.ndim - b.batched if isinstance(b, Jet2) else np.ndim(b)]
 
 
 def jinv(A):
-    """Closed-form inverse of a square matrix jet A:
-    value A^{-1}, grad_m -A^{-1} (d_m A) A^{-1}, and hess_mp
+    """Closed-form inverse of a square matrix jet A (of each matrix of a
+    batch): value A^{-1}, grad_m -A^{-1} (d_m A) A^{-1}, and hess_mp
     A^{-1} (d_m A) A^{-1} (d_p A) A^{-1} + (m <-> p) - A^{-1} (d_m d_p A) A^{-1}."""
     try:
         Ai = np.linalg.inv(A.value)
     except np.linalg.LinAlgError:
         raise JetDomainError("singular jet matrix") from None
-    X = np.einsum("ik,kjm->ijm", Ai, A.grad)
-    grad = -np.einsum("ikm,kj->ijm", X, Ai)
-    c = -np.einsum("ikm,kjp->ijmp", X, grad)
-    H = np.einsum("ikmp,kj->ijmp", np.einsum("ik,kjmp->ijmp", Ai, A.hess), Ai)
-    return _jet(Ai, grad, c + c.swapaxes(-1, -2) - H)
+    X = np.einsum("...ik,...kjm->...ijm", Ai, A.grad)
+    grad = -np.einsum("...ikm,...kj->...ijm", X, Ai)
+    c = -np.einsum("...ikm,...kjp->...ijmp", X, grad)
+    hess = c + c.swapaxes(-1, -2)
+    hess -= np.einsum("...ikmp,...kj->...ijmp", np.einsum("...ik,...kjmp->...ijmp", Ai, A.hess), Ai)
+    return _jet(Ai, grad, hess, A.batched)
 
 
 def jet_dcoord(u, k=slice(None)):
@@ -273,12 +378,14 @@ def jet_dcoord(u, k=slice(None)):
     value and grad."""
     n = u.grad.shape[-1]
     value = u.grad[..., k]
-    return _jet(value, u.hess[..., k, :], np.zeros(value.shape + (n, n)))
+    return _jet(value, u.hess[..., k, :], np.zeros(value.shape + (n, n)), u.batched)
 
 
 def pack(M):
     """Jets nested in lists (a vector, matrix or k-form of components) stacked
-    into one Jet2 of the nesting shape; a Jet2 comes back as it is."""
+    into one Jet2 of the nesting shape; a Jet2 comes back as it is.  If any
+    component is batched the result is, with the unbatched ones repeated
+    over the batch."""
     if isinstance(M, Jet2):
         return M
     shape, flat = [len(M)], list(M)
@@ -286,9 +393,19 @@ def pack(M):
         shape.append(len(flat[0]))
         flat = [e for row in flat for e in row]
     s = tuple(shape) + flat[0].shape
-    return _jet(np.array([e.value for e in flat]).reshape(s),
-                np.array([e.grad for e in flat]).reshape(s + flat[0].grad.shape[-1:]),
-                np.array([e.hess for e in flat]).reshape(s + flat[0].hess.shape[-2:]))
+    n = flat[0].grad.shape[-1:]
+    batch = next((e.value.shape[:1] for e in flat if e.batched), ())
+    if not batch:
+        return _jet(np.array([e.value for e in flat]).reshape(s),
+                    np.array([e.grad for e in flat]).reshape(s + n),
+                    np.array([e.hess for e in flat]).reshape(s + n + n))
+
+    def stacked(arrays, extra):
+        full = batch + flat[0].shape + extra
+        return np.stack([np.broadcast_to(a, full) for a in arrays],
+                        axis=1).reshape(batch + s + extra)
+    return _jet(stacked([e.value for e in flat], ()), stacked([e.grad for e in flat], n),
+                stacked([e.hess for e in flat], n + n), True)
 
 
 # ---------------------------------------------------------------------------

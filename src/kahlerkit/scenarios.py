@@ -82,10 +82,13 @@ class Check:
 
 @dataclass
 class Case:
+    """A built scenario.  batched cases evaluate each chart's whole sample
+    plan as one batch; the others walk it point by point."""
     label: str
     chart: ChartManifold
     metric: Field
     checks: list
+    batched: bool = False
 
 
 @dataclass
@@ -166,12 +169,18 @@ def _twist_from_spec(spec, dim):
 
 def _worst_of(point, *keys):
     """Per-point residual: the worst of the named residuals of point(pe), or
-    None where the point is excluded from them."""
+    None where the point is excluded from them (masked on a batch)."""
     def at(pe):
         res = point(pe)
         vals = [res[k] for k in keys]
-        return None if None in vals else worst(*vals)
+        return None if any(v is None for v in vals) else worst(*vals)
     return at
+
+
+def _axes(R, *order):
+    """R.transpose(order) on the trailing axes, behind any batch axis."""
+    k = R.ndim - len(order)
+    return R.transpose(tuple(range(k)) + tuple(k + a for a in order))
 
 
 def _on(chart):
@@ -194,11 +203,11 @@ def _make_flat(params):
     check = _on(chart)
     checks = [
         check("curvature_zero", "Riemann tensor of the Euclidean metric vanishes",
-              1e-11, lambda pe: np.abs(pe.curvature(metric)[0]).max()),
+              1e-11, lambda pe: pe.absmax(pe.curvature(metric)[0])),
         check("ricci_zero", "Ricci tensor of the Euclidean metric vanishes",
-              1e-11, lambda pe: np.abs(pe.curvature(metric)[1]).max()),
+              1e-11, lambda pe: pe.absmax(pe.curvature(metric)[1])),
     ]
-    return Case("Euclidean R^%d" % dim, chart, metric, checks)
+    return Case("Euclidean R^%d" % dim, chart, metric, checks, batched=True)
 
 
 # ---------------------------------------------------------------------------
@@ -211,18 +220,19 @@ def _make_sphere(params):
     metric = Field(lambda pt: np.diag([1.0, 0.0]) + jsin(pt[0]) ** 2 * np.diag([0.0, 1.0]),
                    chart)
 
+    def scale(pe):
+        return np.maximum(pe.absmax(pe.curvature(metric)[0]), 1e-12)
+
     def sym_at(pe):
         R = pe.curvature(metric)[0]
-        sc = max(np.abs(R).max(), 1e-12)
-        r1 = np.abs(R + R.transpose(1, 0, 2, 3)).max()
-        r2 = np.abs(R + R.transpose(0, 1, 3, 2)).max()
-        r3 = np.abs(R - R.transpose(2, 3, 0, 1)).max()
-        return worst(r1, r2, r3) / sc
+        r1 = pe.absmax(R + _axes(R, 1, 0, 2, 3))
+        r2 = pe.absmax(R + _axes(R, 0, 1, 3, 2))
+        r3 = pe.absmax(R - _axes(R, 2, 3, 0, 1))
+        return worst(r1, r2, r3) / scale(pe)
 
     def bianchi_at(pe):
         R = pe.curvature(metric)[0]
-        sc = max(np.abs(R).max(), 1e-12)
-        return np.abs(R + R.transpose(1, 2, 0, 3) + R.transpose(2, 0, 1, 3)).max() / sc
+        return pe.absmax(R + _axes(R, 1, 2, 0, 3) + _axes(R, 2, 0, 1, 3)) / scale(pe)
 
     check = _on(chart)
     checks = [
@@ -234,7 +244,7 @@ def _make_sphere(params):
         check("bianchi_first", "cyclic sum over the first three slots vanishes",
               1e-9, bianchi_at),
     ]
-    return Case("unit 2-sphere", chart, metric, checks)
+    return Case("unit 2-sphere", chart, metric, checks, batched=True)
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +426,7 @@ def _make_ak(params):
             "Ricci form of the product equals the fiber log potential terms",
             1e-6, lambda pe: fiber_log_point(ak.triple(), zpos_product, pe)))
     return Case("R^2 x " + zt.chart.label + " [" + tw.label + ", mode " + mode + "]",
-                ak.chart, ak.g, checks)
+                ak.chart, ak.g, checks, batched=True)
 
 
 # ---------------------------------------------------------------------------
@@ -609,10 +619,12 @@ def run_scenario_obj(scn, tol_override=None, case=None):
         for chart, _ in ck.parts:
             if all(chart is not seen for seen in charts):
                 charts.append(chart)
-    # one PointEval per sample point feeds every check on that chart; a chain
-    # level is skipped once an earlier level of the same check has an error
+    # one PointEval per sample point (per chart, holding all its samples, for
+    # a batched case) feeds every check on that chart; a chain level is
+    # skipped once an earlier level of the same check has an error
     for chart in charts:
-        for p in chart.samples(plan):
+        samples = chart.samples(plan)
+        for p in ([samples] if case.batched else samples):
             pe = PointEval(p)
             for ck, fs in zip(case.checks, folds):
                 for k, (c, at) in enumerate(ck.parts):

@@ -85,19 +85,20 @@ def make_sfield(J, Pp, w, theta, chart=None):
     The D+ frame dual to {theta, -theta o J} is built from the first two
     projector columns; a degenerate frame surfaces as a singular 2x2 solve.
     Every twisted field reads S, so the disc guard |w|^2 <= DISC sits here.
+    On a batch both guards test every point and name the worst one.
     """
     def sfield(pt):
         th = theta(pt)
         e2 = -(th @ J(pt))
         v = Pp(pt)[:, :2]
         E = pack([th, e2]) @ v
-        det = abs(np.linalg.det(E.value))
-        if det < 1e-12:
-            raise JetDomainError("degenerate twist frame (|det E| = %.2e)" % det)
+        det = np.abs(np.linalg.det(E.value))
+        if (det < 1e-12).any():
+            raise JetDomainError("degenerate twist frame (|det E| = %.2e)" % det.min())
         wj = w(pt)
         ww = _norm2(wj)
-        if ww.value > DISC:
-            raise JetDomainError("twist leaves the disc: |w|^2 = %.8f" % ww.value)
+        if (ww.value > DISC).any():
+            raise JetDomainError("twist leaves the disc: |w|^2 = %.8f" % ww.value.max())
         w1, w2 = wj
         return (v @ jinv(E)) @ pack([w1 * th + w2 * e2, w2 * th - w1 * e2])
     return Field(sfield, chart)

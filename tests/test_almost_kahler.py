@@ -273,10 +273,10 @@ def test_ker_dw_projector_properties():
         g[3][3] = jconst(1.0, n) + pt[2] * pt[2]
         return g
     tw = coordinate_twist(2, 3)
-    Qfn = ker_dw_projector(Field(gfn, chart), tw)
+    g = Field(gfn, chart)
     for p in chart.samples(SamplePlan(19, 5)):
         x = Jet2.seed(np.asarray(p, float))
-        Q = Qfn(x)
+        Q = ker_dw_projector(g, tw, p)
         Qv = np.array([[e.value for e in row] for row in Q])
         gv, _, _ = metric_jets(gfn, p)
         assert np.abs(Qv @ Qv - Qv).max() < 1e-12
@@ -293,9 +293,8 @@ def test_ker_dw_projector_rejects_constant_map():
         n = jsize(pt)
         g = [[jconst(1.0 if i == j else 0.0, n) for j in range(4)] for i in range(4)]
         return g
-    Qfn = ker_dw_projector(Field(gfn), constant_twist(0.2, 0.1))
     with pytest.raises(JetDomainError):
-        Qfn(Jet2.seed(np.array([0.5, 0.5, 0.5, 0.5])))
+        ker_dw_projector(Field(gfn), constant_twist(0.2, 0.1), np.array([0.5, 0.5, 0.5, 0.5]))
 
 
 def test_eta_tensor_vanishes_for_untwisted_product():

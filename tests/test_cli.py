@@ -8,6 +8,7 @@ from the printed JSON.
 import json
 import os
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -497,7 +498,30 @@ def test_bench_writes_the_medians_of_each_scenario(tmp_path, monkeypatch, capsys
         assert sum(row["checks_s"].values()) <= row["run_s"] + 1e-5
 
 
-@pytest.mark.parametrize("label", ["pr4", "pr5"])
+def test_field_clock_charges_a_batch_field_run_to_fields():
+    # a batched case runs each field once for the whole plan; the clock must
+    # charge that run to fields_s, inside the check time that read it
+    scn = load_scenario("flat")
+    case = build_case(scn)
+    fn, runs = case.metric.fn, []
+
+    def slow_metric(pt):
+        runs.append(pt.value.shape)
+        time.sleep(0.05)
+        return fn(pt)
+    case.metric.fn = slow_metric
+    raw = kahlerkit.cli.Point.raw
+    with kahlerkit.cli._FieldClock() as clock:
+        report = run_scenario_obj(scn, case=case)
+    assert kahlerkit.cli.Point.raw is raw
+    assert runs == [(scn.count, 3)]
+    checks = report["timings_seconds"]
+    assert 0.05 <= clock.seconds <= sum(checks.values())
+    # the first check to read the metric runs it; the second reads the memo
+    assert checks["curvature_zero"] >= 0.05 > checks["ricci_zero"]
+
+
+@pytest.mark.parametrize("label", ["pr4", "pr5", "pr7"])
 def test_committed_bench_lists_every_bundled_scenario_and_check(label):
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     with open(os.path.join(root, "BENCH_%s.json" % label), encoding="utf-8") as fh:

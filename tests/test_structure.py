@@ -1,11 +1,17 @@
-"""Structural guards: where the library walks a sample plan, and the README's
-library example run as written."""
+"""Structural guards: where the library walks a sample plan, how often the
+batched cases seed, and the README's library example run as written."""
 
 import ast
 import contextlib
 import io
 import os
 import re
+
+import numpy as np
+import pytest
+
+from kahlerkit.jets import Jet2
+from kahlerkit.scenarios import build_case, load_scenario, run_scenario_obj
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src", "kahlerkit")
@@ -42,3 +48,22 @@ def test_readme_library_example_runs():
         exec(compile(code, "README.md", "exec"), scope)
     assert out.getvalue().startswith("True ")
     assert set(scope["residuals"]) == {"compatible", "closed", "integrable"}
+
+
+@pytest.mark.parametrize("name", ["flat", "sphere", "ak_flat", "ak_disk", "ak_disk_chain2"])
+def test_batched_cases_seed_each_chart_once_per_plan(name, monkeypatch):
+    # the flat, sphere and ak_product cases evaluate a chart's whole sample
+    # plan as one batch: one seeding per chart, whatever the sample count
+    scn = load_scenario(name)
+    case = build_case(scn)
+    seeds = []
+    seed = Jet2.seed
+
+    def counting(p):
+        seeds.append(np.shape(p))
+        return seed(p)
+    monkeypatch.setattr(Jet2, "seed", staticmethod(counting))
+    run_scenario_obj(scn, case=case)
+    charts = {id(chart) for ck in case.checks for chart, _ in ck.parts}
+    assert len(charts) == 1
+    assert seeds == [(scn.count, case.chart.dim)]
