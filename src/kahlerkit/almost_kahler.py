@@ -287,7 +287,7 @@ def ker_dw_geodesic_residual(g, w, p):
     Gam = pe.christoffel(g)[0]
     Q = ker_dw_projector(g, w, pe)
     Qv, Qg = Q.value, Q.grad
-    n = Qv.shape[0]
-    covQ = np.einsum('mji->mij', Qg) + np.einsum('mia,aj->mij', Gam, Qv)
-    B = np.einsum('km,mij->kij', np.eye(n) - Qv, covQ)
-    return np.abs(Qv.T @ B @ Qv).max()
+    covQ = np.einsum('...mji->...mij', Qg) + np.einsum('...mia,...aj->...mij', Gam, Qv)
+    B = np.einsum('...km,...mij->...kij', np.eye(Qv.shape[-1]) - Qv, covQ)
+    Qe = Qv[..., None, :, :]
+    return pe.absmax(Qe.swapaxes(-1, -2) @ B @ Qe)

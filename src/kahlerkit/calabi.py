@@ -16,7 +16,7 @@ iota_{d/ds} omega_J = -dz.  I0 = J (1 - 2 P+) flips J on the fiber span
 """
 
 from dataclasses import dataclass
-from math import comb, exp, log
+from math import comb, log
 
 import numpy as np
 
@@ -49,10 +49,10 @@ class CalabiProfile:
         return -1.0 / self.A
 
     def moment_map_G(self, r):
-        return self.A * log(r)
+        return self.A * np.log(r)
 
     def r_of_z(self, z):
-        return exp(z / self.A)
+        return np.exp(z / self.A)
 
     def G_prime(self, r):
         return self.A / r
@@ -201,9 +201,10 @@ def alpha_primitive_point(alpha, t, p):
 def moment_map_point(cal, p):
     """|iota_{d/ds} omega_J + dz| at p (the flow is Hamiltonian with moment
     map -z in these conventions)."""
+    pe = at(p)
     want = np.zeros(cal.chart.dim)
     want[1] = -1.0
-    return np.abs(at(p).omega(cal.g, cal.J).value[0, :] - want).max()
+    return pe.absmax(pe.omega(cal.g, cal.J).value[..., 0, :] - want)
 
 
 def volume_checks(cal, p):
@@ -213,25 +214,26 @@ def volume_checks(cal, p):
     pe = at(p)
     m = cal.m
     n = cal.chart.dim
-    lhs = wedge_top([pe.omega(cal.g, cal.J).value] * m)
+    om = pe.omega(cal.g, cal.J).value
+    lhs = wedge_top([om] * m)
 
     base = pe.sub(2)
-    omN = np.zeros((n, n))
-    omN[2:, 2:] = base.omega(cal.base.g, cal.base.J).value
-    Th = np.zeros(n)
-    Th[0] = 1.0
-    Th[2:] = base.jets(cal.alpha)[0]
+    omN = np.zeros_like(om)
+    omN[..., 2:, 2:] = base.omega(cal.base.g, cal.base.J).value
+    Th = np.zeros(om.shape[:-1])
+    Th[..., 0] = 1.0
+    Th[..., 2:] = base.jets(cal.alpha)[0]
     dz = np.zeros(n)
     dz[1] = 1.0
-    z = pe.p[1]
-    dzTh = np.outer(dz, Th) - np.outer(Th, dz)
+    z = pe.p[..., 1]
+    dzTh = dz[:, None] * Th[..., None, :] - Th[..., :, None] * dz
     rhs_z = m * z ** (m - 1) * wedge_top([dzTh] + [omN] * (m - 1))
 
     prof = cal.profile
     r = prof.r_of_z(z)
     Gp = prof.G_prime(r)
-    dr = dz / Gp
-    Thdr = np.outer(Th, dr) - np.outer(dr, Th)
+    dr = dz / Gp[..., None]
+    Thdr = Th[..., :, None] * dr[..., None, :] - dr[..., :, None] * Th[..., None, :]
     rhs_r = -m * prof.moment_map_G(r) ** (m - 1) * Gp * wedge_top([omN] * (m - 1) + [Thdr])
 
     return {"pfaffian": lhs, "z_form": rhs_z, "r_form": rhs_r,

@@ -8,12 +8,14 @@ curvature below is float-layer linear algebra on the packed (value, grad,
 hess) arrays, so the only differentiation ever performed is the exact jet
 propagation.
 
-A PointEval may hold a batch of points, a (B, n) stack: its coordinate jets
-are then a batched Jet2, every field runs once for the whole batch, and the
-float layer works on stacks (einsum specs with a leading "...", stacked
-np.linalg.inv), so each result carries the batch axis in front and a
-per-point function returns (B,) residual arrays.  Fold folds them, and
-replays a batch point by point when it fails.
+A PointEval holds one point (n,) or a batch of points, a (B, n) stack: its
+coordinate jets are then a batched Jet2, every field runs once for the whole
+batch, and the float layer works on stacks (einsum specs with a leading
+"...", stacked np.linalg.inv), so each result carries the batch axis in front
+and a per-point function returns (B,) residual arrays.  The scenario runner
+evaluates every chart's sample plan as one batch; Fold folds the residuals,
+and replays a batch point by point when it fails.  A bare point is what
+one-point library calls and `kahlerkit curvature` evaluate.
 
 Curvature convention: R(X,Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z
 - nabla_[X,Y] Z, lowered on the last slot as R(X,Y,Z,W) = g(R(X,Y)Z, W), and
@@ -43,6 +45,10 @@ class AlmostComplexError(ValueError):
 
 
 class CompatibilityError(ValueError):
+    pass
+
+
+class NotKahlerError(ValueError):
     pass
 
 
@@ -249,7 +255,8 @@ def at(p):
 
 
 DOMAIN_ERRORS = (JetDomainError, DegenerateMetricError, NotClosedError,
-                 AlmostComplexError, CompatibilityError, np.linalg.LinAlgError)
+                 AlmostComplexError, CompatibilityError, NotKahlerError,
+                 np.linalg.LinAlgError)
 
 
 def worst(*residuals):
@@ -426,9 +433,9 @@ def lie_derivative_metric(g, V, p):
 
 def lie_endo_from_jets(Xv, Xg, Jv, Jg):
     """(L_X J)^k_j = X^m d_m J^k_j - J^m_j d_m X^k + J^k_m d_j X^m."""
-    t1 = np.einsum('m,kjm->kj', Xv, Jg)
-    t2 = np.einsum('mj,km->kj', Jv, Xg)
-    t3 = np.einsum('km,mj->kj', Jv, Xg)
+    t1 = np.einsum('...m,...kjm->...kj', Xv, Jg)
+    t2 = np.einsum('...mj,...km->...kj', Jv, Xg)
+    t3 = np.einsum('...km,...mj->...kj', Jv, Xg)
     return t1 - t2 + t3
 
 
@@ -444,8 +451,9 @@ def exterior_from_grad(grad, k):
 
 def wedge12(theta, om):
     """(theta ^ om)_ijk of a 1-form and a 2-form."""
-    return (np.einsum('i,jk->ijk', theta, om) - np.einsum('j,ik->ijk', theta, om)
-            + np.einsum('k,ij->ijk', theta, om))
+    return (np.einsum('...i,...jk->...ijk', theta, om)
+            - np.einsum('...j,...ik->...ijk', theta, om)
+            + np.einsum('...k,...ij->...ijk', theta, om))
 
 
 def exterior_derivative(omega, p, dim=None):
@@ -463,10 +471,10 @@ def exterior_derivative(omega, p, dim=None):
 
 def nijenhuis_from_jets(Jv, Jg):
     """N^k_ij with Jg[k,j,m] = d_m J^k_j; zero iff the structure is integrable."""
-    t1 = np.einsum('mi,kjm->kij', Jv, Jg)
-    t2 = np.einsum('mj,kim->kij', Jv, Jg)
-    t3 = np.einsum('km,mij->kij', Jv, Jg)
-    t4 = np.einsum('km,mji->kij', Jv, Jg)
+    t1 = np.einsum('...mi,...kjm->...kij', Jv, Jg)
+    t2 = np.einsum('...mj,...kim->...kij', Jv, Jg)
+    t3 = np.einsum('...km,...mij->...kij', Jv, Jg)
+    t4 = np.einsum('...km,...mji->...kij', Jv, Jg)
     return t1 - t2 + t3 - t4
 
 
@@ -474,11 +482,10 @@ def nijenhuis(J, p, check=True, tol=1e-8):
     pe = at(p)
     Jv, Jg, _ = pe.jets(J)
     if check:
-        d = Jv.shape[0]
-        sq = np.abs(Jv @ Jv + np.eye(d)).max()
-        if sq > tol:
-            raise AlmostComplexError(
-                f"endomorphism square differs from -1 by {sq:.2e} at {pe.p.tolist()}")
+        sq = pe.absmax(Jv @ Jv + np.eye(Jv.shape[-1]))
+        if np.any(sq > tol):
+            raise AlmostComplexError(f"endomorphism square differs from -1 by "
+                                     f"{np.max(sq):.2e} at {pe.where.tolist()}")
     return nijenhuis_from_jets(Jv, Jg)
 
 
@@ -530,17 +537,17 @@ def _matchings(n):
 
 def wedge_top(two_forms):
     """Coefficient of e_0^...^e_{2m-1} in beta_1 ^ ... ^ beta_m (each a 2-form
-    value array on a 2m-dimensional chart): the signed sum over the perfect
-    matchings of the 2m indices of the permanent of beta_i on the matched
-    pairs."""
+    value array on a 2m-dimensional chart, or a stack of them, one per point
+    of a batch): the signed sum over the perfect matchings of the 2m indices
+    of the permanent of beta_i on the matched pairs."""
     m = len(two_forms)
-    n = two_forms[0].shape[0]
+    n = two_forms[0].shape[-1]
     if n != 2 * m:
         raise ValueError("wedge_top needs m two-forms on a 2m-dimensional chart")
     signs, first, second, slots = _matchings(n)
-    B = np.stack(two_forms)
-    # A[i, M, j] = beta_i on pair j of matching M; the permanent sums
-    # prod_i A[i, M, s(i)] over the assignments s of pairs to forms
-    A = B[:, first, second]
-    perm = A[np.arange(m), :, slots].prod(axis=1).sum(axis=0)
-    return float(signs @ perm)
+    B = np.stack(two_forms, axis=-3)
+    # A[..., i, M, j] = beta_i on pair j of matching M; the permanent sums
+    # prod_i A[..., i, M, s(i)] over the assignments s of pairs to forms
+    A = B[..., first, second]
+    perm = A[..., np.arange(m), :, slots].prod(axis=1).sum(axis=0)
+    return perm @ signs

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from kahlerkit.jets import jeinsum, jet_dcoord, jinv
-from kahlerkit.fields import (at, worst, lie_endo_from_jets,
+from kahlerkit.jets import Jet2, jeinsum, jet_dcoord, jinv
+from kahlerkit.fields import (at, worst, excluded, lie_endo_from_jets,
                               exterior_from_grad, wedge12)
 
 VERDICT_HOLOMORPHIC = "holomorphic"
@@ -41,15 +41,26 @@ class FoliationReport:
 def _frame_columns(Pv, tol=1e-8):
     """Two column indices of the rank-2 projector giving a well-conditioned
     D+ frame: the first pair (i, j), i < j, with the largest Gram determinant
-    G_ii G_jj - G_ij^2 of its columns, G = P^T P."""
-    G = Pv.T @ Pv
-    d = np.diag(G)
-    i, j = np.triu_indices(len(d), 1)
-    det = np.abs(d[i] * d[j] - G[i, j] ** 2)
-    if not det.size or det.max() < tol:
+    G_ii G_jj - G_ij^2 of its columns, G = P^T P (on a stack of projectors,
+    each one's pair, as two index arrays)."""
+    G = Pv.swapaxes(-1, -2) @ Pv
+    d = np.diagonal(G, axis1=-2, axis2=-1)
+    i, j = np.triu_indices(d.shape[-1], 1)
+    det = np.abs(d[..., i] * d[..., j] - G[..., i, j] ** 2)
+    if not det.shape[-1] or np.any(det.max(axis=-1) < tol):
         raise ValueError("projector has rank below two")
-    best = det.argmax()
-    return int(i[best]), int(j[best])
+    best = det.argmax(axis=-1)
+    return (i[best], j[best]) if best.ndim else (int(i[best]), int(j[best]))
+
+
+def _frame(P):
+    """The jet of the two D+ frame columns of the projector jet P (at each
+    point of a batch, that point's _frame_columns), and their indices."""
+    cols = _frame_columns(P.value)
+    idx = np.stack(cols, axis=-1)[..., None, :]
+    V = [np.take_along_axis(a, idx.reshape(idx.shape + (1,) * (a.ndim - idx.ndim)), idx.ndim - 1)
+         for a in (P.value, P.grad, P.hess)]
+    return Jet2(*V, P.batched), cols
 
 
 def theta_jets(t, Pp, p):
@@ -63,9 +74,7 @@ def theta_jets(t, Pp, p):
     g = pe.raw(t.g)
     P = pe.raw(Pp)
     n = g.shape[0]
-    Pv = P.value
-    cols = _frame_columns(Pv)
-    V = P[:, list(cols)]
+    V, cols = _frame(P)
     # (L_V g)_ij for each frame column V, as first-order jets: the
     # v-derivatives of g and V come from the jet grads
     dV = jet_dcoord(V)
@@ -73,9 +82,10 @@ def theta_jets(t, Pp, p):
          + jeinsum("ik,kaj->aij", g, dV))
     thetaV = jeinsum("aij,ji->a", jeinsum("ij,ajk->aik", pe.inverse(t.g), L),
                      np.eye(n) - P) * (1.0 / (n - 2))
-    Pmv = np.eye(n) - Pv
-    D = Pmv.T @ (L.value - thetaV.value[:, None, None] * g.value) @ Pmv
-    resid = worst(0.0, np.abs(D).max())
+    Pmv = (np.eye(n) - P.value)[..., None, :, :]
+    D = Pmv.swapaxes(-1, -2) @ (L.value - thetaV.value[..., None, None]
+                                * g.value[..., None, :, :]) @ Pmv
+    resid = worst(0.0, pe.absmax(D))
 
     # assemble theta as a 1-form: theta(d_i) = theta(P+ d_i) expanded in the frame
     VTg = V.T @ g
@@ -95,9 +105,10 @@ def extract_theta(t, Pp, p):
 
 def homothetic_point(t, Pp, p):
     """The D- block residual of L_V g - theta(V) g at p, and |d theta|."""
-    theta, resid = _lee(t, Pp, at(p))
+    pe = at(p)
+    theta, resid = _lee(t, Pp, pe)
     thg = theta.grad
-    return {"homothetic": resid, "dtheta": np.abs(thg.T - thg).max()}
+    return {"homothetic": resid, "dtheta": pe.absmax(thg.swapaxes(-1, -2) - thg)}
 
 
 def oneill_tensors(t, Pp, p):
@@ -112,26 +123,30 @@ def oneill_tensors(t, Pp, p):
     Gam, _, gi = pe.christoffel(t.g)
     Jv = pe.jets(t.J)[0]
     Ppv, Ppg, _ = pe.jets(Pp)
-    n = gv.shape[0]
+    n = gv.shape[-1]
     Pmv = np.eye(n) - Ppv
     Pmg = -Ppg
     # covP[m,i,j] = d_i P^m_j + Gamma^m_{ia} P^a_j
-    covPp = np.einsum('mji->mij', Ppg) + np.einsum('mia,aj->mij', Gam, Ppv)
-    covPm = np.einsum('mji->mij', Pmg) + np.einsum('mia,aj->mij', Gam, Pmv)
-    xi = -(np.einsum('km,mij->kij', Ppv, covPm) + np.einsum('km,mij->kij', Pmv, covPp))
-    zeta = gi @ _lee(t, Pp, pe)[0].value
-    Jzeta = Jv @ zeta
+    covPp = np.einsum('...mji->...mij', Ppg) + np.einsum('...mia,...aj->...mij', Gam, Ppv)
+    covPm = np.einsum('...mji->...mij', Pmg) + np.einsum('...mia,...aj->...mij', Gam, Pmv)
+    xi = -(np.einsum('...km,...mij->...kij', Ppv, covPm)
+           + np.einsum('...km,...mij->...kij', Pmv, covPp))
+    zeta = np.einsum('...ij,...j->...i', gi, _lee(t, Pp, pe)[0].value)
+    Jzeta = np.einsum('...ij,...j->...i', Jv, zeta)
     om = pe.omega(t.g, t.J).value
-    ip_m = Pmv.T @ gv @ Pmv
-    om_m = Pmv.T @ om @ Pmv
-    xi_minus = Pmv.T @ xi @ Pmv
-    xi_ring = (xi_minus - 0.5 * np.einsum('ij,k->kij', om_m, Jzeta)
-               - 0.5 * np.einsum('ij,k->kij', ip_m, zeta))
+    PmT = Pmv.swapaxes(-1, -2)
+    ip_m = PmT @ gv @ Pmv
+    om_m = PmT @ om @ Pmv
+    xi_minus = PmT[..., None, :, :] @ xi @ Pmv[..., None, :, :]
+    xi_ring = (xi_minus - 0.5 * np.einsum('...ij,...k->...kij', om_m, Jzeta)
+               - 0.5 * np.einsum('...ij,...k->...kij', ip_m, zeta))
     return xi, xi_ring
 
 
 def dplus_geodesic_residual(xi, Ppv):
-    return np.abs(Ppv.T @ xi @ Ppv).max()
+    """max |P+^T xi P+| (at each point of a batch)."""
+    Pv = Ppv[..., None, :, :]
+    return np.abs(Pv.swapaxes(-1, -2) @ xi @ Pv).max(axis=(-3, -2, -1))
 
 
 def structure_point(t, Pp, p, skip_theta_below=1e-6):
@@ -139,43 +154,47 @@ def structure_point(t, Pp, p, skip_theta_below=1e-6):
     over a D+ frame), d(omega_minus) = theta ^ omega_minus, and the two chi_1
     routes: the L_zeta J coefficient fit against -2|theta|^{-2} L_{Jzeta}
     ln|theta|.  Where |theta| falls below the threshold only holomorphy is
-    defined; wedge_minus, chi1 and lie_fit are None there.
+    defined; wedge_minus, chi1 and lie_fit are excluded there.
     """
     pe = at(p)
     Jv, Jg, _ = pe.jets(t.J)
     P = pe.raw(Pp)
-    Ppv, Ppg = P.value, P.grad
-    Pmv = np.eye(Ppv.shape[0]) - Ppv
-    hol = worst(*(np.abs(Pmv @ lie_endo_from_jets(Ppv[:, a], Ppg[:, a, :], Jv, Jg)).max()
-                  for a in _frame_columns(Ppv)))
-    out = {"holomorphy": hol, "wedge_minus": None, "chi1": None, "lie_fit": None}
+    V = _frame(P)[0]
+    Pmv = np.eye(P.value.shape[-1]) - P.value
+    hol = worst(*(pe.absmax(Pmv @ lie_endo_from_jets(V.value[..., a], V.grad[..., a, :], Jv, Jg))
+                  for a in (0, 1)))
     theta = _lee(t, Pp, pe)[0]
     thv = theta.value
     gi = pe.inverse(t.g)
-    norm2 = float(thv @ gi.value @ thv)
-    if norm2 < skip_theta_below ** 2:
-        return out
+    norm2 = np.einsum('...j,...j->...', np.einsum('...i,...ij->...j', thv, gi.value), thv)
+    skip = norm2 < skip_theta_below ** 2
 
     # omega_minus = omega - P+^T omega P+ as a jet field, then d of it
     om = pe.omega(t.g, t.J)
     omm = om - P.T @ om @ P
-    out["wedge_minus"] = np.abs(exterior_from_grad(omm.grad, 2) - wedge12(thv, omm.value)).max()
+    wedge_minus = pe.absmax(exterior_from_grad(omm.grad, 2) - wedge12(thv, omm.value))
 
     # chi_1 from the L_zeta J coefficient fit vs the logarithmic formula
     zeta = gi @ theta
     zv = zeta.value
     LzJ = lie_endo_from_jets(zv, zeta.grad, Jv, Jg)
-    Jz = Jv @ zv
-    thJ = thv @ Jv
-    basis = [np.einsum('j,k->kj', thv, zv), np.einsum('j,k->kj', thJ, zv),
-             np.einsum('j,k->kj', thv, Jz), np.einsum('j,k->kj', thJ, Jz)]
-    Amat = np.stack([b.ravel() for b in basis], axis=1)
-    cvec, _, _, _ = np.linalg.lstsq(Amat, LzJ.ravel(), rcond=None)
-    out["lie_fit"] = np.abs(Amat @ cvec - LzJ.ravel()).max()
+    Jz = np.einsum('...ij,...j->...i', Jv, zv)
+    thJ = np.einsum('...i,...ij->...j', thv, Jv)
+    basis = [np.einsum('...j,...k->...kj', thv, zv), np.einsum('...j,...k->...kj', thJ, zv),
+             np.einsum('...j,...k->...kj', thv, Jz), np.einsum('...j,...k->...kj', thJ, Jz)]
+    Amat = np.stack([b.reshape(b.shape[:-2] + (-1,)) for b in basis], axis=-1)
+    bvec = LzJ.reshape(Amat.shape[:-1])
+    # the least-squares fit runs point by point
+    fits = zip(Amat.reshape((-1,) + Amat.shape[-2:]), bvec.reshape(-1, bvec.shape[-1]))
+    cvec = np.reshape([np.linalg.lstsq(A, b, rcond=None)[0] for A, b in fits],
+                      Amat.shape[:-2] + (4,))
+    lie_fit = pe.absmax(np.einsum('...ij,...j->...i', Amat, cvec) - bvec)
     # |theta|^2 = theta_i g^ij theta_j as a jet
-    chi1_log = -float(Jz @ (theta @ zeta).grad) / (norm2 ** 2)
-    out["chi1"] = abs(cvec[0] - chi1_log)
-    return out
+    chi1_log = (-np.einsum('...i,...i->...', Jz, (theta @ zeta).grad)
+                / np.where(skip, 1.0, norm2) ** 2)
+    return {"holomorphy": hol, "wedge_minus": excluded(skip, wedge_minus),
+            "chi1": excluded(skip, np.abs(cvec[..., 0] - chi1_log)),
+            "lie_fit": excluded(skip, lie_fit)}
 
 
 def classify_point(t, Pp, p):
@@ -186,9 +205,8 @@ def classify_point(t, Pp, p):
     def compute():
         xi, xi_ring = oneill_tensors(t, Pp, pe)
         return dict(homothetic_point(t, Pp, pe), **structure_point(t, Pp, pe),
-                    theta_max=np.abs(_lee(t, Pp, pe)[0].value).max(), ring=np.abs(xi_ring).max(),
-                    xi=np.abs(xi).max(),
-                    geodesic=dplus_geodesic_residual(xi, pe.jets(Pp)[0]))
+                    theta_max=pe.absmax(_lee(t, Pp, pe)[0].value), ring=pe.absmax(xi_ring),
+                    xi=pe.absmax(xi), geodesic=dplus_geodesic_residual(xi, pe.jets(Pp)[0]))
     return pe.cached("classify", (t.g, t.J, Pp), compute)
 
 

@@ -14,12 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from kahlerkit.fields import (CompatibilityError, Field, at, omega_of,
+from kahlerkit.fields import (CompatibilityError, Field, NotKahlerError, at, omega_of,
                               worst, exterior_from_grad, nijenhuis_from_jets)
-
-
-class NotKahlerError(ValueError):
-    pass
 
 
 @dataclass
@@ -39,10 +35,10 @@ def fundamental_form(t, p, tol=1e-8):
     pe = at(p)
     gv = pe.jets(t.g)[0]
     Jv = pe.jets(t.J)[0]
-    resid = np.abs(Jv.T @ gv @ Jv - gv).max()
-    if resid > tol:
+    resid = pe.absmax(Jv.swapaxes(-1, -2) @ gv @ Jv - gv)
+    if np.any(resid > tol):
         raise CompatibilityError(
-            f"g(J.,J.) differs from g by {resid:.2e} at {pe.p.tolist()}")
+            f"g(J.,J.) differs from g by {np.max(resid):.2e} at {pe.where.tolist()}")
     return pe.omega(t.g, t.J).value
 
 
@@ -52,11 +48,10 @@ def kahler_point(t, p):
     pe = at(p)
     gv = pe.jets(t.g)[0]
     Jv, Jg, _ = pe.jets(t.J)
-    d = gv.shape[0]
-    return {"compatible": worst(np.abs(Jv.T @ gv @ Jv - gv).max(),
-                                np.abs(Jv @ Jv + np.eye(d)).max()),
-            "closed": np.abs(exterior_from_grad(pe.omega(t.g, t.J).grad, 2)).max(),
-            "integrable": np.abs(nijenhuis_from_jets(Jv, Jg)).max()}
+    return {"compatible": worst(pe.absmax(Jv.swapaxes(-1, -2) @ gv @ Jv - gv),
+                                pe.absmax(Jv @ Jv + np.eye(gv.shape[-1]))),
+            "closed": pe.absmax(exterior_from_grad(pe.omega(t.g, t.J).grad, 2)),
+            "integrable": pe.absmax(nijenhuis_from_jets(Jv, Jg))}
 
 
 def ricci_form(t, p, check=True, tol=1e-6):
@@ -65,10 +60,10 @@ def ricci_form(t, p, check=True, tol=1e-6):
     pe = at(p)
     if check:
         resid = worst(*kahler_point(t, pe).values())
-        if not resid <= tol:
+        if not np.all(resid <= tol):
             raise NotKahlerError(
-                f"pointwise Kahler residual {resid:.2e} exceeds {tol:.1e} "
-                f"at {pe.p.tolist()}")
+                f"pointwise Kahler residual {np.max(resid):.2e} exceeds {tol:.1e} "
+                f"at {pe.where.tolist()}")
     return ricci_form_from_jets(pe.curvature(t.g)[1], pe.jets(t.J)[0])
 
 
@@ -83,10 +78,10 @@ def split_fundamental(t, Pp, p, tol=1e-8):
     pe = at(p)
     Jv = pe.jets(t.J)[0]
     Pv = pe.jets(Pp)[0]
-    if np.abs(Pv @ Jv - Jv @ Pv).max() > tol:
-        raise ValueError(f"splitting is not J-invariant at {pe.p.tolist()}")
+    if np.any(pe.absmax(Pv @ Jv - Jv @ Pv) > tol):
+        raise ValueError(f"splitting is not J-invariant at {pe.where.tolist()}")
     om = pe.omega(t.g, t.J).value
-    om_plus = Pv.T @ om @ Pv
+    om_plus = Pv.swapaxes(-1, -2) @ om @ Pv
     return om_plus, om - om_plus
 
 

@@ -82,13 +82,12 @@ class Check:
 
 @dataclass
 class Case:
-    """A built scenario.  batched cases evaluate each chart's whole sample
-    plan as one batch; the others walk it point by point."""
+    """A built scenario: its label, chart, metric and checks.  The runner
+    evaluates each chart's whole sample plan as one batch."""
     label: str
     chart: ChartManifold
     metric: Field
     checks: list
-    batched: bool = False
 
 
 @dataclass
@@ -207,7 +206,7 @@ def _make_flat(params):
         check("ricci_zero", "Ricci tensor of the Euclidean metric vanishes",
               1e-11, lambda pe: pe.absmax(pe.curvature(metric)[1])),
     ]
-    return Case("Euclidean R^%d" % dim, chart, metric, checks, batched=True)
+    return Case("Euclidean R^%d" % dim, chart, metric, checks)
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +243,7 @@ def _make_sphere(params):
         check("bianchi_first", "cyclic sum over the first three slots vanishes",
               1e-9, bianchi_at),
     ]
-    return Case("unit 2-sphere", chart, metric, checks, batched=True)
+    return Case("unit 2-sphere", chart, metric, checks)
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +293,7 @@ def _make_calabi(params):
               "(L_V g) restricted off the fibers equals theta(V) g, extracted theta",
               1e-7, lambda pe: homothetic_point(t, Pp, pe)["homothetic"]),
         check("lee_is_dlnz", "extracted Lee form equals d ln z", 1e-7,
-              lambda pe: np.abs(extract_theta(t, Pp, pe) - pe.jets(cal.theta)[0]).max()),
+              lambda pe: pe.absmax(extract_theta(t, Pp, pe) - pe.jets(cal.theta)[0])),
         check("lee_closed", "extracted Lee form is closed",
               1e-7, lambda pe: homothetic_point(t, Pp, pe)["dtheta"]),
         check("plus_geodesic", "splitting tensor vanishes on fiber-fiber slots",
@@ -340,7 +339,7 @@ def _make_calabi_twist(params):
         check("transverse_holomorphy", "dw2 kills what J rotates into dw1 off the fibers",
               1e-7, lambda pe: transverse_holomorphy_point(cal.J, cal.proj_plus, tw, pe)),
         check("nijenhuis_twisted", "integrability of the twisted J",
-              1e-7, lambda pe: np.abs(nijenhuis_from_jets(*pe.jets(tt.J_w)[:2])).max()),
+              1e-7, lambda pe: pe.absmax(nijenhuis_from_jets(*pe.jets(tt.J_w)[:2]))),
         check("homothetic_foliation", "homothetic residual of the twisted triple",
               1e-7, lambda pe: homothetic_point(twt, Pp, pe)["homothetic"]),
         check("ricci_fiber_log",
@@ -426,7 +425,7 @@ def _make_ak(params):
             "Ricci form of the product equals the fiber log potential terms",
             1e-6, lambda pe: fiber_log_point(ak.triple(), zpos_product, pe)))
     return Case("R^2 x " + zt.chart.label + " [" + tw.label + ", mode " + mode + "]",
-                ak.chart, ak.g, checks, batched=True)
+                ak.chart, ak.g, checks)
 
 
 # ---------------------------------------------------------------------------
@@ -597,12 +596,20 @@ def load_scenario(arg):
 
 
 def build_case(scn):
+    """The scenario's Case; params its builder rejects raise ScenarioError."""
     entry = BUILDER_MAP[scn.builder]
-    return entry.make(_merge_params(entry.defaults, scn.params, entry.id))
+    params = _merge_params(entry.defaults, scn.params, entry.id)
+    try:
+        return entry.make(params)
+    except (ValueError, TypeError, IndexError) as exc:
+        raise ScenarioError("%s: builder %r cannot build from its params: %s"
+                            % (scn.source, entry.id, exc)) from exc
 
 
 def run_scenario_obj(scn, tol_override=None, case=None):
-    """Execute every check of the scenario's builder; returns the report dict."""
+    """Execute every check of the scenario's builder; returns the report dict.
+    One PointEval of each chart's (count, dim) stack of samples feeds every
+    check on that chart (Fold replays a failing batch point by point)."""
     if case is None:
         case = build_case(scn)
     known = {c.name for c in case.checks}
@@ -614,24 +621,17 @@ def run_scenario_obj(scn, tol_override=None, case=None):
     plan = SamplePlan(scn.seed, scn.count, scn.margin)
     folds = [[Fold() for _ in ck.parts] for ck in case.checks]
     timings = dict.fromkeys((ck.name for ck in case.checks), 0.0)
-    charts = []
-    for ck in case.checks:
-        for chart, _ in ck.parts:
-            if all(chart is not seen for seen in charts):
-                charts.append(chart)
-    # one PointEval per sample point (per chart, holding all its samples, for
-    # a batched case) feeds every check on that chart; a chain level is
-    # skipped once an earlier level of the same check has an error
-    for chart in charts:
-        samples = chart.samples(plan)
-        for p in ([samples] if case.batched else samples):
-            pe = PointEval(p)
-            for ck, fs in zip(case.checks, folds):
-                for k, (c, at) in enumerate(ck.parts):
-                    if c is chart and not any(f.error for f in fs[:k]):
-                        t0 = time.perf_counter()
-                        fs[k].add(pe, at)
-                        timings[ck.name] += time.perf_counter() - t0
+    charts = {id(chart): chart for ck in case.checks for chart, _ in ck.parts}
+    # a chain level is skipped once an earlier level of the same check has
+    # an error
+    for chart in charts.values():
+        pe = PointEval(chart.samples(plan))
+        for ck, fs in zip(case.checks, folds):
+            for k, (c, at) in enumerate(ck.parts):
+                if c is chart and not any(f.error for f in fs[:k]):
+                    t0 = time.perf_counter()
+                    fs[k].add(pe, at)
+                    timings[ck.name] += time.perf_counter() - t0
     records = []
     for ck, fs in zip(case.checks, folds):
         res = ck.record(fs)

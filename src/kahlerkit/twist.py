@@ -171,16 +171,15 @@ def norm_factor_measured(gfn, gwfn, theta_fn, p):
     """|theta|^2_{g_w} / |theta|^2_g at p."""
     pe = at(p)
     th = pe.jets(theta_fn)[0]
-    gv = pe.jets(gfn)[0]
-    gwv = pe.jets(gwfn)[0]
-    return float(th @ np.linalg.inv(gwv) @ th) / float(th @ np.linalg.inv(gv) @ th)
+    thgw, thg = (np.einsum('...i,...ij->...j', th, pe.inverse(g).value) for g in (gwfn, gfn))
+    return np.einsum('...j,...j->...', thgw, th) / np.einsum('...j,...j->...', thg, th)
 
 
 def form_invariance_point(cal, tt, p):
     """|omega_w - omega| at p for (g, J) and (g, I0): the twist leaves both
     fundamental forms unchanged."""
     pe = at(p)
-    return worst(*(np.abs(pe.omega(tt.g_w, Ew).value - pe.omega(cal.g, E).value).max()
+    return worst(*(pe.absmax(pe.omega(tt.g_w, Ew).value - pe.omega(cal.g, E).value)
                    for Ew, E in ((tt.J_w, cal.J), (tt.I_w, cal.I0))))
 
 
@@ -190,9 +189,11 @@ def transverse_holomorphy_point(Jfn, Ppfn, wfn, p):
     pe = at(p)
     w1, w2 = pe.raw(wfn)
     Jv = pe.jets(Jfn)[0]
-    Pmv = np.eye(Jv.shape[0]) - pe.jets(Ppfn)[0]
-    return worst(0.0, *(abs(float(w2.grad @ X) + float(w1.grad @ (Jv @ X)))
-                        for X in Pmv.T if np.abs(X).max() >= 1e-13))
+    Pmv = np.eye(Jv.shape[-1]) - pe.jets(Ppfn)[0]
+    # one residual per column X of P-, none where X vanishes
+    r = np.abs(np.einsum('...i,...ic->...c', w2.grad, Pmv)
+               + np.einsum('...i,...ic->...c', w1.grad, Jv @ Pmv))
+    return worst(0.0, np.where(np.abs(Pmv).max(axis=-2) >= 1e-13, r, 0.0).max(axis=-1))
 
 
 def ricci_identity_check(cal, tw, tt, p):
@@ -207,12 +208,11 @@ def ricci_identity_check(cal, tw, tt, p):
     correction term.
     """
     m = cal.m
-    n = cal.chart.dim
     pe = at(p)
     Jwv, Jwg, _ = pe.jets(tt.J_w)
     rho_w = ricci_form(tt.triple(), pe, check=False)
-    rho_N = np.zeros((n, n))
-    rho_N[2:, 2:] = ricci_form(cal.base, pe.sub(2), check=False)   # lifted base form
+    rho_N = np.zeros_like(rho_w)
+    rho_N[..., 2:, 2:] = ricci_form(cal.base, pe.sub(2), check=False)   # lifted base form
 
     x = pe.x
     ddz = ddc_from_jets(jlog(x[1]), Jwv, Jwg)
@@ -222,19 +222,18 @@ def ricci_identity_check(cal, tw, tt, p):
     ddw = ddc_from_jets(fw, Jwv, Jwg)
 
     corr = 0.5 * (m - 1) * ddz
-    corrected = np.abs(rho_w - rho_N - corr + 0.5 * ddw).max()
-    printed = np.abs(rho_w - rho_N + 0.5 * ddw).max()
-    return {"corrected": corrected, "printed": printed,
-            "correction_size": np.abs(corr).max()}
+    return {"corrected": pe.absmax(rho_w - rho_N - corr + 0.5 * ddw),
+            "printed": pe.absmax(rho_w - rho_N + 0.5 * ddw),
+            "correction_size": pe.absmax(corr)}
 
 
 def zeta_duality_residual(gfn, Jfn, gwfn, Jwfn, theta_fn, p):
     """J_w zeta_w = J zeta, with zeta/zeta_w the metric duals of theta."""
     pe = at(p)
     th = pe.jets(theta_fn)[0]
-    zeta = np.linalg.solve(pe.jets(gfn)[0], th)
-    zeta_w = np.linalg.solve(pe.jets(gwfn)[0], th)
-    return np.abs(pe.jets(Jwfn)[0] @ zeta_w - pe.jets(Jfn)[0] @ zeta).max()
+    zeta, zeta_w = (np.einsum('...ij,...j->...i', pe.inverse(g).value, th) for g in (gfn, gwfn))
+    return pe.absmax(np.einsum('...ij,...j->...i', pe.jets(Jwfn)[0], zeta_w)
+                     - np.einsum('...ij,...j->...i', pe.jets(Jfn)[0], zeta))
 
 
 def solve_single_twist(g0fn, gcompfn, J0fn, Ppfn, theta_fn, p):

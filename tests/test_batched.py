@@ -13,7 +13,8 @@ from kahlerkit.jets import (Jet2, SamplePlan, jconst, jcos, jeinsum, jexp, jinv,
                             jsin, jsize, pack)
 from kahlerkit.scenarios import build_case, load_scenario, parse_scenario, run_scenario_obj
 
-BATCHED = ["flat", "sphere", "ak_flat", "ak_disk", "ak_disk_chain2"]
+BUNDLED = ["flat", "sphere", "calabi_flat", "calabi_twist_zeta", "calabi_chain_untwisted",
+           "calabi_chain_twisted", "ak_flat", "ak_disk", "ak_disk_chain2"]
 
 
 def _expressions(x):
@@ -76,13 +77,12 @@ def _same_residuals(whole, single):
 
 
 @pytest.mark.parametrize("plan", PLANS)
-@pytest.mark.parametrize("name", BATCHED)
+@pytest.mark.parametrize("name", BUNDLED)
 def test_one_batch_gives_the_residuals_of_single_points(name, plan):
     scn = load_scenario(name)
     if plan is not None:
         scn.seed, scn.count = plan
     case = build_case(scn)
-    assert case.batched
     for ck in case.checks:
         for chart, at in ck.parts:
             whole, single = _folds(chart, SamplePlan(scn.seed, scn.count, scn.margin), at)
@@ -117,14 +117,12 @@ def _single_point_fold(chart, plan, fn):
     return acc
 
 
-def test_twist_leaving_the_disc_at_some_points_replays_the_batch():
-    # scale 3 takes the disk coordinate past the unit circle at some samples
-    # only: every check raises in the batch, and the replay keeps exactly
-    # the points before the first one outside
-    scn = parse_scenario({"name": "ak_big_twist", "builder": "ak_product",
-                          "params": {"z": "disk", "k": 1,
-                                     "twist": {"id": "coord_z", "scale": 3.0}},
-                          "plan": {"seed": 7, "count": 12}})
+def _disc_replay(obj, untwisted=()):
+    """Run the scenario obj, whose twist leaves the disc at some of its
+    samples only: every check but the untwisted ones raises in the batch,
+    and the replay keeps exactly the points before the first one outside.
+    Each record equals the fold of its check over batches of one point."""
+    scn = parse_scenario(obj)
     case = build_case(scn)
     plan = SamplePlan(scn.seed, scn.count, scn.margin)
     w2 = 9.0 * (case.chart.samples(plan)[:, 2:] ** 2).sum(axis=1)
@@ -137,16 +135,36 @@ def test_twist_leaving_the_disc_at_some_points_replays_the_batch():
         for p in chart.samples(plan):
             single.add(PointEval(p[None]), at)
         rec = report[ck.name]
-        assert single.error.startswith("JetDomainError at point [")
-        assert "twist leaves the disc" in single.error
-        assert rec["error"] == single.error
-        assert rec["points_used"] == first_out
+        if ck.name in untwisted:
+            assert single.error == "" and "error" not in rec
+            assert rec["points_used"] == scn.count
+        else:
+            assert single.error.startswith("JetDomainError at point [")
+            assert "twist leaves the disc" in single.error
+            assert rec["error"] == single.error
+            assert rec["points_used"] == first_out
         record = ck.record([single])
         assert (rec["points_used"], rec["points_excluded"], rec["max_residual"],
                 rec["mean_residual"]) == (record.points_used, record.points_excluded,
                                           record.max_residual, record.mean_residual)
         # a fold over unbatched points names the same point the same way
         assert _single_point_fold(chart, plan, at).error == single.error
+
+
+def test_twist_leaving_the_disc_at_some_points_replays_the_batch():
+    # scale 3 takes the disk coordinate past the unit circle at some samples
+    _disc_replay({"name": "ak_big_twist", "builder": "ak_product",
+                  "params": {"z": "disk", "k": 1,
+                             "twist": {"id": "coord_z", "scale": 3.0}},
+                  "plan": {"seed": 7, "count": 12}})
+
+
+def test_calabi_twist_leaving_the_disc_at_some_points_replays_the_batch():
+    # transverse_holomorphy reads w and the untwisted J and P+ only
+    _disc_replay({"name": "calabi_big_twist", "builder": "calabi_twist",
+                  "params": {"twist": {"id": "coord_z", "scale": 3.0}},
+                  "plan": {"seed": 5, "count": 12}},
+                 untwisted={"transverse_holomorphy"})
 
 
 def test_nonfinite_residual_at_one_point_replays_the_batch():

@@ -202,6 +202,23 @@ def test_scenario_field_validation(tmp_path, capsys):
         assert needle in err
 
 
+@pytest.mark.parametrize("builder, params", [
+    ("calabi", {"A": 1.0}),
+    ("calabi_chain", {"m": 5}),
+    ("flat", {"dim": "x"}),
+    ("ak_product", {"z": "chain", "chain_level": 7}),
+], ids=["calabi-A", "calabi_chain-m", "flat-dim", "ak_product-chain_level"])
+def test_params_the_builder_rejects_exit_two(builder, params, tmp_path, capsys):
+    # a bad value in params is a scenario-file problem, raised at build time
+    path = tmp_path / "bad_params.json"
+    path.write_text(json.dumps({"name": "x", "builder": builder, "params": params}))
+    for argv in (["verify", str(path)], ["curvature", str(path), "--point", "0,0"]):
+        rc, out, err = run_cli(capsys, argv)
+        assert rc == 2 and out == ""
+        assert err.startswith("error: %s: builder %r" % (path, builder))
+        assert len(err.splitlines()) == 1
+
+
 def test_custom_scenario_file_runs(tmp_path, capsys):
     obj = {"name": "mini_flat", "builder": "flat", "params": {"dim": 2},
            "plan": {"seed": 3, "count": 5},
@@ -369,7 +386,8 @@ def test_each_point_is_seeded_at_most_twice(name, monkeypatch):
 
 def test_twisted_chart_runs_s_and_alpha_once_per_point():
     # the twisted fields read S, and the chart's g, J, P+ read the base's
-    # alpha, through the point's memo: one run of each per sample point
+    # alpha, through the point's memo: one run of each for the batch of the
+    # three sample points
     scn = load_scenario("calabi_twist_zeta")
     scn.count = 3
     case = build_case(scn)
@@ -384,13 +402,14 @@ def test_twisted_chart_runs_s_and_alpha_once_per_point():
         run_scenario_obj(scn, case=case)
     finally:
         sys.setprofile(None)
-    assert list(counts.values()) == [3, 3]
+    assert list(counts.values()) == [1, 1]
 
 
 def test_factor_point_runs_the_base_fields_once_per_point():
     # ricci_identity_check and volume_checks read the base at pe.sub(2), the
     # factor's point; its fields come from the lifted slice pt[2:], where the
-    # chart's own fields already ran them: one base-metric run per point
+    # chart's own fields already ran them: one base-metric run for the batch
+    # of the three sample points
     scn = load_scenario("calabi_twist_zeta")
     scn.count = 3
     case = build_case(scn)
@@ -405,7 +424,7 @@ def test_factor_point_runs_the_base_fields_once_per_point():
         run_scenario_obj(scn, case=case)
     finally:
         sys.setprofile(None)
-    assert len(runs) == 3
+    assert len(runs) == 1
 
 
 @pytest.fixture(scope="module")
@@ -429,10 +448,14 @@ def test_every_listed_check_runs_in_a_bundled_scenario(bundled_checks):
 
 
 def test_nonfinite_residual_fails_the_record(monkeypatch, capsys):
-    # a NaN at the second of five points must not hide behind max()
+    # a NaN at the second of five points must not hide behind max(); the
+    # batch of five is replayed point by point, and calls counts the points
+    # evaluated one at a time
     calls = []
 
     def nan_at_second_point(cal, pe):
+        if pe.batch > 1:
+            return np.where(np.arange(pe.batch) == 1, np.nan, 1e-14)
         calls.append(pe)
         return float("nan") if len(calls) == 2 else 1e-14
     monkeypatch.setattr(kahlerkit.scenarios, "moment_map_point", nan_at_second_point)
@@ -521,7 +544,7 @@ def test_field_clock_charges_a_batch_field_run_to_fields():
     assert checks["curvature_zero"] >= 0.05 > checks["ricci_zero"]
 
 
-@pytest.mark.parametrize("label", ["pr4", "pr5", "pr7"])
+@pytest.mark.parametrize("label", ["pr4", "pr5", "pr7", "pr8"])
 def test_committed_bench_lists_every_bundled_scenario_and_check(label):
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     with open(os.path.join(root, "BENCH_%s.json" % label), encoding="utf-8") as fh:

@@ -7,7 +7,7 @@ import pytest
 from kahlerkit.jets import Jet2, SamplePlan, jconst, jsin, jsize
 from kahlerkit.fields import (AlmostComplexError, ChartManifold,
                               DegenerateMetricError, Field, Fold, NotClosedError,
-                              PointEval, christoffel_parts, exterior_derivative,
+                              PointEval, christoffel_parts, excluded, exterior_derivative,
                               homotopy_primitive, lie_derivative_metric,
                               metric_jets, nijenhuis, wedge_top)
 from kahlerkit.hermitian import HermitianTriple
@@ -297,8 +297,9 @@ def test_fold_stops_at_nonfinite_and_domain_errors():
     chart = ChartManifold(2, [(-1.0, 1.0)] * 2)
     pts = chart.samples(SamplePlan(3, 5))
     # a NaN at the second of five points ends the fold and is its max
-    vals = iter([1e-14, float("nan"), 1e-13, 1e-12, 1e-11])
-    res = fold_plan(chart, SamplePlan(3, 5), lambda pe: next(vals))
+    vals = np.array([1e-14, float("nan"), 1e-13, 1e-12, 1e-11])
+    res = fold_plan(chart, SamplePlan(3, 5),
+                    lambda pe: vals[(pe.p[:, None] == pts).all(axis=-1).argmax(axis=-1)])
     assert res.used() == 2 and res.points == 2
     assert np.isnan(res.max()) and np.isnan(res.mean())
     assert res.error == "non-finite residual at point %s" % pts[1].round(8).tolist()
@@ -315,7 +316,8 @@ def test_fold_stops_at_nonfinite_and_domain_errors():
                   lambda pe: pe.curvature(lambda pt: [[jconst(0.0, 2)] * 2] * 2))
     # None excludes a point, per residual name for dict results
     res = fold_plan(chart, SamplePlan(3, 5),
-                    lambda pe: {"a": 1.0, "b": None if pe.p[0] < 0 else 2.0})
+                    lambda pe: {"a": np.ones(pe.batch),
+                                "b": excluded(pe.p[:, 0] < 0, np.full(pe.batch, 2.0))})
     assert res.used("a") == 5
     assert res.used("b") + res.excluded["b"] == 5
     assert res.max("b") == 2.0 and res.error == ""

@@ -211,7 +211,11 @@ def test_classify_fails_on_nonfinite_gate_residual(monkeypatch):
     real = foliation.dplus_geodesic_residual
 
     def nan_at_second_point(xi, Ppv):
+        # NaN at the second point, in the batch and in its point-by-point replay
+        r = real(xi, Ppv)
+        if len(r) > 1:
+            return np.where(np.arange(len(r)) == 1, np.nan, r)
         calls.append(1)
-        return float("nan") if len(calls) == 2 else real(xi, Ppv)
+        return float("nan") if len(calls) == 2 else r
     monkeypatch.setattr(foliation, "dplus_geodesic_residual", nan_at_second_point)
     assert classify(t, s, SamplePlan(7, 5)).verdict == VERDICT_FAILED

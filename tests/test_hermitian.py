@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from kahlerkit.jets import Jet2, SamplePlan, jconst, jlog, jsin, jsize
-from kahlerkit.fields import ChartManifold, PointEval, metric_jets, worst
+from kahlerkit.fields import ChartManifold, Field, Fold, PointEval, metric_jets, worst
 from kahlerkit.hermitian import (CompatibilityError, HermitianTriple,
                                  NotKahlerError, ddc, fundamental_form,
                                  kahler_point, ricci_form, split_fundamental)
@@ -181,6 +181,22 @@ def test_kahler_verdict_isolates_nonclosed_form():
     assert v.max("closed") > 1e-3
 
 
+def test_fold_of_ricci_form_names_the_point_that_is_not_kahler():
+    # J = (1 + x^2) R squares to -1 only where x = 0: a fold of ricci_form
+    # records NotKahlerError at the point, alone and inside a batch
+    chart = ChartManifold(2, [(-1.0, 1.0)] * 2)
+    rot = np.array([[0.0, -1.0], [1.0, 0.0]])
+    t = HermitianTriple(Field(lambda pt: jconst(np.eye(2), jsize(pt)), chart),
+                        Field(lambda pt: (1.0 + pt[0] * pt[0]) * rot, chart), chart)
+    pts = np.array([[0.0, 0.1], [0.0, -0.3], [0.5, 0.2], [0.0, 0.4]])
+    for p, kept in ((pts[2], 0), (pts, 2)):
+        acc = Fold()
+        acc.add(PointEval(p), lambda pe: pe.absmax(ricci_form(t, pe)))
+        assert acc.error.startswith("NotKahlerError at point [0.5, 0.2]: ")
+        assert isinstance(acc.exc, NotKahlerError)
+        assert acc.points == kept and acc.used() == kept
+
+
 def test_split_fundamental_restriction():
     t = flat4_triple()
 
@@ -223,8 +239,10 @@ def test_kahler_verdict_fails_on_nan_at_a_later_point():
     bad_x = flat4_triple().chart.samples(plan)[1][0]
 
     def warp(pt):
+        # NaN at the bad point, 1 elsewhere (at each point of a batch)
+        f = np.where(pt[0].value == bad_x, np.nan, 1.0)
         n = jsize(pt)
-        return jconst(float("nan") if pt[0].value == bad_x else 1.0, n)
+        return Jet2(f, np.zeros(f.shape + (n,)), np.zeros(f.shape + (n, n)), pt.batched)
     t = flat4_triple(warp)
     v = fold_plan(t.chart, plan, lambda pe: kahler_point(t, pe))
     assert not worst(*(v.max(k) for k in v.values)) <= 1e-7

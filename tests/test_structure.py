@@ -1,5 +1,5 @@
-"""Structural guards: where the library walks a sample plan, how often the
-batched cases seed, and the README's library example run as written."""
+"""Structural guards: where the library walks a sample plan, how often each
+case seeds, and the README's library example run as written."""
 
 import ast
 import contextlib
@@ -50,10 +50,14 @@ def test_readme_library_example_runs():
     assert set(scope["residuals"]) == {"compatible", "closed", "integrable"}
 
 
-@pytest.mark.parametrize("name", ["flat", "sphere", "ak_flat", "ak_disk", "ak_disk_chain2"])
+BUNDLED = ["flat", "sphere", "calabi_flat", "calabi_twist_zeta", "calabi_chain_untwisted",
+           "calabi_chain_twisted", "ak_flat", "ak_disk", "ak_disk_chain2"]
+
+
+@pytest.mark.parametrize("name", BUNDLED)
 def test_batched_cases_seed_each_chart_once_per_plan(name, monkeypatch):
-    # the flat, sphere and ak_product cases evaluate a chart's whole sample
-    # plan as one batch: one seeding per chart, whatever the sample count
+    # every case evaluates a chart's whole sample plan as one batch: one
+    # seeding per chart (per level chart of a chain), whatever the sample count
     scn = load_scenario(name)
     case = build_case(scn)
     seeds = []
@@ -64,6 +68,11 @@ def test_batched_cases_seed_each_chart_once_per_plan(name, monkeypatch):
         return seed(p)
     monkeypatch.setattr(Jet2, "seed", staticmethod(counting))
     run_scenario_obj(scn, case=case)
-    charts = {id(chart) for ck in case.checks for chart, _ in ck.parts}
-    assert len(charts) == 1
-    assert seeds == [(scn.count, case.chart.dim)]
+    charts = []
+    for ck in case.checks:
+        for chart, _ in ck.parts:
+            if all(chart is not seen for seen in charts):
+                charts.append(chart)
+    assert len(charts) == (3 if name == "calabi_chain_twisted" else
+                           2 if name == "calabi_chain_untwisted" else 1)
+    assert seeds == [(scn.count, chart.dim) for chart in charts]
