@@ -66,7 +66,7 @@ def build_ak_product(z_factor, tw, mode="B", plane_range=(-1.0, 1.0)):
     probe = chart.center()
     for shift in (0.0, 0.17):
         x = Jet2.seed(np.asarray(probe, float) + shift * np.ones(n) * 0.1)
-        if np.abs(wfull(x).grad[:, :2]).max() > 1e-12:
+        if np.abs(wfull(x).grad[..., :2]).max() > 1e-12:
             raise ValueError("twist depends on the plane coordinates; "
                              "d/dx1, d/dx2 would not be Killing")
 

@@ -15,6 +15,7 @@ iota_{d/ds} omega_J = -dz.  I0 = J (1 - 2 P+) flips J on the fiber span
 {d/ds, d/dz} and is integrable; its Lee form is 2 dln z.
 """
 
+import itertools
 from dataclasses import dataclass
 from math import comb, log
 
@@ -242,16 +243,16 @@ def volume_checks(cal, p):
 
 def lee_form_of_I0(cal, p):
     """Solve d omega_I = theta0 ^ omega_I for theta0 by least squares over all
-    3-form components.  Returns (theta0 components, fit residual)."""
+    3-form components, point by point.  Returns (theta0 components, fit
+    residual) at each point, shapes (B, n) and (B,)."""
     n = cal.chart.dim
     om = at(p).omega(cal.g, cal.I0)
     dom = exterior_from_grad(om.grad, 2)
-    wedges = [wedge12(e, om.value) for e in np.eye(n)]
-    comps = [(i, j, k) for i in range(n) for j in range(i + 1, n) for k in range(j + 1, n)]
-    Amat = np.array([[w[c] for w in wedges] for c in comps])
-    bvec = np.array([dom[c] for c in comps])
-    th0, *_ = np.linalg.lstsq(Amat, bvec, rcond=None)
-    fit = np.abs(Amat @ th0 - bvec).max() if len(bvec) else 0.0
+    wedges = np.stack([wedge12(e, om.value) for e in np.eye(n)], axis=-1)
+    i, j, k = np.array(list(itertools.combinations(range(n), 3))).T
+    Amat, bvec = wedges[:, i, j, k], dom[:, i, j, k]
+    th0 = np.array([np.linalg.lstsq(A, b, rcond=None)[0] for A, b in zip(Amat, bvec)])
+    fit = np.abs((Amat @ th0[..., None])[..., 0] - bvec).max(axis=-1)
     return th0, fit
 
 
@@ -265,16 +266,16 @@ def rescale_biaxial(t, Pp, a, b, profile=None, tol=1e-9, t_samples=9):
     Returns (HermitianTriple of the rescaled structure, constraint residual).
     """
     zlo, zhi = (profile.z_range if profile is not None else (0.5, 2.0))
-    worst = 0.0
-    for tv in np.linspace(np.log(zlo), np.log(zhi), t_samples):
-        u = Jet2(tv, np.array([1.0]), np.zeros((1, 1)))
-        av = a(u)
-        bv = b(u)
-        if av.value <= 0 or bv.value <= 0:
-            raise ValueError("rescale profiles must stay positive, got a=%.3e b=%.3e at t=%.3f"
-                             % (av.value, bv.value, tv))
-        worst = max(worst, abs(bv.grad[0] + bv.value - av.value))
-    if worst > tol:
+    ts = np.linspace(np.log(zlo), np.log(zhi), t_samples)
+    u = Jet2.seed(ts[:, None])[0]          # the grid as one batch of jets
+    av, bv = a(u).value, b(u)
+    bad = np.flatnonzero((av <= 0) | (bv.value <= 0))
+    if bad.size:
+        k = bad[0]
+        raise ValueError("rescale profiles must stay positive, got a=%.3e b=%.3e at t=%.3f"
+                         % (av[k], bv.value[k], ts[k]))
+    worst = float(np.abs(bv.grad[:, 0] + bv.value - av).max())
+    if not worst <= tol:
         raise NotClosedError("b' + b - a = %.3e exceeds %.1e; the rescaled form is not closed"
                              % (worst, tol))
 

@@ -22,8 +22,8 @@ import numpy as np
 from kahlerkit.jets import SamplePlan
 from kahlerkit.fields import DOMAIN_ERRORS, Point, metric_jets, curvature_from_jets
 from kahlerkit.scenarios import (BUILDERS, ScenarioError, bundled_names,
-                                 build_case, load_scenario, render_json,
-                                 run_scenario_obj)
+                                 build_case, check_tolerance, load_scenario,
+                                 render_json, run_scenario_obj)
 
 
 def _cmd_verify(args):
@@ -36,6 +36,8 @@ def _cmd_verify(args):
         SamplePlan(scn.seed, scn.count, scn.margin)
     except ValueError as exc:
         raise ScenarioError("--seed/--samples: %s" % exc)
+    if args.tol is not None:
+        check_tolerance(args.tol, "--tol")
     report = run_scenario_obj(scn, tol_override=args.tol)
     for rec in report["checks"]:
         line = "%s  %-26s max=%.3e  tol=%.1e  points=%d" % (
@@ -70,10 +72,12 @@ def _cmd_curvature(args):
         raise ScenarioError("point %s lies outside the chart domain %s"
                             % (point, case.chart.domain))
     try:
-        Rlow, Ric, scal, _ = curvature_from_jets(*metric_jets(case.metric.fn, point), point)
+        curv = curvature_from_jets(*metric_jets(case.metric.fn, point), point)
     except DOMAIN_ERRORS as exc:
         print("error: %s at point %s: %s" % (type(exc).__name__, point, exc), file=sys.stderr)
         return 1
+    # the query is a batch of one point: print its row
+    Rlow, Ric, scal = (a[0] for a in curv[:3])
     print("scenario: %s (%s)" % (scn.name, case.label))
     print("point:    [%s]" % ", ".join("% .10e" % c for c in point))
     print("scalar curvature: % .10e" % scal)

@@ -8,14 +8,13 @@ curvature below is float-layer linear algebra on the packed (value, grad,
 hess) arrays, so the only differentiation ever performed is the exact jet
 propagation.
 
-A PointEval holds one point (n,) or a batch of points, a (B, n) stack: its
-coordinate jets are then a batched Jet2, every field runs once for the whole
-batch, and the float layer works on stacks (einsum specs with a leading
-"...", stacked np.linalg.inv), so each result carries the batch axis in front
-and a per-point function returns (B,) residual arrays.  The scenario runner
-evaluates every chart's sample plan as one batch; Fold folds the residuals,
-and replays a batch point by point when it fails.  A bare point is what
-one-point library calls and `kahlerkit curvature` evaluate.
+A PointEval holds a batch of points, a (B, n) stack (one point is a batch of
+one): its coordinate jets are a Jet2 of that batch, every field runs once for
+the whole batch, and the float layer works on stacks (einsum specs with a
+leading "...", stacked np.linalg.inv), so each result carries the batch axis
+in front and a per-point function returns (B,) residual arrays.  The scenario
+runner evaluates every chart's sample plan as one batch; Fold folds the
+residuals, and replays a batch point by point when it fails.
 
 Curvature convention: R(X,Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z
 - nabla_[X,Y] Z, lowered on the last slot as R(X,Y,Z,W) = g(R(X,Y)Z, W), and
@@ -122,7 +121,6 @@ class Point(Jet2):
 
     def __init__(self, jet, memo, lifted=None):
         self.value, self.grad, self.hess = jet.value, jet.grad, jet.hess
-        self.batched = jet.batched
         self.memo = memo
         self.lifted = lifted
 
@@ -143,17 +141,17 @@ class Point(Jet2):
 
 def _restrict(j, k):
     """The jet j with its derivatives restricted to the last k coordinates."""
-    return Jet2(j.value, j.grad[..., -k:], j.hess[..., -k:, -k:], j.batched)
+    return Jet2(j.value, j.grad[..., -k:], j.hess[..., -k:, -k:])
 
 
 def _batch_of(j, batch):
-    """The jet j at each of batch points: j itself when it is batched (or
-    batch is None), else j's arrays repeated as read-only views (a field
-    that is constant on the chart comes back unbatched from its closure)."""
-    if batch is None or j.batched:
+    """The jet j at each of batch points: j itself when its batch axis has
+    them, else j's arrays repeated as read-only views (a field that is
+    constant on the chart comes back with a batch axis of 1 from its
+    closure)."""
+    if len(j.value) == batch:
         return j
-    return Jet2(*(np.broadcast_to(a, (batch,) + a.shape) for a in (j.value, j.grad, j.hess)),
-                batched=True)
+    return Jet2(*(np.broadcast_to(a, (batch,) + a.shape[1:]) for a in (j.value, j.grad, j.hess)))
 
 
 def omega_of(g, J):
@@ -167,7 +165,7 @@ def omega_of(g, J):
 # ---------------------------------------------------------------------------
 
 class PointEval:
-    """One sample point, or a batch of them, seeded once.  Every field
+    """A batch of sample points, seeded once.  Every field
     evaluated here is evaluated once: its jet components, their (value, grad,
     hess) arrays, its curvature and fundamental forms are memoised by the
     field's callable, and library functions memoise derived results (the Lee
@@ -175,15 +173,15 @@ class PointEval:
     x, or on a slice x[k:], come from the same memo, which x carries.  Drop
     it before moving to the next point.
 
-    p is one point (n,) or a (B, n) stack of points: batch is then B and
-    every jet and array read here carries a leading batch axis, a constant
-    field's included.  where is the point that error messages name (the
-    stack itself for a batch of more than one; Fold replays such a batch
-    point by point before it names anything)."""
+    p is the (B, n) stack of points (one point (n,) is taken as a batch of
+    one), batch is B, and every jet and array read here carries a leading
+    batch axis of B, a constant field's included.  where is the point that
+    error messages name (the stack itself for a batch of more than one; Fold
+    replays such a batch point by point before it names anything)."""
 
     def __init__(self, p):
-        self.p = np.asarray(p, float)
-        self.batch = len(self.p) if self.p.ndim > 1 else None
+        self.p = np.atleast_2d(np.asarray(p, float))
+        self.batch = len(self.p)
         self.where = self.p[0] if self.batch == 1 else self.p
         self._x = None
         self._memo = {}
@@ -205,10 +203,9 @@ class PointEval:
         return _batch_of(self.x.raw(f), self.batch)
 
     def absmax(self, x):
-        """max |x| at the point, or at each point of the batch (over every
-        axis behind the batch axis)."""
-        a = np.abs(x)
-        return a.max() if self.batch is None else a.reshape(self.batch, -1).max(axis=1)
+        """max |x| at each point of the batch (over every axis behind the
+        batch axis)."""
+        return np.abs(x).reshape(self.batch, -1).max(axis=1)
 
     def jets(self, f):
         """The (value, grad, hess) arrays of f at the point."""
@@ -241,7 +238,7 @@ class PointEval:
         factor's derivative columns: exact, as a factor's fields do not depend
         on the coordinates before start, and each runs once per point."""
         def make():
-            pe = PointEval(self.p[..., start:])
+            pe = PointEval(self.p[:, start:])
             lifted = self.x[start:]
             pe._x = Point(_restrict(lifted, lifted.value.shape[-1]), pe._memo, lifted)
             return pe
@@ -249,8 +246,8 @@ class PointEval:
 
 
 def at(p):
-    """p as a PointEval: every per-point function accepts a bare point or a
-    PointEval shared with the other checks at that point."""
+    """p as a PointEval: every per-point function accepts a point, a stack of
+    points or a PointEval shared with the other checks at those points."""
     return p if isinstance(p, PointEval) else PointEval(p)
 
 
@@ -265,15 +262,13 @@ def worst(*residuals):
     out = residuals[0]
     for r in residuals[1:]:
         out = np.maximum(out, r)
-    return out if np.ndim(out) else float(out)
+    return out
 
 
 def excluded(mask, r):
     """The residual r with the points where mask holds excluded from the
-    fold: None at a single point or where the whole batch is excluded, else
-    a batch's array, masked (np.ma) where some of its points are."""
-    if not np.ndim(r):
-        return None if mask else r
+    fold: None where the whole batch is excluded, else the batch's array,
+    masked (np.ma) where some of its points are."""
     if mask.all():
         return None
     return np.ma.masked_array(r, mask) if mask.any() else r
@@ -282,10 +277,10 @@ def excluded(mask, r):
 class Fold:
     """Per-point residuals folded over sample points.
 
-    A per-point function returns one residual, None to exclude the point, or
-    a dict of named residuals (None excluding the point for that name).  On
-    a batch (a PointEval of a (B, n) stack) each residual is a (B,) array,
-    masked where points are excluded (see excluded()).  The fold stops at the
+    A per-point function, given a PointEval of a (B, n) stack, returns one
+    residual per point, a (B,) array (masked where points are excluded, see
+    excluded(); None excludes them all), or a dict of such residuals by
+    name.  Anything else raises ValueError.  The fold stops at the
     first domain error, keeping the points before it, and at the first NaN or
     inf residual, which it keeps as its max; either way error names the
     point.  A batch of more than one point that raises a domain error or
@@ -307,16 +302,14 @@ class Fold:
         try:
             r = fn(pe)
         except DOMAIN_ERRORS as exc:
-            if (pe.batch or 1) > 1:
+            if pe.batch > 1:
                 return self._replay(pe, fn)
             self.exc = exc
             self.error = "%s at point %s: %s" % (type(exc).__name__,
                                                  pe.where.round(8).tolist(), exc)
             return
         items = r.items() if isinstance(r, dict) else ((None, r),)
-        if pe.batch is None:
-            return self._keep(pe.p, items)
-        cols = [(key, _per_point(val, pe.batch)) for key, val in items]
+        cols = [(key, _per_point(key, val, pe.batch)) for key, val in items]
         if pe.batch > 1 and not all(v is None or math.isfinite(v)
                                     for _, col in cols for v in col):
             return self._replay(pe, fn)
@@ -352,10 +345,17 @@ class Fold:
         return sum(vals) / len(vals) if vals else 0.0
 
 
-def _per_point(val, batch):
+def _per_point(key, val, batch):
     """A batch's residual as a list of per-point floats, None where a point
     is excluded (a masked entry lists as None)."""
-    return [None] * batch if val is None else np.reshape(val, batch).tolist()
+    if val is None:
+        return [None] * batch
+    if np.size(val) != batch:
+        raise ValueError("per-point function returned %sshape %s on a batch of %d "
+                         "point(s); it must return one residual per point"
+                         % ("" if key is None else "residual %r of " % key,
+                            np.shape(val), batch))
+    return np.reshape(val, batch).tolist()
 
 
 def metric_jets(g, p):
@@ -427,8 +427,8 @@ def lie_derivative_metric(g, V, p):
     pe = at(p)
     gv, gg, _ = pe.jets(g)
     vv, vg, _ = pe.jets(V)
-    return (np.einsum('k,ijk->ij', vv, gg) + np.einsum('kj,ki->ij', gv, vg)
-            + np.einsum('ik,kj->ij', gv, vg))
+    return (np.einsum('...k,...ijk->...ij', vv, gg) + np.einsum('...kj,...ki->...ij', gv, vg)
+            + np.einsum('...ik,...kj->...ij', gv, vg))
 
 
 def lie_endo_from_jets(Xv, Xg, Jv, Jg):

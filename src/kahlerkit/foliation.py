@@ -42,7 +42,7 @@ def _frame_columns(Pv, tol=1e-8):
     """Two column indices of the rank-2 projector giving a well-conditioned
     D+ frame: the first pair (i, j), i < j, with the largest Gram determinant
     G_ii G_jj - G_ij^2 of its columns, G = P^T P (on a stack of projectors,
-    each one's pair, as two index arrays)."""
+    each one's pair: two index arrays over the stack)."""
     G = Pv.swapaxes(-1, -2) @ Pv
     d = np.diagonal(G, axis1=-2, axis2=-1)
     i, j = np.triu_indices(d.shape[-1], 1)
@@ -50,17 +50,17 @@ def _frame_columns(Pv, tol=1e-8):
     if not det.shape[-1] or np.any(det.max(axis=-1) < tol):
         raise ValueError("projector has rank below two")
     best = det.argmax(axis=-1)
-    return (i[best], j[best]) if best.ndim else (int(i[best]), int(j[best]))
+    return i[best], j[best]
 
 
 def _frame(P):
     """The jet of the two D+ frame columns of the projector jet P (at each
-    point of a batch, that point's _frame_columns), and their indices."""
+    point, that point's _frame_columns), and their indices."""
     cols = _frame_columns(P.value)
-    idx = np.stack(cols, axis=-1)[..., None, :]
-    V = [np.take_along_axis(a, idx.reshape(idx.shape + (1,) * (a.ndim - idx.ndim)), idx.ndim - 1)
+    idx = np.stack(cols, axis=-1)[:, None, :]
+    V = [np.take_along_axis(a, idx.reshape(idx.shape + (1,) * (a.ndim - 3)), 2)
          for a in (P.value, P.grad, P.hess)]
-    return Jet2(*V, P.batched), cols
+    return Jet2(*V), cols
 
 
 def theta_jets(t, Pp, p):
@@ -234,7 +234,7 @@ def foliation_report(res, tol=1e-6):
         oneill_ring_residual=ring,
         dplus_totally_geodesic_residual=geod,
         holomorphy_residual=res.max("holomorphy"),
-        chi1_consistency_residual=worst(res.max("chi1"), res.max("lie_fit")),
+        chi1_consistency_residual=float(worst(res.max("chi1"), res.max("lie_fit"))),
         verdict=verdict,
         points_used=res.points - excluded,
         points_excluded=excluded,

@@ -2,22 +2,19 @@
 
 A Jet2 carries (value, gradient, Hessian) with respect to the chart coordinates
 and propagates them exactly through +, -, *, /, powers, exp, log and trig.
-The value may be an array of any shape s (a scalar jet has shape ()), with
-gradient of shape s + (n,) and Hessian of shape s + (n, n); the elementwise
-rules broadcast over s, jeinsum contracts value axes by the product rule, and
-jinv inverts a matrix jet in closed form.  Curvature needs two derivatives of
-metric components, so second order is the whole story; there is no
-truncation error, only roundoff.
-
-A batched jet carries B points at once (vectorised Taylor-mode propagation):
-each of its arrays has a leading batch axis, so its value has shape (B,) + s.
-shape, len, indexing, iteration and .T act on the value axes behind the batch
-axis, so a builder closure runs unchanged on a batch.  In a binary rule a
-batched operand gets unit value axes right after its batch axis until it has
-as many as the other operand: a (B,) scalar times an (n, n) matrix
-broadcasts as it does at one point.  Unbatched jets and constant arrays
-broadcast against a batch as they are, jeinsum gives batched operands a batch
-letter, and jinv inverts the stack.
+A jet carries B points at once (vectorised Taylor-mode propagation), and a
+single point is a batch of one.  Its value has shape (B,) + s for value axes
+s of any shape (a scalar jet has s = ()), its gradient (B,) + s + (n,) and
+its Hessian (B,) + s + (n, n).  shape, len, indexing, iteration and .T act on
+the value axes behind the batch axis, so a builder closure reads as if it ran
+at one point.  The elementwise rules broadcast: in a binary rule the operand
+with fewer value axes gets unit ones right after its batch axis, so a (B,)
+scalar times an (n, n) matrix broadcasts as it does at one point, and a
+constant jet (batch axis 1) or a plain array broadcasts against a batch.
+jeinsum contracts value axes by the product rule, with the batch axis as one
+more letter, and jinv inverts each matrix of the stack in closed form.
+Curvature needs two derivatives of metric components, so second order is the
+whole story; there is no truncation error, only roundoff.
 """
 
 import functools
@@ -34,27 +31,13 @@ class JetDomainError(ValueError):
 _new = object.__new__
 
 
-def _jet(value, grad, hess, batched=False):
+def _jet(value, grad, hess):
     """Jet2 of computed arrays, without conversion or copies."""
     j = _new(Jet2)
     j.value = value
     j.grad = grad
     j.hess = hess
-    j.batched = batched
     return j
-
-
-# A 0-d value multiplies a derivative array as it is: numpy's scalar path
-# takes half the time of broadcasting a (1,) array.
-
-def _c1(v):
-    """v against one trailing derivative axis."""
-    return v[..., None] if v.ndim else v
-
-
-def _c2(v):
-    """v against two trailing derivative axes."""
-    return v[..., None, None] if v.ndim else v
 
 
 def _outer(g):
@@ -63,76 +46,72 @@ def _outer(g):
 
 
 def _pad(j, k):
-    """The batched jet j with unit value axes inserted after its batch axis
-    until it has k value axes."""
+    """The jet j with unit value axes inserted after its batch axis until it
+    has k value axes."""
     d = k + 1 - j.value.ndim
     if d <= 0:
         return j
     head = j.value.shape[:1] + (1,) * d
     return _jet(j.value.reshape(head + j.value.shape[1:]),
                 j.grad.reshape(head + j.grad.shape[1:]),
-                j.hess.reshape(head + j.hess.shape[1:]), True)
+                j.hess.reshape(head + j.hess.shape[1:]))
 
 
 def _aligned(a, b):
-    """Jets a and b, one of them batched, with a batched one padded to the
-    other's count of value axes."""
-    ka, kb = a.value.ndim - a.batched, b.value.ndim - b.batched
-    if a.batched and ka < kb:
-        a = _pad(a, kb)
-    elif b.batched and kb < ka:
-        b = _pad(b, ka)
+    """Jets a and b, the one with fewer value axes padded to the other's
+    count."""
+    ka, kb = a.value.ndim, b.value.ndim
+    if ka < kb:
+        a = _pad(a, kb - 1)
+    elif kb < ka:
+        b = _pad(b, ka - 1)
     return a, b
 
 
 class Jet2:
-    """Second-order jet of an array of functions of the chart coordinates,
-    at one point or (batched) at each of a batch of points.
+    """Second-order jet of an array of functions of the chart coordinates at
+    each of a batch of points.
 
     Indexing (``h[i][j]``, ``h[:, cols]``) and iteration act on the value
     axes.  ndarray operands defer to Jet2, so ``array * jet`` and
     ``array @ jet`` are jets.
     """
 
-    __slots__ = ("value", "grad", "hess", "batched")
+    __slots__ = ("value", "grad", "hess")
     __array_ufunc__ = None
 
-    def __init__(self, value, grad, hess, batched=False):
+    def __init__(self, value, grad, hess):
         self.value = np.asarray(value, float)
         self.grad = np.asarray(grad, float)
         self.hess = np.asarray(hess, float)
-        self.batched = batched
 
     @staticmethod
     def const(x, n):
-        """Constant jet of the value x (any shape) in n coordinates."""
-        x = np.asarray(x, float)
+        """Constant jet of the value x (any shape) in n coordinates, with a
+        batch axis of 1 that broadcasts against any batch."""
+        x = np.asarray(x, float)[None]
         return _jet(x, np.zeros(x.shape + (n,)), np.zeros(x.shape + (n, n)))
 
     @staticmethod
     def seed(p):
-        """Jet of the coordinates at p: value p, grad the identity, hess 0.
-        A (B, n) stack of points seeds a batch."""
-        p = np.asarray(p, float)
-        if p.ndim < 2:
-            n = p.size
-            return _jet(p, np.eye(n), np.zeros((n, n, n)))
+        """Jet of the coordinates at each point of the (B, n) stack p: value
+        p, grad the identity, hess 0.  One point (n,) seeds a batch of one."""
+        p = np.atleast_2d(np.asarray(p, float))
         n = p.shape[-1]
         return _jet(p, np.broadcast_to(np.eye(n), p.shape + (n,)),
-                    np.zeros(p.shape + (n, n)), True)
+                    np.zeros(p.shape + (n, n)))
 
     @property
     def shape(self):
-        """The shape of the value axes (behind the batch axis of a batch)."""
-        return self.value.shape[1:] if self.batched else self.value.shape
+        """The shape of the value axes, behind the batch axis."""
+        return self.value.shape[1:]
 
     def __len__(self):
-        return self.value.shape[1] if self.batched else len(self.value)
+        return self.value.shape[1]
 
     def __getitem__(self, idx):
-        if self.batched:
-            idx = (slice(None),) + (idx if isinstance(idx, tuple) else (idx,))
-        return _jet(self.value[idx], self.grad[idx], self.hess[idx], self.batched)
+        idx = (slice(None),) + idx if isinstance(idx, tuple) else (slice(None), idx)
+        return _jet(self.value[idx], self.grad[idx], self.hess[idx])
 
     def __iter__(self):
         return (self[i] for i in range(len(self)))
@@ -140,10 +119,10 @@ class Jet2:
     @property
     def T(self):
         """The jet of the transposed value axes."""
-        b, k = int(self.batched), self.value.ndim
-        ax = tuple(range(b)) + tuple(range(k - 1, b - 1, -1))
+        k = self.value.ndim
+        ax = (0,) + tuple(range(k - 1, 0, -1))
         return _jet(self.value.transpose(ax), self.grad.transpose(ax + (k,)),
-                    self.hess.transpose(ax + (k, k + 1)), self.batched)
+                    self.hess.transpose(ax + (k, k + 1)))
 
     def _shifted(self, value, negate=False):
         """The jet of value = (+/-) self + a constant: self's derivatives
@@ -153,61 +132,50 @@ class Jet2:
         if s != self.value.shape:
             grad = np.broadcast_to(grad, s + grad.shape[-1:])
             hess = np.broadcast_to(hess, s + hess.shape[-2:])
-        return _jet(value, grad, hess, self.batched)
+        return _jet(value, grad, hess)
 
     def __add__(self, other):
         if not isinstance(other, Jet2):
-            if self.batched:
-                self = _pad(self, np.ndim(other))
+            self = _pad(self, np.ndim(other))
             return self._shifted(self.value + other)
-        b = self.batched or other.batched
-        if b:
-            self, other = _aligned(self, other)
+        self, other = _aligned(self, other)
         return _jet(self.value + other.value, self.grad + other.grad,
-                    self.hess + other.hess, b)
+                    self.hess + other.hess)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _jet(-self.value, -self.grad, -self.hess, self.batched)
+        return _jet(-self.value, -self.grad, -self.hess)
 
     def __sub__(self, other):
         if not isinstance(other, Jet2):
-            if self.batched:
-                self = _pad(self, np.ndim(other))
+            self = _pad(self, np.ndim(other))
             return self._shifted(self.value - other)
-        b = self.batched or other.batched
-        if b:
-            self, other = _aligned(self, other)
+        self, other = _aligned(self, other)
         return _jet(self.value - other.value, self.grad - other.grad,
-                    self.hess - other.hess, b)
+                    self.hess - other.hess)
 
     def __rsub__(self, other):
-        if self.batched:
-            self = _pad(self, np.ndim(other))
+        self = _pad(self, np.ndim(other))
         return self._shifted(other - self.value, negate=True)
 
     def __mul__(self, other):
         if not isinstance(other, Jet2):
             c = np.asarray(other, float)
             if not c.ndim:
-                return _jet(self.value * c, self.grad * c, self.hess * c, self.batched)
-            if self.batched:
-                self = _pad(self, c.ndim)
+                return _jet(self.value * c, self.grad * c, self.hess * c)
+            self = _pad(self, c.ndim)
             c = c[..., None]
-            return _jet(self.value * other, self.grad * c, self.hess * c[..., None],
-                        self.batched)
-        b = self.batched or other.batched
-        if b:
-            self, other = _aligned(self, other)
-        sv, ov = self.value, other.value
+            return _jet(self.value * other, self.grad * c, self.hess * c[..., None])
+        self, other = _aligned(self, other)
+        sv, ov = self.value[..., None], other.value[..., None]
         cross = self.grad[..., :, None] * other.grad[..., None, :]
-        # the Hessian is summed in place: on a batch it is the largest array
-        hess = _c2(sv) * other.hess
-        hess += _c2(ov) * self.hess
+        # the Hessian is summed in place: it is the largest array
+        hess = sv[..., None] * other.hess
+        hess += ov[..., None] * self.hess
         hess += cross
         hess += cross.swapaxes(-1, -2)
-        return _jet(sv * ov, _c1(sv) * other.grad + _c1(ov) * self.grad, hess, b)
+        return _jet(self.value * other.value, sv * other.grad + ov * self.grad, hess)
 
     __rmul__ = __mul__
 
@@ -215,10 +183,10 @@ class Jet2:
         if np.count_nonzero(self.value) != self.value.size:
             raise JetDomainError("division by zero in jet arithmetic")
         iv = 1.0 / self.value
-        iv2 = iv * iv
-        return _jet(iv, _c1(-iv2) * self.grad,
-                    _c2(2.0 * iv ** 3) * _outer(self.grad) - _c2(iv2) * self.hess,
-                    self.batched)
+        iv2 = (iv * iv)[..., None]
+        return _jet(iv, -iv2 * self.grad,
+                    (2.0 * iv ** 3)[..., None, None] * _outer(self.grad)
+                    - iv2[..., None] * self.hess)
 
     def __truediv__(self, other):
         if not isinstance(other, Jet2):
@@ -235,7 +203,7 @@ class Jet2:
         if isinstance(k, int):
             if k == 0:
                 return _jet(np.ones(self.value.shape), np.zeros(self.grad.shape),
-                            np.zeros(self.hess.shape), self.batched)
+                            np.zeros(self.hess.shape))
             base = self if k > 0 else self.inv()
             out = base
             for _ in range(abs(k) - 1):
@@ -260,24 +228,26 @@ def _check_positive(u, what):
 
 def jlog(u):
     _check_positive(u, "log")
-    iv = 1.0 / u.value
-    return _jet(np.log(u.value), _c1(iv) * u.grad,
-                _c2(iv) * u.hess - _c2(iv * iv) * _outer(u.grad), u.batched)
+    iv = (1.0 / u.value)[..., None]
+    return _jet(np.log(u.value), iv * u.grad,
+                iv[..., None] * u.hess - (iv * iv)[..., None] * _outer(u.grad))
 
 
 def jexp(u):
     e = np.exp(u.value)
-    return _jet(e, _c1(e) * u.grad, _c2(e) * (u.hess + _outer(u.grad)), u.batched)
+    return _jet(e, e[..., None] * u.grad, e[..., None, None] * (u.hess + _outer(u.grad)))
 
 
 def jsin(u):
     s, c = np.sin(u.value), np.cos(u.value)
-    return _jet(s, _c1(c) * u.grad, _c2(c) * u.hess - _c2(s) * _outer(u.grad), u.batched)
+    return _jet(s, c[..., None] * u.grad,
+                c[..., None, None] * u.hess - s[..., None, None] * _outer(u.grad))
 
 
 def jcos(u):
     s, c = np.sin(u.value), np.cos(u.value)
-    return _jet(c, _c1(-s) * u.grad, _c2(-s) * u.hess - _c2(c) * _outer(u.grad), u.batched)
+    return _jet(c, -s[..., None] * u.grad,
+                -s[..., None, None] * u.hess - c[..., None, None] * _outer(u.grad))
 
 
 def jtan(u):
@@ -307,16 +277,15 @@ _BATCH = "Z"
 
 
 @functools.lru_cache(maxsize=None)
-def _specs(spec, ja, jb, ba, bb):
+def _specs(spec, ja, jb):
     """The einsum specs of jeinsum(spec, a, b): value, left and right product
-    rule terms and the cross term.  ja and jb mark jet operands, ba and bb
-    batched ones."""
+    rule terms and the cross term.  ja and jb mark the jet operands, which
+    get the batch letter."""
     ins, out = spec.split("->")
     sa, sb = ins.split(",")
-    if ba or bb:
-        sa = _BATCH + sa if ba else sa
-        sb = _BATCH + sb if bb else sb
-        out = _BATCH + out
+    sa = _BATCH + sa if ja else sa
+    sb = _BATCH + sb if jb else sb
+    out = _BATCH + out
     return (f"{sa},{sb}->{out}", f"{sa}...,{sb}->{out}...",
             f"{sa},{sb}...->{out}...", f"{sa}...,{sb}...->{out}...")
 
@@ -325,17 +294,16 @@ def jeinsum(spec, a, b):
     """np.einsum(spec, a, b) over the value axes of two jets (one of them may
     be a plain array), differentiated by the product rule.  spec is an
     explicit two-operand einsum spec such as "ij,jk->ik"; the derivative axes
-    ride along as the einsum ellipsis, and a batched operand's batch axis as
-    one more letter."""
+    ride along as the einsum ellipsis, and a jet operand's batch axis as one
+    more letter (einsum broadcasts a batch axis of 1)."""
     ja, jb = isinstance(a, Jet2), isinstance(b, Jet2)
     av = a.value if ja else np.asarray(a, float)
     bv = b.value if jb else np.asarray(b, float)
-    ba, bb = ja and a.batched, jb and b.batched
-    value, left, right, cross = _specs(spec, ja, jb, ba, bb)
+    value, left, right, cross = _specs(spec, ja, jb)
     if ja:
         grad, hess = np.einsum(left, a.grad, bv), np.einsum(left, a.hess, bv)
         if jb:
-            # summed in place: a batch's Hessians are the largest arrays
+            # summed in place: the Hessians are the largest arrays
             grad += np.einsum(right, av, b.grad)
             hess += np.einsum(right, av, b.hess)
             c = np.einsum(cross, a.grad[..., :, None], b.grad[..., None, :])
@@ -343,20 +311,20 @@ def jeinsum(spec, a, b):
             hess += c.swapaxes(-1, -2)
     else:
         grad, hess = np.einsum(right, av, b.grad), np.einsum(right, av, b.hess)
-    return _jet(np.einsum(value, av, bv), grad, hess, ba or bb)
+    return _jet(np.einsum(value, av, bv), grad, hess)
 
 
 _MATMUL = {(1, 1): "i,i->", (1, 2): "j,jk->k", (2, 1): "ij,j->i", (2, 2): "ij,jk->ik"}
 
 
 def _matmul_spec(a, b):
-    return _MATMUL[a.value.ndim - a.batched if isinstance(a, Jet2) else np.ndim(a),
-                   b.value.ndim - b.batched if isinstance(b, Jet2) else np.ndim(b)]
+    return _MATMUL[a.value.ndim - 1 if isinstance(a, Jet2) else np.ndim(a),
+                   b.value.ndim - 1 if isinstance(b, Jet2) else np.ndim(b)]
 
 
 def jinv(A):
-    """Closed-form inverse of a square matrix jet A (of each matrix of a
-    batch): value A^{-1}, grad_m -A^{-1} (d_m A) A^{-1}, and hess_mp
+    """Closed-form inverse of the square matrix jet A at each point: value
+    A^{-1}, grad_m -A^{-1} (d_m A) A^{-1}, and hess_mp
     A^{-1} (d_m A) A^{-1} (d_p A) A^{-1} + (m <-> p) - A^{-1} (d_m d_p A) A^{-1}."""
     try:
         Ai = np.linalg.inv(A.value)
@@ -367,7 +335,7 @@ def jinv(A):
     c = -np.einsum("...ikm,...kjp->...ijmp", X, grad)
     hess = c + c.swapaxes(-1, -2)
     hess -= np.einsum("...ikmp,...kj->...ijmp", np.einsum("...ik,...kjmp->...ijmp", Ai, A.hess), Ai)
-    return _jet(Ai, grad, hess, A.batched)
+    return _jet(Ai, grad, hess)
 
 
 def jet_dcoord(u, k=slice(None)):
@@ -378,34 +346,31 @@ def jet_dcoord(u, k=slice(None)):
     value and grad."""
     n = u.grad.shape[-1]
     value = u.grad[..., k]
-    return _jet(value, u.hess[..., k, :], np.zeros(value.shape + (n, n)), u.batched)
+    return _jet(value, u.hess[..., k, :], np.zeros(value.shape + (n, n)))
 
 
 def pack(M):
     """Jets nested in lists (a vector, matrix or k-form of components) stacked
-    into one Jet2 of the nesting shape; a Jet2 comes back as it is.  If any
-    component is batched the result is, with the unbatched ones repeated
-    over the batch."""
+    into one Jet2 of the nesting shape, a component of batch 1 repeated over
+    the batch of the others; a Jet2 comes back as it is."""
     if isinstance(M, Jet2):
         return M
     shape, flat = [len(M)], list(M)
     while not isinstance(flat[0], Jet2):
         shape.append(len(flat[0]))
         flat = [e for row in flat for e in row]
-    s = tuple(shape) + flat[0].shape
+    batches = {len(e.value) for e in flat}
+    batch = max(batches)
+    if len(batches) > 1:
+        flat = [e if len(e.value) == batch else
+                _jet(*(np.broadcast_to(a, (batch,) + a.shape[1:]) for a in (e.value, e.grad, e.hess)))
+                for e in flat]
+    s = (batch,) + tuple(shape) + flat[0].shape
     n = flat[0].grad.shape[-1:]
-    batch = next((e.value.shape[:1] for e in flat if e.batched), ())
-    if not batch:
-        return _jet(np.array([e.value for e in flat]).reshape(s),
-                    np.array([e.grad for e in flat]).reshape(s + n),
-                    np.array([e.hess for e in flat]).reshape(s + n + n))
-
-    def stacked(arrays, extra):
-        full = batch + flat[0].shape + extra
-        return np.stack([np.broadcast_to(a, full) for a in arrays],
-                        axis=1).reshape(batch + s + extra)
-    return _jet(stacked([e.value for e in flat], ()), stacked([e.grad for e in flat], n),
-                stacked([e.hess for e in flat], n + n), True)
+    # the component axis moves behind the batch axis: a view for one point
+    return _jet(np.array([e.value for e in flat]).swapaxes(0, 1).reshape(s),
+                np.array([e.grad for e in flat]).swapaxes(0, 1).reshape(s + n),
+                np.array([e.hess for e in flat]).swapaxes(0, 1).reshape(s + n + n))
 
 
 # ---------------------------------------------------------------------------

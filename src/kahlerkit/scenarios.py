@@ -17,6 +17,7 @@ the report except timings_seconds is reproduced byte for byte.
 """
 
 import json
+import math
 import os
 import time
 from dataclasses import dataclass
@@ -113,7 +114,7 @@ def _levels_record(folds):
     for index, res in enumerate(folds):
         used += res.used()
         excluded += res.excluded.get(None, 0)
-        mx = worst(mx, res.max())
+        mx = float(worst(mx, res.max()))
         total += res.mean() * res.used()
         if res.error:
             return CheckResult(used, excluded, mx, total / used if used else 0.0,
@@ -371,7 +372,11 @@ def _make_ak(params):
         levels = iterate_chain("twisted", int(params["chain_m"]), A=params["A"],
                                radius=radius, z_range=tuple(params["z_range"]),
                                s_range=tuple(params["s_range"]))
-        lv = levels[int(params["chain_level"])]
+        level = int(params["chain_level"])
+        if not 0 <= level < len(levels):
+            raise ScenarioError("chain_level %d is out of range: a chain with chain_m=%s "
+                                "has levels 0..%d" % (level, params["chain_m"], len(levels) - 1))
+        lv = levels[level]
         zt = lv.triple
         zpos_product = {j: pos + 2 for j, pos in lv.z_positions.items()}
     else:
@@ -535,6 +540,15 @@ def bundled_names():
                   if f.endswith(".json"))
 
 
+def check_tolerance(val, what):
+    """Raise ScenarioError unless val is a finite number >= 0 (a boolean is
+    not a number here); what names the value in the message."""
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        raise ScenarioError("%s must be a number, got %r" % (what, val))
+    if not (math.isfinite(val) and val >= 0):
+        raise ScenarioError("%s must be finite and >= 0, got %r" % (what, val))
+
+
 def parse_scenario(obj, source="<memory>"):
     if not isinstance(obj, dict):
         raise ScenarioError("%s: scenario must be a JSON object" % source)
@@ -559,8 +573,7 @@ def parse_scenario(obj, source="<memory>"):
     if not isinstance(tol, dict):
         raise ScenarioError("%s: tolerances must be an object" % source)
     for key, val in tol.items():
-        if not isinstance(val, (int, float)):
-            raise ScenarioError("%s: tolerance %r must be a number" % (source, key))
+        check_tolerance(val, "%s: tolerance %r" % (source, key))
     try:
         seed = int(plan.get("seed", 0))
         count = int(plan.get("count", 30))

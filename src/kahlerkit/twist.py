@@ -139,16 +139,18 @@ def build_twist_fields(g, endos, Pp, w, theta, chart, mode="B"):
 
 
 def validate_twist(w, theta, p):
-    """|w|^2 <= DISC and |theta| bounded away from zero at p; raises with the
-    point."""
+    """|w|^2 <= DISC and |theta| bounded away from zero at each point of p;
+    raises naming the first point that fails."""
     pe = at(p)
     ww = _norm2(pe.raw(w)).value
-    if ww > DISC:
+    out = np.flatnonzero(ww > DISC)
+    if out.size:
         raise ValueError("twist |w| = %.8f too close to the circle at %s"
-                         % (ww ** 0.5, pe.p.tolist()))
-    if np.abs(pe.jets(theta)[0]).max() < 1e-6:
+                         % (ww[out[0]] ** 0.5, pe.p[out[0]].tolist()))
+    flat = np.flatnonzero(pe.absmax(pe.jets(theta)[0]) < 1e-6)
+    if flat.size:
         raise ValueError("twist frame degenerate (|theta| < 1.0e-06) at %s"
-                         % pe.p.tolist())
+                         % pe.p[flat[0]].tolist())
 
 
 def build_twist(cal, tw, mode="B"):
@@ -237,19 +239,18 @@ def zeta_duality_residual(gfn, Jfn, gwfn, Jwfn, theta_fn, p):
 
 
 def solve_single_twist(g0fn, gcompfn, J0fn, Ppfn, theta_fn, p):
-    """Recover the single-twist parameter reproducing a composite metric at p
-    (mode B, frame {theta, -theta o J})."""
+    """Recover the single-twist parameter (w1, w2) reproducing a composite
+    metric at each point of p (mode B, frame {theta, -theta o J})."""
     pe = at(p)
     gv0 = pe.jets(g0fn)[0]
     gvc = pe.jets(gcompfn)[0]
-    th = pe.jets(theta_fn)[0]
-    e2 = -th @ pe.jets(J0fn)[0]
-    v = pe.jets(Ppfn)[0][:, [0, 1]]
-    E = np.stack([th @ v, e2 @ v])
-    u = v @ np.linalg.inv(E)
+    th = pe.jets(theta_fn)[0][..., None, :]
+    F = np.concatenate([th, -th @ pe.jets(J0fn)[0]], axis=-2)   # rows theta, e2
+    v = pe.jets(Ppfn)[0][..., :2]
+    u = v @ np.linalg.inv(F @ v)
     C = np.linalg.inv(gv0) @ gvc
-    B = np.stack([th @ C @ u, e2 @ C @ u])
-    tau = B[0, 0] + B[1, 1]
-    ww = (tau - 2.0) / (tau + 2.0)
+    B = F @ C @ u
+    tau = B[..., 0, 0] + B[..., 1, 1]
+    ww = ((tau - 2.0) / (tau + 2.0))[..., None, None]
     S3 = 0.5 * ((1.0 + ww) * np.eye(2) - (1.0 - ww) * B)
-    return S3[0, 0], S3[0, 1]
+    return S3[..., 0, 0], S3[..., 0, 1]

@@ -219,6 +219,41 @@ def test_params_the_builder_rejects_exit_two(builder, params, tmp_path, capsys):
         assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("level", [7, -1])
+def test_chain_level_out_of_range_names_the_parameter(level, tmp_path, capsys):
+    # the chain of chain_m=2 has levels 0..2; -1 is not the last level
+    path = tmp_path / "bad_level.json"
+    path.write_text(json.dumps({"name": "x", "builder": "ak_product",
+                                "params": {"z": "chain", "chain_level": level}}))
+    for argv in (["verify", str(path)], ["curvature", str(path), "--point", "0,0"]):
+        rc, out, err = run_cli(capsys, argv)
+        assert rc == 2 and out == ""
+        assert err.startswith("error: %s: builder 'ak_product'" % path)
+        assert "chain_level %d is out of range" % level in err and "levels 0..2" in err
+        assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("tol, needle", [
+    (True, "must be a number, got True"),
+    (float("nan"), "must be finite and >= 0, got nan"),
+    (-1.0, "must be finite and >= 0, got -1.0"),
+], ids=["bool", "nan", "negative"])
+def test_bad_tolerance_in_a_file_exits_two(tol, needle, tmp_path, capsys):
+    path = tmp_path / "bad_tol.json"
+    path.write_text(json.dumps({"name": "x", "builder": "flat",
+                                "tolerances": {"ricci_zero": tol}}))
+    rc, out, err = run_cli(capsys, ["verify", str(path)])
+    assert rc == 2 and out == ""
+    assert err == "error: %s: tolerance 'ricci_zero' %s\n" % (path, needle)
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+def test_bad_tol_option_exits_two(tol, capsys):
+    rc, out, err = run_cli(capsys, ["verify", "flat", "--tol", tol])
+    assert rc == 2 and out == ""
+    assert err == "error: --tol must be finite and >= 0, got %r\n" % float(tol)
+
+
 def test_custom_scenario_file_runs(tmp_path, capsys):
     obj = {"name": "mini_flat", "builder": "flat", "params": {"dim": 2},
            "plan": {"seed": 3, "count": 5},

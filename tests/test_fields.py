@@ -40,7 +40,7 @@ def hyperbolic_metric(pt):
 def test_polar_christoffel_closed_form():
     p = [2.0, 0.7]
     gv, gg, gh = metric_jets(polar_metric, p)
-    Gam, _, _ = christoffel_parts(gv, gg, gh, p)
+    Gam = christoffel_parts(gv, gg, gh, p)[0][0]
     # Gamma^r_{phi phi} = -r, Gamma^phi_{r phi} = 1/r
     assert abs(Gam[0, 1, 1] - (-2.0)) < 1e-12
     assert abs(Gam[1, 0, 1] - 0.5) < 1e-12
@@ -51,7 +51,7 @@ def test_polar_christoffel_closed_form():
 def test_sphere_christoffel_closed_form():
     u = np.pi / 3.0
     gv, gg, gh = metric_jets(sphere_metric, [u, 0.3])
-    Gam, _, _ = christoffel_parts(gv, gg, gh, [u, 0.3])
+    Gam = christoffel_parts(gv, gg, gh, [u, 0.3])[0][0]
     assert abs(Gam[0, 1, 1] - (-np.sin(u) * np.cos(u))) < 1e-12
     assert abs(Gam[1, 0, 1] - np.cos(u) / np.sin(u)) < 1e-12
 
@@ -79,8 +79,8 @@ def test_sphere_and_hyperbolic_scalar_curvature():
 
 def test_sphere_sectional_curvature_one():
     p = [1.1, 0.4]
-    R = PointEval(p).curvature(sphere_metric)[0]
-    gv, _, _ = metric_jets(sphere_metric, p)
+    R = PointEval(p).curvature(sphere_metric)[0][0]
+    gv = metric_jets(sphere_metric, p)[0][0]
     sec = R[0, 1, 1, 0] / (gv[0, 0] * gv[1, 1] - gv[0, 1] ** 2)
     assert abs(sec - 1.0) < 1e-10
 
@@ -92,7 +92,7 @@ def test_riemann_symmetries_and_bianchi():
     ]
     for gfn, chart in charts:
         for p in chart.samples(SamplePlan(5, 10)):
-            R = PointEval(p).curvature(gfn)[0]
+            R = PointEval(p).curvature(gfn)[0][0]
             sc = max(np.abs(R).max(), 1e-12)
             assert np.abs(R + R.transpose(1, 0, 2, 3)).max() / sc < 1e-9
             assert np.abs(R + R.transpose(0, 1, 3, 2)).max() / sc < 1e-9
@@ -104,7 +104,7 @@ def test_riemann_symmetries_and_bianchi():
 def test_metric_compatibility_of_connection():
     # nabla g = 0: d_k g_ij = Gamma^m_{ki} g_mj + Gamma^m_{kj} g_im
     p = [0.9, 0.6]
-    gv, gg, gh = metric_jets(sphere_metric, p)
+    gv, gg, gh = (a[0] for a in metric_jets(sphere_metric, p))
     Gam, _, _ = christoffel_parts(gv, gg, gh, p)
     lhs = np.einsum('ijk->kij', gg)
     rhs = np.einsum('mki,mj->kij', Gam, gv) + np.einsum('mkj,im->kij', Gam, gv)
@@ -129,7 +129,8 @@ def test_exterior_derivative_squares_to_zero_on_gradients():
     def df(pt):
         u = f(pt)
         n = jsize(pt)
-        return [Jet2(u.grad[k], u.hess[k], np.zeros((n, n))) for k in range(3)]
+        return [Jet2(u.grad[:, k], u.hess[:, k], np.zeros((len(u.value), n, n)))
+                for k in range(3)]
     alpha = Field(df, chart, degree=1)
     for p in chart.samples(SamplePlan(7, 10)):
         d = exterior_derivative(alpha, p)
@@ -146,7 +147,7 @@ def test_exterior_derivative_of_declared_two_form():
         x = pt[0]
         return [[zero, zero, zero], [zero, zero, x], [zero, x * (-1.0), zero]]
     om = Field(omfn, chart, degree=2)
-    d = exterior_derivative(om, [0.2, -0.3, 0.5])
+    d = exterior_derivative(om, [0.2, -0.3, 0.5])[0]
     assert abs(d[0, 1, 2] - 1.0) < 1e-12
     assert abs(d[1, 0, 2] + 1.0) < 1e-12
     assert abs(d[0, 0, 1]) < 1e-14
@@ -236,11 +237,11 @@ def test_homotopy_primitive_roundtrip_constant_form():
     want = np.array([[0.0, 1.0], [-1.0, 0.0]])
     for p in chart.samples(SamplePlan(11, 50)):
         a = alpha.fn(Jet2.seed(np.asarray(p, float)))
-        ag = np.array([comp.grad for comp in a])
+        ag = np.array([comp.grad[0] for comp in a])
         assert np.abs((ag.T - ag) - want).max() < 1e-8
         # the primitive here is (x dy - y dx)/2 since the chart center is 0
-        assert abs(a[0].value + 0.5 * p[1]) < 1e-12
-        assert abs(a[1].value - 0.5 * p[0]) < 1e-12
+        assert abs(a[0].value[0] + 0.5 * p[1]) < 1e-12
+        assert abs(a[1].value[0] - 0.5 * p[0]) < 1e-12
 
 
 def test_homotopy_primitive_roundtrip_polynomial_form():
@@ -256,7 +257,7 @@ def test_homotopy_primitive_roundtrip_polynomial_form():
     for p in chart.samples(SamplePlan(13, 50)):
         jets = Jet2.seed(np.asarray(p, float))
         a = alpha.fn(jets)
-        ag = np.array([comp.grad for comp in a])
+        ag = np.array([comp.grad[0] for comp in a])
         d = ag.T - ag
         want = 1.0 + p[0] ** 2
         assert abs(d[0, 1] - want) < 1e-8
@@ -323,6 +324,17 @@ def test_fold_stops_at_nonfinite_and_domain_errors():
     assert res.max("b") == 2.0 and res.error == ""
 
 
+def test_fold_states_the_shape_of_a_result_that_is_not_one_per_point():
+    # a 2x2 array (a Ricci form folded by mistake) at a batch of one point,
+    # and a named residual with two values at a batch of three
+    pts = ChartManifold(2, [(-1.0, 1.0)] * 2).samples(SamplePlan(3, 3))
+    with pytest.raises(ValueError, match=r"returned shape \(2, 2\) on a batch of 1 point"):
+        Fold().add(PointEval(pts[0]), lambda pe: np.zeros((2, 2)))
+    with pytest.raises(ValueError,
+                       match=r"returned residual 'a' of shape \(2,\) on a batch of 3 point"):
+        Fold().add(PointEval(pts), lambda pe: {"a": np.zeros(2)})
+
+
 def test_point_eval_evaluates_each_field_once():
     calls = []
 
@@ -356,11 +368,11 @@ def test_fields_called_on_the_point_read_its_memo():
     # the lifted slice keeps the derivatives in all three coordinates;
     # sub() is the factor's own point, differentiated in its two, and reads
     # the factor's fields from the lifted slice, restricted to those two
-    assert pe.x[1:].grad.shape == (2, 3) and pe.sub(1).x.grad.shape == (2, 2)
+    assert pe.x[1:].grad.shape == (1, 2, 3) and pe.sub(1).x.grad.shape == (1, 2, 2)
     sub = b(pe.sub(1).x)
-    assert sub.grad.shape == (2,)
+    assert sub.grad.shape == (1, 2)
     assert calls == [2]
-    own = b(Jet2.seed(pe.p[1:]))
+    own = b(Jet2.seed(pe.p[:, 1:]))
     for got, want in zip((sub.value, sub.grad, sub.hess), (own.value, own.grad, own.hess)):
         assert np.array_equal(got, want)
     assert calls == [2, 2]

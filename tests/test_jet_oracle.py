@@ -129,14 +129,15 @@ def test_array_jet_equals_the_scalar_jets_it_stacks(op, a, b, pts):
     assert arr.shape == (len(pts),)
     for k, x in enumerate(seeds):
         one = lift(build(tree, x, JETS))
-        for got, want in zip((arr.value[k], arr.grad[k], arr.hess[k]),
+        for got, want in zip((arr.value[:, k], arr.grad[:, k], arr.hess[:, k]),
                              (one.value, one.grad, one.hess)):
             assert_close(got, want, 1e-12)
 
 
 def random_jet(rng, shape):
-    h = rng.normal(size=shape + (N, N))
-    return Jet2(rng.normal(size=shape), rng.normal(size=shape + (N,)),
+    """A jet of value shape shape at a batch of one point."""
+    h = rng.normal(size=(1,) + shape + (N, N))
+    return Jet2(rng.normal(size=(1,) + shape), rng.normal(size=(1,) + shape + (N,)),
                 h + np.swapaxes(h, -1, -2))
 
 
@@ -168,11 +169,11 @@ def test_jeinsum_matches_scalar_jets(spec, seed, const_first):
     a = random_jet(rng, tuple(size[c] for c in sa))
     b = random_jet(rng, tuple(size[c] for c in sb))
     if const_first:
-        a = a.value             # a plain array operand contributes no derivatives
+        a = a.value[0]          # a plain array operand contributes no derivatives
     got = jeinsum(spec, a, b)
     for key, want in scalar_einsum(spec, lift(a), b).items():
-        for g, w in zip((got.value[key], got.grad[key], got.hess[key]),
-                        (want.value, want.grad, want.hess)):
+        one = got[key]
+        for g, w in zip((one.value, one.grad, one.hess), (want.value, want.grad, want.hess)):
             assert_close(g, w, 1e-12)
 
 
@@ -196,6 +197,6 @@ def test_jinv_matches_the_scalar_cofactor_inverse(d, seed):
             minor = [row[:i] + row[i + 1:] for k, row in enumerate(M) if k != j]
             cof = (-1.0) ** (i + j) * (cofactor_det(minor) if minor else jconst(1.0, N))
             want = cof / det
-            for g, w in zip((got.value[i, j], got.grad[i, j], got.hess[i, j]),
-                            (want.value, want.grad, want.hess)):
+            one = got[i, j]
+            for g, w in zip((one.value, one.grad, one.hess), (want.value, want.grad, want.hess)):
                 assert_close(g, w, 1e-10)

@@ -1,5 +1,6 @@
-"""Structural guards: where the library walks a sample plan, how often each
-case seeds, and the README's library example run as written."""
+"""Structural guards: where the library walks a sample plan, that every jet
+has a batch axis, how often each case seeds, and the README's library
+example run as written."""
 
 import ast
 import contextlib
@@ -35,6 +36,35 @@ def test_only_the_runner_and_the_alpha_guard_walk_a_sample_plan():
                         and node.func.attr == "samples"):
                     walkers.add("%s.%s" % (name[:-3], getattr(top, "name", "<module>")))
     assert walkers == {"scenarios.run_scenario_obj", "calabi.build_calabi"}
+
+
+def _batch_name(node):
+    return ((isinstance(node, ast.Name) and node.id == "batch")
+            or (isinstance(node, ast.Attribute) and node.attr == "batch"))
+
+
+def test_one_jet_layout_every_jet_has_a_batch_axis():
+    # a point is a batch of one: no module keeps a second, unbatched layout
+    # behind a flag or a batch of None
+    found = []
+    for name in sorted(os.listdir(SRC)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(SRC, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "batched":
+                found.append("%s:%d reads .batched" % (name, node.lineno))
+            if isinstance(node, ast.Compare):
+                sides = [node.left] + node.comparators
+                if (any(_batch_name(s) for s in sides)
+                        and any(isinstance(s, ast.Constant) and s.value is None for s in sides)):
+                    found.append("%s:%d compares batch with None" % (name, node.lineno))
+    assert found == []
+    assert Jet2.__slots__ == ("value", "grad", "hess")
+    x = Jet2.seed(np.array([0.1, 0.2, 0.3]))
+    assert x.value.shape == (1, 3) and x.grad.shape == (1, 3, 3) and x.hess.shape == (1, 3, 3, 3)
+    assert x.shape == (3,) and len(x) == 3
 
 
 def test_readme_library_example_runs():

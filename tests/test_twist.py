@@ -152,15 +152,15 @@ def test_single_twist_parameter_recovery():
     p = [0.2, 1.1, 0.1, -0.15]
     for w1, w2 in [(0.25, -0.35), (0.0, 0.5), (-0.3, 0.1)]:
         tt = build_twist(cal, constant_twist(w1, w2))
-        got1, got2 = solve_single_twist(cal.g.fn, tt.g_w.fn, cal.J.fn,
-                                        cal.proj_plus.fn, cal.theta.fn, p)
+        got1, got2 = (w[0] for w in solve_single_twist(cal.g.fn, tt.g_w.fn, cal.J.fn,
+                                                       cal.proj_plus.fn, cal.theta.fn, p))
         assert abs(got1 - w1) < 1e-10
         assert abs(got2 - w2) < 1e-10
     # position-dependent case recovers the pointwise value
     tw = coordinate_twist(2, 3)
     tt = build_twist(cal, tw)
-    got1, got2 = solve_single_twist(cal.g.fn, tt.g_w.fn, cal.J.fn,
-                                    cal.proj_plus.fn, cal.theta.fn, p)
+    got1, got2 = (w[0] for w in solve_single_twist(cal.g.fn, tt.g_w.fn, cal.J.fn,
+                                                   cal.proj_plus.fn, cal.theta.fn, p))
     assert abs(got1 - p[2]) < 1e-10
     assert abs(got2 - p[3]) < 1e-10
 
