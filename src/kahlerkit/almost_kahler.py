@@ -272,8 +272,9 @@ def iterate_chain(kind, m, A=-1.0, radius=0.55, z_range=(0.6, 1.8),
 
 def ker_dw_projector(g, w, p):
     """Jet at p of the g-orthogonal projector onto Ker dw1 ∩ Ker dw2 of the
-    metric field g and the twist field w, from the point's memoised g^{-1}
-    (first-order jets, enough for the second-fundamental-form residual)."""
+    metric field g and the twist field w, from the point's memoised g^{-1}:
+    a first-order jet (dw is one, from jet_dcoord), enough for the
+    second-fundamental-form residual."""
     pe = at(p)
     dw = jet_dcoord(pe.raw(w))
     ns = dw @ pe.inverse(g).T

@@ -11,6 +11,7 @@ scenario-file problem.
 """
 
 import argparse
+import functools
 import json
 import os
 import platform
@@ -177,7 +178,10 @@ def _cmd_bench(args):
     return 0
 
 
-def main(argv=None):
+@functools.lru_cache(maxsize=None)
+def _parser():
+    """The argument parser, built once per process (parse_args keeps no state
+    between calls)."""
     parser = argparse.ArgumentParser(
         prog="kahlerkit",
         description="build fibered Kähler charts, twists and plane products, "
@@ -205,14 +209,17 @@ def main(argv=None):
                                            "and write BENCH_<label>.json" % BENCH_REPEAT)
     p_bench.add_argument("--label", required=True)
     p_bench.set_defaults(fn=_cmd_bench)
+    return parser
 
+
+def main(argv=None):
     # argparse takes the value in "--point -0.3,0.2" for an option; bind it
     argv = list(sys.argv[1:] if argv is None else argv)
     for i, tok in enumerate(argv[:-1]):
         if tok == "--point":
             argv[i:i + 2] = ["--point=" + argv[i + 1]]
             break
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except ScenarioError as exc:

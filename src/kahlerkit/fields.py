@@ -120,7 +120,7 @@ class Point(Jet2):
     __slots__ = ("memo", "lifted")
 
     def __init__(self, jet, memo, lifted=None):
-        self.value, self.grad, self.hess = jet.value, jet.grad, jet.hess
+        self.value, self.grad, self._hess = jet.value, jet.grad, jet._hess
         self.memo = memo
         self.lifted = lifted
 

@@ -67,8 +67,9 @@ def theta_jets(t, Pp, p):
     """Jet-level Lee-form extraction at p.
 
     Returns (theta, homothetic_residual, thetaV, cols) where theta is the Lee
-    form as a first-order-valid jet (value and grad exact; hess padding) and
-    thetaV the theta(V_a) jets for the D+ frame columns.
+    form as a first-order jet (value and grad exact, no Hessian: it is built
+    from the jet_dcoord derivatives of g and the frame) and thetaV the
+    first-order theta(V_a) jets for the D+ frame columns.
     """
     pe = at(p)
     g = pe.raw(t.g)

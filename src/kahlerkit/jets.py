@@ -12,12 +12,21 @@ with fewer value axes gets unit ones right after its batch axis, so a (B,)
 scalar times an (n, n) matrix broadcasts as it does at one point, and a
 constant jet (batch axis 1) or a plain array broadcasts against a batch.
 jeinsum contracts value axes by the product rule, with the batch axis as one
-more letter, and jinv inverts each matrix of the stack in closed form.
+more letter, and jinv inverts each matrix of the stack in closed form.  Both
+contract through _contract, which runs a two-operand contraction as one
+batched np.matmul on a plan cached by the spec and the operand shapes.
 Curvature needs two derivatives of metric components, so second order is the
 whole story; there is no truncation error, only roundoff.
+
+A first-order jet carries no Hessian: jet_dcoord returns one (the third
+derivatives of u it would need are not tracked), and every rule whose jet
+operands include one skips the Hessian terms and returns one, so only the
+degrees that are read are propagated.  Reading its hess raises
+FirstOrderError.
 """
 
 import functools
+import math
 
 import numpy as np
 
@@ -28,15 +37,21 @@ class JetDomainError(ValueError):
     it was raised."""
 
 
+class FirstOrderError(Exception):
+    """Raised when the Hessian of a first-order jet is read.  It is a defect
+    of the caller, not of the point, so no Fold records it."""
+
+
 _new = object.__new__
 
 
 def _jet(value, grad, hess):
-    """Jet2 of computed arrays, without conversion or copies."""
+    """Jet2 of computed arrays, without conversion or copies (hess None for a
+    first-order jet)."""
     j = _new(Jet2)
     j.value = value
     j.grad = grad
-    j.hess = hess
+    j._hess = hess
     return j
 
 
@@ -52,9 +67,10 @@ def _pad(j, k):
     if d <= 0:
         return j
     head = j.value.shape[:1] + (1,) * d
+    h = j._hess
     return _jet(j.value.reshape(head + j.value.shape[1:]),
                 j.grad.reshape(head + j.grad.shape[1:]),
-                j.hess.reshape(head + j.hess.shape[1:]))
+                None if h is None else h.reshape(head + h.shape[1:]))
 
 
 def _aligned(a, b):
@@ -70,20 +86,28 @@ def _aligned(a, b):
 
 class Jet2:
     """Second-order jet of an array of functions of the chart coordinates at
-    each of a batch of points.
+    each of a batch of points; with hess None, a first-order jet.
 
     Indexing (``h[i][j]``, ``h[:, cols]``) and iteration act on the value
     axes.  ndarray operands defer to Jet2, so ``array * jet`` and
     ``array @ jet`` are jets.
     """
 
-    __slots__ = ("value", "grad", "hess")
+    __slots__ = ("value", "grad", "_hess")
     __array_ufunc__ = None
 
-    def __init__(self, value, grad, hess):
+    def __init__(self, value, grad, hess=None):
         self.value = np.asarray(value, float)
         self.grad = np.asarray(grad, float)
-        self.hess = np.asarray(hess, float)
+        self._hess = None if hess is None else np.asarray(hess, float)
+
+    @property
+    def hess(self):
+        """The Hessian array; a first-order jet has none."""
+        if self._hess is None:
+            raise FirstOrderError("a first-order jet carries no Hessian (its value and "
+                                  "gradient are exact, its second derivatives unknown)")
+        return self._hess
 
     @staticmethod
     def const(x, n):
@@ -111,7 +135,8 @@ class Jet2:
 
     def __getitem__(self, idx):
         idx = (slice(None),) + idx if isinstance(idx, tuple) else (slice(None), idx)
-        return _jet(self.value[idx], self.grad[idx], self.hess[idx])
+        h = self._hess
+        return _jet(self.value[idx], self.grad[idx], None if h is None else h[idx])
 
     def __iter__(self):
         return (self[i] for i in range(len(self)))
@@ -121,17 +146,21 @@ class Jet2:
         """The jet of the transposed value axes."""
         k = self.value.ndim
         ax = (0,) + tuple(range(k - 1, 0, -1))
+        h = self._hess
         return _jet(self.value.transpose(ax), self.grad.transpose(ax + (k,)),
-                    self.hess.transpose(ax + (k, k + 1)))
+                    None if h is None else h.transpose(ax + (k, k + 1)))
 
     def _shifted(self, value, negate=False):
         """The jet of value = (+/-) self + a constant: self's derivatives
         (negated with negate), broadcast to the shape of value."""
-        grad, hess = (-self.grad, -self.hess) if negate else (self.grad, self.hess)
+        grad, hess = self.grad, self._hess
+        if negate:
+            grad, hess = -grad, None if hess is None else -hess
         s = np.shape(value)
         if s != self.value.shape:
             grad = np.broadcast_to(grad, s + grad.shape[-1:])
-            hess = np.broadcast_to(hess, s + hess.shape[-2:])
+            if hess is not None:
+                hess = np.broadcast_to(hess, s + hess.shape[-2:])
         return _jet(value, grad, hess)
 
     def __add__(self, other):
@@ -139,21 +168,24 @@ class Jet2:
             self = _pad(self, np.ndim(other))
             return self._shifted(self.value + other)
         self, other = _aligned(self, other)
+        sh, oh = self._hess, other._hess
         return _jet(self.value + other.value, self.grad + other.grad,
-                    self.hess + other.hess)
+                    None if sh is None or oh is None else sh + oh)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _jet(-self.value, -self.grad, -self.hess)
+        h = self._hess
+        return _jet(-self.value, -self.grad, None if h is None else -h)
 
     def __sub__(self, other):
         if not isinstance(other, Jet2):
             self = _pad(self, np.ndim(other))
             return self._shifted(self.value - other)
         self, other = _aligned(self, other)
+        sh, oh = self._hess, other._hess
         return _jet(self.value - other.value, self.grad - other.grad,
-                    self.hess - other.hess)
+                    None if sh is None or oh is None else sh - oh)
 
     def __rsub__(self, other):
         self = _pad(self, np.ndim(other))
@@ -163,19 +195,24 @@ class Jet2:
         if not isinstance(other, Jet2):
             c = np.asarray(other, float)
             if not c.ndim:
-                return _jet(self.value * c, self.grad * c, self.hess * c)
+                h = self._hess
+                return _jet(self.value * c, self.grad * c, None if h is None else h * c)
             self = _pad(self, c.ndim)
-            c = c[..., None]
-            return _jet(self.value * other, self.grad * c, self.hess * c[..., None])
+            h, c = self._hess, c[..., None]
+            return _jet(self.value * other, self.grad * c,
+                        None if h is None else h * c[..., None])
         self, other = _aligned(self, other)
         sv, ov = self.value[..., None], other.value[..., None]
+        grad = sv * other.grad + ov * self.grad
+        if self._hess is None or other._hess is None:
+            return _jet(self.value * other.value, grad, None)
         cross = self.grad[..., :, None] * other.grad[..., None, :]
         # the Hessian is summed in place: it is the largest array
-        hess = sv[..., None] * other.hess
-        hess += ov[..., None] * self.hess
+        hess = sv[..., None] * other._hess
+        hess += ov[..., None] * self._hess
         hess += cross
         hess += cross.swapaxes(-1, -2)
-        return _jet(self.value * other.value, sv * other.grad + ov * self.grad, hess)
+        return _jet(self.value * other.value, grad, hess)
 
     __rmul__ = __mul__
 
@@ -184,9 +221,10 @@ class Jet2:
             raise JetDomainError("division by zero in jet arithmetic")
         iv = 1.0 / self.value
         iv2 = (iv * iv)[..., None]
+        h = self._hess
         return _jet(iv, -iv2 * self.grad,
-                    (2.0 * iv ** 3)[..., None, None] * _outer(self.grad)
-                    - iv2[..., None] * self.hess)
+                    None if h is None else
+                    (2.0 * iv ** 3)[..., None, None] * _outer(self.grad) - iv2[..., None] * h)
 
     def __truediv__(self, other):
         if not isinstance(other, Jet2):
@@ -202,8 +240,9 @@ class Jet2:
     def __pow__(self, k):
         if isinstance(k, int):
             if k == 0:
+                h = self._hess
                 return _jet(np.ones(self.value.shape), np.zeros(self.grad.shape),
-                            np.zeros(self.hess.shape))
+                            None if h is None else np.zeros(h.shape))
             base = self if k > 0 else self.inv()
             out = base
             for _ in range(abs(k) - 1):
@@ -229,25 +268,32 @@ def _check_positive(u, what):
 def jlog(u):
     _check_positive(u, "log")
     iv = (1.0 / u.value)[..., None]
+    h = u._hess
     return _jet(np.log(u.value), iv * u.grad,
-                iv[..., None] * u.hess - (iv * iv)[..., None] * _outer(u.grad))
+                None if h is None else iv[..., None] * h - (iv * iv)[..., None] * _outer(u.grad))
 
 
 def jexp(u):
     e = np.exp(u.value)
-    return _jet(e, e[..., None] * u.grad, e[..., None, None] * (u.hess + _outer(u.grad)))
+    h = u._hess
+    return _jet(e, e[..., None] * u.grad,
+                None if h is None else e[..., None, None] * (h + _outer(u.grad)))
 
 
 def jsin(u):
     s, c = np.sin(u.value), np.cos(u.value)
+    h = u._hess
     return _jet(s, c[..., None] * u.grad,
-                c[..., None, None] * u.hess - s[..., None, None] * _outer(u.grad))
+                None if h is None else
+                c[..., None, None] * h - s[..., None, None] * _outer(u.grad))
 
 
 def jcos(u):
     s, c = np.sin(u.value), np.cos(u.value)
+    h = u._hess
     return _jet(c, -s[..., None] * u.grad,
-                -s[..., None, None] * u.hess - c[..., None, None] * _outer(u.grad))
+                None if h is None else
+                -s[..., None, None] * h - c[..., None, None] * _outer(u.grad))
 
 
 def jtan(u):
@@ -272,46 +318,122 @@ def jsize(pt):
     return pt.grad.shape[-1]
 
 
-# The batch axis's letter in jeinsum's specs, which use lowercase letters.
+@functools.lru_cache(maxsize=None)
+def _plan(spec, xs, ys):
+    """How _contract runs the spec on operands of shapes xs and ys: as the
+    matmul f @ g of the two operands in one order or the other.  The output
+    letters split into a head (matmul's leading axes, where a size 1
+    broadcasts and a letter that one operand lacks is a unit axis of it), the
+    rows (a run of letters of f alone) and the columns (a run of letters of g
+    alone), so the product reshapes to the output without a transpose; of
+    the two orders, the one with fewer head points wins.  Returns whether y
+    is f, each operand's transpose to (head, rows, summed) or (head, summed,
+    columns) order (None for the identity) and its shape as a stack of
+    matrices, and the output shape."""
+    ins, out = spec.split("->")
+    sx, sy = ins.split(",")
+    if len(sx) != len(xs) or len(sy) != len(ys):
+        raise ValueError("spec %r does not match operand shapes %s, %s" % (spec, xs, ys))
+    for s in (sx, sy, out):
+        if len(set(s)) != len(s):
+            raise ValueError("spec %r repeats a letter within one operand" % spec)
+    if (set(sx) ^ set(sy)) - set(out):
+        raise ValueError("spec %r sums a letter within a single operand" % spec)
+    if set(out) - set(sx) - set(sy):
+        raise ValueError("spec %r has an output letter in no operand" % spec)
+    size = dict(zip(sx, xs))
+    for c, d in zip(sy, ys):
+        size[c] = max(size.get(c, 1), d)
+    summed = "".join(c for c in sx if c not in out)
+
+    def split(sf, sg):
+        r = len(out)
+        while r and out[r - 1] not in sf:
+            r -= 1
+        q = r
+        while q and out[q - 1] not in sg:
+            q -= 1
+        return out[:q], out[q:r], out[r:]
+    splits = [split(sx, sy), split(sy, sx)]
+    swap = math.prod(size[c] for c in splits[1][0]) < math.prod(size[c] for c in splits[0][0])
+    head, rows, cols = splits[swap]
+
+    def arrange(s, shape, inner):
+        """The transpose of the operand of letters s to head + inner order,
+        and its shape as a stack of matrices."""
+        own = dict(zip(s, shape))
+        perm = tuple(s.index(c) for c in head if c in own) + tuple(
+            s.index(c) for c in inner[0] + inner[1])
+        return (None if perm == tuple(range(len(s))) else perm,
+                tuple(own.get(c, 1) for c in head)
+                + tuple(math.prod(own[c] for c in part) for part in inner))
+    f, g = ((sy, ys), (sx, xs)) if swap else ((sx, xs), (sy, ys))
+    fplan, gplan = arrange(*f, (rows, summed)), arrange(*g, (summed, cols))
+    return ((swap,) + (gplan + fplan if swap else fplan + gplan)
+            + (tuple(size[c] for c in out),))
+
+
+def _contract(spec, x, y):
+    """np.einsum(spec, x, y) for an explicit two-operand spec without a
+    letter repeated or summed within one operand, as one batched np.matmul
+    on the plan _plan caches for the spec and the operand shapes."""
+    swap, xperm, xshape, yperm, yshape, shape = _plan(spec, x.shape, y.shape)
+    if xperm:
+        x = x.transpose(xperm)
+    if yperm:
+        y = y.transpose(yperm)
+    x, y = x.reshape(xshape), y.reshape(yshape)
+    return (np.matmul(y, x) if swap else np.matmul(x, y)).reshape(shape)
+
+
+# The batch axis's letter in jeinsum's specs, which use lowercase letters
+# (M and P name the derivative axes).
 _BATCH = "Z"
 
 
 @functools.lru_cache(maxsize=None)
 def _specs(spec, ja, jb):
-    """The einsum specs of jeinsum(spec, a, b): value, left and right product
-    rule terms and the cross term.  ja and jb mark the jet operands, which
-    get the batch letter."""
+    """The _contract specs of jeinsum(spec, a, b): the value, the left and
+    right product rule terms of the gradient (derivative axis M) and of the
+    Hessian (axes M, P), and the cross term.  ja and jb mark the jet
+    operands, which get the batch letter."""
     ins, out = spec.split("->")
     sa, sb = ins.split(",")
     sa = _BATCH + sa if ja else sa
     sb = _BATCH + sb if jb else sb
     out = _BATCH + out
-    return (f"{sa},{sb}->{out}", f"{sa}...,{sb}->{out}...",
-            f"{sa},{sb}...->{out}...", f"{sa}...,{sb}...->{out}...")
+    return (f"{sa},{sb}->{out}", f"{sa}M,{sb}->{out}M", f"{sa},{sb}M->{out}M",
+            f"{sa}MP,{sb}->{out}MP", f"{sa},{sb}MP->{out}MP", f"{sa}M,{sb}P->{out}MP")
 
 
 def jeinsum(spec, a, b):
     """np.einsum(spec, a, b) over the value axes of two jets (one of them may
     be a plain array), differentiated by the product rule.  spec is an
-    explicit two-operand einsum spec such as "ij,jk->ik"; the derivative axes
-    ride along as the einsum ellipsis, and a jet operand's batch axis as one
-    more letter (einsum broadcasts a batch axis of 1)."""
+    explicit two-operand einsum spec such as "ij,jk->ik" (no letter repeated
+    or summed within one operand); a jet operand's batch axis is one more
+    letter, which a batch axis of 1 broadcasts along.  The result is first
+    order when a jet operand is."""
     ja, jb = isinstance(a, Jet2), isinstance(b, Jet2)
     av = a.value if ja else np.asarray(a, float)
     bv = b.value if jb else np.asarray(b, float)
-    value, left, right, cross = _specs(spec, ja, jb)
-    if ja:
-        grad, hess = np.einsum(left, a.grad, bv), np.einsum(left, a.hess, bv)
-        if jb:
-            # summed in place: the Hessians are the largest arrays
-            grad += np.einsum(right, av, b.grad)
-            hess += np.einsum(right, av, b.hess)
-            c = np.einsum(cross, a.grad[..., :, None], b.grad[..., None, :])
-            hess += c
-            hess += c.swapaxes(-1, -2)
-    else:
-        grad, hess = np.einsum(right, av, b.grad), np.einsum(right, av, b.hess)
-    return _jet(np.einsum(value, av, bv), grad, hess)
+    vs, gl, gr, hl, hr, cross = _specs(spec, ja, jb)
+    value = _contract(vs, av, bv)
+    if not ja:
+        h = b._hess
+        return _jet(value, _contract(gr, av, b.grad), None if h is None else _contract(hr, av, h))
+    grad = _contract(gl, a.grad, bv)
+    if jb:
+        grad += _contract(gr, av, b.grad)
+    if a._hess is None or (jb and b._hess is None):
+        return _jet(value, grad, None)
+    hess = _contract(hl, a._hess, bv)
+    if jb:
+        # summed in place: the Hessians are the largest arrays
+        hess += _contract(hr, av, b._hess)
+        c = _contract(cross, a.grad, b.grad)
+        hess += c
+        hess += c.swapaxes(-1, -2)
+    return _jet(value, grad, hess)
 
 
 _MATMUL = {(1, 1): "i,i->", (1, 2): "j,jk->k", (2, 1): "ij,j->i", (2, 2): "ij,jk->ik"}
@@ -323,36 +445,37 @@ def _matmul_spec(a, b):
 
 
 def jinv(A):
-    """Closed-form inverse of the square matrix jet A at each point: value
-    A^{-1}, grad_m -A^{-1} (d_m A) A^{-1}, and hess_mp
-    A^{-1} (d_m A) A^{-1} (d_p A) A^{-1} + (m <-> p) - A^{-1} (d_m d_p A) A^{-1}."""
+    """Closed-form inverse of the square matrix jet A at each point (a
+    (B, d, d) stack): value A^{-1}, grad_m -A^{-1} (d_m A) A^{-1}, and hess_mp
+    A^{-1} (d_m A) A^{-1} (d_p A) A^{-1} + (m <-> p) - A^{-1} (d_m d_p A) A^{-1}
+    (first order when A is)."""
     try:
         Ai = np.linalg.inv(A.value)
     except np.linalg.LinAlgError:
         raise JetDomainError("singular jet matrix") from None
-    X = np.einsum("...ik,...kjm->...ijm", Ai, A.grad)
-    grad = -np.einsum("...ikm,...kj->...ijm", X, Ai)
-    c = -np.einsum("...ikm,...kjp->...ijmp", X, grad)
+    X = _contract("Zik,ZkjM->ZijM", Ai, A.grad)
+    grad = -_contract("ZikM,Zkj->ZijM", X, Ai)
+    if A._hess is None:
+        return _jet(Ai, grad, None)
+    c = -_contract("ZikM,ZkjP->ZijMP", X, grad)
     hess = c + c.swapaxes(-1, -2)
-    hess -= np.einsum("...ikmp,...kj->...ijmp", np.einsum("...ik,...kjmp->...ijmp", Ai, A.hess), Ai)
+    hess -= _contract("ZikMP,Zkj->ZijMP", _contract("Zik,ZkjMP->ZijMP", Ai, A._hess), Ai)
     return _jet(Ai, grad, hess)
 
 
 def jet_dcoord(u, k=slice(None)):
     """First-order jet of d_k u extracted from a second-order jet (of every
-    d_k u, on a new last value axis, when k is omitted): the value and
-    gradient are exact, the returned hessian is zero padding (third
-    derivatives are not tracked). Use only where downstream consumers read
-    value and grad."""
-    n = u.grad.shape[-1]
-    value = u.grad[..., k]
-    return _jet(value, u.hess[..., k, :], np.zeros(value.shape + (n, n)))
+    d_k u, on a new last value axis, when k is omitted): its value and
+    gradient are exact, and it carries no Hessian, as the third derivatives
+    of u are not tracked."""
+    return _jet(u.grad[..., k], u.hess[..., k, :], None)
 
 
 def pack(M):
     """Jets nested in lists (a vector, matrix or k-form of components) stacked
     into one Jet2 of the nesting shape, a component of batch 1 repeated over
-    the batch of the others; a Jet2 comes back as it is."""
+    the batch of the others; a Jet2 comes back as it is.  The stack is first
+    order when a component is."""
     if isinstance(M, Jet2):
         return M
     shape, flat = [len(M)], list(M)
@@ -363,14 +486,17 @@ def pack(M):
     batch = max(batches)
     if len(batches) > 1:
         flat = [e if len(e.value) == batch else
-                _jet(*(np.broadcast_to(a, (batch,) + a.shape[1:]) for a in (e.value, e.grad, e.hess)))
+                _jet(*(None if a is None else np.broadcast_to(a, (batch,) + a.shape[1:])
+                       for a in (e.value, e.grad, e._hess)))
                 for e in flat]
     s = (batch,) + tuple(shape) + flat[0].shape
     n = flat[0].grad.shape[-1:]
     # the component axis moves behind the batch axis: a view for one point
+    hess = None
+    if all(e._hess is not None for e in flat):
+        hess = np.array([e._hess for e in flat]).swapaxes(0, 1).reshape(s + n + n)
     return _jet(np.array([e.value for e in flat]).swapaxes(0, 1).reshape(s),
-                np.array([e.grad for e in flat]).swapaxes(0, 1).reshape(s + n),
-                np.array([e.hess for e in flat]).swapaxes(0, 1).reshape(s + n + n))
+                np.array([e.grad for e in flat]).swapaxes(0, 1).reshape(s + n), hess)
 
 
 # ---------------------------------------------------------------------------
@@ -391,8 +517,8 @@ def gauss_integrate(f, order=32):
     for x, w in zip(nodes, weights):
         t = 0.5 * (x + 1.0)
         val = f(t)
-        parts = (val.value, val.grad, val.hess) if isinstance(val, Jet2) else (val,)
-        if not all(np.isfinite(x).all() for x in parts):
+        parts = (val.value, val.grad, val._hess) if isinstance(val, Jet2) else (val,)
+        if not all(x is None or np.isfinite(x).all() for x in parts):
             raise JetDomainError(f"non-finite integrand at t={t}")
         term = (0.5 * w) * val
         total = term if total is None else total + term

@@ -195,7 +195,7 @@ def _on(chart):
 # ---------------------------------------------------------------------------
 
 def _make_flat(params):
-    dim = int(params["dim"])
+    dim = check_integer(params["dim"], "dim")
     if dim < 2:
         raise ScenarioError("flat builder needs dim >= 2")
     chart = ChartManifold(dim, [(-1.0, 1.0)] * dim, label="R^%d" % dim)
@@ -255,7 +255,7 @@ def _calabi_core(params):
     kind = params["base"]
     if kind not in ("flat", "disk"):
         raise ScenarioError("calabi base must be 'flat' or 'disk'")
-    k = 0 if kind == "flat" else int(params["k"])
+    k = 0 if kind == "flat" else check_integer(params["k"], "k")
     base, alpha0 = disk_base(k, radius=float(params["radius"]))
     profile = CalabiProfile(A=float(params["A"]),
                             z_range=tuple(params["z_range"]),
@@ -367,12 +367,13 @@ def _make_ak(params):
     if zkind == "plane":
         zt, _ = disk_base(0, radius=radius)
     elif zkind == "disk":
-        zt, _ = disk_base(int(params["k"]), radius=radius)
+        zt, _ = disk_base(check_integer(params["k"], "k"), radius=radius)
     elif zkind == "chain":
-        levels = iterate_chain("twisted", int(params["chain_m"]), A=params["A"],
-                               radius=radius, z_range=tuple(params["z_range"]),
+        chain_m = check_integer(params["chain_m"], "chain_m")
+        levels = iterate_chain("twisted", chain_m, A=params["A"], radius=radius,
+                               z_range=tuple(params["z_range"]),
                                s_range=tuple(params["s_range"]))
-        level = int(params["chain_level"])
+        level = check_integer(params["chain_level"], "chain_level")
         if not 0 <= level < len(levels):
             raise ScenarioError("chain_level %d is out of range: a chain with chain_m=%s "
                                 "has levels 0..%d" % (level, params["chain_m"], len(levels) - 1))
@@ -439,7 +440,7 @@ def _make_ak(params):
 
 def _make_chain(params):
     kind = params["kind"]
-    m = int(params["m"])
+    m = check_integer(params["m"], "m")
     levels = iterate_chain(kind, m, A=float(params["A"]),
                            radius=float(params["radius"]),
                            z_range=tuple(params["z_range"]),
@@ -549,6 +550,16 @@ def check_tolerance(val, what):
         raise ScenarioError("%s must be finite and >= 0, got %r" % (what, val))
 
 
+def check_integer(val, what):
+    """val as an int; raise ScenarioError unless it is an integral number (a
+    boolean is not a number here, 2.0 is 2); what names the value in the
+    message."""
+    if (isinstance(val, bool) or not isinstance(val, (int, float))
+            or isinstance(val, float) and not val.is_integer()):
+        raise ScenarioError("%s must be an integer, got %r" % (what, val))
+    return int(val)
+
+
 def parse_scenario(obj, source="<memory>"):
     if not isinstance(obj, dict):
         raise ScenarioError("%s: scenario must be a JSON object" % source)
@@ -575,8 +586,8 @@ def parse_scenario(obj, source="<memory>"):
     for key, val in tol.items():
         check_tolerance(val, "%s: tolerance %r" % (source, key))
     try:
-        seed = int(plan.get("seed", 0))
-        count = int(plan.get("count", 30))
+        seed = check_integer(plan.get("seed", 0), "seed")
+        count = check_integer(plan.get("count", 30), "count")
         margin = float(plan.get("margin", 0.15))
         SamplePlan(seed, count, margin)
     except ValueError as exc:

@@ -12,9 +12,9 @@ invariant.  Mode "B" is
 
 mode "A" the conjugate order with A = 1 + 2 (S + |w|^2 P+)/(1 - |w|^2).
 Both leave the fundamental forms unchanged; w = 0 is the identity
-deformation exactly.  theta must be supplied as an exact jet closure (an
-extracted Lee form only carries first-order information, which is not enough
-for curvature of the twisted metric).
+deformation exactly.  theta must be supplied as an exact jet closure: an
+extracted Lee form is a first-order jet, and the curvature of the twisted
+metric, which needs its Hessian, would raise FirstOrderError.
 """
 
 from dataclasses import dataclass

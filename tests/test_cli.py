@@ -233,6 +233,49 @@ def test_chain_level_out_of_range_names_the_parameter(level, tmp_path, capsys):
         assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("builder, params, key, val", [
+    ("ak_product", {"z": "chain"}, "chain_level", 1.7),
+    ("ak_product", {"z": "chain"}, "chain_m", 2.5),
+    ("ak_product", {"z": "disk"}, "k", True),
+    ("calabi_chain", {}, "m", True),
+    ("calabi_chain", {}, "m", 2.5),
+    ("calabi", {"base": "disk"}, "k", 1.5),
+    ("flat", {}, "dim", 3.5),
+    ("flat", {}, "dim", "3"),
+], ids=["chain_level-float", "chain_m-float", "k-bool", "m-bool", "m-float", "calabi-k-float",
+        "dim-float", "dim-string"])
+def test_integer_params_are_not_truncated(builder, params, key, val, tmp_path, capsys):
+    # int() would build chain level 1 from 1.7 and an m = 1 chain from true
+    path = tmp_path / "bad_int.json"
+    path.write_text(json.dumps({"name": "x", "builder": builder, "params": dict(params, **{key: val})}))
+    for argv in (["verify", str(path)], ["curvature", str(path), "--point", "0,0"]):
+        rc, out, err = run_cli(capsys, argv)
+        assert rc == 2 and out == ""
+        assert err == "error: %s: builder %r cannot build from its params: %s must be an " \
+                      "integer, got %r\n" % (path, builder, key, val)
+
+
+@pytest.mark.parametrize("key, val", [("count", 2.9), ("seed", 1.5), ("count", True),
+                                      ("seed", "1")])
+def test_integer_plan_fields_are_not_truncated(key, val, tmp_path, capsys):
+    path = tmp_path / "bad_plan.json"
+    path.write_text(json.dumps({"name": "x", "builder": "flat", "plan": {key: val}}))
+    for argv in (["verify", str(path)], ["curvature", str(path), "--point", "0,0,0"]):
+        rc, out, err = run_cli(capsys, argv)
+        assert rc == 2 and out == ""
+        assert err == "error: %s: bad plan: %s must be an integer, got %r\n" % (path, key, val)
+
+
+def test_integral_floats_are_integers(tmp_path, capsys):
+    path = tmp_path / "float_int.json"
+    path.write_text(json.dumps({"name": "x", "builder": "flat", "params": {"dim": 2.0},
+                                "plan": {"seed": 3.0, "count": 2.0}}))
+    rc, out, err = run_cli(capsys, ["verify", str(path)])
+    rep = report_from(out)
+    assert rc == 0 and err == ""
+    assert (rep["seed"], rep["samples"], rep["case"]) == (3, 2, "Euclidean R^2")
+
+
 @pytest.mark.parametrize("tol, needle", [
     (True, "must be a number, got True"),
     (float("nan"), "must be finite and >= 0, got nan"),
@@ -342,6 +385,42 @@ def test_negative_seed_is_a_usage_error(tmp_path, capsys):
     rc, _, err = run_cli(capsys, ["verify", str(path)])
     assert rc == 2
     assert err.startswith("error:") and "seed must be non-negative" in err
+
+
+def test_one_parser_serves_every_call_in_a_process(tmp_path, capsys):
+    # main builds its parser once; a run of calls across subcommands prints
+    # what each call prints with a parser of its own
+    out_file = str(tmp_path / "report.json")
+    calls = [["verify", "flat", "--samples", "2", "--out", out_file],
+             ["curvature", "sphere", "--point", "1.0,-0.3"],
+             ["list-builders"],
+             ["verify", "sphere", "--seed", "3", "--samples", "2", "--tol", "1e-20",
+              "--out", out_file],
+             ["curvature", "flat", "--point", "-0.3,0.2,0.1"],
+             ["verify", "no_such_scenario"]]
+
+    def run(argv):
+        rc, out, err = run_cli(capsys, argv)
+        report = None
+        if argv[0] == "verify" and rc != 2:
+            with open(out_file, encoding="utf-8") as fh:
+                report = json.load(fh)
+            report.pop("timings_seconds")
+        return rc, out, err, report
+
+    fresh = []
+    for argv in calls:
+        kahlerkit.cli._parser.cache_clear()
+        fresh.append(run(argv))
+    kahlerkit.cli._parser.cache_clear()
+    for _ in range(2):
+        assert [run(argv) for argv in calls] == fresh
+    assert kahlerkit.cli._parser.cache_info().misses == 1
+    assert [r[0] for r in fresh] == [0, 0, 0, 1, 0, 2]
+    with pytest.raises(SystemExit):
+        main(["verify"])
+    assert "required: scenario" in capsys.readouterr().err
+    assert run(calls[1]) == fresh[1]
 
 
 def test_list_builders_output(capsys):
@@ -579,7 +658,7 @@ def test_field_clock_charges_a_batch_field_run_to_fields():
     assert checks["curvature_zero"] >= 0.05 > checks["ricci_zero"]
 
 
-@pytest.mark.parametrize("label", ["pr4", "pr5", "pr7", "pr8"])
+@pytest.mark.parametrize("label", ["pr4", "pr5", "pr7", "pr8", "pr9", "pr10"])
 def test_committed_bench_lists_every_bundled_scenario_and_check(label):
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     with open(os.path.join(root, "BENCH_%s.json" % label), encoding="utf-8") as fh:

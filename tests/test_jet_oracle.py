@@ -2,7 +2,8 @@
 
 Random elementary expressions are differentiated by sympy and compared with
 their jets; array-valued jets, jeinsum and jinv are recomputed element by
-element with scalar jets.  Each rule is fed through a map into its domain
+element with scalar jets; _contract is recomputed with np.einsum, and every
+rule on first-order operands with the full rule.  Each rule is fed through a map into its domain
 (log and sqrt of 1 + u^2, exp and tan of u / (1 + u^2), division by
 1 + v^2), applied identically on both sides.
 """
@@ -14,8 +15,11 @@ import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
 
-from kahlerkit.jets import (Jet2, jconst, jcos, jeinsum, jexp, jinv, jlog, jsin,
-                            jsqrt, jtan, pack)
+from kahlerkit import jets
+from kahlerkit.fields import DOMAIN_ERRORS, Fold, PointEval
+from kahlerkit.jets import (FirstOrderError, Jet2, _contract, gauss_integrate, jconst, jcos,
+                            jeinsum, jet_dcoord, jexp, jinv, jlog, jsin, jsqrt, jtan, pack)
+from kahlerkit.scenarios import bundled_names, load_scenario, run_scenario_obj
 
 N = 3
 SYMS = sp.symbols("x0:%d" % N)
@@ -200,3 +204,167 @@ def test_jinv_matches_the_scalar_cofactor_inverse(d, seed):
             one = got[i, j]
             for g, w in zip((one.value, one.grad, one.hess), (want.value, want.grad, want.hess)):
                 assert_close(g, w, 1e-10)
+
+
+# ---------------------------------------------------------------------------
+# _contract against np.einsum
+# ---------------------------------------------------------------------------
+
+def assert_contract_matches_einsum(spec, x, y):
+    """_contract(spec, x, y) equals np.einsum to 1e-13 of the magnitude
+    bound sum |x| |y|."""
+    got, want = _contract(spec, x, y), np.einsum(spec, x, y)
+    assert got.shape == want.shape, spec
+    scale = np.einsum(spec, np.abs(x), np.abs(y))
+    assert np.all(np.abs(got - want) <= 1e-13 * scale), spec
+
+
+@st.composite
+def contractions(draw):
+    """A two-operand spec with every kind of letter, and operands for it: a
+    batch axis Z of B or 1 on jet-like operands (a plain-array operand has
+    none), letters shared by both operands and the output, letters of one
+    operand in the output and summed letters (none makes an outer product),
+    each of size 1, 2 or n, n in {2, 4, 6}."""
+    n = draw(st.sampled_from([2, 4, 6]))
+    shared, xo, yo, summed = ([c for c in pool[:draw(st.integers(0, 2))]]
+                              for pool in ("ab", "cd", "ef", "gh"))
+    size = {c: draw(st.sampled_from([1, 2, n])) for c in shared + xo + yo + summed}
+    sx = draw(st.permutations(shared + xo + summed))
+    sy = draw(st.permutations(shared + yo + summed))
+    out = draw(st.permutations(shared + xo + yo))
+    xshape, yshape = [size[c] for c in sx], [size[c] for c in sy]
+    jets = draw(st.sampled_from(["both", "x", "y"]))
+    if jets != "y":
+        sx, xshape, out = ["Z"] + sx, [5] + xshape, ["Z"] + out
+    if jets != "x":
+        sy, yshape = ["Z"] + sy, [5] + yshape
+        out = out if jets == "both" else ["Z"] + out
+    if jets == "both":
+        one = draw(st.sampled_from(["", "x", "y"]))
+        xshape[0] = 1 if one == "x" else 5
+        yshape[0] = 1 if one == "y" else 5
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    spec = "%s,%s->%s" % ("".join(sx), "".join(sy), "".join(out))
+    return spec, rng.normal(size=xshape), rng.normal(size=yshape)
+
+
+@given(contractions())
+def test_contract_matches_einsum_on_random_specs(case):
+    assert_contract_matches_einsum(*case)
+
+
+@pytest.mark.parametrize("spec, xs, ys", [
+    ("Zi,Zj->Zij", (5, 4), (1, 4)),                  # outer product, batch of 1
+    ("Zij,jk->Zik", (5, 6, 6), (6, 6)),               # plain right operand
+    ("ij,ZjkM->ZikM", (2, 2), (1, 2, 2, 2)),          # plain left, batch of 1
+    ("ZijM,ZjkP->ZikMP", (1, 4, 4, 4), (5, 4, 4, 4)),  # the cross term
+    ("Zaij,Zji->Za", (5, 2, 6, 6), (5, 6, 6)),        # every letter summed
+    ("i,i->", (4,), (4,)),
+])
+def test_contract_matches_einsum_on_chosen_specs(spec, xs, ys):
+    rng = np.random.default_rng(7)
+    assert_contract_matches_einsum(spec, rng.normal(size=xs), rng.normal(size=ys))
+
+
+@pytest.mark.parametrize("spec, xs, ys, needle", [
+    ("ii,i->i", (2, 2), (2,), "repeats a letter"),
+    ("ij,j->", (2, 3), (3,), "sums a letter within a single operand"),
+    ("ij,jk->ikq", (2, 3), (3, 2), "output letter in no operand"),
+    ("ij,jk->ik", (2, 3, 1), (3, 2), "does not match"),
+])
+def test_contract_rejects_specs_it_cannot_express(spec, xs, ys, needle):
+    with pytest.raises(ValueError, match=needle):
+        _contract(spec, np.ones(xs), np.ones(ys))
+
+
+def test_contract_matches_einsum_on_every_spec_of_the_bundled_runs(monkeypatch):
+    # every contraction jeinsum and jinv run in one bundled run of each
+    # scenario, recomputed with np.einsum
+    contract, seen = jets._contract, {}
+
+    def recording(spec, x, y):
+        key = (spec, x.shape, y.shape)
+        if key not in seen:
+            seen[key] = (np.array(x), np.array(y))
+        return contract(spec, x, y)
+    monkeypatch.setattr(jets, "_contract", recording)
+    for name in bundled_names():
+        run_scenario_obj(load_scenario(name))
+    monkeypatch.undo()
+    assert {spec for spec, _, _ in seen} >= {"ZijMP,Zjk->ZikMP", "ZikM,ZkjP->ZijMP"}
+    for (spec, _, _), (x, y) in seen.items():
+        assert_contract_matches_einsum(spec, x, y)
+
+
+# ---------------------------------------------------------------------------
+# first-order jets
+# ---------------------------------------------------------------------------
+
+def first_order(j):
+    """The jet j without its Hessian."""
+    return Jet2(j.value, j.grad)
+
+
+# each rule with the operands it reads
+FIRST_ORDER_RULES = {
+    "neg": ("a", lambda a, b: -a),
+    "add": ("ab", lambda a, b: a + b), "sub": ("ab", lambda a, b: a - b),
+    "mul": ("ab", lambda a, b: a * b), "div": ("ab", lambda a, b: a / (2.0 + b * b)),
+    "add_const": ("a", lambda a, b: 1.5 + a - 0.5), "rsub": ("a", lambda a, b: 2.0 - a),
+    "mul_array": ("a", lambda a, b: a * np.array([[2.0, -1.0], [0.5, 3.0]])),
+    "scale": ("a", lambda a, b: 3.0 * a / 4.0),
+    "broadcast": ("ab", lambda a, b: a[0, 0] * b),
+    "inv": ("a", lambda a, b: (2.0 + a * a).inv()),
+    "rdiv": ("a", lambda a, b: 1.0 / (2.0 + a * a)),
+    "pow": ("a", lambda a, b: a ** 3), "pow0": ("a", lambda a, b: a ** 0),
+    "pow_neg": ("a", lambda a, b: (2.0 + a * a) ** -2),
+    "pow_real": ("a", lambda a, b: (1.0 + a * a) ** 0.7),
+    "log": ("a", lambda a, b: jlog(1.0 + a * a)), "exp": ("a", lambda a, b: jexp(a)),
+    "sin": ("a", lambda a, b: jsin(a)), "cos": ("a", lambda a, b: jcos(a)),
+    "tan": ("a", lambda a, b: jtan(0.3 * a)), "sqrt": ("a", lambda a, b: jsqrt(1.0 + a * a)),
+    "index": ("a", lambda a, b: a[1]), "slice": ("a", lambda a, b: a[:, 1:]),
+    "T": ("a", lambda a, b: a.T),
+    "matmul": ("ab", lambda a, b: a @ b),
+    "rmatmul": ("b", lambda a, b: np.array([[1.0, 2.0], [3.0, 4.0]]) @ b),
+    "jeinsum": ("ab", lambda a, b: jeinsum("ij,kj->ik", a, b)),
+    "outer": ("ab", lambda a, b: jeinsum("ij,kl->ijkl", a, b)),
+    "jinv": ("a", lambda a, b: jinv(a + 4.0 * np.eye(2))),
+    "pack": ("ab", lambda a, b: pack([[a[0, 0], b[1, 1]], [a[1, 0] * b[0, 1], a[1, 1]]])),
+    "integrate": ("ab", lambda a, b: gauss_integrate(lambda t: t * a + b, order=4)),
+}
+
+
+@given(st.sampled_from(sorted(FIRST_ORDER_RULES)), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from(["a", "b", "ab"]))
+def test_first_order_rules_give_the_value_and_gradient_of_the_full_rule(rule, seed, drop):
+    # dropping the Hessian of one or both operands changes nothing the
+    # result's value and gradient read, and the result is first order when
+    # the rule reads a dropped operand
+    rng = np.random.default_rng(seed)
+    a, b = random_jet(rng, (2, 2)), random_jet(rng, (2, 2))
+    reads, f = FIRST_ORDER_RULES[rule]
+    want = f(a, b)
+    got = f(first_order(a) if "a" in drop else a, first_order(b) if "b" in drop else b)
+    for g, w in ((got.value, want.value), (got.grad, want.grad)):
+        assert g.shape == w.shape
+        assert_close(g, w, 1e-14)
+    assert (got._hess is None) == bool(set(reads) & set(drop))
+
+
+def test_reading_the_hessian_of_a_first_order_jet_raises():
+    x = Jet2.seed([0.3, -0.4])
+    du = jet_dcoord(x[0] * x[0] * x[1])
+    assert du._hess is None
+    with pytest.raises(FirstOrderError, match="first-order"):
+        du.hess
+    with pytest.raises(FirstOrderError):
+        jet_dcoord(du)
+    # a defect of the caller, not a domain error of the point: a Fold does
+    # not record it, it ends the run
+    assert not issubclass(FirstOrderError, DOMAIN_ERRORS)
+    for p in ([0.3, -0.4], [[0.3, -0.4], [0.1, 0.2]]):
+        acc = Fold()
+        with pytest.raises(FirstOrderError):
+            acc.add(PointEval(p), lambda pe: jet_dcoord(pe.x * pe.x).hess.sum(axis=(1, 2, 3)))
+        assert acc.error == "" and acc.points == 0

@@ -1,6 +1,7 @@
 """Structural guards: where the library walks a sample plan, that every jet
-has a batch axis, how often each case seeds, and the README's library
-example run as written."""
+has a batch axis, that the jet layer contracts only through _contract and
+jet_dcoord is first order, how often each case seeds, and the README's
+library example run as written."""
 
 import ast
 import contextlib
@@ -11,7 +12,7 @@ import re
 import numpy as np
 import pytest
 
-from kahlerkit.jets import Jet2
+from kahlerkit.jets import FirstOrderError, Jet2, jet_dcoord
 from kahlerkit.scenarios import build_case, load_scenario, run_scenario_obj
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -61,10 +62,27 @@ def test_one_jet_layout_every_jet_has_a_batch_axis():
                         and any(isinstance(s, ast.Constant) and s.value is None for s in sides)):
                     found.append("%s:%d compares batch with None" % (name, node.lineno))
     assert found == []
-    assert Jet2.__slots__ == ("value", "grad", "hess")
+    assert Jet2.__slots__ == ("value", "grad", "_hess")
     x = Jet2.seed(np.array([0.1, 0.2, 0.3]))
     assert x.value.shape == (1, 3) and x.grad.shape == (1, 3, 3) and x.hess.shape == (1, 3, 3, 3)
     assert x.shape == (3,) and len(x) == 3
+
+
+def test_jets_contract_only_through_contract_and_dcoord_is_first_order():
+    # _contract (one batched matmul on a cached plan) is the jet layer's one
+    # contraction routine: an einsum beside it would be a second path
+    with open(os.path.join(SRC, "jets.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    found = ["jets.py:%d" % node.lineno for node in ast.walk(tree)
+             if (isinstance(node, ast.Attribute) and node.attr == "einsum")
+             or (isinstance(node, ast.Name) and node.id == "einsum")]
+    assert found == []
+    # jet_dcoord carries no Hessian array, and reading its Hessian raises
+    x = Jet2.seed(np.array([0.1, 0.2, 0.3]))
+    du = jet_dcoord(x[0] * x[1] * x[2])
+    assert du._hess is None and du.grad.shape == (1, 3, 3)
+    with pytest.raises(FirstOrderError):
+        du.hess
 
 
 def test_readme_library_example_runs():
