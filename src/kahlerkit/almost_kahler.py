@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from kahlerkit.jets import Jet2, jsize, jconst, jlog, jinv, jet_dcoord
-from kahlerkit.fields import (ChartManifold, Field, at, worst, excluded,
+from kahlerkit.fields import (ChartManifold, Field, worst, excluded,
                               exterior_from_grad, pull_back)
 from kahlerkit.hermitian import HermitianTriple, ddc_from_jets, ricci_form
 from kahlerkit.calabi import CalabiProfile, build_calabi, disk_base
@@ -75,11 +75,10 @@ def build_ak_product(z_factor, tw, mode="B", plane_range=(-1.0, 1.0)):
                      chart=chart, twist_full=wfull)
 
 
-def ak_invariants_point(ak, p):
-    """Structural residuals at p: omega_{J~} against -dx1^dx2 + omega^h, its
+def ak_invariants_point(ak, pe):
+    """Structural residuals at pe: omega_{J~} against -dx1^dx2 + omega^h, its
     closedness and twist-invariance, and the Killing residual of the plane
     directions."""
-    pe = at(p)
     om = pe.omega(ak.g, ak.J_tilde)
     target = np.zeros(om.value.shape)
     target[..., 0, 1] = -1.0
@@ -93,11 +92,10 @@ def ak_invariants_point(ak, p):
             "killing": worst(pe.absmax(gg[..., 0]), pe.absmax(gg[..., 1]))}
 
 
-def ak3_point(ak, p):
-    """Curvature symmetry under four J~'s at p, normalized by max |R|, and the
+def ak3_point(ak, pe):
+    """Curvature symmetry under four J~'s at pe, normalized by max |R|, and the
     two proof blocks R(V,V,V,X) and R(X,Y,Z,V).  Index split: V in the plane
     (0,1), X in the Z factor."""
-    pe = at(p)
 
     def compute():
         Rlow = pe.curvature(ak.g)[0]
@@ -110,10 +108,9 @@ def ak3_point(ak, p):
     return pe.cached("ak3", (ak.g, ak.J_tilde), compute)
 
 
-def eta_tensor(gfn, Jtfn, p):
-    """eta = (1/2)(nabla J~)J~ at p; returns (eta[i,k,j], gv, gg, Jtv) with
+def eta_tensor(gfn, Jtfn, pe):
+    """eta = (1/2)(nabla J~)J~ at pe; returns (eta[i,k,j], gv, gg, Jtv) with
     eta[i,k,j] the k-component of eta_{d_i} d_j."""
-    pe = at(p)
     gv, gg, _ = pe.jets(gfn)
     Gam = pe.christoffel(gfn)[0]
     Jtv, Jtg, _ = pe.jets(Jtfn)
@@ -123,13 +120,12 @@ def eta_tensor(gfn, Jtfn, p):
     return eta, gv, gg, Jtv
 
 
-def torsion_point(ak, p, dw_floor=1e-6, rank_rtol=1e-8):
-    """The pointwise torsion claims at p: the derivative identity
+def torsion_point(ak, pe, dw_floor=1e-6, rank_rtol=1e-8):
+    """The pointwise torsion claims at pe: the derivative identity
     2 g(eta_{K_i} K_j, X) = X g(K_i, K_j), the two algebraic identities with
     J~, and, where |dw| >= dw_floor, the D- nullity, the containment of
     eta_{D+} D+ in D- and the rank of the span of eta_{D+} D- (excluded
     below the floor)."""
-    pe = at(p)
 
     def compute():
         n = ak.chart.dim
@@ -156,10 +152,9 @@ def torsion_point(ak, p, dw_floor=1e-6, rank_rtol=1e-8):
                      compute)
 
 
-def einstein_point(g, p):
-    """Pointwise least-squares Einstein fit at p: lambda = <Ric, g>/<g, g>,
+def einstein_point(g, pe):
+    """Pointwise least-squares Einstein fit at pe: lambda = <Ric, g>/<g, g>,
     the residual max |Ric - lambda g|, and max |Ric|."""
-    pe = at(p)
     gv = pe.jets(g)[0]
     Ric = pe.curvature(g)[1]
     lam = np.einsum('...ij,...ij->...', Ric, gv) / np.einsum('...ij,...ij->...', gv, gv)
@@ -179,10 +174,9 @@ def subtract_fiber_logs(rho, pe, J, z_positions):
     return rho, size
 
 
-def fiber_log_point(t, z_positions, p):
-    """max |rho - sum_j (j/2) (d J d) ln z_j| at p: the Ricci form of t is
+def fiber_log_point(t, z_positions, pe):
+    """max |rho - sum_j (j/2) (d J d) ln z_j| at pe: the Ricci form of t is
     carried by the fiber log potentials."""
-    pe = at(p)
     rho = ricci_form(t, pe, check=False)
     return pe.absmax(subtract_fiber_logs(rho, pe, t.J, z_positions)[0])
 
@@ -199,11 +193,10 @@ class ChainLevel:
     claimed_coeff: float = 0.0
     z_positions: dict = field(default_factory=dict)
 
-    def identity_residuals(self, p):
-        """Residuals at p of the claimed log-coefficient identity and of the
+    def identity_residuals(self, pe):
+        """Residuals at pe of the claimed log-coefficient identity and of the
         corrected one carrying the (j/2) ln z_j fiber terms."""
         n = self.triple.chart.dim
-        pe = at(p)
         t = self.triple
         Jv, Jg, _ = pe.jets(t.J)
         xx, yy = pe.x[n - 2], pe.x[n - 1]
@@ -270,21 +263,19 @@ def iterate_chain(kind, m, A=-1.0, radius=0.55, z_range=(0.6, 1.8),
     return levels
 
 
-def ker_dw_projector(g, w, p):
-    """Jet at p of the g-orthogonal projector onto Ker dw1 ∩ Ker dw2 of the
+def ker_dw_projector(g, w, pe):
+    """Jet at pe of the g-orthogonal projector onto Ker dw1 ∩ Ker dw2 of the
     metric field g and the twist field w, from the point's memoised g^{-1}:
     a first-order jet (dw is one, from jet_dcoord), enough for the
     second-fundamental-form residual."""
-    pe = at(p)
     dw = jet_dcoord(pe.raw(w))
     ns = dw @ pe.inverse(g).T
     return np.eye(ns.shape[1]) - ns.T @ jinv(dw @ ns.T) @ dw
 
 
-def ker_dw_geodesic_residual(g, w, p):
+def ker_dw_geodesic_residual(g, w, pe):
     """Max component of the D-orthogonal second fundamental form of Ker dw at
-    p: (1 - Q) nabla_X (Q Y) restricted to X, Y in Ker dw."""
-    pe = at(p)
+    pe: (1 - Q) nabla_X (Q Y) restricted to X, Y in Ker dw."""
     Gam = pe.christoffel(g)[0]
     Q = ker_dw_projector(g, w, pe)
     Qv, Qg = Q.value, Q.grad

@@ -22,7 +22,7 @@ from math import comb, log
 import numpy as np
 
 from kahlerkit.jets import Jet2, SamplePlan, jsize, jconst, jeinsum, jlog, pack
-from kahlerkit.fields import (ChartManifold, Field, Fold, NotClosedError, PointEval, at,
+from kahlerkit.fields import (ChartManifold, Field, Fold, NotClosedError, PointEval,
                               wedge12, wedge_top, homotopy_primitive, exterior_from_grad)
 from kahlerkit.hermitian import HermitianTriple, fundamental_form_field
 
@@ -192,27 +192,24 @@ def build_calabi(base, profile, alpha=None, alpha_tol=1e-7, check_count=10):
         Theta=Theta, chart=chart, base=base, alpha=alpha, profile=profile, m=m)
 
 
-def alpha_primitive_point(alpha, t, p):
-    """|d alpha - omega| at p for a claimed primitive alpha of t's Kähler form."""
-    pe = at(p)
+def alpha_primitive_point(alpha, t, pe):
+    """|d alpha - omega| at pe for a claimed primitive alpha of t's Kähler form."""
     ag = pe.jets(alpha)[1]
     return pe.absmax((ag.swapaxes(-1, -2) - ag) - pe.omega(t.g, t.J).value)
 
 
-def moment_map_point(cal, p):
-    """|iota_{d/ds} omega_J + dz| at p (the flow is Hamiltonian with moment
+def moment_map_point(cal, pe):
+    """|iota_{d/ds} omega_J + dz| at pe (the flow is Hamiltonian with moment
     map -z in these conventions)."""
-    pe = at(p)
     want = np.zeros(cal.chart.dim)
     want[1] = -1.0
     return pe.absmax(pe.omega(cal.g, cal.J).value[..., 0, :] - want)
 
 
-def volume_checks(cal, p):
+def volume_checks(cal, pe):
     """Top-power identity at a point: the Pfaffian coefficient of omega^m in
     chart coordinates against the fibered closed forms, in both the z and the
     r dictionaries.  Returns a dict of the three coefficients and residuals."""
-    pe = at(p)
     m = cal.m
     n = cal.chart.dim
     om = pe.omega(cal.g, cal.J).value
@@ -241,12 +238,12 @@ def volume_checks(cal, p):
             "residual_z": abs(lhs - rhs_z), "residual_r": abs(lhs - rhs_r)}
 
 
-def lee_form_of_I0(cal, p):
+def lee_form_of_I0(cal, pe):
     """Solve d omega_I = theta0 ^ omega_I for theta0 by least squares over all
     3-form components, point by point.  Returns (theta0 components, fit
     residual) at each point, shapes (B, n) and (B,)."""
     n = cal.chart.dim
-    om = at(p).omega(cal.g, cal.I0)
+    om = pe.omega(cal.g, cal.I0)
     dom = exterior_from_grad(om.grad, 2)
     wedges = np.stack([wedge12(e, om.value) for e in np.eye(n)], axis=-1)
     i, j, k = np.array(list(itertools.combinations(range(n), 3))).T

@@ -12,9 +12,10 @@ A PointEval holds a batch of points, a (B, n) stack (one point is a batch of
 one): its coordinate jets are a Jet2 of that batch, every field runs once for
 the whole batch, and the float layer works on stacks (einsum specs with a
 leading "...", stacked np.linalg.inv), so each result carries the batch axis
-in front and a per-point function returns (B,) residual arrays.  The scenario
-runner evaluates every chart's sample plan as one batch; Fold folds the
-residuals, and replays a batch point by point when it fails.
+in front.  Every per-point function takes a PointEval and returns (B,)
+residual arrays; metric_jets is the one function that takes raw coordinates.
+The scenario runner evaluates every chart's sample plan as one batch; Fold
+folds the residuals, and replays a batch point by point when it fails.
 
 Curvature convention: R(X,Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z
 - nabla_[X,Y] Z, lowered on the last slot as R(X,Y,Z,W) = g(R(X,Y)Z, W), and
@@ -39,27 +40,23 @@ class NotClosedError(ValueError):
     pass
 
 
-class AlmostComplexError(ValueError):
-    pass
-
-
-class CompatibilityError(ValueError):
-    pass
-
-
 class NotKahlerError(ValueError):
     pass
 
 
 class ChartManifold:
     """Coordinate box with a dimension and a label; all geometry on it is a
-    function of a point expressed in these coordinates."""
+    function of a point expressed in these coordinates.  Each interval (a, b)
+    must be finite with a < b."""
 
     def __init__(self, dim, domain, label=""):
         if dim < 1 or len(domain) != dim:
             raise ValueError("domain must provide one interval per coordinate")
         self.dim = int(dim)
         self.domain = [(float(a), float(b)) for a, b in domain]
+        for a, b in self.domain:
+            if not (math.isfinite(a) and math.isfinite(b) and a < b):
+                raise ValueError("chart interval [%r, %r] must be finite with a < b" % (a, b))
         self.label = label
 
     def samples(self, plan):
@@ -245,15 +242,8 @@ class PointEval:
         return self.cached("sub", (start,), make)
 
 
-def at(p):
-    """p as a PointEval: every per-point function accepts a point, a stack of
-    points or a PointEval shared with the other checks at those points."""
-    return p if isinstance(p, PointEval) else PointEval(p)
-
-
 DOMAIN_ERRORS = (JetDomainError, DegenerateMetricError, NotClosedError,
-                 AlmostComplexError, CompatibilityError, NotKahlerError,
-                 np.linalg.LinAlgError)
+                 NotKahlerError, np.linalg.LinAlgError)
 
 
 def worst(*residuals):
@@ -359,7 +349,9 @@ def _per_point(key, val, batch):
 
 
 def metric_jets(g, p):
-    return at(p).jets(g)
+    """The (value, grad, hess) arrays of the metric g at the point or (B, n)
+    stack p: the one entry that takes raw coordinates."""
+    return PointEval(p).jets(g)
 
 
 # ---------------------------------------------------------------------------
@@ -422,9 +414,8 @@ def pull_back(T, A):
 # Lie derivative, exterior derivative, Nijenhuis
 # ---------------------------------------------------------------------------
 
-def lie_derivative_metric(g, V, p):
+def lie_derivative_metric(g, V, pe):
     """(L_V g)_ij = V^k d_k g_ij + g_kj d_i V^k + g_ik d_j V^k."""
-    pe = at(p)
     gv, gg, _ = pe.jets(g)
     vv, vg, _ = pe.jets(V)
     return (np.einsum('...k,...ijk->...ij', vv, gg) + np.einsum('...kj,...ki->...ij', gv, vg)
@@ -456,19 +447,6 @@ def wedge12(theta, om):
             + np.einsum('...k,...ij->...ijk', theta, om))
 
 
-def exterior_derivative(omega, p, dim=None):
-    """(d omega) components at p; degree omega.degree + 1 must not exceed dim."""
-    grad = at(p).raw(omega).grad
-    if omega.degree == 0:
-        return grad
-    n = grad.shape[-1]
-    if dim is None:
-        dim = n
-    if omega.degree + 1 > dim:
-        raise ValueError(f"exterior derivative of degree {omega.degree} form exceeds dim {dim}")
-    return exterior_from_grad(grad, omega.degree)
-
-
 def nijenhuis_from_jets(Jv, Jg):
     """N^k_ij with Jg[k,j,m] = d_m J^k_j; zero iff the structure is integrable."""
     t1 = np.einsum('...mi,...kjm->...kij', Jv, Jg)
@@ -476,17 +454,6 @@ def nijenhuis_from_jets(Jv, Jg):
     t3 = np.einsum('...km,...mij->...kij', Jv, Jg)
     t4 = np.einsum('...km,...mji->...kij', Jv, Jg)
     return t1 - t2 + t3 - t4
-
-
-def nijenhuis(J, p, check=True, tol=1e-8):
-    pe = at(p)
-    Jv, Jg, _ = pe.jets(J)
-    if check:
-        sq = pe.absmax(Jv @ Jv + np.eye(Jv.shape[-1]))
-        if np.any(sq > tol):
-            raise AlmostComplexError(f"endomorphism square differs from -1 by "
-                                     f"{np.max(sq):.2e} at {pe.where.tolist()}")
-    return nijenhuis_from_jets(Jv, Jg)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from kahlerkit.jets import Jet2, jeinsum, jet_dcoord, jinv
-from kahlerkit.fields import (at, worst, excluded, lie_endo_from_jets,
+from kahlerkit.fields import (worst, excluded, lie_endo_from_jets,
                               exterior_from_grad, wedge12)
 
 VERDICT_HOLOMORPHIC = "holomorphic"
@@ -63,15 +63,14 @@ def _frame(P):
     return Jet2(*V), cols
 
 
-def theta_jets(t, Pp, p):
-    """Jet-level Lee-form extraction at p.
+def theta_jets(t, Pp, pe):
+    """Jet-level Lee-form extraction at pe.
 
     Returns (theta, homothetic_residual, thetaV, cols) where theta is the Lee
     form as a first-order jet (value and grad exact, no Hessian: it is built
     from the jet_dcoord derivatives of g and the frame) and thetaV the
     first-order theta(V_a) jets for the D+ frame columns.
     """
-    pe = at(p)
     g = pe.raw(t.g)
     P = pe.raw(Pp)
     n = g.shape[0]
@@ -88,9 +87,11 @@ def theta_jets(t, Pp, p):
                                 * g.value[..., None, :, :]) @ Pmv
     resid = worst(0.0, pe.absmax(D))
 
-    # assemble theta as a 1-form: theta(d_i) = theta(P+ d_i) expanded in the frame
-    VTg = V.T @ g
-    theta = thetaV @ (jinv(VTg @ V) @ (VTg @ P))
+    # assemble theta as a 1-form: theta(d_i) = theta(P+ d_i) expanded in the
+    # frame; thetaV is first order, so the frame products are built first order
+    V1, g1, P1 = (Jet2(j.value, j.grad) for j in (V, g, P))
+    VTg = V1.T @ g1
+    theta = thetaV @ (jinv(VTg @ V1) @ (VTg @ P1))
     return theta, resid, thetaV, cols
 
 
@@ -99,27 +100,25 @@ def _lee(t, Pp, pe):
     return pe.cached("lee", (t.g, Pp), lambda: theta_jets(t, Pp, pe)[:2])
 
 
-def extract_theta(t, Pp, p):
-    """Lee-form components at p (vanishes on D- by construction)."""
-    return _lee(t, Pp, at(p))[0].value
+def extract_theta(t, Pp, pe):
+    """Lee-form components at pe (vanishes on D- by construction)."""
+    return _lee(t, Pp, pe)[0].value
 
 
-def homothetic_point(t, Pp, p):
-    """The D- block residual of L_V g - theta(V) g at p, and |d theta|."""
-    pe = at(p)
+def homothetic_point(t, Pp, pe):
+    """The D- block residual of L_V g - theta(V) g at pe, and |d theta|."""
     theta, resid = _lee(t, Pp, pe)
     thg = theta.grad
     return {"homothetic": resid, "dtheta": pe.absmax(thg.swapaxes(-1, -2) - thg)}
 
 
-def oneill_tensors(t, Pp, p):
-    """(xi, xi_ring) at p.
+def oneill_tensors(t, Pp, pe):
+    """(xi, xi_ring) at pe.
 
     xi[k,i,j] is the (D - nabla) tensor on coordinate arguments; xi_ring is the
     D-x D- part with the zeta terms of the homothetic second fundamental form
     removed: xi_ring = xi|_{D-} - (1/2)<JX,Y> Jzeta - (1/2)<X,Y> zeta.
     """
-    pe = at(p)
     gv = pe.jets(t.g)[0]
     Gam, _, gi = pe.christoffel(t.g)
     Jv = pe.jets(t.J)[0]
@@ -150,14 +149,13 @@ def dplus_geodesic_residual(xi, Ppv):
     return np.abs(Pv.swapaxes(-1, -2) @ xi @ Pv).max(axis=(-3, -2, -1))
 
 
-def structure_point(t, Pp, p, skip_theta_below=1e-6):
-    """Structure-equation residuals at p: D+ holomorphy (proj_minus o (L_X J)
+def structure_point(t, Pp, pe, skip_theta_below=1e-6):
+    """Structure-equation residuals at pe: D+ holomorphy (proj_minus o (L_X J)
     over a D+ frame), d(omega_minus) = theta ^ omega_minus, and the two chi_1
     routes: the L_zeta J coefficient fit against -2|theta|^{-2} L_{Jzeta}
     ln|theta|.  Where |theta| falls below the threshold only holomorphy is
     defined; wedge_minus, chi1 and lie_fit are excluded there.
     """
-    pe = at(p)
     Jv, Jg, _ = pe.jets(t.J)
     P = pe.raw(Pp)
     V = _frame(P)[0]
@@ -198,10 +196,9 @@ def structure_point(t, Pp, p, skip_theta_below=1e-6):
             "lie_fit": excluded(skip, lie_fit)}
 
 
-def classify_point(t, Pp, p):
-    """Every classifier residual at p: the homothetic and Lee-form residuals,
+def classify_point(t, Pp, pe):
+    """Every classifier residual at pe: the homothetic and Lee-form residuals,
     the O'Neill tensors and the structure_point residuals."""
-    pe = at(p)
 
     def compute():
         xi, xi_ring = oneill_tensors(t, Pp, pe)

@@ -170,11 +170,11 @@ def _twist_from_spec(spec, dim):
 def _worst_of(point, *keys):
     """Per-point residual: the worst of the named residuals of point(pe), or
     None where the point is excluded from them (masked on a batch)."""
-    def at(pe):
+    def residual(pe):
         res = point(pe)
         vals = [res[k] for k in keys]
         return None if any(v is None for v in vals) else worst(*vals)
-    return at
+    return residual
 
 
 def _axes(R, *order):
@@ -185,8 +185,8 @@ def _axes(R, *order):
 
 def _on(chart):
     """Check constructor for checks that run on one chart's samples."""
-    def check(name, doc, tol, at, record=_fold_record):
-        return Check(name, doc, tol, [(chart, at)], record)
+    def check(name, doc, tol, fn, record=_fold_record):
+        return Check(name, doc, tol, [(chart, fn)], record)
     return check
 
 
@@ -448,9 +448,9 @@ def _make_chain(params):
     top = levels[-1]
     floor = float(params["volume_floor"])
 
-    def per_level(name, doc, tol, at):
+    def per_level(name, doc, tol, fn):
         return Check(name, doc, tol,
-                     [(lv.triple.chart, lambda pe, lv=lv: at(lv, pe)) for lv in levels],
+                     [(lv.triple.chart, lambda pe, lv=lv: fn(lv, pe)) for lv in levels],
                      _levels_record)
 
     checks = [
@@ -651,10 +651,10 @@ def run_scenario_obj(scn, tol_override=None, case=None):
     for chart in charts.values():
         pe = PointEval(chart.samples(plan))
         for ck, fs in zip(case.checks, folds):
-            for k, (c, at) in enumerate(ck.parts):
+            for k, (c, fn) in enumerate(ck.parts):
                 if c is chart and not any(f.error for f in fs[:k]):
                     t0 = time.perf_counter()
-                    fs[k].add(pe, at)
+                    fs[k].add(pe, fn)
                     timings[ck.name] += time.perf_counter() - t0
     records = []
     for ck, fs in zip(case.checks, folds):

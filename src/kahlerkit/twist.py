@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from kahlerkit.jets import JetDomainError, jsize, jconst, jinv, jlog, pack
-from kahlerkit.fields import Field, at, worst
+from kahlerkit.fields import Field, worst
 from kahlerkit.hermitian import HermitianTriple, ddc_from_jets, ricci_form
 
 # The largest |w|^2 a twist may reach; the S field and validate_twist both
@@ -138,10 +138,9 @@ def build_twist_fields(g, endos, Pp, w, theta, chart, mode="B"):
     return Field(gwfn, chart), [twisted(E) for E in endos], S
 
 
-def validate_twist(w, theta, p):
-    """|w|^2 <= DISC and |theta| bounded away from zero at each point of p;
+def validate_twist(w, theta, pe):
+    """|w|^2 <= DISC and |theta| bounded away from zero at each point of pe;
     raises naming the first point that fails."""
-    pe = at(p)
     ww = _norm2(pe.raw(w)).value
     out = np.flatnonzero(ww > DISC)
     if out.size:
@@ -169,26 +168,23 @@ def norm_factor_expected(w1, w2, mode="B"):
     return ((1.0 - w1) ** 2 + w2 ** 2) / (1.0 - ww)
 
 
-def norm_factor_measured(gfn, gwfn, theta_fn, p):
-    """|theta|^2_{g_w} / |theta|^2_g at p."""
-    pe = at(p)
+def norm_factor_measured(gfn, gwfn, theta_fn, pe):
+    """|theta|^2_{g_w} / |theta|^2_g at pe."""
     th = pe.jets(theta_fn)[0]
     thgw, thg = (np.einsum('...i,...ij->...j', th, pe.inverse(g).value) for g in (gwfn, gfn))
     return np.einsum('...j,...j->...', thgw, th) / np.einsum('...j,...j->...', thg, th)
 
 
-def form_invariance_point(cal, tt, p):
-    """|omega_w - omega| at p for (g, J) and (g, I0): the twist leaves both
+def form_invariance_point(cal, tt, pe):
+    """|omega_w - omega| at pe for (g, J) and (g, I0): the twist leaves both
     fundamental forms unchanged."""
-    pe = at(p)
     return worst(*(pe.absmax(pe.omega(tt.g_w, Ew).value - pe.omega(cal.g, E).value)
                    for Ew, E in ((tt.J_w, cal.J), (tt.I_w, cal.I0))))
 
 
-def transverse_holomorphy_point(Jfn, Ppfn, wfn, p):
-    """max |dw2(P-X) + dw1(J P-X)| over the D- coordinate frame at p; this is
+def transverse_holomorphy_point(Jfn, Ppfn, wfn, pe):
+    """max |dw2(P-X) + dw1(J P-X)| over the D- coordinate frame at pe; this is
     the quantity that gates integrability of the twisted structure."""
-    pe = at(p)
     w1, w2 = pe.raw(wfn)
     Jv = pe.jets(Jfn)[0]
     Pmv = np.eye(Jv.shape[-1]) - pe.jets(Ppfn)[0]
@@ -198,8 +194,8 @@ def transverse_holomorphy_point(Jfn, Ppfn, wfn, p):
     return worst(0.0, np.where(np.abs(Pmv).max(axis=-2) >= 1e-13, r, 0.0).max(axis=-1))
 
 
-def ricci_identity_check(cal, tw, tt, p):
-    """Residuals of the twisted-Ricci identities at p, for the log profile.
+def ricci_identity_check(cal, tw, tt, pe):
+    """Residuals of the twisted-Ricci identities at pe, for the log profile.
 
     corrected: rho^{g_w} = rho_N(lifted) + ((m-1)/2)(d J_w d) ln z
                           - (1/2)(d J_w d) ln(1-|w|^2)
@@ -210,7 +206,6 @@ def ricci_identity_check(cal, tw, tt, p):
     correction term.
     """
     m = cal.m
-    pe = at(p)
     Jwv, Jwg, _ = pe.jets(tt.J_w)
     rho_w = ricci_form(tt.triple(), pe, check=False)
     rho_N = np.zeros_like(rho_w)
@@ -229,19 +224,17 @@ def ricci_identity_check(cal, tw, tt, p):
             "correction_size": pe.absmax(corr)}
 
 
-def zeta_duality_residual(gfn, Jfn, gwfn, Jwfn, theta_fn, p):
+def zeta_duality_residual(gfn, Jfn, gwfn, Jwfn, theta_fn, pe):
     """J_w zeta_w = J zeta, with zeta/zeta_w the metric duals of theta."""
-    pe = at(p)
     th = pe.jets(theta_fn)[0]
     zeta, zeta_w = (np.einsum('...ij,...j->...i', pe.inverse(g).value, th) for g in (gfn, gwfn))
     return pe.absmax(np.einsum('...ij,...j->...i', pe.jets(Jwfn)[0], zeta_w)
                      - np.einsum('...ij,...j->...i', pe.jets(Jfn)[0], zeta))
 
 
-def solve_single_twist(g0fn, gcompfn, J0fn, Ppfn, theta_fn, p):
+def solve_single_twist(g0fn, gcompfn, J0fn, Ppfn, theta_fn, pe):
     """Recover the single-twist parameter (w1, w2) reproducing a composite
-    metric at each point of p (mode B, frame {theta, -theta o J})."""
-    pe = at(p)
+    metric at each point of pe (mode B, frame {theta, -theta o J})."""
     gv0 = pe.jets(g0fn)[0]
     gvc = pe.jets(gcompfn)[0]
     th = pe.jets(theta_fn)[0][..., None, :]

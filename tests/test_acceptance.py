@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from kahlerkit.jets import Jet2, SamplePlan, jconst, jsin, jsize, pack
-from kahlerkit.fields import (ChartManifold, Field, curvature_from_jets,
-                              metric_jets, nijenhuis, worst)
+from kahlerkit.fields import (ChartManifold, Field, PointEval, curvature_from_jets,
+                              metric_jets, worst)
 from kahlerkit.hermitian import HermitianTriple, kahler_point
 from kahlerkit.foliation import (VERDICT_FAILED, VERDICT_HOLOMORPHIC,
                                  VERDICT_PRODUCT, classify_point,
@@ -29,7 +29,7 @@ from kahlerkit.almost_kahler import (ak3_point, build_ak_product,
                                      einstein_point, iterate_chain,
                                      torsion_point)
 from kahlerkit.scenarios import load_scenario, render_json, run_scenario_obj
-from helpers import fold_plan
+from helpers import fold_plan, nijenhuis_at
 
 
 def crit(num, ok, detail):
@@ -111,15 +111,16 @@ def test_criterion_2_calabi_builder_flat_base():
     theta_dev = 0.0
     nij = 0.0
     for p in cal.chart.samples(SamplePlan(7, 10)):
-        th = extract_theta(cal.triple(), cal.proj_plus, p)
+        pe = PointEval(p)
+        th = extract_theta(cal.triple(), cal.proj_plus, pe)
         want = np.zeros(4)
         want[1] = 1.0 / p[1]
         theta_dev = max(theta_dev, np.abs(th[0] - want).max())
-        nij = max(nij, np.abs(nijenhuis(cal.I0.fn, p)).max())
+        nij = max(nij, np.abs(nijenhuis_at(pe, cal.I0.fn)).max())
 
     vol = 0.0
     for p in cal.chart.samples(SamplePlan(8, 50)):
-        vc = volume_checks(cal, p)
+        vc = volume_checks(cal, PointEval(p))
         vol = max(vol, vc["residual_z"][0], vc["residual_r"][0])
 
     elapsed = time.perf_counter() - t0
@@ -138,7 +139,7 @@ def test_criterion_3_lee_form_closed_forms():
     worst = 0.0
     for r in np.linspace(0.3, 0.9, 20):
         z = prof.moment_map_G(r)
-        th0, fit = (a[0] for a in lee_form_of_I0(cal, [0.1, z, 0.1, -0.2]))
+        th0, fit = (a[0] for a in lee_form_of_I0(cal, PointEval([0.1, z, 0.1, -0.2])))
         drc = th0[1] * prof.G_prime(r)
         x = Jet2.seed(np.array([0.1, z, 0.1, -0.2]))
         gv = np.array([[e.value[0] for e in row] for row in cal.g.fn(x)])
@@ -174,7 +175,7 @@ def test_criterion_4_twist_invariance_norm_integrability():
         tt = build_twist(cal, constant_twist(w1, w2))
         assert abs(norm_factor_expected(w1, w2) - want) < 1e-15
         for p in cal.chart.samples(SamplePlan(4, 6)):
-            got = norm_factor_measured(cal.g.fn, tt.g_w.fn, cal.theta.fn, p)
+            got = norm_factor_measured(cal.g.fn, tt.g_w.fn, cal.theta.fn, PointEval(p))
             norm = max(norm, abs(got[0] - want))
 
     plan = SamplePlan(5, 8)
@@ -182,13 +183,13 @@ def test_criterion_4_twist_invariance_norm_integrability():
     tt = build_twist(cal, tw)
     res = fold_plan(cal.chart, plan, lambda pe: transverse_holomorphy_point(
         cal.J.fn, cal.proj_plus, tw.fn, pe)).max()
-    nij_good = max(np.abs(nijenhuis(tt.J_w.fn, p)).max()
+    nij_good = max(np.abs(nijenhuis_at(PointEval(p), tt.J_w.fn)).max()
                    for p in cal.chart.samples(plan))
     twc = coordinate_twist(2, 3, conj=True)
     ttc = build_twist(cal, twc)
     resc = fold_plan(cal.chart, plan, lambda pe: transverse_holomorphy_point(
         cal.J.fn, cal.proj_plus, twc.fn, pe)).max()
-    nij_bad = max(np.abs(nijenhuis(ttc.J_w.fn, p)).max()
+    nij_bad = max(np.abs(nijenhuis_at(PointEval(p), ttc.J_w.fn)).max()
                   for p in cal.chart.samples(plan))
 
     elapsed = time.perf_counter() - t0
@@ -210,7 +211,7 @@ def test_criterion_5_three_term_ricci_identity():
     for tw in (constant_twist(0.0), coordinate_twist(2, 3)):
         tt = build_twist(cal, tw)
         for p in cal.chart.samples(SamplePlan(6, 30)):
-            chk = ricci_identity_check(cal, tw, tt, p)
+            chk = ricci_identity_check(cal, tw, tt, PointEval(p))
             worst = max(worst, chk["corrected"][0])
             correction = max(correction, chk["correction_size"][0])
     elapsed = time.perf_counter() - t0

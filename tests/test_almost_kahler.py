@@ -185,11 +185,11 @@ def test_untwisted_chain_levels():
         assert v.max() <= 1e-7
     # level 0 satisfies the claimed identity; level 1 needs the fiber term
     p0 = [0.1, -0.2]
-    r0 = levels[0].identity_residuals(p0)
+    r0 = levels[0].identity_residuals(PointEval(p0))
     assert r0["claimed"] < 1e-10
     assert r0["corrected"] < 1e-10
     p1 = [0.2, 1.1, 0.1, -0.2]
-    r1 = levels[1].identity_residuals(p1)
+    r1 = levels[1].identity_residuals(PointEval(p1))
     assert r1["corrected"] < 1e-10
     assert r1["claimed"] > 0.1
     assert r1["correction_size"] > 0.1
@@ -206,7 +206,7 @@ def test_twisted_chain_levels():
         assert v.max() <= 1e-7
     for lv in levels[1:]:
         for p in lv.triple.chart.samples(SamplePlan(15, 3)):
-            r = lv.identity_residuals(p)
+            r = lv.identity_residuals(PointEval(p))
             assert r["corrected"] < 1e-8
             assert r["claimed"] > 0.1
 
@@ -226,7 +226,7 @@ def test_top_level_volume_identity():
     levels = iterate_chain("untwisted", 2)
     top = levels[-1]
     for p in top.cal.chart.samples(SamplePlan(17, 8)):
-        vc = volume_checks(top.cal, p)
+        vc = volume_checks(top.cal, PointEval(p))
         assert vc["residual_z"] < 1e-9
         assert vc["residual_r"] < 1e-9
 
@@ -251,13 +251,13 @@ def test_kernel_foliation_geodesic_dichotomy():
     n = top_u.triple.chart.dim
     tw = coordinate_twist(n - 2, n - 1)
     for p in top_u.triple.chart.samples(SamplePlan(18, 5)):
-        assert ker_dw_geodesic_residual(top_u.triple.g, tw, p) < 1e-10
+        assert ker_dw_geodesic_residual(top_u.triple.g, tw, PointEval(p)) < 1e-10
     top_t = iterate_chain("twisted", 2)[-1]
     nt = top_t.triple.chart.dim
     twt = coordinate_twist(nt - 2, nt - 1)
     worst = 0.0
     for p in top_t.triple.chart.samples(SamplePlan(18, 5)):
-        worst = max(worst, ker_dw_geodesic_residual(top_t.triple.g, twt, p))
+        worst = max(worst, ker_dw_geodesic_residual(top_t.triple.g, twt, PointEval(p)))
     assert worst > 1e-3
 
 
@@ -276,7 +276,7 @@ def test_ker_dw_projector_properties():
     g = Field(gfn, chart)
     for p in chart.samples(SamplePlan(19, 5)):
         x = Jet2.seed(np.asarray(p, float))
-        Q = ker_dw_projector(g, tw, p)
+        Q = ker_dw_projector(g, tw, PointEval(p))
         Qv = np.array([[e.value[0] for e in row] for row in Q])
         gv = metric_jets(gfn, p)[0][0]
         assert np.abs(Qv @ Qv - Qv).max() < 1e-12
@@ -294,14 +294,15 @@ def test_ker_dw_projector_rejects_constant_map():
         g = [[jconst(1.0 if i == j else 0.0, n) for j in range(4)] for i in range(4)]
         return g
     with pytest.raises(JetDomainError):
-        ker_dw_projector(Field(gfn), constant_twist(0.2, 0.1), np.array([0.5, 0.5, 0.5, 0.5]))
+        ker_dw_projector(Field(gfn), constant_twist(0.2, 0.1),
+                         PointEval(np.array([0.5, 0.5, 0.5, 0.5])))
 
 
 def test_eta_tensor_vanishes_for_untwisted_product():
     zt, _ = disk_base(1)
     ak = build_ak_product(zt, constant_twist(0.0))
     for p in ak.chart.samples(SamplePlan(20, 4)):
-        eta, _, _, _ = eta_tensor(ak.g.fn, ak.J_tilde.fn, p)
+        eta, _, _, _ = eta_tensor(ak.g.fn, ak.J_tilde.fn, PointEval(p))
         # g is then a genuine product metric; only the plane flip survives in
         # J~ and its covariant derivative along the flat factor vanishes
         assert np.abs(eta).max() < 1e-12

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from kahlerkit.jets import Jet2, SamplePlan, jconst, jexp, jsize
-from kahlerkit.fields import NotClosedError, metric_jets, worst
+from kahlerkit.fields import NotClosedError, PointEval, metric_jets, worst
 from kahlerkit.hermitian import kahler_point
 from kahlerkit.foliation import extract_theta
 from kahlerkit.calabi import (CalabiProfile, build_calabi, disk_base,
@@ -108,7 +108,7 @@ def test_volume_identity_surface_case():
     for k in (0, 1, 2):
         cal = make_cal(k)
         for p in cal.chart.samples(SamplePlan(7, 50)):
-            vc = volume_checks(cal, p)
+            vc = volume_checks(cal, PointEval(p))
             t = p[2] ** 2 + p[3] ** 2
             want = -2.0 * p[1] * (1.0 - t) ** k
             assert abs(vc["pfaffian"] - want) < 1e-12
@@ -124,7 +124,7 @@ def test_volume_identity_six_dimensional_case():
     assert top.cal is not None
     assert top.cal.chart.dim == 6
     for p in top.cal.chart.samples(SamplePlan(8, 6)):
-        vc = volume_checks(top.cal, p)
+        vc = volume_checks(top.cal, PointEval(p))
         assert vc["residual_z"] < 1e-8
         assert vc["residual_r"] < 1e-8
         assert abs(vc["pfaffian"]) > 1e-15
@@ -140,7 +140,7 @@ def test_lee_form_of_second_structure_profile_anchors():
     for r in np.linspace(0.3, 0.9, 20):
         z = prof.moment_map_G(r)
         p = [0.1, z, 0.1, -0.2]
-        th0, fit = (a[0] for a in lee_form_of_I0(cal, p))
+        th0, fit = (a[0] for a in lee_form_of_I0(cal, PointEval(p)))
         assert fit < 1e-10
         assert abs(th0[1] - 2.0 / z) < 1e-8
         assert np.abs(th0[[0, 2, 3]]).max() < 1e-10
@@ -183,8 +183,8 @@ def test_rescale_exponential_pair():
     assert v.max() <= 1e-7
     s = cal.proj_plus
     for p in cal.chart.samples(SamplePlan(11, 5)):
-        t_orig = extract_theta(cal.triple(), s, p)[0]
-        t_hat = extract_theta(hat, s, p)[0]
+        t_orig = extract_theta(cal.triple(), s, PointEval(p))[0]
+        t_hat = extract_theta(hat, s, PointEval(p))[0]
         assert abs(t_hat[1] / t_orig[1] - 2.0) < 1e-12
 
 

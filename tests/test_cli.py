@@ -17,7 +17,7 @@ import kahlerkit.cli
 import kahlerkit.scenarios
 from kahlerkit.cli import main
 from kahlerkit.jets import Jet2, jconst
-from kahlerkit.fields import Field
+from kahlerkit.fields import Field, PointEval, curvature_from_jets, metric_jets
 from kahlerkit.calabi import disk_base
 from kahlerkit.twist import make_sfield
 from kahlerkit.scenarios import (BUILDER_MAP, BUILDERS, Case, build_case,
@@ -233,6 +233,26 @@ def test_chain_level_out_of_range_names_the_parameter(level, tmp_path, capsys):
         assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("builder, key, val", [
+    (builder, "s_range", rng) for builder in ("calabi", "calabi_twist", "calabi_chain")
+    for rng in ([0.8, -0.8], [0.8, 0.8])
+] + [("ak_product", "radius", r) for r in (0.0, -0.5, float("nan"))],
+    ids=["%s-s_range-%s" % (b, k) for b in ("calabi", "calabi_twist", "calabi_chain")
+         for k in ("reversed", "empty")] + ["ak_product-radius-%s" % k
+                                            for k in ("zero", "negative", "nan")])
+def test_chart_intervals_that_are_not_a_box_exit_two(builder, key, val, tmp_path, capsys):
+    # a reversed or empty s_range, or a disk radius <= 0 or NaN, makes a chart
+    # interval that is not finite with a < b; the chart rejects it while the
+    # case is built, not the sampler with a traceback and exit code 1
+    path = tmp_path / "bad_box.json"
+    path.write_text(json.dumps({"name": "x", "builder": builder, "params": {key: val}}))
+    rc, out, err = run_cli(capsys, ["verify", str(path)])
+    assert rc == 2 and out == ""
+    assert err.startswith("error: %s: builder %r cannot build from its params: " % (path, builder))
+    assert "must be finite with a < b" in err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
 @pytest.mark.parametrize("builder, params, key, val", [
     ("ak_product", {"z": "chain"}, "chain_level", 1.7),
     ("ak_product", {"z": "chain"}, "chain_m", 2.5),
@@ -335,6 +355,20 @@ def test_curvature_sphere_closed_form(capsys):
     riem = next(ln for ln in out.splitlines()
                 if ln.startswith("max |Riemann|:"))
     assert abs(float(riem.split(":")[1]) - 0.75) < 1e-9
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_curvature_command_entry_matches_point_eval_bit_for_bit(name):
+    # `kahlerkit curvature` reads the metric's raw jets through metric_jets,
+    # the one function taking raw coordinates; the checks read the memoised
+    # PointEval.curvature.  Both must give the same bits
+    case = build_case(load_scenario(name))
+    c = case.chart.center()
+    raw = curvature_from_jets(*metric_jets(case.metric.fn, c), c)
+    memo = PointEval(c).curvature(case.metric)
+    assert len(raw) == len(memo) == 4
+    for a, b in zip(raw, memo):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def test_curvature_point_errors(capsys):

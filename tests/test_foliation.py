@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from kahlerkit.jets import SamplePlan, jconst, jsin, jsize, pack
-from kahlerkit.fields import ChartManifold, Field
+from kahlerkit.fields import ChartManifold, Field, PointEval
 from kahlerkit.hermitian import HermitianTriple
 from kahlerkit.foliation import (VERDICT_FAILED, VERDICT_GEODESIC,
                                  VERDICT_HOLOMORPHIC, VERDICT_PRODUCT,
@@ -33,11 +33,12 @@ def test_lee_form_matches_log_moment_coordinate():
     t = cal.triple()
     s = cal.proj_plus
     for p in cal.chart.samples(SamplePlan(3, 15)):
-        theta = extract_theta(t, s, p)
+        pe = PointEval(p)
+        theta = extract_theta(t, s, pe)
         want = np.zeros(4)
         want[1] = 1.0 / p[1]
         assert np.abs(theta - want).max() < 1e-10
-        _, resid, thetaV, cols = theta_jets(t, s, p)
+        _, resid, thetaV, cols = theta_jets(t, s, pe)
         assert resid < 1e-12
         assert cols == (0, 1)
 

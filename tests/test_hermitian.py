@@ -1,14 +1,14 @@
 """Hermitian predicates: compatibility, the Kahler verdict, Ricci forms and
-the ddc operator, checked against closed-form surface curvature oracles."""
+the ddc operator (ddc_from_jets), checked against closed-form surface
+curvature oracles."""
 
 import numpy as np
 import pytest
 
 from kahlerkit.jets import Jet2, SamplePlan, jconst, jlog, jsin, jsize
 from kahlerkit.fields import ChartManifold, Field, Fold, PointEval, metric_jets, worst
-from kahlerkit.hermitian import (CompatibilityError, HermitianTriple,
-                                 NotKahlerError, ddc, fundamental_form,
-                                 kahler_point, ricci_form, split_fundamental)
+from kahlerkit.hermitian import (HermitianTriple, NotKahlerError, ddc_from_jets,
+                                 kahler_point, ricci_form)
 from kahlerkit.calabi import disk_base
 from helpers import fold_plan
 
@@ -40,7 +40,9 @@ def sphere_triple():
 def test_fundamental_form_oracle_on_sphere():
     t = sphere_triple()
     for u in (0.6, 1.1, 2.0):
-        om = fundamental_form(t, [u, 0.2])[0]
+        pe = PointEval([u, 0.2])
+        assert kahler_point(t, pe)["compatible"][0] <= 1e-8
+        om = pe.omega(t.g, t.J).value[0]
         assert abs(om[0, 1] - np.sin(u)) < 1e-12
         assert abs(om[0, 1] + om[1, 0]) < 1e-12
     omv = PointEval([1.1, 0.2]).omega(t.g, t.J).value[0]
@@ -54,8 +56,11 @@ def test_fundamental_form_rejects_incompatible_pair():
         return [[jconst(1.0, n), zero], [zero, jconst(2.0, n)]]
     t = HermitianTriple(g, lambda pt: rotation(jsize(pt)),
                         ChartManifold(2, [(-1.0, 1.0)] * 2))
-    with pytest.raises(CompatibilityError):
-        fundamental_form(t, [0.1, 0.2])
+    # J^T g J - g = diag(1, -1): the compatible residual is 1, far above
+    # every Kahler tolerance
+    compat = kahler_point(t, PointEval([0.1, 0.2]))["compatible"]
+    assert compat[0] > 1e-8
+    assert abs(compat[0] - 1.0) < 1e-14
 
 
 def test_sphere_is_kahler_and_ricci_form_equals_fundamental():
@@ -66,8 +71,10 @@ def test_sphere_is_kahler_and_ricci_form_equals_fundamental():
     assert v.max() < 1e-10
     assert v.points == 20
     for p in t.chart.samples(SamplePlan(6, 15)):
-        rho = ricci_form(t, p)
-        om = fundamental_form(t, p)
+        pe = PointEval(p)
+        rho = ricci_form(t, pe)
+        assert kahler_point(t, pe)["compatible"][0] <= 1e-8
+        om = pe.omega(t.g, t.J).value
         assert np.abs(rho - om).max() < 1e-9
 
 
@@ -81,16 +88,17 @@ def test_disk_ricci_form_closed_form():
             return jlog(1.0 - pt[0] * pt[0] - pt[1] * pt[1])
         for p in t.chart.samples(SamplePlan(8, 15)):
             s = 1.0 - p[0] ** 2 - p[1] ** 2
-            rho = ricci_form(t, p)[0]
+            pe = PointEval(p)
+            rho = ricci_form(t, pe)[0]
             assert abs(rho[0, 1] - 2.0 * k / s ** 2) < 1e-9
-            dd = ddc(logfac, t.J, p)[0]
+            dd = ddc_from_jets(pe.raw(logfac), *pe.jets(t.J)[:2])[0]
             assert np.abs(rho - 0.5 * k * dd).max() < 1e-9
 
 
 def test_ricci_form_is_antisymmetric_and_j_invariant():
     t, _ = disk_base(2)
     for p in t.chart.samples(SamplePlan(9, 10)):
-        rho = ricci_form(t, p)[0]
+        rho = ricci_form(t, PointEval(p))[0]
         Jv = metric_jets(t.J, p)[0][0]
         assert np.abs(rho + rho.T).max() < 1e-10
         assert np.abs(Jv.T @ rho @ Jv - rho).max() < 1e-10
@@ -106,9 +114,9 @@ def test_ricci_form_guards_against_non_kahler_input():
         return rotation(jsize(pt))
     t = HermitianTriple(g, J, ChartManifold(2, [(-1.0, 1.0)] * 2))
     with pytest.raises(NotKahlerError):
-        ricci_form(t, [0.2, 0.1])
+        ricci_form(t, PointEval([0.2, 0.1]))
     # with the guard off the curvature of the flat metric still comes out
-    rho = ricci_form(t, [0.2, 0.1], check=False)
+    rho = ricci_form(t, PointEval([0.2, 0.1]), check=False)
     assert np.abs(rho).max() < 1e-12
 
 
@@ -118,12 +126,13 @@ def test_ddc_flat_oracle():
 
     def J(pt):
         return rotation(jsize(pt))
-    dd = ddc(f, J, [0.3, -0.4])
+    pe = PointEval([0.3, -0.4])
+    dd = ddc_from_jets(pe.raw(f), *pe.jets(J)[:2])
     assert np.abs(dd - np.array([[0.0, -2.0], [2.0, 0.0]])).max() < 1e-12
 
     def lin(pt):
         return 3.0 * pt[0] - pt[1]
-    assert np.abs(ddc(lin, J, [0.3, -0.4])).max() < 1e-14
+    assert np.abs(ddc_from_jets(pe.raw(lin), *pe.jets(J)[:2])).max() < 1e-14
 
 
 def test_ddc_with_position_dependent_endomorphism():
@@ -131,7 +140,8 @@ def test_ddc_with_position_dependent_endomorphism():
     def f(pt):
         return pt[0] + jconst(0.0, jsize(pt))
     u = np.pi / 3.0
-    dd = ddc(f, sphere_J, [u, 0.5])[0]
+    pe = PointEval([u, 0.5])
+    dd = ddc_from_jets(pe.raw(f), *pe.jets(sphere_J)[:2])[0]
     assert abs(dd[0, 1] - (-0.5)) < 1e-12
     assert abs(dd[0, 1] - (-np.cos(u))) < 1e-12
 
@@ -208,29 +218,19 @@ def test_split_fundamental_restriction():
                 [zero, one, zero, zero],
                 [zero, zero, zero, zero],
                 [zero, zero, zero, zero]]
+    # omega_plus = P+^T omega P+, the restriction structure_point removes
     p = [0.1, 0.2, -0.3, 0.4]
-    om_plus, om_minus = (a[0] for a in split_fundamental(t, proj_plus, p))
+    pe = PointEval(p)
+    om_all = pe.omega(t.g, t.J).value[0]
+    Pv = pe.jets(proj_plus)[0][0]
+    om_plus = Pv.T @ om_all @ Pv
+    om_minus = om_all - om_plus
     gv = metric_jets(t.g, p)[0][0]
     Jv = metric_jets(t.J, p)[0][0]
     om = Jv.T @ gv
     assert np.abs((om_plus + om_minus) - om).max() < 1e-14
     assert np.abs(om_plus[2:, :]).max() < 1e-14
     assert abs(om_plus[0, 1] - om[0, 1]) < 1e-14
-
-
-def test_split_fundamental_requires_j_invariance():
-    t = flat4_triple()
-
-    def proj(pt):
-        n = jsize(pt)
-        zero = jconst(0.0, n)
-        one = jconst(1.0, n)
-        return [[one, zero, zero, zero],
-                [zero, zero, zero, zero],
-                [zero, zero, one, zero],
-                [zero, zero, zero, zero]]
-    with pytest.raises(ValueError):
-        split_fundamental(t, proj, [0.1, 0.2, -0.3, 0.4])
 
 
 def test_kahler_verdict_fails_on_nan_at_a_later_point():

@@ -1,6 +1,7 @@
 """Structural guards: where the library walks a sample plan, that every jet
 has a batch axis, that the jet layer contracts only through _contract and
-jet_dcoord is first order, how often each case seeds, and the README's
+jet_dcoord is first order, that per-point functions take a PointEval with no
+raw-point adapter beside it, how often each case seeds, and the README's
 library example run as written."""
 
 import ast
@@ -83,6 +84,45 @@ def test_jets_contract_only_through_contract_and_dcoord_is_first_order():
     assert du._hess is None and du.grad.shape == (1, 3, 3)
     with pytest.raises(FirstOrderError):
         du.hess
+
+
+# One-point accessors that re-wrapped a *_from_jets function, and the error
+# classes only they raised: each was a second way in beside PointEval
+DELETED = {"fundamental_form", "split_fundamental", "ddc", "nijenhuis",
+           "exterior_derivative", "CompatibilityError", "AlmostComplexError"}
+
+
+def _names(node):
+    """The names node defines, binds, imports or reads."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Name):
+        return [node.id]
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    if isinstance(node, ast.alias):
+        return [node.name.rsplit(".", 1)[-1], node.asname]
+    if isinstance(node, ast.arg):
+        return [node.arg]
+    return []
+
+
+def test_per_point_functions_take_a_point_eval_with_no_adapter():
+    # every per-point function takes a PointEval; a raw-point adapter at(),
+    # or an accessor that wraps one, would be a second entry beside it
+    found = []
+    for name in sorted(os.listdir(SRC)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(SRC, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            for ident in _names(node):
+                if ident == "at":
+                    found.append("%s:%d defines, binds or calls at" % (name, node.lineno))
+                elif ident in DELETED:
+                    found.append("%s:%d names %s" % (name, getattr(node, "lineno", 0), ident))
+    assert found == []
 
 
 def test_readme_library_example_runs():

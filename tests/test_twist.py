@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from kahlerkit.jets import Jet2, JetDomainError, SamplePlan
-from kahlerkit.fields import Field, metric_jets, nijenhuis, worst
+from kahlerkit.fields import Field, PointEval, metric_jets, worst
 from kahlerkit.hermitian import kahler_point
 from kahlerkit.calabi import CalabiProfile, build_calabi, disk_base
 from kahlerkit.twist import (build_twist, build_twist_fields,
@@ -16,7 +16,7 @@ from kahlerkit.twist import (build_twist, build_twist_fields,
                              solve_single_twist,
                              transverse_holomorphy_point, validate_twist,
                              zeta_duality_residual)
-from helpers import fold_plan
+from helpers import fold_plan, nijenhuis_at
 
 
 def make_cal(k=1):
@@ -90,7 +90,7 @@ def test_norm_factor_measured_matches_expected():
     for w1, w2 in cases:
         tt = build_twist(cal, constant_twist(w1, w2))
         for p in cal.chart.samples(SamplePlan(4, 6)):
-            got = norm_factor_measured(cal.g.fn, tt.g_w.fn, cal.theta.fn, p)
+            got = norm_factor_measured(cal.g.fn, tt.g_w.fn, cal.theta.fn, PointEval(p))
             assert abs(got - norm_factor_expected(w1, w2)) < 1e-9
     # position-dependent twist: compare pointwise
     tw = coordinate_twist(2, 3)
@@ -98,7 +98,7 @@ def test_norm_factor_measured_matches_expected():
     for p in cal.chart.samples(SamplePlan(5, 6)):
         x = Jet2.seed(np.asarray(p, float))
         w1, w2 = tw.fn(x)
-        got = norm_factor_measured(cal.g.fn, tt.g_w.fn, cal.theta.fn, p)
+        got = norm_factor_measured(cal.g.fn, tt.g_w.fn, cal.theta.fn, PointEval(p))
         assert abs(got - norm_factor_expected(w1.value, w2.value)) < 1e-9
 
 
@@ -113,7 +113,7 @@ def test_integrability_iff_transverse_holomorphy():
     tt = build_twist(cal, tw)
     nij = 0.0
     for p in cal.chart.samples(plan):
-        nij = max(nij, np.abs(nijenhuis(tt.J_w.fn, p)).max())
+        nij = max(nij, np.abs(nijenhuis_at(PointEval(p), tt.J_w.fn)).max())
     assert nij < 1e-7
     t = tt.triple()
     v = fold_plan(cal.chart, SamplePlan(7, 6), lambda pe: worst(*kahler_point(t, pe).values()))
@@ -127,7 +127,7 @@ def test_integrability_iff_transverse_holomorphy():
     ttc = build_twist(cal, twc)
     worstc = 0.0
     for p in cal.chart.samples(plan):
-        worstc = max(worstc, np.abs(nijenhuis(ttc.J_w.fn, p)).max())
+        worstc = max(worstc, np.abs(nijenhuis_at(PointEval(p), ttc.J_w.fn)).max())
     assert worstc > 1.0
     tc = ttc.triple()
     vc = fold_plan(cal.chart, SamplePlan(7, 6), lambda pe: kahler_point(tc, pe))
@@ -143,7 +143,7 @@ def test_zeta_duality():
         tt = build_twist(cal, tw)
         for p in cal.chart.samples(SamplePlan(8, 6)):
             r = zeta_duality_residual(cal.g.fn, cal.J.fn, tt.g_w.fn,
-                                      tt.J_w.fn, cal.theta.fn, p)
+                                      tt.J_w.fn, cal.theta.fn, PointEval(p))
             assert r < 1e-8
 
 
@@ -153,14 +153,14 @@ def test_single_twist_parameter_recovery():
     for w1, w2 in [(0.25, -0.35), (0.0, 0.5), (-0.3, 0.1)]:
         tt = build_twist(cal, constant_twist(w1, w2))
         got1, got2 = (w[0] for w in solve_single_twist(cal.g.fn, tt.g_w.fn, cal.J.fn,
-                                                       cal.proj_plus.fn, cal.theta.fn, p))
+                                                       cal.proj_plus.fn, cal.theta.fn, PointEval(p)))
         assert abs(got1 - w1) < 1e-10
         assert abs(got2 - w2) < 1e-10
     # position-dependent case recovers the pointwise value
     tw = coordinate_twist(2, 3)
     tt = build_twist(cal, tw)
     got1, got2 = (w[0] for w in solve_single_twist(cal.g.fn, tt.g_w.fn, cal.J.fn,
-                                                   cal.proj_plus.fn, cal.theta.fn, p))
+                                                   cal.proj_plus.fn, cal.theta.fn, PointEval(p)))
     assert abs(got1 - p[2]) < 1e-10
     assert abs(got2 - p[3]) < 1e-10
 
@@ -183,7 +183,7 @@ def test_validate_twist_errors():
     plan = SamplePlan(9, 5)
     with pytest.raises(ValueError) as e:
         for p in cal.chart.samples(plan):
-            validate_twist(constant_twist(0.9999999).fn, cal.theta.fn, p)
+            validate_twist(constant_twist(0.9999999).fn, cal.theta.fn, PointEval(p))
     assert "circle" in str(e.value)
 
     def flat_theta(pt):
@@ -191,7 +191,7 @@ def test_validate_twist_errors():
         return [Jet2.const(0.0, n) for _ in range(4)]
     with pytest.raises(ValueError) as e:
         for p in cal.chart.samples(plan):
-            validate_twist(constant_twist(0.1).fn, flat_theta, p)
+            validate_twist(constant_twist(0.1).fn, flat_theta, PointEval(p))
     assert "degenerate" in str(e.value)
 
 
@@ -203,12 +203,12 @@ def test_plan_check_and_s_guard_share_the_disc():
     x = Jet2.seed(np.array([0.0, 1.0, 0.1, 0.1]))
     inside = constant_twist(np.sqrt(1.0 - 1.5e-6))
     for p in cal.chart.samples(plan):
-        validate_twist(inside, cal.theta, p)
+        validate_twist(inside, cal.theta, PointEval(p))
     assert np.isfinite(build_twist(cal, inside).S.fn(x).value).all()
     outside = constant_twist(np.sqrt(1.0 - 0.5e-6))
     with pytest.raises(ValueError, match="circle"):
         for p in cal.chart.samples(plan):
-            validate_twist(outside, cal.theta, p)
+            validate_twist(outside, cal.theta, PointEval(p))
     with pytest.raises(JetDomainError, match="twist leaves the disc"):
         build_twist(cal, outside).S.fn(x)
 
@@ -240,7 +240,7 @@ def test_ricci_identity_corrected_form_holds():
                coordinate_twist(2, 3)):
         tt = build_twist(cal, tw)
         for p in pts:
-            res = ricci_identity_check(cal, tw, tt, p)
+            res = ricci_identity_check(cal, tw, tt, PointEval(p))
             assert res["corrected"] < 1e-6
             # the fiber correction this identity needs is genuinely large
             assert res["correction_size"] > 0.05
@@ -254,7 +254,7 @@ def test_ricci_identity_two_term_form():
     tt = build_twist(cal, coordinate_twist(2, 3))
     worst = 0.0
     for p in cal.chart.samples(SamplePlan(11, 5)):
-        res = ricci_identity_check(cal, coordinate_twist(2, 3), tt, p)
+        res = ricci_identity_check(cal, coordinate_twist(2, 3), tt, PointEval(p))
         worst = max(worst, res["printed"])
     assert worst < 1e-6
 
@@ -266,7 +266,7 @@ def test_ricci_identity_two_term_gap_is_pinned():
     for tw in (constant_twist(0.0), coordinate_twist(2, 3)):
         tt = build_twist(cal, tw)
         p = [0.2, 1.1, 0.1, -0.15]
-        res = ricci_identity_check(cal, tw, tt, p)
+        res = ricci_identity_check(cal, tw, tt, PointEval(p))
         assert res["printed"] > 1e-2
 
 
