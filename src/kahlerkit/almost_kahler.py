@@ -168,7 +168,7 @@ def subtract_fiber_logs(rho, pe, J, z_positions):
     Jv, Jg, _ = pe.jets(J)
     size = 0.0
     for j, pos in z_positions.items():
-        term = 0.5 * j * ddc_from_jets(jlog(pe.x[pos]), Jv, Jg)
+        term = 0.5 * j * ddc_from_jets(jlog(pe[pos]), Jv, Jg)
         rho = rho - term
         size = worst(size, pe.absmax(term))
     return rho, size
@@ -177,7 +177,7 @@ def subtract_fiber_logs(rho, pe, J, z_positions):
 def fiber_log_point(t, z_positions, pe):
     """max |rho - sum_j (j/2) (d J d) ln z_j| at pe: the Ricci form of t is
     carried by the fiber log potentials."""
-    rho = ricci_form(t, pe, check=False)
+    rho = ricci_form(t, pe)
     return pe.absmax(subtract_fiber_logs(rho, pe, t.J, z_positions)[0])
 
 
@@ -199,9 +199,9 @@ class ChainLevel:
         n = self.triple.chart.dim
         t = self.triple
         Jv, Jg, _ = pe.jets(t.J)
-        xx, yy = pe.x[n - 2], pe.x[n - 1]
+        xx, yy = pe[n - 2], pe[n - 1]
         ddL = ddc_from_jets(jlog(1.0 - xx * xx - yy * yy), Jv, Jg)
-        claimed = ricci_form(t, pe, check=False) - self.claimed_coeff * ddL
+        claimed = ricci_form(t, pe) - self.claimed_coeff * ddL
         corrected, corr_size = subtract_fiber_logs(claimed, pe, t.J, self.z_positions)
         return {"claimed": pe.absmax(claimed),
                 "corrected": pe.absmax(corrected),

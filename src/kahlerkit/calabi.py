@@ -39,8 +39,8 @@ class CalabiProfile:
     s_range: tuple = (-1.0, 1.0)
 
     def __post_init__(self):
-        if not self.A < 0:
-            raise ValueError("profile needs A < 0, got A=%r" % (self.A,))
+        if not -np.inf < self.A < 0:
+            raise ValueError("profile needs a finite A < 0, got A=%r" % (self.A,))
         lo, hi = self.z_range
         if not (0 < lo < hi):
             raise ValueError("z_range must be positive and increasing")
@@ -91,7 +91,10 @@ def _poly(coeffs, t):
 def disk_base(k, radius=0.55):
     """HermitianTriple for the unit-disk base with metric (1 - rho^2)^k * delta
     and the standard rotation, plus the closed-form primitive alpha of its
-    Kähler form.  Returns (triple, alpha: a 1-form Field)."""
+    Kähler form.  Returns (triple, alpha: a 1-form Field).  k is an integer
+    in 0..32."""
+    if not 0 <= k <= 32:
+        raise ValueError("disk exponent k must lie in 0..32, got %r" % (k,))
     dom = [(-radius, radius), (-radius, radius)]
     chart = ChartManifold(2, dom, label="disk^%d" % k)
     ucoef = disk_u_coefficients(k)

@@ -21,7 +21,7 @@ import time
 import numpy as np
 
 from kahlerkit.jets import SamplePlan
-from kahlerkit.fields import DOMAIN_ERRORS, Point, metric_jets, curvature_from_jets
+from kahlerkit.fields import DOMAIN_ERRORS, PointEval, metric_jets, curvature_from_jets
 from kahlerkit.scenarios import (BUILDERS, ScenarioError, bundled_names,
                                  build_case, check_tolerance, load_scenario,
                                  render_json, run_scenario_obj)
@@ -108,12 +108,12 @@ BENCH_REPEAT = 3
 
 class _FieldClock:
     """Time spent evaluating fields (the builder closures on jets): the
-    outermost Point.raw calls, nested reads included in them."""
+    outermost PointEval.raw calls, nested reads included in them."""
 
     def __init__(self):
         self.seconds = 0.0
         self.depth = 0
-        self.raw = Point.raw
+        self.raw = PointEval.raw
 
     def __enter__(self):
         raw = self.raw
@@ -128,11 +128,11 @@ class _FieldClock:
             finally:
                 self.seconds += time.perf_counter() - t0
                 self.depth = 0
-        Point.raw = timed
+        PointEval.raw = timed
         return self
 
     def __exit__(self, *exc):
-        Point.raw = self.raw
+        PointEval.raw = self.raw
 
 
 def _bench_scenario(scn, repeat):

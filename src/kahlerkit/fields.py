@@ -1,19 +1,20 @@
 """Charts and pointwise tensor calculus.
 
 A chart is a coordinate box; every tensor field is a callable taking the
-coordinate jets of a point and returning jet-valued components.  Builders
-call their input Fields on the point they are given, so on a PointEval's
-point (and on its lifted slices pt[k:]) every field runs once.  All
+coordinate jets of a point and returning jet-valued components.  All
 curvature below is float-layer linear algebra on the packed (value, grad,
 hess) arrays, so the only differentiation ever performed is the exact jet
 propagation.
 
-A PointEval holds a batch of points, a (B, n) stack (one point is a batch of
-one): its coordinate jets are a Jet2 of that batch, every field runs once for
-the whole batch, and the float layer works on stacks (einsum specs with a
-leading "...", stacked np.linalg.inv), so each result carries the batch axis
-in front.  Every per-point function takes a PointEval and returns (B,)
-residual arrays; metric_jets is the one function that takes raw coordinates.
+A point is one object, a PointEval: the coordinate jets (a Jet2) of a batch
+of points, a (B, n) stack (one point is a batch of one), holding the points'
+memo.  Builders call their input Fields on the PointEval they are given, and
+per-point functions read fields from it, both through its one raw(), so
+every field runs once for the whole batch, on it or on a lifted slice pt[k:].
+The float layer works on stacks (einsum specs with a leading "...", stacked
+np.linalg.inv), so each result carries the batch axis in front.  Every
+per-point function takes a PointEval and returns (B,) residual arrays;
+metric_jets is the one function that takes raw coordinates.
 The scenario runner evaluates every chart's sample plan as one batch; Fold
 folds the residuals, and replays a batch point by point when it fails.
 
@@ -37,10 +38,6 @@ class DegenerateMetricError(ValueError):
 
 
 class NotClosedError(ValueError):
-    pass
-
-
-class NotKahlerError(ValueError):
     pass
 
 
@@ -77,7 +74,7 @@ class Field:
     """A tensor field on a chart: fn maps the coordinate jets of a point to
     jet-valued components (a jet, a list, or a nested list).  Called on a
     point it returns them packed into one Jet2, from the memo when the point
-    is a PointEval's.  degree is set for differential forms; label names a
+    is a PointEval.  degree is set for differential forms; label names a
     field in reports."""
 
     def __init__(self, fn, chart=None, degree=None, label=""):
@@ -87,7 +84,7 @@ class Field:
         self.label = label
 
     def __call__(self, pt):
-        if isinstance(pt, Point):
+        if isinstance(pt, PointEval):
             return pt.raw(self)
         return pack(self.fn(pt))
 
@@ -102,38 +99,11 @@ def _memoised(memo, key, compute):
     try:
         return memo[key]
     except KeyError:
-        val = memo[key] = compute()
-        return val
-
-
-class Point(Jet2):
-    """Coordinate jets of a sample point carrying the point's memo: a Field
-    called on them is evaluated once, and the slice pt[k:] (a factor's
-    coordinates, still differentiated in all of the point's) is made once, as
-    a Point with a memo of its own.  A factor's point (PointEval.sub()) holds
-    the lifted slice it came from and reads its fields there, restricted to
-    its own derivative columns."""
-
-    __slots__ = ("memo", "lifted")
-
-    def __init__(self, jet, memo, lifted=None):
-        self.value, self.grad, self._hess = jet.value, jet.grad, jet._hess
-        self.memo = memo
-        self.lifted = lifted
-
-    def raw(self, f):
-        """f's components here, packed into one Jet2."""
-        fn = _fn(f)
-        if self.lifted is None:
-            return _memoised(self.memo, ("raw", fn), lambda: pack(fn(self)))
-        return _memoised(self.memo, ("raw", fn),
-                         lambda: _restrict(self.lifted.raw(fn), self.grad.shape[-1]))
-
-    def __getitem__(self, idx):
-        if isinstance(idx, slice) and idx.start and idx.stop is None and idx.step is None:
-            return _memoised(self.memo, ("lift", idx.start),
-                             lambda: Point(Jet2.__getitem__(self, idx), {}))
-        return Jet2.__getitem__(self, idx)
+        pass
+    # computed outside the handler, so that an error raised here carries no
+    # KeyError context
+    val = memo[key] = compute()
+    return val
 
 
 def _restrict(j, k):
@@ -151,6 +121,11 @@ def _batch_of(j, batch):
     return Jet2(*(np.broadcast_to(a, (batch,) + a.shape[1:]) for a in (j.value, j.grad, j.hess)))
 
 
+def _first_order(j):
+    """The first-order view of the jet j: its value and gradient."""
+    return Jet2(j.value, j.grad)
+
+
 def omega_of(g, J):
     """Jet of the fundamental form omega(X, Y) = g(JX, Y) from the components
     of g and J at one point."""
@@ -161,43 +136,59 @@ def omega_of(g, J):
 # per-point evaluation context and the residual aggregator
 # ---------------------------------------------------------------------------
 
-class PointEval:
-    """A batch of sample points, seeded once.  Every field
-    evaluated here is evaluated once: its jet components, their (value, grad,
-    hess) arrays, its curvature and fundamental forms are memoised by the
-    field's callable, and library functions memoise derived results (the Lee
-    form, the torsion tensor) through cached().  Fields that builders call on
-    x, or on a slice x[k:], come from the same memo, which x carries.  Drop
-    it before moving to the next point.
+class PointEval(Jet2):
+    """A batch of sample points as their coordinate jets, seeded once, with
+    the points' memo.  Every field evaluated here is evaluated once: its jet
+    components (read by raw(), which builders reach by calling a Field on
+    the point), their (value, grad, hess) arrays, its curvature and
+    fundamental forms are memoised by the field's callable, and library
+    functions memoise derived results (the Lee form, the torsion tensor)
+    through cached().  Drop it before moving to the next point.
 
     p is the (B, n) stack of points (one point (n,) is taken as a batch of
     one), batch is B, and every jet and array read here carries a leading
     batch axis of B, a constant field's included.  where is the point that
     error messages name (the stack itself for a batch of more than one; Fold
-    replays such a batch point by point before it names anything)."""
+    replays such a batch point by point before it names anything).
 
-    def __init__(self, p):
+    jet, when given, is the point's coordinate jet in place of the seeded
+    one: the slice pe[k:] (a factor's coordinates, still differentiated in
+    all of the point's) is made once, as a PointEval of its own.  A factor's
+    point (sub()) holds that lifted slice and reads its fields there,
+    restricted to its own derivative columns."""
+
+    __slots__ = ("p", "batch", "where", "memo", "lifted")
+
+    def __init__(self, p, jet=None, lifted=None):
         self.p = np.atleast_2d(np.asarray(p, float))
         self.batch = len(self.p)
         self.where = self.p[0] if self.batch == 1 else self.p
-        self._x = None
-        self._memo = {}
-
-    @property
-    def x(self):
-        """Coordinate jets of the point, as a Point sharing this memo."""
-        if self._x is None:
-            self._x = Point(Jet2.seed(self.p), self._memo)
-        return self._x
+        if jet is None:
+            jet = Jet2.seed(self.p)
+        self.value, self.grad, self._hess = jet.value, jet.grad, jet._hess
+        self.memo = {}
+        self.lifted = lifted
 
     def cached(self, tag, parts, compute):
         """compute(), once per point for this tag and these key parts (fields,
         keyed by their callables, or plain values)."""
-        return _memoised(self._memo, (tag,) + tuple(_fn(f) for f in parts), compute)
+        return _memoised(self.memo, (tag,) + tuple(_fn(f) for f in parts), compute)
 
     def raw(self, f):
-        """f's components at the point, packed into one Jet2."""
-        return _batch_of(self.x.raw(f), self.batch)
+        """f's components at the point, packed into one Jet2 with the batch
+        axis of B."""
+        fn = _fn(f)
+        if self.lifted is None:
+            return _memoised(self.memo, ("raw", fn),
+                             lambda: _batch_of(pack(fn(self)), self.batch))
+        return _memoised(self.memo, ("raw", fn),
+                         lambda: _restrict(self.lifted.raw(fn), self.grad.shape[-1]))
+
+    def __getitem__(self, idx):
+        if isinstance(idx, slice) and idx.start and idx.stop is None and idx.step is None:
+            return self.cached("lift", (idx.start,), lambda: PointEval(
+                self.p[:, idx.start:], Jet2.__getitem__(self, idx)))
+        return Jet2.__getitem__(self, idx)
 
     def absmax(self, x):
         """max |x| at each point of the batch (over every axis behind the
@@ -212,8 +203,9 @@ class PointEval:
         return self.cached("jets", (f,), arrays)
 
     def inverse(self, g):
-        """Jet of the matrix g^{-1}."""
-        return self.cached("inv", (g,), lambda: jinv(self.raw(g)))
+        """First-order jet of the matrix g^{-1} (its readers take values and
+        first derivatives only)."""
+        return self.cached("inv", (g,), lambda: jinv(_first_order(self.raw(g))))
 
     def christoffel(self, g):
         return self.cached("gamma", (g,),
@@ -226,24 +218,24 @@ class PointEval:
                            lambda: curvature_from_parts(self.jets(g)[0], *self.christoffel(g)))
 
     def omega(self, g, J):
-        """Jet of the fundamental form of (g, J)."""
-        return self.cached("omega", (g, J), lambda: omega_of(self.raw(g), self.raw(J)))
+        """First-order jet of the fundamental form of (g, J) (its readers take
+        values and first derivatives only)."""
+        return self.cached("omega", (g, J), lambda: omega_of(_first_order(self.raw(g)),
+                                                             _first_order(self.raw(J))))
 
     def sub(self, start):
         """The point made of coordinates start.. (a factor's own chart).  Its
-        fields are read from the lifted slice x[start:], restricted to the
+        fields are read from the lifted slice self[start:], restricted to the
         factor's derivative columns: exact, as a factor's fields do not depend
         on the coordinates before start, and each runs once per point."""
         def make():
-            pe = PointEval(self.p[:, start:])
-            lifted = self.x[start:]
-            pe._x = Point(_restrict(lifted, lifted.value.shape[-1]), pe._memo, lifted)
-            return pe
+            lifted = self[start:]
+            return PointEval(lifted.p, _restrict(lifted, lifted.value.shape[-1]), lifted)
         return self.cached("sub", (start,), make)
 
 
 DOMAIN_ERRORS = (JetDomainError, DegenerateMetricError, NotClosedError,
-                 NotKahlerError, np.linalg.LinAlgError)
+                 np.linalg.LinAlgError)
 
 
 def worst(*residuals):

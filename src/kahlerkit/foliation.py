@@ -22,6 +22,7 @@ VERDICT_HOLOMORPHIC = "holomorphic"
 VERDICT_GEODESIC = "geodesic_riemannian"
 VERDICT_PRODUCT = "kahler_product"
 VERDICT_FAILED = "failed"
+VERDICTS = (VERDICT_HOLOMORPHIC, VERDICT_GEODESIC, VERDICT_PRODUCT, VERDICT_FAILED)
 
 
 @dataclass

@@ -31,7 +31,7 @@ from kahlerkit.fields import (ChartManifold, Field, Fold, PointEval, worst,
 from kahlerkit.fields import metric_jets  # noqa: F401  (perfbench traces this binding)
 from kahlerkit.hermitian import kahler_point
 from kahlerkit.foliation import (homothetic_point, extract_theta, classify_point,
-                                 foliation_report, VERDICT_HOLOMORPHIC)
+                                 foliation_report, VERDICT_HOLOMORPHIC, VERDICTS)
 from kahlerkit.calabi import (CalabiProfile, disk_base, build_calabi, volume_checks,
                               alpha_primitive_point, moment_map_point)
 from kahlerkit.twist import (constant_twist, coordinate_twist, build_twist,
@@ -123,7 +123,11 @@ def _levels_record(folds):
 
 
 def _verdict(expected):
-    """Record of a classifier check: 0 when the verdict is the expected one."""
+    """Record of a classifier check: 0 when the verdict is the expected one,
+    which must be one of VERDICTS."""
+    if expected not in VERDICTS:
+        raise ScenarioError("verdict must be one of %s, got %r" % (", ".join(VERDICTS), expected))
+
     def record(folds):
         res, = folds
         rep = foliation_report(res)
@@ -154,12 +158,13 @@ def _twist_from_spec(spec, dim):
     if extra:
         raise ScenarioError("unknown twist fields: %s" % ", ".join(sorted(extra)))
     tid = spec["id"]
-    scale = float(spec.get("scale", 1.0))
+    scale = check_number(spec.get("scale", 1.0), "twist scale")
+    c = check_pair(spec.get("c", [0.0, 0.0]), "const twist c = [re, im]") if tid == "const" else ()
+    # a NaN twist slips past the disc guard (NaN > DISC is false)
+    if not all(math.isfinite(v) for v in c + (scale,)):
+        raise ScenarioError("twist c and scale must be finite, got %r" % (spec,))
     if tid == "const":
-        c = spec.get("c", [0.0, 0.0])
-        if not (isinstance(c, (list, tuple)) and len(c) == 2):
-            raise ScenarioError("const twist needs c = [re, im]")
-        return constant_twist(float(c[0]), float(c[1]))
+        return constant_twist(*c)
     if tid == "coord_z":
         return coordinate_twist(dim - 2, dim - 1, scale=scale)
     if tid == "conj_z":
@@ -196,8 +201,8 @@ def _on(chart):
 
 def _make_flat(params):
     dim = check_integer(params["dim"], "dim")
-    if dim < 2:
-        raise ScenarioError("flat builder needs dim >= 2")
+    if not 2 <= dim <= 12:
+        raise ScenarioError("flat builder needs dim in 2..12, got %d" % dim)
     chart = ChartManifold(dim, [(-1.0, 1.0)] * dim, label="R^%d" % dim)
     metric = Field(lambda pt: jconst(np.eye(dim), jsize(pt)), chart)
     check = _on(chart)
@@ -256,10 +261,10 @@ def _calabi_core(params):
     if kind not in ("flat", "disk"):
         raise ScenarioError("calabi base must be 'flat' or 'disk'")
     k = 0 if kind == "flat" else check_integer(params["k"], "k")
-    base, alpha0 = disk_base(k, radius=float(params["radius"]))
-    profile = CalabiProfile(A=float(params["A"]),
-                            z_range=tuple(params["z_range"]),
-                            s_range=tuple(params["s_range"]))
+    base, alpha0 = disk_base(k, radius=check_number(params["radius"], "radius"))
+    profile = CalabiProfile(A=check_number(params["A"], "A"),
+                            z_range=check_pair(params["z_range"], "z_range"),
+                            s_range=check_pair(params["s_range"], "s_range"))
     amode = params["alpha"]
     if amode not in ("closed_form", "homotopy"):
         raise ScenarioError("alpha must be 'closed_form' or 'homotopy'")
@@ -301,7 +306,7 @@ def _make_calabi(params):
               1e-7, lambda pe: classify_point(t, Pp, pe)["geodesic"]),
         check("moment_map", "contraction of omega with the circle field is -dz",
               1e-9, lambda pe: moment_map_point(cal, pe)),
-    ] + _volume_checks(check, cal, float(params["volume_floor"]), (
+    ] + _volume_checks(check, cal, check_tolerance(params["volume_floor"], "volume_floor"), (
         "omega^m against the z- and r-coordinate product volume forms",
         "Pfaffian of omega stays above the declared floor")) + [
         check("classify_verdict", "foliation classifier verdict",
@@ -362,7 +367,7 @@ def _make_calabi_twist(params):
 
 def _make_ak(params):
     zkind = params["z"]
-    radius = float(params["radius"])
+    radius = check_number(params["radius"], "radius")
     zpos_product = {}
     if zkind == "plane":
         zt, _ = disk_base(0, radius=radius)
@@ -370,9 +375,9 @@ def _make_ak(params):
         zt, _ = disk_base(check_integer(params["k"], "k"), radius=radius)
     elif zkind == "chain":
         chain_m = check_integer(params["chain_m"], "chain_m")
-        levels = iterate_chain("twisted", chain_m, A=params["A"], radius=radius,
-                               z_range=tuple(params["z_range"]),
-                               s_range=tuple(params["s_range"]))
+        levels = iterate_chain("twisted", chain_m, A=check_number(params["A"], "A"),
+                               radius=radius, z_range=check_pair(params["z_range"], "z_range"),
+                               s_range=check_pair(params["s_range"], "s_range"))
         level = check_integer(params["chain_level"], "chain_level")
         if not 0 <= level < len(levels):
             raise ScenarioError("chain_level %d is out of range: a chain with chain_m=%s "
@@ -388,7 +393,7 @@ def _make_ak(params):
     if mode not in ("A", "B"):
         raise ScenarioError("twist mode must be 'A' or 'B'")
     ak = build_ak_product(zt, tw, mode=mode,
-                          plane_range=tuple(params["plane_range"]))
+                          plane_range=check_pair(params["plane_range"], "plane_range"))
 
     inv, ak3, tor = (partial(point, ak)
                      for point in (ak_invariants_point, ak3_point, torsion_point))
@@ -441,12 +446,12 @@ def _make_ak(params):
 def _make_chain(params):
     kind = params["kind"]
     m = check_integer(params["m"], "m")
-    levels = iterate_chain(kind, m, A=float(params["A"]),
-                           radius=float(params["radius"]),
-                           z_range=tuple(params["z_range"]),
-                           s_range=tuple(params["s_range"]))
+    levels = iterate_chain(kind, m, A=check_number(params["A"], "A"),
+                           radius=check_number(params["radius"], "radius"),
+                           z_range=check_pair(params["z_range"], "z_range"),
+                           s_range=check_pair(params["s_range"], "s_range"))
     top = levels[-1]
-    floor = float(params["volume_floor"])
+    floor = check_tolerance(params["volume_floor"], "volume_floor")
 
     def per_level(name, doc, tol, fn):
         return Check(name, doc, tol,
@@ -541,13 +546,35 @@ def bundled_names():
                   if f.endswith(".json"))
 
 
-def check_tolerance(val, what):
-    """Raise ScenarioError unless val is a finite number >= 0 (a boolean is
-    not a number here); what names the value in the message."""
+def check_number(val, what):
+    """val as a float; raise ScenarioError unless it is a number that a float
+    holds (a boolean or a string is not a number here); what names the value
+    in the message."""
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ScenarioError("%s must be a number, got %r" % (what, val))
+    try:
+        return float(val)
+    except OverflowError:
+        raise ScenarioError("%s must be a number a float holds, got an integer beyond "
+                            "the float range" % what) from None
+
+
+def check_pair(val, what):
+    """val as a tuple of two floats (a range [a, b], or a complex number
+    [re, im]); raise ScenarioError unless it is a list of two numbers."""
+    if not (isinstance(val, list) and len(val) == 2):
+        raise ScenarioError("%s must be a list of two numbers, got %r" % (what, val))
+    return tuple(check_number(v, what) for v in val)
+
+
+def check_tolerance(val, what):
+    """val as a float; raise ScenarioError unless it is a finite number >= 0
+    (a boolean is not a number here); what names the value in the
+    message."""
+    val = check_number(val, what)
     if not (math.isfinite(val) and val >= 0):
         raise ScenarioError("%s must be finite and >= 0, got %r" % (what, val))
+    return val
 
 
 def check_integer(val, what):
@@ -588,7 +615,7 @@ def parse_scenario(obj, source="<memory>"):
     try:
         seed = check_integer(plan.get("seed", 0), "seed")
         count = check_integer(plan.get("count", 30), "count")
-        margin = float(plan.get("margin", 0.15))
+        margin = check_number(plan.get("margin", 0.15), "margin")
         SamplePlan(seed, count, margin)
     except ValueError as exc:
         raise ScenarioError("%s: bad plan: %s" % (source, exc))
@@ -614,7 +641,7 @@ def load_scenario(arg):
     except json.JSONDecodeError as exc:
         raise ScenarioError("%s: line %d column %d: %s"
                             % (path, exc.lineno, exc.colno, exc.msg))
-    except OSError as exc:
+    except (OSError, ValueError) as exc:   # unreadable, not UTF-8, or an overlong integer
         raise ScenarioError("%s: %s" % (path, exc))
     return parse_scenario(obj, source=path)
 

@@ -207,12 +207,11 @@ def ricci_identity_check(cal, tw, tt, pe):
     """
     m = cal.m
     Jwv, Jwg, _ = pe.jets(tt.J_w)
-    rho_w = ricci_form(tt.triple(), pe, check=False)
+    rho_w = ricci_form(tt.triple(), pe)
     rho_N = np.zeros_like(rho_w)
-    rho_N[..., 2:, 2:] = ricci_form(cal.base, pe.sub(2), check=False)   # lifted base form
+    rho_N[..., 2:, 2:] = ricci_form(cal.base, pe.sub(2))   # lifted base form
 
-    x = pe.x
-    ddz = ddc_from_jets(jlog(x[1]), Jwv, Jwg)
+    ddz = ddc_from_jets(jlog(pe[1]), Jwv, Jwg)
     w1, w2 = pe.raw(tw)
     ww = w1 * w1 + w2 * w2
     fw = jlog(1.0 - ww)

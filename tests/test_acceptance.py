@@ -251,7 +251,7 @@ def test_criterion_7a_four_dim_product_ricci_flat():
          % (er.max("ricci_max"), elapsed))
 
 
-@pytest.mark.xfail(strict=True,
+@pytest.mark.xfail(strict=True, raises=AssertionError,
                    reason="the six-dimensional iterated product is not "
                           "Ricci-flat as built; max |Ric| is order one at "
                           "every sampled point")

@@ -134,7 +134,8 @@ def test_six_dim_product_curvature_symmetry():
     assert res.max("scale") > 1.0
 
 
-@pytest.mark.xfail(strict=True, reason="the six-dimensional product over the "
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the six-dimensional product over the "
                    "twisted chain level is not Ricci-flat; max |Ric| is order "
                    "one at every sampled point")
 def test_six_dim_product_ricci_flat():

@@ -181,6 +181,20 @@ def test_malformed_scenario_file(tmp_path, capsys):
     assert "line 1" in err
 
 
+@pytest.mark.parametrize("content", [
+    b'{"name": "x", "builder": "flat", "params": {"dim": 1%s}}' % (b"0" * 5000),
+    b'{"name": "\xff"}',
+], ids=["integer-of-5001-digits", "not-utf-8"])
+def test_files_json_cannot_read_exit_two(content, tmp_path, capsys):
+    # json.load raised a bare ValueError on an integer of more than 4300
+    # digits, and a UnicodeDecodeError on bytes that are not UTF-8
+    bad = tmp_path / "unreadable.json"
+    bad.write_bytes(content)
+    rc, out, err = run_cli(capsys, ["verify", str(bad)])
+    assert rc == 2 and out == ""
+    assert err.startswith("error: %s: " % bad) and len(err.splitlines()) == 1
+
+
 def test_scenario_field_validation(tmp_path, capsys):
     cases = [
         ({"name": "x", "builder": "flat", "bogus": 1},
@@ -217,6 +231,67 @@ def test_params_the_builder_rejects_exit_two(builder, params, tmp_path, capsys):
         assert rc == 2 and out == ""
         assert err.startswith("error: %s: builder %r" % (path, builder))
         assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("builder, params, needle", [
+    ("flat", {"dim": 13}, "dim in 2..12, got 13"),
+    ("flat", {"dim": 1}, "dim in 2..12, got 1"),
+    ("calabi", {"base": "disk", "k": 33}, "k must lie in 0..32, got 33"),
+    ("calabi", {"base": "disk", "k": 2000}, "k must lie in 0..32, got 2000"),
+    ("ak_product", {"z": "disk", "k": 2000}, "k must lie in 0..32, got 2000"),
+], ids=["flat-dim-13", "flat-dim-1", "calabi-k-33", "calabi-k-2000", "ak_product-k-2000"])
+def test_sizes_out_of_range_exit_two(builder, params, needle, tmp_path, capsys):
+    # a dim or disk exponent k out of range used to end in a MemoryError or
+    # an OverflowError traceback with exit code 1
+    path = tmp_path / "too_big.json"
+    path.write_text(json.dumps({"name": "x", "builder": builder, "params": params}))
+    rc, out, err = run_cli(capsys, ["verify", str(path)])
+    assert rc == 2 and out == ""
+    assert err.startswith("error: %s: builder %r cannot build from its params: " % (path, builder))
+    assert needle in err
+    assert len(err.splitlines()) == 1
+
+
+BIG = 10 ** 400   # an integer that no float holds
+
+
+@pytest.mark.parametrize("obj, needle", [
+    ({"builder": "calabi", "params": {"s_range": [-0.8, BIG]}},
+     "builder 'calabi' cannot build from its params: s_range must be a number a float holds"),
+    ({"builder": "ak_product", "params": {"radius": BIG}},
+     "builder 'ak_product' cannot build from its params: radius must be a number a float holds"),
+    ({"builder": "calabi_twist", "params": {"twist": {"id": "const", "c": [BIG, 0.0]}}},
+     "const twist c = [re, im] must be a number a float holds"),
+    ({"builder": "calabi_twist", "params": {"twist": {"id": "const", "c": [float("nan"), 0.0]}}},
+     "twist c and scale must be finite"),
+    ({"builder": "ak_product", "params": {"twist": {"id": "coord_z", "scale": float("inf")}}},
+     "twist c and scale must be finite"),
+    ({"builder": "calabi_chain", "params": {"A": float("-inf")}},
+     "profile needs a finite A < 0, got A=-inf"),
+    ({"builder": "calabi_chain", "params": {"volume_floor": float("nan")}},
+     "volume_floor must be finite and >= 0, got nan"),
+    ({"builder": "calabi", "params": {"radius": "0.5"}}, "radius must be a number, got '0.5'"),
+    ({"builder": "calabi_twist", "params": {"verdict": "bogus"}},
+     "verdict must be one of holomorphic, geodesic_riemannian, kahler_product, failed, "
+     "got 'bogus'"),
+    ({"builder": "flat", "tolerances": {"curvature_zero": BIG}},
+     "tolerance 'curvature_zero' must be a number a float holds"),
+    ({"builder": "flat", "plan": {"margin": BIG}},
+     "bad plan: margin must be a number a float holds"),
+], ids=["range-big-int", "radius-big-int", "twist-c-big-int", "twist-c-nan", "twist-scale-inf",
+        "A-minus-inf", "volume_floor-nan", "radius-string", "verdict-unknown",
+        "tolerance-big-int", "margin-big-int"])
+def test_values_the_builders_cannot_use_exit_two(obj, needle, tmp_path, capsys):
+    # an integer beyond the float range ended in an OverflowError traceback,
+    # and A = -inf in a ZeroDivisionError one, both with exit code 1; a NaN
+    # twist failed every twisted check at a sample point, and passed
+    # transverse_holomorphy; an unknown verdict failed classify_verdict
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(dict(obj, name="x")))
+    rc, out, err = run_cli(capsys, ["verify", str(path)])
+    assert rc == 2 and out == ""
+    assert err.startswith("error: %s: " % path) and needle in err
+    assert len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("level", [7, -1])
@@ -681,10 +756,10 @@ def test_field_clock_charges_a_batch_field_run_to_fields():
         time.sleep(0.05)
         return fn(pt)
     case.metric.fn = slow_metric
-    raw = kahlerkit.cli.Point.raw
+    raw = kahlerkit.cli.PointEval.raw
     with kahlerkit.cli._FieldClock() as clock:
         report = run_scenario_obj(scn, case=case)
-    assert kahlerkit.cli.Point.raw is raw
+    assert kahlerkit.cli.PointEval.raw is raw
     assert runs == [(scn.count, 3)]
     checks = report["timings_seconds"]
     assert 0.05 <= clock.seconds <= sum(checks.values())

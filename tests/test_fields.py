@@ -4,7 +4,7 @@ operators and the homotopy primitive."""
 import numpy as np
 import pytest
 
-from kahlerkit.jets import Jet2, SamplePlan, jconst, jsin, jsize
+from kahlerkit.jets import FirstOrderError, Jet2, SamplePlan, jconst, jinv, jsin, jsize, pack
 from kahlerkit.fields import (ChartManifold, DegenerateMetricError, Field, Fold,
                               NotClosedError, PointEval, christoffel_parts, excluded,
                               exterior_from_grad, homotopy_primitive, lie_derivative_metric,
@@ -343,6 +343,31 @@ def test_point_eval_evaluates_each_field_once():
     assert np.abs(curv[0] - PointEval([1.1, 0.4]).curvature(sphere_metric)[0]).max() == 0.0
 
 
+def test_inverse_and_omega_are_first_order_in_the_memo():
+    # their readers take values and first derivatives only, so the memo
+    # keeps no Hessian of either; value and gradient are those of the
+    # second-order rules
+    pe = PointEval([[1.1, 0.4], [0.7, -0.2]])
+    J = Field(lambda pt: jconst([[0.0, -1.0], [1.0, 0.0]], jsize(pt)))
+    g = pack(sphere_metric(Jet2.seed(pe.p)))
+    for got, want in ((pe.inverse(sphere_metric), jinv(g)),
+                      (pe.omega(sphere_metric, J), J(Jet2.seed(pe.p)).T @ g)):
+        assert got._hess is None
+        with pytest.raises(FirstOrderError):
+            got.hess
+        assert np.array_equal(got.value, want.value) and np.array_equal(got.grad, want.grad)
+
+
+def test_an_error_in_a_field_carries_no_memo_context():
+    # the memo computes a missing entry outside its KeyError handler, so the
+    # field's own error is not chained to one KeyError per memo level
+    def bad(pt):
+        raise ZeroDivisionError("in the field")
+    with pytest.raises(ZeroDivisionError) as info:
+        PointEval([0.1, 0.2]).curvature(Field(bad))
+    assert info.value.__context__ is None
+
+
 def test_fields_called_on_the_point_read_its_memo():
     # a builder calls its input field on the point, or on the lifted slice
     # pt[k:]; on a PointEval's point either call comes from the memo
@@ -354,14 +379,14 @@ def test_fields_called_on_the_point_read_its_memo():
     b = Field(base)
     top = Field(lambda pt: b(pt[1:]) + b(pt[1:]) * pt[0])
     pe = PointEval([0.5, 1.1, 0.4])
-    assert top(pe.x) is pe.raw(top)
-    assert pe.x[1:] is pe.x[1:]
+    assert top(pe) is pe.raw(top)
+    assert pe[1:] is pe[1:]
     assert calls == [2]
     # the lifted slice keeps the derivatives in all three coordinates;
     # sub() is the factor's own point, differentiated in its two, and reads
     # the factor's fields from the lifted slice, restricted to those two
-    assert pe.x[1:].grad.shape == (1, 2, 3) and pe.sub(1).x.grad.shape == (1, 2, 2)
-    sub = b(pe.sub(1).x)
+    assert pe[1:].grad.shape == (1, 2, 3) and pe.sub(1).grad.shape == (1, 2, 2)
+    sub = b(pe.sub(1))
     assert sub.grad.shape == (1, 2)
     assert calls == [2]
     own = b(Jet2.seed(pe.p[:, 1:]))
@@ -373,3 +398,8 @@ def test_fields_called_on_the_point_read_its_memo():
     assert calls == [2, 2, 2, 2]
     for got, want in zip((plain.value, plain.grad, plain.hess), pe.jets(top)):
         assert np.array_equal(got, want)
+    # a field constant on the chart comes back from its closure with a batch
+    # axis of 1; the memo holds it broadcast to the batch, read after read
+    pts = PointEval([[0.5, 1.1, 0.4], [0.2, 0.3, 0.1]])
+    const = Field(lambda pt: jconst(np.eye(3), jsize(pt)))
+    assert pts.raw(const) is pts.raw(const) and pts.raw(const).hess.shape == (2, 3, 3, 3, 3)

@@ -3,12 +3,11 @@ the ddc operator (ddc_from_jets), checked against closed-form surface
 curvature oracles."""
 
 import numpy as np
-import pytest
 
 from kahlerkit.jets import Jet2, SamplePlan, jconst, jlog, jsin, jsize
-from kahlerkit.fields import ChartManifold, Field, Fold, PointEval, metric_jets, worst
-from kahlerkit.hermitian import (HermitianTriple, NotKahlerError, ddc_from_jets,
-                                 kahler_point, ricci_form)
+from kahlerkit.fields import (ChartManifold, DegenerateMetricError, Field, Fold, PointEval,
+                              metric_jets, worst)
+from kahlerkit.hermitian import HermitianTriple, ddc_from_jets, kahler_point, ricci_form
 from kahlerkit.calabi import disk_base
 from helpers import fold_plan
 
@@ -104,7 +103,7 @@ def test_ricci_form_is_antisymmetric_and_j_invariant():
         assert np.abs(Jv.T @ rho @ Jv - rho).max() < 1e-10
 
 
-def test_ricci_form_guards_against_non_kahler_input():
+def test_ricci_form_of_a_flat_metric_vanishes_whatever_its_j():
     def g(pt):
         n = jsize(pt)
         zero = jconst(0.0, n)
@@ -112,11 +111,10 @@ def test_ricci_form_guards_against_non_kahler_input():
 
     def J(pt):
         return rotation(jsize(pt))
+    # (g, J) is not compatible, so not Kahler: ricci_form checks nothing,
+    # and the curvature of the flat metric still comes out
     t = HermitianTriple(g, J, ChartManifold(2, [(-1.0, 1.0)] * 2))
-    with pytest.raises(NotKahlerError):
-        ricci_form(t, PointEval([0.2, 0.1]))
-    # with the guard off the curvature of the flat metric still comes out
-    rho = ricci_form(t, PointEval([0.2, 0.1]), check=False)
+    rho = ricci_form(t, PointEval([0.2, 0.1]))
     assert np.abs(rho).max() < 1e-12
 
 
@@ -191,19 +189,19 @@ def test_kahler_verdict_isolates_nonclosed_form():
     assert v.max("closed") > 1e-3
 
 
-def test_fold_of_ricci_form_names_the_point_that_is_not_kahler():
-    # J = (1 + x^2) R squares to -1 only where x = 0: a fold of ricci_form
-    # records NotKahlerError at the point, alone and inside a batch
+def test_fold_of_ricci_form_names_the_point_where_the_metric_degenerates():
+    # g = (1 - 2x) delta is singular where x = 0.5: a fold of ricci_form
+    # records DegenerateMetricError at the point, alone and inside a batch
     chart = ChartManifold(2, [(-1.0, 1.0)] * 2)
     rot = np.array([[0.0, -1.0], [1.0, 0.0]])
-    t = HermitianTriple(Field(lambda pt: jconst(np.eye(2), jsize(pt)), chart),
-                        Field(lambda pt: (1.0 + pt[0] * pt[0]) * rot, chart), chart)
+    t = HermitianTriple(Field(lambda pt: (1.0 - 2.0 * pt[0]) * np.eye(2), chart),
+                        Field(lambda pt: jconst(rot, jsize(pt)), chart), chart)
     pts = np.array([[0.0, 0.1], [0.0, -0.3], [0.5, 0.2], [0.0, 0.4]])
     for p, kept in ((pts[2], 0), (pts, 2)):
         acc = Fold()
         acc.add(PointEval(p), lambda pe: pe.absmax(ricci_form(t, pe)))
-        assert acc.error.startswith("NotKahlerError at point [0.5, 0.2]: ")
-        assert isinstance(acc.exc, NotKahlerError)
+        assert acc.error.startswith("DegenerateMetricError at point [0.5, 0.2]: ")
+        assert isinstance(acc.exc, DegenerateMetricError)
         assert acc.points == kept and acc.used() == kept
 
 

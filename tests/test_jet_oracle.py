@@ -366,5 +366,5 @@ def test_reading_the_hessian_of_a_first_order_jet_raises():
     for p in ([0.3, -0.4], [[0.3, -0.4], [0.1, 0.2]]):
         acc = Fold()
         with pytest.raises(FirstOrderError):
-            acc.add(PointEval(p), lambda pe: jet_dcoord(pe.x * pe.x).hess.sum(axis=(1, 2, 3)))
+            acc.add(PointEval(p), lambda pe: jet_dcoord(pe * pe).hess.sum(axis=(1, 2, 3)))
         assert acc.error == "" and acc.points == 0

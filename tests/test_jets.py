@@ -148,7 +148,7 @@ def test_domain_errors_carry_the_point():
     for f, p in ((lambda x: jlog(x[0]), [-1.0, 2.0]),
                  (lambda x: jsqrt(x[0] - 5.0), [1.0])):
         acc = Fold()
-        acc.add(PointEval(p), lambda pe: f(pe.x))
+        acc.add(PointEval(p), f)
         assert isinstance(acc.exc, JetDomainError)
         assert acc.error.startswith("JetDomainError at point %s: " % p)
 

@@ -1,0 +1,128 @@
+"""Property tests of the scenario surface: every builder's params, drawn from
+the type of each default (numbers with 0, negatives, NaN, inf and large
+values; ranges that are reversed, empty, tiny or huge; twist specs; enum
+strings; wrong types), run through the command line at 2 samples.
+
+Whatever the params, `kahlerkit verify` exits 0, 1 or 2 without a
+traceback; exit 2 prints one `error:` line and nothing else, exit 1 prints a
+FAIL line, no PASS line shows a NaN or inf, every record's error names a
+point or a chain level, and a second run prints the same bytes outside
+timings_seconds."""
+
+import contextlib
+import io
+import json
+import math
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from kahlerkit.cli import main
+from kahlerkit.foliation import VERDICTS
+from kahlerkit.scenarios import BUILDERS
+
+NAN, INF = float("nan"), float("inf")
+
+# values of the wrong type for any parameter
+WRONG = st.sampled_from([None, True, False, "x", "", [], {}, [1.0], {"id": "const"}])
+
+NUMBERS = st.one_of(
+    st.sampled_from([0.0, -0.0, -1.0, 1.0, 0.5, -0.5, NAN, INF, -INF, 1e300, -1e300,
+                     1e-300, 2 ** 1030, 10 ** 400, -(10 ** 400)]),
+    st.floats(-4.0, 4.0),
+    st.floats(allow_nan=True, allow_infinity=True))
+
+INTEGERS = st.one_of(
+    st.sampled_from([0, -1, 1, 2, 3, 12, 13, 32, 33, 2000, 10 ** 6, 10 ** 30, 10 ** 400,
+                     2.5, 3.0, NAN, INF, 1e300]),
+    st.integers(-3, 40))
+
+RANGES = st.one_of(
+    st.sampled_from([[0.8, -0.8], [0.8, 0.8], [0.6, 0.6 + 1e-12], [1e-300, 1e300],
+                     [-1e300, 1e300], [0.6, INF], [NAN, 1.0], [0.0, 1.0], [-1.8, -0.6],
+                     [1, 2], [0.6, 10 ** 400], [], [1.0], [0.1, 0.2, 0.3], "ab",
+                     [None, 1.0], ["0.6", "1.8"], [[0.6], [1.8]], 0.6]),
+    st.lists(NUMBERS, min_size=2, max_size=2))
+
+TWISTS = st.one_of(
+    st.sampled_from(["const", "coord_z", "conj_z", "zeta", ""]),
+    st.fixed_dictionaries(
+        {"id": st.sampled_from(["const", "coord_z", "conj_z", "zeta", 3, None])},
+        optional={"c": st.one_of(RANGES, NUMBERS), "scale": st.one_of(NUMBERS, WRONG),
+                  "shift": st.just(1.0)}))
+
+ENUMS = {"base": ["flat", "disk"], "alpha": ["closed_form", "homotopy"],
+         "verdict": list(VERDICTS), "kind": ["untwisted", "twisted"],
+         "z": ["plane", "disk", "chain"], "mode": ["A", "B"]}
+
+
+def _like(key, default):
+    """Values for the parameter key drawn from the type of its default."""
+    if isinstance(default, str):
+        values = st.sampled_from(ENUMS[key] + ["", "bogus", ENUMS[key][0].upper()])
+    elif isinstance(default, dict):
+        values = TWISTS
+    elif isinstance(default, list):
+        values = RANGES
+    elif isinstance(default, int):
+        values = INTEGERS
+    else:
+        values = NUMBERS
+    return st.one_of(st.just(default), values, WRONG)
+
+
+def params_of(entry):
+    """The strategy of the builder entry's params: any subset of its
+    defaults overridden."""
+    return st.fixed_dictionaries(
+        {}, optional={key: _like(key, val) for key, val in entry.defaults.items()})
+
+
+STRATEGIES = {entry.id: params_of(entry) for entry in BUILDERS}
+
+
+@pytest.fixture(scope="module")
+def scenario_path(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("surface") / "scenario.json")
+
+
+def _verify(path):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(["verify", path, "--samples", "2"])
+    return rc, out.getvalue(), err.getvalue()
+
+
+def _without_timings(out):
+    """The printed report without its timings_seconds block (the last key)."""
+    head, sep, _ = out.partition('"timings_seconds"')
+    return head if sep else out
+
+
+@pytest.mark.parametrize("builder", sorted(STRATEGIES))
+@settings(max_examples=30)
+@given(data=st.data())
+def test_any_params_exit_cleanly_and_reproducibly(builder, scenario_path, data):
+    params = data.draw(STRATEGIES[builder], label="params")
+    with open(scenario_path, "w", encoding="utf-8") as fh:
+        json.dump({"name": "surface", "builder": builder, "params": params}, fh)
+    rc, out, err = _verify(scenario_path)
+    assert rc in (0, 1, 2)
+    if rc == 2:
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+        return
+    assert err == ""
+    lines = [ln for ln in out.splitlines() if ln.startswith(("PASS", "FAIL"))]
+    assert (rc == 1) == any(ln.startswith("FAIL") for ln in lines)
+    for ln in lines:
+        if ln.startswith("PASS"):
+            assert "nan" not in ln and "inf" not in ln, ln
+    report = json.loads(out[out.index("\n{") + 1:])
+    for rec in report["checks"]:
+        if rec["pass"]:
+            assert math.isfinite(rec["max_residual"]) and math.isfinite(rec["mean_residual"])
+        if "error" in rec:
+            assert " at point [" in rec["error"] or rec["error"].startswith("level "), rec
+    again = _verify(scenario_path)
+    assert (again[0], _without_timings(again[1]), again[2]) == (rc, _without_timings(out), err)

@@ -1,8 +1,8 @@
 """Structural guards: where the library walks a sample plan, that every jet
 has a batch axis, that the jet layer contracts only through _contract and
 jet_dcoord is first order, that per-point functions take a PointEval with no
-raw-point adapter beside it, how often each case seeds, and the README's
-library example run as written."""
+raw-point adapter beside it, that the PointEval is the point's one object,
+how often each case seeds, and the README's library example run as written."""
 
 import ast
 import contextlib
@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from kahlerkit.jets import FirstOrderError, Jet2, jet_dcoord
+from kahlerkit.fields import PointEval
 from kahlerkit.scenarios import build_case, load_scenario, run_scenario_obj
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -123,6 +124,27 @@ def test_per_point_functions_take_a_point_eval_with_no_adapter():
                 elif ident in DELETED:
                     found.append("%s:%d names %s" % (name, getattr(node, "lineno", 0), ident))
     assert found == []
+
+
+def test_one_point_object_point_eval_is_the_coordinate_jet():
+    # a point is one PointEval, a Jet2 of its coordinates holding its memo:
+    # a Point class beside it, or a .x attribute reaching one, would be a
+    # second object and a second field read
+    found = []
+    for name in sorted(os.listdir(SRC)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(SRC, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.ClassDef, ast.alias)) and "Point" in _names(node):
+                found.append("%s:%d defines or imports Point" % (name, getattr(node, "lineno", 0)))
+            if isinstance(node, ast.Attribute) and node.attr == "x":
+                found.append("%s:%d reads .x" % (name, node.lineno))
+    assert found == []
+    assert issubclass(PointEval, Jet2)
+    pe = PointEval([0.1, 0.2, 0.3])
+    assert np.array_equal(pe.value, pe.p) and pe.grad.shape == (1, 3, 3)
 
 
 def test_readme_library_example_runs():

@@ -246,7 +246,8 @@ def test_ricci_identity_corrected_form_holds():
             assert res["correction_size"] > 0.05
 
 
-@pytest.mark.xfail(strict=True, reason="two-term form of the twisted Ricci "
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="two-term form of the twisted Ricci "
                    "identity omits the fiber term; measured residual is "
                    "order one at every sampled point")
 def test_ricci_identity_two_term_form():
