@@ -10,12 +10,13 @@ only, which keeps d/dx1, d/dx2 Killing.
 """
 
 from dataclasses import dataclass, field
+from math import sqrt
 
 import numpy as np
 
 from kahlerkit.jets import Jet2, jsize, jconst, jlog, jinv, jet_dcoord
-from kahlerkit.fields import (ChartManifold, Field, worst, excluded,
-                              exterior_from_grad, pull_back)
+from kahlerkit.fields import (ChartManifold, Field, PointEval, first_order, worst,
+                              excluded, exterior_from_grad, pull_back)
 from kahlerkit.hermitian import HermitianTriple, ddc_from_jets, ricci_form
 from kahlerkit.calabi import CalabiProfile, build_calabi, disk_base
 from kahlerkit.twist import coordinate_twist, build_twist_fields, build_twist
@@ -62,13 +63,13 @@ def build_ak_product(z_factor, tw, mode="B", plane_range=(-1.0, 1.0)):
     frame = Field(lambda pt: jconst(np.eye(n)[0], jsize(pt)), chart, degree=1)
     wfull = Field(lambda pt: tw(pt[2:]), chart, label=tw.label + "@R2xZ")
 
-    # the Killing property needs w independent of the plane coordinates
-    probe = chart.center()
-    for shift in (0.0, 0.17):
-        x = Jet2.seed(np.asarray(probe, float) + shift * np.ones(n) * 0.1)
-        if np.abs(wfull(x).grad[..., :2]).max() > 1e-12:
-            raise ValueError("twist depends on the plane coordinates; "
-                             "d/dx1, d/dx2 would not be Killing")
+    # the Killing property needs w independent of the plane coordinates; the
+    # probe reads gradients only, so its two points are one first-order batch
+    probe = chart.center() + 0.1 * np.array([[0.0], [0.17]])
+    dw = wfull(PointEval(probe, first_order(Jet2.seed(probe)))).grad
+    if np.abs(dw[..., :2]).max() > 1e-12:
+        raise ValueError("twist depends on the plane coordinates; "
+                         "d/dx1, d/dx2 would not be Killing")
 
     gw, (Jw, Jtw), _ = build_twist_fields(g0, [J0, Jt0], Pp, wfull, frame, chart, mode)
     return AKProduct(z_factor=z_factor, g=gw, J=Jw, J_tilde=Jtw, g0=g0, Jt0=Jt0,
@@ -214,9 +215,21 @@ def _lifted_alpha(cal):
     return Field(lambda pt: pt[1] * cal.Theta(pt), cal.chart, degree=1)
 
 
+def chain_top(kind, m):
+    """The index of the top level of the chain of this kind and height m:
+    m - 1 untwisted, m twisted.  Raises ValueError for an unknown kind or an
+    m outside 1..3."""
+    if kind not in ("untwisted", "twisted"):
+        raise ValueError("kind must be 'untwisted' or 'twisted'")
+    if not 1 <= m <= 3:
+        raise ValueError("chain height m must be 1..3 (dimension cap)")
+    return m - 1 if kind == "untwisted" else m
+
+
 def iterate_chain(kind, m, A=-1.0, radius=0.55, z_range=(0.6, 1.8),
-                  s_range=(-0.8, 0.8)):
-    """Iterated chart chains over the disk.
+                  s_range=(-0.8, 0.8), top=None):
+    """Iterated chart chains over the disk, levels 0..top; top defaults to
+    chain_top(kind, m), the whole chain, and no level above it is built.
 
     kind "untwisted": Sigma carries (1 - rho^2) delta and each level is the
     plain fibered chart over the previous one; m - 1 steps.  The claimed
@@ -226,26 +239,30 @@ def iterate_chain(kind, m, A=-1.0, radius=0.55, z_range=(0.6, 1.8),
     is twisted by the lifted disk coordinate; m steps, so the top level has
     claimed coefficient (m - m)/2 = 0, the literal Ricci-flat claim.  The
     corrected identity adds (j/2) (d J d) ln z_j for every fiber level j.
+
+    The disk's chart box lies inside the unit disk (radius * sqrt(2) < 1).
+    Each level's alpha guard (build_calabi) runs on first-order points.
     """
-    if kind not in ("untwisted", "twisted"):
-        raise ValueError("kind must be 'untwisted' or 'twisted'")
-    if not 1 <= m <= 3:
-        raise ValueError("chain height m must be 1..3 (dimension cap)")
-    if not 0 < radius < 1:
-        raise ValueError("disk radius must sit inside the unit disk")
+    steps = chain_top(kind, m)
+    if top is None:
+        top = steps
+    elif not 0 <= top <= steps:
+        raise ValueError("chain level %r is out of range: levels 0..%d" % (top, steps))
+    if not (0 < radius and radius * sqrt(2.0) < 1.0):
+        raise ValueError("disk radius must keep the chart box inside the unit disk "
+                         "(0 < radius, radius * sqrt(2) < 1)")
     if z_range[0] <= 0:
         raise ValueError("step 1: z interval must stay positive")
 
     k0 = 1 if kind == "untwisted" else m
     base, alpha0 = disk_base(k0, radius=radius)
-    steps = (m - 1) if kind == "untwisted" else m
 
     def coeff(k):
         return 0.5 if kind == "untwisted" else 0.5 * (m - k)
 
     levels = [ChainLevel(index=0, kind=kind, chain_height=m, triple=base,
                          alpha=alpha0, claimed_coeff=coeff(0))]
-    for k in range(1, steps + 1):
+    for k in range(1, top + 1):
         prev = levels[-1]
         profile = CalabiProfile(A=A, z_range=z_range, s_range=s_range)
         try:

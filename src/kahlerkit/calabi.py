@@ -17,13 +17,14 @@ iota_{d/ds} omega_J = -dz.  I0 = J (1 - 2 P+) flips J on the fiber span
 
 import itertools
 from dataclasses import dataclass
-from math import comb, log
+from math import comb, log, sqrt
 
 import numpy as np
 
 from kahlerkit.jets import Jet2, SamplePlan, jsize, jconst, jeinsum, jlog, pack
 from kahlerkit.fields import (ChartManifold, Field, Fold, NotClosedError, PointEval,
-                              wedge12, wedge_top, homotopy_primitive, exterior_from_grad)
+                              first_order, wedge12, wedge_top, homotopy_primitive,
+                              exterior_from_grad)
 from kahlerkit.hermitian import HermitianTriple, fundamental_form_field
 
 
@@ -92,9 +93,15 @@ def disk_base(k, radius=0.55):
     """HermitianTriple for the unit-disk base with metric (1 - rho^2)^k * delta
     and the standard rotation, plus the closed-form primitive alpha of its
     Kähler form.  Returns (triple, alpha: a 1-form Field).  k is an integer
-    in 0..32."""
+    in 0..32.  The chart is the box |x|, |y| <= radius; for k >= 1 the whole
+    box lies inside the open unit disk (radius * sqrt(2) < 1), where the
+    metric is positive definite, and the flat base (k = 0) takes any
+    radius."""
     if not 0 <= k <= 32:
         raise ValueError("disk exponent k must lie in 0..32, got %r" % (k,))
+    if k and not radius * sqrt(2.0) < 1.0:
+        raise ValueError("a disk base's chart box must lie inside the open unit disk "
+                         "(radius * sqrt(2) < 1), got radius=%r" % (radius,))
     dom = [(-radius, radius), (-radius, radius)]
     chart = ChartManifold(2, dom, label="disk^%d" % k)
     ucoef = disk_u_coefficients(k)
@@ -152,7 +159,9 @@ def build_calabi(base, profile, alpha=None, alpha_tol=1e-7, check_count=10):
     Either way |d alpha - omega_N| is checked at check_count base points,
     evaluated as one batch: a domain error there is raised (naming the first
     point that meets it), and a mismatch above alpha_tol (a base form that is
-    not closed has no primitive) raises NotClosedError.
+    not closed has no primitive) raises NotClosedError.  The check reads
+    values and gradients only, so its points are seeded first order and no
+    field of the base computes a Hessian there.
     """
     nb = base.chart.dim
     n = nb + 2
@@ -162,7 +171,8 @@ def build_calabi(base, profile, alpha=None, alpha_tol=1e-7, check_count=10):
     if alpha is None:
         alpha = homotopy_primitive(fundamental_form_field(base.g, base.J), base.chart)
     acc = Fold()
-    acc.add(PointEval(base.chart.samples(SamplePlan(seed=0, count=check_count))),
+    p = base.chart.samples(SamplePlan(seed=0, count=check_count))
+    acc.add(PointEval(p, first_order(Jet2.seed(p))),
             lambda pe: alpha_primitive_point(alpha, base, pe))
     if acc.exc is not None:
         raise acc.exc
@@ -197,7 +207,7 @@ def build_calabi(base, profile, alpha=None, alpha_tol=1e-7, check_count=10):
 
 def alpha_primitive_point(alpha, t, pe):
     """|d alpha - omega| at pe for a claimed primitive alpha of t's Kähler form."""
-    ag = pe.jets(alpha)[1]
+    ag = pe.raw(alpha).grad
     return pe.absmax((ag.swapaxes(-1, -2) - ag) - pe.omega(t.g, t.J).value)
 
 
@@ -267,7 +277,7 @@ def rescale_biaxial(t, Pp, a, b, profile=None, tol=1e-9, t_samples=9):
     """
     zlo, zhi = (profile.z_range if profile is not None else (0.5, 2.0))
     ts = np.linspace(np.log(zlo), np.log(zhi), t_samples)
-    u = Jet2.seed(ts[:, None])[0]          # the grid as one batch of jets
+    u = first_order(Jet2.seed(ts[:, None]))[0]   # the grid as one first-order batch
     av, bv = a(u).value, b(u)
     bad = np.flatnonzero((av <= 0) | (bv.value <= 0))
     if bad.size:

@@ -107,22 +107,27 @@ def _memoised(memo, key, compute):
 
 
 def _restrict(j, k):
-    """The jet j with its derivatives restricted to the last k coordinates."""
-    return Jet2(j.value, j.grad[..., -k:], j.hess[..., -k:, -k:])
+    """The jet j with its derivatives restricted to the last k coordinates
+    (a first-order j stays first order)."""
+    h = j._hess
+    return Jet2(j.value, j.grad[..., -k:], None if h is None else h[..., -k:, -k:])
 
 
 def _batch_of(j, batch):
     """The jet j at each of batch points: j itself when its batch axis has
     them, else j's arrays repeated as read-only views (a field that is
     constant on the chart comes back with a batch axis of 1 from its
-    closure)."""
+    closure; a first-order j stays first order)."""
     if len(j.value) == batch:
         return j
-    return Jet2(*(np.broadcast_to(a, (batch,) + a.shape[1:]) for a in (j.value, j.grad, j.hess)))
+    return Jet2(*(None if a is None else np.broadcast_to(a, (batch,) + a.shape[1:])
+                  for a in (j.value, j.grad, j._hess)))
 
 
-def _first_order(j):
-    """The first-order view of the jet j: its value and gradient."""
+def first_order(j):
+    """The first-order view of the jet j: its value and gradient.  Seeding a
+    PointEval with first_order(Jet2.seed(p)) makes every field read there
+    first order."""
     return Jet2(j.value, j.grad)
 
 
@@ -155,7 +160,14 @@ class PointEval(Jet2):
     one: the slice pe[k:] (a factor's coordinates, still differentiated in
     all of the point's) is made once, as a PointEval of its own.  A factor's
     point (sub()) holds that lifted slice and reads its fields there,
-    restricted to its own derivative columns."""
+    restricted to its own derivative columns.
+
+    A point's derivative order is the order of its seed: the default seed
+    is second order, and a point seeded with first_order(Jet2.seed(p)) (a
+    builder's check that reads values and gradients only) computes no
+    Hessian, so reading one there (jets(), curvature()) raises
+    FirstOrderError.  Its lifted slices and factor points are first order
+    too."""
 
     __slots__ = ("p", "batch", "where", "memo", "lifted")
 
@@ -205,7 +217,7 @@ class PointEval(Jet2):
     def inverse(self, g):
         """First-order jet of the matrix g^{-1} (its readers take values and
         first derivatives only)."""
-        return self.cached("inv", (g,), lambda: jinv(_first_order(self.raw(g))))
+        return self.cached("inv", (g,), lambda: jinv(first_order(self.raw(g))))
 
     def christoffel(self, g):
         return self.cached("gamma", (g,),
@@ -220,8 +232,8 @@ class PointEval(Jet2):
     def omega(self, g, J):
         """First-order jet of the fundamental form of (g, J) (its readers take
         values and first derivatives only)."""
-        return self.cached("omega", (g, J), lambda: omega_of(_first_order(self.raw(g)),
-                                                             _first_order(self.raw(J))))
+        return self.cached("omega", (g, J), lambda: omega_of(first_order(self.raw(g)),
+                                                             first_order(self.raw(J))))
 
     def sub(self, start):
         """The point made of coordinates start.. (a factor's own chart).  Its
@@ -310,8 +322,10 @@ class Fold:
                 self.error = "non-finite residual at point %s" % p.round(8).tolist()
 
     def _replay(self, pe, fn):
+        # each point is seeded to the derivative order of the batch
         for p in pe.p:
-            self.add(PointEval(p[None]), fn)
+            jet = Jet2.seed(p)
+            self.add(PointEval(p[None], jet if pe._hess is not None else first_order(jet)), fn)
 
     def used(self, key=None):
         return len(self.values.get(key, ()))

@@ -38,7 +38,7 @@ from kahlerkit.twist import (constant_twist, coordinate_twist, build_twist,
                              norm_factor_expected, norm_factor_measured,
                              form_invariance_point, transverse_holomorphy_point,
                              ricci_identity_check, zeta_duality_residual)
-from kahlerkit.almost_kahler import (build_ak_product, iterate_chain,
+from kahlerkit.almost_kahler import (build_ak_product, chain_top, iterate_chain,
                                      ak_invariants_point, ak3_point, torsion_point,
                                      einstein_point, fiber_log_point,
                                      ker_dw_geodesic_residual)
@@ -375,14 +375,14 @@ def _make_ak(params):
         zt, _ = disk_base(check_integer(params["k"], "k"), radius=radius)
     elif zkind == "chain":
         chain_m = check_integer(params["chain_m"], "chain_m")
-        levels = iterate_chain("twisted", chain_m, A=check_number(params["A"], "A"),
-                               radius=radius, z_range=check_pair(params["z_range"], "z_range"),
-                               s_range=check_pair(params["s_range"], "s_range"))
+        top = chain_top("twisted", chain_m)
         level = check_integer(params["chain_level"], "chain_level")
-        if not 0 <= level < len(levels):
+        if not 0 <= level <= top:
             raise ScenarioError("chain_level %d is out of range: a chain with chain_m=%s "
-                                "has levels 0..%d" % (level, params["chain_m"], len(levels) - 1))
-        lv = levels[level]
+                                "has levels 0..%d" % (level, params["chain_m"], top))
+        lv = iterate_chain("twisted", chain_m, A=check_number(params["A"], "A"),
+                           radius=radius, z_range=check_pair(params["z_range"], "z_range"),
+                           s_range=check_pair(params["s_range"], "s_range"), top=level)[-1]
         zt = lv.triple
         zpos_product = {j: pos + 2 for j, pos in lv.z_positions.items()}
     else:

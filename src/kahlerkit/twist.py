@@ -25,8 +25,8 @@ from kahlerkit.jets import JetDomainError, jsize, jconst, jinv, jlog, pack
 from kahlerkit.fields import Field, worst
 from kahlerkit.hermitian import HermitianTriple, ddc_from_jets, ricci_form
 
-# The largest |w|^2 a twist may reach; the S field and validate_twist both
-# reject a point beyond it.
+# The largest |w|^2 a twist may reach; the S field, validate_twist and
+# transverse_holomorphy_point reject a point beyond it, or a NaN |w|^2.
 DISC = 1.0 - 1e-6
 
 
@@ -79,6 +79,14 @@ def _norm2(w):
     return w[0] * w[0] + w[1] * w[1]
 
 
+def _check_disc(ww):
+    """Raise JetDomainError unless the |w|^2 values ww are all <= DISC (a NaN
+    is not)."""
+    out = ~(ww <= DISC)
+    if out.any():
+        raise JetDomainError("twist leaves the disc: |w|^2 = %.8f" % ww[out].max())
+
+
 def make_sfield(J, Pp, w, theta, chart=None):
     """The S field of the twist w.
 
@@ -96,9 +104,7 @@ def make_sfield(J, Pp, w, theta, chart=None):
         if (det < 1e-12).any():
             raise JetDomainError("degenerate twist frame (|det E| = %.2e)" % det.min())
         wj = w(pt)
-        ww = _norm2(wj)
-        if (ww.value > DISC).any():
-            raise JetDomainError("twist leaves the disc: |w|^2 = %.8f" % ww.value.max())
+        _check_disc(_norm2(wj).value)
         w1, w2 = wj
         return (v @ jinv(E)) @ pack([w1 * th + w2 * e2, w2 * th - w1 * e2])
     return Field(sfield, chart)
@@ -139,12 +145,12 @@ def build_twist_fields(g, endos, Pp, w, theta, chart, mode="B"):
 
 
 def validate_twist(w, theta, pe):
-    """|w|^2 <= DISC and |theta| bounded away from zero at each point of pe;
-    raises naming the first point that fails."""
+    """|w|^2 <= DISC (a NaN is not) and |theta| bounded away from zero at each
+    point of pe; raises naming the first point that fails."""
     ww = _norm2(pe.raw(w)).value
-    out = np.flatnonzero(ww > DISC)
+    out = np.flatnonzero(~(ww <= DISC))
     if out.size:
-        raise ValueError("twist |w| = %.8f too close to the circle at %s"
+        raise ValueError("twist |w| = %.8f is not inside the disc (too close to the circle) at %s"
                          % (ww[out[0]] ** 0.5, pe.p[out[0]].tolist()))
     flat = np.flatnonzero(pe.absmax(pe.jets(theta)[0]) < 1e-6)
     if flat.size:
@@ -184,8 +190,11 @@ def form_invariance_point(cal, tt, pe):
 
 def transverse_holomorphy_point(Jfn, Ppfn, wfn, pe):
     """max |dw2(P-X) + dw1(J P-X)| over the D- coordinate frame at pe; this is
-    the quantity that gates integrability of the twisted structure."""
-    w1, w2 = pe.raw(wfn)
+    the quantity that gates integrability of the twisted structure.  It
+    reads w's gradient only, so it checks the disc itself."""
+    wj = pe.raw(wfn)
+    _check_disc(_norm2(wj).value)
+    w1, w2 = wj
     Jv = pe.jets(Jfn)[0]
     Pmv = np.eye(Jv.shape[-1]) - pe.jets(Ppfn)[0]
     # one residual per column X of P-, none where X vanishes

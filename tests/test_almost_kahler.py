@@ -245,6 +245,22 @@ def test_iterate_chain_validation():
         iterate_chain("untwisted", 2, z_range=(-0.1, 1.0))
 
 
+def test_iterate_chain_stops_at_its_top_level():
+    # the levels below top are those of the whole chain; none above is built
+    full = iterate_chain("twisted", 2)
+    part = iterate_chain("twisted", 2, top=1)
+    assert [lv.index for lv in part] == [0, 1]
+    assert [lv.claimed_coeff for lv in part] == [1.0, 0.5]
+    assert part[1].z_positions == full[1].z_positions
+    p = part[1].triple.chart.samples(SamplePlan(19, 3))
+    for f, g in ((part[1].triple.g, full[1].triple.g), (part[1].alpha, full[1].alpha)):
+        assert np.array_equal(PointEval(p).jets(f)[2], PointEval(p).jets(g)[2])
+    assert len(iterate_chain("untwisted", 2, top=0)) == 1
+    for top in (-1, 3):
+        with pytest.raises(ValueError, match="out of range"):
+            iterate_chain("twisted", 2, top=top)
+
+
 def test_kernel_foliation_geodesic_dichotomy():
     # the fiber foliation of the lifted disk map is totally geodesic for the
     # untwisted chain and fails to be for the twisted one

@@ -117,11 +117,11 @@ def _single_point_fold(chart, plan, fn):
     return acc
 
 
-def _disc_replay(obj, untwisted=()):
+def _disc_replay(obj):
     """Run the scenario obj, whose twist leaves the disc at some of its
-    samples only: every check but the untwisted ones raises in the batch,
-    and the replay keeps exactly the points before the first one outside.
-    Each record equals the fold of its check over batches of one point."""
+    samples only: every check raises in the batch, and the replay keeps
+    exactly the points before the first one outside.  Each record equals the
+    fold of its check over batches of one point."""
     scn = parse_scenario(obj)
     case = build_case(scn)
     plan = SamplePlan(scn.seed, scn.count, scn.margin)
@@ -135,14 +135,10 @@ def _disc_replay(obj, untwisted=()):
         for p in chart.samples(plan):
             single.add(PointEval(p[None]), at)
         rec = report[ck.name]
-        if ck.name in untwisted:
-            assert single.error == "" and "error" not in rec
-            assert rec["points_used"] == scn.count
-        else:
-            assert single.error.startswith("JetDomainError at point [")
-            assert "twist leaves the disc" in single.error
-            assert rec["error"] == single.error
-            assert rec["points_used"] == first_out
+        assert single.error.startswith("JetDomainError at point [")
+        assert "twist leaves the disc" in single.error
+        assert rec["error"] == single.error
+        assert rec["points_used"] == first_out
         record = ck.record([single])
         assert (rec["points_used"], rec["points_excluded"], rec["max_residual"],
                 rec["mean_residual"]) == (record.points_used, record.points_excluded,
@@ -160,11 +156,11 @@ def test_twist_leaving_the_disc_at_some_points_replays_the_batch():
 
 
 def test_calabi_twist_leaving_the_disc_at_some_points_replays_the_batch():
-    # transverse_holomorphy reads w and the untwisted J and P+ only
+    # transverse_holomorphy reads w and the untwisted J and P+ only, and
+    # checks the disc itself
     _disc_replay({"name": "calabi_big_twist", "builder": "calabi_twist",
                   "params": {"twist": {"id": "coord_z", "scale": 3.0}},
-                  "plan": {"seed": 5, "count": 12}},
-                 untwisted={"transverse_holomorphy"})
+                  "plan": {"seed": 5, "count": 12}})
 
 
 def test_nonfinite_residual_at_one_point_replays_the_batch():

@@ -252,6 +252,47 @@ def test_sizes_out_of_range_exit_two(builder, params, needle, tmp_path, capsys):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("builder, params, needle", [
+    ("calabi", {"base": "disk", "k": 1, "radius": 1.5}, "got radius=1.5"),
+    ("calabi", {"base": "disk", "k": 1, "radius": 0.8}, "got radius=0.8"),
+    ("ak_product", {"z": "disk", "radius": 0.8}, "got radius=0.8"),
+    ("calabi_chain", {"radius": 0.75}, "chart box inside the unit disk"),
+], ids=["calabi-disk-1.5", "calabi-disk-0.8", "ak_product-disk-0.8", "calabi_chain-0.75"])
+def test_disk_charts_that_leave_the_unit_disk_exit_two(builder, params, needle, tmp_path,
+                                                       capsys):
+    # the box |x|, |y| <= radius of a disk base with k >= 1 must lie inside
+    # the open unit disk (radius * sqrt(2) < 1): beyond it (1 - rho^2)^k
+    # vanishes or turns negative, and calabi with k = 1 and radius 1.5 used to
+    # pass all nine checks
+    path = tmp_path / "big_disk.json"
+    path.write_text(json.dumps({"name": "x", "builder": builder, "params": params}))
+    rc, out, err = run_cli(capsys, ["verify", str(path)])
+    assert rc == 2 and out == ""
+    assert err.startswith("error: %s: builder %r cannot build from its params: " % (path, builder))
+    assert "unit disk" in err and needle in err
+    assert len(err.splitlines()) == 1
+
+
+def test_a_flat_base_takes_any_radius(tmp_path, capsys):
+    path = tmp_path / "big_flat.json"
+    path.write_text(json.dumps({"name": "x", "builder": "calabi",
+                                "params": {"base": "flat", "radius": 1.5},
+                                "plan": {"seed": 3, "count": 4}}))
+    rc, out, err = run_cli(capsys, ["verify", str(path)])
+    assert rc == 0 and err == ""
+
+
+def test_a_bad_chain_m_is_reported_before_a_bad_chain_level(tmp_path, capsys):
+    # chain_level is range-checked before the chain is built, after chain_m
+    path = tmp_path / "bad_chain.json"
+    path.write_text(json.dumps({"name": "x", "builder": "ak_product",
+                                "params": {"z": "chain", "chain_m": 5, "chain_level": 7}}))
+    rc, out, err = run_cli(capsys, ["verify", str(path)])
+    assert rc == 2 and out == ""
+    assert err == ("error: %s: builder 'ak_product' cannot build from its params: "
+                   "chain height m must be 1..3 (dimension cap)\n" % path)
+
+
 BIG = 10 ** 400   # an integer that no float holds
 
 
@@ -705,7 +746,8 @@ def test_domain_error_ends_each_check_at_its_point(tmp_path, capsys):
     # a twist scaled out of the unit disc: every twisted field raises at the
     # second sample, so every check that needs g_w or J_w keeps the first point
     # and names the second; the classifier check records it too instead of
-    # aborting the run
+    # aborting the run, and transverse_holomorphy, which reads w and the
+    # untwisted fields only, checks the disc itself
     obj = {"name": "big_twist", "builder": "calabi_twist",
            "params": {"twist": {"id": "coord_z", "scale": 3.0}},
            "plan": {"seed": 4, "count": 5}}
@@ -714,16 +756,13 @@ def test_domain_error_ends_each_check_at_its_point(tmp_path, capsys):
     rc, out, _ = run_cli(capsys, ["verify", str(path)])
     assert rc == 1
     by_name = {c["name"]: c for c in report_from(out)["checks"]}
-    for name in ("form_invariance", "norm_factor", "nijenhuis_twisted",
-                 "homothetic_foliation", "ricci_fiber_log", "zeta_duality",
-                 "classify_verdict"):
+    for name in ("form_invariance", "norm_factor", "transverse_holomorphy",
+                 "nijenhuis_twisted", "homothetic_foliation", "ricci_fiber_log",
+                 "zeta_duality", "classify_verdict"):
         rec = by_name[name]
         assert rec["pass"] is False and rec["points_used"] == 1
         assert rec["error"].startswith("JetDomainError at point [")
         assert "twist leaves the disc" in rec["error"]
-    # the untwisted fields stay in their domain
-    assert by_name["transverse_holomorphy"]["pass"] is True
-    assert by_name["transverse_holomorphy"]["points_used"] == 5
 
 
 def test_bench_writes_the_medians_of_each_scenario(tmp_path, monkeypatch, capsys):

@@ -6,7 +6,7 @@ import pytest
 
 from kahlerkit.jets import FirstOrderError, Jet2, SamplePlan, jconst, jinv, jsin, jsize, pack
 from kahlerkit.fields import (ChartManifold, DegenerateMetricError, Field, Fold,
-                              NotClosedError, PointEval, christoffel_parts, excluded,
+                              NotClosedError, PointEval, christoffel_parts, excluded, first_order,
                               exterior_from_grad, homotopy_primitive, lie_derivative_metric,
                               metric_jets, nijenhuis_from_jets, wedge_top)
 from kahlerkit.hermitian import HermitianTriple, kahler_point
@@ -356,6 +356,45 @@ def test_inverse_and_omega_are_first_order_in_the_memo():
         with pytest.raises(FirstOrderError):
             got.hess
         assert np.array_equal(got.value, want.value) and np.array_equal(got.grad, want.grad)
+
+
+def test_a_first_order_point_reads_values_and_gradients_only():
+    # a point's derivative order is the order of its seed: seeded first
+    # order, its fields, its factor points and a constant field carry no
+    # Hessian, reading one raises FirstOrderError, and values and gradients
+    # are those of the second-order point
+    p = np.array([[0.3, 1.1, 0.2, -0.1], [-0.4, 0.7, -0.3, 0.25], [0.1, 1.5, 0.0, 0.3]])
+    lo = PointEval(p, first_order(Jet2.seed(p)))
+    hi = PointEval(p)
+    base = Field(lambda pt: [[1.0 + pt[0] * pt[1], pt[0]], [pt[0], 2.0 + pt[1] * pt[1]]])
+    top = Field(lambda pt: pt[1] * base(pt[2:]))
+    const = Field(lambda pt: first_order(jconst([[0.0, -1.0], [1.0, 0.0]], jsize(pt))))
+    for pe, f in ((lo, top), (lo.sub(2), base), (lo, const)):
+        assert pe._hess is None and pe.raw(f)._hess is None
+        with pytest.raises(FirstOrderError):
+            pe.jets(f)
+    for got, want in ((lo.raw(top), hi.raw(top)), (lo.sub(2).raw(base), hi.sub(2).raw(base))):
+        assert np.array_equal(got.value, want.value) and np.array_equal(got.grad, want.grad)
+    c = lo.raw(const)
+    assert c.value.shape == (3, 2, 2) and np.array_equal(c.value[2], [[0.0, -1.0], [1.0, 0.0]])
+    assert c.grad.shape == (3, 2, 2, 4) and not c.grad.any()
+    assert lo.sub(2).raw(base).grad.shape == (3, 2, 2, 2)
+
+
+def test_a_fold_replays_a_first_order_batch_at_first_order():
+    # a failing first-order batch is replayed point by point, each point
+    # seeded first order too
+    orders = []
+
+    def fn(pe):
+        orders.append(pe._hess is None)
+        if pe.batch > 1:
+            raise NotClosedError("batch")
+        return pe.absmax(pe.value)
+    p = np.array([[0.1, 0.2], [0.3, 0.4]])
+    acc = Fold()
+    acc.add(PointEval(p, first_order(Jet2.seed(p))), fn)
+    assert orders == [True, True, True] and acc.points == 2 and acc.error == ""
 
 
 def test_an_error_in_a_field_carries_no_memo_context():

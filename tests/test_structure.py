@@ -2,7 +2,9 @@
 has a batch axis, that the jet layer contracts only through _contract and
 jet_dcoord is first order, that per-point functions take a PointEval with no
 raw-point adapter beside it, that the PointEval is the point's one object,
-how often each case seeds, and the README's library example run as written."""
+how often each case seeds, that a build seeds first order only and builds
+only the chain levels it reads, and the README's library example run as
+written."""
 
 import ast
 import contextlib
@@ -186,3 +188,48 @@ def test_batched_cases_seed_each_chart_once_per_plan(name, monkeypatch):
     assert len(charts) == (3 if name == "calabi_chain_twisted" else
                            2 if name == "calabi_chain_untwisted" else 1)
     assert seeds == [(scn.count, chart.dim) for chart in charts]
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_builds_seed_first_order_points_only(name, monkeypatch):
+    # every check a builder runs (the alpha guard, the Killing probe of the
+    # twist) reads values and gradients only: each point seeded while the
+    # case is built is a first-order PointEval, so no field computes a
+    # Hessian there
+    seeds, points = [], []
+    seed, init = Jet2.seed, PointEval.__init__
+
+    def seeding(p):
+        seeds.append(seed(p))
+        return seeds[-1]
+
+    def making(self, p, jet=None, lifted=None):
+        init(self, p, jet, lifted)
+        points.append(self)
+    monkeypatch.setattr(Jet2, "seed", staticmethod(seeding))
+    monkeypatch.setattr(PointEval, "__init__", making)
+    build_case(load_scenario(name))
+    assert [pe for pe in points if pe._hess is not None] == []
+    # each seeded jet is the coordinate jet of such a point
+    assert all(any(pe.value is j.value for pe in points) for j in seeds)
+    assert len(seeds) == {"calabi_flat": 1, "calabi_twist_zeta": 1,
+                          "calabi_chain_untwisted": 1, "calabi_chain_twisted": 2,
+                          "ak_flat": 1, "ak_disk": 1, "ak_disk_chain2": 2}.get(name, 0)
+
+
+@pytest.mark.parametrize("name, builds", [("calabi_chain_untwisted", 1),
+                                          ("calabi_chain_twisted", 2),
+                                          ("ak_disk_chain2", 1)])
+def test_a_chain_builds_only_the_levels_its_case_reads(name, builds, monkeypatch):
+    # ak_disk_chain2 reads level 1 of a chain of height 2: the chain stops
+    # there, and the level above it is never built
+    import kahlerkit.almost_kahler as ak
+    calls = []
+    build = ak.build_calabi
+
+    def counting(*args, **kw):
+        calls.append(1)
+        return build(*args, **kw)
+    monkeypatch.setattr(ak, "build_calabi", counting)
+    build_case(load_scenario(name))
+    assert len(calls) == builds

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from kahlerkit.jets import Jet2, JetDomainError, SamplePlan
-from kahlerkit.fields import Field, PointEval, metric_jets, worst
+from kahlerkit.fields import Field, Fold, PointEval, metric_jets, worst
+from kahlerkit.foliation import classify_point, homothetic_point
 from kahlerkit.hermitian import kahler_point
 from kahlerkit.calabi import CalabiProfile, build_calabi, disk_base
 from kahlerkit.twist import (build_twist, build_twist_fields,
-                             constant_twist, coordinate_twist, mobius,
+                             constant_twist, form_invariance_point, coordinate_twist, mobius,
                              mobius_inv, norm_factor_expected,
                              norm_factor_measured, ricci_identity_check,
                              solve_single_twist,
@@ -193,6 +194,37 @@ def test_validate_twist_errors():
         for p in cal.chart.samples(plan):
             validate_twist(constant_twist(0.1).fn, flat_theta, PointEval(p))
     assert "degenerate" in str(e.value)
+
+
+def test_a_nan_twist_passes_no_twisted_check():
+    # NaN > DISC is false, so a NaN |w|^2 used to pass the disc guards: the
+    # twisted checks failed on a non-finite residual and transverse
+    # holomorphy, which reads w's gradient only, passed.  Now every twisted
+    # check stops at the first point with a domain error that names it
+    cal = make_cal()
+    tw = constant_twist(float("nan"))
+    tt = build_twist(cal, tw)
+    twt, Pp = tt.triple(), cal.proj_plus
+    checks = [
+        lambda pe: form_invariance_point(cal, tt, pe),
+        lambda pe: norm_factor_measured(cal.g, tt.g_w, cal.theta, pe),
+        lambda pe: transverse_holomorphy_point(cal.J, Pp, tw, pe),
+        lambda pe: nijenhuis_at(pe, tt.J_w),
+        lambda pe: homothetic_point(twt, Pp, pe)["homothetic"],
+        lambda pe: ricci_identity_check(cal, tw, tt, pe)["corrected"],
+        lambda pe: zeta_duality_residual(cal.g, cal.J, tt.g_w, tt.J_w, cal.theta, pe),
+        lambda pe: classify_point(twt, Pp, pe),
+    ]
+    p = cal.chart.samples(SamplePlan(3, 4))
+    for fn in checks:
+        acc = Fold()
+        acc.add(PointEval(p), fn)
+        assert acc.points == 0 and acc.values == {}
+        assert acc.error.startswith("JetDomainError at point %s: twist leaves the disc"
+                                    % p[0].round(8).tolist())
+    with pytest.raises(ValueError, match="not inside the disc") as info:
+        validate_twist(tw, cal.theta, PointEval(p))
+    assert str(p[0].tolist()) in str(info.value)
 
 
 def test_plan_check_and_s_guard_share_the_disc():
