@@ -14,7 +14,7 @@ from math import sqrt
 
 import numpy as np
 
-from kahlerkit.jets import Jet2, jsize, jconst, jlog, jinv, jet_dcoord
+from kahlerkit.jets import Jet2, jlog, jinv, jet_dcoord
 from kahlerkit.fields import (ChartManifold, Field, PointEval, first_order, worst,
                               excluded, exterior_from_grad, pull_back)
 from kahlerkit.hermitian import HermitianTriple, ddc_from_jets, ricci_form
@@ -56,12 +56,12 @@ def build_ak_product(z_factor, tw, mode="B", plane_range=(-1.0, 1.0)):
                           + [tuple(d) for d in z_factor.chart.domain],
                           label="R2x" + z_factor.chart.label)
 
-    g0 = Field(lambda pt: proj + lift.T @ z_factor.g(pt[2:]) @ lift, chart)
-    J0 = Field(lambda pt: plane + lift.T @ z_factor.J(pt[2:]) @ lift, chart)
-    Jt0 = Field(lambda pt: -plane + lift.T @ z_factor.J(pt[2:]) @ lift, chart)
-    Pp = Field(lambda pt: jconst(proj, jsize(pt)), chart)
-    frame = Field(lambda pt: jconst(np.eye(n)[0], jsize(pt)), chart, degree=1)
-    wfull = Field(lambda pt: tw(pt[2:]), chart, label=tw.label + "@R2xZ")
+    g0 = Field(lambda pt: proj + lift.T @ z_factor.g(pt[2:]) @ lift)
+    J0 = Field(lambda pt: plane + lift.T @ z_factor.J(pt[2:]) @ lift)
+    Jt0 = Field(lambda pt: -plane + lift.T @ z_factor.J(pt[2:]) @ lift)
+    Pp = Field(lambda pt: proj)
+    frame = Field(lambda pt: np.eye(n)[0])
+    wfull = Field(lambda pt: tw(pt[2:]), label=tw.label + "@R2xZ")
 
     # the Killing property needs w independent of the plane coordinates; the
     # probe reads gradients only, so its two points are one first-order batch
@@ -212,7 +212,7 @@ class ChainLevel:
 def _lifted_alpha(cal):
     """Exact primitive z * Theta of the chart's Kähler form, for the next
     level: components [z, 0, z * alpha_prev...]."""
-    return Field(lambda pt: pt[1] * cal.Theta(pt), cal.chart, degree=1)
+    return Field(lambda pt: pt[1] * cal.Theta(pt))
 
 
 def chain_top(kind, m):

@@ -21,7 +21,7 @@ from math import comb, log, sqrt
 
 import numpy as np
 
-from kahlerkit.jets import Jet2, SamplePlan, jsize, jconst, jeinsum, jlog, pack
+from kahlerkit.jets import Jet2, SamplePlan, jeinsum, jlog, pack
 from kahlerkit.fields import (ChartManifold, Field, Fold, NotClosedError, PointEval,
                               first_order, wedge12, wedge_top, homotopy_primitive,
                               exterior_from_grad)
@@ -105,12 +105,10 @@ def disk_base(k, radius=0.55):
     dom = [(-radius, radius), (-radius, radius)]
     chart = ChartManifold(2, dom, label="disk^%d" % k)
     ucoef = disk_u_coefficients(k)
+    rot = np.array([[0.0, -1.0], [1.0, 0.0]])
 
     def gfn(pt):
         return (1.0 - (pt[0] * pt[0] + pt[1] * pt[1])) ** k * np.eye(2)
-
-    def Ifn(pt):
-        return jconst([[0.0, -1.0], [1.0, 0.0]], jsize(pt))
 
     def alphafn(pt):
         x, y = pt[0], pt[1]
@@ -118,8 +116,8 @@ def disk_base(k, radius=0.55):
         u = _poly(ucoef, t)
         return [u * y * (-1.0), u * x]
 
-    triple = HermitianTriple(Field(gfn, chart), Field(Ifn, chart), chart)
-    return triple, Field(alphafn, chart, degree=1)
+    triple = HermitianTriple(Field(gfn), Field(lambda pt: rot), chart)
+    return triple, Field(alphafn)
 
 
 def flat_base(radius=0.55):
@@ -196,12 +194,12 @@ def build_calabi(base, profile, alpha=None, alpha_tol=1e-7, check_count=10):
         # a lifted base direction d_{x^a} also moves along d/ds and d/dz
         return rot + e[:2].T @ pack([-(a @ I), a * (-1.0 / q0)]) @ lift + lift.T @ I @ lift
 
-    Theta = Field(lambda pt: e[0] + lift.T @ alpha(pt[2:]), chart, degree=1)
-    J = Field(Jfn, chart)
-    Pp = Field(lambda pt: jeinsum("i,j->ij", e[0], Theta(pt)) + np.outer(e[1], e[1]), chart)
+    Theta = Field(lambda pt: e[0] + lift.T @ alpha(pt[2:]))
+    J = Field(Jfn)
+    Pp = Field(lambda pt: jeinsum("i,j->ij", e[0], Theta(pt)) + np.outer(e[1], e[1]))
     return CalabiChart(
-        g=Field(gfn, chart), J=J, I0=Field(lambda pt: J(pt) @ (np.eye(n) - 2.0 * Pp(pt)), chart),
-        proj_plus=Pp, theta=Field(lambda pt: pt[1].inv() * e[1], chart, degree=1),
+        g=Field(gfn), J=J, I0=Field(lambda pt: J(pt) @ (np.eye(n) - 2.0 * Pp(pt))),
+        proj_plus=Pp, theta=Field(lambda pt: pt[1].inv() * e[1]),
         Theta=Theta, chart=chart, base=base, alpha=alpha, profile=profile, m=m)
 
 
@@ -296,4 +294,4 @@ def rescale_biaxial(t, Pp, a, b, profile=None, tol=1e-9, t_samples=9):
         gp = P.T @ g @ P
         return a(lt) * gp + b(lt) * (g - gp)
 
-    return HermitianTriple(Field(ghat, t.chart), t.J, t.chart), worst
+    return HermitianTriple(Field(ghat), t.J, t.chart), worst

@@ -27,6 +27,16 @@ from kahlerkit.scenarios import (BUILDERS, ScenarioError, bundled_names,
                                  render_json, run_scenario_obj)
 
 
+def _write(path, text):
+    """Write text to the file path; a path that cannot be opened for writing
+    (a missing directory, a directory) is a usage error."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ScenarioError("cannot write %s: %s" % (path, exc.strerror or exc))
+
+
 def _cmd_verify(args):
     scn = load_scenario(args.scenario)
     if args.seed is not None:
@@ -51,8 +61,7 @@ def _cmd_verify(args):
         print(line)
     text = render_json(report) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(args.out, text)
         print("report written to %s" % args.out)
     else:
         print(text, end="")
@@ -171,9 +180,7 @@ def _cmd_bench(args):
                     "python": platform.python_version(), "numpy": np.__version__},
            "scenarios": scenarios}
     path = "BENCH_%s.json" % args.label
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    _write(path, json.dumps(doc, indent=2) + "\n")
     print("bench written to %s" % path)
     return 0
 

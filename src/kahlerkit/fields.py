@@ -1,7 +1,8 @@
 """Charts and pointwise tensor calculus.
 
 A chart is a coordinate box; every tensor field is a callable taking the
-coordinate jets of a point and returning jet-valued components.  All
+coordinate jets of a point and returning its components: jets, with
+constant parts written as plain numbers and arrays.  All
 curvature below is float-layer linear algebra on the packed (value, grad,
 hess) arrays, so the only differentiation ever performed is the exact jet
 propagation.
@@ -29,7 +30,7 @@ import math
 
 import numpy as np
 
-from kahlerkit.jets import (Jet2, JetDomainError, gauss_integrate, jinv, pack,
+from kahlerkit.jets import (Jet2, JetDomainError, _batch_of, gauss_integrate, jinv, pack,
                             sample_points)
 
 
@@ -71,22 +72,20 @@ class ChartManifold:
 
 
 class Field:
-    """A tensor field on a chart: fn maps the coordinate jets of a point to
-    jet-valued components (a jet, a list, or a nested list).  Called on a
-    point it returns them packed into one Jet2, from the memo when the point
-    is a PointEval.  degree is set for differential forms; label names a
-    field in reports."""
+    """A tensor field: fn maps the coordinate jets of a point to its
+    components (a jet, an array, a number, or a list or nested list of them,
+    constants written as plain numbers and arrays).  Called on a point it
+    returns them packed into one Jet2 there, from the memo when the point is
+    a PointEval.  label names a field in reports."""
 
-    def __init__(self, fn, chart=None, degree=None, label=""):
+    def __init__(self, fn, *, label=""):
         self.fn = fn
-        self.chart = chart
-        self.degree = degree
         self.label = label
 
     def __call__(self, pt):
         if isinstance(pt, PointEval):
             return pt.raw(self)
-        return pack(self.fn(pt))
+        return pack(self.fn(pt), pt)
 
 
 def _fn(f):
@@ -113,17 +112,6 @@ def _restrict(j, k):
     return Jet2(j.value, j.grad[..., -k:], None if h is None else h[..., -k:, -k:])
 
 
-def _batch_of(j, batch):
-    """The jet j at each of batch points: j itself when its batch axis has
-    them, else j's arrays repeated as read-only views (a field that is
-    constant on the chart comes back with a batch axis of 1 from its
-    closure; a first-order j stays first order)."""
-    if len(j.value) == batch:
-        return j
-    return Jet2(*(None if a is None else np.broadcast_to(a, (batch,) + a.shape[1:])
-                  for a in (j.value, j.grad, j._hess)))
-
-
 def first_order(j):
     """The first-order view of the jet j: its value and gradient.  Seeding a
     PointEval with first_order(Jet2.seed(p)) makes every field read there
@@ -132,9 +120,9 @@ def first_order(j):
 
 
 def omega_of(g, J):
-    """Jet of the fundamental form omega(X, Y) = g(JX, Y) from the components
-    of g and J at one point."""
-    return pack(J).T @ pack(g)
+    """Jet of the fundamental form omega(X, Y) = g(JX, Y) from the jets of g
+    and J at a point."""
+    return J.T @ g
 
 
 # ---------------------------------------------------------------------------
@@ -188,11 +176,11 @@ class PointEval(Jet2):
 
     def raw(self, f):
         """f's components at the point, packed into one Jet2 with the batch
-        axis of B."""
+        axis of B (a constant one lifted here and repeated over B)."""
         fn = _fn(f)
         if self.lifted is None:
             return _memoised(self.memo, ("raw", fn),
-                             lambda: _batch_of(pack(fn(self)), self.batch))
+                             lambda: _batch_of(pack(fn(self), self), self.batch))
         return _memoised(self.memo, ("raw", fn),
                          lambda: _restrict(self.lifted.raw(fn), self.grad.shape[-1]))
 
@@ -481,7 +469,7 @@ def homotopy_primitive(omega, chart, order=32):
         diff = pt[:dim] - c
         return gauss_integrate(lambda t: t * (diff @ omega(c + t * diff)), order)
 
-    return Field(alpha_fn, chart, degree=1)
+    return Field(alpha_fn)
 
 
 # ---------------------------------------------------------------------------

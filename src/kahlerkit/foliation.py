@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from kahlerkit.jets import Jet2, jeinsum, jet_dcoord, jinv
-from kahlerkit.fields import (worst, excluded, lie_endo_from_jets,
+from kahlerkit.fields import (worst, excluded, first_order, lie_endo_from_jets,
                               exterior_from_grad, wedge12)
 
 VERDICT_HOLOMORPHIC = "holomorphic"
@@ -90,7 +90,7 @@ def theta_jets(t, Pp, pe):
 
     # assemble theta as a 1-form: theta(d_i) = theta(P+ d_i) expanded in the
     # frame; thetaV is first order, so the frame products are built first order
-    V1, g1, P1 = (Jet2(j.value, j.grad) for j in (V, g, P))
+    V1, g1, P1 = (first_order(j) for j in (V, g, P))
     VTg = V1.T @ g1
     theta = thetaV @ (jinv(VTg @ V1) @ (VTg @ P1))
     return theta, resid, thetaV, cols

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from kahlerkit.fields import Field, omega_of, worst, exterior_from_grad, nijenhuis_from_jets
+from kahlerkit.jets import pack
 
 
 @dataclass
@@ -25,8 +26,9 @@ class HermitianTriple:
 
 
 def fundamental_form_field(g, J):
-    """omega(X,Y) = g(JX,Y) as a jet-level 2-form field."""
-    return Field(lambda pt: omega_of(g(pt), J(pt)), degree=2)
+    """omega(X,Y) = g(JX,Y) as a jet-level 2-form field (g and J fields or
+    plain closures)."""
+    return Field(lambda pt: omega_of(pack(g(pt), pt), pack(J(pt), pt)))
 
 
 def kahler_point(t, pe):

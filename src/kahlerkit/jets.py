@@ -10,7 +10,8 @@ the value axes behind the batch axis, so a builder closure reads as if it ran
 at one point.  The elementwise rules broadcast: in a binary rule the operand
 with fewer value axes gets unit ones right after its batch axis, so a (B,)
 scalar times an (n, n) matrix broadcasts as it does at one point, and a
-constant jet (batch axis 1) or a plain array broadcasts against a batch.
+plain array or a jet of batch axis 1 (a lifted constant) broadcasts against
+a batch.
 jeinsum contracts value axes by the product rule, with the batch axis as one
 more letter, and jinv inverts each matrix of the stack in closed form.  Both
 contract through _contract, which runs a two-operand contraction as one
@@ -23,6 +24,11 @@ derivatives of u it would need are not tracked), and every rule whose jet
 operands include one skips the Hessian terms and returns one, so only the
 degrees that are read are propagated.  Reading its hess raises
 FirstOrderError.
+
+A constant is a plain number or array wherever it appears; pack lifts one
+that a field returns to a jet (batch axis 1, zero derivatives) in the
+coordinates and derivative order of the jets beside it or of the point it
+is read at, so a constant read on a first-order point has no Hessian.
 """
 
 import functools
@@ -108,13 +114,6 @@ class Jet2:
             raise FirstOrderError("a first-order jet carries no Hessian (its value and "
                                   "gradient are exact, its second derivatives unknown)")
         return self._hess
-
-    @staticmethod
-    def const(x, n):
-        """Constant jet of the value x (any shape) in n coordinates, with a
-        batch axis of 1 that broadcasts against any batch."""
-        x = np.asarray(x, float)[None]
-        return _jet(x, np.zeros(x.shape + (n,)), np.zeros(x.shape + (n, n)))
 
     @staticmethod
     def seed(p):
@@ -306,17 +305,8 @@ def jsqrt(u):
 
 
 # ---------------------------------------------------------------------------
-# tensor jets: constants, contraction, inverse, packing
+# tensor jets: contraction, inverse, packing
 # ---------------------------------------------------------------------------
-
-jconst = Jet2.const
-
-
-def jsize(pt):
-    """Jet dimension of a seeded point (may exceed the field's own slot count
-    when a low-dimensional field is embedded in a larger chart)."""
-    return pt.grad.shape[-1]
-
 
 @functools.lru_cache(maxsize=None)
 def _plan(spec, xs, ys):
@@ -471,24 +461,48 @@ def jet_dcoord(u, k=slice(None)):
     return _jet(u.grad[..., k], u.hess[..., k, :], None)
 
 
-def pack(M):
-    """Jets nested in lists (a vector, matrix or k-form of components) stacked
-    into one Jet2 of the nesting shape, a component of batch 1 repeated over
-    the batch of the others; a Jet2 comes back as it is.  The stack is first
-    order when a component is."""
+def _lift(x, like):
+    """The constant x (a number or an array of any shape) as a jet in the
+    coordinates and derivative order of the jet like, with a batch axis of 1
+    that broadcasts against any batch."""
+    if like is None:
+        raise TypeError("a constant component needs the point it is read at")
+    x = np.asarray(x, float)[None]
+    n = like.grad.shape[-1:]
+    return _jet(x, np.zeros(x.shape + n),
+                None if like._hess is None else np.zeros(x.shape + n + n))
+
+
+def _batch_of(j, batch):
+    """The jet j at each of batch points: j itself when its batch axis has
+    them, else j's arrays repeated as read-only views (a first-order j stays
+    first order)."""
+    if len(j.value) == batch:
+        return j
+    return _jet(*(None if a is None else np.broadcast_to(a, (batch,) + a.shape[1:])
+                  for a in (j.value, j.grad, j._hess)))
+
+
+def pack(M, point=None):
+    """Components nested in lists or tuples (a vector, matrix or k-form)
+    stacked into one Jet2 of the nesting shape; a Jet2 comes back as it is.
+    A constant component, a number or an array, is lifted to the coordinates
+    and derivative order of the jet components beside it, or, when M holds
+    no jet (a bare number or array included), of the jet point, the point
+    it is read at.  A component of batch 1 is repeated over the batch of the
+    others.  The stack is first order when a component is."""
     if isinstance(M, Jet2):
         return M
+    if not isinstance(M, (list, tuple)):
+        return _lift(M, point)
     shape, flat = [len(M)], list(M)
-    while not isinstance(flat[0], Jet2):
+    while isinstance(flat[0], (list, tuple)):
         shape.append(len(flat[0]))
         flat = [e for row in flat for e in row]
-    batches = {len(e.value) for e in flat}
-    batch = max(batches)
-    if len(batches) > 1:
-        flat = [e if len(e.value) == batch else
-                _jet(*(None if a is None else np.broadcast_to(a, (batch,) + a.shape[1:])
-                       for a in (e.value, e.grad, e._hess)))
-                for e in flat]
+    like = next((e for e in flat if isinstance(e, Jet2)), point)
+    flat = [e if isinstance(e, Jet2) else _lift(e, like) for e in flat]
+    batch = max(len(e.value) for e in flat)
+    flat = [_batch_of(e, batch) for e in flat]
     s = (batch,) + tuple(shape) + flat[0].shape
     n = flat[0].grad.shape[-1:]
     # the component axis moves behind the batch axis: a view for one point

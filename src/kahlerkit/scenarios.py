@@ -25,7 +25,7 @@ from functools import partial
 
 import numpy as np
 
-from kahlerkit.jets import SamplePlan, jsize, jconst, jsin
+from kahlerkit.jets import SamplePlan, jsin
 from kahlerkit.fields import (ChartManifold, Field, Fold, PointEval, worst,
                               nijenhuis_from_jets)
 from kahlerkit.fields import metric_jets  # noqa: F401  (perfbench traces this binding)
@@ -204,7 +204,7 @@ def _make_flat(params):
     if not 2 <= dim <= 12:
         raise ScenarioError("flat builder needs dim in 2..12, got %d" % dim)
     chart = ChartManifold(dim, [(-1.0, 1.0)] * dim, label="R^%d" % dim)
-    metric = Field(lambda pt: jconst(np.eye(dim), jsize(pt)), chart)
+    metric = Field(lambda pt: np.eye(dim))
     check = _on(chart)
     checks = [
         check("curvature_zero", "Riemann tensor of the Euclidean metric vanishes",
@@ -222,8 +222,7 @@ def _make_flat(params):
 def _make_sphere(params):
     chart = ChartManifold(2, [(0.4, 2.7), (-3.0, 3.0)], label="S^2")
 
-    metric = Field(lambda pt: np.diag([1.0, 0.0]) + jsin(pt[0]) ** 2 * np.diag([0.0, 1.0]),
-                   chart)
+    metric = Field(lambda pt: np.diag([1.0, 0.0]) + jsin(pt[0]) ** 2 * np.diag([0.0, 1.0]))
 
     def scale(pe):
         return np.maximum(pe.absmax(pe.curvature(metric)[0]), 1e-12)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from kahlerkit.jets import JetDomainError, jsize, jconst, jinv, jlog, pack
+from kahlerkit.jets import JetDomainError, jinv, jlog, pack
 from kahlerkit.fields import Field, worst
 from kahlerkit.hermitian import HermitianTriple, ddc_from_jets, ricci_form
 
@@ -32,7 +32,7 @@ DISC = 1.0 - 1e-6
 
 def constant_twist(c1, c2=0.0):
     def fn(pt):
-        return jconst([c1, c2], jsize(pt))
+        return np.array([c1, c2])
     return Field(fn, label="const(%g,%g)" % (c1, c2))
 
 
@@ -87,7 +87,7 @@ def _check_disc(ww):
         raise JetDomainError("twist leaves the disc: |w|^2 = %.8f" % ww[out].max())
 
 
-def make_sfield(J, Pp, w, theta, chart=None):
+def make_sfield(J, Pp, w, theta):
     """The S field of the twist w.
 
     The D+ frame dual to {theta, -theta o J} is built from the first two
@@ -107,7 +107,7 @@ def make_sfield(J, Pp, w, theta, chart=None):
         _check_disc(_norm2(wj).value)
         w1, w2 = wj
         return (v @ jinv(E)) @ pack([w1 * th + w2 * e2, w2 * th - w1 * e2])
-    return Field(sfield, chart)
+    return Field(sfield)
 
 
 def build_twist_fields(g, endos, Pp, w, theta, chart, mode="B"):
@@ -116,7 +116,7 @@ def build_twist_fields(g, endos, Pp, w, theta, chart, mode="B"):
     chart."""
     if mode not in ("A", "B"):
         raise ValueError("mode must be 'A' or 'B'")
-    S = make_sfield(endos[0], Pp, w, theta, chart)
+    S = make_sfield(endos[0], Pp, w, theta)
     one = np.eye(chart.dim)
 
     def gwfn(pt):
@@ -139,9 +139,9 @@ def build_twist_fields(g, endos, Pp, w, theta, chart, mode="B"):
             if mode == "B":
                 return inv_onem @ (E(pt) @ onem)
             return onem @ (E(pt) @ inv_onem)
-        return Field(Ewfn, chart)
+        return Field(Ewfn)
 
-    return Field(gwfn, chart), [twisted(E) for E in endos], S
+    return Field(gwfn), [twisted(E) for E in endos], S
 
 
 def validate_twist(w, theta, pe):

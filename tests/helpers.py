@@ -1,9 +1,21 @@
 """Test helpers: a per-point residual function folded over a sample plan,
-and the Nijenhuis tensor of a structure checked to square to -1."""
+the Nijenhuis tensor of a structure checked to square to -1, the round
+sphere's metric, and the flat plane times the disk base as a Kahler
+product."""
 
 import numpy as np
 
-from kahlerkit.fields import Fold, PointEval, nijenhuis_from_jets
+from kahlerkit.calabi import disk_base
+from kahlerkit.fields import ChartManifold, Field, Fold, PointEval, nijenhuis_from_jets
+from kahlerkit.hermitian import HermitianTriple
+from kahlerkit.jets import jsin
+
+# the standard complex structures of R^2 and of R^2 x R^2
+ROTATION = [[0.0, -1.0], [1.0, 0.0]]
+J4 = np.array([[0.0, -1.0, 0.0, 0.0],
+               [1.0, 0.0, 0.0, 0.0],
+               [0.0, 0.0, 0.0, -1.0],
+               [0.0, 0.0, 1.0, 0.0]])
 
 
 def fold_plan(chart, plan, fn):
@@ -24,3 +36,28 @@ def nijenhuis_at(pe, J):
     Jv, Jg, _ = pe.jets(J)
     assert pe.absmax(Jv @ Jv + np.eye(Jv.shape[-1])).max() <= 1e-8
     return nijenhuis_from_jets(Jv, Jg)
+
+
+def rotation(pt):
+    return ROTATION
+
+
+def sphere_metric(pt):
+    """du^2 + sin(u)^2 dphi^2, the unit sphere's metric."""
+    su = jsin(pt[0])
+    return [[1.0, 0.0], [0.0, su * su]]
+
+
+def product_triple():
+    """The flat plane times the k = 1 disk base, a Kahler product, and the
+    projector field onto the plane."""
+    disk, _ = disk_base(1)
+    chart = ChartManifold(4, [(-1.0, 1.0), (-1.0, 1.0)] + list(disk.chart.domain))
+
+    def g(pt):
+        gb = disk.g(pt[2:])
+        return [[1.0, 0.0, 0.0, 0.0],
+                [0.0, 1.0, 0.0, 0.0],
+                [0.0, 0.0, gb[0][0], gb[0][1]],
+                [0.0, 0.0, gb[1][0], gb[1][1]]]
+    return HermitianTriple(g, lambda pt: J4, chart), Field(lambda pt: np.diag([1.0, 1.0, 0.0, 0.0]))

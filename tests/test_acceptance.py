@@ -12,8 +12,8 @@ import time
 import numpy as np
 import pytest
 
-from kahlerkit.jets import Jet2, SamplePlan, jconst, jsin, jsize, pack
-from kahlerkit.fields import (ChartManifold, Field, PointEval, curvature_from_jets,
+from kahlerkit.jets import Jet2, SamplePlan, jsin, pack
+from kahlerkit.fields import (ChartManifold, PointEval, curvature_from_jets,
                               metric_jets, worst)
 from kahlerkit.hermitian import HermitianTriple, kahler_point
 from kahlerkit.foliation import (VERDICT_FAILED, VERDICT_HOLOMORPHIC,
@@ -29,20 +29,12 @@ from kahlerkit.almost_kahler import (ak3_point, build_ak_product,
                                      einstein_point, iterate_chain,
                                      torsion_point)
 from kahlerkit.scenarios import load_scenario, render_json, run_scenario_obj
-from helpers import fold_plan, nijenhuis_at
+from helpers import fold_plan, nijenhuis_at, product_triple, sphere_metric
 
 
 def crit(num, ok, detail):
     print("%s  criterion %s: %s" % ("PASS" if ok else "FAIL", num, detail))
     assert ok, "criterion %s: %s" % (num, detail)
-
-
-def flat_gfn(dim):
-    def gfn(pt):
-        n = jsize(pt)
-        return [[jconst(1.0 if i == j else 0.0, n) for j in range(dim)]
-                for i in range(dim)]
-    return gfn
 
 
 def make_disk_cal(z_range=(0.5, 2.0)):
@@ -56,30 +48,22 @@ def test_criterion_1_curvature_engine_oracles():
     worst_flat = 0.0
     for dim in (2, 3, 4):
         chart = ChartManifold(dim, [(-1.0, 1.0)] * dim)
-        gfn = flat_gfn(dim)
         for p in chart.samples(SamplePlan(dim, 6)):
-            Rlow, _, _, _ = curvature_from_jets(*metric_jets(gfn, p))
+            Rlow, _, _, _ = curvature_from_jets(*metric_jets(lambda pt: np.eye(dim), p))
             worst_flat = max(worst_flat, np.abs(Rlow).max())
 
     sphere = ChartManifold(2, [(0.4, 2.7), (-3.0, 3.0)])
 
-    def sphere_g(pt):
-        n = jsize(pt)
-        su = jsin(pt[0])
-        zero = jconst(0.0, n)
-        return [[jconst(1.0, n), zero], [zero, su * su]]
-
     worst_sphere = 0.0
     for p in sphere.samples(SamplePlan(5, 10)):
-        _, _, scal, _ = curvature_from_jets(*metric_jets(sphere_g, p))
+        _, _, scal, _ = curvature_from_jets(*metric_jets(sphere_metric, p))
         worst_sphere = max(worst_sphere, abs(scal[0] - 2.0))
 
     half = ChartManifold(2, [(-1.0, 1.0), (0.5, 2.0)])
 
     def hyper_g(pt):
-        n = jsize(pt)
         y2 = (pt[1] * pt[1]).inv()
-        return [[y2, jconst(0.0, n)], [jconst(0.0, n), y2]]
+        return [[y2, 0.0], [0.0, y2]]
 
     worst_hyper = 0.0
     for p in half.samples(SamplePlan(6, 10)):
@@ -268,36 +252,6 @@ def test_criterion_8_classifier_verdicts_stable():
     cal = make_disk_cal()
     tt = build_twist(cal, coordinate_twist(2, 3))
 
-    disk, _ = disk_base(1)
-    pchart = ChartManifold(4, [(-1.0, 1.0), (-1.0, 1.0)] + list(disk.chart.domain))
-
-    def pg(pt):
-        n = jsize(pt)
-        zero = jconst(0.0, n)
-        gb = disk.g(pt[2:])
-        return [[jconst(1.0, n), zero, zero, zero],
-                [zero, jconst(1.0, n), zero, zero],
-                [zero, zero, gb[0][0], gb[0][1]],
-                [zero, zero, gb[1][0], gb[1][1]]]
-
-    def pJ(pt):
-        n = jsize(pt)
-        zero = jconst(0.0, n)
-        one = jconst(1.0, n)
-        return [[zero, one * (-1.0), zero, zero],
-                [one, zero, zero, zero],
-                [zero, zero, zero, one * (-1.0)],
-                [zero, zero, one, zero]]
-
-    def pP(pt):
-        n = jsize(pt)
-        zero = jconst(0.0, n)
-        one = jconst(1.0, n)
-        return [[one, zero, zero, zero],
-                [zero, one, zero, zero],
-                [zero, zero, zero, zero],
-                [zero, zero, zero, zero]]
-
     gfn = cal.g.fn
 
     bump = np.zeros((4, 4))
@@ -308,8 +262,7 @@ def test_criterion_8_classifier_verdicts_stable():
 
     cases = [
         ("twisted calabi", tt.triple(), cal.proj_plus, VERDICT_HOLOMORPHIC),
-        ("product", HermitianTriple(pg, pJ, pchart),
-         Field(pP), VERDICT_PRODUCT),
+        ("product", *product_triple(), VERDICT_PRODUCT),
         ("broken metric", HermitianTriple(broken, cal.J.fn, cal.chart),
          cal.proj_plus, VERDICT_FAILED),
     ]

@@ -4,7 +4,7 @@ symmetry, intrinsic torsion, Einstein behavior, and the iterated chains."""
 import numpy as np
 import pytest
 
-from kahlerkit.jets import Jet2, JetDomainError, SamplePlan, jconst, jlog, jsize
+from kahlerkit.jets import Jet2, JetDomainError, SamplePlan, jlog
 from kahlerkit.fields import (ChartManifold, Field, PointEval, curvature_from_jets,
                               metric_jets, worst)
 from kahlerkit.hermitian import ddc_from_jets, kahler_point
@@ -28,10 +28,11 @@ def test_twist_must_not_see_the_plane():
     zt, _ = disk_base(1)
 
     def leaky(zp):
-        n = jsize(zp)
-        grad = np.zeros(n)
-        grad[0] = 1.0
-        return Jet2([0.2], grad[None], np.zeros((1, n, n))), jconst(0.0, n)
+        # w1 has a gradient along the first plane coordinate
+        x = zp[0]
+        grad = np.zeros_like(x.grad)
+        grad[..., 0] = 1.0
+        return Jet2(np.full_like(x.value, 0.2), grad), 0.0
     with pytest.raises(ValueError):
         build_ak_product(zt, Field(leaky, label="leaky"))
 
@@ -282,15 +283,12 @@ def test_ker_dw_projector_properties():
     chart = ChartManifold(4, [(0.3, 1.0)] * 4)
 
     def gfn(pt):
-        n = jsize(pt)
-        g = [[jconst(0.0, n) for _ in range(4)] for _ in range(4)]
-        g[0][0] = jconst(1.0, n)
-        g[1][1] = pt[0] * pt[0]
-        g[2][2] = jconst(2.0, n)
-        g[3][3] = jconst(1.0, n) + pt[2] * pt[2]
-        return g
+        return [[1.0, 0.0, 0.0, 0.0],
+                [0.0, pt[0] * pt[0], 0.0, 0.0],
+                [0.0, 0.0, 2.0, 0.0],
+                [0.0, 0.0, 0.0, 1.0 + pt[2] * pt[2]]]
     tw = coordinate_twist(2, 3)
-    g = Field(gfn, chart)
+    g = Field(gfn)
     for p in chart.samples(SamplePlan(19, 5)):
         x = Jet2.seed(np.asarray(p, float))
         Q = ker_dw_projector(g, tw, PointEval(p))
@@ -307,9 +305,7 @@ def test_ker_dw_projector_properties():
 
 def test_ker_dw_projector_rejects_constant_map():
     def gfn(pt):
-        n = jsize(pt)
-        g = [[jconst(1.0 if i == j else 0.0, n) for j in range(4)] for i in range(4)]
-        return g
+        return np.eye(4)
     with pytest.raises(JetDomainError):
         ker_dw_projector(Field(gfn), constant_twist(0.2, 0.1),
                          PointEval(np.array([0.5, 0.5, 0.5, 0.5])))

@@ -9,8 +9,7 @@ from kahlerkit.calabi import alpha_primitive_point, disk_base
 from kahlerkit.fields import Fold, PointEval, excluded, homotopy_primitive
 from kahlerkit.hermitian import fundamental_form_field
 from kahlerkit.almost_kahler import iterate_chain
-from kahlerkit.jets import (Jet2, SamplePlan, jconst, jcos, jeinsum, jexp, jinv, jlog,
-                            jsin, jsize, pack)
+from kahlerkit.jets import Jet2, SamplePlan, jcos, jeinsum, jexp, jinv, jlog, jsin, pack
 from kahlerkit.scenarios import build_case, load_scenario, parse_scenario, run_scenario_obj
 
 BUNDLED = ["flat", "sphere", "calabi_flat", "calabi_twist_zeta", "calabi_chain_untwisted",
@@ -20,10 +19,10 @@ BUNDLED = ["flat", "sphere", "calabi_flat", "calabi_twist_zeta", "calabi_chain_u
 def _expressions(x):
     """Jets built from the coordinate jets x by every rule, mixing scalars,
     vectors, matrices, constants and constant jets (batch axis 1)."""
-    n = jsize(x)
+    n = len(x)
     s = x[0] * x[1] + 2.0
     M = pack([[x[i] * x[j] + (3.0 if i == j else 0.0) for j in range(n)] for i in range(n)])
-    C = jconst(np.arange(n * n, dtype=float).reshape(n, n) / n, n)
+    C = pack(np.arange(n * n, dtype=float).reshape(n, n) / n, x)
     yield s * M                                 # scalar times matrix
     yield M * s + C - s
     yield np.eye(n) - s                          # constant minus scalar

@@ -4,7 +4,7 @@ identities, Lee forms of both complex structures, and biaxial rescaling."""
 import numpy as np
 import pytest
 
-from kahlerkit.jets import Jet2, SamplePlan, jconst, jexp, jsize
+from kahlerkit.jets import Jet2, SamplePlan, jexp
 from kahlerkit.fields import NotClosedError, PointEval, metric_jets, worst
 from kahlerkit.hermitian import kahler_point
 from kahlerkit.foliation import extract_theta

@@ -16,7 +16,7 @@ import pytest
 import kahlerkit.cli
 import kahlerkit.scenarios
 from kahlerkit.cli import main
-from kahlerkit.jets import Jet2, jconst
+from kahlerkit.jets import Jet2
 from kahlerkit.fields import Field, PointEval, curvature_from_jets, metric_jets
 from kahlerkit.calabi import disk_base
 from kahlerkit.twist import make_sfield
@@ -515,7 +515,7 @@ def test_curvature_domain_error_names_the_point(tmp_path, capsys):
 
 def test_curvature_singular_metric_names_the_point(monkeypatch, capsys):
     case = build_case(load_scenario("sphere"))
-    degenerate = Field(lambda pt: [[jconst(0.0, 2)] * 2] * 2, case.chart)
+    degenerate = Field(lambda pt: np.zeros((2, 2)))
     monkeypatch.setattr(kahlerkit.cli, "build_case",
                         lambda scn: Case(case.label, case.chart, degenerate, []))
     rc, _, err = run_cli(capsys, ["curvature", "sphere", "--point", "1.0,0.5"])
@@ -781,6 +781,22 @@ def test_bench_writes_the_medians_of_each_scenario(tmp_path, monkeypatch, capsys
         assert row["run_s"] > 0 and row["build_s"] >= 0
         assert row["fields_s"] >= 0 and row["aggregate_s"] >= 0
         assert sum(row["checks_s"].values()) <= row["run_s"] + 1e-5
+
+
+@pytest.mark.parametrize("argv, path", [
+    (["verify", "flat", "--samples", "2", "--out", "missing/report.json"], "missing/report.json"),
+    (["verify", "flat", "--samples", "2", "--out", "."], "."),
+    (["bench", "--label", "a/b"], "BENCH_a/b.json")])
+def test_an_output_path_that_cannot_be_written_is_a_usage_error(argv, path, tmp_path,
+                                                                 monkeypatch, capsys):
+    # a missing directory or a directory: exit 2 with one error line naming
+    # the path, no traceback
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(kahlerkit.cli, "bundled_names", lambda: ["flat"])
+    monkeypatch.setattr(kahlerkit.cli, "BENCH_REPEAT", 1)
+    rc, out, err = run_cli(capsys, argv)
+    assert rc == 2 and "written" not in out and os.listdir(tmp_path) == []
+    assert err.startswith("error: cannot write %s: " % path) and len(err.splitlines()) == 1
 
 
 def test_field_clock_charges_a_batch_field_run_to_fields():

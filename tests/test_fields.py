@@ -4,36 +4,25 @@ operators and the homotopy primitive."""
 import numpy as np
 import pytest
 
-from kahlerkit.jets import FirstOrderError, Jet2, SamplePlan, jconst, jinv, jsin, jsize, pack
+from kahlerkit.jets import FirstOrderError, Jet2, SamplePlan, jet_dcoord, jinv, jsin, pack
 from kahlerkit.fields import (ChartManifold, DegenerateMetricError, Field, Fold,
                               NotClosedError, PointEval, christoffel_parts, excluded, first_order,
                               exterior_from_grad, homotopy_primitive, lie_derivative_metric,
                               metric_jets, nijenhuis_from_jets, wedge_top)
-from kahlerkit.hermitian import HermitianTriple, kahler_point
+from kahlerkit.hermitian import HermitianTriple, fundamental_form_field, kahler_point
 from kahlerkit.calabi import CalabiProfile, build_calabi
-from helpers import fold_plan
+from helpers import J4, ROTATION, fold_plan, rotation, sphere_metric
 
 
 def polar_metric(pt):
-    n = jsize(pt)
     r = pt[0]
-    zero = jconst(0.0, n)
-    return [[jconst(1.0, n), zero], [zero, r * r]]
-
-
-def sphere_metric(pt):
-    n = jsize(pt)
-    su = jsin(pt[0])
-    zero = jconst(0.0, n)
-    return [[jconst(1.0, n), zero], [zero, su * su]]
+    return [[1.0, 0.0], [0.0, r * r]]
 
 
 def hyperbolic_metric(pt):
-    n = jsize(pt)
     y = pt[1]
     inv = 1.0 / (y * y)
-    zero = jconst(0.0, n)
-    return [[inv, zero], [zero, inv]]
+    return [[inv, 0.0], [0.0, inv]]
 
 
 def test_polar_christoffel_closed_form():
@@ -60,9 +49,7 @@ def test_flat_space_curvature_vanishes():
         chart = ChartManifold(dim, [(-1.0, 1.0)] * dim)
 
         def gfn(pt, d=dim):
-            n = jsize(pt)
-            return [[jconst(1.0 if i == j else 0.0, n) for j in range(d)]
-                    for i in range(d)]
+            return np.eye(d)
         for p in chart.samples(SamplePlan(1, 12)):
             assert np.abs(PointEval(p).curvature(gfn)[0]).max() <= 1e-11
 
@@ -112,9 +99,7 @@ def test_metric_compatibility_of_connection():
 
 def test_degenerate_metric_raises():
     def bad(pt):
-        n = jsize(pt)
-        zero = jconst(0.0, n)
-        return [[zero, zero], [zero, jconst(1.0, n)]]
+        return [[0.0, 0.0], [0.0, 1.0]]
     with pytest.raises(DegenerateMetricError):
         PointEval([0.1, 0.2]).curvature(bad)
 
@@ -126,11 +111,8 @@ def test_exterior_derivative_squares_to_zero_on_gradients():
         return jsin(pt[0]) * pt[1] + pt[2] ** 2
 
     def df(pt):
-        u = f(pt)
-        n = jsize(pt)
-        return [Jet2(u.grad[:, k], u.hess[:, k], np.zeros((len(u.value), n, n)))
-                for k in range(3)]
-    alpha = Field(df, chart, degree=1)
+        return jet_dcoord(f(pt))
+    alpha = Field(df)
     for p in chart.samples(SamplePlan(7, 10)):
         d = exterior_from_grad(PointEval(p).raw(alpha).grad, 1)
         assert np.abs(d).max() < 1e-12
@@ -141,11 +123,9 @@ def test_exterior_derivative_of_declared_two_form():
 
     def omfn(pt):
         # omega = x dy^dz: d omega = dx^dy^dz
-        n = jsize(pt)
-        zero = jconst(0.0, n)
         x = pt[0]
-        return [[zero, zero, zero], [zero, zero, x], [zero, x * (-1.0), zero]]
-    om = Field(omfn, chart, degree=2)
+        return [[0.0, 0.0, 0.0], [0.0, 0.0, x], [0.0, x * (-1.0), 0.0]]
+    om = Field(omfn)
     d = exterior_from_grad(PointEval([0.2, -0.3, 0.5]).raw(om).grad, 2)[0]
     assert abs(d[0, 1, 2] - 1.0) < 1e-12
     assert abs(d[1, 0, 2] + 1.0) < 1e-12
@@ -173,30 +153,20 @@ def test_lie_derivative_of_metric_against_finite_difference():
     assert np.abs(LV - fd).max() < 1e-8
 
 
-def rotation_pair(n):
-    zero = jconst(0.0, n)
-    return [[zero, jconst(-1.0, n)], [jconst(1.0, n), zero]]
-
-
 def test_nijenhuis_vanishes_for_constant_structure():
-    def Jrot(pt):
-        return rotation_pair(jsize(pt))
-    assert np.abs(nijenhuis_from_jets(*PointEval([0.3, 0.4]).jets(Jrot)[:2])).max() < 1e-14
+    assert np.abs(nijenhuis_from_jets(*PointEval([0.3, 0.4]).jets(rotation)[:2])).max() < 1e-14
 
 
 def test_nijenhuis_flags_non_integrable_structure():
     # conjugate the standard structure on the last plane by the shear
     # [[1, x], [0, 1]]: still squares to -1 but has torsion in x
     def Jfour(pt):
-        n = jsize(pt)
         x = pt[0]
-        zero = jconst(0.0, n)
-        one = jconst(1.0, n)
         return [
-            [zero, one * (-1.0), zero, zero],
-            [one, zero, zero, zero],
-            [zero, zero, x, (x * x + 1.0) * (-1.0)],
-            [zero, zero, one, x * (-1.0)],
+            [0.0, -1.0, 0.0, 0.0],
+            [1.0, 0.0, 0.0, 0.0],
+            [0.0, 0.0, x, (x * x + 1.0) * (-1.0)],
+            [0.0, 0.0, 1.0, x * (-1.0)],
         ]
     N = nijenhuis_from_jets(*PointEval([0.4, 0.1, -0.2, 0.3]).jets(Jfour)[:2])
     assert np.abs(N).max() > 0.5
@@ -204,13 +174,10 @@ def test_nijenhuis_flags_non_integrable_structure():
 
 def test_nijenhuis_rejects_non_complex_square():
     def Jbad(pt):
-        n = jsize(pt)
-        zero = jconst(0.0, n)
-        one = jconst(1.0, n)
-        return [[one, zero], [zero, one]]
+        return np.eye(2)
     # J = 1 keeps g(J., J.) = g but J^2 + 1 = 2: the compatible residual,
     # which includes J^2 = -1, is 2, far above every Kahler tolerance
-    t = HermitianTriple(lambda pt: jconst(np.eye(2), jsize(pt)), Jbad,
+    t = HermitianTriple(lambda pt: np.eye(2), Jbad,
                         ChartManifold(2, [(-1.0, 1.0)] * 2))
     compat = kahler_point(t, PointEval([0.0, 0.0]))["compatible"]
     assert compat[0] > 1e-8
@@ -221,11 +188,8 @@ def test_homotopy_primitive_roundtrip_constant_form():
     chart = ChartManifold(2, [(-1.0, 1.0), (-1.0, 1.0)])
 
     def om(pt):
-        n = jsize(pt)
-        zero = jconst(0.0, n)
-        one = jconst(1.0, n)
-        return [[zero, one], [one * (-1.0), zero]]
-    alpha = homotopy_primitive(Field(om, chart, degree=2), chart)
+        return [[0.0, 1.0], [-1.0, 0.0]]
+    alpha = homotopy_primitive(Field(om), chart)
     want = np.array([[0.0, 1.0], [-1.0, 0.0]])
     for p in chart.samples(SamplePlan(11, 50)):
         a = alpha.fn(Jet2.seed(np.asarray(p, float)))
@@ -241,11 +205,9 @@ def test_homotopy_primitive_roundtrip_polynomial_form():
 
     def om(pt):
         # (1 + x^2) dx^dy, closed on the plane
-        n = jsize(pt)
-        zero = jconst(0.0, n)
-        c = jconst(1.0, n) + pt[0] * pt[0]
-        return [[zero, c], [c * (-1.0), zero]]
-    alpha = homotopy_primitive(Field(om, chart, degree=2), chart)
+        c = 1.0 + pt[0] * pt[0]
+        return [[0.0, c], [c * (-1.0), 0.0]]
+    alpha = homotopy_primitive(Field(om), chart)
     for p in chart.samples(SamplePlan(13, 50)):
         jets = Jet2.seed(np.asarray(p, float))
         a = alpha.fn(jets)
@@ -264,11 +226,7 @@ def test_homotopy_primitive_rejects_nonclosed():
 
     def g(pt):
         return (1.0 + 0.3 * pt[0] + 0.2 * pt[2] * pt[3]) * np.eye(4)
-
-    def J(pt):
-        rot = np.array([[0.0, -1.0], [1.0, 0.0]])
-        return jconst(np.kron(np.eye(2), rot), jsize(pt))
-    base = HermitianTriple(Field(g, chart), Field(J, chart), chart)
+    base = HermitianTriple(Field(g), Field(lambda pt: J4), chart)
     with pytest.raises(NotClosedError):
         build_calabi(base, CalabiProfile(), alpha=None)
 
@@ -300,13 +258,13 @@ def test_fold_stops_at_nonfinite_and_domain_errors():
     acc = Fold()
     for k, p in enumerate(pts):
         acc.add(PointEval(p), lambda pe, k=k: 0.5 * k if k < 3 else pe.curvature(
-            lambda pt: [[jconst(0.0, 2)] * 2] * 2))
+            lambda pt: np.zeros((2, 2))))
     assert (acc.used(), acc.max(), acc.mean()) == (3, 1.0, 0.5)
     assert acc.error.startswith("DegenerateMetricError at point %s: "
                                 % pts[3].round(8).tolist())
     with pytest.raises(DegenerateMetricError):
         fold_plan(chart, SamplePlan(3, 5),
-                  lambda pe: pe.curvature(lambda pt: [[jconst(0.0, 2)] * 2] * 2))
+                  lambda pe: pe.curvature(lambda pt: np.zeros((2, 2))))
     # None excludes a point, per residual name for dict results
     res = fold_plan(chart, SamplePlan(3, 5),
                     lambda pe: {"a": np.ones(pe.batch),
@@ -348,7 +306,7 @@ def test_inverse_and_omega_are_first_order_in_the_memo():
     # keeps no Hessian of either; value and gradient are those of the
     # second-order rules
     pe = PointEval([[1.1, 0.4], [0.7, -0.2]])
-    J = Field(lambda pt: jconst([[0.0, -1.0], [1.0, 0.0]], jsize(pt)))
+    J = Field(lambda pt: ROTATION)
     g = pack(sphere_metric(Jet2.seed(pe.p)))
     for got, want in ((pe.inverse(sphere_metric), jinv(g)),
                       (pe.omega(sphere_metric, J), J(Jet2.seed(pe.p)).T @ g)):
@@ -368,7 +326,7 @@ def test_a_first_order_point_reads_values_and_gradients_only():
     hi = PointEval(p)
     base = Field(lambda pt: [[1.0 + pt[0] * pt[1], pt[0]], [pt[0], 2.0 + pt[1] * pt[1]]])
     top = Field(lambda pt: pt[1] * base(pt[2:]))
-    const = Field(lambda pt: first_order(jconst([[0.0, -1.0], [1.0, 0.0]], jsize(pt))))
+    const = Field(lambda pt: ROTATION)
     for pe, f in ((lo, top), (lo.sub(2), base), (lo, const)):
         assert pe._hess is None and pe.raw(f)._hess is None
         with pytest.raises(FirstOrderError):
@@ -379,6 +337,30 @@ def test_a_first_order_point_reads_values_and_gradients_only():
     assert c.value.shape == (3, 2, 2) and np.array_equal(c.value[2], [[0.0, -1.0], [1.0, 0.0]])
     assert c.grad.shape == (3, 2, 2, 4) and not c.grad.any()
     assert lo.sub(2).raw(base).grad.shape == (3, 2, 2, 2)
+
+
+def test_a_constant_field_reads_as_the_constant_jet_of_the_point():
+    # an array or a nested list of numbers reads as the constant jet in the
+    # point's coordinates: the value repeated over the batch, a zero
+    # gradient and, at a second-order point only, a zero Hessian
+    p = np.array([[0.3, 1.1, 0.2], [-0.4, 0.7, -0.3]])
+    lo = PointEval(p, first_order(Jet2.seed(p)))
+    for fn in (lambda pt: np.array(ROTATION), lambda pt: ROTATION):
+        hi = PointEval(p).raw(fn)
+        for got, want in ((hi.value, [ROTATION] * 2), (hi.grad, np.zeros((2, 2, 2, 3))),
+                          (hi.hess, np.zeros((2, 2, 2, 3, 3)))):
+            assert got.shape == np.shape(want) and got.tobytes() == np.asarray(want).tobytes()
+        c = lo.raw(fn)
+        assert c._hess is None
+        assert np.array_equal(c.value, hi.value) and np.array_equal(c.grad, hi.grad)
+        # called on a plain jet point, it keeps a batch axis of 1
+        one = Field(fn)(Jet2.seed(p))
+        assert one.value.shape == (1, 2, 2) and one.hess.shape == (1, 2, 2, 3, 3)
+    # a factor point reads it in the factor's own coordinates, and a form
+    # built from plain closures reads them at its own point
+    assert PointEval(p).sub(1).raw(lambda pt: 2.0).grad.shape == (2, 2)
+    om = fundamental_form_field(lambda pt: np.eye(2), rotation)(Jet2.seed(p[:, :2]))
+    assert np.array_equal(om.value, [np.transpose(ROTATION)]) and not om.hess.any()
 
 
 def test_a_fold_replays_a_first_order_batch_at_first_order():
@@ -437,8 +419,8 @@ def test_fields_called_on_the_point_read_its_memo():
     assert calls == [2, 2, 2, 2]
     for got, want in zip((plain.value, plain.grad, plain.hess), pe.jets(top)):
         assert np.array_equal(got, want)
-    # a field constant on the chart comes back from its closure with a batch
-    # axis of 1; the memo holds it broadcast to the batch, read after read
+    # a field constant on the chart returns a plain array, lifted with a
+    # batch axis of 1; the memo holds it broadcast to the batch, read after read
     pts = PointEval([[0.5, 1.1, 0.4], [0.2, 0.3, 0.1]])
-    const = Field(lambda pt: jconst(np.eye(3), jsize(pt)))
+    const = Field(lambda pt: np.eye(3))
     assert pts.raw(const) is pts.raw(const) and pts.raw(const).hess.shape == (2, 3, 3, 3, 3)

@@ -4,7 +4,7 @@ pointwise classifier, including one input per verdict."""
 import numpy as np
 import pytest
 
-from kahlerkit.jets import SamplePlan, jconst, jsin, jsize, pack
+from kahlerkit.jets import SamplePlan, jsin, pack
 from kahlerkit.fields import ChartManifold, Field, PointEval
 from kahlerkit.hermitian import HermitianTriple
 from kahlerkit.foliation import (VERDICT_FAILED, VERDICT_GEODESIC,
@@ -14,7 +14,7 @@ from kahlerkit.foliation import (VERDICT_FAILED, VERDICT_GEODESIC,
                                  structure_point, theta_jets)
 from kahlerkit.calabi import CalabiProfile, build_calabi, disk_base, flat_base
 from kahlerkit.twist import build_twist, coordinate_twist
-from helpers import fold_plan
+from helpers import J4, fold_plan, product_triple
 
 
 def classify(t, Pp, plan):
@@ -80,39 +80,6 @@ def test_classify_twisted_calabi_stays_holomorphic():
     assert rep.chi1_consistency_residual < 1e-5
 
 
-def product_triple():
-    disk, _ = disk_base(1)
-    chart = ChartManifold(4, [(-1.0, 1.0), (-1.0, 1.0)] + list(disk.chart.domain))
-
-    def g(pt):
-        n = jsize(pt)
-        zero = jconst(0.0, n)
-        gb = disk.g(pt[2:])
-        return [[jconst(1.0, n), zero, zero, zero],
-                [zero, jconst(1.0, n), zero, zero],
-                [zero, zero, gb[0][0], gb[0][1]],
-                [zero, zero, gb[1][0], gb[1][1]]]
-
-    def J(pt):
-        n = jsize(pt)
-        zero = jconst(0.0, n)
-        one = jconst(1.0, n)
-        return [[zero, one * (-1.0), zero, zero],
-                [one, zero, zero, zero],
-                [zero, zero, zero, one * (-1.0)],
-                [zero, zero, one, zero]]
-
-    def Pp(pt):
-        n = jsize(pt)
-        zero = jconst(0.0, n)
-        one = jconst(1.0, n)
-        return [[one, zero, zero, zero],
-                [zero, one, zero, zero],
-                [zero, zero, zero, zero],
-                [zero, zero, zero, zero]]
-    return HermitianTriple(g, J, chart), Field(Pp)
-
-
 def test_classify_product_metric():
     t, s = product_triple()
     rep = classify(t, s, SamplePlan(7, 10))
@@ -130,33 +97,13 @@ def heisenberg_triple():
     chart = ChartManifold(4, [(-1.0, 1.0)] * 4)
 
     def g(pt):
-        n = jsize(pt)
         x1 = pt[1]
-        zero = jconst(0.0, n)
-        one = jconst(1.0, n)
-        return [[one, zero, x1 * (-1.0), zero],
-                [zero, one, zero, zero],
-                [x1 * (-1.0), zero, one + x1 * x1, zero],
-                [zero, zero, zero, one]]
+        return [[1.0, 0.0, x1 * (-1.0), 0.0],
+                [0.0, 1.0, 0.0, 0.0],
+                [x1 * (-1.0), 0.0, 1.0 + x1 * x1, 0.0],
+                [0.0, 0.0, 0.0, 1.0]]
 
-    def J(pt):
-        n = jsize(pt)
-        zero = jconst(0.0, n)
-        one = jconst(1.0, n)
-        return [[zero, one * (-1.0), zero, zero],
-                [one, zero, zero, zero],
-                [zero, zero, zero, one * (-1.0)],
-                [zero, zero, one, zero]]
-
-    def Pp(pt):
-        n = jsize(pt)
-        zero = jconst(0.0, n)
-        one = jconst(1.0, n)
-        return [[one, zero, zero, zero],
-                [zero, zero, zero, zero],
-                [zero, zero, zero, zero],
-                [zero, zero, zero, one]]
-    return HermitianTriple(g, J, chart), Field(Pp)
+    return HermitianTriple(g, lambda pt: J4, chart), Field(lambda pt: np.diag([1.0, 0.0, 0.0, 1.0]))
 
 
 def test_classify_geodesic_riemannian_foliation():

@@ -4,36 +4,22 @@ curvature oracles."""
 
 import numpy as np
 
-from kahlerkit.jets import Jet2, SamplePlan, jconst, jlog, jsin, jsize
+from kahlerkit.jets import Jet2, SamplePlan, jlog, jsin
 from kahlerkit.fields import (ChartManifold, DegenerateMetricError, Field, Fold, PointEval,
                               metric_jets, worst)
 from kahlerkit.hermitian import HermitianTriple, ddc_from_jets, kahler_point, ricci_form
 from kahlerkit.calabi import disk_base
-from helpers import fold_plan
-
-
-def rotation(n):
-    zero = jconst(0.0, n)
-    return [[zero, jconst(-1.0, n)], [jconst(1.0, n), zero]]
-
-
-def sphere_g(pt):
-    n = jsize(pt)
-    su = jsin(pt[0])
-    zero = jconst(0.0, n)
-    return [[jconst(1.0, n), zero], [zero, su * su]]
+from helpers import J4, fold_plan, rotation, sphere_metric
 
 
 def sphere_J(pt):
-    n = jsize(pt)
     su = jsin(pt[0])
-    zero = jconst(0.0, n)
-    return [[zero, su * (-1.0)], [su.inv(), zero]]
+    return [[0.0, su * (-1.0)], [su.inv(), 0.0]]
 
 
 def sphere_triple():
     chart = ChartManifold(2, [(0.4, 2.7), (-3.0, 3.0)], label="sphere")
-    return HermitianTriple(sphere_g, sphere_J, chart)
+    return HermitianTriple(sphere_metric, sphere_J, chart)
 
 
 def test_fundamental_form_oracle_on_sphere():
@@ -50,10 +36,8 @@ def test_fundamental_form_oracle_on_sphere():
 
 def test_fundamental_form_rejects_incompatible_pair():
     def g(pt):
-        n = jsize(pt)
-        zero = jconst(0.0, n)
-        return [[jconst(1.0, n), zero], [zero, jconst(2.0, n)]]
-    t = HermitianTriple(g, lambda pt: rotation(jsize(pt)),
+        return [[1.0, 0.0], [0.0, 2.0]]
+    t = HermitianTriple(g, rotation,
                         ChartManifold(2, [(-1.0, 1.0)] * 2))
     # J^T g J - g = diag(1, -1): the compatible residual is 1, far above
     # every Kahler tolerance
@@ -105,15 +89,10 @@ def test_ricci_form_is_antisymmetric_and_j_invariant():
 
 def test_ricci_form_of_a_flat_metric_vanishes_whatever_its_j():
     def g(pt):
-        n = jsize(pt)
-        zero = jconst(0.0, n)
-        return [[jconst(1.0, n), zero], [zero, jconst(4.0, n)]]
-
-    def J(pt):
-        return rotation(jsize(pt))
+        return [[1.0, 0.0], [0.0, 4.0]]
     # (g, J) is not compatible, so not Kahler: ricci_form checks nothing,
     # and the curvature of the flat metric still comes out
-    t = HermitianTriple(g, J, ChartManifold(2, [(-1.0, 1.0)] * 2))
+    t = HermitianTriple(g, rotation, ChartManifold(2, [(-1.0, 1.0)] * 2))
     rho = ricci_form(t, PointEval([0.2, 0.1]))
     assert np.abs(rho).max() < 1e-12
 
@@ -121,22 +100,19 @@ def test_ricci_form_of_a_flat_metric_vanishes_whatever_its_j():
 def test_ddc_flat_oracle():
     def f(pt):
         return 0.5 * (pt[0] * pt[0] + pt[1] * pt[1])
-
-    def J(pt):
-        return rotation(jsize(pt))
     pe = PointEval([0.3, -0.4])
-    dd = ddc_from_jets(pe.raw(f), *pe.jets(J)[:2])
+    dd = ddc_from_jets(pe.raw(f), *pe.jets(rotation)[:2])
     assert np.abs(dd - np.array([[0.0, -2.0], [2.0, 0.0]])).max() < 1e-12
 
     def lin(pt):
         return 3.0 * pt[0] - pt[1]
-    assert np.abs(ddc_from_jets(pe.raw(lin), *pe.jets(J)[:2])).max() < 1e-14
+    assert np.abs(ddc_from_jets(pe.raw(lin), *pe.jets(rotation)[:2])).max() < 1e-14
 
 
 def test_ddc_with_position_dependent_endomorphism():
     # f = u on the sphere chart: d(df o J) = -cos(u) du^dphi
     def f(pt):
-        return pt[0] + jconst(0.0, jsize(pt))
+        return pt[0]
     u = np.pi / 3.0
     pe = PointEval([u, 0.5])
     dd = ddc_from_jets(pe.raw(f), *pe.jets(sphere_J)[:2])[0]
@@ -148,24 +124,13 @@ def flat4_triple(warp=None):
     chart = ChartManifold(4, [(-1.0, 1.0)] * 4)
 
     def g(pt):
-        n = jsize(pt)
-        zero = jconst(0.0, n)
-        f = jconst(1.0, n) if warp is None else warp(pt)
-        rows = [[jconst(1.0, n), zero, zero, zero],
-                [zero, jconst(1.0, n), zero, zero],
-                [zero, zero, f, zero],
-                [zero, zero, zero, f]]
-        return rows
+        f = 1.0 if warp is None else warp(pt)
+        return [[1.0, 0.0, 0.0, 0.0],
+                [0.0, 1.0, 0.0, 0.0],
+                [0.0, 0.0, f, 0.0],
+                [0.0, 0.0, 0.0, f]]
 
-    def J(pt):
-        n = jsize(pt)
-        zero = jconst(0.0, n)
-        one = jconst(1.0, n)
-        return [[zero, one * (-1.0), zero, zero],
-                [one, zero, zero, zero],
-                [zero, zero, zero, one * (-1.0)],
-                [zero, zero, one, zero]]
-    return HermitianTriple(g, J, chart)
+    return HermitianTriple(g, lambda pt: J4, chart)
 
 
 def test_kahler_verdict_flat_product():
@@ -193,9 +158,8 @@ def test_fold_of_ricci_form_names_the_point_where_the_metric_degenerates():
     # g = (1 - 2x) delta is singular where x = 0.5: a fold of ricci_form
     # records DegenerateMetricError at the point, alone and inside a batch
     chart = ChartManifold(2, [(-1.0, 1.0)] * 2)
-    rot = np.array([[0.0, -1.0], [1.0, 0.0]])
-    t = HermitianTriple(Field(lambda pt: (1.0 - 2.0 * pt[0]) * np.eye(2), chart),
-                        Field(lambda pt: jconst(rot, jsize(pt)), chart), chart)
+    t = HermitianTriple(Field(lambda pt: (1.0 - 2.0 * pt[0]) * np.eye(2)),
+                        Field(rotation), chart)
     pts = np.array([[0.0, 0.1], [0.0, -0.3], [0.5, 0.2], [0.0, 0.4]])
     for p, kept in ((pts[2], 0), (pts, 2)):
         acc = Fold()
@@ -209,13 +173,7 @@ def test_split_fundamental_restriction():
     t = flat4_triple()
 
     def proj_plus(pt):
-        n = jsize(pt)
-        zero = jconst(0.0, n)
-        one = jconst(1.0, n)
-        return [[one, zero, zero, zero],
-                [zero, one, zero, zero],
-                [zero, zero, zero, zero],
-                [zero, zero, zero, zero]]
+        return np.diag([1.0, 1.0, 0.0, 0.0])
     # omega_plus = P+^T omega P+, the restriction structure_point removes
     p = [0.1, 0.2, -0.3, 0.4]
     pe = PointEval(p)
@@ -238,9 +196,8 @@ def test_kahler_verdict_fails_on_nan_at_a_later_point():
 
     def warp(pt):
         # NaN at the bad point, 1 elsewhere (at each point of a batch)
-        f = np.where(pt[0].value == bad_x, np.nan, 1.0)
-        n = jsize(pt)
-        return Jet2(f, np.zeros(f.shape + (n,)), np.zeros(f.shape + (n, n)))
+        x = pt[0]
+        return Jet2(np.where(x.value == bad_x, np.nan, 1.0), 0.0 * x.grad, 0.0 * x.hess)
     t = flat4_triple(warp)
     v = fold_plan(t.chart, plan, lambda pe: kahler_point(t, pe))
     assert not worst(*(v.max(k) for k in v.values)) <= 1e-7

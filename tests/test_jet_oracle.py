@@ -5,10 +5,12 @@ their jets; array-valued jets, jeinsum and jinv are recomputed element by
 element with scalar jets; _contract is recomputed with np.einsum, and every
 rule on first-order operands with the full rule.  Each rule is fed through a map into its domain
 (log and sqrt of 1 + u^2, exp and tan of u / (1 + u^2), division by
-1 + v^2), applied identically on both sides.
+1 + v^2), applied identically on both sides.  The curvature stack is checked
+on random surface metrics against the Brioschi formula.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from kahlerkit import jets
 from kahlerkit.fields import DOMAIN_ERRORS, Fold, PointEval
-from kahlerkit.jets import (FirstOrderError, Jet2, _contract, gauss_integrate, jconst, jcos,
+from kahlerkit.jets import (FirstOrderError, Jet2, _contract, gauss_integrate, jcos,
                             jeinsum, jet_dcoord, jexp, jinv, jlog, jsin, jsqrt, jtan, pack)
 from kahlerkit.scenarios import bundled_names, load_scenario, run_scenario_obj
 
@@ -25,9 +27,13 @@ N = 3
 SYMS = sp.symbols("x0:%d" % N)
 
 
+# a second-order point whose coordinates a constant subexpression takes
+ORIGIN = Jet2.seed(np.zeros(N))
+
+
 def lift(u, shape=()):
     """A constant subexpression as a jet, broadcast to shape."""
-    return u if isinstance(u, Jet2) else jconst(np.asarray(u) + np.zeros(shape), N)
+    return u if isinstance(u, Jet2) else pack(np.asarray(u) + np.zeros(shape), ORIGIN)
 
 
 SYMPY = {"exp": sp.exp, "log": sp.log, "sin": sp.sin, "cos": sp.cos,
@@ -186,7 +192,7 @@ def cofactor_det(M):
     if len(M) == 1:
         return M[0][0]
     return sum(((-1.0) ** j * M[0][j] * cofactor_det([row[:j] + row[j + 1:] for row in M[1:]])
-                for j in range(len(M))), jconst(0.0, N))
+                for j in range(len(M))))
 
 
 @given(st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
@@ -199,7 +205,7 @@ def test_jinv_matches_the_scalar_cofactor_inverse(d, seed):
     for i in range(d):
         for j in range(d):
             minor = [row[:i] + row[i + 1:] for k, row in enumerate(M) if k != j]
-            cof = (-1.0) ** (i + j) * (cofactor_det(minor) if minor else jconst(1.0, N))
+            cof = (-1.0) ** (i + j) * (cofactor_det(minor) if minor else 1.0)
             want = cof / det
             one = got[i, j]
             for g, w in zip((one.value, one.grad, one.hess), (want.value, want.grad, want.hess)):
@@ -368,3 +374,58 @@ def test_reading_the_hessian_of_a_first_order_jet_raises():
         with pytest.raises(FirstOrderError):
             acc.add(PointEval(p), lambda pe: jet_dcoord(pe * pe).hess.sum(axis=(1, 2, 3)))
         assert acc.error == "" and acc.points == 0
+
+
+# ---------------------------------------------------------------------------
+# Gaussian curvature by the Brioschi formula
+# ---------------------------------------------------------------------------
+
+UV = sp.symbols("u v")
+PLAIN = {"exp": math.exp, "log": math.log, "sin": math.sin, "cos": math.cos,
+         "tan": math.tan, "sqrt": math.sqrt}
+# a constant subexpression stays a number, which the metric's pack lifts
+JETS_2D = {name: (lambda f, g: lambda u: f(u) if isinstance(u, Jet2) else g(u))(f, PLAIN[name])
+           for name, f in (("exp", jexp), ("log", jlog), ("sin", jsin), ("cos", jcos),
+                           ("tan", jtan), ("sqrt", jsqrt))}
+exprs_2d = st.recursive(
+    st.one_of(st.tuples(st.just("x"), st.integers(0, 1)),
+              st.tuples(st.just("c"), st.integers(-200, 200).map(lambda k: k / 100.0))),
+    lambda kids: st.one_of(st.tuples(st.sampled_from(sorted(UNARY)), kids),
+                           st.tuples(st.sampled_from(sorted(BINARY)), kids, kids)),
+    max_leaves=3)
+
+
+def surface(trees, x, f):
+    """E, F, G of a metric E du^2 + 2F du dv + G dv^2 built from three
+    expression trees a, b, c: 1 + w w^T + c^2 e_1 e_1^T for w = (a, b), so
+    positive definite."""
+    a, b, c = (build(t, x, f) for t in trees)
+    return 1.0 + a * a + c * c, a * b, 1.0 + b * b
+
+
+def brioschi(E, F, G, p):
+    """The Gaussian curvature at p from the first and second partials of E,
+    F and G alone (do Carmo, Differential Geometry of Curves and Surfaces,
+    section 4-3)."""
+    u, v = UV
+    at = dict(zip(UV, map(sp.Float, p)))
+    Ev, Fu, Gu = sp.diff(E, v), sp.diff(F, u), sp.diff(G, u)
+    e, f, g, Eu, Ev, Fu, Fv, Gu, Gv, Evv, Fuv, Guu = (float(x.xreplace(at).evalf()) for x in (
+        E, F, G, sp.diff(E, u), Ev, Fu, sp.diff(F, v), Gu, sp.diff(G, v),
+        sp.diff(Ev, v), sp.diff(Fu, v), sp.diff(Gu, u)))
+    A = [[-Evv / 2 + Fuv - Guu / 2, Eu / 2, Fu - Ev / 2], [Fv - Gu / 2, e, f], [Gv / 2, f, g]]
+    B = [[0.0, Ev / 2, Gu / 2], [Ev / 2, e, f], [Gu / 2, f, g]]
+    return (np.linalg.det(A) - np.linalg.det(B)) / (e * g - f * f) ** 2
+
+
+@settings(max_examples=20)
+@given(st.tuples(exprs_2d, exprs_2d, exprs_2d), st.lists(
+    st.integers(-100, 100).map(lambda k: k / 100.0), min_size=2, max_size=2))
+def test_scalar_curvature_is_twice_the_brioschi_gaussian_curvature(trees, p):
+    E, F, G = (sp.sympify(c) for c in surface(trees, UV, SYMPY))
+
+    def metric(pt):
+        E, F, G = surface(trees, pt, JETS_2D)
+        return [[E, F], [F, G]]
+    scal = PointEval(p).curvature(metric)[2][0]
+    assert_close(scal / 2.0, brioschi(E, F, G, p), 1e-8)

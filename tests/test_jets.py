@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from kahlerkit.jets import (Jet2, JetDomainError, SamplePlan, gauss_integrate,
-                            jconst, jcos, jet_dcoord, jexp, jinv, jlog,
+                            jcos, jet_dcoord, jexp, jinv, jlog,
                             jsin, jsqrt, jtan, pack, sample_points)
-from kahlerkit.fields import Fold, PointEval
+from kahlerkit.fields import Fold, PointEval, first_order
 
 
 def fd_gradient(f, p, h=1e-4):
@@ -49,7 +49,7 @@ def scalar_cases():
         return np.exp(np.sin(p[0]) * p[1]) + p[1] ** 2 * np.log(p[2])
 
     def f2(x):
-        return jsqrt(x[0] * x[0] + x[1] * x[1] + jconst(1.0, 3)) * jcos(x[2])
+        return jsqrt(x[0] * x[0] + x[1] * x[1] + 1.0) * jcos(x[2])
 
     def f2f(p):
         return np.sqrt(p[0] ** 2 + p[1] ** 2 + 1.0) * np.cos(p[2])
@@ -106,9 +106,8 @@ def test_constant_operands_act_on_the_value():
     u = x[0] * x[1] + x[2] * x[2]
     M = pack([[u, x[0]], [x[1] * u, -u]])
     for jet in (u, M):
-        n = jet.grad.shape[-1]
         for c in (1.5, -0.25, np.array([[2.0, 0.5], [-1.0, 3.0]])):
-            k = jconst(c, n)
+            k = pack(c, jet)
             pairs = ((jet + c, jet + k), (c + jet, k + jet), (jet - c, jet - k),
                      (c - jet, k - jet), (jet / c, jet * k.inv()))
             for got, want in pairs:
@@ -122,13 +121,37 @@ def test_constant_operands_act_on_the_value():
         M / np.array([[1.0, 0.0], [1.0, 1.0]])
 
 
+def same_bits(a, b):
+    return np.shape(a) == np.shape(b) and np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+def test_numbers_among_jets_pack_as_constant_jets():
+    # a number beside jets takes their coordinates and derivative order: the
+    # stack holds the bits of the constant jet (the value, a zero gradient
+    # and Hessian) repeated over the batch, and first order when the jets
+    # are; a list with no jet needs the point it is read at
+    x = Jet2.seed([[0.3, -0.7, 1.9], [0.2, 0.4, -0.1]])
+    u = x[1] * x[2]
+    M = pack([[x[0], 2.0], [0.0, u]])
+    for (i, j), e in (((0, 0), x[0]), ((0, 1), 2.0), ((1, 0), 0.0), ((1, 1), u)):
+        want = ((e.value, e.grad, e.hess) if isinstance(e, Jet2) else
+                (np.full(2, e), np.zeros((2, 3)), np.zeros((2, 3, 3))))
+        for got, w in zip((M.value, M.grad, M.hess), want):
+            assert same_bits(got[:, i, j], w)
+    lo = pack([[first_order(x[0]), 2.0], [0.0, first_order(u)]])
+    assert lo._hess is None
+    assert same_bits(lo.value, M.value) and same_bits(lo.grad, M.grad)
+    with pytest.raises(TypeError, match="point"):
+        pack([[1.0, 0.0], [0.0, 1.0]])
+
+
 def test_jet_matrix_inverse():
     rng = np.random.default_rng(3)
     p = rng.uniform(0.2, 0.8, size=3)
     x = Jet2.seed(p)
-    A = [[x[0] + 2.0, x[1] * 0.3, jconst(0.0, 3)],
+    A = [[x[0] + 2.0, x[1] * 0.3, 0.0],
          [x[1] * 0.3, jexp(x[2] * 0.1), x[0] * x[1]],
-         [jconst(0.0, 3), x[0] * x[1], jconst(2.0, 3) + jsin(x[0])]]
+         [0.0, x[0] * x[1], 2.0 + jsin(x[0])]]
     prod = pack(A) @ jinv(pack(A))
     val, grad, hess = prod.value, prod.grad, prod.hess
     assert np.abs(val - np.eye(3)).max() < 1e-13

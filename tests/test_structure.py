@@ -3,11 +3,13 @@ has a batch axis, that the jet layer contracts only through _contract and
 jet_dcoord is first order, that per-point functions take a PointEval with no
 raw-point adapter beside it, that the PointEval is the point's one object,
 how often each case seeds, that a build seeds first order only and builds
-only the chain levels it reads, and the README's library example run as
-written."""
+only the chain levels it reads, that a constant is a plain number or array
+with no jet constructor beside it and a Field only its callable and label,
+and the README's library example run as written."""
 
 import ast
 import contextlib
+import inspect
 import io
 import os
 import re
@@ -16,12 +18,20 @@ import numpy as np
 import pytest
 
 from kahlerkit.jets import FirstOrderError, Jet2, jet_dcoord
-from kahlerkit.fields import PointEval
+from kahlerkit.fields import Field, PointEval
 from kahlerkit.scenarios import build_case, load_scenario, run_scenario_obj
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src", "kahlerkit")
 README = os.path.join(ROOT, "README.md")
+
+
+def _modules(folder=SRC):
+    """(file name, parsed tree) of each Python file in folder."""
+    for name in sorted(os.listdir(folder)):
+        if name.endswith(".py"):
+            with open(os.path.join(folder, name), encoding="utf-8") as fh:
+                yield name, ast.parse(fh.read())
 
 
 def test_only_the_runner_and_the_alpha_guard_walk_a_sample_plan():
@@ -30,11 +40,7 @@ def test_only_the_runner_and_the_alpha_guard_walk_a_sample_plan():
     # points.  A plan-level wrapper beside them would be one more entry point
     # to move to point-batched evaluation
     walkers = set()
-    for name in sorted(os.listdir(SRC)):
-        if not name.endswith(".py"):
-            continue
-        with open(os.path.join(SRC, name), encoding="utf-8") as fh:
-            tree = ast.parse(fh.read())
+    for name, tree in _modules():
         for top in tree.body:
             for node in ast.walk(top):
                 if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
@@ -52,11 +58,7 @@ def test_one_jet_layout_every_jet_has_a_batch_axis():
     # a point is a batch of one: no module keeps a second, unbatched layout
     # behind a flag or a batch of None
     found = []
-    for name in sorted(os.listdir(SRC)):
-        if not name.endswith(".py"):
-            continue
-        with open(os.path.join(SRC, name), encoding="utf-8") as fh:
-            tree = ast.parse(fh.read())
+    for name, tree in _modules():
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute) and node.attr == "batched":
                 found.append("%s:%d reads .batched" % (name, node.lineno))
@@ -90,9 +92,12 @@ def test_jets_contract_only_through_contract_and_dcoord_is_first_order():
 
 
 # One-point accessors that re-wrapped a *_from_jets function, and the error
-# classes only they raised: each was a second way in beside PointEval
+# classes only they raised: each was a second way in beside PointEval; and
+# the constant jet constructor with its coordinate count, a second way to
+# write a constant beside a plain number or array
+CONSTANT_BUILDERS = {"jconst", "jsize"}
 DELETED = {"fundamental_form", "split_fundamental", "ddc", "nijenhuis",
-           "exterior_derivative", "CompatibilityError", "AlmostComplexError"}
+           "exterior_derivative", "CompatibilityError", "AlmostComplexError"} | CONSTANT_BUILDERS
 
 
 def _names(node):
@@ -114,11 +119,7 @@ def test_per_point_functions_take_a_point_eval_with_no_adapter():
     # every per-point function takes a PointEval; a raw-point adapter at(),
     # or an accessor that wraps one, would be a second entry beside it
     found = []
-    for name in sorted(os.listdir(SRC)):
-        if not name.endswith(".py"):
-            continue
-        with open(os.path.join(SRC, name), encoding="utf-8") as fh:
-            tree = ast.parse(fh.read())
+    for name, tree in _modules():
         for node in ast.walk(tree):
             for ident in _names(node):
                 if ident == "at":
@@ -128,16 +129,30 @@ def test_per_point_functions_take_a_point_eval_with_no_adapter():
     assert found == []
 
 
+def test_a_constant_is_a_plain_value_and_a_field_its_callable_and_label():
+    # pack lifts a number or array at the point it is read; no module or
+    # test builds a constant jet beside it, from a coordinate count or
+    # otherwise, and a Field holds nothing that nothing reads
+    found = []
+    for folder in (SRC, os.path.dirname(os.path.abspath(__file__))):
+        for name, tree in _modules(folder):
+            for node in ast.walk(tree):
+                if (set(_names(node)) & CONSTANT_BUILDERS
+                        or isinstance(node, ast.Attribute) and node.attr == "const"):
+                    found.append("%s:%d" % (name, getattr(node, "lineno", 0)))
+    assert found == []
+    assert not hasattr(Jet2, "const")
+    assert list(inspect.signature(Field.__init__).parameters) == ["self", "fn", "label"]
+    f = Field(lambda pt: 1.0)
+    assert not hasattr(f, "chart") and not hasattr(f, "degree")
+
+
 def test_one_point_object_point_eval_is_the_coordinate_jet():
     # a point is one PointEval, a Jet2 of its coordinates holding its memo:
     # a Point class beside it, or a .x attribute reaching one, would be a
     # second object and a second field read
     found = []
-    for name in sorted(os.listdir(SRC)):
-        if not name.endswith(".py"):
-            continue
-        with open(os.path.join(SRC, name), encoding="utf-8") as fh:
-            tree = ast.parse(fh.read())
+    for name, tree in _modules():
         for node in ast.walk(tree):
             if isinstance(node, (ast.ClassDef, ast.alias)) and "Point" in _names(node):
                 found.append("%s:%d defines or imports Point" % (name, getattr(node, "lineno", 0)))
