@@ -86,7 +86,7 @@ def ak_invariants_point(ak, pe):
     target[..., 1, 0] = 1.0
     zp = pe.sub(2)
     target[..., 2:, 2:] = zp.omega(ak.z_factor.g, ak.z_factor.J).value
-    gg = pe.jets(ak.g)[1]
+    gg = pe.raw(ak.g).grad
     return {"omega_tilde_target": pe.absmax(om.value - target),
             "d_omega_tilde": pe.absmax(exterior_from_grad(om.grad, 2)),
             "omega_tilde_invariance": pe.absmax(om.value - pe.omega(ak.g0, ak.Jt0).value),
@@ -100,7 +100,7 @@ def ak3_point(ak, pe):
 
     def compute():
         Rlow = pe.curvature(ak.g)[0]
-        RJ = pull_back(Rlow, pe.jets(ak.J_tilde)[0])
+        RJ = pull_back(Rlow, pe.raw(ak.J_tilde).value)
         sc = pe.absmax(Rlow)
         denom = np.where(sc > 1e-12, sc, 1.0)
         return {"relative": pe.absmax(RJ - Rlow) / denom,
@@ -112,13 +112,13 @@ def ak3_point(ak, pe):
 def eta_tensor(gfn, Jtfn, pe):
     """eta = (1/2)(nabla J~)J~ at pe; returns (eta[i,k,j], gv, gg, Jtv) with
     eta[i,k,j] the k-component of eta_{d_i} d_j."""
-    gv, gg, _ = pe.jets(gfn)
+    g, Jt = pe.raw(gfn), pe.raw(Jtfn)
     Gam = pe.christoffel(gfn)[0]
-    Jtv, Jtg, _ = pe.jets(Jtfn)
+    Jtv, Jtg = Jt.value, Jt.grad
     covJ = (np.einsum('...kji->...ikj', Jtg) + np.einsum('...kim,...mj->...ikj', Gam, Jtv)
             - np.einsum('...mij,...km->...ikj', Gam, Jtv))
     eta = 0.5 * np.einsum('...ikm,...mj->...ikj', covJ, Jtv)
-    return eta, gv, gg, Jtv
+    return eta, g.value, g.grad, Jtv
 
 
 def torsion_point(ak, pe, dw_floor=1e-6, rank_rtol=1e-8):
@@ -130,7 +130,7 @@ def torsion_point(ak, pe, dw_floor=1e-6, rank_rtol=1e-8):
 
     def compute():
         n = ak.chart.dim
-        dw = pe.absmax(pe.jets(ak.twist_full)[1])
+        dw = pe.absmax(pe.raw(ak.twist_full).grad)
         eta, gv, gg, Jtv = eta_tensor(ak.g, ak.J_tilde, pe)
         # 2 g(eta_a b, X) - d_X g_ab over plane a, b and Z directions X
         prelt = (2.0 * np.einsum('...mx,...amb->...abx', gv[..., :, 2:], eta[..., :2, :, :2])
@@ -156,7 +156,7 @@ def torsion_point(ak, pe, dw_floor=1e-6, rank_rtol=1e-8):
 def einstein_point(g, pe):
     """Pointwise least-squares Einstein fit at pe: lambda = <Ric, g>/<g, g>,
     the residual max |Ric - lambda g|, and max |Ric|."""
-    gv = pe.jets(g)[0]
+    gv = pe.raw(g).value
     Ric = pe.curvature(g)[1]
     lam = np.einsum('...ij,...ij->...', Ric, gv) / np.einsum('...ij,...ij->...', gv, gv)
     return {"lambda": lam, "einstein_dev": pe.absmax(Ric - lam[..., None, None] * gv),
@@ -166,7 +166,8 @@ def einstein_point(g, pe):
 def subtract_fiber_logs(rho, pe, J, z_positions):
     """rho minus (j/2) (d J d) ln z_j for every fiber level j, in level order;
     returns the difference and the largest single term."""
-    Jv, Jg, _ = pe.jets(J)
+    Jj = pe.raw(J)
+    Jv, Jg = Jj.value, Jj.grad
     size = 0.0
     for j, pos in z_positions.items():
         term = 0.5 * j * ddc_from_jets(jlog(pe[pos]), Jv, Jg)
@@ -185,12 +186,9 @@ def fiber_log_point(t, z_positions, pe):
 @dataclass
 class ChainLevel:
     index: int
-    kind: str
-    chain_height: int
     triple: HermitianTriple
     alpha: Field
     cal: object = None
-    twisted: object = None
     claimed_coeff: float = 0.0
     z_positions: dict = field(default_factory=dict)
 
@@ -199,7 +197,8 @@ class ChainLevel:
         corrected one carrying the (j/2) ln z_j fiber terms."""
         n = self.triple.chart.dim
         t = self.triple
-        Jv, Jg, _ = pe.jets(t.J)
+        J = pe.raw(t.J)
+        Jv, Jg = J.value, J.grad
         xx, yy = pe[n - 2], pe[n - 1]
         ddL = ddc_from_jets(jlog(1.0 - xx * xx - yy * yy), Jv, Jg)
         claimed = ricci_form(t, pe) - self.claimed_coeff * ddL
@@ -260,8 +259,7 @@ def iterate_chain(kind, m, A=-1.0, radius=0.55, z_range=(0.6, 1.8),
     def coeff(k):
         return 0.5 if kind == "untwisted" else 0.5 * (m - k)
 
-    levels = [ChainLevel(index=0, kind=kind, chain_height=m, triple=base,
-                         alpha=alpha0, claimed_coeff=coeff(0))]
+    levels = [ChainLevel(index=0, triple=base, alpha=alpha0, claimed_coeff=coeff(0))]
     for k in range(1, top + 1):
         prev = levels[-1]
         profile = CalabiProfile(A=A, z_range=z_range, s_range=s_range)
@@ -273,9 +271,8 @@ def iterate_chain(kind, m, A=-1.0, radius=0.55, z_range=(0.6, 1.8),
         zpos[k] = 1
         n = cal.chart.dim
         tt = build_twist(cal, coordinate_twist(n - 2, n - 1)) if kind == "twisted" else None
-        levels.append(ChainLevel(index=k, kind=kind, chain_height=m,
-                                 triple=tt.triple() if tt else cal.triple(),
-                                 alpha=_lifted_alpha(cal), cal=cal, twisted=tt,
+        levels.append(ChainLevel(index=k, triple=tt.triple() if tt else cal.triple(),
+                                 alpha=_lifted_alpha(cal), cal=cal,
                                  claimed_coeff=coeff(k), z_positions=zpos))
     return levels
 

@@ -120,11 +120,6 @@ def disk_base(k, radius=0.55):
     return triple, Field(alphafn)
 
 
-def flat_base(radius=0.55):
-    """Flat C with alpha = (x dy - y dx)/2."""
-    return disk_base(0, radius=radius)
-
-
 @dataclass
 class CalabiChart:
     """The fibered chart's fields: the Kähler pair (g, J), I0, the projector
@@ -231,7 +226,7 @@ def volume_checks(cal, pe):
     omN[..., 2:, 2:] = base.omega(cal.base.g, cal.base.J).value
     Th = np.zeros(om.shape[:-1])
     Th[..., 0] = 1.0
-    Th[..., 2:] = base.jets(cal.alpha)[0]
+    Th[..., 2:] = base.raw(cal.alpha).value
     dz = np.zeros(n)
     dz[1] = 1.0
     z = pe.p[..., 1]

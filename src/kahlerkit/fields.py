@@ -12,6 +12,8 @@ of points, a (B, n) stack (one point is a batch of one), holding the points'
 memo.  Builders call their input Fields on the PointEval they are given, and
 per-point functions read fields from it, both through its one raw(), so
 every field runs once for the whole batch, on it or on a lifted slice pt[k:].
+A field read is its memoised jet: a reader takes .value, .grad or .hess from
+it, so a Hessian is read only by the formulas that need second order.
 The float layer works on stacks (einsum specs with a leading "...", stacked
 np.linalg.inv), so each result carries the batch axis in front.  Every
 per-point function takes a PointEval and returns (B,) residual arrays;
@@ -132,8 +134,8 @@ def omega_of(g, J):
 class PointEval(Jet2):
     """A batch of sample points as their coordinate jets, seeded once, with
     the points' memo.  Every field evaluated here is evaluated once: its jet
-    components (read by raw(), which builders reach by calling a Field on
-    the point), their (value, grad, hess) arrays, its curvature and
+    (read by raw(), the one read of a field, which builders reach by calling
+    a Field on the point), its Christoffel symbols, curvature and
     fundamental forms are memoised by the field's callable, and library
     functions memoise derived results (the Lee form, the torsion tensor)
     through cached().  Drop it before moving to the next point.
@@ -153,7 +155,7 @@ class PointEval(Jet2):
     A point's derivative order is the order of its seed: the default seed
     is second order, and a point seeded with first_order(Jet2.seed(p)) (a
     builder's check that reads values and gradients only) computes no
-    Hessian, so reading one there (jets(), curvature()) raises
+    Hessian, so reading one there (a raw() jet's hess, curvature()) raises
     FirstOrderError.  Its lifted slices and factor points are first order
     too."""
 
@@ -195,27 +197,22 @@ class PointEval(Jet2):
         batch axis)."""
         return np.abs(x).reshape(self.batch, -1).max(axis=1)
 
-    def jets(self, f):
-        """The (value, grad, hess) arrays of f at the point."""
-        def arrays():
-            j = self.raw(f)
-            return j.value, j.grad, j.hess
-        return self.cached("jets", (f,), arrays)
-
     def inverse(self, g):
         """First-order jet of the matrix g^{-1} (its readers take values and
         first derivatives only)."""
         return self.cached("inv", (g,), lambda: jinv(first_order(self.raw(g))))
 
     def christoffel(self, g):
-        return self.cached("gamma", (g,),
-                           lambda: christoffel_parts(*self.jets(g), self.where))
+        def parts():
+            j = self.raw(g)
+            return christoffel_parts(j.value, j.grad, j.hess, self.where)
+        return self.cached("gamma", (g,), parts)
 
     def curvature(self, g):
         """(Riemann lowered, Ricci, scalar, g^{-1}) of the metric g, from its
         memoised Christoffel symbols."""
         return self.cached("curv", (g,),
-                           lambda: curvature_from_parts(self.jets(g)[0], *self.christoffel(g)))
+                           lambda: curvature_from_parts(self.raw(g).value, *self.christoffel(g)))
 
     def omega(self, g, J):
         """First-order jet of the fundamental form of (g, J) (its readers take
@@ -345,7 +342,8 @@ def _per_point(key, val, batch):
 def metric_jets(g, p):
     """The (value, grad, hess) arrays of the metric g at the point or (B, n)
     stack p: the one entry that takes raw coordinates."""
-    return PointEval(p).jets(g)
+    j = PointEval(p).raw(g)
+    return j.value, j.grad, j.hess
 
 
 # ---------------------------------------------------------------------------
@@ -410,10 +408,10 @@ def pull_back(T, A):
 
 def lie_derivative_metric(g, V, pe):
     """(L_V g)_ij = V^k d_k g_ij + g_kj d_i V^k + g_ik d_j V^k."""
-    gv, gg, _ = pe.jets(g)
-    vv, vg, _ = pe.jets(V)
-    return (np.einsum('...k,...ijk->...ij', vv, gg) + np.einsum('...kj,...ki->...ij', gv, vg)
-            + np.einsum('...ik,...kj->...ij', gv, vg))
+    gj, vj = pe.raw(g), pe.raw(V)
+    gv, vg = gj.value, vj.grad
+    return (np.einsum('...k,...ijk->...ij', vj.value, gj.grad)
+            + np.einsum('...kj,...ki->...ij', gv, vg) + np.einsum('...ik,...kj->...ij', gv, vg))
 
 
 def lie_endo_from_jets(Xv, Xg, Jv, Jg):

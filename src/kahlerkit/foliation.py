@@ -10,8 +10,6 @@ D+ frame, which turns the homothetic equation L_V g = theta(V) g on D- into a
 genuine two-sided test. zeta denotes the g-dual of theta.
 """
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from kahlerkit.jets import Jet2, jeinsum, jet_dcoord, jinv
@@ -23,20 +21,6 @@ VERDICT_GEODESIC = "geodesic_riemannian"
 VERDICT_PRODUCT = "kahler_product"
 VERDICT_FAILED = "failed"
 VERDICTS = (VERDICT_HOLOMORPHIC, VERDICT_GEODESIC, VERDICT_PRODUCT, VERDICT_FAILED)
-
-
-@dataclass
-class FoliationReport:
-    theta_closed_residual: float
-    homothetic_residual: float
-    oneill_ring_residual: float
-    dplus_totally_geodesic_residual: float
-    holomorphy_residual: float
-    chi1_consistency_residual: float
-    verdict: str
-    points_used: int = 0
-    points_excluded: int = 0
-    diagnostics: dict = field(default_factory=dict)
 
 
 def _frame_columns(Pv, tol=1e-8):
@@ -120,10 +104,11 @@ def oneill_tensors(t, Pp, pe):
     D-x D- part with the zeta terms of the homothetic second fundamental form
     removed: xi_ring = xi|_{D-} - (1/2)<JX,Y> Jzeta - (1/2)<X,Y> zeta.
     """
-    gv = pe.jets(t.g)[0]
+    gv = pe.raw(t.g).value
     Gam, _, gi = pe.christoffel(t.g)
-    Jv = pe.jets(t.J)[0]
-    Ppv, Ppg, _ = pe.jets(Pp)
+    Jv = pe.raw(t.J).value
+    P = pe.raw(Pp)
+    Ppv, Ppg = P.value, P.grad
     n = gv.shape[-1]
     Pmv = np.eye(n) - Ppv
     Pmg = -Ppg
@@ -157,7 +142,8 @@ def structure_point(t, Pp, pe, skip_theta_below=1e-6):
     ln|theta|.  Where |theta| falls below the threshold only holomorphy is
     defined; wedge_minus, chi1 and lie_fit are excluded there.
     """
-    Jv, Jg, _ = pe.jets(t.J)
+    J = pe.raw(t.J)
+    Jv, Jg = J.value, J.grad
     P = pe.raw(Pp)
     V = _frame(P)[0]
     Pmv = np.eye(P.value.shape[-1]) - P.value
@@ -205,15 +191,18 @@ def classify_point(t, Pp, pe):
         xi, xi_ring = oneill_tensors(t, Pp, pe)
         return dict(homothetic_point(t, Pp, pe), **structure_point(t, Pp, pe),
                     theta_max=pe.absmax(_lee(t, Pp, pe)[0].value), ring=pe.absmax(xi_ring),
-                    xi=pe.absmax(xi), geodesic=dplus_geodesic_residual(xi, pe.jets(Pp)[0]))
+                    xi=pe.absmax(xi), geodesic=dplus_geodesic_residual(xi, pe.raw(Pp).value))
     return pe.cached("classify", (t.g, t.J, Pp), compute)
 
 
 def foliation_report(res, tol=1e-6):
-    """Verdict of a fold of classify_point: the homothetic residual gates
-    everything; then the verdict is kahler_product / geodesic_riemannian /
-    holomorphic by the vanishing pattern of theta and the O'Neill tensors.
-    A non-finite residual (the fold's error) fails every gate."""
+    """(verdict, points used, points excluded) of a fold of classify_point:
+    the homothetic residual gates everything; then the verdict is
+    kahler_product / geodesic_riemannian / holomorphic by the vanishing
+    pattern of theta and the O'Neill tensors.  A non-finite residual (the
+    fold's error) fails every gate.  The points excluded are those below the
+    theta floor, where the chi_1 stage is skipped; the residuals themselves
+    are the fold's, by their classify_point keys."""
     hom, ring, geod, xi_all, theta_max = (
         res.max(k) for k in ("homothetic", "ring", "geodesic", "xi", "theta_max"))
     if res.error or not hom <= tol:
@@ -226,17 +215,5 @@ def foliation_report(res, tol=1e-6):
         verdict = VERDICT_HOLOMORPHIC
     else:
         verdict = VERDICT_FAILED
-    excluded = res.excluded.get("wedge_minus", 0)
-    return FoliationReport(
-        theta_closed_residual=res.max("dtheta"),
-        homothetic_residual=hom,
-        oneill_ring_residual=ring,
-        dplus_totally_geodesic_residual=geod,
-        holomorphy_residual=res.max("holomorphy"),
-        chi1_consistency_residual=float(worst(res.max("chi1"), res.max("lie_fit"))),
-        verdict=verdict,
-        points_used=res.points - excluded,
-        points_excluded=excluded,
-        diagnostics={"xi_total": xi_all, "theta_max": theta_max,
-                     "wedge_minus": res.max("wedge_minus")},
-    )
+    skipped = res.excluded.get("wedge_minus", 0)
+    return verdict, res.points - skipped, skipped

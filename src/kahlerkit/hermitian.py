@@ -34,18 +34,19 @@ def fundamental_form_field(g, J):
 def kahler_point(t, pe):
     """Kahler residuals at pe: compatibility (including J^2 = -1), closedness
     of omega, and integrability of J."""
-    gv = pe.jets(t.g)[0]
-    Jv, Jg, _ = pe.jets(t.J)
+    gv = pe.raw(t.g).value
+    J = pe.raw(t.J)
+    Jv = J.value
     return {"compatible": worst(pe.absmax(Jv.swapaxes(-1, -2) @ gv @ Jv - gv),
                                 pe.absmax(Jv @ Jv + np.eye(gv.shape[-1]))),
             "closed": pe.absmax(exterior_from_grad(pe.omega(t.g, t.J).grad, 2)),
-            "integrable": pe.absmax(nijenhuis_from_jets(Jv, Jg))}
+            "integrable": pe.absmax(nijenhuis_from_jets(Jv, J.grad))}
 
 
 def ricci_form(t, pe):
     """rho(X,Y) = Ric(JX,Y) at pe.  It is the Ricci form only where t is
     Kahler, which kahler_point measures; nothing is checked here."""
-    return ricci_form_from_jets(pe.curvature(t.g)[1], pe.jets(t.J)[0])
+    return ricci_form_from_jets(pe.curvature(t.g)[1], pe.raw(t.J).value)
 
 
 def ricci_form_from_jets(Ric, Jv):

@@ -33,6 +33,7 @@ is read at, so a constant read on a first-order point has no Hessian.
 
 import functools
 import math
+import numbers
 
 import numpy as np
 
@@ -237,7 +238,7 @@ class Jet2:
         return self.inv() * other
 
     def __pow__(self, k):
-        if isinstance(k, int):
+        if isinstance(k, numbers.Integral):
             if k == 0:
                 h = self._hess
                 return _jet(np.ones(self.value.shape), np.zeros(self.grad.shape),

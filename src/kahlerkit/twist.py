@@ -25,7 +25,7 @@ from kahlerkit.jets import JetDomainError, jinv, jlog, pack
 from kahlerkit.fields import Field, worst
 from kahlerkit.hermitian import HermitianTriple, ddc_from_jets, ricci_form
 
-# The largest |w|^2 a twist may reach; the S field, validate_twist and
+# The largest |w|^2 a twist may reach; the S field and
 # transverse_holomorphy_point reject a point beyond it, or a NaN |w|^2.
 DISC = 1.0 - 1e-6
 
@@ -91,7 +91,8 @@ def make_sfield(J, Pp, w, theta):
     """The S field of the twist w.
 
     The D+ frame dual to {theta, -theta o J} is built from the first two
-    projector columns; a degenerate frame surfaces as a singular 2x2 solve.
+    projector columns; a degenerate frame (|det E| < 1e-12, as where theta
+    vanishes) raises JetDomainError.
     Every twisted field reads S, so the disc guard |w|^2 <= DISC sits here.
     On a batch both guards test every point and name the worst one.
     """
@@ -144,20 +145,6 @@ def build_twist_fields(g, endos, Pp, w, theta, chart, mode="B"):
     return Field(gwfn), [twisted(E) for E in endos], S
 
 
-def validate_twist(w, theta, pe):
-    """|w|^2 <= DISC (a NaN is not) and |theta| bounded away from zero at each
-    point of pe; raises naming the first point that fails."""
-    ww = _norm2(pe.raw(w)).value
-    out = np.flatnonzero(~(ww <= DISC))
-    if out.size:
-        raise ValueError("twist |w| = %.8f is not inside the disc (too close to the circle) at %s"
-                         % (ww[out[0]] ** 0.5, pe.p[out[0]].tolist()))
-    flat = np.flatnonzero(pe.absmax(pe.jets(theta)[0]) < 1e-6)
-    if flat.size:
-        raise ValueError("twist frame degenerate (|theta| < 1.0e-06) at %s"
-                         % pe.p[flat[0]].tolist())
-
-
 def build_twist(cal, tw, mode="B"):
     """Twist a CalabiChart (or anything with g/J/I0/proj_plus/theta fields and
     a chart) by the twist field tw with one shared S; returns a
@@ -176,7 +163,7 @@ def norm_factor_expected(w1, w2, mode="B"):
 
 def norm_factor_measured(gfn, gwfn, theta_fn, pe):
     """|theta|^2_{g_w} / |theta|^2_g at pe."""
-    th = pe.jets(theta_fn)[0]
+    th = pe.raw(theta_fn).value
     thgw, thg = (np.einsum('...i,...ij->...j', th, pe.inverse(g).value) for g in (gwfn, gfn))
     return np.einsum('...j,...j->...', thgw, th) / np.einsum('...j,...j->...', thg, th)
 
@@ -195,8 +182,8 @@ def transverse_holomorphy_point(Jfn, Ppfn, wfn, pe):
     wj = pe.raw(wfn)
     _check_disc(_norm2(wj).value)
     w1, w2 = wj
-    Jv = pe.jets(Jfn)[0]
-    Pmv = np.eye(Jv.shape[-1]) - pe.jets(Ppfn)[0]
+    Jv = pe.raw(Jfn).value
+    Pmv = np.eye(Jv.shape[-1]) - pe.raw(Ppfn).value
     # one residual per column X of P-, none where X vanishes
     r = np.abs(np.einsum('...i,...ic->...c', w2.grad, Pmv)
                + np.einsum('...i,...ic->...c', w1.grad, Jv @ Pmv))
@@ -215,7 +202,8 @@ def ricci_identity_check(cal, tw, tt, pe):
     correction term.
     """
     m = cal.m
-    Jwv, Jwg, _ = pe.jets(tt.J_w)
+    Jw = pe.raw(tt.J_w)
+    Jwv, Jwg = Jw.value, Jw.grad
     rho_w = ricci_form(tt.triple(), pe)
     rho_N = np.zeros_like(rho_w)
     rho_N[..., 2:, 2:] = ricci_form(cal.base, pe.sub(2))   # lifted base form
@@ -234,20 +222,20 @@ def ricci_identity_check(cal, tw, tt, pe):
 
 def zeta_duality_residual(gfn, Jfn, gwfn, Jwfn, theta_fn, pe):
     """J_w zeta_w = J zeta, with zeta/zeta_w the metric duals of theta."""
-    th = pe.jets(theta_fn)[0]
+    th = pe.raw(theta_fn).value
     zeta, zeta_w = (np.einsum('...ij,...j->...i', pe.inverse(g).value, th) for g in (gfn, gwfn))
-    return pe.absmax(np.einsum('...ij,...j->...i', pe.jets(Jwfn)[0], zeta_w)
-                     - np.einsum('...ij,...j->...i', pe.jets(Jfn)[0], zeta))
+    return pe.absmax(np.einsum('...ij,...j->...i', pe.raw(Jwfn).value, zeta_w)
+                     - np.einsum('...ij,...j->...i', pe.raw(Jfn).value, zeta))
 
 
 def solve_single_twist(g0fn, gcompfn, J0fn, Ppfn, theta_fn, pe):
     """Recover the single-twist parameter (w1, w2) reproducing a composite
     metric at each point of pe (mode B, frame {theta, -theta o J})."""
-    gv0 = pe.jets(g0fn)[0]
-    gvc = pe.jets(gcompfn)[0]
-    th = pe.jets(theta_fn)[0][..., None, :]
-    F = np.concatenate([th, -th @ pe.jets(J0fn)[0]], axis=-2)   # rows theta, e2
-    v = pe.jets(Ppfn)[0][..., :2]
+    gv0 = pe.raw(g0fn).value
+    gvc = pe.raw(gcompfn).value
+    th = pe.raw(theta_fn).value[..., None, :]
+    F = np.concatenate([th, -th @ pe.raw(J0fn).value], axis=-2)   # rows theta, e2
+    v = pe.raw(Ppfn).value[..., :2]
     u = v @ np.linalg.inv(F @ v)
     C = np.linalg.inv(gv0) @ gvc
     B = F @ C @ u

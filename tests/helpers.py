@@ -33,9 +33,10 @@ def fold_plan(chart, plan, fn):
 def nijenhuis_at(pe, J):
     """The Nijenhuis tensor of the endomorphism field J at pe, after asserting
     that J squares to -1 there (to 1e-8)."""
-    Jv, Jg, _ = pe.jets(J)
+    Jj = pe.raw(J)
+    Jv = Jj.value
     assert pe.absmax(Jv @ Jv + np.eye(Jv.shape[-1])).max() <= 1e-8
-    return nijenhuis_from_jets(Jv, Jg)
+    return nijenhuis_from_jets(Jv, Jj.grad)
 
 
 def rotation(pt):

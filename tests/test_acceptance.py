@@ -20,7 +20,7 @@ from kahlerkit.foliation import (VERDICT_FAILED, VERDICT_HOLOMORPHIC,
                                  VERDICT_PRODUCT, classify_point,
                                  extract_theta, foliation_report)
 from kahlerkit.calabi import (CalabiProfile, build_calabi, disk_base,
-                              flat_base, lee_form_of_I0, volume_checks)
+                              lee_form_of_I0, volume_checks)
 from kahlerkit.twist import (build_twist, constant_twist, coordinate_twist,
                              norm_factor_expected, norm_factor_measured,
                              ricci_identity_check,
@@ -79,7 +79,7 @@ def test_criterion_1_curvature_engine_oracles():
 
 def test_criterion_2_calabi_builder_flat_base():
     t0 = time.perf_counter()
-    base, alpha = flat_base()
+    base, alpha = disk_base(0)
     prof = CalabiProfile(A=-1.0, z_range=(0.6, 1.8), s_range=(-0.8, 0.8))
     cal = build_calabi(base, prof, alpha=alpha)
 
@@ -87,10 +87,9 @@ def test_criterion_2_calabi_builder_flat_base():
     kah = fold_plan(cal.chart, SamplePlan(5, 12),
                     lambda pe: worst(*kahler_point(t, pe).values())).max()
 
-    rep = foliation_report(fold_plan(cal.chart, SamplePlan(6, 12),
-                                     lambda pe: classify_point(t, cal.proj_plus, pe)))
-    hom = rep.homothetic_residual
-    geod = rep.dplus_totally_geodesic_residual
+    res = fold_plan(cal.chart, SamplePlan(6, 12), lambda pe: classify_point(t, cal.proj_plus, pe))
+    hom = res.max("homothetic")
+    geod = res.max("geodesic")
 
     theta_dev = 0.0
     nij = 0.0
@@ -270,7 +269,7 @@ def test_criterion_8_classifier_verdicts_stable():
     stable = True
     def verdict(t, s, plan):
         return foliation_report(fold_plan(t.chart, plan,
-                                          lambda pe: classify_point(t, s, pe))).verdict
+                                          lambda pe: classify_point(t, s, pe)))[0]
 
     for label, t, s, want in cases:
         v50 = verdict(t, s, SamplePlan(11, 50))

@@ -9,14 +9,14 @@ from kahlerkit.fields import NotClosedError, PointEval, metric_jets, worst
 from kahlerkit.hermitian import kahler_point
 from kahlerkit.foliation import extract_theta
 from kahlerkit.calabi import (CalabiProfile, build_calabi, disk_base,
-                              disk_u_coefficients, flat_base, lee_form_of_I0,
+                              disk_u_coefficients, lee_form_of_I0,
                               moment_map_point, rescale_biaxial,
                               volume_checks)
 from helpers import fold_plan
 
 
 def make_cal(k=1, z_range=(0.5, 2.0), use_alpha=True):
-    base, alpha = (flat_base() if k == 0 else disk_base(k))
+    base, alpha = disk_base(k)
     prof = CalabiProfile(A=-1.0, z_range=z_range, s_range=(-1.0, 1.0))
     return build_calabi(base, prof, alpha=alpha if use_alpha else None)
 

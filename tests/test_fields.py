@@ -154,7 +154,8 @@ def test_lie_derivative_of_metric_against_finite_difference():
 
 
 def test_nijenhuis_vanishes_for_constant_structure():
-    assert np.abs(nijenhuis_from_jets(*PointEval([0.3, 0.4]).jets(rotation)[:2])).max() < 1e-14
+    J = PointEval([0.3, 0.4]).raw(rotation)
+    assert np.abs(nijenhuis_from_jets(J.value, J.grad)).max() < 1e-14
 
 
 def test_nijenhuis_flags_non_integrable_structure():
@@ -168,7 +169,8 @@ def test_nijenhuis_flags_non_integrable_structure():
             [0.0, 0.0, x, (x * x + 1.0) * (-1.0)],
             [0.0, 0.0, 1.0, x * (-1.0)],
         ]
-    N = nijenhuis_from_jets(*PointEval([0.4, 0.1, -0.2, 0.3]).jets(Jfour)[:2])
+    J = PointEval([0.4, 0.1, -0.2, 0.3]).raw(Jfour)
+    N = nijenhuis_from_jets(J.value, J.grad)
     assert np.abs(N).max() > 0.5
 
 
@@ -296,7 +298,7 @@ def test_point_eval_evaluates_each_field_once():
     g2 = Field(gfn)   # a fresh wrapper around the same callable
     curv = pe.curvature(g1)
     assert pe.curvature(g2) is curv
-    assert pe.jets(gfn) is pe.jets(g1)
+    assert pe.raw(gfn) is pe.raw(g1)
     assert len(calls) == 1
     assert np.abs(curv[0] - PointEval([1.1, 0.4]).curvature(sphere_metric)[0]).max() == 0.0
 
@@ -330,7 +332,7 @@ def test_a_first_order_point_reads_values_and_gradients_only():
     for pe, f in ((lo, top), (lo.sub(2), base), (lo, const)):
         assert pe._hess is None and pe.raw(f)._hess is None
         with pytest.raises(FirstOrderError):
-            pe.jets(f)
+            pe.raw(f).hess
     for got, want in ((lo.raw(top), hi.raw(top)), (lo.sub(2).raw(base), hi.sub(2).raw(base))):
         assert np.array_equal(got.value, want.value) and np.array_equal(got.grad, want.grad)
     c = lo.raw(const)
@@ -417,8 +419,8 @@ def test_fields_called_on_the_point_read_its_memo():
     # a plain jet point is evaluated directly, to the same bits
     plain = top(Jet2.seed(pe.p))
     assert calls == [2, 2, 2, 2]
-    for got, want in zip((plain.value, plain.grad, plain.hess), pe.jets(top)):
-        assert np.array_equal(got, want)
+    for part in ("value", "grad", "hess"):
+        assert np.array_equal(getattr(plain, part), getattr(pe.raw(top), part))
     # a field constant on the chart returns a plain array, lifted with a
     # batch axis of 1; the memo holds it broadcast to the batch, read after read
     pts = PointEval([[0.5, 1.1, 0.4], [0.2, 0.3, 0.1]])

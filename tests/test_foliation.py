@@ -5,25 +5,27 @@ import numpy as np
 import pytest
 
 from kahlerkit.jets import SamplePlan, jsin, pack
-from kahlerkit.fields import ChartManifold, Field, PointEval
+from kahlerkit.fields import ChartManifold, Field, PointEval, worst
 from kahlerkit.hermitian import HermitianTriple
 from kahlerkit.foliation import (VERDICT_FAILED, VERDICT_GEODESIC,
                                  VERDICT_HOLOMORPHIC, VERDICT_PRODUCT,
                                  classify_point, extract_theta,
                                  foliation_report, homothetic_point,
                                  structure_point, theta_jets)
-from kahlerkit.calabi import CalabiProfile, build_calabi, disk_base, flat_base
+from kahlerkit.calabi import CalabiProfile, build_calabi, disk_base
 from kahlerkit.twist import build_twist, coordinate_twist
 from helpers import J4, fold_plan, product_triple
 
 
 def classify(t, Pp, plan):
-    """The classifier's report over the plan's samples of t's chart."""
-    return foliation_report(fold_plan(t.chart, plan, lambda pe: classify_point(t, Pp, pe)))
+    """The classifier's fold over the plan's samples of t's chart, then its
+    verdict, points used and points excluded."""
+    res = fold_plan(t.chart, plan, lambda pe: classify_point(t, Pp, pe))
+    return (res,) + foliation_report(res)
 
 
 def make_calabi(k=0):
-    base, alpha = (flat_base() if k == 0 else disk_base(k))
+    base, alpha = disk_base(k)
     prof = CalabiProfile(A=-1.0, z_range=(0.5, 2.0), s_range=(-1.0, 1.0))
     return build_calabi(base, prof, alpha=alpha)
 
@@ -55,39 +57,39 @@ def test_homothetic_residual_report():
 
 def test_classify_calabi_is_holomorphic():
     cal = make_calabi(1)
-    rep = classify(cal.triple(), cal.proj_plus, SamplePlan(5, 12))
-    assert rep.verdict == VERDICT_HOLOMORPHIC
-    assert rep.homothetic_residual < 1e-10
-    assert rep.oneill_ring_residual < 1e-9
-    assert rep.dplus_totally_geodesic_residual < 1e-9
-    assert rep.holomorphy_residual < 1e-9
-    assert rep.chi1_consistency_residual < 1e-8
-    assert rep.theta_closed_residual < 1e-10
+    res, verdict, used, skipped = classify(cal.triple(), cal.proj_plus, SamplePlan(5, 12))
+    assert verdict == VERDICT_HOLOMORPHIC
+    assert res.max("homothetic") < 1e-10
+    assert res.max("ring") < 1e-9
+    assert res.max("geodesic") < 1e-9
+    assert res.max("holomorphy") < 1e-9
+    assert worst(res.max("chi1"), res.max("lie_fit")) < 1e-8
+    assert res.max("dtheta") < 1e-10
     # theta is genuinely nonzero and the foliation is not a product
-    assert rep.diagnostics["theta_max"] > 0.4
-    assert rep.diagnostics["xi_total"] > 1e-3
-    assert rep.points_used == 12
-    assert rep.points_excluded == 0
+    assert res.max("theta_max") > 0.4
+    assert res.max("xi") > 1e-3
+    assert used == 12
+    assert skipped == 0
 
 
 def test_classify_twisted_calabi_stays_holomorphic():
     cal = make_calabi(1)
     tt = build_twist(cal, coordinate_twist(2, 3))
-    rep = classify(tt.triple(), cal.proj_plus, SamplePlan(6, 10))
-    assert rep.verdict == VERDICT_HOLOMORPHIC
-    assert rep.homothetic_residual < 1e-7
-    assert rep.oneill_ring_residual < 1e-7
-    assert rep.chi1_consistency_residual < 1e-5
+    res, verdict, _, _ = classify(tt.triple(), cal.proj_plus, SamplePlan(6, 10))
+    assert verdict == VERDICT_HOLOMORPHIC
+    assert res.max("homothetic") < 1e-7
+    assert res.max("ring") < 1e-7
+    assert worst(res.max("chi1"), res.max("lie_fit")) < 1e-5
 
 
 def test_classify_product_metric():
     t, s = product_triple()
-    rep = classify(t, s, SamplePlan(7, 10))
-    assert rep.verdict == VERDICT_PRODUCT
-    assert rep.diagnostics["theta_max"] < 1e-12
-    assert rep.diagnostics["xi_total"] < 1e-12
+    res, verdict, _, skipped = classify(t, s, SamplePlan(7, 10))
+    assert verdict == VERDICT_PRODUCT
+    assert res.max("theta_max") < 1e-12
+    assert res.max("xi") < 1e-12
     # every point sits below the theta floor, so the chi_1 stage skips all
-    assert rep.points_excluded == 10
+    assert skipped == 10
 
 
 def heisenberg_triple():
@@ -108,11 +110,11 @@ def heisenberg_triple():
 
 def test_classify_geodesic_riemannian_foliation():
     t, s = heisenberg_triple()
-    rep = classify(t, s, SamplePlan(8, 10))
-    assert rep.verdict == VERDICT_GEODESIC
-    assert rep.diagnostics["theta_max"] < 1e-12
-    assert rep.dplus_totally_geodesic_residual < 1e-10
-    assert rep.diagnostics["xi_total"] > 0.1
+    res, verdict, _, _ = classify(t, s, SamplePlan(8, 10))
+    assert verdict == VERDICT_GEODESIC
+    assert res.max("theta_max") < 1e-12
+    assert res.max("geodesic") < 1e-10
+    assert res.max("xi") > 0.1
 
 
 def test_classify_flags_broken_homothety():
@@ -124,18 +126,18 @@ def test_classify_flags_broken_homothety():
     def broken(pt):
         return pack(gfn(pt)) + jsin(pt[1]) * bump
     t = HermitianTriple(broken, cal.J.fn, cal.chart)
-    rep = classify(t, cal.proj_plus, SamplePlan(9, 10))
-    assert rep.verdict == VERDICT_FAILED
-    assert rep.homothetic_residual > 1e-3
+    res, verdict, _, _ = classify(t, cal.proj_plus, SamplePlan(9, 10))
+    assert verdict == VERDICT_FAILED
+    assert res.max("homothetic") > 1e-3
 
 
 def test_verdicts_stable_under_resampling():
     cal = make_calabi(1)
     t = cal.triple()
     s = cal.proj_plus
-    a = classify(t, s, SamplePlan(21, 10))
-    b = classify(t, s, SamplePlan(22, 30))
-    assert a.verdict == b.verdict == VERDICT_HOLOMORPHIC
+    a = classify(t, s, SamplePlan(21, 10))[1]
+    b = classify(t, s, SamplePlan(22, 30))[1]
+    assert a == b == VERDICT_HOLOMORPHIC
 
 
 def test_structure_equation_checks_report_shape():
@@ -154,7 +156,7 @@ def test_structure_equation_checks_report_shape():
 def test_classify_fails_on_nonfinite_gate_residual(monkeypatch):
     import kahlerkit.foliation as foliation
     t, s = product_triple()
-    assert classify(t, s, SamplePlan(7, 5)).verdict == VERDICT_PRODUCT
+    assert classify(t, s, SamplePlan(7, 5))[1] == VERDICT_PRODUCT
     calls = []
     real = foliation.dplus_geodesic_residual
 
@@ -166,4 +168,4 @@ def test_classify_fails_on_nonfinite_gate_residual(monkeypatch):
         calls.append(1)
         return float("nan") if len(calls) == 2 else r
     monkeypatch.setattr(foliation, "dplus_geodesic_residual", nan_at_second_point)
-    assert classify(t, s, SamplePlan(7, 5)).verdict == VERDICT_FAILED
+    assert classify(t, s, SamplePlan(7, 5))[1] == VERDICT_FAILED

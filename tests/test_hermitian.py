@@ -74,7 +74,8 @@ def test_disk_ricci_form_closed_form():
             pe = PointEval(p)
             rho = ricci_form(t, pe)[0]
             assert abs(rho[0, 1] - 2.0 * k / s ** 2) < 1e-9
-            dd = ddc_from_jets(pe.raw(logfac), *pe.jets(t.J)[:2])[0]
+            J = pe.raw(t.J)
+            dd = ddc_from_jets(pe.raw(logfac), J.value, J.grad)[0]
             assert np.abs(rho - 0.5 * k * dd).max() < 1e-9
 
 
@@ -101,12 +102,13 @@ def test_ddc_flat_oracle():
     def f(pt):
         return 0.5 * (pt[0] * pt[0] + pt[1] * pt[1])
     pe = PointEval([0.3, -0.4])
-    dd = ddc_from_jets(pe.raw(f), *pe.jets(rotation)[:2])
+    J = pe.raw(rotation)
+    dd = ddc_from_jets(pe.raw(f), J.value, J.grad)
     assert np.abs(dd - np.array([[0.0, -2.0], [2.0, 0.0]])).max() < 1e-12
 
     def lin(pt):
         return 3.0 * pt[0] - pt[1]
-    assert np.abs(ddc_from_jets(pe.raw(lin), *pe.jets(rotation)[:2])).max() < 1e-14
+    assert np.abs(ddc_from_jets(pe.raw(lin), J.value, J.grad)).max() < 1e-14
 
 
 def test_ddc_with_position_dependent_endomorphism():
@@ -115,7 +117,8 @@ def test_ddc_with_position_dependent_endomorphism():
         return pt[0]
     u = np.pi / 3.0
     pe = PointEval([u, 0.5])
-    dd = ddc_from_jets(pe.raw(f), *pe.jets(sphere_J)[:2])[0]
+    J = pe.raw(sphere_J)
+    dd = ddc_from_jets(pe.raw(f), J.value, J.grad)[0]
     assert abs(dd[0, 1] - (-0.5)) < 1e-12
     assert abs(dd[0, 1] - (-np.cos(u))) < 1e-12
 
@@ -178,7 +181,7 @@ def test_split_fundamental_restriction():
     p = [0.1, 0.2, -0.3, 0.4]
     pe = PointEval(p)
     om_all = pe.omega(t.g, t.J).value[0]
-    Pv = pe.jets(proj_plus)[0][0]
+    Pv = pe.raw(proj_plus).value[0]
     om_plus = Pv.T @ om_all @ Pv
     om_minus = om_all - om_plus
     gv = metric_jets(t.g, p)[0][0]

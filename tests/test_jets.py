@@ -88,6 +88,19 @@ def test_polynomial_jets_are_exact():
         assert np.abs(u.hess - hess).max() < 1e-12 * max(1.0, abs(s))
 
 
+def test_an_integer_power_is_a_product_whatever_the_integer_type():
+    # a NumPy integer exponent takes the product path of a Python int: no
+    # log, so a negative base is in the domain, and the same bits
+    x = Jet2.seed(np.array([-0.5, 0.3]))
+    for u in (x[0], x[1], x[0] * x[1]):
+        for k in (0, 1, 2, 3, -2):
+            for typed in (np.int64(k), np.int32(k)):
+                got, want = u ** typed, u ** k
+                for part in ("value", "grad", "hess"):
+                    assert np.array_equal(getattr(got, part), getattr(want, part))
+    assert (x[0] ** np.int64(2)).value[0] == 0.25
+
+
 def test_division_and_inverse_consistency():
     x = Jet2.seed(np.array([0.7, -0.4]))
     u = (x[0] * x[1] + 2.0)

@@ -5,7 +5,8 @@ raw-point adapter beside it, that the PointEval is the point's one object,
 how often each case seeds, that a build seeds first order only and builds
 only the chain levels it reads, that a constant is a plain number or array
 with no jet constructor beside it and a Field only its callable and label,
-and the README's library example run as written."""
+that a field read is its jet with a Hessian read only by the second-order
+formulas, and the README's library example run as written."""
 
 import ast
 import contextlib
@@ -23,6 +24,7 @@ from kahlerkit.scenarios import build_case, load_scenario, run_scenario_obj
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src", "kahlerkit")
+TESTS = os.path.join(ROOT, "tests")
 README = os.path.join(ROOT, "README.md")
 
 
@@ -134,7 +136,7 @@ def test_a_constant_is_a_plain_value_and_a_field_its_callable_and_label():
     # test builds a constant jet beside it, from a coordinate count or
     # otherwise, and a Field holds nothing that nothing reads
     found = []
-    for folder in (SRC, os.path.dirname(os.path.abspath(__file__))):
+    for folder in (SRC, TESTS):
         for name, tree in _modules(folder):
             for node in ast.walk(tree):
                 if (set(_names(node)) & CONSTANT_BUILDERS
@@ -145,6 +147,53 @@ def test_a_constant_is_a_plain_value_and_a_field_its_callable_and_label():
     assert list(inspect.signature(Field.__init__).parameters) == ["self", "fn", "label"]
     f = Field(lambda pt: 1.0)
     assert not hasattr(f, "chart") and not hasattr(f, "degree")
+
+
+# Names that only re-stated what their readers already held: the classifier's
+# report dataclass (the fold's keys renamed), a second twist guard beside the
+# S field's, and an alias of disk_base(0)
+RESTATED = {"FoliationReport", "validate_twist", "flat_base"}
+
+# The functions whose formulas need second order: the Christoffel symbols
+# (and the raw-coordinate metric read), ddc of a potential, the derivative
+# of the D+ frame in the Lee-form extraction, and d_k u as a first-order jet
+HESSIAN_READERS = {"fields.PointEval.christoffel", "fields.metric_jets",
+                   "hermitian.ddc_from_jets", "foliation._frame", "jets.jet_dcoord"}
+
+
+def _defs(tree):
+    """(qualified name, node) of each top-level statement: a function or a
+    method by its name, any other statement by its class or <module>."""
+    for top in tree.body:
+        if isinstance(top, ast.ClassDef):
+            for node in top.body:
+                yield "%s.%s" % (top.name, getattr(node, "name", "<body>")), node
+        else:
+            yield getattr(top, "name", "<module>"), top
+
+
+def test_a_field_read_is_its_jet_and_a_hessian_is_read_where_a_formula_needs_one():
+    # pe.raw(f), the memoised jet, is the one read of a field at a point, and
+    # a reader takes .value, .grad or .hess from it: a tuple accessor beside
+    # it read every Hessian, needed or not
+    assert not hasattr(PointEval, "jets")
+    found = []
+    for folder in (SRC, TESTS):
+        for name, tree in _modules(folder):
+            for node in ast.walk(tree):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "jets"):
+                    found.append("%s:%d calls .jets()" % (name, node.lineno))
+                elif set(_names(node)) & RESTATED:
+                    found.append("%s:%d names %s" % (name, getattr(node, "lineno", 0),
+                                                     set(_names(node)) & RESTATED))
+    assert found == []
+    readers = {"%s.%s" % (name[:-3], qual)
+               for name, tree in _modules() for qual, fn in _defs(tree)
+               for node in ast.walk(fn)
+               if isinstance(node, ast.Attribute) and node.attr == "hess"
+               and isinstance(node.ctx, ast.Load)}
+    assert readers == HESSIAN_READERS
 
 
 def test_one_point_object_point_eval_is_the_coordinate_jet():

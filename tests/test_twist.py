@@ -15,7 +15,7 @@ from kahlerkit.twist import (build_twist, build_twist_fields,
                              mobius_inv, norm_factor_expected,
                              norm_factor_measured, ricci_identity_check,
                              solve_single_twist,
-                             transverse_holomorphy_point, validate_twist,
+                             transverse_holomorphy_point,
                              zeta_duality_residual)
 from helpers import fold_plan, nijenhuis_at
 
@@ -179,20 +179,29 @@ def test_mobius_family():
         mobius_inv(-0.6)
 
 
-def test_validate_twist_errors():
+def _fold_s(S, p):
+    """A fold of max |S| over the points p, as one batch."""
+    acc = Fold()
+    acc.add(PointEval(p), lambda pe: pe.absmax(pe.raw(S).value))
+    return acc
+
+
+def test_the_s_field_guards_the_disc_and_the_frame():
+    # a twist beyond DISC, or a vanishing theta (which leaves no D+ frame),
+    # stops a fold of S at the first point, with a domain error naming it
     cal = make_cal()
-    plan = SamplePlan(9, 5)
-    with pytest.raises(ValueError) as e:
-        for p in cal.chart.samples(plan):
-            validate_twist(constant_twist(0.9999999).fn, cal.theta.fn, PointEval(p))
-    assert "circle" in str(e.value)
+    p = cal.chart.samples(SamplePlan(9, 5))
 
     def flat_theta(pt):
         return np.zeros(4)
-    with pytest.raises(ValueError) as e:
-        for p in cal.chart.samples(plan):
-            validate_twist(constant_twist(0.1).fn, flat_theta, PointEval(p))
-    assert "degenerate" in str(e.value)
+    for tw, theta, why in (
+            (constant_twist(0.9999999), cal.theta, "twist leaves the disc: |w|^2 = 0.99999980"),
+            (constant_twist(0.1), flat_theta, "degenerate twist frame (|det E| = 0.00e+00)")):
+        S = build_twist_fields(cal.g, [cal.J], cal.proj_plus, tw, theta, cal.chart)[2]
+        acc = _fold_s(S, p)
+        assert acc.points == 0 and acc.values == {}
+        assert isinstance(acc.exc, JetDomainError)
+        assert acc.error == "JetDomainError at point %s: %s" % (p[0].round(8).tolist(), why)
 
 
 def test_a_nan_twist_passes_no_twisted_check():
@@ -213,6 +222,7 @@ def test_a_nan_twist_passes_no_twisted_check():
         lambda pe: ricci_identity_check(cal, tw, tt, pe)["corrected"],
         lambda pe: zeta_duality_residual(cal.g, cal.J, tt.g_w, tt.J_w, cal.theta, pe),
         lambda pe: classify_point(twt, Pp, pe),
+        lambda pe: pe.absmax(pe.raw(tt.S).value),
     ]
     p = cal.chart.samples(SamplePlan(3, 4))
     for fn in checks:
@@ -221,27 +231,23 @@ def test_a_nan_twist_passes_no_twisted_check():
         assert acc.points == 0 and acc.values == {}
         assert acc.error.startswith("JetDomainError at point %s: twist leaves the disc"
                                     % p[0].round(8).tolist())
-    with pytest.raises(ValueError, match="not inside the disc") as info:
-        validate_twist(tw, cal.theta, PointEval(p))
-    assert str(p[0].tolist()) in str(info.value)
 
 
 def test_plan_check_and_s_guard_share_the_disc():
-    # |w|^2 = 1 - 1.5e-6 lies inside the disc for both the plan check and the
-    # S field's guard; 1 - 0.5e-6 lies outside for both
+    # |w|^2 = 1 - 1.5e-6 lies inside the disc for a fold of S over the plan
+    # and for the S field at one point; 1 - 0.5e-6 lies outside for both
     cal = make_cal()
-    plan = SamplePlan(9, 3)
+    p = cal.chart.samples(SamplePlan(9, 3))
     x = Jet2.seed(np.array([0.0, 1.0, 0.1, 0.1]))
-    inside = constant_twist(np.sqrt(1.0 - 1.5e-6))
-    for p in cal.chart.samples(plan):
-        validate_twist(inside, cal.theta, PointEval(p))
-    assert np.isfinite(build_twist(cal, inside).S.fn(x).value).all()
-    outside = constant_twist(np.sqrt(1.0 - 0.5e-6))
-    with pytest.raises(ValueError, match="circle"):
-        for p in cal.chart.samples(plan):
-            validate_twist(outside, cal.theta, PointEval(p))
+    inside = build_twist(cal, constant_twist(np.sqrt(1.0 - 1.5e-6))).S
+    acc = _fold_s(inside, p)
+    assert acc.error == "" and acc.points == 3 and np.isfinite(acc.max())
+    assert np.isfinite(inside.fn(x).value).all()
+    outside = build_twist(cal, constant_twist(np.sqrt(1.0 - 0.5e-6))).S
+    assert _fold_s(outside, p).error.startswith(
+        "JetDomainError at point %s: twist leaves the disc" % p[0].round(8).tolist())
     with pytest.raises(JetDomainError, match="twist leaves the disc"):
-        build_twist(cal, outside).S.fn(x)
+        outside.fn(x)
 
 
 def test_twist_leaving_disc_raises_at_evaluation():
