@@ -18,8 +18,10 @@ The float layer works on stacks (einsum specs with a leading "...", stacked
 np.linalg.inv), so each result carries the batch axis in front.  Every
 per-point function takes a PointEval and returns (B,) residual arrays;
 metric_jets is the one function that takes raw coordinates.
-The scenario runner evaluates every chart's sample plan as one batch; Fold
-folds the residuals, and replays a batch point by point when it fails.
+The scenario runner evaluates every chart's sample plan as one batch and
+folds each check into one Fold (a chain's levels share it), which keeps each
+residual name's values as one array and replays a batch point by point when
+it fails.
 
 Curvature convention: R(X,Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z
 - nabla_[X,Y] Z, lowered on the last slot as R(X,Y,Z,W) = g(R(X,Y)Z, W), and
@@ -259,13 +261,19 @@ class Fold:
     A per-point function, given a PointEval of a (B, n) stack, returns one
     residual per point, a (B,) array (masked where points are excluded, see
     excluded(); None excludes them all), or a dict of such residuals by
-    name.  Anything else raises ValueError.  The fold stops at the
-    first domain error, keeping the points before it, and at the first NaN or
-    inf residual, which it keeps as its max; either way error names the
-    point.  A batch of more than one point that raises a domain error or
-    yields a NaN or inf is replayed point by point, through the same
-    function on batches of one, so error, the points kept, max and mean are
-    those of a fold over single points; only failing batches pay for it.
+    name.  Anything else raises ValueError.  values[key] is one float array
+    of the residuals kept under that name, in point order; excluded[key]
+    counts the points excluded from it (a name appears once it has one); and
+    points counts the points folded.
+
+    Batches add in turn: a chain check's levels share one fold.  The fold
+    stops at the first domain error, keeping the points before it, and at
+    the first NaN or inf residual, which it keeps as its max; either way
+    error names the point, and later adds do nothing.  A batch of more than
+    one point that raises a domain error or yields a NaN or inf is replayed
+    point by point, through the same function on batches of one, so error,
+    the points kept, max and mean are those of a fold over single points;
+    only failing batches pay for it.
     """
 
     def __init__(self):
@@ -288,23 +296,19 @@ class Fold:
                                                  pe.where.round(8).tolist(), exc)
             return
         items = r.items() if isinstance(r, dict) else ((None, r),)
-        cols = [(key, _per_point(key, val, pe.batch)) for key, val in items]
-        if pe.batch > 1 and not all(v is None or math.isfinite(v)
-                                    for _, col in cols for v in col):
+        kept = {key: _kept(key, val, pe.batch) for key, val in items}
+        finite = all(np.isfinite(v).all() for v in kept.values())
+        if not finite and pe.batch > 1:
             return self._replay(pe, fn)
-        for i, p in enumerate(pe.p):
-            self._keep(p, [(key, col[i]) for key, col in cols])
-
-    def _keep(self, p, items):
-        """Record the named residuals of the point p."""
-        self.points += 1
-        for key, val in items:
-            if val is None:
-                self.excluded[key] = self.excluded.get(key, 0) + 1
-                continue
-            self.values.setdefault(key, []).append(float(val))
-            if not math.isfinite(val):
-                self.error = "non-finite residual at point %s" % p.round(8).tolist()
+        self.points += pe.batch
+        for key, v in kept.items():
+            if len(v) < pe.batch:
+                self.excluded[key] = self.excluded.get(key, 0) + pe.batch - len(v)
+            if len(v):
+                self.values[key] = (np.concatenate((self.values[key], v))
+                                    if key in self.values else v)
+        if not finite:
+            self.error = "non-finite residual at point %s" % pe.where.round(8).tolist()
 
     def _replay(self, pe, fn):
         # each point is seeded to the derivative order of the batch
@@ -316,27 +320,32 @@ class Fold:
         return len(self.values.get(key, ()))
 
     def max(self, key=None):
-        vals = self.values.get(key)
-        if not vals:
+        v = self.values.get(key)
+        if v is None:
             return 0.0
-        return vals[-1] if not math.isfinite(vals[-1]) else max(vals)
+        return float(v[-1] if not np.isfinite(v[-1]) else v.max())
 
     def mean(self, key=None):
-        vals = self.values.get(key)
-        return sum(vals) / len(vals) if vals else 0.0
+        v = self.values.get(key)
+        # summed left to right, as a fold over single points sums
+        return sum(v.tolist()) / len(v) if v is not None else 0.0
 
 
-def _per_point(key, val, batch):
-    """A batch's residual as a list of per-point floats, None where a point
-    is excluded (a masked entry lists as None)."""
+def _kept(key, val, batch):
+    """A batch's residual as the float array of the points kept, in point
+    order (a masked point, or every point of a None, is excluded)."""
     if val is None:
-        return [None] * batch
+        return np.empty(0)
     if np.size(val) != batch:
         raise ValueError("per-point function returned %sshape %s on a batch of %d "
                          "point(s); it must return one residual per point"
                          % ("" if key is None else "residual %r of " % key,
                             np.shape(val), batch))
-    return np.reshape(val, batch).tolist()
+    kept = np.array(val, float).reshape(batch)
+    # a masked array (see excluded()) is read through its mask, so that an
+    # unmasked residual does not import numpy.ma
+    mask = np.ravel(getattr(val, "mask", False))
+    return kept[~mask] if mask.any() else kept
 
 
 def metric_jets(g, p):

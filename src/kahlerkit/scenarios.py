@@ -60,25 +60,22 @@ class Scenario:
     source: str = "<memory>"
 
 
-@dataclass
-class CheckResult:
-    points_used: int
-    points_excluded: int
-    max_residual: float
-    mean_residual: float
-    error: str = ""
+def _fold_record(res):
+    return res.used(), res.excluded.get(None, 0), res.max(), res.mean(), res.error
 
 
 @dataclass
 class Check:
     """One claim checked pointwise.  parts pairs a chart with the per-point
     residual function run on its samples (a chain check has one part per
-    level); record turns the parts' folds into the CheckResult."""
+    level, and its levels fold in level order into the check's one Fold);
+    record turns that Fold into (points used, points excluded, max, mean,
+    error), by default its unnamed residual's."""
     name: str
     doc: str
     tol: float
     parts: list
-    record: object
+    record: object = _fold_record
 
 
 @dataclass
@@ -100,39 +97,16 @@ class BuilderEntry:
     make: object
 
 
-def _fold_record(folds):
-    res, = folds
-    return CheckResult(res.used(), res.excluded.get(None, 0), res.max(), res.mean(),
-                       res.error)
-
-
-def _levels_record(folds):
-    """Chain levels in level order: counts add up, the mean is weighted by
-    points, and a level's error ends the record."""
-    used = excluded = 0
-    mx = total = 0.0
-    for index, res in enumerate(folds):
-        used += res.used()
-        excluded += res.excluded.get(None, 0)
-        mx = float(worst(mx, res.max()))
-        total += res.mean() * res.used()
-        if res.error:
-            return CheckResult(used, excluded, mx, total / used if used else 0.0,
-                               "level %d: %s" % (index, res.error))
-    return CheckResult(used, excluded, mx, total / used if used else 0.0, "")
-
-
 def _verdict(expected):
     """Record of a classifier check: 0 when the verdict is the expected one,
     which must be one of VERDICTS."""
     if expected not in VERDICTS:
         raise ScenarioError("verdict must be one of %s, got %r" % (", ".join(VERDICTS), expected))
 
-    def record(folds):
-        res, = folds
+    def record(res):
         verdict, used, skipped = foliation_report(res)
         r = 0.0 if verdict == expected else 1.0
-        return CheckResult(used, skipped, r, r, res.error)
+        return used, skipped, r, r, res.error
     return record
 
 
@@ -149,27 +123,30 @@ def _merge_params(defaults, given, builder_id):
 def _twist_from_spec(spec, dim):
     """Registry of twist maps addressable from scenario files.  The last two
     chart coordinates are the disk coordinates, so coord_z / conj_z attach
-    there."""
+    there.  const takes c = [re, im] and coord_z / conj_z take scale; any
+    other field is an error."""
     if isinstance(spec, str):
         spec = {"id": spec}
     if not isinstance(spec, dict) or "id" not in spec:
         raise ScenarioError("twist must be a name or an object with an 'id'")
-    extra = set(spec) - {"id", "c", "scale"}
-    if extra:
-        raise ScenarioError("unknown twist fields: %s" % ", ".join(sorted(extra)))
     tid = spec["id"]
-    scale = check_number(spec.get("scale", 1.0), "twist scale")
-    c = check_pair(spec.get("c", [0.0, 0.0]), "const twist c = [re, im]") if tid == "const" else ()
+    if tid not in ("const", "coord_z", "conj_z"):
+        raise ScenarioError("unknown twist id %r (known: const, coord_z, conj_z)" % (tid,))
+    takes = "c" if tid == "const" else "scale"
+    extra = set(spec) - {"id", takes}
+    if extra:
+        raise ScenarioError("twist %r takes only %s besides its id, got %s"
+                            % (tid, takes, ", ".join(sorted(extra))))
+    if tid == "const":
+        c = check_pair(spec.get("c", [0.0, 0.0]), "const twist c = [re, im]")
+    else:
+        c = (check_number(spec.get("scale", 1.0), "twist scale"),)
     # a NaN twist slips past the disc guard (NaN > DISC is false)
-    if not all(math.isfinite(v) for v in c + (scale,)):
+    if not all(math.isfinite(v) for v in c):
         raise ScenarioError("twist c and scale must be finite, got %r" % (spec,))
     if tid == "const":
         return constant_twist(*c)
-    if tid == "coord_z":
-        return coordinate_twist(dim - 2, dim - 1, scale=scale)
-    if tid == "conj_z":
-        return coordinate_twist(dim - 2, dim - 1, conj=True, scale=scale)
-    raise ScenarioError("unknown twist id %r (known: const, coord_z, conj_z)" % (tid,))
+    return coordinate_twist(dim - 2, dim - 1, conj=tid == "conj_z", scale=c[0])
 
 
 def _worst_of(point, *keys):
@@ -458,8 +435,7 @@ def _make_chain(params):
 
     def per_level(name, doc, tol, fn):
         return Check(name, doc, tol,
-                     [(lv.triple.chart, lambda pe, lv=lv: fn(lv, pe)) for lv in levels],
-                     _levels_record)
+                     [(lv.triple.chart, lambda pe, lv=lv: fn(lv, pe)) for lv in levels])
 
     checks = [
         per_level("kahler_levels", "every level passes the pointwise Kähler residuals",
@@ -673,33 +649,36 @@ def run_scenario_obj(scn, tol_override=None, case=None):
                                 "runs: %s)" % (scn.source, name,
                                                ", ".join(sorted(known))))
     plan = SamplePlan(scn.seed, scn.count, scn.margin)
-    folds = [[Fold() for _ in ck.parts] for ck in case.checks]
+    folds = [Fold() for _ in case.checks]
     timings = dict.fromkeys((ck.name for ck in case.checks), 0.0)
+    # charts in the order checks name them, so a chain's levels fold in
+    # level order; the level that ends a chain check's fold is named
     charts = {id(chart): chart for ck in case.checks for chart, _ in ck.parts}
-    # a chain level is skipped once an earlier level of the same check has
-    # an error
     for chart in charts.values():
-        pe = PointEval(chart.samples(plan))
-        for ck, fs in zip(case.checks, folds):
+        try:
+            pe = PointEval(chart.samples(plan))
+        except MemoryError as exc:
+            raise ScenarioError("%s: plan count %d: cannot allocate the sample points (%s)"
+                                % (scn.source, scn.count, exc)) from None
+        for ck, fold in zip(case.checks, folds):
             for k, (c, fn) in enumerate(ck.parts):
-                if c is chart and not any(f.error for f in fs[:k]):
+                if c is chart and not fold.error:
                     t0 = time.perf_counter()
-                    fs[k].add(pe, fn)
+                    fold.add(pe, fn)
                     timings[ck.name] += time.perf_counter() - t0
+                    if fold.error and len(ck.parts) > 1:
+                        fold.error = "level %d: %s" % (k, fold.error)
     records = []
-    for ck, fs in zip(case.checks, folds):
-        res = ck.record(fs)
+    for ck, fold in zip(case.checks, folds):
+        used, excluded, mx, mean, error = ck.record(fold)
         tol = float(tol_override if tol_override is not None
                     else scn.tolerances.get(ck.name, ck.tol))
-        passed = (res.error == "") and (res.max_residual <= tol)
         rec = {"name": ck.name, "doc": ck.doc,
-               "points_used": res.points_used,
-               "points_excluded": res.points_excluded,
-               "max_residual": res.max_residual,
-               "mean_residual": res.mean_residual,
-               "tolerance": tol, "pass": passed}
-        if res.error:
-            rec["error"] = res.error
+               "points_used": used, "points_excluded": excluded,
+               "max_residual": mx, "mean_residual": mean,
+               "tolerance": tol, "pass": error == "" and mx <= tol}
+        if error:
+            rec["error"] = error
         records.append(rec)
     return {"scenario": scn.name, "builder": scn.builder, "case": case.label,
             "seed": scn.seed, "samples": scn.count, "params": scn.params,

@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from kahlerkit.calabi import alpha_primitive_point, disk_base
-from kahlerkit.fields import Fold, PointEval, excluded, homotopy_primitive
+from kahlerkit.fields import ChartManifold, Field, Fold, PointEval, excluded, homotopy_primitive
 from kahlerkit.hermitian import fundamental_form_field
 from kahlerkit.almost_kahler import iterate_chain
-from kahlerkit.jets import Jet2, SamplePlan, jcos, jeinsum, jexp, jinv, jlog, jsin, pack
-from kahlerkit.scenarios import build_case, load_scenario, parse_scenario, run_scenario_obj
+from kahlerkit.jets import (Jet2, JetDomainError, SamplePlan, jcos, jeinsum, jexp, jinv, jlog,
+                            jsin, pack)
+from kahlerkit.scenarios import (Case, Check, build_case, load_scenario, parse_scenario,
+                                 run_scenario_obj)
 
 BUNDLED = ["flat", "sphere", "calabi_flat", "calabi_twist_zeta", "calabi_chain_untwisted",
            "calabi_chain_twisted", "ak_flat", "ak_disk", "ak_disk_chain2"]
@@ -138,10 +140,8 @@ def _disc_replay(obj):
         assert "twist leaves the disc" in single.error
         assert rec["error"] == single.error
         assert rec["points_used"] == first_out
-        record = ck.record([single])
         assert (rec["points_used"], rec["points_excluded"], rec["max_residual"],
-                rec["mean_residual"]) == (record.points_used, record.points_excluded,
-                                          record.max_residual, record.mean_residual)
+                rec["mean_residual"], rec["error"]) == ck.record(single)
         # a fold over unbatched points names the same point the same way
         assert _single_point_fold(chart, plan, at).error == single.error
 
@@ -189,5 +189,38 @@ def test_nonfinite_residual_at_one_point_replays_the_batch():
             assert np.isnan(whole.max(key)) == np.isnan(acc.max(key))
             assert whole.mean(key) == acc.mean(key) or np.isnan(whole.mean(key))
     assert whole.points == 6 and np.isnan(whole.max("r"))
-    assert whole.values["r"][:5] == [float(x * x) for x in samples[:5, 0]]
+    assert whole.values["r"][:5].tolist() == [float(x * x) for x in samples[:5, 0]]
 
+
+
+def test_a_chain_check_folds_its_levels_in_order_into_one_fold():
+    # three levels on three charts, as a chain check has them; level 1 meets
+    # a domain error at its fourth sample: the check keeps level 0's points
+    # and level 1's first three, in one mean, names the level and the point,
+    # and never runs level 2
+    scn = parse_scenario({"name": "levels", "builder": "flat", "plan": {"seed": 3, "count": 6}})
+    plan = SamplePlan(scn.seed, scn.count, scn.margin)
+    charts = [ChartManifold(dim, [(-1.0, 1.0)] * dim, label="level %d" % k)
+              for k, dim in enumerate((2, 3, 4))]
+    bad = charts[1].samples(plan)[3]
+    calls = []
+
+    def level(k):
+        def residual(pe):
+            calls.append((k, pe.batch))
+            if k == 1 and (pe.p == bad).all(axis=1).any():
+                raise JetDomainError("outside level 1")
+            return pe.p[:, 0] ** 2 + k
+        return residual
+    check = Check("levels", "three levels", 10.0, [(c, level(k)) for k, c in enumerate(charts)])
+    case = Case("levels", charts[-1], Field(lambda pt: np.eye(4)), [check])
+    rec, = run_scenario_obj(scn, case=case)["checks"]
+    assert rec["error"] == "level 1: JetDomainError at point %s: outside level 1" \
+        % bad.round(8).tolist()
+    assert rec["points_used"] == 6 + 3 and rec["points_excluded"] == 0
+    kept = ([float(x * x) for x in charts[0].samples(plan)[:, 0]]
+            + [float(x * x) + 1 for x in charts[1].samples(plan)[:3, 0]])
+    assert rec["max_residual"] == max(kept) and rec["mean_residual"] == sum(kept) / 9
+    assert rec["pass"] is False
+    # level 1's batch, then its replay up to the failing point; no level 2
+    assert calls == [(0, 6), (1, 6), (1, 1), (1, 1), (1, 1), (1, 1)]

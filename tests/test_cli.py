@@ -20,7 +20,7 @@ from kahlerkit.jets import Jet2
 from kahlerkit.fields import Field, PointEval, curvature_from_jets, metric_jets
 from kahlerkit.calabi import disk_base
 from kahlerkit.twist import make_sfield
-from kahlerkit.scenarios import (BUILDER_MAP, BUILDERS, Case, build_case,
+from kahlerkit.scenarios import (BUILDER_MAP, BUILDERS, Case, build_case, bundled_dir,
                                  bundled_names, load_scenario,
                                  render_json, run_scenario_obj)
 
@@ -307,6 +307,11 @@ BIG = 10 ** 400   # an integer that no float holds
      "twist c and scale must be finite"),
     ({"builder": "ak_product", "params": {"twist": {"id": "coord_z", "scale": float("inf")}}},
      "twist c and scale must be finite"),
+    ({"builder": "ak_product", "params": {"twist": {"id": "coord_z", "c": [0.9, 0.9]}}},
+     "twist 'coord_z' takes only scale besides its id, got c"),
+    ({"builder": "calabi_twist", "params": {"twist": {"id": "const", "c": [0.1, 0.0],
+                                                      "scale": 1e300}}},
+     "twist 'const' takes only c besides its id, got scale"),
     ({"builder": "calabi_chain", "params": {"A": float("-inf")}},
      "profile needs a finite A < 0, got A=-inf"),
     ({"builder": "calabi_chain", "params": {"volume_floor": float("nan")}},
@@ -320,13 +325,14 @@ BIG = 10 ** 400   # an integer that no float holds
     ({"builder": "flat", "plan": {"margin": BIG}},
      "bad plan: margin must be a number a float holds"),
 ], ids=["range-big-int", "radius-big-int", "twist-c-big-int", "twist-c-nan", "twist-scale-inf",
-        "A-minus-inf", "volume_floor-nan", "radius-string", "verdict-unknown",
+        "twist-coord_z-c", "twist-const-scale", "A-minus-inf", "volume_floor-nan", "radius-string", "verdict-unknown",
         "tolerance-big-int", "margin-big-int"])
 def test_values_the_builders_cannot_use_exit_two(obj, needle, tmp_path, capsys):
     # an integer beyond the float range ended in an OverflowError traceback,
     # and A = -inf in a ZeroDivisionError one, both with exit code 1; a NaN
     # twist failed every twisted check at a sample point, and passed
-    # transverse_holomorphy; an unknown verdict failed classify_verdict
+    # transverse_holomorphy; an unknown verdict failed classify_verdict; a
+    # twist field that its id never reads was ignored
     path = tmp_path / "big.json"
     path.write_text(json.dumps(dict(obj, name="x")))
     rc, out, err = run_cli(capsys, ["verify", str(path)])
@@ -455,6 +461,22 @@ def test_samples_must_be_positive(capsys):
     rc, out, err = run_cli(capsys, ["verify", "flat", "--samples", "0"])
     assert rc == 2
     assert "--samples" in err
+
+
+def test_a_plan_too_large_to_allocate_is_a_usage_error(tmp_path, capsys):
+    # 10**15 points of R^3 are 24 PB of samples: the allocation is refused at
+    # once, and it ended in a MemoryError traceback with exit code 1
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"name": "huge", "builder": "flat",
+                                "plan": {"count": 1e15}}))
+    for argv, source in ((["verify", str(path)], str(path)),
+                         (["verify", "flat", "--samples", str(10 ** 15)],
+                          os.path.join(bundled_dir(), "flat.json"))):
+        rc, out, err = run_cli(capsys, argv)
+        assert rc == 2 and out == ""
+        assert err.startswith("error: %s: plan count 1000000000000000: cannot allocate "
+                              "the sample points" % source), err
+        assert len(err.splitlines()) == 1
 
 
 def test_curvature_sphere_closed_form(capsys):

@@ -6,7 +6,8 @@ how often each case seeds, that a build seeds first order only and builds
 only the chain levels it reads, that a constant is a plain number or array
 with no jet constructor beside it and a Field only its callable and label,
 that a field read is its jet with a Hessian read only by the second-order
-formulas, and the README's library example run as written."""
+formulas, that one Fold per check, holding arrays, is the one aggregator,
+and the README's library example run as written."""
 
 import ast
 import contextlib
@@ -14,12 +15,14 @@ import inspect
 import io
 import os
 import re
+import sys
 
 import numpy as np
 import pytest
 
 from kahlerkit.jets import FirstOrderError, Jet2, jet_dcoord
-from kahlerkit.fields import Field, PointEval
+import kahlerkit.scenarios
+from kahlerkit.fields import Field, Fold, PointEval, excluded
 from kahlerkit.scenarios import build_case, load_scenario, run_scenario_obj
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -211,6 +214,66 @@ def test_one_point_object_point_eval_is_the_coordinate_jet():
     assert issubclass(PointEval, Jet2)
     pe = PointEval([0.1, 0.2, 0.3])
     assert np.array_equal(pe.value, pe.p) and pe.grad.shape == (1, 3, 3)
+
+
+# The aggregator's second and third ways: a per-point loop beside the
+# array fold, and a record that merged the per-level folds of a chain again
+AGGREGATORS = {"_keep", "_levels_record"}
+
+
+def _python_events(fn):
+    """The number of Python and builtin calls that fn() makes."""
+    events = []
+    sys.setprofile(lambda frame, event, arg: events.append(event))
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return len(events)
+
+
+def test_one_aggregator_one_fold_per_check_holding_arrays(monkeypatch):
+    # a check folds into one Fold, which keeps each residual name's values
+    # as one array: only the replay of a failing batch walks its points
+    found = []
+    for folder in (SRC, TESTS):
+        for name, tree in _modules(folder):
+            for node in ast.walk(tree):
+                if set(_names(node)) & AGGREGATORS:
+                    found.append("%s:%d names %s" % (name, getattr(node, "lineno", 0),
+                                                     set(_names(node)) & AGGREGATORS))
+    assert found == []
+    tree = dict(_modules())["fields.py"]
+    walkers = {qual for qual, fn in _defs(tree) if qual.startswith("Fold.")
+               for node in ast.walk(fn) if isinstance(node, (ast.For, ast.comprehension))
+               for sub in ast.walk(node.iter)
+               if isinstance(sub, ast.Attribute) and sub.attr == "p"}
+    assert walkers == {"Fold._replay"}
+
+    # folding a batch makes as many calls for 300 points as for 3
+    def fold(batch):
+        pe = PointEval(np.linspace(-1.0, 1.0, 2 * batch).reshape(batch, 2))
+        acc = Fold()
+        return lambda: acc.add(pe, lambda pe: {"a": pe.p[:, 0],
+                                               "b": excluded(pe.p[:, 1] > 0.5, pe.p[:, 1])})
+    fold(3)()
+    assert _python_events(fold(3)) == _python_events(fold(300))
+
+    # the runner makes one Fold per check, a chain check's levels included
+    made = []
+
+    class Counting(Fold):
+        def __init__(self):
+            super().__init__()
+            made.append(self)
+    monkeypatch.setattr(kahlerkit.scenarios, "Fold", Counting)
+    scn = load_scenario("calabi_chain_twisted")
+    scn.count = 2
+    case = build_case(scn)
+    assert max(len(ck.parts) for ck in case.checks) == 3
+    run_scenario_obj(scn, case=case)
+    assert len(made) == len(case.checks)
+    assert all(isinstance(v, np.ndarray) for acc in made for v in acc.values.values())
 
 
 def test_readme_library_example_runs():
