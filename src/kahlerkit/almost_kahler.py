@@ -10,7 +10,6 @@ only, which keeps d/dx1, d/dx2 Killing.
 """
 
 from dataclasses import dataclass, field
-from math import sqrt
 
 import numpy as np
 
@@ -239,17 +238,15 @@ def iterate_chain(kind, m, A=-1.0, radius=0.55, z_range=(0.6, 1.8),
     claimed coefficient (m - m)/2 = 0, the literal Ricci-flat claim.  The
     corrected identity adds (j/2) (d J d) ln z_j for every fiber level j.
 
-    The disk's chart box lies inside the unit disk (radius * sqrt(2) < 1).
+    The disk's chart box must lie inside the unit disk (radius * sqrt(2) <
+    1), which disk_base checks.
     Each level's alpha guard (build_calabi) runs on first-order points.
     """
     steps = chain_top(kind, m)
     if top is None:
         top = steps
     elif not 0 <= top <= steps:
-        raise ValueError("chain level %r is out of range: levels 0..%d" % (top, steps))
-    if not (0 < radius and radius * sqrt(2.0) < 1.0):
-        raise ValueError("disk radius must keep the chart box inside the unit disk "
-                         "(0 < radius, radius * sqrt(2) < 1)")
+        raise ValueError("chain_level %r is out of range: levels 0..%d" % (top, steps))
     if z_range[0] <= 0:
         raise ValueError("step 1: z interval must stay positive")
 

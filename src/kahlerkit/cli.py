@@ -23,8 +23,8 @@ import numpy as np
 from kahlerkit.jets import SamplePlan
 from kahlerkit.fields import DOMAIN_ERRORS, PointEval, metric_jets, curvature_from_jets
 from kahlerkit.scenarios import (BUILDERS, ScenarioError, bundled_names,
-                                 build_case, check_tolerance, load_scenario,
-                                 render_json, run_scenario_obj)
+                                 build_case, load_scenario, render_json,
+                                 run_scenario_obj, tolerance)
 
 
 def _write(path, text):
@@ -48,7 +48,7 @@ def _cmd_verify(args):
     except ValueError as exc:
         raise ScenarioError("--seed/--samples: %s" % exc)
     if args.tol is not None:
-        check_tolerance(args.tol, "--tol")
+        tolerance(args.tol, "--tol")
     report = run_scenario_obj(scn, tol_override=args.tol)
     for rec in report["checks"]:
         line = "%s  %-26s max=%.3e  tol=%.1e  points=%d" % (
@@ -104,7 +104,8 @@ def _cmd_list_builders(_args):
         print(entry.id)
         print("  summary: %s" % entry.summary)
         print("  params:  %s" % ", ".join(
-            "%s=%r" % (k, v) for k, v in entry.defaults.items()))
+            "%s=%r (%s)" % (key, default, read.__name__)
+            for key, (default, read) in entry.params.items()))
         print("  checks:  %s" % ", ".join(entry.check_names))
     names = bundled_names()
     if names:

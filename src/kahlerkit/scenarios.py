@@ -8,12 +8,14 @@ A scenario file is a JSON object:
      "plan": {"seed": 7, "count": 30},
      "tolerances": {"ak3_identity": 1e-6}}
 
-"builder" picks an entry from BUILDERS, "params" overrides that builder's
-defaults, and "tolerances" overrides per-check defaults by check name.  A
-report is a plain dict (rendered by render_json with 17-significant-digit
-floats) holding one record per check: points used/excluded, max and mean
-residual, tolerance, pass flag.  For a fixed (scenario, seed) everything in
-the report except timings_seconds is reproduced byte for byte.
+"builder" picks an entry from BUILDERS, "params" overrides the defaults its
+entry declares (every declared parameter is read, given or defaulted, before
+the builder runs), and "tolerances" overrides per-check defaults by check
+name.  A report is a plain dict (rendered by render_json with
+17-significant-digit floats) holding one record per check: points
+used/excluded, max and mean residual, tolerance, pass flag.  For a fixed
+(scenario, seed) everything in the report except timings_seconds is
+reproduced byte for byte.
 """
 
 import json
@@ -38,7 +40,7 @@ from kahlerkit.twist import (constant_twist, coordinate_twist, build_twist,
                              norm_factor_expected, norm_factor_measured,
                              form_invariance_point, transverse_holomorphy_point,
                              ricci_identity_check, zeta_duality_residual)
-from kahlerkit.almost_kahler import (build_ak_product, chain_top, iterate_chain,
+from kahlerkit.almost_kahler import (build_ak_product, iterate_chain,
                                      ak_invariants_point, ak3_point, torsion_point,
                                      einstein_point, fiber_log_point,
                                      ker_dw_geodesic_residual)
@@ -90,19 +92,17 @@ class Case:
 
 @dataclass
 class BuilderEntry:
+    """A builder: params maps each parameter to (default, read), and make
+    takes the dict of every parameter read."""
     id: str
     summary: str
-    defaults: dict
+    params: dict
     check_names: tuple
     make: object
 
 
 def _verdict(expected):
-    """Record of a classifier check: 0 when the verdict is the expected one,
-    which must be one of VERDICTS."""
-    if expected not in VERDICTS:
-        raise ScenarioError("verdict must be one of %s, got %r" % (", ".join(VERDICTS), expected))
-
+    """Record of a classifier check: 0 when the verdict is the expected one."""
     def record(res):
         verdict, used, skipped = foliation_report(res)
         r = 0.0 if verdict == expected else 1.0
@@ -110,43 +110,20 @@ def _verdict(expected):
     return record
 
 
-def _merge_params(defaults, given, builder_id):
-    merged = dict(defaults)
-    for key, val in dict(given).items():
-        if key not in defaults:
-            raise ScenarioError("builder %r has no parameter %r (known: %s)"
-                                % (builder_id, key, ", ".join(sorted(defaults))))
-        merged[key] = val
-    return merged
-
-
-def _twist_from_spec(spec, dim):
-    """Registry of twist maps addressable from scenario files.  The last two
-    chart coordinates are the disk coordinates, so coord_z / conj_z attach
-    there.  const takes c = [re, im] and coord_z / conj_z take scale; any
-    other field is an error."""
-    if isinstance(spec, str):
-        spec = {"id": spec}
-    if not isinstance(spec, dict) or "id" not in spec:
-        raise ScenarioError("twist must be a name or an object with an 'id'")
-    tid = spec["id"]
-    if tid not in ("const", "coord_z", "conj_z"):
-        raise ScenarioError("unknown twist id %r (known: const, coord_z, conj_z)" % (tid,))
-    takes = "c" if tid == "const" else "scale"
-    extra = set(spec) - {"id", takes}
-    if extra:
-        raise ScenarioError("twist %r takes only %s besides its id, got %s"
-                            % (tid, takes, ", ".join(sorted(extra))))
-    if tid == "const":
-        c = check_pair(spec.get("c", [0.0, 0.0]), "const twist c = [re, im]")
-    else:
-        c = (check_number(spec.get("scale", 1.0), "twist scale"),)
-    # a NaN twist slips past the disc guard (NaN > DISC is false)
-    if not all(math.isfinite(v) for v in c):
-        raise ScenarioError("twist c and scale must be finite, got %r" % (spec,))
+def _twist_map(spec, dim):
+    """The twist map of a twist_spec on a chart of dimension dim.  The last
+    two chart coordinates are the disk coordinates, so coord_z / conj_z attach
+    there."""
+    tid, c = spec
     if tid == "const":
         return constant_twist(*c)
     return coordinate_twist(dim - 2, dim - 1, conj=tid == "conj_z", scale=c[0])
+
+
+def _profile(params):
+    """The Calabi profile keys of params, as CalabiProfile and iterate_chain
+    take them."""
+    return {key: params[key] for key in PROFILE}
 
 
 def _worst_of(point, *keys):
@@ -177,9 +154,9 @@ def _on(chart):
 # ---------------------------------------------------------------------------
 
 def _make_flat(params):
-    dim = check_integer(params["dim"], "dim")
+    dim = params["dim"]
     if not 2 <= dim <= 12:
-        raise ScenarioError("flat builder needs dim in 2..12, got %d" % dim)
+        raise ValueError("flat builder needs dim in 2..12, got %d" % dim)
     chart = ChartManifold(dim, [(-1.0, 1.0)] * dim, label="R^%d" % dim)
     metric = Field(lambda pt: np.eye(dim))
     check = _on(chart)
@@ -233,18 +210,10 @@ def _make_sphere(params):
 # ---------------------------------------------------------------------------
 
 def _calabi_core(params):
-    kind = params["base"]
-    if kind not in ("flat", "disk"):
-        raise ScenarioError("calabi base must be 'flat' or 'disk'")
-    k = 0 if kind == "flat" else check_integer(params["k"], "k")
-    base, alpha0 = disk_base(k, radius=check_number(params["radius"], "radius"))
-    profile = CalabiProfile(A=check_number(params["A"], "A"),
-                            z_range=check_pair(params["z_range"], "z_range"),
-                            s_range=check_pair(params["s_range"], "s_range"))
-    amode = params["alpha"]
-    if amode not in ("closed_form", "homotopy"):
-        raise ScenarioError("alpha must be 'closed_form' or 'homotopy'")
-    return build_calabi(base, profile, alpha=(alpha0 if amode == "closed_form" else None))
+    k = params["k"] if params["base"] == "disk" else 0
+    base, alpha0 = disk_base(k, radius=params["radius"])
+    return build_calabi(base, CalabiProfile(**_profile(params)),
+                        alpha=(alpha0 if params["alpha"] == "closed_form" else None))
 
 
 def _volume_checks(check, cal, floor, docs):
@@ -282,7 +251,7 @@ def _make_calabi(params):
               1e-7, lambda pe: classify_point(t, Pp, pe)["geodesic"]),
         check("moment_map", "contraction of omega with the circle field is -dz",
               1e-9, lambda pe: moment_map_point(cal, pe)),
-    ] + _volume_checks(check, cal, check_tolerance(params["volume_floor"], "volume_floor"), (
+    ] + _volume_checks(check, cal, params["volume_floor"], (
         "omega^m against the z- and r-coordinate product volume forms",
         "Pfaffian of omega stays above the declared floor")) + [
         check("classify_verdict", "foliation classifier verdict",
@@ -298,10 +267,8 @@ def _make_calabi(params):
 
 def _make_calabi_twist(params):
     cal = _calabi_core(params)
-    tw = _twist_from_spec(params["twist"], cal.chart.dim)
+    tw = _twist_map(params["twist"], cal.chart.dim)
     mode = params["mode"]
-    if mode not in ("A", "B"):
-        raise ScenarioError("twist mode must be 'A' or 'B'")
     tt = build_twist(cal, tw, mode=mode)
     twt = tt.triple()
     Pp = cal.proj_plus
@@ -346,34 +313,19 @@ def _make_calabi_twist(params):
 # ---------------------------------------------------------------------------
 
 def _make_ak(params):
-    zkind = params["z"]
-    radius = check_number(params["radius"], "radius")
+    zkind, radius = params["z"], params["radius"]
     zpos_product = {}
-    if zkind == "plane":
-        zt, _ = disk_base(0, radius=radius)
-    elif zkind == "disk":
-        zt, _ = disk_base(check_integer(params["k"], "k"), radius=radius)
-    elif zkind == "chain":
-        chain_m = check_integer(params["chain_m"], "chain_m")
-        top = chain_top("twisted", chain_m)
-        level = check_integer(params["chain_level"], "chain_level")
-        if not 0 <= level <= top:
-            raise ScenarioError("chain_level %d is out of range: a chain with chain_m=%s "
-                                "has levels 0..%d" % (level, params["chain_m"], top))
-        lv = iterate_chain("twisted", chain_m, A=check_number(params["A"], "A"),
-                           radius=radius, z_range=check_pair(params["z_range"], "z_range"),
-                           s_range=check_pair(params["s_range"], "s_range"), top=level)[-1]
+    if zkind == "chain":
+        lv = iterate_chain("twisted", params["chain_m"], radius=radius,
+                           top=params["chain_level"], **_profile(params))[-1]
         zt = lv.triple
         zpos_product = {j: pos + 2 for j, pos in lv.z_positions.items()}
     else:
-        raise ScenarioError("ak z factor must be 'plane', 'disk' or 'chain'")
+        zt, _ = disk_base(params["k"] if zkind == "disk" else 0, radius=radius)
 
-    tw = _twist_from_spec(params["twist"], zt.chart.dim)
+    tw = _twist_map(params["twist"], zt.chart.dim)
     mode = params["mode"]
-    if mode not in ("A", "B"):
-        raise ScenarioError("twist mode must be 'A' or 'B'")
-    ak = build_ak_product(zt, tw, mode=mode,
-                          plane_range=check_pair(params["plane_range"], "plane_range"))
+    ak = build_ak_product(zt, tw, mode=mode, plane_range=params["plane_range"])
 
     inv, ak3, tor = (partial(point, ak)
                      for point in (ak_invariants_point, ak3_point, torsion_point))
@@ -424,14 +376,9 @@ def _make_ak(params):
 # ---------------------------------------------------------------------------
 
 def _make_chain(params):
-    kind = params["kind"]
-    m = check_integer(params["m"], "m")
-    levels = iterate_chain(kind, m, A=check_number(params["A"], "A"),
-                           radius=check_number(params["radius"], "radius"),
-                           z_range=check_pair(params["z_range"], "z_range"),
-                           s_range=check_pair(params["s_range"], "s_range"))
+    kind, m = params["kind"], params["m"]
+    levels = iterate_chain(kind, m, radius=params["radius"], **_profile(params))
     top = levels[-1]
-    floor = check_tolerance(params["volume_floor"], "volume_floor")
 
     def per_level(name, doc, tol, fn):
         return Check(name, doc, tol,
@@ -448,7 +395,7 @@ def _make_chain(params):
     ]
     check = _on(top.triple.chart)
     if top.cal is not None:
-        checks += _volume_checks(check, top.cal, floor, (
+        checks += _volume_checks(check, top.cal, params["volume_floor"], (
             "top-level omega^m against both coordinate volume forms",
             "top-level Pfaffian stays above the floor"))
         checks.append(check("classify_top", "classifier verdict on the top level",
@@ -465,45 +412,130 @@ def _make_chain(params):
 
 
 # ---------------------------------------------------------------------------
-# registry
+# parameter readers: read(val, what) returns the value a builder takes, or
+# raises ScenarioError; what names the value in the message
 # ---------------------------------------------------------------------------
+
+def number(val, what):
+    """val as a float; raise ScenarioError unless it is a number that a float
+    holds (a boolean or a string is not a number here)."""
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        raise ScenarioError("%s must be a number, got %r" % (what, val))
+    try:
+        return float(val)
+    except OverflowError:
+        raise ScenarioError("%s must be a number a float holds, got an integer beyond "
+                            "the float range" % what) from None
+
+
+def pair(val, what):
+    """val as a tuple of two floats (a range [a, b], or a complex number
+    [re, im]); raise ScenarioError unless it is a list of two numbers."""
+    if not (isinstance(val, list) and len(val) == 2):
+        raise ScenarioError("%s must be a list of two numbers, got %r" % (what, val))
+    return tuple(number(v, what) for v in val)
+
+
+def tolerance(val, what):
+    """val as a float; raise ScenarioError unless it is a finite number >= 0
+    (a boolean is not a number here)."""
+    val = number(val, what)
+    if not (math.isfinite(val) and val >= 0):
+        raise ScenarioError("%s must be finite and >= 0, got %r" % (what, val))
+    return val
+
+
+def integer(val, what):
+    """val as an int; raise ScenarioError unless it is an integral number (a
+    boolean is not a number here, 2.0 is 2)."""
+    if (isinstance(val, bool) or not isinstance(val, (int, float))
+            or isinstance(val, float) and not val.is_integer()):
+        raise ScenarioError("%s must be an integer, got %r" % (what, val))
+    return int(val)
+
+
+def one_of(*choices):
+    """Reader of an enum: the value itself, which must be one of choices.
+    The reader is named for its choices, as list-builders prints it."""
+    def read(val, what):
+        if val not in choices:
+            raise ScenarioError("%s must be one of %s, got %r" % (what, ", ".join(choices), val))
+        return val
+    read.__name__ = "|".join(choices)
+    read.choices = choices
+    return read
+
+
+def twist_spec(spec, what):
+    """A twist as (id, values): a name or an object with an 'id', one of
+    const, coord_z and conj_z.  const takes c = [re, im] and coord_z / conj_z
+    take scale, each finite; any other field is an error.  The map needs the
+    chart's dimension, so the builder makes it (_twist_map)."""
+    if isinstance(spec, str):
+        spec = {"id": spec}
+    if not isinstance(spec, dict) or "id" not in spec:
+        raise ScenarioError("%s must be a name or an object with an 'id'" % what)
+    tid = spec["id"]
+    if tid not in ("const", "coord_z", "conj_z"):
+        raise ScenarioError("unknown twist id %r (known: const, coord_z, conj_z)" % (tid,))
+    takes = "c" if tid == "const" else "scale"
+    extra = set(spec) - {"id", takes}
+    if extra:
+        raise ScenarioError("twist %r takes only %s besides its id, got %s"
+                            % (tid, takes, ", ".join(sorted(extra))))
+    if tid == "const":
+        c = pair(spec.get("c", [0.0, 0.0]), "const twist c = [re, im]")
+    else:
+        c = (number(spec.get("scale", 1.0), "twist scale"),)
+    # a NaN twist slips past the disc guard (NaN > DISC is false)
+    if not all(math.isfinite(v) for v in c):
+        raise ScenarioError("twist c and scale must be finite, got %r" % (spec,))
+    return tid, c
+
+
+# ---------------------------------------------------------------------------
+# registry: each builder's parameters as key: (default, read)
+# ---------------------------------------------------------------------------
+
+PROFILE = {"A": (-1.0, number), "z_range": ([0.6, 1.8], pair),
+           "s_range": ([-0.8, 0.8], pair)}
+CALABI = {"base": ("flat", one_of("flat", "disk")), "k": (1, integer),
+          "radius": (0.5, number), **PROFILE,
+          "alpha": ("closed_form", one_of("closed_form", "homotopy"))}
+MODE = ("B", one_of("A", "B"))
+VERDICT = (VERDICT_HOLOMORPHIC, one_of(*VERDICTS))
 
 BUILDERS = [
     BuilderEntry("flat", "Euclidean metric on R^n",
-                 {"dim": 3},
+                 {"dim": (3, integer)},
                  ("curvature_zero", "ricci_zero"), _make_flat),
     BuilderEntry("sphere", "round unit 2-sphere in polar coordinates",
                  {},
                  ("scalar_curvature_two", "riemann_symmetries", "bianchi_first"),
                  _make_sphere),
     BuilderEntry("calabi", "fibered chart over a disk base, log profile",
-                 {"base": "flat", "k": 1, "radius": 0.5, "A": -1.0,
-                  "z_range": [0.6, 1.8], "s_range": [-0.8, 0.8],
-                  "alpha": "closed_form", "volume_floor": 1e-6,
-                  "verdict": VERDICT_HOLOMORPHIC},
+                 {**CALABI, "volume_floor": (1e-6, tolerance), "verdict": VERDICT},
                  ("kahler_verdict", "homothetic_foliation", "lee_is_dlnz",
                   "lee_closed", "plus_geodesic", "moment_map", "volume_identity",
                   "volume_nonvanishing", "classify_verdict"), _make_calabi),
     BuilderEntry("calabi_twist", "twist deformation of a fibered chart",
-                 {"base": "flat", "k": 1, "radius": 0.5, "A": -1.0,
-                  "z_range": [0.6, 1.8], "s_range": [-0.8, 0.8],
-                  "alpha": "closed_form", "twist": {"id": "coord_z"}, "mode": "B",
-                  "verdict": VERDICT_HOLOMORPHIC},
+                 {**CALABI, "twist": ({"id": "coord_z"}, twist_spec), "mode": MODE,
+                  "verdict": VERDICT},
                  ("form_invariance", "norm_factor", "transverse_holomorphy",
                   "nijenhuis_twisted", "homothetic_foliation", "ricci_fiber_log",
                   "zeta_duality", "classify_verdict"), _make_calabi_twist),
     BuilderEntry("calabi_chain", "iterated fibered charts over the disk",
-                 {"kind": "untwisted", "m": 2, "A": -1.0, "radius": 0.55,
-                  "z_range": [0.6, 1.8], "s_range": [-0.8, 0.8],
-                  "volume_floor": 1e-6},
+                 {"kind": ("untwisted", one_of("untwisted", "twisted")), "m": (2, integer),
+                  "radius": (0.55, number), **PROFILE, "volume_floor": (1e-6, tolerance)},
                  ("kahler_levels", "ricci_coefficient", "alpha_primitive",
                   "volume_identity", "volume_nonvanishing", "classify_top",
                   "ker_dw_geodesic"), _make_chain),
     BuilderEntry("ak_product", "plane times Kähler factor with twisted structures",
-                 {"z": "plane", "k": 1, "radius": 0.55, "chain_m": 2,
-                  "chain_level": 1, "A": -1.0, "z_range": [0.6, 1.8],
-                  "s_range": [-0.8, 0.8], "twist": {"id": "const", "c": [0.0, 0.0]},
-                  "mode": "B", "plane_range": [-1.0, 1.0]},
+                 {"z": ("plane", one_of("plane", "disk", "chain")), "k": (1, integer),
+                  "radius": (0.55, number), "chain_m": (2, integer),
+                  "chain_level": (1, integer), **PROFILE,
+                  "twist": ({"id": "const", "c": [0.0, 0.0]}, twist_spec), "mode": MODE,
+                  "plane_range": ([-1.0, 1.0], pair)},
                  ("structure_forms", "killing_plane", "ak3_identity", "ak3_blocks",
                   "torsion_derivative", "torsion_algebra", "torsion_kernel",
                   "torsion_rank", "einstein_fit", "ricci_flat",
@@ -525,47 +557,6 @@ def bundled_names():
                   if f.endswith(".json"))
 
 
-def check_number(val, what):
-    """val as a float; raise ScenarioError unless it is a number that a float
-    holds (a boolean or a string is not a number here); what names the value
-    in the message."""
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ScenarioError("%s must be a number, got %r" % (what, val))
-    try:
-        return float(val)
-    except OverflowError:
-        raise ScenarioError("%s must be a number a float holds, got an integer beyond "
-                            "the float range" % what) from None
-
-
-def check_pair(val, what):
-    """val as a tuple of two floats (a range [a, b], or a complex number
-    [re, im]); raise ScenarioError unless it is a list of two numbers."""
-    if not (isinstance(val, list) and len(val) == 2):
-        raise ScenarioError("%s must be a list of two numbers, got %r" % (what, val))
-    return tuple(check_number(v, what) for v in val)
-
-
-def check_tolerance(val, what):
-    """val as a float; raise ScenarioError unless it is a finite number >= 0
-    (a boolean is not a number here); what names the value in the
-    message."""
-    val = check_number(val, what)
-    if not (math.isfinite(val) and val >= 0):
-        raise ScenarioError("%s must be finite and >= 0, got %r" % (what, val))
-    return val
-
-
-def check_integer(val, what):
-    """val as an int; raise ScenarioError unless it is an integral number (a
-    boolean is not a number here, 2.0 is 2); what names the value in the
-    message."""
-    if (isinstance(val, bool) or not isinstance(val, (int, float))
-            or isinstance(val, float) and not val.is_integer()):
-        raise ScenarioError("%s must be an integer, got %r" % (what, val))
-    return int(val)
-
-
 def parse_scenario(obj, source="<memory>"):
     if not isinstance(obj, dict):
         raise ScenarioError("%s: scenario must be a JSON object" % source)
@@ -576,6 +567,8 @@ def parse_scenario(obj, source="<memory>"):
     for key in ("name", "builder"):
         if not isinstance(obj.get(key), str):
             raise ScenarioError("%s: missing or non-string %r" % (source, key))
+    if not isinstance(obj.get("title", ""), str):
+        raise ScenarioError("%s: non-string 'title'" % source)
     if obj["builder"] not in BUILDER_MAP:
         raise ScenarioError("%s: unknown builder %r (known: %s)"
                             % (source, obj["builder"],
@@ -590,11 +583,11 @@ def parse_scenario(obj, source="<memory>"):
     if not isinstance(tol, dict):
         raise ScenarioError("%s: tolerances must be an object" % source)
     for key, val in tol.items():
-        check_tolerance(val, "%s: tolerance %r" % (source, key))
+        tolerance(val, "%s: tolerance %r" % (source, key))
     try:
-        seed = check_integer(plan.get("seed", 0), "seed")
-        count = check_integer(plan.get("count", 30), "count")
-        margin = check_number(plan.get("margin", 0.15), "margin")
+        seed = integer(plan.get("seed", 0), "seed")
+        count = integer(plan.get("count", 30), "count")
+        margin = number(plan.get("margin", 0.15), "margin")
         SamplePlan(seed, count, margin)
     except ValueError as exc:
         raise ScenarioError("%s: bad plan: %s" % (source, exc))
@@ -626,11 +619,17 @@ def load_scenario(arg):
 
 
 def build_case(scn):
-    """The scenario's Case; params its builder rejects raise ScenarioError."""
+    """The scenario's Case.  Every declared parameter, given or defaulted, is
+    read in declaration order before the builder runs; an unknown key, a value
+    its reader rejects and params the builder rejects raise ScenarioError."""
     entry = BUILDER_MAP[scn.builder]
-    params = _merge_params(entry.defaults, scn.params, entry.id)
+    for key in scn.params:
+        if key not in entry.params:
+            raise ScenarioError("builder %r has no parameter %r (known: %s)"
+                                % (entry.id, key, ", ".join(sorted(entry.params))))
     try:
-        return entry.make(params)
+        return entry.make({key: read(scn.params.get(key, default), key)
+                           for key, (default, read) in entry.params.items()})
     except (ValueError, TypeError, IndexError) as exc:
         raise ScenarioError("%s: builder %r cannot build from its params: %s"
                             % (scn.source, entry.id, exc)) from exc

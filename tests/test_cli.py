@@ -206,13 +206,15 @@ def test_scenario_field_validation(tmp_path, capsys):
           "tolerances": {"curvature_zero": "tight"}}, "must be a number"),
         ({"name": "x", "builder": "flat", "params": {"dim": 3, "warp": 2}},
          "warp"),
+        # a title of any type was accepted, where name and builder are strings
+        ({"name": "x", "builder": "flat", "title": 5}, "non-string 'title'"),
     ]
     for idx, (obj, needle) in enumerate(cases):
         path = tmp_path / ("scn%d.json" % idx)
         path.write_text(json.dumps(obj))
         rc, out, err = run_cli(capsys, ["verify", str(path)])
         assert rc == 2
-        assert err.startswith("error:")
+        assert err.startswith("error:") and len(err.splitlines()) == 1
         assert needle in err
 
 
@@ -256,7 +258,7 @@ def test_sizes_out_of_range_exit_two(builder, params, needle, tmp_path, capsys):
     ("calabi", {"base": "disk", "k": 1, "radius": 1.5}, "got radius=1.5"),
     ("calabi", {"base": "disk", "k": 1, "radius": 0.8}, "got radius=0.8"),
     ("ak_product", {"z": "disk", "radius": 0.8}, "got radius=0.8"),
-    ("calabi_chain", {"radius": 0.75}, "chart box inside the unit disk"),
+    ("calabi_chain", {"radius": 0.75}, "got radius=0.75"),
 ], ids=["calabi-disk-1.5", "calabi-disk-0.8", "ak_product-disk-0.8", "calabi_chain-0.75"])
 def test_disk_charts_that_leave_the_unit_disk_exit_two(builder, params, needle, tmp_path,
                                                        capsys):
@@ -324,15 +326,23 @@ BIG = 10 ** 400   # an integer that no float holds
      "tolerance 'curvature_zero' must be a number a float holds"),
     ({"builder": "flat", "plan": {"margin": BIG}},
      "bad plan: margin must be a number a float holds"),
+    ({"builder": "ak_product", "params": {"k": "2"}}, "k must be an integer, got '2'"),
+    ({"builder": "ak_product", "params": {"chain_m": "x"}},
+     "chain_m must be an integer, got 'x'"),
+    ({"builder": "calabi", "params": {"k": 1.5}}, "k must be an integer, got 1.5"),
+    ({"builder": "calabi", "params": {"k": "one"}}, "k must be an integer, got 'one'"),
 ], ids=["range-big-int", "radius-big-int", "twist-c-big-int", "twist-c-nan", "twist-scale-inf",
         "twist-coord_z-c", "twist-const-scale", "A-minus-inf", "volume_floor-nan", "radius-string", "verdict-unknown",
-        "tolerance-big-int", "margin-big-int"])
+        "tolerance-big-int", "margin-big-int", "ak_plane-k-string", "ak_plane-chain_m-string",
+        "calabi_flat-k-float", "calabi_flat-k-string"])
 def test_values_the_builders_cannot_use_exit_two(obj, needle, tmp_path, capsys):
     # an integer beyond the float range ended in an OverflowError traceback,
     # and A = -inf in a ZeroDivisionError one, both with exit code 1; a NaN
     # twist failed every twisted check at a sample point, and passed
     # transverse_holomorphy; an unknown verdict failed classify_verdict; a
-    # twist field that its id never reads was ignored
+    # twist field that its id never reads was ignored; a malformed parameter
+    # that the case does not read (k on the plane or a flat base, chain_m
+    # off a chain) exited 0
     path = tmp_path / "big.json"
     path.write_text(json.dumps(dict(obj, name="x")))
     rc, out, err = run_cli(capsys, ["verify", str(path)])
@@ -610,6 +620,8 @@ def test_list_builders_shows_defaults_and_checks(capsys):
     rc, out, _ = run_cli(capsys, ["list-builders"])
     assert rc == 0
     assert "dim=3" in out
+    assert "dim=3 (integer)" in out
+    assert "z='plane' (plane|disk|chain)" in out
     assert "chain_level=1" in out
     assert "ricci_form_fiber_log" in out
     assert "holomorphic_foliation" in out or "verdict" in out

@@ -1,7 +1,8 @@
 """Property tests of the scenario surface: every builder's params, drawn from
-the type of each default (numbers with 0, negatives, NaN, inf and large
-values; ranges that are reversed, empty, tiny or huge; twist specs; enum
-strings; wrong types), run through the command line at 2 samples.
+the reader each parameter declares (numbers with 0, negatives, NaN, inf and
+large values; ranges that are reversed, empty, tiny or huge; twist specs; an
+enum's choices and near misses; wrong types), run through the command line
+at 2 samples.
 
 Whatever the params, `kahlerkit verify` exits 0, 1 or 2 without a
 traceback; exit 2 prints one `error:` line and nothing else, exit 1 prints a
@@ -18,8 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kahlerkit.cli import main
-from kahlerkit.foliation import VERDICTS
-from kahlerkit.scenarios import BUILDERS
+from kahlerkit.scenarios import BUILDERS, integer, number, pair, tolerance, twist_spec
 
 NAN, INF = float("nan"), float("inf")
 
@@ -51,31 +51,26 @@ TWISTS = st.one_of(
         optional={"c": st.one_of(RANGES, NUMBERS), "scale": st.one_of(NUMBERS, WRONG),
                   "shift": st.just(1.0)}))
 
-ENUMS = {"base": ["flat", "disk"], "alpha": ["closed_form", "homotopy"],
-         "verdict": list(VERDICTS), "kind": ["untwisted", "twisted"],
-         "z": ["plane", "disk", "chain"], "mode": ["A", "B"]}
+BY_READER = {number: NUMBERS, tolerance: NUMBERS, integer: INTEGERS, pair: RANGES,
+             twist_spec: TWISTS}
 
 
-def _like(key, default):
-    """Values for the parameter key drawn from the type of its default."""
-    if isinstance(default, str):
-        values = st.sampled_from(ENUMS[key] + ["", "bogus", ENUMS[key][0].upper()])
-    elif isinstance(default, dict):
-        values = TWISTS
-    elif isinstance(default, list):
-        values = RANGES
-    elif isinstance(default, int):
-        values = INTEGERS
+def _like(default, read):
+    """Values for a parameter drawn from its reader: an enum's choices and
+    near misses, or the values of the reader's type."""
+    choices = getattr(read, "choices", None)
+    if choices:
+        values = st.sampled_from(list(choices) + ["", "bogus", choices[0].upper()])
     else:
-        values = NUMBERS
+        values = BY_READER[read]
     return st.one_of(st.just(default), values, WRONG)
 
 
 def params_of(entry):
     """The strategy of the builder entry's params: any subset of its
-    defaults overridden."""
+    declared parameters overridden."""
     return st.fixed_dictionaries(
-        {}, optional={key: _like(key, val) for key, val in entry.defaults.items()})
+        {}, optional={key: _like(*decl) for key, decl in entry.params.items()})
 
 
 STRATEGIES = {entry.id: params_of(entry) for entry in BUILDERS}

@@ -7,7 +7,8 @@ only the chain levels it reads, that a constant is a plain number or array
 with no jet constructor beside it and a Field only its callable and label,
 that a field read is its jet with a Hessian read only by the second-order
 formulas, that one Fold per check, holding arrays, is the one aggregator,
-and the README's library example run as written."""
+that each builder declares each parameter once, with its default and its
+reader, and the README's library example run as written."""
 
 import ast
 import contextlib
@@ -360,3 +361,29 @@ def test_a_chain_builds_only_the_levels_its_case_reads(name, builds, monkeypatch
     monkeypatch.setattr(ak, "build_calabi", counting)
     build_case(load_scenario(name))
     assert len(calls) == builds
+
+
+READERS = {"number", "integer", "pair", "tolerance", "twist_spec"}
+
+
+def test_each_builder_declares_each_parameter_once():
+    # a parameter's default and its reader sit together in its BuilderEntry,
+    # and build_case reads every one before the builder runs; a builder that
+    # checked a value itself would be a second declaration, reached only when
+    # the case happens to read that value
+    tree = dict(_modules())["scenarios.py"]
+    banned = READERS | {"one_of", "ScenarioError"}
+    found = ["%s:%d names %s" % (fn.name, getattr(node, "lineno", 0),
+                                 sorted(set(_names(node)) & banned))
+             for fn in tree.body if isinstance(fn, ast.FunctionDef)
+             and (fn.name.startswith("_make_") or "params" in [a.arg for a in fn.args.args])
+             for node in ast.walk(fn) if set(_names(node)) & banned]
+    assert found == []
+    assert not hasattr(kahlerkit.scenarios, "_merge_params")
+    readers = {getattr(kahlerkit.scenarios, name) for name in READERS}
+    for entry in kahlerkit.scenarios.BUILDERS:
+        for key, decl in entry.params.items():
+            assert isinstance(decl, tuple) and len(decl) == 2, (entry.id, key)
+            default, read = decl
+            assert read in readers or read.choices, (entry.id, key)
+            read(default, key)
