@@ -165,11 +165,9 @@ def einstein_point(g, pe):
 def subtract_fiber_logs(rho, pe, J, z_positions):
     """rho minus (j/2) (d J d) ln z_j for every fiber level j, in level order;
     returns the difference and the largest single term."""
-    Jj = pe.raw(J)
-    Jv, Jg = Jj.value, Jj.grad
     size = 0.0
     for j, pos in z_positions.items():
-        term = 0.5 * j * ddc_from_jets(jlog(pe[pos]), Jv, Jg)
+        term = 0.5 * j * ddc_from_jets(jlog(pe[pos]), pe.raw(J))
         rho = rho - term
         size = worst(size, pe.absmax(term))
     return rho, size
@@ -196,10 +194,8 @@ class ChainLevel:
         corrected one carrying the (j/2) ln z_j fiber terms."""
         n = self.triple.chart.dim
         t = self.triple
-        J = pe.raw(t.J)
-        Jv, Jg = J.value, J.grad
         xx, yy = pe[n - 2], pe[n - 1]
-        ddL = ddc_from_jets(jlog(1.0 - xx * xx - yy * yy), Jv, Jg)
+        ddL = ddc_from_jets(jlog(1.0 - xx * xx - yy * yy), pe.raw(t.J))
         claimed = ricci_form(t, pe) - self.claimed_coeff * ddL
         corrected, corr_size = subtract_fiber_logs(claimed, pe, t.J, self.z_positions)
         return {"claimed": pe.absmax(claimed),
@@ -239,7 +235,8 @@ def iterate_chain(kind, m, A=-1.0, radius=0.55, z_range=(0.6, 1.8),
     corrected identity adds (j/2) (d J d) ln z_j for every fiber level j.
 
     The disk's chart box must lie inside the unit disk (radius * sqrt(2) <
-    1), which disk_base checks.
+    1), which disk_base checks.  Every level shares one CalabiProfile, built
+    (and so checked) before any level.
     Each level's alpha guard (build_calabi) runs on first-order points.
     """
     steps = chain_top(kind, m)
@@ -247,8 +244,7 @@ def iterate_chain(kind, m, A=-1.0, radius=0.55, z_range=(0.6, 1.8),
         top = steps
     elif not 0 <= top <= steps:
         raise ValueError("chain_level %r is out of range: levels 0..%d" % (top, steps))
-    if z_range[0] <= 0:
-        raise ValueError("step 1: z interval must stay positive")
+    profile = CalabiProfile(A=A, z_range=z_range, s_range=s_range)
 
     k0 = 1 if kind == "untwisted" else m
     base, alpha0 = disk_base(k0, radius=radius)
@@ -259,7 +255,6 @@ def iterate_chain(kind, m, A=-1.0, radius=0.55, z_range=(0.6, 1.8),
     levels = [ChainLevel(index=0, triple=base, alpha=alpha0, claimed_coeff=coeff(0))]
     for k in range(1, top + 1):
         prev = levels[-1]
-        profile = CalabiProfile(A=A, z_range=z_range, s_range=s_range)
         try:
             cal = build_calabi(prev.triple, profile, alpha=prev.alpha)
         except Exception as exc:

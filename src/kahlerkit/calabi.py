@@ -24,7 +24,7 @@ import numpy as np
 from kahlerkit.jets import Jet2, SamplePlan, jeinsum, jlog, pack
 from kahlerkit.fields import (ChartManifold, Field, Fold, NotClosedError, PointEval,
                               first_order, wedge12, wedge_top, homotopy_primitive,
-                              exterior_from_grad)
+                              exterior_from_grad, least_squares)
 from kahlerkit.hermitian import HermitianTriple, fundamental_form_field
 
 
@@ -246,15 +246,15 @@ def volume_checks(cal, pe):
 
 def lee_form_of_I0(cal, pe):
     """Solve d omega_I = theta0 ^ omega_I for theta0 by least squares over all
-    3-form components, point by point.  Returns (theta0 components, fit
-    residual) at each point, shapes (B, n) and (B,)."""
+    3-form components.  Returns (theta0 components, fit residual) at each
+    point, shapes (B, n) and (B,)."""
     n = cal.chart.dim
     om = pe.omega(cal.g, cal.I0)
     dom = exterior_from_grad(om.grad, 2)
     wedges = np.stack([wedge12(e, om.value) for e in np.eye(n)], axis=-1)
     i, j, k = np.array(list(itertools.combinations(range(n), 3))).T
     Amat, bvec = wedges[:, i, j, k], dom[:, i, j, k]
-    th0 = np.array([np.linalg.lstsq(A, b, rcond=None)[0] for A, b in zip(Amat, bvec)])
+    th0 = least_squares(Amat, bvec)
     fit = np.abs((Amat @ th0[..., None])[..., 0] - bvec).max(axis=-1)
     return th0, fit
 

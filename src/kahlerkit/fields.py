@@ -2,20 +2,25 @@
 
 A chart is a coordinate box; every tensor field is a callable taking the
 coordinate jets of a point and returning its components: jets, with
-constant parts written as plain numbers and arrays.  All
-curvature below is float-layer linear algebra on the packed (value, grad,
-hess) arrays, so the only differentiation ever performed is the exact jet
-propagation.
+constant parts written as plain numbers and arrays.  The only
+differentiation ever performed is the exact jet propagation, and the jet
+rules are the one place a product is differentiated: a formula of second
+order (the Christoffel symbols, ddc) is a jet expression on jet_dcoord(u),
+the first-order jet of du, whose gradient it reads, so outside jets.py only
+metric_jets reads a Hessian.  Curvature is float-layer linear algebra on
+the Christoffel symbols' value and gradient.
 
 A point is one object, a PointEval: the coordinate jets (a Jet2) of a batch
 of points, a (B, n) stack (one point is a batch of one), holding the points'
 memo.  Builders call their input Fields on the PointEval they are given, and
 per-point functions read fields from it, both through its one raw(), so
 every field runs once for the whole batch, on it or on a lifted slice pt[k:].
-A field read is its memoised jet: a reader takes .value, .grad or .hess from
-it, so a Hessian is read only by the formulas that need second order.
+A field read is its memoised jet: a reader takes .value or .grad from it.
+The Christoffel symbols are built on the point's memoised inverse, so each
+metric is inverted once per point, behind _inverse, the one singular-metric
+guard.
 The float layer works on stacks (einsum specs with a leading "...", stacked
-np.linalg.inv), so each result carries the batch axis in front.  Every
+np.linalg solves), so each result carries the batch axis in front.  Every
 per-point function takes a PointEval and returns (B,) residual arrays;
 metric_jets is the one function that takes raw coordinates.
 The scenario runner evaluates every chart's sample plan as one batch and
@@ -34,8 +39,8 @@ import math
 
 import numpy as np
 
-from kahlerkit.jets import (Jet2, JetDomainError, _batch_of, gauss_integrate, jinv, pack,
-                            sample_points)
+from kahlerkit.jets import (Jet2, JetDomainError, _batch_of, gauss_integrate, jeinsum,
+                            jet_dcoord, jinv, pack, sample_points)
 
 
 class DegenerateMetricError(ValueError):
@@ -202,13 +207,11 @@ class PointEval(Jet2):
     def inverse(self, g):
         """First-order jet of the matrix g^{-1} (its readers take values and
         first derivatives only)."""
-        return self.cached("inv", (g,), lambda: jinv(first_order(self.raw(g))))
+        return self.cached("inv", (g,), lambda: _inverse(self.raw(g), self.where))
 
     def christoffel(self, g):
-        def parts():
-            j = self.raw(g)
-            return christoffel_parts(j.value, j.grad, j.hess, self.where)
-        return self.cached("gamma", (g,), parts)
+        """christoffel_parts of the metric g, from its memoised inverse."""
+        return self.cached("gamma", (g,), lambda: christoffel_parts(self.raw(g), self.inverse(g)))
 
     def curvature(self, g):
         """(Riemann lowered, Ricci, scalar, g^{-1}) of the metric g, from its
@@ -359,31 +362,31 @@ def metric_jets(g, p):
 # curvature stack
 # ---------------------------------------------------------------------------
 
-def _inverse(gv, p):
+def _inverse(g, p):
+    """First-order jet of the inverse of the matrix jet g at the point p: the
+    one singular-metric guard."""
     try:
-        gi = np.linalg.inv(gv)
-    except np.linalg.LinAlgError:
-        raise DegenerateMetricError(f"singular metric at point {np.asarray(p).tolist()}")
-    return gi
+        return jinv(first_order(g))
+    except JetDomainError:
+        raise DegenerateMetricError(
+            f"singular metric at point {np.asarray(p).tolist()}") from None
 
-def christoffel_parts(gv, gg, gh, p=None):
+
+def christoffel_parts(g, gi):
     """Gamma[k,i,j] plus its coordinate derivative dGamma[k,i,j,m] and g^{-1}
-    (of each point of a batch: every array may carry leading batch axes)."""
-    gi = _inverse(gv, p)
-    T = (np.einsum('...jli->...lij', gg) + np.einsum('...ilj->...lij', gg)
-         - np.einsum('...ijl->...lij', gg))
-    Gam = 0.5 * np.einsum('...kl,...lij->...kij', gi, T)
-    dgi = -np.einsum('...kbm,...bl->...klm', np.einsum('...ka,...abm->...kbm', gi, gg), gi)
-    dT = (np.einsum('...jlim->...lijm', gh) + np.einsum('...iljm->...lijm', gh)
-          - np.einsum('...ijlm->...lijm', gh))
-    dGam = (0.5 * np.einsum('...klm,...lij->...kijm', dgi, T)
-            + 0.5 * np.einsum('...kl,...lijm->...kijm', gi, dT))
-    return Gam, dGam, gi
+    (of each point of a batch) from the metric's jet g and the first-order
+    jet gi of its inverse: Gamma is built as a first-order jet, so the jet
+    rules differentiate it."""
+    dg = jet_dcoord(g)
+    Gam = 0.5 * (jeinsum("kl,jli->kij", gi, dg) + jeinsum("kl,ilj->kij", gi, dg)
+                 - jeinsum("kl,ijl->kij", gi, dg))
+    return Gam.value, Gam.grad, gi.value
 
 
 def curvature_from_jets(gv, gg, gh, p=None):
     """(Riemann lowered, Ricci, scalar, g^{-1}) from the metric's jets."""
-    return curvature_from_parts(gv, *christoffel_parts(gv, gg, gh, p))
+    g = Jet2(gv, gg, gh)
+    return curvature_from_parts(gv, *christoffel_parts(g, _inverse(g, p)))
 
 
 def curvature_from_parts(gv, Gam, dGam, gi):
@@ -395,6 +398,14 @@ def curvature_from_parts(gv, Gam, dGam, gi):
     Ric = np.einsum('...il,...ijkl->...jk', gi, Rlow)
     scal = np.einsum('...jk,...jk->...', gi, Ric)
     return Rlow, Ric, scal, gi
+
+
+def least_squares(A, b):
+    """The minimum-norm least-squares solution of A x = b at each point of a
+    batch, with np.linalg.lstsq's cutoff: singular values below max(M, N) eps
+    times the largest count as zero."""
+    cutoff = max(A.shape[-2:]) * np.finfo(A.dtype).eps
+    return (np.linalg.pinv(A, cutoff) @ b[..., None])[..., 0]
 
 
 def pull_back(T, A):

@@ -13,7 +13,7 @@ genuine two-sided test. zeta denotes the g-dual of theta.
 import numpy as np
 
 from kahlerkit.jets import Jet2, jeinsum, jet_dcoord, jinv
-from kahlerkit.fields import (worst, excluded, first_order, lie_endo_from_jets,
+from kahlerkit.fields import (worst, excluded, least_squares, lie_endo_from_jets,
                               exterior_from_grad, wedge12)
 
 VERDICT_HOLOMORPHIC = "holomorphic"
@@ -38,14 +38,12 @@ def _frame_columns(Pv, tol=1e-8):
     return i[best], j[best]
 
 
-def _frame(P):
-    """The jet of the two D+ frame columns of the projector jet P (at each
-    point, that point's _frame_columns), and their indices."""
-    cols = _frame_columns(P.value)
+def _columns(M, cols):
+    """The first-order jet of the columns cols of the matrix jet M (at each
+    point, that point's pair of _frame_columns): its value and gradient."""
     idx = np.stack(cols, axis=-1)[:, None, :]
-    V = [np.take_along_axis(a, idx.reshape(idx.shape + (1,) * (a.ndim - 3)), 2)
-         for a in (P.value, P.grad, P.hess)]
-    return Jet2(*V), cols
+    return Jet2(*(np.take_along_axis(a, idx.reshape(idx.shape + (1,) * (a.ndim - 3)), 2)
+                  for a in (M.value, M.grad)))
 
 
 def theta_jets(t, Pp, pe):
@@ -59,10 +57,11 @@ def theta_jets(t, Pp, pe):
     g = pe.raw(t.g)
     P = pe.raw(Pp)
     n = g.shape[0]
-    V, cols = _frame(P)
+    cols = _frame_columns(P.value)
+    V = _columns(P, cols)
     # (L_V g)_ij for each frame column V, as first-order jets: the
     # v-derivatives of g and V come from the jet grads
-    dV = jet_dcoord(V)
+    dV = _columns(jet_dcoord(P), cols)
     L = (jeinsum("ka,ijk->aij", V, jet_dcoord(g)) + jeinsum("kj,kai->aij", g, dV)
          + jeinsum("ik,kaj->aij", g, dV))
     thetaV = jeinsum("aij,ji->a", jeinsum("ij,ajk->aik", pe.inverse(t.g), L),
@@ -73,10 +72,9 @@ def theta_jets(t, Pp, pe):
     resid = worst(0.0, pe.absmax(D))
 
     # assemble theta as a 1-form: theta(d_i) = theta(P+ d_i) expanded in the
-    # frame; thetaV is first order, so the frame products are built first order
-    V1, g1, P1 = (first_order(j) for j in (V, g, P))
-    VTg = V1.T @ g1
-    theta = thetaV @ (jinv(VTg @ V1) @ (VTg @ P1))
+    # frame; V is first order, and so are its products
+    VTg = V.T @ g
+    theta = thetaV @ (jinv(VTg @ V) @ (VTg @ P))
     return theta, resid, thetaV, cols
 
 
@@ -145,7 +143,7 @@ def structure_point(t, Pp, pe, skip_theta_below=1e-6):
     J = pe.raw(t.J)
     Jv, Jg = J.value, J.grad
     P = pe.raw(Pp)
-    V = _frame(P)[0]
+    V = _columns(P, _frame_columns(P.value))
     Pmv = np.eye(P.value.shape[-1]) - P.value
     hol = worst(*(pe.absmax(Pmv @ lie_endo_from_jets(V.value[..., a], V.grad[..., a, :], Jv, Jg))
                   for a in (0, 1)))
@@ -170,10 +168,7 @@ def structure_point(t, Pp, pe, skip_theta_below=1e-6):
              np.einsum('...j,...k->...kj', thv, Jz), np.einsum('...j,...k->...kj', thJ, Jz)]
     Amat = np.stack([b.reshape(b.shape[:-2] + (-1,)) for b in basis], axis=-1)
     bvec = LzJ.reshape(Amat.shape[:-1])
-    # the least-squares fit runs point by point
-    fits = zip(Amat.reshape((-1,) + Amat.shape[-2:]), bvec.reshape(-1, bvec.shape[-1]))
-    cvec = np.reshape([np.linalg.lstsq(A, b, rcond=None)[0] for A, b in fits],
-                      Amat.shape[:-2] + (4,))
+    cvec = least_squares(Amat, bvec)
     lie_fit = pe.absmax(np.einsum('...ij,...j->...i', Amat, cvec) - bvec)
     # |theta|^2 = theta_i g^ij theta_j as a jet
     chi1_log = (-np.einsum('...i,...i->...', Jz, (theta @ zeta).grad)

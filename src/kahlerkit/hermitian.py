@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from kahlerkit.fields import Field, omega_of, worst, exterior_from_grad, nijenhuis_from_jets
-from kahlerkit.jets import pack
+from kahlerkit.jets import jet_dcoord, pack
 
 
 @dataclass
@@ -53,7 +53,7 @@ def ricci_form_from_jets(Ric, Jv):
     return np.einsum('...mi,...mj->...ij', Jv, Ric)
 
 
-def ddc_from_jets(fjet, Jv, Jg):
-    bg = (np.einsum('...mk,...mi->...ki', fjet.hess, Jv)
-          + np.einsum('...m,...mik->...ki', fjet.grad, Jg))
-    return bg - bg.swapaxes(-1, -2)
+def ddc_from_jets(f, J):
+    """ddc(f) = d(df o J) from the jet of the function f and the jet of J:
+    df o J is a first-order jet, and d reads its gradient."""
+    return exterior_from_grad((jet_dcoord(f) @ J).grad, 1)

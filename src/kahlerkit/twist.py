@@ -203,16 +203,15 @@ def ricci_identity_check(cal, tw, tt, pe):
     """
     m = cal.m
     Jw = pe.raw(tt.J_w)
-    Jwv, Jwg = Jw.value, Jw.grad
     rho_w = ricci_form(tt.triple(), pe)
     rho_N = np.zeros_like(rho_w)
     rho_N[..., 2:, 2:] = ricci_form(cal.base, pe.sub(2))   # lifted base form
 
-    ddz = ddc_from_jets(jlog(pe[1]), Jwv, Jwg)
+    ddz = ddc_from_jets(jlog(pe[1]), Jw)
     w1, w2 = pe.raw(tw)
     ww = w1 * w1 + w2 * w2
     fw = jlog(1.0 - ww)
-    ddw = ddc_from_jets(fw, Jwv, Jwg)
+    ddw = ddc_from_jets(fw, Jw)
 
     corr = 0.5 * (m - 1) * ddz
     return {"corrected": pe.absmax(rho_w - rho_N - corr + 0.5 * ddw),
@@ -231,13 +230,12 @@ def zeta_duality_residual(gfn, Jfn, gwfn, Jwfn, theta_fn, pe):
 def solve_single_twist(g0fn, gcompfn, J0fn, Ppfn, theta_fn, pe):
     """Recover the single-twist parameter (w1, w2) reproducing a composite
     metric at each point of pe (mode B, frame {theta, -theta o J})."""
-    gv0 = pe.raw(g0fn).value
     gvc = pe.raw(gcompfn).value
     th = pe.raw(theta_fn).value[..., None, :]
     F = np.concatenate([th, -th @ pe.raw(J0fn).value], axis=-2)   # rows theta, e2
     v = pe.raw(Ppfn).value[..., :2]
     u = v @ np.linalg.inv(F @ v)
-    C = np.linalg.inv(gv0) @ gvc
+    C = pe.inverse(g0fn).value @ gvc
     B = F @ C @ u
     tau = B[..., 0, 0] + B[..., 1, 1]
     ww = ((tau - 2.0) / (tau + 2.0))[..., None, None]

@@ -162,7 +162,7 @@ def test_six_dim_product_ricci_form_matches_fiber_logs():
         rho = np.einsum('...mi,...mj->...ij', Jv, Ric)
         x = Jet2.seed(np.asarray(p, float))
         for j, pos in zpos.items():
-            rho = rho - 0.5 * j * ddc_from_jets(jlog(x[pos]), Jv, Jg)
+            rho = rho - 0.5 * j * ddc_from_jets(jlog(x[pos]), Jet2(Jv, Jg))
         assert np.abs(rho).max() < 1e-6
 
 

@@ -331,10 +331,17 @@ BIG = 10 ** 400   # an integer that no float holds
      "chain_m must be an integer, got 'x'"),
     ({"builder": "calabi", "params": {"k": 1.5}}, "k must be an integer, got 1.5"),
     ({"builder": "calabi", "params": {"k": "one"}}, "k must be an integer, got 'one'"),
+    ({"builder": "calabi_chain", "params": {"z_range": [-0.5, 1.0]}},
+     "builder 'calabi_chain' cannot build from its params: z_range must be positive and "
+     "increasing"),
+    ({"builder": "ak_product", "params": {"z": "chain", "chain_level": 0, "A": 1.0}},
+     "builder 'ak_product' cannot build from its params: profile needs a finite A < 0, "
+     "got A=1.0"),
 ], ids=["range-big-int", "radius-big-int", "twist-c-big-int", "twist-c-nan", "twist-scale-inf",
         "twist-coord_z-c", "twist-const-scale", "A-minus-inf", "volume_floor-nan", "radius-string", "verdict-unknown",
         "tolerance-big-int", "margin-big-int", "ak_plane-k-string", "ak_plane-chain_m-string",
-        "calabi_flat-k-float", "calabi_flat-k-string"])
+        "calabi_flat-k-float", "calabi_flat-k-string", "chain-z_range-negative",
+        "chain-level0-A-positive"])
 def test_values_the_builders_cannot_use_exit_two(obj, needle, tmp_path, capsys):
     # an integer beyond the float range ended in an OverflowError traceback,
     # and A = -inf in a ZeroDivisionError one, both with exit code 1; a NaN
@@ -342,7 +349,9 @@ def test_values_the_builders_cannot_use_exit_two(obj, needle, tmp_path, capsys):
     # transverse_holomorphy; an unknown verdict failed classify_verdict; a
     # twist field that its id never reads was ignored; a malformed parameter
     # that the case does not read (k on the plane or a flat base, chain_m
-    # off a chain) exited 0
+    # off a chain) exited 0; a chain's profile was checked level by level,
+    # so a bad A passed at chain_level 0 (exit 1) and a negative z_range
+    # read "step 1: z interval must stay positive"
     path = tmp_path / "big.json"
     path.write_text(json.dumps(dict(obj, name="x")))
     rc, out, err = run_cli(capsys, ["verify", str(path)])

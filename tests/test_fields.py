@@ -6,9 +6,9 @@ import pytest
 
 from kahlerkit.jets import FirstOrderError, Jet2, SamplePlan, jet_dcoord, jinv, jsin, pack
 from kahlerkit.fields import (ChartManifold, DegenerateMetricError, Field, Fold,
-                              NotClosedError, PointEval, christoffel_parts, excluded, first_order,
-                              exterior_from_grad, homotopy_primitive, lie_derivative_metric,
-                              metric_jets, nijenhuis_from_jets, wedge_top)
+                              NotClosedError, PointEval, excluded, first_order,
+                              exterior_from_grad, homotopy_primitive, least_squares,
+                              lie_derivative_metric, metric_jets, nijenhuis_from_jets, wedge_top)
 from kahlerkit.hermitian import HermitianTriple, fundamental_form_field, kahler_point
 from kahlerkit.calabi import CalabiProfile, build_calabi
 from helpers import J4, ROTATION, fold_plan, rotation, sphere_metric
@@ -27,8 +27,7 @@ def hyperbolic_metric(pt):
 
 def test_polar_christoffel_closed_form():
     p = [2.0, 0.7]
-    gv, gg, gh = metric_jets(polar_metric, p)
-    Gam = christoffel_parts(gv, gg, gh, p)[0][0]
+    Gam = PointEval(p).christoffel(polar_metric)[0][0]
     # Gamma^r_{phi phi} = -r, Gamma^phi_{r phi} = 1/r
     assert abs(Gam[0, 1, 1] - (-2.0)) < 1e-12
     assert abs(Gam[1, 0, 1] - 0.5) < 1e-12
@@ -38,8 +37,7 @@ def test_polar_christoffel_closed_form():
 
 def test_sphere_christoffel_closed_form():
     u = np.pi / 3.0
-    gv, gg, gh = metric_jets(sphere_metric, [u, 0.3])
-    Gam = christoffel_parts(gv, gg, gh, [u, 0.3])[0][0]
+    Gam = PointEval([u, 0.3]).christoffel(sphere_metric)[0][0]
     assert abs(Gam[0, 1, 1] - (-np.sin(u) * np.cos(u))) < 1e-12
     assert abs(Gam[1, 0, 1] - np.cos(u) / np.sin(u)) < 1e-12
 
@@ -90,18 +88,23 @@ def test_riemann_symmetries_and_bianchi():
 def test_metric_compatibility_of_connection():
     # nabla g = 0: d_k g_ij = Gamma^m_{ki} g_mj + Gamma^m_{kj} g_im
     p = [0.9, 0.6]
-    gv, gg, gh = (a[0] for a in metric_jets(sphere_metric, p))
-    Gam, _, _ = christoffel_parts(gv, gg, gh, p)
+    pe = PointEval(p)
+    Gam = pe.christoffel(sphere_metric)[0][0]
+    g = pe.raw(sphere_metric)
+    gv, gg = g.value[0], g.grad[0]
     lhs = np.einsum('ijk->kij', gg)
     rhs = np.einsum('mki,mj->kij', Gam, gv) + np.einsum('mkj,im->kij', Gam, gv)
     assert np.abs(lhs - rhs).max() < 1e-12
 
 
 def test_degenerate_metric_raises():
+    # one singular-metric guard: the memoised inverse and the curvature built
+    # on it both report the metric, and name the point
     def bad(pt):
         return [[0.0, 0.0], [0.0, 1.0]]
-    with pytest.raises(DegenerateMetricError):
-        PointEval([0.1, 0.2]).curvature(bad)
+    for read in (PointEval.inverse, PointEval.curvature):
+        with pytest.raises(DegenerateMetricError, match=r"singular metric at point \[0\.1, 0\.2\]"):
+            read(PointEval([0.1, 0.2]), bad)
 
 
 def test_exterior_derivative_squares_to_zero_on_gradients():
@@ -244,6 +247,24 @@ def test_wedge_top_volume_coefficient():
     assert abs(wedge_top([om4, om4]) - 2.0) < 1e-14
     with pytest.raises(ValueError):
         wedge_top([om, om])
+
+
+def test_least_squares_solves_each_point_as_lstsq_does():
+    # the batched solve stands for a per-point np.linalg.lstsq loop: the same
+    # minimum-norm solution with the same cutoff, max(M, N) eps relative to
+    # the largest singular value, on full-rank, rank-deficient and zero systems
+    rng = np.random.default_rng(3)
+    A = rng.standard_normal((5, 16, 4))
+    b = rng.standard_normal((5, 16))
+    u, _ = np.linalg.qr(rng.standard_normal((16, 4)))
+    v, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+    A[1] = u @ np.diag([1.0, 0.5, 0.3, 2e-15]) @ v.T   # below 16 eps: cut off
+    A[2, :, 3] = A[2, :, 0]
+    A[3] = 0.0
+    got = least_squares(A, b)
+    want = np.array([np.linalg.lstsq(a, r, rcond=None)[0] for a, r in zip(A, b)])
+    assert got.shape == (5, 4)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_fold_stops_at_nonfinite_and_domain_errors():

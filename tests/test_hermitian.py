@@ -75,7 +75,7 @@ def test_disk_ricci_form_closed_form():
             rho = ricci_form(t, pe)[0]
             assert abs(rho[0, 1] - 2.0 * k / s ** 2) < 1e-9
             J = pe.raw(t.J)
-            dd = ddc_from_jets(pe.raw(logfac), J.value, J.grad)[0]
+            dd = ddc_from_jets(pe.raw(logfac), J)[0]
             assert np.abs(rho - 0.5 * k * dd).max() < 1e-9
 
 
@@ -103,12 +103,12 @@ def test_ddc_flat_oracle():
         return 0.5 * (pt[0] * pt[0] + pt[1] * pt[1])
     pe = PointEval([0.3, -0.4])
     J = pe.raw(rotation)
-    dd = ddc_from_jets(pe.raw(f), J.value, J.grad)
+    dd = ddc_from_jets(pe.raw(f), J)
     assert np.abs(dd - np.array([[0.0, -2.0], [2.0, 0.0]])).max() < 1e-12
 
     def lin(pt):
         return 3.0 * pt[0] - pt[1]
-    assert np.abs(ddc_from_jets(pe.raw(lin), J.value, J.grad)).max() < 1e-14
+    assert np.abs(ddc_from_jets(pe.raw(lin), J)).max() < 1e-14
 
 
 def test_ddc_with_position_dependent_endomorphism():
@@ -118,7 +118,7 @@ def test_ddc_with_position_dependent_endomorphism():
     u = np.pi / 3.0
     pe = PointEval([u, 0.5])
     J = pe.raw(sphere_J)
-    dd = ddc_from_jets(pe.raw(f), J.value, J.grad)[0]
+    dd = ddc_from_jets(pe.raw(f), J)[0]
     assert abs(dd[0, 1] - (-0.5)) < 1e-12
     assert abs(dd[0, 1] - (-np.cos(u))) < 1e-12
 

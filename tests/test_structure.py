@@ -5,10 +5,12 @@ raw-point adapter beside it, that the PointEval is the point's one object,
 how often each case seeds, that a build seeds first order only and builds
 only the chain levels it reads, that a constant is a plain number or array
 with no jet constructor beside it and a Field only its callable and label,
-that a field read is its jet with a Hessian read only by the second-order
-formulas, that one Fold per check, holding arrays, is the one aggregator,
-that each builder declares each parameter once, with its default and its
-reader, and the README's library example run as written."""
+that a field read is its jet with a Hessian read only through jet_dcoord
+(and the raw-coordinate metric read), that each matrix is inverted once per
+point, that one Fold per check, holding arrays, is the one aggregator and
+its replay the one per-point walk, that each builder declares each parameter
+once, with its default and its reader, and the README's library example run
+as written."""
 
 import ast
 import contextlib
@@ -158,11 +160,11 @@ def test_a_constant_is_a_plain_value_and_a_field_its_callable_and_label():
 # S field's, and an alias of disk_base(0)
 RESTATED = {"FoliationReport", "validate_twist", "flat_base"}
 
-# The functions whose formulas need second order: the Christoffel symbols
-# (and the raw-coordinate metric read), ddc of a potential, the derivative
-# of the D+ frame in the Lee-form extraction, and d_k u as a first-order jet
-HESSIAN_READERS = {"fields.PointEval.christoffel", "fields.metric_jets",
-                   "hermitian.ddc_from_jets", "foliation._frame", "jets.jet_dcoord"}
+# The functions that read a Hessian: d_k u as a first-order jet, the one
+# way second derivatives reach a formula (the Christoffel symbols, ddc of a
+# potential and the derivative of the D+ frame all take it), and the
+# raw-coordinate metric read
+HESSIAN_READERS = {"fields.metric_jets", "jets.jet_dcoord"}
 
 
 def _defs(tree):
@@ -250,6 +252,11 @@ def test_one_aggregator_one_fold_per_check_holding_arrays(monkeypatch):
                for sub in ast.walk(node.iter)
                if isinstance(sub, ast.Attribute) and sub.attr == "p"}
     assert walkers == {"Fold._replay"}
+    # nor does a per-point solve beside it: the least-squares fits run on
+    # the batch
+    solves = ["%s:%d" % (name, node.lineno) for name, tree in _modules()
+              for node in ast.walk(tree) if "lstsq" in _names(node)]
+    assert solves == []
 
     # folding a batch makes as many calls for 300 points as for 3
     def fold(batch):
@@ -316,6 +323,27 @@ def test_batched_cases_seed_each_chart_once_per_plan(name, monkeypatch):
     assert len(charts) == (3 if name == "calabi_chain_twisted" else
                            2 if name == "calabi_chain_untwisted" else 1)
     assert seeds == [(scn.count, chart.dim) for chart in charts]
+
+
+@pytest.mark.parametrize("name", [n for n in BUNDLED if n.startswith("calabi")])
+def test_each_matrix_is_inverted_once_per_point(name, monkeypatch):
+    # the Christoffel symbols read the point's memoised inverse, so no stack
+    # (a metric's value stack above all) reaches np.linalg.inv twice in a run;
+    # a float inverse beside jinv's inverted every metric a second time where
+    # a check reads both, as the Calabi checks do
+    scn = load_scenario(name)
+    case = build_case(scn)
+    seen = []
+    inv = np.linalg.inv
+
+    def recording(a):
+        seen.append((a.shape, a.tobytes()))
+        return inv(a)
+    monkeypatch.setattr(np.linalg, "inv", recording)
+    run_scenario_obj(scn, case=case)
+    assert seen
+    twice = sorted({shape for shape, data in seen if seen.count((shape, data)) > 1})
+    assert twice == []
 
 
 @pytest.mark.parametrize("name", BUNDLED)
