@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from kahlerkit.jets import Jet2, jlog, jinv, jet_dcoord
+from kahlerkit.jets import Jet2, contract, jlog, jinv, jet_dcoord
 from kahlerkit.fields import (ChartManifold, Field, PointEval, first_order, worst,
                               excluded, exterior_from_grad, pull_back)
 from kahlerkit.hermitian import HermitianTriple, ddc_from_jets, ricci_form
@@ -114,9 +114,9 @@ def eta_tensor(gfn, Jtfn, pe):
     g, Jt = pe.raw(gfn), pe.raw(Jtfn)
     Gam = pe.christoffel(gfn)[0]
     Jtv, Jtg = Jt.value, Jt.grad
-    covJ = (np.einsum('...kji->...ikj', Jtg) + np.einsum('...kim,...mj->...ikj', Gam, Jtv)
-            - np.einsum('...mij,...km->...ikj', Gam, Jtv))
-    eta = 0.5 * np.einsum('...ikm,...mj->...ikj', covJ, Jtv)
+    covJ = (np.moveaxis(Jtg, -1, -3) + contract("Zkim,Zmj->Zikj", Gam, Jtv)
+            - contract("Zmij,Zkm->Zikj", Gam, Jtv))
+    eta = 0.5 * contract("Zikm,Zmj->Zikj", covJ, Jtv)
     return eta, g.value, g.grad, Jtv
 
 
@@ -132,7 +132,7 @@ def torsion_point(ak, pe, dw_floor=1e-6, rank_rtol=1e-8):
         dw = pe.absmax(pe.raw(ak.twist_full).grad)
         eta, gv, gg, Jtv = eta_tensor(ak.g, ak.J_tilde, pe)
         # 2 g(eta_a b, X) - d_X g_ab over plane a, b and Z directions X
-        prelt = (2.0 * np.einsum('...mx,...amb->...abx', gv[..., :, 2:], eta[..., :2, :, :2])
+        prelt = (2.0 * contract("Zmx,Zamb->Zabx", gv[..., :, 2:], eta[..., :2, :, :2])
                  - gg[..., :2, :2, 2:])
         keep = dw >= dw_floor
         # rows eta_a c over plane a and Z directions c; zero below the floor,
@@ -140,11 +140,10 @@ def torsion_point(ak, pe, dw_floor=1e-6, rank_rtol=1e-8):
         rows = eta[..., :2, :, 2:].swapaxes(-1, -2).reshape(eta.shape[:-3] + (-1, n))
         sv = np.linalg.svd(np.where(keep[..., None, None], rows, 0.0), compute_uv=False)
         rank = np.where(sv[..., 0] > 0, (sv > rank_rtol * sv[..., :1]).sum(axis=-1), 0)
+        etaJ = contract("Zikm,Zmj->Zikj", eta, Jtv)
         return {"prelt": pe.absmax(prelt),
-                "anticommute": pe.absmax(np.einsum('...ikm,...mj->...ikj', eta, Jtv)
-                                         + np.einsum('...km,...imj->...ikj', Jtv, eta)),
-                "jshift": pe.absmax(np.einsum('...mi,...mkj->...ikj', Jtv, eta)
-                                    - np.einsum('...ikm,...mj->...ikj', eta, Jtv)),
+                "anticommute": pe.absmax(etaJ + contract("Zkm,Zimj->Zikj", Jtv, eta)),
+                "jshift": pe.absmax(contract("Zmi,Zmkj->Zikj", Jtv, eta) - etaJ),
                 "nullity": excluded(~keep, pe.absmax(eta[..., 2:, :, :])),
                 "containment": excluded(~keep, pe.absmax(eta[..., :2, :2, :2])),
                 "rank": excluded(~keep, rank)}
@@ -157,7 +156,7 @@ def einstein_point(g, pe):
     the residual max |Ric - lambda g|, and max |Ric|."""
     gv = pe.raw(g).value
     Ric = pe.curvature(g)[1]
-    lam = np.einsum('...ij,...ij->...', Ric, gv) / np.einsum('...ij,...ij->...', gv, gv)
+    lam = contract("Zij,Zij->Z", Ric, gv) / contract("Zij,Zij->Z", gv, gv)
     return {"lambda": lam, "einstein_dev": pe.absmax(Ric - lam[..., None, None] * gv),
             "ricci_max": pe.absmax(Ric)}
 
@@ -285,7 +284,7 @@ def ker_dw_geodesic_residual(g, w, pe):
     Gam = pe.christoffel(g)[0]
     Q = ker_dw_projector(g, w, pe)
     Qv, Qg = Q.value, Q.grad
-    covQ = np.einsum('...mji->...mij', Qg) + np.einsum('...mia,...aj->...mij', Gam, Qv)
-    B = np.einsum('...km,...mij->...kij', np.eye(Qv.shape[-1]) - Qv, covQ)
+    covQ = Qg.swapaxes(-1, -2) + contract("Zmia,Zaj->Zmij", Gam, Qv)
+    B = contract("Zkm,Zmij->Zkij", np.eye(Qv.shape[-1]) - Qv, covQ)
     Qe = Qv[..., None, :, :]
     return pe.absmax(Qe.swapaxes(-1, -2) @ B @ Qe)

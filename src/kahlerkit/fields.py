@@ -19,10 +19,11 @@ A field read is its memoised jet: a reader takes .value or .grad from it.
 The Christoffel symbols are built on the point's memoised inverse, so each
 metric is inverted once per point, behind _inverse, the one singular-metric
 guard.
-The float layer works on stacks (einsum specs with a leading "...", stacked
-np.linalg solves), so each result carries the batch axis in front.  Every
-per-point function takes a PointEval and returns (B,) residual arrays;
-metric_jets is the one function that takes raw coordinates.
+The float layer works on stacks (jets.contract specs with the batch letter
+Z in front, transposes and broadcasts, stacked np.linalg solves), so each
+result carries the batch axis in front.  Every per-point function takes a
+PointEval and returns (B,) residual arrays; metric_jets is the one function
+that takes raw coordinates.
 The scenario runner evaluates every chart's sample plan as one batch and
 folds each check into one Fold (a chain's levels share it), which keeps each
 residual name's values as one array and replays a batch point by point when
@@ -39,8 +40,8 @@ import math
 
 import numpy as np
 
-from kahlerkit.jets import (Jet2, JetDomainError, _batch_of, gauss_integrate, jeinsum,
-                            jet_dcoord, jinv, pack, sample_points)
+from kahlerkit.jets import (Jet2, JetDomainError, _batch_of, contract, gauss_integrate,
+                            jeinsum, jet_dcoord, jinv, pack, sample_points)
 
 
 class DegenerateMetricError(ValueError):
@@ -391,12 +392,11 @@ def curvature_from_jets(gv, gg, gh, p=None):
 
 def curvature_from_parts(gv, Gam, dGam, gi):
     """curvature_from_jets given the metric's value and christoffel_parts."""
-    Rup = (np.einsum('...ljki->...lijk', dGam) - np.einsum('...likj->...lijk', dGam)
-           + np.einsum('...lim,...mjk->...lijk', Gam, Gam)
-           - np.einsum('...ljm,...mik->...lijk', Gam, Gam))
-    Rlow = np.einsum('...lm,...mijk->...ijkl', gv, Rup)
-    Ric = np.einsum('...il,...ijkl->...jk', gi, Rlow)
-    scal = np.einsum('...jk,...jk->...', gi, Ric)
+    # R^l_ijk = T^l_ijk - T^l_jik with T^l_ijk = d_i Gamma^l_jk + Gamma^l_im Gamma^m_jk
+    T = np.moveaxis(dGam, -1, -3) + contract("Zlim,Zmjk->Zlijk", Gam, Gam)
+    Rlow = contract("Zlm,Zmijk->Zijkl", gv, T - T.swapaxes(-3, -2))
+    Ric = contract("Zil,Zijkl->Zjk", gi, Rlow)
+    scal = contract("Zij,Zij->Z", gi, Ric)
     return Rlow, Ric, scal, gi
 
 
@@ -413,12 +413,11 @@ def pull_back(T, A):
     batch: the axes of A before its last two lead T's as well).  Each step
     contracts the leading slot with A and appends the result as the last
     slot, so a k-tensor costs k n^(k+1) multiplications, not n^(2k)."""
-    lead = A.shape[:-2]
-    b = len(lead)
-    for _ in range(T.ndim - b):
-        s = T.shape
-        T = np.matmul(T.reshape(lead + (s[b], -1)).swapaxes(-1, -2), A)
-        T = T.reshape(lead + s[b + 1:] + A.shape[-1:])
+    b = A.ndim - 2
+    lead, slots = "ZYXW"[:b], "abcdefgh"[:T.ndim - b]
+    spec = "%s%s,%s%sz->%s%sz" % (lead, slots, lead, slots[0], lead, slots[1:])
+    for _ in slots:
+        T = contract(spec, T, A)
     return T
 
 
@@ -430,16 +429,14 @@ def lie_derivative_metric(g, V, pe):
     """(L_V g)_ij = V^k d_k g_ij + g_kj d_i V^k + g_ik d_j V^k."""
     gj, vj = pe.raw(g), pe.raw(V)
     gv, vg = gj.value, vj.grad
-    return (np.einsum('...k,...ijk->...ij', vj.value, gj.grad)
-            + np.einsum('...kj,...ki->...ij', gv, vg) + np.einsum('...ik,...kj->...ij', gv, vg))
+    return (contract("Zk,Zijk->Zij", vj.value, gj.grad)
+            + contract("Zkj,Zki->Zij", gv, vg) + contract("Zik,Zkj->Zij", gv, vg))
 
 
 def lie_endo_from_jets(Xv, Xg, Jv, Jg):
     """(L_X J)^k_j = X^m d_m J^k_j - J^m_j d_m X^k + J^k_m d_j X^m."""
-    t1 = np.einsum('...m,...kjm->...kj', Xv, Jg)
-    t2 = np.einsum('...mj,...km->...kj', Jv, Xg)
-    t3 = np.einsum('...km,...mj->...kj', Jv, Xg)
-    return t1 - t2 + t3
+    return (contract("Zm,Zkjm->Zkj", Xv, Jg) - contract("Zmj,Zkm->Zkj", Jv, Xg)
+            + contract("Zkm,Zmj->Zkj", Jv, Xg))
 
 
 def exterior_from_grad(grad, k):
@@ -453,19 +450,17 @@ def exterior_from_grad(grad, k):
 
 
 def wedge12(theta, om):
-    """(theta ^ om)_ijk of a 1-form and a 2-form."""
-    return (np.einsum('...i,...jk->...ijk', theta, om)
-            - np.einsum('...j,...ik->...ijk', theta, om)
-            + np.einsum('...k,...ij->...ijk', theta, om))
+    """(theta ^ om)_ijk of a 1-form and a 2-form: T - T_jik + T_kij with
+    T_ijk = theta_i om_jk."""
+    T = theta[..., :, None, None] * om[..., None, :, :]
+    return T - T.swapaxes(-3, -2) + np.moveaxis(T, -3, -1)
 
 
 def nijenhuis_from_jets(Jv, Jg):
-    """N^k_ij with Jg[k,j,m] = d_m J^k_j; zero iff the structure is integrable."""
-    t1 = np.einsum('...mi,...kjm->...kij', Jv, Jg)
-    t2 = np.einsum('...mj,...kim->...kij', Jv, Jg)
-    t3 = np.einsum('...km,...mij->...kij', Jv, Jg)
-    t4 = np.einsum('...km,...mji->...kij', Jv, Jg)
-    return t1 - t2 + t3 - t4
+    """N^k_ij with Jg[k,j,m] = d_m J^k_j; zero iff the structure is integrable:
+    S^k_ij - S^k_ji with S^k_ij = J^m_i d_m J^k_j + J^k_m d_j J^m_i."""
+    S = contract("Zmi,Zkjm->Zkij", Jv, Jg) + contract("Zkm,Zmij->Zkij", Jv, Jg)
+    return S - S.swapaxes(-1, -2)
 
 
 # ---------------------------------------------------------------------------

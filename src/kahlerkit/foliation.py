@@ -12,7 +12,7 @@ genuine two-sided test. zeta denotes the g-dual of theta.
 
 import numpy as np
 
-from kahlerkit.jets import Jet2, jeinsum, jet_dcoord, jinv
+from kahlerkit.jets import Jet2, contract, jeinsum, jet_dcoord, jinv
 from kahlerkit.fields import (worst, excluded, least_squares, lie_endo_from_jets,
                               exterior_from_grad, wedge12)
 
@@ -109,21 +109,19 @@ def oneill_tensors(t, Pp, pe):
     Ppv, Ppg = P.value, P.grad
     n = gv.shape[-1]
     Pmv = np.eye(n) - Ppv
-    Pmg = -Ppg
-    # covP[m,i,j] = d_i P^m_j + Gamma^m_{ia} P^a_j
-    covPp = np.einsum('...mji->...mij', Ppg) + np.einsum('...mia,...aj->...mij', Gam, Ppv)
-    covPm = np.einsum('...mji->...mij', Pmg) + np.einsum('...mia,...aj->...mij', Gam, Pmv)
-    xi = -(np.einsum('...km,...mij->...kij', Ppv, covPm)
-           + np.einsum('...km,...mij->...kij', Pmv, covPp))
-    zeta = np.einsum('...ij,...j->...i', gi, _lee(t, Pp, pe)[0].value)
-    Jzeta = np.einsum('...ij,...j->...i', Jv, zeta)
+    # covP[m,i,j] = d_i P^m_j + Gamma^m_{ia} P^a_j; P- = 1 - P+, so covP- is
+    # Gamma - covP+
+    covPp = Ppg.swapaxes(-1, -2) + contract("Zmia,Zaj->Zmij", Gam, Ppv)
+    xi = -(contract("Zkm,Zmij->Zkij", Ppv, Gam - covPp) + contract("Zkm,Zmij->Zkij", Pmv, covPp))
+    zeta = contract("Zij,Zj->Zi", gi, _lee(t, Pp, pe)[0].value)
+    Jzeta = contract("Zij,Zj->Zi", Jv, zeta)
     om = pe.omega(t.g, t.J).value
     PmT = Pmv.swapaxes(-1, -2)
     ip_m = PmT @ gv @ Pmv
     om_m = PmT @ om @ Pmv
     xi_minus = PmT[..., None, :, :] @ xi @ Pmv[..., None, :, :]
-    xi_ring = (xi_minus - 0.5 * np.einsum('...ij,...k->...kij', om_m, Jzeta)
-               - 0.5 * np.einsum('...ij,...k->...kij', ip_m, zeta))
+    xi_ring = (xi_minus - 0.5 * (Jzeta[..., :, None, None] * om_m[..., None, :, :])
+               - 0.5 * (zeta[..., :, None, None] * ip_m[..., None, :, :]))
     return xi, xi_ring
 
 
@@ -150,7 +148,7 @@ def structure_point(t, Pp, pe, skip_theta_below=1e-6):
     theta = _lee(t, Pp, pe)[0]
     thv = theta.value
     gi = pe.inverse(t.g)
-    norm2 = np.einsum('...j,...j->...', np.einsum('...i,...ij->...j', thv, gi.value), thv)
+    norm2 = contract("Zi,Zi->Z", contract("Zi,Zij->Zj", thv, gi.value), thv)
     skip = norm2 < skip_theta_below ** 2
 
     # omega_minus = omega - P+^T omega P+ as a jet field, then d of it
@@ -162,16 +160,15 @@ def structure_point(t, Pp, pe, skip_theta_below=1e-6):
     zeta = gi @ theta
     zv = zeta.value
     LzJ = lie_endo_from_jets(zv, zeta.grad, Jv, Jg)
-    Jz = np.einsum('...ij,...j->...i', Jv, zv)
-    thJ = np.einsum('...i,...ij->...j', thv, Jv)
-    basis = [np.einsum('...j,...k->...kj', thv, zv), np.einsum('...j,...k->...kj', thJ, zv),
-             np.einsum('...j,...k->...kj', thv, Jz), np.einsum('...j,...k->...kj', thJ, Jz)]
+    Jz = contract("Zij,Zj->Zi", Jv, zv)
+    thJ = contract("Zi,Zij->Zj", thv, Jv)
+    basis = [z[..., :, None] * th[..., None, :] for z in (zv, Jz) for th in (thv, thJ)]
     Amat = np.stack([b.reshape(b.shape[:-2] + (-1,)) for b in basis], axis=-1)
     bvec = LzJ.reshape(Amat.shape[:-1])
     cvec = least_squares(Amat, bvec)
-    lie_fit = pe.absmax(np.einsum('...ij,...j->...i', Amat, cvec) - bvec)
+    lie_fit = pe.absmax(contract("Zij,Zj->Zi", Amat, cvec) - bvec)
     # |theta|^2 = theta_i g^ij theta_j as a jet
-    chi1_log = (-np.einsum('...i,...i->...', Jz, (theta @ zeta).grad)
+    chi1_log = (-contract("Zi,Zi->Z", Jz, (theta @ zeta).grad)
                 / np.where(skip, 1.0, norm2) ** 2)
     return {"holomorphy": hol, "wedge_minus": excluded(skip, wedge_minus),
             "chi1": excluded(skip, np.abs(cvec[..., 0] - chi1_log)),

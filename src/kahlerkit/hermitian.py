@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from kahlerkit.fields import Field, omega_of, worst, exterior_from_grad, nijenhuis_from_jets
-from kahlerkit.jets import jet_dcoord, pack
+from kahlerkit.jets import contract, jet_dcoord, pack
 
 
 @dataclass
@@ -50,7 +50,7 @@ def ricci_form(t, pe):
 
 
 def ricci_form_from_jets(Ric, Jv):
-    return np.einsum('...mi,...mj->...ij', Jv, Ric)
+    return contract("Zmi,Zmj->Zij", Jv, Ric)
 
 
 def ddc_from_jets(f, J):

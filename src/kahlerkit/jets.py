@@ -12,10 +12,12 @@ with fewer value axes gets unit ones right after its batch axis, so a (B,)
 scalar times an (n, n) matrix broadcasts as it does at one point, and a
 plain array or a jet of batch axis 1 (a lifted constant) broadcasts against
 a batch.
-jeinsum contracts value axes by the product rule, with the batch axis as one
-more letter, and jinv inverts each matrix of the stack in closed form.  Both
-contract through _contract, which runs a two-operand contraction as one
-batched np.matmul on a plan cached by the spec and the operand shapes.
+contract is the library's one contraction engine: it runs an explicit
+two-operand einsum spec, the batch axis one more letter, as one batched
+np.matmul on a plan cached by the spec and the operand shapes, and the float
+layer of every module contracts through it.  jeinsum contracts value axes by
+the product rule, and jinv inverts each matrix of the stack in closed form;
+both run on contract.
 Curvature needs two derivatives of metric components, so second order is the
 whole story; there is no truncation error, only roundoff.
 
@@ -310,21 +312,17 @@ def jsqrt(u):
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=None)
-def _plan(spec, xs, ys):
-    """How _contract runs the spec on operands of shapes xs and ys: as the
-    matmul f @ g of the two operands in one order or the other.  The output
-    letters split into a head (matmul's leading axes, where a size 1
-    broadcasts and a letter that one operand lacks is a unit axis of it), the
-    rows (a run of letters of f alone) and the columns (a run of letters of g
-    alone), so the product reshapes to the output without a transpose; of
-    the two orders, the one with fewer head points wins.  Returns whether y
-    is f, each operand's transpose to (head, rows, summed) or (head, summed,
-    columns) order (None for the identity) and its shape as a stack of
-    matrices, and the output shape."""
+def _letters(spec):
+    """What every operand shape shares in the plan of a two-operand spec:
+    its letters and, for each order of the matmul f @ g (x @ y, then y @ x),
+    the head letters and x's and y's transposes (None for the identity) with
+    the letters each axis of their matrix stacks multiplies.  The output
+    splits into the head (matmul's leading axes, where a size 1 broadcasts
+    and a letter that one operand lacks is a unit axis of it), the rows (a
+    run of letters of f alone) and the columns (a run of letters of g
+    alone), so the product reshapes to the output without a transpose."""
     ins, out = spec.split("->")
     sx, sy = ins.split(",")
-    if len(sx) != len(xs) or len(sy) != len(ys):
-        raise ValueError("spec %r does not match operand shapes %s, %s" % (spec, xs, ys))
     for s in (sx, sy, out):
         if len(set(s)) != len(s):
             raise ValueError("spec %r repeats a letter within one operand" % spec)
@@ -332,42 +330,52 @@ def _plan(spec, xs, ys):
         raise ValueError("spec %r sums a letter within a single operand" % spec)
     if set(out) - set(sx) - set(sy):
         raise ValueError("spec %r has an output letter in no operand" % spec)
-    size = dict(zip(sx, xs))
-    for c, d in zip(sy, ys):
-        size[c] = max(size.get(c, 1), d)
     summed = "".join(c for c in sx if c not in out)
 
-    def split(sf, sg):
+    def arrange(s, head, inner):
+        perm = tuple(s.index(c) for c in head + inner[0] + inner[1] if c in s)
+        return None if perm == tuple(range(len(s))) else perm, tuple(head) + inner
+
+    def order(sf, sg):
         r = len(out)
         while r and out[r - 1] not in sf:
             r -= 1
         q = r
         while q and out[q - 1] not in sg:
             q -= 1
-        return out[:q], out[q:r], out[r:]
-    splits = [split(sx, sy), split(sy, sx)]
-    swap = math.prod(size[c] for c in splits[1][0]) < math.prod(size[c] for c in splits[0][0])
-    head, rows, cols = splits[swap]
-
-    def arrange(s, shape, inner):
-        """The transpose of the operand of letters s to head + inner order,
-        and its shape as a stack of matrices."""
-        own = dict(zip(s, shape))
-        perm = tuple(s.index(c) for c in head if c in own) + tuple(
-            s.index(c) for c in inner[0] + inner[1])
-        return (None if perm == tuple(range(len(s))) else perm,
-                tuple(own.get(c, 1) for c in head)
-                + tuple(math.prod(own[c] for c in part) for part in inner))
-    f, g = ((sy, ys), (sx, xs)) if swap else ((sx, xs), (sy, ys))
-    fplan, gplan = arrange(*f, (rows, summed)), arrange(*g, (summed, cols))
-    return ((swap,) + (gplan + fplan if swap else fplan + gplan)
-            + (tuple(size[c] for c in out),))
+        head, rows, cols = out[:q], out[q:r], out[r:]
+        return head, arrange(sf, head, (rows, summed)), arrange(sg, head, (summed, cols))
+    head, fy, gx = order(sy, sx)
+    return sx, sy, out, (order(sx, sy), (head, gx, fy))
 
 
-def _contract(spec, x, y):
-    """np.einsum(spec, x, y) for an explicit two-operand spec without a
-    letter repeated or summed within one operand, as one batched np.matmul
-    on the plan _plan caches for the spec and the operand shapes."""
+@functools.lru_cache(maxsize=None)
+def _plan(spec, xs, ys):
+    """How contract runs the spec on operands of shapes xs and ys: the order
+    of the spec's _letters with fewer head points, whether it is y @ x, and
+    each operand's transpose and shape as a stack of matrices; and the
+    output shape."""
+    sx, sy, out, orders = _letters(spec)
+    if len(sx) != len(xs) or len(sy) != len(ys):
+        raise ValueError("spec %r does not match operand shapes %s, %s" % (spec, xs, ys))
+    xsize, ysize = dict(zip(sx, xs)), dict(zip(sy, ys))
+    size = dict(xsize)
+    for c, d in ysize.items():
+        size[c] = max(size.get(c, 1), d)
+    swap = math.prod(size[c] for c in orders[1][0]) < math.prod(size[c] for c in orders[0][0])
+    _, (xperm, xparts), (yperm, yparts) = orders[swap]
+    return (swap, xperm, tuple(math.prod(xsize.get(c, 1) for c in p) for p in xparts),
+            yperm, tuple(math.prod(ysize.get(c, 1) for c in p) for p in yparts),
+            tuple(size[c] for c in out))
+
+
+def contract(spec, x, y):
+    """np.einsum(spec, x, y) for an explicit two-operand spec such as
+    "Zij,Zjk->Zik", without a letter repeated or summed within one operand,
+    as one batched np.matmul on the plan _plan caches for the spec and the
+    operand shapes.  A batch axis is one more letter (Z in this library's
+    specs), which a constant operand leaves out and along which a batch of
+    1 broadcasts."""
     swap, xperm, xshape, yperm, yshape, shape = _plan(spec, x.shape, y.shape)
     if xperm:
         x = x.transpose(xperm)
@@ -377,7 +385,7 @@ def _contract(spec, x, y):
     return (np.matmul(y, x) if swap else np.matmul(x, y)).reshape(shape)
 
 
-# The batch axis's letter in jeinsum's specs, which use lowercase letters
+# The batch axis's letter in the library's specs, which use lowercase letters
 # (M and P name the derivative axes).
 _BATCH = "Z"
 
@@ -408,20 +416,20 @@ def jeinsum(spec, a, b):
     av = a.value if ja else np.asarray(a, float)
     bv = b.value if jb else np.asarray(b, float)
     vs, gl, gr, hl, hr, cross = _specs(spec, ja, jb)
-    value = _contract(vs, av, bv)
+    value = contract(vs, av, bv)
     if not ja:
         h = b._hess
-        return _jet(value, _contract(gr, av, b.grad), None if h is None else _contract(hr, av, h))
-    grad = _contract(gl, a.grad, bv)
+        return _jet(value, contract(gr, av, b.grad), None if h is None else contract(hr, av, h))
+    grad = contract(gl, a.grad, bv)
     if jb:
-        grad += _contract(gr, av, b.grad)
+        grad += contract(gr, av, b.grad)
     if a._hess is None or (jb and b._hess is None):
         return _jet(value, grad, None)
-    hess = _contract(hl, a._hess, bv)
+    hess = contract(hl, a._hess, bv)
     if jb:
         # summed in place: the Hessians are the largest arrays
-        hess += _contract(hr, av, b._hess)
-        c = _contract(cross, a.grad, b.grad)
+        hess += contract(hr, av, b._hess)
+        c = contract(cross, a.grad, b.grad)
         hess += c
         hess += c.swapaxes(-1, -2)
     return _jet(value, grad, hess)
@@ -444,13 +452,13 @@ def jinv(A):
         Ai = np.linalg.inv(A.value)
     except np.linalg.LinAlgError:
         raise JetDomainError("singular jet matrix") from None
-    X = _contract("Zik,ZkjM->ZijM", Ai, A.grad)
-    grad = -_contract("ZikM,Zkj->ZijM", X, Ai)
+    X = contract("Zik,ZkjM->ZijM", Ai, A.grad)
+    grad = -contract("ZikM,Zkj->ZijM", X, Ai)
     if A._hess is None:
         return _jet(Ai, grad, None)
-    c = -_contract("ZikM,ZkjP->ZijMP", X, grad)
+    c = -contract("ZikM,ZkjP->ZijMP", X, grad)
     hess = c + c.swapaxes(-1, -2)
-    hess -= _contract("ZikMP,Zkj->ZijMP", _contract("Zik,ZkjMP->ZijMP", Ai, A._hess), Ai)
+    hess -= contract("ZikMP,Zkj->ZijMP", contract("Zik,ZkjMP->ZijMP", Ai, A._hess), Ai)
     return _jet(Ai, grad, hess)
 
 

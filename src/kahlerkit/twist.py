@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from kahlerkit.jets import JetDomainError, jinv, jlog, pack
+from kahlerkit.jets import JetDomainError, contract, jinv, jlog, pack
 from kahlerkit.fields import Field, worst
 from kahlerkit.hermitian import HermitianTriple, ddc_from_jets, ricci_form
 
@@ -164,8 +164,8 @@ def norm_factor_expected(w1, w2, mode="B"):
 def norm_factor_measured(gfn, gwfn, theta_fn, pe):
     """|theta|^2_{g_w} / |theta|^2_g at pe."""
     th = pe.raw(theta_fn).value
-    thgw, thg = (np.einsum('...i,...ij->...j', th, pe.inverse(g).value) for g in (gwfn, gfn))
-    return np.einsum('...j,...j->...', thgw, th) / np.einsum('...j,...j->...', thg, th)
+    thgw, thg = (contract("Zi,Zij->Zj", th, pe.inverse(g).value) for g in (gwfn, gfn))
+    return contract("Zi,Zi->Z", thgw, th) / contract("Zi,Zi->Z", thg, th)
 
 
 def form_invariance_point(cal, tt, pe):
@@ -185,8 +185,7 @@ def transverse_holomorphy_point(Jfn, Ppfn, wfn, pe):
     Jv = pe.raw(Jfn).value
     Pmv = np.eye(Jv.shape[-1]) - pe.raw(Ppfn).value
     # one residual per column X of P-, none where X vanishes
-    r = np.abs(np.einsum('...i,...ic->...c', w2.grad, Pmv)
-               + np.einsum('...i,...ic->...c', w1.grad, Jv @ Pmv))
+    r = np.abs(contract("Zi,Zic->Zc", w2.grad, Pmv) + contract("Zi,Zic->Zc", w1.grad, Jv @ Pmv))
     return worst(0.0, np.where(np.abs(Pmv).max(axis=-2) >= 1e-13, r, 0.0).max(axis=-1))
 
 
@@ -222,9 +221,9 @@ def ricci_identity_check(cal, tw, tt, pe):
 def zeta_duality_residual(gfn, Jfn, gwfn, Jwfn, theta_fn, pe):
     """J_w zeta_w = J zeta, with zeta/zeta_w the metric duals of theta."""
     th = pe.raw(theta_fn).value
-    zeta, zeta_w = (np.einsum('...ij,...j->...i', pe.inverse(g).value, th) for g in (gfn, gwfn))
-    return pe.absmax(np.einsum('...ij,...j->...i', pe.raw(Jwfn).value, zeta_w)
-                     - np.einsum('...ij,...j->...i', pe.raw(Jfn).value, zeta))
+    zeta, zeta_w = (contract("Zij,Zj->Zi", pe.inverse(g).value, th) for g in (gfn, gwfn))
+    return pe.absmax(contract("Zij,Zj->Zi", pe.raw(Jwfn).value, zeta_w)
+                     - contract("Zij,Zj->Zi", pe.raw(Jfn).value, zeta))
 
 
 def solve_single_twist(g0fn, gcompfn, J0fn, Ppfn, theta_fn, pe):

@@ -1,10 +1,13 @@
 """Test helpers: a per-point residual function folded over a sample plan,
 the Nijenhuis tensor of a structure checked to square to -1, the round
-sphere's metric, and the flat plane times the disk base as a Kahler
-product."""
+sphere's metric, the flat plane times the disk base as a Kahler product,
+and a patch that routes every jets.contract call through a wrapper."""
+
+import sys
 
 import numpy as np
 
+from kahlerkit import jets
 from kahlerkit.calabi import disk_base
 from kahlerkit.fields import ChartManifold, Field, Fold, PointEval, nijenhuis_from_jets
 from kahlerkit.hermitian import HermitianTriple
@@ -62,3 +65,13 @@ def product_triple():
                 [0.0, 0.0, gb[0][0], gb[0][1]],
                 [0.0, 0.0, gb[1][0], gb[1][1]]]
     return HermitianTriple(g, lambda pt: J4, chart), Field(lambda pt: np.diag([1.0, 1.0, 0.0, 0.0]))
+
+
+def patch_contract(monkeypatch, wrap):
+    """Route every jets.contract call of the library through wrap(contract):
+    in jets itself and in each kahlerkit module that imports the name."""
+    contract = jets.contract
+    new = wrap(contract)
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("kahlerkit") and getattr(mod, "contract", None) is contract:
+            monkeypatch.setattr(mod, "contract", new)

@@ -1,22 +1,34 @@
 """Oracles for the float-layer contractions.
 
 Each pairwise contraction is compared, on random inputs drawn from fixed
-seeds, with the direct formula it replaced: the curvature rotation with the
-five-operand einsum, wedge_top with the sum over all permutations, and the
-D+ frame choice with one determinant per column pair.  The cost guard runs
-every bundled scenario and fails if any einsum gets more than two operands,
-which numpy evaluates as one nested loop over every index at once.
+seeds, with the direct formula it replaced: every jets.contract spec that
+the float layer names with np.einsum, on batched, unbatched and
+batch-of-one operands; the curvature, Nijenhuis and wedge formulas that
+became transposes and broadcasts with the einsums they replaced; the
+curvature rotation with the five-operand einsum, wedge_top with the sum
+over all permutations, and the D+ frame choice with one determinant per
+column pair.  The cost guard runs every bundled scenario and fails if any
+contraction gets more than two operands, which np.einsum evaluates as one
+nested loop over every index at once.
 """
 
+import ast
 import itertools
 import math
+import os
 
 import numpy as np
 import pytest
 
-from kahlerkit.fields import pull_back, wedge_top
+from kahlerkit.fields import (curvature_from_parts, lie_endo_from_jets, nijenhuis_from_jets,
+                              pull_back, wedge12, wedge_top)
 from kahlerkit.foliation import _frame_columns, dplus_geodesic_residual
+from kahlerkit.jets import contract
 from kahlerkit.scenarios import bundled_names, load_scenario, run_scenario_obj
+from helpers import patch_contract
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src", "kahlerkit")
 
 
 def _perm_sign(perm):
@@ -75,6 +87,12 @@ def test_pull_back_matches_the_five_operand_einsum(n):
     want = np.einsum('ai,bj,ck,dl,abcd->ijkl', J, J, J, J, R)
     got = pull_back(R, J)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    # a batch of tensors and maps, as the ak3 check pulls back (numpy's
+    # pairwise einsum path as the oracle, which is fast enough at n = 8)
+    Rs, Js = rng.normal(size=(3, n, n, n, n)), rng.normal(size=(3, n, n))
+    want = np.einsum('...ai,...bj,...ck,...dl,...abcd->...ijkl', Js, Js, Js, Js, Rs,
+                     optimize=True)
+    assert np.abs(pull_back(Rs, Js) - want).max() <= 1e-12 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("n", [2, 4, 6, 8])
@@ -139,20 +157,116 @@ def test_sandwich_contraction_matches_the_three_operand_einsum():
 
 def test_no_einsum_takes_more_than_two_operands(monkeypatch):
     # an einsum of three or more operands runs one loop over all its indices
-    # (n^8 for the four-fold curvature rotation); every float-layer
-    # contraction must be pairwise
+    # (n^8 for the four-fold curvature rotation); every contraction must be
+    # pairwise: each bundled scenario contracts through jets.contract, every
+    # spec it runs has two operands, and an einsum, should one run, too
     einsum = np.einsum
-    widest = {}
+    widest, calls, running = {}, {}, [None]
 
     def counting(*args, **kwargs):
-        ops = len(args) - 1
-        spec = args[0]
-        widest[spec] = max(widest.get(spec, 0), ops)
+        widest[args[0]] = max(widest.get(args[0], 0), len(args) - 1)
         return einsum(*args, **kwargs)
+
+    def counting_contract(contract):
+        def count(spec, x, y):
+            calls[running[0]] = calls.get(running[0], 0) + 1
+            widest[spec] = max(widest.get(spec, 0), spec.split("->")[0].count(",") + 1)
+            return contract(spec, x, y)
+        return count
     monkeypatch.setattr(np, "einsum", counting)
+    patch_contract(monkeypatch, counting_contract)
     for name in bundled_names():
+        running[0] = name
         scn = load_scenario(name)
         scn.count = 2
         run_scenario_obj(scn)
-    assert widest, "no einsum ran"
+    assert sorted(calls) == sorted(bundled_names()), "a scenario ran no contraction"
     assert {s: k for s, k in widest.items() if k > 2} == {}
+
+
+def _float_specs():
+    """Every spec that src/ outside jets.py passes to contract as a literal."""
+    specs = set()
+    for name in sorted(os.listdir(SRC)):
+        if name.endswith(".py") and name != "jets.py":
+            with open(os.path.join(SRC, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read())
+            specs |= {node.args[0].value for node in ast.walk(tree)
+                      if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "contract"
+                      and isinstance(node.args[0], ast.Constant)}
+    return sorted(specs)
+
+
+FLOAT_SPECS = _float_specs()
+
+
+def test_the_float_layer_names_its_specs():
+    # the AST walk behind the spec oracle below finds the float layer's specs:
+    # an empty walk would leave that oracle no cases, passing vacuously
+    assert len(FLOAT_SPECS) >= 20
+    assert {"Zlim,Zmjk->Zlijk", "Zil,Zijkl->Zjk", "Zij,Zij->Z", "Zij,Zj->Zi"} <= set(FLOAT_SPECS)
+
+
+@pytest.mark.parametrize("batch", [(5, 5), None, (1, 5), (5, 1)],
+                         ids=["batched", "unbatched", "x-of-one", "y-of-one"])
+@pytest.mark.parametrize("spec", FLOAT_SPECS)
+def test_float_contractions_match_einsum(spec, batch):
+    # each letter gets a random size; the batch letter Z is 5 on both
+    # operands, left out of the spec, or 1 on one operand, which broadcasts
+    rng = np.random.default_rng(900 + FLOAT_SPECS.index(spec))
+    if batch is None:
+        spec = spec.replace("Z", "")
+    ins = spec.split("->")[0].split(",")
+    size = {c: int(rng.integers(1, 7)) for c in "".join(ins)}
+    x, y = (rng.normal(size=[batch[k] if c == "Z" else size[c] for c in s])
+            for k, s in enumerate(ins))
+    got, want = contract(spec, x, y), np.einsum(spec, x, y)
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 1e-13 * np.einsum(spec, np.abs(x), np.abs(y)))
+
+
+def _close(got, want):
+    return np.abs(got - want).max() <= 1e-13 * max(np.abs(want).max(), 1.0)
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_curvature_matches_its_einsum_formula(n):
+    # Rup = T - T with i and j swapped, and its contractions, against the
+    # four einsums and three contractions it replaced
+    rng = np.random.default_rng(600 + n)
+    gv, gi = rng.normal(size=(2, 3, n, n))
+    Gam, dGam = rng.normal(size=(3, n, n, n)), rng.normal(size=(3, n, n, n, n))
+    Rup = (np.einsum('...ljki->...lijk', dGam) - np.einsum('...likj->...lijk', dGam)
+           + np.einsum('...lim,...mjk->...lijk', Gam, Gam)
+           - np.einsum('...ljm,...mik->...lijk', Gam, Gam))
+    Rlow = np.einsum('...lm,...mijk->...ijkl', gv, Rup)
+    Ric = np.einsum('...il,...ijkl->...jk', gi, Rlow)
+    scal = np.einsum('...jk,...jk->...', gi, Ric)
+    got = curvature_from_parts(gv, Gam, dGam, gi)
+    for g, w in zip(got, (Rlow, Ric, scal, gi)):
+        assert g.shape == w.shape and _close(g, w)
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_nijenhuis_and_lie_derivative_match_their_einsum_formulas(n):
+    rng = np.random.default_rng(700 + n)
+    Jv, Jg = rng.normal(size=(3, n, n)), rng.normal(size=(3, n, n, n))
+    Xv, Xg = rng.normal(size=(3, n)), rng.normal(size=(3, n, n))
+    N = (np.einsum('...mi,...kjm->...kij', Jv, Jg) - np.einsum('...mj,...kim->...kij', Jv, Jg)
+         + np.einsum('...km,...mij->...kij', Jv, Jg) - np.einsum('...km,...mji->...kij', Jv, Jg))
+    assert _close(nijenhuis_from_jets(Jv, Jg), N)
+    L = (np.einsum('...m,...kjm->...kj', Xv, Jg) - np.einsum('...mj,...km->...kj', Jv, Xg)
+         + np.einsum('...km,...mj->...kj', Jv, Xg))
+    assert _close(lie_endo_from_jets(Xv, Xg, Jv, Jg), L)
+
+
+@pytest.mark.parametrize("lead", [(), (3,)])
+def test_wedge12_matches_its_einsum_formula(lead):
+    # three outer products became one broadcast and two transposes; an
+    # unbatched theta against a batch of forms is how the volume check calls it
+    rng = np.random.default_rng(800 + len(lead))
+    theta, om = rng.normal(size=lead + (6,)), rng.normal(size=(3, 6, 6))
+    want = (np.einsum('...i,...jk->...ijk', theta, om) - np.einsum('...j,...ik->...ijk', theta, om)
+            + np.einsum('...k,...ij->...ijk', theta, om))
+    got = wedge12(theta, om)
+    assert got.shape == want.shape and np.array_equal(got, want)

@@ -1,14 +1,17 @@
-"""Metamorphic curvature oracles on the bundled Kähler charts: identities
-that the curvature stack and the builders must satisfy together, checked at
-fixed points without a second implementation."""
+"""Metamorphic curvature oracles on the bundled charts: identities that the
+curvature stack and the builders must satisfy together, checked at fixed
+points without a second implementation: the J-invariance of the Kähler
+curvature, and the invariance of the scalar and Ricci curvature of every
+bundled case metric under a fixed polynomial change of coordinates."""
 
 from functools import lru_cache
 
 import numpy as np
 import pytest
 
-from kahlerkit.jets import SamplePlan
-from kahlerkit.fields import PointEval
+from kahlerkit.jets import Jet2, SamplePlan, jeinsum, pack
+from kahlerkit.fields import Field, PointEval
+from kahlerkit.scenarios import build_case, bundled_names, load_scenario
 from kahlerkit.calabi import CalabiProfile, build_calabi, disk_base
 from kahlerkit.twist import build_twist, coordinate_twist
 from kahlerkit.almost_kahler import iterate_chain
@@ -50,3 +53,51 @@ def test_kahler_curvature_is_j_invariant(name):
     RJ = np.einsum('...ai,...bj,...abkl->...ijkl', J, J, R)
     assert np.abs(R).max() > 0.5
     assert np.abs(RJ - R).max() / np.abs(R).max() <= 1e-12
+
+
+# the quadratic term's weight in the fixed map below
+EPS = 0.05
+
+
+def _fixed_map(chart):
+    """phi(x) = c + A (x - c) + EPS Q(x - c, x - c) about the chart centre c,
+    with A near the identity and Q symmetric, drawn once per dimension and
+    scaled by each coordinate's span s so that phi moves a point of the
+    margin-shrunk box by less than 0.12 s, into the chart box.  Returns the
+    map of a coordinate jet x to the jets (phi(x), D phi(x))."""
+    n = chart.dim
+    lo, hi = np.array(chart.domain).T
+    c, s = 0.5 * (lo + hi), hi - lo
+    rng = np.random.default_rng(n)
+    A = np.eye(n) + (0.3 / n) * s[:, None] * rng.uniform(-1.0, 1.0, (n, n)) / s
+    q = rng.uniform(-1.0, 1.0, (n, n, n)) / n ** 2
+    Q = 0.5 * (q + q.swapaxes(1, 2)) * s[:, None, None] / (s[:, None] * s)
+
+    def phi(x):
+        d = x - c
+        Qd = jeinsum("ijk,k->ij", Q, d)
+        return c + A @ d + EPS * (Qd @ d), A + 2.0 * EPS * Qd
+    return phi
+
+
+@pytest.mark.parametrize("name", bundled_names())
+def test_curvature_is_invariant_under_a_change_of_coordinates(name):
+    # the pulled-back metric h = D phi^T g(phi) D phi is the case's own metric
+    # called on the jet phi(x), so its curvature runs the chain rule through
+    # every builder closure's Hessian: its scalar curvature at x is g's at
+    # phi(x), and its Ricci tensor is D phi^T Ric_g(phi(x)) D phi
+    case = build_case(load_scenario(name))
+    g, phi = case.metric, _fixed_map(case.chart)
+
+    def pulled_back(pt):
+        y, D = phi(pt)
+        return D.T @ pack(g.fn(y), y) @ D
+    p = case.chart.samples(SamplePlan(0, 8))
+    _, ric, scal, _ = PointEval(p).curvature(Field(pulled_back))
+    y, D = phi(Jet2.seed(p))
+    assert all(case.chart.contains(q) for q in y.value)
+    _, ric_g, scal_g, _ = PointEval(y.value).curvature(g)
+    want = D.value.swapaxes(-1, -2) @ ric_g @ D.value
+    # relative to the curvature's size, or absolute where it is below one
+    assert np.abs(scal - scal_g).max() <= 1e-12 * max(np.abs(scal_g).max(), 1.0)
+    assert np.abs(ric - want).max() <= 1e-12 * max(np.abs(want).max(), 1.0)

@@ -1,0 +1,42 @@
+"""The report-diff tool: a tree diffed against itself reports nothing, and a
+single moved bit, a changed exit code or a changed curvature line is listed
+where it moved."""
+
+import copy
+import importlib.util
+import os
+
+import numpy as np
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+_spec = importlib.util.spec_from_file_location(
+    "diff_reports", os.path.join(ROOT, "tools", "diff_reports.py"))
+diff_reports = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(diff_reports)
+
+
+def test_a_tree_diffed_against_itself_reports_nothing():
+    # the flat scenario at its bundled plan, and its curvature query, each
+    # tree in its own interpreter as the full diff runs them
+    old, new = diff_reports.collect_trees(ROOT, ROOT, names=["flat"],
+                                          plans=diff_reports.PLANS[:1])
+    assert sorted(old) == ["curvature flat", "verify flat bundled"]
+    assert diff_reports.diff(old, new) == []
+    assert diff_reports.render([], len(old)) == "0 of 2 outputs move"
+
+
+def test_every_moved_bit_is_listed_with_its_check():
+    old = diff_reports.collect(["sphere"], diff_reports.PLANS[:1])
+    new = copy.deepcopy(old)
+    rec = new["verify sphere bundled"]["report"]["checks"][0]
+    rec["max_residual"] = float(np.nextafter(rec["max_residual"], 1.0))
+    new["curvature sphere"]["exit"] = 1
+    line = new["curvature sphere"]["lines"][2]
+    new["curvature sphere"]["lines"][2] = line[:-1] + ("1" if line[-1] != "1" else "2")
+    moved = dict(diff_reports.diff(old, new))
+    assert sorted(moved) == ["curvature sphere", "verify sphere bundled"]
+    (where, text, size), = moved["verify sphere bundled"]
+    assert where == rec["name"] and text.startswith("max_residual ")
+    assert 0.0 < size <= 1e-15
+    rows = moved["curvature sphere"]
+    assert [r[0] for r in rows] == ["exit code", "line 3"] and rows[1][2] > 0.0

@@ -2,13 +2,14 @@
 
 Random elementary expressions are differentiated by sympy and compared with
 their jets; array-valued jets, jeinsum and jinv are recomputed element by
-element with scalar jets; _contract is recomputed with np.einsum, and every
+element with scalar jets; jets.contract is recomputed with np.einsum, and every
 rule on first-order operands with the full rule.  Each rule is fed through a map into its domain
 (log and sqrt of 1 + u^2, exp and tan of u / (1 + u^2), division by
 1 + v^2), applied identically on both sides.  The curvature stack is checked
 on random surface metrics against the Brioschi formula.
 """
 
+import functools
 import itertools
 import math
 
@@ -19,9 +20,10 @@ from hypothesis import given, settings, strategies as st
 
 from kahlerkit import jets
 from kahlerkit.fields import DOMAIN_ERRORS, Fold, PointEval
-from kahlerkit.jets import (FirstOrderError, Jet2, _contract, gauss_integrate, jcos,
+from kahlerkit.jets import (FirstOrderError, Jet2, contract, gauss_integrate, jcos,
                             jeinsum, jet_dcoord, jexp, jinv, jlog, jsin, jsqrt, jtan, pack)
 from kahlerkit.scenarios import bundled_names, load_scenario, run_scenario_obj
+from helpers import patch_contract
 
 N = 3
 SYMS = sp.symbols("x0:%d" % N)
@@ -213,13 +215,13 @@ def test_jinv_matches_the_scalar_cofactor_inverse(d, seed):
 
 
 # ---------------------------------------------------------------------------
-# _contract against np.einsum
+# contract against np.einsum
 # ---------------------------------------------------------------------------
 
 def assert_contract_matches_einsum(spec, x, y):
-    """_contract(spec, x, y) equals np.einsum to 1e-13 of the magnitude
+    """contract(spec, x, y) equals np.einsum to 1e-13 of the magnitude
     bound sum |x| |y|."""
-    got, want = _contract(spec, x, y), np.einsum(spec, x, y)
+    got, want = contract(spec, x, y), np.einsum(spec, x, y)
     assert got.shape == want.shape, spec
     scale = np.einsum(spec, np.abs(x), np.abs(y))
     assert np.all(np.abs(got - want) <= 1e-13 * scale), spec
@@ -281,26 +283,52 @@ def test_contract_matches_einsum_on_chosen_specs(spec, xs, ys):
 ])
 def test_contract_rejects_specs_it_cannot_express(spec, xs, ys, needle):
     with pytest.raises(ValueError, match=needle):
-        _contract(spec, np.ones(xs), np.ones(ys))
+        contract(spec, np.ones(xs), np.ones(ys))
 
 
 def test_contract_matches_einsum_on_every_spec_of_the_bundled_runs(monkeypatch):
-    # every contraction jeinsum and jinv run in one bundled run of each
-    # scenario, recomputed with np.einsum
-    contract, seen = jets._contract, {}
+    # every contraction that jeinsum, jinv and the float layer run in one
+    # bundled run of each scenario, recomputed with np.einsum
+    seen = {}
 
-    def recording(spec, x, y):
-        key = (spec, x.shape, y.shape)
-        if key not in seen:
-            seen[key] = (np.array(x), np.array(y))
-        return contract(spec, x, y)
-    monkeypatch.setattr(jets, "_contract", recording)
+    def recording(contract):
+        def record(spec, x, y):
+            key = (spec, x.shape, y.shape)
+            if key not in seen:
+                seen[key] = (np.array(x), np.array(y))
+            return contract(spec, x, y)
+        return record
+    patch_contract(monkeypatch, recording)
     for name in bundled_names():
         run_scenario_obj(load_scenario(name))
     monkeypatch.undo()
-    assert {spec for spec, _, _ in seen} >= {"ZijMP,Zjk->ZikMP", "ZikM,ZkjP->ZijMP"}
+    assert {spec for spec, _, _ in seen} >= {"ZijMP,Zjk->ZikMP", "ZikM,ZkjP->ZijMP",
+                                             "Zlim,Zmjk->Zlijk", "Zil,Zijkl->Zjk"}
     for (spec, _, _), (x, y) in seen.items():
         assert_contract_matches_einsum(spec, x, y)
+
+
+def test_each_spec_is_analysed_once(monkeypatch):
+    # _plan derives each operand-shape plan from its spec's one letter
+    # analysis: over the bundled runs, with both caches cold, _letters runs
+    # once per distinct spec and _plan once per spec and operand shapes
+    for name in ("_letters", "_plan"):
+        monkeypatch.setattr(jets, name, functools.lru_cache(maxsize=None)(
+            getattr(jets, name).__wrapped__))
+    seen = set()
+
+    def recording(contract):
+        def record(spec, x, y):
+            seen.add((spec, x.shape, y.shape))
+            return contract(spec, x, y)
+        return record
+    patch_contract(monkeypatch, recording)
+    for name in bundled_names():
+        run_scenario_obj(load_scenario(name))
+    specs = {spec for spec, _, _ in seen}
+    assert len(seen) > len(specs)
+    assert jets._letters.cache_info().misses == len(specs)
+    assert jets._plan.cache_info().misses == len(seen)
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,16 @@
-"""Structural guards: where the library walks a sample plan, that every jet
-has a batch axis, that the jet layer contracts only through _contract and
-jet_dcoord is first order, that per-point functions take a PointEval with no
-raw-point adapter beside it, that the PointEval is the point's one object,
-how often each case seeds, that a build seeds first order only and builds
-only the chain levels it reads, that a constant is a plain number or array
-with no jet constructor beside it and a Field only its callable and label,
-that a field read is its jet with a Hessian read only through jet_dcoord
-(and the raw-coordinate metric read), that each matrix is inverted once per
-point, that one Fold per check, holding arrays, is the one aggregator and
-its replay the one per-point walk, that each builder declares each parameter
-once, with its default and its reader, and the README's library example run
-as written."""
+"""Structural guards: where the library walks a sample plan, that every jet has
+a batch axis, that the library contracts only through jets.contract (no
+einsum anywhere in src/) and jet_dcoord is first order, that per-point
+functions take a PointEval with no raw-point adapter beside it, that the
+PointEval is the point's one object, how often each case seeds, that a build
+seeds first order only and builds only the chain levels it reads, that a
+constant is a plain number or array with no jet constructor beside it and a
+Field only its callable and label, that a field read is its jet with a
+Hessian read only through jet_dcoord (and the raw-coordinate metric read),
+that each matrix is inverted once per point, that one Fold per check,
+holding arrays, is the one aggregator and its replay the one per-point walk,
+that each builder declares each parameter once, with its default and its
+reader, and the README's library example run as written."""
 
 import ast
 import contextlib
@@ -83,13 +83,15 @@ def test_one_jet_layout_every_jet_has_a_batch_axis():
 
 
 def test_jets_contract_only_through_contract_and_dcoord_is_first_order():
-    # _contract (one batched matmul on a cached plan) is the jet layer's one
-    # contraction routine: an einsum beside it would be a second path
-    with open(os.path.join(SRC, "jets.py"), encoding="utf-8") as fh:
-        tree = ast.parse(fh.read())
-    found = ["jets.py:%d" % node.lineno for node in ast.walk(tree)
+    # jets.contract (one batched matmul on a cached plan) is the library's one
+    # contraction routine, for jets and floats alike: an einsum anywhere in
+    # src/, called, read as an attribute or imported, would be a second path
+    found = ["%s:%d" % (name, node.lineno) for name, tree in _modules()
+             for node in ast.walk(tree)
              if (isinstance(node, ast.Attribute) and node.attr == "einsum")
-             or (isinstance(node, ast.Name) and node.id == "einsum")]
+             or (isinstance(node, ast.Name) and node.id == "einsum")
+             or (isinstance(node, ast.alias) and "einsum" in (node.name.rsplit(".", 1)[-1],
+                                                              node.asname))]
     assert found == []
     # jet_dcoord carries no Hessian array, and reading its Hessian raises
     x = Jet2.seed(np.array([0.1, 0.2, 0.3]))
