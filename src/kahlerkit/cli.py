@@ -72,9 +72,11 @@ def _cmd_curvature(args):
     scn = load_scenario(args.scenario)
     case = build_case(scn)
     try:
-        point = [float(tok) for tok in args.point.replace(" ", "").split(",") if tok]
+        # float strips the spaces around a coordinate, and refuses an empty one
+        point = [float(tok) for tok in args.point.split(",")]
     except ValueError:
-        raise ScenarioError("--point must be a comma-separated list of numbers")
+        raise ScenarioError("--point must be a comma-separated list of numbers, got %r"
+                            % args.point)
     if len(point) != case.chart.dim:
         raise ScenarioError("point has %d coordinates, chart %r needs %d"
                             % (len(point), case.chart.label, case.chart.dim))

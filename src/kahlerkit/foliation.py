@@ -46,6 +46,16 @@ def _columns(M, cols):
                   for a in (M.value, M.grad)))
 
 
+def _frame(Pp, pe):
+    """The D+ frame at pe, once per point: the first-order jet of the columns
+    of P+ that _frame_columns picks, and those columns."""
+    def compute():
+        P = pe.raw(Pp)
+        cols = _frame_columns(P.value)
+        return _columns(P, cols), cols
+    return pe.cached("frame", (Pp,), compute)
+
+
 def theta_jets(t, Pp, pe):
     """Jet-level Lee-form extraction at pe.
 
@@ -57,8 +67,7 @@ def theta_jets(t, Pp, pe):
     g = pe.raw(t.g)
     P = pe.raw(Pp)
     n = g.shape[0]
-    cols = _frame_columns(P.value)
-    V = _columns(P, cols)
+    V, cols = _frame(Pp, pe)
     # (L_V g)_ij for each frame column V, as first-order jets: the
     # v-derivatives of g and V come from the jet grads
     dV = _columns(jet_dcoord(P), cols)
@@ -141,7 +150,7 @@ def structure_point(t, Pp, pe, skip_theta_below=1e-6):
     J = pe.raw(t.J)
     Jv, Jg = J.value, J.grad
     P = pe.raw(Pp)
-    V = _columns(P, _frame_columns(P.value))
+    V = _frame(Pp, pe)[0]
     Pmv = np.eye(P.value.shape[-1]) - P.value
     hol = worst(*(pe.absmax(Pmv @ lie_endo_from_jets(V.value[..., a], V.grad[..., a, :], Jv, Jg))
                   for a in (0, 1)))

@@ -1,7 +1,9 @@
 """Second-order forward jet arithmetic plus quadrature and deterministic sampling.
 
 A Jet2 carries (value, gradient, Hessian) with respect to the chart coordinates
-and propagates them exactly through +, -, *, /, powers, exp, log and trig.
+and propagates them exactly, each rule written once: _chain for every scalar
+function (1/u, log, exp, sin, cos, tan, a non-integer power), _linear for +
+and -, __mul__ for *, and _map for indexing, .T, a sign, padding, a broadcast.
 A jet carries B points at once (vectorised Taylor-mode propagation), and a
 single point is a batch of one.  Its value has shape (B,) + s for value axes
 s of any shape (a scalar jet has s = ()), its gradient (B,) + s + (n,) and
@@ -22,10 +24,11 @@ Curvature needs two derivatives of metric components, so second order is the
 whole story; there is no truncation error, only roundoff.
 
 A first-order jet carries no Hessian: jet_dcoord returns one (the third
-derivatives of u it would need are not tracked), and every rule whose jet
-operands include one skips the Hessian terms and returns one, so only the
-degrees that are read are propagated.  Reading its hess raises
-FirstOrderError.
+derivatives of u it would need are not tracked), and reading its hess raises
+FirstOrderError.  _map, _chain, _linear, __mul__, jeinsum and jinv skip the
+Hessian terms when a jet operand is one, and _lift, pack and gauss_integrate
+carry it through: no other rule tests for it, and only the degrees that are
+read are propagated.
 
 A constant is a plain number or array wherever it appears; pack lifts one
 that a field returns to a jet (batch axis 1, zero derivatives) in the
@@ -35,7 +38,7 @@ is read at, so a constant read on a first-order point has no Hessian.
 
 import functools
 import math
-import numbers
+import operator
 
 import numpy as np
 
@@ -64,9 +67,28 @@ def _jet(value, grad, hess):
     return j
 
 
+def _map(j, f):
+    """The jet whose value, gradient and Hessian are f of j's, for a rule that
+    acts on the value axes alone; first order when j is."""
+    return _jet(f(j.value), f(j.grad), None if j._hess is None else f(j._hess))
+
+
 def _outer(g):
     """g_i g_j over the last axis, broadcast over the value axes."""
     return g[..., :, None] * g[..., None, :]
+
+
+def _chain(u, f, d1, d2):
+    """The jet of f(u) from the arrays f, f' and f'' at u's value: gradient
+    f' du and Hessian f' d2u + f'' du du^T (first order when u is)."""
+    d1 = d1[..., None]
+    grad = d1 * u.grad
+    if u._hess is None:
+        return _jet(f, grad, None)
+    # summed in place: the Hessian is the largest array
+    hess = d1[..., None] * u._hess
+    hess += d2[..., None, None] * _outer(u.grad)
+    return _jet(f, grad, hess)
 
 
 def _pad(j, k):
@@ -76,10 +98,7 @@ def _pad(j, k):
     if d <= 0:
         return j
     head = j.value.shape[:1] + (1,) * d
-    h = j._hess
-    return _jet(j.value.reshape(head + j.value.shape[1:]),
-                j.grad.reshape(head + j.grad.shape[1:]),
-                None if h is None else h.reshape(head + h.shape[1:]))
+    return _map(j, lambda a: a.reshape(head + a.shape[1:]))
 
 
 def _aligned(a, b):
@@ -137,8 +156,7 @@ class Jet2:
 
     def __getitem__(self, idx):
         idx = (slice(None),) + idx if isinstance(idx, tuple) else (slice(None), idx)
-        h = self._hess
-        return _jet(self.value[idx], self.grad[idx], None if h is None else h[idx])
+        return _map(self, operator.itemgetter(idx))
 
     def __iter__(self):
         return (self[i] for i in range(len(self)))
@@ -148,57 +166,40 @@ class Jet2:
         """The jet of the transposed value axes."""
         k = self.value.ndim
         ax = (0,) + tuple(range(k - 1, 0, -1))
-        h = self._hess
-        return _jet(self.value.transpose(ax), self.grad.transpose(ax + (k,)),
-                    None if h is None else h.transpose(ax + (k, k + 1)))
+        return _map(self, lambda a: a.transpose(ax + tuple(range(k, a.ndim))))
 
-    def _shifted(self, value, negate=False):
-        """The jet of value = (+/-) self + a constant: self's derivatives
-        (negated with negate), broadcast to the shape of value."""
-        grad, hess = self.grad, self._hess
-        if negate:
-            grad, hess = -grad, None if hess is None else -hess
-        s = np.shape(value)
-        if s != self.value.shape:
-            grad = np.broadcast_to(grad, s + grad.shape[-1:])
-            if hess is not None:
-                hess = np.broadcast_to(hess, s + hess.shape[-2:])
-        return _jet(value, grad, hess)
-
-    def __add__(self, other):
+    def _linear(self, other, op):
+        """The jet of op(self, other) for op + or -, termwise; a constant other
+        shifts the value, and self's derivatives broadcast to its shape."""
         if not isinstance(other, Jet2):
             self = _pad(self, np.ndim(other))
-            return self._shifted(self.value + other)
+            value, k = op(self.value, other), self.value.ndim
+            if value.shape != self.value.shape:
+                self = _map(self, lambda a: np.broadcast_to(a, value.shape + a.shape[k:]))
+            return _jet(value, self.grad, self._hess)
         self, other = _aligned(self, other)
         sh, oh = self._hess, other._hess
-        return _jet(self.value + other.value, self.grad + other.grad,
-                    None if sh is None or oh is None else sh + oh)
+        return _jet(op(self.value, other.value), op(self.grad, other.grad),
+                    None if sh is None or oh is None else op(sh, oh))
+
+    def __add__(self, other):
+        return self._linear(other, operator.add)
 
     __radd__ = __add__
 
-    def __neg__(self):
-        h = self._hess
-        return _jet(-self.value, -self.grad, None if h is None else -h)
-
     def __sub__(self, other):
-        if not isinstance(other, Jet2):
-            self = _pad(self, np.ndim(other))
-            return self._shifted(self.value - other)
-        self, other = _aligned(self, other)
-        sh, oh = self._hess, other._hess
-        return _jet(self.value - other.value, self.grad - other.grad,
-                    None if sh is None or oh is None else sh - oh)
+        return self._linear(other, operator.sub)
 
     def __rsub__(self, other):
-        self = _pad(self, np.ndim(other))
-        return self._shifted(other - self.value, negate=True)
+        return (-self)._linear(other, operator.add)
+
+    def __neg__(self):
+        return _map(self, operator.neg)
 
     def __mul__(self, other):
         if not isinstance(other, Jet2):
+            # a number is a 0-d array
             c = np.asarray(other, float)
-            if not c.ndim:
-                h = self._hess
-                return _jet(self.value * c, self.grad * c, None if h is None else h * c)
             self = _pad(self, c.ndim)
             h, c = self._hess, c[..., None]
             return _jet(self.value * other, self.grad * c,
@@ -222,11 +223,7 @@ class Jet2:
         if np.count_nonzero(self.value) != self.value.size:
             raise JetDomainError("division by zero in jet arithmetic")
         iv = 1.0 / self.value
-        iv2 = (iv * iv)[..., None]
-        h = self._hess
-        return _jet(iv, -iv2 * self.grad,
-                    None if h is None else
-                    (2.0 * iv ** 3)[..., None, None] * _outer(self.grad) - iv2[..., None] * h)
+        return _chain(self, iv, -(iv * iv), 2.0 * iv ** 3)
 
     def __truediv__(self, other):
         if not isinstance(other, Jet2):
@@ -240,17 +237,17 @@ class Jet2:
         return self.inv() * other
 
     def __pow__(self, k):
-        if isinstance(k, numbers.Integral):
+        # an integral exponent, of any type, is a product: a negative base is in its domain
+        if float(k).is_integer():
+            k = int(k)
             if k == 0:
-                h = self._hess
-                return _jet(np.ones(self.value.shape), np.zeros(self.grad.shape),
-                            None if h is None else np.zeros(h.shape))
+                return 1.0 + _map(self, np.zeros_like)
             base = self if k > 0 else self.inv()
-            out = base
-            for _ in range(abs(k) - 1):
-                out = out * base
-            return out
-        return jexp(k * jlog(self))
+            return functools.reduce(operator.mul, (base for _ in range(abs(k))))
+        _check_positive(self, "power")
+        v = self.value
+        d1 = k * v ** (k - 1.0)
+        return _chain(self, v ** k, d1, (k - 1.0) * d1 / v)
 
     def __matmul__(self, other):
         return jeinsum(_matmul_spec(self, other), self, other)
@@ -269,37 +266,29 @@ def _check_positive(u, what):
 
 def jlog(u):
     _check_positive(u, "log")
-    iv = (1.0 / u.value)[..., None]
-    h = u._hess
-    return _jet(np.log(u.value), iv * u.grad,
-                None if h is None else iv[..., None] * h - (iv * iv)[..., None] * _outer(u.grad))
+    iv = 1.0 / u.value
+    return _chain(u, np.log(u.value), iv, -(iv * iv))
 
 
 def jexp(u):
     e = np.exp(u.value)
-    h = u._hess
-    return _jet(e, e[..., None] * u.grad,
-                None if h is None else e[..., None, None] * (h + _outer(u.grad)))
+    return _chain(u, e, e, e)
 
 
 def jsin(u):
     s, c = np.sin(u.value), np.cos(u.value)
-    h = u._hess
-    return _jet(s, c[..., None] * u.grad,
-                None if h is None else
-                c[..., None, None] * h - s[..., None, None] * _outer(u.grad))
+    return _chain(u, s, c, -s)
 
 
 def jcos(u):
     s, c = np.sin(u.value), np.cos(u.value)
-    h = u._hess
-    return _jet(c, -s[..., None] * u.grad,
-                None if h is None else
-                -s[..., None, None] * h - c[..., None, None] * _outer(u.grad))
+    return _chain(u, c, -s, -c)
 
 
 def jtan(u):
-    return jsin(u) / jcos(u)
+    t = np.tan(u.value)
+    sec2 = 1.0 + t * t
+    return _chain(u, t, sec2, 2.0 * t * sec2)
 
 
 def jsqrt(u):
@@ -488,8 +477,7 @@ def _batch_of(j, batch):
     first order)."""
     if len(j.value) == batch:
         return j
-    return _jet(*(None if a is None else np.broadcast_to(a, (batch,) + a.shape[1:])
-                  for a in (j.value, j.grad, j._hess)))
+    return _map(j, lambda a: np.broadcast_to(a, (batch,) + a.shape[1:]))
 
 
 def pack(M, point=None):

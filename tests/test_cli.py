@@ -528,16 +528,18 @@ def test_curvature_command_entry_matches_point_eval_bit_for_bit(name):
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+# each bad --point, and what its one error line says: an empty coordinate,
+# or a space inside one, is malformed, not dropped or joined
+POINT_ERRORS = (("1.0", "needs 2"), ("0.1,0.0", "outside the chart domain"),
+                ("1.0,zero", "comma-separated"), ("1.0,,0.5", "comma-separated"),
+                ("0.5,0 1", "comma-separated"))
+
+
 def test_curvature_point_errors(capsys):
-    rc, _, err = run_cli(capsys, ["curvature", "sphere", "--point", "1.0"])
-    assert rc == 2
-    assert "needs 2" in err
-    rc, _, err = run_cli(capsys, ["curvature", "sphere", "--point", "0.1,0.0"])
-    assert rc == 2
-    assert "outside the chart domain" in err
-    rc, _, err = run_cli(capsys, ["curvature", "sphere", "--point", "1.0,zero"])
-    assert rc == 2
-    assert "comma-separated" in err
+    for point, needle in POINT_ERRORS:
+        rc, out, err = run_cli(capsys, ["curvature", "sphere", "--point", point])
+        assert rc == 2 and out == "", point
+        assert err.startswith("error:") and needle in err and len(err.splitlines()) == 1
 
 
 def test_curvature_domain_error_names_the_point(tmp_path, capsys):

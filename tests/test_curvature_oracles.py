@@ -1,17 +1,19 @@
 """Metamorphic curvature oracles on the bundled charts: identities that the
 curvature stack and the builders must satisfy together, checked at fixed
 points without a second implementation: the J-invariance of the Kähler
-curvature, and the invariance of the scalar and Ricci curvature of every
-bundled case metric under a fixed polynomial change of coordinates."""
+curvature, the invariance of the scalar and Ricci curvature of every
+bundled case metric under a fixed polynomial change of coordinates, and
+the Kähler residuals of each Kähler chart's (g, J) pulled back by it."""
 
 from functools import lru_cache
 
 import numpy as np
 import pytest
 
-from kahlerkit.jets import Jet2, SamplePlan, jeinsum, pack
+from kahlerkit.jets import Jet2, SamplePlan, jeinsum, jinv, pack
 from kahlerkit.fields import Field, PointEval
 from kahlerkit.scenarios import build_case, bundled_names, load_scenario
+from kahlerkit.hermitian import HermitianTriple, kahler_point
 from kahlerkit.calabi import CalabiProfile, build_calabi, disk_base
 from kahlerkit.twist import build_twist, coordinate_twist
 from kahlerkit.almost_kahler import iterate_chain
@@ -80,6 +82,15 @@ def _fixed_map(chart):
     return phi
 
 
+def _pulled_back(phi, f, left):
+    """The field f pulled back by phi: left(D phi) f(phi(x)) D phi, with f's
+    own callable run on the jet phi(x), so the chain rule runs through it."""
+    def fn(pt):
+        y, D = phi(pt)
+        return left(D) @ pack(f.fn(y), y) @ D
+    return Field(fn)
+
+
 @pytest.mark.parametrize("name", bundled_names())
 def test_curvature_is_invariant_under_a_change_of_coordinates(name):
     # the pulled-back metric h = D phi^T g(phi) D phi is the case's own metric
@@ -88,12 +99,8 @@ def test_curvature_is_invariant_under_a_change_of_coordinates(name):
     # phi(x), and its Ricci tensor is D phi^T Ric_g(phi(x)) D phi
     case = build_case(load_scenario(name))
     g, phi = case.metric, _fixed_map(case.chart)
-
-    def pulled_back(pt):
-        y, D = phi(pt)
-        return D.T @ pack(g.fn(y), y) @ D
     p = case.chart.samples(SamplePlan(0, 8))
-    _, ric, scal, _ = PointEval(p).curvature(Field(pulled_back))
+    _, ric, scal, _ = PointEval(p).curvature(_pulled_back(phi, g, lambda D: D.T))
     y, D = phi(Jet2.seed(p))
     assert all(case.chart.contains(q) for q in y.value)
     _, ric_g, scal_g, _ = PointEval(y.value).curvature(g)
@@ -101,3 +108,18 @@ def test_curvature_is_invariant_under_a_change_of_coordinates(name):
     # relative to the curvature's size, or absolute where it is below one
     assert np.abs(scal - scal_g).max() <= 1e-12 * max(np.abs(scal_g).max(), 1.0)
     assert np.abs(ric - want).max() <= 1e-12 * max(np.abs(want).max(), 1.0)
+
+
+@pytest.mark.parametrize("name", sorted(KAHLER_CHARTS))
+def test_a_pulled_back_kahler_pair_is_kahler(name):
+    # g pulled back by phi is D phi^T g(phi) D phi and J is D phi^-1 J(phi)
+    # D phi: a Kähler pair in the new chart, so kahler_point's compatibility,
+    # closedness and integrability residuals vanish; J's jets run jinv's
+    # Hessian and the chain rule through every Kähler builder closure
+    t = KAHLER_CHARTS[name]()
+    phi = _fixed_map(t.chart)
+    pulled = HermitianTriple(_pulled_back(phi, t.g, lambda D: D.T), _pulled_back(phi, t.J, jinv),
+                             t.chart)
+    res = kahler_point(pulled, PointEval(t.chart.samples(SamplePlan(0, 8))))
+    assert sorted(res) == ["closed", "compatible", "integrable"]
+    assert max(np.max(r) for r in res.values()) <= 1e-12

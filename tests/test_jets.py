@@ -101,6 +101,20 @@ def test_an_integer_power_is_a_product_whatever_the_integer_type():
     assert (x[0] ** np.int64(2)).value[0] == 0.25
 
 
+def test_an_integral_float_power_is_a_product():
+    # 2.0 and np.float64(3.0) are integers too: the product path, bit for
+    # bit, where exp(k log u) left the domain at a negative base
+    x = Jet2.seed(np.array([-2.0, 0.7]))
+    for u in (x[0], x[1], x[0] * x[1]):
+        for got, want in ((u ** 2.0, u * u), (u ** np.float64(3.0), u * u * u),
+                          (u ** -2.0, u.inv() * u.inv())):
+            for part in ("value", "grad", "hess"):
+                assert same_bits(getattr(got, part), getattr(want, part))
+    assert (x[0] ** 2.0).value[0] == 4.0
+    with pytest.raises(JetDomainError, match="power of nonpositive value"):
+        x[0] ** 0.5
+
+
 def test_division_and_inverse_consistency():
     x = Jet2.seed(np.array([0.7, -0.4]))
     u = (x[0] * x[1] + 2.0)

@@ -10,7 +10,11 @@ Hessian read only through jet_dcoord (and the raw-coordinate metric read),
 that each matrix is inverted once per point, that one Fold per check,
 holding arrays, is the one aggregator and its replay the one per-point walk,
 that each builder declares each parameter once, with its default and its
-reader, and the README's library example run as written."""
+reader, that each jet rule is written once (one chain rule for the scalar
+functions, one linear rule, one map for the shape-only rules, and the
+first-order case decided in the named rule bodies alone), that the D+ frame
+is computed once per point, and the README's library example run as
+written."""
 
 import ast
 import contextlib
@@ -99,6 +103,52 @@ def test_jets_contract_only_through_contract_and_dcoord_is_first_order():
     assert du._hess is None and du.grad.shape == (1, 3, 3)
     with pytest.raises(FirstOrderError):
         du.hess
+
+
+# the rule bodies of jets.py that decide the first-order case: the shape-only
+# map, the chain rule, the linear rule, the products and the inverse, the
+# constant lift, the stack, the quadrature, and the Jet2 constructor and its
+# Hessian read
+FIRST_ORDER_BODIES = {"_map", "_chain", "_linear", "__mul__", "jeinsum", "jinv", "_lift",
+                      "pack", "gauss_integrate", "__init__", "hess"}
+# the jets.py names compared with None that are not a Hessian: the point a
+# constant is lifted at, and the running quadrature sum
+NOT_A_HESSIAN = {"like", "total"}
+# the rules that build a jet from its arrays: every other rule calls them
+JET_BUILDERS = {"_map", "_chain", "_linear", "__mul__", "seed", "jeinsum", "jinv", "jet_dcoord",
+                "_lift", "pack"}
+SCALAR_RULES = {"inv", "jlog", "jexp", "jsin", "jcos", "jtan", "__pow__"}
+
+
+def _calls(fn):
+    """The names of the functions fn calls by name or as an attribute."""
+    return {getattr(node.func, "id", getattr(node.func, "attr", None))
+            for node in ast.walk(fn) if isinstance(node, ast.Call)}
+
+
+def test_each_jet_rule_is_written_once():
+    # one chain rule f' du, f' d2u + f'' du du^T carries every scalar
+    # function, one linear rule + and -, and one map the rules that act on
+    # the value axes alone; so the first-order case (hess None) is decided
+    # in a handful of bodies, where a lazy Hessian would put its thunk
+    tree = dict(_modules())["jets.py"]
+    funcs = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+    none_tests = set()
+    for fn in funcs:
+        for node in ast.walk(fn):
+            if (isinstance(node, ast.Compare) and isinstance(node.ops[0], (ast.Is, ast.IsNot))
+                    and isinstance(node.comparators[0], ast.Constant)
+                    and node.comparators[0].value is None
+                    and getattr(node.left, "id", None) not in NOT_A_HESSIAN):
+                none_tests.add((fn.name, node.lineno))
+    assert {name for name, _ in none_tests} <= FIRST_ORDER_BODIES
+    assert len({line for _, line in none_tests}) <= 13
+    assert {fn.name for fn in funcs if "_outer" in _calls(fn)} == {"_chain"}
+    assert {fn.name for fn in funcs if "_jet" in _calls(fn)} <= JET_BUILDERS
+    # a scalar function's derivatives reach a jet only through the chain rule
+    elementary = {"exp", "log", "sin", "cos", "tan", "sqrt", "power"}
+    assert {fn.name for fn in funcs if _calls(fn) & elementary} <= SCALAR_RULES
+    assert all("_chain" in _calls(fn) for fn in funcs if fn.name in SCALAR_RULES)
 
 
 # One-point accessors that re-wrapped a *_from_jets function, and the error
@@ -346,6 +396,23 @@ def test_each_matrix_is_inverted_once_per_point(name, monkeypatch):
     assert seen
     twice = sorted({shape for shape, data in seen if seen.count((shape, data)) > 1})
     assert twice == []
+
+
+@pytest.mark.parametrize("name", [n for n in BUNDLED if n.startswith("calabi")])
+def test_the_d_plus_frame_is_computed_once_per_point(name, monkeypatch):
+    # the Lee-form extraction and the holomorphy check read one memoised
+    # frame: the column pick runs once per batch, where it ran twice
+    import kahlerkit.foliation as fol
+    calls = []
+    frame_columns = fol._frame_columns
+
+    def counting(Pv, *args):
+        calls.append(len(Pv))
+        return frame_columns(Pv, *args)
+    monkeypatch.setattr(fol, "_frame_columns", counting)
+    scn = load_scenario(name)
+    run_scenario_obj(scn, case=build_case(scn))
+    assert calls == [scn.count]
 
 
 @pytest.mark.parametrize("name", BUNDLED)
