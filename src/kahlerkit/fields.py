@@ -117,9 +117,9 @@ def _memoised(memo, key, compute):
 
 def _restrict(j, k):
     """The jet j with its derivatives restricted to the last k coordinates
-    (a first-order j stays first order)."""
+    (a first-order, affine or constant j stays so)."""
     h = j._hess
-    return Jet2(j.value, j.grad[..., -k:], None if h is None else h[..., -k:, -k:])
+    return Jet2(j.value, j.grad[..., -k:], h[..., -k:, -k:] if isinstance(h, np.ndarray) else h)
 
 
 def first_order(j):

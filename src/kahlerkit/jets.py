@@ -23,12 +23,23 @@ both run on contract.
 Curvature needs two derivatives of metric components, so second order is the
 whole story; there is no truncation error, only roundoff.
 
-A first-order jet carries no Hessian: jet_dcoord returns one (the third
-derivatives of u it would need are not tracked), and reading its hess raises
-FirstOrderError.  _map, _chain, _linear, __mul__, jeinsum and jinv skip the
-Hessian terms when a jet operand is one, and _lift, pack and gauss_integrate
-carry it through: no other rule tests for it, and only the degrees that are
-read are propagated.
+The Hessian slot of a jet is in one of four states:
+- an array;
+- None, a first-order jet, which carries no Hessian: jet_dcoord returns one
+  (the third derivatives of u it would need are not tracked), and reading
+  its hess raises FirstOrderError;
+- AFFINE, a known zero Hessian: the coordinates Jet2.seed returns, which
+  allocate no zero array, and their sums and constant multiples;
+- CONSTANT, a known zero gradient and Hessian, with one value at every point
+  of the batch: a constant lifted at a second-order point (so a constant
+  field read through PointEval.raw), and the rules applied to constants.
+Reading hess gives zeros for the two known-zero states.  _map, _chain,
+_linear, __mul__, jeinsum, jinv and pack skip the terms that a first-order
+or known-zero operand would add, and a constant jet acts by its value,
+through the rules' constant paths; _lift and gauss_integrate carry the
+states through.  No other rule tests for them, so only the degrees that are
+read, and not known to be zero, are propagated, each by the same formula
+and in the same summation order as the full rule.
 
 A constant is a plain number or array wherever it appears; pack lifts one
 that a field returns to a jet (batch axis 1, zero derivatives) in the
@@ -36,6 +47,7 @@ coordinates and derivative order of the jets beside it or of the point it
 is read at, so a constant read on a first-order point has no Hessian.
 """
 
+import enum
 import functools
 import math
 import operator
@@ -57,9 +69,19 @@ class FirstOrderError(Exception):
 _new = object.__new__
 
 
+class Zero(enum.Enum):
+    """The known-zero states of the Hessian slot, beside None and an array
+    (see the module docstring)."""
+    AFFINE = "affine"
+    CONSTANT = "constant"
+
+
+AFFINE, CONSTANT = Zero
+
+
 def _jet(value, grad, hess):
     """Jet2 of computed arrays, without conversion or copies (hess None for a
-    first-order jet)."""
+    first-order jet, or a Zero state)."""
     j = _new(Jet2)
     j.value = value
     j.grad = grad
@@ -67,10 +89,19 @@ def _jet(value, grad, hess):
     return j
 
 
+def _hessian(j):
+    """The Hessian array of the second-order jet j, zeros for a known-zero
+    state."""
+    h = j._hess
+    return h if isinstance(h, np.ndarray) else np.zeros(j.grad.shape + j.grad.shape[-1:])
+
+
 def _map(j, f):
     """The jet whose value, gradient and Hessian are f of j's, for a rule that
-    acts on the value axes alone; first order when j is."""
-    return _jet(f(j.value), f(j.grad), None if j._hess is None else f(j._hess))
+    acts on the value axes alone; first order, affine or constant when j
+    is."""
+    h = j._hess
+    return _jet(f(j.value), f(j.grad), f(h) if isinstance(h, np.ndarray) else h)
 
 
 def _outer(g):
@@ -80,15 +111,28 @@ def _outer(g):
 
 def _chain(u, f, d1, d2):
     """The jet of f(u) from the arrays f, f' and f'' at u's value: gradient
-    f' du and Hessian f' d2u + f'' du du^T (first order when u is)."""
+    f' du and Hessian f' d2u + f'' du du^T (first order when u is, without
+    its first term when u is affine, and constant when u is)."""
+    h = u._hess
+    if h is CONSTANT:
+        return _jet(f, u.grad, h)
     d1 = d1[..., None]
     grad = d1 * u.grad
-    if u._hess is None:
+    if h is None:
         return _jet(f, grad, None)
+    outer = d2[..., None, None] * _outer(u.grad)
+    if h is AFFINE:
+        return _jet(f, grad, outer)
     # summed in place: the Hessian is the largest array
-    hess = d1[..., None] * u._hess
-    hess += d2[..., None, None] * _outer(u.grad)
+    hess = d1[..., None] * h
+    hess += outer
     return _jet(f, grad, hess)
+
+
+def _by_value(j, c, rule):
+    """rule(j, v) for the value v of the constant jet c, which is one at every
+    point, so c's batch axis is dropped; over the larger batch of j and c."""
+    return _batch_of(rule(j, c.value[0]), max(len(j.value), len(c.value)))
 
 
 def _pad(j, k):
@@ -127,24 +171,25 @@ class Jet2:
     def __init__(self, value, grad, hess=None):
         self.value = np.asarray(value, float)
         self.grad = np.asarray(grad, float)
-        self._hess = None if hess is None else np.asarray(hess, float)
+        self._hess = hess if hess is None or isinstance(hess, Zero) else np.asarray(hess, float)
 
     @property
     def hess(self):
-        """The Hessian array; a first-order jet has none."""
+        """The Hessian array (zeros for a known-zero state); a first-order jet
+        has none."""
         if self._hess is None:
             raise FirstOrderError("a first-order jet carries no Hessian (its value and "
                                   "gradient are exact, its second derivatives unknown)")
-        return self._hess
+        return _hessian(self)
 
     @staticmethod
     def seed(p):
         """Jet of the coordinates at each point of the (B, n) stack p: value
-        p, grad the identity, hess 0.  One point (n,) seeds a batch of one."""
+        p, grad the identity, hess AFFINE (a known zero).  One point (n,)
+        seeds a batch of one."""
         p = np.atleast_2d(np.asarray(p, float))
         n = p.shape[-1]
-        return _jet(p, np.broadcast_to(np.eye(n), p.shape + (n,)),
-                    np.zeros(p.shape + (n, n)))
+        return _jet(p, np.broadcast_to(np.eye(n), p.shape + (n,)), AFFINE)
 
     @property
     def shape(self):
@@ -170,17 +215,35 @@ class Jet2:
 
     def _linear(self, other, op):
         """The jet of op(self, other) for op + or -, termwise; a constant other
-        shifts the value, and self's derivatives broadcast to its shape."""
+        shifts the value, and self's derivatives broadcast to its shape.  A
+        constant jet acts by its value, and an affine one's Hessian term is
+        a zero."""
         if not isinstance(other, Jet2):
             self = _pad(self, np.ndim(other))
             value, k = op(self.value, other), self.value.ndim
             if value.shape != self.value.shape:
                 self = _map(self, lambda a: np.broadcast_to(a, value.shape + a.shape[k:]))
             return _jet(value, self.grad, self._hess)
+        if other._hess is CONSTANT:
+            return _by_value(self, other, lambda j, c: j._linear(c, op))
+        if self._hess is CONSTANT:
+            # c + x, and c - x as (-x) + c
+            x = other if op is operator.add else -other
+            return _by_value(x, self, lambda j, c: j._linear(c, operator.add))
         self, other = _aligned(self, other)
         sh, oh = self._hess, other._hess
-        return _jet(op(self.value, other.value), op(self.grad, other.grad),
-                    None if sh is None or oh is None else op(sh, oh))
+        grad = op(self.grad, other.grad)
+        if sh is None or oh is None:
+            hess = None
+        elif sh is AFFINE and oh is AFFINE:
+            hess = AFFINE
+        else:
+            # an affine operand's Hessian is a zero, and the other's is
+            # broadcast to the shape of the result
+            hess = op(0.0 if sh is AFFINE else sh, 0.0 if oh is AFFINE else oh)
+            if hess.shape[:-1] != grad.shape:
+                hess = np.broadcast_to(hess, grad.shape + grad.shape[-1:])
+        return _jet(op(self.value, other.value), grad, hess)
 
     def __add__(self, other):
         return self._linear(other, operator.add)
@@ -203,16 +266,26 @@ class Jet2:
             self = _pad(self, c.ndim)
             h, c = self._hess, c[..., None]
             return _jet(self.value * other, self.grad * c,
-                        None if h is None else h * c[..., None])
+                        h * c[..., None] if isinstance(h, np.ndarray) else h)
+        # a constant jet acts by its value
+        if other._hess is CONSTANT:
+            return _by_value(self, other, operator.mul)
+        if self._hess is CONSTANT:
+            return _by_value(other, self, operator.mul)
         self, other = _aligned(self, other)
         sv, ov = self.value[..., None], other.value[..., None]
         grad = sv * other.grad + ov * self.grad
-        if self._hess is None or other._hess is None:
+        sh, oh = self._hess, other._hess
+        if sh is None or oh is None:
             return _jet(self.value * other.value, grad, None)
         cross = self.grad[..., :, None] * other.grad[..., None, :]
-        # the Hessian is summed in place: it is the largest array
-        hess = sv[..., None] * other._hess
-        hess += ov[..., None] * self._hess
+        if sh is AFFINE and oh is AFFINE:
+            return _jet(self.value * other.value, grad, cross + cross.swapaxes(-1, -2))
+        # summed in place, left to right, without an affine operand's zero
+        # term: the Hessian is the largest array
+        hess = ov[..., None] * sh if oh is AFFINE else sv[..., None] * oh
+        if oh is not AFFINE and sh is not AFFINE:
+            hess += ov[..., None] * sh
         hess += cross
         hess += cross.swapaxes(-1, -2)
         return _jet(self.value * other.value, grad, hess)
@@ -400,27 +473,37 @@ def jeinsum(spec, a, b):
     explicit two-operand einsum spec such as "ij,jk->ik" (no letter repeated
     or summed within one operand); a jet operand's batch axis is one more
     letter, which a batch axis of 1 broadcasts along.  The result is first
-    order when a jet operand is."""
+    order when a jet operand is; a constant jet operand, like a plain array,
+    adds no derivative term, and an affine one no Hessian term."""
     ja, jb = isinstance(a, Jet2), isinstance(b, Jet2)
     av = a.value if ja else np.asarray(a, float)
     bv = b.value if jb else np.asarray(b, float)
     vs, gl, gr, hl, hr, cross = _specs(spec, ja, jb)
     value = contract(vs, av, bv)
-    if not ja:
-        h = b._hess
-        return _jet(value, contract(gr, av, b.grad), None if h is None else contract(hr, av, h))
-    grad = contract(gl, a.grad, bv)
-    if jb:
-        grad += contract(gr, av, b.grad)
-    if a._hess is None or (jb and b._hess is None):
+    # a plain array reads as a constant jet; the terms are summed in place,
+    # left to right, and a Hessian is the largest array
+    ha, hb = a._hess if ja else CONSTANT, b._hess if jb else CONSTANT
+    if ha is CONSTANT and hb is CONSTANT:
+        return _jet(value, np.zeros(value.shape + (a if ja else b).grad.shape[-1:]), CONSTANT)
+    if ha is CONSTANT:
+        grad = contract(gr, av, b.grad)
+    else:
+        grad = contract(gl, a.grad, bv)
+        if hb is not CONSTANT:
+            grad += contract(gr, av, b.grad)
+    if ha is None or hb is None:
         return _jet(value, grad, None)
-    hess = contract(hl, a._hess, bv)
-    if jb:
-        # summed in place: the Hessians are the largest arrays
-        hess += contract(hr, av, b._hess)
+    terms = [contract(hl, ha, bv)] if isinstance(ha, np.ndarray) else []
+    if isinstance(hb, np.ndarray):
+        terms.append(contract(hr, av, hb))
+    if ha is not CONSTANT and hb is not CONSTANT:
         c = contract(cross, a.grad, b.grad)
-        hess += c
-        hess += c.swapaxes(-1, -2)
+        terms += [c, c.swapaxes(-1, -2)]
+    if not terms:
+        return _jet(value, grad, AFFINE)
+    hess = terms[0]
+    for t in terms[1:]:
+        hess += t
     return _jet(value, grad, hess)
 
 
@@ -436,18 +519,23 @@ def jinv(A):
     """Closed-form inverse of the square matrix jet A at each point (a
     (B, d, d) stack): value A^{-1}, grad_m -A^{-1} (d_m A) A^{-1}, and hess_mp
     A^{-1} (d_m A) A^{-1} (d_p A) A^{-1} + (m <-> p) - A^{-1} (d_m d_p A) A^{-1}
-    (first order when A is)."""
+    (first order when A is, without its last term when A is affine, and
+    constant when A is)."""
     try:
         Ai = np.linalg.inv(A.value)
     except np.linalg.LinAlgError:
         raise JetDomainError("singular jet matrix") from None
+    h = A._hess
+    if h is CONSTANT:
+        return _jet(Ai, A.grad, h)
     X = contract("Zik,ZkjM->ZijM", Ai, A.grad)
     grad = -contract("ZikM,Zkj->ZijM", X, Ai)
-    if A._hess is None:
+    if h is None:
         return _jet(Ai, grad, None)
     c = -contract("ZikM,ZkjP->ZijMP", X, grad)
     hess = c + c.swapaxes(-1, -2)
-    hess -= contract("ZikMP,Zkj->ZijMP", contract("Zik,ZkjMP->ZijMP", Ai, A._hess), Ai)
+    if h is not AFFINE:
+        hess -= contract("ZikMP,Zkj->ZijMP", contract("Zik,ZkjMP->ZijMP", Ai, h), Ai)
     return _jet(Ai, grad, hess)
 
 
@@ -462,13 +550,13 @@ def jet_dcoord(u, k=slice(None)):
 def _lift(x, like):
     """The constant x (a number or an array of any shape) as a jet in the
     coordinates and derivative order of the jet like, with a batch axis of 1
-    that broadcasts against any batch."""
+    that broadcasts against any batch: a CONSTANT jet, or a first-order one
+    when like is."""
     if like is None:
         raise TypeError("a constant component needs the point it is read at")
     x = np.asarray(x, float)[None]
-    n = like.grad.shape[-1:]
-    return _jet(x, np.zeros(x.shape + n),
-                None if like._hess is None else np.zeros(x.shape + n + n))
+    return _jet(x, np.zeros(x.shape + like.grad.shape[-1:]),
+                None if like._hess is None else CONSTANT)
 
 
 def _batch_of(j, batch):
@@ -487,7 +575,8 @@ def pack(M, point=None):
     and derivative order of the jet components beside it, or, when M holds
     no jet (a bare number or array included), of the jet point, the point
     it is read at.  A component of batch 1 is repeated over the batch of the
-    others.  The stack is first order when a component is."""
+    others.  The stack is first order when a component is, constant when
+    every component is, and affine when every component is known zero."""
     if isinstance(M, Jet2):
         return M
     if not isinstance(M, (list, tuple)):
@@ -502,10 +591,14 @@ def pack(M, point=None):
     flat = [_batch_of(e, batch) for e in flat]
     s = (batch,) + tuple(shape) + flat[0].shape
     n = flat[0].grad.shape[-1:]
-    # the component axis moves behind the batch axis: a view for one point
-    hess = None
-    if all(e._hess is not None for e in flat):
-        hess = np.array([e._hess for e in flat]).swapaxes(0, 1).reshape(s + n + n)
+    hs = [e._hess for e in flat]
+    if any(h is None for h in hs):
+        hess = None
+    elif np.ndarray in set(map(type, hs)):
+        # the component axis moves behind the batch axis: a view for one point
+        hess = np.array([_hessian(e) for e in flat]).swapaxes(0, 1).reshape(s + n + n)
+    else:
+        hess = CONSTANT if all(h is CONSTANT for h in hs) else AFFINE
     return _jet(np.array([e.value for e in flat]).swapaxes(0, 1).reshape(s),
                 np.array([e.grad for e in flat]).swapaxes(0, 1).reshape(s + n), hess)
 
@@ -529,7 +622,7 @@ def gauss_integrate(f, order=32):
         t = 0.5 * (x + 1.0)
         val = f(t)
         parts = (val.value, val.grad, val._hess) if isinstance(val, Jet2) else (val,)
-        if not all(x is None or np.isfinite(x).all() for x in parts):
+        if not all(x is None or isinstance(x, Zero) or np.isfinite(x).all() for x in parts):
             raise JetDomainError(f"non-finite integrand at t={t}")
         term = (0.5 * w) * val
         total = term if total is None else total + term

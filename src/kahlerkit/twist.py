@@ -12,9 +12,12 @@ invariant.  Mode "B" is
 
 mode "A" the conjugate order with A = 1 + 2 (S + |w|^2 P+)/(1 - |w|^2).
 Both leave the fundamental forms unchanged; w = 0 is the identity
-deformation exactly.  theta must be supplied as an exact jet closure: an
-extracted Lee form is a first-order jet, and the curvature of the twisted
-metric, which needs its Hessian, would raise FirstOrderError.
+deformation exactly.  |w|^2, 1/(1-|w|^2), |w|^2 P+, 1-S and (1-S)^{-1} are
+Fields of their own, which S's disc guard, g_w and every E_w read through
+the point's memo, so each runs once per point.  theta must be supplied as
+an exact jet closure: an extracted Lee form is a first-order jet, and the
+curvature of the twisted metric, which needs its Hessian, would raise
+FirstOrderError.
 """
 
 from dataclasses import dataclass
@@ -87,8 +90,14 @@ def _check_disc(ww):
         raise JetDomainError("twist leaves the disc: |w|^2 = %.8f" % ww[out].max())
 
 
-def make_sfield(J, Pp, w, theta):
-    """The S field of the twist w.
+def _norm2_field(w):
+    """The Field |w|^2 of the twist w."""
+    return Field(lambda pt: _norm2(w(pt)))
+
+
+def make_sfield(J, Pp, w, theta, ww=None):
+    """The S field of the twist w; ww is the Field |w|^2 it guards with
+    (_norm2_field(w) when omitted).
 
     The D+ frame dual to {theta, -theta o J} is built from the first two
     projector columns; a degenerate frame (|det E| < 1e-12, as where theta
@@ -96,6 +105,9 @@ def make_sfield(J, Pp, w, theta):
     Every twisted field reads S, so the disc guard |w|^2 <= DISC sits here.
     On a batch both guards test every point and name the worst one.
     """
+    if ww is None:
+        ww = _norm2_field(w)
+
     def sfield(pt):
         th = theta(pt)
         e2 = -(th @ J(pt))
@@ -104,9 +116,8 @@ def make_sfield(J, Pp, w, theta):
         det = np.abs(np.linalg.det(E.value))
         if (det < 1e-12).any():
             raise JetDomainError("degenerate twist frame (|det E| = %.2e)" % det.min())
-        wj = w(pt)
-        _check_disc(_norm2(wj).value)
-        w1, w2 = wj
+        _check_disc(ww(pt).value)
+        w1, w2 = w(pt)
         return (v @ jinv(E)) @ pack([w1 * th + w2 * e2, w2 * th - w1 * e2])
     return Field(sfield)
 
@@ -114,32 +125,35 @@ def make_sfield(J, Pp, w, theta):
 def build_twist_fields(g, endos, Pp, w, theta, chart, mode="B"):
     """The twist of the metric g and of each endomorphism in endos by one
     shared S anchored to endos[0]'s frame: (g_w, [E_w, ...], S), Fields on
-    chart."""
+    chart.  They share the Fields |w|^2, 1/(1-|w|^2), |w|^2 P+, 1-S and
+    (1-S)^{-1}."""
     if mode not in ("A", "B"):
         raise ValueError("mode must be 'A' or 'B'")
-    S = make_sfield(endos[0], Pp, w, theta)
+    ww = _norm2_field(w)
+    S = make_sfield(endos[0], Pp, w, theta, ww)
     one = np.eye(chart.dim)
 
+    def facfn(pt):
+        S(pt)   # S's guards name a point off the disc before 1 - |w|^2 is inverted
+        return 1.0 / (1.0 - ww(pt))
+    fac = Field(facfn)
+    wwP = Field(lambda pt: ww(pt) * Pp(pt))
+    onem = Field(lambda pt: one - S(pt))
+    inv_onem = Field(lambda pt: one + fac(pt) * (S(pt) + wwP(pt)))
+
     def gwfn(pt):
-        Sv = S(pt)
-        ww = _norm2(w(pt))
-        fac = 1.0 / (1.0 - ww)
         if mode == "B":
-            Am = one + (-2.0 * fac) * (Sv - ww * Pp(pt))
+            Am = one + (-2.0 * fac(pt)) * (S(pt) - wwP(pt))
         else:
-            Am = one + (2.0 * fac) * (Sv + ww * Pp(pt))
+            Am = one + (2.0 * fac(pt)) * (S(pt) + wwP(pt))
         # g_w(X, Y) = g(A X, Y): component [i][j] = g[m][j] A[m][i]
         return Am.T @ g(pt)
 
     def twisted(E):
         def Ewfn(pt):
-            Sv = S(pt)
-            ww = _norm2(w(pt))
-            onem = one - Sv
-            inv_onem = one + (1.0 / (1.0 - ww)) * (Sv + ww * Pp(pt))
             if mode == "B":
-                return inv_onem @ (E(pt) @ onem)
-            return onem @ (E(pt) @ inv_onem)
+                return inv_onem(pt) @ (E(pt) @ onem(pt))
+            return onem(pt) @ (E(pt) @ inv_onem(pt))
         return Field(Ewfn)
 
     return Field(gwfn), [twisted(E) for E in endos], S

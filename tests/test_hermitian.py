@@ -3,8 +3,9 @@ the ddc operator (ddc_from_jets), checked against closed-form surface
 curvature oracles."""
 
 import numpy as np
+import pytest
 
-from kahlerkit.jets import Jet2, SamplePlan, jlog, jsin
+from kahlerkit.jets import AFFINE, CONSTANT, Jet2, SamplePlan, jlog, jsin
 from kahlerkit.fields import (ChartManifold, DegenerateMetricError, Field, Fold, PointEval,
                               metric_jets, worst)
 from kahlerkit.hermitian import HermitianTriple, ddc_from_jets, kahler_point, ricci_form
@@ -205,3 +206,30 @@ def test_kahler_verdict_fails_on_nan_at_a_later_point():
     v = fold_plan(t.chart, plan, lambda pe: kahler_point(t, pe))
     assert not worst(*(v.max(k) for k in v.values)) <= 1e-7
     assert np.isnan(v.max("compatible"))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("kind", ["constant", "affine"])
+def test_a_nan_or_inf_in_a_known_zero_operand_fails_the_check(kind, bad):
+    # a constant or affine operand skips the derivative terms its zeros
+    # would add, so no 0 * inf = NaN reaches a Hessian through them; its
+    # value still carries the NaN or inf into the residual, and the fold
+    # names the first point where it does: the first sample for a constant,
+    # which is bad everywhere, and the bad point for the affine operand
+    plan = SamplePlan(12, 5)
+    pts = flat4_triple().chart.samples(plan)
+
+    def warp(pt):
+        if kind == "constant":
+            u = Field(lambda pt: bad)(pt)
+        else:
+            x = pt[0]
+            u = Jet2(np.where(x.value == pts[1][0], bad, x.value), x.grad, AFFINE)
+        assert u._hess is (CONSTANT if kind == "constant" else AFFINE)
+        return 1.0 + u * pt[1]
+    t = flat4_triple(warp)
+    with np.errstate(invalid="ignore"):     # inf - inf and 0 * inf
+        v = fold_plan(t.chart, plan, lambda pe: kahler_point(t, pe))
+    at = pts[0] if kind == "constant" else pts[1]
+    assert v.error == "non-finite residual at point %s" % at.round(8).tolist()
+    assert not all(np.isfinite(v.max(k)) for k in v.values)

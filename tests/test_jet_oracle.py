@@ -3,9 +3,10 @@
 Random elementary expressions are differentiated by sympy and compared with
 their jets; array-valued jets, jeinsum and jinv are recomputed element by
 element with scalar jets; jets.contract is recomputed with np.einsum, and every
-rule on first-order operands with the full rule.  Each rule is fed through a map into its domain
-(log and sqrt of 1 + u^2, exp and tan of u / (1 + u^2), division by
-1 + v^2), applied identically on both sides.  The curvature stack is checked
+rule on first-order operands with the full rule, and on known-zero operands
+(a constant, an affine jet) with the zeros written out.  Each rule is fed
+through a map into its domain (log and sqrt of 1 + u^2, exp and tan of
+u / (1 + u^2), division by 1 + v^2), applied identically on both sides.  The curvature stack is checked
 on random surface metrics against the Brioschi formula.
 """
 
@@ -20,8 +21,9 @@ from hypothesis import given, settings, strategies as st
 
 from kahlerkit import jets
 from kahlerkit.fields import DOMAIN_ERRORS, Fold, PointEval
-from kahlerkit.jets import (FirstOrderError, Jet2, contract, gauss_integrate, jcos,
-                            jeinsum, jet_dcoord, jexp, jinv, jlog, jsin, jsqrt, jtan, pack)
+from kahlerkit.jets import (AFFINE, CONSTANT, FirstOrderError, Jet2, contract,
+                            gauss_integrate, jcos, jeinsum, jet_dcoord, jexp, jinv, jlog,
+                            jsin, jsqrt, jtan, pack)
 from kahlerkit.scenarios import bundled_names, load_scenario, run_scenario_obj
 from helpers import patch_contract
 
@@ -84,13 +86,28 @@ OPS = sorted(UNARY) + sorted(BINARY)
 points = st.lists(st.integers(-100, 100).map(lambda k: k / 100.0), min_size=N, max_size=N)
 
 
+# a rule argument that may carry a known-zero Hessian: a lifted constant
+# ("k", a CONSTANT jet on the jet side), a bare coordinate (AFFINE), an
+# affine combination k + c x_a, or an args expression
+consts = st.integers(-200, 200).map(lambda k: k / 100.0)
+known_zero_args = st.one_of(
+    st.tuples(st.just("k"), consts),
+    st.tuples(st.just("x"), st.integers(0, N - 1)),
+    st.builds(lambda k, c, a: ("add", ("k", k), ("mul", ("c", c), ("x", a))),
+              consts, consts, st.integers(0, N - 1)),
+    args)
+
+
 def build(tree, x, f):
-    """tree evaluated on the variables x with the elementary functions f."""
+    """tree evaluated on the variables x with the elementary functions f; a
+    lifted constant leaf is lifted on the jet side only."""
     op = tree[0]
     if op == "x":
         return x[tree[1]]
     if op == "c":
         return tree[1]
+    if op == "k":
+        return lift(tree[1]) if f is JETS else tree[1]
     if op in UNARY:
         return UNARY[op](build(tree[1], x, f), f)
     return BINARY[op](build(tree[1], x, f), build(tree[2], x, f))
@@ -132,6 +149,20 @@ def test_jet_rules_match_sympy_derivatives(op, a, b, p):
     assert_close(jet.hess, want_hess, 1e-9)
 
 
+@pytest.mark.parametrize("op", OPS)
+@settings(max_examples=6)
+@given(a=known_zero_args, b=known_zero_args, p=points)
+def test_jet_rules_match_sympy_derivatives_on_known_zero_arguments(op, a, b, p):
+    # the rules' constant and affine branches against sympy: a lifted
+    # constant acts by its value, and a coordinate adds no Hessian term
+    tree = rooted(op, a, b)
+    value, want_grad, want_hess = sympy_jet(sp.sympify(build(tree, SYMS, SYMPY)), p)
+    jet = lift(build(tree, Jet2.seed(p), JETS))
+    assert_close(jet.value, value, 1e-9)
+    assert_close(jet.grad, want_grad, 1e-9)
+    assert_close(jet.hess, want_hess, 1e-9)
+
+
 @given(st.sampled_from(OPS), args, args, st.lists(points, min_size=2, max_size=4))
 def test_array_jet_equals_the_scalar_jets_it_stacks(op, a, b, pts):
     tree = rooted(op, a, b)
@@ -146,10 +177,11 @@ def test_array_jet_equals_the_scalar_jets_it_stacks(op, a, b, pts):
             assert_close(got, want, 1e-12)
 
 
-def random_jet(rng, shape):
-    """A jet of value shape shape at a batch of one point."""
-    h = rng.normal(size=(1,) + shape + (N, N))
-    return Jet2(rng.normal(size=(1,) + shape), rng.normal(size=(1,) + shape + (N,)),
+def random_jet(rng, shape, batch=1):
+    """A jet of value shape shape at a batch of batch points (one by
+    default)."""
+    h = rng.normal(size=(batch,) + shape + (N, N))
+    return Jet2(rng.normal(size=(batch,) + shape), rng.normal(size=(batch,) + shape + (N,)),
                 h + np.swapaxes(h, -1, -2))
 
 
@@ -384,6 +416,53 @@ def test_first_order_rules_give_the_value_and_gradient_of_the_full_rule(rule, se
         assert g.shape == w.shape
         assert_close(g, w, 1e-14)
     assert (got._hess is None) == bool(set(reads) & set(drop))
+
+
+# the states of an operand's Hessian slot
+KINDS = ("array", "first", "affine", "constant")
+
+
+def operand(rng, kind, batch):
+    """A random (2, 2) jet at batch points whose Hessian slot is of kind: a
+    constant's value is one at every point, and its gradient zero."""
+    j = random_jet(rng, (2, 2), batch)
+    if kind == "first":
+        return first_order(j)
+    if kind == "affine":
+        return Jet2(j.value, j.grad, AFFINE)
+    if kind == "constant":
+        return Jet2(np.broadcast_to(j.value[:1], j.value.shape), np.zeros(j.grad.shape),
+                    CONSTANT)
+    return j
+
+
+def written_out(j):
+    """The jet j with a known-zero Hessian slot written out as arrays."""
+    return Jet2(j.value, j.grad, j.hess) if isinstance(j._hess, jets.Zero) else j
+
+
+@pytest.mark.parametrize("rule", sorted(FIRST_ORDER_RULES))
+@settings(max_examples=3)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_known_zero_rules_equal_the_rules_on_written_out_zeros(rule, seed):
+    # each rule on constant and affine operands, first-order and array ones
+    # mixed in, at batches of 1 and 3, gives the bits of the same rule with
+    # the zeros written out: skipping a zero term moves no bit, and a known
+    # zero result reads as zeros
+    _, f = FIRST_ORDER_RULES[rule]
+    rng = np.random.default_rng(seed)
+    for ka, kb, ba, bb in itertools.product(KINDS, KINDS, (1, 3), (1, 3)):
+        a, b = operand(rng, ka, ba), operand(rng, kb, bb)
+        got, want = f(a, b), f(written_out(a), written_out(b))
+        where = (rule, ka, kb, ba, bb)
+        for g, w in ((got.value, want.value), (got.grad, want.grad)):
+            assert g.shape == w.shape and np.array_equal(g, w), where
+        assert (got._hess is None) == (want._hess is None), where
+        if want._hess is not None:
+            assert got.hess.shape == want.hess.shape, where
+            assert np.array_equal(got.hess, want.hess), where
+        if ka == kb == "constant":
+            assert got._hess is CONSTANT, where
 
 
 def test_reading_the_hessian_of_a_first_order_jet_raises():

@@ -259,13 +259,15 @@ def test_twist_leaving_disc_raises_at_evaluation():
 
 def test_every_twisted_field_guards_the_disc():
     # the guard sits in the shared S field, so J_w, I_w and S raise on their
-    # own, not only g_w
+    # own, not only g_w; on the unit circle too, where 1/(1 - |w|^2) would
+    # divide by zero if it were formed before the guard ran
     cal = make_cal()
-    tt = build_twist(cal, constant_twist(1.3))
     x = Jet2.seed(np.array([0.0, 1.0, 0.1, 0.1]))
-    for field in (tt.g_w, tt.J_w, tt.I_w, tt.S):
-        with pytest.raises(JetDomainError, match="twist leaves the disc"):
-            field.fn(x)
+    for c in (1.3, 1.0):
+        tt = build_twist(cal, constant_twist(c))
+        for field in (tt.g_w, tt.J_w, tt.I_w, tt.S):
+            with pytest.raises(JetDomainError, match="twist leaves the disc"):
+                field.fn(x)
     inside = build_twist(cal, constant_twist(0.3))
     assert np.isfinite(values(inside.J_w.fn, x.value)).all()
 
