@@ -40,8 +40,8 @@ import math
 
 import numpy as np
 
-from kahlerkit.jets import (Jet2, JetDomainError, _batch_of, contract, gauss_integrate,
-                            jeinsum, jet_dcoord, jinv, pack, sample_points)
+from kahlerkit.jets import (CONSTANT, Jet2, JetDomainError, _batch_of, _jet, contract,
+                            gauss_integrate, jeinsum, jet_dcoord, jinv, pack, sample_points)
 
 
 class DegenerateMetricError(ValueError):
@@ -119,14 +119,14 @@ def _restrict(j, k):
     """The jet j with its derivatives restricted to the last k coordinates
     (a first-order, affine or constant j stays so)."""
     h = j._hess
-    return Jet2(j.value, j.grad[..., -k:], h[..., -k:, -k:] if isinstance(h, np.ndarray) else h)
+    return _jet(j.value, j.grad[..., -k:], h[..., -k:, -k:] if isinstance(h, np.ndarray) else h)
 
 
 def first_order(j):
-    """The first-order view of the jet j: its value and gradient.  Seeding a
-    PointEval with first_order(Jet2.seed(p)) makes every field read there
-    first order."""
-    return Jet2(j.value, j.grad)
+    """The first-order view of the jet j, its value and gradient (constant
+    when j is).  Seeding a PointEval with first_order(Jet2.seed(p)) makes
+    every field read there first order."""
+    return _jet(j.value, j.grad, CONSTANT if j._hess is CONSTANT else None)
 
 
 def omega_of(g, J):

@@ -3,7 +3,8 @@
 A Jet2 carries (value, gradient, Hessian) with respect to the chart coordinates
 and propagates them exactly, each rule written once: _chain for every scalar
 function (1/u, log, exp, sin, cos, tan, a non-integer power), _linear for +
-and -, __mul__ for *, and _map for indexing, .T, a sign, padding, a broadcast.
+and -, _product for * and jeinsum, and _map for indexing, .T, a sign,
+padding, a broadcast.
 A jet carries B points at once (vectorised Taylor-mode propagation), and a
 single point is a batch of one.  Its value has shape (B,) + s for value axes
 s of any shape (a scalar jet has s = ()), its gradient (B,) + s + (n,) and
@@ -23,23 +24,22 @@ both run on contract.
 Curvature needs two derivatives of metric components, so second order is the
 whole story; there is no truncation error, only roundoff.
 
-The Hessian slot of a jet is in one of four states:
-- an array;
+The Hessian slot of a jet holds half a Hessian, K, with H = K + K^T: the
+rules are linear in K, a product's cross term u' v'^T enters once, and the
+Hessian read Jet2.hess forms K + K^T there alone (Jet2's constructor takes a
+whole Hessian and keeps half).  The slot is an array or one of three states:
 - None, a first-order jet, which carries no Hessian: jet_dcoord returns one
   (the third derivatives of u it would need are not tracked), and reading
   its hess raises FirstOrderError;
 - AFFINE, a known zero Hessian: the coordinates Jet2.seed returns, which
   allocate no zero array, and their sums and constant multiples;
 - CONSTANT, a known zero gradient and Hessian, with one value at every point
-  of the batch: a constant lifted at a second-order point (so a constant
-  field read through PointEval.raw), and the rules applied to constants.
-Reading hess gives zeros for the two known-zero states.  _map, _chain,
-_linear, __mul__, jeinsum, jinv and pack skip the terms that a first-order
-or known-zero operand would add, and a constant jet acts by its value,
-through the rules' constant paths; _lift and gauss_integrate carry the
-states through.  No other rule tests for them, so only the degrees that are
-read, and not known to be zero, are propagated, each by the same formula
-and in the same summation order as the full rule.
+  of the batch: a constant lifted at a second-order point (a constant field
+  read through PointEval.raw), the rules on constants, and jet_dcoord of one.
+Reading hess gives zeros for the known-zero states.  _map, _chain, _linear,
+_product, jinv and pack skip the terms that a first-order or known-zero
+operand would add, and a constant jet acts by its value; _lift and
+gauss_integrate carry the states through.  No other rule tests for them.
 
 A constant is a plain number or array wherever it appears; pack lifts one
 that a field returns to a jet (batch axis 1, zero derivatives) in the
@@ -111,8 +111,8 @@ def _outer(g):
 
 def _chain(u, f, d1, d2):
     """The jet of f(u) from the arrays f, f' and f'' at u's value: gradient
-    f' du and Hessian f' d2u + f'' du du^T (first order when u is, without
-    its first term when u is affine, and constant when u is)."""
+    f' du, half Hessian f' K + f''/2 du du^T for u's half Hessian K (first
+    order when u is, without f' K when u is affine, constant when u is)."""
     h = u._hess
     if h is CONSTANT:
         return _jet(f, u.grad, h)
@@ -120,7 +120,7 @@ def _chain(u, f, d1, d2):
     grad = d1 * u.grad
     if h is None:
         return _jet(f, grad, None)
-    outer = d2[..., None, None] * _outer(u.grad)
+    outer = (0.5 * d2)[..., None, None] * _outer(u.grad)
     if h is AFFINE:
         return _jet(f, grad, outer)
     # summed in place: the Hessian is the largest array
@@ -156,9 +156,54 @@ def _aligned(a, b):
     return a, b
 
 
+def _product(a, b, op):
+    """The product rule for jets or constants (plain arrays or numbers) a
+    and b: op(x, y, dx, dy) multiplies arrays with dx and dy derivative axes
+    into one with x's, then y's.  The half Hessian K_a b + a K_b + a' b'^T
+    takes the cross term once.  A constant (a constant jet by its value at
+    one point) adds no derivative term, an affine factor no Hessian term."""
+    ja, jb = isinstance(a, Jet2), isinstance(b, Jet2)
+    ha, hb = a._hess if ja else CONSTANT, b._hess if jb else CONSTANT
+    x = (a.value[:1] if ha is CONSTANT else a.value) if ja else np.asarray(a, float)
+    y = (b.value[:1] if hb is CONSTANT else b.value) if jb else np.asarray(b, float)
+    value = op(x, y, 0, 0)
+    if ha is CONSTANT or hb is CONSTANT:
+        if hb is not CONSTANT:
+            j = _jet(value, op(x, b.grad, 0, 1),
+                     op(x, hb, 0, 2) if isinstance(hb, np.ndarray) else hb)
+        elif ha is not CONSTANT:
+            j = _jet(value, op(a.grad, y, 1, 0),
+                     op(ha, y, 2, 0) if isinstance(ha, np.ndarray) else ha)
+        else:
+            j = _jet(value, np.zeros(value.shape + (a if ja else b).grad.shape[-1:]), CONSTANT)
+        # a constant jet was read at one point: repeat over the larger batch
+        if (ja and ha is CONSTANT) or (jb and hb is CONSTANT):
+            j = _batch_of(j, max(len(a.value) if ja else 0, len(b.value) if jb else 0))
+        return j
+    # summed in place: a Hessian is the largest array
+    grad = op(a.grad, y, 1, 0)
+    grad += op(x, b.grad, 0, 1)
+    if ha is None or hb is None:
+        return _jet(value, grad, None)
+    hess = op(a.grad, b.grad, 1, 1)
+    if ha is not AFFINE:
+        hess += op(ha, y, 2, 0)
+    if hb is not AFFINE:
+        hess += op(x, hb, 0, 2)
+    return _jet(value, grad, hess)
+
+
+def _elementwise(x, y, dx, dy):
+    """x * y, broadcast, for arrays carrying dx and dy derivative axes: the
+    product carries x's, then y's."""
+    x = x[(...,) + (None,) * dy] if dy else x
+    return x * (y[(...,) + (None,) * dx + (slice(None),) * dy] if dx else y)
+
+
 class Jet2:
     """Second-order jet of an array of functions of the chart coordinates at
-    each of a batch of points; with hess None, a first-order jet.
+    each of a batch of points; with hess None, a first-order jet, and else
+    hess is a whole Hessian, of which the slot keeps half.
 
     Indexing (``h[i][j]``, ``h[:, cols]``) and iteration act on the value
     axes.  ndarray operands defer to Jet2, so ``array * jet`` and
@@ -171,16 +216,17 @@ class Jet2:
     def __init__(self, value, grad, hess=None):
         self.value = np.asarray(value, float)
         self.grad = np.asarray(grad, float)
-        self._hess = hess if hess is None or isinstance(hess, Zero) else np.asarray(hess, float)
+        self._hess = hess if hess is None or isinstance(hess, Zero) else 0.5 * np.asarray(hess)
 
     @property
     def hess(self):
-        """The Hessian array (zeros for a known-zero state); a first-order jet
-        has none."""
+        """The Hessian array K + K^T of the half Hessian K that the slot holds
+        (zeros for a known-zero state); a first-order jet has none."""
         if self._hess is None:
             raise FirstOrderError("a first-order jet carries no Hessian (its value and "
                                   "gradient are exact, its second derivatives unknown)")
-        return _hessian(self)
+        h = _hessian(self)
+        return h + h.swapaxes(-1, -2)
 
     @staticmethod
     def seed(p):
@@ -260,35 +306,13 @@ class Jet2:
         return _map(self, operator.neg)
 
     def __mul__(self, other):
-        if not isinstance(other, Jet2):
-            # a number is a 0-d array
-            c = np.asarray(other, float)
-            self = _pad(self, c.ndim)
-            h, c = self._hess, c[..., None]
-            return _jet(self.value * other, self.grad * c,
-                        h * c[..., None] if isinstance(h, np.ndarray) else h)
-        # a constant jet acts by its value
-        if other._hess is CONSTANT:
-            return _by_value(self, other, operator.mul)
-        if self._hess is CONSTANT:
-            return _by_value(other, self, operator.mul)
-        self, other = _aligned(self, other)
-        sv, ov = self.value[..., None], other.value[..., None]
-        grad = sv * other.grad + ov * self.grad
-        sh, oh = self._hess, other._hess
-        if sh is None or oh is None:
-            return _jet(self.value * other.value, grad, None)
-        cross = self.grad[..., :, None] * other.grad[..., None, :]
-        if sh is AFFINE and oh is AFFINE:
-            return _jet(self.value * other.value, grad, cross + cross.swapaxes(-1, -2))
-        # summed in place, left to right, without an affine operand's zero
-        # term: the Hessian is the largest array
-        hess = ov[..., None] * sh if oh is AFFINE else sv[..., None] * oh
-        if oh is not AFFINE and sh is not AFFINE:
-            hess += ov[..., None] * sh
-        hess += cross
-        hess += cross.swapaxes(-1, -2)
-        return _jet(self.value * other.value, grad, hess)
+        # the operand with fewer value axes is padded; a number is a 0-d array
+        if isinstance(other, Jet2):
+            self, other = _aligned(self, other)
+        else:
+            other = np.asarray(other, float)
+            self = _pad(self, other.ndim)
+        return _product(self, other, _elementwise)
 
     __rmul__ = __mul__
 
@@ -454,17 +478,16 @@ _BATCH = "Z"
 
 @functools.lru_cache(maxsize=None)
 def _specs(spec, ja, jb):
-    """The _contract specs of jeinsum(spec, a, b): the value, the left and
-    right product rule terms of the gradient (derivative axis M) and of the
-    Hessian (axes M, P), and the cross term.  ja and jb mark the jet
+    """The contract specs of jeinsum(spec, a, b) by the derivative axes
+    (dx, dy) of its factors, lettered M, then P.  ja and jb mark the jet
     operands, which get the batch letter."""
     ins, out = spec.split("->")
     sa, sb = ins.split(",")
     sa = _BATCH + sa if ja else sa
     sb = _BATCH + sb if jb else sb
     out = _BATCH + out
-    return (f"{sa},{sb}->{out}", f"{sa}M,{sb}->{out}M", f"{sa},{sb}M->{out}M",
-            f"{sa}MP,{sb}->{out}MP", f"{sa},{sb}MP->{out}MP", f"{sa}M,{sb}P->{out}MP")
+    return tuple(tuple(f"{sa}{'MP'[:dx]},{sb}{'MP'[dx:dx + dy]}->{out}{'MP'[:dx + dy]}"
+                       for dy in range(3 - dx)) for dx in range(3))
 
 
 def jeinsum(spec, a, b):
@@ -472,39 +495,9 @@ def jeinsum(spec, a, b):
     be a plain array), differentiated by the product rule.  spec is an
     explicit two-operand einsum spec such as "ij,jk->ik" (no letter repeated
     or summed within one operand); a jet operand's batch axis is one more
-    letter, which a batch axis of 1 broadcasts along.  The result is first
-    order when a jet operand is; a constant jet operand, like a plain array,
-    adds no derivative term, and an affine one no Hessian term."""
-    ja, jb = isinstance(a, Jet2), isinstance(b, Jet2)
-    av = a.value if ja else np.asarray(a, float)
-    bv = b.value if jb else np.asarray(b, float)
-    vs, gl, gr, hl, hr, cross = _specs(spec, ja, jb)
-    value = contract(vs, av, bv)
-    # a plain array reads as a constant jet; the terms are summed in place,
-    # left to right, and a Hessian is the largest array
-    ha, hb = a._hess if ja else CONSTANT, b._hess if jb else CONSTANT
-    if ha is CONSTANT and hb is CONSTANT:
-        return _jet(value, np.zeros(value.shape + (a if ja else b).grad.shape[-1:]), CONSTANT)
-    if ha is CONSTANT:
-        grad = contract(gr, av, b.grad)
-    else:
-        grad = contract(gl, a.grad, bv)
-        if hb is not CONSTANT:
-            grad += contract(gr, av, b.grad)
-    if ha is None or hb is None:
-        return _jet(value, grad, None)
-    terms = [contract(hl, ha, bv)] if isinstance(ha, np.ndarray) else []
-    if isinstance(hb, np.ndarray):
-        terms.append(contract(hr, av, hb))
-    if ha is not CONSTANT and hb is not CONSTANT:
-        c = contract(cross, a.grad, b.grad)
-        terms += [c, c.swapaxes(-1, -2)]
-    if not terms:
-        return _jet(value, grad, AFFINE)
-    hess = terms[0]
-    for t in terms[1:]:
-        hess += t
-    return _jet(value, grad, hess)
+    letter, which a batch axis of 1 broadcasts along."""
+    specs = _specs(spec, isinstance(a, Jet2), isinstance(b, Jet2))
+    return _product(a, b, lambda x, y, dx, dy: contract(specs[dx][dy], x, y))
 
 
 _MATMUL = {(1, 1): "i,i->", (1, 2): "j,jk->k", (2, 1): "ij,j->i", (2, 2): "ij,jk->ik"}
@@ -517,10 +510,10 @@ def _matmul_spec(a, b):
 
 def jinv(A):
     """Closed-form inverse of the square matrix jet A at each point (a
-    (B, d, d) stack): value A^{-1}, grad_m -A^{-1} (d_m A) A^{-1}, and hess_mp
-    A^{-1} (d_m A) A^{-1} (d_p A) A^{-1} + (m <-> p) - A^{-1} (d_m d_p A) A^{-1}
-    (first order when A is, without its last term when A is affine, and
-    constant when A is)."""
+    (B, d, d) stack): value A^{-1}, grad_m -A^{-1} (d_m A) A^{-1}, and half
+    Hessian A^{-1} (d_m A) A^{-1} (d_p A) A^{-1} - A^{-1} K_mp A^{-1} for A's
+    half Hessian K (first order when A is, without its last term when A is
+    affine, and constant when A is)."""
     try:
         Ai = np.linalg.inv(A.value)
     except np.linalg.LinAlgError:
@@ -532,8 +525,8 @@ def jinv(A):
     grad = -contract("ZikM,Zkj->ZijM", X, Ai)
     if h is None:
         return _jet(Ai, grad, None)
-    c = -contract("ZikM,ZkjP->ZijMP", X, grad)
-    hess = c + c.swapaxes(-1, -2)
+    # the cross term enters once: the slot holds half the Hessian
+    hess = -contract("ZikM,ZkjP->ZijMP", X, grad)
     if h is not AFFINE:
         hess -= contract("ZikMP,Zkj->ZijMP", contract("Zik,ZkjMP->ZijMP", Ai, h), Ai)
     return _jet(Ai, grad, hess)
@@ -543,8 +536,11 @@ def jet_dcoord(u, k=slice(None)):
     """First-order jet of d_k u extracted from a second-order jet (of every
     d_k u, on a new last value axis, when k is omitted): its value and
     gradient are exact, and it carries no Hessian, as the third derivatives
-    of u are not tracked."""
-    return _jet(u.grad[..., k], u.hess[..., k, :], None)
+    of u are not tracked.  It is constant when u is."""
+    d = u.grad[..., k]
+    if u._hess is CONSTANT:
+        return _jet(d, np.zeros(d.shape + u.grad.shape[-1:]), CONSTANT)
+    return _jet(d, u.hess[..., k, :], None)
 
 
 def _lift(x, like):
@@ -591,16 +587,19 @@ def pack(M, point=None):
     flat = [_batch_of(e, batch) for e in flat]
     s = (batch,) + tuple(shape) + flat[0].shape
     n = flat[0].grad.shape[-1:]
+
+    def stacked(parts, tail):
+        # the component axis moves behind the batch axis: a view for one point
+        a = np.array(parts)
+        return a.transpose((1, 0) + tuple(range(2, a.ndim))).reshape(s + tail)
     hs = [e._hess for e in flat]
     if any(h is None for h in hs):
         hess = None
     elif np.ndarray in set(map(type, hs)):
-        # the component axis moves behind the batch axis: a view for one point
-        hess = np.array([_hessian(e) for e in flat]).swapaxes(0, 1).reshape(s + n + n)
+        hess = stacked([_hessian(e) for e in flat], n + n)
     else:
         hess = CONSTANT if all(h is CONSTANT for h in hs) else AFFINE
-    return _jet(np.array([e.value for e in flat]).swapaxes(0, 1).reshape(s),
-                np.array([e.grad for e in flat]).swapaxes(0, 1).reshape(s + n), hess)
+    return _jet(stacked([e.value for e in flat], ()), stacked([e.grad for e in flat], n), hess)
 
 
 # ---------------------------------------------------------------------------

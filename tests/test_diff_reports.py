@@ -1,6 +1,6 @@
 """The report-diff tool: a tree diffed against itself reports nothing, and a
 single moved bit, a changed exit code or a changed curvature line is listed
-where it moved."""
+where it moved, and the last line says which kinds of bits moved."""
 
 import copy
 import importlib.util
@@ -40,3 +40,8 @@ def test_every_moved_bit_is_listed_with_its_check():
     assert 0.0 < size <= 1e-15
     rows = moved["curvature sphere"]
     assert [r[0] for r in rows] == ["exit code", "line 3"] and rows[1][2] > 0.0
+    # the last line names the field that moved, and the exit code as the one
+    # move beyond residual digits (line 3 moved in its digits alone)
+    text = diff_reports.render(list(moved.items()), 2, diff_reports.what_moved(old, new))
+    assert text.splitlines()[-1] == ("2 of 2 outputs move; report fields that move: "
+                                     "max_residual; beyond residual digits, these move: exit code")

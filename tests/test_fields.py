@@ -4,14 +4,15 @@ operators and the homotopy primitive."""
 import numpy as np
 import pytest
 
-from kahlerkit.jets import FirstOrderError, Jet2, SamplePlan, jet_dcoord, jinv, jsin, pack
+from kahlerkit.jets import (CONSTANT, FirstOrderError, Jet2, SamplePlan, jet_dcoord, jinv, jsin,
+                            pack)
 from kahlerkit.fields import (ChartManifold, DegenerateMetricError, Field, Fold,
                               NotClosedError, PointEval, excluded, first_order,
                               exterior_from_grad, homotopy_primitive, least_squares,
                               lie_derivative_metric, metric_jets, nijenhuis_from_jets, wedge_top)
 from kahlerkit.hermitian import HermitianTriple, fundamental_form_field, kahler_point
 from kahlerkit.calabi import CalabiProfile, build_calabi
-from helpers import J4, ROTATION, fold_plan, rotation, sphere_metric
+from helpers import J4, ROTATION, fold_plan, patch_contract, rotation, sphere_metric
 
 
 def polar_metric(pt):
@@ -337,6 +338,29 @@ def test_inverse_and_omega_are_first_order_in_the_memo():
         with pytest.raises(FirstOrderError):
             got.hess
         assert np.array_equal(got.value, want.value) and np.array_equal(got.grad, want.grad)
+
+
+def test_a_constant_metric_does_no_derivative_work(monkeypatch):
+    # a constant metric's inverse and Christoffel symbols are constant jets:
+    # no contraction runs on a derivative known to be zero, so the inverse
+    # makes none and the Christoffel symbols only their three of values;
+    # the inverse's Hessian reads as zeros
+    specs = []
+
+    def counting(contract):
+        def count(spec, x, y):
+            specs.append(spec)
+            return contract(spec, x, y)
+        return count
+    patch_contract(monkeypatch, counting)
+    pe = PointEval(ChartManifold(4, [(-1.0, 1.0)] * 4).samples(SamplePlan(0, 30)))
+    flat = Field(lambda pt: np.eye(4))
+    gi = pe.inverse(flat)
+    assert specs == [] and gi._hess is CONSTANT
+    assert gi.hess.shape == (30, 4, 4, 4, 4) and not gi.hess.any()
+    gam, dgam, _ = pe.christoffel(flat)
+    assert len(specs) == 3 and not any(set(s) & set("MP") for s in specs)
+    assert gam.shape == (30, 4, 4, 4) and not gam.any() and not dgam.any()
 
 
 def test_a_first_order_point_reads_values_and_gradients_only():

@@ -1,13 +1,14 @@
 """Independent oracles for the jet rules.
 
 Random elementary expressions are differentiated by sympy and compared with
-their jets; array-valued jets, jeinsum and jinv are recomputed element by
-element with scalar jets; jets.contract is recomputed with np.einsum, and every
-rule on first-order operands with the full rule, and on known-zero operands
-(a constant, an affine jet) with the zeros written out.  Each rule is fed
-through a map into its domain (log and sqrt of 1 + u^2, exp and tan of
-u / (1 + u^2), division by 1 + v^2), applied identically on both sides.  The curvature stack is checked
-on random surface metrics against the Brioschi formula.
+their jets, whose Hessians read exactly symmetric; array-valued jets,
+jeinsum and jinv are recomputed element by element with scalar jets;
+jets.contract is recomputed with np.einsum, and every rule on first-order
+operands with the full rule, and on known-zero operands (a constant, an
+affine jet) with the zeros written out.  Each rule is fed through a map into
+its domain (log and sqrt of 1 + u^2, exp and tan of u / (1 + u^2), division
+by 1 + v^2), applied identically on both sides.  The curvature stack is
+checked on random surface metrics against the Brioschi formula.
 """
 
 import functools
@@ -147,6 +148,8 @@ def test_jet_rules_match_sympy_derivatives(op, a, b, p):
     assert_close(jet.value, value, 1e-9)
     assert_close(jet.grad, want_grad, 1e-9)
     assert_close(jet.hess, want_hess, 1e-9)
+    # the slot's half Hessian is not seen from outside
+    assert np.array_equal(jet.hess, jet.hess.swapaxes(-1, -2))
 
 
 @pytest.mark.parametrize("op", OPS)
@@ -161,6 +164,8 @@ def test_jet_rules_match_sympy_derivatives_on_known_zero_arguments(op, a, b, p):
     assert_close(jet.value, value, 1e-9)
     assert_close(jet.grad, want_grad, 1e-9)
     assert_close(jet.hess, want_hess, 1e-9)
+    # the slot's half Hessian is not seen from outside
+    assert np.array_equal(jet.hess, jet.hess.swapaxes(-1, -2))
 
 
 @given(st.sampled_from(OPS), args, args, st.lists(points, min_size=2, max_size=4))

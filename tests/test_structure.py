@@ -11,10 +11,11 @@ that each matrix is inverted once per point, that one Fold per check,
 holding arrays, is the one aggregator and its replay the one per-point walk,
 that each builder declares each parameter once, with its default and its
 reader, that each jet rule is written once (one chain rule for the scalar
-functions, one linear rule, one map for the shape-only rules, and the
-first-order case decided in the named rule bodies alone), that the D+ frame
-is computed once per point, and the README's library example run as
-written."""
+functions, one linear rule, one product rule for * and jeinsum, one map for
+the shape-only rules, and the first-order case decided in the named rule
+bodies alone), that a Hessian is made symmetric only where it is read, that
+the D+ frame is computed once per point, and the README's library example
+run as written."""
 
 import ast
 import contextlib
@@ -84,6 +85,10 @@ def test_one_jet_layout_every_jet_has_a_batch_axis():
     x = Jet2.seed(np.array([0.1, 0.2, 0.3]))
     assert x.value.shape == (1, 3) and x.grad.shape == (1, 3, 3) and x.hess.shape == (1, 3, 3, 3)
     assert x.shape == (3,) and len(x) == 3
+    # a Hessian given to the constructor is read back bit for bit
+    h = np.random.default_rng(5).normal(size=(2, 3, 3))
+    h = h + h.swapaxes(-1, -2)
+    assert Jet2(np.zeros(2), np.zeros((2, 3)), h).hess.tobytes() == h.tobytes()
 
 
 def test_jets_contract_only_through_contract_and_dcoord_is_first_order():
@@ -108,15 +113,16 @@ def test_jets_contract_only_through_contract_and_dcoord_is_first_order():
 # the rule bodies of jets.py that decide the first-order case: the shape-only
 # map, the chain rule, the linear rule, the products and the inverse, the
 # constant lift, the stack, the quadrature, and the Jet2 constructor and its
-# Hessian read
-FIRST_ORDER_BODIES = {"_map", "_chain", "_linear", "__mul__", "jeinsum", "jinv", "_lift",
-                      "pack", "gauss_integrate", "__init__", "hess"}
+# Hessian read (the products * and jeinsum run on the one product rule,
+# _product)
+FIRST_ORDER_BODIES = {"_map", "_chain", "_linear", "_product", "jinv", "_lift", "pack",
+                      "gauss_integrate", "__init__", "hess"}
 # the jets.py names compared with None that are not a Hessian: the point a
 # constant is lifted at, and the running quadrature sum
 NOT_A_HESSIAN = {"like", "total"}
 # the rules that build a jet from its arrays: every other rule calls them
-JET_BUILDERS = {"_map", "_chain", "_linear", "__mul__", "seed", "jeinsum", "jinv", "jet_dcoord",
-                "_lift", "pack"}
+JET_BUILDERS = {"_map", "_chain", "_linear", "_product", "seed", "jinv", "jet_dcoord", "_lift",
+                "pack"}
 SCALAR_RULES = {"inv", "jlog", "jexp", "jsin", "jcos", "jtan", "__pow__"}
 
 
@@ -142,13 +148,30 @@ def test_each_jet_rule_is_written_once():
                     and getattr(node.left, "id", None) not in NOT_A_HESSIAN):
                 none_tests.add((fn.name, node.lineno))
     assert {name for name, _ in none_tests} <= FIRST_ORDER_BODIES
-    assert len({line for _, line in none_tests}) <= 13
+    assert len({line for _, line in none_tests}) <= 9
     assert {fn.name for fn in funcs if "_outer" in _calls(fn)} == {"_chain"}
     assert {fn.name for fn in funcs if "_jet" in _calls(fn)} <= JET_BUILDERS
+    # * and jeinsum are _product with their own multiplication: neither reads
+    # a Hessian slot or a known-zero state
+    products = [fn for fn in funcs if "_product" in _calls(fn)]
+    assert sorted(fn.name for fn in products) == ["__mul__", "jeinsum"]
+    assert not [node for fn in products for node in ast.walk(fn)
+                if getattr(node, "attr", None) == "_hess"
+                or getattr(node, "id", None) in ("AFFINE", "CONSTANT", "Zero")]
     # a scalar function's derivatives reach a jet only through the chain rule
     elementary = {"exp", "log", "sin", "cos", "tan", "sqrt", "power"}
     assert {fn.name for fn in funcs if _calls(fn) & elementary} <= SCALAR_RULES
     assert all("_chain" in _calls(fn) for fn in funcs if fn.name in SCALAR_RULES)
+
+
+def test_a_hessian_is_made_symmetric_once_where_it_is_read():
+    # the slot holds half a Hessian, K, and the Hessian read forms K + K^T:
+    # a swapaxes anywhere else in jets.py would be a second symmetrization
+    tree = dict(_modules())["jets.py"]
+    where = {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+             for node in ast.walk(fn) if getattr(node, "attr", None) == "swapaxes"}
+    count = sum(getattr(node, "attr", None) == "swapaxes" for node in ast.walk(tree))
+    assert where == {"hess"} and count == 1
 
 
 # One-point accessors that re-wrapped a *_from_jets function, and the error

@@ -9,9 +9,12 @@ with 200 samples) and `kahlerkit curvature` at each scenario's chart centre.
 It then lists every output whose bits move: for a verify run, each report
 value that changed, grouped by check with the largest |change| of the check,
 and any changed exit code or status line; for a curvature query, each
-changed line with its largest |change|.  timings_seconds is left out, as it
-varies between runs.  Exit status: 0 when nothing moves, 1 when something
-does.
+changed line with its largest |change|.  The last line counts the outputs
+that move, names the report fields that move, and says whether anything
+moves beyond residual digits: an exit code, a pass flag, a point count, a
+status-line word or a curvature line with its numbers masked.
+timings_seconds is left out, as it varies between runs.  Exit status: 0
+when nothing moves, 1 when something does.
 """
 
 import contextlib
@@ -30,6 +33,8 @@ PLANS = (("bundled", ()),
          ("seed7", ("--seed", "7", "--samples", "200")))
 
 NUMBER = re.compile(r"[-+ ]?\d+\.\d+e[-+]\d+")
+# the report fields that carry a check's residual digits
+RESIDUALS = {"max_residual", "mean_residual"}
 
 
 def collect(names=None, plans=PLANS):
@@ -144,19 +149,29 @@ def diff(old, new):
     return moved
 
 
+def _moved_leaves(a, b):
+    """(path, old, new) of every report leaf whose value or type moves."""
+    la, lb = dict(_leaves(a)), dict(_leaves(b))
+    for path in list(la) + [p for p in lb if p not in la]:
+        x, y = la.get(path, "<missing>"), lb.get(path, "<missing>")
+        if x != y or type(x) is not type(y):
+            yield path, x, y
+
+
+def _field(path):
+    """The report field a leaf's path names: within a check record, its key
+    there (max_residual, pass, points_used), else its path."""
+    return ".".join(map(str, path[2:] if path[0] == "checks" else path[1:])) or path[0]
+
+
 def _report_rows(a, b):
     """One row per check (or top-level key) whose report values move, with
     the largest |change| among them."""
-    la, lb = dict(_leaves(a)), dict(_leaves(b))
     groups = {}
-    for path in list(la) + [p for p in lb if p not in la]:
-        x, y = la.get(path, "<missing>"), lb.get(path, "<missing>")
-        if x == y and type(x) is type(y):
-            continue
+    for path, x, y in _moved_leaves(a, b):
         where = (a["checks"][path[1]]["name"] if path[0] == "checks" and path[1] < len(a["checks"])
                  else path[0])
-        field = ".".join(map(str, path[2:] if path[0] == "checks" else path[1:])) or path[0]
-        groups.setdefault(where, []).append((field, x, y, _change(x, y)))
+        groups.setdefault(where, []).append((_field(path), x, y, _change(x, y)))
     rows = []
     for where, changes in groups.items():
         sizes = [c for *_, c in changes if c is not None]
@@ -165,15 +180,55 @@ def _report_rows(a, b):
     return rows
 
 
-def render(moved, total):
-    """The diff as text, one block per output that moves."""
+def _masked(lines):
+    """The lines with every printed number masked: what they say beyond
+    their digits."""
+    return [NUMBER.sub("#", ln) for ln in lines]
+
+
+def what_moved(old, new):
+    """The kinds of bits that move from old to new: the sorted report fields
+    that move, and the sorted moves beyond residual digits (a missing
+    output, an exit code, a status-line word or a curvature line with its
+    numbers masked, a report field other than a residual, such as a pass
+    flag or a point count)."""
+    fields, beyond = set(), set()
+    for key in set(old) | set(new):
+        a, b = old.get(key), new.get(key)
+        if a == b:
+            continue
+        if a is None or b is None:
+            beyond.add("output")
+            continue
+        if a["exit"] != b["exit"]:
+            beyond.add("exit code")
+        for part, kind in (("status", "status-line word"), ("lines", "curvature line")):
+            if _masked(a.get(part, ())) != _masked(b.get(part, ())):
+                beyond.add(kind)
+        for path, _, _ in _moved_leaves(a.get("report", {}), b.get("report", {})):
+            fields.add(_field(path))
+    beyond |= fields - RESIDUALS
+    return sorted(fields), sorted(beyond)
+
+
+def render(moved, total, kinds=None):
+    """The diff as text, one block per output that moves, and a last line
+    that counts them and, given what_moved's kinds, names the report fields
+    that move and says whether anything moves beyond residual digits."""
     lines = []
     for key, rows in moved:
         lines.append(key)
         for where, text, size in rows:
             tail = "" if size is None else "  (largest |change| %.2g)" % size
             lines.append("  %s: %s%s" % (where, text, tail))
-    lines.append("%d of %d outputs move" % (len(moved), total))
+    last = "%d of %d outputs move" % (len(moved), total)
+    if moved and kinds is not None:
+        fields, beyond = kinds
+        last += "; report fields that move: %s; %s" % (
+            ", ".join(fields) or "none",
+            "beyond residual digits, these move: " + ", ".join(beyond) if beyond else
+            "exit codes, pass flags, point counts and status-line words hold")
+    lines.append(last)
     return "\n".join(lines)
 
 
@@ -184,7 +239,7 @@ def main(argv=None):
         return 2
     old, new = collect_trees(*argv)
     moved = diff(old, new)
-    print(render(moved, len(set(old) | set(new))))
+    print(render(moved, len(set(old) | set(new)), what_moved(old, new)))
     return 1 if moved else 0
 
 
