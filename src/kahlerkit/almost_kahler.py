@@ -20,6 +20,9 @@ from kahlerkit.hermitian import HermitianTriple, ddc_from_jets, ricci_form
 from kahlerkit.calabi import CalabiProfile, build_calabi, disk_base
 from kahlerkit.twist import coordinate_twist, build_twist_fields, build_twist
 
+DW_FLOOR = 1e-6     # torsion_point: |dw| below it excludes the D- claims
+RANK_RTOL = 1e-8    # torsion_point: relative singular-value cutoff of the rank
+
 
 @dataclass
 class AKProduct:
@@ -120,10 +123,10 @@ def eta_tensor(gfn, Jtfn, pe):
     return eta, g.value, g.grad, Jtv
 
 
-def torsion_point(ak, pe, dw_floor=1e-6, rank_rtol=1e-8):
+def torsion_point(ak, pe):
     """The pointwise torsion claims at pe: the derivative identity
     2 g(eta_{K_i} K_j, X) = X g(K_i, K_j), the two algebraic identities with
-    J~, and, where |dw| >= dw_floor, the D- nullity, the containment of
+    J~, and, where |dw| >= DW_FLOOR, the D- nullity, the containment of
     eta_{D+} D+ in D- and the rank of the span of eta_{D+} D- (excluded
     below the floor)."""
 
@@ -134,12 +137,12 @@ def torsion_point(ak, pe, dw_floor=1e-6, rank_rtol=1e-8):
         # 2 g(eta_a b, X) - d_X g_ab over plane a, b and Z directions X
         prelt = (2.0 * contract("Zmx,Zamb->Zabx", gv[..., :, 2:], eta[..., :2, :, :2])
                  - gg[..., :2, :2, 2:])
-        keep = dw >= dw_floor
+        keep = dw >= DW_FLOOR
         # rows eta_a c over plane a and Z directions c; zero below the floor,
         # where the rank is excluded, so that the SVD never sees those points
         rows = eta[..., :2, :, 2:].swapaxes(-1, -2).reshape(eta.shape[:-3] + (-1, n))
         sv = np.linalg.svd(np.where(keep[..., None, None], rows, 0.0), compute_uv=False)
-        rank = np.where(sv[..., 0] > 0, (sv > rank_rtol * sv[..., :1]).sum(axis=-1), 0)
+        rank = np.where(sv[..., 0] > 0, (sv > RANK_RTOL * sv[..., :1]).sum(axis=-1), 0)
         etaJ = contract("Zikm,Zmj->Zikj", eta, Jtv)
         return {"prelt": pe.absmax(prelt),
                 "anticommute": pe.absmax(etaJ + contract("Zkm,Zimj->Zikj", Jtv, eta)),
@@ -147,8 +150,7 @@ def torsion_point(ak, pe, dw_floor=1e-6, rank_rtol=1e-8):
                 "nullity": excluded(~keep, pe.absmax(eta[..., 2:, :, :])),
                 "containment": excluded(~keep, pe.absmax(eta[..., :2, :2, :2])),
                 "rank": excluded(~keep, rank)}
-    return pe.cached("torsion", (ak.g, ak.J_tilde, ak.twist_full, dw_floor, rank_rtol),
-                     compute)
+    return pe.cached("torsion", (ak.g, ak.J_tilde, ak.twist_full), compute)
 
 
 def einstein_point(g, pe):

@@ -27,6 +27,11 @@ from kahlerkit.fields import (ChartManifold, Field, Fold, NotClosedError, PointE
                               exterior_from_grad, least_squares)
 from kahlerkit.hermitian import HermitianTriple, fundamental_form_field
 
+ALPHA_CHECK_COUNT = 10    # build_calabi: base points of the alpha guard
+ALPHA_TOL = 1e-7          # build_calabi: largest |d alpha - omega_N| there
+RESCALE_T_SAMPLES = 9     # rescale_biaxial: points of the ln z grid
+RESCALE_TOL = 1e-9        # rescale_biaxial: largest |b' + b - a| there
+
 
 @dataclass
 class CalabiProfile:
@@ -144,32 +149,31 @@ class CalabiChart:
         return HermitianTriple(self.g, self.I0, self.chart)
 
 
-def build_calabi(base, profile, alpha=None, alpha_tol=1e-7, check_count=10):
+def build_calabi(base, profile, alpha=None):
     """Assemble the chart over a Kähler base.
 
     alpha must satisfy d alpha = omega_N; when omitted it is produced by the
     homotopy primitive over the base chart (star-shaped domain assumed).
-    Either way |d alpha - omega_N| is checked at check_count base points,
-    evaluated as one batch: a domain error there is raised (naming the first
-    point that meets it), and a mismatch above alpha_tol (a base form that is
-    not closed has no primitive) raises NotClosedError.  The check reads
+    Either way |d alpha - omega_N| is checked at ALPHA_CHECK_COUNT base
+    points, evaluated as one batch: a domain error there is raised (naming the
+    first point that meets it), and a mismatch above ALPHA_TOL (a base form
+    that is not closed has no primitive) raises NotClosedError.  The check reads
     values and gradients only, so its points are seeded first order and no
     field of the base computes a Hessian there.
     """
-    nb = base.chart.dim
-    n = nb + 2
+    n = base.chart.dim + 2
     m = n // 2
     q0 = profile.q
 
     if alpha is None:
         alpha = homotopy_primitive(fundamental_form_field(base.g, base.J), base.chart)
     acc = Fold()
-    p = base.chart.samples(SamplePlan(seed=0, count=check_count))
+    p = base.chart.samples(SamplePlan(seed=0, count=ALPHA_CHECK_COUNT))
     acc.add(PointEval(p, first_order(Jet2.seed(p))),
             lambda pe: alpha_primitive_point(alpha, base, pe))
     if acc.exc is not None:
         raise acc.exc
-    if not acc.max() <= alpha_tol:
+    if not acc.max() <= ALPHA_TOL:
         raise NotClosedError("d alpha mismatches the base Kähler form by %.3e" % acc.max())
 
     e = np.eye(n)
@@ -259,17 +263,17 @@ def lee_form_of_I0(cal, pe):
     return th0, fit
 
 
-def rescale_biaxial(t, Pp, a, b, profile=None, tol=1e-9, t_samples=9):
+def rescale_biaxial(t, Pp, a, b, profile):
     """Biaxial rescale g_hat = a(ln z) g|D+ + b(ln z) g|D-.
 
     Pp is the projector field onto D+; a and b are scalar jet closures of
     one variable.  The closedness of the rescaled fundamental form forces
-    b' + b = a; the constraint is validated on a grid of the ln z range and
-    violations raise NotClosedError.
+    b' + b = a; the constraint is validated on a grid of the profile's ln z
+    range and violations raise NotClosedError.
     Returns (HermitianTriple of the rescaled structure, constraint residual).
     """
-    zlo, zhi = (profile.z_range if profile is not None else (0.5, 2.0))
-    ts = np.linspace(np.log(zlo), np.log(zhi), t_samples)
+    zlo, zhi = profile.z_range
+    ts = np.linspace(np.log(zlo), np.log(zhi), RESCALE_T_SAMPLES)
     u = first_order(Jet2.seed(ts[:, None]))[0]   # the grid as one first-order batch
     av, bv = a(u).value, b(u)
     bad = np.flatnonzero((av <= 0) | (bv.value <= 0))
@@ -278,9 +282,9 @@ def rescale_biaxial(t, Pp, a, b, profile=None, tol=1e-9, t_samples=9):
         raise ValueError("rescale profiles must stay positive, got a=%.3e b=%.3e at t=%.3f"
                          % (av[k], bv.value[k], ts[k]))
     worst = float(np.abs(bv.grad[:, 0] + bv.value - av).max())
-    if not worst <= tol:
+    if not worst <= RESCALE_TOL:
         raise NotClosedError("b' + b - a = %.3e exceeds %.1e; the rescaled form is not closed"
-                             % (worst, tol))
+                             % (worst, RESCALE_TOL))
 
     def ghat(pt):
         g = t.g(pt)

@@ -23,7 +23,7 @@ import numpy as np
 from kahlerkit.jets import SamplePlan
 from kahlerkit.fields import DOMAIN_ERRORS, PointEval, metric_jets, curvature_from_jets
 from kahlerkit.scenarios import (BUILDERS, ScenarioError, bundled_names,
-                                 build_case, load_scenario, render_json,
+                                 build_case, load_scenario, make_case, render_json,
                                  run_scenario_obj, tolerance)
 
 
@@ -108,7 +108,7 @@ def _cmd_list_builders(_args):
         print("  params:  %s" % ", ".join(
             "%s=%r (%s)" % (key, default, read.__name__)
             for key, (default, read) in entry.params.items()))
-        print("  checks:  %s" % ", ".join(entry.check_names))
+        print("  checks:  %s" % ", ".join(ck.name for ck in make_case(entry, {}).checks))
     names = bundled_names()
     if names:
         print("bundled scenarios: %s" % ", ".join(names))

@@ -467,20 +467,23 @@ def nijenhuis_from_jets(Jv, Jg):
 # homotopy primitive (star-shaped chart, center = box center)
 # ---------------------------------------------------------------------------
 
-def homotopy_primitive(omega, chart, order=32):
+HOMOTOPY_ORDER = 32     # Gauss-Legendre nodes of the homotopy integral
+
+
+def homotopy_primitive(omega, chart):
     """One-form alpha with d(alpha) = omega for a closed 2-form omega.
 
     alpha(x) = integral_0^1 t * omega(c + t(x-c))(x - c, .) dt with c the box
-    center. Exact for polynomial omega at the default order.  omega is not
-    checked for closedness here; for a form that is not closed d(alpha)
-    differs from omega, which build_calabi's alpha guard measures.
+    center, on HOMOTOPY_ORDER Gauss nodes: exact for polynomial omega.  omega
+    is not checked for closedness here; for a form that is not closed
+    d(alpha) differs from omega, which build_calabi's alpha guard measures.
     """
     c = chart.center()
     dim = chart.dim
 
     def alpha_fn(pt):
         diff = pt[:dim] - c
-        return gauss_integrate(lambda t: t * (diff @ omega(c + t * diff)), order)
+        return gauss_integrate(lambda t: t * (diff @ omega(c + t * diff)), HOMOTOPY_ORDER)
 
     return Field(alpha_fn)
 

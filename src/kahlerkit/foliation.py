@@ -22,8 +22,12 @@ VERDICT_PRODUCT = "kahler_product"
 VERDICT_FAILED = "failed"
 VERDICTS = (VERDICT_HOLOMORPHIC, VERDICT_GEODESIC, VERDICT_PRODUCT, VERDICT_FAILED)
 
+FRAME_TOL = 1e-8      # a D+ frame's two projector columns: least Gram determinant
+THETA_FLOOR = 1e-6    # structure_point: |theta| below it excludes the theta residuals
+VERDICT_TOL = 1e-6    # foliation_report: a residual at or below it vanishes
 
-def _frame_columns(Pv, tol=1e-8):
+
+def _frame_columns(Pv):
     """Two column indices of the rank-2 projector giving a well-conditioned
     D+ frame: the first pair (i, j), i < j, with the largest Gram determinant
     G_ii G_jj - G_ij^2 of its columns, G = P^T P (on a stack of projectors,
@@ -32,7 +36,7 @@ def _frame_columns(Pv, tol=1e-8):
     d = np.diagonal(G, axis1=-2, axis2=-1)
     i, j = np.triu_indices(d.shape[-1], 1)
     det = np.abs(d[..., i] * d[..., j] - G[..., i, j] ** 2)
-    if not det.shape[-1] or np.any(det.max(axis=-1) < tol):
+    if not det.shape[-1] or np.any(det.max(axis=-1) < FRAME_TOL):
         raise ValueError("projector has rank below two")
     best = det.argmax(axis=-1)
     return i[best], j[best]
@@ -140,11 +144,11 @@ def dplus_geodesic_residual(xi, Ppv):
     return np.abs(Pv.swapaxes(-1, -2) @ xi @ Pv).max(axis=(-3, -2, -1))
 
 
-def structure_point(t, Pp, pe, skip_theta_below=1e-6):
+def structure_point(t, Pp, pe):
     """Structure-equation residuals at pe: D+ holomorphy (proj_minus o (L_X J)
     over a D+ frame), d(omega_minus) = theta ^ omega_minus, and the two chi_1
     routes: the L_zeta J coefficient fit against -2|theta|^{-2} L_{Jzeta}
-    ln|theta|.  Where |theta| falls below the threshold only holomorphy is
+    ln|theta|.  Where |theta| falls below THETA_FLOOR only holomorphy is
     defined; wedge_minus, chi1 and lie_fit are excluded there.
     """
     J = pe.raw(t.J)
@@ -158,7 +162,7 @@ def structure_point(t, Pp, pe, skip_theta_below=1e-6):
     thv = theta.value
     gi = pe.inverse(t.g)
     norm2 = contract("Zi,Zi->Z", contract("Zi,Zij->Zj", thv, gi.value), thv)
-    skip = norm2 < skip_theta_below ** 2
+    skip = norm2 < THETA_FLOOR ** 2
 
     # omega_minus = omega - P+^T omega P+ as a jet field, then d of it
     om = pe.omega(t.g, t.J)
@@ -196,7 +200,7 @@ def classify_point(t, Pp, pe):
     return pe.cached("classify", (t.g, t.J, Pp), compute)
 
 
-def foliation_report(res, tol=1e-6):
+def foliation_report(res):
     """(verdict, points used, points excluded) of a fold of classify_point:
     the homothetic residual gates everything; then the verdict is
     kahler_product / geodesic_riemannian / holomorphic by the vanishing
@@ -206,13 +210,13 @@ def foliation_report(res, tol=1e-6):
     are the fold's, by their classify_point keys."""
     hom, ring, geod, xi_all, theta_max = (
         res.max(k) for k in ("homothetic", "ring", "geodesic", "xi", "theta_max"))
-    if res.error or not hom <= tol:
+    if res.error or not hom <= VERDICT_TOL:
         verdict = VERDICT_FAILED
-    elif theta_max <= tol and xi_all <= tol:
+    elif theta_max <= VERDICT_TOL and xi_all <= VERDICT_TOL:
         verdict = VERDICT_PRODUCT
-    elif theta_max <= tol and geod <= tol:
+    elif theta_max <= VERDICT_TOL and geod <= VERDICT_TOL:
         verdict = VERDICT_GEODESIC
-    elif ring <= tol:
+    elif ring <= VERDICT_TOL:
         verdict = VERDICT_HOLOMORPHIC
     else:
         verdict = VERDICT_FAILED

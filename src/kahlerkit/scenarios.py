@@ -93,11 +93,11 @@ class Case:
 @dataclass
 class BuilderEntry:
     """A builder: params maps each parameter to (default, read), and make
-    takes the dict of every parameter read."""
+    takes the dict of every parameter read and declares every check, with
+    no parts where these params do not run it."""
     id: str
     summary: str
     params: dict
-    check_names: tuple
     make: object
 
 
@@ -143,9 +143,10 @@ def _axes(R, *order):
 
 
 def _on(chart):
-    """Check constructor for checks that run on one chart's samples."""
-    def check(name, doc, tol, fn, record=_fold_record):
-        return Check(name, doc, tol, [(chart, fn)], record)
+    """Check constructor for checks that run on one chart's samples; with no
+    chart (None), for checks declared with no parts, which build_case drops."""
+    def check(name, doc, tol, fn, *record):
+        return Check(name, doc, tol, [] if chart is None else [(chart, fn)], *record)
     return check
 
 
@@ -361,12 +362,11 @@ def _make_ak(params):
         check("einstein_fit", "max |Ric - lambda g| for the pointwise best lambda",
               1e-6, _worst_of(einstein, "einstein_dev")),
         check("ricci_flat", "max |Ric|", 1e-6, _worst_of(einstein, "ricci_max")),
-    ]
-    if zpos_product:
-        checks.append(check(
+        _on(ak.chart if zpos_product else None)(
             "ricci_form_fiber_log",
             "Ricci form of the product equals the fiber log potential terms",
-            1e-6, lambda pe: fiber_log_point(ak.triple(), zpos_product, pe)))
+            1e-6, lambda pe: fiber_log_point(ak.triple(), zpos_product, pe)),
+    ]
     return Case("R^2 x " + zt.chart.label + " [" + tw.label + ", mode " + mode + "]",
                 ak.chart, ak.g, checks)
 
@@ -393,20 +393,21 @@ def _make_chain(params):
         per_level("alpha_primitive", "each level's alpha is a primitive of its omega",
                   1e-7, lambda lv, pe: alpha_primitive_point(lv.alpha, lv.triple, pe)),
     ]
-    check = _on(top.triple.chart)
-    if top.cal is not None:
-        checks += _volume_checks(check, top.cal, params["volume_floor"], (
-            "top-level omega^m against both coordinate volume forms",
-            "top-level Pfaffian stays above the floor"))
-        checks.append(check("classify_top", "classifier verdict on the top level",
-                            0.5, lambda pe: classify_point(top.triple, top.cal.proj_plus, pe),
-                            _verdict(VERDICT_HOLOMORPHIC)))
-    if kind == "untwisted" and top.cal is not None:
-        tw = coordinate_twist(top.triple.chart.dim - 2, top.triple.chart.dim - 1)
-        checks.append(check(
+    # the top level runs these when it is a fibered chart, not the bare disk
+    fibered = top.triple.chart if top.cal is not None else None
+    check = _on(fibered)
+    tw = coordinate_twist(top.triple.chart.dim - 2, top.triple.chart.dim - 1)
+    checks += _volume_checks(check, top.cal, params["volume_floor"], (
+        "top-level omega^m against both coordinate volume forms",
+        "top-level Pfaffian stays above the floor")) + [
+        check("classify_top", "classifier verdict on the top level",
+              0.5, lambda pe: classify_point(top.triple, top.cal.proj_plus, pe),
+              _verdict(VERDICT_HOLOMORPHIC)),
+        _on(fibered if kind == "untwisted" else None)(
             "ker_dw_geodesic",
             "kernel of the lifted disk map is totally geodesic",
-            1e-6, lambda pe: ker_dw_geodesic_residual(top.triple.g, tw, pe)))
+            1e-6, lambda pe: ker_dw_geodesic_residual(top.triple.g, tw, pe)),
+    ]
     label = "%s chain, m=%d, top %s" % (kind, m, top.triple.chart.label)
     return Case(label, top.triple.chart, top.triple.g, checks)
 
@@ -507,39 +508,27 @@ VERDICT = (VERDICT_HOLOMORPHIC, one_of(*VERDICTS))
 
 BUILDERS = [
     BuilderEntry("flat", "Euclidean metric on R^n",
-                 {"dim": (3, integer)},
-                 ("curvature_zero", "ricci_zero"), _make_flat),
+                 {"dim": (3, integer)}, _make_flat),
     BuilderEntry("sphere", "round unit 2-sphere in polar coordinates",
-                 {},
-                 ("scalar_curvature_two", "riemann_symmetries", "bianchi_first"),
-                 _make_sphere),
+                 {}, _make_sphere),
     BuilderEntry("calabi", "fibered chart over a disk base, log profile",
                  {**CALABI, "volume_floor": (1e-6, tolerance), "verdict": VERDICT},
-                 ("kahler_verdict", "homothetic_foliation", "lee_is_dlnz",
-                  "lee_closed", "plus_geodesic", "moment_map", "volume_identity",
-                  "volume_nonvanishing", "classify_verdict"), _make_calabi),
+                 _make_calabi),
     BuilderEntry("calabi_twist", "twist deformation of a fibered chart",
                  {**CALABI, "twist": ({"id": "coord_z"}, twist_spec), "mode": MODE,
                   "verdict": VERDICT},
-                 ("form_invariance", "norm_factor", "transverse_holomorphy",
-                  "nijenhuis_twisted", "homothetic_foliation", "ricci_fiber_log",
-                  "zeta_duality", "classify_verdict"), _make_calabi_twist),
+                 _make_calabi_twist),
     BuilderEntry("calabi_chain", "iterated fibered charts over the disk",
                  {"kind": ("untwisted", one_of("untwisted", "twisted")), "m": (2, integer),
                   "radius": (0.55, number), **PROFILE, "volume_floor": (1e-6, tolerance)},
-                 ("kahler_levels", "ricci_coefficient", "alpha_primitive",
-                  "volume_identity", "volume_nonvanishing", "classify_top",
-                  "ker_dw_geodesic"), _make_chain),
+                 _make_chain),
     BuilderEntry("ak_product", "plane times Kähler factor with twisted structures",
                  {"z": ("plane", one_of("plane", "disk", "chain")), "k": (1, integer),
                   "radius": (0.55, number), "chain_m": (2, integer),
                   "chain_level": (1, integer), **PROFILE,
                   "twist": ({"id": "const", "c": [0.0, 0.0]}, twist_spec), "mode": MODE,
                   "plane_range": ([-1.0, 1.0], pair)},
-                 ("structure_forms", "killing_plane", "ak3_identity", "ak3_blocks",
-                  "torsion_derivative", "torsion_algebra", "torsion_kernel",
-                  "torsion_rank", "einstein_fit", "ricci_flat",
-                  "ricci_form_fiber_log"), _make_ak),
+                 _make_ak),
 ]
 
 BUILDER_MAP = {b.id: b for b in BUILDERS}
@@ -618,21 +607,29 @@ def load_scenario(arg):
     return parse_scenario(obj, source=path)
 
 
+def make_case(entry, params):
+    """entry's Case from params, each declared parameter read (given or
+    defaulted) in declaration order, with every check the builder declares."""
+    return entry.make({key: read(params.get(key, default), key)
+                       for key, (default, read) in entry.params.items()})
+
+
 def build_case(scn):
-    """The scenario's Case.  Every declared parameter, given or defaulted, is
-    read in declaration order before the builder runs; an unknown key, a value
-    its reader rejects and params the builder rejects raise ScenarioError."""
+    """The scenario's Case, holding the checks its params run (those with
+    parts).  An unknown key, a value its reader rejects and params the
+    builder rejects raise ScenarioError."""
     entry = BUILDER_MAP[scn.builder]
     for key in scn.params:
         if key not in entry.params:
             raise ScenarioError("builder %r has no parameter %r (known: %s)"
                                 % (entry.id, key, ", ".join(sorted(entry.params))))
     try:
-        return entry.make({key: read(scn.params.get(key, default), key)
-                           for key, (default, read) in entry.params.items()})
+        case = make_case(entry, scn.params)
     except (ValueError, TypeError, IndexError) as exc:
         raise ScenarioError("%s: builder %r cannot build from its params: %s"
                             % (scn.source, entry.id, exc)) from exc
+    case.checks = [ck for ck in case.checks if ck.parts]
+    return case
 
 
 def run_scenario_obj(scn, tol_override=None, case=None):

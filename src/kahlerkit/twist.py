@@ -39,15 +39,13 @@ def constant_twist(c1, c2=0.0):
     return Field(fn, label="const(%g,%g)" % (c1, c2))
 
 
-def coordinate_twist(ix, iy, conj=False, scale=1.0, label=None):
+def coordinate_twist(ix, iy, conj=False, scale=1.0):
     """w = scale * (x_ix + i x_iy), conjugated when conj is set."""
     sgn = -1.0 if conj else 1.0
 
     def fn(pt):
         return pt[ix] * scale, pt[iy] * (scale * sgn)
-    if label is None:
-        label = "%szeta[%d,%d]" % ("conj_" if conj else "", ix, iy)
-    return Field(fn, label=label)
+    return Field(fn, label="%szeta[%d,%d]" % ("conj_" if conj else "", ix, iy))
 
 
 def mobius(w):
@@ -90,14 +88,8 @@ def _check_disc(ww):
         raise JetDomainError("twist leaves the disc: |w|^2 = %.8f" % ww[out].max())
 
 
-def _norm2_field(w):
-    """The Field |w|^2 of the twist w."""
-    return Field(lambda pt: _norm2(w(pt)))
-
-
-def make_sfield(J, Pp, w, theta, ww=None):
-    """The S field of the twist w; ww is the Field |w|^2 it guards with
-    (_norm2_field(w) when omitted).
+def make_sfield(J, Pp, w, theta, ww):
+    """The S field of the twist w; ww is the Field |w|^2 it guards with.
 
     The D+ frame dual to {theta, -theta o J} is built from the first two
     projector columns; a degenerate frame (|det E| < 1e-12, as where theta
@@ -105,9 +97,6 @@ def make_sfield(J, Pp, w, theta, ww=None):
     Every twisted field reads S, so the disc guard |w|^2 <= DISC sits here.
     On a batch both guards test every point and name the worst one.
     """
-    if ww is None:
-        ww = _norm2_field(w)
-
     def sfield(pt):
         th = theta(pt)
         e2 = -(th @ J(pt))
@@ -129,7 +118,7 @@ def build_twist_fields(g, endos, Pp, w, theta, chart, mode="B"):
     (1-S)^{-1}."""
     if mode not in ("A", "B"):
         raise ValueError("mode must be 'A' or 'B'")
-    ww = _norm2_field(w)
+    ww = Field(lambda pt: _norm2(w(pt)))
     S = make_sfield(endos[0], Pp, w, theta, ww)
     one = np.eye(chart.dim)
 

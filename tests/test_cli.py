@@ -5,6 +5,8 @@ are captured through pytest's capsys fixture and reports are parsed back
 from the printed JSON.
 """
 
+import contextlib
+import io
 import json
 import os
 import sys
@@ -20,7 +22,7 @@ from kahlerkit.jets import Jet2
 from kahlerkit.fields import Field, PointEval, curvature_from_jets, metric_jets
 from kahlerkit.calabi import disk_base
 from kahlerkit.twist import make_sfield
-from kahlerkit.scenarios import (BUILDER_MAP, BUILDERS, Case, build_case, bundled_dir,
+from kahlerkit.scenarios import (BUILDERS, Case, build_case, bundled_dir,
                                  bundled_names, load_scenario,
                                  render_json, run_scenario_obj)
 
@@ -701,7 +703,7 @@ def test_twisted_chart_runs_s_and_alpha_once_per_point():
     scn.count = 3
     case = build_case(scn)
     counts = {disk_base(0)[1].fn.__code__: 0,
-              make_sfield(None, None, None, None).fn.__code__: 0}
+              make_sfield(None, None, None, None, None).fn.__code__: 0}
 
     def profile(frame, event, arg):
         if event == "call" and frame.f_code in counts:
@@ -738,22 +740,57 @@ def test_factor_point_runs_the_base_fields_once_per_point():
 
 @pytest.fixture(scope="module")
 def bundled_checks():
-    """Names of the checks the bundled scenarios run, by builder."""
+    """Names of the checks in the bundled scenarios' reports, by builder."""
     ran = {}
     for name in BUNDLED:
         scn = load_scenario(name)
-        ran.setdefault(scn.builder, set()).update(c.name for c in build_case(scn).checks)
+        ran.setdefault(scn.builder, set()).update(
+            rec["name"] for rec in run_scenario_obj(scn)["checks"])
     return ran
 
 
-def test_every_bundled_check_is_listed_by_its_builder(bundled_checks):
+@pytest.fixture(scope="module")
+def listed_checks():
+    """The check names `kahlerkit list-builders` prints, by builder, in its
+    order: what each builder declares at its default params."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["list-builders"]) == 0
+    listed, builder = {}, None
+    for line in out.getvalue().splitlines():
+        if not line.startswith(" "):
+            builder = line
+        elif line.startswith("  checks:  "):
+            listed[builder] = line[len("  checks:  "):].split(", ")
+    return listed
+
+
+def test_every_bundled_check_is_listed_by_its_builder(bundled_checks, listed_checks):
     for builder, names in bundled_checks.items():
-        assert names <= set(BUILDER_MAP[builder].check_names), builder
+        assert names <= set(listed_checks[builder]), builder
 
 
-def test_every_listed_check_runs_in_a_bundled_scenario(bundled_checks):
-    for entry in BUILDERS:
-        assert set(entry.check_names) <= bundled_checks.get(entry.id, set()), entry.id
+def test_every_listed_check_runs_in_a_bundled_scenario(bundled_checks, listed_checks):
+    # the listing names every builder, and each builder's listing is the
+    # union of its bundled reports' checks, a check that its default params
+    # do not run (ak_product's ricci_form_fiber_log) included
+    assert list(listed_checks) == [entry.id for entry in BUILDERS]
+    for builder, names in listed_checks.items():
+        assert set(names) == bundled_checks.get(builder, set()), builder
+    assert "ricci_form_fiber_log" in listed_checks["ak_product"]
+
+
+def test_a_declared_check_these_params_do_not_run_takes_no_tolerance(tmp_path, capsys):
+    # an untwisted chain of height 1 tops out at the disk, so its case has no
+    # ker_dw_geodesic, though the builder declares it
+    path = tmp_path / "chain1.json"
+    path.write_text(json.dumps({"name": "chain1", "builder": "calabi_chain",
+                                "params": {"m": 1},
+                                "tolerances": {"ker_dw_geodesic": 1e-6}}))
+    rc, out, err = run_cli(capsys, ["verify", str(path), "--samples", "2"])
+    assert (rc, out) == (2, "")
+    assert err == ("error: %s: tolerance for unknown check 'ker_dw_geodesic' (this case "
+                   "runs: alpha_primitive, kahler_levels, ricci_coefficient)\n" % path)
 
 
 def test_nonfinite_residual_fails_the_record(monkeypatch, capsys):

@@ -1,6 +1,7 @@
 """The report-diff tool: a tree diffed against itself reports nothing, and a
-single moved bit, a changed exit code or a changed curvature line is listed
-where it moved, and the last line says which kinds of bits moved."""
+single moved bit, a changed exit code, a changed curvature line or a changed
+list-builders line is listed where it moved, and the last line says which
+kinds of bits moved."""
 
 import copy
 import importlib.util
@@ -16,13 +17,15 @@ _spec.loader.exec_module(diff_reports)
 
 
 def test_a_tree_diffed_against_itself_reports_nothing():
-    # the flat scenario at its bundled plan, and its curvature query, each
-    # tree in its own interpreter as the full diff runs them
+    # the flat scenario at its bundled plan, its curvature query and the
+    # builder listing, each tree in its own interpreter as the full diff
+    # runs them
     old, new = diff_reports.collect_trees(ROOT, ROOT, names=["flat"],
                                           plans=diff_reports.PLANS[:1])
-    assert sorted(old) == ["curvature flat", "verify flat bundled"]
+    assert sorted(old) == ["curvature flat", "list-builders", "verify flat bundled"]
+    assert old["list-builders"]["exit"] == 0 and old["list-builders"]["lines"][0] == "flat"
     assert diff_reports.diff(old, new) == []
-    assert diff_reports.render([], len(old)) == "0 of 2 outputs move"
+    assert diff_reports.render([], len(old)) == "0 of 3 outputs move"
 
 
 def test_every_moved_bit_is_listed_with_its_check():
@@ -45,3 +48,18 @@ def test_every_moved_bit_is_listed_with_its_check():
     text = diff_reports.render(list(moved.items()), 2, diff_reports.what_moved(old, new))
     assert text.splitlines()[-1] == ("2 of 2 outputs move; report fields that move: "
                                      "max_residual; beyond residual digits, these move: exit code")
+
+
+def test_a_changed_listing_line_is_a_moved_output():
+    old = diff_reports.collect(["sphere"], diff_reports.PLANS[:1])
+    new = copy.deepcopy(old)
+    lines = new["list-builders"]["lines"]
+    i = next(i for i, ln in enumerate(lines) if ln.startswith("  checks:"))
+    lines[i] += ", extra_check"
+    moved = diff_reports.diff(old, new)
+    assert [key for key, _ in moved] == ["list-builders"]
+    (where, text, size), = moved[0][1]
+    assert where == "line %d" % (i + 1) and text.endswith(", extra_check'") and size is None
+    text = diff_reports.render(moved, len(old), diff_reports.what_moved(old, new))
+    assert text.splitlines()[-1] == ("1 of 3 outputs move; report fields that move: none; "
+                                     "beyond residual digits, these move: list-builders line")

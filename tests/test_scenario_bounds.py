@@ -1,0 +1,81 @@
+"""The bounds table of the scenario surface: each bound a builder or the
+library puts on a parameter, run through `kahlerkit verify --samples 2` once
+at the bound and once just past it.
+
+A value at its bound builds: the run exits 0 or 1 and prints no `error:`
+line.  A value just past it is a usage error: the run exits 2 and prints
+exactly one `error:` line and nothing else."""
+
+import contextlib
+import io
+import json
+import math
+
+import pytest
+
+from kahlerkit.cli import main
+
+INF = float("inf")
+SQRT2 = math.sqrt(2.0)
+
+
+def _largest_disk_radius():
+    """The largest float r with r * sqrt(2) < 1, as disk_base tests it."""
+    r = 1.0 / SQRT2
+    while not r * SQRT2 < 1.0:
+        r = math.nextafter(r, 0.0)
+    while math.nextafter(r, 1.0) * SQRT2 < 1.0:
+        r = math.nextafter(r, 1.0)
+    return r
+
+
+RADIUS = _largest_disk_radius()
+BELOW_ZERO = math.nextafter(0.0, -1.0)
+
+# (builder, params at the bound, params just past it)
+BOUNDS = {
+    "flat dim low": ("flat", {"dim": 2}, {"dim": 1}),
+    "flat dim high": ("flat", {"dim": 12}, {"dim": 13}),
+    "disk k low": ("ak_product", {"z": "disk", "k": 0}, {"z": "disk", "k": -1}),
+    "disk k high": ("ak_product", {"z": "disk", "k": 32}, {"z": "disk", "k": 33}),
+    "disk radius": ("ak_product", {"z": "disk", "k": 1, "radius": RADIUS},
+                    {"z": "disk", "k": 1, "radius": math.nextafter(RADIUS, 1.0)}),
+    **{"chain m low %s" % kind: ("calabi_chain", {"kind": kind, "m": 1},
+                                 {"kind": kind, "m": 0})
+       for kind in ("untwisted", "twisted")},
+    **{"chain m high %s" % kind: ("calabi_chain", {"kind": kind, "m": 3},
+                                  {"kind": kind, "m": 4})
+       for kind in ("untwisted", "twisted")},
+    "chain_level low": ("ak_product", {"z": "chain", "chain_m": 2, "chain_level": 0},
+                        {"z": "chain", "chain_m": 2, "chain_level": -1}),
+    "chain_level high": ("ak_product", {"z": "chain", "chain_m": 2, "chain_level": 2},
+                         {"z": "chain", "chain_m": 2, "chain_level": 3}),
+    "profile A at zero": ("calabi", {"A": BELOW_ZERO}, {"A": 0.0}),
+    "profile A at -inf": ("calabi", {"A": BELOW_ZERO}, {"A": -INF}),
+    "z_range positive": ("calabi", {"z_range": [5e-324, 1.0]}, {"z_range": [0.0, 1.0]}),
+    "z_range increasing": ("calabi", {"z_range": [1.0, math.nextafter(1.0, 2.0)]},
+                           {"z_range": [1.0, 1.0]}),
+    "twist mode A": ("calabi_twist", {"mode": "A"}, {"mode": "a"}),
+    "twist mode B": ("calabi_twist", {"mode": "B"}, {"mode": "C"}),
+}
+
+
+def _verify(path, builder, params):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump({"name": "bound", "builder": builder, "params": params}, fh)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(["verify", str(path), "--samples", "2"])
+    return rc, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("bound", sorted(BOUNDS))
+def test_a_value_at_its_bound_runs_and_one_just_past_is_a_usage_error(bound, tmp_path):
+    builder, at, past = BOUNDS[bound]
+    rc, out, err = _verify(tmp_path / "at.json", builder, at)
+    assert rc in (0, 1), (rc, err)
+    assert not any(ln.startswith("error:") for ln in err.splitlines()), err
+    assert out.splitlines()[0].startswith(("PASS", "FAIL")), out
+    rc, out, err = _verify(tmp_path / "past.json", builder, past)
+    assert (rc, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err

@@ -10,15 +10,18 @@ Hessian read only through jet_dcoord (and the raw-coordinate metric read),
 that each matrix is inverted once per point, that one Fold per check,
 holding arrays, is the one aggregator and its replay the one per-point walk,
 that each builder declares each parameter once, with its default and its
-reader, that each jet rule is written once (one chain rule for the scalar
-functions, one linear rule, one product rule for * and jeinsum, one map for
-the shape-only rules, and the first-order case decided in the named rule
-bodies alone), that a Hessian is made symmetric only where it is read, that
+reader, and each check once, in the call that makes it, that thresholds no
+caller sets are module constants and not parameters, that each jet rule is
+written once (one chain rule for the scalar functions, one linear rule, one
+product rule for * and jeinsum, one map for the shape-only rules, and the
+first-order case decided in the named rule bodies alone), that a Hessian is made symmetric only where it is read, that
 the D+ frame is computed once per point, and the README's library example
 run as written."""
 
 import ast
 import contextlib
+import dataclasses
+import importlib
 import inspect
 import io
 import os
@@ -507,3 +510,73 @@ def test_each_builder_declares_each_parameter_once():
             default, read = decl
             assert read in readers or read.choices, (entry.id, key)
             read(default, key)
+
+
+# the keyword knobs that only ever took one value, by function; each is a
+# module constant now
+REMOVED_PARAMETERS = {
+    "calabi.build_calabi": ("alpha_tol", "check_count"),
+    "calabi.rescale_biaxial": ("tol", "t_samples"),
+    "foliation.structure_point": ("skip_theta_below",),
+    "almost_kahler.torsion_point": ("dw_floor", "rank_rtol"),
+    "foliation.foliation_report": ("tol",),
+    "foliation._frame_columns": ("tol",),
+    "fields.homotopy_primitive": ("order",),
+    "twist.coordinate_twist": ("label",),
+}
+# the parameters that every caller passes, so they take no default
+REQUIRED_PARAMETERS = {"calabi.rescale_biaxial": "profile", "twist.make_sfield": "ww"}
+
+
+def _function(dotted):
+    module, name = dotted.split(".")
+    return getattr(importlib.import_module("kahlerkit." + module), name)
+
+
+def _declares_a_check(node):
+    """Whether node is a check-declaring call: check(name, doc, tol, fn, ...)
+    with a literal name and a literal float tolerance."""
+    return (isinstance(node, ast.Call) and len(node.args) >= 4
+            and isinstance(node.args[0], ast.Constant) and isinstance(node.args[0].value, str)
+            and isinstance(node.args[2], ast.Constant) and isinstance(node.args[2].value, float))
+
+
+def test_each_check_is_declared_once_where_its_builder_makes_it():
+    # a check's name, doc, tolerance and residual are one call in its
+    # builder's _make_* (the shared _volume_checks counts once); a second
+    # list of names beside the builders would drift from them.  list-builders
+    # reads the declarations at the default params, and run_scenario_obj
+    # keys timings and tolerances by name, so a name declared twice would
+    # merge two checks
+    from kahlerkit.scenarios import BUILDERS, BuilderEntry, make_case
+    assert [f.name for f in dataclasses.fields(BuilderEntry)] == ["id", "summary", "params",
+                                                                 "make"]
+    names = set()
+    for entry in BUILDERS:
+        declared = [ck.name for ck in make_case(entry, {}).checks]
+        assert len(declared) == len(set(declared)), entry.id
+        names |= set(declared)
+    tree = dict(_modules())["scenarios.py"]
+    declaring = {id(node.args[0]) for node in ast.walk(tree) if _declares_a_check(node)}
+    strays, repeats = [], []
+    for top in tree.body:
+        found = [node for node in ast.walk(top)
+                 if isinstance(node, ast.Constant) and node.value in names]
+        strays += ["%s:%d" % (node.value, node.lineno) for node in found
+                   if id(node) not in declaring]
+        values = [node.value for node in found]
+        repeats += ["%s in %s" % (v, getattr(top, "name", "<module>"))
+                    for v in set(values) if values.count(v) > 1]
+    assert strays == [] and repeats == []
+
+
+@pytest.mark.parametrize("dotted", sorted(REMOVED_PARAMETERS))
+def test_thresholds_no_caller_sets_are_not_parameters(dotted):
+    params = inspect.signature(_function(dotted)).parameters
+    assert set(REMOVED_PARAMETERS[dotted]).isdisjoint(params), dotted
+
+
+@pytest.mark.parametrize("dotted", sorted(REQUIRED_PARAMETERS))
+def test_a_parameter_every_caller_passes_has_no_default(dotted):
+    param = inspect.signature(_function(dotted)).parameters[REQUIRED_PARAMETERS[dotted]]
+    assert param.default is inspect.Parameter.empty, dotted

@@ -5,14 +5,15 @@
 In each tree (its src/ first on the path, in a fresh interpreter; the two
 run side by side) this runs `kahlerkit verify` on every bundled scenario at
 four plans (the bundled plan, seed 12345 and seed 4 with 6 samples, seed 7
-with 200 samples) and `kahlerkit curvature` at each scenario's chart centre.
-It then lists every output whose bits move: for a verify run, each report
-value that changed, grouped by check with the largest |change| of the check,
-and any changed exit code or status line; for a curvature query, each
-changed line with its largest |change|.  The last line counts the outputs
-that move, names the report fields that move, and says whether anything
-moves beyond residual digits: an exit code, a pass flag, a point count, a
-status-line word or a curvature line with its numbers masked.
+with 200 samples), `kahlerkit curvature` at each scenario's chart centre and
+`kahlerkit list-builders`.  It then lists every output whose bits move: for
+a verify run, each report value that changed, grouped by check with the
+largest |change| of the check, and any changed exit code or status line;
+for a curvature query or the listing, each changed line, with its largest
+|change| where it prints numbers.  The last line counts the outputs that
+move, names the report fields that move, and says whether anything moves
+beyond residual digits: an exit code, a pass flag, a point count, a
+status-line word, or a curvature or listing line with its numbers masked.
 timings_seconds is left out, as it varies between runs.  Exit status: 0
 when nothing moves, 1 when something does.
 """
@@ -40,8 +41,8 @@ RESIDUALS = {"max_residual", "mean_residual"}
 def collect(names=None, plans=PLANS):
     """The outputs of the kahlerkit this interpreter imports, by key: for
     "verify NAME PLAN" the exit code, the status lines and the report
-    without timings_seconds; for "curvature NAME" the exit code and the
-    printed lines."""
+    without timings_seconds; for "curvature NAME" and "list-builders" the
+    exit code and the printed lines."""
     from kahlerkit.cli import main
     from kahlerkit.scenarios import build_case, bundled_names, load_scenario
 
@@ -65,6 +66,8 @@ def collect(names=None, plans=PLANS):
             centre = build_case(load_scenario(name)).chart.center()
             rc, lines = run(("curvature", name, "--point", ",".join(map(repr, centre.tolist()))))
             outputs["curvature %s" % name] = {"exit": rc, "lines": lines}
+    rc, lines = run(("list-builders",))
+    outputs["list-builders"] = {"exit": rc, "lines": lines}
     return outputs
 
 
@@ -131,7 +134,7 @@ def diff(old, new):
         rows = []
         if a["exit"] != b["exit"]:
             rows.append(("exit code", "%s -> %s" % (a["exit"], b["exit"]), None))
-        if key.startswith("curvature"):
+        if "lines" in a:
             la, lb = a["lines"], b["lines"]
             for i in range(max(len(la), len(lb))):
                 x, y = (la[i] if i < len(la) else None), (lb[i] if i < len(lb) else None)
@@ -189,9 +192,9 @@ def _masked(lines):
 def what_moved(old, new):
     """The kinds of bits that move from old to new: the sorted report fields
     that move, and the sorted moves beyond residual digits (a missing
-    output, an exit code, a status-line word or a curvature line with its
-    numbers masked, a report field other than a residual, such as a pass
-    flag or a point count)."""
+    output, an exit code, a status-line word, a curvature or list-builders
+    line with its numbers masked, a report field other than a residual, such
+    as a pass flag or a point count)."""
     fields, beyond = set(), set()
     for key in set(old) | set(new):
         a, b = old.get(key), new.get(key)
@@ -202,7 +205,7 @@ def what_moved(old, new):
             continue
         if a["exit"] != b["exit"]:
             beyond.add("exit code")
-        for part, kind in (("status", "status-line word"), ("lines", "curvature line")):
+        for part, kind in (("status", "status-line word"), ("lines", key.split()[0] + " line")):
             if _masked(a.get(part, ())) != _masked(b.get(part, ())):
                 beyond.add(kind)
         for path, _, _ in _moved_leaves(a.get("report", {}), b.get("report", {})):
