@@ -17,7 +17,8 @@ iota_{d/ds} omega_J = -dz.  I0 = J (1 - 2 P+) flips J on the fiber span
 
 import itertools
 from dataclasses import dataclass
-from math import comb, log, sqrt
+from math import comb, exp, isfinite, log, sqrt
+from sys import float_info
 
 import numpy as np
 
@@ -50,6 +51,11 @@ class CalabiProfile:
         lo, hi = self.z_range
         if not (0 < lo < hi):
             raise ValueError("z_range must be positive and increasing")
+        # r = exp(z/A) is smallest at the top of z_range; below the normal
+        # floats it loses its digits and then reads 0
+        if not (isfinite(self.q) and exp(hi / self.A) >= float_info.min):
+            raise ValueError("profile needs q = -1/A finite and r = exp(z/A) a normal float "
+                             "over z_range, got A=%r, z_range=%r" % (self.A, self.z_range))
 
     @property
     def q(self):

@@ -22,8 +22,8 @@ import numpy as np
 
 from kahlerkit.jets import SamplePlan
 from kahlerkit.fields import DOMAIN_ERRORS, PointEval, metric_jets, curvature_from_jets
-from kahlerkit.scenarios import (BUILDERS, ScenarioError, bundled_names,
-                                 build_case, load_scenario, make_case, render_json,
+from kahlerkit.scenarios import (BUILDERS, ScenarioError, build_case, built_case,
+                                 bundled_names, load_scenario, make_case, render_json,
                                  run_scenario_obj, tolerance)
 
 
@@ -151,9 +151,11 @@ def _bench_scenario(scn, repeat):
     """Medians over repeat runs of one scenario at its plan: build and run
     seconds, the run split into field evaluation, the float tensor layer (the
     rest of the check time) and aggregation (the rest of the run), and each
-    check's seconds."""
+    check's seconds.  Each run builds its case: the case memo is emptied
+    first, so build_s times the builder, not a memo hit."""
     runs = []
     for _ in range(repeat):
+        built_case.cache_clear()
         t0 = time.perf_counter()
         case = build_case(scn)
         t1 = time.perf_counter()

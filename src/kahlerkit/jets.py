@@ -157,15 +157,15 @@ def _aligned(a, b):
 
 
 def _product(a, b, op):
-    """The product rule for jets or constants (plain arrays or numbers) a
-    and b: op(x, y, dx, dy) multiplies arrays with dx and dy derivative axes
-    into one with x's, then y's.  The half Hessian K_a b + a K_b + a' b'^T
+    """The product rule for jets or constants (float arrays) a and b:
+    op(x, y, dx, dy) multiplies arrays with dx and dy derivative axes into
+    one with x's, then y's.  The half Hessian K_a b + a K_b + a' b'^T
     takes the cross term once.  A constant (a constant jet by its value at
     one point) adds no derivative term, an affine factor no Hessian term."""
     ja, jb = isinstance(a, Jet2), isinstance(b, Jet2)
     ha, hb = a._hess if ja else CONSTANT, b._hess if jb else CONSTANT
-    x = (a.value[:1] if ha is CONSTANT else a.value) if ja else np.asarray(a, float)
-    y = (b.value[:1] if hb is CONSTANT else b.value) if jb else np.asarray(b, float)
+    x = (a.value[:1] if ha is CONSTANT else a.value) if ja else a
+    y = (b.value[:1] if hb is CONSTANT else b.value) if jb else b
     value = op(x, y, 0, 0)
     if ha is CONSTANT or hb is CONSTANT:
         if hb is not CONSTANT:
@@ -193,11 +193,17 @@ def _product(a, b, op):
     return _jet(value, grad, hess)
 
 
+# _elementwise's indices by (dx, dy): x gains dy axes behind its own, and y
+# gains dx axes in front of its dy derivative axes
+_SPREAD = {(dx, dy): ((...,) + (None,) * dy, (...,) + (None,) * dx + (slice(None),) * dy)
+           for dx in range(3) for dy in range(3 - dx)}
+
+
 def _elementwise(x, y, dx, dy):
     """x * y, broadcast, for arrays carrying dx and dy derivative axes: the
     product carries x's, then y's."""
-    x = x[(...,) + (None,) * dy] if dy else x
-    return x * (y[(...,) + (None,) * dx + (slice(None),) * dy] if dx else y)
+    ix, iy = _SPREAD[dx, dy]
+    return (x[ix] if dy else x) * (y[iy] if dx else y)
 
 
 class Jet2:
@@ -496,7 +502,10 @@ def jeinsum(spec, a, b):
     explicit two-operand einsum spec such as "ij,jk->ik" (no letter repeated
     or summed within one operand); a jet operand's batch axis is one more
     letter, which a batch axis of 1 broadcasts along."""
-    specs = _specs(spec, isinstance(a, Jet2), isinstance(b, Jet2))
+    ja, jb = isinstance(a, Jet2), isinstance(b, Jet2)
+    specs = _specs(spec, ja, jb)
+    a = a if ja else np.asarray(a, float)
+    b = b if jb else np.asarray(b, float)
     return _product(a, b, lambda x, y, dx, dy: contract(specs[dx][dy], x, y))
 
 

@@ -22,8 +22,8 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass
-from functools import partial
+from dataclasses import dataclass, replace
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -66,7 +66,7 @@ def _fold_record(res):
     return res.used(), res.excluded.get(None, 0), res.max(), res.mean(), res.error
 
 
-@dataclass
+@dataclass(frozen=True)
 class Check:
     """One claim checked pointwise.  parts pairs a chart with the per-point
     residual function run on its samples (a chain check has one part per
@@ -76,18 +76,19 @@ class Check:
     name: str
     doc: str
     tol: float
-    parts: list
+    parts: tuple
     record: object = _fold_record
 
 
-@dataclass
+@dataclass(frozen=True)
 class Case:
     """A built scenario: its label, chart, metric and checks.  The runner
-    evaluates each chart's whole sample plan as one batch."""
+    evaluates each chart's whole sample plan as one batch.  A case is
+    shared by every build of its builder and params, so it never changes."""
     label: str
     chart: ChartManifold
     metric: Field
-    checks: list
+    checks: tuple
 
 
 @dataclass
@@ -146,7 +147,7 @@ def _on(chart):
     """Check constructor for checks that run on one chart's samples; with no
     chart (None), for checks declared with no parts, which build_case drops."""
     def check(name, doc, tol, fn, *record):
-        return Check(name, doc, tol, [] if chart is None else [(chart, fn)], *record)
+        return Check(name, doc, tol, () if chart is None else ((chart, fn),), *record)
     return check
 
 
@@ -167,7 +168,7 @@ def _make_flat(params):
         check("ricci_zero", "Ricci tensor of the Euclidean metric vanishes",
               1e-11, lambda pe: pe.absmax(pe.curvature(metric)[1])),
     ]
-    return Case("Euclidean R^%d" % dim, chart, metric, checks)
+    return Case("Euclidean R^%d" % dim, chart, metric, tuple(checks))
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +204,7 @@ def _make_sphere(params):
         check("bianchi_first", "cyclic sum over the first three slots vanishes",
               1e-9, bianchi_at),
     ]
-    return Case("unit 2-sphere", chart, metric, checks)
+    return Case("unit 2-sphere", chart, metric, tuple(checks))
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +260,7 @@ def _make_calabi(params):
               0.5, lambda pe: classify_point(t, Pp, pe), _verdict(params["verdict"])),
     ]
     return Case(cal.chart.label + " over " + cal.base.chart.label,
-                cal.chart, cal.g, checks)
+                cal.chart, cal.g, tuple(checks))
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +307,7 @@ def _make_calabi_twist(params):
               0.5, lambda pe: classify_point(twt, Pp, pe), _verdict(params["verdict"])),
     ]
     return Case("twisted " + chart.label + " [" + tw.label + ", mode " + mode + "]",
-                chart, tt.g_w, checks)
+                chart, tt.g_w, tuple(checks))
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +369,7 @@ def _make_ak(params):
             1e-6, lambda pe: fiber_log_point(ak.triple(), zpos_product, pe)),
     ]
     return Case("R^2 x " + zt.chart.label + " [" + tw.label + ", mode " + mode + "]",
-                ak.chart, ak.g, checks)
+                ak.chart, ak.g, tuple(checks))
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +383,7 @@ def _make_chain(params):
 
     def per_level(name, doc, tol, fn):
         return Check(name, doc, tol,
-                     [(lv.triple.chart, lambda pe, lv=lv: fn(lv, pe)) for lv in levels])
+                     tuple((lv.triple.chart, lambda pe, lv=lv: fn(lv, pe)) for lv in levels))
 
     checks = [
         per_level("kahler_levels", "every level passes the pointwise Kähler residuals",
@@ -409,7 +410,7 @@ def _make_chain(params):
             1e-6, lambda pe: ker_dw_geodesic_residual(top.triple.g, tw, pe)),
     ]
     label = "%s chain, m=%d, top %s" % (kind, m, top.triple.chart.label)
-    return Case(label, top.triple.chart, top.triple.g, checks)
+    return Case(label, top.triple.chart, top.triple.g, tuple(checks))
 
 
 # ---------------------------------------------------------------------------
@@ -607,11 +608,28 @@ def load_scenario(arg):
     return parse_scenario(obj, source=path)
 
 
+# Built cases kept per process, more than the bundled scenarios use: a case
+# depends only on its builder and read params, and the bound keeps generated
+# params from growing the memo without limit.
+CASE_MEMO = 32
+
+
 def make_case(entry, params):
     """entry's Case from params, each declared parameter read (given or
-    defaulted) in declaration order, with every check the builder declares."""
-    return entry.make({key: read(params.get(key, default), key)
-                       for key, (default, read) in entry.params.items()})
+    defaulted) in declaration order, with every check the builder declares.
+    Each builder and read params is built once per process (built_case)."""
+    values = tuple((key, read(params.get(key, default), key))
+                   for key, (default, read) in entry.params.items())
+    return built_case(entry.id, values, repr(values))
+
+
+@lru_cache(maxsize=CASE_MEMO)
+def built_case(builder, values, exact):
+    """The memo of make_case: the builder's Case from its read params as
+    (key, value) pairs.  exact is their repr, which tells apart values that
+    compare equal but build apart: 0.0 and -0.0 label a const twist apart.
+    A build that raises is not kept."""
+    return BUILDER_MAP[builder].make(dict(values))
 
 
 def build_case(scn):
@@ -628,8 +646,8 @@ def build_case(scn):
     except (ValueError, TypeError, IndexError) as exc:
         raise ScenarioError("%s: builder %r cannot build from its params: %s"
                             % (scn.source, entry.id, exc)) from exc
-    case.checks = [ck for ck in case.checks if ck.parts]
-    return case
+    # a copy: the memoised case keeps every check the builder declares
+    return replace(case, checks=tuple(ck for ck in case.checks if ck.parts))
 
 
 def run_scenario_obj(scn, tol_override=None, case=None):

@@ -26,9 +26,9 @@ def test_a_tree_timed_against_itself_in_lockstep():
     assert entry["failed"] == {"parent": 0, "change": 0}
     assert entry["attempted"]["parent"] == entry["attempted"]["change"] > 0
     names = {"flat", "sphere", "ak_flat", "ak_disk", "ak_disk_chain2"}
-    assert set(entry) == ({"pass_s", "scenario_gmean_ms", "attempted", "failed"}
-                          | {"scenario_ms." + n for n in names})
-    for key in ("pass_s", "scenario_gmean_ms"):
+    assert set(entry) == ({"pass_s", "scenario_gmean_ms", "scenario_max_ms", "attempted",
+                           "failed"} | {"scenario_ms." + n for n in names})
+    for key in ("pass_s", "scenario_gmean_ms", "scenario_max_ms"):
         s = entry[key]
         assert s["pairs"] == 2 and 0 <= s["pairs_lower"] <= 2
         for side in ("parent", "change"):
@@ -49,3 +49,15 @@ def test_the_paired_statistics():
     assert not ab.summary([10.0, 14.0], [11.0, 12.0])["beyond_parent_iqr"]
     # one pair: its values are the median and both quartiles
     assert ab.summary([2.0], [1.0])["parent"] == {"median": 2.0, "q1": 2.0, "q3": 2.0}
+    # a block's scenario_max_ms is its largest scenario mean, and its
+    # scenario_gmean_ms their geometric mean
+    blocks = [{"pass_s": [1.0, 3.0], "cmd_ms": {"a": [2.0, 4.0], "b": [9.0]}},
+              {"pass_s": [2.0], "cmd_ms": {"a": [8.0], "b": [2.0, 2.0]}}]
+    values = ab.block_values(blocks)
+    assert values["pass_s"] == [2.0, 2.0]
+    assert values["scenario_max_ms"] == [9.0, 8.0]
+    assert values["scenario_gmean_ms"] == pytest.approx([27.0 ** 0.5, 4.0])
+    assert values["scenario_ms.a"] == [3.0, 8.0]
+    # a scenario missing from a block leaves out both block-wide means
+    blocks[1]["cmd_ms"]["b"] = []
+    assert set(ab.block_values(blocks)) == {"pass_s", "scenario_ms.a"}

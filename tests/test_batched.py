@@ -212,8 +212,9 @@ def test_a_chain_check_folds_its_levels_in_order_into_one_fold():
                 raise JetDomainError("outside level 1")
             return pe.p[:, 0] ** 2 + k
         return residual
-    check = Check("levels", "three levels", 10.0, [(c, level(k)) for k, c in enumerate(charts)])
-    case = Case("levels", charts[-1], Field(lambda pt: np.eye(4)), [check])
+    check = Check("levels", "three levels", 10.0,
+                  tuple((c, level(k)) for k, c in enumerate(charts)))
+    case = Case("levels", charts[-1], Field(lambda pt: np.eye(4)), (check,))
     rec, = run_scenario_obj(scn, case=case)["checks"]
     assert rec["error"] == "level 1: JetDomainError at point %s: outside level 1" \
         % bad.round(8).tolist()

@@ -562,7 +562,7 @@ def test_curvature_singular_metric_names_the_point(monkeypatch, capsys):
     case = build_case(load_scenario("sphere"))
     degenerate = Field(lambda pt: np.zeros((2, 2)))
     monkeypatch.setattr(kahlerkit.cli, "build_case",
-                        lambda scn: Case(case.label, case.chart, degenerate, []))
+                        lambda scn: Case(case.label, case.chart, degenerate, ()))
     rc, _, err = run_cli(capsys, ["curvature", "sphere", "--point", "1.0,0.5"])
     assert rc == 1
     assert err.startswith("error: DegenerateMetricError at point [1.0, 0.5]: ")
@@ -850,12 +850,20 @@ def test_domain_error_ends_each_check_at_its_point(tmp_path, capsys):
 def test_bench_writes_the_medians_of_each_scenario(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(kahlerkit.cli, "bundled_names", lambda: ["flat", "sphere"])
-    monkeypatch.setattr(kahlerkit.cli, "BENCH_REPEAT", 1)
+    monkeypatch.setattr(kahlerkit.cli, "BENCH_REPEAT", 2)
+    # build_s times a build in each repeat, not a hit of the case memo
+    runs = []
+    for entry in BUILDERS:
+        monkeypatch.setattr(entry, "make", lambda params, make=entry.make, bid=entry.id:
+                            runs.append(bid) or make(params))
+    build_case(load_scenario("flat"))
+    runs.clear()
     rc, out, _ = run_cli(capsys, ["bench", "--label", "t"])
     assert rc == 0
+    assert runs == ["flat", "flat", "sphere", "sphere"]
     with open(tmp_path / "BENCH_t.json", encoding="utf-8") as fh:
         doc = json.load(fh)
-    assert doc["label"] == "t" and doc["repeat"] == 1
+    assert doc["label"] == "t" and doc["repeat"] == 2
     assert set(doc["scenarios"]) == {"flat", "sphere"}
     for name, row in doc["scenarios"].items():
         checks = [c.name for c in build_case(load_scenario(name)).checks]

@@ -10,6 +10,8 @@ import contextlib
 import io
 import json
 import math
+import sys
+import warnings
 
 import pytest
 
@@ -29,8 +31,20 @@ def _largest_disk_radius():
     return r
 
 
+def _least_profile_A(z_hi=1.8):
+    """The A of least magnitude with exp(z_hi/A) a normal float, as
+    CalabiProfile tests it at the top of the default z_range."""
+    A = z_hi / math.log(sys.float_info.min)
+    while not math.exp(z_hi / A) >= sys.float_info.min:
+        A = math.nextafter(A, -1.0)
+    while math.exp(z_hi / math.nextafter(A, 0.0)) >= sys.float_info.min:
+        A = math.nextafter(A, 0.0)
+    return A
+
+
 RADIUS = _largest_disk_radius()
 BELOW_ZERO = math.nextafter(0.0, -1.0)
+LEAST_A = _least_profile_A()
 
 # (builder, params at the bound, params just past it)
 BOUNDS = {
@@ -50,8 +64,11 @@ BOUNDS = {
                         {"z": "chain", "chain_m": 2, "chain_level": -1}),
     "chain_level high": ("ak_product", {"z": "chain", "chain_m": 2, "chain_level": 2},
                          {"z": "chain", "chain_m": 2, "chain_level": 3}),
-    "profile A at zero": ("calabi", {"A": BELOW_ZERO}, {"A": 0.0}),
-    "profile A at -inf": ("calabi", {"A": BELOW_ZERO}, {"A": -INF}),
+    "profile A at zero": ("calabi", {"A": LEAST_A}, {"A": 0.0}),
+    "profile A keeps r normal": ("calabi", {"A": LEAST_A}, {"A": math.nextafter(LEAST_A, 0.0)}),
+    "profile A underflows r": ("calabi", {"A": LEAST_A}, {"A": -0.001}),
+    "profile A overflows q": ("calabi", {"A": LEAST_A}, {"A": BELOW_ZERO}),
+    "profile A at -inf": ("calabi", {"A": LEAST_A}, {"A": -INF}),
     "z_range positive": ("calabi", {"z_range": [5e-324, 1.0]}, {"z_range": [0.0, 1.0]}),
     "z_range increasing": ("calabi", {"z_range": [1.0, math.nextafter(1.0, 2.0)]},
                            {"z_range": [1.0, 1.0]}),
@@ -79,3 +96,13 @@ def test_a_value_at_its_bound_runs_and_one_just_past_is_a_usage_error(bound, tmp
     rc, out, err = _verify(tmp_path / "past.json", builder, past)
     assert (rc, out) == (2, "")
     assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+
+
+def test_the_least_profile_A_runs_without_a_runtime_warning(tmp_path, unbuilt):
+    # at the bound every r = exp(z/A) of the chart is a normal float, so no
+    # step of the build or of a check overflows, underflows or makes a NaN
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, out, err = _verify(tmp_path / "at.json", "calabi", {"A": LEAST_A})
+    assert (rc, err) == (0, ""), out
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []

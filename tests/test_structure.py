@@ -32,9 +32,11 @@ import numpy as np
 import pytest
 
 from kahlerkit.jets import FirstOrderError, Jet2, jet_dcoord
+import kahlerkit.cli
 import kahlerkit.scenarios
 from kahlerkit.fields import Field, Fold, PointEval, excluded
-from kahlerkit.scenarios import build_case, load_scenario, run_scenario_obj
+from kahlerkit.scenarios import (BUILDER_MAP, ScenarioError, build_case,
+                                 load_scenario, make_case, parse_scenario, run_scenario_obj)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src", "kahlerkit")
@@ -442,7 +444,7 @@ def test_the_d_plus_frame_is_computed_once_per_point(name, monkeypatch):
 
 
 @pytest.mark.parametrize("name", BUNDLED)
-def test_builds_seed_first_order_points_only(name, monkeypatch):
+def test_builds_seed_first_order_points_only(name, unbuilt, monkeypatch):
     # every check a builder runs (the alpha guard, the Killing probe of the
     # twist) reads values and gradients only: each point seeded while the
     # case is built is a first-order PointEval, so no field computes a
@@ -471,7 +473,7 @@ def test_builds_seed_first_order_points_only(name, monkeypatch):
 @pytest.mark.parametrize("name, builds", [("calabi_chain_untwisted", 1),
                                           ("calabi_chain_twisted", 2),
                                           ("ak_disk_chain2", 1)])
-def test_a_chain_builds_only_the_levels_its_case_reads(name, builds, monkeypatch):
+def test_a_chain_builds_only_the_levels_its_case_reads(name, builds, unbuilt, monkeypatch):
     # ak_disk_chain2 reads level 1 of a chain of height 2: the chain stops
     # there, and the level above it is never built
     import kahlerkit.almost_kahler as ak
@@ -484,6 +486,93 @@ def test_a_chain_builds_only_the_levels_its_case_reads(name, builds, monkeypatch
     monkeypatch.setattr(ak, "build_calabi", counting)
     build_case(load_scenario(name))
     assert len(calls) == builds
+
+
+def _counting_builds(monkeypatch, builder):
+    """The list that gets one entry each time builder's make runs."""
+    entry, runs = BUILDER_MAP[builder], []
+    make = entry.make
+
+    def counting(params):
+        runs.append(params)
+        return make(params)
+    monkeypatch.setattr(entry, "make", counting)
+    return runs
+
+
+def _scenario(builder, params):
+    return parse_scenario({"name": "memo", "builder": builder, "params": params})
+
+
+def test_a_case_is_built_once_per_builder_and_params(unbuilt, monkeypatch):
+    # a case depends only on its builder and read params: a second query of
+    # the same scenario reads the first build, chart chain and all
+    runs = _counting_builds(monkeypatch, "calabi_chain")
+    scn = load_scenario("calabi_chain_twisted")
+    first, second = build_case(scn), build_case(scn)
+    assert len(runs) == 1
+    assert second.chart is first.chart and second.metric is first.metric
+    assert [ck.name for ck in second.checks] == [ck.name for ck in first.checks]
+
+
+def test_params_that_read_alike_share_one_build(unbuilt, monkeypatch):
+    # the memo is keyed on the values the readers return: "k": 1 and 1.0,
+    # and a default and the same value written out, are one build
+    runs = _counting_builds(monkeypatch, "ak_product")
+    cases = [build_case(_scenario("ak_product", params))
+             for params in ({"z": "disk", "k": 1}, {"z": "disk", "k": 1.0}, {"z": "disk"})]
+    assert len(runs) == 1
+    assert all(case.chart is cases[0].chart for case in cases)
+    # 0.0 and -0.0 compare equal, but a const twist prints them apart
+    zero, minus_zero = (build_case(_scenario("ak_product", {"twist": {"id": "const",
+                                                                      "c": [c, 0.0]}}))
+                        for c in (0.0, -0.0))
+    assert len(runs) == 3
+    assert "const(0,0)" in zero.label and "const(-0,0)" in minus_zero.label
+
+
+def test_a_build_that_raises_is_not_kept(unbuilt, monkeypatch):
+    # a rejected build raises each time it is asked for, running its builder
+    # again; a build that succeeds is kept
+    runs = _counting_builds(monkeypatch, "flat")
+    for _ in range(2):
+        with pytest.raises(ScenarioError, match="flat builder needs dim in 2..12"):
+            build_case(_scenario("flat", {"dim": 13}))
+    assert len(runs) == 2
+    for _ in range(2):
+        build_case(_scenario("flat", {"dim": 12}))
+    assert len(runs) == 3
+
+
+def test_a_filtered_case_is_a_copy_of_the_kept_one(unbuilt):
+    # ak_flat reads the ak_product defaults that list-builders builds, so the
+    # two share one kept case; build_case drops the checks its params do not
+    # run from a copy, and list-builders still prints every declared check
+    cases = {name: build_case(load_scenario(name))
+             for name in ("ak_disk", "ak_flat", "calabi_chain_untwisted")}
+    kept = make_case(BUILDER_MAP["ak_product"], {})
+    assert kept.chart is cases["ak_flat"].chart
+    assert "ricci_form_fiber_log" not in [ck.name for ck in cases["ak_flat"].checks]
+    assert "ricci_form_fiber_log" in [ck.name for ck in kept.checks]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert kahlerkit.cli.main(["list-builders"]) == 0
+    listed = dict(re.findall(r"^(\w+)\n  summary:.*\n  params:.*\n  checks:  (.*)$",
+                             out.getvalue(), re.M))
+    assert "ricci_form_fiber_log" in listed["ak_product"].split(", ")
+    assert "ker_dw_geodesic" in listed["calabi_chain"].split(", ")
+
+
+def test_a_built_case_cannot_change():
+    # one case is shared by every build of its params, so neither it nor
+    # its checks take an assignment
+    case = build_case(load_scenario("flat"))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        case.checks = ()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        case.checks[0].parts = ()
+    assert isinstance(case.checks, tuple)
+    assert all(isinstance(ck.parts, tuple) for ck in case.checks)
 
 
 READERS = {"number", "integer", "pair", "tolerance", "twist_spec"}

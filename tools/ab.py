@@ -15,14 +15,15 @@ same drift of the host's speed, and the two blocks of a pair run seconds
 apart.
 
 The JSON written to --out (and printed) holds, per workload, for pass_s
-(the mean unit of a block, in seconds), scenario_gmean_ms (the geometric
-mean of the scenarios' mean command times of a block) and each scenario's
-mean command time: each side's median and quartiles over the pairs, the
-change of the medians in percent, the pairs in which the change read lower,
-whether the medians differ by more than the parent's interquartile range,
-and the median and quartiles of the change within each pair, in percent
-(drift of the host's speed widens each side's quartiles, but moves both
-blocks of a pair alike).  It also counts the operations attempted and failed on each side.
+(the mean unit of a block, in seconds), scenario_gmean_ms and
+scenario_max_ms (the geometric mean and the largest of the scenarios' mean
+command times of a block) and each scenario's mean command time: each
+side's median and quartiles over the pairs, the change of the medians in
+percent, the pairs in which the change read lower, whether the medians
+differ by more than the parent's interquartile range, and the median and
+quartiles of the change within each pair, in percent (drift of the host's
+speed widens each side's quartiles, but moves both blocks of a pair
+alike).  It also counts the operations attempted and failed on each side.
 Exit status: 0, or 1 when an operation failed on either side.
 """
 
@@ -64,13 +65,15 @@ def summary(parent, change):
 
 
 def block_values(blocks):
-    """pass_s, scenario_gmean_ms and each scenario's mean command time of
-    every block, by name: a name is left out unless every block has it."""
+    """pass_s, scenario_gmean_ms, scenario_max_ms and each scenario's mean
+    command time of every block, by name: a name is left out unless every
+    block has it."""
     out = {"pass_s": [statistics.fmean(b["pass_s"]) for b in blocks]}
     names = [n for n in blocks[0]["cmd_ms"] if all(b["cmd_ms"][n] for b in blocks)]
     means = {n: [statistics.fmean(b["cmd_ms"][n]) for b in blocks] for n in names}
     if len(names) == len(blocks[0]["cmd_ms"]):
         out["scenario_gmean_ms"] = [statistics.geometric_mean(ms) for ms in zip(*means.values())]
+        out["scenario_max_ms"] = [max(ms) for ms in zip(*means.values())]
     out.update(("scenario_ms." + n, v) for n, v in means.items())
     return out
 
