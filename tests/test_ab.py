@@ -1,12 +1,16 @@
 """The paired A/B tool: a tree timed against itself in two warm workers
-reports every workload's blocks, pairs and operation counts, and the paired
+reports every workload's blocks, pairs and operation counts, the paired
 statistics count the pairs won and compare the medians with the parent's
-interquartile range."""
+interquartile range, and the field clock charges a field run once."""
 
 import importlib.util
 import os
+import time
 
 import pytest
+
+from kahlerkit.fields import PointEval
+from kahlerkit.scenarios import build_case, load_scenario, run_scenario_obj
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 _spec = importlib.util.spec_from_file_location("ab", os.path.join(ROOT, "tools", "ab.py"))
@@ -26,8 +30,13 @@ def test_a_tree_timed_against_itself_in_lockstep():
     assert entry["failed"] == {"parent": 0, "change": 0}
     assert entry["attempted"]["parent"] == entry["attempted"]["change"] > 0
     names = {"flat", "sphere", "ak_flat", "ak_disk", "ak_disk_chain2"}
-    assert set(entry) == ({"pass_s", "scenario_gmean_ms", "scenario_max_ms", "attempted",
-                           "failed"} | {"scenario_ms." + n for n in names})
+    assert set(entry) == ({"pass_s", "fields_s", "scenario_gmean_ms", "scenario_max_ms",
+                           "attempted", "failed"} | {"scenario_ms." + n for n in names})
+    # a unit's field evaluation runs inside its commands
+    for side in (parent, change):
+        for b in side:
+            assert len(b["fields_s"]) == len(b["pass_s"]) == 1
+            assert all(0.0 < f <= p for f, p in zip(b["fields_s"], b["pass_s"]))
     for key in ("pass_s", "scenario_gmean_ms", "scenario_max_ms"):
         s = entry[key]
         assert s["pairs"] == 2 and 0 <= s["pairs_lower"] <= 2
@@ -51,13 +60,42 @@ def test_the_paired_statistics():
     assert ab.summary([2.0], [1.0])["parent"] == {"median": 2.0, "q1": 2.0, "q3": 2.0}
     # a block's scenario_max_ms is its largest scenario mean, and its
     # scenario_gmean_ms their geometric mean
-    blocks = [{"pass_s": [1.0, 3.0], "cmd_ms": {"a": [2.0, 4.0], "b": [9.0]}},
-              {"pass_s": [2.0], "cmd_ms": {"a": [8.0], "b": [2.0, 2.0]}}]
+    blocks = [{"pass_s": [1.0, 3.0], "fields_s": [0.5, 1.5],
+               "cmd_ms": {"a": [2.0, 4.0], "b": [9.0]}},
+              {"pass_s": [2.0], "fields_s": [0.25], "cmd_ms": {"a": [8.0], "b": [2.0, 2.0]}}]
     values = ab.block_values(blocks)
     assert values["pass_s"] == [2.0, 2.0]
+    assert values["fields_s"] == [1.0, 0.25]
     assert values["scenario_max_ms"] == [9.0, 8.0]
     assert values["scenario_gmean_ms"] == pytest.approx([27.0 ** 0.5, 4.0])
     assert values["scenario_ms.a"] == [3.0, 8.0]
     # a scenario missing from a block leaves out both block-wide means
     blocks[1]["cmd_ms"]["b"] = []
-    assert set(ab.block_values(blocks)) == {"pass_s", "scenario_ms.a"}
+    assert set(ab.block_values(blocks)) == {"pass_s", "fields_s", "scenario_ms.a"}
+
+
+def test_field_clock_charges_a_batch_field_run_to_fields():
+    # a batched case runs each field once for the whole plan; the clock must
+    # charge that run to fields_s, inside the check time that read it
+    scn = load_scenario("flat")
+    case = build_case(scn)
+    fn, runs = case.metric.fn, []
+
+    def slow_metric(pt):
+        runs.append(pt.value.shape)
+        time.sleep(0.05)
+        return fn(pt)
+    # the metric Field is the memoised case's own: put its callable back
+    case.metric.fn = slow_metric
+    raw = PointEval.raw
+    try:
+        with ab.FieldClock() as clock:
+            report = run_scenario_obj(scn, case=case)
+    finally:
+        case.metric.fn = fn
+    assert PointEval.raw is raw
+    assert runs == [(scn.count, 3)]
+    checks = report["timings_seconds"]
+    assert 0.05 <= clock.seconds <= sum(checks.values())
+    # the first check to read the metric runs it; the second reads the memo
+    assert checks["curvature_zero"] >= 0.05 > checks["ricci_zero"]

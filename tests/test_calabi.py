@@ -1,8 +1,10 @@
 """Fibered charts over disk bases: profile formulas, moment map, volume
-identities, Lee forms of both complex structures, and biaxial rescaling."""
+identities, Lee forms of both complex structures, biaxial rescaling, and the
+curvature of the ansatz against a sympy restatement of it."""
 
 import numpy as np
 import pytest
+import sympy as sp
 
 from kahlerkit.jets import Jet2, SamplePlan, jexp
 from kahlerkit.fields import NotClosedError, PointEval, metric_jets, worst
@@ -203,3 +205,53 @@ def test_rescale_rejects_nonpositive_profile():
     with pytest.raises(ValueError):
         rescale_biaxial(cal.triple(), cal.proj_plus, ident, ident,
                         profile=cal.profile)
+
+
+def _ansatz_curvature(points):
+    """(Riemann lowered, Ricci) of g = q dz^2 + q^-1 Theta^2 + z g_N over the
+    k = 1 disk base, in chart coordinates (s, z, x, y), written from the
+    formula: Theta = ds + alpha, alpha = ((2 - rho^2)/4)(x dy - y dx), g_N =
+    (1 - rho^2) delta, A = -1.  sympy differentiates the metric twice; the
+    curvature is formed here with plain einsums, in the library's index
+    order R[i,j,k,l] = g_lm R^m_ijk, Ric[j,k] = g^il R[i,j,k,l]."""
+    X = s, z, x, y = sp.symbols("s z x y")
+    A = sp.Integer(-1)
+    q = -1 / A
+    rho2 = x ** 2 + y ** 2
+    u = (2 - rho2) / 4
+    Theta = sp.Matrix([1, 0, -u * y, u * x])
+    dz = sp.Matrix([0, 1, 0, 0])
+    gN = sp.diag(0, 0, 1 - rho2, 1 - rho2)
+    g = q * dz * dz.T + Theta * Theta.T / q + z * gN
+    dg = sp.derive_by_array(g, X)          # dg[c, a, b] = d_c g_ab
+    d2g = sp.derive_by_array(dg, X)        # d2g[d, c, a, b] = d_d d_c g_ab
+    jets = sp.lambdify(X, [g, dg, d2g], "numpy")
+    out = []
+    for p in points:
+        G, dG, d2G = (np.array(a, float) for a in jets(*p))
+        gi = np.linalg.inv(G)
+        # Gamma^k_ij and its derivative d_m Gamma^k_ij
+        low = dG.transpose(1, 0, 2) + dG.transpose(1, 2, 0) - dG
+        Gam = 0.5 * np.einsum("kl,lij->kij", gi, low)
+        dlow = d2G.transpose(0, 2, 1, 3) + d2G.transpose(0, 2, 3, 1) - d2G
+        dgi = -np.einsum("ka,mab,bl->mkl", gi, dG, gi)
+        dGam = 0.5 * (np.einsum("mkl,lij->mkij", dgi, low)
+                      + np.einsum("kl,mlij->mkij", gi, dlow))
+        # R^l_ijk = d_i Gamma^l_jk - d_j Gamma^l_ik + Gamma^l_im Gamma^m_jk
+        #           - Gamma^l_jm Gamma^m_ik
+        T = np.einsum("iljk->lijk", dGam) + np.einsum("lim,mjk->lijk", Gam, Gam)
+        R = T - T.transpose(0, 2, 1, 3)
+        Rlow = np.einsum("lm,mijk->ijkl", G, R)
+        out.append((Rlow, np.einsum("il,ijkl->jk", gi, Rlow)))
+    return out
+
+
+def test_curvature_matches_a_sympy_restatement_of_the_ansatz():
+    # the builder's closures on jets and the curvature stack, together,
+    # against the metric written from its formula and differentiated by sympy
+    cal = make_cal(k=1)
+    p = cal.chart.samples(SamplePlan(0, 3))
+    Rlow, Ric = PointEval(p).curvature(cal.g)[:2]
+    for k, (want_R, want_Ric) in enumerate(_ansatz_curvature(p)):
+        assert np.abs(Rlow[k] - want_R).max() <= 1e-10 * np.abs(want_R).max()
+        assert np.abs(Ric[k] - want_Ric).max() <= 1e-10 * np.abs(want_Ric).max()

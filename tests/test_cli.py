@@ -10,7 +10,6 @@ import io
 import json
 import os
 import sys
-import time
 
 import numpy as np
 import pytest
@@ -615,6 +614,10 @@ def test_one_parser_serves_every_call_in_a_process(tmp_path, capsys):
     with pytest.raises(SystemExit):
         main(["verify"])
     assert "required: scenario" in capsys.readouterr().err
+    # the timing harness lives in tools/ab.py: bench is no subcommand
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--label", "x"])
+    assert exc.value.code == 2 and "invalid choice" in capsys.readouterr().err
     assert run(calls[1]) == fresh[1]
 
 
@@ -847,69 +850,17 @@ def test_domain_error_ends_each_check_at_its_point(tmp_path, capsys):
         assert "twist leaves the disc" in rec["error"]
 
 
-def test_bench_writes_the_medians_of_each_scenario(tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(kahlerkit.cli, "bundled_names", lambda: ["flat", "sphere"])
-    monkeypatch.setattr(kahlerkit.cli, "BENCH_REPEAT", 2)
-    # build_s times a build in each repeat, not a hit of the case memo
-    runs = []
-    for entry in BUILDERS:
-        monkeypatch.setattr(entry, "make", lambda params, make=entry.make, bid=entry.id:
-                            runs.append(bid) or make(params))
-    build_case(load_scenario("flat"))
-    runs.clear()
-    rc, out, _ = run_cli(capsys, ["bench", "--label", "t"])
-    assert rc == 0
-    assert runs == ["flat", "flat", "sphere", "sphere"]
-    with open(tmp_path / "BENCH_t.json", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    assert doc["label"] == "t" and doc["repeat"] == 2
-    assert set(doc["scenarios"]) == {"flat", "sphere"}
-    for name, row in doc["scenarios"].items():
-        checks = [c.name for c in build_case(load_scenario(name)).checks]
-        assert list(row["checks_s"]) == checks
-        assert row["run_s"] > 0 and row["build_s"] >= 0
-        assert row["fields_s"] >= 0 and row["aggregate_s"] >= 0
-        assert sum(row["checks_s"].values()) <= row["run_s"] + 1e-5
-
-
 @pytest.mark.parametrize("argv, path", [
     (["verify", "flat", "--samples", "2", "--out", "missing/report.json"], "missing/report.json"),
-    (["verify", "flat", "--samples", "2", "--out", "."], "."),
-    (["bench", "--label", "a/b"], "BENCH_a/b.json")])
+    (["verify", "flat", "--samples", "2", "--out", "."], ".")])
 def test_an_output_path_that_cannot_be_written_is_a_usage_error(argv, path, tmp_path,
                                                                  monkeypatch, capsys):
     # a missing directory or a directory: exit 2 with one error line naming
     # the path, no traceback
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(kahlerkit.cli, "bundled_names", lambda: ["flat"])
-    monkeypatch.setattr(kahlerkit.cli, "BENCH_REPEAT", 1)
     rc, out, err = run_cli(capsys, argv)
     assert rc == 2 and "written" not in out and os.listdir(tmp_path) == []
     assert err.startswith("error: cannot write %s: " % path) and len(err.splitlines()) == 1
-
-
-def test_field_clock_charges_a_batch_field_run_to_fields():
-    # a batched case runs each field once for the whole plan; the clock must
-    # charge that run to fields_s, inside the check time that read it
-    scn = load_scenario("flat")
-    case = build_case(scn)
-    fn, runs = case.metric.fn, []
-
-    def slow_metric(pt):
-        runs.append(pt.value.shape)
-        time.sleep(0.05)
-        return fn(pt)
-    case.metric.fn = slow_metric
-    raw = kahlerkit.cli.PointEval.raw
-    with kahlerkit.cli._FieldClock() as clock:
-        report = run_scenario_obj(scn, case=case)
-    assert kahlerkit.cli.PointEval.raw is raw
-    assert runs == [(scn.count, 3)]
-    checks = report["timings_seconds"]
-    assert 0.05 <= clock.seconds <= sum(checks.values())
-    # the first check to read the metric runs it; the second reads the memo
-    assert checks["curvature_zero"] >= 0.05 > checks["ricci_zero"]
 
 
 @pytest.mark.parametrize("label", ["pr4", "pr5", "pr7", "pr8", "pr9", "pr10"])

@@ -1,4 +1,5 @@
-"""Paired A/B timing of two kahlerkit source trees, in warm workers.
+"""Paired A/B timing of two kahlerkit source trees, in warm workers: the
+one timing tool of the repo.
 
     python tools/ab.py PARENT_TREE CHANGE_TREE [--pairs N]
                        [--workloads NAME ...] [--out FILE]
@@ -15,16 +16,18 @@ same drift of the host's speed, and the two blocks of a pair run seconds
 apart.
 
 The JSON written to --out (and printed) holds, per workload, for pass_s
-(the mean unit of a block, in seconds), scenario_gmean_ms and
-scenario_max_ms (the geometric mean and the largest of the scenarios' mean
-command times of a block) and each scenario's mean command time: each
-side's median and quartiles over the pairs, the change of the medians in
-percent, the pairs in which the change read lower, whether the medians
-differ by more than the parent's interquartile range, and the median and
-quartiles of the change within each pair, in percent (drift of the host's
-speed widens each side's quartiles, but moves both blocks of a pair
-alike).  It also counts the operations attempted and failed on each side.
-Exit status: 0, or 1 when an operation failed on either side.
+(the mean unit of a block, in seconds), fields_s (the part of it spent
+evaluating fields: the builder closures on jets, timed by FieldClock),
+scenario_gmean_ms and scenario_max_ms (the geometric mean and the largest
+of the scenarios' mean command times of a block) and each scenario's mean
+command time: each side's median and quartiles over the pairs, the change
+of the medians in percent, the pairs in which the change read lower,
+whether the medians differ by more than the parent's interquartile range,
+and the median and quartiles of the change within each pair, in percent
+(drift of the host's speed widens each side's quartiles, but moves both
+blocks of a pair alike).  It also counts the operations attempted and
+failed on each side.  Exit status: 0, or 1 when an operation failed on
+either side.
 """
 
 import argparse
@@ -37,6 +40,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 
 WORKLOADS = ("calabi_verify", "ak_verify", "point_query")
 SIDES = ("parent", "change")
@@ -65,10 +69,10 @@ def summary(parent, change):
 
 
 def block_values(blocks):
-    """pass_s, scenario_gmean_ms, scenario_max_ms and each scenario's mean
-    command time of every block, by name: a name is left out unless every
-    block has it."""
-    out = {"pass_s": [statistics.fmean(b["pass_s"]) for b in blocks]}
+    """pass_s, fields_s, scenario_gmean_ms, scenario_max_ms and each
+    scenario's mean command time of every block, by name: a scenario is left
+    out unless every block has it."""
+    out = {key: [statistics.fmean(b[key]) for b in blocks] for key in ("pass_s", "fields_s")}
     names = [n for n in blocks[0]["cmd_ms"] if all(b["cmd_ms"][n] for b in blocks)]
     means = {n: [statistics.fmean(b["cmd_ms"][n]) for b in blocks] for n in names}
     if len(names) == len(blocks[0]["cmd_ms"]):
@@ -95,10 +99,44 @@ def report(blocks, block, host):
 # the two workers
 # ---------------------------------------------------------------------------
 
+class FieldClock:
+    """Seconds spent evaluating fields (the builder closures on jets): the
+    outermost PointEval.raw calls of the kahlerkit on the path, nested reads
+    included in them.  PointEval.raw is timed while the clock is entered,
+    and restored on exit."""
+
+    def __init__(self):
+        from kahlerkit.fields import PointEval
+        self.point_eval = PointEval
+        self.raw = PointEval.raw
+        self.seconds = 0.0
+        self.depth = 0
+
+    def __enter__(self):
+        raw = self.raw
+
+        def timed(point, f):
+            if self.depth:
+                return raw(point, f)
+            self.depth = 1
+            t0 = time.perf_counter()
+            try:
+                return raw(point, f)
+            finally:
+                self.seconds += time.perf_counter() - t0
+                self.depth = 0
+        self.point_eval.raw = timed
+        return self
+
+    def __exit__(self, *exc):
+        self.point_eval.raw = self.raw
+
+
 def serve(tree, workloads):
     """The worker: one runner per workload from the tree's own
     perfbench/worker.py, then one JSON line on stdout for each request
-    ["workload", units] read from stdin."""
+    ["workload", units] read from stdin, with each unit's pass_s and
+    fields_s."""
     proto, sys.stdout = sys.stdout, sys.stderr
     sys.path.insert(0, os.path.join(tree, "perfbench"))
     import numpy as np
@@ -116,10 +154,15 @@ def serve(tree, workloads):
         for line in sys.stdin:
             workload, units = json.loads(line)
             runner, tally = runners[workload], worker.Tally(runners[workload].names)
-            for _ in range(units):
-                runner.step(tally, done[workload])
-                done[workload] += 1
-            print(json.dumps({"pass_s": tally.pass_s, "cmd_ms": tally.cmd_ms,
+            fields_s = []
+            with FieldClock() as clock:
+                for _ in range(units):
+                    before = clock.seconds
+                    runner.step(tally, done[workload])
+                    fields_s.append(clock.seconds - before)
+                    done[workload] += 1
+            print(json.dumps({"pass_s": tally.pass_s, "fields_s": fields_s,
+                              "cmd_ms": tally.cmd_ms,
                               "attempted": tally.attempted, "failed": tally.failed}),
                   file=proto, flush=True)
     finally:
