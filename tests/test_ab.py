@@ -1,7 +1,8 @@
 """The paired A/B tool: a tree timed against itself in two warm workers
 reports every workload's blocks, pairs and operation counts, the paired
 statistics count the pairs won and compare the medians with the parent's
-interquartile range, and the field clock charges a field run once."""
+interquartile range, an unwritable output stops it before any timing, and
+the field clock charges a field run once."""
 
 import importlib.util
 import os
@@ -72,6 +73,19 @@ def test_the_paired_statistics():
     # a scenario missing from a block leaves out both block-wide means
     blocks[1]["cmd_ms"]["b"] = []
     assert set(ab.block_values(blocks)) == {"pass_s", "fields_s", "scenario_ms.a"}
+
+
+@pytest.mark.parametrize("out", ["missing/ab.json", "."])
+def test_an_output_that_cannot_be_written_is_a_usage_error(out, tmp_path, monkeypatch, capsys):
+    # a missing directory or a directory: exit 2 naming the path, before any
+    # worker starts and with nothing written
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(ab, "run", lambda *a: pytest.fail("timed an unwritable run"))
+    with pytest.raises(SystemExit) as exc:
+        ab.main([ROOT, ROOT, "--pairs", "1", "--out", out])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2 and "cannot write %s: " % out in err
+    assert os.listdir(tmp_path) == []
 
 
 def test_field_clock_charges_a_batch_field_run_to_fields():

@@ -614,11 +614,17 @@ def test_one_parser_serves_every_call_in_a_process(tmp_path, capsys):
     with pytest.raises(SystemExit):
         main(["verify"])
     assert "required: scenario" in capsys.readouterr().err
-    # the timing harness lives in tools/ab.py: bench is no subcommand
+    assert run(calls[1]) == fresh[1]
+
+
+def test_bench_is_no_subcommand(tmp_path, monkeypatch, capsys):
+    # the timing harness lives in tools/ab.py: bench is a usage error and
+    # writes nothing
+    monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as exc:
         main(["bench", "--label", "x"])
     assert exc.value.code == 2 and "invalid choice" in capsys.readouterr().err
-    assert run(calls[1]) == fresh[1]
+    assert os.listdir(tmp_path) == []
 
 
 def test_list_builders_output(capsys):

@@ -240,13 +240,20 @@ def main(argv=None):
     if len(args.trees) != 2 or args.pairs < 1:
         ap.error("give two trees and a positive --pairs")
     trees = [os.path.abspath(t) for t in args.trees]
-    blocks, ready = run(trees, args.workloads, args.pairs)
-    host = {"machine": platform.machine(), "cpus": os.cpu_count(),
-            "python": platform.python_version(), "numpy": ready["numpy"]}
-    out = report(blocks, BLOCK, host)
-    text = json.dumps(out, indent=1, sort_keys=True)
+    # an output that cannot be written ends the call before any worker starts
+    fh = None
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        try:
+            fh = open(args.out, "w", encoding="utf-8")
+        except OSError as exc:
+            ap.error("cannot write %s: %s" % (args.out, exc.strerror))
+    with fh or contextlib.nullcontext():
+        blocks, ready = run(trees, args.workloads, args.pairs)
+        host = {"machine": platform.machine(), "cpus": os.cpu_count(),
+                "python": platform.python_version(), "numpy": ready["numpy"]}
+        out = report(blocks, BLOCK, host)
+        text = json.dumps(out, indent=1, sort_keys=True)
+        if fh:
             fh.write(text + "\n")
     print(text)
     return 1 if any(e["failed"][s] for e in out["workloads"].values() for s in SIDES) else 0
