@@ -86,11 +86,21 @@ class Field:
     components (a jet, an array, a number, or a list or nested list of them,
     constants written as plain numbers and arrays).  Called on a point it
     returns them packed into one Jet2 there, from the memo when the point is
-    a PointEval.  label names a field in reports."""
+    a PointEval.  label names a field in reports.  A built field is
+    immutable, as the memoised cases that hold it are shared, and two fields
+    are equal only when they are the same object."""
+
+    __slots__ = ("fn", "label")
 
     def __init__(self, fn, *, label=""):
-        self.fn = fn
-        self.label = label
+        object.__setattr__(self, "fn", fn)
+        object.__setattr__(self, "label", label)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("a Field is immutable: cannot set %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("a Field is immutable: cannot delete %r" % name)
 
     def __call__(self, pt):
         if isinstance(pt, PointEval):

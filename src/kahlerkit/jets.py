@@ -45,6 +45,12 @@ A constant is a plain number or array wherever it appears; pack lifts one
 that a field returns to a jet (batch axis 1, zero derivatives) in the
 coordinates and derivative order of the jets beside it or of the point it
 is read at, so a constant read on a first-order point has no Hessian.
+
+Sample points come from numpy's own algorithm, written here: SeedSequence
+turns the seed into a Philox4x64-10 key, and the counter-based stream is
+computed for all its blocks at once on uint64 arrays, so the draws are
+bit-identical to numpy's Generator(Philox(seed)) and no module imports
+numpy's random module.  Each (seed, count, dim) draw is memoised.
 """
 
 import enum
@@ -641,9 +647,121 @@ def gauss_integrate(f, order=32):
 # deterministic sampling
 # ---------------------------------------------------------------------------
 
+# The draws are those of numpy's Generator(Philox(seed)).random, bit for
+# bit, computed here on plain uint64 arrays so that sampling never imports
+# numpy's random module: numpy's SeedSequence hashes the seed into a 128-bit
+# key, Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as
+# 1, 2, 3", SC'11) maps the counters 1, 2, ... under that key to four 64-bit
+# words each, and the words, read in order, give one double each from their
+# top 53 bits.
+_MASK32 = 0xFFFFFFFF
+# SeedSequence: its pool of 4 32-bit words, the hash constants of the pool
+# (A) and of the state drawn from it (B), and the pool's mix multipliers
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+# Philox4x64-10: the round multipliers, the Weyl increments of the key
+# between rounds, and the rounds
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_ROUNDS = 10
+
+# Uniform draws kept per process, one per (seed, shape), more than the
+# bundled scenarios use; the bound keeps generated plans from growing the
+# memo without limit.
+SAMPLE_MEMO = 32
+
+
+def _hashmix(const, mult):
+    """SeedSequence's hash of 32-bit words, one word per call, its constant
+    starting at const and multiplied by mult at each word; the arithmetic is
+    on Python ints reduced mod 2**32."""
+    def hashmix(value):
+        nonlocal const
+        value ^= const
+        const = const * mult & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> 16
+    return hashmix
+
+
+def _seed_key(seed):
+    """numpy's SeedSequence(seed).generate_state(2, uint64) for an int seed
+    >= 0: the Philox key, as two ints.  The seed enters as its 32-bit words,
+    least significant first (one word for 0)."""
+    words = [seed & _MASK32]
+    while seed > _MASK32:
+        seed >>= 32
+        words.append(seed & _MASK32)
+
+    def mix(x, y):
+        r = (_MIX_L * x - _MIX_R * y) & _MASK32
+        return r ^ r >> 16
+
+    hashmix = _hashmix(_INIT_A, _MULT_A)
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(_POOL)]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    draw = _hashmix(_INIT_B, _MULT_B)
+    state = [draw(pool[i % _POOL]) for i in range(4)]
+    return state[0] | state[1] << 32, state[2] | state[3] << 32
+
+
+def _mulhilo(a, m):
+    """The high and low 64-bit words of the 128-bit products a * m of uint64
+    arrays, from 32-bit halves: no product exceeds 64 bits, and the array
+    arithmetic wraps where it shifts."""
+    a_lo, a_hi = a & _MASK32, a >> 32
+    m_lo, m_hi = m & _MASK32, m >> 32
+    ll, lh, hl = a_lo * m_lo, a_lo * m_hi, a_hi * m_lo
+    mid = (ll >> 32) + (lh & _MASK32) + (hl & _MASK32)
+    return a_hi * m_hi + (lh >> 32) + (hl >> 32) + (mid >> 32), (ll & _MASK32) | (mid << 32)
+
+
+def _philox(key, blocks):
+    """Philox4x64-10 of the counters (1, 0, 0, 0) ... (blocks, 0, 0, 0) under
+    key, all blocks at once: a (blocks, 4) uint64 array.  A block's words
+    (c0, c1, c2, c3) are held as even = (c0, c2) and odd = (c1, c3), so each
+    round is one product of even with the two multipliers:
+    (c0, c1, c2, c3) <- (hi(M1 c2) ^ c1 ^ k0, lo(M1 c2), hi(M0 c0) ^ c3 ^ k1, lo(M0 c0))."""
+    even = np.zeros((2, blocks), np.uint64)
+    even[0] = np.arange(1, blocks + 1, dtype=np.uint64)
+    odd = np.zeros((2, blocks), np.uint64)
+    mult = np.array(_PHILOX_M, np.uint64)[:, None]
+    weyl = np.array(_PHILOX_W, np.uint64)[:, None]
+    key = np.array(key, np.uint64)[:, None]
+    for _ in range(_ROUNDS):
+        hi, lo = _mulhilo(even, mult)
+        even, odd = hi[::-1] ^ odd ^ key, lo[::-1]
+        key = key + weyl
+    return np.stack((even, odd), axis=2).transpose(1, 0, 2).reshape(blocks, 4)
+
+
+@functools.lru_cache(maxsize=SAMPLE_MEMO)
+def uniform_draw(seed, shape):
+    """The doubles in [0, 1) that numpy's Generator(Philox(seed)).random(shape)
+    draws, bit for bit, as a read-only array: word i of the Philox4x64-10
+    stream gives (word >> 11) * 2**-53.  Memoised per (seed, shape), at most
+    SAMPLE_MEMO of them."""
+    n = math.prod(shape)
+    words = _philox(_seed_key(seed), -(-n // 4)).reshape(-1)[:n]
+    u = ((words >> 11) * 2.0 ** -53).reshape(shape)
+    u.flags.writeable = False
+    return u
+
+
 class SamplePlan:
-    """Reproducible point sampling: counter-based generator keyed by seed,
-    mapped affinely into the margin-shrunk chart box."""
+    """Reproducible point sampling: numpy's SeedSequence of seed keys a
+    Philox4x64-10 stream, bit-identical to numpy's Generator(Philox(seed))
+    but computed without importing numpy's random module and memoised per
+    (seed, count, dim) (uniform_draw); its doubles map affinely into the
+    margin-shrunk chart box."""
 
     def __init__(self, seed=0, count=30, margin=0.15):
         if not (0.0 < margin < 0.5):
@@ -661,10 +779,15 @@ class SamplePlan:
 
 
 def sample_points(domain, plan):
-    """Sample plan.count points strictly inside the margin-shrunk box.
+    """Sample plan.count points strictly inside the margin-shrunk box, as a
+    fresh (count, dim) array.
 
     domain is a sequence of (lo, hi) pairs with positive volume. Identical
-    (seed, count, margin, domain) always yields the identical sequence.
+    (seed, count, margin, domain) always yields the identical sequence: the
+    uniform doubles of numpy's Generator(Philox(seed)), computed by
+    uniform_draw (numpy's SeedSequence and Philox4x64-10, bit for bit,
+    without importing numpy's random module) and memoised per plan; the
+    memo's read-only draw is never handed out.
     """
     lo = np.array([a for a, _ in domain], float)
     hi = np.array([b for _, b in domain], float)
@@ -673,6 +796,5 @@ def sample_points(domain, plan):
     span = hi - lo
     lo_m = lo + plan.margin * span
     hi_m = hi - plan.margin * span
-    gen = np.random.Generator(np.random.Philox(plan.seed))
-    u = gen.random((plan.count, lo.size))
+    u = uniform_draw(plan.seed, (plan.count, lo.size))
     return lo_m + u * (hi_m - lo_m)

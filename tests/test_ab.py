@@ -8,10 +8,11 @@ import importlib.util
 import os
 import time
 
+import numpy as np
 import pytest
 
-from kahlerkit.fields import PointEval
-from kahlerkit.scenarios import build_case, load_scenario, run_scenario_obj
+from kahlerkit.fields import ChartManifold, Field, PointEval
+from kahlerkit.scenarios import Case, Check, load_scenario, run_scenario_obj
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 _spec = importlib.util.spec_from_file_location("ab", os.path.join(ROOT, "tools", "ab.py"))
@@ -31,14 +32,18 @@ def test_a_tree_timed_against_itself_in_lockstep():
     assert entry["failed"] == {"parent": 0, "change": 0}
     assert entry["attempted"]["parent"] == entry["attempted"]["change"] > 0
     names = {"flat", "sphere", "ak_flat", "ak_disk", "ak_disk_chain2"}
-    assert set(entry) == ({"pass_s", "fields_s", "scenario_gmean_ms", "scenario_max_ms",
-                           "attempted", "failed"} | {"scenario_ms." + n for n in names})
+    assert set(entry) == ({"pass_s", "fields_s", "peak_rss_mb", "scenario_gmean_ms",
+                           "scenario_max_ms", "attempted", "failed"}
+                          | {"scenario_ms." + n for n in names})
     # a unit's field evaluation runs inside its commands
     for side in (parent, change):
         for b in side:
             assert len(b["fields_s"]) == len(b["pass_s"]) == 1
             assert all(0.0 < f <= p for f, p in zip(b["fields_s"], b["pass_s"]))
-    for key in ("pass_s", "scenario_gmean_ms", "scenario_max_ms"):
+        # a worker's peak resident set, read after each block, never falls
+        rss = [b["peak_rss_mb"] for b in side]
+        assert 0.0 < rss[0] and rss == sorted(rss)
+    for key in ("pass_s", "peak_rss_mb", "scenario_gmean_ms", "scenario_max_ms"):
         s = entry[key]
         assert s["pairs"] == 2 and 0 <= s["pairs_lower"] <= 2
         for side in ("parent", "change"):
@@ -61,18 +66,22 @@ def test_the_paired_statistics():
     assert ab.summary([2.0], [1.0])["parent"] == {"median": 2.0, "q1": 2.0, "q3": 2.0}
     # a block's scenario_max_ms is its largest scenario mean, and its
     # scenario_gmean_ms their geometric mean
-    blocks = [{"pass_s": [1.0, 3.0], "fields_s": [0.5, 1.5],
+    blocks = [{"pass_s": [1.0, 3.0], "fields_s": [0.5, 1.5], "peak_rss_mb": 35.25,
                "cmd_ms": {"a": [2.0, 4.0], "b": [9.0]}},
-              {"pass_s": [2.0], "fields_s": [0.25], "cmd_ms": {"a": [8.0], "b": [2.0, 2.0]}}]
+              {"pass_s": [2.0], "fields_s": [0.25], "peak_rss_mb": 35.5,
+               "cmd_ms": {"a": [8.0], "b": [2.0, 2.0]}}]
     values = ab.block_values(blocks)
     assert values["pass_s"] == [2.0, 2.0]
     assert values["fields_s"] == [1.0, 0.25]
+    # one peak per block, as the worker read it
+    assert values["peak_rss_mb"] == [35.25, 35.5]
     assert values["scenario_max_ms"] == [9.0, 8.0]
     assert values["scenario_gmean_ms"] == pytest.approx([27.0 ** 0.5, 4.0])
     assert values["scenario_ms.a"] == [3.0, 8.0]
     # a scenario missing from a block leaves out both block-wide means
     blocks[1]["cmd_ms"]["b"] = []
-    assert set(ab.block_values(blocks)) == {"pass_s", "fields_s", "scenario_ms.a"}
+    assert set(ab.block_values(blocks)) == {"pass_s", "fields_s", "peak_rss_mb",
+                                            "scenario_ms.a"}
 
 
 @pytest.mark.parametrize("out", ["missing/ab.json", "."])
@@ -90,23 +99,25 @@ def test_an_output_that_cannot_be_written_is_a_usage_error(out, tmp_path, monkey
 
 def test_field_clock_charges_a_batch_field_run_to_fields():
     # a batched case runs each field once for the whole plan; the clock must
-    # charge that run to fields_s, inside the check time that read it
+    # charge that run to fields_s, inside the check time that read it.  The
+    # case is flat's two checks around a slow metric Field of its own: a
+    # built Field cannot be rewritten
     scn = load_scenario("flat")
-    case = build_case(scn)
-    fn, runs = case.metric.fn, []
+    chart = ChartManifold(3, [(-1.0, 1.0)] * 3, label="R^3")
+    runs = []
 
     def slow_metric(pt):
         runs.append(pt.value.shape)
         time.sleep(0.05)
-        return fn(pt)
-    # the metric Field is the memoised case's own: put its callable back
-    case.metric.fn = slow_metric
+        return np.eye(3)
+    metric = Field(slow_metric)
+    checks = tuple(Check(name, "", 1e-11,
+                         ((chart, lambda pe, k=k: pe.absmax(pe.curvature(metric)[k])),))
+                   for k, name in enumerate(("curvature_zero", "ricci_zero")))
+    case = Case("Euclidean R^3", chart, metric, checks)
     raw = PointEval.raw
-    try:
-        with ab.FieldClock() as clock:
-            report = run_scenario_obj(scn, case=case)
-    finally:
-        case.metric.fn = fn
+    with ab.FieldClock() as clock:
+        report = run_scenario_obj(scn, case=case)
     assert PointEval.raw is raw
     assert runs == [(scn.count, 3)]
     checks = report["timings_seconds"]

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from kahlerkit.jets import (Jet2, JetDomainError, SamplePlan, gauss_integrate,
+from kahlerkit.jets import (SAMPLE_MEMO, Jet2, JetDomainError, SamplePlan, gauss_integrate,
                             jcos, jet_dcoord, jexp, jinv, jlog,
-                            jsin, jsqrt, jtan, pack, sample_points)
+                            jsin, jsqrt, jtan, pack, sample_points, uniform_draw)
 from kahlerkit.fields import Fold, PointEval, first_order
+from kahlerkit.cli import main
 
 
 def fd_gradient(f, p, h=1e-4):
@@ -254,3 +255,60 @@ def test_sample_plan_validation():
         SamplePlan(count=0)
     with pytest.raises(ValueError):
         sample_points([(1.0, 1.0)], SamplePlan())
+
+
+# every seed below 64, the 32-bit word boundary, a three-word seed above
+# 2**64, a four-word one and seeds of more words than SeedSequence's pool
+# holds; shapes from one double to 1000 six-dim points, whole Philox blocks
+# of 4 words and partial ones
+ORACLE_SEEDS = (list(range(64)) + [2 ** 32 - 1, 2 ** 32, 2 ** 64 + 3, 10 ** 30]
+                + [2 ** 128, 10 ** 400])
+ORACLE_SHAPES = [(1, 1), (1, 2), (3, 3), (7, 5), (10, 6), (50, 4), (1000, 6)]
+
+
+@pytest.mark.parametrize("shape", ORACLE_SHAPES)
+def test_the_draws_are_numpys_philox_bit_for_bit(shape):
+    # SeedSequence and Philox4x64-10 written in jets.py against numpy's own
+    # (imported here, in the tests, only)
+    for seed in ORACLE_SEEDS:
+        ref = np.random.Generator(np.random.Philox(seed)).random(shape)
+        assert np.array_equal(uniform_draw(seed, shape), ref), seed
+
+
+def test_sample_points_map_the_oracle_draws_into_the_box():
+    dom = [(-1.0, 3.0), (0.5, 2.5), (-2.0, -1.0)]
+    lo, hi = np.array(dom).T
+    lo_m, hi_m = lo + 0.2 * (hi - lo), hi - 0.2 * (hi - lo)
+    for seed, count in ((0, 1), (2 ** 32, 7), (10 ** 30, 50)):
+        u = np.random.Generator(np.random.Philox(seed)).random((count, 3))
+        got = sample_points(dom, SamplePlan(seed=seed, count=count, margin=0.2))
+        assert np.array_equal(got, lo_m + u * (hi_m - lo_m))
+
+
+def test_a_seed_above_two_to_the_64_verifies(capsys):
+    # SeedSequence takes any non-negative int as entropy, in 32-bit words
+    assert main(["verify", "flat", "--seed", str(2 ** 64 + 3)]) == 0
+    assert '"seed": 18446744073709551619' in capsys.readouterr().out
+
+
+def test_the_memoised_draw_is_read_only_and_each_sample_fresh():
+    dom = [(0.0, 1.0), (-2.0, 2.0)]
+    plan = SamplePlan(seed=5, count=9)
+    u = uniform_draw(5, (9, 2))
+    assert uniform_draw(5, (9, 2)) is u and not u.flags.writeable
+    with pytest.raises(ValueError):
+        u[0, 0] = 0.5
+    a = sample_points(dom, plan)
+    b = sample_points(dom, plan)
+    assert a is not b and a.flags.writeable and b.flags.writeable
+    assert not np.shares_memory(a, b) and not np.shares_memory(a, u)
+    assert np.array_equal(a, b)
+    a[:] = 0.0
+    assert np.array_equal(sample_points(dom, plan), b)
+
+
+def test_the_sample_memo_is_bounded():
+    for count in range(1, 2 * SAMPLE_MEMO + 2):
+        uniform_draw(7, (count, 2))
+        assert uniform_draw.cache_info().currsize <= SAMPLE_MEMO
+    assert uniform_draw.cache_info().currsize == SAMPLE_MEMO

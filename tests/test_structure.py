@@ -15,8 +15,9 @@ caller sets are module constants and not parameters, that each jet rule is
 written once (one chain rule for the scalar functions, one linear rule, one
 product rule for * and jeinsum, one map for the shape-only rules, and the
 first-order case decided in the named rule bodies alone), that a Hessian is made symmetric only where it is read, that
-the D+ frame is computed once per point, and the README's library example
-run as written."""
+the D+ frame is computed once per point, that a built case and its Fields
+cannot change, that no module names numpy's random module and no command
+imports it, and the README's library example run as written."""
 
 import ast
 import contextlib
@@ -24,8 +25,10 @@ import dataclasses
 import importlib
 import inspect
 import io
+import json
 import os
 import re
+import subprocess
 import sys
 
 import numpy as np
@@ -35,7 +38,7 @@ from kahlerkit.jets import FirstOrderError, Jet2, jet_dcoord
 import kahlerkit.cli
 import kahlerkit.scenarios
 from kahlerkit.fields import Field, Fold, PointEval, excluded
-from kahlerkit.scenarios import (BUILDER_MAP, ScenarioError, build_case,
+from kahlerkit.scenarios import (BUILDER_MAP, ScenarioError, build_case, built_case, bundled_names,
                                  load_scenario, make_case, parse_scenario, run_scenario_obj)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -573,6 +576,72 @@ def test_a_built_case_cannot_change():
         case.checks[0].parts = ()
     assert isinstance(case.checks, tuple)
     assert all(isinstance(ck.parts, tuple) for ck in case.checks)
+
+
+def test_a_built_field_cannot_change():
+    # nor can the Fields a shared case holds: an assignment to one would
+    # rewrite every later build of its params
+    case = build_case(load_scenario("flat"))
+    metric, fn, label = case.metric, case.metric.fn, case.metric.label
+    kept = built_case.cache_info().currsize
+    with pytest.raises(AttributeError):
+        case.metric.fn = lambda pt: 2.0 * np.eye(3)
+    with pytest.raises(AttributeError):
+        case.metric.label = "scaled"
+    with pytest.raises(AttributeError):
+        del case.metric.fn
+    with pytest.raises(AttributeError):
+        case.metric.chart = case.chart
+    again = build_case(load_scenario("flat"))
+    assert again.metric is metric and metric.fn is fn and metric.label == label
+    assert built_case.cache_info().currsize == kept
+    # equality stays identity
+    assert Field(fn) != Field(fn) and metric == metric
+
+
+# numpy's random module, named in code or in a comment
+NUMPY_RANDOM = re.compile(r"\b(np|numpy)\.random\b")
+
+
+def test_no_module_names_numpys_random_module():
+    # the sample points come from jets.uniform_draw, numpy's SeedSequence and
+    # Philox written out: no file of the package names the module that holds
+    # them (tests compare against it)
+    found = []
+    for folder, _, files in os.walk(os.path.join(ROOT, "src")):
+        for name in files:
+            with open(os.path.join(folder, name), encoding="utf-8", errors="replace") as fh:
+                found += ["%s:%d" % (name, i) for i, line in enumerate(fh, 1)
+                          if NUMPY_RANDOM.search(line)]
+    assert found == []
+
+
+# every bundled verify, one curvature query and the builder listing, in one
+# fresh process, which then reports whether numpy's random module was loaded
+NO_RANDOM_SCRIPT = """
+import contextlib, io, json, sys
+from kahlerkit.cli import main
+from kahlerkit.scenarios import bundled_names
+with contextlib.redirect_stdout(io.StringIO()):
+    rcs = {name: main(["verify", name]) for name in bundled_names()}
+    rcs["curvature"] = main(["curvature", "sphere", "--point", "1.0, 0.5"])
+    rcs["list-builders"] = main(["list-builders"])
+print(json.dumps({"rcs": rcs, "loaded": "numpy.random" in sys.modules}))
+"""
+
+
+def test_a_fresh_process_never_imports_numpys_random_module():
+    # pytest's own process has imported it, so the commands run in a child
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(ROOT, "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", NO_RANDOM_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["loaded"] is False
+    # each verify ran to its report: ak_disk_chain2 fails two checks
+    assert out["rcs"] == dict(dict.fromkeys(bundled_names(), 0), ak_disk_chain2=1,
+                              curvature=0, **{"list-builders": 0})
 
 
 READERS = {"number", "integer", "pair", "tolerance", "twist_spec"}

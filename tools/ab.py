@@ -19,15 +19,23 @@ The JSON written to --out (and printed) holds, per workload, for pass_s
 (the mean unit of a block, in seconds), fields_s (the part of it spent
 evaluating fields: the builder closures on jets, timed by FieldClock),
 scenario_gmean_ms and scenario_max_ms (the geometric mean and the largest
-of the scenarios' mean command times of a block) and each scenario's mean
-command time: each side's median and quartiles over the pairs, the change
-of the medians in percent, the pairs in which the change read lower,
-whether the medians differ by more than the parent's interquartile range,
-and the median and quartiles of the change within each pair, in percent
-(drift of the host's speed widens each side's quartiles, but moves both
-blocks of a pair alike).  It also counts the operations attempted and
-failed on each side.  Exit status: 0, or 1 when an operation failed on
-either side.
+of the scenarios' mean command times of a block), peak_rss_mb (the worker's
+peak resident set after the block, in MB: ru_maxrss, so it never falls
+from one block to the next) and each scenario's mean command time: each
+side's median and quartiles over the pairs, the change of the medians in
+percent, the pairs in which the change read lower, whether the medians
+differ by more than the parent's interquartile range, and the median and
+quartiles of the change within each pair, in percent (drift of the host's
+speed widens each side's quartiles, but moves both blocks of a pair
+alike).  It also counts the operations attempted and failed on each side.
+Exit status: 0, or 1 when an operation failed on either side.
+
+One worker serves every workload given, so peak_rss_mb is the peak over
+them all.  perfbench's point_query runner draws its query points with
+numpy.random when the worker starts, so a run that includes point_query
+holds numpy.random in both workers; to compare what the library itself
+holds, time the verify workloads alone (--workloads calabi_verify
+ak_verify).
 """
 
 import argparse
@@ -35,6 +43,7 @@ import contextlib
 import json
 import os
 import platform
+import resource
 import shutil
 import statistics
 import subprocess
@@ -69,10 +78,11 @@ def summary(parent, change):
 
 
 def block_values(blocks):
-    """pass_s, fields_s, scenario_gmean_ms, scenario_max_ms and each
-    scenario's mean command time of every block, by name: a scenario is left
-    out unless every block has it."""
+    """pass_s, fields_s, peak_rss_mb, scenario_gmean_ms, scenario_max_ms and
+    each scenario's mean command time of every block, by name: a scenario is
+    left out unless every block has it."""
     out = {key: [statistics.fmean(b[key]) for b in blocks] for key in ("pass_s", "fields_s")}
+    out["peak_rss_mb"] = [b["peak_rss_mb"] for b in blocks]
     names = [n for n in blocks[0]["cmd_ms"] if all(b["cmd_ms"][n] for b in blocks)]
     means = {n: [statistics.fmean(b["cmd_ms"][n]) for b in blocks] for n in names}
     if len(names) == len(blocks[0]["cmd_ms"]):
@@ -136,7 +146,7 @@ def serve(tree, workloads):
     """The worker: one runner per workload from the tree's own
     perfbench/worker.py, then one JSON line on stdout for each request
     ["workload", units] read from stdin, with each unit's pass_s and
-    fields_s."""
+    fields_s and the process's peak resident set after the block."""
     proto, sys.stdout = sys.stdout, sys.stderr
     sys.path.insert(0, os.path.join(tree, "perfbench"))
     import numpy as np
@@ -161,8 +171,9 @@ def serve(tree, workloads):
                     runner.step(tally, done[workload])
                     fields_s.append(clock.seconds - before)
                     done[workload] += 1
+            peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
             print(json.dumps({"pass_s": tally.pass_s, "fields_s": fields_s,
-                              "cmd_ms": tally.cmd_ms,
+                              "peak_rss_mb": peak_rss_mb, "cmd_ms": tally.cmd_ms,
                               "attempted": tally.attempted, "failed": tally.failed}),
                   file=proto, flush=True)
     finally:
