@@ -5,15 +5,15 @@ residuals, and the iterated-chart chains.
 On M = R^2 x Z the product carries two orthogonal structures: J (rotation on
 the plane plus the base structure, Kähler candidate) and J~ (rotation flipped
 on the plane, almost Kähler for every twist).  Both are deformed by one
-shared S built on the frame {dx1, dx2}; the twist parameter w may depend on Z
-only, which keeps d/dx1, d/dx2 Killing.
+shared S built on the coframe {dx1, dx2}; the twist parameter w may depend on
+Z only, which keeps d/dx1, d/dx2 Killing.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from kahlerkit.jets import Jet2, contract, jlog, jinv, jet_dcoord
+from kahlerkit.jets import Jet2, contract, embed, jlog, jinv, jet_dcoord
 from kahlerkit.fields import (ChartManifold, Field, PointEval, first_order, worst,
                               excluded, exterior_from_grad, pull_back)
 from kahlerkit.hermitian import HermitianTriple, ddc_from_jets, ricci_form
@@ -34,6 +34,7 @@ class AKProduct:
     Jt0: Field
     chart: ChartManifold
     twist_full: Field
+    coframe: tuple
 
     def triple(self):
         return HermitianTriple(self.g, self.J, self.chart)
@@ -45,11 +46,12 @@ class AKProduct:
 def build_ak_product(z_factor, tw, mode="B", plane_range=(-1.0, 1.0)):
     """Twisted product structures on R^2 x Z.  tw is a twist Field declared
     on Z: it is lifted here, and any dependence on the plane coordinates is
-    rejected."""
+    rejected.  Its twist's coframe is {dx1, dx2} = {theta, -theta o J} for
+    theta = dx1 and the untwisted J, with D+ block B = I."""
     nz = z_factor.chart.dim
     n = nz + 2
 
-    lift = np.eye(n)[2:]          # Z coordinates -> chart coordinates
+    zblock = np.s_[2:, 2:]        # the Z coordinates' block of a chart matrix
     proj = np.diag([1.0, 1.0] + [0.0] * nz)
     plane = np.zeros((n, n))
     plane[1, 0] = 1.0
@@ -58,11 +60,11 @@ def build_ak_product(z_factor, tw, mode="B", plane_range=(-1.0, 1.0)):
                           + [tuple(d) for d in z_factor.chart.domain],
                           label="R2x" + z_factor.chart.label)
 
-    g0 = Field(lambda pt: proj + lift.T @ z_factor.g(pt[2:]) @ lift)
-    J0 = Field(lambda pt: plane + lift.T @ z_factor.J(pt[2:]) @ lift)
-    Jt0 = Field(lambda pt: -plane + lift.T @ z_factor.J(pt[2:]) @ lift)
+    g0 = Field(lambda pt: proj + embed(z_factor.g(pt[2:]), (n, n), zblock))
+    J0 = Field(lambda pt: plane + embed(z_factor.J(pt[2:]), (n, n), zblock))
+    Jt0 = Field(lambda pt: -plane + embed(z_factor.J(pt[2:]), (n, n), zblock))
     Pp = Field(lambda pt: proj)
-    frame = Field(lambda pt: np.eye(n)[0])
+    coframe = (Field(lambda pt: np.eye(n)[:2]), np.eye(2))
     wfull = Field(lambda pt: tw(pt[2:]), label=tw.label + "@R2xZ")
 
     # the Killing property needs w independent of the plane coordinates; the
@@ -73,9 +75,9 @@ def build_ak_product(z_factor, tw, mode="B", plane_range=(-1.0, 1.0)):
         raise ValueError("twist depends on the plane coordinates; "
                          "d/dx1, d/dx2 would not be Killing")
 
-    gw, (Jw, Jtw), _ = build_twist_fields(g0, [J0, Jt0], Pp, wfull, frame, chart, mode)
+    gw, (Jw, Jtw), _ = build_twist_fields(g0, [J0, Jt0], Pp, wfull, coframe, chart, mode)
     return AKProduct(z_factor=z_factor, g=gw, J=Jw, J_tilde=Jtw, g0=g0, Jt0=Jt0,
-                     chart=chart, twist_full=wfull)
+                     chart=chart, twist_full=wfull, coframe=coframe)
 
 
 def ak_invariants_point(ak, pe):

@@ -17,12 +17,12 @@ iota_{d/ds} omega_J = -dz.  I0 = J (1 - 2 P+) flips J on the fiber span
 
 import itertools
 from dataclasses import dataclass
-from math import comb, exp, isfinite, log, sqrt
+from math import comb, exp, log, sqrt
 from sys import float_info
 
 import numpy as np
 
-from kahlerkit.jets import Jet2, SamplePlan, jeinsum, jlog, pack
+from kahlerkit.jets import Jet2, SamplePlan, embed, jeinsum, jlog, pack
 from kahlerkit.fields import (ChartManifold, Field, Fold, NotClosedError, PointEval,
                               first_order, wedge12, wedge_top, homotopy_primitive,
                               exterior_from_grad, least_squares)
@@ -51,10 +51,10 @@ class CalabiProfile:
         lo, hi = self.z_range
         if not (0 < lo < hi):
             raise ValueError("z_range must be positive and increasing")
-        # r = exp(z/A) is smallest at the top of z_range; below the normal
-        # floats it loses its digits and then reads 0
-        if not (isfinite(self.q) and exp(hi / self.A) >= float_info.min):
-            raise ValueError("profile needs q = -1/A finite and r = exp(z/A) a normal float "
+        # q = -1/A and r = exp(z/A), smallest at the top of z_range, lose
+        # their digits below the normal floats and then read 0
+        if not (float_info.min <= self.q < np.inf and exp(hi / self.A) >= float_info.min):
+            raise ValueError("profile needs q = -1/A and r = exp(z/A) normal floats "
                              "over z_range, got A=%r, z_range=%r" % (self.A, self.z_range))
 
     @property
@@ -135,13 +135,16 @@ def disk_base(k, radius=0.55):
 class CalabiChart:
     """The fibered chart's fields: the Kähler pair (g, J), I0, the projector
     P+ onto the fiber span {d/ds, d/dz} (the splitting), the Lee form theta
-    = d ln z of I0 and the connection form Theta = ds + alpha."""
+    = d ln z of I0, the connection form Theta = ds + alpha, and the twist's
+    coframe (F, B): F = {dz, Theta/q} = z {theta, -theta o J}, with the
+    constant D+ block B = [[0, 1], [1/q, 0]]."""
     g: Field
     J: Field
     I0: Field
     proj_plus: Field
     theta: Field
     Theta: Field
+    coframe: tuple
     chart: ChartManifold
     base: HermitianTriple
     alpha: Field
@@ -183,7 +186,7 @@ def build_calabi(base, profile, alpha=None):
         raise NotClosedError("d alpha mismatches the base Kähler form by %.3e" % acc.max())
 
     e = np.eye(n)
-    lift = e[2:]                  # base coordinates -> chart coordinates
+    base_block = np.s_[2:, 2:]    # the base coordinates' block of a chart matrix
     rot = q0 * np.outer(e[0], e[1]) - np.outer(e[1], e[0]) / q0
     dom = [tuple(profile.s_range), tuple(profile.z_range)] + [tuple(d) for d in base.chart.domain]
     chart = ChartManifold(n, dom, label="calabi(m=%d)" % m)
@@ -191,21 +194,24 @@ def build_calabi(base, profile, alpha=None):
     def gfn(pt):
         Th = Theta(pt)
         return (q0 * np.outer(e[1], e[1]) + (1.0 / q0) * jeinsum("i,j->ij", Th, Th)
-                + pt[1] * (lift.T @ base.g(pt[2:]) @ lift))
+                + pt[1] * embed(base.g(pt[2:]), (n, n), base_block))
 
     def Jfn(pt):
         I = base.J(pt[2:])
         a = alpha(pt[2:])
         # a lifted base direction d_{x^a} also moves along d/ds and d/dz
-        return rot + e[:2].T @ pack([-(a @ I), a * (-1.0 / q0)]) @ lift + lift.T @ I @ lift
+        return (rot + embed(pack([-(a @ I), a * (-1.0 / q0)]), (n, n), np.s_[:2, 2:])
+                + embed(I, (n, n), base_block))
 
-    Theta = Field(lambda pt: e[0] + lift.T @ alpha(pt[2:]))
+    Theta = Field(lambda pt: e[0] + embed(alpha(pt[2:]), (n,), np.s_[2:]))
     J = Field(Jfn)
     Pp = Field(lambda pt: jeinsum("i,j->ij", e[0], Theta(pt)) + np.outer(e[1], e[1]))
     return CalabiChart(
         g=Field(gfn), J=J, I0=Field(lambda pt: J(pt) @ (np.eye(n) - 2.0 * Pp(pt))),
         proj_plus=Pp, theta=Field(lambda pt: pt[1].inv() * e[1]),
-        Theta=Theta, chart=chart, base=base, alpha=alpha, profile=profile, m=m)
+        Theta=Theta, coframe=(Field(lambda pt: pack([e[1], Theta(pt) * (1.0 / q0)])),
+                              np.array([[0.0, 1.0], [1.0 / q0, 0.0]])),
+        chart=chart, base=base, alpha=alpha, profile=profile, m=m)
 
 
 def alpha_primitive_point(alpha, t, pe):

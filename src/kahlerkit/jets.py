@@ -4,7 +4,7 @@ A Jet2 carries (value, gradient, Hessian) with respect to the chart coordinates
 and propagates them exactly, each rule written once: _chain for every scalar
 function (1/u, log, exp, sin, cos, tan, a non-integer power), _linear for +
 and -, _product for * and jeinsum, and _map for indexing, .T, a sign,
-padding, a broadcast.
+padding, a broadcast and embed (a block placed inside a zero jet).
 A jet carries B points at once (vectorised Taylor-mode propagation), and a
 single point is a batch of one.  Its value has shape (B,) + s for value axes
 s of any shape (a scalar jet has s = ()), its gradient (B,) + s + (n,) and
@@ -108,6 +108,17 @@ def _map(j, f):
     is."""
     h = j._hess
     return _jet(f(j.value), f(j.grad), f(h) if isinstance(h, np.ndarray) else h)
+
+
+def embed(j, shape, index):
+    """The jet of value axes shape holding j at index (of those axes) and
+    zeros elsewhere, without a product by 0/1 selection matrices: a _map, so
+    first order, affine or constant when j is."""
+    def place(a):
+        out = np.zeros(a.shape[:1] + shape + a.shape[j.value.ndim:])
+        out[(slice(None),) + np.index_exp[index]] = a
+        return out
+    return _map(j, place)
 
 
 def _outer(g):

@@ -2,29 +2,31 @@
 
 A twist is a Field w: chart point -> unit disc, with components (w1, w2).
 The deforming endomorphism S acts on D+ with matrix [[w1, w2], [w2, -w1]] in
-the coframe {theta, -theta o J} and vanishes on D-.  One shared S field
-(frame anchored to the first endomorphism passed in) deforms the metric and
-every endomorphism together; mixing frames breaks the unchanged-form
-invariant.  Mode "B" is
+the coframe {theta, -theta o J} and vanishes on D-.  In every builder D+ is
+span(d0, d1), so S is two rows, S+, read off the builder's coframe (F, B):
+F is {theta, -theta o J} times a nonvanishing factor, which cancels, and B
+its constant block F[:, :2] (make_sfield); no twisted field reads J.  One
+shared S deforms the metric and every endomorphism together; mixing frames
+breaks the unchanged-form invariant.  Mode "B" is
 
     g_w = g(A., .),  A = 1 - 2 (S - |w|^2 P+)/(1 - |w|^2),
     J_w = (1-S)^{-1} J (1-S),
 
 mode "A" the conjugate order with A = 1 + 2 (S + |w|^2 P+)/(1 - |w|^2).
+Each is a rank-2 update on rows or columns 0 and 1 (build_twist_fields).
 Both leave the fundamental forms unchanged; w = 0 is the identity
-deformation exactly.  |w|^2, 1/(1-|w|^2), |w|^2 P+, 1-S and (1-S)^{-1} are
+deformation exactly.  |w|^2, 1/(1-|w|^2), |w|^2 P+ and (1-S)^{-1} - 1 are
 Fields of their own, which S's disc guard, g_w and every E_w read through
-the point's memo, so each runs once per point.  theta must be supplied as
-an exact jet closure: an extracted Lee form is a first-order jet, and the
-curvature of the twisted metric, which needs its Hessian, would raise
-FirstOrderError.
+the point's memo, so each runs once per point.  F must be an exact jet
+closure: an extracted Lee form is a first-order jet, and the curvature of
+the twisted metric, which needs its Hessian, would raise FirstOrderError.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from kahlerkit.jets import JetDomainError, contract, jinv, jlog, pack
+from kahlerkit.jets import JetDomainError, contract, embed, jeinsum, jlog, pack
 from kahlerkit.fields import Field, worst
 from kahlerkit.hermitian import HermitianTriple, ddc_from_jets, ricci_form
 
@@ -88,72 +90,79 @@ def _check_disc(ww):
         raise JetDomainError("twist leaves the disc: |w|^2 = %.8f" % ww[out].max())
 
 
-def make_sfield(J, Pp, w, theta, ww):
-    """The S field of the twist w; ww is the Field |w|^2 it guards with.
+def make_sfield(coframe, w, ww):
+    """S+, the two nonzero rows of the twist w's S, guarded by the Field
+    ww = |w|^2.
 
-    The D+ frame dual to {theta, -theta o J} is built from the first two
-    projector columns; a degenerate frame (|det E| < 1e-12, as where theta
-    vanishes) raises JetDomainError.
-    Every twisted field reads S, so the disc guard |w|^2 <= DISC sits here.
-    On a batch both guards test every point and name the worst one.
+    coframe is the builder's (F, B), F a Field of {theta, -theta o J} times
+    a nonvanishing c, B its constant D+ block F[:, :2]: S+ = (B^{-1} R(w)) F
+    with R = [[w1, w2], [w2, -w1]], as (cB)^{-1} R (cF) = B^{-1} R F.  B is
+    inverted once, here: a degenerate frame (|det B| < 1e-12, as where theta
+    vanishes) raises ValueError at build.  Every twisted field reads S+, so
+    the disc guard |w|^2 <= DISC sits here, per point; on a batch it tests
+    every point and names the worst one.
     """
+    F, B = coframe
+    det = abs(np.linalg.det(B))
+    if not det >= 1e-12:
+        raise ValueError("degenerate twist frame (|det B| = %.2e)" % det)
+    Binv = np.linalg.inv(B)
+
     def sfield(pt):
-        th = theta(pt)
-        e2 = -(th @ J(pt))
-        v = Pp(pt)[:, :2]
-        E = pack([th, e2]) @ v
-        det = np.abs(np.linalg.det(E.value))
-        if (det < 1e-12).any():
-            raise JetDomainError("degenerate twist frame (|det E| = %.2e)" % det.min())
         _check_disc(ww(pt).value)
         w1, w2 = w(pt)
-        return (v @ jinv(E)) @ pack([w1 * th + w2 * e2, w2 * th - w1 * e2])
+        return (Binv @ pack([[w1, w2], [w2, -w1]])) @ F(pt)
     return Field(sfield)
 
 
-def build_twist_fields(g, endos, Pp, w, theta, chart, mode="B"):
+def build_twist_fields(g, endos, Pp, w, coframe, chart, mode="B"):
     """The twist of the metric g and of each endomorphism in endos by one
-    shared S anchored to endos[0]'s frame: (g_w, [E_w, ...], S), Fields on
-    chart.  They share the Fields |w|^2, 1/(1-|w|^2), |w|^2 P+, 1-S and
-    (1-S)^{-1}."""
+    shared S on the builder's coframe of endos[0] (make_sfield): (g_w,
+    [E_w, ...], S), Fields on chart, S the n x n embed of S+.  S, |w|^2 P+
+    and U = (1-S)^{-1} - 1 vanish off rows 0 and 1 and are carried as those
+    rows, so each update is rank 2: g_w = g + D^T g[:2] for A = 1 + D, and
+    E_w = (1+U) E (1-S) is X = E - E[:, :2] S+ plus U+ X on rows 0 and 1.
+    They share the Fields |w|^2, 1/(1-|w|^2), |w|^2 P+[:2] and U+."""
     if mode not in ("A", "B"):
         raise ValueError("mode must be 'A' or 'B'")
     ww = Field(lambda pt: _norm2(w(pt)))
-    S = make_sfield(endos[0], Pp, w, theta, ww)
-    one = np.eye(chart.dim)
+    Sp = make_sfield(coframe, w, ww)
+    shape = (chart.dim, chart.dim)
+    rows = slice(None, 2)
 
     def facfn(pt):
-        S(pt)   # S's guards name a point off the disc before 1 - |w|^2 is inverted
+        Sp(pt)   # S's guard names a point off the disc before 1 - |w|^2 is inverted
         return 1.0 / (1.0 - ww(pt))
     fac = Field(facfn)
-    wwP = Field(lambda pt: ww(pt) * Pp(pt))
-    onem = Field(lambda pt: one - S(pt))
-    inv_onem = Field(lambda pt: one + fac(pt) * (S(pt) + wwP(pt)))
+    wwP = Field(lambda pt: ww(pt) * Pp(pt)[rows])
+    Up = Field(lambda pt: fac(pt) * (Sp(pt) + wwP(pt)))
 
     def gwfn(pt):
-        if mode == "B":
-            Am = one + (-2.0 * fac(pt)) * (S(pt) - wwP(pt))
-        else:
-            Am = one + (2.0 * fac(pt)) * (S(pt) + wwP(pt))
-        # g_w(X, Y) = g(A X, Y): component [i][j] = g[m][j] A[m][i]
-        return Am.T @ g(pt)
+        # g_w(X, Y) = g(A X, Y): component [i][j] = g[i][j] + D[a][i] g[a][j]
+        D = (-2.0 * fac(pt)) * (Sp(pt) - wwP(pt)) if mode == "B" else 2.0 * Up(pt)
+        G = g(pt)
+        return G + jeinsum("ai,aj->ij", D, G[rows])
 
     def twisted(E):
         def Ewfn(pt):
+            Ev = E(pt)
             if mode == "B":
-                return inv_onem(pt) @ (E(pt) @ onem(pt))
-            return onem(pt) @ (E(pt) @ inv_onem(pt))
+                X = Ev - Ev[:, rows] @ Sp(pt)
+                return X + embed(Up(pt) @ X, shape, rows)
+            X = Ev + Ev[:, rows] @ Up(pt)
+            return X - embed(Sp(pt) @ X, shape, rows)
         return Field(Ewfn)
 
+    S = Field(lambda pt: embed(Sp(pt), shape, rows))
     return Field(gwfn), [twisted(E) for E in endos], S
 
 
 def build_twist(cal, tw, mode="B"):
-    """Twist a CalabiChart (or anything with g/J/I0/proj_plus/theta fields and
-    a chart) by the twist field tw with one shared S; returns a
+    """Twist a CalabiChart (or anything with g/J/I0/proj_plus fields, a
+    coframe and a chart) by the twist field tw with one shared S; returns a
     TwistedTriple."""
     gw, (Jw, Iw), S = build_twist_fields(cal.g, [cal.J, cal.I0], cal.proj_plus, tw,
-                                         cal.theta, cal.chart, mode)
+                                         cal.coframe, cal.chart, mode)
     return TwistedTriple(g_w=gw, J_w=Jw, I_w=Iw, S=S, chart=cal.chart)
 
 

@@ -338,6 +338,11 @@ def test_contract_matches_einsum_on_every_spec_of_the_bundled_runs(monkeypatch):
     patch_contract(monkeypatch, recording)
     for name in bundled_names():
         run_scenario_obj(load_scenario(name))
+    # no bundled run inverts a second-order matrix jet, as the twist reads
+    # its coframe and not J: jinv's second-order rule runs here on one
+    # (B, 6, 6) jet with a Hessian of its own
+    x = Jet2.seed(np.linspace(0.1, 0.6, 12).reshape(2, 6))
+    jinv(np.eye(6) + 0.1 * jeinsum("i,j->ij", x, x * x))
     monkeypatch.undo()
     assert {spec for spec, _, _ in seen} >= {"ZijMP,Zjk->ZikMP", "ZikM,ZkjP->ZijMP",
                                              "Zlim,Zmjk->Zlijk", "Zil,Zijkl->Zjk"}

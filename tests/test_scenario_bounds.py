@@ -42,9 +42,21 @@ def _least_profile_A(z_hi=1.8):
     return A
 
 
+def _most_profile_A():
+    """The most negative A with q = -1/A a normal float, as CalabiProfile
+    tests it."""
+    A = -1.0 / sys.float_info.min
+    while not -1.0 / A >= sys.float_info.min:
+        A = math.nextafter(A, 0.0)
+    while -1.0 / math.nextafter(A, -INF) >= sys.float_info.min:
+        A = math.nextafter(A, -INF)
+    return A
+
+
 RADIUS = _largest_disk_radius()
 BELOW_ZERO = math.nextafter(0.0, -1.0)
 LEAST_A = _least_profile_A()
+MOST_A = _most_profile_A()
 
 # (builder, params at the bound, params just past it)
 BOUNDS = {
@@ -68,6 +80,8 @@ BOUNDS = {
     "profile A keeps r normal": ("calabi", {"A": LEAST_A}, {"A": math.nextafter(LEAST_A, 0.0)}),
     "profile A underflows r": ("calabi", {"A": LEAST_A}, {"A": -0.001}),
     "profile A overflows q": ("calabi", {"A": LEAST_A}, {"A": BELOW_ZERO}),
+    # at the bound the run FAILs on the metric's conditioning, with no error
+    "profile A keeps q normal": ("calabi", {"A": MOST_A}, {"A": math.nextafter(MOST_A, -INF)}),
     "profile A at -inf": ("calabi", {"A": LEAST_A}, {"A": -INF}),
     "z_range positive": ("calabi", {"z_range": [5e-324, 1.0]}, {"z_range": [0.0, 1.0]}),
     "z_range increasing": ("calabi", {"z_range": [1.0, math.nextafter(1.0, 2.0)]},

@@ -7,8 +7,9 @@ seeds first order only and builds only the chain levels it reads, that a
 constant is a plain number or array with no jet constructor beside it and a
 Field only its callable and label, that a field read is its jet with a
 Hessian read only through jet_dcoord (and the raw-coordinate metric read),
-that each matrix is inverted once per point, that one Fold per check,
-holding arrays, is the one aggregator and its replay the one per-point walk,
+that each matrix is inverted once per point, that a twisted metric runs no
+J field, that one Fold per check, holding arrays, is the one aggregator and
+its replay the one per-point walk,
 that each builder declares each parameter once, with its default and its
 reader, and each check once, in the call that makes it, that thresholds no
 caller sets are module constants and not parameters, that each jet rule is
@@ -34,7 +35,7 @@ import sys
 import numpy as np
 import pytest
 
-from kahlerkit.jets import FirstOrderError, Jet2, jet_dcoord
+from kahlerkit.jets import FirstOrderError, Jet2, SamplePlan, jet_dcoord
 import kahlerkit.cli
 import kahlerkit.scenarios
 from kahlerkit.fields import Field, Fold, PointEval, excluded
@@ -444,6 +445,32 @@ def test_the_d_plus_frame_is_computed_once_per_point(name, monkeypatch):
     scn = load_scenario(name)
     run_scenario_obj(scn, case=build_case(scn))
     assert calls == [scn.count]
+
+
+@pytest.mark.parametrize("name", ["calabi_chain_twisted", "ak_disk_chain2"])
+def test_a_twisted_metric_runs_no_complex_structure(name):
+    # the twist reads its builder's coframe, not J: a read of the case
+    # metric runs no J field (a chart's Jfn, a twisted E_w's Ewfn) at any
+    # level, while the scenario's checks, which read J, run both
+    scn = load_scenario(name)
+    case = build_case(scn)
+    seen = set()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_name in ("Jfn", "Ewfn"):
+            seen.add(frame.f_code.co_name)
+
+    def runs(fn):
+        seen.clear()
+        sys.setprofile(profile)
+        try:
+            fn()
+        finally:
+            sys.setprofile(None)
+        return sorted(seen)
+    p = case.chart.samples(SamplePlan(scn.seed, scn.count, scn.margin))
+    assert runs(lambda: PointEval(p).raw(case.metric)) == []
+    assert runs(lambda: run_scenario_obj(scn, case=case)) == ["Ewfn", "Jfn"]
 
 
 @pytest.mark.parametrize("name", BUNDLED)

@@ -5,11 +5,13 @@ twisted Ricci-form identity."""
 import numpy as np
 import pytest
 
-from kahlerkit.jets import Jet2, JetDomainError, SamplePlan
+from kahlerkit.jets import Jet2, JetDomainError, SamplePlan, pack
 from kahlerkit.fields import Field, Fold, PointEval, metric_jets, worst
 from kahlerkit.foliation import classify_point, homothetic_point
 from kahlerkit.hermitian import kahler_point
 from kahlerkit.calabi import CalabiProfile, build_calabi, disk_base
+from kahlerkit.almost_kahler import build_ak_product, iterate_chain
+from kahlerkit.scenarios import load_scenario
 from kahlerkit.twist import (build_twist, build_twist_fields,
                              constant_twist, form_invariance_point, coordinate_twist, mobius,
                              mobius_inv, norm_factor_expected,
@@ -75,7 +77,7 @@ def test_bad_mode_rejected():
     cal = make_cal()
     with pytest.raises(ValueError):
         build_twist_fields(cal.g, [cal.J], cal.proj_plus, constant_twist(0.1),
-                           cal.theta, cal.chart, mode="C")
+                           cal.coframe, cal.chart, mode="C")
 
 
 def test_norm_factor_closed_forms():
@@ -187,21 +189,24 @@ def _fold_s(S, p):
 
 
 def test_the_s_field_guards_the_disc_and_the_frame():
-    # a twist beyond DISC, or a vanishing theta (which leaves no D+ frame),
-    # stops a fold of S at the first point, with a domain error naming it
+    # a twist beyond DISC stops a fold of S at the first point, with a
+    # domain error naming it; a vanishing theta row leaves no D+ frame, and
+    # as the coframe's D+ block is constant that is a ValueError at build
     cal = make_cal()
     p = cal.chart.samples(SamplePlan(9, 5))
+    S = build_twist_fields(cal.g, [cal.J], cal.proj_plus, constant_twist(0.9999999),
+                           cal.coframe, cal.chart)[2]
+    acc = _fold_s(S, p)
+    assert acc.points == 0 and acc.values == {}
+    assert isinstance(acc.exc, JetDomainError)
+    assert acc.error == "JetDomainError at point %s: %s" % (
+        p[0].round(8).tolist(), "twist leaves the disc: |w|^2 = 0.99999980")
 
-    def flat_theta(pt):
-        return np.zeros(4)
-    for tw, theta, why in (
-            (constant_twist(0.9999999), cal.theta, "twist leaves the disc: |w|^2 = 0.99999980"),
-            (constant_twist(0.1), flat_theta, "degenerate twist frame (|det E| = 0.00e+00)")):
-        S = build_twist_fields(cal.g, [cal.J], cal.proj_plus, tw, theta, cal.chart)[2]
-        acc = _fold_s(S, p)
-        assert acc.points == 0 and acc.values == {}
-        assert isinstance(acc.exc, JetDomainError)
-        assert acc.error == "JetDomainError at point %s: %s" % (p[0].round(8).tolist(), why)
+    F, B = cal.coframe
+    flat_theta = (Field(lambda pt: pack([np.zeros(4), F(pt)[1]])), B * [[0.0], [1.0]])
+    with pytest.raises(ValueError, match=r"^degenerate twist frame \(\|det B\| = 0.00e\+00\)$"):
+        build_twist_fields(cal.g, [cal.J], cal.proj_plus, constant_twist(0.1),
+                           flat_theta, cal.chart)
 
 
 def test_a_nan_twist_passes_no_twisted_check():
@@ -270,6 +275,80 @@ def test_every_twisted_field_guards_the_disc():
                 field.fn(x)
     inside = build_twist(cal, constant_twist(0.3))
     assert np.isfinite(values(inside.J_w.fn, x.value)).all()
+
+
+def _profile(params):
+    """The profile keys a scenario's params set, as the builders take them."""
+    return {key: tuple(val) if isinstance(val, list) else val
+            for key, val in params.items() if key in ("A", "z_range", "s_range")}
+
+
+def _calabi_chart(name):
+    """The Calabi chart a bundled scenario builds (a chain's, per level)."""
+    params = load_scenario(name).params
+    if "kind" in params:
+        return iterate_chain(params["kind"], params["m"], radius=params["radius"],
+                             **_profile(params))
+    base, alpha = disk_base(0, radius=params["radius"])
+    return build_calabi(base, CalabiProfile(**_profile(params)), alpha=alpha)
+
+
+CALABI_CHARTS = {"calabi_flat": lambda: _calabi_chart("calabi_flat"),
+                 "calabi_twist_zeta": lambda: _calabi_chart("calabi_twist_zeta"),
+                 **{"%s level %d" % (kind, k): lambda kind=kind, k=k: _calabi_chart(kind)[k].cal
+                    for kind, top in (("calabi_chain_untwisted", 1), ("calabi_chain_twisted", 2))
+                    for k in range(1, top + 1)}}
+
+
+def _ak_products(name):
+    """The plane product a bundled ak_product scenario builds, and the same
+    product at the zero twist, whose J_w is the untwisted J exactly."""
+    params = load_scenario(name).params
+    if params["z"] == "chain":
+        zt = iterate_chain("twisted", params["chain_m"], radius=params["radius"],
+                           top=params["chain_level"], **_profile(params))[-1].triple
+    else:
+        zt = disk_base(params["k"], radius=params["radius"])[0]
+    n = zt.chart.dim
+    return (build_ak_product(zt, coordinate_twist(n - 2, n - 1)),
+            build_ak_product(zt, constant_twist(0.0)))
+
+
+def _assert_jets_close(got, want, what):
+    for part in ("value", "grad", "hess"):
+        a, b = getattr(got, part), getattr(want, part)
+        assert a.shape == b.shape, (what, part)
+        assert np.abs(a - b).max() <= 1e-14 * max(1.0, np.abs(b).max()), (what, part)
+
+
+@pytest.mark.parametrize("name", sorted(CALABI_CHARTS))
+def test_a_calabi_charts_coframe_is_z_times_theta_and_minus_theta_o_j(name):
+    # F = {dz, Theta/q} = z {theta, -theta o J}, in value, gradient and
+    # Hessian, and its D+ block is the declared constant B
+    cal = CALABI_CHARTS[name]()
+    F, B = cal.coframe
+    pe = PointEval(cal.chart.samples(SamplePlan(3, 6)))
+    th = pe.raw(cal.theta)
+    _assert_jets_close(pe.raw(F), pe[1] * pack([th, -(th @ pe.raw(cal.J))]), name)
+    block = pe.raw(F)[:, :2]
+    assert (block.value == B).all() and not block.grad.any() and not block.hess.any()
+    q = cal.profile.q
+    assert B.tolist() == [[0.0, 1.0], [1.0 / q, 0.0]]
+
+
+@pytest.mark.parametrize("name", ["ak_disk", "ak_disk_chain2"])
+def test_a_plane_products_coframe_is_dx1_dx2_theta_and_minus_theta_o_j(name):
+    # F = {dx1, dx2} = {theta, -theta o J} for theta = dx1 and the untwisted
+    # J, in value, gradient and Hessian, and its D+ block is B = I
+    ak, untwisted = _ak_products(name)
+    F, B = ak.coframe
+    n = ak.chart.dim
+    pe = PointEval(ak.chart.samples(SamplePlan(3, 6)))
+    th = np.eye(n)[0]
+    _assert_jets_close(pe.raw(F), pack([th, -(th @ pe.raw(untwisted.J))]), name)
+    block = pe.raw(F)[:, :2]
+    assert (block.value == B).all() and not block.grad.any() and not block.hess.any()
+    assert (B == np.eye(2)).all()
 
 
 def test_ricci_identity_corrected_form_holds():
