@@ -5,8 +5,8 @@ callable evaluated on second-order jets of the coordinates, and every geometric
 statement is checked pointwise on deterministic samples.
 """
 
-from kahlerkit.jets import Jet2, SamplePlan, gauss_integrate, sample_points
+from kahlerkit.jets import Jet2, SamplePlan, sample_points
 
-__all__ = ["Jet2", "SamplePlan", "gauss_integrate", "sample_points"]
+__all__ = ["Jet2", "SamplePlan", "sample_points"]
 
 __version__ = "0.1.0"

@@ -17,16 +17,16 @@ iota_{d/ds} omega_J = -dz.  I0 = J (1 - 2 P+) flips J on the fiber span
 
 import itertools
 from dataclasses import dataclass
-from math import comb, exp, log, sqrt
+from math import comb, exp, isfinite, log, sqrt
 from sys import float_info
 
 import numpy as np
 
 from kahlerkit.jets import Jet2, SamplePlan, embed, jeinsum, jlog, pack
 from kahlerkit.fields import (ChartManifold, Field, Fold, NotClosedError, PointEval,
-                              first_order, wedge12, wedge_top, homotopy_primitive,
-                              exterior_from_grad, least_squares)
-from kahlerkit.hermitian import HermitianTriple, fundamental_form_field
+                              first_order, wedge12, wedge_top, exterior_from_grad,
+                              least_squares)
+from kahlerkit.hermitian import HermitianTriple
 
 ALPHA_CHECK_COUNT = 10    # build_calabi: base points of the alpha guard
 ALPHA_TOL = 1e-7          # build_calabi: largest |d alpha - omega_N| there
@@ -106,8 +106,10 @@ def disk_base(k, radius=0.55):
     Kähler form.  Returns (triple, alpha: a 1-form Field).  k is an integer
     in 0..32.  The chart is the box |x|, |y| <= radius; for k >= 1 the whole
     box lies inside the open unit disk (radius * sqrt(2) < 1), where the
-    metric is positive definite, and the flat base (k = 0) takes any
-    radius."""
+    metric is positive definite, and the flat base (k = 0) takes any radius
+    > 0 whose fourth power is finite: alpha grows as radius / 2, and a
+    Calabi chart over the base forms fourth powers of it (the Gram
+    determinant of P+'s columns, foliation._frame_columns)."""
     if not 0 <= k <= 32:
         raise ValueError("disk exponent k must lie in 0..32, got %r" % (k,))
     if k and not radius * sqrt(2.0) < 1.0:
@@ -115,6 +117,9 @@ def disk_base(k, radius=0.55):
                          "(radius * sqrt(2) < 1), got radius=%r" % (radius,))
     dom = [(-radius, radius), (-radius, radius)]
     chart = ChartManifold(2, dom, label="disk^%d" % k)
+    if not isfinite(radius * radius * radius * radius):
+        raise ValueError("a disk base's radius must have a finite fourth power, "
+                         "got radius=%r" % (radius,))
     ucoef = disk_u_coefficients(k)
     rot = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -158,12 +163,10 @@ class CalabiChart:
         return HermitianTriple(self.g, self.I0, self.chart)
 
 
-def build_calabi(base, profile, alpha=None):
-    """Assemble the chart over a Kähler base.
-
-    alpha must satisfy d alpha = omega_N; when omitted it is produced by the
-    homotopy primitive over the base chart (star-shaped domain assumed).
-    Either way |d alpha - omega_N| is checked at ALPHA_CHECK_COUNT base
+def build_calabi(base, profile, alpha):
+    """Assemble the chart over a Kähler base from alpha, a primitive of its
+    Kähler form (d alpha = omega_N), as disk_base or the chain's lower level
+    supplies it.  |d alpha - omega_N| is checked at ALPHA_CHECK_COUNT base
     points, evaluated as one batch: a domain error there is raised (naming the
     first point that meets it), and a mismatch above ALPHA_TOL (a base form
     that is not closed has no primitive) raises NotClosedError.  The check reads
@@ -174,8 +177,6 @@ def build_calabi(base, profile, alpha=None):
     m = n // 2
     q0 = profile.q
 
-    if alpha is None:
-        alpha = homotopy_primitive(fundamental_form_field(base.g, base.J), base.chart)
     acc = Fold()
     p = base.chart.samples(SamplePlan(seed=0, count=ALPHA_CHECK_COUNT))
     acc.add(PointEval(p, first_order(Jet2.seed(p))),

@@ -41,7 +41,7 @@ import math
 import numpy as np
 
 from kahlerkit.jets import (CONSTANT, Jet2, JetDomainError, _batch_of, _jet, contract,
-                            gauss_integrate, jeinsum, jet_dcoord, jinv, pack, sample_points)
+                            jeinsum, jet_dcoord, jinv, pack, sample_points)
 
 
 class DegenerateMetricError(ValueError):
@@ -471,31 +471,6 @@ def nijenhuis_from_jets(Jv, Jg):
     S^k_ij - S^k_ji with S^k_ij = J^m_i d_m J^k_j + J^k_m d_j J^m_i."""
     S = contract("Zmi,Zkjm->Zkij", Jv, Jg) + contract("Zkm,Zmij->Zkij", Jv, Jg)
     return S - S.swapaxes(-1, -2)
-
-
-# ---------------------------------------------------------------------------
-# homotopy primitive (star-shaped chart, center = box center)
-# ---------------------------------------------------------------------------
-
-HOMOTOPY_ORDER = 32     # Gauss-Legendre nodes of the homotopy integral
-
-
-def homotopy_primitive(omega, chart):
-    """One-form alpha with d(alpha) = omega for a closed 2-form omega.
-
-    alpha(x) = integral_0^1 t * omega(c + t(x-c))(x - c, .) dt with c the box
-    center, on HOMOTOPY_ORDER Gauss nodes: exact for polynomial omega.  omega
-    is not checked for closedness here; for a form that is not closed
-    d(alpha) differs from omega, which build_calabi's alpha guard measures.
-    """
-    c = chart.center()
-    dim = chart.dim
-
-    def alpha_fn(pt):
-        diff = pt[:dim] - c
-        return gauss_integrate(lambda t: t * (diff @ omega(c + t * diff)), HOMOTOPY_ORDER)
-
-    return Field(alpha_fn)
 
 
 # ---------------------------------------------------------------------------

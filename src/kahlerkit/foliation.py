@@ -20,7 +20,6 @@ VERDICT_HOLOMORPHIC = "holomorphic"
 VERDICT_GEODESIC = "geodesic_riemannian"
 VERDICT_PRODUCT = "kahler_product"
 VERDICT_FAILED = "failed"
-VERDICTS = (VERDICT_HOLOMORPHIC, VERDICT_GEODESIC, VERDICT_PRODUCT, VERDICT_FAILED)
 
 FRAME_TOL = 1e-8      # a D+ frame's two projector columns: least Gram determinant
 THETA_FLOOR = 1e-6    # structure_point: |theta| below it excludes the theta residuals

@@ -1,5 +1,5 @@
-"""Kahler and Hermitian predicates: compatibility, fundamental forms, the
-pointwise Kahler residuals and Ricci forms.
+"""Kahler and Hermitian predicates: compatibility, the pointwise Kahler
+residuals and Ricci forms.
 
 Orientation conventions pinned here and used everywhere downstream:
   omega(X,Y) = g(JX,Y)
@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from kahlerkit.fields import Field, omega_of, worst, exterior_from_grad, nijenhuis_from_jets
-from kahlerkit.jets import contract, jet_dcoord, pack
+from kahlerkit.fields import worst, exterior_from_grad, nijenhuis_from_jets
+from kahlerkit.jets import contract, jet_dcoord
 
 
 @dataclass
@@ -23,12 +23,6 @@ class HermitianTriple:
     g: object
     J: object
     chart: object
-
-
-def fundamental_form_field(g, J):
-    """omega(X,Y) = g(JX,Y) as a jet-level 2-form field (g and J fields or
-    plain closures)."""
-    return Field(lambda pt: omega_of(pack(g(pt), pt), pack(J(pt), pt)))
 
 
 def kahler_point(t, pe):

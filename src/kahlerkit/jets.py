@@ -1,4 +1,4 @@
-"""Second-order forward jet arithmetic plus quadrature and deterministic sampling.
+"""Second-order forward jet arithmetic and deterministic sampling.
 
 A Jet2 carries (value, gradient, Hessian) with respect to the chart coordinates
 and propagates them exactly, each rule written once: _chain for every scalar
@@ -38,8 +38,8 @@ whole Hessian and keeps half).  The slot is an array or one of three states:
   read through PointEval.raw), the rules on constants, and jet_dcoord of one.
 Reading hess gives zeros for the known-zero states.  _map, _chain, _linear,
 _product, jinv and pack skip the terms that a first-order or known-zero
-operand would add, and a constant jet acts by its value; _lift and
-gauss_integrate carry the states through.  No other rule tests for them.
+operand would add, and a constant jet acts by its value; _lift carries the
+states through.  No other rule tests for them.
 
 A constant is a plain number or array wherever it appears; pack lifts one
 that a field returns to a jet (batch axis 1, zero derivatives) in the
@@ -558,15 +558,15 @@ def jinv(A):
     return _jet(Ai, grad, hess)
 
 
-def jet_dcoord(u, k=slice(None)):
-    """First-order jet of d_k u extracted from a second-order jet (of every
-    d_k u, on a new last value axis, when k is omitted): its value and
-    gradient are exact, and it carries no Hessian, as the third derivatives
-    of u are not tracked.  It is constant when u is."""
-    d = u.grad[..., k]
+def jet_dcoord(u):
+    """First-order jet of every d_k u, on a new last value axis, extracted
+    from a second-order jet: its value and gradient are exact, and it
+    carries no Hessian, as the third derivatives of u are not tracked.  It
+    is constant when u is."""
+    d = u.grad
     if u._hess is CONSTANT:
-        return _jet(d, np.zeros(d.shape + u.grad.shape[-1:]), CONSTANT)
-    return _jet(d, u.hess[..., k, :], None)
+        return _jet(d, np.zeros(d.shape + d.shape[-1:]), CONSTANT)
+    return _jet(d, u.hess, None)
 
 
 def _lift(x, like):
@@ -626,32 +626,6 @@ def pack(M, point=None):
     else:
         hess = CONSTANT if all(h is CONSTANT for h in hs) else AFFINE
     return _jet(stacked([e.value for e in flat], ()), stacked([e.grad for e in flat], n), hess)
-
-
-# ---------------------------------------------------------------------------
-# quadrature
-# ---------------------------------------------------------------------------
-
-def gauss_integrate(f, order=32):
-    """Fixed Gauss-Legendre rule on [0,1] applied to a jet-valued integrand.
-
-    f maps a float t in [0,1] to a Jet2 (or plain float); the rule is applied
-    componentwise to value/grad/hess. Deterministic for fixed order.  A
-    non-finite integrand is a domain error.
-    """
-    if order < 2:
-        raise ValueError("quadrature order must be >= 2")
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    total = None
-    for x, w in zip(nodes, weights):
-        t = 0.5 * (x + 1.0)
-        val = f(t)
-        parts = (val.value, val.grad, val._hess) if isinstance(val, Jet2) else (val,)
-        if not all(x is None or isinstance(x, Zero) or np.isfinite(x).all() for x in parts):
-            raise JetDomainError(f"non-finite integrand at t={t}")
-        term = (0.5 * w) * val
-        total = term if total is None else total + term
-    return total
 
 
 # ---------------------------------------------------------------------------

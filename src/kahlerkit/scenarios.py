@@ -33,10 +33,10 @@ from kahlerkit.fields import (ChartManifold, Field, Fold, PointEval, worst,
 from kahlerkit.fields import metric_jets  # noqa: F401  (perfbench traces this binding)
 from kahlerkit.hermitian import kahler_point
 from kahlerkit.foliation import (homothetic_point, extract_theta, classify_point,
-                                 foliation_report, VERDICT_HOLOMORPHIC, VERDICTS)
+                                 foliation_report, VERDICT_HOLOMORPHIC)
 from kahlerkit.calabi import (CalabiProfile, disk_base, build_calabi, volume_checks,
                               alpha_primitive_point, moment_map_point)
-from kahlerkit.twist import (constant_twist, coordinate_twist, build_twist,
+from kahlerkit.twist import (DISC, constant_twist, coordinate_twist, build_twist,
                              norm_factor_expected, norm_factor_measured,
                              form_invariance_point, transverse_holomorphy_point,
                              ricci_identity_check, zeta_duality_residual)
@@ -111,14 +111,22 @@ def _verdict(expected):
     return record
 
 
-def _twist_map(spec, dim):
-    """The twist map of a twist_spec on a chart of dimension dim.  The last
-    two chart coordinates are the disk coordinates, so coord_z / conj_z attach
-    there."""
+def _twist_map(spec, chart):
+    """The twist map of a twist_spec on chart.  The last two chart
+    coordinates are the disk coordinates, so coord_z / conj_z attach there.
+    Over the chart box |x|, |y| <= r the jet of |w|^2 = scale^2 (x^2 + y^2)
+    has entries up to 2 scale^2 max(1, r, r^2) (its Hessian, gradient and
+    value), which the disc guard reads at every point: a scale that makes
+    it overflow is rejected here."""
     tid, c = spec
     if tid == "const":
         return constant_twist(*c)
-    return coordinate_twist(dim - 2, dim - 1, conj=tid == "conj_z", scale=c[0])
+    scale = c[0]
+    r = max(abs(v) for interval in chart.domain[-2:] for v in interval)
+    if not math.isfinite(scale * scale * 2.0 * max(1.0, r, r * r)):
+        raise ValueError("twist scale %r is too large for the chart box |x|, |y| <= %r: "
+                         "the jet of |w|^2 overflows" % (scale, r))
+    return coordinate_twist(chart.dim - 2, chart.dim - 1, conj=tid == "conj_z", scale=scale)
 
 
 def _profile(params):
@@ -213,9 +221,8 @@ def _make_sphere(params):
 
 def _calabi_core(params):
     k = params["k"] if params["base"] == "disk" else 0
-    base, alpha0 = disk_base(k, radius=params["radius"])
-    return build_calabi(base, CalabiProfile(**_profile(params)),
-                        alpha=(alpha0 if params["alpha"] == "closed_form" else None))
+    base, alpha = disk_base(k, radius=params["radius"])
+    return build_calabi(base, CalabiProfile(**_profile(params)), alpha)
 
 
 def _volume_checks(check, cal, floor, docs):
@@ -257,7 +264,7 @@ def _make_calabi(params):
         "omega^m against the z- and r-coordinate product volume forms",
         "Pfaffian of omega stays above the declared floor")) + [
         check("classify_verdict", "foliation classifier verdict",
-              0.5, lambda pe: classify_point(t, Pp, pe), _verdict(params["verdict"])),
+              0.5, lambda pe: classify_point(t, Pp, pe), _verdict(VERDICT_HOLOMORPHIC)),
     ]
     return Case(cal.chart.label + " over " + cal.base.chart.label,
                 cal.chart, cal.g, tuple(checks))
@@ -269,7 +276,7 @@ def _make_calabi(params):
 
 def _make_calabi_twist(params):
     cal = _calabi_core(params)
-    tw = _twist_map(params["twist"], cal.chart.dim)
+    tw = _twist_map(params["twist"], cal.chart)
     mode = params["mode"]
     tt = build_twist(cal, tw, mode=mode)
     twt = tt.triple()
@@ -304,7 +311,7 @@ def _make_calabi_twist(params):
               1e-8, lambda pe: zeta_duality_residual(cal.g, cal.J, tt.g_w, tt.J_w,
                                                      cal.theta, pe)),
         check("classify_verdict", "foliation classifier verdict on the twisted triple",
-              0.5, lambda pe: classify_point(twt, Pp, pe), _verdict(params["verdict"])),
+              0.5, lambda pe: classify_point(twt, Pp, pe), _verdict(VERDICT_HOLOMORPHIC)),
     ]
     return Case("twisted " + chart.label + " [" + tw.label + ", mode " + mode + "]",
                 chart, tt.g_w, tuple(checks))
@@ -325,7 +332,7 @@ def _make_ak(params):
     else:
         zt, _ = disk_base(params["k"] if zkind == "disk" else 0, radius=radius)
 
-    tw = _twist_map(params["twist"], zt.chart.dim)
+    tw = _twist_map(params["twist"], zt.chart)
     mode = params["mode"]
     ak = build_ak_product(zt, tw, mode=mode, plane_range=params["plane_range"])
 
@@ -470,9 +477,9 @@ def one_of(*choices):
 
 def twist_spec(spec, what):
     """A twist as (id, values): a name or an object with an 'id', one of
-    const, coord_z and conj_z.  const takes c = [re, im] and coord_z / conj_z
-    take scale, each finite; any other field is an error.  The map needs the
-    chart's dimension, so the builder makes it (_twist_map)."""
+    const, coord_z and conj_z.  const takes c = [re, im] in the disc |c|^2 <=
+    DISC and coord_z / conj_z take scale, each finite; any other field is an
+    error.  The map needs the chart, so the builder makes it (_twist_map)."""
     if isinstance(spec, str):
         spec = {"id": spec}
     if not isinstance(spec, dict) or "id" not in spec:
@@ -492,6 +499,13 @@ def twist_spec(spec, what):
     # a NaN twist slips past the disc guard (NaN > DISC is false)
     if not all(math.isfinite(v) for v in c):
         raise ScenarioError("twist c and scale must be finite, got %r" % (spec,))
+    # the S field's guard would reject every point of a const twist off the
+    # disc; hypot does not overflow, and its square is inf at worst
+    if tid == "const":
+        h = math.hypot(*c)
+        if not h * h <= DISC:
+            raise ScenarioError("const twist c = %r must lie in the disc |c|^2 <= %r"
+                                % (list(c), DISC))
     return tid, c
 
 
@@ -502,10 +516,8 @@ def twist_spec(spec, what):
 PROFILE = {"A": (-1.0, number), "z_range": ([0.6, 1.8], pair),
            "s_range": ([-0.8, 0.8], pair)}
 CALABI = {"base": ("flat", one_of("flat", "disk")), "k": (1, integer),
-          "radius": (0.5, number), **PROFILE,
-          "alpha": ("closed_form", one_of("closed_form", "homotopy"))}
+          "radius": (0.5, number), **PROFILE}
 MODE = ("B", one_of("A", "B"))
-VERDICT = (VERDICT_HOLOMORPHIC, one_of(*VERDICTS))
 
 BUILDERS = [
     BuilderEntry("flat", "Euclidean metric on R^n",
@@ -513,11 +525,10 @@ BUILDERS = [
     BuilderEntry("sphere", "round unit 2-sphere in polar coordinates",
                  {}, _make_sphere),
     BuilderEntry("calabi", "fibered chart over a disk base, log profile",
-                 {**CALABI, "volume_floor": (1e-6, tolerance), "verdict": VERDICT},
+                 {**CALABI, "volume_floor": (1e-6, tolerance)},
                  _make_calabi),
     BuilderEntry("calabi_twist", "twist deformation of a fibered chart",
-                 {**CALABI, "twist": ({"id": "coord_z"}, twist_spec), "mode": MODE,
-                  "verdict": VERDICT},
+                 {**CALABI, "twist": ({"id": "coord_z"}, twist_spec), "mode": MODE},
                  _make_calabi_twist),
     BuilderEntry("calabi_chain", "iterated fibered charts over the disk",
                  {"kind": ("untwisted", one_of("untwisted", "twisted")), "m": (2, integer),
@@ -639,8 +650,8 @@ def build_case(scn):
     entry = BUILDER_MAP[scn.builder]
     for key in scn.params:
         if key not in entry.params:
-            raise ScenarioError("builder %r has no parameter %r (known: %s)"
-                                % (entry.id, key, ", ".join(sorted(entry.params))))
+            raise ScenarioError("%s: builder %r has no parameter %r (known: %s)"
+                                % (scn.source, entry.id, key, ", ".join(sorted(entry.params))))
     try:
         case = make_case(entry, scn.params)
     except (ValueError, TypeError, IndexError) as exc:

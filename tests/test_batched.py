@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from kahlerkit.calabi import alpha_primitive_point, disk_base
-from kahlerkit.fields import ChartManifold, Field, Fold, PointEval, excluded, homotopy_primitive
-from kahlerkit.hermitian import fundamental_form_field
+from kahlerkit.fields import ChartManifold, Field, Fold, PointEval, excluded
 from kahlerkit.almost_kahler import iterate_chain
 from kahlerkit.jets import (Jet2, JetDomainError, SamplePlan, jcos, jeinsum, jexp, jinv, jlog,
                             jsin, pack)
@@ -94,9 +93,6 @@ def _guards():
     for k in (0, 1, 2):
         base, alpha = disk_base(k)
         yield "disk_base(%d)" % k, base, alpha
-    base, _ = disk_base(1)
-    yield "homotopy", base, homotopy_primitive(fundamental_form_field(base.g, base.J),
-                                               base.chart)
     for lv in iterate_chain("twisted", 2)[1:]:
         yield "twisted level %d" % lv.index, lv.triple, lv.alpha
 

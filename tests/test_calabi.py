@@ -17,10 +17,10 @@ from kahlerkit.calabi import (CalabiProfile, build_calabi, disk_base,
 from helpers import fold_plan
 
 
-def make_cal(k=1, z_range=(0.5, 2.0), use_alpha=True):
+def make_cal(k=1, z_range=(0.5, 2.0)):
     base, alpha = disk_base(k)
     prof = CalabiProfile(A=-1.0, z_range=z_range, s_range=(-1.0, 1.0))
-    return build_calabi(base, prof, alpha=alpha if use_alpha else None)
+    return build_calabi(base, prof, alpha=alpha)
 
 
 def test_profile_validation():
@@ -83,17 +83,6 @@ def test_moment_map():
         cal = make_cal(k)
         res = fold_plan(cal.chart, SamplePlan(4, 25), lambda pe: moment_map_point(cal, pe))
         assert res.max() < 1e-12
-
-
-def test_homotopy_primitive_alpha_variant():
-    # dropping the closed-form alpha and letting the chart integrate its own
-    # primitive must still give a Kähler structure
-    cal = make_cal(2, use_alpha=False)
-    t = cal.triple()
-    v = fold_plan(t.chart, SamplePlan(5, 10), lambda pe: worst(*kahler_point(t, pe).values()))
-    assert v.max() <= 1e-7
-    res = fold_plan(cal.chart, SamplePlan(6, 10), lambda pe: moment_map_point(cal, pe))
-    assert res.max() < 1e-8
 
 
 def test_alpha_mismatch_is_rejected():

@@ -215,7 +215,7 @@ def test_scenario_field_validation(tmp_path, capsys):
         path.write_text(json.dumps(obj))
         rc, out, err = run_cli(capsys, ["verify", str(path)])
         assert rc == 2
-        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert err.startswith("error: %s: " % path) and len(err.splitlines()) == 1
         assert needle in err
 
 
@@ -320,9 +320,10 @@ BIG = 10 ** 400   # an integer that no float holds
     ({"builder": "calabi_chain", "params": {"volume_floor": float("nan")}},
      "volume_floor must be finite and >= 0, got nan"),
     ({"builder": "calabi", "params": {"radius": "0.5"}}, "radius must be a number, got '0.5'"),
-    ({"builder": "calabi_twist", "params": {"verdict": "bogus"}},
-     "verdict must be one of holomorphic, geodesic_riemannian, kahler_product, failed, "
-     "got 'bogus'"),
+    ({"builder": "calabi_twist", "params": {"verdict": "holomorphic"}},
+     "builder 'calabi_twist' has no parameter 'verdict' (known: "),
+    ({"builder": "calabi", "params": {"alpha": "homotopy"}},
+     "builder 'calabi' has no parameter 'alpha' (known: "),
     ({"builder": "flat", "tolerances": {"curvature_zero": BIG}},
      "tolerance 'curvature_zero' must be a number a float holds"),
     ({"builder": "flat", "plan": {"margin": BIG}},
@@ -340,6 +341,7 @@ BIG = 10 ** 400   # an integer that no float holds
      "got A=1.0"),
 ], ids=["range-big-int", "radius-big-int", "twist-c-big-int", "twist-c-nan", "twist-scale-inf",
         "twist-coord_z-c", "twist-const-scale", "A-minus-inf", "volume_floor-nan", "radius-string", "verdict-unknown",
+        "alpha-unknown",
         "tolerance-big-int", "margin-big-int", "ak_plane-k-string", "ak_plane-chain_m-string",
         "calabi_flat-k-float", "calabi_flat-k-string", "chain-z_range-negative",
         "chain-level0-A-positive"])
@@ -347,7 +349,7 @@ def test_values_the_builders_cannot_use_exit_two(obj, needle, tmp_path, capsys):
     # an integer beyond the float range ended in an OverflowError traceback,
     # and A = -inf in a ZeroDivisionError one, both with exit code 1; a NaN
     # twist failed every twisted check at a sample point, and passed
-    # transverse_holomorphy; an unknown verdict failed classify_verdict; a
+    # transverse_holomorphy; an unknown key (verdict, alpha) named no file; a
     # twist field that its id never reads was ignored; a malformed parameter
     # that the case does not read (k on the plane or a flat base, chain_m
     # off a chain) exited 0; a chain's profile was checked level by level,
@@ -544,15 +546,17 @@ def test_curvature_point_errors(capsys):
 
 
 def test_curvature_domain_error_names_the_point(tmp_path, capsys):
+    # |w|^2 = 9 (0.3^2 + 0.3^2) = 1.62 at the point: off the disc there (a
+    # const twist off the disc is a usage error when its spec is read)
     obj = {"name": "out_of_disc", "builder": "calabi_twist",
-           "params": {"twist": {"id": "const", "c": [1.3, 0.0]}},
+           "params": {"twist": {"id": "coord_z", "scale": 3.0}},
            "plan": {"seed": 1, "count": 3}}
     path = tmp_path / "out_of_disc.json"
     path.write_text(json.dumps(obj))
-    rc, out, err = run_cli(capsys, ["curvature", str(path), "--point=0,1.0,0.1,0.1"])
+    rc, out, err = run_cli(capsys, ["curvature", str(path), "--point=0,1.0,0.3,0.3"])
     assert rc == 1
     assert out == ""
-    assert err.startswith("error: JetDomainError at point [0.0, 1.0, 0.1, 0.1]: ")
+    assert err.startswith("error: JetDomainError at point [0.0, 1.0, 0.3, 0.3]: ")
     assert "twist leaves the disc" in err
     assert len(err.splitlines()) == 1
 

@@ -1,5 +1,5 @@
-"""Chart tensor calculus: Christoffel symbols, curvature oracles, derivative
-operators and the homotopy primitive."""
+"""Chart tensor calculus: Christoffel symbols, curvature oracles and derivative
+operators."""
 
 import numpy as np
 import pytest
@@ -8,11 +8,10 @@ from kahlerkit.jets import (CONSTANT, FirstOrderError, Jet2, SamplePlan, jet_dco
                             pack)
 from kahlerkit.fields import (ChartManifold, DegenerateMetricError, Field, Fold,
                               NotClosedError, PointEval, excluded, first_order,
-                              exterior_from_grad, homotopy_primitive, least_squares,
-                              lie_derivative_metric, metric_jets, nijenhuis_from_jets, wedge_top)
-from kahlerkit.hermitian import HermitianTriple, fundamental_form_field, kahler_point
-from kahlerkit.calabi import CalabiProfile, build_calabi
-from helpers import J4, ROTATION, fold_plan, patch_contract, rotation, sphere_metric
+                              exterior_from_grad, least_squares, lie_derivative_metric,
+                              metric_jets, nijenhuis_from_jets, omega_of, wedge_top)
+from kahlerkit.hermitian import HermitianTriple, kahler_point
+from helpers import ROTATION, fold_plan, patch_contract, rotation, sphere_metric
 
 
 def polar_metric(pt):
@@ -190,53 +189,6 @@ def test_nijenhuis_rejects_non_complex_square():
     assert abs(compat[0] - 2.0) < 1e-14
 
 
-def test_homotopy_primitive_roundtrip_constant_form():
-    chart = ChartManifold(2, [(-1.0, 1.0), (-1.0, 1.0)])
-
-    def om(pt):
-        return [[0.0, 1.0], [-1.0, 0.0]]
-    alpha = homotopy_primitive(Field(om), chart)
-    want = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    for p in chart.samples(SamplePlan(11, 50)):
-        a = alpha.fn(Jet2.seed(np.asarray(p, float)))
-        ag = np.array([comp.grad[0] for comp in a])
-        assert np.abs((ag.T - ag) - want).max() < 1e-8
-        # the primitive here is (x dy - y dx)/2 since the chart center is 0
-        assert abs(a[0].value[0] + 0.5 * p[1]) < 1e-12
-        assert abs(a[1].value[0] - 0.5 * p[0]) < 1e-12
-
-
-def test_homotopy_primitive_roundtrip_polynomial_form():
-    chart = ChartManifold(2, [(-1.0, 1.0), (-1.0, 1.0)])
-
-    def om(pt):
-        # (1 + x^2) dx^dy, closed on the plane
-        c = 1.0 + pt[0] * pt[0]
-        return [[0.0, c], [c * (-1.0), 0.0]]
-    alpha = homotopy_primitive(Field(om), chart)
-    for p in chart.samples(SamplePlan(13, 50)):
-        jets = Jet2.seed(np.asarray(p, float))
-        a = alpha.fn(jets)
-        ag = np.array([comp.grad[0] for comp in a])
-        d = ag.T - ag
-        want = 1.0 + p[0] ** 2
-        assert abs(d[0, 1] - want) < 1e-8
-        assert abs(d[0, 0]) < 1e-12
-
-
-def test_homotopy_primitive_rejects_nonclosed():
-    # a conformally flat base g = f I with non-constant f has d omega =
-    # df ^ omega != 0: it has no primitive, and the homotopy alpha's
-    # mismatch |d alpha - omega| stops build_calabi
-    chart = ChartManifold(4, [(-0.5, 0.5)] * 4)
-
-    def g(pt):
-        return (1.0 + 0.3 * pt[0] + 0.2 * pt[2] * pt[3]) * np.eye(4)
-    base = HermitianTriple(Field(g), Field(lambda pt: J4), chart)
-    with pytest.raises(NotClosedError):
-        build_calabi(base, CalabiProfile(), alpha=None)
-
-
 def test_wedge_top_volume_coefficient():
     # dx^dy on the plane: coefficient 1
     om = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -403,10 +355,11 @@ def test_a_constant_field_reads_as_the_constant_jet_of_the_point():
         # called on a plain jet point, it keeps a batch axis of 1
         one = Field(fn)(Jet2.seed(p))
         assert one.value.shape == (1, 2, 2) and one.hess.shape == (1, 2, 2, 3, 3)
-    # a factor point reads it in the factor's own coordinates, and a form
-    # built from plain closures reads them at its own point
+    # a factor point reads it in the factor's own coordinates, and constants
+    # packed at a plain jet point read as constants there
     assert PointEval(p).sub(1).raw(lambda pt: 2.0).grad.shape == (2, 2)
-    om = fundamental_form_field(lambda pt: np.eye(2), rotation)(Jet2.seed(p[:, :2]))
+    om = Field(lambda pt: omega_of(pack(np.eye(2), pt), pack(rotation(pt), pt)))(
+        Jet2.seed(p[:, :2]))
     assert np.array_equal(om.value, [np.transpose(ROTATION)]) and not om.hess.any()
 
 

@@ -23,7 +23,7 @@ from hypothesis import given, settings, strategies as st
 from kahlerkit import jets
 from kahlerkit.fields import DOMAIN_ERRORS, Fold, PointEval
 from kahlerkit.jets import (AFFINE, CONSTANT, FirstOrderError, Jet2, contract,
-                            gauss_integrate, jcos, jeinsum, jet_dcoord, jexp, jinv, jlog,
+                            jcos, jeinsum, jet_dcoord, jexp, jinv, jlog,
                             jsin, jsqrt, jtan, pack)
 from kahlerkit.scenarios import bundled_names, load_scenario, run_scenario_obj
 from helpers import patch_contract
@@ -407,7 +407,6 @@ FIRST_ORDER_RULES = {
     "outer": ("ab", lambda a, b: jeinsum("ij,kl->ijkl", a, b)),
     "jinv": ("a", lambda a, b: jinv(a + 4.0 * np.eye(2))),
     "pack": ("ab", lambda a, b: pack([[a[0, 0], b[1, 1]], [a[1, 0] * b[0, 1], a[1, 1]]])),
-    "integrate": ("ab", lambda a, b: gauss_integrate(lambda t: t * a + b, order=4)),
 }
 
 

@@ -1,9 +1,9 @@
-"""Jet arithmetic against finite differences, quadrature, and sampling."""
+"""Jet arithmetic against finite differences, and sampling."""
 
 import numpy as np
 import pytest
 
-from kahlerkit.jets import (SAMPLE_MEMO, Jet2, JetDomainError, SamplePlan, gauss_integrate,
+from kahlerkit.jets import (SAMPLE_MEMO, Jet2, JetDomainError, SamplePlan,
                             jcos, jet_dcoord, jexp, jinv, jlog,
                             jsin, jsqrt, jtan, pack, sample_points, uniform_draw)
 from kahlerkit.fields import Fold, PointEval, first_order
@@ -208,31 +208,9 @@ def test_jet_dcoord_extracts_first_order_jet():
     p = np.array([0.4, 1.3])
     x = Jet2.seed(p)
     u = x[0] * x[0] * x[1]
-    du0 = jet_dcoord(u, 0)
+    du0 = jet_dcoord(u)[0]
     assert abs(du0.value - 2.0 * p[0] * p[1]) < 1e-14
     assert np.abs(du0.grad - np.array([2.0 * p[1], 2.0 * p[0]])).max() < 1e-14
-
-
-def test_gauss_integrate_polynomial_and_sine():
-    val = gauss_integrate(lambda t: t ** 3)
-    assert abs(val - 0.25) < 1e-14
-    val = gauss_integrate(lambda t: np.pi * np.sin(np.pi * t))
-    assert abs(val - 2.0) < 1e-12
-
-
-def test_gauss_integrate_jet_valued():
-    # integrand x -> jets in a 1-dim chart: integral of t*x0 dt = x0/2
-    x = Jet2.seed(np.array([0.8]))
-    out = gauss_integrate(lambda t: x[0] * t)
-    assert abs(out.value - 0.4) < 1e-14
-    assert abs(out.grad[0] - 0.5) < 1e-14
-
-
-def test_gauss_integrate_nonfinite_integrand_is_a_domain_error():
-    # a domain error, so a Fold ends the check at its point
-    x = Jet2.seed(np.array([0.8]))
-    with pytest.raises(JetDomainError, match="non-finite integrand"):
-        gauss_integrate(lambda t: x[0] * float("nan"))
 
 
 def test_sampling_is_deterministic_and_margined():

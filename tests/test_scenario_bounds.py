@@ -16,6 +16,7 @@ import warnings
 import pytest
 
 from kahlerkit.cli import main
+from kahlerkit.twist import DISC
 
 INF = float("inf")
 SQRT2 = math.sqrt(2.0)
@@ -53,6 +54,26 @@ def _most_profile_A():
     return A
 
 
+def _last(ok, x):
+    """The largest float y with ok(y), stepping from x, near which ok holds
+    below its bound and fails above it."""
+    while not ok(x):
+        x = math.nextafter(x, 0.0)
+    while ok(math.nextafter(x, INF)):
+        x = math.nextafter(x, INF)
+    return x
+
+
+# the largest flat-base radius with a finite fourth power, as disk_base tests it
+FLAT_RADIUS = _last(lambda r: math.isfinite(r * r * r * r), sys.float_info.max ** 0.25)
+# the largest coordinate-twist scale on a chart box |x|, |y| <= 0.5 or 0.55
+# (calabi_twist's and ak_product's default radius), where 2 scale^2 max(1, r,
+# r^2) = 2 scale^2 bounds the jet of |w|^2, as _twist_map tests it
+SCALE = _last(lambda s: math.isfinite(s * s * 2.0), math.sqrt(sys.float_info.max / 2.0))
+# the largest c = [re, 0] of a const twist with |c|^2 <= DISC, as twist_spec
+# and the S field's guard test it
+DISC_C = _last(lambda c: c * c <= DISC, math.sqrt(DISC))
+
 RADIUS = _largest_disk_radius()
 BELOW_ZERO = math.nextafter(0.0, -1.0)
 LEAST_A = _least_profile_A()
@@ -86,9 +107,23 @@ BOUNDS = {
     "z_range positive": ("calabi", {"z_range": [5e-324, 1.0]}, {"z_range": [0.0, 1.0]}),
     "z_range increasing": ("calabi", {"z_range": [1.0, math.nextafter(1.0, 2.0)]},
                            {"z_range": [1.0, 1.0]}),
+    # the bounds that keep the arithmetic finite (OVERFLOW_BOUNDS)
+    "flat base radius calabi": ("calabi", {"radius": FLAT_RADIUS},
+                                {"radius": math.nextafter(FLAT_RADIUS, INF)}),
+    "flat base radius ak_product": ("ak_product", {"radius": FLAT_RADIUS},
+                                    {"radius": math.nextafter(FLAT_RADIUS, INF)}),
+    **{"twist scale %s %s" % (tid, builder): (
+        builder, {"twist": {"id": tid, "scale": SCALE}},
+        {"twist": {"id": tid, "scale": math.nextafter(SCALE, INF)}})
+       for tid in ("coord_z", "conj_z") for builder in ("calabi_twist", "ak_product")},
+    "const twist in the disc": ("calabi_twist", {"twist": {"id": "const", "c": [DISC_C, 0.0]}},
+                                {"twist": {"id": "const",
+                                           "c": [math.nextafter(DISC_C, INF), 0.0]}}),
     "twist mode A": ("calabi_twist", {"mode": "A"}, {"mode": "a"}),
     "twist mode B": ("calabi_twist", {"mode": "B"}, {"mode": "C"}),
 }
+OVERFLOW_BOUNDS = sorted(name for name in BOUNDS
+                         if name.startswith(("flat base radius", "twist scale", "const twist")))
 
 
 def _verify(path, builder, params):
@@ -119,4 +154,17 @@ def test_the_least_profile_A_runs_without_a_runtime_warning(tmp_path, unbuilt):
         warnings.simplefilter("always")
         rc, out, err = _verify(tmp_path / "at.json", "calabi", {"A": LEAST_A})
     assert (rc, err) == (0, ""), out
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
+
+@pytest.mark.parametrize("bound", OVERFLOW_BOUNDS)
+def test_a_value_at_an_overflow_bound_runs_without_a_runtime_warning(bound, tmp_path):
+    # at its bound a flat-base radius (calabi FAILs on the metric's
+    # conditioning), a coordinate-twist scale (the twist leaves the disc at
+    # every point) or a const twist's c builds, and no step overflows
+    builder, at, _ = BOUNDS[bound]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, out, err = _verify(tmp_path / "at.json", builder, at)
+    assert rc in (0, 1) and err == "", (rc, err)
     assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []

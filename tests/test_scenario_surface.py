@@ -140,3 +140,25 @@ def test_a_profile_A_with_a_subnormal_q_is_a_usage_error(builder, scenario_path,
     rc, err = _assert_exits_cleanly(builder, scenario_path, params)
     assert rc == 2 and "profile needs q = -1/A and r = exp(z/A) normal floats" in err
     assert err.endswith("got A=%r, z_range=(0.6, 1.8)\n" % params["A"]), err
+
+
+@example(builder="calabi_twist", params={"twist": {"id": "coord_z", "scale": 1e200}},
+         names="twist scale 1e+200")
+@example(builder="calabi_twist", params={"twist": {"id": "conj_z", "scale": 1e200}},
+         names="twist scale 1e+200")
+@example(builder="ak_product", params={"twist": {"id": "coord_z", "scale": 1e200}},
+         names="twist scale 1e+200")
+@example(builder="ak_product", params={"twist": {"id": "conj_z", "scale": 1e200}},
+         names="twist scale 1e+200")
+@example(builder="calabi_twist", params={"twist": {"id": "const", "c": [2, 1e308]}},
+         names="const twist c = [2.0, 1e+308]")
+@example(builder="calabi", params={"radius": 1e300}, names="radius=1e+300")
+@settings(phases=[Phase.explicit])
+@given(builder=st.just("calabi"), params=st.just({}), names=st.just(""))
+def test_a_parameter_the_arithmetic_cannot_carry_is_a_usage_error(builder, scenario_path, params,
+                                                                  names):
+    # each overflowed in numpy before a guard fired: RuntimeWarnings, then
+    # FAILs at every point (the twists) or "d alpha mismatches the base
+    # Kähler form by nan" (the radius); now one error line names the value
+    rc, err = _assert_exits_cleanly(builder, scenario_path, params)
+    assert rc == 2 and names in err, err

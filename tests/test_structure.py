@@ -12,7 +12,8 @@ J field, that one Fold per check, holding arrays, is the one aggregator and
 its replay the one per-point walk,
 that each builder declares each parameter once, with its default and its
 reader, and each check once, in the call that makes it, that thresholds no
-caller sets are module constants and not parameters, that each jet rule is
+caller sets are module constants and not parameters, that no builder takes
+an alpha or an expected verdict, that each jet rule is
 written once (one chain rule for the scalar functions, one linear rule, one
 product rule for * and jeinsum, one map for the shape-only rules, and the
 first-order case decided in the named rule bodies alone), that a Hessian is made symmetric only where it is read, that
@@ -121,14 +122,13 @@ def test_jets_contract_only_through_contract_and_dcoord_is_first_order():
 
 # the rule bodies of jets.py that decide the first-order case: the shape-only
 # map, the chain rule, the linear rule, the products and the inverse, the
-# constant lift, the stack, the quadrature, and the Jet2 constructor and its
-# Hessian read (the products * and jeinsum run on the one product rule,
-# _product)
+# constant lift, the stack, and the Jet2 constructor and its Hessian read
+# (the products * and jeinsum run on the one product rule, _product)
 FIRST_ORDER_BODIES = {"_map", "_chain", "_linear", "_product", "jinv", "_lift", "pack",
-                      "gauss_integrate", "__init__", "hess"}
-# the jets.py names compared with None that are not a Hessian: the point a
-# constant is lifted at, and the running quadrature sum
-NOT_A_HESSIAN = {"like", "total"}
+                      "__init__", "hess"}
+# the jets.py name compared with None that is not a Hessian: the point a
+# constant is lifted at
+NOT_A_HESSIAN = {"like"}
 # the rules that build a jet from its arrays: every other rule calls them
 JET_BUILDERS = {"_map", "_chain", "_linear", "_product", "seed", "jinv", "jet_dcoord", "_lift",
                 "pack"}
@@ -153,11 +153,15 @@ def test_each_jet_rule_is_written_once():
         for node in ast.walk(fn):
             if (isinstance(node, ast.Compare) and isinstance(node.ops[0], (ast.Is, ast.IsNot))
                     and isinstance(node.comparators[0], ast.Constant)
-                    and node.comparators[0].value is None
-                    and getattr(node.left, "id", None) not in NOT_A_HESSIAN):
-                none_tests.add((fn.name, node.lineno))
+                    and node.comparators[0].value is None):
+                none_tests.add((fn.name, node.lineno, getattr(node.left, "id", None)))
+    # every listed name is live: a deleted rule left in a list would pass the
+    # subset checks below vacuously
+    assert FIRST_ORDER_BODIES | JET_BUILDERS | SCALAR_RULES <= {fn.name for fn in funcs}
+    assert NOT_A_HESSIAN <= {left for _, _, left in none_tests}
+    none_tests = {(name, line) for name, line, left in none_tests if left not in NOT_A_HESSIAN}
     assert {name for name, _ in none_tests} <= FIRST_ORDER_BODIES
-    assert len({line for _, line in none_tests}) <= 9
+    assert len({line for _, line in none_tests}) <= 8
     assert {fn.name for fn in funcs if "_outer" in _calls(fn)} == {"_chain"}
     assert {fn.name for fn in funcs if "_jet" in _calls(fn)} <= JET_BUILDERS
     # * and jeinsum are _product with their own multiplication: neither reads
@@ -190,6 +194,9 @@ def test_a_hessian_is_made_symmetric_once_where_it_is_read():
 CONSTANT_BUILDERS = {"jconst", "jsize"}
 DELETED = {"fundamental_form", "split_fundamental", "ddc", "nijenhuis",
            "exterior_derivative", "CompatibilityError", "AlmostComplexError"} | CONSTANT_BUILDERS
+# a second way to an alpha disk_base already supplies: the homotopy integral
+# of the base form, its quadrature and the form field it integrated
+DELETED |= {"homotopy_primitive", "gauss_integrate", "fundamental_form_field"}
 
 
 def _names(node):
@@ -706,11 +713,11 @@ REMOVED_PARAMETERS = {
     "almost_kahler.torsion_point": ("dw_floor", "rank_rtol"),
     "foliation.foliation_report": ("tol",),
     "foliation._frame_columns": ("tol",),
-    "fields.homotopy_primitive": ("order",),
     "twist.coordinate_twist": ("label",),
 }
 # the parameters that every caller passes, so they take no default
-REQUIRED_PARAMETERS = {"calabi.rescale_biaxial": "profile", "twist.make_sfield": "ww"}
+REQUIRED_PARAMETERS = {"calabi.rescale_biaxial": "profile", "twist.make_sfield": "ww",
+                       "calabi.build_calabi": "alpha"}
 
 
 def _function(dotted):
@@ -765,3 +772,17 @@ def test_thresholds_no_caller_sets_are_not_parameters(dotted):
 def test_a_parameter_every_caller_passes_has_no_default(dotted):
     param = inspect.signature(_function(dotted)).parameters[REQUIRED_PARAMETERS[dotted]]
     assert param.default is inspect.Parameter.empty, dotted
+
+
+def test_no_builder_takes_an_alpha_or_an_expected_verdict():
+    # a chart's alpha comes from disk_base or the chain's lower level, and
+    # every classifier check expects the paper's holomorphic verdict: neither
+    # is a scenario parameter, and list-builders offers neither
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert kahlerkit.cli.main(["list-builders"]) == 0
+    params = re.findall(r"^  params:  (.*)$", out.getvalue(), re.M)
+    assert len(params) == len(kahlerkit.scenarios.BUILDERS)
+    assert [ln for ln in params if re.search(r"\b(alpha|verdict)=", ln)] == []
+    assert not {"alpha", "verdict"} & {key for entry in kahlerkit.scenarios.BUILDERS
+                                       for key in entry.params}
