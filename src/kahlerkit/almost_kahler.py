@@ -39,9 +39,6 @@ class AKProduct:
     def triple(self):
         return HermitianTriple(self.g, self.J, self.chart)
 
-    def triple_tilde(self):
-        return HermitianTriple(self.g, self.J_tilde, self.chart)
-
 
 def build_ak_product(z_factor, tw, mode="B", plane_range=(-1.0, 1.0)):
     """Twisted product structures on R^2 x Z.  tw is a twist Field declared

@@ -15,31 +15,28 @@ iota_{d/ds} omega_J = -dz.  I0 = J (1 - 2 P+) flips J on the fiber span
 {d/ds, d/dz} and is integrable; its Lee form is 2 dln z.
 """
 
-import itertools
 from dataclasses import dataclass
-from math import comb, exp, isfinite, log, sqrt
+from math import comb, exp, isfinite, sqrt
 from sys import float_info
 
 import numpy as np
 
-from kahlerkit.jets import Jet2, SamplePlan, embed, jeinsum, jlog, pack
+from kahlerkit.jets import Jet2, SamplePlan, embed, jeinsum, pack
 from kahlerkit.fields import (ChartManifold, Field, Fold, NotClosedError, PointEval,
-                              first_order, wedge12, wedge_top, exterior_from_grad,
-                              least_squares)
+                              first_order, wedge_top)
 from kahlerkit.hermitian import HermitianTriple
 
 ALPHA_CHECK_COUNT = 10    # build_calabi: base points of the alpha guard
 ALPHA_TOL = 1e-7          # build_calabi: largest |d alpha - omega_N| there
-RESCALE_T_SAMPLES = 9     # rescale_biaxial: points of the ln z grid
-RESCALE_TOL = 1e-9        # rescale_biaxial: largest |b' + b - a| there
 
 
 @dataclass
 class CalabiProfile:
     """Log moment-map profile G(r) = A ln r with A < 0, plus the chart ranges.
 
-    The r <-> z dictionary: z = G(r), r = exp(z/A), G'(r) = A/r, and the
-    auxiliary profile H = 1/G drives the Lee-form formulas of I0.
+    The r <-> z dictionary: z = G(r), r = exp(z/A), G'(r) = A/r.  In it the
+    Lee form 2 dln z of I0 has dr-coefficient 2A/(r z) and squared norm
+    -4A/z^2.
     """
     A: float = -1.0
     z_range: tuple = (0.5, 2.0)
@@ -69,21 +66,6 @@ class CalabiProfile:
 
     def G_prime(self, r):
         return self.A / r
-
-    def H(self, r):
-        return 1.0 / (self.A * log(r))
-
-    def H_prime(self, r):
-        z = self.A * log(r)
-        return -(self.A / r) / (z * z)
-
-    def lee_dr_coefficient(self, r):
-        """dr-coefficient of the I0 Lee form, -2 H'/H = 2A/(r z)."""
-        return -2.0 * self.H_prime(r) / self.H(r)
-
-    def lee_norm_sq(self, r):
-        """|theta_0|^2 = 4 r H'(r) = -4A/z^2."""
-        return 4.0 * r * self.H_prime(r)
 
 
 def disk_u_coefficients(k):
@@ -158,9 +140,6 @@ class CalabiChart:
 
     def triple(self):
         return HermitianTriple(self.g, self.J, self.chart)
-
-    def triple_I(self):
-        return HermitianTriple(self.g, self.I0, self.chart)
 
 
 def build_calabi(base, profile, alpha):
@@ -259,51 +238,3 @@ def volume_checks(cal, pe):
 
     return {"pfaffian": lhs, "z_form": rhs_z, "r_form": rhs_r,
             "residual_z": abs(lhs - rhs_z), "residual_r": abs(lhs - rhs_r)}
-
-
-def lee_form_of_I0(cal, pe):
-    """Solve d omega_I = theta0 ^ omega_I for theta0 by least squares over all
-    3-form components.  Returns (theta0 components, fit residual) at each
-    point, shapes (B, n) and (B,)."""
-    n = cal.chart.dim
-    om = pe.omega(cal.g, cal.I0)
-    dom = exterior_from_grad(om.grad, 2)
-    wedges = np.stack([wedge12(e, om.value) for e in np.eye(n)], axis=-1)
-    i, j, k = np.array(list(itertools.combinations(range(n), 3))).T
-    Amat, bvec = wedges[:, i, j, k], dom[:, i, j, k]
-    th0 = least_squares(Amat, bvec)
-    fit = np.abs((Amat @ th0[..., None])[..., 0] - bvec).max(axis=-1)
-    return th0, fit
-
-
-def rescale_biaxial(t, Pp, a, b, profile):
-    """Biaxial rescale g_hat = a(ln z) g|D+ + b(ln z) g|D-.
-
-    Pp is the projector field onto D+; a and b are scalar jet closures of
-    one variable.  The closedness of the rescaled fundamental form forces
-    b' + b = a; the constraint is validated on a grid of the profile's ln z
-    range and violations raise NotClosedError.
-    Returns (HermitianTriple of the rescaled structure, constraint residual).
-    """
-    zlo, zhi = profile.z_range
-    ts = np.linspace(np.log(zlo), np.log(zhi), RESCALE_T_SAMPLES)
-    u = first_order(Jet2.seed(ts[:, None]))[0]   # the grid as one first-order batch
-    av, bv = a(u).value, b(u)
-    bad = np.flatnonzero((av <= 0) | (bv.value <= 0))
-    if bad.size:
-        k = bad[0]
-        raise ValueError("rescale profiles must stay positive, got a=%.3e b=%.3e at t=%.3f"
-                         % (av[k], bv.value[k], ts[k]))
-    worst = float(np.abs(bv.grad[:, 0] + bv.value - av).max())
-    if not worst <= RESCALE_TOL:
-        raise NotClosedError("b' + b - a = %.3e exceeds %.1e; the rescaled form is not closed"
-                             % (worst, RESCALE_TOL))
-
-    def ghat(pt):
-        g = t.g(pt)
-        P = Pp(pt)
-        lt = jlog(pt[1])
-        gp = P.T @ g @ P
-        return a(lt) * gp + b(lt) * (g - gp)
-
-    return HermitianTriple(Field(ghat), t.J, t.chart), worst

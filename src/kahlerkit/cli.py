@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from kahlerkit.jets import SamplePlan
-from kahlerkit.fields import DOMAIN_ERRORS, metric_jets, curvature_from_jets
+from kahlerkit.fields import DOMAIN_ERRORS, curvature_from_jets, float_checked, metric_jets
 from kahlerkit.scenarios import (BUILDERS, ScenarioError, build_case, bundled_names,
                                  load_scenario, make_case, render_json, run_scenario_obj,
                                  tolerance)
@@ -79,7 +79,8 @@ def _cmd_curvature(args):
         raise ScenarioError("point %s lies outside the chart domain %s"
                             % (point, case.chart.domain))
     try:
-        curv = curvature_from_jets(*metric_jets(case.metric.fn, point), point)
+        curv = float_checked(lambda p: curvature_from_jets(*metric_jets(case.metric.fn, p), p),
+                             point)
     except DOMAIN_ERRORS as exc:
         print("error: %s at point %s: %s" % (type(exc).__name__, point, exc), file=sys.stderr)
         return 1

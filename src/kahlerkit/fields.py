@@ -251,6 +251,18 @@ DOMAIN_ERRORS = (JetDomainError, DegenerateMetricError, NotClosedError,
                  np.linalg.LinAlgError)
 
 
+def float_checked(fn, arg):
+    """fn(arg) with numpy's overflow, invalid operation and division by zero
+    raised as a JetDomainError, not warned about (underflow still passes):
+    an intermediate that leaves the floats fails where it arises, also
+    where no residual reads it (an overflowed Hessian memoised for later)."""
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return fn(arg)
+    except FloatingPointError as exc:
+        raise JetDomainError(str(exc)) from None
+
+
 def worst(*residuals):
     """Largest residual (at each point of a batch), NaN included (max() drops
     a NaN that is not first)."""
@@ -280,14 +292,16 @@ class Fold:
     counts the points excluded from it (a name appears once it has one); and
     points counts the points folded.
 
-    Batches add in turn: a chain check's levels share one fold.  The fold
-    stops at the first domain error, keeping the points before it, and at
-    the first NaN or inf residual, which it keeps as its max; either way
-    error names the point, and later adds do nothing.  A batch of more than
-    one point that raises a domain error or yields a NaN or inf is replayed
-    point by point, through the same function on batches of one, so error,
-    the points kept, max and mean are those of a fold over single points;
-    only failing batches pay for it.
+    Batches add in turn: a chain check's levels share one fold.  fn runs
+    under float_checked, so a float overflow, invalid operation or division
+    by zero is a domain error.  The fold stops at the first domain error,
+    keeping the points before it, and at the first NaN or inf residual,
+    which it keeps as its max; either way error names the point, and later
+    adds do nothing.  A batch of more than one point that raises a domain
+    error or yields a NaN or inf is replayed point by point, through the
+    same function on batches of one, so error, the points kept, max and
+    mean are those of a fold over single points; only failing batches pay
+    for it.
     """
 
     def __init__(self):
@@ -301,7 +315,7 @@ class Fold:
         if self.error:
             return
         try:
-            r = fn(pe)
+            r = float_checked(fn, pe)
         except DOMAIN_ERRORS as exc:
             if pe.batch > 1:
                 return self._replay(pe, fn)
@@ -434,14 +448,6 @@ def pull_back(T, A):
 # ---------------------------------------------------------------------------
 # Lie derivative, exterior derivative, Nijenhuis
 # ---------------------------------------------------------------------------
-
-def lie_derivative_metric(g, V, pe):
-    """(L_V g)_ij = V^k d_k g_ij + g_kj d_i V^k + g_ik d_j V^k."""
-    gj, vj = pe.raw(g), pe.raw(V)
-    gv, vg = gj.value, vj.grad
-    return (contract("Zk,Zijk->Zij", vj.value, gj.grad)
-            + contract("Zkj,Zki->Zij", gv, vg) + contract("Zik,Zkj->Zij", gv, vg))
-
 
 def lie_endo_from_jets(Xv, Xg, Jv, Jg):
     """(L_X J)^k_j = X^m d_m J^k_j - J^m_j d_m X^k + J^k_m d_j X^m."""

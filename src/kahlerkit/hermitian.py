@@ -40,11 +40,7 @@ def kahler_point(t, pe):
 def ricci_form(t, pe):
     """rho(X,Y) = Ric(JX,Y) at pe.  It is the Ricci form only where t is
     Kahler, which kahler_point measures; nothing is checked here."""
-    return ricci_form_from_jets(pe.curvature(t.g)[1], pe.raw(t.J).value)
-
-
-def ricci_form_from_jets(Ric, Jv):
-    return contract("Zmi,Zmj->Zij", Jv, Ric)
+    return contract("Zmi,Zmj->Zij", pe.raw(t.J).value, pe.curvature(t.g)[1])
 
 
 def ddc_from_jets(f, J):

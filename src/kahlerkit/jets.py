@@ -2,7 +2,7 @@
 
 A Jet2 carries (value, gradient, Hessian) with respect to the chart coordinates
 and propagates them exactly, each rule written once: _chain for every scalar
-function (1/u, log, exp, sin, cos, tan, a non-integer power), _linear for +
+function (1/u, log, sin, a non-integer power), _linear for +
 and -, _product for * and jeinsum, and _map for indexing, .T, a sign,
 padding, a broadcast and embed (a block placed inside a zero jet).
 A jet carries B points at once (vectorised Taylor-mode propagation), and a
@@ -63,8 +63,8 @@ import numpy as np
 
 class JetDomainError(ValueError):
     """Raised when a jet operation leaves its domain (log of nonpositive value,
-    division by zero, a non-finite integrand).  A Fold names the point where
-    it was raised."""
+    division by zero), and by fields.float_checked for a float overflow or
+    invalid operation.  A Fold names the point where it was raised."""
 
 
 class FirstOrderError(Exception):
@@ -390,30 +390,9 @@ def jlog(u):
     return _chain(u, np.log(u.value), iv, -(iv * iv))
 
 
-def jexp(u):
-    e = np.exp(u.value)
-    return _chain(u, e, e, e)
-
-
 def jsin(u):
     s, c = np.sin(u.value), np.cos(u.value)
     return _chain(u, s, c, -s)
-
-
-def jcos(u):
-    s, c = np.sin(u.value), np.cos(u.value)
-    return _chain(u, c, -s, -c)
-
-
-def jtan(u):
-    t = np.tan(u.value)
-    sec2 = 1.0 + t * t
-    return _chain(u, t, sec2, 2.0 * t * sec2)
-
-
-def jsqrt(u):
-    _check_positive(u, "sqrt")
-    return u ** 0.5
 
 
 # ---------------------------------------------------------------------------

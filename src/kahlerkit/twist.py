@@ -50,21 +50,6 @@ def coordinate_twist(ix, iy, conj=False, scale=1.0):
     return Field(fn, label="%szeta[%d,%d]" % ("conj_" if conj else "", ix, iy))
 
 
-def mobius(w):
-    """w -> w~ = -w/(1+w); this family is an involution."""
-    w = complex(w)
-    if abs(w) >= 1.0:
-        raise ValueError("mobius needs |w| < 1, got %r" % (w,))
-    return -w / (1.0 + w)
-
-
-def mobius_inv(wt):
-    wt = complex(wt)
-    if wt.real <= -0.5:
-        raise ValueError("mobius_inv needs Re w~ > -1/2, got %r" % (wt,))
-    return -wt / (1.0 + wt)
-
-
 @dataclass
 class TwistedTriple:
     g_w: Field
@@ -236,19 +221,3 @@ def zeta_duality_residual(gfn, Jfn, gwfn, Jwfn, theta_fn, pe):
     zeta, zeta_w = (contract("Zij,Zj->Zi", pe.inverse(g).value, th) for g in (gfn, gwfn))
     return pe.absmax(contract("Zij,Zj->Zi", pe.raw(Jwfn).value, zeta_w)
                      - contract("Zij,Zj->Zi", pe.raw(Jfn).value, zeta))
-
-
-def solve_single_twist(g0fn, gcompfn, J0fn, Ppfn, theta_fn, pe):
-    """Recover the single-twist parameter (w1, w2) reproducing a composite
-    metric at each point of pe (mode B, frame {theta, -theta o J})."""
-    gvc = pe.raw(gcompfn).value
-    th = pe.raw(theta_fn).value[..., None, :]
-    F = np.concatenate([th, -th @ pe.raw(J0fn).value], axis=-2)   # rows theta, e2
-    v = pe.raw(Ppfn).value[..., :2]
-    u = v @ np.linalg.inv(F @ v)
-    C = pe.inverse(g0fn).value @ gvc
-    B = F @ C @ u
-    tau = B[..., 0, 0] + B[..., 1, 1]
-    ww = ((tau - 2.0) / (tau + 2.0))[..., None, None]
-    S3 = 0.5 * ((1.0 + ww) * np.eye(2) - (1.0 - ww) * B)
-    return S3[..., 0, 0], S3[..., 0, 1]

@@ -19,8 +19,7 @@ from kahlerkit.hermitian import HermitianTriple, kahler_point
 from kahlerkit.foliation import (VERDICT_FAILED, VERDICT_HOLOMORPHIC,
                                  VERDICT_PRODUCT, classify_point,
                                  extract_theta, foliation_report)
-from kahlerkit.calabi import (CalabiProfile, build_calabi, disk_base,
-                              lee_form_of_I0, volume_checks)
+from kahlerkit.calabi import CalabiProfile, build_calabi, disk_base, volume_checks
 from kahlerkit.twist import (build_twist, constant_twist, coordinate_twist,
                              norm_factor_expected, norm_factor_measured,
                              ricci_identity_check,
@@ -30,6 +29,7 @@ from kahlerkit.almost_kahler import (ak3_point, build_ak_product,
                                      torsion_point)
 from kahlerkit.scenarios import load_scenario, render_json, run_scenario_obj
 from helpers import fold_plan, nijenhuis_at, product_triple, sphere_metric
+from paper_claims import lee_form_of_I0
 
 
 def crit(num, ok, detail):
@@ -119,18 +119,22 @@ def test_criterion_3_lee_form_closed_forms():
     prof = CalabiProfile(A=-1.0, z_range=(0.05, 1.4), s_range=(-0.8, 0.8))
     base, alpha = disk_base(1)
     cal = build_calabi(base, prof, alpha=alpha)
-    worst = 0.0
-    for r in np.linspace(0.3, 0.9, 20):
+    # the Lee form of I0 has dr-coefficient 2A/(r z) and squared norm -4A/z^2
+    def lee_at(r):
         z = prof.moment_map_G(r)
         th0, fit = (a[0] for a in lee_form_of_I0(cal, PointEval([0.1, z, 0.1, -0.2])))
         drc = th0[1] * prof.G_prime(r)
         x = Jet2.seed(np.array([0.1, z, 0.1, -0.2]))
         gv = np.array([[e.value[0] for e in row] for row in cal.g.fn(x)])
         n2 = float(th0 @ np.linalg.inv(gv) @ th0)
-        worst = max(worst, fit, abs(drc - prof.lee_dr_coefficient(r)),
-                    abs(n2 - prof.lee_norm_sq(r)))
-    anchor = max(abs(prof.lee_dr_coefficient(0.5) - (-5.7707801635558535)),
-                 abs(prof.lee_norm_sq(0.5) - 8.325475924022431))
+        return z, drc, n2, fit
+    worst = 0.0
+    for r in np.linspace(0.3, 0.9, 20):
+        z, drc, n2, fit = lee_at(r)
+        worst = max(worst, fit, abs(drc - 2.0 * prof.A / (r * z)),
+                    abs(n2 - (-4.0 * prof.A / (z * z))))
+    _, drc, n2, _ = lee_at(0.5)
+    anchor = max(abs(drc - (-5.7707801635558535)), abs(n2 - 8.325475924022431))
     ok = worst <= 1e-8 and anchor <= 1e-8
     crit(3, ok, "20 radii in [0.3, 0.9]: worst formula deviation %.2e "
          "(tol 1e-8), anchors at r=0.5 off by %.2e" % (worst, anchor))

@@ -7,7 +7,7 @@ import pytest
 from kahlerkit.jets import Jet2, JetDomainError, SamplePlan, jlog
 from kahlerkit.fields import (ChartManifold, Field, PointEval, curvature_from_jets,
                               metric_jets, worst)
-from kahlerkit.hermitian import ddc_from_jets, kahler_point
+from kahlerkit.hermitian import HermitianTriple, ddc_from_jets, kahler_point
 from kahlerkit.calabi import disk_base, volume_checks
 from kahlerkit.twist import constant_twist, coordinate_twist
 from kahlerkit.almost_kahler import (ak3_point, ak_invariants_point,
@@ -62,7 +62,7 @@ def test_kahler_candidate_is_kahler_for_transverse_twist():
     v = fold_plan(ak.chart, SamplePlan(3, 8), lambda pe: worst(*kahler_point(t, pe).values()))
     assert v.max() <= 1e-7
     # the flipped structure is almost Kähler but never integrable here
-    tt = ak.triple_tilde()
+    tt = HermitianTriple(ak.g, ak.J_tilde, ak.chart)
     vt = fold_plan(ak.chart, SamplePlan(3, 8), lambda pe: kahler_point(tt, pe))
     assert not worst(*(vt.max(k) for k in vt.values)) <= 1e-7
     assert vt.max("compatible") < 1e-12

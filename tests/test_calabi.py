@@ -6,15 +6,14 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from kahlerkit.jets import Jet2, SamplePlan, jexp
+from kahlerkit.jets import Jet2, SamplePlan
 from kahlerkit.fields import NotClosedError, PointEval, metric_jets, worst
-from kahlerkit.hermitian import kahler_point
+from kahlerkit.hermitian import HermitianTriple, kahler_point
 from kahlerkit.foliation import extract_theta
 from kahlerkit.calabi import (CalabiProfile, build_calabi, disk_base,
-                              disk_u_coefficients, lee_form_of_I0,
-                              moment_map_point, rescale_biaxial,
-                              volume_checks)
+                              disk_u_coefficients, moment_map_point, volume_checks)
 from helpers import fold_plan
+from paper_claims import lee_form_of_I0, rescale_biaxial
 
 
 def make_cal(k=1, z_range=(0.5, 2.0)):
@@ -70,7 +69,7 @@ def test_chart_shape_and_verdicts():
 
 def test_second_structure_is_hermitian_not_kahler():
     cal = make_cal(1)
-    t = cal.triple_I()
+    t = HermitianTriple(cal.g, cal.I0, cal.chart)
     v = fold_plan(t.chart, SamplePlan(3, 10), lambda pe: kahler_point(t, pe))
     assert not worst(*(v.max(k) for k in v.values)) <= 1e-7
     assert v.max("compatible") < 1e-12
@@ -121,33 +120,41 @@ def test_volume_identity_six_dimensional_case():
         assert abs(vc["pfaffian"]) > 1e-15
 
 
+def lee_of_I0_at(cal, r):
+    """The Lee form of I0 extracted at radius r (z = G(r)), its
+    dr-coefficient, its squared norm and the least-squares fit residual."""
+    prof = cal.profile
+    z = prof.moment_map_G(r)
+    p = [0.1, z, 0.1, -0.2]
+    th0, fit = (a[0] for a in lee_form_of_I0(cal, PointEval(p)))
+    x = Jet2.seed(np.asarray(p, float))
+    gv = np.array([[e.value[0] for e in row] for row in cal.g.fn(x)])
+    return th0, th0[1] * prof.G_prime(r), float(th0 @ np.linalg.inv(gv) @ th0), fit
+
+
 def test_lee_form_of_second_structure_profile_anchors():
     # 20 radii across [0.3, 0.9]: the extracted Lee form of the non-Kähler
-    # structure must be 2 dln z, with dr-coefficient and squared norm
-    # matching the profile formulas
+    # structure must be 2 dln z, with dr-coefficient 2A/(r z) and squared
+    # norm -4A/z^2
     prof = CalabiProfile(A=-1.0, z_range=(0.05, 1.4), s_range=(-0.8, 0.8))
     base, alpha = disk_base(1)
     cal = build_calabi(base, prof, alpha=alpha)
     for r in np.linspace(0.3, 0.9, 20):
         z = prof.moment_map_G(r)
-        p = [0.1, z, 0.1, -0.2]
-        th0, fit = (a[0] for a in lee_form_of_I0(cal, PointEval(p)))
+        th0, drc, n2, fit = lee_of_I0_at(cal, r)
         assert fit < 1e-10
         assert abs(th0[1] - 2.0 / z) < 1e-8
         assert np.abs(th0[[0, 2, 3]]).max() < 1e-10
-        drc = th0[1] * prof.G_prime(r)
-        assert abs(drc - prof.lee_dr_coefficient(r)) < 1e-8
-        x = Jet2.seed(np.asarray(p, float))
-        gv = np.array([[e.value[0] for e in row] for row in cal.g.fn(x)])
-        n2 = float(th0 @ np.linalg.inv(gv) @ th0)
-        assert abs(n2 - prof.lee_norm_sq(r)) < 1e-8
+        assert abs(drc - 2.0 * prof.A / (r * z)) < 1e-8
+        assert abs(n2 - (-4.0 * prof.A / (z * z))) < 1e-8
 
 
 def test_lee_form_anchor_values_at_half():
     prof = CalabiProfile(A=-1.0, z_range=(0.05, 1.4))
-    r = 0.5
-    assert abs(prof.lee_dr_coefficient(r) - (-5.7707801635558535)) < 1e-12
-    assert abs(prof.lee_norm_sq(r) - 8.325475924022431) < 1e-12
+    base, alpha = disk_base(1)
+    _, drc, n2, _ = lee_of_I0_at(build_calabi(base, prof, alpha=alpha), 0.5)
+    assert abs(drc - (-5.7707801635558535)) < 1e-12
+    assert abs(n2 - 8.325475924022431) < 1e-12
 
 
 def test_rescale_identity_pair_reproduces_metric():
@@ -162,10 +169,13 @@ def test_rescale_identity_pair_reproduces_metric():
         assert np.abs(g1 - g2).max() == 0.0
 
 
-def test_rescale_exponential_pair():
+def test_rescale_polynomial_pair():
+    # b = u^2 + 2 and a = b' + b = (u + 1)^2 + 1, both positive: the
+    # rescaled structure is Kähler, and its Lee form is the original's
+    # times a/b at u = ln z
     cal = make_cal(1)
-    a = lambda u: 2.0 * jexp(u)
-    b = lambda u: jexp(u)
+    a = lambda u: u * u + 2.0 * u + 2.0
+    b = lambda u: u * u + 2.0
     hat, resid = rescale_biaxial(cal.triple(), cal.proj_plus, a, b,
                                  profile=cal.profile)
     assert resid < 1e-12
@@ -176,7 +186,8 @@ def test_rescale_exponential_pair():
     for p in cal.chart.samples(SamplePlan(11, 5)):
         t_orig = extract_theta(cal.triple(), s, PointEval(p))[0]
         t_hat = extract_theta(hat, s, PointEval(p))[0]
-        assert abs(t_hat[1] / t_orig[1] - 2.0) < 1e-12
+        u = np.log(p[1])
+        assert abs(t_hat[1] / t_orig[1] - a(u) / b(u)) < 1e-12
 
 
 def test_rescale_rejects_broken_constraint():

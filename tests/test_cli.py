@@ -561,6 +561,20 @@ def test_curvature_domain_error_names_the_point(tmp_path, capsys):
     assert len(err.splitlines()) == 1
 
 
+def test_curvature_float_overflow_names_the_point(tmp_path, capsys):
+    # a coordinate twist inside its scale bound on a tiny chart box: the
+    # twisted metric's Hessian overflows, which is one error line naming the
+    # point, not a RuntimeWarning
+    obj = {"name": "tiny_box", "builder": "calabi_twist",
+           "params": {"radius": 1e-155, "twist": {"id": "coord_z", "scale": 9e153}}}
+    path = tmp_path / "tiny_box.json"
+    path.write_text(json.dumps(obj))
+    rc, out, err = run_cli(capsys, ["curvature", str(path), "--point=-0.5,0.85,5e-156,-5e-156"])
+    assert rc == 1 and out == ""
+    assert err == ("error: JetDomainError at point [-0.5, 0.85, 5e-156, -5e-156]: "
+                   "overflow encountered in add\n")
+
+
 def test_curvature_singular_metric_names_the_point(monkeypatch, capsys):
     case = build_case(load_scenario("sphere"))
     degenerate = Field(lambda pt: np.zeros((2, 2)))

@@ -8,7 +8,7 @@ from kahlerkit.jets import (CONSTANT, FirstOrderError, Jet2, SamplePlan, jet_dco
                             pack)
 from kahlerkit.fields import (ChartManifold, DegenerateMetricError, Field, Fold,
                               NotClosedError, PointEval, excluded, first_order,
-                              exterior_from_grad, least_squares, lie_derivative_metric,
+                              exterior_from_grad, least_squares,
                               metric_jets, nijenhuis_from_jets, omega_of, wedge_top)
 from kahlerkit.hermitian import HermitianTriple, kahler_point
 from helpers import ROTATION, fold_plan, patch_contract, rotation, sphere_metric
@@ -133,27 +133,6 @@ def test_exterior_derivative_of_declared_two_form():
     assert abs(d[0, 1, 2] - 1.0) < 1e-12
     assert abs(d[1, 0, 2] + 1.0) < 1e-12
     assert abs(d[0, 0, 1]) < 1e-14
-
-
-def test_lie_derivative_of_metric_against_finite_difference():
-    # flow of V = (0.3 x, -0.2 y) on the sphere chart metric, compared to a
-    # Richardson derivative of the first-order-flow pullback in epsilon
-    def V(pt):
-        return [pt[0] * 0.3, pt[1] * (-0.2)]
-    p = np.array([1.0, 0.5])
-    LV = lie_derivative_metric(sphere_metric, V, PointEval(p))
-    h = 1e-5
-
-    def pullback(eps):
-        q = p + eps * np.array([0.3 * p[0], -0.2 * p[1]])
-        gv, _, _ = metric_jets(sphere_metric, q)
-        Jac = np.eye(2) + eps * np.diag([0.3, -0.2])
-        return Jac.T @ gv @ Jac
-
-    def d(step):
-        return (pullback(step) - pullback(-step)) / (2.0 * step)
-    fd = (4.0 * d(h / 2.0) - d(h)) / 3.0
-    assert np.abs(LV - fd).max() < 1e-8
 
 
 def test_nijenhuis_vanishes_for_constant_structure():

@@ -5,7 +5,7 @@ curvature oracles."""
 import numpy as np
 import pytest
 
-from kahlerkit.jets import AFFINE, CONSTANT, Jet2, SamplePlan, jlog, jsin
+from kahlerkit.jets import AFFINE, CONSTANT, Jet2, JetDomainError, SamplePlan, jlog, jsin
 from kahlerkit.fields import (ChartManifold, DegenerateMetricError, Field, Fold, PointEval,
                               metric_jets, worst)
 from kahlerkit.hermitian import HermitianTriple, ddc_from_jets, kahler_point, ricci_form
@@ -213,9 +213,11 @@ def test_kahler_verdict_fails_on_nan_at_a_later_point():
 def test_a_nan_or_inf_in_a_known_zero_operand_fails_the_check(kind, bad):
     # a constant or affine operand skips the derivative terms its zeros
     # would add, so no 0 * inf = NaN reaches a Hessian through them; its
-    # value still carries the NaN or inf into the residual, and the fold
-    # names the first point where it does: the first sample for a constant,
-    # which is bad everywhere, and the bad point for the affine operand
+    # value still carries a NaN into the residual, and an inf raises the
+    # float error of its first 0 * inf (the gradient c dy of c * y), and the
+    # fold names the first point where either happens: the first sample for
+    # a constant, which is bad everywhere, and the bad point for the affine
+    # operand, after keeping the point before it
     plan = SamplePlan(12, 5)
     pts = flat4_triple().chart.samples(plan)
 
@@ -228,8 +230,13 @@ def test_a_nan_or_inf_in_a_known_zero_operand_fails_the_check(kind, bad):
         assert u._hess is (CONSTANT if kind == "constant" else AFFINE)
         return 1.0 + u * pt[1]
     t = flat4_triple(warp)
-    with np.errstate(invalid="ignore"):     # inf - inf and 0 * inf
-        v = fold_plan(t.chart, plan, lambda pe: kahler_point(t, pe))
-    at = pts[0] if kind == "constant" else pts[1]
-    assert v.error == "non-finite residual at point %s" % at.round(8).tolist()
-    assert not all(np.isfinite(v.max(k)) for k in v.values)
+    v = Fold()
+    v.add(PointEval(t.chart.samples(plan)), lambda pe: kahler_point(t, pe))
+    at = (pts[0] if kind == "constant" else pts[1]).round(8).tolist()
+    if np.isnan(bad):
+        assert v.error == "non-finite residual at point %s" % at
+        assert not all(np.isfinite(v.max(k)) for k in v.values)
+    else:
+        assert isinstance(v.exc, JetDomainError)
+        assert v.error.startswith("JetDomainError at point %s: invalid value encountered in " % at)
+        assert v.points == (0 if kind == "constant" else 1)

@@ -81,10 +81,10 @@ def scenario_path(tmp_path_factory):
     return str(tmp_path_factory.mktemp("surface") / "scenario.json")
 
 
-def _verify(path):
+def _verify(path, *options):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        rc = main(["verify", path, "--samples", "2"])
+        rc = main(["verify", path, "--samples", "2", *options])
     return rc, out.getvalue(), err.getvalue()
 
 
@@ -94,16 +94,18 @@ def _without_timings(out):
     return head if sep else out
 
 
-def _assert_exits_cleanly(builder, path, params):
-    """Run verify on the builder's params: see the module docstring."""
+def _assert_exits_cleanly(builder, path, params, *options):
+    """Run verify on the builder's params, with any further verify options:
+    see the module docstring.  Returns the exit code, the standard error and
+    the PASS and FAIL lines."""
     with open(path, "w", encoding="utf-8") as fh:
         json.dump({"name": "surface", "builder": builder, "params": params}, fh)
-    rc, out, err = _verify(path)
+    rc, out, err = _verify(path, *options)
     assert rc in (0, 1, 2)
     if rc == 2:
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: "), err
-        return rc, err
+        return rc, err, []
     assert err == ""
     lines = [ln for ln in out.splitlines() if ln.startswith(("PASS", "FAIL"))]
     assert (rc == 1) == any(ln.startswith("FAIL") for ln in lines)
@@ -116,9 +118,9 @@ def _assert_exits_cleanly(builder, path, params):
             assert math.isfinite(rec["max_residual"]) and math.isfinite(rec["mean_residual"])
         if "error" in rec:
             assert " at point [" in rec["error"] or rec["error"].startswith("level "), rec
-    again = _verify(path)
+    again = _verify(path, *options)
     assert (again[0], _without_timings(again[1]), again[2]) == (rc, _without_timings(out), err)
-    return rc, err
+    return rc, err, lines
 
 
 @pytest.mark.parametrize("builder", sorted(STRATEGIES))
@@ -137,7 +139,7 @@ def test_a_profile_A_with_a_subnormal_q_is_a_usage_error(builder, scenario_path,
     # q = -1/A lies below the normal floats, where every check would read
     # NaN: one error line names A.  @example cannot feed st.data(), so these
     # found inputs run here, in the explicit phase alone
-    rc, err = _assert_exits_cleanly(builder, scenario_path, params)
+    rc, err, _ = _assert_exits_cleanly(builder, scenario_path, params)
     assert rc == 2 and "profile needs q = -1/A and r = exp(z/A) normal floats" in err
     assert err.endswith("got A=%r, z_range=(0.6, 1.8)\n" % params["A"]), err
 
@@ -160,5 +162,24 @@ def test_a_parameter_the_arithmetic_cannot_carry_is_a_usage_error(builder, scena
     # each overflowed in numpy before a guard fired: RuntimeWarnings, then
     # FAILs at every point (the twists) or "d alpha mismatches the base
     # Kähler form by nan" (the radius); now one error line names the value
-    rc, err = _assert_exits_cleanly(builder, scenario_path, params)
+    rc, err, _ = _assert_exits_cleanly(builder, scenario_path, params)
     assert rc == 2 and names in err, err
+
+
+@example(builder="calabi_twist", params={"radius": 1e-155,
+                                         "twist": {"id": "coord_z", "scale": 9e153}},
+         seed="1", point="[-0.48518175, 0.84637091, -0.0, 0.0]", what="overflow encountered in add")
+@settings(phases=[Phase.explicit])
+@given(builder=st.just("calabi"), params=st.just({}), seed=st.just("0"), point=st.just(""),
+       what=st.just(""))
+def test_a_float_error_inside_the_bounds_fails_at_a_named_point(builder, scenario_path, params,
+                                                                seed, point, what):
+    # a coordinate twist inside its scale bound on a tiny chart box overflows
+    # in the twisted metric's Hessian, which some checks memoise without
+    # reading: each check that meets the overflow FAILs naming the point and
+    # the float error, and no RuntimeWarning escapes
+    rc, _, lines = _assert_exits_cleanly(builder, scenario_path, params, "--seed", seed)
+    failed = [ln for ln in lines if ln.startswith("FAIL")]
+    assert rc == 1 and failed
+    for ln in failed:
+        assert ln.endswith("[JetDomainError at point %s: %s]" % (point, what)), ln

@@ -19,7 +19,8 @@ product rule for * and jeinsum, one map for the shape-only rules, and the
 first-order case decided in the named rule bodies alone), that a Hessian is made symmetric only where it is read, that
 the D+ frame is computed once per point, that a built case and its Fields
 cannot change, that no module names numpy's random module and no command
-imports it, and the README's library example run as written."""
+imports it, that every function src/ defines runs in a bundled command,
+and the README's library example run as written."""
 
 import ast
 import contextlib
@@ -132,7 +133,7 @@ NOT_A_HESSIAN = {"like"}
 # the rules that build a jet from its arrays: every other rule calls them
 JET_BUILDERS = {"_map", "_chain", "_linear", "_product", "seed", "jinv", "jet_dcoord", "_lift",
                 "pack"}
-SCALAR_RULES = {"inv", "jlog", "jexp", "jsin", "jcos", "jtan", "__pow__"}
+SCALAR_RULES = {"inv", "jlog", "jsin", "__pow__"}
 
 
 def _calls(fn):
@@ -197,6 +198,16 @@ DELETED = {"fundamental_form", "split_fundamental", "ddc", "nijenhuis",
 # a second way to an alpha disk_base already supplies: the homotopy integral
 # of the base form, its quadrature and the form field it integrated
 DELETED |= {"homotopy_primitive", "gauss_integrate", "fundamental_form_field"}
+# capabilities no command ran, deleted with the tests that exercised only
+# them: the Mobius map, a Lie derivative that foliation.theta_jets restates,
+# the triples tests build inline, the profile's H forms of closed-form Lee
+# data, the jet rules no field used, and a one-line Ricci-form helper; and
+# the paper-claim oracles that moved to tests/paper_claims.py
+DELETED |= {"mobius", "mobius_inv", "lie_derivative_metric", "triple_I", "triple_tilde",
+            "H", "H_prime", "lee_dr_coefficient", "lee_norm_sq",
+            "jexp", "jcos", "jtan", "jsqrt", "ricci_form_from_jets",
+            "lee_form_of_I0", "solve_single_twist", "rescale_biaxial",
+            "RESCALE_T_SAMPLES", "RESCALE_TOL"}
 
 
 def _names(node):
@@ -678,6 +689,80 @@ def test_a_fresh_process_never_imports_numpys_random_module():
                               curvature=0, **{"list-builders": 0})
 
 
+# every bundled verify (the first with --out), the builder listing and a
+# curvature query at each bundled chart's centre, in one fresh process under
+# a profiler, which then reports the (file, first line) of each code object
+# of src/ that was entered, and the exit codes.  The centres are computed
+# with the profiler off; the cases they build were built by verify already
+TRACE_SCRIPT = """
+import contextlib, io, json, os, sys
+src, out = sys.argv[1], sys.argv[2]
+entered = set()
+
+def profile(frame, event, arg):
+    if event == "call" and frame.f_code.co_filename.startswith(src):
+        entered.add((os.path.basename(frame.f_code.co_filename), frame.f_code.co_firstlineno))
+
+sys.setprofile(profile)
+from kahlerkit.cli import main
+from kahlerkit.scenarios import build_case, bundled_names, load_scenario
+with contextlib.redirect_stdout(io.StringIO()):
+    names = bundled_names()
+    rcs = {name: main(["verify", name] + (["--out", out] if i == 0 else []))
+           for i, name in enumerate(names)}
+    rcs["list-builders"] = main(["list-builders"])
+    sys.setprofile(None)
+    centres = [",".join(map(repr, build_case(load_scenario(name)).chart.center().tolist()))
+               for name in names]
+    sys.setprofile(profile)
+    for name, c in zip(names, centres):
+        rcs["curvature " + name] = main(["curvature", name, "--point=" + c])
+sys.setprofile(None)
+print(json.dumps({"rcs": rcs, "entered": sorted(entered)}))
+"""
+
+# The functions of src/ that no bundled command enters, each for a reason:
+# a batch is replayed point by point only when it fails, and no bundled
+# batch raises or yields a NaN; the reprs serve debugging; a Field refuses
+# to be changed, which no command tries; and perfbench's tracer wraps every
+# Jet2 operator by name, __truediv__ included
+NOT_ENTERED = {"fields.Fold._replay", "fields.ChartManifold.__repr__", "jets.Jet2.__repr__",
+               "jets.SamplePlan.__repr__", "fields.Field.__setattr__",
+               "fields.Field.__delattr__", "jets.Jet2.__truediv__"}
+
+
+def _functions(tree, prefix=""):
+    """(qualified name, first line of its code object) of each function
+    defined in tree, nested ones included: a decorated function's code
+    starts at its first decorator."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield prefix + node.name, min([node.lineno] + [d.lineno for d in node.decorator_list])
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _functions(node, prefix + node.name + ".")
+
+
+def test_every_src_function_runs_in_a_bundled_command(tmp_path):
+    # src/ holds what a command runs: a function that only tests call is a
+    # test oracle (tests/paper_claims.py) or dead code.  A fresh process,
+    # as the in-process case memo would skip the builders' bodies
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(ROOT, "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", TRACE_SCRIPT, SRC + os.sep,
+                           str(tmp_path / "report.json")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    names = bundled_names()
+    assert out["rcs"] == dict(dict.fromkeys(names, 0), ak_disk_chain2=1,
+                              **{"list-builders": 0},
+                              **{"curvature " + name: 0 for name in names})
+    entered = {tuple(e) for e in out["entered"]}
+    defined = {name[:-3] + "." + qual: (name, line)
+               for name, tree in _modules() for qual, line in _functions(tree)}
+    assert sorted(q for q, key in defined.items() if key not in entered) == sorted(NOT_ENTERED)
+
+
 READERS = {"number", "integer", "pair", "tolerance", "twist_spec"}
 
 
@@ -708,7 +793,7 @@ def test_each_builder_declares_each_parameter_once():
 # module constant now
 REMOVED_PARAMETERS = {
     "calabi.build_calabi": ("alpha_tol", "check_count"),
-    "calabi.rescale_biaxial": ("tol", "t_samples"),
+    "paper_claims.rescale_biaxial": ("tol", "t_samples"),
     "foliation.structure_point": ("skip_theta_below",),
     "almost_kahler.torsion_point": ("dw_floor", "rank_rtol"),
     "foliation.foliation_report": ("tol",),
@@ -716,13 +801,17 @@ REMOVED_PARAMETERS = {
     "twist.coordinate_twist": ("label",),
 }
 # the parameters that every caller passes, so they take no default
-REQUIRED_PARAMETERS = {"calabi.rescale_biaxial": "profile", "twist.make_sfield": "ww",
+REQUIRED_PARAMETERS = {"paper_claims.rescale_biaxial": "profile", "twist.make_sfield": "ww",
                        "calabi.build_calabi": "alpha"}
 
 
 def _function(dotted):
+    """The function a "module.name" string names: a kahlerkit module's, or the
+    test oracles' in paper_claims."""
     module, name = dotted.split(".")
-    return getattr(importlib.import_module("kahlerkit." + module), name)
+    if module != "paper_claims":
+        module = "kahlerkit." + module
+    return getattr(importlib.import_module(module), name)
 
 
 def _declares_a_check(node):

@@ -13,13 +13,13 @@ from kahlerkit.calabi import CalabiProfile, build_calabi, disk_base
 from kahlerkit.almost_kahler import build_ak_product, iterate_chain
 from kahlerkit.scenarios import load_scenario
 from kahlerkit.twist import (build_twist, build_twist_fields,
-                             constant_twist, form_invariance_point, coordinate_twist, mobius,
-                             mobius_inv, norm_factor_expected,
+                             constant_twist, form_invariance_point, coordinate_twist,
+                             norm_factor_expected,
                              norm_factor_measured, ricci_identity_check,
-                             solve_single_twist,
                              transverse_holomorphy_point,
                              zeta_duality_residual)
 from helpers import fold_plan, nijenhuis_at
+from paper_claims import solve_single_twist
 
 
 def make_cal(k=1):
@@ -166,19 +166,6 @@ def test_single_twist_parameter_recovery():
                                                    cal.proj_plus.fn, cal.theta.fn, PointEval(p)))
     assert abs(got1 - p[2]) < 1e-10
     assert abs(got2 - p[3]) < 1e-10
-
-
-def test_mobius_family():
-    rng = np.random.default_rng(17)
-    for _ in range(100):
-        w = complex(*rng.uniform(-0.28, 0.28, size=2))
-        wt = mobius(w)
-        assert abs(mobius(wt) - w) < 1e-14
-        assert abs(mobius_inv(wt) - w) < 1e-14
-    with pytest.raises(ValueError):
-        mobius(1.2)
-    with pytest.raises(ValueError):
-        mobius_inv(-0.6)
 
 
 def _fold_s(S, p):
