@@ -2,8 +2,8 @@
 
 Each pairwise contraction is compared, on random inputs drawn from fixed
 seeds, with the direct formula it replaced: every jets.contract spec that
-the float layer names with np.einsum, on batched, unbatched and
-batch-of-one operands; the curvature, Nijenhuis and wedge formulas that
+src/ names, the float layer's and jinv's, with np.einsum, on batched,
+unbatched and batch-of-one operands; the curvature, Nijenhuis and wedge formulas that
 became transposes and broadcasts with the einsums they replaced; the
 curvature rotation with the five-operand einsum, wedge_top with the sum
 over all permutations, and the D+ frame choice with one determinant per
@@ -185,10 +185,10 @@ def test_no_einsum_takes_more_than_two_operands(monkeypatch):
 
 
 def _float_specs():
-    """Every spec that src/ outside jets.py passes to contract as a literal."""
+    """Every spec that src/ passes to contract as a literal."""
     specs = set()
     for name in sorted(os.listdir(SRC)):
-        if name.endswith(".py") and name != "jets.py":
+        if name.endswith(".py"):
             with open(os.path.join(SRC, name), encoding="utf-8") as fh:
                 tree = ast.parse(fh.read())
             specs |= {node.args[0].value for node in ast.walk(tree)
@@ -201,10 +201,12 @@ FLOAT_SPECS = _float_specs()
 
 
 def test_the_float_layer_names_its_specs():
-    # the AST walk behind the spec oracle below finds the float layer's specs:
-    # an empty walk would leave that oracle no cases, passing vacuously
+    # the AST walk behind the spec oracle below finds the float layer's specs
+    # and jinv's: an empty walk would leave that oracle no cases, passing
+    # vacuously
     assert len(FLOAT_SPECS) >= 20
-    assert {"Zlim,Zmjk->Zlijk", "Zil,Zijkl->Zjk", "Zij,Zij->Z", "Zij,Zj->Zi"} <= set(FLOAT_SPECS)
+    assert {"Zlim,Zmjk->Zlijk", "Zil,Zijkl->Zjk", "Zij,Zij->Z", "Zij,Zj->Zi",
+            "Zik,ZkjM->ZijM", "ZikMP,Zkj->ZijMP"} <= set(FLOAT_SPECS)
 
 
 @pytest.mark.parametrize("batch", [(5, 5), None, (1, 5), (5, 1)],

@@ -11,7 +11,8 @@ from kahlerkit.fields import (ChartManifold, DegenerateMetricError, Field, Fold,
                               exterior_from_grad, least_squares,
                               metric_jets, nijenhuis_from_jets, omega_of, wedge_top)
 from kahlerkit.hermitian import HermitianTriple, kahler_point
-from helpers import ROTATION, fold_plan, patch_contract, rotation, sphere_metric
+from kahlerkit.foliation import theta_jets
+from helpers import J4, ROTATION, fold_plan, patch_contract, rotation, sphere_metric
 
 
 def polar_metric(pt):
@@ -133,6 +134,51 @@ def test_exterior_derivative_of_declared_two_form():
     assert abs(d[0, 1, 2] - 1.0) < 1e-12
     assert abs(d[1, 0, 2] + 1.0) < 1e-12
     assert abs(d[0, 0, 1]) < 1e-14
+
+
+def _lie_metric(pt):
+    # I + w w^T, positive definite, in polynomials: it evaluates on floats
+    # and on jets alike
+    w = [pt[0] * pt[1], 0.5 * pt[2] * pt[2], pt[3] - 0.3 * pt[0], 0.4 * pt[1] * pt[3]]
+    return [[(1.0 if i == j else 0.0) + w[i] * w[j] for j in range(4)] for i in range(4)]
+
+
+def _lie_projector(pt):
+    # [[1, 0], [B, 0]] with a point-dependent 2 x 2 block B: a rank-2
+    # projector whose frame columns e_a + B e_a move with the point
+    b = [[0.3 * pt[0] * pt[2], 0.2 + pt[1]], [pt[3] * pt[3], -0.5 * pt[0] * pt[1]]]
+    return [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0],
+            [b[0][0], b[0][1], 0.0, 0.0], [b[1][0], b[1][1], 0.0, 0.0]]
+
+
+def test_lie_derivative_of_metric_against_finite_difference():
+    # theta_jets' (L_V g) for each D+ frame column V, read through
+    # theta(V) = tr(g^-1 L_V g P-) / (n - 2), against a Richardson derivative
+    # in epsilon of the pullback of g by q -> q + eps V(q), dV by Richardson
+    # central differences
+    p = np.array([0.4, -0.3, 0.6, 0.2])
+    t = HermitianTriple(_lie_metric, lambda pt: J4, ChartManifold(4, [(-1.0, 1.0)] * 4))
+    _, _, thetaV, cols = theta_jets(t, Field(_lie_projector), PointEval(p))
+    assert tuple(int(c[0]) for c in cols) == (0, 1)
+
+    def richardson(f, h):
+        def d(step):
+            return (f(step) - f(-step)) / (2.0 * step)
+        return (4.0 * d(h / 2.0) - d(h)) / 3.0
+
+    g = lambda q: np.array(_lie_metric(q), float)
+    P = np.array(_lie_projector(p), float)
+    gi = np.linalg.inv(g(p))
+    for a in range(2):
+        V = lambda q: np.array(_lie_projector(q), float)[:, a]
+        dV = np.stack([richardson(lambda s: V(p + s * e), 1e-3) for e in np.eye(4)], axis=1)
+
+        def pullback(eps):
+            Jac = np.eye(4) + eps * dV
+            return Jac.T @ g(p + eps * V(p)) @ Jac
+        L = richardson(pullback, 1e-4)
+        want = np.trace(gi @ L @ (np.eye(4) - P)) / 2.0
+        assert abs(thetaV.value[0, a] - want) < 1e-8
 
 
 def test_nijenhuis_vanishes_for_constant_structure():

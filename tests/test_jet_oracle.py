@@ -3,10 +3,11 @@
 Random elementary expressions are differentiated by sympy and compared with
 their jets, whose Hessians read exactly symmetric; array-valued jets,
 jeinsum and jinv are recomputed element by element with scalar jets;
-jets.contract is recomputed with np.einsum, and every rule on first-order
-operands with the full rule, and on known-zero operands (a constant, an
-affine jet) with the zeros written out.  Each rule is fed through a map into
-its domain (log and a real power of 1 + u^2, division by 1 + v^2), applied
+jets.contract is recomputed with np.einsum, embed as the product by
+selection matrices, and every rule on first-order operands with the full
+rule, and on known-zero operands (a constant, an affine jet) with the zeros
+written out.  Each rule is fed through a map into its domain (log, a real
+power and the reciprocal of 1 + u^2, division by 1 + v^2), applied
 identically on both sides.  The curvature stack is checked on random
 surface metrics against the Brioschi formula.
 """
@@ -22,7 +23,7 @@ from hypothesis import given, settings, strategies as st
 
 from kahlerkit import jets
 from kahlerkit.fields import DOMAIN_ERRORS, Fold, PointEval
-from kahlerkit.jets import (AFFINE, CONSTANT, FirstOrderError, Jet2, contract,
+from kahlerkit.jets import (AFFINE, CONSTANT, FirstOrderError, Jet2, contract, embed,
                             jeinsum, jet_dcoord, jinv, jlog, jsin, pack)
 from kahlerkit.scenarios import bundled_names, load_scenario, run_scenario_obj
 from helpers import patch_contract
@@ -47,12 +48,15 @@ JETS = {name: (lambda f: lambda u: f(lift(u)))(f) for name, f in
 
 UNARY = {
     "neg": lambda a, f: -a,
+    "rsub": lambda a, f: 2.0 - a,
     "log": lambda a, f: f["log"](1.0 + a * a),
     "sin": lambda a, f: f["sin"](a),
     "square": lambda a, f: a ** 2,
     "cube": lambda a, f: a ** 3,
     "recip": lambda a, f: (1.0 + a * a) ** -1,
     "recip2": lambda a, f: (1.0 + a * a) ** -2,
+    "rdiv": lambda a, f: 2.0 / (1.0 + a * a),
+    "pow0": lambda a, f: a ** 0,
     "real_power": lambda a, f: (1.0 + a * a) ** 0.7,
 }
 BINARY = {
@@ -388,6 +392,7 @@ FIRST_ORDER_RULES = {
     "log": ("a", lambda a, b: jlog(1.0 + a * a)), "sin": ("a", lambda a, b: jsin(a)),
     "index": ("a", lambda a, b: a[1]), "slice": ("a", lambda a, b: a[:, 1:]),
     "T": ("a", lambda a, b: a.T),
+    "embed": ("a", lambda a, b: embed(a, (3, 4), np.s_[1:, 2:])),
     "matmul": ("ab", lambda a, b: a @ b),
     "rmatmul": ("b", lambda a, b: np.array([[1.0, 2.0], [3.0, 4.0]]) @ b),
     "jeinsum": ("ab", lambda a, b: jeinsum("ij,kj->ik", a, b)),
@@ -459,6 +464,24 @@ def test_known_zero_rules_equal_the_rules_on_written_out_zeros(rule, seed):
             assert np.array_equal(got.hess, want.hess), where
         if ka == kb == "constant":
             assert got._hess is CONSTANT, where
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_embed_equals_the_product_by_selection_matrices(kind):
+    # embed places a jet in a zero jet as the product by the 0/1 selection
+    # matrices of the block does, a matrix into a block and a vector into a
+    # slice, and keeps a known-zero Hessian
+    rng = np.random.default_rng(KINDS.index(kind))
+    a = operand(rng, kind, 3)
+    for got, want in ((embed(a, (4, 5), np.s_[2:, 1:3]),
+                       np.eye(4)[:, 2:] @ written_out(a) @ np.eye(5)[1:3]),
+                      (embed(a[:, 0], (4,), np.s_[2:]), np.eye(4)[:, 2:] @ written_out(a[:, 0]))):
+        for g, w in ((got.value, want.value), (got.grad, want.grad)):
+            assert g.shape == w.shape and np.array_equal(g, w)
+        if kind == "array":
+            assert got.hess.shape == want.hess.shape and np.array_equal(got.hess, want.hess)
+        else:
+            assert got._hess is a._hess
 
 
 def test_reading_the_hessian_of_a_first_order_jet_raises():
