@@ -58,8 +58,9 @@ def build_ak_product(z_factor, tw, mode="B", plane_range=(-1.0, 1.0)):
                           label="R2x" + z_factor.chart.label)
 
     g0 = Field(lambda pt: proj + embed(z_factor.g(pt[2:]), (n, n), zblock))
-    J0 = Field(lambda pt: plane + embed(z_factor.J(pt[2:]), (n, n), zblock))
-    Jt0 = Field(lambda pt: -plane + embed(z_factor.J(pt[2:]), (n, n), zblock))
+    # the structures are read to first order only, as are their twists
+    J0 = Field(lambda pt: plane + embed(z_factor.J(pt[2:]), (n, n), zblock), order=1)
+    Jt0 = Field(lambda pt: -plane + embed(z_factor.J(pt[2:]), (n, n), zblock), order=1)
     Pp = Field(lambda pt: proj)
     coframe = (Field(lambda pt: np.eye(n)[:2]), np.eye(2))
     wfull = Field(lambda pt: tw(pt[2:]), label=tw.label + "@R2xZ")

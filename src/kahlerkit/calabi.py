@@ -184,11 +184,13 @@ def build_calabi(base, profile, alpha):
                 + embed(I, (n, n), base_block))
 
     Theta = Field(lambda pt: e[0] + embed(alpha(pt[2:]), (n,), np.s_[2:]))
-    J = Field(Jfn)
+    # J, I0 and theta are read to first order only (order=1): by the checks
+    # and, as the next level's base J, by that level's J
+    J = Field(Jfn, order=1)
     Pp = Field(lambda pt: jeinsum("i,j->ij", e[0], Theta(pt)) + np.outer(e[1], e[1]))
     return CalabiChart(
-        g=Field(gfn), J=J, I0=Field(lambda pt: J(pt) @ (np.eye(n) - 2.0 * Pp(pt))),
-        proj_plus=Pp, theta=Field(lambda pt: pt[1].inv() * e[1]),
+        g=Field(gfn), J=J, I0=Field(lambda pt: J(pt) @ (np.eye(n) - 2.0 * Pp(pt)), order=1),
+        proj_plus=Pp, theta=Field(lambda pt: pt[1].inv() * e[1], order=1),
         Theta=Theta, coframe=(Field(lambda pt: pack([e[1], Theta(pt) * (1.0 / q0)])),
                               np.array([[0.0, 1.0], [1.0 / q0, 0.0]])),
         chart=chart, base=base, alpha=alpha, profile=profile, m=m)

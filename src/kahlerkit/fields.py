@@ -16,6 +16,16 @@ memo.  Builders call their input Fields on the PointEval they are given, and
 per-point functions read fields from it, both through its one raw(), so
 every field runs once for the whole batch, on it or on a lifted slice pt[k:].
 A field read is its memoised jet: a reader takes .value or .grad from it.
+Only curvature is second order, so a field is computed with its Hessian
+only where one is read: the metrics, and the fields a metric reads (a
+chart's alpha, Theta and P+, the base metric, the twist's w, |w|^2, S+).  A
+builder marks first order (Field order 1) the fields whose readers take
+values and gradients only (N_J, d omega, omega-invariance, the torsion
+(1/2)(nabla J~)J~): a Calabi chart's J, I0 and theta, every twisted
+endomorphism E_w, a plane product's J0 and J~0, and U+ = (1-S)^{-1} - 1 in
+twist mode B, where only the E_w read it.  A marked field runs on the
+point's first-order view, which reads every other field from the same memo
+as the first_order view of its jet.
 The Christoffel symbols are built on the point's memoised inverse, so each
 metric is inverted once per point, behind _inverse, the one singular-metric
 guard.
@@ -86,15 +96,19 @@ class Field:
     components (a jet, an array, a number, or a list or nested list of them,
     constants written as plain numbers and arrays).  Called on a point it
     returns them packed into one Jet2 there, from the memo when the point is
-    a PointEval.  label names a field in reports.  A built field is
+    a PointEval.  label names a field in reports.  order is the derivative
+    order the field is computed to at a PointEval: 2, or 1 for a field whose
+    readers take values and gradients only (see PointEval.raw); a field
+    called on a bare Jet2 is computed to that jet's order.  A built field is
     immutable, as the memoised cases that hold it are shared, and two fields
     are equal only when they are the same object."""
 
-    __slots__ = ("fn", "label")
+    __slots__ = ("fn", "label", "order")
 
-    def __init__(self, fn, *, label=""):
+    def __init__(self, fn, *, label="", order=2):
         object.__setattr__(self, "fn", fn)
         object.__setattr__(self, "label", label)
+        object.__setattr__(self, "order", order)
 
     def __setattr__(self, name, value):
         raise AttributeError("a Field is immutable: cannot set %r" % name)
@@ -136,7 +150,8 @@ def first_order(j):
     """The first-order view of the jet j, its value and gradient (constant
     when j is).  Seeding a PointEval with first_order(Jet2.seed(p)) makes
     every field read there first order."""
-    return _jet(j.value, j.grad, CONSTANT if j._hess is CONSTANT else None)
+    h = j._hess
+    return j if h is None else _jet(j.value, j.grad, CONSTANT if h is CONSTANT else None)
 
 
 def omega_of(g, J):
@@ -175,7 +190,16 @@ class PointEval(Jet2):
     builder's check that reads values and gradients only) computes no
     Hessian, so reading one there (a raw() jet's hess, curvature()) raises
     FirstOrderError.  Its lifted slices and factor points are first order
-    too."""
+    too.
+
+    At a second-order point, a field marked first order (Field.order 1)
+    runs on the point's first-order view (first_view()): the same points
+    and memo, its coordinate jets first_order of the seed, where every
+    other field is read as the first_order view of its memoised jet (a
+    lifted slice pt[k:] as the view of the point's own slice).  So the
+    marked field and the products it forms compute no Hessian, each field
+    still runs once per point, and reading a marked field's Hessian raises
+    FirstOrderError."""
 
     __slots__ = ("p", "batch", "where", "memo", "lifted")
 
@@ -194,15 +218,26 @@ class PointEval(Jet2):
         keyed by their callables, or plain values)."""
         return _memoised(self.memo, (tag,) + tuple(_fn(f) for f in parts), compute)
 
+    def first_view(self):
+        """The point where a first-order field runs: the point itself when it
+        is first order, else its first-order view (made anew, as it holds
+        the point and the point does not hold it)."""
+        return self if self._hess is None else _FirstOrderView(self)
+
     def raw(self, f):
         """f's components at the point, packed into one Jet2 with the batch
-        axis of B (a constant one lifted here and repeated over B)."""
+        axis of B (a constant one lifted here and repeated over B), computed
+        on first_view() when f is marked first order."""
         fn = _fn(f)
-        if self.lifted is None:
-            return _memoised(self.memo, ("raw", fn),
-                             lambda: _batch_of(pack(fn(self), self), self.batch))
-        return _memoised(self.memo, ("raw", fn),
-                         lambda: _restrict(self.lifted.raw(fn), self.grad.shape[-1]))
+        jet = self.memo.get(("raw", fn))
+        if jet is None:
+            if self.lifted is not None:
+                jet = _restrict(self.lifted.raw(f), self.grad.shape[-1])
+            else:
+                pt = self.first_view() if getattr(f, "order", 2) == 1 else self
+                jet = _batch_of(pack(fn(pt), pt), self.batch)
+            self.memo["raw", fn] = jet
+        return jet
 
     def __getitem__(self, idx):
         if isinstance(idx, slice) and idx.start and idx.stop is None and idx.step is None:
@@ -245,6 +280,29 @@ class PointEval(Jet2):
             lifted = self[start:]
             return PointEval(lifted.p, _restrict(lifted, lifted.value.shape[-1]), lifted)
         return self.cached("sub", (start,), make)
+
+
+class _FirstOrderView(PointEval):
+    """The first-order view of the second-order point full: its points and
+    memo, its coordinate jets first_order(full).  A field read here is the
+    first_order view of full's memoised jet, computed there to the field's
+    own order, and a lifted slice pt[k:] is the view of full's."""
+
+    __slots__ = ("full",)
+
+    def __init__(self, full):
+        self.p, self.batch, self.where, self.memo = full.p, full.batch, full.where, full.memo
+        self.lifted = None
+        self.value, self.grad, self._hess = full.value, full.grad, None
+        self.full = full
+
+    def raw(self, f):
+        return first_order(self.full.raw(f))
+
+    def __getitem__(self, idx):
+        if isinstance(idx, slice) and idx.start and idx.stop is None and idx.step is None:
+            return self.full[idx].first_view()
+        return Jet2.__getitem__(self, idx)
 
 
 DOMAIN_ERRORS = (JetDomainError, DegenerateMetricError, NotClosedError,
@@ -401,10 +459,12 @@ def christoffel_parts(g, gi):
     """Gamma[k,i,j] plus its coordinate derivative dGamma[k,i,j,m] and g^{-1}
     (of each point of a batch) from the metric's jet g and the first-order
     jet gi of its inverse: Gamma is built as a first-order jet, so the jet
-    rules differentiate it."""
+    rules differentiate it.  Gamma^k_ij = (1/2) g^kl S_lij for
+    S_lij = d_i g_jl + d_j g_il - d_l g_ij, three transposes of dg[a,b,c] =
+    d_c g_ab summed, so one product forms it."""
     dg = jet_dcoord(g)
-    Gam = 0.5 * (jeinsum("kl,jli->kij", gi, dg) + jeinsum("kl,ilj->kij", gi, dg)
-                 - jeinsum("kl,ijl->kij", gi, dg))
+    S = dg.transpose(1, 2, 0) + dg.transpose(1, 0, 2) - dg.transpose(2, 0, 1)
+    Gam = jeinsum("kl,lij->kij", 0.5 * gi, S)
     return Gam.value, Gam.grad, gi.value
 
 

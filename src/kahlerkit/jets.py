@@ -2,9 +2,9 @@
 
 A Jet2 carries (value, gradient, Hessian) with respect to the chart coordinates
 and propagates them exactly, each rule written once: _chain for every scalar
-function (1/u, log, sin, a non-integer power), _linear for +
-and -, _product for * and jeinsum, and _map for indexing, .T, a sign,
-padding, a broadcast and embed (a block placed inside a zero jet).
+function (1/u, log, sin, a non-integer power), _linear for + and -, _product
+for * and jeinsum, and _map for indexing, .T and transpose, a sign, padding,
+a broadcast and embed (a block placed inside a zero jet).
 A jet carries B points at once (vectorised Taylor-mode propagation), and a
 single point is a batch of one.  Its value has shape (B,) + s for value axes
 s of any shape (a scalar jet has s = ()), its gradient (B,) + s + (n,) and
@@ -275,12 +275,17 @@ class Jet2:
     def __iter__(self):
         return (self[i] for i in range(len(self)))
 
+    def transpose(self, *axes):
+        """The jet of the value axes permuted as np.transpose permutes them
+        by axes, behind the batch axis."""
+        k = len(axes) + 1
+        ax = (0,) + tuple(a + 1 for a in axes)
+        return _map(self, lambda a: a.transpose(ax + tuple(range(k, a.ndim))))
+
     @property
     def T(self):
         """The jet of the transposed value axes."""
-        k = self.value.ndim
-        ax = (0,) + tuple(range(k - 1, 0, -1))
-        return _map(self, lambda a: a.transpose(ax + tuple(range(k, a.ndim))))
+        return self.transpose(*range(self.value.ndim - 2, -1, -1))
 
     def _linear(self, other, op):
         """The jet of op(self, other) for op + or -, termwise; a constant other

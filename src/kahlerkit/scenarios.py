@@ -711,30 +711,49 @@ def run_scenario_obj(scn, tol_override=None, case=None):
             "timings_seconds": timings}
 
 
+# a string as a JSON literal, non-ASCII text escaped, as json.dumps writes it
+_quoted = json.encoder.encode_basestring_ascii
+
+
 def render_json(obj, indent=0):
-    """Deterministic JSON with floats at 17 significant digits."""
-    pad = " " * indent
-    inner = " " * (indent + 2)
+    """Deterministic JSON with floats at 17 significant digits (a NaN or an
+    infinity quoted as its str), two-space indents and ASCII text, escaped
+    as json.dumps escapes it; written in one pass into one list."""
+    out = []
+    _render(obj, indent, out)
+    return "".join(out)
+
+
+def _render(obj, indent, out):
+    """Append the text of obj, nested at indent, to the list out."""
     if isinstance(obj, dict):
         if not obj:
-            return "{}"
-        parts = [inner + json.dumps(str(k)) + ": " + render_json(v, indent + 2)
-                 for k, v in obj.items()]
-        return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
+            out.append("{}")
+            return
+        sep = "{\n" + " " * (indent + 2)
+        for k, v in obj.items():
+            out += (sep, _quoted(str(k)), ": ")
+            _render(v, indent + 2, out)
+            sep = ",\n" + " " * (indent + 2)
+        out.append("\n" + " " * indent + "}")
+    elif isinstance(obj, (list, tuple)):
         if not obj:
-            return "[]"
-        parts = [inner + render_json(v, indent + 2) for v in obj]
-        return "[\n" + ",\n".join(parts) + "\n" + pad + "]"
-    if isinstance(obj, bool) or obj is None:
-        return json.dumps(obj)
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
+            out.append("[]")
+            return
+        sep = "[\n" + " " * (indent + 2)
+        for v in obj:
+            out.append(sep)
+            _render(v, indent + 2, out)
+            sep = ",\n" + " " * (indent + 2)
+        out.append("\n" + " " * indent + "]")
+    elif isinstance(obj, bool) or obj is None:
+        out.append("null" if obj is None else "true" if obj else "false")
+    elif isinstance(obj, (int, np.integer)):
+        out.append(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
         f = float(obj)
-        if f != f or f in (float("inf"), float("-inf")):
-            return json.dumps(str(f))
-        return format(f, ".17g")
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    raise TypeError("cannot render %r" % type(obj))
+        out.append(format(f, ".17g") if math.isfinite(f) else _quoted(str(f)))
+    elif isinstance(obj, str):
+        out.append(_quoted(obj))
+    else:
+        raise TypeError("cannot render %r" % type(obj))

@@ -55,7 +55,7 @@ class TwistedTriple:
     g_w: Field
     J_w: Field
     I_w: Field
-    S: Field
+    S_plus: Field
     chart: object
 
     def triple(self):
@@ -103,11 +103,13 @@ def make_sfield(coframe, w, ww):
 def build_twist_fields(g, endos, Pp, w, coframe, chart, mode="B"):
     """The twist of the metric g and of each endomorphism in endos by one
     shared S on the builder's coframe of endos[0] (make_sfield): (g_w,
-    [E_w, ...], S), Fields on chart, S the n x n embed of S+.  S, |w|^2 P+
-    and U = (1-S)^{-1} - 1 vanish off rows 0 and 1 and are carried as those
-    rows, so each update is rank 2: g_w = g + D^T g[:2] for A = 1 + D, and
-    E_w = (1+U) E (1-S) is X = E - E[:, :2] S+ plus U+ X on rows 0 and 1.
-    They share the Fields |w|^2, 1/(1-|w|^2), |w|^2 P+[:2] and U+."""
+    [E_w, ...], S+), Fields on chart, S+ the two rows of S that make_sfield
+    builds.  S, |w|^2 P+ and U = (1-S)^{-1} - 1 vanish off rows 0 and 1 and
+    are carried as those rows, so each update is rank 2: g_w = g + D^T g[:2]
+    for A = 1 + D, and E_w = (1+U) E (1-S) is X = E - E[:, :2] S+ plus U+ X
+    on rows 0 and 1.  They share the Fields |w|^2, 1/(1-|w|^2), |w|^2 P+[:2]
+    and U+.  Each E_w is first order (its readers take values and gradients
+    only), and so is U+ in mode B, where only the E_w read it."""
     if mode not in ("A", "B"):
         raise ValueError("mode must be 'A' or 'B'")
     ww = Field(lambda pt: _norm2(w(pt)))
@@ -120,7 +122,8 @@ def build_twist_fields(g, endos, Pp, w, coframe, chart, mode="B"):
         return 1.0 / (1.0 - ww(pt))
     fac = Field(facfn)
     wwP = Field(lambda pt: ww(pt) * Pp(pt)[rows])
-    Up = Field(lambda pt: fac(pt) * (Sp(pt) + wwP(pt)))
+    # U+ is read by the E_w alone in mode B, and by g_w in mode A
+    Up = Field(lambda pt: fac(pt) * (Sp(pt) + wwP(pt)), order=1 if mode == "B" else 2)
 
     def gwfn(pt):
         # g_w(X, Y) = g(A X, Y): component [i][j] = g[i][j] + D[a][i] g[a][j]
@@ -136,19 +139,18 @@ def build_twist_fields(g, endos, Pp, w, coframe, chart, mode="B"):
                 return X + embed(Up(pt) @ X, shape, rows)
             X = Ev + Ev[:, rows] @ Up(pt)
             return X - embed(Sp(pt) @ X, shape, rows)
-        return Field(Ewfn)
+        return Field(Ewfn, order=1)
 
-    S = Field(lambda pt: embed(Sp(pt), shape, rows))
-    return Field(gwfn), [twisted(E) for E in endos], S
+    return Field(gwfn), [twisted(E) for E in endos], Sp
 
 
 def build_twist(cal, tw, mode="B"):
     """Twist a CalabiChart (or anything with g/J/I0/proj_plus fields, a
     coframe and a chart) by the twist field tw with one shared S; returns a
     TwistedTriple."""
-    gw, (Jw, Iw), S = build_twist_fields(cal.g, [cal.J, cal.I0], cal.proj_plus, tw,
-                                         cal.coframe, cal.chart, mode)
-    return TwistedTriple(g_w=gw, J_w=Jw, I_w=Iw, S=S, chart=cal.chart)
+    gw, (Jw, Iw), Sp = build_twist_fields(cal.g, [cal.J, cal.I0], cal.proj_plus, tw,
+                                          cal.coframe, cal.chart, mode)
+    return TwistedTriple(g_w=gw, J_w=Jw, I_w=Iw, S_plus=Sp, chart=cal.chart)
 
 
 def norm_factor_expected(w1, w2, mode="B"):

@@ -47,11 +47,13 @@ def test_product_structure_forms():
 
 
 def test_both_product_structures_square_and_pair():
+    # values only: both structures are first order in the point's memo
     ak = disk_product()
     for p in ak.chart.samples(SamplePlan(2, 6)):
-        gv = metric_jets(ak.g.fn, p)[0][0]
-        for fn in (ak.J.fn, ak.J_tilde.fn):
-            Ev = metric_jets(fn, p)[0][0]
+        pe = PointEval(p)
+        gv = pe.raw(ak.g).value[0]
+        for E in (ak.J, ak.J_tilde):
+            Ev = pe.raw(E).value[0]
             assert np.abs(Ev @ Ev + np.eye(4)).max() < 1e-12
             assert np.abs(Ev.T @ gv @ Ev - gv).max() < 1e-12
 
@@ -158,7 +160,8 @@ def test_six_dim_product_ricci_form_matches_fiber_logs():
     for p in ak.chart.samples(SamplePlan(11, 4)):
         gv, gg, gh = metric_jets(ak.g.fn, p)
         _, Ric, _, _ = curvature_from_jets(gv, gg, gh)
-        Jv, Jg, _ = metric_jets(ak.J.fn, p)
+        J = PointEval(p).raw(ak.J)   # first order: its value and gradient
+        Jv, Jg = J.value, J.grad
         rho = np.einsum('...mi,...mj->...ij', Jv, Ric)
         x = Jet2.seed(np.asarray(p, float))
         for j, pos in zpos.items():

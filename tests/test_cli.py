@@ -17,7 +17,7 @@ import pytest
 import kahlerkit.cli
 import kahlerkit.scenarios
 from kahlerkit.cli import main
-from kahlerkit.jets import Jet2
+from kahlerkit.jets import CONSTANT, Jet2
 from kahlerkit.fields import Field, PointEval, curvature_from_jets, metric_jets
 from kahlerkit.calabi import disk_base
 from kahlerkit.twist import make_sfield
@@ -98,6 +98,31 @@ def test_verify_report_deterministic(tmp_path, capsys):
     assert set(t1) == set(t2) == {c["name"] for c in r1["checks"]}
     assert render_json(r1) == render_json(r2)
     assert r1["seed"] == 11
+
+
+def test_render_json_text_is_pinned():
+    # the renderer's text for every type it takes, recorded before it was
+    # rewritten as one pass: quoted non-finite floats, -0.0 at .17g, empty
+    # containers inline, numpy scalars as Python numbers, a tuple as a list,
+    # a non-string key by its str, and non-ASCII text escaped as json.dumps
+    # escapes it
+    obj = {"nan": float("nan"), "inf": float("inf"), "ninf": -float("inf"),
+           "nzero": -0.0, "empty_dict": {}, "empty_list": [],
+           "f64": np.float64(1.5), "i64": np.int64(3), "f32": np.float32(0.1),
+           "params": {"twist": {"id": "coord_z", "scale": [1e-155, 2, (True, None)]}},
+           "\u00e9": "na\u00efve \u2014 \u2202 \"q\"\n", 7: False}
+    assert render_json(obj) == (
+        '{\n  "nan": "nan",\n  "inf": "inf",\n  "ninf": "-inf",\n  "nzero": -0,\n'
+        '  "empty_dict": {},\n  "empty_list": [],\n  "f64": 1.5,\n  "i64": 3,\n'
+        '  "f32": 0.10000000149011612,\n  "params": {\n    "twist": {\n'
+        '      "id": "coord_z",\n      "scale": [\n        1e-155,\n'
+        '        2,\n        [\n          true,\n          null\n        ]\n      ]\n'
+        '    }\n  },\n  "\\u00e9": "na\\u00efve \\u2014 \\u2202 \\"q\\"\\n",\n'
+        '  "7": false\n}')
+    assert render_json([]) == "[]" and render_json({}) == "{}"
+    assert render_json(np.float64("nan")) == '"nan"'
+    with pytest.raises(TypeError, match="cannot render"):
+        render_json({"x": object()})
 
 
 def test_verify_seed_changes_report(capsys):
@@ -763,6 +788,56 @@ def test_factor_point_runs_the_base_fields_once_per_point():
     finally:
         sys.setprofile(None)
     assert len(runs) == 1
+
+
+def _memoised_jets(pe):
+    """(callable, jet) of every field in the memo of the point pe and of its
+    lifted slices and factor points."""
+    for key, val in pe.memo.items():
+        if isinstance(val, PointEval):
+            yield from _memoised_jets(val)
+        elif key[0] == "raw":
+            yield key[1], val
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_the_memo_holds_a_hessian_only_where_one_is_read(name, monkeypatch):
+    # after a bundled verify, no field a builder marks first order (the J
+    # family, theta, U+ in mode B) holds a Hessian array in a point's memo,
+    # and every other field holds its Hessian (a known zero included): each
+    # metric, and each P+ the classifier frames, with a Hessian array
+    scn = load_scenario(name)
+    scn.count = 3
+    case = build_case(scn)
+    points, fields = [], {}
+    raw = PointEval.raw
+
+    def recording(pe, f):
+        if isinstance(f, Field):
+            fields[f.fn] = f
+        return raw(pe, f)
+
+    def sample_point(p):
+        points.append(PointEval(p))
+        return points[-1]
+    monkeypatch.setattr(PointEval, "raw", recording)
+    monkeypatch.setattr(kahlerkit.scenarios, "PointEval", sample_point)
+    run_scenario_obj(scn, case=case)
+    first = 0
+    for pe in points:
+        for fn, jet in _memoised_jets(pe):
+            if getattr(fields.get(fn), "order", 2) == 1:
+                assert jet._hess is None or jet._hess is CONSTANT, fn
+                first += jet._hess is None
+            else:
+                assert jet._hess is not None, fn
+        for key in pe.memo:
+            if key[0] == "frame":
+                assert isinstance(pe.memo["raw", key[1]]._hess, np.ndarray)
+    metric = points[-1].memo["raw", case.metric.fn]
+    assert metric.hess.shape == (3,) + metric.shape + metric.shape[-1:] * 2
+    assert (first > 0) == (name not in ("flat", "sphere", "ak_flat"))
+    assert isinstance(metric._hess, np.ndarray) == (name != "flat")
 
 
 @pytest.fixture(scope="module")

@@ -320,7 +320,7 @@ def test_inverse_and_omega_are_first_order_in_the_memo():
 def test_a_constant_metric_does_no_derivative_work(monkeypatch):
     # a constant metric's inverse and Christoffel symbols are constant jets:
     # no contraction runs on a derivative known to be zero, so the inverse
-    # makes none and the Christoffel symbols only their three of values;
+    # makes none and the Christoffel symbols only their one of values;
     # the inverse's Hessian reads as zeros
     specs = []
 
@@ -336,7 +336,7 @@ def test_a_constant_metric_does_no_derivative_work(monkeypatch):
     assert specs == [] and gi._hess is CONSTANT
     assert gi.hess.shape == (30, 4, 4, 4, 4) and not gi.hess.any()
     gam, dgam, _ = pe.christoffel(flat)
-    assert len(specs) == 3 and not any(set(s) & set("MP") for s in specs)
+    assert len(specs) == 1 and not any(set(s) & set("MP") for s in specs)
     assert gam.shape == (30, 4, 4, 4) and not gam.any() and not dgam.any()
 
 
@@ -361,6 +361,39 @@ def test_a_first_order_point_reads_values_and_gradients_only():
     assert c.value.shape == (3, 2, 2) and np.array_equal(c.value[2], [[0.0, -1.0], [1.0, 0.0]])
     assert c.grad.shape == (3, 2, 2, 4) and not c.grad.any()
     assert lo.sub(2).raw(base).grad.shape == (3, 2, 2, 2)
+
+
+def test_a_first_order_field_runs_once_on_the_points_first_order_view():
+    # at a second-order point a field marked first order computes no
+    # Hessian (reading one raises FirstOrderError), with the value and
+    # gradient of its second-order jet; what it reads comes from the
+    # point's one memo, each field at its own order, a lifted slice
+    # included, and every field runs once
+    p = np.array([[0.3, 1.1, 0.2, -0.1], [-0.4, 0.7, -0.3, 0.25]])
+    calls = []
+
+    def counted(name, fn):
+        return lambda pt: calls.append(name) or fn(pt)
+    base = Field(counted("base", lambda pt: [[1.0 + pt[0] * pt[1], pt[0]],
+                                             [pt[0], 2.0 + pt[1] * pt[1]]]))
+    top = Field(counted("top", lambda pt: pt[1] * base(pt[2:]) @ base(pt[2:])), order=1)
+    lower = Field(counted("lower", lambda pt: pt[0] * top(pt)), order=1)
+    metric = Field(counted("metric", lambda pt: pt[0] * pt[0] * base(pt[2:])))
+    pe = PointEval(p)
+    low = pe.raw(lower)
+    g = pe.raw(metric)
+    assert sorted(calls) == ["base", "lower", "metric", "top"]
+    for j in (low, pe.raw(top)):
+        assert j._hess is None
+        with pytest.raises(FirstOrderError):
+            j.hess
+    assert isinstance(g._hess, np.ndarray) and isinstance(pe[2:].raw(base)._hess, np.ndarray)
+    assert pe.raw(lower) is low and len(calls) == 4
+    x = Jet2.seed(p)
+    for got, f in ((low, lower), (pe.raw(top), top), (g, metric)):
+        want = f(x)   # the second-order jet, outside the memo
+        assert np.array_equal(got.value, want.value) and np.array_equal(got.grad, want.grad)
+    assert np.array_equal(g.hess, metric(x).hess)
 
 
 def test_a_constant_field_reads_as_the_constant_jet_of_the_point():

@@ -22,7 +22,7 @@ import sympy as sp
 from hypothesis import given, settings, strategies as st
 
 from kahlerkit import jets
-from kahlerkit.fields import DOMAIN_ERRORS, Fold, PointEval
+from kahlerkit.fields import DOMAIN_ERRORS, Field, Fold, PointEval
 from kahlerkit.jets import (AFFINE, CONSTANT, FirstOrderError, Jet2, contract, embed,
                             jeinsum, jet_dcoord, jinv, jlog, jsin, pack)
 from kahlerkit.scenarios import bundled_names, load_scenario, run_scenario_obj
@@ -333,9 +333,13 @@ def test_contract_matches_einsum_on_every_spec_of_the_bundled_runs(monkeypatch):
         run_scenario_obj(load_scenario(name))
     # no bundled run inverts a second-order matrix jet, as the twist reads
     # its coframe and not J: jinv's second-order rule runs here on one
-    # (B, 6, 6) jet with a Hessian of its own
+    # (B, 6, 6) jet with a Hessian of its own; nor does one multiply a
+    # second-order matrix jet by a constant matrix jet, as the J family is
+    # first order: that product runs here as a J_w's E[:, :2] @ S+ ran it
     x = Jet2.seed(np.linspace(0.1, 0.6, 12).reshape(2, 6))
-    jinv(np.eye(6) + 0.1 * jeinsum("i,j->ij", x, x * x))
+    A = np.eye(6) + 0.1 * jeinsum("i,j->ij", x, x * x)
+    jinv(A)
+    A[:, :2] @ PointEval(x.value).raw(Field(lambda pt: np.arange(12.0).reshape(2, 6)))
     monkeypatch.undo()
     assert {spec for spec, _, _ in seen} >= {"ZijMP,Zjk->ZikMP", "ZikM,ZkjP->ZijMP",
                                              "Zlim,Zmjk->Zlijk", "Zil,Zijkl->Zjk"}

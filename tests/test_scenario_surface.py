@@ -168,18 +168,28 @@ def test_a_parameter_the_arithmetic_cannot_carry_is_a_usage_error(builder, scena
 
 @example(builder="calabi_twist", params={"radius": 1e-155,
                                          "twist": {"id": "coord_z", "scale": 9e153}},
-         seed="1", point="[-0.48518175, 0.84637091, -0.0, 0.0]", what="overflow encountered in add")
+         seed="1", point="[-0.48518175, 0.84637091, -0.0, 0.0]",
+         what="overflow encountered in add", passed=["transverse_holomorphy"],
+         finite=["nijenhuis_twisted"])
 @settings(phases=[Phase.explicit])
 @given(builder=st.just("calabi"), params=st.just({}), seed=st.just("0"), point=st.just(""),
-       what=st.just(""))
+       what=st.just(""), passed=st.just([]), finite=st.just([]))
 def test_a_float_error_inside_the_bounds_fails_at_a_named_point(builder, scenario_path, params,
-                                                                seed, point, what):
+                                                                seed, point, what, passed, finite):
     # a coordinate twist inside its scale bound on a tiny chart box overflows
-    # in the twisted metric's Hessian, which some checks memoise without
-    # reading: each check that meets the overflow FAILs naming the point and
-    # the float error, and no RuntimeWarning escapes
+    # in the twisted metric's Hessian: each check that meets the overflow
+    # FAILs naming the point and the float error, and no RuntimeWarning
+    # escapes.  The checks named finite read J_w, which is first order, where
+    # nothing overflows: each FAILs on a finite residual above 1e100 with
+    # both sample points used
     rc, _, lines = _assert_exits_cleanly(builder, scenario_path, params, "--seed", seed)
-    failed = [ln for ln in lines if ln.startswith("FAIL")]
-    assert rc == 1 and failed
+    status = {ln.split()[1]: ln for ln in lines}
+    assert rc == 1 and [name for name, ln in status.items() if ln.startswith("PASS")] == passed
+    for name in finite:
+        ln = status.pop(name)
+        assert ln.startswith("FAIL") and ln.endswith("points=2"), ln
+        assert 1e100 < float(ln.split("max=")[1].split()[0]) < math.inf, ln
+    failed = [ln for ln in status.values() if ln.startswith("FAIL")]
+    assert failed
     for ln in failed:
         assert ln.endswith("[JetDomainError at point %s: %s]" % (point, what)), ln

@@ -252,7 +252,7 @@ def test_a_constant_is_a_plain_value_and_a_field_its_callable_and_label():
                     found.append("%s:%d" % (name, getattr(node, "lineno", 0)))
     assert found == []
     assert not hasattr(Jet2, "const")
-    assert list(inspect.signature(Field.__init__).parameters) == ["self", "fn", "label"]
+    assert list(inspect.signature(Field.__init__).parameters) == ["self", "fn", "label", "order"]
     f = Field(lambda pt: 1.0)
     assert not hasattr(f, "chart") and not hasattr(f, "degree")
 

@@ -5,6 +5,7 @@ twisted Ricci-form identity."""
 import numpy as np
 import pytest
 
+from kahlerkit import jets
 from kahlerkit.jets import Jet2, JetDomainError, SamplePlan, pack
 from kahlerkit.fields import Field, Fold, PointEval, metric_jets, worst
 from kahlerkit.foliation import classify_point, homothetic_point
@@ -35,15 +36,19 @@ def values(fn, p):
 
 
 def test_zero_twist_is_exact_identity():
+    # J and J_w are first order in a point's memo, so their second-order
+    # jets are built outside it, on the seed
     cal = make_cal()
     tt = build_twist(cal, constant_twist(0.0))
     for p in cal.chart.samples(SamplePlan(1, 5)):
         g1, _, _ = metric_jets(cal.g.fn, p)
         g2, _, _ = metric_jets(tt.g_w.fn, p)
-        J1, _, _ = metric_jets(cal.J.fn, p)
-        J2, _, _ = metric_jets(tt.J_w.fn, p)
+        x = Jet2.seed(p)
+        J1, J2 = cal.J(x), tt.J_w(x)
         assert np.abs(g1 - g2).max() == 0.0
-        assert np.abs(J1 - J2).max() == 0.0
+        assert np.abs(J1.value - J2.value).max() == 0.0
+        assert np.abs(J1.grad - J2.grad).max() == 0.0
+        assert np.abs(J1.hess - J2.hess).max() == 0.0
 
 
 def test_fundamental_forms_unchanged():
@@ -169,7 +174,7 @@ def test_single_twist_parameter_recovery():
 
 
 def _fold_s(S, p):
-    """A fold of max |S| over the points p, as one batch."""
+    """A fold of max |S+| over the points p, as one batch."""
     acc = Fold()
     acc.add(PointEval(p), lambda pe: pe.absmax(pe.raw(S).value))
     return acc
@@ -214,7 +219,7 @@ def test_a_nan_twist_passes_no_twisted_check():
         lambda pe: ricci_identity_check(cal, tw, tt, pe)["corrected"],
         lambda pe: zeta_duality_residual(cal.g, cal.J, tt.g_w, tt.J_w, cal.theta, pe),
         lambda pe: classify_point(twt, Pp, pe),
-        lambda pe: pe.absmax(pe.raw(tt.S).value),
+        lambda pe: pe.absmax(pe.raw(tt.S_plus).value),
     ]
     p = cal.chart.samples(SamplePlan(3, 4))
     for fn in checks:
@@ -231,11 +236,11 @@ def test_plan_check_and_s_guard_share_the_disc():
     cal = make_cal()
     p = cal.chart.samples(SamplePlan(9, 3))
     x = Jet2.seed(np.array([0.0, 1.0, 0.1, 0.1]))
-    inside = build_twist(cal, constant_twist(np.sqrt(1.0 - 1.5e-6))).S
+    inside = build_twist(cal, constant_twist(np.sqrt(1.0 - 1.5e-6))).S_plus
     acc = _fold_s(inside, p)
     assert acc.error == "" and acc.points == 3 and np.isfinite(acc.max())
     assert np.isfinite(inside.fn(x).value).all()
-    outside = build_twist(cal, constant_twist(np.sqrt(1.0 - 0.5e-6))).S
+    outside = build_twist(cal, constant_twist(np.sqrt(1.0 - 0.5e-6))).S_plus
     assert _fold_s(outside, p).error.startswith(
         "JetDomainError at point %s: twist leaves the disc" % p[0].round(8).tolist())
     with pytest.raises(JetDomainError, match="twist leaves the disc"):
@@ -250,14 +255,14 @@ def test_twist_leaving_disc_raises_at_evaluation():
 
 
 def test_every_twisted_field_guards_the_disc():
-    # the guard sits in the shared S field, so J_w, I_w and S raise on their
+    # the guard sits in the shared S+ field, so J_w, I_w and S+ raise on their
     # own, not only g_w; on the unit circle too, where 1/(1 - |w|^2) would
     # divide by zero if it were formed before the guard ran
     cal = make_cal()
     x = Jet2.seed(np.array([0.0, 1.0, 0.1, 0.1]))
     for c in (1.3, 1.0):
         tt = build_twist(cal, constant_twist(c))
-        for field in (tt.g_w, tt.J_w, tt.I_w, tt.S):
+        for field in (tt.g_w, tt.J_w, tt.I_w, tt.S_plus):
             with pytest.raises(JetDomainError, match="twist leaves the disc"):
                 field.fn(x)
     inside = build_twist(cal, constant_twist(0.3))
@@ -301,6 +306,13 @@ def _ak_products(name):
             build_ak_product(zt, constant_twist(0.0)))
 
 
+def _outside_the_memo(E, p):
+    """The second-order jet of the field E at the (B, n) points p, built
+    outside any point's memo: E's callable on the seed, with a constant
+    repeated over the batch."""
+    return jets._batch_of(E(Jet2.seed(p)), len(p))
+
+
 def _assert_jets_close(got, want, what):
     for part in ("value", "grad", "hess"):
         a, b = getattr(got, part), getattr(want, part)
@@ -311,12 +323,14 @@ def _assert_jets_close(got, want, what):
 @pytest.mark.parametrize("name", sorted(CALABI_CHARTS))
 def test_a_calabi_charts_coframe_is_z_times_theta_and_minus_theta_o_j(name):
     # F = {dz, Theta/q} = z {theta, -theta o J}, in value, gradient and
-    # Hessian, and its D+ block is the declared constant B
+    # Hessian, and its D+ block is the declared constant B; theta and J are
+    # first order in the point's memo, so they are built outside it
     cal = CALABI_CHARTS[name]()
     F, B = cal.coframe
     pe = PointEval(cal.chart.samples(SamplePlan(3, 6)))
-    th = pe.raw(cal.theta)
-    _assert_jets_close(pe.raw(F), pe[1] * pack([th, -(th @ pe.raw(cal.J))]), name)
+    th = _outside_the_memo(cal.theta, pe.p)
+    _assert_jets_close(pe.raw(F), pe[1] * pack([th, -(th @ _outside_the_memo(cal.J, pe.p))]),
+                       name)
     block = pe.raw(F)[:, :2]
     assert (block.value == B).all() and not block.grad.any() and not block.hess.any()
     q = cal.profile.q
@@ -326,13 +340,15 @@ def test_a_calabi_charts_coframe_is_z_times_theta_and_minus_theta_o_j(name):
 @pytest.mark.parametrize("name", ["ak_disk", "ak_disk_chain2"])
 def test_a_plane_products_coframe_is_dx1_dx2_theta_and_minus_theta_o_j(name):
     # F = {dx1, dx2} = {theta, -theta o J} for theta = dx1 and the untwisted
-    # J, in value, gradient and Hessian, and its D+ block is B = I
+    # J, in value, gradient and Hessian, and its D+ block is B = I; J is
+    # first order in the point's memo, so it is built outside it
     ak, untwisted = _ak_products(name)
     F, B = ak.coframe
     n = ak.chart.dim
     pe = PointEval(ak.chart.samples(SamplePlan(3, 6)))
     th = np.eye(n)[0]
-    _assert_jets_close(pe.raw(F), pack([th, -(th @ pe.raw(untwisted.J))]), name)
+    _assert_jets_close(pe.raw(F), pack([th, -(th @ _outside_the_memo(untwisted.J, pe.p))]),
+                       name)
     block = pe.raw(F)[:, :2]
     assert (block.value == B).all() and not block.grad.any() and not block.hess.any()
     assert (B == np.eye(2)).all()
