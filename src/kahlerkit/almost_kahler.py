@@ -13,10 +13,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from kahlerkit.jets import Jet2, contract, embed, jlog, jinv, jet_dcoord
+from kahlerkit.jets import Jet2, contract, embed, jinv, jet_dcoord
 from kahlerkit.fields import (ChartManifold, Field, PointEval, first_order, worst,
                               excluded, exterior_from_grad, pull_back)
-from kahlerkit.hermitian import HermitianTriple, ddc_from_jets, ricci_form
+from kahlerkit.hermitian import HermitianTriple, log_potential_residual
 from kahlerkit.calabi import CalabiProfile, build_calabi, disk_base
 from kahlerkit.twist import coordinate_twist, build_twist_fields, build_twist
 
@@ -40,7 +40,7 @@ class AKProduct:
         return HermitianTriple(self.g, self.J, self.chart)
 
 
-def build_ak_product(z_factor, tw, mode="B", plane_range=(-1.0, 1.0)):
+def build_ak_product(z_factor, tw, plane_range=(-1.0, 1.0)):
     """Twisted product structures on R^2 x Z.  tw is a twist Field declared
     on Z: it is lifted here, and any dependence on the plane coordinates is
     rejected.  Its twist's coframe is {dx1, dx2} = {theta, -theta o J} for
@@ -73,7 +73,7 @@ def build_ak_product(z_factor, tw, mode="B", plane_range=(-1.0, 1.0)):
         raise ValueError("twist depends on the plane coordinates; "
                          "d/dx1, d/dx2 would not be Killing")
 
-    gw, (Jw, Jtw), _ = build_twist_fields(g0, [J0, Jt0], Pp, wfull, coframe, chart, mode)
+    gw, (Jw, Jtw), _ = build_twist_fields(g0, [J0, Jt0], Pp, wfull, coframe, chart)
     return AKProduct(z_factor=z_factor, g=gw, J=Jw, J_tilde=Jtw, g0=g0, Jt0=Jt0,
                      chart=chart, twist_full=wfull, coframe=coframe)
 
@@ -163,22 +163,10 @@ def einstein_point(g, pe):
             "ricci_max": pe.absmax(Ric)}
 
 
-def subtract_fiber_logs(rho, pe, J, z_positions):
-    """rho minus (j/2) (d J d) ln z_j for every fiber level j, in level order;
-    returns the difference and the largest single term."""
-    size = 0.0
-    for j, pos in z_positions.items():
-        term = 0.5 * j * ddc_from_jets(jlog(pe[pos]), pe.raw(J))
-        rho = rho - term
-        size = worst(size, pe.absmax(term))
-    return rho, size
-
-
-def fiber_log_point(t, z_positions, pe):
-    """max |rho - sum_j (j/2) (d J d) ln z_j| at pe: the Ricci form of t is
-    carried by the fiber log potentials."""
-    rho = ricci_form(t, pe)
-    return pe.absmax(subtract_fiber_logs(rho, pe, t.J, z_positions)[0])
+def fiber_logs(pe, z_positions):
+    """The log-potential terms (j/2, z_j) at pe of every fiber level j, in
+    level order, z_positions mapping each level to its z coordinate."""
+    return [(0.5 * j, pe[pos]) for j, pos in z_positions.items()]
 
 
 @dataclass
@@ -190,18 +178,15 @@ class ChainLevel:
     claimed_coeff: float = 0.0
     z_positions: dict = field(default_factory=dict)
 
-    def identity_residuals(self, pe):
-        """Residuals at pe of the claimed log-coefficient identity and of the
-        corrected one carrying the (j/2) ln z_j fiber terms."""
+    def ricci_residual(self, pe):
+        """max |rho - c (d J d) ln(1 - |x|^2) - sum_j (j/2) (d J d) ln z_j| at
+        pe, c the claimed log coefficient of the disk coordinates x (the last
+        two) and z_j the fiber levels' z."""
         n = self.triple.chart.dim
-        t = self.triple
         xx, yy = pe[n - 2], pe[n - 1]
-        ddL = ddc_from_jets(jlog(1.0 - xx * xx - yy * yy), pe.raw(t.J))
-        claimed = ricci_form(t, pe) - self.claimed_coeff * ddL
-        corrected, corr_size = subtract_fiber_logs(claimed, pe, t.J, self.z_positions)
-        return {"claimed": pe.absmax(claimed),
-                "corrected": pe.absmax(corrected),
-                "correction_size": corr_size}
+        return log_potential_residual(self.triple, pe,
+                                      [(self.claimed_coeff, 1.0 - xx * xx - yy * yy)]
+                                      + fiber_logs(pe, self.z_positions))
 
 
 def _lifted_alpha(cal):

@@ -22,8 +22,8 @@ chart's alpha, Theta and P+, the base metric, the twist's w, |w|^2, S+).  A
 builder marks first order (Field order 1) the fields whose readers take
 values and gradients only (N_J, d omega, omega-invariance, the torsion
 (1/2)(nabla J~)J~): a Calabi chart's J, I0 and theta, every twisted
-endomorphism E_w, a plane product's J0 and J~0, and U+ = (1-S)^{-1} - 1 in
-twist mode B, where only the E_w read it.  A marked field runs on the
+endomorphism E_w, a plane product's J0 and J~0, and U+ = (1-S)^{-1} - 1,
+which only the E_w read.  A marked field runs on the
 point's first-order view, which reads every other field from the same memo
 as the first_order view of its jet.
 The Christoffel symbols are built on the point's memoised inverse, so each

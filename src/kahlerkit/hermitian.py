@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from kahlerkit.fields import worst, exterior_from_grad, nijenhuis_from_jets
-from kahlerkit.jets import contract, jet_dcoord
+from kahlerkit.jets import contract, jet_dcoord, jlog
 
 
 @dataclass
@@ -47,3 +47,15 @@ def ddc_from_jets(f, J):
     """ddc(f) = d(df o J) from the jet of the function f and the jet of J:
     df o J is a first-order jet, and d reads its gradient."""
     return exterior_from_grad((jet_dcoord(f) @ J).grad, 1)
+
+
+def log_potential_residual(t, pe, logs, rho0=0.0):
+    """max |rho - rho0 - sum c (d J d) ln f| at pe, rho the Ricci form of t
+    (ricci_form) and J its structure, over the pairs (c, f) of logs, f the
+    jet of a positive function, subtracted in list order: the claim that rho
+    is rho0 plus these log-potential terms."""
+    J = pe.raw(t.J)
+    rho = ricci_form(t, pe) - rho0
+    for c, f in logs:
+        rho = rho - c * ddc_from_jets(jlog(f), J)
+    return pe.absmax(rho)

@@ -31,7 +31,7 @@ from kahlerkit.jets import SamplePlan, jsin
 from kahlerkit.fields import (ChartManifold, Field, Fold, PointEval, worst,
                               nijenhuis_from_jets)
 from kahlerkit.fields import metric_jets  # noqa: F401  (perfbench traces this binding)
-from kahlerkit.hermitian import kahler_point
+from kahlerkit.hermitian import kahler_point, log_potential_residual
 from kahlerkit.foliation import (homothetic_point, extract_theta, classify_point,
                                  foliation_report, VERDICT_HOLOMORPHIC)
 from kahlerkit.calabi import (CalabiProfile, disk_base, build_calabi, volume_checks,
@@ -42,7 +42,7 @@ from kahlerkit.twist import (DISC, constant_twist, coordinate_twist, build_twist
                              ricci_identity_check, zeta_duality_residual)
 from kahlerkit.almost_kahler import (build_ak_product, iterate_chain,
                                      ak_invariants_point, ak3_point, torsion_point,
-                                     einstein_point, fiber_log_point,
+                                     einstein_point, fiber_logs,
                                      ker_dw_geodesic_residual)
 
 
@@ -111,22 +111,26 @@ def _verdict(expected):
     return record
 
 
-def _twist_map(spec, chart):
-    """The twist map of a twist_spec on chart.  The last two chart
-    coordinates are the disk coordinates, so coord_z / conj_z attach there.
+def _twist_map(spec, chart, mode):
+    """The twist map of a twist_spec on chart, under the spec's label: the
+    spec's w in mode B, and -w in mode A, whose twist of w is the twist of
+    -w (kahlerkit.twist).  The last two chart coordinates are the disk
+    coordinates, so coord_z / conj_z attach there.
     Over the chart box |x|, |y| <= r the jet of |w|^2 = scale^2 (x^2 + y^2)
     has entries up to 2 scale^2 max(1, r, r^2) (its Hessian, gradient and
     value), which the disc guard reads at every point: a scale that makes
     it overflow is rejected here."""
     tid, c = spec
+    sign = -1.0 if mode == "A" else 1.0
     if tid == "const":
-        return constant_twist(*c)
+        return Field(constant_twist(*(sign * v for v in c)).fn, label=constant_twist(*c).label)
     scale = c[0]
     r = max(abs(v) for interval in chart.domain[-2:] for v in interval)
     if not math.isfinite(scale * scale * 2.0 * max(1.0, r, r * r)):
         raise ValueError("twist scale %r is too large for the chart box |x|, |y| <= %r: "
                          "the jet of |w|^2 overflows" % (scale, r))
-    return coordinate_twist(chart.dim - 2, chart.dim - 1, conj=tid == "conj_z", scale=scale)
+    return coordinate_twist(chart.dim - 2, chart.dim - 1, conj=tid == "conj_z",
+                            scale=sign * scale)
 
 
 def _profile(params):
@@ -276,16 +280,16 @@ def _make_calabi(params):
 
 def _make_calabi_twist(params):
     cal = _calabi_core(params)
-    tw = _twist_map(params["twist"], cal.chart)
     mode = params["mode"]
-    tt = build_twist(cal, tw, mode=mode)
+    tw = _twist_map(params["twist"], cal.chart, mode)
+    tt = build_twist(cal, tw)
     twt = tt.triple()
     Pp = cal.proj_plus
     chart = cal.chart
 
     def norm_at(pe):
         w1, w2 = pe.raw(tw)
-        want = norm_factor_expected(w1.value, w2.value, mode)
+        want = norm_factor_expected(w1.value, w2.value)
         return abs(norm_factor_measured(cal.g, tt.g_w, cal.theta, pe) - want)
 
     def nijenhuis_at(pe):
@@ -306,7 +310,7 @@ def _make_calabi_twist(params):
               1e-7, lambda pe: homothetic_point(twt, Pp, pe)["homothetic"]),
         check("ricci_fiber_log",
               "Ricci form minus lifted base Ricci form matches the log potential terms",
-              1e-6, lambda pe: ricci_identity_check(cal, tw, tt, pe)["corrected"]),
+              1e-6, lambda pe: ricci_identity_check(cal, tw, tt, pe)),
         check("zeta_duality", "J_w g_w^{-1} theta equals J g^{-1} theta",
               1e-8, lambda pe: zeta_duality_residual(cal.g, cal.J, tt.g_w, tt.J_w,
                                                      cal.theta, pe)),
@@ -332,9 +336,9 @@ def _make_ak(params):
     else:
         zt, _ = disk_base(params["k"] if zkind == "disk" else 0, radius=radius)
 
-    tw = _twist_map(params["twist"], zt.chart)
     mode = params["mode"]
-    ak = build_ak_product(zt, tw, mode=mode, plane_range=params["plane_range"])
+    tw = _twist_map(params["twist"], zt.chart, mode)
+    ak = build_ak_product(zt, tw, plane_range=params["plane_range"])
 
     inv, ak3, tor = (partial(point, ak)
                      for point in (ak_invariants_point, ak3_point, torsion_point))
@@ -373,7 +377,8 @@ def _make_ak(params):
         _on(ak.chart if zpos_product else None)(
             "ricci_form_fiber_log",
             "Ricci form of the product equals the fiber log potential terms",
-            1e-6, lambda pe: fiber_log_point(ak.triple(), zpos_product, pe)),
+            1e-6, lambda pe: log_potential_residual(ak.triple(), pe,
+                                                    fiber_logs(pe, zpos_product))),
     ]
     return Case("R^2 x " + zt.chart.label + " [" + tw.label + ", mode " + mode + "]",
                 ak.chart, ak.g, tuple(checks))
@@ -397,7 +402,7 @@ def _make_chain(params):
                   1e-7, lambda lv, pe: worst(*kahler_point(lv.triple, pe).values())),
         per_level("ricci_coefficient",
                   "Ricci form matches the disk log coefficient plus fiber log terms",
-                  1e-6, lambda lv, pe: lv.identity_residuals(pe)["corrected"]),
+                  1e-6, lambda lv, pe: lv.ricci_residual(pe)),
         per_level("alpha_primitive", "each level's alpha is a primitive of its omega",
                   1e-7, lambda lv, pe: alpha_primitive_point(lv.alpha, lv.triple, pe)),
     ]
@@ -715,12 +720,12 @@ def run_scenario_obj(scn, tol_override=None, case=None):
 _quoted = json.encoder.encode_basestring_ascii
 
 
-def render_json(obj, indent=0):
+def render_json(obj):
     """Deterministic JSON with floats at 17 significant digits (a NaN or an
     infinity quoted as its str), two-space indents and ASCII text, escaped
     as json.dumps escapes it; written in one pass into one list."""
     out = []
-    _render(obj, indent, out)
+    _render(obj, 0, out)
     return "".join(out)
 
 

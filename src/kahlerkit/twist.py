@@ -7,28 +7,31 @@ span(d0, d1), so S is two rows, S+, read off the builder's coframe (F, B):
 F is {theta, -theta o J} times a nonvanishing factor, which cancels, and B
 its constant block F[:, :2] (make_sfield); no twisted field reads J.  One
 shared S deforms the metric and every endomorphism together; mixing frames
-breaks the unchanged-form invariant.  Mode "B" is
+breaks the unchanged-form invariant.  The twist is
 
     g_w = g(A., .),  A = 1 - 2 (S - |w|^2 P+)/(1 - |w|^2),
     J_w = (1-S)^{-1} J (1-S),
 
-mode "A" the conjugate order with A = 1 + 2 (S + |w|^2 P+)/(1 - |w|^2).
-Each is a rank-2 update on rows or columns 0 and 1 (build_twist_fields).
-Both leave the fundamental forms unchanged; w = 0 is the identity
-deformation exactly.  |w|^2, 1/(1-|w|^2), |w|^2 P+ and (1-S)^{-1} - 1 are
-Fields of their own, which S's disc guard, g_w and every E_w read through
-the point's memo, so each runs once per point.  F must be an exact jet
-closure: an extracted Lee form is a first-order jet, and the curvature of
-the twisted metric, which needs its Hessian, would raise FirstOrderError.
+a rank-2 update on rows or columns 0 and 1 (build_twist_fields), which
+leaves the fundamental forms unchanged; w = 0 is the identity deformation
+exactly.  The conjugate order (a scenario's mode "A"), A = 1 + 2 (S +
+|w|^2 P+)/(1 - |w|^2) and J_w = (1-S) J (1-S)^{-1}, is this twist of -w:
+with U = (1-S)^{-1} - 1, 1 + 2U = 1 - 2 (S(-w) - |w|^2 P+)/(1 - |w|^2), and
+each twisted E commutes with P+, so (1-S) E (1-S)^{-1} = (1+S)^{-1} E (1+S).
+|w|^2, 1/(1-|w|^2), |w|^2 P+ and U+ = (1-S)^{-1} - 1 are Fields of their
+own, which S's disc guard, g_w and every E_w read through the point's memo,
+so each runs once per point.  F must be an exact jet closure: an extracted
+Lee form is a first-order jet, and the curvature of the twisted metric,
+which needs its Hessian, would raise FirstOrderError.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from kahlerkit.jets import JetDomainError, contract, embed, jeinsum, jlog, pack
+from kahlerkit.jets import JetDomainError, contract, embed, jeinsum, pack
 from kahlerkit.fields import Field, worst
-from kahlerkit.hermitian import HermitianTriple, ddc_from_jets, ricci_form
+from kahlerkit.hermitian import HermitianTriple, log_potential_residual, ricci_form
 
 # The largest |w|^2 a twist may reach; the S field and
 # transverse_holomorphy_point reject a point beyond it, or a NaN |w|^2.
@@ -100,7 +103,7 @@ def make_sfield(coframe, w, ww):
     return Field(sfield)
 
 
-def build_twist_fields(g, endos, Pp, w, coframe, chart, mode="B"):
+def build_twist_fields(g, endos, Pp, w, coframe, chart):
     """The twist of the metric g and of each endomorphism in endos by one
     shared S on the builder's coframe of endos[0] (make_sfield): (g_w,
     [E_w, ...], S+), Fields on chart, S+ the two rows of S that make_sfield
@@ -109,9 +112,7 @@ def build_twist_fields(g, endos, Pp, w, coframe, chart, mode="B"):
     for A = 1 + D, and E_w = (1+U) E (1-S) is X = E - E[:, :2] S+ plus U+ X
     on rows 0 and 1.  They share the Fields |w|^2, 1/(1-|w|^2), |w|^2 P+[:2]
     and U+.  Each E_w is first order (its readers take values and gradients
-    only), and so is U+ in mode B, where only the E_w read it."""
-    if mode not in ("A", "B"):
-        raise ValueError("mode must be 'A' or 'B'")
+    only), and so is U+, which only the E_w read."""
     ww = Field(lambda pt: _norm2(w(pt)))
     Sp = make_sfield(coframe, w, ww)
     shape = (chart.dim, chart.dim)
@@ -122,42 +123,36 @@ def build_twist_fields(g, endos, Pp, w, coframe, chart, mode="B"):
         return 1.0 / (1.0 - ww(pt))
     fac = Field(facfn)
     wwP = Field(lambda pt: ww(pt) * Pp(pt)[rows])
-    # U+ is read by the E_w alone in mode B, and by g_w in mode A
-    Up = Field(lambda pt: fac(pt) * (Sp(pt) + wwP(pt)), order=1 if mode == "B" else 2)
+    Up = Field(lambda pt: fac(pt) * (Sp(pt) + wwP(pt)), order=1)
 
     def gwfn(pt):
         # g_w(X, Y) = g(A X, Y): component [i][j] = g[i][j] + D[a][i] g[a][j]
-        D = (-2.0 * fac(pt)) * (Sp(pt) - wwP(pt)) if mode == "B" else 2.0 * Up(pt)
+        D = (-2.0 * fac(pt)) * (Sp(pt) - wwP(pt))
         G = g(pt)
         return G + jeinsum("ai,aj->ij", D, G[rows])
 
     def twisted(E):
         def Ewfn(pt):
             Ev = E(pt)
-            if mode == "B":
-                X = Ev - Ev[:, rows] @ Sp(pt)
-                return X + embed(Up(pt) @ X, shape, rows)
-            X = Ev + Ev[:, rows] @ Up(pt)
-            return X - embed(Sp(pt) @ X, shape, rows)
+            X = Ev - Ev[:, rows] @ Sp(pt)
+            return X + embed(Up(pt) @ X, shape, rows)
         return Field(Ewfn, order=1)
 
     return Field(gwfn), [twisted(E) for E in endos], Sp
 
 
-def build_twist(cal, tw, mode="B"):
+def build_twist(cal, tw):
     """Twist a CalabiChart (or anything with g/J/I0/proj_plus fields, a
     coframe and a chart) by the twist field tw with one shared S; returns a
     TwistedTriple."""
     gw, (Jw, Iw), Sp = build_twist_fields(cal.g, [cal.J, cal.I0], cal.proj_plus, tw,
-                                          cal.coframe, cal.chart, mode)
+                                          cal.coframe, cal.chart)
     return TwistedTriple(g_w=gw, J_w=Jw, I_w=Iw, S_plus=Sp, chart=cal.chart)
 
 
-def norm_factor_expected(w1, w2, mode="B"):
+def norm_factor_expected(w1, w2):
     ww = w1 * w1 + w2 * w2
-    if mode == "B":
-        return ((1.0 + w1) ** 2 + w2 ** 2) / (1.0 - ww)
-    return ((1.0 - w1) ** 2 + w2 ** 2) / (1.0 - ww)
+    return ((1.0 + w1) ** 2 + w2 ** 2) / (1.0 - ww)
 
 
 def norm_factor_measured(gfn, gwfn, theta_fn, pe):
@@ -189,32 +184,19 @@ def transverse_holomorphy_point(Jfn, Ppfn, wfn, pe):
 
 
 def ricci_identity_check(cal, tw, tt, pe):
-    """Residuals of the twisted-Ricci identities at pe, for the log profile.
+    """Residual at pe of the twisted-Ricci identity, for the log profile:
 
-    corrected: rho^{g_w} = rho_N(lifted) + ((m-1)/2)(d J_w d) ln z
-                          - (1/2)(d J_w d) ln(1-|w|^2)
-    printed:   rho^{g_w} = rho_N(lifted) - (1/2)(d J_w d) ln(1-|w|^2)
+        rho^{g_w} = rho_N(lifted) + ((m-1)/2)(d J_w d) ln z
+                    - (1/2)(d J_w d) ln(1-|w|^2).
 
-    (printed is the two-term form without the fiber correction; its residual
-    is reported, not asserted).  Returns the two residuals and the size of the
-    correction term.
-    """
-    m = cal.m
-    Jw = pe.raw(tt.J_w)
-    rho_w = ricci_form(tt.triple(), pe)
-    rho_N = np.zeros_like(rho_w)
-    rho_N[..., 2:, 2:] = ricci_form(cal.base, pe.sub(2))   # lifted base form
-
-    ddz = ddc_from_jets(jlog(pe[1]), Jw)
+    Without the fiber term ((m-1)/2)(d J_w d) ln z it fails by order one."""
+    n = cal.chart.dim
+    base = ricci_form(cal.base, pe.sub(2))
+    rho_N = np.zeros(base.shape[:-2] + (n, n))
+    rho_N[..., 2:, 2:] = base
     w1, w2 = pe.raw(tw)
-    ww = w1 * w1 + w2 * w2
-    fw = jlog(1.0 - ww)
-    ddw = ddc_from_jets(fw, Jw)
-
-    corr = 0.5 * (m - 1) * ddz
-    return {"corrected": pe.absmax(rho_w - rho_N - corr + 0.5 * ddw),
-            "printed": pe.absmax(rho_w - rho_N + 0.5 * ddw),
-            "correction_size": pe.absmax(corr)}
+    return log_potential_residual(tt.triple(), pe, [(0.5 * (cal.m - 1), pe[1]),
+                                                    (-0.5, 1.0 - (w1 * w1 + w2 * w2))], rho_N)
 
 
 def zeta_duality_residual(gfn, Jfn, gwfn, Jwfn, theta_fn, pe):

@@ -1,8 +1,8 @@
 """Reference implementations of the paper's claims that the acceptance tests
 compare live fields against: the Lee form of I0 by least squares over every
 3-form component, the single-twist parameter that reproduces a composite
-metric, and the biaxial rescale of a Calabi chart with its closedness
-constraint b' + b = a.  No command runs them, so they live beside the tests
+metric, the twist in the conjugate order written densely, and the biaxial
+rescale of a Calabi chart with its closedness constraint b' + b = a.  No command runs them, so they live beside the tests
 and not in the library."""
 
 import itertools
@@ -80,3 +80,20 @@ def solve_single_twist(g0fn, gcompfn, J0fn, Ppfn, theta_fn, pe):
     ww = ((tau - 2.0) / (tau + 2.0))[..., None, None]
     S3 = 0.5 * ((1.0 + ww) * np.eye(2) - (1.0 - ww) * B)
     return S3[..., 0, 0], S3[..., 0, 1]
+
+
+def conjugate_order_twist(g, endos, Pp, F, B, w1, w2):
+    """The twist in the conjugate order of the values g, each E of endos and
+    the projector Pp onto D+ ((Z, n, n) each) by the twist values (w1, w2)
+    ((Z,) each): (g_w, [E_w, ...]) with g_w = g(A., .), A = 1 + 2 (S + |w|^2
+    P+)/(1 - |w|^2), and E_w = (1 - S) E (1 - S)^{-1}, written densely: S is
+    n x n, B^{-1} R(w) F on rows 0 and 1 with R = [[w1, w2], [w2, -w1]], F
+    the coframe values (Z, 2, n) and B their constant D+ block, and 0 off
+    them.  It is the formula of a scenario's twist mode A."""
+    one = np.eye(g.shape[-1])
+    R = np.stack([np.stack([w1, w2], axis=-1), np.stack([w2, -w1], axis=-1)], axis=-2)
+    S = np.zeros(g.shape)
+    S[..., :2, :] = np.linalg.inv(B) @ R @ F
+    ww = (w1 * w1 + w2 * w2)[..., None, None]
+    A = one + 2.0 * (S + ww * Pp) / (1.0 - ww)
+    return A.swapaxes(-1, -2) @ g, [(one - S) @ E @ np.linalg.inv(one - S) for E in endos]

@@ -61,7 +61,21 @@ def test_the_paired_statistics():
     assert s["beyond_parent_iqr"]
     # the change within each pair: -10%, +4.17%, -27.27%, -26.92%
     assert s["paired_pct"]["median"] == pytest.approx(-18.4615, abs=1e-3)
-    assert not ab.summary([10.0, 14.0], [11.0, 12.0])["beyond_parent_iqr"]
+    # the paired quartiles, about -27.0% to -6.5%, exclude 0
+    assert s["paired_iqr_excludes_0"]
+    mixed = ab.summary([10.0, 14.0], [11.0, 12.0])
+    assert not mixed["beyond_parent_iqr"]
+    # +10% and -14.3%: the paired quartiles straddle 0
+    assert not mixed["paired_iqr_excludes_0"]
+    # a host that drifts 4x over the run, the change 5% lower in every pair:
+    # the parent's quartiles span the drift, the paired ones read -5% alone
+    drift = ab.summary([10.0, 20.0, 30.0, 40.0], [9.5, 19.0, 28.5, 38.0])
+    assert drift["pairs_lower"] == 4 and not drift["beyond_parent_iqr"]
+    assert drift["paired_pct"]["q3"] == pytest.approx(-5.0)
+    assert drift["paired_iqr_excludes_0"]
+    # and 5% higher in every pair
+    assert ab.summary([10.0, 20.0, 30.0, 40.0],
+                      [10.5, 21.0, 31.5, 42.0])["paired_iqr_excludes_0"]
     # one pair: its values are the median and both quartiles
     assert ab.summary([2.0], [1.0])["parent"] == {"median": 2.0, "q1": 2.0, "q3": 2.0}
     # a block's scenario_max_ms is its largest scenario mean, and its

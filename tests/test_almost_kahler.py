@@ -7,15 +7,16 @@ import pytest
 from kahlerkit.jets import Jet2, JetDomainError, SamplePlan, jlog
 from kahlerkit.fields import (ChartManifold, Field, PointEval, curvature_from_jets,
                               metric_jets, worst)
-from kahlerkit.hermitian import HermitianTriple, ddc_from_jets, kahler_point
+from kahlerkit.hermitian import (HermitianTriple, ddc_from_jets, kahler_point,
+                                 log_potential_residual)
 from kahlerkit.calabi import disk_base, volume_checks
 from kahlerkit.twist import constant_twist, coordinate_twist
 from kahlerkit.almost_kahler import (ak3_point, ak_invariants_point,
                                      build_ak_product, einstein_point,
-                                     eta_tensor, iterate_chain,
+                                     eta_tensor, fiber_logs, iterate_chain,
                                      ker_dw_geodesic_residual,
                                      ker_dw_projector, torsion_point)
-from helpers import fold_plan
+from helpers import fold_plan, log_term_size
 
 
 def disk_product(k=1, twist=None):
@@ -189,15 +190,22 @@ def test_untwisted_chain_levels():
                       lambda pe: worst(*kahler_point(lv.triple, pe).values()))
         assert v.max() <= 1e-7
     # level 0 satisfies the claimed identity; level 1 needs the fiber term
-    p0 = [0.1, -0.2]
-    r0 = levels[0].identity_residuals(PointEval(p0))
-    assert r0["claimed"] < 1e-10
-    assert r0["corrected"] < 1e-10
-    p1 = [0.2, 1.1, 0.1, -0.2]
-    r1 = levels[1].identity_residuals(PointEval(p1))
-    assert r1["corrected"] < 1e-10
-    assert r1["claimed"] > 0.1
-    assert r1["correction_size"] > 0.1
+    pe0 = PointEval([0.1, -0.2])
+    assert claimed_residual(levels[0], pe0) < 1e-10
+    assert levels[0].ricci_residual(pe0) < 1e-10
+    pe1 = PointEval([0.2, 1.1, 0.1, -0.2])
+    assert levels[1].ricci_residual(pe1) < 1e-10
+    assert claimed_residual(levels[1], pe1) > 0.1
+    assert max(log_term_size(levels[1].triple, pe1, [term])
+               for term in fiber_logs(pe1, levels[1].z_positions)) > 0.1
+
+
+def claimed_residual(lv, pe):
+    """The residual at pe of the chain level's claimed identity rho = c (d J
+    d) ln(1 - |x|^2), without the fiber terms."""
+    n = lv.triple.chart.dim
+    xx, yy = pe[n - 2], pe[n - 1]
+    return log_potential_residual(lv.triple, pe, [(lv.claimed_coeff, 1.0 - xx * xx - yy * yy)])
 
 
 def test_twisted_chain_levels():
@@ -211,9 +219,9 @@ def test_twisted_chain_levels():
         assert v.max() <= 1e-7
     for lv in levels[1:]:
         for p in lv.triple.chart.samples(SamplePlan(15, 3)):
-            r = lv.identity_residuals(PointEval(p))
-            assert r["corrected"] < 1e-8
-            assert r["claimed"] > 0.1
+            pe = PointEval(p)
+            assert lv.ricci_residual(pe) < 1e-8
+            assert claimed_residual(lv, pe) > 0.1
 
 
 def test_chain_alpha_is_primitive_at_every_level():

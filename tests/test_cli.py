@@ -803,7 +803,7 @@ def _memoised_jets(pe):
 @pytest.mark.parametrize("name", BUNDLED)
 def test_the_memo_holds_a_hessian_only_where_one_is_read(name, monkeypatch):
     # after a bundled verify, no field a builder marks first order (the J
-    # family, theta, U+ in mode B) holds a Hessian array in a point's memo,
+    # family, theta, U+) holds a Hessian array in a point's memo,
     # and every other field holds its Hessian (a known zero included): each
     # metric, and each P+ the classifier frames, with a Hessian array
     scn = load_scenario(name)

@@ -5,22 +5,23 @@ twisted Ricci-form identity."""
 import numpy as np
 import pytest
 
-from kahlerkit import jets
+from kahlerkit import almost_kahler, jets, twist
 from kahlerkit.jets import Jet2, JetDomainError, SamplePlan, pack
 from kahlerkit.fields import Field, Fold, PointEval, metric_jets, worst
 from kahlerkit.foliation import classify_point, homothetic_point
 from kahlerkit.hermitian import kahler_point
 from kahlerkit.calabi import CalabiProfile, build_calabi, disk_base
 from kahlerkit.almost_kahler import build_ak_product, iterate_chain
-from kahlerkit.scenarios import load_scenario
+from kahlerkit.scenarios import BUILDER_MAP, load_scenario, make_case
 from kahlerkit.twist import (build_twist, build_twist_fields,
                              constant_twist, form_invariance_point, coordinate_twist,
                              norm_factor_expected,
                              norm_factor_measured, ricci_identity_check,
                              transverse_holomorphy_point,
                              zeta_duality_residual)
-from helpers import fold_plan, nijenhuis_at
-from paper_claims import solve_single_twist
+from helpers import (fiber_correction_size, fold_plan, nijenhuis_at,
+                     printed_ricci_residual)
+from paper_claims import conjugate_order_twist, solve_single_twist
 
 
 def make_cal(k=1):
@@ -67,29 +68,75 @@ def test_fundamental_forms_unchanged():
             assert np.abs(Iw.T @ gw - I0.T @ g).max() < 1e-9
 
 
-def test_mode_a_also_preserves_forms():
-    cal = make_cal()
-    tt = build_twist(cal, constant_twist(0.2, -0.3), mode="A")
-    for p in cal.chart.samples(SamplePlan(3, 5)):
-        g = values(cal.g.fn, p)
-        gw = values(tt.g_w.fn, p)
-        J = values(cal.J.fn, p)
-        Jw = values(tt.J_w.fn, p)
-        assert np.abs(Jw.T @ gw - J.T @ g).max() < 1e-9
+def twisted_case(monkeypatch, builder, params):
+    """The case of builder at params, and the arguments and the result of
+    the last build_twist_fields call its build makes (the product's, for a
+    plane product over a twisted chain level).  The case memo must be
+    empty (the unbuilt fixture)."""
+    calls = []
+    build = twist.build_twist_fields
+
+    def recording(*args):
+        calls.append((args, build(*args)))
+        return calls[-1][1]
+    monkeypatch.setattr(twist, "build_twist_fields", recording)
+    monkeypatch.setattr(almost_kahler, "build_twist_fields", recording)
+    return make_case(BUILDER_MAP[builder], params), calls[-1]
 
 
-def test_bad_mode_rejected():
-    cal = make_cal()
-    with pytest.raises(ValueError):
-        build_twist_fields(cal.g, [cal.J], cal.proj_plus, constant_twist(0.1),
-                           cal.coframe, cal.chart, mode="C")
+# the case of make_cal, twisted by a constant in mode A
+MODE_A_DISK = {"base": "disk", "k": 1, "z_range": [0.5, 2.0], "s_range": [-1.0, 1.0],
+               "twist": {"id": "const", "c": [0.2, -0.3]}, "mode": "A"}
+
+
+def test_mode_a_also_preserves_forms(unbuilt, monkeypatch):
+    case, ((g, (J, _), *_), (gw, (Jw, _), _)) = twisted_case(monkeypatch, "calabi_twist",
+                                                             MODE_A_DISK)
+    for p in case.chart.samples(SamplePlan(3, 5)):
+        g_v = values(g.fn, p)
+        gw_v = values(gw.fn, p)
+        J_v = values(J.fn, p)
+        Jw_v = values(Jw.fn, p)
+        assert np.abs(Jw_v.T @ gw_v - J_v.T @ g_v).max() < 1e-9
+
+
+@pytest.mark.parametrize("builder, params, minus", [
+    ("calabi_twist", {"base": "disk", "A": -0.5, "twist": {"id": "coord_z", "scale": 0.8}},
+     {"id": "coord_z", "scale": -0.8}),
+    ("ak_product", {"z": "disk", "twist": {"id": "const", "c": [0.2, -0.3]}},
+     {"id": "const", "c": [-0.2, 0.3]}),
+])
+def test_mode_a_is_mode_b_of_minus_w(builder, params, minus, unbuilt, monkeypatch):
+    # mode A twists by the conjugate order, the twist of -w in the order of
+    # mode B: its metric is mode B's of the negated spec bit for bit, its
+    # twisted endomorphisms are (1-S) E (1-S)^{-1} of the spec's w, and its
+    # label is the spec's (q = 2 on the fibered chart, where the coframe's
+    # block B = [[0, 1], [1/q, 0]] is not its own inverse)
+    case, ((g, endos, Pp, w, (F, B), _), (gw, twisted, _)) = twisted_case(
+        monkeypatch, builder, dict(params, mode="A"))
+    other = make_case(BUILDER_MAP[builder], dict(params, twist=minus, mode="B"))
+    label = "const(0.2,-0.3)" if builder == "ak_product" else "zeta[2,3]"
+    assert case.label.endswith("[%s, mode A]" % label)
+    p = case.chart.samples(SamplePlan(3, 5))
+    for x in p:
+        for mine, theirs in zip(metric_jets(case.metric.fn, x),
+                                metric_jets(other.metric.fn, x)):
+            assert np.array_equal(mine, theirs)
+    pe = PointEval(p)
+    w1, w2 = -pe.raw(w).value.T
+    want_g, want_E = conjugate_order_twist(pe.raw(g).value, [pe.raw(E).value for E in endos],
+                                           pe.raw(Pp).value, pe.raw(F).value, B, w1, w2)
+    assert np.abs(pe.raw(gw).value - want_g).max() < 1e-12
+    for Ew, want in zip(twisted, want_E):
+        assert np.abs(pe.raw(Ew).value - want).max() < 1e-12
 
 
 def test_norm_factor_closed_forms():
     assert abs(norm_factor_expected(0.0, 0.0) - 1.0) < 1e-15
     assert abs(norm_factor_expected(0.5, 0.0) - 3.0) < 1e-15
     assert abs(norm_factor_expected(0.3, 0.4) - 37.0 / 15.0) < 1e-15
-    assert abs(norm_factor_expected(0.5, 0.0, mode="A") - 1.0 / 3.0) < 1e-15
+    # mode A's factor at w is mode B's at -w
+    assert abs(norm_factor_expected(-0.5, 0.0) - 1.0 / 3.0) < 1e-15
 
 
 def test_norm_factor_measured_matches_expected():
@@ -216,7 +263,7 @@ def test_a_nan_twist_passes_no_twisted_check():
         lambda pe: transverse_holomorphy_point(cal.J, Pp, tw, pe),
         lambda pe: nijenhuis_at(pe, tt.J_w),
         lambda pe: homothetic_point(twt, Pp, pe)["homothetic"],
-        lambda pe: ricci_identity_check(cal, tw, tt, pe)["corrected"],
+        lambda pe: ricci_identity_check(cal, tw, tt, pe),
         lambda pe: zeta_duality_residual(cal.g, cal.J, tt.g_w, tt.J_w, cal.theta, pe),
         lambda pe: classify_point(twt, Pp, pe),
         lambda pe: pe.absmax(pe.raw(tt.S_plus).value),
@@ -361,10 +408,10 @@ def test_ricci_identity_corrected_form_holds():
                coordinate_twist(2, 3)):
         tt = build_twist(cal, tw)
         for p in pts:
-            res = ricci_identity_check(cal, tw, tt, PointEval(p))
-            assert res["corrected"] < 1e-6
+            pe = PointEval(p)
+            assert ricci_identity_check(cal, tw, tt, pe) < 1e-6
             # the fiber correction this identity needs is genuinely large
-            assert res["correction_size"] > 0.05
+            assert fiber_correction_size(cal, tw, tt, pe) > 0.05
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
@@ -376,8 +423,8 @@ def test_ricci_identity_two_term_form():
     tt = build_twist(cal, coordinate_twist(2, 3))
     worst = 0.0
     for p in cal.chart.samples(SamplePlan(11, 5)):
-        res = ricci_identity_check(cal, coordinate_twist(2, 3), tt, PointEval(p))
-        worst = max(worst, res["printed"])
+        res = printed_ricci_residual(cal, coordinate_twist(2, 3), tt, PointEval(p))
+        worst = max(worst, res)
     assert worst < 1e-6
 
 
@@ -388,8 +435,7 @@ def test_ricci_identity_two_term_gap_is_pinned():
     for tw in (constant_twist(0.0), coordinate_twist(2, 3)):
         tt = build_twist(cal, tw)
         p = [0.2, 1.1, 0.1, -0.15]
-        res = ricci_identity_check(cal, tw, tt, PointEval(p))
-        assert res["printed"] > 1e-2
+        assert printed_ricci_residual(cal, tw, tt, PointEval(p)) > 1e-2
 
 
 def test_twist_map_labels():

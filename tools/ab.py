@@ -24,10 +24,11 @@ peak resident set after the block, in MB: ru_maxrss, so it never falls
 from one block to the next) and each scenario's mean command time: each
 side's median and quartiles over the pairs, the change of the medians in
 percent, the pairs in which the change read lower, whether the medians
-differ by more than the parent's interquartile range, and the median and
-quartiles of the change within each pair, in percent (drift of the host's
-speed widens each side's quartiles, but moves both blocks of a pair
-alike).  It also counts the operations attempted and failed on each side.
+differ by more than the parent's interquartile range, the median and
+quartiles of the change within each pair, in percent, and whether those
+paired quartiles exclude 0 (drift of the host's speed widens each side's
+quartiles, but moves both blocks of a pair alike, so the paired verdict
+holds where the parent's interquartile range drowns a steady change).  It also counts the operations attempted and failed on each side.
 Exit status: 0, or 1 when an operation failed on either side.
 
 One worker serves every workload given, so peak_rss_mb is the peak over
@@ -69,12 +70,14 @@ def summary(parent, change):
     """The paired comparison of the block values parent[i] and change[i],
     lower being better."""
     p, c = spread(parent), spread(change)
+    paired = spread([100.0 * (b / a - 1.0) for a, b in zip(parent, change)])
     return {"parent": p, "change": c,
             "change_pct": 100.0 * (c["median"] / p["median"] - 1.0),
             "pairs": len(parent),
             "pairs_lower": sum(b < a for a, b in zip(parent, change)),
             "beyond_parent_iqr": abs(c["median"] - p["median"]) > p["q3"] - p["q1"],
-            "paired_pct": spread([100.0 * (b / a - 1.0) for a, b in zip(parent, change)])}
+            "paired_pct": paired,
+            "paired_iqr_excludes_0": paired["q1"] > 0.0 or paired["q3"] < 0.0}
 
 
 def block_values(blocks):
