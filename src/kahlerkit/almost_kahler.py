@@ -107,7 +107,7 @@ def ak3_point(ak, pe):
         denom = np.where(sc > 1e-12, sc, 1.0)
         return {"relative": pe.absmax(RJ - Rlow) / denom,
                 "block_plane": pe.absmax(Rlow[..., :2, :2, :2, 2:]) / denom,
-                "block_z": pe.absmax(Rlow[..., 2:, 2:, 2:, :2]) / denom, "scale": sc}
+                "block_z": pe.absmax(Rlow[..., 2:, 2:, 2:, :2]) / denom}
     return pe.cached("ak3", (ak.g, ak.J_tilde), compute)
 
 
@@ -154,12 +154,12 @@ def torsion_point(ak, pe):
 
 
 def einstein_point(g, pe):
-    """Pointwise least-squares Einstein fit at pe: lambda = <Ric, g>/<g, g>,
-    the residual max |Ric - lambda g|, and max |Ric|."""
+    """Pointwise least-squares Einstein fit at pe: the residual max |Ric -
+    lambda g| for lambda = <Ric, g>/<g, g>, and max |Ric|."""
     gv = pe.raw(g).value
     Ric = pe.curvature(g)[1]
     lam = contract("Zij,Zij->Z", Ric, gv) / contract("Zij,Zij->Z", gv, gv)
-    return {"lambda": lam, "einstein_dev": pe.absmax(Ric - lam[..., None, None] * gv),
+    return {"einstein_dev": pe.absmax(Ric - lam[..., None, None] * gv),
             "ricci_max": pe.absmax(Ric)}
 
 

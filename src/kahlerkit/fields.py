@@ -348,7 +348,9 @@ class Fold:
     name.  Anything else raises ValueError.  values[key] is one float array
     of the residuals kept under that name, in point order; excluded[key]
     counts the points excluded from it (a name appears once it has one); and
-    points counts the points folded.
+    points counts the points folded.  used, max and mean read a name: 0 for
+    one with no value kept, and KeyError for one that no batch returned,
+    unless the fold has stopped at an error.
 
     Batches add in turn: a chain check's levels share one fold.  fn runs
     under float_checked, so a float overflow, invalid operation or division
@@ -402,17 +404,26 @@ class Fold:
             jet = Jet2.seed(p)
             self.add(PointEval(p[None], jet if pe._hess is not None else first_order(jet)), fn)
 
+    def _read(self, key):
+        """values[key], or None where the name has no value kept: every point
+        excluded from it, or the fold stopped at an error before it.  A name
+        that no batch returned is a misread and raises KeyError."""
+        if key not in self.values and key not in self.excluded and not self.error:
+            raise KeyError("no per-point residual named %r was folded here" % (key,))
+        return self.values.get(key)
+
     def used(self, key=None):
-        return len(self.values.get(key, ()))
+        v = self._read(key)
+        return 0 if v is None else len(v)
 
     def max(self, key=None):
-        v = self.values.get(key)
+        v = self._read(key)
         if v is None:
             return 0.0
         return float(v[-1] if not np.isfinite(v[-1]) else v.max())
 
     def mean(self, key=None):
-        v = self.values.get(key)
+        v = self._read(key)
         # summed left to right, as a fold over single points sums
         return sum(v.tolist()) / len(v) if v is not None else 0.0
 
@@ -484,14 +495,6 @@ def curvature_from_parts(gv, Gam, dGam, gi):
     return Rlow, Ric, scal, gi
 
 
-def least_squares(A, b):
-    """The minimum-norm least-squares solution of A x = b at each point of a
-    batch, with np.linalg.lstsq's cutoff: singular values below max(M, N) eps
-    times the largest count as zero."""
-    cutoff = max(A.shape[-2:]) * np.finfo(A.dtype).eps
-    return (np.linalg.pinv(A, cutoff) @ b[..., None])[..., 0]
-
-
 def pull_back(T, A):
     """Components of the covariant tensor T(A., ..., A.) (at each point of a
     batch: the axes of A before its last two lead T's as well).  Each step
@@ -506,14 +509,8 @@ def pull_back(T, A):
 
 
 # ---------------------------------------------------------------------------
-# Lie derivative, exterior derivative, Nijenhuis
+# exterior derivative, Nijenhuis
 # ---------------------------------------------------------------------------
-
-def lie_endo_from_jets(Xv, Xg, Jv, Jg):
-    """(L_X J)^k_j = X^m d_m J^k_j - J^m_j d_m X^k + J^k_m d_j X^m."""
-    return (contract("Zm,Zkjm->Zkj", Xv, Jg) - contract("Zmj,Zkm->Zkj", Jv, Xg)
-            + contract("Zkm,Zmj->Zkj", Jv, Xg))
-
 
 def exterior_from_grad(grad, k):
     """d of a k-form given the packed component gradients (the k form axes
@@ -523,13 +520,6 @@ def exterior_from_grad(grad, k):
         term = np.moveaxis(grad, -1, j - k - 1)
         out = term if out is None else out + ((-1.0) ** j) * term
     return out
-
-
-def wedge12(theta, om):
-    """(theta ^ om)_ijk of a 1-form and a 2-form: T - T_jik + T_kij with
-    T_ijk = theta_i om_jk."""
-    T = theta[..., :, None, None] * om[..., None, :, :]
-    return T - T.swapaxes(-3, -2) + np.moveaxis(T, -3, -1)
 
 
 def nijenhuis_from_jets(Jv, Jg):

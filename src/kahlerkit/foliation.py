@@ -1,5 +1,5 @@
 """The homothetic-foliation residual, Lee-form extraction, O'Neill tensors,
-structure-equation checks, and the pointwise classifier.
+and the pointwise classifier.
 
 The splitting TM = D+ + D- is given by the projector field Pp onto the rank-2
 distribution D+ (D- is its complement, P- = 1 - P+).
@@ -8,13 +8,18 @@ The Lee form is never taken from a builder: it is extracted from the metric by
 the trace formula theta(V) = tr(g^{-1} (L_V g) P_minus) / (dim - 2) over a
 D+ frame, which turns the homothetic equation L_V g = theta(V) g on D- into a
 genuine two-sided test. zeta denotes the g-dual of theta.
+
+The classifier computes only what its verdict reads: the homothetic
+residual, the O'Neill tensors, |theta|, and |theta|_g, below whose floor the
+chi_1 stage is skipped.  No command reads the structure equations of a
+holomorphic foliation (D+ holomorphy, d omega_- = theta ^ omega_-, the two
+chi_1 routes): they are a test oracle in tests/paper_claims.py.
 """
 
 import numpy as np
 
 from kahlerkit.jets import Jet2, contract, jeinsum, jet_dcoord, jinv
-from kahlerkit.fields import (worst, excluded, least_squares, lie_endo_from_jets,
-                              exterior_from_grad, wedge12)
+from kahlerkit.fields import worst, excluded
 
 VERDICT_HOLOMORPHIC = "holomorphic"
 VERDICT_GEODESIC = "geodesic_riemannian"
@@ -22,7 +27,7 @@ VERDICT_PRODUCT = "kahler_product"
 VERDICT_FAILED = "failed"
 
 FRAME_TOL = 1e-8      # a D+ frame's two projector columns: least Gram determinant
-THETA_FLOOR = 1e-6    # structure_point: |theta| below it excludes the theta residuals
+THETA_FLOOR = 1e-6    # classify_point: |theta|_g below it skips the chi_1 stage
 VERDICT_TOL = 1e-6    # foliation_report: a residual at or below it vanishes
 
 
@@ -49,28 +54,20 @@ def _columns(M, cols):
                   for a in (M.value, M.grad)))
 
 
-def _frame(Pp, pe):
-    """The D+ frame at pe, once per point: the first-order jet of the columns
-    of P+ that _frame_columns picks, and those columns."""
-    def compute():
-        P = pe.raw(Pp)
-        cols = _frame_columns(P.value)
-        return _columns(P, cols), cols
-    return pe.cached("frame", (Pp,), compute)
-
-
 def theta_jets(t, Pp, pe):
     """Jet-level Lee-form extraction at pe.
 
     Returns (theta, homothetic_residual, thetaV, cols) where theta is the Lee
     form as a first-order jet (value and grad exact, no Hessian: it is built
     from the jet_dcoord derivatives of g and the frame) and thetaV the
-    first-order theta(V_a) jets for the D+ frame columns.
+    first-order theta(V_a) jets for the D+ frame: the first-order jets V_a
+    of the columns cols of P+ that _frame_columns picks.
     """
     g = pe.raw(t.g)
     P = pe.raw(Pp)
     n = g.shape[0]
-    V, cols = _frame(Pp, pe)
+    cols = _frame_columns(P.value)
+    V = _columns(P, cols)
     # (L_V g)_ij for each frame column V, as first-order jets: the
     # v-derivatives of g and V come from the jet grads
     dV = _columns(jet_dcoord(P), cols)
@@ -143,59 +140,21 @@ def dplus_geodesic_residual(xi, Ppv):
     return np.abs(Pv.swapaxes(-1, -2) @ xi @ Pv).max(axis=(-3, -2, -1))
 
 
-def structure_point(t, Pp, pe):
-    """Structure-equation residuals at pe: D+ holomorphy (proj_minus o (L_X J)
-    over a D+ frame), d(omega_minus) = theta ^ omega_minus, and the two chi_1
-    routes: the L_zeta J coefficient fit against -2|theta|^{-2} L_{Jzeta}
-    ln|theta|.  Where |theta| falls below THETA_FLOOR only holomorphy is
-    defined; wedge_minus, chi1 and lie_fit are excluded there.
-    """
-    J = pe.raw(t.J)
-    Jv, Jg = J.value, J.grad
-    P = pe.raw(Pp)
-    V = _frame(Pp, pe)[0]
-    Pmv = np.eye(P.value.shape[-1]) - P.value
-    hol = worst(*(pe.absmax(Pmv @ lie_endo_from_jets(V.value[..., a], V.grad[..., a, :], Jv, Jg))
-                  for a in (0, 1)))
-    theta = _lee(t, Pp, pe)[0]
-    thv = theta.value
-    gi = pe.inverse(t.g)
-    norm2 = contract("Zi,Zi->Z", contract("Zi,Zij->Zj", thv, gi.value), thv)
-    skip = norm2 < THETA_FLOOR ** 2
-
-    # omega_minus = omega - P+^T omega P+ as a jet field, then d of it
-    om = pe.omega(t.g, t.J)
-    omm = om - P.T @ om @ P
-    wedge_minus = pe.absmax(exterior_from_grad(omm.grad, 2) - wedge12(thv, omm.value))
-
-    # chi_1 from the L_zeta J coefficient fit vs the logarithmic formula
-    zeta = gi @ theta
-    zv = zeta.value
-    LzJ = lie_endo_from_jets(zv, zeta.grad, Jv, Jg)
-    Jz = contract("Zij,Zj->Zi", Jv, zv)
-    thJ = contract("Zi,Zij->Zj", thv, Jv)
-    basis = [z[..., :, None] * th[..., None, :] for z in (zv, Jz) for th in (thv, thJ)]
-    Amat = np.stack([b.reshape(b.shape[:-2] + (-1,)) for b in basis], axis=-1)
-    bvec = LzJ.reshape(Amat.shape[:-1])
-    cvec = least_squares(Amat, bvec)
-    lie_fit = pe.absmax(contract("Zij,Zj->Zi", Amat, cvec) - bvec)
-    # |theta|^2 = theta_i g^ij theta_j as a jet
-    chi1_log = (-contract("Zi,Zi->Z", Jz, (theta @ zeta).grad)
-                / np.where(skip, 1.0, norm2) ** 2)
-    return {"holomorphy": hol, "wedge_minus": excluded(skip, wedge_minus),
-            "chi1": excluded(skip, np.abs(cvec[..., 0] - chi1_log)),
-            "lie_fit": excluded(skip, lie_fit)}
-
-
 def classify_point(t, Pp, pe):
-    """Every classifier residual at pe: the homothetic and Lee-form residuals,
-    the O'Neill tensors and the structure_point residuals."""
+    """The residuals foliation_report reads at pe: the homothetic residual,
+    max |theta|, max |xi|, max |xi_ring| and max |xi| on D+ x D+ (O'Neill
+    tensors), and |theta|_g^2, excluded where |theta|_g falls below
+    THETA_FLOOR."""
 
     def compute():
+        theta, hom = _lee(t, Pp, pe)
+        thv = theta.value
+        norm2 = contract("Zi,Zi->Z", contract("Zi,Zij->Zj", thv, pe.inverse(t.g).value), thv)
         xi, xi_ring = oneill_tensors(t, Pp, pe)
-        return dict(homothetic_point(t, Pp, pe), **structure_point(t, Pp, pe),
-                    theta_max=pe.absmax(_lee(t, Pp, pe)[0].value), ring=pe.absmax(xi_ring),
-                    xi=pe.absmax(xi), geodesic=dplus_geodesic_residual(xi, pe.raw(Pp).value))
+        return {"homothetic": hom, "theta_max": pe.absmax(thv),
+                "theta_norm2": excluded(norm2 < THETA_FLOOR ** 2, norm2),
+                "ring": pe.absmax(xi_ring), "xi": pe.absmax(xi),
+                "geodesic": dplus_geodesic_residual(xi, pe.raw(Pp).value)}
     return pe.cached("classify", (t.g, t.J, Pp), compute)
 
 
@@ -205,8 +164,9 @@ def foliation_report(res):
     kahler_product / geodesic_riemannian / holomorphic by the vanishing
     pattern of theta and the O'Neill tensors.  A non-finite residual (the
     fold's error) fails every gate.  The points excluded are those below the
-    theta floor, where the chi_1 stage is skipped; the residuals themselves
-    are the fold's, by their classify_point keys."""
+    theta floor, where the chi_1 stage is skipped (theta_norm2's excluded
+    count); the residuals themselves are the fold's, by their classify_point
+    keys."""
     hom, ring, geod, xi_all, theta_max = (
         res.max(k) for k in ("homothetic", "ring", "geodesic", "xi", "theta_max"))
     if res.error or not hom <= VERDICT_TOL:
@@ -219,5 +179,5 @@ def foliation_report(res):
         verdict = VERDICT_HOLOMORPHIC
     else:
         verdict = VERDICT_FAILED
-    skipped = res.excluded.get("wedge_minus", 0)
+    skipped = res.excluded.get("theta_norm2", 0)
     return verdict, res.points - skipped, skipped

@@ -1,17 +1,22 @@
 """Reference implementations of the paper's claims that the acceptance tests
 compare live fields against: the Lee form of I0 by least squares over every
 3-form component, the single-twist parameter that reproduces a composite
-metric, the twist in the conjugate order written densely, and the biaxial
-rescale of a Calabi chart with its closedness constraint b' + b = a.  No command runs them, so they live beside the tests
-and not in the library."""
+metric, the twist in the conjugate order written densely, the biaxial
+rescale of a Calabi chart with its closedness constraint b' + b = a, and
+the structure equations of a holomorphic foliation (structure_point), with
+the float-layer helpers only they use: the batched least-squares solve, the
+Lie derivative of an endomorphism and the wedge of a 1-form with a 2-form.
+No command runs them, so they live beside the tests and not in the
+library."""
 
 import itertools
 
 import numpy as np
 
-from kahlerkit.jets import Jet2, jlog
-from kahlerkit.fields import (Field, NotClosedError, exterior_from_grad, first_order,
-                              least_squares, wedge12)
+from kahlerkit.jets import Jet2, contract, jlog
+from kahlerkit.fields import (Field, NotClosedError, excluded, exterior_from_grad,
+                              first_order, worst)
+from kahlerkit.foliation import THETA_FLOOR, _columns, theta_jets
 from kahlerkit.hermitian import HermitianTriple
 
 RESCALE_T_SAMPLES = 9     # rescale_biaxial: points of the ln z grid
@@ -97,3 +102,68 @@ def conjugate_order_twist(g, endos, Pp, F, B, w1, w2):
     ww = (w1 * w1 + w2 * w2)[..., None, None]
     A = one + 2.0 * (S + ww * Pp) / (1.0 - ww)
     return A.swapaxes(-1, -2) @ g, [(one - S) @ E @ np.linalg.inv(one - S) for E in endos]
+
+
+def least_squares(A, b):
+    """The minimum-norm least-squares solution of A x = b at each point of a
+    batch, with np.linalg.lstsq's cutoff: singular values below max(M, N) eps
+    times the largest count as zero."""
+    cutoff = max(A.shape[-2:]) * np.finfo(A.dtype).eps
+    return (np.linalg.pinv(A, cutoff) @ b[..., None])[..., 0]
+
+
+def lie_endo_from_jets(Xv, Xg, Jv, Jg):
+    """(L_X J)^k_j = X^m d_m J^k_j - J^m_j d_m X^k + J^k_m d_j X^m."""
+    return (contract("Zm,Zkjm->Zkj", Xv, Jg) - contract("Zmj,Zkm->Zkj", Jv, Xg)
+            + contract("Zkm,Zmj->Zkj", Jv, Xg))
+
+
+def wedge12(theta, om):
+    """(theta ^ om)_ijk of a 1-form and a 2-form: T - T_jik + T_kij with
+    T_ijk = theta_i om_jk."""
+    T = theta[..., :, None, None] * om[..., None, :, :]
+    return T - T.swapaxes(-3, -2) + np.moveaxis(T, -3, -1)
+
+
+def structure_point(t, Pp, pe):
+    """Structure-equation residuals at pe: D+ holomorphy (proj_minus o (L_X J)
+    over a D+ frame), d(omega_minus) = theta ^ omega_minus, and the two chi_1
+    routes: the L_zeta J coefficient fit against -2|theta|^{-2} L_{Jzeta}
+    ln|theta|.  Where |theta| falls below THETA_FLOOR only holomorphy is
+    defined; wedge_minus, chi1 and lie_fit are excluded there.
+    """
+    J = pe.raw(t.J)
+    Jv, Jg = J.value, J.grad
+    P = pe.raw(Pp)
+    theta, _, _, cols = theta_jets(t, Pp, pe)
+    V = _columns(P, cols)
+    Pmv = np.eye(P.value.shape[-1]) - P.value
+    hol = worst(*(pe.absmax(Pmv @ lie_endo_from_jets(V.value[..., a], V.grad[..., a, :], Jv, Jg))
+                  for a in (0, 1)))
+    thv = theta.value
+    gi = pe.inverse(t.g)
+    norm2 = contract("Zi,Zi->Z", contract("Zi,Zij->Zj", thv, gi.value), thv)
+    skip = norm2 < THETA_FLOOR ** 2
+
+    # omega_minus = omega - P+^T omega P+ as a jet field, then d of it
+    om = pe.omega(t.g, t.J)
+    omm = om - P.T @ om @ P
+    wedge_minus = pe.absmax(exterior_from_grad(omm.grad, 2) - wedge12(thv, omm.value))
+
+    # chi_1 from the L_zeta J coefficient fit vs the logarithmic formula
+    zeta = gi @ theta
+    zv = zeta.value
+    LzJ = lie_endo_from_jets(zv, zeta.grad, Jv, Jg)
+    Jz = contract("Zij,Zj->Zi", Jv, zv)
+    thJ = contract("Zi,Zij->Zj", thv, Jv)
+    basis = [z[..., :, None] * th[..., None, :] for z in (zv, Jz) for th in (thv, thJ)]
+    Amat = np.stack([b.reshape(b.shape[:-2] + (-1,)) for b in basis], axis=-1)
+    bvec = LzJ.reshape(Amat.shape[:-1])
+    cvec = least_squares(Amat, bvec)
+    lie_fit = pe.absmax(contract("Zij,Zj->Zi", Amat, cvec) - bvec)
+    # |theta|^2 = theta_i g^ij theta_j as a jet
+    chi1_log = (-contract("Zi,Zi->Z", Jz, (theta @ zeta).grad)
+                / np.where(skip, 1.0, norm2) ** 2)
+    return {"holomorphy": hol, "wedge_minus": excluded(skip, wedge_minus),
+            "chi1": excluded(skip, np.abs(cvec[..., 0] - chi1_log)),
+            "lie_fit": excluded(skip, lie_fit)}

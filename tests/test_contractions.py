@@ -2,7 +2,8 @@
 
 Each pairwise contraction is compared, on random inputs drawn from fixed
 seeds, with the direct formula it replaced: every jets.contract spec that
-src/ names, the float layer's and jinv's, with np.einsum, on batched,
+src/ names, the float layer's and jinv's, and every one the test oracles
+of paper_claims name, with np.einsum, on batched,
 unbatched and batch-of-one operands; the curvature, Nijenhuis and wedge formulas that
 became transposes and broadcasts with the einsums they replaced; the
 curvature rotation with the five-operand einsum, wedge_top with the sum
@@ -20,15 +21,15 @@ import os
 import numpy as np
 import pytest
 
-from kahlerkit.fields import (curvature_from_parts, lie_endo_from_jets, nijenhuis_from_jets,
-                              pull_back, wedge12, wedge_top)
+from kahlerkit.fields import curvature_from_parts, nijenhuis_from_jets, pull_back, wedge_top
 from kahlerkit.foliation import _frame_columns, dplus_geodesic_residual
 from kahlerkit.jets import contract
 from kahlerkit.scenarios import bundled_names, load_scenario, run_scenario_obj
 from helpers import patch_contract
+from paper_claims import lie_endo_from_jets, wedge12
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                   "src", "kahlerkit")
+TESTS = os.path.dirname(os.path.abspath(__file__))
+SRC = os.path.join(os.path.dirname(TESTS), "src", "kahlerkit")
 
 
 def _perm_sign(perm):
@@ -185,12 +186,13 @@ def test_no_einsum_takes_more_than_two_operands(monkeypatch):
 
 
 def _float_specs():
-    """Every spec that src/ passes to contract as a literal."""
+    """Every spec that src/ or the test oracles (tests/paper_claims.py) pass
+    to contract as a literal."""
     specs = set()
-    for name in sorted(os.listdir(SRC)):
-        if name.endswith(".py"):
-            with open(os.path.join(SRC, name), encoding="utf-8") as fh:
-                tree = ast.parse(fh.read())
+    paths = [os.path.join(SRC, name) for name in sorted(os.listdir(SRC)) if name.endswith(".py")]
+    for path in paths + [os.path.join(TESTS, "paper_claims.py")]:
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
             specs |= {node.args[0].value for node in ast.walk(tree)
                       if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "contract"
                       and isinstance(node.args[0], ast.Constant)}
@@ -265,7 +267,7 @@ def test_nijenhuis_and_lie_derivative_match_their_einsum_formulas(n):
 @pytest.mark.parametrize("lead", [(), (3,)])
 def test_wedge12_matches_its_einsum_formula(lead):
     # three outer products became one broadcast and two transposes; an
-    # unbatched theta against a batch of forms is how the volume check calls it
+    # unbatched theta against a batch of forms is how lee_form_of_I0 calls it
     rng = np.random.default_rng(800 + len(lead))
     theta, om = rng.normal(size=lead + (6,)), rng.normal(size=(3, 6, 6))
     want = (np.einsum('...i,...jk->...ijk', theta, om) - np.einsum('...j,...ik->...ijk', theta, om)

@@ -8,11 +8,12 @@ from kahlerkit.jets import (CONSTANT, FirstOrderError, Jet2, SamplePlan, jet_dco
                             pack)
 from kahlerkit.fields import (ChartManifold, DegenerateMetricError, Field, Fold,
                               NotClosedError, PointEval, excluded, first_order,
-                              exterior_from_grad, least_squares,
-                              metric_jets, nijenhuis_from_jets, omega_of, wedge_top)
+                              exterior_from_grad, metric_jets, nijenhuis_from_jets,
+                              omega_of, wedge_top)
 from kahlerkit.hermitian import HermitianTriple, kahler_point
 from kahlerkit.foliation import theta_jets
 from helpers import J4, ROTATION, fold_plan, patch_contract, rotation, sphere_metric
+from paper_claims import least_squares
 
 
 def polar_metric(pt):
@@ -273,6 +274,31 @@ def test_fold_stops_at_nonfinite_and_domain_errors():
     assert res.used("a") == 5
     assert res.used("b") + res.excluded["b"] == 5
     assert res.max("b") == 2.0 and res.error == ""
+
+
+def test_a_fold_read_by_a_name_it_never_saw_raises():
+    # a name no batch returned is a misread, not a residual of 0: a check
+    # that reads a name its per-point function stopped returning fails
+    # instead of passing on 0.0
+    chart = ChartManifold(2, [(-1.0, 1.0)] * 2)
+    res = fold_plan(chart, SamplePlan(3, 4), lambda pe: {
+        "a": np.ones(pe.batch), "b": excluded(pe.p[:, 0] < 2.0, pe.p[:, 0])})
+    for read in (res.max, res.mean, res.used):
+        with pytest.raises(KeyError, match="'c'"):
+            read("c")
+        with pytest.raises(KeyError):
+            read()
+    # a name returned with every point excluded reads as no points, and the
+    # returned names read as before
+    assert (res.used("b"), res.max("b"), res.mean("b"), res.excluded["b"]) == (0, 0.0, 0.0, 4)
+    assert (res.used("a"), res.max("a"), res.mean("a")) == (4, 1.0, 1.0)
+    # a fold that stopped at an error before its first point reads 0 for
+    # every name, as the runner's records and foliation_report read it
+    acc = Fold()
+    acc.add(PointEval(chart.samples(SamplePlan(3, 4))),
+            lambda pe: pe.curvature(lambda pt: np.zeros((2, 2))))
+    assert acc.error.startswith("DegenerateMetricError") and acc.values == {}
+    assert (acc.used("c"), acc.max("c"), acc.mean()) == (0, 0.0, 0.0)
 
 
 def test_fold_states_the_shape_of_a_result_that_is_not_one_per_point():

@@ -1,5 +1,6 @@
 """Lee-form extraction, homothetic residuals, O'Neill tensors and the
-pointwise classifier, including one input per verdict."""
+pointwise classifier, including one input per verdict, and the structure
+equations of the holomorphic verdict (paper_claims.structure_point)."""
 
 import numpy as np
 import pytest
@@ -10,11 +11,11 @@ from kahlerkit.hermitian import HermitianTriple
 from kahlerkit.foliation import (VERDICT_FAILED, VERDICT_GEODESIC,
                                  VERDICT_HOLOMORPHIC, VERDICT_PRODUCT,
                                  classify_point, extract_theta,
-                                 foliation_report, homothetic_point,
-                                 structure_point, theta_jets)
+                                 foliation_report, homothetic_point, theta_jets)
 from kahlerkit.calabi import CalabiProfile, build_calabi, disk_base
 from kahlerkit.twist import build_twist, coordinate_twist
 from helpers import J4, fold_plan, product_triple
+from paper_claims import structure_point
 
 
 def classify(t, Pp, plan):
@@ -55,16 +56,26 @@ def test_homothetic_residual_report():
     assert rep.points == 12
 
 
+def structure(t, Pp, plan):
+    """The fold of paper_claims.structure_point over the plan's samples."""
+    return fold_plan(t.chart, plan, lambda pe: structure_point(t, Pp, pe))
+
+
 def test_classify_calabi_is_holomorphic():
     cal = make_calabi(1)
-    res, verdict, used, skipped = classify(cal.triple(), cal.proj_plus, SamplePlan(5, 12))
+    t, plan = cal.triple(), SamplePlan(5, 12)
+    res, verdict, used, skipped = classify(t, cal.proj_plus, plan)
     assert verdict == VERDICT_HOLOMORPHIC
     assert res.max("homothetic") < 1e-10
     assert res.max("ring") < 1e-9
     assert res.max("geodesic") < 1e-9
-    assert res.max("holomorphy") < 1e-9
-    assert worst(res.max("chi1"), res.max("lie_fit")) < 1e-8
-    assert res.max("dtheta") < 1e-10
+    st = structure(t, cal.proj_plus, plan)
+    assert st.max("holomorphy") < 1e-9
+    assert worst(st.max("chi1"), st.max("lie_fit")) < 1e-8
+    assert st.used("holomorphy") == st.used("chi1") == st.used("lie_fit") == 12
+    hom = fold_plan(t.chart, plan, lambda pe: homothetic_point(t, cal.proj_plus, pe))
+    assert hom.max("dtheta") < 1e-10
+    assert hom.used("dtheta") == 12
     # theta is genuinely nonzero and the foliation is not a product
     assert res.max("theta_max") > 0.4
     assert res.max("xi") > 1e-3
@@ -79,7 +90,9 @@ def test_classify_twisted_calabi_stays_holomorphic():
     assert verdict == VERDICT_HOLOMORPHIC
     assert res.max("homothetic") < 1e-7
     assert res.max("ring") < 1e-7
-    assert worst(res.max("chi1"), res.max("lie_fit")) < 1e-5
+    st = structure(tt.triple(), cal.proj_plus, SamplePlan(6, 10))
+    assert worst(st.max("chi1"), st.max("lie_fit")) < 1e-5
+    assert st.used("chi1") == st.used("lie_fit") == 10
 
 
 def test_classify_product_metric():
@@ -143,8 +156,7 @@ def test_verdicts_stable_under_resampling():
 def test_structure_equation_checks_report_shape():
     cal = make_calabi(0)
     t = cal.triple()
-    st = fold_plan(t.chart, SamplePlan(10, 8),
-                   lambda pe: structure_point(t, cal.proj_plus, pe))
+    st = structure(t, cal.proj_plus, SamplePlan(10, 8))
     assert st.max("wedge_minus") < 1e-9
     assert st.max("holomorphy") < 1e-9
     assert st.max("chi1") < 1e-8

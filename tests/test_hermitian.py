@@ -178,7 +178,7 @@ def test_split_fundamental_restriction():
 
     def proj_plus(pt):
         return np.diag([1.0, 1.0, 0.0, 0.0])
-    # omega_plus = P+^T omega P+, the restriction structure_point removes
+    # omega_plus = P+^T omega P+, the restriction paper_claims.structure_point removes
     p = [0.1, 0.2, -0.3, 0.4]
     pe = PointEval(p)
     om_all = pe.omega(t.g, t.J).value[0]

@@ -19,7 +19,8 @@ product rule for * and jeinsum, one map for the shape-only rules, and the
 first-order case decided in the named rule bodies alone), that a Hessian is made symmetric only where it is read, that
 the D+ frame is computed once per point, that a built case and its Fields
 cannot change, that no module names numpy's random module and no command
-imports it, that every function src/ defines runs in a bundled command,
+imports it, that every function and lambda src/ defines runs in a bundled
+command and every key a per-point function returns is read by a check,
 and the README's library example run as written."""
 
 import ast
@@ -208,6 +209,10 @@ DELETED |= {"mobius", "mobius_inv", "lie_derivative_metric", "triple_I", "triple
             "jexp", "jcos", "jtan", "jsqrt", "ricci_form_from_jets",
             "lee_form_of_I0", "solve_single_twist", "rescale_biaxial",
             "RESCALE_T_SAMPLES", "RESCALE_TOL"}
+# the structure equations of the holomorphic verdict, which no verdict read,
+# moved to tests/paper_claims.py with the helpers only they used; the D+
+# frame's memo went with its second reader
+DELETED |= {"structure_point", "least_squares", "lie_endo_from_jets", "wedge12", "_frame"}
 
 
 def _names(node):
@@ -450,8 +455,8 @@ def test_each_matrix_is_inverted_once_per_point(name, monkeypatch):
 
 @pytest.mark.parametrize("name", [n for n in BUNDLED if n.startswith("calabi")])
 def test_the_d_plus_frame_is_computed_once_per_point(name, monkeypatch):
-    # the Lee-form extraction and the holomorphy check read one memoised
-    # frame: the column pick runs once per batch, where it ran twice
+    # the Lee-form extraction, which runs once per point, is the frame's one
+    # reader: the column pick runs once per batch
     import kahlerkit.foliation as fol
     calls = []
     frame_columns = fol._frame_columns
@@ -724,22 +729,35 @@ print(json.dumps({"rcs": rcs, "entered": sorted(entered)}))
 # The functions of src/ that no bundled command enters, each for a reason:
 # a batch is replayed point by point only when it fails, and no bundled
 # batch raises or yields a NaN; the reprs serve debugging; a Field refuses
-# to be changed, which no command tries; and perfbench's tracer wraps every
-# Jet2 operator by name, __truediv__ included
+# to be changed, which no command tries; perfbench's tracer wraps every
+# Jet2 operator by name, __truediv__ included; and no bundled field adds a
+# constant of a wider shape to a jet, which Jet2._linear broadcasts the jet
+# for (test_jets::test_constant_operands_act_on_the_value and
+# test_batched::test_every_rule_on_a_batch_equals_the_rule_at_each_point
+# fail where it raises)
 NOT_ENTERED = {"fields.Fold._replay", "fields.ChartManifold.__repr__", "jets.Jet2.__repr__",
                "jets.SamplePlan.__repr__", "fields.Field.__setattr__",
-               "fields.Field.__delattr__", "jets.Jet2.__truediv__"}
+               "fields.Field.__delattr__", "jets.Jet2.__truediv__",
+               "jets.Jet2._linear.<lambda>:299"}
 
 
 def _functions(tree, prefix=""):
     """(qualified name, first line of its code object) of each function
     defined in tree, nested ones included: a decorated function's code
-    starts at its first decorator."""
+    starts at its first decorator, and a lambda, named <lambda>:line in
+    its enclosing function, at its line."""
     for node in ast.iter_child_nodes(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             yield prefix + node.name, min([node.lineno] + [d.lineno for d in node.decorator_list])
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             yield from _functions(node, prefix + node.name + ".")
+        elif isinstance(node, ast.ClassDef):
+            yield from _functions(node, prefix + node.name + ".")
+        elif isinstance(node, ast.Lambda):
+            name = "%s<lambda>:%d" % (prefix, node.lineno)
+            yield name, node.lineno
+            yield from _functions(node, name + ".")
+        else:
+            yield from _functions(node, prefix)
 
 
 def test_every_src_function_runs_in_a_bundled_command(tmp_path):
@@ -761,6 +779,84 @@ def test_every_src_function_runs_in_a_bundled_command(tmp_path):
     defined = {name[:-3] + "." + qual: (name, line)
                for name, tree in _modules() for qual, line in _functions(tree)}
     assert sorted(q for q, key in defined.items() if key not in entered) == sorted(NOT_ENTERED)
+
+
+# The per-point functions that return a dict of residuals by name, as the
+# scenario checks call them
+DICT_POINTS = ("kahler_point", "homothetic_point", "classify_point", "ak_invariants_point",
+               "ak3_point", "torsion_point", "einstein_point", "volume_checks")
+
+
+class _Reads(dict):
+    """A dict that adds each name read from it to seen.  items() is not a
+    read: a Fold takes a dict whole through it, and what the fold keeps is
+    read where a record reads it from the fold."""
+
+    def __init__(self, data, seen):
+        super().__init__(data)
+        self.seen = seen
+
+    def __getitem__(self, key):
+        self.seen.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.seen.add(key)
+        return super().get(key, default)
+
+    def values(self):
+        self.seen.update(self)
+        return super().values()
+
+
+class _FoldReads:
+    """A fold whose reads by name (max, mean, used, excluded) add the name to
+    seen."""
+
+    def __init__(self, fold, seen):
+        self.fold, self.seen = fold, seen
+        self.excluded = _Reads(fold.excluded, seen)
+
+    def __getattr__(self, name):
+        attr = getattr(self.fold, name)
+        if name not in ("max", "mean", "used"):
+            return attr
+
+        def read(key=None):
+            self.seen.add(key)
+            return attr(key)
+        return read
+
+
+def test_every_key_a_per_point_function_returns_is_read(unbuilt, monkeypatch):
+    # a per-point function returns only what some check reads: the keys of
+    # each dict its checks take from it, or from the classifier's fold for
+    # foliation_report, over every bundled verify.  A key no check reads is
+    # computed at every point for nothing
+    returned = {name: set() for name in DICT_POINTS}
+    read = {name: set() for name in DICT_POINTS}
+
+    def recording(name, fn):
+        def point(*args):
+            res = fn(*args)
+            returned[name].update(res)
+            return _Reads(res, read[name])
+        return point
+    for name in DICT_POINTS:
+        monkeypatch.setattr(kahlerkit.scenarios, name,
+                            recording(name, getattr(kahlerkit.scenarios, name)))
+    report = kahlerkit.scenarios.foliation_report
+    monkeypatch.setattr(kahlerkit.scenarios, "foliation_report",
+                        lambda res: report(_FoldReads(res, read["classify_point"])))
+    try:
+        for name in bundled_names():
+            run_scenario_obj(load_scenario(name))
+    finally:
+        # the cases built here hold the recording functions
+        built_case.cache_clear()
+    assert all(returned.values()), "a per-point function ran in no bundled verify"
+    unread = {name: sorted(returned[name] - read[name]) for name in DICT_POINTS}
+    assert unread == dict.fromkeys(DICT_POINTS, [])
 
 
 READERS = {"number", "integer", "pair", "tolerance", "twist_spec"}
@@ -794,7 +890,7 @@ def test_each_builder_declares_each_parameter_once():
 REMOVED_PARAMETERS = {
     "calabi.build_calabi": ("alpha_tol", "check_count"),
     "paper_claims.rescale_biaxial": ("tol", "t_samples"),
-    "foliation.structure_point": ("skip_theta_below",),
+    "paper_claims.structure_point": ("skip_theta_below",),
     "almost_kahler.torsion_point": ("dw_floor", "rank_rtol"),
     "foliation.foliation_report": ("tol",),
     "foliation._frame_columns": ("tol",),
