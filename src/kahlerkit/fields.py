@@ -16,6 +16,9 @@ memo.  Builders call their input Fields on the PointEval they are given, and
 per-point functions read fields from it, both through its one raw(), so
 every field runs once for the whole batch, on it or on a lifted slice pt[k:].
 A field read is its memoised jet: a reader takes .value or .grad from it.
+A constant field reads as a jet with a zero gradient (affine, a known zero
+Hessian, at a second-order point), so the rules it enters run their
+derivative terms on zeros.
 Only curvature is second order, so a field is computed with its Hessian
 only where one is read: the metrics, and the fields a metric reads (a
 chart's alpha, Theta and P+, the base metric, the twist's w, |w|^2, S+).  A
@@ -26,9 +29,9 @@ endomorphism E_w, a plane product's J0 and J~0, and U+ = (1-S)^{-1} - 1,
 which only the E_w read.  A marked field runs on the
 point's first-order view, which reads every other field from the same memo
 as the first_order view of its jet.
-The Christoffel symbols are built on the point's memoised inverse, so each
-metric is inverted once per point, behind _inverse, the one singular-metric
-guard.
+The Christoffel symbols are built on the point's memoised inverse, a
+first-order jet (jinv), so each metric is inverted once per point, behind
+_inverse, the one singular-metric guard.
 The float layer works on stacks (jets.contract specs with the batch letter
 Z in front, transposes and broadcasts, stacked np.linalg solves), so each
 result carries the batch axis in front.  Every per-point function takes a
@@ -50,8 +53,8 @@ import math
 
 import numpy as np
 
-from kahlerkit.jets import (CONSTANT, Jet2, JetDomainError, _batch_of, _jet, contract,
-                            jeinsum, jet_dcoord, jinv, pack, sample_points)
+from kahlerkit.jets import (Jet2, JetDomainError, _batch_of, _jet, contract, jeinsum,
+                            jet_dcoord, jinv, pack, sample_points)
 
 
 class DegenerateMetricError(ValueError):
@@ -141,17 +144,16 @@ def _memoised(memo, key, compute):
 
 def _restrict(j, k):
     """The jet j with its derivatives restricted to the last k coordinates
-    (a first-order, affine or constant j stays so)."""
+    (a first-order or affine j stays so)."""
     h = j._hess
     return _jet(j.value, j.grad[..., -k:], h[..., -k:, -k:] if isinstance(h, np.ndarray) else h)
 
 
 def first_order(j):
-    """The first-order view of the jet j, its value and gradient (constant
-    when j is).  Seeding a PointEval with first_order(Jet2.seed(p)) makes
-    every field read there first order."""
-    h = j._hess
-    return j if h is None else _jet(j.value, j.grad, CONSTANT if h is CONSTANT else None)
+    """The first-order view of the jet j, its value and gradient.  Seeding a
+    PointEval with first_order(Jet2.seed(p)) makes every field read there
+    first order."""
+    return j if j._hess is None else _jet(j.value, j.grad, None)
 
 
 def omega_of(g, J):
@@ -460,7 +462,7 @@ def _inverse(g, p):
     """First-order jet of the inverse of the matrix jet g at the point p: the
     one singular-metric guard."""
     try:
-        return jinv(first_order(g))
+        return jinv(g)
     except JetDomainError:
         raise DegenerateMetricError(
             f"singular metric at point {np.asarray(p).tolist()}") from None

@@ -2,8 +2,8 @@
 
 A Jet2 carries (value, gradient, Hessian) with respect to the chart coordinates
 and propagates them exactly, each rule written once: _chain for every scalar
-function (1/u, log, sin, a non-integer power), _linear for + and -, _product
-for * and jeinsum, and _map for indexing, .T and transpose, a sign, padding,
+function (1/u, log, sin), _linear for + and -, _product for *, jeinsum and
+an integral power, and _map for indexing, .T and transpose, a sign, padding,
 a broadcast and embed (a block placed inside a zero jet).
 A jet carries B points at once (vectorised Taylor-mode propagation), and a
 single point is a batch of one.  Its value has shape (B,) + s for value axes
@@ -19,32 +19,32 @@ contract is the library's one contraction engine: it runs an explicit
 two-operand einsum spec, the batch axis one more letter, as one batched
 np.matmul on a plan cached by the spec and the operand shapes, and the float
 layer of every module contracts through it.  jeinsum contracts value axes by
-the product rule, and jinv inverts each matrix of the stack in closed form;
-both run on contract.
+the product rule, and jinv inverts each matrix of the stack in closed form, to
+first order (its readers take values and gradients only); both run on
+contract.
 Curvature needs two derivatives of metric components, so second order is the
 whole story; there is no truncation error, only roundoff.
 
 The Hessian slot of a jet holds half a Hessian, K, with H = K + K^T: the
 rules are linear in K, a product's cross term u' v'^T enters once, and the
 Hessian read Jet2.hess forms K + K^T there alone (Jet2's constructor takes a
-whole Hessian and keeps half).  The slot is an array or one of three states:
-- None, a first-order jet, which carries no Hessian: jet_dcoord returns one
-  (the third derivatives of u it would need are not tracked), and reading
-  its hess raises FirstOrderError;
+whole Hessian and keeps half).  The slot holds one of three states:
+- an array, the half Hessian;
+- None, a first-order jet, which carries no Hessian: jet_dcoord and jinv
+  return one (the third derivatives of u that jet_dcoord would need are not
+  tracked), and reading its hess raises FirstOrderError;
 - AFFINE, a known zero Hessian: the coordinates Jet2.seed returns, which
-  allocate no zero array, and their sums and constant multiples;
-- CONSTANT, a known zero gradient and Hessian, with one value at every point
-  of the batch: a constant lifted at a second-order point (a constant field
-  read through PointEval.raw), the rules on constants, and jet_dcoord of one.
-Reading hess gives zeros for the known-zero states.  _map, _chain, _linear,
-_product, jinv and pack skip the terms that a first-order or known-zero
-operand would add, and a constant jet acts by its value; _lift carries the
-states through.  No other rule tests for them.
+  allocate no zero array, their sums and constant multiples, and a constant
+  lifted at a second-order point (with its zero gradient).
+Reading hess gives zeros for AFFINE.  _map, _chain, _linear, _product and
+pack skip the terms that a first-order or affine operand would add; _lift
+carries the states through.  No other rule tests for them.
 
 A constant is a plain number or array wherever it appears; pack lifts one
 that a field returns to a jet (batch axis 1, zero derivatives) in the
 coordinates and derivative order of the jets beside it or of the point it
-is read at, so a constant read on a first-order point has no Hessian.
+is read at: AFFINE at a second-order point, first order at a first-order
+one.
 
 Sample points come from numpy's own algorithm, written here: SeedSequence
 turns the seed into a Philox4x64-10 key, and the counter-based stream is
@@ -56,6 +56,7 @@ numpy's random module.  Each (seed, count, dim) draw is memoised.
 import enum
 import functools
 import math
+import numbers
 import operator
 
 import numpy as np
@@ -76,18 +77,17 @@ _new = object.__new__
 
 
 class Zero(enum.Enum):
-    """The known-zero states of the Hessian slot, beside None and an array
+    """The known-zero state of the Hessian slot, beside None and an array
     (see the module docstring)."""
     AFFINE = "affine"
-    CONSTANT = "constant"
 
 
-AFFINE, CONSTANT = Zero
+AFFINE = Zero.AFFINE
 
 
 def _jet(value, grad, hess):
     """Jet2 of computed arrays, without conversion or copies (hess None for a
-    first-order jet, or a Zero state)."""
+    first-order jet, or AFFINE)."""
     j = _new(Jet2)
     j.value = value
     j.grad = grad
@@ -96,16 +96,14 @@ def _jet(value, grad, hess):
 
 
 def _hessian(j):
-    """The Hessian array of the second-order jet j, zeros for a known-zero
-    state."""
+    """The Hessian array of the second-order jet j, zeros for AFFINE."""
     h = j._hess
     return h if isinstance(h, np.ndarray) else np.zeros(j.grad.shape + j.grad.shape[-1:])
 
 
 def _map(j, f):
     """The jet whose value, gradient and Hessian are f of j's, for a rule that
-    acts on the value axes alone; first order, affine or constant when j
-    is."""
+    acts on the value axes alone; first order or affine when j is."""
     h = j._hess
     return _jet(f(j.value), f(j.grad), f(h) if isinstance(h, np.ndarray) else h)
 
@@ -113,7 +111,7 @@ def _map(j, f):
 def embed(j, shape, index):
     """The jet of value axes shape holding j at index (of those axes) and
     zeros elsewhere, without a product by 0/1 selection matrices: a _map, so
-    first order, affine or constant when j is."""
+    first order or affine when j is."""
     def place(a):
         out = np.zeros(a.shape[:1] + shape + a.shape[j.value.ndim:])
         out[(slice(None),) + np.index_exp[index]] = a
@@ -129,10 +127,8 @@ def _outer(g):
 def _chain(u, f, d1, d2):
     """The jet of f(u) from the arrays f, f' and f'' at u's value: gradient
     f' du, half Hessian f' K + f''/2 du du^T for u's half Hessian K (first
-    order when u is, without f' K when u is affine, constant when u is)."""
+    order when u is, without f' K when u is affine)."""
     h = u._hess
-    if h is CONSTANT:
-        return _jet(f, u.grad, h)
     d1 = d1[..., None]
     grad = d1 * u.grad
     if h is None:
@@ -144,12 +140,6 @@ def _chain(u, f, d1, d2):
     hess = d1[..., None] * h
     hess += outer
     return _jet(f, grad, hess)
-
-
-def _by_value(j, c, rule):
-    """rule(j, v) for the value v of the constant jet c, which is one at every
-    point, so c's batch axis is dropped; over the larger batch of j and c."""
-    return _batch_of(rule(j, c.value[0]), max(len(j.value), len(c.value)))
 
 
 def _pad(j, k):
@@ -174,29 +164,21 @@ def _aligned(a, b):
 
 
 def _product(a, b, op):
-    """The product rule for jets or constants (float arrays) a and b:
-    op(x, y, dx, dy) multiplies arrays with dx and dy derivative axes into
-    one with x's, then y's.  The half Hessian K_a b + a K_b + a' b'^T
-    takes the cross term once.  A constant (a constant jet by its value at
-    one point) adds no derivative term, an affine factor no Hessian term."""
-    ja, jb = isinstance(a, Jet2), isinstance(b, Jet2)
-    ha, hb = a._hess if ja else CONSTANT, b._hess if jb else CONSTANT
-    x = (a.value[:1] if ha is CONSTANT else a.value) if ja else a
-    y = (b.value[:1] if hb is CONSTANT else b.value) if jb else b
+    """The product rule for jets a and b, one of which may be a plain float
+    array (a constant): op(x, y, dx, dy) multiplies arrays with dx and dy
+    derivative axes into one with x's, then y's.  The half Hessian
+    K_a b + a K_b + a' b'^T takes the cross term once.  A plain array adds
+    no derivative term, an affine factor no Hessian term."""
+    if not isinstance(b, Jet2):
+        h = a._hess
+        return _jet(op(a.value, b, 0, 0), op(a.grad, b, 1, 0),
+                    op(h, b, 2, 0) if isinstance(h, np.ndarray) else h)
+    if not isinstance(a, Jet2):
+        h = b._hess
+        return _jet(op(a, b.value, 0, 0), op(a, b.grad, 0, 1),
+                    op(a, h, 0, 2) if isinstance(h, np.ndarray) else h)
+    x, y, ha, hb = a.value, b.value, a._hess, b._hess
     value = op(x, y, 0, 0)
-    if ha is CONSTANT or hb is CONSTANT:
-        if hb is not CONSTANT:
-            j = _jet(value, op(x, b.grad, 0, 1),
-                     op(x, hb, 0, 2) if isinstance(hb, np.ndarray) else hb)
-        elif ha is not CONSTANT:
-            j = _jet(value, op(a.grad, y, 1, 0),
-                     op(ha, y, 2, 0) if isinstance(ha, np.ndarray) else ha)
-        else:
-            j = _jet(value, np.zeros(value.shape + (a if ja else b).grad.shape[-1:]), CONSTANT)
-        # a constant jet was read at one point: repeat over the larger batch
-        if (ja and ha is CONSTANT) or (jb and hb is CONSTANT):
-            j = _batch_of(j, max(len(a.value) if ja else 0, len(b.value) if jb else 0))
-        return j
     # summed in place: a Hessian is the largest array
     grad = op(a.grad, y, 1, 0)
     grad += op(x, b.grad, 0, 1)
@@ -289,21 +271,14 @@ class Jet2:
 
     def _linear(self, other, op):
         """The jet of op(self, other) for op + or -, termwise; a constant other
-        shifts the value, and self's derivatives broadcast to its shape.  A
-        constant jet acts by its value, and an affine one's Hessian term is
-        a zero."""
+        shifts the value, and self's derivatives broadcast to its shape.  An
+        affine operand's Hessian term is a zero."""
         if not isinstance(other, Jet2):
             self = _pad(self, np.ndim(other))
             value, k = op(self.value, other), self.value.ndim
             if value.shape != self.value.shape:
                 self = _map(self, lambda a: np.broadcast_to(a, value.shape + a.shape[k:]))
             return _jet(value, self.grad, self._hess)
-        if other._hess is CONSTANT:
-            return _by_value(self, other, lambda j, c: j._linear(c, op))
-        if self._hess is CONSTANT:
-            # c + x, and c - x as (-x) + c
-            x = other if op is operator.add else -other
-            return _by_value(x, self, lambda j, c: j._linear(c, operator.add))
         self, other = _aligned(self, other)
         sh, oh = self._hess, other._hess
         grad = op(self.grad, other.grad)
@@ -362,17 +337,14 @@ class Jet2:
         return self.inv() * other
 
     def __pow__(self, k):
-        # an integral exponent, of any type, is a product: a negative base is in its domain
-        if float(k).is_integer():
-            k = int(k)
-            if k == 0:
-                return 1.0 + _map(self, np.zeros_like)
-            base = self if k > 0 else self.inv()
-            return functools.reduce(operator.mul, (base for _ in range(abs(k))))
-        _check_positive(self, "power")
-        v = self.value
-        d1 = k * v ** (k - 1.0)
-        return _chain(self, v ** k, d1, (k - 1.0) * d1 / v)
+        # an integral exponent, of any number type, is a product: a negative base is in its domain
+        if not isinstance(k, numbers.Real) or not float(k).is_integer():
+            raise TypeError("a jet power takes an integral exponent, not %r" % (k,))
+        k = int(k)
+        if k == 0:
+            return 1.0 + _map(self, np.zeros_like)
+        base = self if k > 0 else self.inv()
+        return functools.reduce(operator.mul, (base for _ in range(abs(k))))
 
     def __matmul__(self, other):
         return jeinsum(_matmul_spec(self, other), self, other)
@@ -519,50 +491,35 @@ def _matmul_spec(a, b):
 
 
 def jinv(A):
-    """Closed-form inverse of the square matrix jet A at each point (a
-    (B, d, d) stack): value A^{-1}, grad_m -A^{-1} (d_m A) A^{-1}, and half
-    Hessian A^{-1} (d_m A) A^{-1} (d_p A) A^{-1} - A^{-1} K_mp A^{-1} for A's
-    half Hessian K (first order when A is, without its last term when A is
-    affine, and constant when A is)."""
+    """First-order jet of the closed-form inverse of the square matrix jet A
+    at each point (a (B, d, d) stack): value A^{-1} and grad_m
+    -A^{-1} (d_m A) A^{-1}.  Its readers take values and gradients only, so
+    A's Hessian, when it has one, is not read."""
     try:
         Ai = np.linalg.inv(A.value)
     except np.linalg.LinAlgError:
         raise JetDomainError("singular jet matrix") from None
-    h = A._hess
-    if h is CONSTANT:
-        return _jet(Ai, A.grad, h)
     X = contract("Zik,ZkjM->ZijM", Ai, A.grad)
-    grad = -contract("ZikM,Zkj->ZijM", X, Ai)
-    if h is None:
-        return _jet(Ai, grad, None)
-    # the cross term enters once: the slot holds half the Hessian
-    hess = -contract("ZikM,ZkjP->ZijMP", X, grad)
-    if h is not AFFINE:
-        hess -= contract("ZikMP,Zkj->ZijMP", contract("Zik,ZkjMP->ZijMP", Ai, h), Ai)
-    return _jet(Ai, grad, hess)
+    return _jet(Ai, -contract("ZikM,Zkj->ZijM", X, Ai), None)
 
 
 def jet_dcoord(u):
     """First-order jet of every d_k u, on a new last value axis, extracted
     from a second-order jet: its value and gradient are exact, and it
-    carries no Hessian, as the third derivatives of u are not tracked.  It
-    is constant when u is."""
-    d = u.grad
-    if u._hess is CONSTANT:
-        return _jet(d, np.zeros(d.shape + d.shape[-1:]), CONSTANT)
-    return _jet(d, u.hess, None)
+    carries no Hessian, as the third derivatives of u are not tracked."""
+    return _jet(u.grad, u.hess, None)
 
 
 def _lift(x, like):
     """The constant x (a number or an array of any shape) as a jet in the
     coordinates and derivative order of the jet like, with a batch axis of 1
-    that broadcasts against any batch: a CONSTANT jet, or a first-order one
-    when like is."""
+    that broadcasts against any batch: AFFINE (its zero gradient and
+    Hessian), or first order when like is."""
     if like is None:
         raise TypeError("a constant component needs the point it is read at")
     x = np.asarray(x, float)[None]
     return _jet(x, np.zeros(x.shape + like.grad.shape[-1:]),
-                None if like._hess is None else CONSTANT)
+                None if like._hess is None else AFFINE)
 
 
 def _batch_of(j, batch):
@@ -581,8 +538,8 @@ def pack(M, point=None):
     and derivative order of the jet components beside it, or, when M holds
     no jet (a bare number or array included), of the jet point, the point
     it is read at.  A component of batch 1 is repeated over the batch of the
-    others.  The stack is first order when a component is, constant when
-    every component is, and affine when every component is known zero."""
+    others.  The stack is first order when a component is, and affine when
+    every component is."""
     if isinstance(M, Jet2):
         return M
     if not isinstance(M, (list, tuple)):
@@ -608,7 +565,7 @@ def pack(M, point=None):
     elif np.ndarray in set(map(type, hs)):
         hess = stacked([_hessian(e) for e in flat], n + n)
     else:
-        hess = CONSTANT if all(h is CONSTANT for h in hs) else AFFINE
+        hess = AFFINE
     return _jet(stacked([e.value for e in flat], ()), stacked([e.grad for e in flat], n), hess)
 
 

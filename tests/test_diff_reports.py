@@ -63,3 +63,12 @@ def test_a_changed_listing_line_is_a_moved_output():
     text = diff_reports.render(moved, len(old), diff_reports.what_moved(old, new))
     assert text.splitlines()[-1] == ("1 of 3 outputs move; report fields that move: none; "
                                      "beyond residual digits, these move: list-builders line")
+
+
+def test_the_help_says_where_bits_are_reproducible(capsys):
+    # bit-level identity holds on one host and one BLAS kernel: the help
+    # says so, and so does the usage line of a wrong call
+    assert diff_reports.main(["--help"]) == 0
+    assert "one host and one BLAS kernel" in " ".join(capsys.readouterr().out.split())
+    assert diff_reports.main([]) == 2
+    assert "one host and one BLAS kernel" in capsys.readouterr().err

@@ -4,7 +4,7 @@ operators."""
 import numpy as np
 import pytest
 
-from kahlerkit.jets import (CONSTANT, FirstOrderError, Jet2, SamplePlan, jet_dcoord, jinv, jsin,
+from kahlerkit.jets import (AFFINE, FirstOrderError, Jet2, SamplePlan, jet_dcoord, jinv, jsin,
                             pack)
 from kahlerkit.fields import (ChartManifold, DegenerateMetricError, Field, Fold,
                               NotClosedError, PointEval, excluded, first_order,
@@ -12,7 +12,7 @@ from kahlerkit.fields import (ChartManifold, DegenerateMetricError, Field, Fold,
                               omega_of, wedge_top)
 from kahlerkit.hermitian import HermitianTriple, kahler_point
 from kahlerkit.foliation import theta_jets
-from helpers import J4, ROTATION, fold_plan, patch_contract, rotation, sphere_metric
+from helpers import J4, ROTATION, fold_plan, rotation, sphere_metric
 from paper_claims import least_squares
 
 
@@ -343,27 +343,34 @@ def test_inverse_and_omega_are_first_order_in_the_memo():
         assert np.array_equal(got.value, want.value) and np.array_equal(got.grad, want.grad)
 
 
-def test_a_constant_metric_does_no_derivative_work(monkeypatch):
-    # a constant metric's inverse and Christoffel symbols are constant jets:
-    # no contraction runs on a derivative known to be zero, so the inverse
-    # makes none and the Christoffel symbols only their one of values;
-    # the inverse's Hessian reads as zeros
-    specs = []
-
-    def counting(contract):
-        def count(spec, x, y):
-            specs.append(spec)
-            return contract(spec, x, y)
-        return count
-    patch_contract(monkeypatch, counting)
+def test_a_constant_metric_has_a_zero_inverse_gradient_and_christoffel_symbols():
+    # a constant metric's inverse is first order, the constant inverse with
+    # a zero gradient, and its Christoffel symbols and their derivatives are
+    # zero
     pe = PointEval(ChartManifold(4, [(-1.0, 1.0)] * 4).samples(SamplePlan(0, 30)))
     flat = Field(lambda pt: np.eye(4))
     gi = pe.inverse(flat)
-    assert specs == [] and gi._hess is CONSTANT
-    assert gi.hess.shape == (30, 4, 4, 4, 4) and not gi.hess.any()
+    assert gi._hess is None and np.array_equal(gi.value, np.broadcast_to(np.eye(4), (30, 4, 4)))
+    assert gi.grad.shape == (30, 4, 4, 4) and not gi.grad.any()
     gam, dgam, _ = pe.christoffel(flat)
-    assert len(specs) == 1 and not any(set(s) & set("MP") for s in specs)
     assert gam.shape == (30, 4, 4, 4) and not gam.any() and not dgam.any()
+
+
+def test_a_constant_field_is_affine_with_a_zero_gradient():
+    # a constant read at a second-order point is an affine jet (a known zero
+    # Hessian) with a zero gradient, and at a first-order point a
+    # first-order one; either way its value is the constant at every point
+    p = np.array([[0.3, 1.1, 0.2, -0.1], [-0.4, 0.7, -0.3, 0.25], [0.1, 1.5, 0.0, 0.3]])
+    const = Field(lambda pt: ROTATION)
+    hi = PointEval(p).raw(const)
+    lo = PointEval(p, first_order(Jet2.seed(p))).raw(const)
+    assert hi._hess is AFFINE and lo._hess is None
+    for j in (hi, lo):
+        assert np.array_equal(j.value, np.broadcast_to(ROTATION, (3, 2, 2)))
+        assert j.grad.shape == (3, 2, 2, 4) and not j.grad.any()
+    assert hi.hess.shape == (3, 2, 2, 4, 4) and not hi.hess.any()
+    with pytest.raises(FirstOrderError):
+        lo.hess
 
 
 def test_a_first_order_point_reads_values_and_gradients_only():

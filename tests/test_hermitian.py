@@ -5,7 +5,7 @@ curvature oracles."""
 import numpy as np
 import pytest
 
-from kahlerkit.jets import AFFINE, CONSTANT, Jet2, JetDomainError, SamplePlan, jlog, jsin
+from kahlerkit.jets import AFFINE, Jet2, JetDomainError, SamplePlan, jlog, jsin
 from kahlerkit.fields import (ChartManifold, DegenerateMetricError, Field, Fold, PointEval,
                               metric_jets, worst)
 from kahlerkit.hermitian import HermitianTriple, ddc_from_jets, kahler_point, ricci_form
@@ -211,8 +211,9 @@ def test_kahler_verdict_fails_on_nan_at_a_later_point():
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("kind", ["constant", "affine"])
 def test_a_nan_or_inf_in_a_known_zero_operand_fails_the_check(kind, bad):
-    # a constant or affine operand skips the derivative terms its zeros
-    # would add, so no 0 * inf = NaN reaches a Hessian through them; its
+    # a constant (lifted as an affine jet with a zero gradient) or affine
+    # operand skips the Hessian term its known zero would add, so no
+    # 0 * inf = NaN reaches a Hessian through it; its
     # value still carries a NaN into the residual, and an inf raises the
     # float error of its first 0 * inf (the gradient c dy of c * y), and the
     # fold names the first point where either happens: the first sample for
@@ -227,7 +228,7 @@ def test_a_nan_or_inf_in_a_known_zero_operand_fails_the_check(kind, bad):
         else:
             x = pt[0]
             u = Jet2(np.where(x.value == pts[1][0], bad, x.value), x.grad, AFFINE)
-        assert u._hess is (CONSTANT if kind == "constant" else AFFINE)
+        assert u._hess is AFFINE
         return 1.0 + u * pt[1]
     t = flat4_triple(warp)
     v = Fold()

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from kahlerkit.jets import (SAMPLE_MEMO, Jet2, JetDomainError, SamplePlan,
+from kahlerkit.jets import (SAMPLE_MEMO, FirstOrderError, Jet2, JetDomainError, SamplePlan,
                             jet_dcoord, jinv, jlog, jsin, pack, sample_points, uniform_draw)
 from kahlerkit.fields import Fold, PointEval, first_order
 from kahlerkit.cli import main
@@ -49,10 +49,10 @@ def scalar_cases():
         return np.sin(np.sin(p[0]) * p[1]) + p[1] ** 2 * np.log(p[2])
 
     def f2(x):
-        return (x[0] * x[0] + x[1] * x[1] + 1.0) ** 0.5 * jsin(x[2])
+        return jlog(x[0] * x[0] + x[1] * x[1] + 1.0) * jsin(x[2])
 
     def f2f(p):
-        return np.sqrt(p[0] ** 2 + p[1] ** 2 + 1.0) * np.sin(p[2])
+        return np.log(p[0] ** 2 + p[1] ** 2 + 1.0) * np.sin(p[2])
 
     def f3(x):
         return jlog(x[0] * 0.3 + 1.0) / (x[1] + 2.0) + (x[2] ** 3)
@@ -111,8 +111,16 @@ def test_an_integral_float_power_is_a_product():
             for part in ("value", "grad", "hess"):
                 assert same_bits(getattr(got, part), getattr(want, part))
     assert (x[0] ** 2.0).value[0] == 4.0
-    with pytest.raises(JetDomainError, match="power of nonpositive value"):
-        x[0] ** 0.5
+
+
+def test_a_non_integral_power_is_refused():
+    # only an integral exponent, a number, is a jet power (a product); any
+    # other, at a positive base too, raises TypeError, and so does a string
+    # that float() would read as an integer
+    x = Jet2.seed(np.array([0.5, 0.3]))
+    for k in (0.5, 0.7, -1.5, np.float64(2.5), float("inf"), float("nan"), "2"):
+        with pytest.raises(TypeError, match="integral exponent"):
+            x[0] ** k
 
 
 def test_division_and_inverse_consistency():
@@ -179,11 +187,13 @@ def test_jet_matrix_inverse():
     A = [[x[0] + 2.0, x[1] * 0.3, 0.0],
          [x[1] * 0.3, jlog(x[2] * 0.1 + 2.0), x[0] * x[1]],
          [0.0, x[0] * x[1], 2.0 + jsin(x[0])]]
-    prod = pack(A) @ jinv(pack(A))
-    val, grad, hess = prod.value, prod.grad, prod.hess
-    assert np.abs(val - np.eye(3)).max() < 1e-13
-    assert np.abs(grad).max() < 1e-12
-    assert np.abs(hess).max() < 1e-11
+    # the inverse is first order: a value and a gradient, no Hessian
+    Ai = jinv(pack(A))
+    with pytest.raises(FirstOrderError):
+        Ai.hess
+    prod = pack(A) @ Ai
+    assert np.abs(prod.value - np.eye(3)).max() < 1e-13
+    assert np.abs(prod.grad).max() < 1e-12
 
 
 def test_singular_matrix_raises():
@@ -196,7 +206,7 @@ def test_singular_matrix_raises():
 def test_domain_errors_carry_the_point():
     # a Fold names the point where a jet operation left its domain
     for f, p in ((lambda x: jlog(x[0]), [-1.0, 2.0]),
-                 (lambda x: (x[0] - 5.0) ** 0.5, [1.0])):
+                 (lambda x: (x[0] - 1.0).inv(), [1.0])):
         acc = Fold()
         acc.add(PointEval(p), f)
         assert isinstance(acc.exc, JetDomainError)

@@ -123,10 +123,11 @@ def test_jets_contract_only_through_contract_and_dcoord_is_first_order():
 
 
 # the rule bodies of jets.py that decide the first-order case: the shape-only
-# map, the chain rule, the linear rule, the products and the inverse, the
-# constant lift, the stack, and the Jet2 constructor and its Hessian read
-# (the products * and jeinsum run on the one product rule, _product)
-FIRST_ORDER_BODIES = {"_map", "_chain", "_linear", "_product", "jinv", "_lift", "pack",
+# map, the chain rule, the linear rule, the products, the constant lift, the
+# stack, and the Jet2 constructor and its Hessian read (the products *,
+# jeinsum and an integral power run on the one product rule, _product; the
+# inverse is always first order)
+FIRST_ORDER_BODIES = {"_map", "_chain", "_linear", "_product", "_lift", "pack",
                       "__init__", "hess"}
 # the jets.py name compared with None that is not a Hessian: the point a
 # constant is lifted at
@@ -134,7 +135,7 @@ NOT_A_HESSIAN = {"like"}
 # the rules that build a jet from its arrays: every other rule calls them
 JET_BUILDERS = {"_map", "_chain", "_linear", "_product", "seed", "jinv", "jet_dcoord", "_lift",
                 "pack"}
-SCALAR_RULES = {"inv", "jlog", "jsin", "__pow__"}
+SCALAR_RULES = {"inv", "jlog", "jsin"}
 
 
 def _calls(fn):
@@ -177,6 +178,10 @@ def test_each_jet_rule_is_written_once():
     elementary = {"exp", "log", "sin", "cos", "tan", "sqrt", "power"}
     assert {fn.name for fn in funcs if _calls(fn) & elementary} <= SCALAR_RULES
     assert all("_chain" in _calls(fn) for fn in funcs if fn.name in SCALAR_RULES)
+    # a power is a product of its base (or of 1/base): integral only, it
+    # has no chain rule of its own
+    power = next(fn for fn in funcs if fn.name == "__pow__")
+    assert "reduce" in _calls(power) and not _calls(power) & (elementary | {"_chain"})
 
 
 def test_a_hessian_is_made_symmetric_once_where_it_is_read():
@@ -213,6 +218,10 @@ DELETED |= {"mobius", "mobius_inv", "lie_derivative_metric", "triple_I", "triple
 # moved to tests/paper_claims.py with the helpers only they used; the D+
 # frame's memo went with its second reader
 DELETED |= {"structure_point", "least_squares", "lie_endo_from_jets", "wedge12", "_frame"}
+# a second known-zero Hessian state beside AFFINE, and the rule that let a
+# constant jet act by its value: a constant is an affine jet with a zero
+# gradient
+DELETED |= {"CONSTANT", "_by_value"}
 
 
 def _names(node):
@@ -738,26 +747,30 @@ print(json.dumps({"rcs": rcs, "entered": sorted(entered)}))
 NOT_ENTERED = {"fields.Fold._replay", "fields.ChartManifold.__repr__", "jets.Jet2.__repr__",
                "jets.SamplePlan.__repr__", "fields.Field.__setattr__",
                "fields.Field.__delattr__", "jets.Jet2.__truediv__",
-               "jets.Jet2._linear.<lambda>:299"}
+               "jets.Jet2._linear.<lambda>#1"}
 
 
-def _functions(tree, prefix=""):
+def _functions(tree, prefix="", lambdas=None):
     """(qualified name, first line of its code object) of each function
     defined in tree, nested ones included: a decorated function's code
-    starts at its first decorator, and a lambda, named <lambda>:line in
-    its enclosing function, at its line."""
+    starts at its first decorator, and a lambda at its line.  A lambda is
+    named <lambda>#k, the k-th lambda of its enclosing function in the
+    syntax tree's order, so an edit elsewhere in the file does not rename
+    it."""
+    lambdas = {} if lambdas is None else lambdas
     for node in ast.iter_child_nodes(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             yield prefix + node.name, min([node.lineno] + [d.lineno for d in node.decorator_list])
-            yield from _functions(node, prefix + node.name + ".")
+            yield from _functions(node, prefix + node.name + ".", lambdas)
         elif isinstance(node, ast.ClassDef):
-            yield from _functions(node, prefix + node.name + ".")
+            yield from _functions(node, prefix + node.name + ".", lambdas)
         elif isinstance(node, ast.Lambda):
-            name = "%s<lambda>:%d" % (prefix, node.lineno)
+            lambdas[prefix] = k = lambdas.get(prefix, 0) + 1
+            name = "%s<lambda>#%d" % (prefix, k)
             yield name, node.lineno
-            yield from _functions(node, name + ".")
+            yield from _functions(node, name + ".", lambdas)
         else:
-            yield from _functions(node, prefix)
+            yield from _functions(node, prefix, lambdas)
 
 
 def test_every_src_function_runs_in_a_bundled_command(tmp_path):

@@ -16,6 +16,11 @@ beyond residual digits: an exit code, a pass flag, a point count, a
 status-line word, or a curvature or listing line with its numbers masked.
 timings_seconds is left out, as it varies between runs.  Exit status: 0
 when nothing moves, 1 when something does.
+
+Bit-level identity holds on one host and one BLAS kernel: contract's
+batched matmul sums in the order the kernel picks, so both trees run here,
+under one numpy and one BLAS, and a report made on another host or under
+another kernel (OpenBLAS's OPENBLAS_CORETYPE) differs in residual digits.
 """
 
 import contextlib
@@ -237,8 +242,13 @@ def render(moved, total, kinds=None):
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
+    if list(argv) in (["-h"], ["--help"]):
+        print(__doc__.strip())
+        return 0
     if len(argv) != 2:
-        print("usage: python tools/diff_reports.py PARENT_TREE CHANGE_TREE", file=sys.stderr)
+        print("usage: python tools/diff_reports.py PARENT_TREE CHANGE_TREE\n"
+              "(bit-level identity holds on one host and one BLAS kernel; --help says more)",
+              file=sys.stderr)
         return 2
     old, new = collect_trees(*argv)
     moved = diff(old, new)
