@@ -2,8 +2,9 @@
 
 Each pairwise contraction is compared, on random inputs drawn from fixed
 seeds, with the direct formula it replaced: every jets.contract spec that
-src/ names, the float layer's and jinv's, and every one the test oracles
-of paper_claims name, with np.einsum, on batched,
+src/ names, the float layer's and jinv's, every one the test oracles
+of paper_claims name, and the Hessian specs jeinsum builds for a matrix
+product of two second-order jets, with np.einsum, on batched,
 unbatched and batch-of-one operands; the curvature, Nijenhuis and wedge formulas that
 became transposes and broadcasts with the einsums they replaced; the
 curvature rotation with the five-operand einsum, wedge_top with the sum
@@ -23,7 +24,7 @@ import pytest
 
 from kahlerkit.fields import curvature_from_parts, nijenhuis_from_jets, pull_back, wedge_top
 from kahlerkit.foliation import _frame_columns, dplus_geodesic_residual
-from kahlerkit.jets import contract
+from kahlerkit.jets import _specs, contract
 from kahlerkit.scenarios import bundled_names, load_scenario, run_scenario_obj
 from helpers import patch_contract
 from paper_claims import lie_endo_from_jets, wedge12
@@ -199,16 +200,22 @@ def _float_specs():
     return sorted(specs)
 
 
-FLOAT_SPECS = _float_specs()
+# jeinsum builds the product rule's specs rather than naming them as
+# literals; its Hessian terms of a matrix product A_ik B_kj of two
+# second-order jets put both derivative axes on one operand or one on each
+MATMUL_HESSIAN_SPECS = sorted(s for row in _specs("ik,kj->ij", True, True)
+                              for s in row if s.endswith("MP"))
+FLOAT_SPECS = sorted(set(_float_specs()) | set(MATMUL_HESSIAN_SPECS))
 
 
 def test_the_float_layer_names_its_specs():
     # the AST walk behind the spec oracle below finds the float layer's specs
     # and jinv's: an empty walk would leave that oracle no cases, passing
     # vacuously
-    assert len(FLOAT_SPECS) >= 20
+    assert len(_float_specs()) >= 20
+    assert MATMUL_HESSIAN_SPECS == ["Zik,ZkjMP->ZijMP", "ZikM,ZkjP->ZijMP", "ZikMP,Zkj->ZijMP"]
     assert {"Zlim,Zmjk->Zlijk", "Zil,Zijkl->Zjk", "Zij,Zij->Z", "Zij,Zj->Zi",
-            "Zik,ZkjM->ZijM", "ZikM,Zkj->ZijM"} <= set(FLOAT_SPECS)
+            "Zik,ZkjM->ZijM", "ZikM,Zkj->ZijM"} <= set(_float_specs())
 
 
 @pytest.mark.parametrize("batch", [(5, 5), None, (1, 5), (5, 1)],
