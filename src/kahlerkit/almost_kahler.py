@@ -22,6 +22,7 @@ from kahlerkit.twist import coordinate_twist, build_twist_fields, build_twist
 
 DW_FLOOR = 1e-6     # torsion_point: |dw| below it excludes the D- claims
 RANK_RTOL = 1e-8    # torsion_point: relative singular-value cutoff of the rank
+RANK_ATOL = 1e-8    # torsion_point: least sigma_1 read, per unit of |dg| |g^-1|
 
 
 @dataclass
@@ -34,7 +35,6 @@ class AKProduct:
     Jt0: Field
     chart: ChartManifold
     twist_full: Field
-    coframe: tuple
 
     def triple(self):
         return HermitianTriple(self.g, self.J, self.chart)
@@ -43,8 +43,8 @@ class AKProduct:
 def build_ak_product(z_factor, tw, plane_range=(-1.0, 1.0)):
     """Twisted product structures on R^2 x Z.  tw is a twist Field declared
     on Z: it is lifted here, and any dependence on the plane coordinates is
-    rejected.  Its twist's coframe is {dx1, dx2} = {theta, -theta o J} for
-    theta = dx1 and the untwisted J, with D+ block B = I."""
+    rejected.  Its twist's coframe B P+[:2] = {dx1, dx2} (B = I) is {theta,
+    -theta o J} for theta = dx1 and the untwisted J."""
     nz = z_factor.chart.dim
     n = nz + 2
 
@@ -62,7 +62,6 @@ def build_ak_product(z_factor, tw, plane_range=(-1.0, 1.0)):
     J0 = Field(lambda pt: plane + embed(z_factor.J(pt[2:]), (n, n), zblock), order=1)
     Jt0 = Field(lambda pt: -plane + embed(z_factor.J(pt[2:]), (n, n), zblock), order=1)
     Pp = Field(lambda pt: proj)
-    coframe = (Field(lambda pt: np.eye(n)[:2]), np.eye(2))
     wfull = Field(lambda pt: tw(pt[2:]), label=tw.label + "@R2xZ")
 
     # the Killing property needs w independent of the plane coordinates; the
@@ -73,9 +72,9 @@ def build_ak_product(z_factor, tw, plane_range=(-1.0, 1.0)):
         raise ValueError("twist depends on the plane coordinates; "
                          "d/dx1, d/dx2 would not be Killing")
 
-    gw, (Jw, Jtw), _ = build_twist_fields(g0, [J0, Jt0], Pp, wfull, coframe, chart)
+    gw, (Jw, Jtw), *_ = build_twist_fields(g0, [J0, Jt0], Pp, wfull, np.eye(2))
     return AKProduct(z_factor=z_factor, g=gw, J=Jw, J_tilde=Jtw, g0=g0, Jt0=Jt0,
-                     chart=chart, twist_full=wfull, coframe=coframe)
+                     chart=chart, twist_full=wfull)
 
 
 def ak_invariants_point(ak, pe):
@@ -99,16 +98,13 @@ def ak3_point(ak, pe):
     """Curvature symmetry under four J~'s at pe, normalized by max |R|, and the
     two proof blocks R(V,V,V,X) and R(X,Y,Z,V).  Index split: V in the plane
     (0,1), X in the Z factor."""
-
-    def compute():
-        Rlow = pe.curvature(ak.g)[0]
-        RJ = pull_back(Rlow, pe.raw(ak.J_tilde).value)
-        sc = pe.absmax(Rlow)
-        denom = np.where(sc > 1e-12, sc, 1.0)
-        return {"relative": pe.absmax(RJ - Rlow) / denom,
-                "block_plane": pe.absmax(Rlow[..., :2, :2, :2, 2:]) / denom,
-                "block_z": pe.absmax(Rlow[..., 2:, 2:, 2:, :2]) / denom}
-    return pe.cached("ak3", (ak.g, ak.J_tilde), compute)
+    Rlow = pe.curvature(ak.g)[0]
+    RJ = pull_back(Rlow, pe.raw(ak.J_tilde).value)
+    sc = pe.absmax(Rlow)
+    denom = np.where(sc > 1e-12, sc, 1.0)
+    return {"relative": pe.absmax(RJ - Rlow) / denom,
+            "block_plane": pe.absmax(Rlow[..., :2, :2, :2, 2:]) / denom,
+            "block_z": pe.absmax(Rlow[..., 2:, 2:, 2:, :2]) / denom}
 
 
 def eta_tensor(gfn, Jtfn, pe):
@@ -128,29 +124,28 @@ def torsion_point(ak, pe):
     2 g(eta_{K_i} K_j, X) = X g(K_i, K_j), the two algebraic identities with
     J~, and, where |dw| >= DW_FLOOR, the D- nullity, the containment of
     eta_{D+} D+ in D- and the rank of the span of eta_{D+} D- (excluded
-    below the floor)."""
-
-    def compute():
-        n = ak.chart.dim
-        dw = pe.absmax(pe.raw(ak.twist_full).grad)
-        eta, gv, gg, Jtv = eta_tensor(ak.g, ak.J_tilde, pe)
-        # 2 g(eta_a b, X) - d_X g_ab over plane a, b and Z directions X
-        prelt = (2.0 * contract("Zmx,Zamb->Zabx", gv[..., :, 2:], eta[..., :2, :, :2])
-                 - gg[..., :2, :2, 2:])
-        keep = dw >= DW_FLOOR
-        # rows eta_a c over plane a and Z directions c; zero below the floor,
-        # where the rank is excluded, so that the SVD never sees those points
-        rows = eta[..., :2, :, 2:].swapaxes(-1, -2).reshape(eta.shape[:-3] + (-1, n))
-        sv = np.linalg.svd(np.where(keep[..., None, None], rows, 0.0), compute_uv=False)
-        rank = np.where(sv[..., 0] > 0, (sv > RANK_RTOL * sv[..., :1]).sum(axis=-1), 0)
-        etaJ = contract("Zikm,Zmj->Zikj", eta, Jtv)
-        return {"prelt": pe.absmax(prelt),
-                "anticommute": pe.absmax(etaJ + contract("Zkm,Zimj->Zikj", Jtv, eta)),
-                "jshift": pe.absmax(contract("Zmi,Zmkj->Zikj", Jtv, eta) - etaJ),
-                "nullity": excluded(~keep, pe.absmax(eta[..., 2:, :, :])),
-                "containment": excluded(~keep, pe.absmax(eta[..., :2, :2, :2])),
-                "rank": excluded(~keep, rank)}
-    return pe.cached("torsion", (ak.g, ak.J_tilde, ak.twist_full), compute)
+    below the floor, and where eta_{D+} D- is rounding noise)."""
+    n = ak.chart.dim
+    dw = pe.absmax(pe.raw(ak.twist_full).grad)
+    eta, gv, gg, Jtv = eta_tensor(ak.g, ak.J_tilde, pe)
+    # 2 g(eta_a b, X) - d_X g_ab over plane a, b and Z directions X
+    prelt = (2.0 * contract("Zmx,Zamb->Zabx", gv[..., :, 2:], eta[..., :2, :, :2])
+             - gg[..., :2, :2, 2:])
+    keep = dw >= DW_FLOOR
+    # rows eta_a c over plane a and Z directions c; zero below the floor,
+    # where the rank is excluded, so that the SVD never sees those points
+    rows = eta[..., :2, :, 2:].swapaxes(-1, -2).reshape(eta.shape[:-3] + (-1, n))
+    sv = np.linalg.svd(np.where(keep[..., None, None], rows, 0.0), compute_uv=False)
+    # eta is formed from g^-1 dg: rows below RANK_ATOL times its size are noise
+    noise = sv[..., 0] <= RANK_ATOL * pe.absmax(gg) * pe.absmax(pe.inverse(ak.g).value)
+    rank = (sv > RANK_RTOL * sv[..., :1]).sum(axis=-1)
+    etaJ = contract("Zikm,Zmj->Zikj", eta, Jtv)
+    return {"prelt": pe.absmax(prelt),
+            "anticommute": pe.absmax(etaJ + contract("Zkm,Zimj->Zikj", Jtv, eta)),
+            "jshift": pe.absmax(contract("Zmi,Zmkj->Zikj", Jtv, eta) - etaJ),
+            "nullity": excluded(~keep, pe.absmax(eta[..., 2:, :, :])),
+            "containment": excluded(~keep, pe.absmax(eta[..., :2, :2, :2])),
+            "rank": excluded(~keep | noise, rank)}
 
 
 def einstein_point(g, pe):

@@ -122,16 +122,16 @@ def disk_base(k, radius=0.55):
 class CalabiChart:
     """The fibered chart's fields: the Kähler pair (g, J), I0, the projector
     P+ onto the fiber span {d/ds, d/dz} (the splitting), the Lee form theta
-    = d ln z of I0, the connection form Theta = ds + alpha, and the twist's
-    coframe (F, B): F = {dz, Theta/q} = z {theta, -theta o J}, with the
-    constant D+ block B = [[0, 1], [1/q, 0]]."""
+    = d ln z of I0, the connection form Theta = ds + alpha, and the constant
+    D+ block B = [[0, 1], [1/q, 0]] of z {theta, -theta o J} = {dz, Theta/q},
+    whose twist reads that coframe off P+ as B P+[:2] (twist.coframe)."""
     g: Field
     J: Field
     I0: Field
     proj_plus: Field
     theta: Field
     Theta: Field
-    coframe: tuple
+    coframe_block: np.ndarray
     chart: ChartManifold
     base: HermitianTriple
     alpha: Field
@@ -174,7 +174,7 @@ def build_calabi(base, profile, alpha):
     def gfn(pt):
         Th = Theta(pt)
         return (q0 * np.outer(e[1], e[1]) + (1.0 / q0) * jeinsum("i,j->ij", Th, Th)
-                + pt[1] * embed(base.g(pt[2:]), (n, n), base_block))
+                + embed(pt[1] * base.g(pt[2:]), (n, n), base_block))
 
     def Jfn(pt):
         I = base.J(pt[2:])
@@ -191,8 +191,7 @@ def build_calabi(base, profile, alpha):
     return CalabiChart(
         g=Field(gfn), J=J, I0=Field(lambda pt: J(pt) @ (np.eye(n) - 2.0 * Pp(pt)), order=1),
         proj_plus=Pp, theta=Field(lambda pt: pt[1].inv() * e[1], order=1),
-        Theta=Theta, coframe=(Field(lambda pt: pack([e[1], Theta(pt) * (1.0 / q0)])),
-                              np.array([[0.0, 1.0], [1.0 / q0, 0.0]])),
+        Theta=Theta, coframe_block=np.array([[0.0, 1.0], [1.0 / q0, 0.0]]),
         chart=chart, base=base, alpha=alpha, profile=profile, m=m)
 
 

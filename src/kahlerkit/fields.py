@@ -172,8 +172,8 @@ class PointEval(Jet2):
     (read by raw(), the one read of a field, which builders reach by calling
     a Field on the point), its Christoffel symbols, curvature and
     fundamental forms are memoised by the field's callable, and library
-    functions memoise derived results (the Lee form, the torsion tensor)
-    through cached().  Drop it before moving to the next point.
+    functions memoise derived results (the Lee form, a per-point dict that
+    several checks read) through cached().  Drop it before moving to the next point.
 
     p is the (B, n) stack of points (one point (n,) is taken as a batch of
     one), batch is B, and every jet and array read here carries a leading

@@ -145,17 +145,14 @@ def classify_point(t, Pp, pe):
     max |theta|, max |xi|, max |xi_ring| and max |xi| on D+ x D+ (O'Neill
     tensors), and |theta|_g^2, excluded where |theta|_g falls below
     THETA_FLOOR."""
-
-    def compute():
-        theta, hom = _lee(t, Pp, pe)
-        thv = theta.value
-        norm2 = contract("Zi,Zi->Z", contract("Zi,Zij->Zj", thv, pe.inverse(t.g).value), thv)
-        xi, xi_ring = oneill_tensors(t, Pp, pe)
-        return {"homothetic": hom, "theta_max": pe.absmax(thv),
-                "theta_norm2": excluded(norm2 < THETA_FLOOR ** 2, norm2),
-                "ring": pe.absmax(xi_ring), "xi": pe.absmax(xi),
-                "geodesic": dplus_geodesic_residual(xi, pe.raw(Pp).value)}
-    return pe.cached("classify", (t.g, t.J, Pp), compute)
+    theta, hom = _lee(t, Pp, pe)
+    thv = theta.value
+    norm2 = contract("Zi,Zi->Z", contract("Zi,Zij->Zj", thv, pe.inverse(t.g).value), thv)
+    xi, xi_ring = oneill_tensors(t, Pp, pe)
+    return {"homothetic": hom, "theta_max": pe.absmax(thv),
+            "theta_norm2": excluded(norm2 < THETA_FLOOR ** 2, norm2),
+            "ring": pe.absmax(xi_ring), "xi": pe.absmax(xi),
+            "geodesic": dplus_geodesic_residual(xi, pe.raw(Pp).value)}
 
 
 def foliation_report(res):

@@ -140,6 +140,13 @@ def _profile(params):
     return {key: params[key] for key in PROFILE}
 
 
+def _shared(fn):
+    """The per-point function fn, returning a dict that several checks of a
+    case read, memoised: the point's memo keys on fn, which those checks
+    share, so it runs once per point for all of them."""
+    return lambda pe: pe.cached("shared", (fn,), lambda: fn(pe))
+
+
 def _worst_of(point, *keys):
     """Per-point residual: the worst of the named residuals of point(pe), or
     None where the point is excluded from them (masked on a batch)."""
@@ -231,16 +238,13 @@ def _calabi_core(params):
 
 
 def _volume_checks(check, cal, floor, docs):
-    def volume(pe):
-        return pe.cached("volume", (cal.g,), lambda: volume_checks(cal, pe))
-
-    def identity_at(pe):
-        return worst(volume(pe)["residual_z"], volume(pe)["residual_r"])
+    volume = _shared(lambda pe: volume_checks(cal, pe))
 
     def floor_at(pe):
         return worst(0.0, floor - abs(volume(pe)["pfaffian"]))
 
-    return [check("volume_identity", docs[0], 1e-9, identity_at),
+    return [check("volume_identity", docs[0], 1e-9,
+                  _worst_of(volume, "residual_z", "residual_r")),
             check("volume_nonvanishing", docs[1], 1e-15, floor_at)]
 
 
@@ -248,6 +252,8 @@ def _make_calabi(params):
     cal = _calabi_core(params)
     t = cal.triple()
     Pp = cal.proj_plus
+    hom = _shared(lambda pe: homothetic_point(t, Pp, pe))
+    classify = _shared(lambda pe: classify_point(t, Pp, pe))
 
     check = _on(cal.chart)
     checks = [
@@ -256,20 +262,19 @@ def _make_calabi(params):
               1e-7, lambda pe: worst(*kahler_point(t, pe).values())),
         check("homothetic_foliation",
               "(L_V g) restricted off the fibers equals theta(V) g, extracted theta",
-              1e-7, lambda pe: homothetic_point(t, Pp, pe)["homothetic"]),
+              1e-7, _worst_of(hom, "homothetic")),
         check("lee_is_dlnz", "extracted Lee form equals d ln z", 1e-7,
               lambda pe: pe.absmax(extract_theta(t, Pp, pe) - pe.raw(cal.theta).value)),
-        check("lee_closed", "extracted Lee form is closed",
-              1e-7, lambda pe: homothetic_point(t, Pp, pe)["dtheta"]),
+        check("lee_closed", "extracted Lee form is closed", 1e-7, _worst_of(hom, "dtheta")),
         check("plus_geodesic", "splitting tensor vanishes on fiber-fiber slots",
-              1e-7, lambda pe: classify_point(t, Pp, pe)["geodesic"]),
+              1e-7, _worst_of(classify, "geodesic")),
         check("moment_map", "contraction of omega with the circle field is -dz",
               1e-9, lambda pe: moment_map_point(cal, pe)),
     ] + _volume_checks(check, cal, params["volume_floor"], (
         "omega^m against the z- and r-coordinate product volume forms",
         "Pfaffian of omega stays above the declared floor")) + [
         check("classify_verdict", "foliation classifier verdict",
-              0.5, lambda pe: classify_point(t, Pp, pe), _holomorphic_verdict),
+              0.5, classify, _holomorphic_verdict),
     ]
     return Case(cal.chart.label + " over " + cal.base.chart.label,
                 cal.chart, cal.g, tuple(checks))
@@ -304,14 +309,14 @@ def _make_calabi_twist(params):
         check("norm_factor", "theta-direction rescaling factor of the twisted metric",
               1e-9, norm_at),
         check("transverse_holomorphy", "dw2 kills what J rotates into dw1 off the fibers",
-              1e-7, lambda pe: transverse_holomorphy_point(cal.J, cal.proj_plus, tw, pe)),
+              1e-7, lambda pe: transverse_holomorphy_point(cal.J, Pp, tw, tt.ww, pe)),
         check("nijenhuis_twisted", "integrability of the twisted J",
               1e-7, nijenhuis_at),
         check("homothetic_foliation", "homothetic residual of the twisted triple",
               1e-7, lambda pe: homothetic_point(twt, Pp, pe)["homothetic"]),
         check("ricci_fiber_log",
               "Ricci form minus lifted base Ricci form matches the log potential terms",
-              1e-6, lambda pe: ricci_identity_check(cal, tw, tt, pe)),
+              1e-6, lambda pe: ricci_identity_check(cal, tt, pe)),
         check("zeta_duality", "J_w g_w^{-1} theta equals J g^{-1} theta",
               1e-8, lambda pe: zeta_duality_residual(cal.g, cal.J, tt.g_w, tt.J_w,
                                                      cal.theta, pe)),
@@ -341,9 +346,9 @@ def _make_ak(params):
     tw = _twist_map(params["twist"], zt.chart, mode)
     ak = build_ak_product(zt, tw, plane_range=params["plane_range"])
 
-    inv, ak3, tor = (partial(point, ak)
+    inv, ak3, tor = (_shared(partial(point, ak))
                      for point in (ak_invariants_point, ak3_point, torsion_point))
-    einstein = partial(einstein_point, ak.g)
+    einstein = _shared(partial(einstein_point, ak.g))
 
     def torsion_rank(pe):
         rank = tor(pe)["rank"]

@@ -3,11 +3,12 @@
 A twist is a Field w: chart point -> unit disc, with components (w1, w2).
 The deforming endomorphism S acts on D+ with matrix [[w1, w2], [w2, -w1]] in
 the coframe {theta, -theta o J} and vanishes on D-.  In every builder D+ is
-span(d0, d1), so S is two rows, S+, read off the builder's coframe (F, B):
-F is {theta, -theta o J} times a nonvanishing factor, which cancels, and B
-its constant block F[:, :2] (make_sfield); no twisted field reads J.  One
-shared S deforms the metric and every endomorphism together; mixing frames
-breaks the unchanged-form invariant.  The twist is
+span(d0, d1), so S is two rows, S+, read off the builder's splitting, P+
+and the constant D+ block B of the coframe, which vanishes on D- and so is
+F = B P+[:2] (coframe; a nonvanishing factor on it cancels, make_sfield);
+no twisted field reads J.  One shared S deforms the metric and every
+endomorphism together; mixing frames breaks the unchanged-form invariant.
+The twist is
 
     g_w = g(A., .),  A = 1 - 2 (S - |w|^2 P+)/(1 - |w|^2),
     J_w = (1-S)^{-1} J (1-S),
@@ -19,10 +20,10 @@ exactly.  The conjugate order (a scenario's mode "A"), A = 1 + 2 (S +
 with U = (1-S)^{-1} - 1, 1 + 2U = 1 - 2 (S(-w) - |w|^2 P+)/(1 - |w|^2), and
 each twisted E commutes with P+, so (1-S) E (1-S)^{-1} = (1+S)^{-1} E (1+S).
 |w|^2, 1/(1-|w|^2), |w|^2 P+ and U+ = (1-S)^{-1} - 1 are Fields of their
-own, which S's disc guard, g_w and every E_w read through the point's memo,
-so each runs once per point.  F must be an exact jet closure: an extracted
-Lee form is a first-order jet, and the curvature of the twisted metric,
-which needs its Hessian, would raise FirstOrderError.
+own, which S's disc guard, g_w, every E_w and the checks read through the
+point's memo, so each runs once per point.  P+ must be an exact jet
+closure: an extracted Lee form is a first-order jet, and the curvature of
+the twisted metric, which needs its Hessian, would raise FirstOrderError.
 """
 
 from dataclasses import dataclass
@@ -59,6 +60,7 @@ class TwistedTriple:
     J_w: Field
     I_w: Field
     S_plus: Field
+    ww: Field
     chart: object
 
     def triple(self):
@@ -78,19 +80,23 @@ def _check_disc(ww):
         raise JetDomainError("twist leaves the disc: |w|^2 = %.8f" % ww[out].max())
 
 
-def make_sfield(coframe, w, ww):
+def coframe(B, P):
+    """F = B P+[:2], the coframe with D+ block B, where P+ has the jet P."""
+    return jeinsum("ab,bj->aj", B, P[:2])
+
+
+def make_sfield(Pp, B, w, ww):
     """S+, the two nonzero rows of the twist w's S, guarded by the Field
     ww = |w|^2.
 
-    coframe is the builder's (F, B), F a Field of {theta, -theta o J} times
-    a nonvanishing c, B its constant D+ block F[:, :2]: S+ = (B^{-1} R(w)) F
-    with R = [[w1, w2], [w2, -w1]], as (cB)^{-1} R (cF) = B^{-1} R F.  B is
-    inverted once, here: a degenerate frame (|det B| < 1e-12, as where theta
-    vanishes) raises ValueError at build.  Every twisted field reads S+, so
-    the disc guard |w|^2 <= DISC sits here, per point; on a batch it tests
-    every point and names the worst one.
+    Pp is the builder's projector onto D+ and B the constant D+ block of
+    c {theta, -theta o J}, c nonvanishing: S+ = (B^{-1} R(w)) F for the
+    coframe F = B P+[:2] and R = [[w1, w2], [w2, -w1]], as (cB)^{-1} R (cF)
+    = B^{-1} R F.  B is inverted once, here: a degenerate frame (|det B| <
+    1e-12, as where theta vanishes) raises ValueError at build.  Every
+    twisted field reads S+, so the disc guard |w|^2 <= DISC sits here, per
+    point; on a batch it tests every point and names the worst one.
     """
-    F, B = coframe
     det = abs(np.linalg.det(B))
     if not det >= 1e-12:
         raise ValueError("degenerate twist frame (|det B| = %.2e)" % det)
@@ -99,23 +105,22 @@ def make_sfield(coframe, w, ww):
     def sfield(pt):
         _check_disc(ww(pt).value)
         w1, w2 = w(pt)
-        return (Binv @ pack([[w1, w2], [w2, -w1]])) @ F(pt)
+        return (Binv @ pack([[w1, w2], [w2, -w1]])) @ coframe(B, Pp(pt))
     return Field(sfield)
 
 
-def build_twist_fields(g, endos, Pp, w, coframe, chart):
+def build_twist_fields(g, endos, Pp, w, B):
     """The twist of the metric g and of each endomorphism in endos by one
-    shared S on the builder's coframe of endos[0] (make_sfield): (g_w,
-    [E_w, ...], S+), Fields on chart, S+ the two rows of S that make_sfield
-    builds.  S, |w|^2 P+ and U = (1-S)^{-1} - 1 vanish off rows 0 and 1 and
-    are carried as those rows, so each update is rank 2: g_w = g + D^T g[:2]
-    for A = 1 + D, and E_w = (1+U) E (1-S) is X = E - E[:, :2] S+ plus U+ X
-    on rows 0 and 1.  They share the Fields |w|^2, 1/(1-|w|^2), |w|^2 P+[:2]
+    shared S on the splitting (Pp, B) of endos[0] (make_sfield): (g_w,
+    [E_w, ...], S+, |w|^2), S+ the two rows of S that make_sfield builds.
+    S, |w|^2 P+ and U = (1-S)^{-1} - 1 vanish off rows 0 and 1 and are
+    carried as those rows, so each update is rank 2: g_w = g + D^T g[:2] for
+    A = 1 + D, and E_w = (1+U) E (1-S) is X = E - E[:, :2] S+ plus U+ X on
+    rows 0 and 1.  They share the Fields |w|^2, 1/(1-|w|^2), |w|^2 P+[:2]
     and U+.  Each E_w is first order (its readers take values and gradients
     only), and so is U+, which only the E_w read."""
     ww = Field(lambda pt: _norm2(w(pt)))
-    Sp = make_sfield(coframe, w, ww)
-    shape = (chart.dim, chart.dim)
+    Sp = make_sfield(Pp, B, w, ww)
     rows = slice(None, 2)
 
     def facfn(pt):
@@ -135,19 +140,19 @@ def build_twist_fields(g, endos, Pp, w, coframe, chart):
         def Ewfn(pt):
             Ev = E(pt)
             X = Ev - Ev[:, rows] @ Sp(pt)
-            return X + embed(Up(pt) @ X, shape, rows)
+            return X + embed(Up(pt) @ X, Ev.shape, rows)
         return Field(Ewfn, order=1)
 
-    return Field(gwfn), [twisted(E) for E in endos], Sp
+    return Field(gwfn), [twisted(E) for E in endos], Sp, ww
 
 
 def build_twist(cal, tw):
     """Twist a CalabiChart (or anything with g/J/I0/proj_plus fields, a
-    coframe and a chart) by the twist field tw with one shared S; returns a
-    TwistedTriple."""
-    gw, (Jw, Iw), Sp = build_twist_fields(cal.g, [cal.J, cal.I0], cal.proj_plus, tw,
-                                          cal.coframe, cal.chart)
-    return TwistedTriple(g_w=gw, J_w=Jw, I_w=Iw, S_plus=Sp, chart=cal.chart)
+    coframe_block and a chart) by the twist field tw with one shared S;
+    returns a TwistedTriple."""
+    gw, (Jw, Iw), Sp, ww = build_twist_fields(cal.g, [cal.J, cal.I0], cal.proj_plus, tw,
+                                              cal.coframe_block)
+    return TwistedTriple(g_w=gw, J_w=Jw, I_w=Iw, S_plus=Sp, ww=ww, chart=cal.chart)
 
 
 def norm_factor_expected(w1, w2):
@@ -169,13 +174,12 @@ def form_invariance_point(cal, tt, pe):
                    for Ew, E in ((tt.J_w, cal.J), (tt.I_w, cal.I0))))
 
 
-def transverse_holomorphy_point(Jfn, Ppfn, wfn, pe):
+def transverse_holomorphy_point(Jfn, Ppfn, wfn, wwfn, pe):
     """max |dw2(P-X) + dw1(J P-X)| over the D- coordinate frame at pe; this is
     the quantity that gates integrability of the twisted structure.  It
-    reads w's gradient only, so it checks the disc itself."""
-    wj = pe.raw(wfn)
-    _check_disc(_norm2(wj).value)
-    w1, w2 = wj
+    reads w's gradient only, so it checks the disc itself on wwfn, |w|^2."""
+    _check_disc(pe.raw(wwfn).value)
+    w1, w2 = pe.raw(wfn)
     Jv = pe.raw(Jfn).value
     Pmv = np.eye(Jv.shape[-1]) - pe.raw(Ppfn).value
     # one residual per column X of P-, none where X vanishes
@@ -183,7 +187,7 @@ def transverse_holomorphy_point(Jfn, Ppfn, wfn, pe):
     return worst(0.0, np.where(np.abs(Pmv).max(axis=-2) >= 1e-13, r, 0.0).max(axis=-1))
 
 
-def ricci_identity_check(cal, tw, tt, pe):
+def ricci_identity_check(cal, tt, pe):
     """Residual at pe of the twisted-Ricci identity, for the log profile:
 
         rho^{g_w} = rho_N(lifted) + ((m-1)/2)(d J_w d) ln z
@@ -194,9 +198,8 @@ def ricci_identity_check(cal, tw, tt, pe):
     base = ricci_form(cal.base, pe.sub(2))
     rho_N = np.zeros(base.shape[:-2] + (n, n))
     rho_N[..., 2:, 2:] = base
-    w1, w2 = pe.raw(tw)
     return log_potential_residual(tt.triple(), pe, [(0.5 * (cal.m - 1), pe[1]),
-                                                    (-0.5, 1.0 - (w1 * w1 + w2 * w2))], rho_N)
+                                                    (-0.5, 1.0 - pe.raw(tt.ww))], rho_N)
 
 
 def zeta_duality_residual(gfn, Jfn, gwfn, Jwfn, theta_fn, pe):

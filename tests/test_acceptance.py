@@ -170,13 +170,13 @@ def test_criterion_4_twist_invariance_norm_integrability():
     tw = coordinate_twist(2, 3)
     tt = build_twist(cal, tw)
     res = fold_plan(cal.chart, plan, lambda pe: transverse_holomorphy_point(
-        cal.J.fn, cal.proj_plus, tw.fn, pe)).max()
+        cal.J.fn, cal.proj_plus, tw.fn, tt.ww, pe)).max()
     nij_good = max(np.abs(nijenhuis_at(PointEval(p), tt.J_w.fn)).max()
                    for p in cal.chart.samples(plan))
     twc = coordinate_twist(2, 3, conj=True)
     ttc = build_twist(cal, twc)
     resc = fold_plan(cal.chart, plan, lambda pe: transverse_holomorphy_point(
-        cal.J.fn, cal.proj_plus, twc.fn, pe)).max()
+        cal.J.fn, cal.proj_plus, twc.fn, ttc.ww, pe)).max()
     nij_bad = max(np.abs(nijenhuis_at(PointEval(p), ttc.J_w.fn)).max()
                   for p in cal.chart.samples(plan))
 
@@ -200,7 +200,7 @@ def test_criterion_5_three_term_ricci_identity():
         tt = build_twist(cal, tw)
         for p in cal.chart.samples(SamplePlan(6, 30)):
             pe = PointEval(p)
-            worst = max(worst, ricci_identity_check(cal, tw, tt, pe)[0])
+            worst = max(worst, ricci_identity_check(cal, tt, pe)[0])
             correction = max(correction, fiber_correction_size(cal, tw, tt, pe)[0])
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-6 and elapsed < 30.0

@@ -16,6 +16,7 @@ from kahlerkit.almost_kahler import (ak3_point, ak_invariants_point,
                                      eta_tensor, fiber_logs, iterate_chain,
                                      ker_dw_geodesic_residual,
                                      ker_dw_projector, torsion_point)
+from kahlerkit.scenarios import parse_scenario, run_scenario_obj
 from helpers import fold_plan, log_term_size
 
 
@@ -118,6 +119,24 @@ def test_torsion_rank_skips_points_without_twist_variation():
     assert rep.excluded.get("nullity", 0) == 6
     assert "rank" not in rep.values
     assert rep.max("prelt") < 1e-12
+
+
+@pytest.mark.parametrize("mode, seed, count", [("B", 1, 8), ("A", 3, 10)])
+def test_torsion_rank_reads_no_rank_of_rounding_noise(mode, seed, count):
+    # over the twisted chain level a conj_z twist leaves eta at rounding
+    # noise (sigma_1 about 1e-16 |dg| |g^-1|) although |dw| clears DW_FLOOR:
+    # the rank of that noise passed at one cell and failed at the other,
+    # and now neither reads it; the kernel check, which |dw| alone gates,
+    # still uses every point
+    scn = parse_scenario({"name": "noise", "builder": "ak_product",
+                          "params": {"z": "chain", "chain_m": 2, "chain_level": 1,
+                                     "twist": {"id": "conj_z"}, "mode": mode},
+                          "plan": {"seed": seed, "count": count}})
+    recs = {rec["name"]: rec for rec in run_scenario_obj(scn)["checks"]}
+    assert recs["torsion_rank"]["points_used"] == 0
+    assert recs["torsion_rank"]["points_excluded"] == count
+    assert recs["torsion_kernel"]["points_used"] == count
+    assert recs["torsion_kernel"]["max_residual"] < 1e-14
 
 
 def test_four_dim_product_is_ricci_flat():

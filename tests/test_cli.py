@@ -799,7 +799,7 @@ def test_twisted_chart_runs_s_and_alpha_once_per_point():
     scn.count = 3
     case = build_case(scn)
     counts = {disk_base(0)[1].fn.__code__: 0,
-              make_sfield((None, np.eye(2)), None, None).fn.__code__: 0}
+              make_sfield(None, np.eye(2), None, None).fn.__code__: 0}
 
     def profile(frame, event, arg):
         if event == "call" and frame.f_code in counts:

@@ -21,7 +21,8 @@ the D+ frame is computed once per point, that a built case and its Fields
 cannot change, that no module names numpy's random module and no command
 imports it, that every function and lambda src/ defines runs in a bundled
 command and every key a per-point function returns is read by a check,
-and the README's library example run as written."""
+that each per-point dict and each twist's |w|^2 runs once per batch, and
+the README's library example run as written."""
 
 import ast
 import contextlib
@@ -41,6 +42,7 @@ import pytest
 from kahlerkit.jets import FirstOrderError, Jet2, SamplePlan, jet_dcoord
 import kahlerkit.cli
 import kahlerkit.scenarios
+import kahlerkit.twist
 from kahlerkit.fields import Field, Fold, PointEval, excluded
 from kahlerkit.scenarios import (BUILDER_MAP, ScenarioError, build_case, built_case, bundled_names,
                                  load_scenario, make_case, parse_scenario, run_scenario_obj)
@@ -870,6 +872,40 @@ def test_every_key_a_per_point_function_returns_is_read(unbuilt, monkeypatch):
     assert all(returned.values()), "a per-point function ran in no bundled verify"
     unread = {name: sorted(returned[name] - read[name]) for name in DICT_POINTS}
     assert unread == dict.fromkeys(DICT_POINTS, [])
+
+
+# the twists each case makes: a twisted chart's, a plane product's, and
+# those of the chain level a product is built over
+TWISTS = {"calabi_flat": 0, "calabi_twist_zeta": 1, "ak_flat": 1, "ak_disk_chain2": 2}
+
+
+@pytest.mark.parametrize("name, twists", sorted(TWISTS.items()))
+def test_each_per_point_dict_and_each_twists_norm_runs_once_per_batch(name, twists, unbuilt,
+                                                                      monkeypatch):
+    # every check of a case that reads a per-point function's dict reads one
+    # run of it at each point, and every reader of a twist's |w|^2 (its S
+    # guard, g_w, transverse holomorphy, the twisted Ricci identity) reads
+    # one run of the twist's |w|^2 field: a verify runs the body of each
+    # once per chart batch (one batch here)
+    runs = dict.fromkeys(DICT_POINTS + ("|w|^2",), 0)
+
+    def counting(key, fn):
+        def run(*args):
+            runs[key] += 1
+            return fn(*args)
+        return run
+    for key in DICT_POINTS:
+        monkeypatch.setattr(kahlerkit.scenarios, key,
+                            counting(key, getattr(kahlerkit.scenarios, key)))
+    monkeypatch.setattr(kahlerkit.twist, "_norm2", counting("|w|^2", kahlerkit.twist._norm2))
+    try:
+        report = run_scenario_obj(load_scenario(name))
+    finally:
+        # the cases built here hold the counting functions
+        built_case.cache_clear()
+    assert all("error" not in rec for rec in report["checks"])
+    assert runs.pop("|w|^2") == twists
+    assert set(runs.values()) == {0, 1} and runs["kahler_point"] == (name == "calabi_flat")
 
 
 READERS = {"number", "integer", "pair", "tolerance", "twist_spec"}

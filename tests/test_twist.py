@@ -13,7 +13,7 @@ from kahlerkit.hermitian import kahler_point
 from kahlerkit.calabi import CalabiProfile, build_calabi, disk_base
 from kahlerkit.almost_kahler import build_ak_product, iterate_chain
 from kahlerkit.scenarios import BUILDER_MAP, load_scenario, make_case
-from kahlerkit.twist import (build_twist, build_twist_fields,
+from kahlerkit.twist import (build_twist, build_twist_fields, coframe,
                              constant_twist, form_invariance_point, coordinate_twist,
                              norm_factor_expected,
                              norm_factor_measured, ricci_identity_check,
@@ -68,11 +68,10 @@ def test_fundamental_forms_unchanged():
             assert np.abs(Iw.T @ gw - I0.T @ g).max() < 1e-9
 
 
-def twisted_case(monkeypatch, builder, params):
-    """The case of builder at params, and the arguments and the result of
-    the last build_twist_fields call its build makes (the product's, for a
-    plane product over a twisted chain level).  The case memo must be
-    empty (the unbuilt fixture)."""
+def recorded_twists(monkeypatch):
+    """A list that gets the arguments and the result of each
+    build_twist_fields call made from here on, by a chart's twist or a
+    plane product, in call order."""
     calls = []
     build = twist.build_twist_fields
 
@@ -81,6 +80,15 @@ def twisted_case(monkeypatch, builder, params):
         return calls[-1][1]
     monkeypatch.setattr(twist, "build_twist_fields", recording)
     monkeypatch.setattr(almost_kahler, "build_twist_fields", recording)
+    return calls
+
+
+def twisted_case(monkeypatch, builder, params):
+    """The case of builder at params, and the arguments and the result of
+    the last build_twist_fields call its build makes (the product's, for a
+    plane product over a twisted chain level).  The case memo must be
+    empty (the unbuilt fixture)."""
+    calls = recorded_twists(monkeypatch)
     return make_case(BUILDER_MAP[builder], params), calls[-1]
 
 
@@ -90,8 +98,8 @@ MODE_A_DISK = {"base": "disk", "k": 1, "z_range": [0.5, 2.0], "s_range": [-1.0, 
 
 
 def test_mode_a_also_preserves_forms(unbuilt, monkeypatch):
-    case, ((g, (J, _), *_), (gw, (Jw, _), _)) = twisted_case(monkeypatch, "calabi_twist",
-                                                             MODE_A_DISK)
+    case, ((g, (J, _), *_), (gw, (Jw, _), *_)) = twisted_case(monkeypatch, "calabi_twist",
+                                                              MODE_A_DISK)
     for p in case.chart.samples(SamplePlan(3, 5)):
         g_v = values(g.fn, p)
         gw_v = values(gw.fn, p)
@@ -112,7 +120,7 @@ def test_mode_a_is_mode_b_of_minus_w(builder, params, minus, unbuilt, monkeypatc
     # twisted endomorphisms are (1-S) E (1-S)^{-1} of the spec's w, and its
     # label is the spec's (q = 2 on the fibered chart, where the coframe's
     # block B = [[0, 1], [1/q, 0]] is not its own inverse)
-    case, ((g, endos, Pp, w, (F, B), _), (gw, twisted, _)) = twisted_case(
+    case, ((g, endos, Pp, w, B), (gw, twisted, *_)) = twisted_case(
         monkeypatch, builder, dict(params, mode="A"))
     other = make_case(BUILDER_MAP[builder], dict(params, twist=minus, mode="B"))
     label = "const(0.2,-0.3)" if builder == "ak_product" else "zeta[2,3]"
@@ -125,7 +133,8 @@ def test_mode_a_is_mode_b_of_minus_w(builder, params, minus, unbuilt, monkeypatc
     pe = PointEval(p)
     w1, w2 = -pe.raw(w).value.T
     want_g, want_E = conjugate_order_twist(pe.raw(g).value, [pe.raw(E).value for E in endos],
-                                           pe.raw(Pp).value, pe.raw(F).value, B, w1, w2)
+                                           pe.raw(Pp).value, coframe(B, pe.raw(Pp)).value,
+                                           B, w1, w2)
     assert np.abs(pe.raw(gw).value - want_g).max() < 1e-12
     for Ew, want in zip(twisted, want_E):
         assert np.abs(pe.raw(Ew).value - want).max() < 1e-12
@@ -162,10 +171,10 @@ def test_integrability_iff_transverse_holomorphy():
     plan = SamplePlan(6, 6)
     # holomorphic dependence on the base coordinate: both residuals vanish
     tw = coordinate_twist(2, 3)
-    tr = fold_plan(cal.chart, plan, lambda pe: transverse_holomorphy_point(
-        cal.J.fn, cal.proj_plus.fn, tw.fn, pe))
-    assert tr.max() < 1e-12
     tt = build_twist(cal, tw)
+    tr = fold_plan(cal.chart, plan, lambda pe: transverse_holomorphy_point(
+        cal.J.fn, cal.proj_plus.fn, tw.fn, tt.ww.fn, pe))
+    assert tr.max() < 1e-12
     nij = 0.0
     for p in cal.chart.samples(plan):
         nij = max(nij, np.abs(nijenhuis_at(PointEval(p), tt.J_w.fn)).max())
@@ -176,10 +185,10 @@ def test_integrability_iff_transverse_holomorphy():
 
     # conjugated dependence: both residuals blow up together
     twc = coordinate_twist(2, 3, conj=True)
-    trc = fold_plan(cal.chart, plan, lambda pe: transverse_holomorphy_point(
-        cal.J.fn, cal.proj_plus.fn, twc.fn, pe))
-    assert trc.max() > 1.0
     ttc = build_twist(cal, twc)
+    trc = fold_plan(cal.chart, plan, lambda pe: transverse_holomorphy_point(
+        cal.J.fn, cal.proj_plus.fn, twc.fn, ttc.ww.fn, pe))
+    assert trc.max() > 1.0
     worstc = 0.0
     for p in cal.chart.samples(plan):
         worstc = max(worstc, np.abs(nijenhuis_at(PointEval(p), ttc.J_w.fn)).max())
@@ -234,18 +243,16 @@ def test_the_s_field_guards_the_disc_and_the_frame():
     cal = make_cal()
     p = cal.chart.samples(SamplePlan(9, 5))
     S = build_twist_fields(cal.g, [cal.J], cal.proj_plus, constant_twist(0.9999999),
-                           cal.coframe, cal.chart)[2]
+                           cal.coframe_block)[2]
     acc = _fold_s(S, p)
     assert acc.points == 0 and acc.values == {}
     assert isinstance(acc.exc, JetDomainError)
     assert acc.error == "JetDomainError at point %s: %s" % (
         p[0].round(8).tolist(), "twist leaves the disc: |w|^2 = 0.99999980")
 
-    F, B = cal.coframe
-    flat_theta = (Field(lambda pt: pack([np.zeros(4), F(pt)[1]])), B * [[0.0], [1.0]])
+    flat_theta = cal.coframe_block * [[0.0], [1.0]]
     with pytest.raises(ValueError, match=r"^degenerate twist frame \(\|det B\| = 0.00e\+00\)$"):
-        build_twist_fields(cal.g, [cal.J], cal.proj_plus, constant_twist(0.1),
-                           flat_theta, cal.chart)
+        build_twist_fields(cal.g, [cal.J], cal.proj_plus, constant_twist(0.1), flat_theta)
 
 
 def test_a_nan_twist_passes_no_twisted_check():
@@ -260,10 +267,10 @@ def test_a_nan_twist_passes_no_twisted_check():
     checks = [
         lambda pe: form_invariance_point(cal, tt, pe),
         lambda pe: norm_factor_measured(cal.g, tt.g_w, cal.theta, pe),
-        lambda pe: transverse_holomorphy_point(cal.J, Pp, tw, pe),
+        lambda pe: transverse_holomorphy_point(cal.J, Pp, tw, tt.ww, pe),
         lambda pe: nijenhuis_at(pe, tt.J_w),
         lambda pe: homothetic_point(twt, Pp, pe)["homothetic"],
-        lambda pe: ricci_identity_check(cal, tw, tt, pe),
+        lambda pe: ricci_identity_check(cal, tt, pe),
         lambda pe: zeta_duality_residual(cal.g, cal.J, tt.g_w, tt.J_w, cal.theta, pe),
         lambda pe: classify_point(twt, Pp, pe),
         lambda pe: pe.absmax(pe.raw(tt.S_plus).value),
@@ -340,14 +347,15 @@ CALABI_CHARTS = {"calabi_flat": lambda: _calabi_chart("calabi_flat"),
 
 
 def _ak_products(name):
-    """The plane product a bundled ak_product scenario builds, and the same
-    product at the zero twist, whose J_w is the untwisted J exactly."""
+    """The plane product a bundled ak_product scenario builds, twisted by the
+    lifted disk coordinate, and the same product at the zero twist, whose
+    J_w is the untwisted J exactly."""
     params = load_scenario(name).params
     if params["z"] == "chain":
         zt = iterate_chain("twisted", params["chain_m"], radius=params["radius"],
                            top=params["chain_level"], **_profile(params))[-1].triple
     else:
-        zt = disk_base(params["k"], radius=params["radius"])[0]
+        zt = disk_base(params["k"] if params["z"] == "disk" else 0, radius=params["radius"])[0]
     n = zt.chart.dim
     return (build_ak_product(zt, coordinate_twist(n - 2, n - 1)),
             build_ak_product(zt, constant_twist(0.0)))
@@ -369,36 +377,66 @@ def _assert_jets_close(got, want, what):
 
 @pytest.mark.parametrize("name", sorted(CALABI_CHARTS))
 def test_a_calabi_charts_coframe_is_z_times_theta_and_minus_theta_o_j(name):
-    # F = {dz, Theta/q} = z {theta, -theta o J}, in value, gradient and
-    # Hessian, and its D+ block is the declared constant B; theta and J are
-    # first order in the point's memo, so they are built outside it
+    # F = B P+[:2] = {dz, Theta/q} = z {theta, -theta o J}, in value,
+    # gradient and Hessian, and its D+ block is the declared constant B;
+    # theta and J are first order in the point's memo, so they are built
+    # outside it
     cal = CALABI_CHARTS[name]()
-    F, B = cal.coframe
+    B = cal.coframe_block
     pe = PointEval(cal.chart.samples(SamplePlan(3, 6)))
+    F = coframe(B, pe.raw(cal.proj_plus))
     th = _outside_the_memo(cal.theta, pe.p)
-    _assert_jets_close(pe.raw(F), pe[1] * pack([th, -(th @ _outside_the_memo(cal.J, pe.p))]),
-                       name)
-    block = pe.raw(F)[:, :2]
+    _assert_jets_close(F, pe[1] * pack([th, -(th @ _outside_the_memo(cal.J, pe.p))]), name)
+    block = F[:, :2]
     assert (block.value == B).all() and not block.grad.any() and not block.hess.any()
     q = cal.profile.q
     assert B.tolist() == [[0.0, 1.0], [1.0 / q, 0.0]]
 
 
+def _splitting(name, monkeypatch):
+    """(chart, P+, B): the splitting that a Calabi chart of CALABI_CHARTS, or
+    the plane product a bundled ak_product scenario builds, declares to its
+    twist, and the chart it lives on."""
+    if name in CALABI_CHARTS:
+        cal = CALABI_CHARTS[name]()
+        return cal.chart, cal.proj_plus, cal.coframe_block
+    calls = recorded_twists(monkeypatch)
+    ak, _ = _ak_products(name)
+    # the twisted product's twist: the last call twists the untwisted one
+    (_, _, Pp, _, B), _ = calls[-2]
+    return ak.chart, Pp, B
+
+
 @pytest.mark.parametrize("name", ["ak_disk", "ak_disk_chain2"])
-def test_a_plane_products_coframe_is_dx1_dx2_theta_and_minus_theta_o_j(name):
-    # F = {dx1, dx2} = {theta, -theta o J} for theta = dx1 and the untwisted
-    # J, in value, gradient and Hessian, and its D+ block is B = I; J is
-    # first order in the point's memo, so it is built outside it
-    ak, untwisted = _ak_products(name)
-    F, B = ak.coframe
-    n = ak.chart.dim
-    pe = PointEval(ak.chart.samples(SamplePlan(3, 6)))
-    th = np.eye(n)[0]
-    _assert_jets_close(pe.raw(F), pack([th, -(th @ _outside_the_memo(untwisted.J, pe.p))]),
-                       name)
-    block = pe.raw(F)[:, :2]
+def test_a_plane_products_coframe_is_dx1_dx2_theta_and_minus_theta_o_j(name, monkeypatch):
+    # F = B P+[:2] = {dx1, dx2} = {theta, -theta o J} for theta = dx1 and the
+    # untwisted J, in value, gradient and Hessian, and its D+ block is B =
+    # I; J is first order in the point's memo, so it is built outside it
+    chart, Pp, B = _splitting(name, monkeypatch)
+    untwisted = _ak_products(name)[1]
+    pe = PointEval(chart.samples(SamplePlan(3, 6)))
+    F = coframe(B, pe.raw(Pp))
+    th = np.eye(chart.dim)[0]
+    _assert_jets_close(F, pack([th, -(th @ _outside_the_memo(untwisted.J, pe.p))]), name)
+    block = F[:, :2]
     assert (block.value == B).all() and not block.grad.any() and not block.hess.any()
     assert (B == np.eye(2)).all()
+
+
+@pytest.mark.parametrize("name", sorted(CALABI_CHARTS) + ["ak_flat", "ak_disk", "ak_disk_chain2"])
+def test_every_builders_coframe_vanishes_on_d_minus_with_d_plus_block_b(name, monkeypatch):
+    # the twist reads its coframe off the splitting a builder declares, F =
+    # B P+[:2]: F vanishes on D- (F P- = 0, in value, gradient and Hessian)
+    # and its D+ block is the constant B, bit for bit
+    chart, Pp, B = _splitting(name, monkeypatch)
+    pe = PointEval(chart.samples(SamplePlan(3, 6)))
+    P = pe.raw(Pp)
+    F = coframe(B, P)
+    FPm = F - F @ P
+    for part in ("value", "grad", "hess"):
+        assert np.abs(getattr(FPm, part)).max() <= 1e-14 * max(1.0, np.abs(getattr(F, part)).max())
+    block = F[:, :2]
+    assert (block.value == B).all() and not block.grad.any() and not block.hess.any()
 
 
 def test_ricci_identity_corrected_form_holds():
@@ -409,7 +447,7 @@ def test_ricci_identity_corrected_form_holds():
         tt = build_twist(cal, tw)
         for p in pts:
             pe = PointEval(p)
-            assert ricci_identity_check(cal, tw, tt, pe) < 1e-6
+            assert ricci_identity_check(cal, tt, pe) < 1e-6
             # the fiber correction this identity needs is genuinely large
             assert fiber_correction_size(cal, tw, tt, pe) > 0.05
 

@@ -36,7 +36,13 @@ them all.  perfbench's point_query runner draws its query points with
 numpy.random when the worker starts, so a run that includes point_query
 holds numpy.random in both workers; to compare what the library itself
 holds, time the verify workloads alone (--workloads calabi_verify
-ak_verify).
+ak_verify).  fields_s, like peak_rss_mb, shifts with whether numpy.random
+is loaded, though no sampling runs inside field evaluation: a tree whose
+verify never imports numpy.random read fields_s 4-7% above its parent on
+verify-only runs, and within 3% of it with point_query in the run, where
+both workers hold the module (the cause, likely the process's memory
+layout, is not attributed).  Compare fields_s only between runs that load
+numpy.random alike.
 """
 
 import argparse
