@@ -16,7 +16,7 @@ import numpy as np
 from kahlerkit.jets import Jet2, contract, embed, jinv, jet_dcoord
 from kahlerkit.fields import (ChartManifold, Field, PointEval, first_order, worst,
                               excluded, exterior_from_grad, pull_back)
-from kahlerkit.hermitian import HermitianTriple, log_potential_residual
+from kahlerkit.hermitian import log_potential_residual
 from kahlerkit.calabi import CalabiProfile, build_calabi, disk_base
 from kahlerkit.twist import coordinate_twist, build_twist_fields, build_twist
 
@@ -27,7 +27,9 @@ RANK_ATOL = 1e-8    # torsion_point: least sigma_1 read, per unit of |dg| |g^-1|
 
 @dataclass
 class AKProduct:
-    z_factor: HermitianTriple
+    """The twisted structures on R^2 x Z (build_ak_product), itself a triple:
+    (g, J) on chart.  z_factor is Z's triple (anything with g, J and chart)."""
+    z_factor: object
     g: Field
     J: Field
     J_tilde: Field
@@ -35,9 +37,6 @@ class AKProduct:
     Jt0: Field
     chart: ChartManifold
     twist_full: Field
-
-    def triple(self):
-        return HermitianTriple(self.g, self.J, self.chart)
 
 
 def build_ak_product(z_factor, tw, plane_range=(-1.0, 1.0)):
@@ -85,8 +84,7 @@ def ak_invariants_point(ak, pe):
     target = np.zeros(om.value.shape)
     target[..., 0, 1] = -1.0
     target[..., 1, 0] = 1.0
-    zp = pe.sub(2)
-    target[..., 2:, 2:] = zp.omega(ak.z_factor.g, ak.z_factor.J).value
+    target[..., 2:, 2:] = pe[2:].omega(ak.z_factor.g, ak.z_factor.J).value
     gg = pe.raw(ak.g).grad
     return {"omega_tilde_target": pe.absmax(om.value - target),
             "d_omega_tilde": pe.absmax(exterior_from_grad(om.grad, 2)),
@@ -166,8 +164,10 @@ def fiber_logs(pe, z_positions):
 
 @dataclass
 class ChainLevel:
+    """A chain level: its triple is the disk's HermitianTriple at level 0, and
+    above it the level's CalabiChart, or its TwistedTriple if twisted."""
     index: int
-    triple: HermitianTriple
+    triple: object
     alpha: Field
     cal: object = None
     claimed_coeff: float = 0.0
@@ -244,7 +244,7 @@ def iterate_chain(kind, m, A=-1.0, radius=0.55, z_range=(0.6, 1.8),
         zpos[k] = 1
         n = cal.chart.dim
         tt = build_twist(cal, coordinate_twist(n - 2, n - 1)) if kind == "twisted" else None
-        levels.append(ChainLevel(index=k, triple=tt.triple() if tt else cal.triple(),
+        levels.append(ChainLevel(index=k, triple=tt or cal,
                                  alpha=_lifted_alpha(cal), cal=cal,
                                  claimed_coeff=coeff(k), z_positions=zpos))
     return levels

@@ -124,7 +124,8 @@ class CalabiChart:
     P+ onto the fiber span {d/ds, d/dz} (the splitting), the Lee form theta
     = d ln z of I0, the connection form Theta = ds + alpha, and the constant
     D+ block B = [[0, 1], [1/q, 0]] of z {theta, -theta o J} = {dz, Theta/q},
-    whose twist reads that coframe off P+ as B P+[:2] (twist.coframe)."""
+    whose twist reads that coframe off P+ as B P+[:2] (twist.coframe).  It is
+    its own triple, (g, J) on chart, as base is the base's."""
     g: Field
     J: Field
     I0: Field
@@ -133,13 +134,10 @@ class CalabiChart:
     Theta: Field
     coframe_block: np.ndarray
     chart: ChartManifold
-    base: HermitianTriple
+    base: object
     alpha: Field
     profile: CalabiProfile
     m: int
-
-    def triple(self):
-        return HermitianTriple(self.g, self.J, self.chart)
 
 
 def build_calabi(base, profile, alpha):
@@ -219,7 +217,7 @@ def volume_checks(cal, pe):
     om = pe.omega(cal.g, cal.J).value
     lhs = wedge_top([om] * m)
 
-    base = pe.sub(2)
+    base = pe[2:]
     omN = np.zeros_like(om)
     omN[..., 2:, 2:] = base.omega(cal.base.g, cal.base.J).value
     Th = np.zeros(om.shape[:-1])

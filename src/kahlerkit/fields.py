@@ -14,7 +14,8 @@ A point is one object, a PointEval: the coordinate jets (a Jet2) of a batch
 of points, a (B, n) stack (one point is a batch of one), holding the points'
 memo.  Builders call their input Fields on the PointEval they are given, and
 per-point functions read fields from it, both through its one raw(), so
-every field runs once for the whole batch, on it or on a lifted slice pt[k:].
+every field runs once for the whole batch, on it or on a lifted slice pt[k:],
+a factor's point (PointEval).
 A field read is its memoised jet: a reader takes .value or .grad from it.
 A constant field reads as a jet with a zero gradient (affine, a known zero
 Hessian, at a second-order point), so the rules it enters run their
@@ -183,16 +184,16 @@ class PointEval(Jet2):
 
     jet, when given, is the point's coordinate jet in place of the seeded
     one: the slice pe[k:] (a factor's coordinates, still differentiated in
-    all of the point's) is made once, as a PointEval of its own.  A factor's
-    point (sub()) holds that lifted slice and reads its fields there,
-    restricted to its own derivative columns.
+    all of the point's) is made once, as a PointEval of its own: a factor's
+    point.  Its readers take a factor's values as they are, and a metric's
+    inverse and Christoffel symbols restrict its jet to the metric's own
+    coordinates (_metric): exact, as a factor's fields ignore the others.
 
     A point's derivative order is the order of its seed: the default seed
     is second order, and a point seeded with first_order(Jet2.seed(p)) (a
     builder's check that reads values and gradients only) computes no
     Hessian, so reading one there (a raw() jet's hess, curvature()) raises
-    FirstOrderError.  Its lifted slices and factor points are first order
-    too.
+    FirstOrderError.  Its lifted slices are first order too.
 
     At a second-order point, a field marked first order (Field.order 1)
     runs on the point's first-order view (first_view()): the same points
@@ -203,9 +204,9 @@ class PointEval(Jet2):
     still runs once per point, and reading a marked field's Hessian raises
     FirstOrderError."""
 
-    __slots__ = ("p", "batch", "where", "memo", "lifted")
+    __slots__ = ("p", "batch", "where", "memo")
 
-    def __init__(self, p, jet=None, lifted=None):
+    def __init__(self, p, jet=None):
         self.p = np.atleast_2d(np.asarray(p, float))
         self.batch = len(self.p)
         self.where = self.p[0] if self.batch == 1 else self.p
@@ -213,7 +214,6 @@ class PointEval(Jet2):
             jet = Jet2.seed(self.p)
         self.value, self.grad, self._hess = jet.value, jet.grad, jet._hess
         self.memo = {}
-        self.lifted = lifted
 
     def cached(self, tag, parts, compute):
         """compute(), once per point for this tag and these key parts (fields,
@@ -233,12 +233,8 @@ class PointEval(Jet2):
         fn = _fn(f)
         jet = self.memo.get(("raw", fn))
         if jet is None:
-            if self.lifted is not None:
-                jet = _restrict(self.lifted.raw(f), self.grad.shape[-1])
-            else:
-                pt = self.first_view() if getattr(f, "order", 2) == 1 else self
-                jet = _batch_of(pack(fn(pt), pt), self.batch)
-            self.memo["raw", fn] = jet
+            pt = self.first_view() if getattr(f, "order", 2) == 1 else self
+            jet = self.memo["raw", fn] = _batch_of(pack(fn(pt), pt), self.batch)
         return jet
 
     def __getitem__(self, idx):
@@ -252,14 +248,21 @@ class PointEval(Jet2):
         batch axis)."""
         return np.abs(x).reshape(self.batch, -1).max(axis=1)
 
+    def _metric(self, g):
+        """g's jet, its derivatives restricted to g's own coordinates, the
+        trailing ones: a factor's at a lifted slice, all at a chart point."""
+        j = self.raw(g)
+        return _restrict(j, j.value.shape[-1])
+
     def inverse(self, g):
         """First-order jet of the matrix g^{-1} (its readers take values and
         first derivatives only)."""
-        return self.cached("inv", (g,), lambda: _inverse(self.raw(g), self.where))
+        return self.cached("inv", (g,), lambda: _inverse(self._metric(g), self.where))
 
     def christoffel(self, g):
         """christoffel_parts of the metric g, from its memoised inverse."""
-        return self.cached("gamma", (g,), lambda: christoffel_parts(self.raw(g), self.inverse(g)))
+        return self.cached("gamma", (g,),
+                           lambda: christoffel_parts(self._metric(g), self.inverse(g)))
 
     def curvature(self, g):
         """(Riemann lowered, Ricci, scalar, g^{-1}) of the metric g, from its
@@ -273,16 +276,6 @@ class PointEval(Jet2):
         return self.cached("omega", (g, J), lambda: omega_of(first_order(self.raw(g)),
                                                              first_order(self.raw(J))))
 
-    def sub(self, start):
-        """The point made of coordinates start.. (a factor's own chart).  Its
-        fields are read from the lifted slice self[start:], restricted to the
-        factor's derivative columns: exact, as a factor's fields do not depend
-        on the coordinates before start, and each runs once per point."""
-        def make():
-            lifted = self[start:]
-            return PointEval(lifted.p, _restrict(lifted, lifted.value.shape[-1]), lifted)
-        return self.cached("sub", (start,), make)
-
 
 class _FirstOrderView(PointEval):
     """The first-order view of the second-order point full: its points and
@@ -294,7 +287,6 @@ class _FirstOrderView(PointEval):
 
     def __init__(self, full):
         self.p, self.batch, self.where, self.memo = full.p, full.batch, full.where, full.memo
-        self.lifted = None
         self.value, self.grad, self._hess = full.value, full.grad, None
         self.full = full
 

@@ -20,6 +20,8 @@ from kahlerkit.jets import contract, jet_dcoord, jlog
 
 @dataclass
 class HermitianTriple:
+    """g and J on a chart, the t that the predicates read (disk_base's); a
+    built chart (CalabiChart, AKProduct, TwistedTriple) is a triple itself."""
     g: object
     J: object
     chart: object

@@ -250,21 +250,20 @@ def _volume_checks(check, cal, floor, docs):
 
 def _make_calabi(params):
     cal = _calabi_core(params)
-    t = cal.triple()
     Pp = cal.proj_plus
-    hom = _shared(lambda pe: homothetic_point(t, Pp, pe))
-    classify = _shared(lambda pe: classify_point(t, Pp, pe))
+    hom = _shared(lambda pe: homothetic_point(cal, Pp, pe))
+    classify = _shared(lambda pe: classify_point(cal, Pp, pe))
 
     check = _on(cal.chart)
     checks = [
         check("kahler_verdict",
               "g-J compatibility, closed fundamental form, integrable J",
-              1e-7, lambda pe: worst(*kahler_point(t, pe).values())),
+              1e-7, lambda pe: worst(*kahler_point(cal, pe).values())),
         check("homothetic_foliation",
               "(L_V g) restricted off the fibers equals theta(V) g, extracted theta",
               1e-7, _worst_of(hom, "homothetic")),
         check("lee_is_dlnz", "extracted Lee form equals d ln z", 1e-7,
-              lambda pe: pe.absmax(extract_theta(t, Pp, pe) - pe.raw(cal.theta).value)),
+              lambda pe: pe.absmax(extract_theta(cal, Pp, pe) - pe.raw(cal.theta).value)),
         check("lee_closed", "extracted Lee form is closed", 1e-7, _worst_of(hom, "dtheta")),
         check("plus_geodesic", "splitting tensor vanishes on fiber-fiber slots",
               1e-7, _worst_of(classify, "geodesic")),
@@ -289,17 +288,16 @@ def _make_calabi_twist(params):
     mode = params["mode"]
     tw = _twist_map(params["twist"], cal.chart, mode)
     tt = build_twist(cal, tw)
-    twt = tt.triple()
     Pp = cal.proj_plus
     chart = cal.chart
 
     def norm_at(pe):
         w1, w2 = pe.raw(tw)
         want = norm_factor_expected(w1.value, w2.value)
-        return abs(norm_factor_measured(cal.g, tt.g_w, cal.theta, pe) - want)
+        return abs(norm_factor_measured(cal.g, tt.g, cal.theta, pe) - want)
 
     def nijenhuis_at(pe):
-        Jw = pe.raw(tt.J_w)
+        Jw = pe.raw(tt.J)
         return pe.absmax(nijenhuis_from_jets(Jw.value, Jw.grad))
 
     check = _on(chart)
@@ -313,18 +311,18 @@ def _make_calabi_twist(params):
         check("nijenhuis_twisted", "integrability of the twisted J",
               1e-7, nijenhuis_at),
         check("homothetic_foliation", "homothetic residual of the twisted triple",
-              1e-7, lambda pe: homothetic_point(twt, Pp, pe)["homothetic"]),
+              1e-7, lambda pe: homothetic_point(tt, Pp, pe)["homothetic"]),
         check("ricci_fiber_log",
               "Ricci form minus lifted base Ricci form matches the log potential terms",
               1e-6, lambda pe: ricci_identity_check(cal, tt, pe)),
         check("zeta_duality", "J_w g_w^{-1} theta equals J g^{-1} theta",
-              1e-8, lambda pe: zeta_duality_residual(cal.g, cal.J, tt.g_w, tt.J_w,
+              1e-8, lambda pe: zeta_duality_residual(cal.g, cal.J, tt.g, tt.J,
                                                      cal.theta, pe)),
         check("classify_verdict", "foliation classifier verdict on the twisted triple",
-              0.5, lambda pe: classify_point(twt, Pp, pe), _holomorphic_verdict),
+              0.5, lambda pe: classify_point(tt, Pp, pe), _holomorphic_verdict),
     ]
     return Case("twisted " + chart.label + " [" + tw.label + ", mode " + mode + "]",
-                chart, tt.g_w, tuple(checks))
+                chart, tt.g, tuple(checks))
 
 
 # ---------------------------------------------------------------------------
@@ -383,8 +381,7 @@ def _make_ak(params):
         _on(ak.chart if zpos_product else None)(
             "ricci_form_fiber_log",
             "Ricci form of the product equals the fiber log potential terms",
-            1e-6, lambda pe: log_potential_residual(ak.triple(), pe,
-                                                    fiber_logs(pe, zpos_product))),
+            1e-6, lambda pe: log_potential_residual(ak, pe, fiber_logs(pe, zpos_product))),
     ]
     return Case("R^2 x " + zt.chart.label + " [" + tw.label + ", mode " + mode + "]",
                 ak.chart, ak.g, tuple(checks))
@@ -510,8 +507,8 @@ def twist_spec(spec, what):
     # a NaN twist slips past the disc guard (NaN > DISC is false)
     if not all(math.isfinite(v) for v in c):
         raise ScenarioError("twist c and scale must be finite, got %r" % (spec,))
-    # the S field's guard would reject every point of a const twist off the
-    # disc; hypot does not overflow, and its square is inf at worst
+    # the |w|^2 field's guard would reject every point of a const twist off
+    # the disc; hypot does not overflow, and its square is inf at worst
     if tid == "const":
         h = math.hypot(*c)
         if not h * h <= DISC:

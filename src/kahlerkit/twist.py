@@ -19,11 +19,13 @@ exactly.  The conjugate order (a scenario's mode "A"), A = 1 + 2 (S +
 |w|^2 P+)/(1 - |w|^2) and J_w = (1-S) J (1-S)^{-1}, is this twist of -w:
 with U = (1-S)^{-1} - 1, 1 + 2U = 1 - 2 (S(-w) - |w|^2 P+)/(1 - |w|^2), and
 each twisted E commutes with P+, so (1-S) E (1-S)^{-1} = (1+S)^{-1} E (1+S).
-|w|^2, 1/(1-|w|^2), |w|^2 P+ and U+ = (1-S)^{-1} - 1 are Fields of their
-own, which S's disc guard, g_w, every E_w and the checks read through the
-point's memo, so each runs once per point.  P+ must be an exact jet
-closure: an extracted Lee form is a first-order jet, and the curvature of
-the twisted metric, which needs its Hessian, would raise FirstOrderError.
+The |w|^2 Field is the disc guard (_norm2), which every twisted field reads
+before it divides by 1 - |w|^2.  It, 1/(1-|w|^2), |w|^2 P+ and U+ =
+(1-S)^{-1} - 1 are Fields of their own, which g_w, every E_w and the checks
+read through the point's memo, so each runs once per point.  P+ must be an
+exact jet closure: an extracted Lee form is a first-order jet, and the
+curvature of the twisted metric, which needs its Hessian, would raise
+FirstOrderError.
 """
 
 from dataclasses import dataclass
@@ -32,10 +34,10 @@ import numpy as np
 
 from kahlerkit.jets import JetDomainError, contract, embed, jeinsum, pack
 from kahlerkit.fields import Field, worst
-from kahlerkit.hermitian import HermitianTriple, log_potential_residual, ricci_form
+from kahlerkit.hermitian import log_potential_residual, ricci_form
 
-# The largest |w|^2 a twist may reach; the S field and
-# transverse_holomorphy_point reject a point beyond it, or a NaN |w|^2.
+# The largest |w|^2 a twist may reach; the |w|^2 Field (_norm2) rejects a
+# point beyond it, or a NaN |w|^2.
 DISC = 1.0 - 1e-6
 
 
@@ -56,28 +58,25 @@ def coordinate_twist(ix, iy, conj=False, scale=1.0):
 
 @dataclass
 class TwistedTriple:
-    g_w: Field
-    J_w: Field
-    I_w: Field
+    """A twisted chart (build_twist), itself a triple: the twisted g, J and I0
+    on chart, which share the Fields S_plus and ww = |w|^2, the disc guard."""
+    g: Field
+    J: Field
+    I0: Field
     S_plus: Field
     ww: Field
     chart: object
 
-    def triple(self):
-        return HermitianTriple(self.g_w, self.J_w, self.chart)
-
 
 def _norm2(w):
-    """|w|^2 of the packed twist jet (w1, w2)."""
-    return w[0] * w[0] + w[1] * w[1]
-
-
-def _check_disc(ww):
-    """Raise JetDomainError unless the |w|^2 values ww are all <= DISC (a NaN
-    is not)."""
-    out = ~(ww <= DISC)
+    """|w|^2 of the packed twist jet (w1, w2), the disc guard: raises
+    JetDomainError unless its values are all <= DISC (a NaN is not); on a
+    batch it tests every point and names the largest |w|^2."""
+    ww = w[0] * w[0] + w[1] * w[1]
+    out = ~(ww.value <= DISC)
     if out.any():
-        raise JetDomainError("twist leaves the disc: |w|^2 = %.8f" % ww[out].max())
+        raise JetDomainError("twist leaves the disc: |w|^2 = %.8f" % ww.value[out].max())
+    return ww
 
 
 def coframe(B, P):
@@ -85,25 +84,19 @@ def coframe(B, P):
     return jeinsum("ab,bj->aj", B, P[:2])
 
 
-def make_sfield(Pp, B, w, ww):
-    """S+, the two nonzero rows of the twist w's S, guarded by the Field
-    ww = |w|^2.
-
-    Pp is the builder's projector onto D+ and B the constant D+ block of
+def make_sfield(Pp, B, w):
+    """S+, the two nonzero rows of the twist w's S (it divides by nothing,
+    so it reads no disc guard).  Pp is the builder's projector onto D+ and B the constant D+ block of
     c {theta, -theta o J}, c nonvanishing: S+ = (B^{-1} R(w)) F for the
     coframe F = B P+[:2] and R = [[w1, w2], [w2, -w1]], as (cB)^{-1} R (cF)
     = B^{-1} R F.  B is inverted once, here: a degenerate frame (|det B| <
-    1e-12, as where theta vanishes) raises ValueError at build.  Every
-    twisted field reads S+, so the disc guard |w|^2 <= DISC sits here, per
-    point; on a batch it tests every point and names the worst one.
-    """
+    1e-12, as where theta vanishes) raises ValueError at build."""
     det = abs(np.linalg.det(B))
     if not det >= 1e-12:
         raise ValueError("degenerate twist frame (|det B| = %.2e)" % det)
     Binv = np.linalg.inv(B)
 
     def sfield(pt):
-        _check_disc(ww(pt).value)
         w1, w2 = w(pt)
         return (Binv @ pack([[w1, w2], [w2, -w1]])) @ coframe(B, Pp(pt))
     return Field(sfield)
@@ -120,13 +113,9 @@ def build_twist_fields(g, endos, Pp, w, B):
     and U+.  Each E_w is first order (its readers take values and gradients
     only), and so is U+, which only the E_w read."""
     ww = Field(lambda pt: _norm2(w(pt)))
-    Sp = make_sfield(Pp, B, w, ww)
+    Sp = make_sfield(Pp, B, w)
     rows = slice(None, 2)
-
-    def facfn(pt):
-        Sp(pt)   # S's guard names a point off the disc before 1 - |w|^2 is inverted
-        return 1.0 / (1.0 - ww(pt))
-    fac = Field(facfn)
+    fac = Field(lambda pt: 1.0 / (1.0 - ww(pt)))
     wwP = Field(lambda pt: ww(pt) * Pp(pt)[rows])
     Up = Field(lambda pt: fac(pt) * (Sp(pt) + wwP(pt)), order=1)
 
@@ -150,9 +139,9 @@ def build_twist(cal, tw):
     """Twist a CalabiChart (or anything with g/J/I0/proj_plus fields, a
     coframe_block and a chart) by the twist field tw with one shared S;
     returns a TwistedTriple."""
-    gw, (Jw, Iw), Sp, ww = build_twist_fields(cal.g, [cal.J, cal.I0], cal.proj_plus, tw,
-                                              cal.coframe_block)
-    return TwistedTriple(g_w=gw, J_w=Jw, I_w=Iw, S_plus=Sp, ww=ww, chart=cal.chart)
+    g, (J, I0), Sp, ww = build_twist_fields(cal.g, [cal.J, cal.I0], cal.proj_plus, tw,
+                                            cal.coframe_block)
+    return TwistedTriple(g=g, J=J, I0=I0, S_plus=Sp, ww=ww, chart=cal.chart)
 
 
 def norm_factor_expected(w1, w2):
@@ -170,15 +159,15 @@ def norm_factor_measured(gfn, gwfn, theta_fn, pe):
 def form_invariance_point(cal, tt, pe):
     """|omega_w - omega| at pe for (g, J) and (g, I0): the twist leaves both
     fundamental forms unchanged."""
-    return worst(*(pe.absmax(pe.omega(tt.g_w, Ew).value - pe.omega(cal.g, E).value)
-                   for Ew, E in ((tt.J_w, cal.J), (tt.I_w, cal.I0))))
+    return worst(*(pe.absmax(pe.omega(tt.g, Ew).value - pe.omega(cal.g, E).value)
+                   for Ew, E in ((tt.J, cal.J), (tt.I0, cal.I0))))
 
 
 def transverse_holomorphy_point(Jfn, Ppfn, wfn, wwfn, pe):
     """max |dw2(P-X) + dw1(J P-X)| over the D- coordinate frame at pe; this is
     the quantity that gates integrability of the twisted structure.  It
-    reads w's gradient only, so it checks the disc itself on wwfn, |w|^2."""
-    _check_disc(pe.raw(wwfn).value)
+    reads w's gradient only, so it reads wwfn, |w|^2, for the disc guard."""
+    pe.raw(wwfn)
     w1, w2 = pe.raw(wfn)
     Jv = pe.raw(Jfn).value
     Pmv = np.eye(Jv.shape[-1]) - pe.raw(Ppfn).value
@@ -195,10 +184,10 @@ def ricci_identity_check(cal, tt, pe):
 
     Without the fiber term ((m-1)/2)(d J_w d) ln z it fails by order one."""
     n = cal.chart.dim
-    base = ricci_form(cal.base, pe.sub(2))
+    base = ricci_form(cal.base, pe[2:])
     rho_N = np.zeros(base.shape[:-2] + (n, n))
     rho_N[..., 2:, 2:] = base
-    return log_potential_residual(tt.triple(), pe, [(0.5 * (cal.m - 1), pe[1]),
+    return log_potential_residual(tt, pe, [(0.5 * (cal.m - 1), pe[1]),
                                                     (-0.5, 1.0 - pe.raw(tt.ww))], rho_N)
 
 

@@ -88,7 +88,7 @@ def twisted_ricci_parts(cal, tw, pe):
     """The terms of the twisted-Ricci identity at pe, as
     twist.ricci_identity_check forms them: the lifted base Ricci form rho_N,
     the fiber term ((m-1)/2, z) and the disc term (-1/2, 1 - |w|^2)."""
-    base = ricci_form(cal.base, pe.sub(2))
+    base = ricci_form(cal.base, pe[2:])
     rho_N = np.zeros(base.shape[:-2] + (cal.chart.dim,) * 2)
     rho_N[..., 2:, 2:] = base
     w1, w2 = pe.raw(tw)
@@ -99,10 +99,10 @@ def printed_ricci_residual(cal, tw, tt, pe):
     """The residual at pe of the two-term form rho^{g_w} = rho_N(lifted)
     - (1/2)(d J_w d) ln(1-|w|^2), which omits the fiber term."""
     rho_N, _, disc = twisted_ricci_parts(cal, tw, pe)
-    return log_potential_residual(tt.triple(), pe, [disc], rho_N)
+    return log_potential_residual(tt, pe, [disc], rho_N)
 
 
 def fiber_correction_size(cal, tw, tt, pe):
     """max |((m-1)/2)(d J_w d) ln z| at pe: the size of the fiber term that
     the twisted-Ricci identity needs."""
-    return log_term_size(tt.triple(), pe, [twisted_ricci_parts(cal, tw, pe)[1]])
+    return log_term_size(tt, pe, [twisted_ricci_parts(cal, tw, pe)[1]])

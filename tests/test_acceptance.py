@@ -83,12 +83,10 @@ def test_criterion_2_calabi_builder_flat_base():
     base, alpha = disk_base(0)
     prof = CalabiProfile(A=-1.0, z_range=(0.6, 1.8), s_range=(-0.8, 0.8))
     cal = build_calabi(base, prof, alpha=alpha)
-
-    t = cal.triple()
     kah = fold_plan(cal.chart, SamplePlan(5, 12),
-                    lambda pe: worst(*kahler_point(t, pe).values())).max()
+                    lambda pe: worst(*kahler_point(cal, pe).values())).max()
 
-    res = fold_plan(cal.chart, SamplePlan(6, 12), lambda pe: classify_point(t, cal.proj_plus, pe))
+    res = fold_plan(cal.chart, SamplePlan(6, 12), lambda pe: classify_point(cal, cal.proj_plus, pe))
     hom = res.max("homothetic")
     geod = res.max("geodesic")
 
@@ -96,7 +94,7 @@ def test_criterion_2_calabi_builder_flat_base():
     nij = 0.0
     for p in cal.chart.samples(SamplePlan(7, 10)):
         pe = PointEval(p)
-        th = extract_theta(cal.triple(), cal.proj_plus, pe)
+        th = extract_theta(cal, cal.proj_plus, pe)
         want = np.zeros(4)
         want[1] = 1.0 / p[1]
         theta_dev = max(theta_dev, np.abs(th[0] - want).max())
@@ -151,10 +149,10 @@ def test_criterion_4_twist_invariance_norm_integrability():
         for p in cal.chart.samples(SamplePlan(3, 8)):
             x = Jet2.seed(np.asarray(p, float))
             vals = lambda fn: np.array([[e.value[0] for e in row] for row in fn(x)])
-            g, gw = vals(cal.g.fn), vals(tt.g_w.fn)
-            inv = max(inv, np.abs(vals(tt.J_w.fn).T @ gw
+            g, gw = vals(cal.g.fn), vals(tt.g.fn)
+            inv = max(inv, np.abs(vals(tt.J.fn).T @ gw
                                   - vals(cal.J.fn).T @ g).max())
-            inv = max(inv, np.abs(vals(tt.I_w.fn).T @ gw
+            inv = max(inv, np.abs(vals(tt.I0.fn).T @ gw
                                   - vals(cal.I0.fn).T @ g).max())
 
     norm = 0.0
@@ -163,7 +161,7 @@ def test_criterion_4_twist_invariance_norm_integrability():
         tt = build_twist(cal, constant_twist(w1, w2))
         assert abs(norm_factor_expected(w1, w2) - want) < 1e-15
         for p in cal.chart.samples(SamplePlan(4, 6)):
-            got = norm_factor_measured(cal.g.fn, tt.g_w.fn, cal.theta.fn, PointEval(p))
+            got = norm_factor_measured(cal.g.fn, tt.g.fn, cal.theta.fn, PointEval(p))
             norm = max(norm, abs(got[0] - want))
 
     plan = SamplePlan(5, 8)
@@ -171,13 +169,13 @@ def test_criterion_4_twist_invariance_norm_integrability():
     tt = build_twist(cal, tw)
     res = fold_plan(cal.chart, plan, lambda pe: transverse_holomorphy_point(
         cal.J.fn, cal.proj_plus, tw.fn, tt.ww, pe)).max()
-    nij_good = max(np.abs(nijenhuis_at(PointEval(p), tt.J_w.fn)).max()
+    nij_good = max(np.abs(nijenhuis_at(PointEval(p), tt.J.fn)).max()
                    for p in cal.chart.samples(plan))
     twc = coordinate_twist(2, 3, conj=True)
     ttc = build_twist(cal, twc)
     resc = fold_plan(cal.chart, plan, lambda pe: transverse_holomorphy_point(
         cal.J.fn, cal.proj_plus, twc.fn, ttc.ww, pe)).max()
-    nij_bad = max(np.abs(nijenhuis_at(PointEval(p), ttc.J_w.fn)).max()
+    nij_bad = max(np.abs(nijenhuis_at(PointEval(p), ttc.J.fn)).max()
                   for p in cal.chart.samples(plan))
 
     elapsed = time.perf_counter() - t0
@@ -265,7 +263,7 @@ def test_criterion_8_classifier_verdicts_stable():
         return pack(gfn(pt)) + jsin(pt[1]) * bump
 
     cases = [
-        ("twisted calabi", tt.triple(), cal.proj_plus, VERDICT_HOLOMORPHIC),
+        ("twisted calabi", tt, cal.proj_plus, VERDICT_HOLOMORPHIC),
         ("product", *product_triple(), VERDICT_PRODUCT),
         ("broken metric", HermitianTriple(broken, cal.J.fn, cal.chart),
          cal.proj_plus, VERDICT_FAILED),

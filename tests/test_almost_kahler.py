@@ -68,8 +68,7 @@ def test_both_product_structures_square_and_pair():
 
 def test_kahler_candidate_is_kahler_for_transverse_twist():
     ak = disk_product()
-    t = ak.triple()
-    v = fold_plan(ak.chart, SamplePlan(3, 8), lambda pe: worst(*kahler_point(t, pe).values()))
+    v = fold_plan(ak.chart, SamplePlan(3, 8), lambda pe: worst(*kahler_point(ak, pe).values()))
     assert v.max() <= 1e-7
     # the flipped structure is almost Kähler but never integrable here
     tt = HermitianTriple(ak.g, ak.J_tilde, ak.chart)

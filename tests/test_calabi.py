@@ -60,9 +60,8 @@ def test_chart_shape_and_verdicts():
         cal = make_cal(k)
         assert cal.chart.dim == 4
         assert cal.m == 2
-        t = cal.triple()
-        v = fold_plan(t.chart, SamplePlan(2, 15),
-                      lambda pe: worst(*kahler_point(t, pe).values()))
+        v = fold_plan(cal.chart, SamplePlan(2, 15),
+                      lambda pe: worst(*kahler_point(cal, pe).values()))
         assert v.max() <= 1e-7
         assert v.max() < 1e-12
 
@@ -160,7 +159,7 @@ def test_lee_form_anchor_values_at_half():
 def test_rescale_identity_pair_reproduces_metric():
     cal = make_cal(0)
     one = lambda u: u * 0.0 + 1.0
-    hat, resid = rescale_biaxial(cal.triple(), cal.proj_plus, one, one,
+    hat, resid = rescale_biaxial(cal, cal.proj_plus, one, one,
                                  profile=cal.profile)
     assert resid == 0.0
     for p in cal.chart.samples(SamplePlan(9, 10)):
@@ -176,7 +175,7 @@ def test_rescale_polynomial_pair():
     cal = make_cal(1)
     a = lambda u: u * u + 2.0 * u + 2.0
     b = lambda u: u * u + 2.0
-    hat, resid = rescale_biaxial(cal.triple(), cal.proj_plus, a, b,
+    hat, resid = rescale_biaxial(cal, cal.proj_plus, a, b,
                                  profile=cal.profile)
     assert resid < 1e-12
     v = fold_plan(hat.chart, SamplePlan(10, 10),
@@ -184,7 +183,7 @@ def test_rescale_polynomial_pair():
     assert v.max() <= 1e-7
     s = cal.proj_plus
     for p in cal.chart.samples(SamplePlan(11, 5)):
-        t_orig = extract_theta(cal.triple(), s, PointEval(p))[0]
+        t_orig = extract_theta(cal, s, PointEval(p))[0]
         t_hat = extract_theta(hat, s, PointEval(p))[0]
         u = np.log(p[1])
         assert abs(t_hat[1] / t_orig[1] - a(u) / b(u)) < 1e-12
@@ -195,7 +194,7 @@ def test_rescale_rejects_broken_constraint():
     one = lambda u: u * 0.0 + 1.0
     two = lambda u: u * 0.0 + 2.0
     with pytest.raises(NotClosedError):
-        rescale_biaxial(cal.triple(), cal.proj_plus, one, two,
+        rescale_biaxial(cal, cal.proj_plus, one, two,
                         profile=cal.profile)
 
 
@@ -203,7 +202,7 @@ def test_rescale_rejects_nonpositive_profile():
     cal = make_cal(0)
     ident = lambda u: u
     with pytest.raises(ValueError):
-        rescale_biaxial(cal.triple(), cal.proj_plus, ident, ident,
+        rescale_biaxial(cal, cal.proj_plus, ident, ident,
                         profile=cal.profile)
 
 

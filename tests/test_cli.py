@@ -799,7 +799,7 @@ def test_twisted_chart_runs_s_and_alpha_once_per_point():
     scn.count = 3
     case = build_case(scn)
     counts = {disk_base(0)[1].fn.__code__: 0,
-              make_sfield(None, np.eye(2), None, None).fn.__code__: 0}
+              make_sfield(None, np.eye(2), None).fn.__code__: 0}
 
     def profile(frame, event, arg):
         if event == "call" and frame.f_code in counts:
@@ -813,10 +813,9 @@ def test_twisted_chart_runs_s_and_alpha_once_per_point():
 
 
 def test_factor_point_runs_the_base_fields_once_per_point():
-    # ricci_identity_check and volume_checks read the base at pe.sub(2), the
-    # factor's point; its fields come from the lifted slice pt[2:], where the
-    # chart's own fields already ran them: one base-metric run for the batch
-    # of the three sample points
+    # ricci_identity_check and volume_checks read the base at the lifted
+    # slice pe[2:], the factor's point, where the chart's own fields already
+    # ran them: one base-metric run for the batch of the three sample points
     scn = load_scenario("calabi_twist_zeta")
     scn.count = 3
     case = build_case(scn)
@@ -836,7 +835,7 @@ def test_factor_point_runs_the_base_fields_once_per_point():
 
 def _memoised_jets(pe):
     """(callable, jet) of every field in the memo of the point pe and of its
-    lifted slices and factor points."""
+    lifted slices."""
     for key, val in pe.memo.items():
         if isinstance(val, PointEval):
             yield from _memoised_jets(val)

@@ -23,7 +23,7 @@ def _calabi(k, twisted):
     base, alpha = disk_base(k)
     cal = build_calabi(base, CalabiProfile(A=-1.0, z_range=(0.5, 2.0), s_range=(-1.0, 1.0)),
                        alpha=alpha)
-    return build_twist(cal, coordinate_twist(2, 3)).triple() if twisted else cal.triple()
+    return build_twist(cal, coordinate_twist(2, 3)) if twisted else cal
 
 
 @lru_cache(maxsize=None)

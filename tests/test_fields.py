@@ -7,7 +7,7 @@ import pytest
 from kahlerkit.jets import (AFFINE, FirstOrderError, Jet2, SamplePlan, jet_dcoord, jinv, jsin,
                             pack)
 from kahlerkit.fields import (ChartManifold, DegenerateMetricError, Field, Fold,
-                              NotClosedError, PointEval, excluded, first_order,
+                              NotClosedError, PointEval, _restrict, excluded, first_order,
                               exterior_from_grad, metric_jets, nijenhuis_from_jets,
                               omega_of, wedge_top)
 from kahlerkit.hermitian import HermitianTriple, kahler_point
@@ -375,7 +375,7 @@ def test_a_constant_field_is_affine_with_a_zero_gradient():
 
 def test_a_first_order_point_reads_values_and_gradients_only():
     # a point's derivative order is the order of its seed: seeded first
-    # order, its fields, its factor points and a constant field carry no
+    # order, its fields, its lifted slices and a constant field carry no
     # Hessian, reading one raises FirstOrderError, and values and gradients
     # are those of the second-order point
     p = np.array([[0.3, 1.1, 0.2, -0.1], [-0.4, 0.7, -0.3, 0.25], [0.1, 1.5, 0.0, 0.3]])
@@ -384,16 +384,19 @@ def test_a_first_order_point_reads_values_and_gradients_only():
     base = Field(lambda pt: [[1.0 + pt[0] * pt[1], pt[0]], [pt[0], 2.0 + pt[1] * pt[1]]])
     top = Field(lambda pt: pt[1] * base(pt[2:]))
     const = Field(lambda pt: ROTATION)
-    for pe, f in ((lo, top), (lo.sub(2), base), (lo, const)):
+    for pe, f in ((lo, top), (lo[2:], base), (lo, const)):
         assert pe._hess is None and pe.raw(f)._hess is None
         with pytest.raises(FirstOrderError):
             pe.raw(f).hess
-    for got, want in ((lo.raw(top), hi.raw(top)), (lo.sub(2).raw(base), hi.sub(2).raw(base))):
+    for got, want in ((lo.raw(top), hi.raw(top)), (lo[2:].raw(base), hi[2:].raw(base))):
         assert np.array_equal(got.value, want.value) and np.array_equal(got.grad, want.grad)
     c = lo.raw(const)
     assert c.value.shape == (3, 2, 2) and np.array_equal(c.value[2], [[0.0, -1.0], [1.0, 0.0]])
     assert c.grad.shape == (3, 2, 2, 4) and not c.grad.any()
-    assert lo.sub(2).raw(base).grad.shape == (3, 2, 2, 2)
+    # the factor's metric is read at the lifted slice in all four
+    # coordinates, and its inverse in the factor's own two
+    assert lo[2:].raw(base).grad.shape == (3, 2, 2, 4)
+    assert lo[2:].inverse(base).grad.shape == (3, 2, 2, 2)
 
 
 def test_a_first_order_field_runs_once_on_the_points_first_order_view():
@@ -446,9 +449,11 @@ def test_a_constant_field_reads_as_the_constant_jet_of_the_point():
         # called on a plain jet point, it keeps a batch axis of 1
         one = Field(fn)(Jet2.seed(p))
         assert one.value.shape == (1, 2, 2) and one.hess.shape == (1, 2, 2, 3, 3)
-    # a factor point reads it in the factor's own coordinates, and constants
-    # packed at a plain jet point read as constants there
-    assert PointEval(p).sub(1).raw(lambda pt: 2.0).grad.shape == (2, 2)
+    # a lifted slice reads it in all of the point's coordinates, with a zero
+    # gradient, and constants packed at a plain jet point read as constants
+    # there
+    c = PointEval(p)[1:].raw(lambda pt: 2.0)
+    assert c.grad.shape == (2, 3) and not c.grad.any()
     om = Field(lambda pt: omega_of(pack(np.eye(2), pt), pack(rotation(pt), pt)))(
         Jet2.seed(p[:, :2]))
     assert np.array_equal(om.value, [np.transpose(ROTATION)]) and not om.hess.any()
@@ -494,11 +499,11 @@ def test_fields_called_on_the_point_read_its_memo():
     assert top(pe) is pe.raw(top)
     assert pe[1:] is pe[1:]
     assert calls == [2]
-    # the lifted slice keeps the derivatives in all three coordinates;
-    # sub() is the factor's own point, differentiated in its two, and reads
-    # the factor's fields from the lifted slice, restricted to those two
-    assert pe[1:].grad.shape == (1, 2, 3) and pe.sub(1).grad.shape == (1, 2, 2)
-    sub = b(pe.sub(1))
+    # the lifted slice keeps the derivatives in all three coordinates; the
+    # factor's field read there, restricted to the factor's two, is the
+    # field at the factor's own point, bit for bit
+    assert pe[1:].grad.shape == (1, 2, 3)
+    sub = _restrict(b(pe[1:]), 2)
     assert sub.grad.shape == (1, 2)
     assert calls == [2]
     own = b(Jet2.seed(pe.p[:, 1:]))

@@ -3,7 +3,6 @@ pointwise classifier, including one input per verdict, and the structure
 equations of the holomorphic verdict (paper_claims.structure_point)."""
 
 import numpy as np
-import pytest
 
 from kahlerkit.jets import SamplePlan, jsin, pack
 from kahlerkit.fields import ChartManifold, Field, PointEval, worst
@@ -33,24 +32,22 @@ def make_calabi(k=0):
 
 def test_lee_form_matches_log_moment_coordinate():
     cal = make_calabi(0)
-    t = cal.triple()
     s = cal.proj_plus
     for p in cal.chart.samples(SamplePlan(3, 15)):
         pe = PointEval(p)
-        theta = extract_theta(t, s, pe)
+        theta = extract_theta(cal, s, pe)
         want = np.zeros(4)
         want[1] = 1.0 / p[1]
         assert np.abs(theta - want).max() < 1e-10
-        _, resid, thetaV, cols = theta_jets(t, s, pe)
+        _, resid, thetaV, cols = theta_jets(cal, s, pe)
         assert resid < 1e-12
         assert cols == (0, 1)
 
 
 def test_homothetic_residual_report():
     cal = make_calabi(1)
-    t = cal.triple()
-    rep = fold_plan(t.chart, SamplePlan(4, 12),
-                    lambda pe: homothetic_point(t, cal.proj_plus, pe))
+    rep = fold_plan(cal.chart, SamplePlan(4, 12),
+                    lambda pe: homothetic_point(cal, cal.proj_plus, pe))
     assert rep.max("homothetic") < 1e-12
     assert rep.max("dtheta") < 1e-12
     assert rep.points == 12
@@ -63,17 +60,17 @@ def structure(t, Pp, plan):
 
 def test_classify_calabi_is_holomorphic():
     cal = make_calabi(1)
-    t, plan = cal.triple(), SamplePlan(5, 12)
-    res, verdict, used, skipped = classify(t, cal.proj_plus, plan)
+    plan = SamplePlan(5, 12)
+    res, verdict, used, skipped = classify(cal, cal.proj_plus, plan)
     assert verdict == VERDICT_HOLOMORPHIC
     assert res.max("homothetic") < 1e-10
     assert res.max("ring") < 1e-9
     assert res.max("geodesic") < 1e-9
-    st = structure(t, cal.proj_plus, plan)
+    st = structure(cal, cal.proj_plus, plan)
     assert st.max("holomorphy") < 1e-9
     assert worst(st.max("chi1"), st.max("lie_fit")) < 1e-8
     assert st.used("holomorphy") == st.used("chi1") == st.used("lie_fit") == 12
-    hom = fold_plan(t.chart, plan, lambda pe: homothetic_point(t, cal.proj_plus, pe))
+    hom = fold_plan(cal.chart, plan, lambda pe: homothetic_point(cal, cal.proj_plus, pe))
     assert hom.max("dtheta") < 1e-10
     assert hom.used("dtheta") == 12
     # theta is genuinely nonzero and the foliation is not a product
@@ -86,11 +83,11 @@ def test_classify_calabi_is_holomorphic():
 def test_classify_twisted_calabi_stays_holomorphic():
     cal = make_calabi(1)
     tt = build_twist(cal, coordinate_twist(2, 3))
-    res, verdict, _, _ = classify(tt.triple(), cal.proj_plus, SamplePlan(6, 10))
+    res, verdict, _, _ = classify(tt, cal.proj_plus, SamplePlan(6, 10))
     assert verdict == VERDICT_HOLOMORPHIC
     assert res.max("homothetic") < 1e-7
     assert res.max("ring") < 1e-7
-    st = structure(tt.triple(), cal.proj_plus, SamplePlan(6, 10))
+    st = structure(tt, cal.proj_plus, SamplePlan(6, 10))
     assert worst(st.max("chi1"), st.max("lie_fit")) < 1e-5
     assert st.used("chi1") == st.used("lie_fit") == 10
 
@@ -146,17 +143,15 @@ def test_classify_flags_broken_homothety():
 
 def test_verdicts_stable_under_resampling():
     cal = make_calabi(1)
-    t = cal.triple()
     s = cal.proj_plus
-    a = classify(t, s, SamplePlan(21, 10))[1]
-    b = classify(t, s, SamplePlan(22, 30))[1]
+    a = classify(cal, s, SamplePlan(21, 10))[1]
+    b = classify(cal, s, SamplePlan(22, 30))[1]
     assert a == b == VERDICT_HOLOMORPHIC
 
 
 def test_structure_equation_checks_report_shape():
     cal = make_calabi(0)
-    t = cal.triple()
-    st = structure(t, cal.proj_plus, SamplePlan(10, 8))
+    st = structure(cal, cal.proj_plus, SamplePlan(10, 8))
     assert st.max("wedge_minus") < 1e-9
     assert st.max("holomorphy") < 1e-9
     assert st.max("chi1") < 1e-8

@@ -71,7 +71,7 @@ FLAT_RADIUS = _last(lambda r: math.isfinite(r * r * r * r), sys.float_info.max *
 # r^2) = 2 scale^2 bounds the jet of |w|^2, as _twist_map tests it
 SCALE = _last(lambda s: math.isfinite(s * s * 2.0), math.sqrt(sys.float_info.max / 2.0))
 # the largest c = [re, 0] of a const twist with |c|^2 <= DISC, as twist_spec
-# and the S field's guard test it
+# and the |w|^2 field's guard test it
 DISC_C = _last(lambda c: c * c <= DISC, math.sqrt(DISC))
 
 RADIUS = _largest_disk_radius()

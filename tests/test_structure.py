@@ -275,7 +275,7 @@ def test_a_constant_is_a_plain_value_and_a_field_its_callable_and_label():
 
 # Names that only re-stated what their readers already held: the classifier's
 # report dataclass (the fold's keys renamed), a second twist guard beside the
-# S field's, and an alias of disk_base(0)
+# |w|^2 field's, and an alias of disk_base(0)
 RESTATED = {"FoliationReport", "validate_twist", "flat_base"}
 
 # The functions that read a Hessian: d_k u as a first-order jet, the one
@@ -520,8 +520,8 @@ def test_builds_seed_first_order_points_only(name, unbuilt, monkeypatch):
         seeds.append(seed(p))
         return seeds[-1]
 
-    def making(self, p, jet=None, lifted=None):
-        init(self, p, jet, lifted)
+    def making(self, p, jet=None):
+        init(self, p, jet)
         points.append(self)
     monkeypatch.setattr(Jet2, "seed", staticmethod(seeding))
     monkeypatch.setattr(PointEval, "__init__", making)
@@ -883,10 +883,10 @@ TWISTS = {"calabi_flat": 0, "calabi_twist_zeta": 1, "ak_flat": 1, "ak_disk_chain
 def test_each_per_point_dict_and_each_twists_norm_runs_once_per_batch(name, twists, unbuilt,
                                                                       monkeypatch):
     # every check of a case that reads a per-point function's dict reads one
-    # run of it at each point, and every reader of a twist's |w|^2 (its S
-    # guard, g_w, transverse holomorphy, the twisted Ricci identity) reads
-    # one run of the twist's |w|^2 field: a verify runs the body of each
-    # once per chart batch (one batch here)
+    # run of it at each point, and every reader of a twist's |w|^2 (the
+    # fields that divide by 1 - |w|^2, transverse holomorphy, the twisted
+    # Ricci identity) reads one run of the twist's |w|^2 field: a verify
+    # runs the body of each once per chart batch (one batch here)
     runs = dict.fromkeys(DICT_POINTS + ("|w|^2",), 0)
 
     def counting(key, fn):
@@ -935,7 +935,8 @@ def test_each_builder_declares_each_parameter_once():
 
 
 # the keyword knobs that only ever took one value, by function; each is a
-# module constant now
+# module constant now.  make_sfield's ww is gone: |w|^2 is read by the
+# fields that divide by 1 - |w|^2, and its own Field is the disc guard
 REMOVED_PARAMETERS = {
     "calabi.build_calabi": ("alpha_tol", "check_count"),
     "paper_claims.rescale_biaxial": ("tol", "t_samples"),
@@ -944,9 +945,10 @@ REMOVED_PARAMETERS = {
     "foliation.foliation_report": ("tol",),
     "foliation._frame_columns": ("tol",),
     "twist.coordinate_twist": ("label",),
+    "twist.make_sfield": ("ww",),
 }
 # the parameters that every caller passes, so they take no default
-REQUIRED_PARAMETERS = {"paper_claims.rescale_biaxial": "profile", "twist.make_sfield": "ww",
+REQUIRED_PARAMETERS = {"paper_claims.rescale_biaxial": "profile",
                        "calabi.build_calabi": "alpha"}
 
 
@@ -1020,3 +1022,33 @@ def test_no_builder_takes_an_alpha_or_an_expected_verdict():
     assert [ln for ln in params if re.search(r"\b(alpha|verdict)=", ln)] == []
     assert not {"alpha", "verdict"} & {key for entry in kahlerkit.scenarios.BUILDERS
                                        for key in entry.params}
+
+
+# imported names that no line of their file reads, kept on purpose
+UNUSED_IMPORTS = {
+    # perfbench traces this binding (perfbench/tracer.py wraps every public
+    # binding of kahlerkit.scenarios, and perfbench/test_perfbench.py asserts it)
+    ("src/kahlerkit/scenarios.py", "metric_jets"),
+}
+
+
+def test_every_imported_name_is_used():
+    # in src/, tools/ and tests/, each name an import binds is read in its
+    # file (a package's __all__ counts as a read); an import left behind by
+    # a refactor fails here
+    unused = []
+    for folder in (SRC, os.path.join(ROOT, "tools"), TESTS):
+        for name, tree in _modules(folder):
+            path = os.path.relpath(os.path.join(folder, name), ROOT).replace(os.sep, "/")
+            read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            read |= {elt.value for node in ast.walk(tree)
+                     if isinstance(node, ast.Assign)
+                     and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+                     for elt in node.value.elts}
+            for node in ast.walk(tree):
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    for alias in node.names:
+                        bound = alias.asname or alias.name.split(".")[0]
+                        if bound not in read and (path, bound) not in UNUSED_IMPORTS:
+                            unused.append("%s:%d %s" % (path, node.lineno, bound))
+    assert unused == []

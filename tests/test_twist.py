@@ -1,6 +1,7 @@
 """Twist deformations: unchanged fundamental forms, Lee-norm factors,
-integrability against transverse holomorphy, parameter recovery, and the
-twisted Ricci-form identity."""
+integrability against transverse holomorphy, parameter recovery, the
+twisted Ricci-form identity, the |w|^2 disc guard, and the reads of a built
+chart: its own triple, and a factor at its lifted slice."""
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from kahlerkit import almost_kahler, jets, twist
 from kahlerkit.jets import Jet2, JetDomainError, SamplePlan, pack
 from kahlerkit.fields import Field, Fold, PointEval, metric_jets, worst
 from kahlerkit.foliation import classify_point, homothetic_point
-from kahlerkit.hermitian import kahler_point
+from kahlerkit.hermitian import HermitianTriple, kahler_point
 from kahlerkit.calabi import CalabiProfile, build_calabi, disk_base
 from kahlerkit.almost_kahler import build_ak_product, iterate_chain
 from kahlerkit.scenarios import BUILDER_MAP, load_scenario, make_case
@@ -43,9 +44,9 @@ def test_zero_twist_is_exact_identity():
     tt = build_twist(cal, constant_twist(0.0))
     for p in cal.chart.samples(SamplePlan(1, 5)):
         g1, _, _ = metric_jets(cal.g.fn, p)
-        g2, _, _ = metric_jets(tt.g_w.fn, p)
+        g2, _, _ = metric_jets(tt.g.fn, p)
         x = Jet2.seed(p)
-        J1, J2 = cal.J(x), tt.J_w(x)
+        J1, J2 = cal.J(x), tt.J(x)
         assert np.abs(g1 - g2).max() == 0.0
         assert np.abs(J1.value - J2.value).max() == 0.0
         assert np.abs(J1.grad - J2.grad).max() == 0.0
@@ -59,11 +60,11 @@ def test_fundamental_forms_unchanged():
         tt = build_twist(cal, tw)
         for p in cal.chart.samples(SamplePlan(2, 8)):
             g = values(cal.g.fn, p)
-            gw = values(tt.g_w.fn, p)
+            gw = values(tt.g.fn, p)
             J = values(cal.J.fn, p)
-            Jw = values(tt.J_w.fn, p)
+            Jw = values(tt.J.fn, p)
             I0 = values(cal.I0.fn, p)
-            Iw = values(tt.I_w.fn, p)
+            Iw = values(tt.I0.fn, p)
             assert np.abs(Jw.T @ gw - J.T @ g).max() < 1e-9
             assert np.abs(Iw.T @ gw - I0.T @ g).max() < 1e-9
 
@@ -154,7 +155,7 @@ def test_norm_factor_measured_matches_expected():
     for w1, w2 in cases:
         tt = build_twist(cal, constant_twist(w1, w2))
         for p in cal.chart.samples(SamplePlan(4, 6)):
-            got = norm_factor_measured(cal.g.fn, tt.g_w.fn, cal.theta.fn, PointEval(p))
+            got = norm_factor_measured(cal.g.fn, tt.g.fn, cal.theta.fn, PointEval(p))
             assert abs(got - norm_factor_expected(w1, w2)) < 1e-9
     # position-dependent twist: compare pointwise
     tw = coordinate_twist(2, 3)
@@ -162,7 +163,7 @@ def test_norm_factor_measured_matches_expected():
     for p in cal.chart.samples(SamplePlan(5, 6)):
         x = Jet2.seed(np.asarray(p, float))
         w1, w2 = tw.fn(x)
-        got = norm_factor_measured(cal.g.fn, tt.g_w.fn, cal.theta.fn, PointEval(p))
+        got = norm_factor_measured(cal.g.fn, tt.g.fn, cal.theta.fn, PointEval(p))
         assert abs(got - norm_factor_expected(w1.value, w2.value)) < 1e-9
 
 
@@ -177,10 +178,9 @@ def test_integrability_iff_transverse_holomorphy():
     assert tr.max() < 1e-12
     nij = 0.0
     for p in cal.chart.samples(plan):
-        nij = max(nij, np.abs(nijenhuis_at(PointEval(p), tt.J_w.fn)).max())
+        nij = max(nij, np.abs(nijenhuis_at(PointEval(p), tt.J.fn)).max())
     assert nij < 1e-7
-    t = tt.triple()
-    v = fold_plan(cal.chart, SamplePlan(7, 6), lambda pe: worst(*kahler_point(t, pe).values()))
+    v = fold_plan(cal.chart, SamplePlan(7, 6), lambda pe: worst(*kahler_point(tt, pe).values()))
     assert v.max() <= 1e-7
 
     # conjugated dependence: both residuals blow up together
@@ -191,10 +191,9 @@ def test_integrability_iff_transverse_holomorphy():
     assert trc.max() > 1.0
     worstc = 0.0
     for p in cal.chart.samples(plan):
-        worstc = max(worstc, np.abs(nijenhuis_at(PointEval(p), ttc.J_w.fn)).max())
+        worstc = max(worstc, np.abs(nijenhuis_at(PointEval(p), ttc.J.fn)).max())
     assert worstc > 1.0
-    tc = ttc.triple()
-    vc = fold_plan(cal.chart, SamplePlan(7, 6), lambda pe: kahler_point(tc, pe))
+    vc = fold_plan(cal.chart, SamplePlan(7, 6), lambda pe: kahler_point(ttc, pe))
     assert not worst(*(vc.max(k) for k in vc.values)) <= 1e-7
     assert vc.max("compatible") < 1e-12
     assert vc.max("closed") < 1e-12
@@ -206,8 +205,8 @@ def test_zeta_duality():
     for tw in (constant_twist(0.3, 0.4), coordinate_twist(2, 3)):
         tt = build_twist(cal, tw)
         for p in cal.chart.samples(SamplePlan(8, 6)):
-            r = zeta_duality_residual(cal.g.fn, cal.J.fn, tt.g_w.fn,
-                                      tt.J_w.fn, cal.theta.fn, PointEval(p))
+            r = zeta_duality_residual(cal.g.fn, cal.J.fn, tt.g.fn,
+                                      tt.J.fn, cal.theta.fn, PointEval(p))
             assert r < 1e-8
 
 
@@ -216,35 +215,35 @@ def test_single_twist_parameter_recovery():
     p = [0.2, 1.1, 0.1, -0.15]
     for w1, w2 in [(0.25, -0.35), (0.0, 0.5), (-0.3, 0.1)]:
         tt = build_twist(cal, constant_twist(w1, w2))
-        got1, got2 = (w[0] for w in solve_single_twist(cal.g.fn, tt.g_w.fn, cal.J.fn,
+        got1, got2 = (w[0] for w in solve_single_twist(cal.g.fn, tt.g.fn, cal.J.fn,
                                                        cal.proj_plus.fn, cal.theta.fn, PointEval(p)))
         assert abs(got1 - w1) < 1e-10
         assert abs(got2 - w2) < 1e-10
     # position-dependent case recovers the pointwise value
     tw = coordinate_twist(2, 3)
     tt = build_twist(cal, tw)
-    got1, got2 = (w[0] for w in solve_single_twist(cal.g.fn, tt.g_w.fn, cal.J.fn,
+    got1, got2 = (w[0] for w in solve_single_twist(cal.g.fn, tt.g.fn, cal.J.fn,
                                                    cal.proj_plus.fn, cal.theta.fn, PointEval(p)))
     assert abs(got1 - p[2]) < 1e-10
     assert abs(got2 - p[3]) < 1e-10
 
 
-def _fold_s(S, p):
-    """A fold of max |S+| over the points p, as one batch."""
+def _fold_field(F, p):
+    """A fold of max |F| of the field F over the points p, as one batch."""
     acc = Fold()
-    acc.add(PointEval(p), lambda pe: pe.absmax(pe.raw(S).value))
+    acc.add(PointEval(p), lambda pe: pe.absmax(pe.raw(F).value))
     return acc
 
 
-def test_the_s_field_guards_the_disc_and_the_frame():
-    # a twist beyond DISC stops a fold of S at the first point, with a
+def test_the_norm_field_guards_the_disc_and_the_s_field_the_frame():
+    # a twist beyond DISC stops a fold of |w|^2 at the first point, with a
     # domain error naming it; a vanishing theta row leaves no D+ frame, and
     # as the coframe's D+ block is constant that is a ValueError at build
     cal = make_cal()
     p = cal.chart.samples(SamplePlan(9, 5))
-    S = build_twist_fields(cal.g, [cal.J], cal.proj_plus, constant_twist(0.9999999),
-                           cal.coframe_block)[2]
-    acc = _fold_s(S, p)
+    ww = build_twist_fields(cal.g, [cal.J], cal.proj_plus, constant_twist(0.9999999),
+                            cal.coframe_block)[3]
+    acc = _fold_field(ww, p)
     assert acc.points == 0 and acc.values == {}
     assert isinstance(acc.exc, JetDomainError)
     assert acc.error == "JetDomainError at point %s: %s" % (
@@ -263,17 +262,17 @@ def test_a_nan_twist_passes_no_twisted_check():
     cal = make_cal()
     tw = constant_twist(float("nan"))
     tt = build_twist(cal, tw)
-    twt, Pp = tt.triple(), cal.proj_plus
+    Pp = cal.proj_plus
     checks = [
         lambda pe: form_invariance_point(cal, tt, pe),
-        lambda pe: norm_factor_measured(cal.g, tt.g_w, cal.theta, pe),
+        lambda pe: norm_factor_measured(cal.g, tt.g, cal.theta, pe),
         lambda pe: transverse_holomorphy_point(cal.J, Pp, tw, tt.ww, pe),
-        lambda pe: nijenhuis_at(pe, tt.J_w),
-        lambda pe: homothetic_point(twt, Pp, pe)["homothetic"],
+        lambda pe: nijenhuis_at(pe, tt.J),
+        lambda pe: homothetic_point(tt, Pp, pe)["homothetic"],
         lambda pe: ricci_identity_check(cal, tt, pe),
-        lambda pe: zeta_duality_residual(cal.g, cal.J, tt.g_w, tt.J_w, cal.theta, pe),
-        lambda pe: classify_point(twt, Pp, pe),
-        lambda pe: pe.absmax(pe.raw(tt.S_plus).value),
+        lambda pe: zeta_duality_residual(cal.g, cal.J, tt.g, tt.J, cal.theta, pe),
+        lambda pe: classify_point(tt, Pp, pe),
+        lambda pe: pe.absmax(pe.raw(tt.ww).value),
     ]
     p = cal.chart.samples(SamplePlan(3, 4))
     for fn in checks:
@@ -284,18 +283,19 @@ def test_a_nan_twist_passes_no_twisted_check():
                                     % p[0].round(8).tolist())
 
 
-def test_plan_check_and_s_guard_share_the_disc():
-    # |w|^2 = 1 - 1.5e-6 lies inside the disc for a fold of S over the plan
-    # and for the S field at one point; 1 - 0.5e-6 lies outside for both
+def test_plan_check_and_norm_guard_share_the_disc():
+    # |w|^2 = 1 - 1.5e-6 lies inside the disc for a fold of |w|^2 over the
+    # plan and for the |w|^2 field at one point; 1 - 0.5e-6 lies outside for
+    # both
     cal = make_cal()
     p = cal.chart.samples(SamplePlan(9, 3))
     x = Jet2.seed(np.array([0.0, 1.0, 0.1, 0.1]))
-    inside = build_twist(cal, constant_twist(np.sqrt(1.0 - 1.5e-6))).S_plus
-    acc = _fold_s(inside, p)
+    inside = build_twist(cal, constant_twist(np.sqrt(1.0 - 1.5e-6))).ww
+    acc = _fold_field(inside, p)
     assert acc.error == "" and acc.points == 3 and np.isfinite(acc.max())
     assert np.isfinite(inside.fn(x).value).all()
-    outside = build_twist(cal, constant_twist(np.sqrt(1.0 - 0.5e-6))).S_plus
-    assert _fold_s(outside, p).error.startswith(
+    outside = build_twist(cal, constant_twist(np.sqrt(1.0 - 0.5e-6))).ww
+    assert _fold_field(outside, p).error.startswith(
         "JetDomainError at point %s: twist leaves the disc" % p[0].round(8).tolist())
     with pytest.raises(JetDomainError, match="twist leaves the disc"):
         outside.fn(x)
@@ -305,22 +305,38 @@ def test_twist_leaving_disc_raises_at_evaluation():
     cal = make_cal()
     tt = build_twist(cal, coordinate_twist(2, 3, scale=5.0))
     with pytest.raises(JetDomainError):
-        tt.g_w.fn(Jet2.seed(np.array([0.0, 1.0, 0.4, 0.3])))
+        tt.g.fn(Jet2.seed(np.array([0.0, 1.0, 0.4, 0.3])))
+
+
+@pytest.mark.parametrize("c", [1.3, float("nan")])
+def test_reading_the_norm_off_the_disc_or_at_a_nan_twist_raises(c):
+    # |w|^2 is the disc guard: reading it at a point off the disc, or at a
+    # NaN twist, raises a domain error that gives |w|^2
+    cal = make_cal()
+    tt = build_twist(cal, constant_twist(c))
+    pe = PointEval(cal.chart.samples(SamplePlan(9, 3)))
+    with pytest.raises(JetDomainError) as info:
+        pe.raw(tt.ww)
+    assert str(info.value) == "twist leaves the disc: |w|^2 = %s" % (
+        "1.69000000" if c == 1.3 else "nan")
 
 
 def test_every_twisted_field_guards_the_disc():
-    # the guard sits in the shared S+ field, so J_w, I_w and S+ raise on their
-    # own, not only g_w; on the unit circle too, where 1/(1 - |w|^2) would
-    # divide by zero if it were formed before the guard ran
+    # the guard sits in the shared |w|^2 field, which every twisted field
+    # reads before it divides by 1 - |w|^2, so the twisted J and I0 and |w|^2
+    # raise on their own, not only the twisted g; on the unit circle too,
+    # where 1/(1 - |w|^2) would divide by zero if it were formed before the
+    # guard ran.  S+ divides by nothing and reads no guard
     cal = make_cal()
     x = Jet2.seed(np.array([0.0, 1.0, 0.1, 0.1]))
     for c in (1.3, 1.0):
         tt = build_twist(cal, constant_twist(c))
-        for field in (tt.g_w, tt.J_w, tt.I_w, tt.S_plus):
+        for field in (tt.g, tt.J, tt.I0, tt.ww):
             with pytest.raises(JetDomainError, match="twist leaves the disc"):
                 field.fn(x)
+        assert np.isfinite(tt.S_plus.fn(x).value).all()
     inside = build_twist(cal, constant_twist(0.3))
-    assert np.isfinite(values(inside.J_w.fn, x.value)).all()
+    assert np.isfinite(values(inside.J.fn, x.value)).all()
 
 
 def _profile(params):
@@ -359,6 +375,38 @@ def _ak_products(name):
     n = zt.chart.dim
     return (build_ak_product(zt, coordinate_twist(n - 2, n - 1)),
             build_ak_product(zt, constant_twist(0.0)))
+
+
+@pytest.mark.parametrize("name", ["calabi_twist_zeta", "ak_disk_chain2"])
+def test_a_factors_curvature_at_the_lifted_slice_is_its_own(name):
+    # a factor is read at its lifted slice pe[2:]: the curvature of its
+    # metric there (its jet restricted to the factor's coordinates) is the
+    # curvature at a fresh point of the factor's own coordinates, bit for
+    # bit: Riemann, Ricci, scalar and the inverse
+    if name in CALABI_CHARTS:
+        cal = CALABI_CHARTS[name]()
+        chart, g = cal.chart, cal.base.g
+    else:
+        ak = _ak_products(name)[0]
+        chart, g = ak.chart, ak.z_factor.g
+    pe = PointEval(chart.samples(SamplePlan(3, 7)))
+    got, want = pe[2:].curvature(g), PointEval(pe.p[:, 2:]).curvature(g)
+    assert got[0].shape == want[0].shape == (7,) + (chart.dim - 2,) * 4
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_a_built_chart_is_its_own_triple():
+    # kahler_point reads a CalabiChart, a plane product and a twisted chart
+    # as the HermitianTriple of their g, J and chart, bit for bit
+    cal = make_cal()
+    for x in (cal, build_twist(cal, coordinate_twist(2, 3)), _ak_products("ak_disk")[0]):
+        p = x.chart.samples(SamplePlan(3, 7))
+        got = kahler_point(x, PointEval(p))
+        want = kahler_point(HermitianTriple(x.g, x.J, x.chart), PointEval(p))
+        assert sorted(got) == sorted(want) == ["closed", "compatible", "integrable"]
+        for key in want:
+            assert got[key].tobytes() == want[key].tobytes(), (type(x).__name__, key)
 
 
 def _outside_the_memo(E, p):

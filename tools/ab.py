@@ -43,6 +43,17 @@ verify-only runs, and within 3% of it with point_query in the run, where
 both workers hold the module (the cause, likely the process's memory
 layout, is not attributed).  Compare fields_s only between runs that load
 numpy.random alike.
+
+The pairs of one run are not independent replicates: all of them share
+the two workers' persistent offsets (memory layout, address-space
+randomisation).  Timed against a byte-identical copy of itself in 9
+10-pair runs of the three workloads (2-core x86_64 host), a tree read
+latency changes of -2.5% to +3.2% that were lower (or higher) in at least
+9 of 10 pairs with the paired quartiles excluding 0, in 12 of 108 reads;
+so one run does not resolve a latency change within about 3%.
+peak_rss_mb is one reading per worker, so its 10 pairs are one
+comparison counted ten times: it read a difference, of 0.03% to 0.61%,
+in every one of those runs.
 """
 
 import argparse

@@ -69,12 +69,11 @@ NOT_KAHLER = ("the identity is one of Ricci forms, and Ric(J., .) is the Ricci f
               "where (g, J) is Kähler (hermitian.ricci_form); " + NOT_INTEGRABLE)
 
 # (cell name, check) -> the test or paper statement that predicts the FAIL
-REASONS = {}
-for _base in ("flat", "disk"):
-    _cell = "calabi_twist base=%s twist=conj_z" % _base
-    REASONS[_cell, "transverse_holomorphy"] = NOT_INTEGRABLE
-    REASONS[_cell, "nijenhuis_twisted"] = NOT_INTEGRABLE
-    REASONS[_cell, "ricci_fiber_log"] = NOT_KAHLER
+REASONS = {("calabi_twist base=%s twist=conj_z" % base, check): reason
+           for base in ("flat", "disk")
+           for check, reason in (("transverse_holomorphy", NOT_INTEGRABLE),
+                                 ("nijenhuis_twisted", NOT_INTEGRABLE),
+                                 ("ricci_fiber_log", NOT_KAHLER))}
 
 
 def _digits(x):
@@ -83,11 +82,11 @@ def _digits(x):
     return float("%.3g" % x) if math.isfinite(x) else str(x)
 
 
-def rows(cells=None):
-    """The table's rows for cells (every cell of grid() by default)."""
+def rows():
+    """The table's rows, cell by cell of grid() and check by check."""
     from kahlerkit.scenarios import parse_scenario, run_scenario_obj
     out = []
-    for name, builder, params in cells or grid():
+    for name, builder, params in grid():
         scn = parse_scenario({"name": name, "builder": builder, "params": params,
                               "plan": {"seed": SEED, "count": COUNT}})
         for rec in run_scenario_obj(scn)["checks"]:
