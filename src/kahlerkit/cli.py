@@ -79,7 +79,7 @@ def _cmd_curvature(args):
         raise ScenarioError("point %s lies outside the chart domain %s"
                             % (point, case.chart.domain))
     try:
-        curv = float_checked(lambda p: curvature_from_jets(*metric_jets(case.metric.fn, p), p),
+        curv = float_checked(lambda p: curvature_from_jets(*metric_jets(case.metric.fn, p)),
                              point)
     except DOMAIN_ERRORS as exc:
         print("error: %s at point %s: %s" % (type(exc).__name__, point, exc), file=sys.stderr)

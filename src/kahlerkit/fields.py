@@ -178,9 +178,7 @@ class PointEval(Jet2):
 
     p is the (B, n) stack of points (one point (n,) is taken as a batch of
     one), batch is B, and every jet and array read here carries a leading
-    batch axis of B, a constant field's included.  where is the point that
-    error messages name (the stack itself for a batch of more than one; Fold
-    replays such a batch point by point before it names anything).
+    batch axis of B, a constant field's included.
 
     jet, when given, is the point's coordinate jet in place of the seeded
     one: the slice pe[k:] (a factor's coordinates, still differentiated in
@@ -204,12 +202,11 @@ class PointEval(Jet2):
     still runs once per point, and reading a marked field's Hessian raises
     FirstOrderError."""
 
-    __slots__ = ("p", "batch", "where", "memo")
+    __slots__ = ("p", "batch", "memo")
 
     def __init__(self, p, jet=None):
         self.p = np.atleast_2d(np.asarray(p, float))
         self.batch = len(self.p)
-        self.where = self.p[0] if self.batch == 1 else self.p
         if jet is None:
             jet = Jet2.seed(self.p)
         self.value, self.grad, self._hess = jet.value, jet.grad, jet._hess
@@ -257,7 +254,7 @@ class PointEval(Jet2):
     def inverse(self, g):
         """First-order jet of the matrix g^{-1} (its readers take values and
         first derivatives only)."""
-        return self.cached("inv", (g,), lambda: _inverse(self._metric(g), self.where))
+        return self.cached("inv", (g,), lambda: _inverse(self._metric(g)))
 
     def christoffel(self, g):
         """christoffel_parts of the metric g, from its memoised inverse."""
@@ -286,7 +283,7 @@ class _FirstOrderView(PointEval):
     __slots__ = ("full",)
 
     def __init__(self, full):
-        self.p, self.batch, self.where, self.memo = full.p, full.batch, full.where, full.memo
+        self.p, self.batch, self.memo = full.p, full.batch, full.memo
         self.value, self.grad, self._hess = full.value, full.grad, None
         self.full = full
 
@@ -351,11 +348,12 @@ class Fold:
     by zero is a domain error.  The fold stops at the first domain error,
     keeping the points before it, and at the first NaN or inf residual,
     which it keeps as its max; either way error names the point, and later
-    adds do nothing.  A batch of more than one point that raises a domain
-    error or yields a NaN or inf is replayed point by point, through the
-    same function on batches of one, so error, the points kept, max and
-    mean are those of a fold over single points; only failing batches pay
-    for it.
+    adds do nothing.  At a domain error, exc is an exception of its type
+    whose message is error, for a caller that raises it.  A batch of more
+    than one point that raises a domain error or yields a NaN or inf is
+    replayed point by point, through the same function on batches of one,
+    so error, the points kept, max and mean are those of a fold over single
+    points; only failing batches pay for it.
     """
 
     def __init__(self):
@@ -373,9 +371,9 @@ class Fold:
         except DOMAIN_ERRORS as exc:
             if pe.batch > 1:
                 return self._replay(pe, fn)
-            self.exc = exc
             self.error = "%s at point %s: %s" % (type(exc).__name__,
-                                                 pe.where.round(8).tolist(), exc)
+                                                 pe.p[0].round(8).tolist(), exc)
+            self.exc = type(exc)(self.error)
             return
         items = r.items() if isinstance(r, dict) else ((None, r),)
         kept = {key: _kept(key, val, pe.batch) for key, val in items}
@@ -390,7 +388,7 @@ class Fold:
                 self.values[key] = (np.concatenate((self.values[key], v))
                                     if key in self.values else v)
         if not finite:
-            self.error = "non-finite residual at point %s" % pe.where.round(8).tolist()
+            self.error = "non-finite residual at point %s" % pe.p[0].round(8).tolist()
 
     def _replay(self, pe, fn):
         # each point is seeded to the derivative order of the batch
@@ -450,14 +448,13 @@ def metric_jets(g, p):
 # curvature stack
 # ---------------------------------------------------------------------------
 
-def _inverse(g, p):
-    """First-order jet of the inverse of the matrix jet g at the point p: the
-    one singular-metric guard."""
+def _inverse(g):
+    """First-order jet of the inverse of the matrix jet g: the one
+    singular-metric guard."""
     try:
         return jinv(g)
     except JetDomainError:
-        raise DegenerateMetricError(
-            f"singular metric at point {np.asarray(p).tolist()}") from None
+        raise DegenerateMetricError("singular metric") from None
 
 
 def christoffel_parts(g, gi):
@@ -473,10 +470,10 @@ def christoffel_parts(g, gi):
     return Gam.value, Gam.grad, gi.value
 
 
-def curvature_from_jets(gv, gg, gh, p=None):
+def curvature_from_jets(gv, gg, gh):
     """(Riemann lowered, Ricci, scalar, g^{-1}) from the metric's jets."""
     g = Jet2(gv, gg, gh)
-    return curvature_from_parts(gv, *christoffel_parts(g, _inverse(g, p)))
+    return curvature_from_parts(gv, *christoffel_parts(g, _inverse(g)))
 
 
 def curvature_from_parts(gv, Gam, dGam, gi):

@@ -1,8 +1,8 @@
-"""The paired A/B tool: a tree timed against itself in two warm workers
-reports every workload's blocks, pairs and operation counts, the paired
-statistics count the pairs won and compare the medians with the parent's
-interquartile range, an unwritable output stops it before any timing, and
-the field clock charges a field run once."""
+"""The paired A/B tool: a tree timed against itself, each block in a
+fresh worker, reports every workload's blocks, pairs and operation counts,
+the paired statistics count the pairs won and compare the medians with the
+parent's interquartile range, an unwritable output stops it before any
+timing, and the field clock charges a field run once."""
 
 import importlib.util
 import os
@@ -20,35 +20,47 @@ ab = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(ab)
 
 
-def test_a_tree_timed_against_itself_in_lockstep():
-    # two warm workers, each driving kahlerkit.cli.main through perfbench's
-    # worker; two pairs of one-pass blocks of the verify workload
-    blocks, ready = ab.run([ROOT, ROOT], ["ak_verify"], pairs=2, block=1)
-    assert sorted(blocks) == ["ak_verify"] and "numpy" in ready
-    parent, change = blocks["ak_verify"]
-    assert len(parent) == len(change) == 2
+def test_a_tree_timed_against_itself_in_fresh_workers():
+    # two pairs of one-pass blocks of a verify workload and of point_query,
+    # each block from a worker of its own that drives kahlerkit.cli.main
+    # through perfbench's worker
+    workloads = ["ak_verify", "point_query"]
+    blocks = ab.run([ROOT, ROOT], workloads, pairs=2, block=1)
+    assert sorted(blocks) == sorted(workloads)
+    every = [b for w in workloads for side in blocks[w] for b in side]
+    # every block comes from its own process
+    pids = [b["pid"] for b in every]
+    assert len(set(pids)) == len(pids) == 8 and os.getpid() not in pids
+    for w in workloads:
+        parent, change = blocks[w]
+        assert len(parent) == len(change) == 2
+        # the parent's worker starts first in the first pair, the change's
+        # in the second
+        assert parent[0]["ready"] < change[0]["ready"] < change[1]["ready"] < parent[1]["ready"]
+        # perfbench's point_query draws its points with numpy.random; a
+        # verify-only worker never loads it
+        assert all(b["numpy_random"] is (w == "point_query") for b in parent + change)
+        for b in parent + change:
+            assert 0.0 < b["setup_s"] and 0.0 < b["peak_rss_mb"] and b["numpy"]
+            # a unit's field evaluation runs inside its commands
+            assert len(b["fields_s"]) == len(b["pass_s"]) == 1
+            assert all(0.0 < f <= p for f, p in zip(b["fields_s"], b["pass_s"]))
     out = ab.report(blocks, 1, {})
+    assert out["block"] == 1
     entry = out["workloads"]["ak_verify"]
     assert entry["failed"] == {"parent": 0, "change": 0}
     assert entry["attempted"]["parent"] == entry["attempted"]["change"] > 0
     names = {"flat", "sphere", "ak_flat", "ak_disk", "ak_disk_chain2"}
-    assert set(entry) == ({"pass_s", "fields_s", "peak_rss_mb", "scenario_gmean_ms",
+    assert set(entry) == ({"setup_s", "pass_s", "fields_s", "peak_rss_mb", "scenario_gmean_ms",
                            "scenario_max_ms", "attempted", "failed"}
                           | {"scenario_ms." + n for n in names})
-    # a unit's field evaluation runs inside its commands
-    for side in (parent, change):
-        for b in side:
-            assert len(b["fields_s"]) == len(b["pass_s"]) == 1
-            assert all(0.0 < f <= p for f, p in zip(b["fields_s"], b["pass_s"]))
-        # a worker's peak resident set, read after each block, never falls
-        rss = [b["peak_rss_mb"] for b in side]
-        assert 0.0 < rss[0] and rss == sorted(rss)
-    for key in ("pass_s", "peak_rss_mb", "scenario_gmean_ms", "scenario_max_ms"):
+    # the five end-to-end metrics of BENCHMARK.json are summarised alike
+    for key in ("setup_s", "pass_s", "peak_rss_mb", "scenario_gmean_ms", "scenario_max_ms"):
         s = entry[key]
+        assert set(s) == set(entry["fields_s"])
         assert s["pairs"] == 2 and 0 <= s["pairs_lower"] <= 2
         for side in ("parent", "change"):
             assert 0.0 < s[side]["q1"] <= s[side]["median"] <= s[side]["q3"]
-    assert out["block"] == 1
 
 
 def test_the_paired_statistics():
@@ -81,20 +93,21 @@ def test_the_paired_statistics():
     # a block's scenario_max_ms is its largest scenario mean, and its
     # scenario_gmean_ms their geometric mean
     blocks = [{"pass_s": [1.0, 3.0], "fields_s": [0.5, 1.5], "peak_rss_mb": 35.25,
-               "cmd_ms": {"a": [2.0, 4.0], "b": [9.0]}},
+               "setup_s": 0.25, "cmd_ms": {"a": [2.0, 4.0], "b": [9.0]}},
               {"pass_s": [2.0], "fields_s": [0.25], "peak_rss_mb": 35.5,
-               "cmd_ms": {"a": [8.0], "b": [2.0, 2.0]}}]
+               "setup_s": 0.125, "cmd_ms": {"a": [8.0], "b": [2.0, 2.0]}}]
     values = ab.block_values(blocks)
     assert values["pass_s"] == [2.0, 2.0]
     assert values["fields_s"] == [1.0, 0.25]
-    # one peak per block, as the worker read it
+    # one peak and one set-up time per block, as its worker read them
     assert values["peak_rss_mb"] == [35.25, 35.5]
+    assert values["setup_s"] == [0.25, 0.125]
     assert values["scenario_max_ms"] == [9.0, 8.0]
     assert values["scenario_gmean_ms"] == pytest.approx([27.0 ** 0.5, 4.0])
     assert values["scenario_ms.a"] == [3.0, 8.0]
     # a scenario missing from a block leaves out both block-wide means
     blocks[1]["cmd_ms"]["b"] = []
-    assert set(ab.block_values(blocks)) == {"pass_s", "fields_s", "peak_rss_mb",
+    assert set(ab.block_values(blocks)) == {"setup_s", "pass_s", "fields_s", "peak_rss_mb",
                                             "scenario_ms.a"}
 
 

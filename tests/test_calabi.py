@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from kahlerkit.jets import Jet2, SamplePlan
-from kahlerkit.fields import NotClosedError, PointEval, metric_jets, worst
+from kahlerkit.jets import Jet2, JetDomainError, SamplePlan, jlog
+from kahlerkit.fields import Field, NotClosedError, PointEval, metric_jets, worst
 from kahlerkit.hermitian import HermitianTriple, kahler_point
 from kahlerkit.foliation import extract_theta
-from kahlerkit.calabi import (CalabiProfile, build_calabi, disk_base,
+from kahlerkit.calabi import (ALPHA_CHECK_COUNT, CalabiProfile, build_calabi, disk_base,
                               disk_u_coefficients, moment_map_point, volume_checks)
 from helpers import fold_plan
 from paper_claims import lee_form_of_I0, rescale_biaxial
@@ -89,6 +89,19 @@ def test_alpha_mismatch_is_rejected():
     prof = CalabiProfile(A=-1.0)
     with pytest.raises(NotClosedError):
         build_calabi(base, prof, alpha=wrong_alpha)
+
+
+def test_alpha_domain_error_names_its_point():
+    # the alpha guard re-raises its fold's error: the exception keeps its
+    # type and names the first base point that meets it
+    base, _ = disk_base(0, radius=0.5)
+    alpha = Field(lambda pt: [jlog(pt[0]), 0.0])
+    p = base.chart.samples(SamplePlan(seed=0, count=ALPHA_CHECK_COUNT))
+    first = p[p[:, 0] <= 0.0][0]
+    with pytest.raises(JetDomainError) as exc:
+        build_calabi(base, CalabiProfile(A=-1.0), alpha=alpha)
+    assert str(exc.value) == "JetDomainError at point %s: log of nonpositive value %s" % (
+        first.round(8).tolist(), first[0])
 
 
 def test_volume_identity_surface_case():

@@ -1,59 +1,40 @@
-"""Paired A/B timing of two kahlerkit source trees, in warm workers: the
-one timing tool of the repo.
+"""Paired A/B timing of two kahlerkit source trees, one fresh worker per
+block: the one timing tool of the repo.
 
     python tools/ab.py PARENT_TREE CHANGE_TREE [--pairs N]
                        [--workloads NAME ...] [--out FILE]
 
-Each tree gets one long-lived worker process (its src/ first on the path,
-single-threaded BLAS), which drives kahlerkit.cli.main through the tree's
-own perfbench/worker.py, as a perfbench run does at the bundled seeds: a
-unit is a verify pass over a workload's scenarios, or one round of
-curvature queries.  After one unrecorded warm-up block of each workload,
-the two workers run in lockstep: in each pair, for each workload in turn,
-one block of BLOCK units runs on one tree and then on the other, and the
-tree that goes first alternates from pair to pair.  So both trees see the
-same drift of the host's speed, and the two blocks of a pair run seconds
-apart.
+A block is one worker process serving one tree and one workload (its src/
+first on the path, single-threaded BLAS).  It builds the workload's runner
+from the tree's own perfbench/worker.py, prints a ready line, runs one
+unrecorded warm-up block of BLOCK units and one timed block of BLOCK units,
+and exits; a unit drives kahlerkit.cli.main as a perfbench run does at the
+bundled seeds: a verify pass over the workload's scenarios, or one round of
+curvature queries.  In each pair, for each workload in turn, the block of
+one tree runs and then the block of the other, and the tree that goes first
+alternates from pair to pair.  So both trees see the same drift of the
+host's speed, and each pair is an independent replicate: its two processes
+share no memory layout or address-space randomisation with any other pair.
+A/A calibration is `ab.py TREE TREE`.
 
-The JSON written to --out (and printed) holds, per workload, for pass_s
-(the mean unit of a block, in seconds), fields_s (the part of it spent
-evaluating fields: the builder closures on jets, timed by FieldClock),
-scenario_gmean_ms and scenario_max_ms (the geometric mean and the largest
-of the scenarios' mean command times of a block), peak_rss_mb (the worker's
-peak resident set after the block, in MB: ru_maxrss, so it never falls
-from one block to the next) and each scenario's mean command time: each
-side's median and quartiles over the pairs, the change of the medians in
-percent, the pairs in which the change read lower, whether the medians
-differ by more than the parent's interquartile range, the median and
-quartiles of the change within each pair, in percent, and whether those
-paired quartiles exclude 0 (drift of the host's speed widens each side's
-quartiles, but moves both blocks of a pair alike, so the paired verdict
-holds where the parent's interquartile range drowns a steady change).  It also counts the operations attempted and failed on each side.
-Exit status: 0, or 1 when an operation failed on either side.
-
-One worker serves every workload given, so peak_rss_mb is the peak over
-them all.  perfbench's point_query runner draws its query points with
-numpy.random when the worker starts, so a run that includes point_query
-holds numpy.random in both workers; to compare what the library itself
-holds, time the verify workloads alone (--workloads calabi_verify
-ak_verify).  fields_s, like peak_rss_mb, shifts with whether numpy.random
-is loaded, though no sampling runs inside field evaluation: a tree whose
-verify never imports numpy.random read fields_s 4-7% above its parent on
-verify-only runs, and within 3% of it with point_query in the run, where
-both workers hold the module (the cause, likely the process's memory
-layout, is not attributed).  Compare fields_s only between runs that load
-numpy.random alike.
-
-The pairs of one run are not independent replicates: all of them share
-the two workers' persistent offsets (memory layout, address-space
-randomisation).  Timed against a byte-identical copy of itself in 9
-10-pair runs of the three workloads (2-core x86_64 host), a tree read
-latency changes of -2.5% to +3.2% that were lower (or higher) in at least
-9 of 10 pairs with the paired quartiles excluding 0, in 12 of 108 reads;
-so one run does not resolve a latency change within about 3%.
-peak_rss_mb is one reading per worker, so its 10 pairs are one
-comparison counted ten times: it read a difference, of 0.03% to 0.61%,
-in every one of those runs.
+The JSON written to --out (and printed) holds, per workload, for setup_s
+(spawn to ready line, as perfbench/run.py times it: imports, scenario loads
+and query points), pass_s (the mean unit of the timed block, in seconds),
+fields_s (the part of it spent evaluating fields: the builder closures on
+jets, timed by FieldClock), scenario_gmean_ms and scenario_max_ms (the
+geometric mean and the largest of the scenarios' mean command times in the
+block), peak_rss_mb (the worker's peak resident set at exit, in MB:
+ru_maxrss of a process that served this workload alone) and each
+scenario's mean command time: each side's median and quartiles over the
+pairs, the change of the medians in percent, the pairs in which the change
+read lower, whether the medians differ by more than the parent's
+interquartile range, the median and quartiles of the change within each
+pair, in percent, and whether those paired quartiles exclude 0 (drift of
+the host's speed widens each side's quartiles, but moves both blocks of a
+pair alike, so the paired verdict holds where the parent's interquartile
+range drowns a steady change).  It also counts the operations attempted
+and failed on each side.  Exit status: 0, or 1 when an operation failed on
+either side.
 """
 
 import argparse
@@ -72,6 +53,7 @@ import time
 WORKLOADS = ("calabi_verify", "ak_verify", "point_query")
 SIDES = ("parent", "change")
 BLOCK = 5
+TIMEOUT_S = 300.0    # one worker, set-up and both blocks
 
 
 def spread(values):
@@ -98,11 +80,12 @@ def summary(parent, change):
 
 
 def block_values(blocks):
-    """pass_s, fields_s, peak_rss_mb, scenario_gmean_ms, scenario_max_ms and
-    each scenario's mean command time of every block, by name: a scenario is
-    left out unless every block has it."""
+    """setup_s, pass_s, fields_s, peak_rss_mb, scenario_gmean_ms,
+    scenario_max_ms and each scenario's mean command time of every block, by
+    name: a scenario is left out unless every block has it."""
     out = {key: [statistics.fmean(b[key]) for b in blocks] for key in ("pass_s", "fields_s")}
-    out["peak_rss_mb"] = [b["peak_rss_mb"] for b in blocks]
+    for key in ("setup_s", "peak_rss_mb"):
+        out[key] = [b[key] for b in blocks]
     names = [n for n in blocks[0]["cmd_ms"] if all(b["cmd_ms"][n] for b in blocks)]
     means = {n: [statistics.fmean(b["cmd_ms"][n]) for b in blocks] for n in names}
     if len(names) == len(blocks[0]["cmd_ms"]):
@@ -113,7 +96,7 @@ def block_values(blocks):
 
 
 def report(blocks, block, host):
-    """The JSON report of the lockstep blocks[workload] = (parent blocks,
+    """The JSON report of the paired blocks[workload] = (parent blocks,
     change blocks) of block units each."""
     out = {"block": block, "host": host, "workloads": {}}
     for workload, (pb, cb) in blocks.items():
@@ -126,7 +109,7 @@ def report(blocks, block, host):
 
 
 # ---------------------------------------------------------------------------
-# the two workers
+# the workers
 # ---------------------------------------------------------------------------
 
 class FieldClock:
@@ -162,11 +145,12 @@ class FieldClock:
         self.point_eval.raw = self.raw
 
 
-def serve(tree, workloads):
-    """The worker: one runner per workload from the tree's own
-    perfbench/worker.py, then one JSON line on stdout for each request
-    ["workload", units] read from stdin, with each unit's pass_s and
-    fields_s and the process's peak resident set after the block."""
+def serve(tree, workload, units):
+    """The worker: the workload's runner from the tree's own
+    perfbench/worker.py, a ready line on stdout (the system-wide monotonic
+    clock), a warm-up block and a timed block of units each, then one JSON
+    line with each timed unit's pass_s and fields_s, the process's peak
+    resident set and whether numpy.random was loaded."""
     proto, sys.stdout = sys.stdout, sys.stderr
     sys.path.insert(0, os.path.join(tree, "perfbench"))
     import numpy as np
@@ -177,85 +161,56 @@ def serve(tree, workloads):
         raise RuntimeError("kahlerkit imported from %s, not from %s" % (here, tree))
     out_dir = tempfile.mkdtemp(prefix="kahlerkit-ab-")
     try:
-        runners = {w: worker.Runner(worker.WORKLOADS[w], None, os.path.join(out_dir, w),
-                                    query=w == "point_query") for w in workloads}
-        done = dict.fromkeys(workloads, 0)
-        print(json.dumps({"numpy": np.__version__}), file=proto, flush=True)
-        for line in sys.stdin:
-            workload, units = json.loads(line)
-            runner, tally = runners[workload], worker.Tally(runners[workload].names)
-            fields_s = []
-            with FieldClock() as clock:
-                for _ in range(units):
-                    before = clock.seconds
-                    runner.step(tally, done[workload])
-                    fields_s.append(clock.seconds - before)
-                    done[workload] += 1
-            peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-            print(json.dumps({"pass_s": tally.pass_s, "fields_s": fields_s,
-                              "peak_rss_mb": peak_rss_mb, "cmd_ms": tally.cmd_ms,
-                              "attempted": tally.attempted, "failed": tally.failed}),
-                  file=proto, flush=True)
+        runner = worker.Runner(worker.WORKLOADS[workload], None, out_dir,
+                               query=workload == "point_query")
+        print(json.dumps({"ready": time.monotonic()}), file=proto, flush=True)
+        for k in range(units):
+            runner.step(worker.Tally(runner.names), k)
+        tally, fields_s = worker.Tally(runner.names), []
+        with FieldClock() as clock:
+            for k in range(units, 2 * units):
+                before = clock.seconds
+                runner.step(tally, k)
+                fields_s.append(clock.seconds - before)
     finally:
         shutil.rmtree(out_dir, ignore_errors=True)
+    print(json.dumps({"pass_s": tally.pass_s, "fields_s": fields_s, "cmd_ms": tally.cmd_ms,
+                      "attempted": tally.attempted, "failed": tally.failed,
+                      "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+                      "pid": os.getpid(), "numpy": np.__version__,
+                      "numpy_random": "numpy.random" in sys.modules}),
+          file=proto, flush=True)
     return 0
 
 
-class Worker:
-    """A warm worker process serving one tree."""
-
-    def __init__(self, tree, workloads):
-        self.tree = tree
-        env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
-                   MKL_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
-                       [os.path.join(tree, "src")]
-                       + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-        cmd = [sys.executable, os.path.abspath(__file__), "--serve", tree,
-               "--workloads", *workloads]
-        self.proc = subprocess.Popen(cmd, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-                                     env=env, text=True)
-        self.ready = self._read()
-
-    def _read(self):
-        line = self.proc.stdout.readline()
-        if not line:
-            raise RuntimeError("the worker of %s exited" % self.tree)
-        return json.loads(line)
-
-    def block(self, workload, units):
-        self.proc.stdin.write(json.dumps([workload, units]) + "\n")
-        self.proc.stdin.flush()
-        return self._read()
-
-    def close(self):
-        with contextlib.suppress(OSError):
-            self.proc.stdin.close()
-        try:
-            self.proc.wait(timeout=30)
-        except subprocess.TimeoutExpired:
-            self.proc.kill()
-            self.proc.wait()
+def worker_block(tree, workload, units):
+    """The timed block of units of a fresh worker of the tree, with its
+    setup_s (spawn to ready line) and ready time."""
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
+               MKL_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+                   [os.path.join(tree, "src")]
+                   + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    cmd = [sys.executable, os.path.abspath(__file__), "--serve", tree, workload, str(units)]
+    t0 = time.monotonic()
+    proc = subprocess.run(cmd, stdout=subprocess.PIPE, env=env, text=True, timeout=TIMEOUT_S)
+    lines = proc.stdout.splitlines()
+    if proc.returncode != 0 or len(lines) != 2:
+        raise RuntimeError("the %s worker of %s exited with %d" % (workload, tree,
+                                                                  proc.returncode))
+    ready = json.loads(lines[0])["ready"]
+    return dict(json.loads(lines[1]), ready=ready, setup_s=ready - t0)
 
 
 def run(trees, workloads, pairs, block=BLOCK):
-    """The lockstep blocks of the two trees: {workload: (parent blocks,
-    change blocks)}, and the parent worker's ready line."""
-    workers = []
-    try:
-        for tree in trees:
-            workers.append(Worker(tree, workloads))
-        for w in workers:
-            for workload in workloads:
-                w.block(workload, block)
-        blocks = {workload: ([], []) for workload in workloads}
-        for i in range(pairs):
-            for workload in workloads:
-                for k in ((0, 1) if i % 2 == 0 else (1, 0)):
-                    blocks[workload][k].append(workers[k].block(workload, block))
-    finally:
-        for w in workers:
-            w.close()
-    return blocks, workers[0].ready
+    """The paired blocks of the two trees: {workload: (parent blocks, change
+    blocks)}, each block from a worker of its own, the parent's first in
+    even pairs and the change's first in odd ones."""
+    blocks = {workload: ([], []) for workload in workloads}
+    for i in range(pairs):
+        for workload in workloads:
+            for k in ((0, 1) if i % 2 == 0 else (1, 0)):
+                blocks[workload][k].append(worker_block(trees[k], workload, block))
+    return blocks
 
 
 def main(argv=None):
@@ -264,10 +219,11 @@ def main(argv=None):
     ap.add_argument("--pairs", type=int, default=24)
     ap.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
     ap.add_argument("--out", default=None)
-    ap.add_argument("--serve", default=None, help=argparse.SUPPRESS)
+    ap.add_argument("--serve", nargs=3, default=None, help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.serve:
-        return serve(args.serve, args.workloads)
+        tree, workload, units = args.serve
+        return serve(tree, workload, int(units))
     if len(args.trees) != 2 or args.pairs < 1:
         ap.error("give two trees and a positive --pairs")
     trees = [os.path.abspath(t) for t in args.trees]
@@ -279,9 +235,10 @@ def main(argv=None):
         except OSError as exc:
             ap.error("cannot write %s: %s" % (args.out, exc.strerror))
     with fh or contextlib.nullcontext():
-        blocks, ready = run(trees, args.workloads, args.pairs)
+        blocks = run(trees, args.workloads, args.pairs)
+        first = blocks[args.workloads[0]][0][0]
         host = {"machine": platform.machine(), "cpus": os.cpu_count(),
-                "python": platform.python_version(), "numpy": ready["numpy"]}
+                "python": platform.python_version(), "numpy": first["numpy"]}
         out = report(blocks, BLOCK, host)
         text = json.dumps(out, indent=1, sort_keys=True)
         if fh:
