@@ -17,9 +17,9 @@ per-point functions read fields from it, both through its one raw(), so
 every field runs once for the whole batch, on it or on a lifted slice pt[k:],
 a factor's point (PointEval).
 A field read is its memoised jet: a reader takes .value or .grad from it.
-A constant field reads as a jet with a zero gradient (affine, a known zero
-Hessian, at a second-order point), so the rules it enters run their
-derivative terms on zeros.
+A constant field reads as a jet at the point's batch with a zero gradient
+(affine, a known zero Hessian, at a second-order point), so the rules it
+enters run their derivative terms on zeros.
 Only curvature is second order, so a field is computed with its Hessian
 only where one is read: the metrics, and the fields a metric reads (a
 chart's alpha, Theta and P+, the base metric, the twist's w, |w|^2, S+).  A
@@ -54,8 +54,8 @@ import math
 
 import numpy as np
 
-from kahlerkit.jets import (Jet2, JetDomainError, _batch_of, _jet, contract, jeinsum,
-                            jet_dcoord, jinv, pack, sample_points)
+from kahlerkit.jets import (Jet2, JetDomainError, _jet, contract, jeinsum, jet_dcoord, jinv,
+                            pack, sample_points)
 
 
 class DegenerateMetricError(ValueError):
@@ -178,7 +178,8 @@ class PointEval(Jet2):
 
     p is the (B, n) stack of points (one point (n,) is taken as a batch of
     one), batch is B, and every jet and array read here carries a leading
-    batch axis of B, a constant field's included.
+    batch axis of B, a constant field's included: pack lifts it at the
+    point's batch.
 
     jet, when given, is the point's coordinate jet in place of the seeded
     one: the slice pe[k:] (a factor's coordinates, still differentiated in
@@ -225,13 +226,13 @@ class PointEval(Jet2):
 
     def raw(self, f):
         """f's components at the point, packed into one Jet2 with the batch
-        axis of B (a constant one lifted here and repeated over B), computed
-        on first_view() when f is marked first order."""
+        axis of B (a constant one lifted here, at B), computed on first_view()
+        when f is marked first order."""
         fn = _fn(f)
         jet = self.memo.get(("raw", fn))
         if jet is None:
             pt = self.first_view() if getattr(f, "order", 2) == 1 else self
-            jet = self.memo["raw", fn] = _batch_of(pack(fn(pt), pt), self.batch)
+            jet = self.memo["raw", fn] = pack(fn(pt), pt)
         return jet
 
     def __getitem__(self, idx):

@@ -13,8 +13,7 @@ the value axes behind the batch axis, so a builder closure reads as if it ran
 at one point.  The elementwise rules broadcast: in a binary rule the operand
 with fewer value axes gets unit ones right after its batch axis, so a (B,)
 scalar times an (n, n) matrix broadcasts as it does at one point, and a
-plain array or a jet of batch axis 1 (a lifted constant) broadcasts against
-a batch.
+plain array or a jet of batch axis 1 broadcasts against a batch.
 contract is the library's one contraction engine: it runs an explicit
 two-operand einsum spec, the batch axis one more letter, as one batched
 np.matmul on a plan cached by the spec and the operand shapes, and the float
@@ -41,10 +40,10 @@ pack skip the terms that a first-order or affine operand would add; _lift
 carries the states through.  No other rule tests for them.
 
 A constant is a plain number or array wherever it appears; pack lifts one
-that a field returns to a jet (batch axis 1, zero derivatives) in the
-coordinates and derivative order of the jets beside it or of the point it
-is read at: AFFINE at a second-order point, first order at a first-order
-one.
+that a field returns to a jet (a broadcast view, zero derivatives) at the
+batch, in the coordinates and in the derivative order of the jets beside it
+or of the point it is read at: AFFINE at a second-order point, first order
+at a first-order one.
 
 Sample points come from numpy's own algorithm, written here: SeedSequence
 turns the seed into a Philox4x64-10 key, and the counter-based stream is
@@ -511,24 +510,16 @@ def jet_dcoord(u):
 
 
 def _lift(x, like):
-    """The constant x (a number or an array of any shape) as a jet in the
-    coordinates and derivative order of the jet like, with a batch axis of 1
-    that broadcasts against any batch: AFFINE (its zero gradient and
-    Hessian), or first order when like is."""
+    """The constant x (a number or an array of any shape) as a jet at the
+    points of the jet like, in its coordinates and derivative order: x
+    broadcast over like's batch as a read-only view, with a broadcast zero
+    gradient, AFFINE (a known zero Hessian), or first order when like is."""
     if like is None:
         raise TypeError("a constant component needs the point it is read at")
-    x = np.asarray(x, float)[None]
-    return _jet(x, np.zeros(x.shape + like.grad.shape[-1:]),
+    x = np.asarray(x, float)
+    shape = like.value.shape[:1] + x.shape
+    return _jet(np.broadcast_to(x, shape), np.broadcast_to(0.0, shape + like.grad.shape[-1:]),
                 None if like._hess is None else AFFINE)
-
-
-def _batch_of(j, batch):
-    """The jet j at each of batch points: j itself when its batch axis has
-    them, else j's arrays repeated as read-only views (a first-order j stays
-    first order)."""
-    if len(j.value) == batch:
-        return j
-    return _map(j, lambda a: np.broadcast_to(a, (batch,) + a.shape[1:]))
 
 
 def pack(M, point=None):
@@ -537,9 +528,8 @@ def pack(M, point=None):
     A constant component, a number or an array, is lifted to the coordinates
     and derivative order of the jet components beside it, or, when M holds
     no jet (a bare number or array included), of the jet point, the point
-    it is read at.  A component of batch 1 is repeated over the batch of the
-    others.  The stack is first order when a component is, and affine when
-    every component is."""
+    it is read at, and so at their batch.  The stack is first order when a
+    component is, and affine when every component is."""
     if isinstance(M, Jet2):
         return M
     if not isinstance(M, (list, tuple)):
@@ -550,9 +540,7 @@ def pack(M, point=None):
         flat = [e for row in flat for e in row]
     like = next((e for e in flat if isinstance(e, Jet2)), point)
     flat = [e if isinstance(e, Jet2) else _lift(e, like) for e in flat]
-    batch = max(len(e.value) for e in flat)
-    flat = [_batch_of(e, batch) for e in flat]
-    s = (batch,) + tuple(shape) + flat[0].shape
+    s = flat[0].value.shape[:1] + tuple(shape) + flat[0].shape
     n = flat[0].grad.shape[-1:]
 
     def stacked(parts, tail):

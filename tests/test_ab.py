@@ -1,8 +1,8 @@
 """The paired A/B tool: a tree timed against itself, each block in a
-fresh worker, reports every workload's blocks, pairs and operation counts,
-the paired statistics count the pairs won and compare the medians with the
-parent's interquartile range, an unwritable output stops it before any
-timing, and the field clock charges a field run once."""
+fresh worker pinned to one CPU, reports every workload's blocks, pairs and
+operation counts, the paired statistics count the pairs won and compare the
+medians with the parent's interquartile range, an unwritable output stops
+it before any timing, and the field clock charges a field run once."""
 
 import importlib.util
 import os
@@ -31,6 +31,9 @@ def test_a_tree_timed_against_itself_in_fresh_workers():
     # every block comes from its own process
     pids = [b["pid"] for b in every]
     assert len(set(pids)) == len(pids) == 8 and os.getpid() not in pids
+    # and runs pinned to one CPU, the same for both sides of every pair:
+    # the highest this process may run on
+    assert all(b["cpus"] == [max(os.sched_getaffinity(0))] for b in every)
     for w in workloads:
         parent, change = blocks[w]
         assert len(parent) == len(change) == 2

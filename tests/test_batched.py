@@ -18,7 +18,7 @@ BUNDLED = ["flat", "sphere", "calabi_flat", "calabi_twist_zeta", "calabi_chain_u
 
 def _expressions(x):
     """Jets built from the coordinate jets x by every rule, mixing scalars,
-    vectors, matrices, constants and constant jets (batch axis 1)."""
+    vectors, matrices, constants and constant jets (lifted at x's batch)."""
     n = len(x)
     s = x[0] * x[1] + 2.0
     M = pack([[x[i] * x[j] + (3.0 if i == j else 0.0) for j in range(n)] for i in range(n)])

@@ -451,9 +451,9 @@ def test_a_constant_field_reads_as_the_constant_jet_of_the_point():
         c = lo.raw(fn)
         assert c._hess is None
         assert np.array_equal(c.value, hi.value) and np.array_equal(c.grad, hi.grad)
-        # called on a plain jet point, it keeps a batch axis of 1
+        # called on a plain jet point, it is lifted at that point's batch
         one = Field(fn)(Jet2.seed(p))
-        assert one.value.shape == (1, 2, 2) and one.hess.shape == (1, 2, 2, 3, 3)
+        assert one.value.shape == (2, 2, 2) and one.hess.shape == (2, 2, 2, 3, 3)
     # a lifted slice reads it in all of the point's coordinates, with a zero
     # gradient, and constants packed at a plain jet point read as constants
     # there
@@ -461,7 +461,7 @@ def test_a_constant_field_reads_as_the_constant_jet_of_the_point():
     assert c.grad.shape == (2, 3) and not c.grad.any()
     om = Field(lambda pt: omega_of(pack(np.eye(2), pt), pack(rotation(pt), pt)))(
         Jet2.seed(p[:, :2]))
-    assert np.array_equal(om.value, [np.transpose(ROTATION)]) and not om.hess.any()
+    assert np.array_equal(om.value, [np.transpose(ROTATION)] * 2) and not om.hess.any()
 
 
 def test_a_fold_replays_a_first_order_batch_at_first_order():
@@ -520,8 +520,8 @@ def test_fields_called_on_the_point_read_its_memo():
     assert calls == [2, 2, 2, 2]
     for part in ("value", "grad", "hess"):
         assert np.array_equal(getattr(plain, part), getattr(pe.raw(top), part))
-    # a field constant on the chart returns a plain array, lifted with a
-    # batch axis of 1; the memo holds it broadcast to the batch, read after read
+    # a field constant on the chart returns a plain array, lifted at the
+    # point's batch; the memo holds that jet, read after read
     pts = PointEval([[0.5, 1.1, 0.4], [0.2, 0.3, 0.1]])
     const = Field(lambda pt: np.eye(3))
     assert pts.raw(const) is pts.raw(const) and pts.raw(const).hess.shape == (2, 3, 3, 3, 3)

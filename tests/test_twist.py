@@ -6,7 +6,7 @@ chart: its own triple, and a factor at its lifted slice."""
 import numpy as np
 import pytest
 
-from kahlerkit import almost_kahler, jets, twist
+from kahlerkit import almost_kahler, twist
 from kahlerkit.jets import Jet2, JetDomainError, SamplePlan, pack
 from kahlerkit.fields import Field, Fold, PointEval, metric_jets, worst
 from kahlerkit.foliation import classify_point, homothetic_point
@@ -411,9 +411,8 @@ def test_a_built_chart_is_its_own_triple():
 
 def _outside_the_memo(E, p):
     """The second-order jet of the field E at the (B, n) points p, built
-    outside any point's memo: E's callable on the seed, with a constant
-    repeated over the batch."""
-    return jets._batch_of(E(Jet2.seed(p)), len(p))
+    outside any point's memo: E's callable on the seed."""
+    return E(Jet2.seed(p))
 
 
 def _assert_jets_close(got, want, what):

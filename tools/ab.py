@@ -5,17 +5,19 @@ block: the one timing tool of the repo.
                        [--workloads NAME ...] [--out FILE]
 
 A block is one worker process serving one tree and one workload (its src/
-first on the path, single-threaded BLAS).  It builds the workload's runner
-from the tree's own perfbench/worker.py, prints a ready line, runs one
-unrecorded warm-up block of BLOCK units and one timed block of BLOCK units,
-and exits; a unit drives kahlerkit.cli.main as a perfbench run does at the
-bundled seeds: a verify pass over the workload's scenarios, or one round of
-curvature queries.  In each pair, for each workload in turn, the block of
-one tree runs and then the block of the other, and the tree that goes first
-alternates from pair to pair.  So both trees see the same drift of the
-host's speed, and each pair is an independent replicate: its two processes
-share no memory layout or address-space randomisation with any other pair.
-A/A calibration is `ab.py TREE TREE`.
+first on the path, single-threaded BLAS, pinned to one CPU, the highest the
+calling process may run on, so both sides of every pair share a core).  It
+builds the workload's runner from the tree's own perfbench/worker.py,
+prints a ready line, runs one unrecorded warm-up block of BLOCK units and
+one timed block of BLOCK units, and exits; a unit drives kahlerkit.cli.main
+as a perfbench run does at the bundled seeds: a verify pass over the
+workload's scenarios, or one round of curvature queries.  In each pair, for
+each workload in turn, the block of one tree runs and then the block of the
+other, and the tree that goes first alternates from pair to pair.  So both
+trees see the same drift of the host's speed, and each pair is an
+independent replicate: its two processes share no memory layout or
+address-space randomisation with any other pair.  A/A calibration is
+`ab.py TREE TREE`.
 
 The JSON written to --out (and printed) holds, per workload, for setup_s
 (spawn to ready line, as perfbench/run.py times it: imports, scenario loads
@@ -145,12 +147,14 @@ class FieldClock:
         self.point_eval.raw = self.raw
 
 
-def serve(tree, workload, units):
-    """The worker: the workload's runner from the tree's own
-    perfbench/worker.py, a ready line on stdout (the system-wide monotonic
-    clock), a warm-up block and a timed block of units each, then one JSON
-    line with each timed unit's pass_s and fields_s, the process's peak
-    resident set and whether numpy.random was loaded."""
+def serve(tree, workload, units, cpu):
+    """The worker, pinned to the CPU cpu before it imports anything: the
+    workload's runner from the tree's own perfbench/worker.py, a ready line
+    on stdout (the system-wide monotonic clock), a warm-up block and a timed
+    block of units each, then one JSON line with each timed unit's pass_s
+    and fields_s, the process's peak resident set, its CPU affinity and
+    whether numpy.random was loaded."""
+    os.sched_setaffinity(0, {cpu})
     proto, sys.stdout = sys.stdout, sys.stderr
     sys.path.insert(0, os.path.join(tree, "perfbench"))
     import numpy as np
@@ -177,20 +181,22 @@ def serve(tree, workload, units):
     print(json.dumps({"pass_s": tally.pass_s, "fields_s": fields_s, "cmd_ms": tally.cmd_ms,
                       "attempted": tally.attempted, "failed": tally.failed,
                       "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
-                      "pid": os.getpid(), "numpy": np.__version__,
+                      "pid": os.getpid(), "cpus": sorted(os.sched_getaffinity(0)),
+                      "numpy": np.__version__,
                       "numpy_random": "numpy.random" in sys.modules}),
           file=proto, flush=True)
     return 0
 
 
-def worker_block(tree, workload, units):
-    """The timed block of units of a fresh worker of the tree, with its
-    setup_s (spawn to ready line) and ready time."""
+def worker_block(tree, workload, units, cpu):
+    """The timed block of units of a fresh worker of the tree, pinned to the
+    CPU cpu, with its setup_s (spawn to ready line) and ready time."""
     env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
                MKL_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
                    [os.path.join(tree, "src")]
                    + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    cmd = [sys.executable, os.path.abspath(__file__), "--serve", tree, workload, str(units)]
+    cmd = [sys.executable, os.path.abspath(__file__), "--serve", tree, workload, str(units),
+           str(cpu)]
     t0 = time.monotonic()
     proc = subprocess.run(cmd, stdout=subprocess.PIPE, env=env, text=True, timeout=TIMEOUT_S)
     lines = proc.stdout.splitlines()
@@ -204,12 +210,15 @@ def worker_block(tree, workload, units):
 def run(trees, workloads, pairs, block=BLOCK):
     """The paired blocks of the two trees: {workload: (parent blocks, change
     blocks)}, each block from a worker of its own, the parent's first in
-    even pairs and the change's first in odd ones."""
+    even pairs and the change's first in odd ones.  Every worker is pinned
+    to one CPU, the highest this process may run on, so both sides of every
+    pair run on the same core."""
+    cpu = max(os.sched_getaffinity(0))
     blocks = {workload: ([], []) for workload in workloads}
     for i in range(pairs):
         for workload in workloads:
             for k in ((0, 1) if i % 2 == 0 else (1, 0)):
-                blocks[workload][k].append(worker_block(trees[k], workload, block))
+                blocks[workload][k].append(worker_block(trees[k], workload, block, cpu))
     return blocks
 
 
@@ -219,11 +228,11 @@ def main(argv=None):
     ap.add_argument("--pairs", type=int, default=24)
     ap.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
     ap.add_argument("--out", default=None)
-    ap.add_argument("--serve", nargs=3, default=None, help=argparse.SUPPRESS)
+    ap.add_argument("--serve", nargs=4, default=None, help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.serve:
-        tree, workload, units = args.serve
-        return serve(tree, workload, int(units))
+        tree, workload, units, cpu = args.serve
+        return serve(tree, workload, int(units), int(cpu))
     if len(args.trees) != 2 or args.pairs < 1:
         ap.error("give two trees and a positive --pairs")
     trees = [os.path.abspath(t) for t in args.trees]
